@@ -19,12 +19,18 @@ Run with:  python examples/adaptive_execution.py
 from repro import Graph, S2RDFSession, Triple
 
 
+#: Enough users that the join's inputs are past the runtime's small-join
+#: bound (``strategies.SMALL_JOIN_ROWS``, 1 024 rows): below it every join
+#: runs inline on the calling thread and there is no exchange to mis-plan.
+USERS = 2400
+
+
 def build_graph() -> Graph:
-    """A follows/likes social graph: 60 users, a handful of products."""
+    """A follows/likes social graph: 2 400 users, a handful of products."""
     triples = []
-    for i in range(60):
-        triples.append(Triple.of(f"u{i}", "follows", f"u{(i * 7) % 30}"))
-    for i in range(0, 60, 2):
+    for i in range(USERS):
+        triples.append(Triple.of(f"u{i}", "follows", f"u{(i * 7) % (USERS // 2)}"))
+    for i in range(0, USERS, 2):
         triples.append(Triple.of(f"u{i}", "likes", f"p{i % 6}"))
     return Graph(triples, name="social")
 

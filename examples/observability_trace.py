@@ -41,7 +41,9 @@ def stale_statistics(session: S2RDFSession, factor: int = 1_000_000) -> None:
     """Make every table look ``factor``x bigger than it is.
 
     This is the failure mode AQE exists for: the static planner shuffles
-    joins whose inputs would comfortably fit a broadcast.
+    joins whose inputs would comfortably fit a broadcast — or, at this
+    example's size, need no exchange at all: the report shows the planned
+    shuffle executed inline (``SerialJoin``, reason ``small input``).
     """
     catalog = session.layout.catalog
     for name in list(catalog.statistics_names()):

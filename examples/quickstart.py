@@ -58,9 +58,10 @@ def main() -> None:
         print(f"  {table}")
 
     # The runtime's physical-planning step annotates every join with a
-    # Spark-style strategy: broadcast when one side is small enough, shuffle
-    # otherwise.  Tune with num_partitions / broadcast_threshold.
-    print("\nPhysical join strategies (Spark-style shuffle vs. broadcast):")
+    # strategy: no exchange at all when both inputs together are small (as
+    # here), else Spark-style — broadcast when one side is small enough,
+    # shuffle otherwise.  Tune with num_partitions / broadcast_threshold.
+    print("\nPhysical join strategies (inline vs. Spark-style broadcast / shuffle):")
     for strategy in result.join_strategies:
         print(f"  {strategy}")
 
@@ -79,17 +80,21 @@ def main() -> None:
         f"input tuples read = {empty.metrics.input_tuples}"
     )
 
-    # The same query on a partitioned session: joins run per-partition on a
-    # worker pool and the metrics report observed exchange volume in bytes.
+    # The same query on a partitioned session.  Joins big enough to need an
+    # exchange run per-partition on a worker pool and the metrics report the
+    # observed exchange volume in bytes; G1's seven triples are far below the
+    # runtime's small-join bound, so here every join runs inline on the calling
+    # thread and nothing is exchanged.
     parallel = S2RDFSession.from_graph(graph, num_partitions=4, broadcast_threshold=0)
     parallel_result = parallel.query(QUERY_Q1)
     print(
-        f"\nPartitioned run (4 partitions, shuffle-only): {len(parallel_result)} results, "
+        f"\nPartitioned session (4 partitions): {len(parallel_result)} results, "
         f"{parallel_result.metrics.parallel_tasks} partition tasks, "
         f"{parallel_result.metrics.shuffled_bytes} shuffled bytes"
     )
     # Executed strategies can differ from the plan: adaptive execution (on by
-    # default) replans joins from observed sizes — see examples/adaptive_execution.py.
+    # default) replans joins from observed sizes — examples/adaptive_execution.py
+    # does that on a graph large enough to exchange.
     for strategy in parallel_result.executed_join_strategies:
         print(f"  {strategy}")
 

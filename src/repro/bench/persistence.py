@@ -25,6 +25,7 @@ import time
 from typing import List, Optional, Sequence, Tuple
 
 from repro.bench.reporting import ExperimentReport
+from repro.bench.scaling import forced_exchange
 from repro.core.session import S2RDFSession
 from repro.store.format import Manifest, StoredTermDictionary, read_manifest
 from repro.watdiv.basic_queries import BASIC_TEMPLATES
@@ -178,10 +179,11 @@ def run_persistence(
     aligned_session = S2RDFSession.open_dataset(path, broadcast_threshold=0)
     aligned_inputs = 0
     shuffled_bytes = 0
-    for query_text in queries:
-        metrics = aligned_session.query(query_text).metrics
-        aligned_inputs += metrics.partition_aligned_inputs
-        shuffled_bytes += metrics.shuffled_bytes
+    with forced_exchange():  # these inputs are small enough to join inline
+        for query_text in queries:
+            metrics = aligned_session.query(query_text).metrics
+            aligned_inputs += metrics.partition_aligned_inputs
+            shuffled_bytes += metrics.shuffled_bytes
     report.add_row(
         step="partition-aligned joins",
         seconds=None,

@@ -35,38 +35,34 @@ class BGPCompilationResult:
         return [choice.table_name for _, choice in self.choices]
 
 
-def _pattern_variables(pattern: TriplePattern) -> Set[str]:
-    return {v.name for v in pattern.variables()}
-
-
 def _order_patterns(
     patterns: Sequence[TriplePattern],
     choices: Dict[int, TableChoice],
 ) -> List[int]:
     """Algorithm 4's ordering: bound values first, then smallest table,
     always requiring a shared variable with the already-joined prefix."""
+    # Per pattern, once: the selection loop below is quadratic in the BGP size.
+    variables = [{v.name for v in pattern.variables()} for pattern in patterns]
+    bound = [pattern.bound_count() for pattern in patterns]
     remaining = list(range(len(patterns)))
     # Primary order: number of bound values (descending).
-    remaining.sort(key=lambda i: (-patterns[i].bound_count(), choices[i].row_count))
+    remaining.sort(key=lambda i: (-bound[i], choices[i].row_count))
     ordered: List[int] = []
     seen_variables: Set[str] = set()
     while remaining:
         next_index: Optional[int] = None
         for index in remaining:
-            variables = _pattern_variables(patterns[index])
-            connected = bool(seen_variables & variables) or not ordered
+            connected = not ordered or not seen_variables.isdisjoint(variables[index])
             if not connected:
                 continue
             if next_index is None:
                 next_index = index
                 continue
-            current_best = choices[next_index]
-            candidate = choices[index]
-            if patterns[index].bound_count() > patterns[next_index].bound_count():
+            if bound[index] > bound[next_index]:
                 next_index = index
             elif (
-                patterns[index].bound_count() == patterns[next_index].bound_count()
-                and candidate.row_count < current_best.row_count
+                bound[index] == bound[next_index]
+                and choices[index].row_count < choices[next_index].row_count
             ):
                 next_index = index
         if next_index is None:
@@ -74,7 +70,7 @@ def _order_patterns(
             # smallest one and accept the cross join.
             next_index = min(remaining, key=lambda i: choices[i].row_count)
         ordered.append(next_index)
-        seen_variables |= _pattern_variables(patterns[next_index])
+        seen_variables |= variables[next_index]
         remaining.remove(next_index)
     return ordered
 

@@ -1,14 +1,16 @@
 """Query results.
 
 A :class:`QueryResult` bundles the solution bindings with everything the
-benchmark harness needs: the generated SQL text, the execution metrics, the
-simulated cluster runtime and the wall-clock time spent in the local engine.
+benchmark harness needs: the generated SQL text (rendered on first read), the
+execution metrics, the simulated cluster runtime and the wall-clock time spent
+in the local engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from functools import cached_property
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.relation import Relation
@@ -22,7 +24,6 @@ class QueryResult:
     """The outcome of executing one SPARQL query."""
 
     relation: Relation
-    sql: str
     metrics: ExecutionMetrics
     simulated_runtime_ms: float
     #: Total wall-clock time of the query() call, in milliseconds.
@@ -50,6 +51,23 @@ class QueryResult:
     #: ``None`` for sessions without a persisted dataset.  Under concurrent
     #: appends this identifies exactly which store state produced the rows.
     epoch: Optional[int] = None
+    #: Renders :attr:`sql` (the compiled plan's ``to_sql`` method).  Rendering is
+    #: ~5 % of a small query and the text is almost never read, so it happens
+    #: on first access, not per query.
+    sql_renderer: Optional[Callable[[], str]] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def sql(self) -> str:
+        """The SQL text of the compiled plan, rendered once on first read."""
+        return self.sql_renderer() if self.sql_renderer is not None else ""
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Process workers return whole results: ship the text, not the
+        # renderer (a bound method of the plan tree).
+        state = dict(self.__dict__)
+        state["sql"] = self.sql
+        state["sql_renderer"] = None
+        return state
 
     @property
     def wallclock_ms(self) -> float:

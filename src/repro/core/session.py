@@ -710,7 +710,9 @@ class S2RDFSession:
                 physical = None if use_sqlite else self.executor.last_physical_plan
                 result = QueryResult(
                     relation=relation,
-                    sql=compiled.sql(),
+                    # The plan alone renders the text; holding ``compiled.sql``
+                    # would keep the per-BGP compilation details alive too.
+                    sql_renderer=compiled.plan.to_sql,
                     metrics=metrics,
                     simulated_runtime_ms=simulated,
                     wall_clock_ms=(time.perf_counter() - total_start) * 1000.0,

@@ -61,7 +61,19 @@ class Partitioning:
 
 
 class Relation:
-    """An immutable bag of tuples with named columns."""
+    """An immutable bag of tuples with named columns.
+
+    Two constructors, one per kind of caller.  ``Relation(columns, rows)`` is
+    the public one: it accepts any iterable of row sequences, turns each into
+    a tuple and checks its width against the schema, so malformed outside
+    input raises :class:`SchemaError` here and nowhere later.
+    :meth:`Relation.adopt` is the engine's own: operators, scans and exchanges
+    that build tuples of the right width *by construction* hand their row
+    list over as-is — the schema is still checked, the rows are not copied.
+    Neither an operator nor a caller may mutate ``rows`` afterwards: adopted
+    lists are shared (a rename shares its input's rows, a cached scan shares
+    them with every query that reads it).
+    """
 
     __slots__ = ("columns", "rows", "partitioning")
 
@@ -87,6 +99,28 @@ class Relation:
         #: Optional physical layout tag; operators that preserve row order and
         #: cardinality propagate it, everything else drops it.
         self.partitioning: Optional[Partitioning] = partitioning
+
+    @classmethod
+    def adopt(
+        cls,
+        columns: Sequence[str],
+        rows: List[Row],
+        partitioning: Optional[Partitioning] = None,
+    ) -> "Relation":
+        """Engine-internal constructor: check the schema, adopt ``rows`` as-is.
+
+        ``rows`` must be a list of tuples that each have ``len(columns)``
+        values by construction, and the caller gives the list up — it is
+        neither copied nor re-checked.  Anything built from outside input
+        goes through ``Relation(columns, rows)`` instead.
+        """
+        relation = cls.__new__(cls)
+        relation.columns = tuple(columns)
+        if len(set(relation.columns)) != len(relation.columns):
+            raise SchemaError(f"duplicate column names in {relation.columns}")
+        relation.rows = rows
+        relation.partitioning = partitioning
+        return relation
 
     # ------------------------------------------------------------------ #
     # Basics
@@ -169,13 +203,15 @@ class Relation:
         for column in columns:
             if column not in unique:
                 unique.append(column)
+        if tuple(unique) == self.columns:
+            return self  # relations are immutable: the identity projection copies nothing
         indexes = [self.column_index(c) for c in unique]
         partitioning = self.partitioning
         if partitioning is not None and not all(k in unique for k in partitioning.keys):
             partitioning = None  # a dropped key column invalidates the layout tag
-        return Relation(
+        return Relation.adopt(
             unique,
-            (tuple(row[i] for i in indexes) for row in self.rows),
+            [tuple(row[i] for i in indexes) for row in self.rows],
             partitioning=partitioning,
         )
 
@@ -185,18 +221,18 @@ class Relation:
             self.column_index(old)
         new_columns = [mapping.get(c, c) for c in self.columns]
         partitioning = self.partitioning.renamed(mapping) if self.partitioning is not None else None
-        return Relation(new_columns, self.rows, partitioning=partitioning)
+        return Relation.adopt(new_columns, self.rows, partitioning=partitioning)
 
     def select(self, predicate: Callable[[Dict[str, Any]], bool]) -> "Relation":
         """Filter rows by a predicate over row dictionaries."""
         kept = [row for row in self.rows if predicate(dict(zip(self.columns, row)))]
-        return Relation(self.columns, kept)
+        return Relation.adopt(self.columns, kept)
 
     def select_eq(self, conditions: Mapping[str, Any]) -> "Relation":
         """Filter rows by equality conditions (column -> required value)."""
         indexes = [(self.column_index(column), value) for column, value in conditions.items()]
         kept = [row for row in self.rows if all(row[i] == v for i, v in indexes)]
-        return Relation(self.columns, kept)
+        return Relation.adopt(self.columns, kept)
 
     def distinct(self) -> "Relation":
         seen = set()
@@ -205,7 +241,7 @@ class Relation:
             if row not in seen:
                 seen.add(row)
                 kept.append(row)
-        return Relation(self.columns, kept)
+        return Relation.adopt(self.columns, kept)
 
     def order_by(self, keys: Sequence[Tuple[str, bool]]) -> "Relation":
         """Sort by ``(column, ascending)`` pairs; stable, None sorts last."""
@@ -220,11 +256,11 @@ class Relation:
                 return (0, _sortable(value))
 
             rows.sort(key=sort_key, reverse=not ascending)
-        return Relation(self.columns, rows)
+        return Relation.adopt(self.columns, rows)
 
     def limit(self, count: Optional[int], offset: int = 0) -> "Relation":
         end = None if count is None else offset + count
-        return Relation(self.columns, self.rows[offset:end])
+        return Relation.adopt(self.columns, self.rows[offset:end])
 
     def top_k(self, keys: Sequence[Tuple[str, bool]], count: int, offset: int = 0) -> "Relation":
         """ORDER BY + LIMIT fused into a heap-based top-k selection.
@@ -248,7 +284,7 @@ class Relation:
             return tuple(parts)
 
         rows = heapq.nsmallest(count + offset, self.rows, key=composite)
-        return Relation(self.columns, rows[offset:])
+        return Relation.adopt(self.columns, rows[offset:])
 
     def aggregate(self, group_keys: Sequence[str], aggregates: Sequence[Any]) -> "Relation":
         """GROUP BY ``group_keys`` computing ``aggregates`` per group.
@@ -290,7 +326,7 @@ class Relation:
                     argument = [row[index] for row in bucket if row[index] is not None]
                     values.append(aggregate_value(spec.function, argument, spec.distinct))
             output_rows.append(tuple(values))
-        return Relation(output_columns, output_rows)
+        return Relation.adopt(output_columns, output_rows)
 
     # ------------------------------------------------------------------ #
     # Binary operators
@@ -301,17 +337,17 @@ class Relation:
             all_columns = list(dict.fromkeys(list(self.columns) + list(other.columns)))
             left = self._pad_to(all_columns)
             right = other._pad_to(all_columns)
-            return Relation(all_columns, left.rows + right.rows)
+            return Relation.adopt(all_columns, left.rows + right.rows)
         aligned = other.project(self.columns)
-        return Relation(self.columns, self.rows + aligned.rows)
+        return Relation.adopt(self.columns, self.rows + aligned.rows)
 
     def _pad_to(self, columns: Sequence[str]) -> "Relation":
         index_map = {c: i for i, c in enumerate(self.columns)}
-        rows = (
+        rows = [
             tuple(row[index_map[c]] if c in index_map else None for c in columns)
             for row in self.rows
-        )
-        return Relation(columns, rows)
+        ]
+        return Relation.adopt(columns, rows)
 
     def natural_join(self, other: "Relation", metrics: Optional[ExecutionMetrics] = None) -> "Relation":
         """Hash join on all shared column names.
@@ -332,7 +368,7 @@ class Relation:
                     output_rows.append(left_row + right_row)
             if metrics is not None:
                 metrics.record_join(len(self.rows), len(other.rows), comparisons, len(output_rows))
-            return Relation(output_columns, output_rows)
+            return Relation.adopt(output_columns, output_rows)
 
         # Build the hash table on the smaller input, probe with the larger.
         build, probe, build_is_left = (
@@ -347,7 +383,6 @@ class Relation:
         for row in build.rows:
             hash_table[tuple(row[i] for i in build_key_indexes)].append(row)
 
-        left_extra_positions = [self.column_index(c) for c in self.columns]
         right_extra_positions = [other.column_index(c) for c in other.columns if c not in shared]
 
         for probe_row in probe.rows:
@@ -359,13 +394,12 @@ class Relation:
             for build_row in bucket:
                 left_row = build_row if build_is_left else probe_row
                 right_row = probe_row if build_is_left else build_row
-                combined = tuple(left_row[i] for i in left_extra_positions) + tuple(
-                    right_row[i] for i in right_extra_positions
+                output_rows.append(
+                    left_row + tuple(right_row[i] for i in right_extra_positions)
                 )
-                output_rows.append(combined)
         if metrics is not None:
             metrics.record_join(len(self.rows), len(other.rows), comparisons, len(output_rows))
-        return Relation(output_columns, output_rows)
+        return Relation.adopt(output_columns, output_rows)
 
     def left_outer_join(self, other: "Relation", metrics: Optional[ExecutionMetrics] = None) -> "Relation":
         """Left outer join on shared column names (OPTIONAL semantics)."""
@@ -393,7 +427,7 @@ class Relation:
                 output_rows.append(left_row + tuple(None for _ in extra_columns))
         if metrics is not None:
             metrics.record_join(len(self.rows), len(other.rows), comparisons, len(output_rows))
-        return Relation(output_columns, output_rows)
+        return Relation.adopt(output_columns, output_rows)
 
     def semi_join(
         self,
@@ -417,7 +451,7 @@ class Relation:
                 kept.append(row)
         if metrics is not None:
             metrics.record_join(len(self.rows), len(other.rows), comparisons, len(kept))
-        return Relation(self.columns, kept)
+        return Relation.adopt(self.columns, kept)
 
     def anti_join(
         self,
@@ -432,7 +466,7 @@ class Relation:
         kept = [row for row in self.rows if tuple(row[i] for i in left_indexes) not in keys]
         if metrics is not None:
             metrics.record_join(len(self.rows), len(other.rows), len(self.rows), len(kept))
-        return Relation(self.columns, kept)
+        return Relation.adopt(self.columns, kept)
 
 
 class _ReversedKey:

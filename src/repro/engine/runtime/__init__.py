@@ -9,16 +9,18 @@ axis:
 * :mod:`~repro.engine.runtime.partitioned` — :class:`PartitionedRelation`,
   a schema-sharing list of disjoint partitions with byte accounting.
 * :mod:`~repro.engine.runtime.strategies` — the physical-planning step:
-  per-join :class:`ShuffleHashJoin` / :class:`BroadcastHashJoin` decisions
-  driven by catalog statistics and a Spark-style
+  per-join :class:`SerialJoin` (no exchange, small inputs) /
+  :class:`BroadcastHashJoin` / :class:`ShuffleHashJoin` decisions driven by
+  catalog statistics, a measured small-join row bound and a Spark-style
   ``autoBroadcastJoinThreshold``.
 * :mod:`~repro.engine.runtime.adaptive` — :class:`AdaptivePlanner`, the
   Spark-3-style adaptive execution layer: re-decides each join's strategy
   from observed input sizes, splits skewed partitions and feeds observed
   cardinalities back into the catalog.
 * :mod:`~repro.engine.runtime.executor` — :class:`ParallelExecutor`, which
-  runs per-partition join tasks on a thread pool, merges the partition
-  outputs and records observed shuffle/broadcast volume in the metrics.
+  inlines joins whose observed inputs are small, runs the per-partition join
+  tasks of the rest on a thread pool, merges the partition outputs and
+  records observed shuffle/broadcast volume in the metrics.
 """
 
 from repro.engine.runtime.adaptive import (

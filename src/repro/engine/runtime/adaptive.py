@@ -13,7 +13,10 @@ join operator runs, both of its inputs are fully materialized — the natural
 re-optimization point.  The :class:`AdaptivePlanner`
 
 * **revises** each join's planned strategy from the observed input sizes just
-  before it runs (:meth:`AdaptivePlanner.revise`): a planned
+  before it runs (:meth:`AdaptivePlanner.revise`; the executor only asks when
+  the observed inputs are big enough to need an exchange at all): a planned
+  :class:`~repro.engine.runtime.strategies.SerialJoin` whose inputs outgrew
+  the small-join bound gets the exchange it needs, a planned
   :class:`~repro.engine.runtime.strategies.ShuffleHashJoin` whose build
   candidate is actually under the broadcast threshold is demoted to a
   :class:`~repro.engine.runtime.strategies.BroadcastHashJoin`, the reverse is
@@ -58,6 +61,7 @@ from repro.engine.runtime.strategies import (
     DEFAULT_BROADCAST_THRESHOLD,
     BroadcastHashJoin,
     JoinStrategy,
+    SerialJoin,
     ShuffleHashJoin,
     choose_join_strategy,
 )
@@ -200,6 +204,12 @@ class AdaptivePlanner:
         right_bytes: int,
     ) -> str:
         observed = f"observed left={left_bytes} B, right={right_bytes} B"
+        if isinstance(planned, SerialJoin):
+            # Estimated under the small-join bound, materialized above it.
+            observed = (
+                f"estimated {planned.reason}, observed {revised.left_rows} + "
+                f"{revised.right_rows} rows; {observed}"
+            )
         if isinstance(revised, BroadcastHashJoin) and not isinstance(planned, BroadcastHashJoin):
             build = left_bytes if revised.build_side == "left" else right_bytes
             return (

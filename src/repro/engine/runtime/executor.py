@@ -10,6 +10,13 @@ the join keys and joins the co-partitioned pairs on a
 the large side, exactly like Spark's exchange operators.  Results are merged
 back into one relation, so the output is bag-equal to the serial executor's.
 
+The machinery is paid for only when the data is big enough to use it: a join
+whose materialized inputs together hold fewer than
+:data:`~repro.engine.runtime.strategies.SMALL_JOIN_ROWS` rows runs as the
+serial operator on the calling thread (:class:`SerialJoin`, reason ``small
+input``) — in every mode, whatever the plan said — and a query made only of
+such joins never creates the thread pool.
+
 With ``adaptive_enabled`` (the default), execution is *adaptive* in the
 Spark 3 sense: joins materialize bottom-up, so when a join is about to run,
 its inputs are observed rather than estimated.  The
@@ -54,6 +61,7 @@ from repro.engine.runtime.strategies import (
     PhysicalPlan,
     SerialJoin,
     ShuffleHashJoin,
+    is_small_join,
     plan_join_strategies,
 )
 
@@ -72,7 +80,15 @@ class ExchangeStats:
 
 
 class ParallelExecutor(PlanExecutor):
-    """Executes logical plans with partitioned, pooled join operators."""
+    """Executes logical plans with partitioned, pooled join operators.
+
+    Per join, at the materialisation boundary: observed inputs that are
+    degenerate or small (see :meth:`_serial_reason`) run the inherited serial
+    operator inline; otherwise the planned strategy — revised from observed
+    sizes under AQE, then checked against the broadcast memory guard — picks
+    the broadcast or shuffle exchange, whose partition tasks go to the thread
+    pool (created on first use) or, in process mode, to the worker pool.
+    """
 
     def __init__(
         self,
@@ -196,33 +212,33 @@ class ParallelExecutor(PlanExecutor):
         physical = self.last_physical_plan
         planned = physical.strategy_for(plan) if physical is not None else None
 
-        if not self._worth_parallelising(left, right, shared):
+        serial_reason = self._serial_reason(left, right, shared)
+        strategy = planned
+        if serial_reason is None:
+            if self.adaptive is not None and planned is not None:
+                strategy, event = self.adaptive.revise(plan, planned, left, right)
+                if event is not None:
+                    metrics.record_replan()
+                    # Replan decision, timestamped on the join operator's span.
+                    self.tracer.current().event(
+                        "aqe-replan",
+                        initial=event.initial.name,
+                        revised=event.revised.name,
+                        reason=event.reason,
+                    )
+            if isinstance(strategy, SerialJoin):
+                # Estimated small, observed larger, and no AQE to revise it:
+                # static planning executes the plan as written.
+                serial_reason = f"planned {strategy.reason}"
+        if serial_reason is not None:
             if physical is not None and planned is not None:
                 physical.record_executed(
-                    plan,
-                    SerialJoin(
-                        tuple(shared),
-                        len(left),
-                        len(right),
-                        reason=self._serial_reason(left, right, shared),
-                    ),
+                    plan, SerialJoin(tuple(shared), len(left), len(right), reason=serial_reason)
                 )
             if outer:
                 return super()._left_outer_join(plan, left, right, metrics)
             return super()._natural_join(plan, left, right, metrics)
 
-        strategy = planned
-        if self.adaptive is not None and planned is not None:
-            strategy, event = self.adaptive.revise(plan, planned, left, right)
-            if event is not None:
-                metrics.record_replan()
-                # Replan decision, timestamped on the join operator's span.
-                self.tracer.current().event(
-                    "aqe-replan",
-                    initial=event.initial.name,
-                    revised=event.revised.name,
-                    reason=event.reason,
-                )
         strategy = self._apply_broadcast_guard(plan, strategy, left, right, outer, metrics)
         if physical is not None and strategy is not None:
             physical.record_executed(plan, strategy)
@@ -254,8 +270,8 @@ class ParallelExecutor(PlanExecutor):
         before dispatch, against the relation that actually materialized.  It
         runs in every mode (adaptive or not) — it is a memory-safety bound,
         not a cost decision.  Joins reaching this point always have shared
-        keys (``_worth_parallelising`` filtered cross joins into the serial
-        path), so a shuffle substitute always exists.
+        keys (``_serial_reason`` sent cross joins down the serial path), so a
+        shuffle substitute always exists.
         """
         if not isinstance(strategy, BroadcastHashJoin) or not strategy.keys:
             return strategy
@@ -283,22 +299,27 @@ class ParallelExecutor(PlanExecutor):
         self._observe("s2rdf_broadcast_guard_build_bytes", float(build_bytes))
         return demoted
 
-    def _worth_parallelising(self, left: Relation, right: Relation, shared: Sequence[str]) -> bool:
-        """Fall back to the serial operator for degenerate inputs.
+    def _serial_reason(
+        self, left: Relation, right: Relation, shared: Sequence[str]
+    ) -> Optional[str]:
+        """Why the *observed* inputs run on the calling thread, or ``None``.
 
-        Cross joins (no shared keys) cannot be hash-partitioned, and an empty
-        side makes the join trivial; both run serially.
+        Checked at the materialisation boundary in every mode (adaptive or
+        not, thread or process): cross joins (no shared keys) cannot be
+        hash-partitioned, an empty side makes the join trivial, and below
+        :data:`~repro.engine.runtime.strategies.SMALL_JOIN_ROWS` any exchange
+        costs more than the join — none of them builds a
+        :class:`PartitionedRelation`, submits a pool task or merges.
         """
-        return self.num_partitions > 1 and bool(shared) and len(left) > 0 and len(right) > 0
-
-    def _serial_reason(self, left: Relation, right: Relation, shared: Sequence[str]) -> str:
         if self.num_partitions <= 1:
             return "single partition"
         if not shared:
             return "cross join"
         if len(left) == 0 or len(right) == 0:
             return "empty input"
-        return "fallback"
+        if is_small_join(len(left), len(right)):
+            return "small input"
+        return None
 
     # ------------------------------------------------------------------ #
     # Physical operators
@@ -532,7 +553,7 @@ class ParallelExecutor(PlanExecutor):
             rows: List = []
             for partition, _, _ in results:
                 rows.extend(partition.rows)
-            merged = Relation(columns, rows)
+            merged = Relation.adopt(columns, rows)
             output_rows = len(rows)
         metrics.record_join(len(left), len(right), comparisons, output_rows)
         metrics.record_critical_path(slowest_ms)

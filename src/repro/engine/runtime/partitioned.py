@@ -77,7 +77,7 @@ class PartitionedRelation:
         parts: List[Relation] = []
         start = 0
         for count in tag.counts:
-            parts.append(Relation(relation.columns, relation.rows[start : start + count]))
+            parts.append(Relation.adopt(relation.columns, relation.rows[start : start + count]))
             start += count
         if start != len(relation.rows):
             raise ValueError(
@@ -103,7 +103,7 @@ class PartitionedRelation:
         rows: List = []
         for part in self.partitions:
             rows.extend(part.rows)
-        return Relation(self.columns, rows)
+        return Relation.adopt(self.columns, rows)
 
     def is_co_partitioned_with(self, other: "PartitionedRelation") -> bool:
         """True when per-index partition joins with ``other`` are correct.

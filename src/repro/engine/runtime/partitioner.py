@@ -64,7 +64,7 @@ class HashPartitioner:
         for row in relation.rows:
             key = tuple(row[i] for i in key_indexes)
             buckets[key_partition_index(key, self.num_partitions)].append(row)
-        return [Relation(relation.columns, bucket) for bucket in buckets]
+        return [Relation.adopt(relation.columns, bucket) for bucket in buckets]
 
     def split_evenly(self, relation: Relation) -> List[Relation]:
         """Split into ``num_partitions`` contiguous chunks of near-equal size.
@@ -80,6 +80,6 @@ class HashPartitioner:
         start = 0
         for index in range(self.num_partitions):
             size = base + (1 if index < remainder else 0)
-            chunks.append(Relation(relation.columns, relation.rows[start : start + size]))
+            chunks.append(Relation.adopt(relation.columns, relation.rows[start : start + size]))
             start += size
         return chunks

@@ -10,7 +10,9 @@ reproduces that decision for the logical plans of
 estimates per-operator cardinalities from catalog statistics and annotates
 every :class:`~repro.engine.plan.NaturalJoinNode` /
 :class:`~repro.engine.plan.LeftOuterJoinNode` with a
-:class:`ShuffleHashJoin` or :class:`BroadcastHashJoin` decision.
+:class:`ShuffleHashJoin`, :class:`BroadcastHashJoin` or — when both inputs
+together are under :data:`SMALL_JOIN_ROWS` — :class:`SerialJoin` decision: at
+that size any exchange costs more than the join it feeds.
 
 Two planning realities, both learned the hard way:
 
@@ -22,8 +24,9 @@ Two planning realities, both learned the hard way:
   small.  Under adaptive execution the runtime later replaces the guess with
   the observed size (see :mod:`repro.engine.runtime.adaptive`).
 * The plan annotation is an *intent*, not a record of what ran: the executor
-  may fall back to the serial operator (single partition, cross join, empty
-  input) or — with AQE — revise the strategy from observed sizes.
+  runs the serial operator whenever the *observed* inputs call for it (small,
+  single partition, cross join, empty) and — with AQE — revises the strategy
+  from observed sizes.
   :class:`PhysicalPlan` therefore tracks the initial and the executed strategy
   per join, so ``counts(executed=True)`` always reconciles with the
   ``shuffle_joins`` / ``broadcast_joins`` execution metrics.
@@ -57,6 +60,32 @@ DEFAULT_BROADCAST_THRESHOLD = 10 * 1024 * 1024
 #: it is demoted to a shuffle regardless of what any planner decided
 #: (analogous to driver/executor memory limits bounding Spark broadcasts).
 DEFAULT_BROADCAST_MEMORY_LIMIT = 256 * 1024 * 1024
+
+#: Joins whose two inputs together hold fewer rows than this run as the serial
+#: operator on the calling thread: no partitioning, no pool task, no merge.
+#: Chosen by measurement on ``benchmarks/suite`` (sf=3 store, 2 partitions,
+#: one 10 s run per cell at reference speed; ``0`` partitions every join, as
+#: before the rule existed):
+#:
+#: ======  =======================================  ======================================
+#: bound   ``basic_selective`` queries/s            ``scan_heavy`` queries/s
+#:         (partitioned joins of 705, replans)      (partitioned joins of 449, replans)
+#: ======  =======================================  ======================================
+#: 0       604  (385, 158)                          203  (381, 101)
+#: 256     716  (1, 0)                              249  (74, 0)
+#: 1 024   723  (0, 0)                              247  (13, 1)
+#: 4 096   745  (0, 0)                              261  (2, 0)
+#: 16 384  734  (0, 0)                              258  (0, 0)
+#: ======  =======================================  ======================================
+#:
+#: Everything from 256 up is within run-to-run spread (~3 %) of everything
+#: else; 1 024 is the smallest bound that inlines every ``basic_selective``
+#: join while ``scan_heavy`` still runs 13 partitioned joins per pass, so the
+#: benchmark keeps a workload on each side of the rule.  Tests that need the
+#: partitioned operators on hand-sized inputs patch this constant (the
+#: ``force_partitioned_joins`` fixture in ``tests/conftest.py``); it is
+#: deliberately not a session knob.
+SMALL_JOIN_ROWS = 1024
 
 #: Cardinality sentinel for inputs the catalog knows nothing about.  An
 #: unknown side is treated as arbitrarily large for broadcast decisions
@@ -122,13 +151,14 @@ class BroadcastHashJoin(JoinStrategy):
 
 @dataclass(frozen=True)
 class SerialJoin(JoinStrategy):
-    """Executed by the in-process serial operator (parallel-runtime fallback).
+    """The serial operator on the calling thread: no exchange at all.
 
-    The executor falls back to the serial join for degenerate inputs — a
-    single-partition runtime, a cross join, or an empty side.  Recording the
-    fallback as the *executed* strategy keeps :meth:`PhysicalPlan.counts`
-    honest: a join annotated ``BroadcastHashJoin`` that never broadcast
-    anything no longer inflates the broadcast column.
+    Planned (``reason="small input"``) when both inputs together are under
+    :data:`SMALL_JOIN_ROWS`, and recorded by the executor whenever a join ran
+    serially — small observed inputs, a single-partition runtime, a cross
+    join, or an empty side.  Recording it as the *executed* strategy keeps
+    :meth:`PhysicalPlan.counts` honest: a join annotated ``BroadcastHashJoin``
+    that never broadcast anything does not inflate the broadcast column.
     """
 
     reason: str = ""
@@ -325,7 +355,9 @@ def plan_join_strategies(
 ) -> PhysicalPlan:
     """Annotate every join in ``plan`` with a physical strategy.
 
-    The decision rule mirrors Spark SQL: broadcast when the candidate build
+    Below :data:`SMALL_JOIN_ROWS` estimated input rows the join is planned
+    without an exchange (:class:`SerialJoin`); above it the decision rule
+    mirrors Spark SQL: broadcast when the candidate build
     side's estimated size is *known* and at or below ``broadcast_threshold``,
     shuffle otherwise.  An unknown-size side is never a broadcast candidate.
     For a left outer join only the right side is broadcastable (broadcasting
@@ -354,6 +386,15 @@ def _smaller_side(left_bytes: Optional[int], right_bytes: Optional[int]) -> str:
     return "left" if left_bytes <= right_bytes else "right"
 
 
+def is_small_join(left_rows: int, right_rows: int) -> bool:
+    """True when both (known) inputs together are under :data:`SMALL_JOIN_ROWS`."""
+    return (
+        left_rows != UNKNOWN_ROWS
+        and right_rows != UNKNOWN_ROWS
+        and left_rows + right_rows < SMALL_JOIN_ROWS
+    )
+
+
 def choose_join_strategy(
     keys: Tuple[str, ...],
     left_rows: int,
@@ -363,15 +404,21 @@ def choose_join_strategy(
     threshold: int,
     outer: bool,
 ) -> JoinStrategy:
-    """The one broadcast/shuffle decision rule, shared by both planners.
+    """The one serial/broadcast/shuffle decision rule, shared by both planners.
 
-    The static planner calls this with *estimated* byte sizes (``None`` for
-    unknown cardinalities); the adaptive planner calls it with *observed*
-    sizes at the join's materialization boundary.  Keeping a single rule
-    guarantees an adaptive revision is exactly what the static planner would
-    have chosen with perfect statistics — any future change to the decision
-    (e.g. a broadcast memory guard) applies to both automatically.
+    The static planner calls this with *estimated* sizes (:data:`UNKNOWN_ROWS`
+    / ``None`` for unknown cardinalities); the adaptive planner calls it with
+    *observed* sizes at the join's materialization boundary.  Keeping a single
+    rule guarantees an adaptive revision is exactly what the static planner
+    would have chosen with perfect statistics — any future change to the
+    decision (e.g. a broadcast memory guard) applies to both automatically.
+
+    Three outcomes, cheapest first: no exchange (:class:`SerialJoin`) when
+    both inputs together are small, a broadcast when one side fits the
+    threshold, a shuffle otherwise.
     """
+    if is_small_join(left_rows, right_rows):
+        return SerialJoin(keys, left_rows, right_rows, reason="small input")
     if outer:
         # Only the non-preserved (right) side is broadcastable: broadcasting
         # the preserved side would lose unmatched rows.

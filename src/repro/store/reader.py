@@ -167,7 +167,7 @@ class StoredTable(StoredTableProvider):
         partitioning = None
         if entry.partition_keys and all(k in output_columns for k in entry.partition_keys):
             partitioning = Partitioning(entry.partition_keys, tuple(counts))
-        relation = Relation(output_columns, rows, partitioning=partitioning)
+        relation = Relation.adopt(output_columns, rows, partitioning=partitioning)
         result = ScanResult(
             relation=relation,
             rows_scanned=rows_scanned,

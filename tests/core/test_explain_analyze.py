@@ -67,6 +67,23 @@ def test_explain_analyze_with_accurate_statistics(session):
     assert len(explained.result.relation) == len(session.query(QUERY).relation)
 
 
+def test_explain_analyze_prints_an_inlined_join_without_an_exchange(session):
+    """On defaults these inputs are under the small-join bound: the join is
+    planned and executed as a SerialJoin and nothing is exchanged."""
+    text = str(session.explain_analyze(QUERY))
+    assert re.search(r"strategy: SerialJoin\(keys=\[y\], reason=small input, .*\) \(as planned\)", text)
+    assert "exchange:" not in text
+    # Stale statistics plan an exchange; the observed inputs are still small.
+    stale_statistics(session)
+    explained = session.explain_analyze(QUERY)
+    text = str(explained)
+    assert "strategy: ShuffleHashJoin -> SerialJoin" in text
+    assert "reason:   serial fallback (small input)" in text
+    assert "exchange:" not in text
+    assert explained.result.metrics.aqe_replans == 0
+
+
+@pytest.mark.usefixtures("force_partitioned_joins")
 def test_explain_analyze_shows_exchange_lines(session):
     text = str(session.explain_analyze(QUERY))
     assert "exchange:" in text
@@ -76,6 +93,7 @@ def test_explain_analyze_shows_exchange_lines(session):
 # --------------------------------------------------------------------------- #
 # Stale statistics + AQE: the acceptance scenario
 # --------------------------------------------------------------------------- #
+@pytest.mark.usefixtures("force_partitioned_joins")
 def test_explain_analyze_shows_replan_under_stale_statistics(session):
     stale_statistics(session)
     explained = session.explain_analyze(QUERY)
@@ -96,6 +114,7 @@ def test_explain_analyze_shows_replan_under_stale_statistics(session):
     assert len(explained.result.replanned_joins) >= 1
 
 
+@pytest.mark.usefixtures("force_partitioned_joins")
 def test_explain_analyze_works_with_tracing_enabled():
     with S2RDFSession.from_graph(
         build_graph(), num_partitions=4, tracing_enabled=True
@@ -112,6 +131,7 @@ def test_explain_analyze_works_with_tracing_enabled():
         assert "aqe-replan" in events
 
 
+@pytest.mark.usefixtures("force_partitioned_joins")
 def test_explain_analyze_without_adaptive_runs_the_static_plan():
     with S2RDFSession.from_graph(
         build_graph(), num_partitions=4, adaptive_enabled=False
@@ -141,6 +161,7 @@ def test_query_result_phase_timings_without_tracing(session):
 # --------------------------------------------------------------------------- #
 # The span tree of a traced query matches the plan shape
 # --------------------------------------------------------------------------- #
+@pytest.mark.usefixtures("force_partitioned_joins")
 def test_traced_query_span_tree_matches_plan_shape():
     with S2RDFSession.from_graph(
         build_graph(), num_partitions=4, tracing_enabled=True

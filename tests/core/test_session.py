@@ -28,6 +28,18 @@ class TestRunningExample:
         result = session.query(query_q1)
         assert any(name.startswith("extvp_") for name in result.selected_tables)
 
+    def test_result_sql_is_rendered_on_first_read_and_survives_pickle(self, session, query_q1):
+        import pickle
+
+        result = session.query(query_q1)
+        assert "sql" not in vars(result)  # nothing rendered per query
+        shipped = pickle.loads(pickle.dumps(result))  # process workers return whole results
+        assert shipped.sql_renderer is None
+        assert shipped.sql == session.explain(query_q1)
+        assert result.sql == session.explain(query_q1)
+        assert result.sql is result.sql  # cached, not re-rendered
+        assert shipped == result
+
     def test_q1_sql_is_generated(self, session, query_q1):
         sql = session.explain(query_q1)
         assert "SELECT" in sql and "JOIN" in sql
@@ -202,6 +214,7 @@ class TestSessionConstruction:
         assert len(session.query(query_q1)) == 1
 
 
+@pytest.mark.usefixtures("force_partitioned_joins")
 class TestPartitionedRuntime:
     def test_partitioned_session_matches_serial(self, example_graph, query_q1):
         serial = S2RDFSession.from_graph(example_graph)

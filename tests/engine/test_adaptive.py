@@ -34,6 +34,11 @@ from repro.engine.runtime import (
 )
 from repro.rdf.terms import IRI
 
+# Every relation here is hand-sized: without this the runtime would run each
+# join inline (see ``strategies.SMALL_JOIN_ROWS``) and nothing below would
+# reach the exchange operators it is about.
+pytestmark = pytest.mark.usefixtures("force_partitioned_joins")
+
 
 def bag(relation: Relation):
     return sorted(map(repr, relation.rows))

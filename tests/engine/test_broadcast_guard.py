@@ -9,6 +9,11 @@ from repro.core.session import S2RDFSession
 from repro.rdf.graph import Graph
 from repro.rdf.triple import Triple
 
+# Every relation here is hand-sized: without this the runtime would run each
+# join inline (see ``strategies.SMALL_JOIN_ROWS``) and nothing below would
+# reach the exchange operators it is about.
+pytestmark = pytest.mark.usefixtures("force_partitioned_joins")
+
 JOIN_QUERY = "SELECT ?x ?p WHERE { ?x <follows> ?y . ?y <likes> ?p }"
 OPTIONAL_QUERY = "SELECT ?x ?p WHERE { ?x <follows> ?y OPTIONAL { ?y <likes> ?p } }"
 

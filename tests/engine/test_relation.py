@@ -27,6 +27,33 @@ class TestBasics:
         with pytest.raises(SchemaError):
             Relation(("a", "b"), [(1,)])
 
+    def test_public_constructor_copies_and_tuples_outside_rows(self):
+        rows = [[1, 2], (3, 4)]
+        relation = Relation(("a", "b"), rows)
+        assert relation.rows == [(1, 2), (3, 4)]
+        assert relation.rows is not rows
+        with pytest.raises(SchemaError, match="row has 1 values"):
+            Relation(("a", "b"), [(1, 2), (3,)])
+
+    def test_adopt_shares_the_row_list_but_still_checks_the_schema(self):
+        rows = [(1, 2), (3, 4)]
+        relation = Relation.adopt(("a", "b"), rows)
+        assert relation.rows is rows
+        assert relation.columns == ("a", "b")
+        assert relation.partitioning is None
+        assert relation == Relation(("a", "b"), rows)
+        with pytest.raises(SchemaError, match="duplicate column"):
+            Relation.adopt(("a", "a"), rows)
+
+    def test_operators_share_rows_instead_of_copying(self, people):
+        assert people.rename({"name": "who"}).rows is people.rows
+        assert people.project(["name", "city"]) is people
+        # A real projection builds new rows and leaves the input alone.
+        assert people.project(["city"]).rows == [("london",), ("cambridge",), ("nyc",)]
+        assert len(people.rows[0]) == 2
+        with pytest.raises(SchemaError, match="duplicate column"):
+            people.rename({"name": "city"})
+
     def test_len_and_iter(self, people):
         assert len(people) == 3
         assert ("ada", "london") in list(people)

@@ -121,6 +121,7 @@ class TestPartitionedRelation:
         assert estimated_bytes(large) == 100 * estimated_bytes(small)
 
 
+@pytest.mark.usefixtures("force_partitioned_joins")
 class TestPhysicalPlanning:
     def test_estimate_rows_from_statistics(self, catalog, join_plan):
         assert estimate_rows(TableScanNode("follows", ("s", "o")), catalog) == 160
@@ -176,6 +177,7 @@ class TestPhysicalPlanning:
         assert "ShuffleHashJoin" in physical.describe()[0]
 
 
+@pytest.mark.usefixtures("force_partitioned_joins")
 class TestParallelExecutor:
     @pytest.mark.parametrize("num_partitions", [1, 2, 8])
     @pytest.mark.parametrize("broadcast_threshold", [0, 10**9])

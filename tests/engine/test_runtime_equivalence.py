@@ -13,7 +13,12 @@ append, the same stored dataset with the vectorized id-column kernels
 enabled, the sqlite SQL-lowering backend (both over the warm catalog
 and over the delta-carrying stored dataset), and the stored dataset
 executed with ``execution_mode="process"`` — join tasks dispatched to
-partition worker processes."""
+partition worker processes.
+
+Both halves run on both sides of the runtime's small-join bound
+(``strategies.SMALL_JOIN_ROWS``): at the default, where nearly every join of
+this dataset runs inline; at a bound low enough that inline and exchange
+joins meet inside one plan; and at 0, where every join takes the exchange."""
 
 import random
 
@@ -22,7 +27,7 @@ import pytest
 from repro.core.session import S2RDFSession, SessionConfig
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.plan import PlanExecutor
-from repro.engine.runtime import ParallelExecutor
+from repro.engine.runtime import ParallelExecutor, strategies
 from repro.engine.sql import SqliteExecutor
 from repro.mappings.extvp import ExtVPLayout
 from repro.obs.trace import Tracer
@@ -51,25 +56,37 @@ def bag(relation):
     return sorted(map(repr, relation.rows))
 
 
+#: Small-join bounds the harness runs under: the shipped default, one low
+#: enough to mix inline and exchange joins in one plan at this data scale,
+#: and 0 (every join partitioned — what this harness covered before the
+#: bound existed).
+SMALL_JOIN_BOUNDS = (strategies.SMALL_JOIN_ROWS, 48, 0)
+
+
 @pytest.mark.parametrize("template_name", sorted(ALL_TEMPLATES))
-def test_parallel_matches_serial_on_watdiv(workload, template_name):
+def test_parallel_matches_serial_on_watdiv(workload, template_name, monkeypatch):
     layout, compiled = workload
     plan = compiled[template_name].plan
     serial = PlanExecutor(layout.catalog).execute(plan, ExecutionMetrics())
     # broadcast_threshold=0 forces ShuffleHashJoin, a huge threshold forces
     # BroadcastHashJoin — both physical strategies must agree with the serial
-    # reference at every partition count.
-    for num_partitions in (1, 2, 8):
-        for broadcast_threshold in (0, 10**12):
-            with ParallelExecutor(
-                layout.catalog,
-                num_partitions=num_partitions,
-                broadcast_threshold=broadcast_threshold,
-            ) as executor:
-                parallel = executor.execute(plan, ExecutionMetrics())
-            context = f"partitions={num_partitions}, threshold={broadcast_threshold}"
-            assert parallel.columns == serial.columns, context
-            assert bag(parallel) == bag(serial), context
+    # reference at every partition count, on both sides of the small-join bound.
+    for small_join_rows in SMALL_JOIN_BOUNDS:
+        monkeypatch.setattr(strategies, "SMALL_JOIN_ROWS", small_join_rows)
+        for num_partitions in (1, 2, 8):
+            for broadcast_threshold in (0, 10**12):
+                with ParallelExecutor(
+                    layout.catalog,
+                    num_partitions=num_partitions,
+                    broadcast_threshold=broadcast_threshold,
+                ) as executor:
+                    parallel = executor.execute(plan, ExecutionMetrics())
+                context = (
+                    f"partitions={num_partitions}, threshold={broadcast_threshold}, "
+                    f"small_join_rows={small_join_rows}"
+                )
+                assert parallel.columns == serial.columns, context
+                assert bag(parallel) == bag(serial), context
 
 
 # --------------------------------------------------------------------------- #
@@ -253,11 +270,15 @@ def differential_setup(small_dataset, tmp_path_factory):
     stored_proc.close()
 
 
+@pytest.mark.parametrize("small_join_rows", SMALL_JOIN_BOUNDS)
 @pytest.mark.parametrize("seed", range(8))
-def test_differential_equivalence_across_execution_modes(differential_setup, seed):
+def test_differential_equivalence_across_execution_modes(
+    differential_setup, seed, small_join_rows, monkeypatch
+):
     """Serial, parallel-static, parallel-adaptive, stored-scan, vectorized
     stored-scan, sqlite and process-worker execution must agree on the bag of
-    rows for every generated query."""
+    rows for every generated query, on both sides of the small-join bound."""
+    monkeypatch.setattr(strategies, "SMALL_JOIN_ROWS", small_join_rows)
     warm, stored, sqlite_executor, stored_sql, stored_vec, stored_proc = differential_setup
     generator = RandomQueryGenerator(_graph_view(warm), seed)
     catalog = warm.layout.catalog

@@ -122,6 +122,39 @@ def test_query_task_matches_parent_session(stored):
         assert outcome["observed"]  # the worker observed real cardinalities
 
 
+def test_query_task_parses_the_text_once(stored, monkeypatch):
+    """The worker entry point, run in this process: one parse feeds both the
+    execution and the template/fingerprint, and its time stays in the result."""
+    import repro.core.session as session_module
+    from repro.obs.journal import fingerprint_text, template_text
+    from repro.serve import workers
+
+    path, session = stored
+    query = "SELECT * WHERE { ?a <follows> ?b . ?b <likes> ?w }"
+    parses = []
+    real_parse = session_module.parse_query
+
+    def counting_parse(text):
+        parses.append(text)
+        return real_parse(text)
+
+    monkeypatch.setattr(session_module, "parse_query", counting_parse)
+    workers._worker_init(path, {})
+    try:
+        outcome = workers._run_query_task({"query": query, "epoch": session._journal_epoch})
+    finally:
+        if workers._WORKER_SESSION is not None:
+            workers._WORKER_SESSION.close()
+        workers._worker_init(None, {})
+    assert parses == [query]
+    assert outcome["template"] == template_text(real_parse(query))
+    assert outcome["fingerprint"] == fingerprint_text(outcome["template"])
+    result = outcome["result"]
+    assert bag(result.relation) == bag(session.query(query).relation)
+    assert result.phase_ms["parse"] > 0.0
+    assert result.wall_clock_ms >= sum(result.phase_ms.values())
+
+
 def test_worker_refreshes_on_epoch_advance(tmp_path):
     graph = Graph([Triple.of(f"u{i}", "p", f"v{i}") for i in range(10)])
     saver = S2RDFSession.from_graph(graph, num_partitions=2, journal_enabled=False)

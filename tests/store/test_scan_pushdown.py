@@ -108,6 +108,7 @@ class TestPruning:
             session.close()
 
 
+@pytest.mark.usefixtures("force_partitioned_joins")
 class TestPartitionAlignment:
     def test_scan_output_carries_partitioning(self, stored):
         _, restored, dataset, _ = stored
