@@ -42,7 +42,7 @@ from repro.engine.cluster import SparkCostModel
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.runtime import UNKNOWN_ROWS, ParallelExecutor, estimate_rows
 from repro.engine.sql import SqliteExecutor
-from repro.mappings.extvp import ExtVPLayout
+from repro.mappings.extvp import ExtVPLayout, ExtVPTableInfo
 from repro.obs.explain import (
     ExplainAnalyzeResult,
     collect_estimates,
@@ -63,8 +63,10 @@ from repro.sparql.algebra import Query
 from repro.sparql.parser import parse_query
 from repro.store.reader import (
     DatasetLoadReport,
+    StoredDataset,
     open_dataset as _open_stored_dataset,
     refresh_dataset as _refresh_stored_dataset,
+    register_changes as _register_store_changes,
 )
 from repro.store.writer import (
     CompactionReport,
@@ -218,6 +220,12 @@ class S2RDFSession:
         #: and :meth:`open_dataset`, required by :meth:`append_triples` and
         #: :meth:`compact`.
         self.dataset_path: Optional[str] = None
+        #: The opened store state (manifest, term dictionary with its reverse
+        #: index, value sets, table handles) that appends and compactions
+        #: work on in place.  ``None`` until a cold open or the first
+        #: mutation after ``save_dataset``; see :meth:`_resident_dataset` for
+        #: when it is trusted.
+        self._dataset: Optional[StoredDataset] = None
 
     # ------------------------------------------------------------------ #
     # Per-thread runtime
@@ -359,6 +367,9 @@ class S2RDFSession:
                 )
                 span.set(tables=report.table_count, bytes=report.total_bytes)
             self.dataset_path = path
+            # The catalog still serves the in-memory tables; the first
+            # mutation opens the written store and switches over to it.
+            self._dataset = None
             self._journal_epoch = 0  # A fresh manifest starts at epoch 0.
             if self.journal is not None:
                 # Migrate to the dataset's persistent journal, carrying over
@@ -407,7 +418,7 @@ class S2RDFSession:
         )
         tracer = Tracer(enabled=True) if tracing else NULL_TRACER
         with tracer.span("store.open", category="store", path=path) as span:
-            layout, load_report, _dataset = _open_stored_dataset(path, tracer=tracer)
+            layout, load_report, dataset = _open_stored_dataset(path, tracer=tracer)
             span.set(
                 tables=load_report.table_count,
                 dictionary_terms=load_report.dictionary_terms,
@@ -427,6 +438,7 @@ class S2RDFSession:
         session = cls(layout, config=config, cost_model=cost_model, tracer=tracer)
         session.load_report = load_report
         session.dataset_path = path
+        session._dataset = dataset
         session._journal_epoch = load_report.append_epoch
         if session.journal is not None:
             session.journal = open_dataset_journal(path)
@@ -456,8 +468,9 @@ class S2RDFSession:
         tables, the base triples table and every affected ExtVP correlation
         (statistics *and* materialised rows, maintained incrementally for
         pairs involving the appended predicates only) are extended, and the
-        session's catalog is refreshed in place so the very next query sees
-        the merged base + delta data.  Triples already present in the dataset
+        touched tables are re-registered in the session's catalog so the very
+        next query sees the merged base + delta data — while every other
+        table keeps its decoded rows.  Triples already present in the dataset
         are skipped (the dataset models a triple *set*).
 
         Requires a session that was persisted: either opened with
@@ -465,14 +478,17 @@ class S2RDFSession:
         """
         with self._store_lock.write_locked():
             with self.tracer.span("store.append", category="store") as span:
-                report = DatasetAppender(self._require_dataset_path()).append(triples)
+                dataset, report = self._mutate_store(
+                    lambda dataset: DatasetAppender(dataset).append(triples)
+                )
                 span.set(
                     triples=report.triples_appended,
                     delta_segments=report.delta_segments,
                     bytes=report.bytes_written,
                 )
-                if report.triples_appended:
-                    self._refresh_from_store()
+                self._register_touched(
+                    dataset, report.touched_tables, report.touched_statistics
+                )
         self.metrics.inc("s2rdf_store_appends_total", help="Delta appends performed")
         self.metrics.inc("s2rdf_store_bytes_written_total", report.bytes_written)
         self.metrics.observe("s2rdf_store_append_ms", report.append_seconds * 1000.0)
@@ -501,16 +517,15 @@ class S2RDFSession:
         )
         with self._store_lock.write_locked():
             with self.tracer.span("store.compact", category="store") as span:
-                report = DatasetCompactor(compaction_threshold=threshold).compact(
-                    self._require_dataset_path()
+                dataset, report = self._mutate_store(
+                    DatasetCompactor(compaction_threshold=threshold).compact
                 )
                 span.set(
                     tables=report.tables_compacted,
                     delta_rows=report.delta_rows_merged,
                     bytes=report.bytes_written,
                 )
-                if report.tables_compacted:
-                    self._refresh_from_store()
+                self._register_touched(dataset, report.touched_tables)
         self.metrics.inc("s2rdf_store_compactions_total", help="Compaction runs")
         self.metrics.inc("s2rdf_store_bytes_written_total", report.bytes_written)
         self.metrics.observe("s2rdf_store_compact_ms", report.compact_seconds * 1000.0)
@@ -531,14 +546,62 @@ class S2RDFSession:
             )
         return self.dataset_path
 
-    def _refresh_from_store(self) -> None:
-        """Re-register every stored table from the freshly rewritten manifest."""
+    def _resident_dataset(self) -> StoredDataset:
+        """The opened store state a mutation may work on in place.
+
+        The resident copy is trusted only while ``MANIFEST.json`` is still
+        the very file (inode, size, mtime) this session last read or wrote;
+        after anyone else's commit — or before the first mutation following
+        ``save_dataset`` — the store is re-read and everything re-registered.
+        """
+        dataset = self._dataset
+        if dataset is None or not dataset.is_current():
+            dataset = self._refresh_from_store()
+        return dataset
+
+    def _mutate_store(self, operation):
+        """Run one append/compaction on the resident dataset.
+
+        Returns ``(dataset, report)``; the caller passes what the report says
+        was touched to :meth:`_register_touched`.
+        """
+        self._require_dataset_path()
+        dataset = self._resident_dataset()
+        try:
+            return dataset, operation(dataset)
+        except BaseException:
+            # The resident state (and the layout statistics it shares) may be
+            # half-updated while the disk holds a committed state: re-read it.
+            self._dataset = None
+            self._refresh_from_store()
+            raise
+
+    def _register_touched(
+        self,
+        dataset: StoredDataset,
+        tables: List[str],
+        statistics_only: Iterable[ExtVPTableInfo] = (),
+    ) -> None:
+        """Re-register only what a committed mutation touched (nothing, for a no-op)."""
+        if not tables:
+            return
+        with self.tracer.span("store.refresh", category="store"):
+            _register_store_changes(self.layout, dataset, tables, statistics_only)
+        self._store_changed(dataset)
+
+    def _refresh_from_store(self) -> StoredDataset:
+        """Re-read the store and re-register every table (the full path)."""
         assert self.dataset_path is not None
         with self.tracer.span("store.refresh", category="store"):
             dataset = _refresh_stored_dataset(self.layout, self.dataset_path)
+        self._store_changed(dataset)
+        return dataset
+
+    def _store_changed(self, dataset: StoredDataset) -> None:
+        self._dataset = dataset
         # The SQLite engine caches loaded tables per connection; a store
         # mutation invalidates them wholesale — on every thread's instance
-        # (safe: refresh runs under the write lock, so no query is in flight).
+        # (safe: this runs under the write lock, so no query is in flight).
         with self._runtime_lock:
             sql_executors = list(self._all_sql_executors)
         for sql_executor in sql_executors:
@@ -622,9 +685,17 @@ class S2RDFSession:
             f"Wall clock: {result.wall_clock_ms:.2f} ms; "
             f"simulated cluster runtime: {result.simulated_runtime_ms:.2f} ms",
         ]
-        if result.replanned_joins:
-            lines.append("AQE replans:")
-            lines.extend(f"  - {entry}" for entry in result.replanned_joins)
+        # A join that ran inline on small observed inputs was not replanned by
+        # AQE (``metrics.aqe_replans`` does not count it): its own header.
+        changed = physical.replans() if physical is not None else []
+        for header, wanted in (("AQE replans:", False), ("Serial fallbacks:", True)):
+            entries = [pair for pair in changed if (pair[1].name == "SerialJoin") is wanted]
+            if entries:
+                lines.append(header)
+                lines.extend(
+                    f"  - {initial.describe()} -> {executed.describe()}"
+                    for initial, executed in entries
+                )
         return ExplainAnalyzeResult(result=result, text="\n".join(lines))
 
     def _run(

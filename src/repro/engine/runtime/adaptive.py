@@ -114,8 +114,6 @@ class AdaptivePlanner:
         self.broadcast_threshold = broadcast_threshold
         self.skew_factor = skew_factor
         self.min_skew_rows = min_skew_rows
-        #: Observed row counts per plan node (id-keyed), for the current query.
-        self._observed_nodes: dict = {}
         #: Revisions made while executing the current query, with reasons —
         #: introspection for plan debugging (counts live in ExecutionMetrics).
         self.replan_events: List[ReplanEvent] = []
@@ -124,20 +122,12 @@ class AdaptivePlanner:
     # Per-query lifecycle
     # ------------------------------------------------------------------ #
     def reset(self) -> None:
-        """Clear per-query state (observed nodes survive only one execution)."""
-        self._observed_nodes.clear()
+        """Clear per-query state."""
         self.replan_events = []
 
     # ------------------------------------------------------------------ #
     # Observation
     # ------------------------------------------------------------------ #
-    def observe(self, node: PlanNode, relation: Relation) -> None:
-        """Record the materialized cardinality of one plan node."""
-        self._observed_nodes[id(node)] = len(relation)
-
-    def observed_rows(self, node: PlanNode) -> Optional[int]:
-        return self._observed_nodes.get(id(node))
-
     def observe_scan(self, table_name: str, row_count: int) -> None:
         """Feed a full-table observation into the catalog's statistics cache.
 
@@ -163,8 +153,6 @@ class AdaptivePlanner:
         chosen with perfect statistics.  Returns the strategy to execute and
         a :class:`ReplanEvent` when it differs from the plan.
         """
-        self.observe(node.left, left)
-        self.observe(node.right, right)
         left_bytes = estimated_bytes(left)
         right_bytes = estimated_bytes(right)
         # Same decision rule as the static planner, fed observed sizes.

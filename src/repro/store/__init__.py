@@ -3,8 +3,9 @@
 S2RDF keeps its VP/ExtVP tables as Parquet files on HDFS so that a query
 cluster can come up against an existing dataset without re-ingesting the RDF
 source.  This package is the reproduction's equivalent: a real on-disk format
-(dataset-wide term dictionary, run-length-encoded column segments, per-segment
-zone maps, hash-bucketed partitions) plus the writer and reader that move an
+(dataset-wide term dictionary, one append-only file of run-length-encoded
+column segments per table, per-segment zone maps, hash-bucketed partitions)
+plus the writer and reader that move an
 :class:`~repro.mappings.extvp.ExtVPLayout` to and from disk.
 
 * :mod:`repro.store.format` — directory layout, segment codec, manifest.
@@ -13,8 +14,10 @@ zone maps, hash-bucketed partitions) plus the writer and reader that move an
   :class:`DatasetCompactor` (delta merge-back).
 * :mod:`repro.store.reader` — :func:`open_dataset`, lazy stored tables with
   projection/predicate pushdown, base+delta merged scans and
-  partition-aligned scan output; :func:`refresh_dataset` re-syncs a live
-  session after an append or compaction.
+  partition-aligned scan output; :class:`StoredDataset` is the opened state a
+  session keeps resident and its appender/compactor work on in place;
+  :func:`register_changes` re-registers what one mutation touched,
+  :func:`refresh_dataset` re-reads everything.
 
 Sessions use it through :meth:`repro.core.session.S2RDFSession.save_dataset`,
 :meth:`~repro.core.session.S2RDFSession.open_dataset`,
@@ -35,6 +38,7 @@ from repro.store.reader import (
     StoredTable,
     open_dataset,
     refresh_dataset,
+    register_changes,
 )
 from repro.store.writer import (
     CompactionReport,
@@ -62,4 +66,5 @@ __all__ = [
     "open_dataset",
     "read_manifest",
     "refresh_dataset",
+    "register_changes",
 ]

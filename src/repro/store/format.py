@@ -6,34 +6,37 @@ A dataset is a directory::
         MANIFEST.json          -- catalog, statistics, zone maps, config
         dictionary.nt          -- dataset-wide term dictionary, one N3 term
                                   per line; the line number is the term id
-        tables/<name>/part-00000.seg
-        tables/<name>/part-00001.seg
-        tables/<name>/delta-00001-00000.seg
-        ...
+        tables/<name>.seg      -- every segment of one table, back to back
+        tables/<name>.<epoch>.seg   (the same, after a compaction at <epoch>)
 
-Each ``part-*.seg`` file is one *base* hash bucket of one table: rows whose
-partition-key values hash (via the runtime's
-:func:`~repro.engine.runtime.partitioner.key_partition_index`) to that bucket
-index.  ``delta-<epoch>-<bucket>.seg`` files hold rows appended after the
-dataset was written (one append *epoch* per
-:meth:`~repro.store.writer.DatasetAppender.append` call); they are bucketed
-with the same hash function, so bucket ``i``'s logical content is its base
-segment plus every delta segment tagged with bucket ``i``.  Inside a segment
-file every column is stored as a dictionary-encoded, run-length-encoded page
-(:func:`repro.engine.storage.encode_id_column`); the per-column
-:class:`~repro.engine.storage.ZoneMap` entries live in the manifest so that
-scans can prune whole segments — base or delta — without opening the files.
+Each table has exactly one file.  A *segment* is a byte range of it, addressed
+from the manifest by ``(file, offset, length)``: the *base* segment of hash
+bucket ``i`` holds the rows whose partition-key values hash (via the
+runtime's :func:`~repro.engine.runtime.partitioner.key_partition_index`) to
+``i``; *delta* segments hold rows appended after the dataset was written (one
+append *epoch* per :meth:`~repro.store.writer.DatasetAppender.append` call).
+Deltas are bucketed with the same hash function, so bucket ``i``'s logical
+content is its base segment plus every delta segment tagged with bucket
+``i``.  Inside a segment every column is stored as a dictionary-encoded,
+run-length-encoded page (:func:`repro.engine.storage.encode_id_column`); the
+per-column :class:`~repro.engine.storage.ZoneMap` entries live in the
+manifest so that scans can prune whole segments — base or delta — without
+opening the file.
 
-The term dictionary is append-only: an append extends ``dictionary.nt`` with
-new terms, never renumbering existing ids, so base segments stay valid
-verbatim.  Compaction (:class:`~repro.store.writer.DatasetCompactor`) merges
-a table's delta segments back into full base bucket segments with freshly
-computed zone maps.
+Table files and the term dictionary are append-only: an append writes at the
+*committed end* of each file it touches (the end of the last byte the
+manifest references) and never renumbers an id or moves a byte, so every
+committed segment stays valid verbatim.  The atomic manifest swap is the only
+commit point; bytes past a file's committed end belong to an operation that
+crashed before its swap — readers never look at them and the next write
+overwrites them.  Compaction (:class:`~repro.store.writer.DatasetCompactor`)
+merges a table's delta segments back into full base bucket segments in a
+*new* file (the epoch in its name), and deletes the old one after the swap.
 
 The manifest also persists everything the query compiler needs to come back
-cold: table statistics (including the paper's statistics-only entries for
-empty ExtVP tables), the VP predicate map, the ExtVP correlation statistics
-and the layout configuration.
+cold: table statistics, the VP predicate map and the ExtVP correlation
+statistics (from which the paper's statistics-only entries for tables that
+were never materialised are derived) and the layout configuration.
 """
 
 from __future__ import annotations
@@ -45,12 +48,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.storage import ZoneMap, decode_id_column, decode_id_column_array
-from repro.rdf.terms import Literal, Term, XSD_STRING, term_from_string
+from repro.mappings.extvp import CorrelationKind, ExtVPStatistics, ExtVPTableInfo
+from repro.rdf.terms import IRI, Literal, Term, XSD_STRING, term_from_string
 
 #: Bumped whenever the directory layout or segment encoding changes.
-#: Version 2 added delta segments (incremental appends) and per-table bucket
-#: counts to the manifest.
-FORMAT_VERSION = 2
+#: Version 3 packs each table into one append-only file (segments addressed
+#: by offset and length) and stores the manifest as positional arrays.
+FORMAT_VERSION = 3
 
 MANIFEST_FILE = "MANIFEST.json"
 DICTIONARY_FILE = "dictionary.nt"
@@ -73,95 +77,127 @@ def dictionary_path(root: str) -> str:
     return os.path.join(root, DICTIONARY_FILE)
 
 
-def table_dir(root: str, table_name: str) -> str:
-    return os.path.join(root, TABLES_DIR, table_name)
+def table_file(table_name: str, generation: int = 0) -> str:
+    """Manifest-relative path of a table's file.
 
-
-def segment_file_name(partition_index: int) -> str:
-    return f"part-{partition_index:05d}.seg"
-
-
-def delta_file_name(epoch: int, bucket_index: int) -> str:
-    """Name of one delta segment: epoch first so listings sort by append order."""
-    return f"delta-{epoch:05d}-{bucket_index:05d}.seg"
-
-
-def compacted_file_name(epoch: int, bucket_index: int) -> str:
-    """Name of a base segment rewritten by compaction at generation ``epoch``.
-
-    Distinct from the file the previous manifest references, so the old
-    manifest stays fully valid until the new one is atomically swapped in;
-    the superseded files are deleted only after that commit.
+    ``generation`` is 0 for the file :class:`~repro.store.writer.DatasetWriter`
+    wrote and the compaction epoch afterwards: a compacted table lands in a
+    file the previous manifest does not reference, so that manifest stays
+    fully valid until the new one is swapped in.  Always "/"-separated, so
+    datasets are portable across operating systems.
     """
-    return f"part-{epoch:05d}-{bucket_index:05d}.seg"
+    suffix = f".{generation:05d}" if generation else ""
+    return f"{TABLES_DIR}/{table_name}{suffix}.seg"
+
+
+def file_path(root: str, file: str) -> str:
+    """Filesystem path of a manifest-relative ``file``."""
+    return os.path.join(root, *file.split("/"))
+
+
+def correlation_table_name(kind: str, first_vp_table: str, second_vp_table: str) -> str:
+    """Name of ``ExtVP_kind[first|second]``, from the two VP table names.
+
+    ``kind`` is the :class:`~repro.mappings.extvp.CorrelationKind` value.  VP
+    table names carry the predicates' collision-free keys, frozen when the
+    predicate first reached the dataset; the manifest stores correlations by
+    predicate index and re-derives their names with this function.
+    """
+    return f"extvp_{kind}_{first_vp_table[3:]}__{second_vp_table[3:]}"
+
+
+def write_at(path: str, offset: int, data: bytes) -> None:
+    """Make ``path`` hold its first ``offset`` bytes followed by ``data``.
+
+    The one write primitive of table files and the dictionary: ``offset`` is
+    the file's committed end, so whatever a crashed operation left behind it
+    is overwritten and cut off, and nothing before it is touched.
+    """
+    with open(path, "r+b" if offset else "wb") as handle:
+        handle.seek(offset)
+        handle.write(data)
+        handle.truncate()
 
 
 # --------------------------------------------------------------------- #
-# Segment files
+# Segments
 # --------------------------------------------------------------------- #
-def write_segment_file(path: str, pages: Sequence[Tuple[str, bytes]]) -> int:
-    """Write one segment file of ``(column_name, encoded_page)`` pairs.
-
-    Returns the number of bytes written.
-    """
+def encode_segment(pages: Sequence[Tuple[str, bytes]]) -> bytes:
+    """Serialise one segment of ``(column_name, encoded_page)`` pairs."""
     parts: List[bytes] = [_SEGMENT_MAGIC, _SEGMENT_HEADER.pack(FORMAT_VERSION, len(pages))]
     for name, payload in pages:
         encoded_name = name.encode("utf-8")
         parts.append(_COLUMN_HEADER.pack(len(encoded_name), len(payload)))
         parts.append(encoded_name)
         parts.append(payload)
-    data = b"".join(parts)
-    with open(path, "wb") as handle:
-        handle.write(data)
-    return len(data)
+    return b"".join(parts)
 
 
-def _read_segment_pages(path: str, columns: Optional[Sequence[str]], decoder) -> Dict[str, Any]:
+def _decode_pages(data: bytes, columns: Optional[Sequence[str]], decoder, origin: str) -> Dict[str, Any]:
     wanted = set(columns) if columns is not None else None
-    with open(path, "rb") as handle:
-        data = handle.read()
     if data[: len(_SEGMENT_MAGIC)] != _SEGMENT_MAGIC:
-        raise DatasetFormatError(f"{path} is not a dataset segment file")
-    offset = len(_SEGMENT_MAGIC)
-    version, column_count = _SEGMENT_HEADER.unpack_from(data, offset)
+        raise DatasetFormatError(f"{origin} is not a dataset segment")
+    position = len(_SEGMENT_MAGIC)
+    version, column_count = _SEGMENT_HEADER.unpack_from(data, position)
     if version != FORMAT_VERSION:
-        raise DatasetFormatError(f"{path} has format version {version}, expected {FORMAT_VERSION}")
-    offset += _SEGMENT_HEADER.size
+        raise DatasetFormatError(f"{origin} has format version {version}, expected {FORMAT_VERSION}")
+    position += _SEGMENT_HEADER.size
     decoded: Dict[str, Any] = {}
     for _ in range(column_count):
-        name_length, payload_length = _COLUMN_HEADER.unpack_from(data, offset)
-        offset += _COLUMN_HEADER.size
-        name = data[offset : offset + name_length].decode("utf-8")
-        offset += name_length
-        payload = data[offset : offset + payload_length]
-        offset += payload_length
+        name_length, payload_length = _COLUMN_HEADER.unpack_from(data, position)
+        position += _COLUMN_HEADER.size
+        name = data[position : position + name_length].decode("utf-8")
+        position += name_length
+        payload = data[position : position + payload_length]
+        position += payload_length
         if wanted is None or name in wanted:
             decoded[name] = decoder(payload)
     if wanted is not None:
         missing = wanted - set(decoded)
         if missing:
-            raise DatasetFormatError(f"{path} lacks columns {sorted(missing)}")
+            raise DatasetFormatError(f"{origin} lacks columns {sorted(missing)}")
     return decoded
 
 
-def read_segment_file(path: str, columns: Optional[Sequence[str]] = None) -> Dict[str, List[int]]:
-    """Read a segment file back into ``{column_name: ids}``.
+def read_file_range(path: str, offset: int = 0, length: int = -1) -> bytes:
+    """The bytes ``[offset, offset + length)`` of ``path`` (to the end by default)."""
+    with open(path, "rb") as handle:
+        handle.seek(offset)
+        return handle.read(length)
+
+
+def decode_segment(data: bytes, columns: Optional[Sequence[str]] = None) -> Dict[str, List[int]]:
+    """Decode one segment's bytes into ``{column_name: ids}``.
 
     ``columns`` restricts decoding to the named columns (projection pushdown):
     pages of other columns are skipped without RLE expansion.
     """
-    return _read_segment_pages(path, columns, decode_id_column)
+    return _decode_pages(data, columns, decode_id_column, "segment")
 
 
-def read_segment_arrays(path: str, columns: Optional[Sequence[str]] = None) -> Dict[str, Any]:
-    """Read a segment file into flat ``array('q')`` id columns.
+def read_segment_file(
+    path: str, columns: Optional[Sequence[str]] = None, offset: int = 0, length: int = -1
+) -> Dict[str, List[int]]:
+    """:func:`decode_segment` of the bytes ``[offset, offset + length)`` of ``path``.
+
+    The defaults read a file that holds exactly one segment.
+    """
+    data = read_file_range(path, offset, length)
+    return _decode_pages(data, columns, decode_id_column, f"{path} at offset {offset}")
+
+
+def read_segment_arrays(
+    path: str, columns: Optional[Sequence[str]] = None, offset: int = 0, length: int = -1
+) -> Dict[str, Any]:
+    """Read a segment into flat ``array('q')`` id columns.
 
     The vectorized counterpart of :func:`read_segment_file`: same layout,
     same projection pushdown, but each page expands via
     :func:`~repro.engine.storage.decode_id_column_array` so the scan hands
     the executor packed buffers instead of Python integer lists.
     """
-    return _read_segment_pages(path, columns, decode_id_column_array)
+    data = read_file_range(path, offset, length)
+    return _decode_pages(data, columns, decode_id_column_array, f"{path} at offset {offset}")
 
 
 # --------------------------------------------------------------------- #
@@ -194,50 +230,9 @@ def decode_term_line(line: str) -> Term:
 
 def write_dictionary(root: str, terms: Sequence[Term]) -> int:
     """Write the dataset dictionary: line ``i`` encodes term ``i``."""
-    path = dictionary_path(root)
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        for term in terms:
-            handle.write(encode_term_line(term))
-            handle.write("\n")
-    return os.path.getsize(path)
-
-
-def rewrite_dictionary_lines(root: str, lines: Sequence[str]) -> None:
-    """Rewrite the dictionary file from already-encoded lines.
-
-    Used to repair a dictionary that carries uncommitted trailing lines from
-    a crashed append: the committed prefix is rewritten verbatim (ids are
-    line numbers and must not move), dropping the orphans so a retried
-    append does not stack new terms behind them.
-    """
-    path = dictionary_path(root)
-    temporary = path + ".tmp"
-    with open(temporary, "w", encoding="ascii", newline="\n") as handle:
-        for line in lines:
-            handle.write(line)
-            handle.write("\n")
-    os.replace(temporary, path)
-
-
-def append_dictionary(root: str, terms: Sequence[Term]) -> int:
-    """Append ``terms`` to the dictionary file, returning the bytes added.
-
-    The dictionary is strictly append-only: existing lines (and therefore
-    existing term ids, which are line numbers) are never rewritten, so every
-    already-written segment keeps decoding to the same terms after an append.
-    The caller must have verified the file holds exactly the committed lines
-    (see :func:`rewrite_dictionary_lines`), or the new ids will not match
-    their line numbers.
-    """
-    if not terms:
-        return 0
-    path = dictionary_path(root)
-    before = os.path.getsize(path)
-    with open(path, "a", encoding="ascii", newline="\n") as handle:
-        for term in terms:
-            handle.write(encode_term_line(term))
-            handle.write("\n")
-    return os.path.getsize(path) - before
+    data = "".join(encode_term_line(term) + "\n" for term in terms).encode("ascii")
+    write_at(dictionary_path(root), 0, data)
+    return len(data)
 
 
 class StoredTermDictionary:
@@ -246,17 +241,17 @@ class StoredTermDictionary:
     Opening a dataset only reads the raw lines; terms are parsed on first
     :meth:`decode` and the reverse (term -> id) index is built on first
     :meth:`lookup`, keeping the cold-open path proportional to file I/O, not
-    term parsing.
+    term parsing.  A session keeps one instance for its lifetime: appends
+    extend it (and the reverse index, once built) in place.
     """
 
-    def __init__(self, lines: List[str], raw_line_count: Optional[int] = None) -> None:
+    def __init__(self, lines: List[str]) -> None:
         self._lines = lines
         self._terms: List[Optional[Term]] = [None] * len(lines)
         self._reverse: Optional[Dict[Term, int]] = None
-        #: Lines physically present in the file, before truncation to the
-        #: committed size — lets an appender detect (and repair) orphan lines
-        #: left by a crashed predecessor.
-        self.raw_line_count = raw_line_count if raw_line_count is not None else len(lines)
+        #: Byte length of the committed lines in ``dictionary.nt`` (ASCII,
+        #: one "\n" each) — the offset the next append writes at.
+        self.committed_bytes = sum(map(len, lines)) + len(lines)
 
     @classmethod
     def open(cls, root: str, expected_size: Optional[int] = None) -> "StoredTermDictionary":
@@ -266,7 +261,6 @@ class StoredTermDictionary:
         lines = content.split("\n")
         if lines and lines[-1] == "":
             lines.pop()
-        raw_line_count = len(lines)
         if expected_size is not None:
             if len(lines) < expected_size:
                 raise DatasetFormatError(
@@ -274,14 +268,32 @@ class StoredTermDictionary:
                 )
             # The manifest is the commit point of an append: extra trailing
             # lines (a crash between the dictionary append and the manifest
-            # rewrite) are unreferenced by any committed segment, so they are
+            # swap) are unreferenced by any committed segment, so they are
             # dropped — decode of an id beyond the committed range must fail.
             del lines[expected_size:]
-        return cls(lines, raw_line_count=raw_line_count)
+        return cls(lines)
 
-    def committed_lines(self) -> List[str]:
-        """The encoded lines of the committed id range (for crash repair)."""
-        return list(self._lines)
+    def append(self, root: str, terms: Sequence[Term]) -> int:
+        """Write ``terms`` at the committed end of the file and adopt them.
+
+        Existing lines (and therefore existing term ids, which are line
+        numbers) are never rewritten, so every already-written segment keeps
+        decoding to the same terms.  Returns the bytes added.  The caller
+        commits the new size with the manifest; if that fails it must drop
+        this object along with the rest of its resident state.
+        """
+        if not terms:
+            return 0
+        lines = [encode_term_line(term) for term in terms]
+        data = "".join(line + "\n" for line in lines).encode("ascii")
+        write_at(dictionary_path(root), self.committed_bytes, data)
+        self.committed_bytes += len(data)
+        if self._reverse is not None:
+            for term_id, term in enumerate(terms, start=len(self._lines)):
+                self._reverse[term] = term_id
+        self._lines.extend(lines)
+        self._terms.extend(terms)
+        return len(data)
 
     def __len__(self) -> int:
         return len(self._lines)
@@ -310,27 +322,38 @@ class StoredTermDictionary:
 class PartitionEntry:
     """Manifest record of one base hash bucket of one table."""
 
-    file: str  # path relative to the dataset root
+    file: str  # the table's file, relative to the dataset root
     row_count: int
     size_bytes: int
     zones: Dict[str, ZoneMap]
+    #: Where the segment starts in ``file``; it is ``size_bytes`` long.
+    offset: int = 0
 
-    def to_json(self) -> dict:
-        return {
-            "file": self.file,
-            "row_count": self.row_count,
-            "size_bytes": self.size_bytes,
-            "zones": {column: zone.to_json() for column, zone in self.zones.items()},
-        }
+    def cut(self, data: bytes) -> bytes:
+        """The segment's bytes out of ``data``, the contents of ``file`` from its start."""
+        return data[self.offset : self.offset + self.size_bytes]
+
+    def _encode(self, columns: Sequence[str]) -> List[int]:
+        record = [self.offset, self.size_bytes, self.row_count]
+        for column in columns:
+            zone = self.zones[column]
+            record += [zone.min_id, zone.max_id, zone.distinct_count, zone.null_count]
+        return record
 
     @classmethod
-    def from_json(cls, data: dict) -> "PartitionEntry":
-        return cls(
-            file=data["file"],
-            row_count=data["row_count"],
-            size_bytes=data["size_bytes"],
-            zones={column: ZoneMap.from_json(z) for column, z in data["zones"].items()},
-        )
+    def _decode(cls, record: Sequence[int], file: str, columns: Sequence[str], **extra: int):
+        if len(record) != 3 + 4 * len(columns):
+            raise DatasetFormatError(f"malformed segment record for {file}: {record!r}")
+        offset, size_bytes, row_count = record[:3]
+        zones = {}
+        at = 3
+        for column in columns:
+            # A zone's row count is its segment's; it is not stored twice.
+            zones[column] = ZoneMap(
+                record[at], record[at + 1], row_count, record[at + 2], record[at + 3]
+            )
+            at += 4
+        return cls(file, row_count, size_bytes, zones, offset, **extra)
 
 
 @dataclass
@@ -341,28 +364,11 @@ class DeltaEntry(PartitionEntry):
     hash-bucketed with the same function as the base partitions, so bucket
     ``bucket``'s logical content is the base segment plus every delta tagged
     with that bucket index; ``epoch`` is the append generation that produced
-    it (used for deterministic file naming and ordering).
+    it.
     """
 
     bucket: int = 0
     epoch: int = 0
-
-    def to_json(self) -> dict:
-        data = super().to_json()
-        data["bucket"] = self.bucket
-        data["epoch"] = self.epoch
-        return data
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DeltaEntry":
-        return cls(
-            file=data["file"],
-            row_count=data["row_count"],
-            size_bytes=data["size_bytes"],
-            zones={column: ZoneMap.from_json(z) for column, z in data["zones"].items()},
-            bucket=data["bucket"],
-            epoch=data["epoch"],
-        )
 
 
 @dataclass
@@ -382,6 +388,22 @@ class TableEntry:
     num_buckets: int = 0
     partitions: List[PartitionEntry] = field(default_factory=list)
     deltas: List[DeltaEntry] = field(default_factory=list)
+    #: Which file holds the table (see :func:`table_file`): 0 as first
+    #: written, the compaction epoch once compacted.
+    generation: int = 0
+
+    @property
+    def file(self) -> str:
+        """The table's one file, relative to the dataset root."""
+        return table_file(self.name, self.generation)
+
+    @property
+    def committed_bytes(self) -> int:
+        """End of the last byte the manifest references in :attr:`file`."""
+        return max(
+            (segment.offset + segment.size_bytes for segment in self.partitions + self.deltas),
+            default=0,
+        )
 
     @property
     def num_partitions(self) -> int:
@@ -418,42 +440,53 @@ class TableEntry:
     def total_bytes(self) -> int:
         return self.base_bytes() + self.delta_bytes()
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "columns": list(self.columns),
-            "row_count": self.row_count,
-            "selectivity": self.selectivity,
-            "distinct_subjects": self.distinct_subjects,
-            "distinct_objects": self.distinct_objects,
-            "partition_keys": list(self.partition_keys),
-            "num_buckets": self.num_buckets,
-            "partitions": [partition.to_json() for partition in self.partitions],
-            "deltas": [delta.to_json() for delta in self.deltas],
-        }
+    def _encode(self) -> list:
+        columns = self.columns
+        return [
+            self.name,
+            list(columns),
+            self.row_count,
+            self.selectivity,
+            self.distinct_subjects,
+            self.distinct_objects,
+            list(self.partition_keys),
+            self.num_buckets,
+            self.generation,
+            [partition._encode(columns) for partition in self.partitions],
+            [[delta.bucket, delta.epoch] + delta._encode(columns) for delta in self.deltas],
+        ]
 
     @classmethod
-    def from_json(cls, data: dict) -> "TableEntry":
-        # Plain indexing on the v2-only keys: version 1 manifests are rejected
-        # wholesale by Manifest.from_json, so a missing key here is a
-        # malformed manifest that must fail loudly, not default silently.
+    def _decode(cls, record: list) -> "TableEntry":
+        (name, columns, row_count, selectivity, distinct_subjects, distinct_objects,
+         partition_keys, num_buckets, generation, partitions, deltas) = record  # fmt: skip
+        file = table_file(name, generation)
         return cls(
-            name=data["name"],
-            columns=tuple(data["columns"]),
-            row_count=data["row_count"],
-            selectivity=data["selectivity"],
-            distinct_subjects=data["distinct_subjects"],
-            distinct_objects=data["distinct_objects"],
-            partition_keys=tuple(data["partition_keys"]),
-            num_buckets=data["num_buckets"],
-            partitions=[PartitionEntry.from_json(p) for p in data["partitions"]],
-            deltas=[DeltaEntry.from_json(d) for d in data["deltas"]],
+            name=name,
+            columns=tuple(columns),
+            row_count=row_count,
+            selectivity=selectivity,
+            distinct_subjects=distinct_subjects,
+            distinct_objects=distinct_objects,
+            partition_keys=tuple(partition_keys),
+            num_buckets=num_buckets,
+            generation=generation,
+            partitions=[PartitionEntry._decode(p, file, columns) for p in partitions],
+            deltas=[
+                DeltaEntry._decode(d[2:], file, columns, bucket=d[0], epoch=d[1]) for d in deltas
+            ],
         )
 
 
 @dataclass
 class Manifest:
-    """Everything needed to reopen a dataset without touching the source graph."""
+    """Everything needed to reopen a dataset without touching the source graph.
+
+    This is the in-memory form; ``MANIFEST.json`` stores the same content as
+    positional arrays (:meth:`to_json`): correlations reference predicates by
+    index, and what can be derived — ExtVP table names, segment paths, the
+    statistics-only entries — is not stored.
+    """
 
     format_version: int
     layout_name: str
@@ -463,27 +496,31 @@ class Manifest:
     namespaces: Dict[str, str]
     dictionary_size: int
     tables: Dict[str, TableEntry]
-    #: Statistics-only entries: tables that were never materialised (empty or
-    #: filtered ExtVP tables) but whose statistics the compiler still uses.
-    statistics_only: List[dict]
-    #: predicate n3 -> {"table": vp table name, "size": row count}
-    vp_tables: Dict[str, dict]
-    #: ExtVP correlation statistics (materialised or not).
-    extvp: List[dict]
-    #: Build metadata of the original in-memory layout.
-    build: dict
+    #: predicate -> {"table": vp table name, "size": row count}
+    vp_tables: Dict[IRI, dict]
+    #: ExtVP correlation statistics (materialised or not).  A session's
+    #: layout uses this very object, so an append's incremental maintenance
+    #: updates both at once.
+    extvp: ExtVPStatistics
     #: Append generation counter: 0 for a freshly written dataset, incremented
-    #: by every :meth:`~repro.store.writer.DatasetAppender.append` (delta file
-    #: names embed it, so two appends never collide).
+    #: by every committed append and compaction.
     append_epoch: int = 0
-    #: Per-predicate distinct value sets, predicate n3 ->
-    #: ``{"s": [subject ids], "o": [object ids]}``.  These let an append
-    #: dedup its batch and maintain ExtVP statistics from the manifest alone,
-    #: without re-reading any base segment; absent in datasets written before
-    #: the field existed (appends then seed it by reading once).
-    vp_value_sets: Dict[str, dict] = field(default_factory=dict)
+    #: Per-predicate distinct value sets, predicate -> ``{"s": subject ids,
+    #: "o": object ids}`` (as sets).  These let an append dedup its batch and
+    #: maintain ExtVP statistics without re-reading any stored segment.
+    vp_value_sets: Dict[IRI, dict] = field(default_factory=dict)
+    #: ``(inode, size, mtime_ns)`` of ``MANIFEST.json`` as this object was
+    #: last read from or written to it — see :func:`manifest_identity`.
+    identity: Optional[Tuple[int, int, int]] = field(default=None, compare=False)
+
+    @property
+    def statistics_only(self) -> List[ExtVPTableInfo]:
+        """Correlations that were never materialised (empty or filtered ExtVP
+        tables) but whose statistics the compiler still uses."""
+        return [info for info in self.extvp.tables.values() if not info.materialized]
 
     def to_json(self) -> dict:
+        predicate_index = {predicate: index for index, predicate in enumerate(self.vp_tables)}
         return {
             "format_version": self.format_version,
             "layout_name": self.layout_name,
@@ -493,35 +530,99 @@ class Manifest:
             "namespaces": self.namespaces,
             "dictionary_size": self.dictionary_size,
             "append_epoch": self.append_epoch,
-            "tables": {name: entry.to_json() for name, entry in sorted(self.tables.items())},
-            "statistics_only": self.statistics_only,
-            "vp_tables": self.vp_tables,
-            "extvp": self.extvp,
-            "build": self.build,
-            "vp_value_sets": self.vp_value_sets,
+            # [n3, vp table, rows, subject ids, object ids]
+            "predicates": [
+                [
+                    predicate.n3(),
+                    info["table"],
+                    info["size"],
+                    sorted(self.vp_value_sets[predicate]["s"]),
+                    sorted(self.vp_value_sets[predicate]["o"]),
+                ]
+                for predicate, info in self.vp_tables.items()
+            ],
+            # [kind, first predicate, second predicate, rows, vp rows, materialised]
+            "extvp": [
+                [
+                    info.kind,  # a ``str`` subclass: serialises as its value
+                    predicate_index[info.first],
+                    predicate_index[info.second],
+                    info.row_count,
+                    info.vp_row_count,
+                    int(info.materialized),
+                ]
+                for info in self.extvp.tables.values()
+            ],
+            "tables": [self.tables[name]._encode() for name in sorted(self.tables)],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "Manifest":
         version = data.get("format_version")
         if version != FORMAT_VERSION:
-            raise DatasetFormatError(f"unsupported dataset format version {version!r}")
+            raise DatasetFormatError(
+                f"dataset format version {version!r} is not supported: this build reads and "
+                f"writes version {FORMAT_VERSION} only — rebuild the dataset with repro.create"
+            )
+        predicates: List[IRI] = []
+        vp_tables: Dict[IRI, dict] = {}
+        vp_value_sets: Dict[IRI, dict] = {}
+        for n3_text, table, size, subjects, objects in data["predicates"]:
+            predicate = term_from_string(n3_text)
+            if not isinstance(predicate, IRI):
+                raise DatasetFormatError(f"expected a predicate IRI, got {n3_text!r}")
+            predicates.append(predicate)
+            vp_tables[predicate] = {"table": table, "size": size}
+            vp_value_sets[predicate] = {"s": set(subjects), "o": set(objects)}
+        vp_names = [vp_tables[predicate]["table"] for predicate in predicates]
+        kinds = {kind.value: kind for kind in CorrelationKind}
+        extvp = ExtVPStatistics()
+        for kind, first, second, row_count, vp_row_count, materialized in data["extvp"]:
+            # Positional (name, kind, first, second, rows, vp rows, materialised):
+            # this loop is a quarter of a cold open.
+            extvp.add(
+                ExtVPTableInfo(
+                    correlation_table_name(kind, vp_names[first], vp_names[second]),
+                    kinds[kind],
+                    predicates[first],
+                    predicates[second],
+                    row_count,
+                    vp_row_count,
+                    bool(materialized),
+                )
+            )
+        tables = [TableEntry._decode(record) for record in data["tables"]]
         return cls(
             format_version=version,
-            layout_name=data.get("layout_name", "extvp"),
+            layout_name=data["layout_name"],
             num_buckets=data["num_buckets"],
             selectivity_threshold=data["selectivity_threshold"],
             include_oo=data["include_oo"],
-            namespaces=data.get("namespaces", {}),
+            namespaces=data["namespaces"],
             dictionary_size=data["dictionary_size"],
-            tables={name: TableEntry.from_json(entry) for name, entry in data["tables"].items()},
-            statistics_only=data.get("statistics_only", []),
-            vp_tables=data.get("vp_tables", {}),
-            extvp=data.get("extvp", []),
-            build=data.get("build", {}),
+            tables={entry.name: entry for entry in tables},
+            vp_tables=vp_tables,
+            extvp=extvp,
             append_epoch=data["append_epoch"],
-            vp_value_sets=data.get("vp_value_sets", {}),
+            vp_value_sets=vp_value_sets,
         )
+
+
+def _identity(status: os.stat_result) -> Tuple[int, int, int]:
+    return (status.st_ino, status.st_size, status.st_mtime_ns)
+
+
+def manifest_identity(root: str) -> Optional[Tuple[int, int, int]]:
+    """``(inode, size, mtime_ns)`` of the committed manifest, ``None`` if absent.
+
+    Every commit swaps in a freshly written file, so this changes whenever
+    *anyone* commits; a session trusts its resident copy of the store's state
+    only while it equals :attr:`Manifest.identity`.
+    """
+    try:
+        return _identity(os.stat(manifest_path(root)))
+    except FileNotFoundError:
+        return None
 
 
 def write_manifest(root: str, manifest: Manifest) -> None:
@@ -529,16 +630,19 @@ def write_manifest(root: str, manifest: Manifest) -> None:
     # ``json.dump`` falls back to the pure-Python one): the manifest is
     # machine-read, has O(tables x buckets) zone-map records, and its
     # serialisation sits on the commit path of every save, append and
-    # compaction — pretty-printing it dominated append latency.  The write
-    # goes to a temp file first and is swapped in with ``os.replace`` so the
-    # commit point is atomic: a crash mid-write never leaves a truncated
-    # manifest over a previously valid one.
+    # compaction.  The write goes to a temp file first and is swapped in
+    # with ``os.replace`` so the commit point is atomic: a crash mid-write
+    # never leaves a truncated manifest over a previously valid one.
     path = manifest_path(root)
     temporary = path + ".tmp"
     with open(temporary, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(manifest.to_json(), separators=(",", ":"), sort_keys=False))
-        handle.write("\n")
+        handle.write(json.dumps(manifest.to_json(), separators=(",", ":")) + "\n")
+        handle.flush()
+        # The rename keeps inode, size and mtime, so this is the identity of
+        # exactly the file this call commits — not of a later writer's.
+        status = os.fstat(handle.fileno())
     os.replace(temporary, path)
+    manifest.identity = _identity(status)
 
 
 def read_manifest(root: str) -> Manifest:
@@ -546,4 +650,7 @@ def read_manifest(root: str) -> Manifest:
     if not os.path.isfile(path):
         raise DatasetFormatError(f"{root!r} is not a dataset directory (missing {MANIFEST_FILE})")
     with open(path, "r", encoding="utf-8") as handle:
-        return Manifest.from_json(json.load(handle))
+        identity = _identity(os.fstat(handle.fileno()))
+        manifest = Manifest.from_json(json.load(handle))
+    manifest.identity = identity
+    return manifest

@@ -12,7 +12,7 @@ Scans push projection and equality predicates into the store:
 
 * **bucket pruning** — a predicate that binds the partition key hashes to
   exactly one bucket (:func:`~repro.engine.runtime.partitioner.key_partition_index`),
-  so every other segment file is skipped;
+  so every other segment is skipped;
 * **zone-map pruning** — any equality predicate whose encoded id falls outside
   a segment's ``[min_id, max_id]`` range proves the segment empty unread.
 
@@ -23,26 +23,27 @@ the join keys match — no per-join re-partitioning.
 
 from __future__ import annotations
 
-import os
 import time
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.catalog import Catalog, ScanResult, StoredTableProvider, TableStatistics
 from repro.engine.relation import Partitioning, Relation
 from repro.engine.runtime.partitioner import key_partition_index
 from repro.engine.storage import NULL_ID
-from repro.mappings.extvp import CorrelationKind, ExtVPLayout, ExtVPStatistics, ExtVPTableInfo
+from repro.mappings.extvp import ExtVPLayout, ExtVPTableInfo
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.rdf import ntriples as ntriples_io
 from repro.rdf.namespaces import NamespaceManager
-from repro.rdf.terms import IRI, Term, term_from_string
 from repro.engine.vectorized import BatchScanResult, ColumnBatch
 from repro.store.format import (
     Manifest,
+    PartitionEntry,
     StoredTermDictionary,
     TableEntry,
+    file_path,
+    manifest_identity,
     read_manifest,
     read_segment_arrays,
     read_segment_file,
@@ -67,8 +68,6 @@ class DatasetLoadReport:
     #: layout's build counter).  Both must be False for a true cold start.
     ntriples_parsed: bool = False
     extvp_rebuilt: bool = False
-    #: Build time of the original in-memory layout, for speedup reporting.
-    original_build_seconds: float = 0.0
 
 
 class StoredTable(StoredTableProvider):
@@ -85,12 +84,14 @@ class StoredTable(StoredTableProvider):
         self.root = root
         self.entry = entry
         self.dictionary = dictionary
-        #: segment file (manifest-relative) -> {column: ids}; grows with scans.
-        self._ids: Dict[str, Dict[str, List[int]]] = {}
-        #: segment file (manifest-relative) -> {column: array('q')}; the
-        #: vectorized scan path keeps its own cache so the two paths never
-        #: alias each other's buffers.
-        self._arrays: Dict[str, Dict[str, Any]] = {}
+        #: segment (file, offset) -> {column: ids}; grows with scans.
+        #: Committed bytes never change in place, so an entry stays valid for
+        #: as long as the manifest references its segment.
+        self._ids: Dict[Tuple[str, int], Dict[str, List[int]]] = {}
+        #: segment (file, offset) -> {column: array('q')}; the vectorized scan
+        #: path keeps its own cache so the two paths never alias each other's
+        #: buffers.
+        self._arrays: Dict[Tuple[str, int], Dict[str, Any]] = {}
         #: cached result of a full, unconditioned scan.
         self._full: Optional[ScanResult] = None
         #: cached result of a full, unconditioned vectorized scan.
@@ -143,7 +144,7 @@ class StoredTable(StoredTableProvider):
                     continue
                 segments_scanned += len(decode_columns)
                 rows_scanned += segment.row_count
-                ids = self._segment_ids(segment.file, decode_columns)
+                ids = self._segment_ids(segment, decode_columns)
                 keep: Optional[List[int]] = None
                 for column, term_id in condition_ids:
                     column_ids = ids[column]
@@ -228,7 +229,7 @@ class StoredTable(StoredTableProvider):
                     continue
                 segments_scanned += len(decode_columns)
                 rows_scanned += segment.row_count
-                ids = self._segment_arrays(segment.file, decode_columns)
+                ids = self._segment_arrays(segment, decode_columns)
                 output_ids = [ids[column] for column in output_columns]
                 if not condition_ids:
                     for position, column in enumerate(output_ids):
@@ -271,6 +272,20 @@ class StoredTable(StoredTableProvider):
         self._full = None
         self._full_batch = None
 
+    def entry_changed(self) -> None:
+        """The manifest entry was updated in place by a committed mutation.
+
+        Cached full scans are stale either way.  Decoded segments are kept
+        when the entry still references them: an append only adds segments
+        (the base stays decoded), a compaction replaces them all.
+        """
+        self._full = None
+        self._full_batch = None
+        live = {(s.file, s.offset) for s in self.entry.partitions + self.entry.deltas}
+        for cache in (self._ids, self._arrays):
+            for key in [key for key in cache if key not in live]:
+                del cache[key]
+
     # ------------------------------------------------------------------ #
     def _encode_conditions(
         self, condition_items: List[Tuple[str, Any]]
@@ -300,21 +315,18 @@ class StoredTable(StoredTableProvider):
         )
         return key_partition_index(key_terms, self.entry.num_partitions)
 
-    def _segment_ids(self, file: str, columns: Sequence[str]) -> Dict[str, List[int]]:
-        cached = self._ids.setdefault(file, {})
-        missing = [column for column in columns if column not in cached]
-        if missing:
-            # Manifest paths are "/"-separated regardless of the writing OS.
-            path = os.path.join(self.root, *file.split("/"))
-            cached.update(read_segment_file(path, missing))
-        return cached
+    def _segment_ids(self, segment: PartitionEntry, columns: Sequence[str]) -> Dict[str, List[int]]:
+        return self._decoded(self._ids, read_segment_file, segment, columns)
 
-    def _segment_arrays(self, file: str, columns: Sequence[str]) -> Dict[str, Any]:
-        cached = self._arrays.setdefault(file, {})
+    def _segment_arrays(self, segment: PartitionEntry, columns: Sequence[str]) -> Dict[str, Any]:
+        return self._decoded(self._arrays, read_segment_arrays, segment, columns)
+
+    def _decoded(self, cache, read, segment: PartitionEntry, columns: Sequence[str]):
+        cached = cache.setdefault((segment.file, segment.offset), {})
         missing = [column for column in columns if column not in cached]
         if missing:
-            path = os.path.join(self.root, *file.split("/"))
-            cached.update(read_segment_arrays(path, missing))
+            path = file_path(self.root, segment.file)
+            cached.update(read(path, missing, segment.offset, segment.size_bytes))
         return cached
 
     @staticmethod
@@ -328,7 +340,13 @@ class StoredTable(StoredTableProvider):
 
 @dataclass
 class StoredDataset:
-    """An opened dataset directory: manifest, dictionary and table handles."""
+    """An opened dataset directory: manifest, dictionary and table handles.
+
+    A session keeps this object for as long as it is *current*, and its
+    appends and compactions work on it in place — the manifest entries the
+    table handles point at, the dictionary they share, the value sets — so a
+    write costs what its batch costs instead of a re-read of everything.
+    """
 
     root: str
     manifest: Manifest
@@ -344,38 +362,48 @@ class StoredDataset:
             dataset.tables[name] = StoredTable(root, entry, dictionary)
         return dataset
 
+    def is_current(self) -> bool:
+        """Whether ``MANIFEST.json`` is still the file this object last read or wrote.
+
+        False once anyone else committed to the directory (another session,
+        another process, a full re-save): the resident state then describes a
+        superseded manifest and must be re-read before the next write.
+        """
+        return manifest_identity(self.root) == self.manifest.identity
+
     def table(self, name: str) -> StoredTable:
         return self.tables[name]
 
 
-def _parse_iri(n3_text: str, cache: Dict[str, IRI]) -> IRI:
-    """Parse (and memoise) a predicate IRI from its manifest n3 form.
+def register_changes(
+    layout: ExtVPLayout,
+    dataset: StoredDataset,
+    tables: Iterable[str],
+    statistics_only: Iterable[ExtVPTableInfo],
+    started_at: Optional[float] = None,
+) -> None:
+    """(Re)register ``tables`` and ``statistics_only`` of ``dataset`` into ``layout``.
 
-    The ExtVP statistics list has O(P^2) entries over only P distinct
-    predicates, so memoisation turns the dominant cold-open cost into a dict
-    lookup.
+    With every table and every non-materialised correlation this is the cold
+    open; with what one committed append or compaction touched (its report's
+    ``touched_tables`` / ``touched_statistics``) it is all a live session has
+    to do afterwards, and every other table keeps its decoded rows.  Mutates
+    the layout's existing catalog in place — sessions hold references to it —
+    via ``register_stored``, which also drops the decoded-rows and observed-
+    cardinality caches of the table's previous incarnation.  ``started_at``
+    lets the cold open count its file reads into the layout's load time.
     """
-    cached = cache.get(n3_text)
-    if cached is not None:
-        return cached
-    term = term_from_string(n3_text)
-    if not isinstance(term, IRI):
-        raise ValueError(f"expected an IRI, got {term!r}")
-    cache[n3_text] = term
-    return term
-
-
-def _populate_layout(layout: ExtVPLayout, dataset: StoredDataset, started_at: float) -> None:
-    """(Re)register every stored table and statistic of ``dataset`` into ``layout``.
-
-    Shared by the cold open and by :func:`refresh_dataset`.  Mutates the
-    layout's existing catalog in place — sessions hold references to it — via
-    ``register_stored``, which also drops any decoded-rows and observed-
-    cardinality caches of previous table incarnations.
-    """
+    if started_at is None:
+        started_at = time.perf_counter()
     manifest = dataset.manifest
     catalog = layout.catalog
-    for name, entry in manifest.tables.items():
+    for name in tables:
+        entry = manifest.tables[name]
+        table = dataset.tables.get(name)
+        if table is None:
+            table = dataset.tables[name] = StoredTable(dataset.root, entry, dataset.dictionary)
+        else:
+            table.entry_changed()
         statistics = TableStatistics(
             name=name,
             row_count=entry.row_count,
@@ -383,42 +411,24 @@ def _populate_layout(layout: ExtVPLayout, dataset: StoredDataset, started_at: fl
             distinct_subjects=entry.distinct_subjects,
             distinct_objects=entry.distinct_objects,
         )
-        catalog.register_stored(name, dataset.table(name), statistics)
-    for stats in manifest.statistics_only:
-        catalog.register_statistics_only(stats["name"], stats["row_count"], stats["selectivity"])
-
-    iri_cache: Dict[str, IRI] = {}
-    vp_tables: Dict[IRI, str] = {}
-    vp_sizes: Dict[IRI, int] = {}
-    for predicate_n3, info in manifest.vp_tables.items():
-        predicate = _parse_iri(predicate_n3, iri_cache)
-        vp_tables[predicate] = info["table"]
-        vp_sizes[predicate] = info["size"]
-
-    statistics = ExtVPStatistics()
-    for record in manifest.extvp:
-        statistics.add(
-            ExtVPTableInfo(
-                name=record["name"],
-                kind=CorrelationKind(record["kind"]),
-                first=_parse_iri(record["first"], iri_cache),
-                second=_parse_iri(record["second"], iri_cache),
-                row_count=record["row_count"],
-                vp_row_count=record["vp_row_count"],
-                materialized=record["materialized"],
-            )
-        )
-
-    # Mirror the original HDFS bookkeeping with the *actual* on-disk sizes so
-    # storage summaries keep working on a cold session.
-    for name, entry in manifest.tables.items():
+        catalog.register_stored(name, table, statistics)
+        # Mirror the original HDFS bookkeeping with the *actual* on-disk sizes
+        # so storage summaries keep working on a cold session.
         prefix = "extvp" if name.startswith("extvp_") else "vp" if name.startswith("vp_") else "store"
         layout.hdfs.record(
             f"{prefix}/{name}.parquet", entry.row_count, entry.total_bytes(), entry.columns
         )
+    for info in statistics_only:
+        catalog.register_statistics_only(info.name, info.row_count, info.selectivity)
 
-    elapsed = time.perf_counter() - started_at
-    layout.restore(vp_tables, vp_sizes, statistics, load_seconds=elapsed)
+    # The layout takes the manifest's statistics object itself: the appender
+    # maintains it in place, so there is one copy and nothing to rebuild.
+    layout.restore(
+        {predicate: info["table"] for predicate, info in manifest.vp_tables.items()},
+        {predicate: info["size"] for predicate, info in manifest.vp_tables.items()},
+        manifest.extvp,
+        load_seconds=time.perf_counter() - started_at,
+    )
 
 
 def open_dataset(
@@ -447,34 +457,36 @@ def open_dataset(
         include_oo=manifest.include_oo,
     )
     with tracer.span("store.restore-layout", category="store"):
-        _populate_layout(layout, dataset, start)
+        statistics_only = manifest.statistics_only
+        register_changes(layout, dataset, manifest.tables, statistics_only, started_at=start)
 
     report = DatasetLoadReport(
         path=path,
         load_seconds=layout.report.build_seconds if layout.report else 0.0,
         table_count=len(manifest.tables),
-        statistics_only_count=len(manifest.statistics_only),
+        statistics_only_count=len(statistics_only),
         dictionary_terms=manifest.dictionary_size,
         num_buckets=manifest.num_buckets,
         append_epoch=manifest.append_epoch,
         ntriples_parsed=ntriples_io.documents_parsed() > parses_before,
         extvp_rebuilt=layout.build_count > 0,
-        original_build_seconds=float(manifest.build.get("build_seconds", 0.0)),
     )
     return layout, report, dataset
 
 
 def refresh_dataset(layout: ExtVPLayout, path: str) -> StoredDataset:
-    """Re-sync an opened layout with its dataset directory after a mutation.
+    """Re-sync an opened layout with whatever its dataset directory now holds.
 
-    Called by the session after :class:`~repro.store.writer.DatasetAppender`
-    or :class:`~repro.store.writer.DatasetCompactor` rewrote the manifest:
-    every table is re-registered from the fresh manifest (new delta segments
-    become visible, stale decoded rows and observed cardinalities are
-    dropped), VP maps and ExtVP statistics are rebuilt, and the catalog
-    object itself — which executors hold references to — stays the same.
+    The full path, for when a session cannot just re-register what its own
+    mutation touched: a pool worker that learns of a newer epoch, a session
+    whose resident copy went stale or was dropped after a failed mutation,
+    the first append after ``save_dataset``.  Everything is re-read and every
+    table re-registered (stale decoded rows and observed cardinalities are
+    dropped); the catalog object itself — which executors hold references
+    to — stays the same.
     """
     start = time.perf_counter()
     dataset = StoredDataset.open(path)
-    _populate_layout(layout, dataset, start)
+    manifest = dataset.manifest
+    register_changes(layout, dataset, manifest.tables, manifest.statistics_only, started_at=start)
     return dataset

@@ -19,17 +19,17 @@ from __future__ import annotations
 import os
 import shutil
 import time
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, AbstractSet, Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.engine.relation import Relation
 from repro.engine.runtime.partitioner import key_partition_index
 from repro.engine.storage import NULL_ID, ZoneMap, encode_id_column
-from repro.mappings.extvp import ExtVPLayout, compute_incremental_extvp, ExtVPStatistics, ExtVPTableInfo, CorrelationKind
+from repro.mappings.extvp import ExtVPLayout, ExtVPTableInfo, compute_incremental_extvp
 from repro.mappings.naming import unique_predicate_key
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.namespaces import NamespaceManager
-from repro.rdf.terms import IRI, Term, term_from_string
+from repro.rdf.terms import IRI, Term
 from repro.rdf.triple import Triple
 from repro.store.format import (
     FORMAT_VERSION,
@@ -39,20 +39,21 @@ from repro.store.format import (
     PartitionEntry,
     StoredTermDictionary,
     TableEntry,
-    append_dictionary,
-    compacted_file_name,
-    delta_file_name,
+    correlation_table_name,
+    decode_segment,
     dictionary_path,
+    encode_segment,
+    file_path,
     manifest_path,
-    read_manifest,
-    read_segment_file,
-    rewrite_dictionary_lines,
-    segment_file_name,
-    table_dir,
+    read_file_range,
+    table_file,
+    write_at,
     write_dictionary,
     write_manifest,
-    write_segment_file,
 )
+
+if TYPE_CHECKING:  # the reader never imports the writer; keep it that way
+    from repro.store.reader import StoredDataset
 
 
 @dataclass
@@ -72,19 +73,17 @@ def _sort_key(row: Tuple, indexes: Sequence[int]) -> Tuple[str, ...]:
     return tuple("" if row[i] is None else row[i].n3() for i in indexes)
 
 
-def _write_encoded_segment(
-    path: str, columns: Sequence[str], column_ids: Sequence[List[int]]
-) -> Tuple[int, Dict[str, ZoneMap]]:
-    """Encode id columns as RLE pages, write one segment file, build zone maps.
+def _encode_segment(
+    columns: Sequence[str], column_ids: Sequence[List[int]]
+) -> Tuple[bytes, Dict[str, ZoneMap]]:
+    """Encode id columns as one segment of RLE pages and build its zone maps.
 
     The single code path shared by base writes, delta appends and compaction,
     so the three never desynchronise on encoding or zone-map construction.
-    Returns ``(bytes_written, zones)``.
     """
     pages = [(column, encode_id_column(ids)) for column, ids in zip(columns, column_ids)]
-    size = write_segment_file(path, pages)
     zones = {column: ZoneMap.from_ids(ids) for column, ids in zip(columns, column_ids)}
-    return size, zones
+    return encode_segment(pages), zones
 
 
 class DatasetWriter:
@@ -102,55 +101,55 @@ class DatasetWriter:
         The manifest is removed *first* and re-written *last*, so a crash
         mid-write leaves a directory that :func:`repro.store.reader.open_dataset`
         rejects outright instead of a stale manifest silently paired with new
-        segments.  All previous dataset artifacts (dictionary, table
-        directories) are cleared, so shrinking re-saves leave no orphans.
+        segments.  All previous dataset artifacts (dictionary, table files)
+        are cleared, so shrinking re-saves leave no orphans.
         """
         start = time.perf_counter()
         if os.path.isfile(manifest_path(path)) and not overwrite:
             raise FileExistsError(f"{path!r} already contains a dataset; pass overwrite=True")
         os.makedirs(path, exist_ok=True)
         self._clear_artifacts(path)
+        os.makedirs(os.path.join(path, TABLES_DIR))
 
         dictionary = TermDictionary()
         catalog = layout.catalog
         tables: Dict[str, TableEntry] = {}
-        segment_count = 0
         total_bytes = 0
-
         for name in catalog.table_names():
-            relation = catalog.table(name)
-            entry, written, segments = self._write_table(path, name, relation, catalog, dictionary)
+            entry = self._write_table(path, name, catalog.table(name), catalog, dictionary)
             tables[name] = entry
-            total_bytes += written
-            segment_count += segments
+            total_bytes += entry.total_bytes()
 
-        dictionary_bytes = write_dictionary(path, list(dictionary.terms()))
-        total_bytes += dictionary_bytes
+        total_bytes += write_dictionary(path, list(dictionary.terms()))
 
         # Persist per-predicate join-value sets (in id space) so appends can
-        # deduplicate and maintain ExtVP statistics from the manifest alone
-        # instead of re-reading every VP table (O(batch), not O(dataset)).
-        vp_value_sets: Dict[str, dict] = {}
-        for predicate in sorted(layout.vp.vp_tables, key=lambda p: p.value):
-            relation = catalog.table(layout.vp.vp_tables[predicate])
-            s_index = relation.column_index("s")
-            o_index = relation.column_index("o")
-            vp_value_sets[predicate.n3()] = {
-                "s": sorted(
-                    {
-                        dictionary.encode(row[s_index])
-                        for row in relation.rows
-                        if row[s_index] is not None
-                    }
-                ),
-                "o": sorted(
-                    {
-                        dictionary.encode(row[o_index])
-                        for row in relation.rows
-                        if row[o_index] is not None
-                    }
-                ),
+        # deduplicate and maintain ExtVP statistics without re-reading any VP
+        # table (O(batch), not O(dataset)).
+        vp_tables: Dict[IRI, dict] = {}
+        vp_value_sets: Dict[IRI, dict] = {}
+        for predicate, table_name in layout.vp.vp_tables.items():
+            relation = catalog.table(table_name)
+            vp_tables[predicate] = {
+                "table": table_name,
+                "size": layout.vp.vp_sizes.get(predicate, 0),
             }
+            vp_value_sets[predicate] = {
+                column: {
+                    dictionary.encode(value)
+                    for value in relation.column_values(column)
+                    if value is not None
+                }
+                for column in ("s", "o")
+            }
+        for info in layout.statistics.tables.values():
+            # The manifest stores a correlation as a pair of predicates and
+            # re-derives its table name; a name that does not derive would
+            # come back pointing at the wrong (or no) table.
+            derived = correlation_table_name(
+                info.kind.value, vp_tables[info.first]["table"], vp_tables[info.second]["table"]
+            )
+            if derived != info.name:
+                raise ValueError(f"ExtVP table {info.name!r} does not follow the naming rule")
 
         manifest = Manifest(
             format_version=FORMAT_VERSION,
@@ -161,40 +160,9 @@ class DatasetWriter:
             namespaces=layout.namespaces.namespaces(),
             dictionary_size=len(dictionary),
             tables=tables,
-            statistics_only=[
-                {
-                    "name": stats.name,
-                    "row_count": stats.row_count,
-                    "selectivity": stats.selectivity,
-                }
-                for stats in (
-                    catalog.statistics(name) for name in catalog.statistics_only_names()
-                )
-                if stats is not None
-            ],
-            vp_tables={
-                predicate.n3(): {"table": table_name, "size": layout.vp.vp_sizes.get(predicate, 0)}
-                for predicate, table_name in layout.vp.vp_tables.items()
-            },
+            vp_tables=vp_tables,
             vp_value_sets=vp_value_sets,
-            extvp=[
-                {
-                    "kind": info.kind.value,
-                    "first": info.first.n3(),
-                    "second": info.second.n3(),
-                    "name": info.name,
-                    "row_count": info.row_count,
-                    "vp_row_count": info.vp_row_count,
-                    "materialized": info.materialized,
-                }
-                for info in layout.statistics.tables.values()
-            ],
-            build={
-                "build_seconds": layout.report.build_seconds if layout.report else 0.0,
-                "table_count": layout.report.table_count if layout.report else 0,
-                "tuple_count": layout.report.tuple_count if layout.report else 0,
-                "hdfs_bytes": layout.report.hdfs_bytes if layout.report else 0,
-            },
+            extvp=layout.statistics,
         )
         write_manifest(path, manifest)
         total_bytes += os.path.getsize(manifest_path(path))
@@ -202,7 +170,7 @@ class DatasetWriter:
         return DatasetWriteReport(
             path=path,
             table_count=len(tables),
-            segment_count=segment_count,
+            segment_count=sum(entry.segment_count() for entry in tables.values()),
             dictionary_terms=len(dictionary),
             total_bytes=total_bytes,
             num_buckets=self.num_buckets,
@@ -231,8 +199,8 @@ class DatasetWriter:
         relation: Relation,
         catalog,
         dictionary: TermDictionary,
-    ) -> Tuple[TableEntry, int, int]:
-        """Write one table's buckets; return (entry, bytes written, segments)."""
+    ) -> TableEntry:
+        """Write one table's file: every bucket's base segment, back to back."""
         columns = relation.columns
         partition_keys = self._partition_keys(columns)
         key_indexes = [relation.column_index(k) for k in partition_keys]
@@ -245,13 +213,12 @@ class DatasetWriter:
                 key = tuple(row[i] for i in key_indexes)
                 buckets[key_partition_index(key, self.num_buckets)].append(row)
 
-        directory = table_dir(root, name)
-        os.makedirs(directory, exist_ok=True)
-
+        file = table_file(name)
         entries: List[PartitionEntry] = []
-        written = 0
+        blobs: List[bytes] = []
+        offset = 0
         all_indexes = list(range(len(columns)))
-        for index, bucket in enumerate(buckets):
+        for bucket in buckets:
             bucket.sort(key=lambda row: _sort_key(row, all_indexes))
             column_ids: List[List[int]] = [[] for _ in columns]
             for row in bucket:
@@ -259,24 +226,18 @@ class DatasetWriter:
                     column_ids[position].append(
                         NULL_ID if value is None else dictionary.encode(value)
                     )
-            file_name = segment_file_name(index)
-            size, zones = _write_encoded_segment(
-                os.path.join(directory, file_name), columns, column_ids
-            )
-            written += size
+            blob, zones = _encode_segment(columns, column_ids)
             entries.append(
                 PartitionEntry(
-                    # Manifest paths always use "/" so datasets are portable
-                    # across operating systems.
-                    file=f"{TABLES_DIR}/{name}/{file_name}",
-                    row_count=len(bucket),
-                    size_bytes=size,
-                    zones=zones,
+                    file=file, row_count=len(bucket), size_bytes=len(blob), zones=zones, offset=offset
                 )
             )
+            blobs.append(blob)
+            offset += len(blob)
+        write_at(file_path(root, file), 0, b"".join(blobs))
 
         statistics = catalog.statistics(name)
-        entry = TableEntry(
+        return TableEntry(
             name=name,
             columns=columns,
             row_count=len(relation),
@@ -287,7 +248,6 @@ class DatasetWriter:
             num_buckets=self.num_buckets,
             partitions=entries,
         )
-        return entry, written, len(entries)
 
     @staticmethod
     def _partition_keys(columns: Tuple[str, ...]) -> Tuple[str, ...]:
@@ -316,6 +276,11 @@ class DatasetAppendReport:
     dictionary_terms_added: int
     bytes_written: int
     append_seconds: float
+    #: Tables whose manifest entry changed (new rows, or new statistics) —
+    #: all a live session has to re-register.
+    touched_tables: List[str] = field(default_factory=list, repr=False)
+    #: Statistics-only correlations whose numbers changed.
+    touched_statistics: List[ExtVPTableInfo] = field(default_factory=list, repr=False)
 
     @property
     def write_amplification(self) -> float:
@@ -330,7 +295,7 @@ class _DictionaryAppender:
 
     Existing terms keep their ids (line numbers); unseen terms are assigned
     the next free ids in encounter order and collected for one trailing
-    :func:`~repro.store.format.append_dictionary` write.
+    :meth:`~repro.store.format.StoredTermDictionary.append`.
     """
 
     def __init__(self, stored: StoredTermDictionary) -> None:
@@ -355,93 +320,61 @@ class _DictionaryAppender:
         return self.new_terms[term_id - len(self._stored)]
 
 
+_NO_VALUES: AbstractSet[int] = frozenset()
+
+
 class _StoredVPSource:
-    """Lazy pre-append VP state for dedup and incremental maintenance.
+    """Pre-append VP state for dedup and incremental maintenance.
 
-    Value sets come from the manifest's persisted ``vp_value_sets``; full
-    rows are read from base/delta segments only when the value sets prove the
-    read can matter — a maintenance intersection is non-empty, or a batch
-    pair survives the subject/object membership prefilter in :meth:`has_row`.
-    Segment file lists and row counts are snapshotted at construction, so a
-    late ``rows`` call stays correct even though the append mutates the
-    manifest entries (row counts, delta lists) in place.
-
-    Datasets persisted before value sets existed take a one-time upgrade:
-    every VP table is read once here (the old cost model) and the derived
-    sets are committed with this append, making the *next* append O(batch).
+    Value sets are the manifest's resident ``vp_value_sets``; full rows are
+    read from the table's segments only when the value sets prove the read
+    can matter — a maintenance intersection is non-empty, or a batch pair
+    survives the subject/object membership prefilter in :meth:`has_row`.
+    It answers from the manifest as it is when asked, so the appender asks
+    everything before it starts changing entries and value sets in place.
     """
 
     def __init__(self, path: str, manifest: Manifest, vp_names: Dict[IRI, str]) -> None:
         self._path = path
-        # Shallow snapshot: the append overwrites manifest.vp_value_sets
-        # entries with post-append sets, and this source must keep answering
-        # with the pre-append state.
-        self._value_sets = dict(manifest.vp_value_sets)
-        self._columns: Dict[IRI, Tuple[str, ...]] = {}
-        self._files: Dict[IRI, List[str]] = {}
-        self._row_counts: Dict[IRI, int] = {}
+        self._manifest = manifest
+        #: Grows while the append registers new predicates; those simply have
+        #: no rows and no values yet.
+        self._vp_names = vp_names
         self._rows_cache: Dict[IRI, List[Tuple[int, ...]]] = {}
         self._row_sets: Dict[IRI, Set[Tuple[int, ...]]] = {}
-        self._subjects: Dict[IRI, Set[int]] = {}
-        self._objects: Dict[IRI, Set[int]] = {}
-        for predicate, name in vp_names.items():
-            entry = manifest.tables.get(name)
-            if entry is None:
-                continue
-            self._columns[predicate] = entry.columns
-            self._files[predicate] = [
-                segment.file
-                for bucket in range(entry.num_partitions)
-                for segment in entry.segments_for_bucket(bucket)
-            ]
-            self._row_counts[predicate] = entry.row_count
-        # Every pre-append VP predicate, whether or not its table has
-        # segments yet; snapshotted before the append registers new ones.
-        self._known = list(vp_names)
-        if not self._value_sets:
-            for predicate in self._known:
-                self.subjects(predicate)
-                self.objects(predicate)
 
     # -- the lazy VP-source interface compute_incremental_extvp consumes -- #
     def predicates(self) -> List[IRI]:
-        return self._known
+        return list(self._vp_names)
+
+    def _entry(self, predicate: IRI):
+        return self._manifest.tables.get(self._vp_names.get(predicate, ""))
 
     def row_count(self, predicate: IRI) -> int:
-        return self._row_counts.get(predicate, 0)
+        entry = self._entry(predicate)
+        return entry.row_count if entry is not None else 0
 
     def rows(self, predicate: IRI) -> List[Tuple[int, ...]]:
         """All pre-append rows of ``VP_predicate``, in id space (reads segments)."""
         cached = self._rows_cache.get(predicate)
         if cached is None:
             cached = []
-            columns = self._columns.get(predicate, ())
-            for file in self._files.get(predicate, ()):
-                decoded = read_segment_file(
-                    os.path.join(self._path, *file.split("/")), columns
-                )
-                cached.extend(zip(*(decoded[column] for column in columns)))
+            entry = self._entry(predicate)
+            if entry is not None:
+                data = read_file_range(file_path(self._path, entry.file), 0, entry.committed_bytes)
+                for segment in entry.partitions + entry.deltas:
+                    decoded = decode_segment(segment.cut(data), entry.columns)
+                    cached.extend(zip(*(decoded[column] for column in entry.columns)))
             self._rows_cache[predicate] = cached
         return cached
 
-    def subjects(self, predicate: IRI) -> Set[int]:
-        return self._value_set(predicate, "s", 0, self._subjects)
+    def subjects(self, predicate: IRI) -> AbstractSet[int]:
+        stored = self._manifest.vp_value_sets.get(predicate)
+        return stored["s"] if stored is not None else _NO_VALUES
 
-    def objects(self, predicate: IRI) -> Set[int]:
-        return self._value_set(predicate, "o", 1, self._objects)
-
-    def _value_set(
-        self, predicate: IRI, column: str, index: int, cache: Dict[IRI, Set[int]]
-    ) -> Set[int]:
-        cached = cache.get(predicate)
-        if cached is None:
-            stored = self._value_sets.get(predicate.n3())
-            if stored is not None:
-                cached = set(stored[column])
-            else:
-                cached = {row[index] for row in self.rows(predicate)}
-            cache[predicate] = cached
-        return cached
+    def objects(self, predicate: IRI) -> AbstractSet[int]:
+        stored = self._manifest.vp_value_sets.get(predicate)
+        return stored["o"] if stored is not None else _NO_VALUES
 
     def has_row(self, predicate: IRI, pair: Tuple[int, int]) -> bool:
         """Dedup check: is ``pair`` already a row of ``VP_predicate``?
@@ -460,65 +393,65 @@ class _StoredVPSource:
 
 
 class DatasetAppender:
-    """Appends triples to a persisted dataset as delta segments.
+    """Appends triples to an opened dataset as delta segments.
 
     Unlike :class:`DatasetWriter`, nothing existing is rewritten: new rows
-    land in per-bucket ``delta-<epoch>-<bucket>.seg`` files (hash-bucketed
-    with the same function as the base segments, so scans and aligned joins
-    keep working), the term dictionary is extended append-only, and the
-    VP/ExtVP statistics are maintained incrementally for the affected
-    predicate pairs only (:func:`~repro.mappings.extvp.compute_incremental_extvp`).
+    land as per-bucket delta segments at the committed end of each touched
+    table's file (hash-bucketed with the same function as the base segments,
+    so scans and aligned joins keep working), the term dictionary is extended
+    append-only, and the VP/ExtVP statistics are maintained incrementally for
+    the affected predicate pairs only
+    (:func:`~repro.mappings.extvp.compute_incremental_extvp`).
 
-    The (atomic) manifest rewrite is the commit point: a crash mid-append
-    leaves the previous manifest in place, so the dataset reopens in its
-    exact pre-append state.  Orphaned delta files and trailing dictionary
-    lines from the crashed attempt are unreferenced and ignored; a retried
-    append overwrites the former (epoch-derived names) and truncates the
-    latter before appending.
+    The appender works on the caller's resident
+    :class:`~repro.store.reader.StoredDataset` — manifest, dictionary (with
+    its reverse index) and value sets as they are in memory — and updates
+    them in place, so nothing is re-read or rebuilt per append.  The caller
+    owns the two consequences: the resident copy must be current
+    (:meth:`~repro.store.reader.StoredDataset.is_current`), and after an
+    exception it is half-updated and must be thrown away.
 
-    Cost model: the manifest persists per-predicate join-value sets
-    (``vp_value_sets``), so deduplication, VP statistics and ExtVP pair
-    evaluation all run against those sets without reading a single base
+    The (atomic) manifest swap is the commit point: a crash mid-append leaves
+    the previous manifest in place, so the dataset reopens in its exact
+    pre-append state.  What the crashed attempt wrote lies past the committed
+    end of the table files and the dictionary, where no reader looks and the
+    retry writes.
+
+    Cost model: deduplication, VP statistics and ExtVP pair evaluation all
+    run against the resident value sets without reading a single stored
     segment.  Stored rows are read only when a value-set intersection proves
     an old row can actually qualify (or a batch pair survives the dedup
-    prefilter) — so an append of fresh terms is O(batch): delta segments,
-    dictionary lines and the manifest rewrite.  Datasets written before
-    value sets existed pay one upgrade read and are O(batch) thereafter.
+    prefilter) — so an append of fresh terms costs what the batch costs, plus
+    one serialisation of the manifest.
     """
 
-    def __init__(self, path: str) -> None:
-        self.path = path
+    def __init__(self, dataset: "StoredDataset") -> None:
+        self.dataset = dataset
+        self.path = dataset.root
 
     # ------------------------------------------------------------------ #
     def append(self, triples: Iterable[Triple]) -> DatasetAppendReport:
         start = time.perf_counter()
-        manifest = read_manifest(self.path)
-        stored_dictionary = StoredTermDictionary.open(
-            self.path, expected_size=manifest.dictionary_size
-        )
-        dictionary = _DictionaryAppender(stored_dictionary)
+        manifest = self.dataset.manifest
+        dictionary = _DictionaryAppender(self.dataset.dictionary)
         namespaces = NamespaceManager(manifest.namespaces) if manifest.namespaces else NamespaceManager()
         epoch = manifest.append_epoch + 1
 
-        # VP predicate map (manifest n3 -> IRI) and frozen table-name keys.
-        vp_names: Dict[IRI, str] = {}
-        for predicate_n3, info in manifest.vp_tables.items():
-            term = term_from_string(predicate_n3)
-            assert isinstance(term, IRI)
-            vp_names[term] = info["table"]
-        taken_keys: Set[str] = {name[len("vp_") :] for name in vp_names.values()}
-
+        vp_names: Dict[IRI, str] = {
+            predicate: info["table"] for predicate, info in manifest.vp_tables.items()
+        }
         # Pre-append VP state, in id space (ids are dataset-global, so value
         # comparisons across tables work without decoding a single term).
-        # Backed by the manifest's persisted value sets; segments are read
-        # only when the sets prove a read can matter.
         source = _StoredVPSource(self.path, manifest, vp_names)
 
-        # Encode, deduplicate and group the batch by predicate.
+        # Encode, deduplicate and group the batch by predicate — in sorted
+        # order, so the ids new terms get (and with them every byte this
+        # append writes) do not depend on how the caller's collection
+        # happens to iterate (a ``Graph`` is a hash set of triples).
         additions: Dict[IRI, List[Tuple[int, int]]] = {}
         seen: Dict[IRI, Set[Tuple[int, int]]] = {}
         duplicates = 0
-        for triple in triples:
+        for triple in sorted(triples, key=lambda t: (t.subject.n3(), t.predicate.n3(), t.object.n3())):
             predicate = triple.predicate
             if not isinstance(predicate, IRI):
                 raise TypeError(f"predicate must be an IRI, got {predicate!r}")
@@ -547,158 +480,101 @@ class DatasetAppender:
                 append_seconds=time.perf_counter() - start,
             )
 
-        bytes_written = 0
-        delta_segments = 0
-        tables_updated = 0
-        tables_created = 0
-
-        # --- VP tables (and their manifest predicate map) ----------------- #
+        # --- everything that reads the pre-append state ------------------- #
+        old_predicates = list(vp_names)
         new_predicates = sorted(
             (p for p in additions if p not in vp_names), key=lambda p: p.value
         )
+        taken_keys: Set[str] = {name[len("vp_") :] for name in vp_names.values()}
         for predicate in new_predicates:
             key = unique_predicate_key(predicate, taken_keys, namespaces)
             taken_keys.add(key)
             vp_names[predicate] = f"vp_{key}"
 
+        deltas = compute_incremental_extvp(
+            manifest.extvp,
+            source,
+            additions,
+            lambda kind, first, second: correlation_table_name(
+                kind.value, vp_names[first], vp_names[second]
+            ),
+            manifest.selectivity_threshold,
+            manifest.include_oo,
+        )
+        batch_subjects = {row[0] for rows in additions.values() for row in rows}
+        new_subjects = sum(
+            1
+            for subject in batch_subjects
+            if not any(subject in source.subjects(predicate) for predicate in old_predicates)
+        )
+
+        # --- from here on the resident state changes in place -------------- #
+        delta_segments = 0
+        bytes_written = 0
+        created: Set[str] = set()
+        extended: Set[str] = set()  # tables that received delta segments
+        touched: Set[str] = set()  # ... plus tables whose statistics alone changed
+
+        # VP tables (and their manifest predicate map).
         for predicate in sorted(additions, key=lambda p: p.value):
-            name = vp_names[predicate]
             rows = additions[predicate]
-            created = name not in manifest.tables
-            entry = self._table_entry(manifest, name, ("s", "o"))
+            entry = self._table_entry(manifest, vp_names[predicate], ("s", "o"), created)
             segments, written = self._write_delta(entry, rows, dictionary, epoch)
             delta_segments += segments
             bytes_written += written
-            tables_created += 1 if created else 0
-            tables_updated += 0 if created else 1
+            extended.add(entry.name)
             entry.row_count += len(rows)
-            subjects = source.subjects(predicate) | {r[0] for r in rows}
-            objects = source.objects(predicate) | {r[1] for r in rows}
-            entry.distinct_subjects = len(subjects)
-            entry.distinct_objects = len(objects)
-            manifest.vp_tables[predicate.n3()] = {"table": name, "size": entry.row_count}
-            manifest.vp_value_sets[predicate.n3()] = {
-                "s": sorted(subjects),
-                "o": sorted(objects),
-            }
+            value_sets = manifest.vp_value_sets.setdefault(predicate, {"s": set(), "o": set()})
+            value_sets["s"].update(row[0] for row in rows)
+            value_sets["o"].update(row[1] for row in rows)
+            entry.distinct_subjects = len(value_sets["s"])
+            entry.distinct_objects = len(value_sets["o"])
+            manifest.vp_tables[predicate] = {"table": entry.name, "size": entry.row_count}
 
-        # --- the base triples table (unbound-predicate patterns) ---------- #
-        triples_rows: List[Tuple[int, int, int]] = []
-        for predicate in sorted(additions, key=lambda p: p.value):
-            predicate_id = dictionary.encode(predicate)
-            triples_rows.extend((s, predicate_id, o) for s, o in additions[predicate])
-        if triples_rows and "triples" in manifest.tables:
+        # The base triples table (unbound-predicate patterns).
+        if "triples" in manifest.tables:
+            triples_rows: List[Tuple[int, int, int]] = []
+            for predicate in sorted(additions, key=lambda p: p.value):
+                predicate_id = dictionary.encode(predicate)
+                triples_rows.extend((s, predicate_id, o) for s, o in additions[predicate])
             entry = manifest.tables["triples"]
             segments, written = self._write_delta(entry, triples_rows, dictionary, epoch)
             delta_segments += segments
             bytes_written += written
-            tables_updated += 1
+            extended.add(entry.name)
             entry.row_count += len(triples_rows)
-            all_subjects: Set[int] = set()
-            for predicate in vp_names:
-                all_subjects |= source.subjects(predicate)
-            all_subjects.update(r[0] for rows in additions.values() for r in rows)
-            entry.distinct_subjects = len(all_subjects)
+            entry.distinct_subjects += new_subjects
             # Column 1 of the triples table is the predicate.
             entry.distinct_objects = len(vp_names)
 
-        # --- incremental ExtVP maintenance (affected pairs only) ---------- #
-        statistics = ExtVPStatistics()
-        iri_cache: Dict[str, IRI] = {}
-        for record in manifest.extvp:
-            for field_name in ("first", "second"):
-                if record[field_name] not in iri_cache:
-                    term = term_from_string(record[field_name])
-                    assert isinstance(term, IRI)
-                    iri_cache[record[field_name]] = term
-            statistics.add(
-                ExtVPTableInfo(
-                    name=record["name"],
-                    kind=CorrelationKind(record["kind"]),
-                    first=iri_cache[record["first"]],
-                    second=iri_cache[record["second"]],
-                    row_count=record["row_count"],
-                    vp_row_count=record["vp_row_count"],
-                    materialized=record["materialized"],
-                )
-            )
-
-        def name_for(kind: CorrelationKind, first: IRI, second: IRI) -> str:
-            first_key = vp_names[first][len("vp_") :]
-            second_key = vp_names[second][len("vp_") :]
-            return f"extvp_{kind.value}_{first_key}__{second_key}"
-
-        deltas = compute_incremental_extvp(
-            statistics,
-            source,
-            additions,
-            name_for,
-            manifest.selectivity_threshold,
-            manifest.include_oo,
-        )
-        statistics_only = {record["name"]: record for record in manifest.statistics_only}
+        # Incremental ExtVP maintenance (affected pairs only).
+        touched_statistics: List[ExtVPTableInfo] = []
         for delta in deltas:
             info = delta.info
-            statistics.add(info)
-            if info.materialized:
-                created = info.name not in manifest.tables
-                entry = self._table_entry(manifest, info.name, ("s", "o"))
-                if delta.rows:
-                    segments, written = self._write_delta(entry, delta.rows, dictionary, epoch)
-                    delta_segments += segments
-                    bytes_written += written
-                    tables_created += 1 if created else 0
-                    tables_updated += 0 if created else 1
-                entry.row_count = info.row_count
-                entry.selectivity = info.selectivity
-                # The maintenance pass computes exact post-append distinct
-                # counts from the in-memory VP rows (None = unchanged), so
-                # the stored statistics stay exact across appends.
-                if delta.distinct_subjects is not None:
-                    entry.distinct_subjects = delta.distinct_subjects
-                if delta.distinct_objects is not None:
-                    entry.distinct_objects = delta.distinct_objects
-                statistics_only.pop(info.name, None)
-            else:
-                statistics_only[info.name] = {
-                    "name": info.name,
-                    "row_count": info.row_count,
-                    "selectivity": info.selectivity,
-                }
-        manifest.statistics_only = [statistics_only[name] for name in sorted(statistics_only)]
-        manifest.extvp = [
-            {
-                "kind": info.kind.value,
-                "first": info.first.n3(),
-                "second": info.second.n3(),
-                "name": info.name,
-                "row_count": info.row_count,
-                "vp_row_count": info.vp_row_count,
-                "materialized": info.materialized,
-            }
-            for info in statistics.tables.values()
-        ]
-
-        # Upgrade path: predicates whose value sets were never persisted
-        # (datasets written before vp_value_sets, or appended by older code)
-        # get their derived sets committed now, so the next append reads
-        # nothing.  For current-format datasets every key already exists and
-        # this loop writes nothing.
-        for predicate in vp_names:
-            key = predicate.n3()
-            if key not in manifest.vp_value_sets:
-                manifest.vp_value_sets[key] = {
-                    "s": sorted(source.subjects(predicate)),
-                    "o": sorted(source.objects(predicate)),
-                }
+            manifest.extvp.add(info)
+            if not info.materialized:
+                touched_statistics.append(info)
+                continue
+            entry = self._table_entry(manifest, info.name, ("s", "o"), created)
+            if delta.rows:
+                segments, written = self._write_delta(entry, delta.rows, dictionary, epoch)
+                delta_segments += segments
+                bytes_written += written
+                extended.add(entry.name)
+            touched.add(entry.name)
+            entry.row_count = info.row_count
+            entry.selectivity = info.selectivity
+            # The maintenance pass computes exact post-append distinct
+            # counts from the in-memory VP rows (None = unchanged), so
+            # the stored statistics stay exact across appends.
+            if delta.distinct_subjects is not None:
+                entry.distinct_subjects = delta.distinct_subjects
+            if delta.distinct_objects is not None:
+                entry.distinct_objects = delta.distinct_objects
 
         # --- commit: dictionary first, manifest last ----------------------- #
-        if stored_dictionary.raw_line_count != manifest.dictionary_size:
-            # A crashed predecessor left uncommitted trailing lines; rewrite
-            # the committed prefix so the new terms' ids match line numbers.
-            rewrite_dictionary_lines(self.path, stored_dictionary.committed_lines())
-        bytes_written += append_dictionary(self.path, dictionary.new_terms)
-        manifest.dictionary_size += len(dictionary.new_terms)
+        bytes_written += self.dataset.dictionary.append(self.path, dictionary.new_terms)
+        manifest.dictionary_size = len(self.dataset.dictionary)
         manifest.append_epoch = epoch
         write_manifest(self.path, manifest)
 
@@ -708,17 +584,22 @@ class DatasetAppender:
             triples_appended=sum(len(rows) for rows in additions.values()),
             duplicate_triples=duplicates,
             new_predicates=len(new_predicates),
-            tables_updated=tables_updated,
-            tables_created=tables_created,
+            tables_updated=len(extended - created),
+            tables_created=len(created),
             delta_segments=delta_segments,
             extvp_pairs_updated=len(deltas),
             dictionary_terms_added=len(dictionary.new_terms),
             bytes_written=bytes_written,
             append_seconds=time.perf_counter() - start,
+            touched_tables=sorted(touched | extended),
+            touched_statistics=touched_statistics,
         )
 
     # ------------------------------------------------------------------ #
-    def _table_entry(self, manifest: Manifest, name: str, columns: Tuple[str, ...]) -> TableEntry:
+    @staticmethod
+    def _table_entry(
+        manifest: Manifest, name: str, columns: Tuple[str, ...], created: Set[str]
+    ) -> TableEntry:
         """The existing manifest entry, or a fresh delta-only one."""
         entry = manifest.tables.get(name)
         if entry is None:
@@ -731,10 +612,9 @@ class DatasetAppender:
                 distinct_objects=0,
                 partition_keys=DatasetWriter._partition_keys(columns),
                 num_buckets=manifest.num_buckets,
-                partitions=[],
-                deltas=[],
             )
             manifest.tables[name] = entry
+            created.add(name)
         return entry
 
     def _write_delta(
@@ -744,12 +624,13 @@ class DatasetAppender:
         dictionary: _DictionaryAppender,
         epoch: int,
     ) -> Tuple[int, int]:
-        """Write ``rows`` (id tuples) as per-bucket delta segments.
+        """Append ``rows`` (id tuples) to the table's file, one delta segment per bucket.
 
         Bucketing hashes the *decoded* partition-key terms — the same
         function the base segments and the runtime's ``HashPartitioner``
-        use — so merged scans stay partition-aligned.  Returns
-        ``(segments_written, bytes_written)``.
+        use — so merged scans stay partition-aligned.  All of the table's
+        new segments go out in one write at the file's committed end.
+        Returns ``(segments_written, bytes_written)``.
         """
         columns = entry.columns
         key_indexes = [columns.index(k) for k in entry.partition_keys]
@@ -764,32 +645,30 @@ class DatasetAppender:
                 )
                 buckets[key_partition_index(key, num_buckets)].append(row)
 
-        directory = table_dir(self.path, entry.name)
-        os.makedirs(directory, exist_ok=True)
-        segments = 0
-        written = 0
+        file = entry.file
+        start = offset = entry.committed_bytes
+        blobs: List[bytes] = []
         for bucket_index, bucket in enumerate(buckets):
             if not bucket:
                 continue
             bucket.sort()
             column_ids = [[row[i] for row in bucket] for i in range(len(columns))]
-            file_name = delta_file_name(epoch, bucket_index)
-            size, zones = _write_encoded_segment(
-                os.path.join(directory, file_name), columns, column_ids
-            )
+            blob, zones = _encode_segment(columns, column_ids)
             entry.deltas.append(
                 DeltaEntry(
-                    file=f"{TABLES_DIR}/{entry.name}/{file_name}",
+                    file=file,
                     row_count=len(bucket),
-                    size_bytes=size,
+                    size_bytes=len(blob),
                     zones=zones,
+                    offset=offset,
                     bucket=bucket_index,
                     epoch=epoch,
                 )
             )
-            segments += 1
-            written += size
-        return segments, written
+            blobs.append(blob)
+            offset += len(blob)
+        write_at(file_path(self.path, file), start, b"".join(blobs))
+        return len(blobs), offset - start
 
 
 # --------------------------------------------------------------------- #
@@ -807,6 +686,8 @@ class CompactionReport:
     delta_rows_merged: int
     bytes_written: int
     compact_seconds: float
+    #: The compacted tables — all a live session has to re-register.
+    touched_tables: List[str] = field(default_factory=list, repr=False)
 
 
 class DatasetCompactor:
@@ -816,16 +697,18 @@ class DatasetCompactor:
     is rewritten bucket by bucket: base and delta rows of a bucket are
     merged, re-sorted and re-encoded into a single base segment with freshly
     computed (tightened) zone maps.  Tables below the threshold — and tables
-    with no deltas at all — are left untouched, bounding the write
-    amplification an append workload pays.
+    with no deltas at all — are left untouched, byte for byte, bounding the
+    write amplification an append workload pays.
 
-    Crash safety mirrors the appender's: merged segments are written under
-    *new*, generation-stamped file names, so the previous manifest stays
-    fully valid until the new one is atomically swapped in; only after that
-    commit are the superseded base and delta files deleted.  A crash at any
-    point leaves the dataset openable in either its pre- or post-compaction
-    state (never in between), with at worst some orphaned files that the
-    next compaction or full save clears.
+    Like the appender it works on the caller's resident
+    :class:`~repro.store.reader.StoredDataset` and updates its manifest in
+    place.  Crash safety mirrors the appender's: a merged table goes to a
+    *new* file stamped with the compaction epoch, so the previous manifest
+    stays fully valid until the new one is atomically swapped in; only after
+    that commit are the superseded files deleted.  A crash at any point
+    leaves the dataset openable in either its pre- or post-compaction state
+    (never in between), with at worst some unreferenced files that the next
+    ``compact`` call (even one with nothing to merge) or full save clears.
     """
 
     def __init__(self, compaction_threshold: int = 1) -> None:
@@ -833,9 +716,10 @@ class DatasetCompactor:
             raise ValueError("compaction_threshold must be >= 1")
         self.compaction_threshold = compaction_threshold
 
-    def compact(self, path: str) -> CompactionReport:
+    def compact(self, dataset: "StoredDataset") -> CompactionReport:
         start = time.perf_counter()
-        manifest = read_manifest(path)
+        path = dataset.root
+        manifest = dataset.manifest
         segments_before = sum(entry.segment_count() for entry in manifest.tables.values())
         targets = [
             entry
@@ -847,64 +731,62 @@ class DatasetCompactor:
             for entry in manifest.tables.values()
             if 0 < len(entry.deltas) < self.compaction_threshold
         )
-        if not targets:
-            return CompactionReport(
-                path=path,
-                tables_compacted=0,
-                tables_skipped=skipped,
-                segments_before=segments_before,
-                segments_after=segments_before,
-                delta_rows_merged=0,
-                bytes_written=0,
-                compact_seconds=time.perf_counter() - start,
-            )
-
         epoch = manifest.append_epoch + 1
         bytes_written = 0
         rows_merged = 0
         for entry in targets:
             rows_merged += entry.delta_row_count()
+            # One read of the table's committed bytes serves every segment.
+            data = read_file_range(file_path(path, entry.file), 0, entry.committed_bytes)
+            new_file = table_file(entry.name, epoch)
             merged: List[PartitionEntry] = []
+            blobs: List[bytes] = []
+            offset = 0
             for bucket in range(entry.num_partitions):
-                column_ids: List[List[int]] = [[] for _ in entry.columns]
-                for segment in entry.segments_for_bucket(bucket):
-                    decoded = read_segment_file(
-                        os.path.join(path, *segment.file.split("/")), entry.columns
-                    )
-                    for position, column in enumerate(entry.columns):
-                        column_ids[position].extend(decoded[column])
-                rows = sorted(zip(*column_ids)) if column_ids and column_ids[0] else []
-                column_ids = [
-                    [row[position] for row in rows] for position in range(len(entry.columns))
-                ]
-                file_name = compacted_file_name(epoch, bucket)
-                directory = table_dir(path, entry.name)
-                os.makedirs(directory, exist_ok=True)
-                size, zones = _write_encoded_segment(
-                    os.path.join(directory, file_name), entry.columns, column_ids
-                )
-                bytes_written += size
+                segments = entry.segments_for_bucket(bucket)
+                if bucket < len(entry.partitions) and len(segments) == 1:
+                    # No delta in this bucket: its base segment moves over as is.
+                    base = segments[0]
+                    blob, zones, row_count = base.cut(data), base.zones, base.row_count
+                else:
+                    column_ids: List[List[int]] = [[] for _ in entry.columns]
+                    for segment in segments:
+                        decoded = decode_segment(segment.cut(data), entry.columns)
+                        for position, column in enumerate(entry.columns):
+                            column_ids[position].extend(decoded[column])
+                    rows = sorted(zip(*column_ids))
+                    row_count = len(rows)
+                    column_ids = [
+                        [row[position] for row in rows] for position in range(len(entry.columns))
+                    ]
+                    blob, zones = _encode_segment(entry.columns, column_ids)
                 merged.append(
                     PartitionEntry(
-                        file=f"{TABLES_DIR}/{entry.name}/{file_name}",
-                        row_count=len(rows),
-                        size_bytes=size,
+                        file=new_file,
+                        row_count=row_count,
+                        size_bytes=len(blob),
                         zones=zones,
+                        offset=offset,
                     )
                 )
+                blobs.append(blob)
+                offset += len(blob)
+            write_at(file_path(path, new_file), 0, b"".join(blobs))
+            bytes_written += offset
+            entry.generation = epoch
             entry.partitions = merged
             entry.deltas = []
-        manifest.append_epoch = epoch
-        write_manifest(path, manifest)  # atomic commit point
-        # Post-commit cleanup: in every rewritten table directory, delete any
-        # segment file the new manifest does not reference — the superseded
-        # base/delta files, plus orphans left by crashed appends/compactions.
-        for entry in targets:
-            referenced = {segment.file.rsplit("/", 1)[-1] for segment in entry.partitions}
-            directory = table_dir(path, entry.name)
-            for file_name in os.listdir(directory):
-                if file_name.endswith(".seg") and file_name not in referenced:
-                    os.remove(os.path.join(directory, file_name))
+        if targets:
+            manifest.append_epoch = epoch
+            write_manifest(path, manifest)  # atomic commit point
+        # Cleanup, after the commit: delete every table file the manifest does
+        # not reference — the superseded ones, plus whatever crashed appends
+        # and compactions left behind (so a retry after a crash in this very
+        # loop finishes it, even with nothing left to merge).
+        referenced = {entry.file for entry in manifest.tables.values()}
+        for file_name in os.listdir(os.path.join(path, TABLES_DIR)):
+            if file_name.endswith(".seg") and f"{TABLES_DIR}/{file_name}" not in referenced:
+                os.remove(os.path.join(path, TABLES_DIR, file_name))
 
         return CompactionReport(
             path=path,
@@ -915,4 +797,5 @@ class DatasetCompactor:
             delta_rows_merged=rows_merged,
             bytes_written=bytes_written,
             compact_seconds=time.perf_counter() - start,
+            touched_tables=[entry.name for entry in targets],
         )

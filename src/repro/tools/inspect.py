@@ -7,6 +7,11 @@ to decide whether the store is healthy:
 * manifest epoch, bucket count, dictionary size (terms and bytes on disk);
 * per-table base vs. delta segment and byte counts — deltas are the part of
   the table appends have not yet folded back into tight base segments;
+* per-table file: the one append-only file that holds all of the table's
+  segments, its *committed* length (the end of the last byte the manifest
+  references) against its size on disk — the difference is an uncommitted
+  tail left by an append or compaction that crashed before its manifest
+  swap; readers ignore it and the next write to the table overwrites it;
 * write amplification: stored bytes per logical triple;
 * zone-map tightness (static): the mean fraction of the dictionary id space a
   base segment's zone covers — wide zones cannot prune;
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.obs.journal import read_dataset_journal
-from repro.store.format import Manifest, TableEntry, dictionary_path, read_manifest
+from repro.store.format import Manifest, TableEntry, dictionary_path, file_path, read_manifest
 
 #: Recommend compaction once a table holds at least this many delta segments
 #: (matches the session's default ``compaction_threshold``).
@@ -55,6 +60,11 @@ class TableHealth:
     zone_width_fraction: Optional[float]
     needs_compaction: bool
     compaction_reason: str = ""
+    #: The table's file (relative to the dataset), the length the manifest
+    #: has committed of it, and what lies behind that on disk.
+    file: str = ""
+    committed_bytes: int = 0
+    uncommitted_bytes: int = 0
 
     @property
     def total_bytes(self) -> int:
@@ -77,6 +87,9 @@ class TableHealth:
             ),
             "needs_compaction": self.needs_compaction,
             "compaction_reason": self.compaction_reason,
+            "file": self.file,
+            "committed_bytes": self.committed_bytes,
+            "uncommitted_bytes": self.uncommitted_bytes,
         }
 
 
@@ -99,6 +112,8 @@ class StoreHealthReport:
     #: Stored bytes per logical triple (all tables, VP/ExtVP redundancy
     #: included) — the store's overall write amplification.
     bytes_per_triple: float
+    #: Bytes behind the committed end of table files (crashed writes).
+    uncommitted_bytes: int = 0
     tables: List[TableHealth] = field(default_factory=list)
     compaction_candidates: List[str] = field(default_factory=list)
     journal_records: int = 0
@@ -122,6 +137,7 @@ class StoreHealthReport:
             "delta_bytes": self.delta_bytes,
             "triples": self.triples,
             "bytes_per_triple": round(self.bytes_per_triple, 2),
+            "uncommitted_bytes": self.uncommitted_bytes,
             "tables": [table.as_dict() for table in self.tables],
             "compaction_candidates": list(self.compaction_candidates),
             "journal_records": self.journal_records,
@@ -146,6 +162,13 @@ class StoreHealthReport:
             f"write amplification: {self.bytes_per_triple:.1f} bytes/triple "
             f"over {self.triples} triples",
         ]
+        tails = [table for table in self.tables if table.uncommitted_bytes]
+        if tails:
+            lines.append(
+                f"uncommitted tails: {self.uncommitted_bytes} bytes behind the committed end of "
+                f"{len(tails)} table file(s) (a crashed write; ignored by readers, overwritten "
+                f"by the next write): " + ", ".join(table.file for table in tails[:5])
+            )
         if self.observed_prune_fraction is not None:
             lines.append(
                 f"observed zone-map pruning: {self.observed_prune_fraction:.1%} of "
@@ -167,10 +190,11 @@ class StoreHealthReport:
                 if table.zone_width_fraction is not None
                 else "no base segments"
             )
+            tail = f" (+{table.uncommitted_bytes} uncommitted)" if table.uncommitted_bytes else ""
             lines.append(
                 f"  {table.name}: {table.rows} rows, "
                 f"{table.base_segments}+{table.delta_segments} segments, "
-                f"{table.total_bytes} bytes, {zone}"
+                f"{table.committed_bytes} bytes{tail} in {table.file}, {zone}"
             )
         lines.append("")
         if self.compaction_candidates:
@@ -199,6 +223,7 @@ def _zone_width_fraction(entry: TableEntry, dictionary_terms: int) -> Optional[f
 
 
 def _table_health(
+    path: str,
     entry: TableEntry,
     dictionary_terms: int,
     delta_segment_threshold: int,
@@ -230,6 +255,9 @@ def _table_health(
         zone_width_fraction=_zone_width_fraction(entry, dictionary_terms),
         needs_compaction=needs,
         compaction_reason=reason,
+        file=entry.file,
+        committed_bytes=entry.committed_bytes,
+        uncommitted_bytes=os.path.getsize(file_path(path, entry.file)) - entry.committed_bytes,
     )
 
 
@@ -240,7 +268,7 @@ def inspect_dataset(
     """Build a :class:`StoreHealthReport` from a dataset directory."""
     manifest: Manifest = read_manifest(path)
     tables = [
-        _table_health(entry, manifest.dictionary_size, delta_segment_threshold)
+        _table_health(path, entry, manifest.dictionary_size, delta_segment_threshold)
         for entry in manifest.tables.values()
     ]
     tables.sort(key=lambda t: t.name)
@@ -278,6 +306,7 @@ def inspect_dataset(
         delta_bytes=delta_bytes,
         triples=triples,
         bytes_per_triple=(total_bytes / triples) if triples else 0.0,
+        uncommitted_bytes=sum(t.uncommitted_bytes for t in tables),
         tables=tables,
         compaction_candidates=[t.name for t in tables if t.needs_compaction],
         journal_records=len(records),

@@ -80,7 +80,11 @@ def test_explain_analyze_prints_an_inlined_join_without_an_exchange(session):
     assert "strategy: ShuffleHashJoin -> SerialJoin" in text
     assert "reason:   serial fallback (small input)" in text
     assert "exchange:" not in text
+    # AQE replanned nothing (its counter says so): the inlined join is listed
+    # under its own header, not as an AQE replan.
     assert explained.result.metrics.aqe_replans == 0
+    assert "AQE replans:" not in text
+    assert re.search(r"Serial fallbacks:\n  - ShuffleHashJoin\(.*\) -> SerialJoin\(", text)
 
 
 @pytest.mark.usefixtures("force_partitioned_joins")
@@ -104,6 +108,7 @@ def test_explain_analyze_shows_replan_under_stale_statistics(session):
     assert "reason:" in text
     assert "demoted to broadcast" in text
     assert "AQE replans:" in text
+    assert "Serial fallbacks:" not in text
     # Estimated vs observed rows expose the stale-statistics gap per operator.
     pairs = [
         (int(est), int(actual))

@@ -225,17 +225,6 @@ class TestObservedFeedback:
         catalog.clear_observed()
         assert estimate_rows(TableScanNode("follows", ("s", "o")), catalog) == 10_000_000
 
-    def test_per_node_observed_rows_are_recorded(self, catalog, join_plan):
-        # The planner records each join input's materialized cardinality,
-        # introspectable per plan node after execution.
-        with ParallelExecutor(catalog, num_partitions=4) as executor:
-            executor.execute(join_plan, ExecutionMetrics())
-            assert executor.adaptive.observed_rows(join_plan.left) == 160
-            assert executor.adaptive.observed_rows(join_plan.right) == 54
-            # reset() clears per-query state at the next execution.
-            executor.adaptive.reset()
-            assert executor.adaptive.observed_rows(join_plan.left) is None
-
     def test_reregistration_invalidates_observed_cache(self, catalog):
         # A stale observation must not override statistics freshly derived
         # from re-registered rows (the broadcast-a-huge-table trap again).

@@ -9,10 +9,11 @@ from repro.rdf.terms import IRI, Literal
 from repro.store.format import (
     DatasetFormatError,
     StoredTermDictionary,
+    encode_segment,
     read_manifest,
     read_segment_file,
+    write_at,
     write_dictionary,
-    write_segment_file,
 )
 
 
@@ -76,17 +77,31 @@ class TestZoneMap:
 
 class TestSegmentFile:
     def test_roundtrip_and_projection(self, tmp_path):
-        path = str(tmp_path / "part-00000.seg")
-        pages = [("s", encode_id_column([1, 1, 2])), ("o", encode_id_column([3, 4, 5]))]
-        size = write_segment_file(path, pages)
-        assert size == os.path.getsize(path)
+        path = str(tmp_path / "table.seg")
+        segment = encode_segment(
+            [("s", encode_id_column([1, 1, 2])), ("o", encode_id_column([3, 4, 5]))]
+        )
+        write_at(path, 0, segment)
+        assert len(segment) == os.path.getsize(path)
         assert read_segment_file(path) == {"s": [1, 1, 2], "o": [3, 4, 5]}
         # Projection pushdown: only the requested page is decoded.
         assert read_segment_file(path, columns=["o"]) == {"o": [3, 4, 5]}
 
+    def test_segments_are_addressed_by_offset_and_length(self, tmp_path):
+        """A table file holds segments back to back; a write at the committed
+        end replaces whatever lay behind it."""
+        path = str(tmp_path / "table.seg")
+        first = encode_segment([("s", encode_id_column([1, 2]))])
+        second = encode_segment([("s", encode_id_column([7, 8, 9]))])
+        write_at(path, 0, first + b"left by a crashed write, longer than the retry")
+        write_at(path, len(first), second)
+        assert os.path.getsize(path) == len(first) + len(second)
+        assert read_segment_file(path, None, 0, len(first)) == {"s": [1, 2]}
+        assert read_segment_file(path, None, len(first), len(second)) == {"s": [7, 8, 9]}
+
     def test_missing_column_rejected(self, tmp_path):
-        path = str(tmp_path / "part-00000.seg")
-        write_segment_file(path, [("s", encode_id_column([1]))])
+        path = str(tmp_path / "table.seg")
+        write_at(path, 0, encode_segment([("s", encode_id_column([1]))]))
         with pytest.raises(DatasetFormatError):
             read_segment_file(path, columns=["nope"])
 

@@ -8,6 +8,7 @@ both before and after ``compact()``.
 """
 
 import os
+import pathlib
 
 import pytest
 
@@ -17,17 +18,31 @@ from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
 from repro.rdf.triple import Triple
 from repro.store.format import (
+    DatasetFormatError,
     StoredTermDictionary,
     dictionary_path,
     encode_term_line,
+    file_path,
     manifest_path,
     read_manifest,
 )
+from repro.store.reader import StoredDataset
 from repro.store.writer import DatasetAppender, DatasetCompactor
 
 
 def bag(relation):
     return sorted(map(repr, relation.rows))
+
+
+def append(path, triples):
+    """One append by a writer that opens the store just for it."""
+    return DatasetAppender(StoredDataset.open(path)).append(triples)
+
+
+def segment_bytes(path, segment):
+    with open(file_path(path, segment.file), "rb") as handle:
+        handle.seek(segment.offset)
+        return handle.read(segment.size_bytes)
 
 
 def base_triples():
@@ -151,12 +166,12 @@ class TestAppend:
 
     def test_no_segment_rewritten_and_deltas_recorded(self, dataset_path):
         manifest_before = read_manifest(dataset_path)
-        mtimes = {}
-        for entry in manifest_before.tables.values():
-            for partition in entry.partitions:
-                file_path = os.path.join(dataset_path, *partition.file.split("/"))
-                mtimes[partition.file] = os.stat(file_path).st_mtime_ns
-        report = DatasetAppender(dataset_path).append(update_triples())
+        base = {
+            (entry.name, bucket): (partition, segment_bytes(dataset_path, partition))
+            for entry in manifest_before.tables.values()
+            for bucket, partition in enumerate(entry.partitions)
+        }
+        report = append(dataset_path, update_triples())
         assert report.triples_appended == len(update_triples())
         assert report.delta_segments > 0
         assert report.new_predicates == 1
@@ -165,12 +180,20 @@ class TestAppend:
         assert any(entry.has_deltas for entry in manifest.tables.values())
         for entry in manifest.tables.values():
             assert entry.row_count == entry.base_row_count() + entry.delta_row_count(), entry.name
-        for file, mtime in mtimes.items():
-            file_path = os.path.join(dataset_path, *file.split("/"))
-            assert os.stat(file_path).st_mtime_ns == mtime, f"{file} was rewritten"
+        # Deltas went behind the committed end of each table's file: every
+        # base segment is where it was and holds the bytes it held.
+        for (name, bucket), (partition, data) in base.items():
+            after = manifest.tables[name].partitions[bucket]
+            assert after == partition, f"{name}[{bucket}] was re-addressed"
+            assert segment_bytes(dataset_path, after) == data, f"{name}[{bucket}] was rewritten"
+        for entry in manifest.tables.values():
+            for delta in entry.deltas:
+                assert delta.file == entry.file
+            size = os.path.getsize(file_path(dataset_path, entry.file))
+            assert size == entry.committed_bytes, entry.name
 
     def test_duplicate_triples_are_skipped(self, dataset_path):
-        report = DatasetAppender(dataset_path).append(base_triples())
+        report = append(dataset_path, base_triples())
         assert report.triples_appended == 0
         assert report.duplicate_triples == len(base_triples())
         assert report.delta_segments == 0
@@ -190,8 +213,26 @@ class TestAppend:
         finally:
             session.close()
 
+    def test_bytes_written_do_not_depend_on_batch_order(self, dataset_path, tmp_path):
+        """New terms get their ids in sorted-triple order, not in the order
+        the caller's collection happens to iterate (a ``Graph`` is a hash
+        set): the same batch always writes the same bytes."""
+        import shutil
+
+        twin = str(tmp_path / "twin")
+        shutil.copytree(dataset_path, twin)
+        append(dataset_path, update_triples())
+        append(twin, list(reversed(update_triples())))
+        for root, _, names in os.walk(dataset_path):
+            for name in names:
+                original = os.path.join(root, name)
+                with open(original, "rb") as one, open(
+                    os.path.join(twin, os.path.relpath(original, dataset_path)), "rb"
+                ) as two:
+                    assert one.read() == two.read(), name
+
     def test_delta_buckets_align_with_hash_partitioner(self, dataset_path):
-        DatasetAppender(dataset_path).append(update_triples())
+        append(dataset_path, update_triples())
         manifest = read_manifest(dataset_path)
         dictionary = StoredTermDictionary.open(dataset_path, expected_size=manifest.dictionary_size)
         entry = manifest.tables["vp_p"]
@@ -246,7 +287,7 @@ class TestDictionaryAppendSemantics:
         before = read_manifest(dataset_path)
         old_dictionary = StoredTermDictionary.open(dataset_path, expected_size=before.dictionary_size)
         old_ids = {old_dictionary.decode(i): i for i in range(len(old_dictionary))}
-        DatasetAppender(dataset_path).append(update_triples())
+        append(dataset_path, update_triples())
         after = read_manifest(dataset_path)
         assert after.dictionary_size > before.dictionary_size
         new_dictionary = StoredTermDictionary.open(dataset_path, expected_size=after.dictionary_size)
@@ -278,7 +319,7 @@ class TestDictionaryAppendSemantics:
             dictionary.decode(manifest.dictionary_size)
 
     def test_reopen_after_append_roundtrips(self, dataset_path):
-        DatasetAppender(dataset_path).append(update_triples())
+        append(dataset_path, update_triples())
         manifest = read_manifest(dataset_path)
         dictionary = StoredTermDictionary.open(dataset_path, expected_size=manifest.dictionary_size)
         for term_id in range(len(dictionary)):
@@ -288,7 +329,7 @@ class TestDictionaryAppendSemantics:
     def test_manifest_commit_is_atomic_swap(self, dataset_path):
         """The manifest is written to a temp file and swapped in — no temp
         residue, and the committed manifest always parses."""
-        DatasetAppender(dataset_path).append(update_triples())
+        append(dataset_path, update_triples())
         assert not os.path.exists(manifest_path(dataset_path) + ".tmp")
         assert read_manifest(dataset_path).append_epoch == 1
 
@@ -300,10 +341,11 @@ class TestDictionaryAppendSemantics:
         with open(dictionary_path(dataset_path), "a", encoding="ascii", newline="\n") as handle:
             for i in range(5):
                 handle.write(encode_term_line(IRI(f"crashed-orphan-{i}")) + "\n")
-        DatasetAppender(dataset_path).append(update_triples())
+        append(dataset_path, update_triples())
         after = read_manifest(dataset_path)
         dictionary = StoredTermDictionary.open(dataset_path, expected_size=after.dictionary_size)
-        assert dictionary.raw_line_count == after.dictionary_size  # orphans gone
+        with open(dictionary_path(dataset_path), "rb") as handle:
+            assert handle.read().count(b"\n") == after.dictionary_size  # orphans gone
         assert dictionary.lookup(IRI("crashed-orphan-0")) is None
         session = S2RDFSession.open_dataset(dataset_path)
         try:
@@ -318,7 +360,7 @@ class TestDeltaZonePruning:
         """An equality predicate on a term that only exists in deltas: every
         base segment is zone-map-pruned, yet the matching delta rows are
         found, and scanned + pruned reconciles with the total segment count."""
-        DatasetAppender(dataset_path).append(update_triples())
+        append(dataset_path, update_triples())
         session = S2RDFSession.open_dataset(dataset_path)
         try:
             manifest = read_manifest(dataset_path)
@@ -338,7 +380,7 @@ class TestDeltaZonePruning:
             session.close()
 
     def test_metrics_reconcile_through_query(self, dataset_path):
-        DatasetAppender(dataset_path).append(update_triples())
+        append(dataset_path, update_triples())
         session = S2RDFSession.open_dataset(dataset_path)
         try:
             result = session.query('SELECT ?s WHERE { ?s <p> <oNEW> }')
@@ -350,7 +392,7 @@ class TestDeltaZonePruning:
 
     def test_bucket_pruning_applies_to_deltas(self, dataset_path):
         """A bound subject prunes delta segments of other buckets too."""
-        DatasetAppender(dataset_path).append(update_triples())
+        append(dataset_path, update_triples())
         session = S2RDFSession.open_dataset(dataset_path)
         try:
             manifest = read_manifest(dataset_path)
@@ -409,16 +451,16 @@ class TestCompaction:
             cold.close()
 
     def test_threshold_bounds_compaction(self, dataset_path):
-        DatasetAppender(dataset_path).append(update_triples())
+        append(dataset_path, update_triples())
         manifest = read_manifest(dataset_path)
         max_deltas = max(len(entry.deltas) for entry in manifest.tables.values())
-        report = DatasetCompactor(compaction_threshold=max_deltas + 1).compact(dataset_path)
+        report = DatasetCompactor(compaction_threshold=max_deltas + 1).compact(StoredDataset.open(dataset_path))
         assert report.tables_compacted == 0
         assert report.tables_skipped > 0
         assert report.segments_after == report.segments_before
 
     def test_compaction_without_deltas_is_a_noop(self, dataset_path):
-        report = DatasetCompactor().compact(dataset_path)
+        report = DatasetCompactor().compact(StoredDataset.open(dataset_path))
         assert report.tables_compacted == 0
         assert report.delta_rows_merged == 0
 
@@ -427,10 +469,10 @@ class TestCompaction:
             DatasetCompactor(compaction_threshold=0)
 
     def test_delta_only_table_gains_base_partitions(self, dataset_path):
-        DatasetAppender(dataset_path).append(update_triples())
+        append(dataset_path, update_triples())
         manifest = read_manifest(dataset_path)
         assert manifest.tables["vp_r"].partitions == []  # delta-only so far
-        DatasetCompactor().compact(dataset_path)
+        DatasetCompactor().compact(StoredDataset.open(dataset_path))
         manifest = read_manifest(dataset_path)
         entry = manifest.tables["vp_r"]
         assert len(entry.partitions) == entry.num_partitions
@@ -442,33 +484,30 @@ class TestCompaction:
             session.close()
 
     def test_compaction_writes_new_files_then_deletes_old(self, dataset_path):
-        """The previous manifest stays valid until the new one commits:
-        merged segments land under new generation-stamped names, and the
-        superseded base + delta files are gone only after the commit."""
+        """The previous manifest stays valid until the new one commits: a
+        merged table lands in a new generation-stamped file, and the
+        superseded file is gone only after the commit."""
         import pathlib
 
-        DatasetAppender(dataset_path).append(update_triples())
+        append(dataset_path, update_triples())
         before = read_manifest(dataset_path)
-        old_files = {
-            segment.file
-            for entry in before.tables.values()
-            if entry.has_deltas
-            for segment in list(entry.partitions) + list(entry.deltas)
-        }
-        DatasetCompactor().compact(dataset_path)
+        old_files = {entry.file for entry in before.tables.values() if entry.has_deltas}
+        untouched = {entry.file for entry in before.tables.values() if not entry.has_deltas}
+        DatasetCompactor().compact(StoredDataset.open(dataset_path))
         after = read_manifest(dataset_path)
         assert after.append_epoch == before.append_epoch + 1
-        new_files = {
-            segment.file for entry in after.tables.values() for segment in entry.partitions
-        }
+        new_files = {entry.file for entry in after.tables.values()}
         assert not (new_files & old_files)  # nothing overwritten in place
+        assert untouched <= new_files
         for file in old_files:
             assert not (pathlib.Path(dataset_path) / file).exists(), file
+        on_disk = {f"tables/{p.name}" for p in (pathlib.Path(dataset_path) / "tables").iterdir()}
+        assert on_disk == new_files
 
     def test_zone_maps_tightened_after_compaction(self, dataset_path):
         """Merged base segments carry zone maps recomputed from actual ids."""
-        DatasetAppender(dataset_path).append(update_triples())
-        DatasetCompactor().compact(dataset_path)
+        append(dataset_path, update_triples())
+        DatasetCompactor().compact(StoredDataset.open(dataset_path))
         manifest = read_manifest(dataset_path)
         dictionary = StoredTermDictionary.open(dataset_path, expected_size=manifest.dictionary_size)
         for entry in manifest.tables.values():
@@ -487,16 +526,17 @@ class TestAppendCost:
 
     @staticmethod
     def _count_segment_reads(monkeypatch):
+        """Names of the tables whose file the appender reads from now on."""
         import repro.store.writer as writer_mod
 
         calls = []
-        real = writer_mod.read_segment_file
+        real = writer_mod.read_file_range
 
-        def counting(path, columns):
-            calls.append(path)
-            return real(path, columns)
+        def counting(path, *args):
+            calls.append(os.path.basename(path).split(".")[0])  # tables/<name>[.<epoch>].seg
+            return real(path, *args)
 
-        monkeypatch.setattr(writer_mod, "read_segment_file", counting)
+        monkeypatch.setattr(writer_mod, "read_file_range", counting)
         return calls
 
     def test_fresh_term_append_reads_no_base_segments(self, dataset_path, monkeypatch):
@@ -504,11 +544,12 @@ class TestAppendCost:
         stored segment — the whole maintenance pass runs on the manifest's
         value sets."""
         calls = self._count_segment_reads(monkeypatch)
-        report = DatasetAppender(dataset_path).append(
+        report = append(
+            dataset_path,
             [
                 Triple(IRI("fresh-a"), IRI("p"), IRI("fresh-b")),
                 Triple(IRI("fresh-c"), IRI("q"), IRI("fresh-d")),
-            ]
+            ],
         )
         assert report.triples_appended == 2
         assert calls == [], f"append read base segments: {calls}"
@@ -527,60 +568,236 @@ class TestAppendCost:
         calls = self._count_segment_reads(monkeypatch)
         # <r> is new; its object s3 already occurs as a subject of <p>/<q>,
         # so old <p>/<q> rows are revived into extvp tables against <r>.
-        report = DatasetAppender(dataset_path).append(
-            [Triple(IRI("x1"), IRI("r"), IRI("s3"))]
-        )
+        report = append(dataset_path, [Triple(IRI("x1"), IRI("r"), IRI("s3"))])
         assert report.triples_appended == 1
-        read_tables = {path.split(os.sep)[-2] for path in calls}
-        assert read_tables <= {"vp_p", "vp_q", "triples"}, read_tables
+        assert set(calls) <= {"vp_p", "vp_q", "triples"}, calls
 
     def test_duplicate_detection_via_value_set_prefilter(self, dataset_path, monkeypatch):
         """An exact duplicate passes the subject/object prefilter and forces
         one row-set read of its own VP table; a pair of *known* ids that was
         never a row is rejected the same way."""
         calls = self._count_segment_reads(monkeypatch)
-        report = DatasetAppender(dataset_path).append(
-            [Triple(IRI("s0"), IRI("p"), IRI("o0"))]  # row already stored
-        )
+        report = append(dataset_path, [Triple(IRI("s0"), IRI("p"), IRI("o0"))])  # a stored row
         assert report.triples_appended == 0
         assert report.duplicate_triples == 1
-        read_tables = {path.split(os.sep)[-2] for path in calls}
-        assert read_tables == {"vp_p"}, read_tables
+        assert set(calls) == {"vp_p"}, calls
 
     def test_value_sets_persisted_and_updated(self, dataset_path):
         manifest = read_manifest(dataset_path)
         assert set(manifest.vp_value_sets) == set(manifest.vp_tables)
-        before = manifest.vp_value_sets["<p>"]
-        DatasetAppender(dataset_path).append(
-            [Triple(IRI("fresh-a"), IRI("p"), IRI("fresh-b"))]
-        )
-        after = read_manifest(dataset_path).vp_value_sets["<p>"]
+        before = manifest.vp_value_sets[IRI("p")]
+        append(dataset_path, [Triple(IRI("fresh-a"), IRI("p"), IRI("fresh-b"))])
+        after = read_manifest(dataset_path).vp_value_sets[IRI("p")]
         assert len(after["s"]) == len(before["s"]) + 1
         assert len(after["o"]) == len(before["o"]) + 1
 
-    def test_legacy_manifest_upgraded_on_first_append(self, dataset_path, monkeypatch):
-        """A dataset persisted before value sets existed pays one upgrade
-        read; the sets are committed with that append and the next
-        fresh-term append is O(batch) again."""
+
+class TestFormatVersion:
+    def test_older_format_is_refused_with_a_rebuild_hint(self, dataset_path):
+        """There is one format: a version-2 directory (one file per segment,
+        a manifest of per-record dicts) is not read, and the error says what
+        to do about it."""
         import json
 
-        with open(manifest_path(dataset_path), "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        data.pop("vp_value_sets", None)
         with open(manifest_path(dataset_path), "w", encoding="utf-8") as handle:
-            json.dump(data, handle)
-        assert read_manifest(dataset_path).vp_value_sets == {}
+            json.dump({"format_version": 2, "tables": {}, "extvp": []}, handle)
+        with pytest.raises(DatasetFormatError) as refused:
+            S2RDFSession.open_dataset(dataset_path)
+        message = str(refused.value)
+        assert "version 2" in message and "version 3" in message
+        assert "repro.create" in message
 
-        calls = self._count_segment_reads(monkeypatch)
-        DatasetAppender(dataset_path).append(
-            [Triple(IRI("fresh-a"), IRI("p"), IRI("fresh-b"))]
-        )
-        assert calls, "legacy upgrade should read the VP tables once"
-        upgraded = read_manifest(dataset_path).vp_value_sets
-        assert set(upgraded) == set(read_manifest(dataset_path).vp_tables)
 
-        calls.clear()
-        DatasetAppender(dataset_path).append(
-            [Triple(IRI("fresh-x"), IRI("p"), IRI("fresh-y"))]
-        )
-        assert calls == [], f"post-upgrade append read segments: {calls}"
+# --------------------------------------------------------------------- #
+# Session-resident store state: a write costs what its batch costs
+# --------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def suite_store(tmp_path_factory):
+    """The repo benchmark's store in miniature: WatDiv at scale factor 3 on 2
+    buckets (~1 000 tables), with the triples of the last tenth of the Review
+    entities held out as one entity-centric append batch."""
+    from repro.watdiv import EntityClass, entity_iri, generate_dataset
+
+    dataset = generate_dataset(scale_factor=3.0, seed=42)
+    count = dataset.entity_counts[EntityClass.REVIEW]
+    held_out = {entity_iri(EntityClass.REVIEW, index) for index in range(count - count // 10, count)}
+    stored, batch = [], []
+    for triple in dataset.graph:
+        is_held_out = triple.subject in held_out or triple.object in held_out
+        (batch if is_held_out else stored).append(triple)
+    path = str(tmp_path_factory.mktemp("suite-shaped") / "store")
+    S2RDFSession.from_graph(Graph(stored), num_partitions=2).save_dataset(path)
+    return path, batch
+
+
+def store_files(path):
+    """Every file of the dataset directory except the query journal."""
+    return sorted(
+        os.path.join(root, name)
+        for root, _, names in os.walk(path)
+        if os.path.basename(root) != "journal"
+        for name in names
+    )
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestResidentState:
+    def test_append_rereads_nothing_and_reregisters_only_what_it_touched(
+        self, suite_store, tmp_path, monkeypatch
+    ):
+        import shutil
+
+        import repro.store.reader as reader_mod
+        import repro.store.writer as writer_mod
+
+        source, review_batch = suite_store
+        path = str(tmp_path / "store")
+        shutil.copytree(source, path)
+        session = S2RDFSession.open_dataset(path)
+        try:
+            catalog = session.layout.catalog
+            table_count = catalog.table_count()
+            assert table_count > 900
+            # Decode a spread of tables; the untouched ones must still be
+            # decoded — the very same relation objects — after the appends.
+            decoded = {name: catalog.table(name) for name in catalog.table_names()[::9]}
+            files = store_files(path)
+
+            manifest_reads = count_calls(monkeypatch, reader_mod, "read_manifest")
+            segment_reads = count_calls(monkeypatch, writer_mod, "read_file_range")
+            registered = count_calls(monkeypatch, catalog, "register_stored")
+
+            # 1. Fresh terms only: nothing stored can match, nothing is read.
+            predicates = sorted(session.layout.vp.vp_tables, key=lambda p: p.value)[:3]
+            fresh = session.append_triples(
+                [
+                    Triple(IRI(f"fresh-s{i}"), predicate, IRI(f"fresh-o{i}"))
+                    for i, predicate in enumerate(predicates)
+                ]
+            )
+            assert fresh.triples_appended == 3
+            assert manifest_reads == [] and segment_reads == []
+            assert sorted(call[0] for call in registered) == fresh.touched_tables
+            assert len(registered) < 200
+
+            # 2. The benchmark's kind of batch: new entities pointing at old ones.
+            del registered[:]
+            report = session.append_triples(review_batch)
+            assert report.triples_appended == len(review_batch) > 30
+            assert manifest_reads == []
+            assert sorted(call[0] for call in registered) == report.touched_tables
+            assert 0 < len(registered) < 200 < table_count
+            assert report.tables_created == 0
+            assert store_files(path) == files  # appended in place, no new file
+
+            touched = set(fresh.touched_tables) | set(report.touched_tables)
+            assert touched & set(decoded) and set(decoded) - touched
+            for name, relation in decoded.items():
+                if name in touched:
+                    assert not catalog.is_loaded(name), name
+                else:
+                    assert catalog.table(name) is relation, name
+
+            # What the resident state became is what a cold open reads back.
+            cold = S2RDFSession.open_dataset(path)
+            try:
+                assert cold.layout.statistics.tables == session.layout.statistics.tables
+                for name in sorted(touched)[::7]:
+                    assert bag(cold.layout.catalog.table(name)) == bag(catalog.table(name)), name
+                    assert cold.layout.catalog.statistics(name) == catalog.statistics(name), name
+                query = "SELECT * WHERE { <fresh-s0> ?p ?o }"
+                assert bag(cold.query(query).relation) == bag(session.query(query).relation)
+                assert len(cold.query(query).relation) == 1
+            finally:
+                cold.close()
+        finally:
+            session.close()
+
+    def test_stale_resident_copy_is_detected_and_reread(self, dataset_path, monkeypatch):
+        """Two sessions on one directory: the second one's commit makes the
+        first one's resident copy stale; its next append must notice (the
+        manifest is no longer the file it last read or wrote), re-read, and
+        build on the other session's batch instead of overwriting it."""
+        import repro.store.reader as reader_mod
+
+        updates = update_triples()
+        first = S2RDFSession.open_dataset(dataset_path)
+        second = S2RDFSession.open_dataset(dataset_path)
+        try:
+            first.append_triples(updates[:5])  # its resident copy is now its own write
+            second.append_triples(updates[5:20])
+            manifest_reads = count_calls(monkeypatch, reader_mod, "read_manifest")
+            report = first.append_triples(updates[20:])
+            assert len(manifest_reads) == 1  # re-read once, because it had to
+            assert report.triples_appended == len(updates[20:])
+            assert report.epoch == 3
+            first.append_triples([Triple(IRI("x9"), IRI("r"), IRI("s3"))])
+            assert len(manifest_reads) == 1  # current again: trusted again
+            truth = S2RDFSession.from_graph(
+                Graph(base_triples() + updates + [Triple(IRI("x9"), IRI("r"), IRI("s3"))]),
+                num_partitions=4,
+            )
+            cold = S2RDFSession.open_dataset(dataset_path)
+            try:
+                for query in QUERIES:
+                    expected = bag(truth.query(query).relation)
+                    assert bag(first.query(query).relation) == expected, query
+                    assert bag(cold.query(query).relation) == expected, query
+            finally:
+                truth.close()
+                cold.close()
+        finally:
+            first.close()
+            second.close()
+
+    def test_first_append_after_save_switches_to_the_store(self, tmp_path, rebuilt):
+        """A session that built its layout in memory and saved it has no
+        resident store state yet: the first append opens what it wrote."""
+        session = S2RDFSession.from_graph(Graph(base_triples()), num_partitions=4)
+        try:
+            session.save_dataset(str(tmp_path / "dataset"))
+            assert not session.layout.catalog.is_stored("vp_p")
+            session.append_triples(update_triples())
+            assert session.layout.catalog.is_stored("vp_p")
+            for query in QUERIES:
+                assert bag(session.query(query).relation) == bag(rebuilt.query(query).relation)
+        finally:
+            session.close()
+
+    def test_compaction_below_threshold_leaves_files_byte_identical(self, dataset_path):
+        updates = update_triples()
+        session = S2RDFSession.open_dataset(dataset_path)
+        try:
+            session.append_triples(updates[:15])
+            session.append_triples(updates[15:])
+            before = read_manifest(dataset_path)
+            spared = {
+                entry.file: pathlib.Path(file_path(dataset_path, entry.file)).read_bytes()
+                for entry in before.tables.values()
+                if len(entry.deltas) < 2
+            }
+            assert any(entry.deltas for entry in before.tables.values() if entry.file in spared)
+            report = session.compact(compaction_threshold=2)
+            assert report.tables_compacted > 0 and report.tables_skipped > 0
+            assert sorted(report.touched_tables) == sorted(
+                entry.name for entry in before.tables.values() if len(entry.deltas) >= 2
+            )
+            after = read_manifest(dataset_path)
+            for file, data in spared.items():
+                assert pathlib.Path(file_path(dataset_path, file)).read_bytes() == data, file
+            assert {e.file for e in after.tables.values() if len(e.deltas) < 2} >= set(spared)
+            for entry in after.tables.values():
+                assert (entry.generation != 0) == (entry.name in report.touched_tables)
+        finally:
+            session.close()

@@ -164,22 +164,51 @@ class TestOverwrite:
             cold.close()
 
     def test_shrinking_resave_leaves_no_orphans(self, small_dataset, tmp_path):
-        """Re-saving with fewer buckets must clear the old segment files."""
+        """Re-saving with fewer buckets must leave nothing of the old save:
+        no unreferenced table file, no stale bytes behind a table's segments."""
+        from repro.store.format import read_manifest
+
         session = S2RDFSession.from_graph(small_dataset.graph)
         path = str(tmp_path / "dataset")
         session.save_dataset(path, num_buckets=4)
-        first = {str(p.relative_to(path)) for p in pathlib.Path(path).rglob("part-*.seg")}
+        tables = pathlib.Path(path) / "tables"
+        first = {p.name: p.stat().st_size for p in tables.iterdir()}
+        (tables / "vp_gone.00007.seg").write_bytes(b"left by an earlier generation")
         session.save_dataset(path, num_buckets=2, overwrite=True)
-        second = {str(p.relative_to(path)) for p in pathlib.Path(path).rglob("part-*.seg")}
-        assert all(name.endswith(("part-00000.seg", "part-00001.seg")) for name in second)
-        assert not any(name.endswith(("part-00002.seg", "part-00003.seg")) for name in second)
-        assert second < first
+        manifest = read_manifest(path)
+        second = {p.name: p.stat().st_size for p in tables.iterdir()}
+        assert set(second) == {entry.file.split("/")[-1] for entry in manifest.tables.values()}
+        for entry in manifest.tables.values():
+            assert len(entry.partitions) == 2
+            assert second[entry.file.split("/")[-1]] == entry.committed_bytes, entry.name
+        assert sum(second.values()) < sum(first.values())
         cold = S2RDFSession.open_dataset(path)
         try:
             assert cold.load_report.num_buckets == 2
         finally:
             session.close()
             cold.close()
+
+    def test_same_input_writes_byte_identical_manifests(self, small_dataset, tmp_path):
+        """Nothing wall-clock dependent is persisted: two builds of one
+        N-Triples text produce the same store, byte for byte."""
+        import repro
+        from repro.rdf.ntriples import serialize_ntriples
+
+        text = serialize_ntriples(small_dataset.graph)
+        stores = []
+        for name in ("one", "two"):
+            path = tmp_path / name
+            repro.create(text, path=str(path), num_partitions=2).close()
+            stores.append(
+                {
+                    str(file.relative_to(path)): file.read_bytes()
+                    for file in path.rglob("*")
+                    if file.is_file() and "journal" not in file.parts
+                }
+            )
+        assert stores[0]["MANIFEST.json"] == stores[1]["MANIFEST.json"]
+        assert stores[0] == stores[1]
 
     def test_interrupted_write_is_detected(self, small_dataset, tmp_path):
         """A dataset without a manifest (crash mid-write) is rejected cleanly."""

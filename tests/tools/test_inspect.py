@@ -129,3 +129,23 @@ def test_cli_text_and_json_modes(dataset, capsys):
 
 def test_default_threshold_matches_module_constant():
     assert DEFAULT_DELTA_SEGMENT_THRESHOLD == 2
+
+
+def test_uncommitted_tail_of_a_table_file_is_reported(dataset):
+    """Bytes behind a table file's committed end (a write that crashed before
+    its manifest swap) show up per table and in the headline."""
+    clean = inspect_dataset(dataset)
+    assert clean.uncommitted_bytes == 0
+    assert "uncommitted tails" not in clean.render_text()
+    follows = next(t for t in clean.tables if t.name == "vp_follows")
+    assert follows.file == "tables/vp_follows.seg"
+    assert follows.committed_bytes == follows.total_bytes
+
+    with open(f"{dataset}/{follows.file}", "ab") as handle:
+        handle.write(b"x" * 17)
+    report = inspect_dataset(dataset)
+    torn = next(t for t in report.tables if t.name == "vp_follows")
+    assert torn.uncommitted_bytes == report.uncommitted_bytes == 17
+    assert torn.committed_bytes == follows.committed_bytes
+    assert "uncommitted tails: 17 bytes" in report.render_text()
+    assert "tables/vp_follows.seg" in report.render_text()
