@@ -7,4 +7,7 @@ editable installs fail.  This shim lets ``pip install -e . --no-use-pep517``
 
 from setuptools import setup
 
-setup()
+setup(
+    # What the tier-1 suite imports beyond the package's own dependencies.
+    extras_require={"test": ["pytest", "hypothesis"]},
+)

@@ -16,8 +16,11 @@ or :class:`~repro.store.writer.DatasetWriter` directly:
             ...
 
 Both factories accept the flat session knobs (``num_partitions``, ``engine``,
-``vectorized_enabled``, ``execution_mode``, ...) or a prebuilt
-:class:`~repro.core.config.SessionConfig` via ``config=``.
+``execution_mode``, ...) or a prebuilt
+:class:`~repro.core.config.SessionConfig` via ``config=``.  No knob picks the
+data representation: a connected (store-backed) session executes on
+dictionary-id batches and decodes terms once per result, a session that was
+just created serves its tables from memory as rows of terms.
 """
 
 from __future__ import annotations

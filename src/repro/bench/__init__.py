@@ -20,7 +20,6 @@ from repro.bench.table3_selectivity import run_table3_selectivity
 from repro.bench.table4_basic import run_table4_basic
 from repro.bench.table5_incremental import run_table5_incremental
 from repro.bench.table6_threshold import run_table6_threshold
-from repro.bench.vectorized import run_vectorized
 from repro.bench.ablations import run_join_order_ablation, run_oo_correlation_ablation
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "run_table4_basic",
     "run_table5_incremental",
     "run_table6_threshold",
-    "run_vectorized",
     "run_join_order_ablation",
     "run_oo_correlation_ablation",
 ]

@@ -6,7 +6,7 @@ configuration is now four nested dataclasses composed on
 :class:`SessionConfig`:
 
 * :class:`ExecutionConfig` — how a single query executes (engine, partitions,
-  join thresholds, adaptive execution, vectorization, process workers);
+  join thresholds, adaptive execution, process workers);
 * :class:`StoreConfig` — what the data layout materialises and how the
   persistent store compacts;
 * :class:`ObservabilityConfig` — tracing and the workload journal;
@@ -76,9 +76,6 @@ class ExecutionConfig:
     #: A shuffle partition larger than this multiple of the median partition
     #: is subdivided before its join task runs (adaptive execution only).
     skew_factor: float = DEFAULT_SKEW_FACTOR
-    #: Vectorized execution (native engine, stored datasets only): scans emit
-    #: dictionary-id column batches, operators run on raw ids.
-    vectorized_enabled: bool = False
     #: Apply Algorithm 4's join-order optimisation.
     optimize_join_order: bool = True
     #: Multiplier applied to data-proportional execution counters before the
@@ -213,7 +210,6 @@ LEGACY_FLAT_FIELDS: Tuple[str, ...] = (
     "tracing_enabled",
     "journal_enabled",
     "engine",
-    "vectorized_enabled",
 )
 
 

@@ -244,7 +244,6 @@ class S2RDFSession:
                 tracer=self.tracer,
                 metrics_registry=self.metrics,
                 broadcast_memory_limit=self.config.broadcast_memory_limit,
-                vectorized=self.config.vectorized_enabled,
                 worker_pool=self._process_pool,
             )
             self._thread_runtime.executor = runtime
@@ -299,7 +298,6 @@ class S2RDFSession:
             "broadcast_memory_limit": config.broadcast_memory_limit,
             "adaptive_enabled": config.adaptive_enabled,
             "skew_factor": config.skew_factor,
-            "vectorized_enabled": config.vectorized_enabled,
             "optimize_join_order": config.optimize_join_order,
             "use_extvp": config.use_extvp,
             "work_scale": config.work_scale,

@@ -9,10 +9,11 @@ executor reads the relations.
 Tables come in two physical flavours: *materialised* relations held in
 memory, and *stored* tables backed by the persistent columnar dataset store
 (:mod:`repro.store`).  Stored tables are registered with a handle and decoded
-lazily; :meth:`Catalog.scan` is the single scan entry point the plan executor
-uses, so projection and equality predicates push down into the store (zone-map
-and hash-bucket segment pruning) while in-memory tables keep the exact
-semantics they always had.
+lazily; the plan executor scans through :meth:`Catalog.scan_batch` (stored
+tables, as dictionary-id batches) and :meth:`Catalog.scan` (in-memory tables,
+as rows), so projection and equality predicates push down into the store
+(zone-map and hash-bucket segment pruning) while in-memory tables keep the
+exact semantics they always had.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ class StoredTableProvider:
         columns: Optional[Sequence[str]] = None,
         conditions: Optional[Mapping[str, Any]] = None,
     ) -> Optional[Any]:
-        """Vectorized scan returning a ``BatchScanResult``, or ``None``.
+        """Id-batch scan returning a ``BatchScanResult``, or ``None``.
 
-        Providers without a batch path inherit this default; the executor
+        Providers without dictionary ids inherit this default; the executor
         falls back to the row :meth:`scan` when it gets ``None``.
         """
         return None
@@ -264,11 +265,12 @@ class Catalog:
         columns: Optional[Sequence[str]] = None,
         conditions: Optional[Mapping[str, Any]] = None,
     ) -> Optional[Any]:
-        """Vectorized scan of ``name``; ``None`` when no batch path exists.
+        """Id-batch scan of ``name``; ``None`` when the table has no ids.
 
-        Only store-backed tables can emit id batches (the ids come from the
-        dataset dictionary); in-memory tables make the executor fall back to
-        the row path, which keeps their semantics byte-for-byte unchanged.
+        This is where the executor learns which representation a plan runs
+        on: store-backed tables emit id batches (the ids come from the
+        dataset dictionary), in-memory tables return ``None`` and the
+        executor scans their rows with :meth:`scan` instead.
         """
         provider = self._stored.get(name)
         if provider is None:

@@ -70,8 +70,8 @@ class ExecutionMetrics:
     #: Broadcasts demoted to shuffles because the *observed* materialized
     #: build side exceeded the hard ``broadcast_memory_limit`` cap.
     broadcast_guard_trips: int = 0
-    #: Rows that flowed through vectorized (id-batch) operators instead of
-    #: row-dict ones — the coverage measure of the vectorized path.
+    #: Rows that flowed through id-batch operators instead of row ones —
+    #: how much of a query ran on dictionary ids (0 for in-memory sessions).
     vectorized_rows: int = 0
     #: Plan operators that executed on :class:`~repro.engine.vectorized.ColumnBatch`
     #: inputs (structural: depends on the plan shape, not the data size).

@@ -73,6 +73,13 @@ def _node_span_name(plan: Operation) -> str:
 class PlanExecutor(OperationVisitor):
     """Executes logical plans against a catalog.
 
+    The data decides the representation: a scan of a store-backed table
+    yields an id :class:`ColumnBatch` and every batch-capable operator above
+    it stays on ids, decoded once at the root; operators without a kernel
+    (OPTIONAL, aggregates, ORDER BY) lower batch -> rows at their boundary.
+    In-memory tables have no ids, so their scans — and everything above
+    them — are row :class:`Relation`s.
+
     Every operator is wrapped in a tracer span (no-op unless the tracer is
     enabled) and records a :class:`NodeExecution` into ``last_node_stats``,
     which ``explain_analyze`` reads to annotate the plan with observed rows
@@ -84,16 +91,10 @@ class PlanExecutor(OperationVisitor):
         catalog: Catalog,
         tracer: Optional[Tracer] = None,
         metrics_registry: Optional[MetricsRegistry] = None,
-        vectorized: bool = False,
     ) -> None:
         self.catalog = catalog
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.registry = metrics_registry
-        #: When True, store-backed scans emit id :class:`ColumnBatch`es and
-        #: batch-capable operators stay on ids; operators without a kernel
-        #: (OPTIONAL, aggregates, ORDER BY) lower batch -> rows at a single
-        #: boundary and continue on the row path.
-        self.vectorized = vectorized
         #: Per-node observations of the most recently executed plan.
         self.last_node_stats: Dict[int, NodeExecution] = {}
 
@@ -139,7 +140,7 @@ class PlanExecutor(OperationVisitor):
     def _execute(self, plan: Operation, metrics: ExecutionMetrics) -> Any:
         """Execute ``plan`` inside a span, recording per-node observations.
 
-        Returns a :class:`Relation` or — on the vectorized path — a
+        Returns a :class:`Relation` or — above stored tables — a
         :class:`ColumnBatch`; both answer ``len``.
         """
         with self.tracer.span(_node_span_name(plan), category="operator") as span:
@@ -162,12 +163,11 @@ class PlanExecutor(OperationVisitor):
         return Relation.empty(plan.columns)
 
     def visit_table_scan(self, plan: TableScanNode, metrics: ExecutionMetrics) -> Any:
-        if self.vectorized:
-            scan = self.catalog.scan_batch(plan.table_name, columns=plan.columns)
-            if scan is not None:
-                self._record_scan(plan.table_name, scan, metrics)
-                batch = scan.batch
-                return batch.project(plan.columns) if plan.columns != batch.columns else batch
+        scan = self.catalog.scan_batch(plan.table_name, columns=plan.columns)
+        if scan is not None:
+            self._record_scan(plan.table_name, scan, metrics)
+            batch = scan.batch
+            return batch.project(plan.columns) if plan.columns != batch.columns else batch
         scan = self.catalog.scan(plan.table_name, columns=plan.columns)
         self._record_scan(plan.table_name, scan, metrics)
         relation = scan.relation
@@ -177,11 +177,20 @@ class PlanExecutor(OperationVisitor):
         columns = [column for column, _ in plan.projections]
         conditions = dict(plan.conditions) if plan.conditions else None
         aliases = {column: alias for column, alias in plan.projections}
-        if self.vectorized:
-            scan = self.catalog.scan_batch(plan.table_name, columns=columns, conditions=conditions)
-            if scan is not None:
-                self._record_scan(plan.table_name, scan, metrics)
-                return scan.batch.project(columns).rename(aliases)
+        scan = self.catalog.scan_batch(plan.table_name, columns=columns, conditions=conditions)
+        if scan is not None:
+            self._record_scan(plan.table_name, scan, metrics)
+            # The store scanned exactly ``columns``, in order: the subquery's
+            # projection and rename are one relabelling of those id columns.
+            batch = scan.batch
+            tag = batch.partitioning
+            return ColumnBatch.adopt(
+                plan.output_columns(),
+                batch.ids,
+                batch.decode,
+                selection=batch.selection,
+                partitioning=tag.renamed(aliases) if tag is not None else None,
+            )
         scan = self.catalog.scan(plan.table_name, columns=columns, conditions=conditions)
         self._record_scan(plan.table_name, scan, metrics)
         return scan.relation.project(columns).rename(aliases)

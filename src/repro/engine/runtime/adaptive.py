@@ -55,6 +55,7 @@ from typing import List, Optional, Tuple
 from repro.engine.catalog import Catalog
 from repro.engine.plan import PlanNode
 from repro.engine.relation import Relation
+from repro.engine.vectorized import ColumnBatch, PartitionedBatch
 from repro.engine.runtime.partitioned import estimated_bytes
 from repro.engine.runtime.partitioner import HashPartitioner
 from repro.engine.runtime.strategies import (
@@ -265,5 +266,9 @@ class AdaptivePlanner:
         return min(MAX_SKEW_CHUNKS, math.ceil(size / target))
 
     @staticmethod
-    def _split(relation: Relation, chunks: int) -> List[Relation]:
-        return HashPartitioner(chunks).split_evenly(relation)
+    def _split(part, chunks: int) -> List:
+        """``part`` in ``chunks`` even pieces; a batch partition is a selection
+        vector, so its chunks are slices of it over the same id columns."""
+        if isinstance(part, ColumnBatch):
+            return list(PartitionedBatch.from_batch(part, chunks).partitions)
+        return HashPartitioner(chunks).split_evenly(part)

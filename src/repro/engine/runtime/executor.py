@@ -101,12 +101,9 @@ class ParallelExecutor(PlanExecutor):
         tracer: Optional[Tracer] = None,
         metrics_registry: Optional[MetricsRegistry] = None,
         broadcast_memory_limit: int = DEFAULT_BROADCAST_MEMORY_LIMIT,
-        vectorized: bool = False,
         worker_pool: Optional[Callable[[], Optional[object]]] = None,
     ) -> None:
-        super().__init__(
-            catalog, tracer=tracer, metrics_registry=metrics_registry, vectorized=vectorized
-        )
+        super().__init__(catalog, tracer=tracer, metrics_registry=metrics_registry)
         if num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
         if broadcast_memory_limit < 1:
@@ -355,9 +352,7 @@ class ParallelExecutor(PlanExecutor):
             pairs: List[Tuple[Relation, Relation]] = list(
                 zip(left_parts.partitions, right_parts.partitions)
             )
-            # Skew handling chunks row lists; id batches keep their partition
-            # boundaries (selection slicing has no row-splitting primitive yet).
-            if self.adaptive is not None and not isinstance(left, ColumnBatch):
+            if self.adaptive is not None:
                 pairs, extra = self.adaptive.split_skewed(
                     pairs,
                     splittable_left=not left_aligned,

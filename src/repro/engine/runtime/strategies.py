@@ -247,7 +247,14 @@ class _RowEstimator(OperationVisitor):
 
     Unary operators default to their child's estimate via
     :meth:`generic_visit`; only the nodes with a sharper rule override it.
+    Every node is visited exactly once, children first — so, given a
+    :class:`PhysicalPlan`, the same walk annotates each join from the two
+    estimates it has just computed (:func:`plan_join_strategies`).
     """
+
+    def __init__(self, physical: Optional["PhysicalPlan"] = None, threshold: int = 0) -> None:
+        self.physical = physical
+        self.threshold = threshold
 
     def generic_visit(self, node: PlanNode, catalog: Catalog, use_observed: bool) -> int:
         children = node.children()
@@ -278,6 +285,21 @@ class _RowEstimator(OperationVisitor):
     def _visit_join(self, node: PlanNode, catalog: Catalog, use_observed: bool) -> int:
         left = self.visit(node.left, catalog, use_observed)
         right = self.visit(node.right, catalog, use_observed)
+        if self.physical is not None:
+            left_columns = node.left.output_columns()
+            right_columns = node.right.output_columns()
+            self.physical.annotate(
+                node,
+                choose_join_strategy(
+                    tuple(c for c in left_columns if c in right_columns),
+                    left,
+                    right,
+                    _estimated_bytes(left, len(left_columns)),
+                    _estimated_bytes(right, len(right_columns)),
+                    self.threshold,
+                    outer=node.is_outer_join,
+                ),
+            )
         if UNKNOWN_ROWS in (left, right):
             return UNKNOWN_ROWS
         return max(left, right)
@@ -300,10 +322,10 @@ class _RowEstimator(OperationVisitor):
         return node.limit if child_rows == UNKNOWN_ROWS else min(child_rows, node.limit)
 
     def visit_aggregate(self, node: AggregateNode, catalog: Catalog, use_observed: bool) -> int:
-        if not node.group_keys:
-            return 1  # implicit grouping always yields exactly one row
-        # Grouping cannot grow the input; the child estimate is the bound.
-        return self.visit(node.child, catalog, use_observed)
+        # Grouping cannot grow the input, so the child estimate is the bound;
+        # implicit grouping always yields exactly one row.
+        child_rows = self.visit(node.child, catalog, use_observed)
+        return child_rows if node.group_keys else 1
 
 
 _ROW_ESTIMATOR = _RowEstimator()
@@ -363,11 +385,12 @@ def plan_join_strategies(
     For a left outer join only the right side is broadcastable (broadcasting
     the preserved side would lose unmatched rows); a join without shared keys
     degenerates to a broadcast nested-loop join of the smaller (or only
-    known-size) side, as in Spark.  ``use_observed`` is forwarded to
-    :func:`estimate_rows` (non-adaptive executors pass ``False``).
+    known-size) side, as in Spark.  ``use_observed`` means what it means to
+    :func:`estimate_rows` (non-adaptive executors pass ``False``).  One
+    bottom-up walk: each subtree is estimated once, whatever the plan depth.
     """
     physical = PhysicalPlan()
-    _annotate(plan, catalog, broadcast_threshold, physical, use_observed)
+    _RowEstimator(physical, broadcast_threshold).visit(plan, catalog, use_observed)
     return physical
 
 
@@ -438,33 +461,3 @@ def choose_join_strategy(
         )
         return BroadcastHashJoin(keys, left_rows, right_rows, build_side=build_side)
     return ShuffleHashJoin(keys, left_rows, right_rows)
-
-
-def _annotate(
-    node: PlanNode,
-    catalog: Catalog,
-    threshold: int,
-    physical: PhysicalPlan,
-    use_observed: bool = True,
-) -> None:
-    for child in node.children():
-        _annotate(child, catalog, threshold, physical, use_observed)
-    if not node.is_join:
-        return
-    left_columns = node.left.output_columns()
-    right_columns = node.right.output_columns()
-    keys = tuple(c for c in left_columns if c in right_columns)
-    left_rows = estimate_rows(node.left, catalog, use_observed)
-    right_rows = estimate_rows(node.right, catalog, use_observed)
-    physical.annotate(
-        node,
-        choose_join_strategy(
-            keys,
-            left_rows,
-            right_rows,
-            _estimated_bytes(left_rows, len(left_columns)),
-            _estimated_bytes(right_rows, len(right_columns)),
-            threshold,
-            outer=node.is_outer_join,
-        ),
-    )

@@ -1,15 +1,16 @@
 """Vectorized execution on dictionary-id column batches.
 
-The row-dict engine materialises every intermediate as per-tuple Python
-objects even though the dataset store already holds RLE-paged integer id
-columns.  This module provides the batch representation those scans can emit
-directly — a :class:`ColumnBatch` of flat ``array('q')`` id columns plus an
-optional selection vector, the DuckDB vector idiom — and the batch-wise
-kernels the executor runs on it: equality and single-variable filters,
-hash-join build/probe on raw ids, projection/rename, DISTINCT, UNION and
-LIMIT.  Term decoding is deferred to one :meth:`ColumnBatch.to_relation`
-boundary at the end of the plan (or before a not-yet-vectorized operator),
-so a query that scans millions of ids decodes only the rows it returns.
+The dataset store holds RLE-paged integer id columns, and this module is how
+the native engine executes on that shape instead of per-tuple term objects:
+the batch representation stored scans emit — a :class:`ColumnBatch` of flat
+``array('q')`` id columns plus an optional selection vector, the DuckDB
+vector idiom — and the batch-wise kernels the executor runs on it: equality
+and single-variable filters, hash-join build/probe on raw ids,
+projection/rename, DISTINCT, UNION and LIMIT.  Term decoding is deferred to
+one :meth:`ColumnBatch.to_relation` boundary at the end of the plan (or
+before an operator that has no id kernel), so a query that scans millions of
+ids decodes only the rows it returns.  In-memory tables have no dictionary
+ids; plans over them run on :class:`~repro.engine.relation.Relation` rows.
 
 Raw ids are only ever compared for *equality* — dictionary ids are assigned
 in write order, not value order, so ``<``/``>`` on ids would be meaningless.
@@ -49,14 +50,21 @@ def null_column(length: int) -> array:
     return out
 
 
+def _count_selection(rows: int) -> array:
+    """The selection of a batch without columns: all it holds is a row count."""
+    return array("q", range(rows))
+
+
 class ColumnBatch:
     """An immutable batch of dictionary-id columns with a selection vector.
 
     ``ids`` holds one flat ``array('q')`` per column, all of equal length;
     ``selection`` (when not ``None``) lists the physically valid row indices
     in output order, so filters narrow a batch without copying a single
-    column.  ``decode`` maps an id back to its term (the stored dataset's
-    dictionary); batches joined or unioned together must share it.
+    column.  A batch without columns has nothing to take a length from: its
+    selection is its rows (only the count means anything).  ``decode`` maps
+    an id back to its term (the stored dataset's dictionary); batches joined
+    or unioned together must share it.
     """
 
     __slots__ = ("columns", "ids", "selection", "decode", "partitioning")
@@ -84,6 +92,33 @@ class ColumnBatch:
         self.decode = decode
         #: Optional physical layout tag, mirroring ``Relation.partitioning``.
         self.partitioning = partitioning
+
+    @classmethod
+    def adopt(
+        cls,
+        columns: Tuple[str, ...],
+        ids: Tuple[array, ...],
+        decode: Callable[[int], Any],
+        selection: Optional[array] = None,
+        partitioning: Optional[Partitioning] = None,
+    ) -> "ColumnBatch":
+        """Engine-internal constructor: check the schema, adopt ``ids`` as-is.
+
+        The counterpart of :meth:`Relation.adopt` for kernels, scans and
+        exchanges: ``columns`` and ``ids`` are already tuples, one equal-length
+        ``array('q')`` per name *by construction* (usually they are another
+        batch's), so only the names are checked.  Anything assembled from
+        outside input goes through ``ColumnBatch(columns, ids, decode)``.
+        """
+        if len(set(columns)) != len(columns):
+            raise SchemaError(f"duplicate column names in {columns}")
+        batch = cls.__new__(cls)
+        batch.columns = columns
+        batch.ids = ids
+        batch.selection = selection
+        batch.decode = decode
+        batch.partitioning = partitioning
+        return batch
 
     # ------------------------------------------------------------------ #
     # Basics
@@ -121,11 +156,11 @@ class ColumnBatch:
     # ------------------------------------------------------------------ #
     def gather(self) -> "ColumnBatch":
         """Compact the selection into flat columns (selection becomes implicit)."""
-        if self.selection is None:
+        if self.selection is None or not self.ids:
             return self
         selection = self.selection
-        compacted = [array("q", map(column.__getitem__, selection)) for column in self.ids]
-        return ColumnBatch(self.columns, compacted, self.decode)
+        compacted = tuple(array("q", map(column.__getitem__, selection)) for column in self.ids)
+        return ColumnBatch.adopt(self.columns, compacted, self.decode)
 
     def filter_equal(self, column: str, term_id: int) -> "ColumnBatch":
         """Keep rows whose ``column`` id equals ``term_id`` (raw-id equality)."""
@@ -134,7 +169,7 @@ class ColumnBatch:
             kept = array("q", (i for i, value in enumerate(ids) if value == term_id))
         else:
             kept = array("q", (i for i in self.selection if ids[i] == term_id))
-        return ColumnBatch(self.columns, self.ids, self.decode, selection=kept)
+        return ColumnBatch.adopt(self.columns, self.ids, self.decode, selection=kept)
 
     def select_ids(self, column: str, predicate: Callable[[int], bool]) -> "ColumnBatch":
         """Filter by a per-id predicate, memoised over *distinct* ids.
@@ -154,7 +189,7 @@ class ColumnBatch:
                 verdicts[value] = verdict
             if verdict:
                 kept.append(i)
-        return ColumnBatch(self.columns, self.ids, self.decode, selection=kept)
+        return ColumnBatch.adopt(self.columns, self.ids, self.decode, selection=kept)
 
     def project(self, columns: Sequence[str]) -> "ColumnBatch":
         """Keep only ``columns``, in the given order (duplicates removed)."""
@@ -162,22 +197,25 @@ class ColumnBatch:
         for column in columns:
             if column not in unique:
                 unique.append(column)
-        picked = [self.ids[self.column_index(c)] for c in unique]
+        picked = tuple(self.ids[self.column_index(c)] for c in unique)
+        selection = self.selection
+        if not picked and selection is None:
+            selection = _count_selection(len(self))
         partitioning = self.partitioning
         if partitioning is not None and not all(k in unique for k in partitioning.keys):
             partitioning = None  # a dropped key column invalidates the layout tag
-        return ColumnBatch(
-            unique, picked, self.decode, selection=self.selection, partitioning=partitioning
+        return ColumnBatch.adopt(
+            tuple(unique), picked, self.decode, selection=selection, partitioning=partitioning
         )
 
     def rename(self, mapping: Mapping[str, str]) -> "ColumnBatch":
         for old in mapping:
             self.column_index(old)
-        new_columns = [mapping.get(c, c) for c in self.columns]
+        new_columns = tuple(mapping.get(c, c) for c in self.columns)
         partitioning = (
             self.partitioning.renamed(mapping) if self.partitioning is not None else None
         )
-        return ColumnBatch(
+        return ColumnBatch.adopt(
             new_columns, self.ids, self.decode, selection=self.selection, partitioning=partitioning
         )
 
@@ -187,9 +225,13 @@ class ColumnBatch:
         if not missing:
             return self
         length = len(self.ids[0]) if self.ids else len(self)
-        padded = list(self.ids) + [null_column(length) for _ in missing]
-        return ColumnBatch(
-            list(self.columns) + missing, padded, self.decode, selection=self.selection
+        padded = self.ids + tuple(null_column(length) for _ in missing)
+        return ColumnBatch.adopt(
+            self.columns + tuple(missing),
+            padded,
+            self.decode,
+            # Without columns the selection only counted rows; the new columns do now.
+            selection=self.selection if self.ids else None,
         )
 
     def distinct(self) -> "ColumnBatch":
@@ -202,7 +244,7 @@ class ColumnBatch:
         if not ids:
             # Zero-column batch: every row is the empty tuple, keep one.
             first = self.indices()[:1]
-            return ColumnBatch(self.columns, ids, self.decode, selection=array("q", first))
+            return ColumnBatch.adopt(self.columns, ids, self.decode, selection=array("q", first))
         if len(ids) == 1:
             # Single column: the raw id is its own key, no tuple per row.
             column = ids[0]
@@ -225,13 +267,13 @@ class ColumnBatch:
                 if key not in seen:
                     add(key)
                     append(i)
-        return ColumnBatch(self.columns, ids, self.decode, selection=kept)
+        return ColumnBatch.adopt(self.columns, ids, self.decode, selection=kept)
 
     def limit(self, count: Optional[int], offset: int = 0) -> "ColumnBatch":
         end = None if count is None else offset + count
         indices = self.indices()
         kept = array("q", indices[offset:end])
-        return ColumnBatch(self.columns, self.ids, self.decode, selection=kept)
+        return ColumnBatch.adopt(self.columns, self.ids, self.decode, selection=kept)
 
     # ------------------------------------------------------------------ #
     # Binary kernels
@@ -255,7 +297,7 @@ class ColumnBatch:
         :meth:`Relation.natural_join` row for row.
         """
         shared = [c for c in self.columns if c in other.columns]
-        output_columns = list(self.columns) + [c for c in other.columns if c not in shared]
+        output_columns = self.columns + tuple(c for c in other.columns if c not in shared)
 
         if not shared:
             # Cross product: tile the two index vectors, gather column-wise.
@@ -267,12 +309,18 @@ class ColumnBatch:
             for i in left_indices:
                 left_idx.extend([i] * n_right)
                 right_idx.extend(right_list)
-            out = [
-                array("q", map(column.__getitem__, left_idx)) for column in self.ids
-            ] + [array("q", map(column.__getitem__, right_idx)) for column in other.ids]
+            out = tuple(
+                [array("q", map(column.__getitem__, left_idx)) for column in self.ids]
+                + [array("q", map(column.__getitem__, right_idx)) for column in other.ids]
+            )
             if metrics is not None:
                 metrics.record_join(len(self), len(other), len(left_idx), len(left_idx))
-            return ColumnBatch(output_columns, out, self.decode)
+            return ColumnBatch.adopt(
+                output_columns,
+                out,
+                self.decode,
+                selection=None if out else _count_selection(len(left_idx)),
+            )
 
         build, probe, build_is_left = (
             (self, other, True) if len(self) <= len(other) else (other, self, False)
@@ -336,7 +384,7 @@ class ColumnBatch:
         out += [array("q", map(column.__getitem__, right_idx)) for column in right_sources]
         if metrics is not None:
             metrics.record_join(len(self), len(other), comparisons, len(build_idx))
-        return ColumnBatch(output_columns, out, self.decode)
+        return ColumnBatch.adopt(output_columns, tuple(out), self.decode)
 
     # ------------------------------------------------------------------ #
     # Lowering
@@ -344,32 +392,36 @@ class ColumnBatch:
     def to_relation(self) -> Relation:
         """Decode to a row :class:`Relation` — the single batch→rows boundary.
 
-        Each distinct id is decoded once (the dictionary may parse the term
-        lazily); ids outside the dictionary's committed range raise ``KeyError``
-        here, never silently producing a wrong term.
+        Eager: every row is a tuple of decoded terms when this returns.  Whole
+        columns go through one memo by ``map`` and into rows by ``zip``; the
+        memo asks the dictionary once per distinct id, and an id outside the
+        dictionary's committed range raises ``KeyError`` here, never a wrong
+        term.
         """
-        decode = self.decode
-        terms: Dict[int, Any] = {NULL_ID: None}
-        get = terms.get
-        ids = self.ids
+        lookup = _DecodeMemo(self.decode).__getitem__
         selection = self.selection
-        decoded_columns: List[List[Any]] = []
-        for column in ids:
-            values = column if selection is None else map(column.__getitem__, selection)
-            decoded: List[Any] = []
-            append = decoded.append
-            for value in values:
-                term = get(value)
-                if term is None and value != NULL_ID:
-                    term = decode(value)
-                    terms[value] = term
-                append(term)
-            decoded_columns.append(decoded)
-        if decoded_columns:
-            rows: List[Tuple] = list(zip(*decoded_columns))
+        columns: Sequence[Iterable[int]] = self.ids
+        if selection is not None:
+            columns = [map(column.__getitem__, selection) for column in columns]
+        if columns:
+            rows: List[Tuple] = list(zip(*[map(lookup, column) for column in columns]))
         else:
-            rows = [() for _ in self.indices()]
-        return Relation(self.columns, rows, partitioning=self.partitioning)
+            rows = [()] * len(self)
+        return Relation.adopt(self.columns, rows, partitioning=self.partitioning)
+
+
+class _DecodeMemo(dict):
+    """id -> term for one lowering; a first-seen id is decoded on the miss."""
+
+    __slots__ = ("decode",)
+
+    def __init__(self, decode: Callable[[int], Any]) -> None:
+        self.decode = decode
+        self[NULL_ID] = None
+
+    def __missing__(self, term_id: int) -> Any:
+        term = self[term_id] = self.decode(term_id)
+        return term
 
 
 def concat_batches(batches: Sequence[ColumnBatch]) -> ColumnBatch:
@@ -386,7 +438,8 @@ def concat_batches(batches: Sequence[ColumnBatch]) -> ColumnBatch:
         compacted = batch.gather()
         for position, column in enumerate(compacted.ids):
             out[position].extend(column)
-    return ColumnBatch(first.columns, out, first.decode)
+    selection = None if out else _count_selection(sum(map(len, batches)))
+    return ColumnBatch.adopt(first.columns, tuple(out), first.decode, selection=selection)
 
 
 @dataclass
@@ -446,7 +499,7 @@ class PartitionedBatch:
                     buckets[key] = bucket
                 selections[bucket].append(i)
             parts = tuple(
-                ColumnBatch(batch.columns, batch.ids, decode, selection=selection)
+                ColumnBatch.adopt(batch.columns, batch.ids, decode, selection=selection)
                 for selection in selections
             )
             return cls(batch.columns, parts, tuple(keys))
@@ -459,7 +512,7 @@ class PartitionedBatch:
             size = base + (1 if index < remainder else 0)
             selection = array("q", indices[start : start + size])
             parts_list.append(
-                ColumnBatch(batch.columns, batch.ids, batch.decode, selection=selection)
+                ColumnBatch.adopt(batch.columns, batch.ids, batch.decode, selection=selection)
             )
             start += size
         return cls(batch.columns, tuple(parts_list))
@@ -475,7 +528,9 @@ class PartitionedBatch:
         start = 0
         for count in tag.counts:
             selection = array("q", indices[start : start + count])
-            parts.append(ColumnBatch(batch.columns, batch.ids, batch.decode, selection=selection))
+            parts.append(
+                ColumnBatch.adopt(batch.columns, batch.ids, batch.decode, selection=selection)
+            )
             start += count
         if start != len(indices):
             raise ValueError(

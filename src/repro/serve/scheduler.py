@@ -19,8 +19,9 @@ with submit/await semantics:
   running execution instead of re-executing (``share_results``); observed
   cardinalities flow back into the session catalog keyed on the epoch they
   were observed at, so every later query plans from truth; and
-  :meth:`prewarm` decodes broadcast-sized stored tables once per epoch so
-  concurrent queries share the warm build sides instead of racing to decode.
+  :meth:`prewarm` reads broadcast-sized stored tables' id columns once per
+  epoch so concurrent queries share the warm build sides instead of racing
+  to read them.
 
 Thread mode executes queries on the shared session (its per-thread executors
 make that safe); process mode ships whole queries to the dataset's
@@ -304,14 +305,15 @@ class QueryScheduler:
     def prewarm(
         self, tables: Optional[Sequence[str]] = None, epoch: Optional[int] = None
     ) -> int:
-        """Decode broadcast-sized stored tables once, ahead of the queries.
+        """Read broadcast-sized stored tables once, ahead of the queries.
 
         Without an explicit list, every stored table whose manifest row count
         estimates below the session's broadcast threshold qualifies — the
-        build sides broadcast joins will ship.  Thread mode warms the shared
-        catalog's decode cache; process mode additionally asks the worker
-        pool to warm its per-process segment caches.  Best effort: failures
-        warm nothing but never fail a query.
+        build sides broadcast joins will ship.  What is warmed is what
+        queries read: the tables' decoded id columns (no term is decoded).
+        Thread mode warms the shared catalog's tables; process mode
+        additionally asks the worker pool to warm its per-process ones.
+        Best effort: failures warm nothing but never fail a query.
         """
         catalog = self.session.layout.catalog
         if tables is None:
@@ -324,7 +326,7 @@ class QueryScheduler:
         warmed = 0
         for name in tables:
             try:
-                catalog.table(name)  # decodes once; later queries hit the cache
+                catalog.scan_batch(name)  # segments read once; later queries hit the cache
                 warmed += 1
             except Exception:  # pragma: no cover - best effort
                 continue
@@ -338,7 +340,7 @@ class QueryScheduler:
             self.session.metrics.inc(
                 "s2rdf_scheduler_prewarmed_tables_total",
                 warmed,
-                help="Broadcast-sized tables decoded ahead of scheduled queries",
+                help="Broadcast-sized tables read ahead of scheduled queries",
             )
         return warmed
 

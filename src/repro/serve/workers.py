@@ -161,9 +161,15 @@ def _run_join_task(task: Dict[str, Any]) -> Tuple[Tuple[str, Any], int, float]:
 
 
 def _run_scan_task(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Scan (and thereby cache) one stored table inside the worker."""
+    """Scan (and thereby cache) one stored table inside the worker.
+
+    A task that returns no rows only warms what queries read — the decoded
+    id columns — and decodes no term.
+    """
     session = _worker_session(task.get("epoch"))
-    scan = session.layout.catalog.scan(
+    return_rows = task.get("return_rows", True)
+    catalog = session.layout.catalog
+    scan = (catalog.scan if return_rows else catalog.scan_batch)(
         task["table"], columns=task.get("columns"), conditions=task.get("conditions")
     )
     out: Dict[str, Any] = {
@@ -172,7 +178,7 @@ def _run_scan_task(task: Dict[str, Any]) -> Dict[str, Any]:
         "segments_pruned": scan.segments_pruned,
         "epoch": session._journal_epoch,
     }
-    if task.get("return_rows", True):
+    if return_rows:
         out["relation"] = pack_input(scan.relation)
     return out
 

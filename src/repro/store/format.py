@@ -175,26 +175,15 @@ def decode_segment(data: bytes, columns: Optional[Sequence[str]] = None) -> Dict
     return _decode_pages(data, columns, decode_id_column, "segment")
 
 
-def read_segment_file(
-    path: str, columns: Optional[Sequence[str]] = None, offset: int = 0, length: int = -1
-) -> Dict[str, List[int]]:
-    """:func:`decode_segment` of the bytes ``[offset, offset + length)`` of ``path``.
-
-    The defaults read a file that holds exactly one segment.
-    """
-    data = read_file_range(path, offset, length)
-    return _decode_pages(data, columns, decode_id_column, f"{path} at offset {offset}")
-
-
 def read_segment_arrays(
     path: str, columns: Optional[Sequence[str]] = None, offset: int = 0, length: int = -1
 ) -> Dict[str, Any]:
-    """Read a segment into flat ``array('q')`` id columns.
+    """The segment at ``[offset, offset + length)`` of ``path`` as ``array('q')`` id columns.
 
-    The vectorized counterpart of :func:`read_segment_file`: same layout,
-    same projection pushdown, but each page expands via
-    :func:`~repro.engine.storage.decode_id_column_array` so the scan hands
-    the executor packed buffers instead of Python integer lists.
+    The defaults read a file that holds exactly one segment.  ``columns``
+    restricts decoding like :func:`decode_segment`; each page expands via
+    :func:`~repro.engine.storage.decode_id_column_array`, so scans get packed
+    buffers, not lists of Python integers.
     """
     data = read_file_range(path, offset, length)
     return _decode_pages(data, columns, decode_id_column_array, f"{path} at offset {offset}")

@@ -46,7 +46,6 @@ from repro.store.format import (
     manifest_identity,
     read_manifest,
     read_segment_arrays,
-    read_segment_file,
 )
 
 
@@ -84,18 +83,14 @@ class StoredTable(StoredTableProvider):
         self.root = root
         self.entry = entry
         self.dictionary = dictionary
-        #: segment (file, offset) -> {column: ids}; grows with scans.
+        #: segment (file, offset) -> {column: array('q')}; grows with scans.
         #: Committed bytes never change in place, so an entry stays valid for
         #: as long as the manifest references its segment.
-        self._ids: Dict[Tuple[str, int], Dict[str, List[int]]] = {}
-        #: segment (file, offset) -> {column: array('q')}; the vectorized scan
-        #: path keeps its own cache so the two paths never alias each other's
-        #: buffers.
-        self._arrays: Dict[Tuple[str, int], Dict[str, Any]] = {}
-        #: cached result of a full, unconditioned scan.
-        self._full: Optional[ScanResult] = None
-        #: cached result of a full, unconditioned vectorized scan.
+        self._arrays: Dict[Tuple[str, int], Dict[str, array]] = {}
+        #: cached result of a full, unconditioned scan, as ids and — once a
+        #: row caller asked — lowered to terms.
         self._full_batch: Optional[BatchScanResult] = None
+        self._full: Optional[ScanResult] = None
 
     # ------------------------------------------------------------------ #
     def read(self) -> Relation:
@@ -106,76 +101,22 @@ class StoredTable(StoredTableProvider):
         columns: Optional[Sequence[str]] = None,
         conditions: Optional[Mapping[str, Any]] = None,
     ) -> ScanResult:
-        entry = self.entry
-        output_columns = self._unique(columns) if columns is not None else list(entry.columns)
-        condition_items = list(conditions.items()) if conditions else []
-        full_scan = not condition_items and tuple(output_columns) == entry.columns
-        if full_scan and self._full is not None:
+        """:meth:`scan_batch` lowered to term rows, for callers that need them.
+
+        Queries never come here (the executor joins the id batch and decodes
+        only what it returns); ``catalog.table``, the sqlite loader and worker
+        scan tasks that ship rows do.
+        """
+        scanned = self.scan_batch(columns, conditions)
+        if scanned is self._full_batch and self._full is not None:
             return self._full
-        decode_columns = self._unique(output_columns + [c for c, _ in condition_items])
-        for column in decode_columns:
-            if column not in entry.columns:
-                raise KeyError(f"table {entry.name!r} has no column {column!r}")
-
-        condition_ids, unknown_term = self._encode_conditions(condition_items)
-        target_bucket = self._target_bucket(condition_ids)
-
-        rows: List[Tuple] = []
-        counts: List[int] = []
-        rows_scanned = 0
-        segments_scanned = 0
-        segments_pruned = 0
-        decode = self.dictionary.decode
-
-        for bucket in range(entry.num_partitions):
-            produced_in_bucket = 0
-            for segment in entry.segments_for_bucket(bucket):
-                pruned = (
-                    unknown_term
-                    or segment.row_count == 0  # provably empty, never read
-                    or (target_bucket is not None and bucket != target_bucket)
-                    or any(
-                        not segment.zones[column].may_contain(term_id)
-                        for column, term_id in condition_ids
-                    )
-                )
-                if pruned:
-                    segments_pruned += len(decode_columns)
-                    continue
-                segments_scanned += len(decode_columns)
-                rows_scanned += segment.row_count
-                ids = self._segment_ids(segment, decode_columns)
-                keep: Optional[List[int]] = None
-                for column, term_id in condition_ids:
-                    column_ids = ids[column]
-                    keep = [
-                        i
-                        for i in (keep if keep is not None else range(len(column_ids)))
-                        if column_ids[i] == term_id
-                    ]
-                output_ids = [ids[column] for column in output_columns]
-                positions = keep if keep is not None else range(segment.row_count)
-                for i in positions:
-                    rows.append(
-                        tuple(
-                            None if column[i] == NULL_ID else decode(column[i])
-                            for column in output_ids
-                        )
-                    )
-                    produced_in_bucket += 1
-            counts.append(produced_in_bucket)
-
-        partitioning = None
-        if entry.partition_keys and all(k in output_columns for k in entry.partition_keys):
-            partitioning = Partitioning(entry.partition_keys, tuple(counts))
-        relation = Relation.adopt(output_columns, rows, partitioning=partitioning)
         result = ScanResult(
-            relation=relation,
-            rows_scanned=rows_scanned,
-            segments_scanned=segments_scanned,
-            segments_pruned=segments_pruned,
+            relation=scanned.batch.to_relation(),
+            rows_scanned=scanned.rows_scanned,
+            segments_scanned=scanned.segments_scanned,
+            segments_pruned=scanned.segments_pruned,
         )
-        if full_scan:
+        if scanned is self._full_batch:
             self._full = result
         return result
 
@@ -184,13 +125,13 @@ class StoredTable(StoredTableProvider):
         columns: Optional[Sequence[str]] = None,
         conditions: Optional[Mapping[str, Any]] = None,
     ) -> BatchScanResult:
-        """Vectorized twin of :meth:`scan`: same pruning, no term decoding.
+        """The store's one scan: projection, pruning and equality filters on ids.
 
         Segments decode straight into flat ``array('q')`` id columns and the
         result is a :class:`~repro.engine.vectorized.ColumnBatch` whose terms
-        stay encoded until the executor lowers it.  Pruning arithmetic,
-        scan counters and the bucket-aligned partitioning tag are identical
-        to the row path.
+        stay encoded until someone lowers it.  Rows come out grouped by
+        bucket, so the batch carries a partition-aligned layout tag whenever
+        the partition keys are among the output columns.
         """
         entry = self.entry
         output_columns = self._unique(columns) if columns is not None else list(entry.columns)
@@ -245,15 +186,15 @@ class StoredTable(StoredTableProvider):
                         if column_ids[i] == term_id
                     ]
                 for position, column in enumerate(output_ids):
-                    out[position].extend(column[i] for i in keep)
+                    out[position].extend(map(column.__getitem__, keep))
                 produced_in_bucket += len(keep)
             counts.append(produced_in_bucket)
 
         partitioning = None
         if entry.partition_keys and all(k in output_columns for k in entry.partition_keys):
             partitioning = Partitioning(entry.partition_keys, tuple(counts))
-        batch = ColumnBatch(
-            output_columns, out, self.dictionary.decode, partitioning=partitioning
+        batch = ColumnBatch.adopt(
+            tuple(output_columns), tuple(out), self.dictionary.decode, partitioning=partitioning
         )
         result = BatchScanResult(
             batch=batch,
@@ -267,10 +208,9 @@ class StoredTable(StoredTableProvider):
 
     def drop_caches(self) -> None:
         """Forget decoded segments and cached scans (benchmark cold-run aid)."""
-        self._ids.clear()
         self._arrays.clear()
-        self._full = None
         self._full_batch = None
+        self._full = None
 
     def entry_changed(self) -> None:
         """The manifest entry was updated in place by a committed mutation.
@@ -279,12 +219,11 @@ class StoredTable(StoredTableProvider):
         when the entry still references them: an append only adds segments
         (the base stays decoded), a compaction replaces them all.
         """
-        self._full = None
         self._full_batch = None
+        self._full = None
         live = {(s.file, s.offset) for s in self.entry.partitions + self.entry.deltas}
-        for cache in (self._ids, self._arrays):
-            for key in [key for key in cache if key not in live]:
-                del cache[key]
+        for key in [key for key in self._arrays if key not in live]:
+            del self._arrays[key]
 
     # ------------------------------------------------------------------ #
     def _encode_conditions(
@@ -315,18 +254,12 @@ class StoredTable(StoredTableProvider):
         )
         return key_partition_index(key_terms, self.entry.num_partitions)
 
-    def _segment_ids(self, segment: PartitionEntry, columns: Sequence[str]) -> Dict[str, List[int]]:
-        return self._decoded(self._ids, read_segment_file, segment, columns)
-
-    def _segment_arrays(self, segment: PartitionEntry, columns: Sequence[str]) -> Dict[str, Any]:
-        return self._decoded(self._arrays, read_segment_arrays, segment, columns)
-
-    def _decoded(self, cache, read, segment: PartitionEntry, columns: Sequence[str]):
-        cached = cache.setdefault((segment.file, segment.offset), {})
+    def _segment_arrays(self, segment: PartitionEntry, columns: Sequence[str]) -> Dict[str, array]:
+        cached = self._arrays.setdefault((segment.file, segment.offset), {})
         missing = [column for column in columns if column not in cached]
         if missing:
             path = file_path(self.root, segment.file)
-            cached.update(read(path, missing, segment.offset, segment.size_bytes))
+            cached.update(read_segment_arrays(path, missing, segment.offset, segment.size_bytes))
         return cached
 
     @staticmethod

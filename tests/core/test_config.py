@@ -166,3 +166,33 @@ def test_session_factories_validate_at_construction(example_graph):
         S2RDFSession.from_graph(example_graph, engine="spark")
     with pytest.raises(ValueError, match="num_partitions"):
         S2RDFSession.from_graph(example_graph, num_partitions=0)
+
+
+def test_the_representation_is_not_a_knob_anywhere(example_graph, tmp_path):
+    """``vectorized_enabled`` is gone from every surface that took it: each
+    refuses it by name instead of silently accepting a dead option."""
+    import repro
+    from repro.core.session import S2RDFSession
+    from repro.engine.plan import PlanExecutor
+    from repro.engine.runtime import ParallelExecutor
+
+    path = str(tmp_path / "dataset")
+    repro.create(example_graph, path=path).close()
+    with S2RDFSession.from_graph(example_graph) as session:
+        catalog = session.layout.catalog
+    for refuse in (
+        lambda: ExecutionConfig(vectorized_enabled=True),
+        lambda: SessionConfig(vectorized_enabled=True),
+        lambda: SessionConfig.from_flat(vectorized_enabled=False),
+        lambda: S2RDFSession.from_graph(example_graph, vectorized_enabled=True),
+        lambda: S2RDFSession.open_dataset(path, vectorized_enabled=True),
+        lambda: repro.connect(path, vectorized_enabled=True),
+        lambda: repro.create(example_graph, vectorized_enabled=True),
+    ):
+        with pytest.raises(TypeError, match="vectorized_enabled"):
+            refuse()
+    for executor in (PlanExecutor, ParallelExecutor):
+        with pytest.raises(TypeError, match="vectorized"):
+            executor(catalog, vectorized=True)
+    assert "vectorized_enabled" not in FLAT_FIELD_HOMES
+    assert not hasattr(SessionConfig(), "vectorized_enabled")

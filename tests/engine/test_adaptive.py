@@ -8,8 +8,11 @@ reconciliation in :class:`PhysicalPlan`, and the observed-cardinality feedback
 loop through the catalog.
 """
 
+from array import array
+
 import pytest
 
+from repro.core.session import S2RDFSession
 from repro.engine.catalog import Catalog
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.plan import (
@@ -32,7 +35,10 @@ from repro.engine.runtime import (
     estimate_rows,
     plan_join_strategies,
 )
+from repro.engine.vectorized import ColumnBatch
+from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
+from repro.rdf.triple import Triple
 
 # Every relation here is hand-sized: without this the runtime would run each
 # join inline (see ``strategies.SMALL_JOIN_ROWS``) and nothing below would
@@ -350,6 +356,56 @@ class TestSkewSplitting:
         assert metrics.aqe_skew_splits == 0
         assert metrics.parallel_tasks == 4
         assert bag(result) == bag(serial)
+
+
+class TestSkewSplittingOnIdBatches:
+    """A stored dataset joins id batches; a batch partition is a selection
+    vector, and AQE splits a skewed one by slicing it."""
+
+    HUB_JOIN = "SELECT * WHERE { ?a <big> ?y . ?y <small> ?b }"
+
+    @pytest.fixture()
+    def sessions(self, tmp_path):
+        triples = [Triple.of(f"a{i}", "big", "hub") for i in range(300)]
+        triples += [Triple.of(f"b{j}", "big", f"k{j}") for j in range(40)]
+        triples += [Triple.of("hub", "small", "m0")]
+        triples += [Triple.of(f"k{j}", "small", f"m{j}") for j in range(40)]
+        reference = S2RDFSession.from_graph(Graph(triples), num_partitions=1)
+        path = str(tmp_path / "dataset")
+        reference.save_dataset(path, num_buckets=4)
+        stored = S2RDFSession.open_dataset(path, broadcast_threshold=0, skew_factor=2.0)
+        yield reference, stored
+        reference.close()
+        stored.close()
+
+    def test_skewed_batch_partition_is_subdivided(self, sessions):
+        reference, stored = sessions
+        result = stored.query(self.HUB_JOIN)
+        metrics = result.metrics
+        assert metrics.shuffle_joins == 1
+        assert metrics.aqe_skew_splits > 0
+        assert metrics.parallel_tasks > 4  # extra chunk tasks beyond one per partition
+        # Both scans and the join itself stayed on ids.
+        assert metrics.vectorized_batches == 3
+        assert len(result.relation) == 340
+        assert bag(result.relation) == bag(reference.query(self.HUB_JOIN).relation)
+
+    def test_non_preserved_side_of_an_outer_join_is_never_split(self, sessions):
+        # The skewed table is the OPTIONAL (right) side: chunking it would
+        # fabricate null-padded rows for left rows matched in another chunk.
+        reference, stored = sessions
+        query = "SELECT * WHERE { ?y <small> ?b OPTIONAL { ?a <big> ?y } }"
+        result = stored.query(query)
+        assert result.metrics.shuffle_joins == 1
+        assert result.metrics.aqe_skew_splits == 0
+        assert bag(result.relation) == bag(reference.query(query).relation)
+
+    def test_split_chunks_share_the_partitions_columns(self):
+        ids = (array("q", range(10)),)
+        part = ColumnBatch(("y",), ids, lambda term_id: term_id, selection=array("q", [9, 1, 4, 6, 2]))
+        chunks = AdaptivePlanner._split(part, 2)
+        assert [list(chunk.selection) for chunk in chunks] == [[9, 1, 4], [6, 2]]
+        assert all(chunk.ids is ids for chunk in chunks)
 
 
 class TestPlannedVsExecutedReconciliation:

@@ -6,14 +6,17 @@ The second half is the *differential correctness harness*: a seeded
 randomized generator of BGP / OPTIONAL / UNION queries — layered with
 FILTER expressions, DISTINCT, ORDER BY + LIMIT and aggregate heads
 (COUNT / SUM / AVG / MIN / MAX, grouped and implicit) — asserting
-bag-equality across seven execution paths: serial reference, parallel
-(static plans), parallel adaptive, stored-scan over a persisted dataset
+bag-equality across the execution paths: the serial row executor over the
+in-memory catalog (the reference), parallel (static plans), parallel
+adaptive, the stored native path — id batches over a persisted dataset
 that carries pending (uncompacted) delta segments from an incremental
-append, the same stored dataset with the vectorized id-column kernels
-enabled, the sqlite SQL-lowering backend (both over the warm catalog
-and over the delta-carrying stored dataset), and the stored dataset
-executed with ``execution_mode="process"`` — join tasks dispatched to
-partition worker processes.
+append, traced — directly and through ``serve()``, the sqlite SQL-lowering
+backend (both over the warm catalog and over the delta-carrying stored
+dataset), the stored dataset executed with ``execution_mode="process"`` —
+join tasks dispatched to partition worker processes, and whole queries
+shipped to them by ``serve()`` — and, for every plain BGP, an oracle that
+shares nothing with the engine but the parser: index nested loops over the
+graph (:func:`repro.baselines.binding_iteration.index_nested_loop_execute`).
 
 Both halves run on both sides of the runtime's small-join bound
 (``strategies.SMALL_JOIN_ROWS``): at the default, where nearly every join of
@@ -24,14 +27,18 @@ import random
 
 import pytest
 
+from repro.baselines.base import SparqlEngine, UnsupportedQueryError
+from repro.baselines.binding_iteration import index_nested_loop_execute
 from repro.core.session import S2RDFSession, SessionConfig
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.plan import PlanExecutor
-from repro.engine.runtime import ParallelExecutor, strategies
+from repro.engine.plan import PlanExecutor, count_joins
+from repro.engine.runtime import ParallelExecutor, estimate_rows, plan_join_strategies, strategies
+from repro.engine.runtime.partitioned import BYTES_PER_VALUE
 from repro.engine.sql import SqliteExecutor
 from repro.mappings.extvp import ExtVPLayout
 from repro.obs.trace import Tracer
 from repro.rdf.graph import Graph
+from repro.sparql import parse_query
 from repro.watdiv.basic_queries import BASIC_TEMPLATES
 from repro.watdiv.incremental_queries import INCREMENTAL_TEMPLATES
 from repro.watdiv.template import instantiate_template
@@ -87,6 +94,64 @@ def test_parallel_matches_serial_on_watdiv(workload, template_name, monkeypatch)
                 )
                 assert parallel.columns == serial.columns, context
                 assert bag(parallel) == bag(serial), context
+
+
+def _strategies_by_per_join_estimates(plan, catalog, threshold, use_observed):
+    """What the planner decided before it became one walk: for every join, in
+    post-order, estimate both children from scratch and apply the rule."""
+    out = []
+
+    def annotate(node):
+        for child in node.children():
+            annotate(child)
+        if not node.is_join:
+            return
+        left_columns, right_columns = node.left.output_columns(), node.right.output_columns()
+        rows = [estimate_rows(side, catalog, use_observed) for side in (node.left, node.right)]
+        sizes = [
+            None if count == strategies.UNKNOWN_ROWS else count * max(1, len(columns)) * BYTES_PER_VALUE
+            for count, columns in zip(rows, (left_columns, right_columns))
+        ]
+        out.append(
+            strategies.choose_join_strategy(
+                tuple(c for c in left_columns if c in right_columns),
+                *rows,
+                *sizes,
+                threshold,
+                outer=node.is_outer_join,
+            )
+        )
+
+    annotate(plan)
+    return out
+
+
+@pytest.mark.parametrize("use_observed", [False, True], ids=["static", "adaptive"])
+@pytest.mark.parametrize("small_join_rows", SMALL_JOIN_BOUNDS)
+def test_one_pass_planner_decides_what_per_join_estimation_decided(
+    workload, use_observed, small_join_rows, monkeypatch
+):
+    """``plan_join_strategies`` estimates each subtree once, on the way up; the
+    initial strategies of the 20 WatDiv Basic templates and the IL chains must
+    be the ones two fresh ``estimate_rows`` calls per join produce."""
+    monkeypatch.setattr(strategies, "SMALL_JOIN_ROWS", small_join_rows)
+    layout, compiled = workload
+    catalog = layout.catalog
+    if use_observed:
+        # Observations that disagree with the statistics, so the flag matters.
+        for name in catalog.table_names()[::3]:
+            catalog.record_observed(name, 7 * len(catalog.table(name)) + 1)
+    try:
+        for threshold in (0, 2_000, 10**12):
+            for name, query in compiled.items():
+                physical = plan_join_strategies(query.plan, catalog, threshold, use_observed)
+                expected = _strategies_by_per_join_estimates(
+                    query.plan, catalog, threshold, use_observed
+                )
+                assert physical.strategies() == expected, (name, threshold)
+                assert len(expected) == count_joins(query.plan)
+    finally:
+        catalog.clear_observed()
 
 
 # --------------------------------------------------------------------------- #
@@ -201,6 +266,11 @@ class RandomQueryGenerator:
         select = ((group + " ") if group else "") + " ".join(bindings)
         return select, (f" GROUP BY {group}" if group else "")
 
+    def bgp_query(self) -> str:
+        """A plain ``SELECT *`` BGP: the shape the independent oracle answers."""
+        patterns, _, _ = self._bgp(self.rng.randint(2, 4))
+        return "SELECT * WHERE {\n  " + "\n  ".join(patterns) + "\n}"
+
     def query(self) -> str:
         body, variables = self._body()
         if self.rng.random() < 0.4:
@@ -248,26 +318,39 @@ def differential_setup(small_dataset, tmp_path_factory):
     assert report.delta_segments > 0  # the deltas really are pending
 
     # The sqlite backend runs twice: straight over the warm catalog, and as a
-    # full session over the delta-carrying stored dataset.  The vectorized
-    # session re-opens the same delta-carrying dataset with the id-column
-    # batch kernels on — deferred decoding must never change the bag.
+    # full session over the delta-carrying stored dataset.
     sqlite_executor = SqliteExecutor(warm.layout.catalog)
     stored_sql = S2RDFSession.open_dataset(path, engine="sqlite")
-    stored_vec = S2RDFSession.open_dataset(path, tracing_enabled=True, vectorized_enabled=True)
-    # Seventh path: process-based partition workers over the same
-    # delta-carrying dataset — co-partitioned join tasks execute in separate
-    # worker processes and ship packed id batches back over the wire.
-    stored_proc = S2RDFSession.open_dataset(
-        path, execution_mode="process", worker_processes=2, vectorized_enabled=True
-    )
+    # Process-based partition workers over the same delta-carrying dataset:
+    # co-partitioned join tasks execute in separate worker processes and ship
+    # packed id batches back over the wire; its scheduler ships whole queries.
+    stored_proc = S2RDFSession.open_dataset(path, execution_mode="process", worker_processes=2)
+    served = stored.serve()
+    served_proc = stored_proc.serve()
 
-    yield warm, stored, sqlite_executor, stored_sql, stored_vec, stored_proc
+    yield warm, graph, stored, sqlite_executor, stored_sql, stored_proc, served, served_proc
+    served.close()
+    served_proc.close()
     sqlite_executor.close()
     warm.close()
     stored.close()
     stored_sql.close()
-    stored_vec.close()
     stored_proc.close()
+
+
+def oracle_bag(graph: Graph, query_text: str, columns):
+    """The bag of a plain ``SELECT *`` BGP by index nested loops over the
+    graph — no table selection, no plan, no store — or ``None`` for any
+    other query shape."""
+    parsed = parse_query(query_text)
+    if parsed.distinct or parsed.order_by or parsed.limit is not None or parsed.aggregates:
+        return None
+    try:
+        bgp = SparqlEngine.extract_single_bgp(parsed)
+    except UnsupportedQueryError:
+        return None
+    bindings = index_nested_loop_execute(graph, bgp.patterns)
+    return sorted(repr(tuple(binding.get(name) for name in columns)) for binding in bindings)
 
 
 @pytest.mark.parametrize("small_join_rows", SMALL_JOIN_BOUNDS)
@@ -275,15 +358,18 @@ def differential_setup(small_dataset, tmp_path_factory):
 def test_differential_equivalence_across_execution_modes(
     differential_setup, seed, small_join_rows, monkeypatch
 ):
-    """Serial, parallel-static, parallel-adaptive, stored-scan, vectorized
-    stored-scan, sqlite and process-worker execution must agree on the bag of
-    rows for every generated query, on both sides of the small-join bound."""
+    """Serial, parallel-static, parallel-adaptive, stored native (direct and
+    served), sqlite and process-worker execution (direct and served) must
+    agree on the bag of rows for every generated query, on both sides of the
+    small-join bound; plain BGPs must also agree with the graph oracle."""
     monkeypatch.setattr(strategies, "SMALL_JOIN_ROWS", small_join_rows)
-    warm, stored, sqlite_executor, stored_sql, stored_vec, stored_proc = differential_setup
+    (warm, graph, stored, sqlite_executor, stored_sql, stored_proc, served, served_proc) = (
+        differential_setup
+    )
     generator = RandomQueryGenerator(_graph_view(warm), seed)
     catalog = warm.layout.catalog
-    for _ in range(6):
-        query_text = generator.query()
+    # Six random shapes, then one plain BGP so the oracle never sits a seed out.
+    for query_text in [generator.query() for _ in range(6)] + [generator.bgp_query()]:
         compiled = warm.compile(query_text)
         reference = PlanExecutor(catalog).execute(compiled.plan, ExecutionMetrics())
         for label, executor_kwargs in (
@@ -307,23 +393,21 @@ def test_differential_equivalence_across_execution_modes(
         sql_result = sqlite_executor.execute(compiled.plan, ExecutionMetrics())
         assert sql_result.columns == reference.columns, ("sqlite", query_text)
         assert bag(sql_result) == bag(reference), ("sqlite", query_text)
-        stored_result = stored.query(query_text)
-        assert sorted(stored_result.relation.columns) == sorted(reference.columns), query_text
-        projected = stored_result.relation.project(reference.columns)
-        assert bag(projected) == bag(reference), ("stored-scan", query_text)
-        stored_sql_result = stored_sql.query(query_text)
-        assert stored_sql_result.engine == "sqlite"
-        assert sorted(stored_sql_result.relation.columns) == sorted(reference.columns), query_text
-        projected_sql = stored_sql_result.relation.project(reference.columns)
-        assert bag(projected_sql) == bag(reference), ("stored-sqlite", query_text)
-        vec_result = stored_vec.query(query_text)
-        assert sorted(vec_result.relation.columns) == sorted(reference.columns), query_text
-        projected_vec = vec_result.relation.project(reference.columns)
-        assert bag(projected_vec) == bag(reference), ("stored-vectorized", query_text)
-        proc_result = stored_proc.query(query_text)
-        assert sorted(proc_result.relation.columns) == sorted(reference.columns), query_text
-        projected_proc = proc_result.relation.project(reference.columns)
-        assert bag(projected_proc) == bag(reference), ("stored-process", query_text)
+        oracle = oracle_bag(graph, query_text, reference.columns)
+        if oracle is not None:
+            assert bag(reference) == oracle, ("graph-oracle", query_text)
+        for label, run in (
+            ("stored-native", stored.query),
+            ("stored-sqlite", stored_sql.query),
+            ("stored-process", stored_proc.query),
+            ("served", lambda text: served.submit(text).result(timeout=60)),
+            ("served-process", lambda text: served_proc.submit(text).result(timeout=60)),
+        ):
+            result = run(query_text)
+            assert result.engine == ("sqlite" if label == "stored-sqlite" else "native")
+            assert sorted(result.relation.columns) == sorted(reference.columns), (label, query_text)
+            projected = result.relation.project(reference.columns)
+            assert bag(projected) == bag(reference), (label, query_text)
 
 
 def _graph_view(session: S2RDFSession) -> Graph:

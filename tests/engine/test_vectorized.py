@@ -11,7 +11,10 @@ must be rejected at the decode boundary, never silently mapped to a term.
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro.core.session import S2RDFSession
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.relation import Relation, SchemaError
@@ -29,8 +32,10 @@ from repro.engine.vectorized import (
     null_column,
 )
 from repro.rdf.graph import Graph
-from repro.rdf.terms import IRI
+from repro.rdf.terms import IRI, Term
 from repro.rdf.triple import Triple
+from repro.watdiv.basic_queries import BASIC_TEMPLATES
+from repro.watdiv.template import instantiate_template
 
 #: A tiny injective dictionary: id -> term, plus a decode that rejects
 #: anything outside it — the same contract the stored dictionary enforces.
@@ -228,7 +233,7 @@ class TestDecodeBoundary:
         path = str(tmp_path / "dataset")
         session.save_dataset(path)
         session.close()
-        stored = S2RDFSession.open_dataset(path, vectorized_enabled=True)
+        stored = S2RDFSession.open_dataset(path)
         scan = stored.layout.catalog.scan_batch("vp_p")
         good = scan.batch
         rogue = ColumnBatch(good.columns, good.ids, good.decode, selection=None)
@@ -271,3 +276,222 @@ class TestConcatAndPartitioning:
         for index, part in enumerate(parts.partitions):
             for row in part.to_relation().rows:
                 assert key_partition_index((row[0],), 4) == index
+
+
+# --------------------------------------------------------------------------- #
+# Property tests: the kernels against the Relation operators as oracle
+# --------------------------------------------------------------------------- #
+#: NULL_ID plus a handful of ids, so keys collide, repeat and go unbound.
+small_ids = st.integers(min_value=NULL_ID, max_value=4)
+SCHEMAS = [(), ("a",), ("b",), ("a", "b"), ("b", "c"), ("c", "a"), ("a", "b", "c")]
+
+
+@st.composite
+def id_tables(draw, columns=None):
+    """(columns, physical rows, selection or None) of a small id table.
+
+    A selection may repeat, reorder and drop physical rows.  A zero-column
+    table has no column to take a length from, so its rows *are* a selection.
+    """
+    if columns is None:
+        columns = draw(st.sampled_from(SCHEMAS))
+    rows = draw(st.lists(st.tuples(*[small_ids] * len(columns)), max_size=6))
+    if not columns or draw(st.booleans()):
+        indices = st.integers(min_value=0, max_value=max(len(rows) - 1, 0))
+        selection = draw(st.lists(indices, max_size=8)) if rows else []
+        return columns, rows, selection
+    return columns, rows, None
+
+
+def as_batch(table):
+    columns, rows, selection = table
+    return batch(columns, rows, selection)
+
+
+def as_relation(table):
+    """The same table built row by row, without going near ``to_relation``."""
+    columns, rows, selection = table
+    picked = rows if selection is None else [rows[i] for i in selection]
+    return Relation(
+        columns, [tuple(None if v == NULL_ID else TERMS[v] for v in row) for row in picked]
+    )
+
+
+class TestKernelProperties:
+    @given(id_tables())
+    def test_to_relation_decodes_every_selected_row_in_order(self, table):
+        lowered = as_batch(table).to_relation()
+        expected = as_relation(table)
+        assert lowered.columns == expected.columns
+        assert lowered.rows == expected.rows
+
+    @given(id_tables(), id_tables())
+    def test_natural_join(self, left, right):
+        batch_metrics, row_metrics = ExecutionMetrics(), ExecutionMetrics()
+        joined = as_batch(left).natural_join(as_batch(right), batch_metrics)
+        expected = as_relation(left).natural_join(as_relation(right), row_metrics)
+        assert joined.columns == expected.columns
+        assert bag(joined.to_relation()) == bag(expected)
+        assert batch_metrics.join_comparisons == row_metrics.join_comparisons
+        assert batch_metrics.intermediate_tuples == row_metrics.intermediate_tuples
+
+    @given(id_tables())
+    def test_distinct_keeps_first_occurrences(self, table):
+        assert as_batch(table).distinct().to_relation().rows == as_relation(table).distinct().rows
+
+    @given(id_tables(), id_tables())
+    def test_union_equal_and_differing_schemas(self, left, right):
+        unioned = as_batch(left).union(as_batch(right)).to_relation()
+        expected = as_relation(left).union(as_relation(right))
+        assert unioned.columns == expected.columns
+        assert unioned.rows == expected.rows
+
+    @given(id_tables(), st.one_of(st.none(), st.integers(0, 9)), st.integers(0, 9))
+    def test_limit_and_offset(self, table, count, offset):
+        limited = as_batch(table).limit(count, offset).to_relation()
+        assert limited.rows == as_relation(table).limit(count, offset).rows
+
+    @given(id_tables(columns=("a", "b")), st.sampled_from(["a", "b"]), small_ids)
+    def test_filter_equal(self, table, column, term_id):
+        kept = as_batch(table).filter_equal(column, term_id).to_relation()
+        wanted = None if term_id == NULL_ID else TERMS[term_id]
+        assert kept.rows == as_relation(table).select_eq({column: wanted}).rows
+
+    @given(id_tables(columns=("a", "b", "c")), st.lists(st.sampled_from("abc"), max_size=4))
+    def test_project_including_to_no_column_at_all(self, table, columns):
+        projected = as_batch(table).project(columns).to_relation()
+        expected = as_relation(table).project(columns)
+        assert projected.columns == expected.columns
+        assert projected.rows == expected.rows
+
+    @given(id_tables(), st.sampled_from(SCHEMAS))
+    def test_pad_to_adds_unbound_columns(self, table, columns):
+        padded = as_batch(table).pad_to(columns).to_relation()
+        expected = as_relation(table)
+        missing = [c for c in columns if c not in expected.columns]
+        assert padded.columns == expected.columns + tuple(missing)
+        assert padded.rows == [row + (None,) * len(missing) for row in expected.rows]
+
+    @given(id_tables(), st.integers(min_value=5, max_value=99))
+    def test_an_id_the_dictionary_never_assigned_raises_at_the_boundary(self, table, rogue):
+        columns, rows, selection = table
+        if not columns:
+            return  # no column to forge an id into
+        forged = (columns, rows + [(rogue + len(TERMS),) * len(columns)], None)
+        with pytest.raises(KeyError, match="unknown term id"):
+            as_batch(forged).to_relation()
+
+    def test_adopt_checks_names_and_nothing_else(self):
+        ids = (array("q", [1, 2]), array("q", [3, 4]))
+        adopted = ColumnBatch.adopt(("a", "b"), ids, decode)
+        assert adopted.ids is ids and adopted.selection is None and len(adopted) == 2
+        assert bag(adopted.to_relation()) == bag(ColumnBatch(("a", "b"), ids, decode).to_relation())
+        with pytest.raises(SchemaError, match="duplicate column"):
+            ColumnBatch.adopt(("a", "a"), ids, decode)
+        # The kernels hand their input's columns on instead of re-validating them.
+        assert adopted.filter_equal("a", 1).ids is ids
+        assert adopted.rename({"a": "x"}).ids is ids
+        with pytest.raises(SchemaError, match="duplicate column"):
+            adopted.rename({"a": "b"})
+
+
+# --------------------------------------------------------------------------- #
+# The stored scan: one loop, lowered for callers that want rows
+# --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def delta_dataset(small_dataset, tmp_path_factory):
+    """(in-memory session over the full graph, stored session whose dataset
+    was saved from a subset and appended to, so tables carry pending deltas)."""
+    graph = small_dataset.graph
+    triples = sorted(graph, key=lambda t: (t.subject.n3(), t.predicate.n3(), t.object.n3()))
+    in_memory = S2RDFSession.from_graph(graph, num_partitions=4)
+    saver = S2RDFSession.from_graph(
+        Graph([t for i, t in enumerate(triples) if i % 5]), num_partitions=4
+    )
+    path = str(tmp_path_factory.mktemp("vectorized") / "dataset")
+    saver.save_dataset(path)
+    saver.close()
+    stored = repro.connect(path)
+    report = stored.append_triples([t for i, t in enumerate(triples) if i % 5 == 0])
+    assert report.delta_segments > 0
+    yield in_memory, stored
+    in_memory.close()
+    stored.close()
+
+
+class TestStoredScan:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_scan_is_scan_batch_lowered(self, delta_dataset, data):
+        """Same rows in the same order, same counters, same layout tag — with
+        and without projection and equality conditions, over base + deltas —
+        and the rows are the in-memory table's, filtered and projected."""
+        in_memory, stored = delta_dataset
+        catalog = stored.layout.catalog
+        name = data.draw(st.sampled_from([n for n in catalog.table_names() if n.startswith("vp_")]))
+        table = stored._dataset.tables[name]
+        truth = in_memory.layout.catalog.table(name)
+        columns = data.draw(st.sampled_from([None, ["s", "o"], ["o", "s"], ["s"], ["o"]]))
+        conditions = {}
+        for column in data.draw(st.sampled_from([[], ["s"], ["o"], ["s", "o"]])):
+            # A value the column holds, one it does not, or one the dictionary never saw.
+            values = truth.column_values(column)
+            conditions[column] = data.draw(
+                st.sampled_from([values[0], values[-1], truth.rows[0][0], IRI("http://nowhere/x")])
+            )
+        rows = table.scan(columns, conditions)
+        ids = table.scan_batch(columns, conditions)
+        assert rows.relation.columns == ids.batch.columns
+        assert rows.relation.rows == ids.batch.to_relation().rows
+        assert rows.relation.partitioning == ids.batch.partitioning
+        assert (rows.rows_scanned, rows.segments_scanned, rows.segments_pruned) == (
+            ids.rows_scanned,
+            ids.segments_scanned,
+            ids.segments_pruned,
+        )
+        expected = truth.select_eq(conditions).project(rows.relation.columns)
+        assert bag(rows.relation) == bag(expected)
+        if rows.relation.partitioning is not None:
+            assert sum(rows.relation.partitioning.counts) == len(rows.relation)
+
+    def test_full_scans_are_cached_as_ids_and_as_rows(self, delta_dataset):
+        _, stored = delta_dataset
+        table = next(iter(stored._dataset.tables.values()))
+        assert table.scan_batch() is table.scan_batch()
+        assert table.scan() is table.scan()
+        assert table.scan().relation.rows == table.scan_batch().batch.to_relation().rows
+
+
+class TestNativePathNeedsNoConfiguration:
+    def test_the_data_picks_the_representation(self, delta_dataset, small_dataset):
+        """Same defaults on both sides: in memory nothing is a batch, from the
+        store scans, joins and projections are, and the bags agree — on the 20
+        WatDiv Basic templates (what the retired A/B bench asserted)."""
+        in_memory, stored = delta_dataset
+        for template in BASIC_TEMPLATES:
+            query = instantiate_template(template, small_dataset)
+            rows = in_memory.query(query)
+            ids = stored.query(query)
+            assert bag(ids.relation.project(rows.relation.columns)) == bag(rows.relation), template.name
+            assert rows.metrics.vectorized_rows == 0 and rows.metrics.vectorized_batches == 0
+            if not ids.statically_empty:
+                assert ids.metrics.vectorized_rows > 0, template.name
+                # Every scan and every join above it produced a batch.
+                assert ids.metrics.vectorized_batches >= len(ids.metrics.scanned_tables)
+            assert ids.metrics.join_comparisons == rows.metrics.join_comparisons, template.name
+
+    def test_save_then_connect_flips_the_same_data_to_batches(self, example_graph, query_q1, tmp_path):
+        in_memory = S2RDFSession.from_graph(example_graph)
+        before = in_memory.query(query_q1)
+        assert before.metrics.vectorized_rows == 0
+        in_memory.save_dataset(str(tmp_path / "g1"))
+        in_memory.close()
+        with repro.connect(str(tmp_path / "g1")) as stored:
+            after = stored.query(query_q1)
+        assert after.metrics.vectorized_rows > 0
+        # Lowering is eager: the session (and its dictionary) is closed, and
+        # every row of the result is still there, decoded.
+        assert isinstance(after.relation, Relation) and len(after.relation) > 0
+        assert all(isinstance(value, Term) for row in after.relation.rows for value in row)
+        assert bag(after.relation) == bag(before.relation)
+        assert len(list(after)) == len(after.relation)

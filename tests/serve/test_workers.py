@@ -183,3 +183,62 @@ def test_start_brings_up_all_workers(stored):
     assert pool.started
     pool.close()
     assert not pool.started
+
+
+def test_prewarm_reads_id_columns_and_decodes_no_term(stored, monkeypatch):
+    """What the scheduler and the workers' scan tasks warm is what queries
+    read: decoded id columns.  No term is decoded, no row relation is built,
+    and a query after the warm-up reads no segment."""
+    import repro.store.reader as reader_module
+    from repro.serve import workers
+    from repro.store.format import StoredTermDictionary
+
+    path, _ = stored
+    decoded = []
+    real_decode = StoredTermDictionary.decode
+
+    def counting_decode(self, term_id):
+        decoded.append(term_id)
+        return real_decode(self, term_id)
+
+    monkeypatch.setattr(StoredTermDictionary, "decode", counting_decode)
+    session = S2RDFSession.open_dataset(path, journal_enabled=False)
+    try:
+        catalog = session.layout.catalog
+        with session.serve() as scheduler:
+            assert scheduler.prewarm() == len(catalog.table_names())
+        assert decoded == []
+        assert not any(catalog.is_loaded(name) for name in catalog.table_names())
+
+        reads = []
+        real_read = reader_module.read_segment_arrays
+
+        def counting_read(*args, **kwargs):
+            reads.append(args)
+            return real_read(*args, **kwargs)
+
+        monkeypatch.setattr(reader_module, "read_segment_arrays", counting_read)
+        result = session.query("SELECT * WHERE { ?a <follows> ?b . ?b <likes> ?w }")
+        assert len(result.relation) == 20 and reads == []
+    finally:
+        session.close()
+
+    # The worker entry point, run in this process.
+    del decoded[:]
+    workers._worker_init(path, {})
+    try:
+        warmed = workers._run_scan_task({"table": "triples", "return_rows": False})
+        assert "relation" not in warmed and decoded == []
+        shipped = workers._run_scan_task({"table": "triples"})
+        assert len(unpack_input(shipped.pop("relation")).rows) == 40 and decoded
+        assert warmed == shipped  # same counters, same epoch
+    finally:
+        if workers._WORKER_SESSION is not None:
+            workers._WORKER_SESSION.close()
+        workers._worker_init(None, {})
+
+
+def test_warm_tables_runs_one_rowless_scan_per_worker_and_table(stored):
+    path, session = stored
+    with PartitionWorkerPool(dataset_path=path, num_workers=2) as pool:
+        assert pool.warm_tables(["triples", "vp_likes"], epoch=session._journal_epoch) == 4
