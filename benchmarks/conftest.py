@@ -51,14 +51,11 @@ def bench_dataset(bench_scale, bench_seed):
 
 @pytest.fixture(scope="session")
 def report_sink():
-    """Write reports to benchmarks/output/: <name>.txt + BENCH_<name>.json."""
-    from repro.bench.reporting import write_bench_json
-
+    """Write reports to benchmarks/output/<name>.txt."""
     OUTPUT_DIR.mkdir(exist_ok=True)
 
     def write(name: str, report) -> None:
         path = OUTPUT_DIR / f"{name}.txt"
         path.write_text(report.to_text() + "\n", encoding="utf-8")
-        write_bench_json(report, name, output_dir=OUTPUT_DIR)
 
     return write

@@ -13,8 +13,9 @@ The package is organised as follows:
   compares against (SHARD, PigSPARQL, Sempala, H2RDF+, Virtuoso).
 * :mod:`repro.watdiv` — a WatDiv-like data generator and the paper's query
   workloads (Basic Testing, Selectivity Testing, Incremental Linear Testing).
-* :mod:`repro.bench` — the experiment harness that regenerates every table
-  and figure of the paper's evaluation section.
+* :mod:`repro.bench` — the experiment harness that regenerates Tables 2-6 of
+  the paper's evaluation section (the system's own performance is measured
+  by ``benchmarks/suite/``).
 """
 
 from repro.rdf import Graph, IRI, Literal, Triple, parse_ntriples

@@ -2,36 +2,9 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence
-
-#: Schema tag of the machine-readable benchmark output; bump on breaking
-#: changes so downstream tooling (``benchmarks/check_bench_schema.py``) can
-#: reject files it does not understand.
-BENCH_SCHEMA = "s2rdf-bench/v1"
-
-#: Column-name suffixes treated as wall-clock timings in :meth:`ExperimentReport.as_dict`.
-_TIMING_SUFFIXES = ("_ms", "_s", "_seconds")
-
-
-def _jsonable(value: Any) -> Any:
-    """Coerce a report value into strict-JSON territory.
-
-    Failed runs are recorded as ``float("inf")``, which strict JSON cannot
-    represent; they become ``None``.  Unknown objects fall back to ``str``.
-    """
-    if isinstance(value, float) and (math.isinf(value) or math.isnan(value)):
-        return None
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set)):
-        return [_jsonable(v) for v in value]
-    return str(value)
+from typing import Any, Dict, List, Optional, Sequence
 
 
 def arithmetic_mean(values: Sequence[float]) -> float:
@@ -67,9 +40,6 @@ class ExperimentReport:
     columns: List[str]
     rows: List[Dict[str, Any]] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
-    #: Machine-readable side results (raw totals, counters) for callers that
-    #: assert on an experiment beyond its rendered rows — e.g. smoke modes.
-    stash: Dict[str, Any] = field(default_factory=dict)
 
     def add_row(self, **values: Any) -> None:
         self.rows.append(values)
@@ -115,68 +85,5 @@ class ExperimentReport:
             lines.append(f"note: {note}")
         return "\n".join(lines)
 
-    def as_dict(self) -> Dict[str, Any]:
-        """Machine-readable form of the report (``s2rdf-bench/v1``).
-
-        Besides the raw rows/notes/stash, numeric columns are aggregated:
-        columns with a timing suffix (``_ms``/``_s``/``_seconds``) sum into
-        ``timings``, every other numeric column sums into ``counters`` — so a
-        dashboard can plot totals without knowing each experiment's shape.
-        """
-        counters: Dict[str, float] = {}
-        timings: Dict[str, float] = {}
-        for column in self.columns:
-            values = [
-                v
-                for v in self.column(column)
-                if isinstance(v, (int, float))
-                and not isinstance(v, bool)
-                and not math.isinf(v)
-                and not math.isnan(v)
-            ]
-            if not values:
-                continue
-            total = round(float(sum(values)), 3)
-            if column.endswith(_TIMING_SUFFIXES):
-                timings[column] = total
-            else:
-                counters[column] = total
-        return {
-            "schema": BENCH_SCHEMA,
-            "name": self.name,
-            "description": self.description,
-            "columns": list(self.columns),
-            "rows": [_jsonable(row) for row in self.rows],
-            "notes": list(self.notes),
-            "counters": counters,
-            "timings": timings,
-            "stash": _jsonable(self.stash),
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=False)
-
     def __len__(self) -> int:
         return len(self.rows)
-
-
-def default_bench_output_dir() -> Path:
-    """``benchmarks/output/`` at the repository root (created on demand)."""
-    return Path(__file__).resolve().parents[3] / "benchmarks" / "output"
-
-
-def write_bench_json(
-    report: ExperimentReport, slug: str, output_dir: Optional[Path] = None
-) -> Path:
-    """Write ``BENCH_<slug>.json`` for one experiment; returns the path."""
-    directory = Path(output_dir) if output_dir is not None else default_bench_output_dir()
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"BENCH_{slug}.json"
-    path.write_text(report.to_json() + "\n", encoding="utf-8")
-    return path
-
-
-def read_bench_json(path: Path) -> Dict[str, Any]:
-    """Load one ``BENCH_<slug>.json`` file (as written by :func:`write_bench_json`)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)

@@ -12,10 +12,6 @@ runtime *shape* of the paper's tables.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
-
-from repro.engine.runtime import strategies
 from repro.rdf.graph import Graph
 
 #: Triple count of the paper's largest dataset (WatDiv SF10000, Table 2).
@@ -24,26 +20,6 @@ PAPER_SF10000_TRIPLES = 1_091_500_000
 PAPER_SF1000_TRIPLES = 109_200_000
 PAPER_SF100_TRIPLES = 10_910_000
 PAPER_SF10_TRIPLES = 1_080_000
-
-
-@contextmanager
-def forced_exchange() -> Iterator[None]:
-    """Run every join through the exchange path, however small its inputs.
-
-    The other half of laptop-scale extrapolation: at these data sizes the
-    runtime rightly runs every join inline (``strategies.SMALL_JOIN_ROWS``),
-    so an experiment whose *subject* is the exchange machinery — AQE replans,
-    skew splits, partition scaling, partition-aligned shuffles — would measure
-    nothing.  The bound is a constant by design, so this lowers it for the
-    duration of the block; that is process-wide, which is fine for the
-    single-threaded experiment scripts this is for and for nothing else.
-    """
-    saved = strategies.SMALL_JOIN_ROWS
-    strategies.SMALL_JOIN_ROWS = 0
-    try:
-        yield
-    finally:
-        strategies.SMALL_JOIN_ROWS = saved
 
 
 def paper_work_scale(graph: Graph, paper_triples: int = PAPER_SF10000_TRIPLES) -> float:

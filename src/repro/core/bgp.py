@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.table_selection import TableChoice, TableSelector
 from repro.core.translation import triple_pattern_to_subquery
-from repro.engine.plan import EmptyNode, NaturalJoinNode, PlanNode
+from repro.engine.ops import EmptyNode, NaturalJoinNode, PlanNode
 from repro.rdf.terms import Variable
 from repro.sparql.algebra import BGP, TriplePattern
 

@@ -12,13 +12,12 @@ configuration is now four nested dataclasses composed on
 * :class:`ObservabilityConfig` — tracing and the workload journal;
 * :class:`ServingConfig` — the concurrent scheduler's admission policy.
 
-Every historical flat knob still works as a constructor keyword —
-``SessionConfig(num_partitions=8)`` — but warns ``DeprecationWarning`` with
-the new spelling (``SessionConfig(execution=ExecutionConfig(num_partitions=8))``).
-Reading ``config.num_partitions`` keeps working silently: the flat names are
-aliases (properties) for their single nested home, and
-:data:`FLAT_FIELD_HOMES` records that mapping so a test can audit that every
-old knob maps to exactly one new home.
+A knob has one spelling on the config object — its group,
+``config.execution.num_partitions`` — and ``SessionConfig(num_partitions=8)``
+is a ``TypeError``.  The flat *keyword* surfaces of :func:`repro.connect`,
+:func:`repro.create`, ``from_graph`` and ``open_dataset`` map onto the groups
+through :meth:`SessionConfig.from_flat`; :data:`FLAT_FIELD_HOMES` records that
+mapping so a test can audit that every knob has exactly one home.
 
 Validation happens at *construction*: each group dataclass checks its own
 invariants in ``__post_init__``, so an invalid configuration fails wherever
@@ -28,9 +27,8 @@ inside ``S2RDFSession.__init__``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.engine.runtime import (
     DEFAULT_BROADCAST_MEMORY_LIMIT,
@@ -41,10 +39,11 @@ from repro.engine.runtime import (
 #: Engines a session can execute plans on.
 VALID_ENGINES = ("native", "sqlite")
 
-#: How the parallel runtime runs partition tasks: ``"thread"`` uses the
-#: in-process pool (always available), ``"process"`` dispatches join tasks to
-#: the persistent partition worker pool (requires a stored dataset; ephemeral
-#: sessions silently keep the thread pool as fallback).
+#: Where :meth:`~repro.core.session.S2RDFSession.serve` runs queries:
+#: ``"thread"`` on scheduler threads in this process, ``"process"`` on the
+#: persistent worker pool, one whole query per task (requires a stored
+#: dataset; ephemeral sessions serve on threads).  A direct ``query()`` runs
+#: in the calling process either way.
 VALID_EXECUTION_MODES = ("thread", "process")
 
 #: What :meth:`~repro.serve.scheduler.QueryScheduler.submit` does when the
@@ -81,13 +80,13 @@ class ExecutionConfig:
     #: Multiplier applied to data-proportional execution counters before the
     #: cost model converts them to a simulated runtime.
     work_scale: float = 1.0
-    #: ``"thread"`` (default) or ``"process"``: where partition join tasks
-    #: run.  Process mode sidesteps the GIL by dispatching tasks to the
-    #: persistent worker pool of the session's stored dataset; sessions
-    #: without a dataset fall back to the thread pool.
+    #: ``"thread"`` (default) or ``"process"``: where ``serve()`` runs
+    #: queries.  Process mode sidesteps the GIL by shipping whole queries to
+    #: the persistent worker pool of the session's stored dataset; sessions
+    #: without a dataset serve on threads.
     execution_mode: str = "thread"
-    #: Processes in the partition worker pool (``None`` = a small default
-    #: derived from the machine's CPU count).
+    #: Processes in that worker pool (``None`` = a small default derived from
+    #: the machine's CPU count).
     worker_processes: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -193,26 +192,6 @@ for _group_name, _group_cls in (
             )
         FLAT_FIELD_HOMES[_field.name] = _group_name
 
-#: The knobs that existed as flat ``SessionConfig`` fields before the
-#: config split (PR 10); kept for the audit test and the docs.
-LEGACY_FLAT_FIELDS: Tuple[str, ...] = (
-    "selectivity_threshold",
-    "use_extvp",
-    "optimize_join_order",
-    "include_oo",
-    "work_scale",
-    "num_partitions",
-    "broadcast_threshold",
-    "broadcast_memory_limit",
-    "adaptive_enabled",
-    "skew_factor",
-    "compaction_threshold",
-    "tracing_enabled",
-    "journal_enabled",
-    "engine",
-)
-
-
 class SessionConfig:
     """Tunable knobs of a session, grouped by concern.
 
@@ -223,10 +202,8 @@ class SessionConfig:
             serving=ServingConfig(max_concurrent_queries=16),
         )
 
-    The historical flat spelling ``SessionConfig(num_partitions=8)`` still
-    works but emits a :class:`DeprecationWarning` naming the new home.
-    Reading ``config.num_partitions`` (and every other flat name) remains
-    silent — the flat names are aliases for their nested field.
+    There is no flat spelling: ``SessionConfig(num_partitions=8)`` raises a
+    :class:`TypeError` naming the group the knob lives in.
     """
 
     __slots__ = ("execution", "store", "observability", "serving")
@@ -246,40 +223,30 @@ class SessionConfig:
         )
         self.serving = serving if serving is not None else ServingConfig()
         if flat:
-            for name in flat:
-                home = FLAT_FIELD_HOMES.get(name)
-                if home is None:
-                    raise TypeError(f"SessionConfig got an unexpected keyword {name!r}")
-                group = getattr(self, home)
-                warnings.warn(
-                    f"flat SessionConfig knob {name!r} is deprecated; use "
-                    f"SessionConfig({home}={type(group).__name__}({name}=...))",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            self._apply_flat(flat)
+            name = next(iter(flat))
+            message = f"SessionConfig got an unexpected keyword {name!r}"
+            home = FLAT_FIELD_HOMES.get(name)
+            if home is not None:
+                group = type(getattr(self, home)).__name__
+                message += f"; a knob lives in its group: {home}={group}({name}=...)"
+            raise TypeError(message)
 
     @classmethod
     def from_flat(cls, **flat: object) -> "SessionConfig":
-        """Build a config from flat knob names *without* deprecation warnings.
+        """Build a config from flat knob names.
 
-        This is the internal mapper behind :meth:`S2RDFSession.from_graph`,
+        This is the mapper behind :meth:`S2RDFSession.from_graph`,
         :meth:`S2RDFSession.open_dataset`, :func:`repro.connect` and
-        :func:`repro.create`, whose keyword surfaces remain flat on purpose —
-        the deprecation applies to the old ``SessionConfig(knob=...)``
-        spelling, not to those factory signatures.
+        :func:`repro.create`, whose keyword surfaces are flat on purpose.
         """
         config = cls()
         unknown = [name for name in flat if name not in FLAT_FIELD_HOMES]
         if unknown:
             raise TypeError(f"unknown session knob(s): {sorted(unknown)}")
-        config._apply_flat(flat)
-        return config
-
-    def _apply_flat(self, flat: Dict[str, object]) -> None:
         for name, value in flat.items():
-            setattr(getattr(self, FLAT_FIELD_HOMES[name]), name, value)
-        self.validate()
+            setattr(getattr(config, FLAT_FIELD_HOMES[name]), name, value)
+        config.validate()
+        return config
 
     def validate(self) -> None:
         """Re-run every group's construction-time validation."""
@@ -306,17 +273,4 @@ class SessionConfig:
         )
 
 
-def _flat_alias(home: str, name: str) -> property:
-    def fget(self: SessionConfig) -> object:
-        return getattr(getattr(self, home), name)
-
-    def fset(self: SessionConfig, value: object) -> None:
-        setattr(getattr(self, home), name, value)
-
-    fget.__name__ = name
-    return property(fget, fset, doc=f"Alias for ``config.{home}.{name}``.")
-
-
-for _name, _home in FLAT_FIELD_HOMES.items():
-    setattr(SessionConfig, _name, _flat_alias(_home, _name))
-del _name, _home, _group_name, _group_cls, _field
+del _group_name, _group_cls, _field

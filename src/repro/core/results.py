@@ -70,11 +70,6 @@ class QueryResult:
         return state
 
     @property
-    def wallclock_ms(self) -> float:
-        """Backwards-compatible alias for :attr:`wall_clock_ms`."""
-        return self.wall_clock_ms
-
-    @property
     def variables(self) -> Sequence[str]:
         return self.relation.columns
 

@@ -175,17 +175,17 @@ class S2RDFSession:
         #: open itself is on the timeline).
         if tracer is not None:
             self.tracer = tracer
-        elif self.config.tracing_enabled:
+        elif self.config.observability.tracing_enabled:
             self.tracer = Tracer(enabled=True)
         else:
             self.tracer = NULL_TRACER
         #: Session-level counters and histograms, aggregated across queries,
         #: appends, compactions and cold opens.
         self.metrics = MetricsRegistry()
-        self.selector = TableSelector(layout, use_extvp=self.config.use_extvp)
+        self.selector = TableSelector(layout, use_extvp=self.config.store.use_extvp)
         self.compiler = QueryCompiler(
             self.selector,
-            optimize_join_order=self.config.optimize_join_order,
+            optimize_join_order=self.config.execution.optimize_join_order,
             tracer=self.tracer,
         )
         #: Executors are *per thread* (instance state like the last physical
@@ -208,7 +208,7 @@ class S2RDFSession:
         #: Ephemeral sessions journal in memory; ``save_dataset`` /
         #: ``open_dataset`` switch to the dataset's persistent ``journal/``.
         self.journal: Optional[QueryJournal] = (
-            QueryJournal() if self.config.journal_enabled else None
+            QueryJournal() if self.config.observability.journal_enabled else None
         )
         #: Manifest append epoch stamped into journal records: ``None`` until
         #: the session touches a stored dataset, then updated only *after*
@@ -235,16 +235,16 @@ class S2RDFSession:
         """This thread's parallel runtime (created on first use per thread)."""
         runtime = getattr(self._thread_runtime, "executor", None)
         if runtime is None:
+            execution = self.config.execution
             runtime = ParallelExecutor(
                 self.layout.catalog,
-                num_partitions=self.config.num_partitions,
-                broadcast_threshold=self.config.broadcast_threshold,
-                adaptive_enabled=self.config.adaptive_enabled,
-                skew_factor=self.config.skew_factor,
+                num_partitions=execution.num_partitions,
+                broadcast_threshold=execution.broadcast_threshold,
+                adaptive_enabled=execution.adaptive_enabled,
+                skew_factor=execution.skew_factor,
                 tracer=self.tracer,
                 metrics_registry=self.metrics,
-                broadcast_memory_limit=self.config.broadcast_memory_limit,
-                worker_pool=self._process_pool,
+                broadcast_memory_limit=execution.broadcast_memory_limit,
             )
             self._thread_runtime.executor = runtime
             with self._runtime_lock:
@@ -265,13 +265,13 @@ class S2RDFSession:
         return runtime
 
     def _process_pool(self):
-        """The partition worker pool, or ``None`` outside process mode.
+        """The worker pool :meth:`serve` ships queries to, or ``None`` outside process mode.
 
         Process mode needs a persisted dataset (workers re-open it read-only);
         an ephemeral session configured with ``execution_mode="process"``
-        silently keeps the thread pool until :meth:`save_dataset` runs.
+        serves on threads until :meth:`save_dataset` runs.
         """
-        if self.config.execution_mode != "process" or self.dataset_path is None:
+        if self.config.execution.execution_mode != "process" or self.dataset_path is None:
             return None
         with self._runtime_lock:
             if self._worker_pool is None:
@@ -279,7 +279,7 @@ class S2RDFSession:
 
                 self._worker_pool = PartitionWorkerPool(
                     self.dataset_path,
-                    num_workers=self.config.worker_processes,
+                    num_workers=self.config.execution.worker_processes,
                     session_knobs=self._worker_session_knobs(),
                 )
             return self._worker_pool
@@ -291,17 +291,17 @@ class S2RDFSession:
         but always run thread mode — process-level parallelism comes from the
         pool itself, never from nesting.
         """
-        config = self.config
+        execution = self.config.execution
         return {
-            "num_partitions": config.num_partitions,
-            "broadcast_threshold": config.broadcast_threshold,
-            "broadcast_memory_limit": config.broadcast_memory_limit,
-            "adaptive_enabled": config.adaptive_enabled,
-            "skew_factor": config.skew_factor,
-            "optimize_join_order": config.optimize_join_order,
-            "use_extvp": config.use_extvp,
-            "work_scale": config.work_scale,
-            "engine": config.engine,
+            "num_partitions": execution.num_partitions,
+            "broadcast_threshold": execution.broadcast_threshold,
+            "broadcast_memory_limit": execution.broadcast_memory_limit,
+            "adaptive_enabled": execution.adaptive_enabled,
+            "skew_factor": execution.skew_factor,
+            "optimize_join_order": execution.optimize_join_order,
+            "use_extvp": self.config.store.use_extvp,
+            "work_scale": execution.work_scale,
+            "engine": execution.engine,
         }
 
     # ------------------------------------------------------------------ #
@@ -319,16 +319,16 @@ class S2RDFSession:
 
         Accepts either a prebuilt :class:`SessionConfig` or any flat session
         knobs (``num_partitions=8, engine="sqlite", ...``) — the factory
-        surface stays flat on purpose; the deprecation of flat names applies
-        only to ``SessionConfig(knob=...)`` construction.
+        surface is flat on purpose (:meth:`SessionConfig.from_flat`).
         """
         if config is not None and knobs:
             raise TypeError("pass either config= or flat knobs, not both")
         if config is None:
             config = SessionConfig.from_flat(**knobs)
+        store = config.store
         layout = ExtVPLayout(
-            selectivity_threshold=config.selectivity_threshold if config.use_extvp else 0.0,
-            include_oo=config.include_oo,
+            selectivity_threshold=store.selectivity_threshold if store.use_extvp else 0.0,
+            include_oo=store.include_oo,
         )
         layout.build(graph)
         return cls(layout, config=config, cost_model=cost_model)
@@ -357,7 +357,10 @@ class S2RDFSession:
         session's ``num_partitions`` so stored buckets line up with the
         runtime's shuffle partitioning.
         """
-        buckets = num_buckets if num_buckets is not None else max(self.config.num_partitions, 1)
+        if num_buckets is not None:
+            buckets = num_buckets
+        else:
+            buckets = max(self.config.execution.num_partitions, 1)
         with self._store_lock.write_locked():
             with self.tracer.span("store.save", category="store", path=path) as span:
                 report = DatasetWriter(num_buckets=buckets).write(
@@ -412,7 +415,9 @@ class S2RDFSession:
         if config is not None and knobs:
             raise TypeError("pass either config= or flat knobs, not both")
         tracing = bool(
-            config.tracing_enabled if config is not None else knobs.get("tracing_enabled", False)
+            config.observability.tracing_enabled
+            if config is not None
+            else knobs.get("tracing_enabled", False)
         )
         tracer = Tracer(enabled=True) if tracing else NULL_TRACER
         with tracer.span("store.open", category="store", path=path) as span:
@@ -448,7 +453,7 @@ class S2RDFSession:
             load_report.load_seconds * 1000.0,
             help="Cold-open latency",
         )
-        if config.execution_mode == "process":
+        if config.execution.execution_mode == "process":
             pool = session._process_pool()
             if pool is not None:
                 pool.start()
@@ -511,7 +516,7 @@ class S2RDFSession:
         threshold = (
             compaction_threshold
             if compaction_threshold is not None
-            else self.config.compaction_threshold
+            else self.config.store.compaction_threshold
         )
         with self._store_lock.write_locked():
             with self.tracer.span("store.compact", category="store") as span:
@@ -651,7 +656,7 @@ class S2RDFSession:
         :class:`~repro.core.results.QueryResult`.
         """
         result, compiled, estimates = self._run(query, capture_estimates=True)
-        if self.config.engine == "sqlite":
+        if self.config.execution.engine == "sqlite":
             # The SQLite engine runs the plan as one statement: observations
             # exist only at the root, and there is no physical join planning.
             node_stats = self.sql_executor.last_node_stats
@@ -753,10 +758,11 @@ class S2RDFSession:
             else:
                 root_estimate = None
 
-            use_sqlite = self.config.engine == "sqlite"
+            execution = self.config.execution
+            use_sqlite = execution.engine == "sqlite"
             metrics = ExecutionMetrics()
             phase_start = time.perf_counter()
-            with self.tracer.span("execute", category="query", engine=self.config.engine):
+            with self.tracer.span("execute", category="query", engine=execution.engine):
                 if use_sqlite:
                     relation = self.sql_executor.execute(compiled.plan, metrics)
                 else:
@@ -771,8 +777,8 @@ class S2RDFSession:
 
             with self.tracer.span("render", category="query"):
                 scaled_metrics = (
-                    metrics.scaled(self.config.work_scale)
-                    if self.config.work_scale != 1.0
+                    metrics.scaled(execution.work_scale)
+                    if execution.work_scale != 1.0
                     else metrics
                 )
                 simulated = self.cost_model.runtime_ms(scaled_metrics)
@@ -800,7 +806,7 @@ class S2RDFSession:
                         if physical is not None
                         else []
                     ),
-                    engine=self.config.engine,
+                    engine=execution.engine,
                     epoch=epoch,
                 )
             root.set(rows=len(relation))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.core.table_selection import TableChoice
-from repro.engine.plan import SubqueryNode
+from repro.engine.ops import SubqueryNode
 from repro.rdf.terms import Term, Variable
 from repro.sparql.algebra import TriplePattern
 

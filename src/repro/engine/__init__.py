@@ -9,8 +9,9 @@ single machine:
   natural join, left outer join, semi join, union, distinct, order by, limit).
 * :class:`~repro.engine.metrics.ExecutionMetrics` — counters (tuples scanned,
   tuples shuffled, join comparisons, stages) collected during execution.
-* :mod:`~repro.engine.plan` — a logical plan layer with a SQL pretty-printer,
-  so the S2RDF compiler genuinely produces "SQL" as in the paper.
+* :mod:`~repro.engine.ops` — a logical plan layer with a SQL pretty-printer,
+  so the S2RDF compiler genuinely produces "SQL" as in the paper;
+  :mod:`~repro.engine.plan` executes it serially.
 * :class:`~repro.engine.catalog.Catalog` — the table store with statistics.
 * :mod:`~repro.engine.storage` — a simulated HDFS namespace with Parquet-like
   size accounting (dictionary + run-length encoding, snappy-style factor).
@@ -27,7 +28,7 @@ single machine:
 from repro.engine.relation import Relation
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.catalog import Catalog, TableStatistics
-from repro.engine.plan import (
+from repro.engine.ops import (
     DistinctNode,
     EmptyNode,
     FilterNode,
@@ -35,13 +36,13 @@ from repro.engine.plan import (
     LimitNode,
     NaturalJoinNode,
     OrderByNode,
-    PlanExecutor,
     PlanNode,
     ProjectNode,
     SubqueryNode,
     TableScanNode,
     UnionNode,
 )
+from repro.engine.plan import PlanExecutor
 from repro.engine.runtime import (
     AdaptivePlanner,
     BroadcastHashJoin,

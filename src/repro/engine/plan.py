@@ -1,9 +1,10 @@
 """Plan execution against a catalog (the native in-process engine).
 
-The plan IR itself lives in :mod:`repro.engine.ops` (and is re-exported here
-for backwards compatibility).  :class:`PlanExecutor` is the serial engine: an
-:class:`~repro.engine.ops.OperationVisitor` whose ``visit_*`` hooks evaluate
-each operator against a :class:`~repro.engine.catalog.Catalog`, recording
+The plan IR itself lives in :mod:`repro.engine.ops`; this module exports
+:class:`PlanExecutor` and :class:`NodeExecution`.  :class:`PlanExecutor` is
+the serial engine: an :class:`~repro.engine.ops.OperationVisitor` whose
+``visit_*`` hooks evaluate each operator against a
+:class:`~repro.engine.catalog.Catalog`, recording
 :class:`~repro.engine.metrics.ExecutionMetrics` and per-node observations for
 ``explain_analyze``.  The partitioned runtime subclasses it and overrides the
 physical join hooks.
@@ -17,30 +18,21 @@ from typing import Any, Dict, Optional
 
 from repro.engine.catalog import Catalog
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.ops import (  # noqa: F401  (re-exported compatibility surface)
+from repro.engine.ops import (
     AggregateNode,
-    AggregateSpec,
-    BinaryOperation,
     DistinctNode,
     EmptyNode,
     FilterNode,
-    LeafOperation,
     LeftOuterJoinNode,
     LimitNode,
     NaturalJoinNode,
     Operation,
     OperationVisitor,
     OrderByNode,
-    PlanNode,
     ProjectNode,
     SubqueryNode,
     TableScanNode,
-    UnaryOperation,
     UnionNode,
-    _indent,
-    _sql_value,
-    count_joins,
-    plan_depth,
 )
 from repro.engine.relation import Relation
 from repro.engine.storage import NULL_ID

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.engine.catalog import Catalog
-from repro.engine.plan import PlanNode
+from repro.engine.ops import PlanNode
 from repro.engine.relation import Relation
 from repro.engine.vectorized import ColumnBatch, PartitionedBatch
 from repro.engine.runtime.partitioned import estimated_bytes

@@ -46,7 +46,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.catalog import Catalog, ScanResult
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.plan import LeftOuterJoinNode, NaturalJoinNode, PlanExecutor, PlanNode
+from repro.engine.ops import LeftOuterJoinNode, NaturalJoinNode, PlanNode
+from repro.engine.plan import PlanExecutor
 from repro.engine.relation import Relation
 from repro.engine.vectorized import ColumnBatch, PartitionedBatch, concat_batches
 from repro.obs.registry import MetricsRegistry
@@ -87,7 +88,7 @@ class ParallelExecutor(PlanExecutor):
     operator inline; otherwise the planned strategy — revised from observed
     sizes under AQE, then checked against the broadcast memory guard — picks
     the broadcast or shuffle exchange, whose partition tasks go to the thread
-    pool (created on first use) or, in process mode, to the worker pool.
+    pool (created on first use).
     """
 
     def __init__(
@@ -101,7 +102,6 @@ class ParallelExecutor(PlanExecutor):
         tracer: Optional[Tracer] = None,
         metrics_registry: Optional[MetricsRegistry] = None,
         broadcast_memory_limit: int = DEFAULT_BROADCAST_MEMORY_LIMIT,
-        worker_pool: Optional[Callable[[], Optional[object]]] = None,
     ) -> None:
         super().__init__(catalog, tracer=tracer, metrics_registry=metrics_registry)
         if num_partitions < 1:
@@ -129,11 +129,6 @@ class ParallelExecutor(PlanExecutor):
             if adaptive_enabled
             else None
         )
-        #: Late-bound provider of a :class:`~repro.serve.workers.PartitionWorkerPool`
-        #: (or ``None``).  A provider rather than a pool: the owning session
-        #: only has a pool once a dataset is attached, and process mode falls
-        #: back to the thread pool until then.
-        self._worker_pool_provider = worker_pool
 
     @property
     def adaptive_enabled(self) -> bool:
@@ -302,8 +297,8 @@ class ParallelExecutor(PlanExecutor):
         """Why the *observed* inputs run on the calling thread, or ``None``.
 
         Checked at the materialisation boundary in every mode (adaptive or
-        not, thread or process): cross joins (no shared keys) cannot be
-        hash-partitioned, an empty side makes the join trivial, and below
+        not): cross joins (no shared keys) cannot be hash-partitioned, an
+        empty side makes the join trivial, and below
         :data:`~repro.engine.runtime.strategies.SMALL_JOIN_ROWS` any exchange
         costs more than the join — none of them builds a
         :class:`PartitionedRelation`, submits a pool task or merges.
@@ -375,12 +370,7 @@ class ParallelExecutor(PlanExecutor):
                     task_span.set(rows=len(joined))
                 return joined, scratch.join_comparisons, (time.perf_counter() - start) * 1000.0
 
-            pool = self._remote_pool()
-            if pool is not None:
-                exchange_span.event("process-dispatch", tasks=len(pairs))
-                results = self._remote_join_tasks(pool, pairs, outer=outer)
-            else:
-                results = self._run_tasks(task, list(enumerate(pairs)))
+            results = self._run_tasks(task, list(enumerate(pairs)))
             shuffled = (0 if left_aligned else left_parts.estimated_bytes()) + (
                 0 if right_aligned else right_parts.estimated_bytes()
             )
@@ -456,19 +446,7 @@ class ParallelExecutor(PlanExecutor):
                     task_span.set(rows=len(joined))
                 return joined, scratch.join_comparisons, (time.perf_counter() - start) * 1000.0
 
-            pool = self._remote_pool()
-            if pool is not None:
-                # Arrange each pair so the worker's ``left op right`` matches
-                # the thread task above: the build side leads only for a
-                # non-outer build-left join (column order is left-first).
-                if build_left and not outer:
-                    ordered = [(build, probe_part) for probe_part in probe_parts.partitions]
-                else:
-                    ordered = [(probe_part, build) for probe_part in probe_parts.partitions]
-                exchange_span.event("process-dispatch", tasks=len(ordered))
-                results = self._remote_join_tasks(pool, ordered, outer=outer)
-            else:
-                results = self._run_tasks(task, list(enumerate(probe_parts.partitions)))
+            results = self._run_tasks(task, list(enumerate(probe_parts.partitions)))
             broadcast = estimated_bytes(build) * probe_parts.num_partitions
             metrics.record_broadcast(broadcast, tasks=len(results))
             exchange_span.set(transferred_bytes=broadcast, tasks=len(results))
@@ -478,38 +456,6 @@ class ParallelExecutor(PlanExecutor):
             return self._merge(plan, left, right, results, metrics)
 
     # ------------------------------------------------------------------ #
-    def _remote_pool(self):
-        """The partition worker pool, when the session runs in process mode."""
-        if self._worker_pool_provider is None:
-            return None
-        return self._worker_pool_provider()
-
-    def _remote_join_tasks(self, pool, pairs: List[Tuple], outer: bool) -> List[_TaskResult]:
-        """Ship co-partitioned join pairs to the process worker pool.
-
-        Inputs are serialized per pair — id batches as their flat ``array``
-        columns (8 bytes/value, the cheap case this mode exists for), row
-        relations as tuples of frozen terms.  The dictionary decoder never
-        crosses the boundary: workers join raw ids and the parent re-attaches
-        ``decode`` to returned batches.
-        """
-        from repro.serve.workers import pack_input
-
-        tasks = [
-            {"left": pack_input(left_part), "right": pack_input(right_part), "outer": outer}
-            for left_part, right_part in pairs
-        ]
-        decode = next(
-            (
-                side.decode
-                for pair in pairs
-                for side in pair
-                if isinstance(side, ColumnBatch)
-            ),
-            None,
-        )
-        return pool.run_join_tasks(tasks, decode=decode)
-
     def _run_tasks(self, task: Callable, items: List) -> List[_TaskResult]:
         if self._pool is None:
             self._pool = ThreadPoolExecutor(

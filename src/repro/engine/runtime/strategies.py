@@ -6,10 +6,10 @@ join per join operator: when one side's estimated size is below
 shipped whole to every executor and no shuffle of the large side is needed;
 otherwise both sides are re-partitioned on the join keys.  This module
 reproduces that decision for the logical plans of
-:mod:`repro.engine.plan`: :func:`plan_join_strategies` walks a plan bottom-up,
+:mod:`repro.engine.ops`: :func:`plan_join_strategies` walks a plan bottom-up,
 estimates per-operator cardinalities from catalog statistics and annotates
-every :class:`~repro.engine.plan.NaturalJoinNode` /
-:class:`~repro.engine.plan.LeftOuterJoinNode` with a
+every :class:`~repro.engine.ops.NaturalJoinNode` /
+:class:`~repro.engine.ops.LeftOuterJoinNode` with a
 :class:`ShuffleHashJoin`, :class:`BroadcastHashJoin` or — when both inputs
 together are under :data:`SMALL_JOIN_ROWS` — :class:`SerialJoin` decision: at
 that size any exchange costs more than the join it feeds.

@@ -430,7 +430,7 @@ class QueryJournal:
     including those written by previous sessions — in order.
 
     The append path is deliberately cheap — it runs once per executed query
-    and is guarded by :mod:`repro.bench.obs_overhead`: records serialize
+    (the suite's ``obs.journal_overhead_share`` measures it): records serialize
     sparsely (defaults omitted, lines hand-assembled), the template *text* is
     stored once per fingerprint in a ``templates.jsonl`` sidecar rather than
     on every line, and the journal file is flushed every

@@ -1,4 +1,4 @@
-"""Concurrent serving: process partition workers + the async query scheduler.
+"""Concurrent serving: process query workers + the async query scheduler.
 
 ``repro.serve`` turns a single-query session into a small query server:
 

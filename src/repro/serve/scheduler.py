@@ -317,7 +317,8 @@ class QueryScheduler:
         """
         catalog = self.session.layout.catalog
         if tables is None:
-            threshold_rows = self.session.config.broadcast_threshold // (2 * BYTES_PER_VALUE)
+            threshold = self.session.config.execution.broadcast_threshold
+            threshold_rows = threshold // (2 * BYTES_PER_VALUE)
             tables = [
                 name
                 for name, statistics in catalog._statistics.items()

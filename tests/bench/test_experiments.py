@@ -6,7 +6,6 @@ import pytest
 from repro.bench import (
     run_join_order_ablation,
     run_oo_correlation_ablation,
-    run_sql_backend,
     run_table2_load,
     run_table3_selectivity,
     run_table4_basic,
@@ -168,98 +167,3 @@ class TestAblations:
         assert oo is not None and os_row is not None
         # OO correlations reduce less than OS correlations on average.
         assert oo["mean_selectivity"] >= os_row["mean_selectivity"] - 0.05
-
-
-class TestPersistence:
-    @pytest.fixture(scope="class")
-    def report(self, dataset, tmp_path_factory):
-        from repro.bench import run_persistence
-
-        return run_persistence(
-            dataset=dataset,
-            path=str(tmp_path_factory.mktemp("persistence") / "dataset"),
-            template_names=("L1", "S3", "F3", "C2"),
-        )
-
-    def test_steps_present(self, report):
-        for step in (
-            "rebuild (VP + ExtVP build)",
-            "save_dataset",
-            "cold open_dataset",
-            "result equivalence",
-            "zone-map-pruned scan",
-            "partition-aligned joins",
-        ):
-            assert report.row_for(step=step) is not None, step
-
-    def test_cold_open_skips_rebuild(self, report):
-        cold = report.row_for(step="cold open_dataset")
-        assert "no parse/rebuild" in cold["detail"]
-        assert cold["seconds"] > 0
-
-    def test_results_agree(self, report):
-        assert "0 mismatches" in report.row_for(step="result equivalence")["detail"]
-
-    def test_at_least_one_segment_pruned(self, report):
-        detail = report.row_for(step="zone-map-pruned scan")["detail"]
-        assert "segments pruned" in detail
-        assert not detail.startswith("no prunable")
-
-    def test_aligned_joins_observed(self, report):
-        detail = report.row_for(step="partition-aligned joins")["detail"]
-        assert not detail.startswith("0 join inputs")
-
-
-class TestPartitionScaling:
-    @pytest.fixture(scope="class")
-    def report(self, dataset):
-        from repro.bench import run_partition_scaling
-
-        # instantiations=3 keeps the per-join work large enough that the
-        # critical-path comparison below measures parallel scaling rather
-        # than sub-0.1ms scheduling noise on a loaded CI machine.
-        return run_partition_scaling(
-            dataset=dataset,
-            partition_counts=(1, 2, 8),
-            template_names=("L3", "S3", "F5", "C3"),
-            instantiations=3,
-        )
-
-    def test_rows_and_baseline(self, report):
-        assert report.column("partitions") == [1, 2, 8]
-        assert report.row_for(partitions=1)["speedup"] == 1
-        assert report.row_for(partitions=1)["shuffled_bytes"] == 0
-
-    def test_partitioned_rows_record_exchange_volume(self, report):
-        for partitions in (2, 8):
-            row = report.row_for(partitions=partitions)
-            assert row["shuffled_bytes"] > 0
-            assert row["critical_path_ms"] > 0
-
-    def test_critical_path_shrinks_with_partitions(self, report):
-        serial = report.row_for(partitions=1)["critical_path_ms"]
-        eight = report.row_for(partitions=8)["critical_path_ms"]
-        assert eight < serial
-
-
-class TestSqlBackend:
-    @pytest.fixture(scope="class")
-    def report(self, dataset):
-        return run_sql_backend(dataset=dataset, repeats=1)
-
-    def test_every_basic_query_present(self, report):
-        assert len(report) == 20
-        assert report.row_for(query="L1") is not None
-
-    def test_equality_asserted_and_totals_stashed(self, report):
-        assert report.stash["mismatches"] == 0
-        assert report.stash["queries"] == 20
-        assert report.stash["total_native_ms"] > 0
-        assert report.stash["total_sqlite_ms"] > 0
-
-    def test_machine_readable_shape(self, report):
-        payload = report.as_dict()
-        assert "native_ms" in payload["timings"] and "sqlite_ms" in payload["timings"]
-        assert "rows" in payload["counters"]
-        # The noisy speedup ratio must stay out of the gated counters.
-        assert "speedup" not in payload["counters"]

@@ -49,7 +49,7 @@ def test_connect_accepts_config_object(tmp_path):
         observability=repro.ObservabilityConfig(journal_enabled=False),
     )
     with repro.connect(path, config=config) as session:
-        assert session.config.num_partitions == 2
+        assert session.config.execution.num_partitions == 2
         assert len(session.query(QUERY)) == 2
 
 

@@ -5,7 +5,8 @@ import pytest
 from repro.core.bgp import compile_bgp
 from repro.core.table_selection import TableSelector
 from repro.core.translation import triple_pattern_to_subquery
-from repro.engine.plan import EmptyNode, NaturalJoinNode, PlanExecutor, SubqueryNode, count_joins
+from repro.engine.ops import EmptyNode, NaturalJoinNode, SubqueryNode, count_joins
+from repro.engine.plan import PlanExecutor
 from repro.mappings.extvp import ExtVPLayout
 from repro.rdf.terms import IRI, Variable
 from repro.sparql.algebra import BGP, TriplePattern
@@ -265,6 +266,6 @@ class TestCompiledQueryStaticallyEmpty:
 
     def test_no_bgps_is_not_statically_empty(self):
         from repro.core.compiler import CompiledQuery
-        from repro.engine.plan import EmptyNode
+        from repro.engine.ops import EmptyNode
 
         assert not CompiledQuery(plan=EmptyNode()).statically_empty

@@ -1,11 +1,10 @@
-"""SessionConfig split: grouped construction, flat aliases, the deprecation
-surface and construction-time validation."""
+"""SessionConfig split: grouped construction, the flat keyword mapper and
+construction-time validation."""
 
 import pytest
 
 from repro.core.config import (
     FLAT_FIELD_HOMES,
-    LEGACY_FLAT_FIELDS,
     VALID_ADMISSION_POLICIES,
     VALID_ENGINES,
     VALID_EXECUTION_MODES,
@@ -25,20 +24,8 @@ GROUPS = {
 
 
 # --------------------------------------------------------------------------- #
-# Audit: every historical flat knob has exactly one nested home
+# Audit: every flat knob name has exactly one nested home
 # --------------------------------------------------------------------------- #
-def test_every_legacy_flat_field_has_exactly_one_home():
-    from dataclasses import fields
-
-    for name in LEGACY_FLAT_FIELDS:
-        homes = [
-            group_name
-            for group_name, group_cls in GROUPS.items()
-            if name in {f.name for f in fields(group_cls)}
-        ]
-        assert homes == [FLAT_FIELD_HOMES[name]], name
-
-
 def test_flat_field_homes_covers_all_group_fields_and_nothing_else():
     from dataclasses import fields
 
@@ -48,9 +35,6 @@ def test_flat_field_homes_covers_all_group_fields_and_nothing_else():
         for field in fields(group_cls)
     }
     assert FLAT_FIELD_HOMES == expected
-    # The legacy list is a strict subset: new knobs (execution_mode, ...) are
-    # flat-addressable too, but only pre-split knobs are documented as legacy.
-    assert set(LEGACY_FLAT_FIELDS) <= set(FLAT_FIELD_HOMES)
 
 
 # --------------------------------------------------------------------------- #
@@ -68,29 +52,10 @@ def test_grouped_construction_is_silent_and_applies():
     assert config.observability == ObservabilityConfig()
 
 
-def test_flat_constructor_kwargs_warn_and_apply():
-    with pytest.warns(DeprecationWarning, match="flat SessionConfig knob 'num_partitions'"):
-        config = SessionConfig(num_partitions=8)
-    assert config.execution.num_partitions == 8
-    # The warning names the new spelling.
-    with pytest.warns(DeprecationWarning, match="ExecutionConfig"):
-        SessionConfig(engine="sqlite")
-
-
-def test_flat_aliases_read_and_write_silently():
-    import warnings
-
-    config = SessionConfig()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        config.num_partitions = 6
-        config.tracing_enabled = True
-        config.max_concurrent_queries = 9
-        assert config.num_partitions == 6
-        assert config.selectivity_threshold == 1.0
-    assert config.execution.num_partitions == 6
-    assert config.observability.tracing_enabled is True
-    assert config.serving.max_concurrent_queries == 9
+def test_flat_constructor_kwargs_are_refused_naming_the_group():
+    with pytest.raises(TypeError, match=r"execution=ExecutionConfig\(num_partitions="):
+        SessionConfig(num_partitions=8)
+    assert not hasattr(SessionConfig(), "num_partitions")
 
 
 def test_from_flat_is_silent_and_rejects_unknown_knobs():
@@ -143,12 +108,9 @@ def test_groups_validate_at_construction(group_cls, kwargs, message):
 def test_flat_spellings_validate_too():
     with pytest.raises(ValueError, match="unknown engine"):
         SessionConfig.from_flat(engine="spark")
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError, match="num_partitions"):
-            SessionConfig(num_partitions=-1)
-    # Alias writes re-validate on demand via validate().
+    # Writes to a group re-validate on demand via validate().
     config = SessionConfig()
-    config.num_partitions = -1
+    config.execution.num_partitions = -1
     with pytest.raises(ValueError, match="num_partitions"):
         config.validate()
 

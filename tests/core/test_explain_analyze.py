@@ -159,8 +159,6 @@ def test_query_result_phase_timings_without_tracing(session):
     assert result.wall_clock_ms > 0.0
     # Phases partition the measured wall clock (render overhead excluded).
     assert sum(result.phase_ms.values()) <= result.wall_clock_ms + 1e-6
-    # Backwards-compatible alias.
-    assert result.wallclock_ms == result.wall_clock_ms
 
 
 # --------------------------------------------------------------------------- #

@@ -49,7 +49,7 @@ class TestRunningExample:
         assert result.metrics.joins == 3
         assert result.metrics.input_tuples > 0
         assert result.simulated_runtime_ms > 0
-        assert result.wallclock_ms >= 0
+        assert result.wall_clock_ms >= 0
 
     def test_statistics_short_circuit(self, session):
         result = session.query("SELECT * WHERE { ?a <likes> ?b . ?b <likes> ?c }")
@@ -187,11 +187,11 @@ class TestAggregateQueries:
         result = agg_session.query(
             "SELECT ?x (COUNT(?y) AS ?n) WHERE { ?x <follows> ?y } GROUP BY ?x"
         )
-        assert result.engine == agg_session.config.engine
+        assert result.engine == agg_session.config.execution.engine
         analyzed = agg_session.explain_analyze(
             "SELECT ?x (COUNT(?y) AS ?n) WHERE { ?x <follows> ?y } GROUP BY ?x"
         )
-        assert f"Engine: {agg_session.config.engine}" in analyzed.text
+        assert f"Engine: {agg_session.config.execution.engine}" in analyzed.text
 
 
 class TestSessionConstruction:

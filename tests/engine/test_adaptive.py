@@ -15,14 +15,14 @@ import pytest
 from repro.core.session import S2RDFSession
 from repro.engine.catalog import Catalog
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.plan import (
+from repro.engine.ops import (
     LeftOuterJoinNode,
     LimitNode,
     NaturalJoinNode,
-    PlanExecutor,
     SubqueryNode,
     TableScanNode,
 )
+from repro.engine.plan import PlanExecutor
 from repro.engine.relation import Partitioning, Relation
 from repro.engine.runtime import (
     UNKNOWN_ROWS,

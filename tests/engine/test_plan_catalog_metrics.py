@@ -11,7 +11,7 @@ from repro.engine.cluster import (
     SparkCostModel,
 )
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.plan import (
+from repro.engine.ops import (
     DistinctNode,
     EmptyNode,
     FilterNode,
@@ -19,7 +19,6 @@ from repro.engine.plan import (
     LimitNode,
     NaturalJoinNode,
     OrderByNode,
-    PlanExecutor,
     ProjectNode,
     SubqueryNode,
     TableScanNode,
@@ -27,6 +26,7 @@ from repro.engine.plan import (
     count_joins,
     plan_depth,
 )
+from repro.engine.plan import PlanExecutor
 from repro.engine.relation import Relation
 from repro.rdf.terms import IRI, Literal, Variable
 from repro.sparql.expressions import Comparison, TermExpression, VariableExpression

@@ -4,13 +4,8 @@ import pytest
 
 from repro.engine.catalog import Catalog
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.plan import (
-    LeftOuterJoinNode,
-    NaturalJoinNode,
-    PlanExecutor,
-    SubqueryNode,
-    TableScanNode,
-)
+from repro.engine.ops import LeftOuterJoinNode, NaturalJoinNode, SubqueryNode, TableScanNode
+from repro.engine.plan import PlanExecutor
 from repro.engine.relation import Relation
 from repro.engine.runtime import (
     BroadcastHashJoin,

@@ -12,11 +12,11 @@ adaptive, the stored native path — id batches over a persisted dataset
 that carries pending (uncompacted) delta segments from an incremental
 append, traced — directly and through ``serve()``, the sqlite SQL-lowering
 backend (both over the warm catalog and over the delta-carrying stored
-dataset), the stored dataset executed with ``execution_mode="process"`` —
-join tasks dispatched to partition worker processes, and whole queries
-shipped to them by ``serve()`` — and, for every plain BGP, an oracle that
-shares nothing with the engine but the parser: index nested loops over the
-graph (:func:`repro.baselines.binding_iteration.index_nested_loop_execute`).
+dataset), the stored dataset served with ``execution_mode="process"`` —
+whole queries shipped to worker processes by ``serve()`` — and, for every
+plain BGP, an oracle that shares nothing with the engine but the parser:
+index nested loops over the graph
+(:func:`repro.baselines.binding_iteration.index_nested_loop_execute`).
 
 Both halves run on both sides of the runtime's small-join bound
 (``strategies.SMALL_JOIN_ROWS``): at the default, where nearly every join of
@@ -31,7 +31,8 @@ from repro.baselines.base import SparqlEngine, UnsupportedQueryError
 from repro.baselines.binding_iteration import index_nested_loop_execute
 from repro.core.session import S2RDFSession, SessionConfig
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.plan import PlanExecutor, count_joins
+from repro.engine.ops import count_joins
+from repro.engine.plan import PlanExecutor
 from repro.engine.runtime import ParallelExecutor, estimate_rows, plan_join_strategies, strategies
 from repro.engine.runtime.partitioned import BYTES_PER_VALUE
 from repro.engine.sql import SqliteExecutor
@@ -321,14 +322,13 @@ def differential_setup(small_dataset, tmp_path_factory):
     # full session over the delta-carrying stored dataset.
     sqlite_executor = SqliteExecutor(warm.layout.catalog)
     stored_sql = S2RDFSession.open_dataset(path, engine="sqlite")
-    # Process-based partition workers over the same delta-carrying dataset:
-    # co-partitioned join tasks execute in separate worker processes and ship
-    # packed id batches back over the wire; its scheduler ships whole queries.
+    # Process workers over the same delta-carrying dataset: the scheduler
+    # ships whole queries to them.
     stored_proc = S2RDFSession.open_dataset(path, execution_mode="process", worker_processes=2)
     served = stored.serve()
     served_proc = stored_proc.serve()
 
-    yield warm, graph, stored, sqlite_executor, stored_sql, stored_proc, served, served_proc
+    yield warm, graph, stored, sqlite_executor, stored_sql, served, served_proc
     served.close()
     served_proc.close()
     sqlite_executor.close()
@@ -359,13 +359,11 @@ def test_differential_equivalence_across_execution_modes(
     differential_setup, seed, small_join_rows, monkeypatch
 ):
     """Serial, parallel-static, parallel-adaptive, stored native (direct and
-    served), sqlite and process-worker execution (direct and served) must
-    agree on the bag of rows for every generated query, on both sides of the
-    small-join bound; plain BGPs must also agree with the graph oracle."""
+    served), sqlite and served process-worker execution must agree on the bag
+    of rows for every generated query, on both sides of the small-join bound;
+    plain BGPs must also agree with the graph oracle."""
     monkeypatch.setattr(strategies, "SMALL_JOIN_ROWS", small_join_rows)
-    (warm, graph, stored, sqlite_executor, stored_sql, stored_proc, served, served_proc) = (
-        differential_setup
-    )
+    warm, graph, stored, sqlite_executor, stored_sql, served, served_proc = differential_setup
     generator = RandomQueryGenerator(_graph_view(warm), seed)
     catalog = warm.layout.catalog
     # Six random shapes, then one plain BGP so the oracle never sits a seed out.
@@ -399,7 +397,6 @@ def test_differential_equivalence_across_execution_modes(
         for label, run in (
             ("stored-native", stored.query),
             ("stored-sqlite", stored_sql.query),
-            ("stored-process", stored_proc.query),
             ("served", lambda text: served.submit(text).result(timeout=60)),
             ("served-process", lambda text: served_proc.submit(text).result(timeout=60)),
         ):

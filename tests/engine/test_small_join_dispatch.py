@@ -10,7 +10,8 @@ import pytest
 from repro.core.session import S2RDFSession
 from repro.engine.catalog import Catalog
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.plan import LeftOuterJoinNode, NaturalJoinNode, PlanExecutor, SubqueryNode
+from repro.engine.ops import LeftOuterJoinNode, NaturalJoinNode, SubqueryNode
+from repro.engine.plan import PlanExecutor
 from repro.engine.relation import Relation
 from repro.engine.runtime import ParallelExecutor, SerialJoin, plan_join_strategies, strategies
 from repro.rdf.graph import Graph
@@ -106,19 +107,9 @@ def test_below_bound_query_starts_no_runtime_thread():
     assert all("SerialJoin" in s and "small input" in s for s in result.join_strategies)
 
 
-def test_below_bound_join_never_reaches_the_process_pool():
-    def pool_must_not_be_asked():
-        raise AssertionError("a small join asked for the process worker pool")
-
-    catalog = catalog_with(40, 20)
-    catalog.remove_statistics("follows")  # planned as an exchange, observed small
-    plan = join_plan()
-    reference = PlanExecutor(catalog).execute(plan, ExecutionMetrics())
-    result, metrics, physical, _ = run(catalog, plan, worker_pool=pool_must_not_be_asked)
-    assert bag(result) == bag(reference)
-    (executed,) = physical.executed_strategies()
-    assert isinstance(executed, SerialJoin) and executed.reason == "small input"
-    assert metrics.parallel_tasks == 0
+def test_executor_takes_no_worker_pool():
+    with pytest.raises(TypeError, match="worker_pool"):
+        ParallelExecutor(catalog_with(1, 1), worker_pool=lambda: None)
 
 
 def test_planned_exchange_observed_small_is_inlined_without_a_replan_count():

@@ -1,67 +1,17 @@
-"""Partition worker pool: wire format, join/scan/query tasks and epoch
-refresh inside the workers."""
-
-from array import array
+"""Worker pool: scan/query tasks and epoch refresh inside the workers."""
 
 import pytest
 
 from repro.core.session import S2RDFSession
-from repro.engine.relation import Relation
-from repro.engine.vectorized import ColumnBatch
 from repro.rdf.graph import Graph
 from repro.rdf.triple import Triple
-from repro.serve.workers import (
-    PartitionWorkerPool,
-    pack_input,
-    unpack_input,
-)
+from repro.serve.workers import PartitionWorkerPool
 
 
 def bag(relation):
     return sorted(map(repr, relation.rows))
 
 
-# --------------------------------------------------------------------------- #
-# Wire format
-# --------------------------------------------------------------------------- #
-def test_relation_roundtrip():
-    relation = Relation(("a", "b"), [(1, 2), (3, 4)])
-    rebuilt = unpack_input(pack_input(relation))
-    assert isinstance(rebuilt, Relation)
-    assert rebuilt.columns == relation.columns
-    assert bag(rebuilt) == bag(relation)
-
-
-def test_batch_roundtrip_reattaches_decoder():
-    batch = ColumnBatch(
-        ("a", "b"),
-        [array("q", [1, 2, 3]), array("q", [4, 5, 6])],
-        decode=lambda id_: f"term{id_}",
-        selection=[0, 2],
-    )
-    packed = pack_input(batch)
-    rebuilt = unpack_input(packed, decode=lambda id_: f"term{id_}")
-    assert isinstance(rebuilt, ColumnBatch)
-    assert rebuilt.columns == batch.columns
-    assert list(rebuilt.selection) == [0, 2]
-    assert bag(rebuilt.to_relation()) == bag(batch.to_relation())
-
-
-def test_batch_without_decoder_poisons_decode():
-    batch = ColumnBatch(("a",), [array("q", [7])], decode=lambda id_: id_)
-    rebuilt = unpack_input(pack_input(batch))
-    with pytest.raises(RuntimeError, match="without a decoder"):
-        rebuilt.decode(7)
-
-
-def test_pack_input_rejects_foreign_types():
-    with pytest.raises(TypeError, match="cannot ship"):
-        pack_input({"not": "shippable"})
-
-
-# --------------------------------------------------------------------------- #
-# The pool
-# --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def stored(tmp_path_factory):
     graph = Graph(
@@ -77,37 +27,10 @@ def stored(tmp_path_factory):
     session.close()
 
 
-def test_join_tasks_without_dataset_act_as_compute_pool():
-    left = Relation(("a", "b"), [(1, 10), (2, 20)])
-    right = Relation(("b", "c"), [(10, 100), (20, 200), (30, 300)])
-    with PartitionWorkerPool(num_workers=2) as pool:
-        ((joined, comparisons, elapsed_ms),) = pool.run_join_tasks(
-            [{"left": pack_input(left), "right": pack_input(right), "outer": False}]
-        )
-        assert bag(joined) == bag(left.natural_join(right))
-        assert comparisons > 0
-        assert elapsed_ms >= 0.0
-        # Outer joins preserve the unmatched left row.
-        wider = Relation(("a", "b"), [(1, 10), (9, 99)])
-        ((outer, _, _),) = pool.run_join_tasks(
-            [{"left": pack_input(wider), "right": pack_input(right), "outer": True}]
-        )
-        assert len(outer.rows) == 2
-
-
 def test_scan_and_query_tasks_require_dataset():
-    with PartitionWorkerPool(num_workers=1) as pool:
-        with pytest.raises(RuntimeError, match="without a dataset path"):
-            pool.scan_table("triples")
-
-
-def test_scan_task_runs_in_worker(stored):
-    path, session = stored
-    with PartitionWorkerPool(dataset_path=path, num_workers=1) as pool:
-        out = pool.scan_table("triples", epoch=session._journal_epoch)
-        assert out["rows_scanned"] == 40
-        assert out["epoch"] == session._journal_epoch
-        assert len(out["relation"].rows) == 40
+    """Both task kinds open the dataset, so the pool cannot be built without one."""
+    with pytest.raises(TypeError, match="dataset_path"):
+        PartitionWorkerPool(num_workers=1)
 
 
 def test_query_task_matches_parent_session(stored):
@@ -120,6 +43,29 @@ def test_query_task_matches_parent_session(stored):
         assert outcome["epoch"] == session._journal_epoch
         assert outcome["fingerprint"]
         assert outcome["observed"]  # the worker observed real cardinalities
+
+
+def test_direct_query_on_a_process_session_submits_nothing(
+    stored, force_partitioned_joins, monkeypatch
+):
+    """Process mode is where ``serve()`` runs queries: a direct ``query()``
+    runs its partitioned joins on the session's own threads."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    path, thread_session = stored
+    query = "SELECT * WHERE { ?a <follows> ?b . ?b <likes> ?w }"
+    with S2RDFSession.open_dataset(
+        path, execution_mode="process", worker_processes=1, journal_enabled=False
+    ) as session:
+        assert session._worker_pool.started
+
+        def must_not_submit(self, *args, **kwargs):
+            raise AssertionError("a direct query() submitted a task to the worker pool")
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", must_not_submit)
+        result = session.query(query)
+        assert result.metrics.parallel_tasks > 0  # the joins did take the exchange
+    assert bag(result.relation) == bag(thread_session.query(query).relation)
 
 
 def test_query_task_parses_the_text_once(stored, monkeypatch):
@@ -227,11 +173,8 @@ def test_prewarm_reads_id_columns_and_decodes_no_term(stored, monkeypatch):
     del decoded[:]
     workers._worker_init(path, {})
     try:
-        warmed = workers._run_scan_task({"table": "triples", "return_rows": False})
-        assert "relation" not in warmed and decoded == []
-        shipped = workers._run_scan_task({"table": "triples"})
-        assert len(unpack_input(shipped.pop("relation")).rows) == 40 and decoded
-        assert warmed == shipped  # same counters, same epoch
+        warmed = workers._run_scan_task({"table": "triples"})
+        assert warmed["rows_scanned"] == 40 and decoded == []
     finally:
         if workers._WORKER_SESSION is not None:
             workers._WORKER_SESSION.close()

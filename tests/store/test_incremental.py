@@ -615,7 +615,8 @@ class TestFormatVersion:
 def suite_store(tmp_path_factory):
     """The repo benchmark's store in miniature: WatDiv at scale factor 3 on 2
     buckets (~1 000 tables), with the triples of the last tenth of the Review
-    entities held out as one entity-centric append batch."""
+    entities held out as one entity-centric append batch.  Also returns the
+    bytes the full build wrote."""
     from repro.watdiv import EntityClass, entity_iri, generate_dataset
 
     dataset = generate_dataset(scale_factor=3.0, seed=42)
@@ -626,8 +627,8 @@ def suite_store(tmp_path_factory):
         is_held_out = triple.subject in held_out or triple.object in held_out
         (batch if is_held_out else stored).append(triple)
     path = str(tmp_path_factory.mktemp("suite-shaped") / "store")
-    S2RDFSession.from_graph(Graph(stored), num_partitions=2).save_dataset(path)
-    return path, batch
+    saved = S2RDFSession.from_graph(Graph(stored), num_partitions=2).save_dataset(path)
+    return path, batch, saved.total_bytes
 
 
 def store_files(path):
@@ -661,7 +662,7 @@ class TestResidentState:
         import repro.store.reader as reader_mod
         import repro.store.writer as writer_mod
 
-        source, review_batch = suite_store
+        source, review_batch, rebuild_bytes = suite_store
         path = str(tmp_path / "store")
         shutil.copytree(source, path)
         session = S2RDFSession.open_dataset(path)
@@ -695,6 +696,9 @@ class TestResidentState:
             del registered[:]
             report = session.append_triples(review_batch)
             assert report.triples_appended == len(review_batch) > 30
+            # Appends write deltas; a rebuild rewrites every segment and the
+            # dictionary (and would be of a larger graph than this one).
+            assert report.bytes_written * 5 < rebuild_bytes
             assert manifest_reads == []
             assert sorted(call[0] for call in registered) == report.touched_tables
             assert 0 < len(registered) < 200 < table_count
