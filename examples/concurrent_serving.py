@@ -37,8 +37,7 @@ def main() -> None:
         path = f"{root}/social"
         repro.create(build_graph(), path=path, num_partitions=2).close()
 
-        # Thread-pool execution keeps the example instant; open with
-        # execution_mode="process" to serve queries on separate cores.
+        # Thread mode first: queries run on the session's own threads.
         with repro.connect(path, journal_enabled=False) as session:
             with session.serve() as scheduler:
                 # Submit a burst: 20 queries, duplicates included.  Handles
@@ -63,6 +62,21 @@ def main() -> None:
                 assert stats["completed"] > 0
                 # Duplicate texts at the same dataset epoch coalesced.
                 assert any(handle.shared for handle in handles)
+
+        # The same dataset on process workers: each query crosses one pipe to
+        # a worker process and back; the handle says what that hop cost.
+        with repro.connect(
+            path, execution_mode="process", worker_processes=2, journal_enabled=False
+        ) as session:
+            with session.serve() as scheduler:
+                handles = [scheduler.submit(query) for query in QUERIES]
+                for handle in handles:
+                    rows = len(handle.result(timeout=60))
+                    print(
+                        f"worker query: {rows:3d} rows, queue {handle.queue_ms:.2f} ms, "
+                        f"hop {handle.dispatch_ms:.2f} ms"
+                    )
+                assert all(handle.dispatch_ms is not None for handle in handles)
     print("\nOK: burst served; duplicate in-flight queries shared one execution")
 
 

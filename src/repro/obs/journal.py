@@ -265,6 +265,10 @@ class JournalRecord:
     #: queue before execution started; ``None`` (omitted) for queries that
     #: never passed through a scheduler.
     queue_ms: Optional[float] = None
+    #: Milliseconds the hop to a process worker cost (round trip seen by the
+    #: scheduler minus the worker's task time); ``None`` (omitted) for
+    #: queries that ran in the scheduler's own process.
+    dispatch_ms: Optional[float] = None
 
     def to_json(self, include_template: bool = True) -> Dict[str, Any]:
         """Sparse JSON form: default/empty fields are omitted entirely.
@@ -313,6 +317,8 @@ class JournalRecord:
             data["engine"] = self.engine
         if self.queue_ms is not None:
             data["queue_ms"] = round(self.queue_ms, 3)
+        if self.dispatch_ms is not None:
+            data["dispatch_ms"] = round(self.dispatch_ms, 3)
         return data
 
     def to_json_line(self, include_template: bool = True) -> str:
@@ -374,6 +380,8 @@ class JournalRecord:
             line += ',"engine":"%s"' % _safe_key(self.engine)
         if self.queue_ms is not None:
             line += ',"queue_ms":%.3f' % self.queue_ms
+            if self.dispatch_ms is not None:  # only served queries have a hop
+                line += ',"dispatch_ms":%.3f' % self.dispatch_ms
         return line + "}"
 
     @classmethod
@@ -399,6 +407,7 @@ class JournalRecord:
             statically_empty=data.get("statically_empty", False),
             engine=data.get("engine", "native"),
             queue_ms=data.get("queue_ms"),
+            dispatch_ms=data.get("dispatch_ms"),
         )
 
 

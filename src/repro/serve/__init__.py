@@ -17,11 +17,12 @@ See :mod:`repro.serve.scheduler` for admission control and
 """
 
 from repro.serve.scheduler import AdmissionError, QueryHandle, QueryScheduler
-from repro.serve.workers import PartitionWorkerPool
+from repro.serve.workers import PartitionWorkerPool, WorkerDiedError
 
 __all__ = [
     "AdmissionError",
     "QueryHandle",
     "QueryScheduler",
     "PartitionWorkerPool",
+    "WorkerDiedError",
 ]

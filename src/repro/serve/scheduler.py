@@ -6,28 +6,29 @@ with submit/await semantics:
 * **bounded admission queue** — at most ``admission_queue_limit`` admitted
   queries wait at a time; a full queue either blocks the submitter
   (``admission_policy="queue"``) or raises :class:`AdmissionError`
-  (``"reject"``) — closed-loop clients get backpressure instead of unbounded
-  memory growth;
+  (``"reject"``): closed-loop clients get backpressure, not unbounded memory;
 * **fair dispatch** — ``max_concurrent_queries`` dispatcher threads pop the
   highest ``priority`` first and FIFO within a priority (a monotonic sequence
-  number breaks ties), so a stream of urgent queries cannot reorder equals
-  and equal-priority clients share the session fairly;
+  number breaks ties), so urgent queries cannot reorder equals;
 * **per-query handles** — :meth:`submit` returns a :class:`QueryHandle` with
   ``.result(timeout)`` / ``.done()`` / ``.exception()``;
-* **cross-query sharing** — identical query text submitted while the same
-  text is already in flight *on the same manifest epoch* attaches to the
-  running execution instead of re-executing (``share_results``); observed
-  cardinalities flow back into the session catalog keyed on the epoch they
-  were observed at, so every later query plans from truth; and
-  :meth:`prewarm` reads broadcast-sized stored tables' id columns once per
-  epoch so concurrent queries share the warm build sides instead of racing
-  to read them.
+* **cross-query sharing** — identical text submitted while the same text is
+  in flight *on the same manifest epoch* attaches to the running execution
+  (``share_results``), and :meth:`prewarm` reads broadcast-sized stored
+  tables' id columns once per epoch so concurrent queries share warm build
+  sides instead of racing to read them.
 
 Thread mode executes queries on the shared session (its per-thread executors
-make that safe); process mode ships whole queries to the dataset's
-:class:`~repro.serve.workers.PartitionWorkerPool` — true multi-core execution
-— and journals each record in the parent so the dataset keeps one workload
-journal.
+make that safe; cardinalities one query observed reach the next through the
+one catalog).  Process mode ships whole queries to the dataset's
+:class:`~repro.serve.workers.PartitionWorkerPool`: the dispatcher thread
+itself blocks on a worker's pipe, and journals the record in the parent so
+the dataset keeps one workload journal.  Only the query text, an epoch and
+the reply cross the process boundary — no cardinalities: a worker's own scans
+observe the manifest's row counts, which every process already reads.  A
+worker that dies fails the one request it held
+(:class:`~repro.serve.workers.WorkerDiedError` through the handle) and is
+respawned; the dispatcher carries on.
 """
 
 from __future__ import annotations
@@ -35,13 +36,18 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import ServingConfig
 from repro.core.session import _QUEUE_WAIT_MS, S2RDFSession
 from repro.core.results import QueryResult
 from repro.engine.runtime.partitioned import BYTES_PER_VALUE
 from repro.obs.journal import JournalRecord
+
+
+#: Completed dispatches :meth:`QueryScheduler.stats` keeps for its percentiles.
+LATENCY_WINDOW = 4096
 
 
 class AdmissionError(RuntimeError):
@@ -60,6 +66,10 @@ class QueryHandle:
         #: Milliseconds spent waiting in the admission queue; set when
         #: execution starts (followers inherit their leader's value).
         self.queue_ms: Optional[float] = None
+        #: Process mode only: what the hop to the worker cost — the pipe round
+        #: trip the dispatcher saw minus the worker's task time (send,
+        #: wake-up, pickling both ways, receive).
+        self.dispatch_ms: Optional[float] = None
         #: True when this handle attached to an identical in-flight query
         #: instead of executing its own copy.
         self.shared = False
@@ -68,7 +78,6 @@ class QueryHandle:
         self._exception: Optional[BaseException] = None
         self._followers: List["QueryHandle"] = []
 
-    # ------------------------------------------------------------------ #
     def done(self) -> bool:
         """True once the query finished (successfully or not)."""
         return self._done.is_set()
@@ -79,11 +88,7 @@ class QueryHandle:
         Raises the query's exception if it failed, or :class:`TimeoutError`
         if ``timeout`` (seconds) elapses first.
         """
-        if not self._done.wait(timeout):
-            raise TimeoutError(
-                f"query did not finish within {timeout} s: {self.query_text[:80]!r}"
-            )
-        if self._exception is not None:
+        if self.exception(timeout) is not None:
             raise self._exception
         assert self._result is not None
         return self._result
@@ -96,13 +101,13 @@ class QueryHandle:
             )
         return self._exception
 
-    # ------------------------------------------------------------------ #
     def _complete(self, result: Optional[QueryResult], error: Optional[BaseException]) -> None:
         self._result = result
         self._exception = error
         self._done.set()
         for follower in self._followers:
             follower.queue_ms = self.queue_ms
+            follower.dispatch_ms = self.dispatch_ms
             follower._complete(result, error)
         self._followers = []
 
@@ -119,6 +124,8 @@ class QueryScheduler:
         self.serving = serving if serving is not None else session.config.serving
         self._lock = threading.Lock()
         self._queue_changed = threading.Condition(self._lock)
+        #: Signalled per completed query; only :meth:`drain` waits on it.
+        self._completion = threading.Condition(self._lock)
         #: Min-heap of ``(-priority, sequence, handle)``: highest priority
         #: first, FIFO (by admission sequence) within a priority.
         self._heap: List[Tuple[int, int, QueryHandle]] = []
@@ -128,12 +135,10 @@ class QueryScheduler:
         self._inflight: Dict[Tuple[str, Optional[int]], QueryHandle] = {}
         self._dispatchers: List[threading.Thread] = []
         self._closed = False
-        self._latencies_ms: List[float] = []
+        self._completed = 0
+        self._latencies_ms: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._prewarmed_epoch: Optional[int] = None
 
-    # ------------------------------------------------------------------ #
-    # Submission
-    # ------------------------------------------------------------------ #
     def submit(self, query_text: str, priority: int = 0) -> QueryHandle:
         """Admit one query; returns immediately with its handle.
 
@@ -190,9 +195,6 @@ class QueryScheduler:
         """Admit a batch of queries in order; returns all handles."""
         return [self.submit(query, priority=priority) for query in queries]
 
-    # ------------------------------------------------------------------ #
-    # Dispatch
-    # ------------------------------------------------------------------ #
     def _ensure_dispatchers(self) -> None:
         # Called with the lock held.  Dispatchers are daemon threads, started
         # lazily so an unused scheduler costs nothing.
@@ -220,22 +222,23 @@ class QueryScheduler:
                 handle.queue_ms,
                 help="Milliseconds queries waited in the admission queue",
             )
-            self._prewarm_if_stale()
+            self._prewarm_if_stale()  # guarded inside: never raises
             start = time.perf_counter()
+            result: Optional[QueryResult] = None
+            error: Optional[BaseException] = None
             try:
                 result = self._execute(handle)
-                error: Optional[BaseException] = None
             except BaseException as exc:  # noqa: BLE001 - delivered via handle
-                result, error = None, exc
+                error = exc
                 self.session.metrics.inc(
                     "s2rdf_scheduler_failed_total", help="Scheduled queries that raised"
                 )
-            finally:
-                with self._lock:
-                    self._inflight.pop((handle.query_text, handle.submitted_epoch), None)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             with self._lock:
+                self._inflight.pop((handle.query_text, handle.submitted_epoch), None)
+                self._completed += 1
                 self._latencies_ms.append(elapsed_ms)
+                self._completion.notify_all()
             self.session.metrics.inc(
                 "s2rdf_scheduler_completed_total", help="Queries completed by the scheduler"
             )
@@ -254,18 +257,11 @@ class QueryScheduler:
         return self._execute_remote(pool, handle)
 
     def _execute_remote(self, pool, handle: QueryHandle) -> QueryResult:
-        """Process mode: ship the whole query to a worker, share what it saw."""
+        """Process mode: ship the whole query to a worker, journal it here."""
         session = self.session
-        epoch = session._journal_epoch
-        observed = dict(session.layout.catalog._observed)
-        outcome = pool.run_query(handle.query_text, epoch=epoch, observed=observed)
+        outcome = pool.run_query(handle.query_text, epoch=session._journal_epoch)
+        handle.dispatch_ms = outcome["dispatch_ms"]
         result: QueryResult = outcome["result"]
-        # Cardinality feedback is only valid for the epoch it was observed
-        # at — a concurrent append makes it describe data that no longer
-        # matches the manifest.
-        if outcome["epoch"] == session._journal_epoch:
-            for name, rows in outcome["observed"].items():
-                session.layout.catalog.record_observed(name, rows)
         if session.journal is not None:
             metrics = result.metrics
             session.journal.append(
@@ -287,20 +283,23 @@ class QueryScheduler:
                     statically_empty=result.statically_empty,
                     engine=result.engine,
                     queue_ms=handle.queue_ms,
+                    dispatch_ms=handle.dispatch_ms,
                 )
             )
         return result
 
-    # ------------------------------------------------------------------ #
-    # Broadcast prewarm
-    # ------------------------------------------------------------------ #
     def _prewarm_if_stale(self) -> None:
         epoch = self.session._journal_epoch
         with self._lock:
             if self._prewarmed_epoch == epoch:
                 return
             self._prewarmed_epoch = epoch
-        self.prewarm(epoch=epoch)
+        try:
+            self.prewarm(epoch=epoch)
+        except Exception:  # best effort: must not fail the query or the thread
+            self.session.metrics.inc(
+                "s2rdf_scheduler_prewarm_failed_total", help="Prewarm passes that raised"
+            )
 
     def prewarm(
         self, tables: Optional[Sequence[str]] = None, epoch: Optional[int] = None
@@ -311,9 +310,9 @@ class QueryScheduler:
         estimates below the session's broadcast threshold qualifies — the
         build sides broadcast joins will ship.  What is warmed is what
         queries read: the tables' decoded id columns (no term is decoded).
-        Thread mode warms the shared catalog's tables; process mode
-        additionally asks the worker pool to warm its per-process ones.
-        Best effort: failures warm nothing but never fail a query.
+        Thread mode warms the shared catalog's tables; process mode also has
+        every pool worker warm its own.  Best effort: the dispatcher counts a
+        pass that raised and serves the query regardless.
         """
         catalog = self.session.layout.catalog
         if tables is None:
@@ -321,37 +320,33 @@ class QueryScheduler:
             threshold_rows = threshold // (2 * BYTES_PER_VALUE)
             tables = [
                 name
-                for name, statistics in catalog._statistics.items()
+                # A snapshot: an append may re-register tables meanwhile.
+                for name, statistics in list(catalog._statistics.items())
                 if catalog.is_stored(name) and 0 < statistics.row_count <= threshold_rows
             ]
-        warmed = 0
         for name in tables:
-            try:
-                catalog.scan_batch(name)  # segments read once; later queries hit the cache
-                warmed += 1
-            except Exception:  # pragma: no cover - best effort
-                continue
+            catalog.scan_batch(name)  # segments read once; later queries hit the cache
         pool = self.session._process_pool()
         if pool is not None and tables:
-            try:
-                pool.warm_tables(tables, epoch=epoch)
-            except Exception:  # pragma: no cover - best effort
-                pass
-        if warmed:
+            pool.warm_tables(tables, epoch=epoch)
+        if tables:
             self.session.metrics.inc(
                 "s2rdf_scheduler_prewarmed_tables_total",
-                warmed,
+                len(tables),
                 help="Broadcast-sized tables read ahead of scheduled queries",
             )
-        return warmed
+        return len(tables)
 
-    # ------------------------------------------------------------------ #
-    # Introspection / lifecycle
-    # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, float]:
-        """Latency summary of completed dispatches (milliseconds)."""
+        """Latency summary of completed dispatches (milliseconds).
+
+        ``completed`` counts every dispatch since the scheduler was built; the
+        percentiles and the mean cover the last ``LATENCY_WINDOW`` of them,
+        so a long-lived scheduler's memory and this call stay bounded.
+        """
         with self._lock:
-            latencies = sorted(self._latencies_ms)
+            completed, latencies = self._completed, list(self._latencies_ms)
+        latencies.sort()
         if not latencies:
             return {"completed": 0, "p50_ms": 0.0, "p99_ms": 0.0, "mean_ms": 0.0}
 
@@ -360,7 +355,7 @@ class QueryScheduler:
             return latencies[index]
 
         return {
-            "completed": len(latencies),
+            "completed": completed,
             "p50_ms": percentile(0.50),
             "p99_ms": percentile(0.99),
             "mean_ms": sum(latencies) / len(latencies),
@@ -368,15 +363,10 @@ class QueryScheduler:
 
     def drain(self, timeout: Optional[float] = None) -> None:
         """Block until every admitted query has finished."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            with self._lock:
-                idle = not self._heap and not self._inflight
-            if idle:
-                return
-            if deadline is not None and time.monotonic() > deadline:
+        with self._lock:
+            idle = lambda: not self._heap and not self._inflight  # noqa: E731
+            if not self._completion.wait_for(idle, timeout):
                 raise TimeoutError("scheduler did not drain in time")
-            time.sleep(0.002)
 
     def close(self, drain: bool = True) -> None:
         """Stop accepting queries; optionally wait for admitted ones."""

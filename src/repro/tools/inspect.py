@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -121,6 +122,11 @@ class StoreHealthReport:
     #: Observed fraction of store segments pruned across journaled queries
     #: (``None`` when no journaled query scanned stored segments).
     observed_prune_fraction: Optional[float] = None
+    #: Median admission-queue wait and median worker-hop cost (ms) of the
+    #: journaled queries that went through a serving scheduler / a process
+    #: worker; ``None`` when no journaled query did.
+    served_queue_ms_p50: Optional[float] = None
+    served_dispatch_ms_p50: Optional[float] = None
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -147,6 +153,8 @@ class StoreHealthReport:
                 if self.observed_prune_fraction is not None
                 else None
             ),
+            "served_queue_ms_p50": self.served_queue_ms_p50,
+            "served_dispatch_ms_p50": self.served_dispatch_ms_p50,
         }
 
     def render_text(self, top_tables: int = 10) -> str:
@@ -181,6 +189,13 @@ class StoreHealthReport:
             )
         else:
             lines.append("query journal: empty")
+        if self.served_queue_ms_p50 is not None:
+            hop = (
+                f", worker hop p50 {self.served_dispatch_ms_p50:.3f} ms"
+                if self.served_dispatch_ms_p50 is not None
+                else " (served on threads: no worker hop)"
+            )
+            lines.append(f"served queries: queue wait p50 {self.served_queue_ms_p50:.3f} ms{hop}")
         shown = sorted(self.tables, key=lambda t: (-t.total_bytes, t.name))[:top_tables]
         lines.append("")
         lines.append(f"Largest tables (top {len(shown)} of {len(self.tables)}):")
@@ -285,6 +300,8 @@ def inspect_dataset(
     scanned = sum(r.segments_scanned for r in records)
     pruned = sum(r.segments_pruned for r in records)
     prune_fraction = pruned / (scanned + pruned) if (scanned + pruned) else None
+    queue_ms = [r.queue_ms for r in records if r.queue_ms is not None]
+    dispatch_ms = [r.dispatch_ms for r in records if r.dispatch_ms is not None]
     journal_dir = os.path.join(path, "journal")
     journal_files = (
         len([n for n in os.listdir(journal_dir) if n.endswith(".jsonl")])
@@ -312,6 +329,8 @@ def inspect_dataset(
         journal_records=len(records),
         journal_files=journal_files,
         observed_prune_fraction=prune_fraction,
+        served_queue_ms_p50=statistics.median(queue_ms) if queue_ms else None,
+        served_dispatch_ms_p50=statistics.median(dispatch_ms) if dispatch_ms else None,
     )
 
 

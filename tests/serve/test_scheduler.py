@@ -1,5 +1,6 @@
 """QueryScheduler: handles, priority dispatch, admission backpressure,
-result sharing and the journal's queue_ms field."""
+result sharing, bounded bookkeeping and the journal's queue_ms / dispatch_ms
+fields."""
 
 import threading
 import time
@@ -8,6 +9,7 @@ import pytest
 
 import repro
 from repro.core.config import ServingConfig
+from repro.serve import scheduler as scheduler_module
 from repro.serve.scheduler import AdmissionError, QueryScheduler
 
 
@@ -182,3 +184,68 @@ def test_closed_scheduler_rejects_submissions(session):
     scheduler.close()
     with pytest.raises(RuntimeError, match="closed"):
         scheduler.submit(Q_LOW)
+
+
+def test_a_raising_prewarm_fails_neither_the_query_nor_the_dispatcher(
+    example_graph, tmp_path, monkeypatch
+):
+    # Prewarm runs once per manifest epoch, so the session must be a stored one.
+    path = str(tmp_path / "dataset")
+    repro.create(example_graph, path=path).close()
+    calls = []
+
+    def broken_prewarm(self, tables=None, epoch=None):
+        calls.append(epoch)
+        raise RuntimeError("dictionary changed size during iteration")
+
+    monkeypatch.setattr(QueryScheduler, "prewarm", broken_prewarm)
+    serving = ServingConfig(max_concurrent_queries=1)
+    with repro.connect(path) as session, session.serve(serving=serving) as scheduler:
+        assert len(scheduler.submit(Q_LOW).result(timeout=30)) == 3
+        assert calls == [0]  # prewarm did run, and did raise
+        # The only dispatcher survived to serve the next submission.
+        assert len(scheduler.submit(Q_HIGH).result(timeout=30)) == 1
+        scheduler.drain(timeout=30)
+        assert session.metrics.counter_value("s2rdf_scheduler_prewarm_failed_total") == 1
+
+
+def test_completed_keeps_counting_past_the_latency_window(session, monkeypatch):
+    monkeypatch.setattr(scheduler_module, "LATENCY_WINDOW", 4)
+    with session.serve(serving=ServingConfig(share_results=False)) as scheduler:
+        for handle in [scheduler.submit(Q_LOW) for _ in range(9)]:
+            handle.result(timeout=30)
+        scheduler.drain(timeout=30)
+        stats = scheduler.stats()
+        assert stats["completed"] == 9
+        assert len(scheduler._latencies_ms) == 4
+        assert stats["p99_ms"] >= stats["p50_ms"] > 0.0
+
+
+def test_dispatch_ms_is_journaled_for_process_workers_only(session, tmp_path):
+    from repro.obs.journal import JournalRecord
+
+    path = str(tmp_path / "dataset")
+    session.save_dataset(path)
+    with repro.connect(path, execution_mode="process", worker_processes=1) as served:
+        with served.serve() as scheduler:
+            handle = scheduler.submit(Q_LOW)
+            result = handle.result(timeout=30)
+            scheduler.drain(timeout=30)
+        record = served.journal.records()[-1]
+    # The hop is named next to the queue wait; the result's own clock is
+    # still the worker's time for the query.
+    assert handle.dispatch_ms is not None and handle.dispatch_ms > 0.0
+    # (The record was read back from the dataset's journal: 3 decimals.)
+    assert record.dispatch_ms == pytest.approx(handle.dispatch_ms, abs=1e-3)
+    assert record.queue_ms == pytest.approx(handle.queue_ms, abs=1e-3)
+    assert record.wall_ms == pytest.approx(result.wall_clock_ms, abs=1e-3)
+    assert '"dispatch_ms":' in record.to_json_line()
+    assert JournalRecord.from_json(record.to_json()).dispatch_ms == record.dispatch_ms
+    # Thread-mode serving has no hop to name.
+    with session.serve() as scheduler:
+        local = scheduler.submit(Q_HIGH)
+        local.result(timeout=30)
+        scheduler.drain(timeout=30)
+    assert local.dispatch_ms is None
+    assert session.journal.records()[-1].dispatch_ms is None
+    assert "dispatch_ms" not in session.journal.records()[-1].to_json_line()

@@ -1,11 +1,24 @@
-"""Worker pool: scan/query tasks and epoch refresh inside the workers."""
+"""Worker pool: scan/query tasks, epoch refresh inside the workers, and the
+lifecycle the pool owns (worker death, respawn, close with work in flight)."""
+
+import os
+import pickle
+import shutil
+import signal
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.core.session import S2RDFSession
 from repro.rdf.graph import Graph
 from repro.rdf.triple import Triple
-from repro.serve.workers import PartitionWorkerPool
+from repro.serve import workers
+from repro.serve.workers import PartitionWorkerPool, WorkerDiedError
+from repro.sparql.parser import SparqlParseError
+
+QUERY = "SELECT * WHERE { ?a <follows> ?b . ?b <likes> ?w }"
 
 
 def bag(relation):
@@ -42,7 +55,66 @@ def test_query_task_matches_parent_session(stored):
         assert bag(outcome["result"].relation) == bag(expected.relation)
         assert outcome["epoch"] == session._journal_epoch
         assert outcome["fingerprint"]
-        assert outcome["observed"]  # the worker observed real cardinalities
+        # The reply is the result plus routing metadata and the task time; the
+        # pool adds what the hop cost on top of that.
+        assert sorted(outcome) == sorted(
+            ["result", "template", "fingerprint", "epoch", "pid", "task_ms", "dispatch_ms"]
+        )
+        assert outcome["pid"] != os.getpid()
+        assert outcome["task_ms"] > 0.0 and outcome["dispatch_ms"] > 0.0
+
+
+def test_a_served_task_is_the_query_text_plus_an_epoch(stored, monkeypatch):
+    path, session = stored
+    sent = []
+    real_dumps = pickle.dumps
+
+    def recording_dumps(obj, *args, **kwargs):
+        sent.append(obj)
+        return real_dumps(obj, *args, **kwargs)
+
+    with PartitionWorkerPool(dataset_path=path, num_workers=1) as pool:
+        pool.start()
+        monkeypatch.setattr(workers.pickle, "dumps", recording_dumps)
+        pool.run_query(QUERY, epoch=session._journal_epoch)
+        monkeypatch.undo()
+    assert sent == [("query", {"query": QUERY, "epoch": session._journal_epoch})]
+    assert len(real_dumps(sent[0], -1)) < len(QUERY) + 64
+
+
+def test_unpruned_scans_observe_the_manifest_row_count_at_every_epoch(stored, tmp_path):
+    """What licenses not shipping observed cardinalities between processes:
+    they are the manifest's row counts, which every process already reads."""
+    path, _ = stored
+    queries = [
+        QUERY,
+        "SELECT * WHERE { ?a <likes> ?w }",
+        "SELECT ?a ?c WHERE { ?a <follows> ?b . ?b <follows> ?c }",
+        "SELECT ?w WHERE { <u5> <follows> ?b . ?b <likes> ?w }",
+    ]
+    copy = shutil.copytree(path, str(tmp_path / "copy"))  # this test appends
+    with S2RDFSession.open_dataset(copy, journal_enabled=False) as session:
+        catalog = session.layout.catalog
+
+        def check(stage):
+            scanned = set()
+            for text in queries:
+                scanned.update(session.query(text).metrics.scanned_tables)
+            observed = {name for name in scanned if catalog.observed_rows(name) is not None}
+            assert observed, stage  # the check below is not vacuous
+            for name in observed:
+                assert catalog.observed_rows(name) == catalog.statistics(name).row_count, (
+                    stage,
+                    name,
+                )
+
+        check("as saved")
+        session.append_triples(
+            [Triple.of("u3", "follows", "u99"), Triple.of("u99", "likes", "i1")]
+        )
+        check("after an append")
+        session.compact()
+        check("after compact()")
 
 
 def test_direct_query_on_a_process_session_submits_nothing(
@@ -50,8 +122,6 @@ def test_direct_query_on_a_process_session_submits_nothing(
 ):
     """Process mode is where ``serve()`` runs queries: a direct ``query()``
     runs its partitioned joins on the session's own threads."""
-    from concurrent.futures import ProcessPoolExecutor
-
     path, thread_session = stored
     query = "SELECT * WHERE { ?a <follows> ?b . ?b <likes> ?w }"
     with S2RDFSession.open_dataset(
@@ -59,10 +129,13 @@ def test_direct_query_on_a_process_session_submits_nothing(
     ) as session:
         assert session._worker_pool.started
 
-        def must_not_submit(self, *args, **kwargs):
-            raise AssertionError("a direct query() submitted a task to the worker pool")
+        def must_not_send(self, *args, **kwargs):
+            raise AssertionError("a direct query() sent a task to the worker pool")
 
-        monkeypatch.setattr(ProcessPoolExecutor, "submit", must_not_submit)
+        # Every task (query or scan) leaves the parent through _run.
+        monkeypatch.setattr(PartitionWorkerPool, "_run", must_not_send)
+        with pytest.raises(AssertionError):  # the patch does sit on the send path
+            session._worker_pool.run_query(query)
         result = session.query(query)
         assert result.metrics.parallel_tasks > 0  # the joins did take the exchange
     assert bag(result.relation) == bag(thread_session.query(query).relation)
@@ -73,7 +146,6 @@ def test_query_task_parses_the_text_once(stored, monkeypatch):
     execution and the template/fingerprint, and its time stays in the result."""
     import repro.core.session as session_module
     from repro.obs.journal import fingerprint_text, template_text
-    from repro.serve import workers
 
     path, session = stored
     query = "SELECT * WHERE { ?a <follows> ?b . ?b <likes> ?w }"
@@ -136,7 +208,6 @@ def test_prewarm_reads_id_columns_and_decodes_no_term(stored, monkeypatch):
     read: decoded id columns.  No term is decoded, no row relation is built,
     and a query after the warm-up reads no segment."""
     import repro.store.reader as reader_module
-    from repro.serve import workers
     from repro.store.format import StoredTermDictionary
 
     path, _ = stored
@@ -173,8 +244,8 @@ def test_prewarm_reads_id_columns_and_decodes_no_term(stored, monkeypatch):
     del decoded[:]
     workers._worker_init(path, {})
     try:
-        warmed = workers._run_scan_task({"table": "triples"})
-        assert warmed["rows_scanned"] == 40 and decoded == []
+        warmed = workers._run_scan_task({"tables": ["triples"]})
+        assert warmed["tables"] == 1 and warmed["rows_scanned"] == 40 and decoded == []
     finally:
         if workers._WORKER_SESSION is not None:
             workers._WORKER_SESSION.close()
@@ -185,3 +256,135 @@ def test_warm_tables_runs_one_rowless_scan_per_worker_and_table(stored):
     path, session = stored
     with PartitionWorkerPool(dataset_path=path, num_workers=2) as pool:
         assert pool.warm_tables(["triples", "vp_likes"], epoch=session._journal_epoch) == 4
+
+
+# --------------------------------------------------------------------- #
+# What the pool owns now that no executor hides it
+# --------------------------------------------------------------------- #
+def _wait_until(condition, what):
+    deadline = time.monotonic() + 30
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting until {what}"
+        time.sleep(0.001)
+
+
+def test_worker_exception_arrives_as_itself(stored):
+    path, _ = stored
+    with S2RDFSession.open_dataset(
+        path, execution_mode="process", worker_processes=1, journal_enabled=False
+    ) as session:
+        with session.serve() as scheduler:
+            handle = scheduler.submit("SELECT * WHERE { broken syntax")
+            with pytest.raises(SparqlParseError, match="line 1"):
+                handle.result(timeout=30)
+            assert len(scheduler.submit(QUERY).result(timeout=30)) == 20  # same worker, still up
+
+
+def test_dead_worker_fails_its_request_and_is_respawned(stored):
+    path, _ = stored
+    session = S2RDFSession.open_dataset(
+        path, execution_mode="process", worker_processes=1, journal_enabled=False
+    )
+    pool = session._worker_pool
+    scheduler = session.serve()
+    try:
+        scheduler.submit(QUERY).result(timeout=30)  # the epoch's prewarm is behind us
+        victim = pool._workers[0].process.pid
+        os.kill(victim, signal.SIGSTOP)  # it will take the query and never answer
+        handle = scheduler.submit(QUERY)
+        _wait_until(pool._idle.empty, "the worker is checked out")
+        os.kill(victim, signal.SIGKILL)
+        with pytest.raises(WorkerDiedError, match=f"worker process {victim} died"):
+            handle.result(timeout=30)
+        # One request lost, not the pool: the slot holds a fresh worker.
+        assert len(scheduler.submit(QUERY).result(timeout=30)) == 20
+        assert pool._workers[0].process.pid != victim
+    finally:
+        scheduler.close()
+        session.close()  # returns: nothing left to hang on
+
+
+def test_close_with_a_request_in_flight_fails_it_and_leaves_no_process(stored, monkeypatch):
+    path, _ = stored
+    # Workers are forked from this process, so they inherit the patched table.
+    monkeypatch.setitem(workers._TASKS, "query", lambda task: time.sleep(600))
+    session = S2RDFSession.open_dataset(
+        path, execution_mode="process", worker_processes=2, journal_enabled=False
+    )
+    pool = session._worker_pool
+    scheduler = session.serve()
+    handle = scheduler.submit(QUERY)
+    _wait_until(lambda: pool._idle.qsize() == 1, "one worker is checked out")
+    session.close()  # must neither wait out the sleeping task nor hang
+    with pytest.raises(WorkerDiedError):
+        handle.result(timeout=30)
+    assert not pool.started
+    scheduler.close()
+    # The autouse fixture asserts no child process is left.
+
+
+def test_queries_and_warmups_from_many_threads_share_the_slots(stored):
+    """More callers than slots, warm-ups (which take every slot) in between:
+    every call completes, with its own answer, and no slot is lost."""
+    path, session = stored
+    epoch = session._journal_epoch
+    texts = {QUERY: 20, "SELECT * WHERE { ?a <likes> ?w }": 20, "SELECT * WHERE { <u1> ?p ?o }": 2}
+    wrong = []
+
+    def querier(offset):
+        for step in range(40):
+            text = list(texts)[(offset + step) % len(texts)]
+            rows = len(pool.run_query(text, epoch=epoch)["result"].relation)
+            if rows != texts[text]:
+                wrong.append((text, rows))
+
+    def warmer():
+        for _ in range(10):
+            if pool.warm_tables(["triples", "vp_likes"], epoch=epoch) != 4:
+                wrong.append("warm")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with PartitionWorkerPool(dataset_path=path, num_workers=2) as pool:
+            threads = [threading.Thread(target=querier, args=(i,)) for i in range(6)]
+            threads += [threading.Thread(target=warmer) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not wrong, wrong[:5]
+            assert pool._idle.qsize() == 2
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _LosesAnArgument(Exception):
+    """Pickles (by class and ``args``) but cannot be rebuilt: ``args`` lacks ``detail``."""
+
+    def __init__(self, message, detail):
+        super().__init__(message)
+
+
+def _raise_what_cannot_be_unpickled(task):
+    raise _LosesAnArgument("scan failed", "and why")
+
+
+def test_an_exchange_left_half_way_never_hands_a_stale_reply_to_the_next_task(
+    stored, monkeypatch
+):
+    """warm_tables talks to both workers at once.  If the caller leaves the
+    exchange early (here: the first reply does not unpickle), the other
+    worker's reply is still in its pipe — that pipe must not be reused."""
+    path, session = stored
+    monkeypatch.setitem(workers._TASKS, "scan", _raise_what_cannot_be_unpickled)
+    with PartitionWorkerPool(dataset_path=path, num_workers=2) as pool:
+        pool.start()
+        before = {worker.process.pid for worker in pool._workers}
+        with pytest.raises(TypeError, match="detail"):
+            pool.warm_tables(["triples"], epoch=session._journal_epoch)
+        assert before.isdisjoint(worker.process.pid for worker in pool._workers)
+        for _ in range(4):  # whichever slot comes up: a query gets a query's reply
+            outcome = pool.run_query(QUERY, epoch=session._journal_epoch)
+            assert len(outcome["result"].relation) == 20

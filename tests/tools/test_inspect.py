@@ -149,3 +149,21 @@ def test_uncommitted_tail_of_a_table_file_is_reported(dataset):
     assert torn.committed_bytes == follows.committed_bytes
     assert "uncommitted tails: 17 bytes" in report.render_text()
     assert "tables/vp_follows.seg" in report.render_text()
+
+
+def test_served_queries_show_their_queue_wait_and_worker_hop(dataset):
+    """From the journal alone: how long served queries queued, and what the
+    hop to a process worker cost them."""
+    assert inspect_dataset(dataset).served_queue_ms_p50 is None  # nothing was served yet
+    assert "served queries" not in inspect_dataset(dataset).render_text()
+    with S2RDFSession.open_dataset(
+        dataset, execution_mode="process", worker_processes=1
+    ) as session:
+        with session.serve() as scheduler:
+            handle = scheduler.submit("SELECT ?f WHERE { <u1> <follows> ?f }")
+            handle.result(timeout=30)
+    report = inspect_dataset(dataset)
+    assert report.served_queue_ms_p50 == pytest.approx(handle.queue_ms, abs=1e-3)
+    assert report.served_dispatch_ms_p50 == pytest.approx(handle.dispatch_ms, abs=1e-3)
+    assert "worker hop p50" in report.render_text()
+    assert json.loads(json.dumps(report.as_dict()))["served_dispatch_ms_p50"] > 0.0
