@@ -26,7 +26,7 @@ import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.compiler import CompiledQuery, QueryCompiler
 from repro.core.config import (
@@ -38,6 +38,7 @@ from repro.core.config import (
 )
 from repro.core.results import QueryResult
 from repro.core.table_selection import TableSelector
+from repro.core.template_cache import TemplateCache
 from repro.engine.cluster import SparkCostModel
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.runtime import UNKNOWN_ROWS, ParallelExecutor, estimate_rows
@@ -51,8 +52,10 @@ from repro.obs.explain import (
 from repro.obs.journal import (
     JournalRecord,
     QueryJournal,
+    fingerprint_text,
     open_dataset_journal,
     q_error,
+    template_text,
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -60,7 +63,6 @@ from repro.rdf.graph import Graph
 from repro.rdf.ntriples import parse_ntriples
 from repro.rdf.triple import Triple
 from repro.sparql.algebra import Query
-from repro.sparql.parser import parse_query
 from repro.store.reader import (
     DatasetLoadReport,
     StoredDataset,
@@ -155,6 +157,20 @@ class _ReadWriteLock:
                 self._cond.notify_all()
 
 
+class _QueryRun(NamedTuple):
+    """What one trip through the query pipeline produced."""
+
+    result: QueryResult
+    parsed: Query
+    compiled: CompiledQuery
+    #: Per-operator row estimates captured before execution (``explain_analyze``).
+    estimates: Optional[Dict[int, int]]
+    #: Whether the template cache answered the parse / the compile
+    #: (``None``: a ``Query`` object was handed in, nothing to look up).
+    parse_hit: Optional[bool]
+    compile_hit: Optional[bool]
+
+
 class S2RDFSession:
     """SPARQL query processing over an ExtVP (or VP) layout."""
 
@@ -188,6 +204,9 @@ class S2RDFSession:
             optimize_join_order=self.config.execution.optimize_join_order,
             tracer=self.tracer,
         )
+        #: Parse and compile once per query template; see
+        #: :mod:`repro.core.template_cache`.
+        self._templates = TemplateCache()
         #: Executors are *per thread* (instance state like the last physical
         #: plan and the sqlite connection are not shareable between concurrent
         #: queries) over the one shared catalog.  The thread-local holds each
@@ -609,6 +628,13 @@ class S2RDFSession:
             sql_executors = list(self._all_sql_executors)
         for sql_executor in sql_executors:
             sql_executor.invalidate()
+        # Plans were chosen from the statistics that just moved; the parsed
+        # templates they hang off are statistics-free and stay.
+        self._templates.invalidate_plans()
+        self.metrics.inc(
+            "s2rdf_plan_cache_invalidations_total",
+            help="Store changes that dropped the compiled-plan cache",
+        )
         # The journal epoch advances only here — after the mutation's atomic
         # manifest swap — so a record written mid-append (before the swap)
         # still carries the pre-append epoch it actually executed against.
@@ -618,11 +644,32 @@ class S2RDFSession:
     # Query execution
     # ------------------------------------------------------------------ #
     def parse(self, query_text: str) -> Query:
-        return parse_query(query_text)
+        """``parse_query(query_text)``, the grammar run once per query template."""
+        return self._parse(query_text)[0]
 
     def compile(self, query: Union[str, Query]) -> CompiledQuery:
+        """The plan for ``query``, chosen once per query template and store state.
+
+        Only queries :meth:`parse` produced (or texts) go through the template
+        cache; any other ``Query`` object is compiled from scratch.
+        """
         parsed = self.parse(query) if isinstance(query, str) else query
-        return self.compiler.compile(parsed)
+        return self._compile(parsed)[0]
+
+    def _parse(self, query_text: str) -> Tuple[Query, bool]:
+        parsed, hit = self._templates.parse(query_text)
+        self.metrics.inc(
+            "s2rdf_template_cache_hits_total" if hit else "s2rdf_template_cache_misses_total"
+        )
+        return parsed, hit
+
+    def _compile(self, parsed: Query) -> Tuple[CompiledQuery, Optional[bool]]:
+        compiled, hit = self._templates.compile(parsed, self.compiler)
+        if hit is not None:
+            self.metrics.inc(
+                "s2rdf_plan_cache_hits_total" if hit else "s2rdf_plan_cache_misses_total"
+            )
+        return compiled, hit
 
     def explain(self, query: Union[str, Query]) -> str:
         """Return the generated SQL for a query without executing it."""
@@ -630,8 +677,7 @@ class S2RDFSession:
 
     def query(self, query: Union[str, Query]) -> QueryResult:
         """Parse, compile and execute a SPARQL query."""
-        result, _, _ = self._run(query)
-        return result
+        return self._run(query).result
 
     def serve(self, serving: Optional["ServingConfig"] = None) -> "QueryScheduler":
         """A :class:`~repro.serve.scheduler.QueryScheduler` over this session.
@@ -655,7 +701,8 @@ class S2RDFSession:
         carries both the rendered report (``str(...)``) and the full
         :class:`~repro.core.results.QueryResult`.
         """
-        result, compiled, estimates = self._run(query, capture_estimates=True)
+        run = self._run(query, capture_estimates=True)
+        result = run.result
         if self.config.execution.engine == "sqlite":
             # The SQLite engine runs the plan as one statement: observations
             # exist only at the root, and there is no physical join planning.
@@ -671,19 +718,21 @@ class S2RDFSession:
                 self.executor.adaptive.replan_events if self.executor.adaptive is not None else ()
             )
         tree = render_explain_analyze(
-            compiled.plan,
-            estimates or {},
+            run.compiled.plan,
+            run.estimates or {},
             node_stats,
             exchange_stats,
             physical,
             replan_events,
         )
         phases = ", ".join(f"{name}={ms:.2f} ms" for name, ms in result.phase_ms.items())
+        cached = {True: "hit", False: "miss", None: "not cached (Query object given)"}
         lines = [
             "== Physical Plan (analyzed) ==",
             tree,
             "",
             f"Engine: {result.engine}",
+            f"Template cache: parse={cached[run.parse_hit]}, compile={cached[run.compile_hit]}",
             f"Phases: {phases}",
             f"Wall clock: {result.wall_clock_ms:.2f} ms; "
             f"simulated cluster runtime: {result.simulated_runtime_ms:.2f} ms",
@@ -701,9 +750,7 @@ class S2RDFSession:
                 )
         return ExplainAnalyzeResult(result=result, text="\n".join(lines))
 
-    def _run(
-        self, query: Union[str, Query], capture_estimates: bool = False
-    ) -> Tuple[QueryResult, CompiledQuery, Optional[Dict[int, int]]]:
+    def _run(self, query: Union[str, Query], capture_estimates: bool = False) -> _QueryRun:
         """The traced query pipeline: parse → compile → plan → execute → render.
 
         The whole pipeline holds the store lock's *read* side: concurrent
@@ -717,19 +764,19 @@ class S2RDFSession:
 
     def _run_locked(
         self, query: Union[str, Query], capture_estimates: bool = False
-    ) -> Tuple[QueryResult, CompiledQuery, Optional[Dict[int, int]]]:
+    ) -> _QueryRun:
         total_start = time.perf_counter()
         epoch = self._journal_epoch
         phase_ms: Dict[str, float] = {}
         with self.tracer.span("query", category="query") as root:
             phase_start = time.perf_counter()
             with self.tracer.span("parse", category="query"):
-                parsed = self.parse(query) if isinstance(query, str) else query
+                parsed, parse_hit = self._parse(query) if isinstance(query, str) else (query, None)
             phase_ms["parse"] = (time.perf_counter() - phase_start) * 1000.0
 
             phase_start = time.perf_counter()
             with self.tracer.span("compile", category="query"):
-                compiled = self.compiler.compile(parsed)
+                compiled, compile_hit = self._compile(parsed)
             phase_ms["compile"] = (time.perf_counter() - phase_start) * 1000.0
 
             # Estimates must be captured before execution: adaptive runs feed
@@ -812,20 +859,29 @@ class S2RDFSession:
             root.set(rows=len(relation))
         self._record_query_metrics(result)
         self._journal_query(parsed, result, root_estimate)
-        return result, compiled, estimates
+        return _QueryRun(result, parsed, compiled, estimates, parse_hit, compile_hit)
+
+    @staticmethod
+    def template_of(parsed: Query) -> Tuple[str, str]:
+        """The journal's ``(template, fingerprint)`` of a parsed query.
+
+        Rendered once per template for the queries :meth:`parse` produced,
+        per call for any other ``Query`` object.
+        """
+        binding = parsed.template_binding
+        if binding is not None and binding.describes(parsed):
+            return binding.template.template, binding.template.fingerprint
+        template = template_text(parsed)
+        return template, fingerprint_text(template)
 
     def _journal_query(
         self, parsed: Query, result: QueryResult, root_estimate: Optional[int]
     ) -> None:
-        """Append one workload-journal record for an executed query.
-
-        The fingerprint is left empty and the parsed algebra handed along, so
-        the journal renders the template and fingerprint itself (see
-        :meth:`~repro.obs.journal.QueryJournal.append`).
-        """
+        """Append one workload-journal record for an executed query."""
         journal = self.journal
         if journal is None:
             return
+        template, fingerprint = self.template_of(parsed)
         metrics = result.metrics
         estimated = (
             None if root_estimate is None or root_estimate == UNKNOWN_ROWS else root_estimate
@@ -833,8 +889,8 @@ class S2RDFSession:
         rows = len(result.relation)
         journal.append(
             JournalRecord(
-                fingerprint="",
-                template="",
+                fingerprint=fingerprint,
+                template=template,
                 # The epoch the query actually read (captured at pipeline
                 # start under the read lock), not whatever the store advanced
                 # to by the time this record is written.
@@ -855,8 +911,7 @@ class S2RDFSession:
                 broadcast_bytes=metrics.broadcast_bytes,
                 statically_empty=result.statically_empty,
                 engine=result.engine,
-            ),
-            query=parsed,
+            )
         )
 
     def _record_query_metrics(self, result: QueryResult) -> None:

@@ -1,0 +1,301 @@
+"""The query front end's template cache: parse and compile once per template.
+
+A workload is a few dozen query *templates* instantiated many times, and
+neither the grammar nor the SPARQL-to-SQL compilation (table selection, join
+ordering, TP2SQL) ever looks at the value of a subject/object constant — only
+at which positions are bound.  So both are done once per template:
+
+* **Parse.**  The text is tokenised and looked up by its token stream with
+  the constants in triple-pattern subject/object position — the *slots* —
+  blanked out.  Everything else stays in the key: prologue, predicates,
+  variable names, FILTER / LIMIT constants, the kind of each slot's token.
+  Which tokens are slots is the parser's own report
+  (:attr:`~repro.sparql.parser._Parser.constants`) from the one time the
+  grammar ran over that token shape.  A hit turns the slot tokens into terms
+  with the parser's token-to-term rule and rebinds them into the once-parsed
+  algebra tree; anything irregular about them (an undeclared prefix, a
+  malformed literal) falls through to the full parser, whose error it is.
+* **Compile.**  The compiled plan is kept per template and a hit rebinds the
+  new constants into its ``SubqueryNode.conditions``.  Plans depend on the
+  store's statistics, so :meth:`TemplateCache.invalidate_plans` drops them
+  whenever the store changes; parsed templates survive.
+
+Rebinding is by identity: the terms the parser created for a template's slots
+are the very objects sitting in its triple patterns and, after compilation,
+in the plan's conditions, so ``id(term)`` names a slot wherever it ended up —
+including one constant shared by a ``;`` / ``,`` list, and two slots that
+happen to hold equal constants.
+
+:func:`repro.sparql.parse_query` stays the uncached reference: the results
+here are equal to what it and a fresh :class:`~repro.core.compiler.QueryCompiler`
+produce.  Both tables are bounded by :data:`MAX_TEMPLATES` (cleared on
+overflow) and safe under concurrent readers: entries are immutable once
+published and every table operation is a single dict access.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+from repro.core.bgp import BGPCompilationResult
+from repro.core.compiler import CompiledQuery, QueryCompiler
+from repro.engine.ops import Operation, SubqueryNode
+from repro.obs.journal import fingerprint_text, template_text
+from repro.rdf.terms import Term
+from repro.sparql.algebra import (
+    BGP,
+    Filter,
+    Join,
+    LeftJoin,
+    PatternNode,
+    PatternVisitor,
+    Query,
+    TriplePattern,
+    Union,
+)
+from repro.sparql.parser import MalformedTermError, _Parser, term_of_token, tokenize_query
+from repro.sparql.tokenizer import Token
+
+#: Templates kept per table; a table that reaches it is cleared.
+MAX_TEMPLATES = 1024
+
+#: ``id(template's term) -> this query's term``.
+TermMap = Dict[int, Term]
+
+
+class QueryTemplate:
+    """One query shape: what the full parser made of the first text that had it."""
+
+    __slots__ = ("query", "constants", "template", "fingerprint")
+
+    def __init__(self, query: Query, constants: Tuple[Term, ...]) -> None:
+        #: The parsed first instance; ``constants`` are the terms in its slots.
+        self.query = query
+        self.constants = constants
+        #: The journal's constant-stripped rendering, the same for every instance.
+        self.template = template_text(query)
+        self.fingerprint = fingerprint_text(self.template)
+
+
+class TemplateBinding(NamedTuple):
+    """What :attr:`Query.template_binding` holds: a template and one query's constants."""
+
+    template: QueryTemplate
+    constants: Tuple[Term, ...]
+    #: The pattern tree ``constants`` were bound into.
+    pattern: PatternNode
+
+    def describes(self, query: Query) -> bool:
+        """Whether ``query`` is still what the cache parsed (a ``Query`` is mutable)."""
+        base = self.template.query
+        return (
+            query.pattern is self.pattern
+            and query.select_variables is base.select_variables
+            and query.aggregates is base.aggregates
+            and query.group_by is base.group_by
+            and query.order_by is base.order_by
+            and query.distinct == base.distinct
+            and query.limit == base.limit
+            and query.offset == base.offset
+        )
+
+
+class _PlanEntry(NamedTuple):
+    generation: int
+    compiled: CompiledQuery
+    #: The constants of the query ``compiled`` was compiled from.
+    constants: Tuple[Term, ...]
+
+
+def _term_map(old: Tuple[Term, ...], new: Tuple[Term, ...]) -> TermMap:
+    return {id(was): now for was, now in zip(old, new)}
+
+
+def _rebind_triple(pattern: TriplePattern, terms: TermMap) -> TriplePattern:
+    subject = terms.get(id(pattern.subject))
+    object_ = terms.get(id(pattern.object))
+    if subject is None and object_ is None:
+        return pattern
+    return TriplePattern(
+        pattern.subject if subject is None else subject,
+        pattern.predicate,
+        pattern.object if object_ is None else object_,
+    )
+
+
+class _PatternRebinder(PatternVisitor):
+    """Rebuilds a parsed group graph pattern with other constants in its slots."""
+
+    def visit_bgp(self, node: BGP, terms: TermMap) -> PatternNode:
+        return BGP([_rebind_triple(pattern, terms) for pattern in node.patterns])
+
+    def visit_join(self, node: Join, terms: TermMap) -> PatternNode:
+        return Join(self.visit(node.left, terms), self.visit(node.right, terms))
+
+    def visit_left_join(self, node: LeftJoin, terms: TermMap) -> PatternNode:
+        return LeftJoin(
+            self.visit(node.left, terms), self.visit(node.right, terms), node.expression
+        )
+
+    def visit_union(self, node: Union, terms: TermMap) -> PatternNode:
+        return Union(self.visit(node.left, terms), self.visit(node.right, terms))
+
+    def visit_filter(self, node: Filter, terms: TermMap) -> PatternNode:
+        return Filter(node.expression, self.visit(node.pattern, terms))
+
+
+_REBIND_PATTERN = _PatternRebinder()
+
+
+def _rebind_compiled(compiled: CompiledQuery, terms: TermMap) -> CompiledQuery:
+    """``compiled`` with other constants in its scans' equality conditions.
+
+    Each BGP's subplan is rebound on its own (its
+    :class:`~repro.core.bgp.BGPCompilationResult` holds it, next to the triple
+    patterns it answers) and the operators above are rebuilt around the moved
+    subplans; whatever holds no constant keeps its identity.
+    """
+
+    def rebind_scan(node: Operation) -> Operation:
+        if type(node) is not SubqueryNode or not node.conditions:
+            return node
+        conditions = tuple([(column, terms.get(id(term), term)) for column, term in node.conditions])
+        if all(new[1] is old[1] for new, old in zip(conditions, node.conditions)):
+            return node
+        return SubqueryNode(node.table_name, node.projections, conditions)
+
+    moved: Dict[int, Operation] = {}
+    results: List[BGPCompilationResult] = []
+    for result in compiled.bgp_results:
+        plan = result.plan.transform(rebind_scan)
+        if plan is not result.plan:
+            moved[id(result.plan)] = plan
+        choices = [(_rebind_triple(pattern, terms), choice) for pattern, choice in result.choices]
+        results.append(
+            BGPCompilationResult(
+                plan=plan,
+                choices=choices,
+                # compile_bgp lists the patterns in the order of their choices.
+                join_order=[pattern for pattern, _ in choices],
+                statically_empty=result.statically_empty,
+            )
+        )
+    plan = compiled.plan
+    if moved:
+        plan = plan.transform(lambda node: moved.get(id(node), node))
+    return CompiledQuery(plan=plan, bgp_results=results)
+
+
+TemplateKey = Tuple[Tuple[str, ...], Tuple[Optional[str], ...]]
+
+
+def _template_key(
+    signature: Tuple[str, ...], tokens: Sequence[Token], slots: Sequence[int]
+) -> TemplateKey:
+    """The token signature plus every token's spelling, the slots' blanked."""
+    values: List[Optional[str]] = [token[1] for token in tokens]
+    for index in slots:
+        values[index] = None
+    return signature, tuple(values)
+
+
+class TemplateCache:
+    """Parsed templates and their compiled plans, for one session."""
+
+    def __init__(self) -> None:
+        #: Token signature (kinds, keywords spelled out) -> token indexes of the slots.
+        self._slots: Dict[Tuple[str, ...], Tuple[int, ...]] = {}
+        #: (signature, token values with the slots blanked) -> template.
+        self._templates: Dict[TemplateKey, QueryTemplate] = {}
+        self._plans: Dict[QueryTemplate, _PlanEntry] = {}
+        #: Advanced by :meth:`invalidate_plans`; a plan compiled while the
+        #: store changed under it carries the old number and is never served.
+        self._generation = 0
+
+    def __len__(self) -> int:
+        return len(self._templates)
+
+    def plan_count(self) -> int:
+        return len(self._plans)
+
+    # ------------------------------------------------------------------ #
+    def parse(self, text: str) -> Tuple[Query, bool]:
+        """``parse_query(text)`` and whether a cached template answered it."""
+        tokens = tokenize_query(text)
+        # The grammar branches on token kinds and on which keyword a keyword
+        # is, never on another token's value: one signature, one set of slots.
+        signature = tuple([value if kind == "KEYWORD" else kind for kind, value, _ in tokens])
+        slots = self._slots.get(signature)
+        if slots is not None:
+            template = self._templates.get(_template_key(signature, tokens, slots))
+            if template is not None:
+                query = self._instantiate(template, text, [tokens[index] for index in slots])
+                if query is not None:
+                    return query, True
+        parser = _Parser(text, tokens)
+        query = parser.parse()
+        slots = tuple([index for index, _ in parser.constants])
+        constants = tuple([term for _, term in parser.constants])
+        # The template keeps its own Query (and prefix dict): the caller's is mutable.
+        template = QueryTemplate(replace(query, prefixes=dict(query.prefixes)), constants)
+        if len(self._templates) >= MAX_TEMPLATES:
+            self._templates.clear()
+            self._slots.clear()
+        self._slots[signature] = slots
+        self._templates[_template_key(signature, tokens, slots)] = template
+        query.template_binding = TemplateBinding(template, constants, query.pattern)
+        return query, False
+
+    @staticmethod
+    def _instantiate(
+        template: QueryTemplate, text: str, slot_tokens: Sequence[Token]
+    ) -> Optional[Query]:
+        """The template's query with ``slot_tokens`` as its constants.
+
+        ``None`` when a token names no term: the full parser reports that.
+        """
+        base = template.query
+        try:
+            constants = tuple([term_of_token(token, base.prefixes) for token in slot_tokens])
+        except MalformedTermError:
+            return None
+        pattern = base.pattern
+        if constants:
+            pattern = _REBIND_PATTERN.visit(pattern, _term_map(template.constants, constants))
+        return replace(
+            base,
+            pattern=pattern,
+            prefixes=dict(base.prefixes),
+            text=text,
+            template_binding=TemplateBinding(template, constants, pattern),
+        )
+
+    # ------------------------------------------------------------------ #
+    def compile(
+        self, query: Query, compiler: QueryCompiler
+    ) -> Tuple[CompiledQuery, Optional[bool]]:
+        """``compiler.compile(query)`` and whether a cached plan answered it.
+
+        A query this cache did not parse (or that was edited since) is
+        compiled as it always was; the flag is ``None``.
+        """
+        binding = query.template_binding
+        if binding is None or not binding.describes(query):
+            return compiler.compile(query), None
+        template, constants, _ = binding
+        generation = self._generation
+        entry = self._plans.get(template)
+        if entry is not None and entry.generation == generation:
+            return _rebind_compiled(entry.compiled, _term_map(entry.constants, constants)), True
+        compiled = compiler.compile(query)
+        if len(self._plans) >= MAX_TEMPLATES:
+            self._plans.clear()
+        self._plans[template] = _PlanEntry(generation, compiled, constants)
+        # The caller gets its own CompiledQuery, like on a hit.
+        return CompiledQuery(plan=compiled.plan, bgp_results=list(compiled.bgp_results)), False
+
+    def invalidate_plans(self) -> None:
+        """Drop every compiled plan (the statistics they were chosen from moved)."""
+        self._generation += 1
+        self._plans.clear()

@@ -87,9 +87,7 @@ _FILTER_IDENT_RE = re.compile(r"\b[A-Za-z_]\w*\b")
 # --------------------------------------------------------------------- #
 # Template fingerprinting
 # --------------------------------------------------------------------- #
-#: Canonical variable names, precomputed for the common arities.  The walker
-#: runs once per executed query, so it avoids building these tiny strings
-#: (and re-creating closures) on every call.
+#: Canonical variable names, precomputed for the common arities.
 _CANONICAL_NAMES = tuple(f"?{i}" for i in range(64))
 
 
@@ -488,18 +486,10 @@ class QueryJournal:
         return self.directory is not None
 
     # ------------------------------------------------------------------ #
-    def append(self, record: JournalRecord, query: Optional[Query] = None) -> None:
-        """Store one record (one JSON line, or an in-memory ring slot).
-
-        When ``record.fingerprint`` is empty and a parsed ``query`` is given,
-        the journal renders the template and fingerprint itself — callers on
-        the query path just hand over the algebra they already hold.
-        """
+    def append(self, record: JournalRecord) -> None:
+        """Store one record (one JSON line, or an in-memory ring slot)."""
         if record.ts == 0.0:
             record.ts = time.time()
-        if query is not None and not record.fingerprint:
-            record.template = template_text(query)
-            record.fingerprint = fingerprint_text(record.template)
         with self._lock:
             self.appended_count += 1
             self._store(record)

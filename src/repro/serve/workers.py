@@ -135,23 +135,16 @@ def _run_scan_task(task: Dict[str, Any]) -> Dict[str, Any]:
 
 def _run_query_task(task: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one whole SPARQL query on the worker's read-only session."""
-    from repro.obs.journal import fingerprint_text, template_text
-
     begin = time.perf_counter()
     session = _worker_session(task.get("epoch"))
-    # One parse serves both the execution and the template/fingerprint; its
-    # time goes back into the result so the journal's phase split stays true.
-    start = time.perf_counter()
-    parsed = session.parse(task["query"])
-    parse_ms = (time.perf_counter() - start) * 1000.0
-    result = session.query(parsed)
-    result.phase_ms["parse"] += parse_ms
-    result.wall_clock_ms += parse_ms
-    template = template_text(parsed)
+    run = session._run(task["query"])
+    # The parent journals the query: its template and fingerprint come from
+    # the worker session's template cache, rendered once per template.
+    template, fingerprint = session.template_of(run.parsed)
     return {
-        "result": result,
+        "result": run.result,
         "template": template,
-        "fingerprint": fingerprint_text(template),
+        "fingerprint": fingerprint,
         "epoch": session._journal_epoch,
         "pid": os.getpid(),
         # The round trip the caller saw minus this is what the hop cost.

@@ -9,7 +9,7 @@ bottom-up to produce relational plans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Sequence, Set, Tuple
 
 from repro.rdf.terms import Term, Variable
 from repro.sparql.expressions import Expression
@@ -308,6 +308,10 @@ class Query:
     #: Aggregate bindings from the SELECT clause; a non-empty tuple makes
     #: this an aggregate query (implicitly grouped when ``group_by`` is empty).
     aggregates: Tuple[AggregateBinding, ...] = ()
+    #: Set by a session's template cache on the queries *it* parsed: the
+    #: template the text matched and this query's constants for its slots.
+    #: Not part of the query's value — ``parse_query`` leaves it ``None``.
+    template_binding: Optional[Any] = field(default=None, compare=False, repr=False)
 
     def variables(self) -> Set[Variable]:
         if self.select_variables:

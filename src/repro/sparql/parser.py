@@ -14,10 +14,10 @@ offending token and the token text itself.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.rdf.namespaces import WATDIV_NAMESPACES
-from repro.rdf.ntriples import parse_literal
+from repro.rdf.ntriples import NTriplesParseError, parse_literal
 from repro.rdf.terms import IRI, Literal, Term, Variable, XSD_DECIMAL, XSD_INTEGER
 from repro.sparql.algebra import (
     BGP,
@@ -79,19 +79,69 @@ def _line_column(text: str, position: int) -> Tuple[int, int]:
     return line, column
 
 
+def tokenize_query(text: str) -> List[Token]:
+    """:func:`~repro.sparql.tokenizer.tokenize` with a positioned parse error."""
+    try:
+        return tokenize(text)
+    except TokenizeError as exc:
+        line, column = _line_column(text, exc.position)
+        raise SparqlParseError(str(exc), line=line, column=column) from exc
+
+
+class MalformedTermError(ValueError):
+    """A constant token that names no term: undeclared prefix, malformed literal."""
+
+
+def _expand_pname(pname: str, prefixes: Dict[str, str]) -> IRI:
+    prefix, _, local = pname.partition(":")
+    if prefix not in prefixes:
+        raise MalformedTermError(f"undeclared prefix {prefix!r} in {pname!r}")
+    return IRI(prefixes[prefix] + local)
+
+
+def term_of_token(token: Token, prefixes: Dict[str, str]) -> Optional[Term]:
+    """The RDF term a constant token denotes (``None``: not a constant).
+
+    The one token-to-term rule: the parser applies it wherever the grammar
+    takes a constant, the template cache applies it to rebind a cached
+    template's constants without running the grammar.
+    """
+    kind, value, _ = token
+    if kind == "IRI":
+        return IRI(value[1:-1])
+    if kind == "PNAME":
+        return _expand_pname(value, prefixes)
+    if kind == "STRING":
+        try:
+            if "^^" in value and not value.endswith(">"):
+                lexical, _, datatype = value.rpartition("^^")
+                expanded = _expand_pname(datatype, prefixes)
+                return Literal(parse_literal(lexical).lexical, datatype=expanded.value)
+            return parse_literal(value)
+        except NTriplesParseError as exc:
+            raise MalformedTermError(str(exc)) from exc
+    if kind == "NUMBER":
+        integer = "." not in value and "e" not in value.lower()
+        return Literal(value, datatype=XSD_INTEGER if integer else XSD_DECIMAL)
+    if kind == "NAME":
+        # Simplified notation (paper running example): bare name as IRI.
+        return IRI(value)
+    return None
+
+
 class _Parser:
     #: Aggregate function names; not tokenizer keywords, matched on NAME.
     _AGGREGATES = ("count", "sum", "avg", "min", "max")
 
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str, tokens: Optional[Sequence[Token]] = None) -> None:
         self.text = text
-        try:
-            self.tokens = tokenize(text)
-        except TokenizeError as exc:
-            line, column = _line_column(text, exc.position)
-            raise SparqlParseError(str(exc), line=line, column=column) from exc
+        self.tokens = tokens if tokens is not None else tokenize_query(text)
         self.index = 0
         self.prefixes: Dict[str, str] = dict(WATDIV_NAMESPACES)
+        #: ``(token index, term)`` of every constant consumed in triple-pattern
+        #: subject or object position, in token order — what a query template
+        #: treats as its slots.
+        self.constants: List[Tuple[int, Term]] = []
 
     def _error(self, message: str, token: Optional[Token] = None) -> SparqlParseError:
         """Build a positioned parse error at ``token`` (default: next token)."""
@@ -360,34 +410,19 @@ class _Parser:
         token = self._next()
         if token.kind == "VAR":
             return Variable(token.value)
-        if token.kind == "IRI":
-            return IRI(token.value[1:-1])
-        if token.kind == "PNAME":
-            return self._expand_pname(token.value)
-        if token.kind == "STRING":
-            return self._parse_string_literal(token.value)
-        if token.kind == "NUMBER":
-            datatype = XSD_INTEGER if "." not in token.value and "e" not in token.value.lower() else XSD_DECIMAL
-            return Literal(token.value, datatype=datatype)
-        if token.kind == "NAME":
-            # Simplified notation (paper running example): bare name as IRI.
-            return IRI(token.value)
-        raise self._error(f"unexpected token {token.value!r} in {position} position", token)
+        term = self._constant(token)
+        if term is None:
+            raise self._error(f"unexpected token {token.value!r} in {position} position", token)
+        if position != "predicate":
+            self.constants.append((self.index - 1, term))
+        return term
 
-    def _expand_pname(self, pname: str) -> IRI:
-        prefix, _, local = pname.partition(":")
-        if prefix not in self.prefixes:
-            # The pname token was already consumed; point at it, not past it.
-            consumed = self.tokens[self.index - 1] if self.index else None
-            raise self._error(f"undeclared prefix {prefix!r} in {pname!r}", consumed)
-        return IRI(self.prefixes[prefix] + local)
-
-    def _parse_string_literal(self, token_value: str) -> Literal:
-        if "^^" in token_value and not token_value.endswith(">"):
-            lexical, _, datatype = token_value.rpartition("^^")
-            expanded = self._expand_pname(datatype)
-            return Literal(parse_literal(lexical).lexical, datatype=expanded.value)
-        return parse_literal(token_value)
+    def _constant(self, token: Token) -> Optional[Term]:
+        """:func:`term_of_token`, its failure positioned at the (consumed) token."""
+        try:
+            return term_of_token(token, self.prefixes)
+        except MalformedTermError as exc:
+            raise self._error(str(exc), token) from exc
 
     # ------------------------------------------------------------------ #
     # Expressions
@@ -468,15 +503,8 @@ class _Parser:
             return expression
         if token.kind == "VAR":
             return VariableExpression(Variable(token.value))
-        if token.kind == "NUMBER":
-            datatype = XSD_INTEGER if "." not in token.value and "e" not in token.value.lower() else XSD_DECIMAL
-            return TermExpression(Literal(token.value, datatype=datatype))
-        if token.kind == "STRING":
-            return TermExpression(self._parse_string_literal(token.value))
-        if token.kind == "IRI":
-            return TermExpression(IRI(token.value[1:-1]))
-        if token.kind == "PNAME":
-            return TermExpression(self._expand_pname(token.value))
+        if token.kind in ("NUMBER", "STRING", "IRI", "PNAME"):
+            return TermExpression(self._constant(token))
         if token.kind in ("NAME", "KEYWORD"):
             # Function call such as regex(...), bound(...), str(...).
             name = token.value
@@ -518,6 +546,7 @@ class _Parser:
             if self._accept_keyword("order"):
                 if not self._accept_keyword("by"):
                     raise self._error("ORDER must be followed by BY")
+                conditions_before = len(order_conditions)
                 while True:
                     token = self._peek()
                     if token is None:
@@ -532,15 +561,26 @@ class _Parser:
                         order_conditions.append(OrderCondition(VariableExpression(Variable(token.value)), True))
                     else:
                         break
+                if len(order_conditions) == conditions_before:
+                    raise self._error("ORDER BY requires at least one condition")
                 continue
             if self._accept_keyword("limit"):
-                limit = int(self._expect("NUMBER").value)
+                limit = self._parse_row_count("LIMIT")
                 continue
             if self._accept_keyword("offset"):
-                offset = int(self._expect("NUMBER").value)
+                offset = self._parse_row_count("OFFSET")
                 continue
             break
         return order_conditions, limit, offset, group_by
+
+    def _parse_row_count(self, clause: str) -> int:
+        """The argument of LIMIT / OFFSET: digits only (SPARQL's INTEGER)."""
+        token = self._expect("NUMBER")
+        if not token.value.isdigit():
+            raise self._error(
+                f"{clause} requires a non-negative integer, found {token.value!r}", token
+            )
+        return int(token.value)
 
 
 def parse_query(text: str) -> Query:

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List, NamedTuple
 
 
 class TokenizeError(ValueError):
@@ -19,14 +18,10 @@ class TokenizeError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     position: int
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"Token({self.kind}, {self.value!r})"
 
 
 _KEYWORDS = {
@@ -50,15 +45,26 @@ _KEYWORDS = {
     "as",
 }
 
+#: A prefixed name's local part may contain dots but not end in one: the dot
+#: of ``wsdbm:User1.`` ends the triple.  (A literal's prefixed datatype is
+#: spelled out in STRING below: the same rule, without ``%``.)
+_PN_LOCAL = r"(?:[\w\-.%]*[\w\-%])?"
+
+#: Tried in this order at every token start.  Words come first because most
+#: tokens are words; the order only matters where two patterns can start with
+#: the same character: IRI before ``<`` / ``<=``, NUMBER before ``+`` / ``-`` /
+#: ``.``, PNAME before NAME, two-character operators before their first character.
 _TOKEN_SPEC = [
-    ("COMMENT", r"#[^\n]*"),
-    ("WS", r"\s+"),
-    ("IRI", r"<[^<>\"{}|^`\\\s]*>"),
-    ("STRING", r'"(?:[^"\\]|\\.)*"(?:@[A-Za-z0-9\-]+|\^\^<[^>]*>|\^\^[A-Za-z_][\w\-]*:[\w\-.]*)?'),
-    ("VAR", r"[?$][A-Za-z_][A-Za-z_0-9]*"),
-    ("NUMBER", r"[+-]?\d+\.\d*(?:[eE][+-]?\d+)?|[+-]?\.\d+(?:[eE][+-]?\d+)?|[+-]?\d+"),
-    ("PNAME", r"[A-Za-z_][\w\-]*:[\w\-.%]*"),
+    ("PNAME", r"[A-Za-z_][\w\-]*:" + _PN_LOCAL),
     ("NAME", r"[A-Za-z_][\w\-]*"),
+    ("IRI", r"<[^<>\"{}|^`\\\s]*>"),
+    ("VAR", r"[?$][A-Za-z_][A-Za-z_0-9]*"),
+    (
+        "STRING",
+        r'"(?:[^"\\]|\\.)*"(?:@[A-Za-z0-9\-]+|\^\^<[^>]*>|\^\^[A-Za-z_][\w\-]*:(?:[\w\-.]*[\w\-])?)?',
+    ),
+    # Like a local name, a number does not end in a dot: ``5.`` is ``5`` then ``.``.
+    ("NUMBER", r"[+-]?\d+\.\d*[eE][+-]?\d+|[+-]?\d*\.\d+(?:[eE][+-]?\d+)?|[+-]?\d+"),
     ("NEQ", r"!="),
     ("LE", r"<="),
     ("GE", r">="),
@@ -81,33 +87,43 @@ _TOKEN_SPEC = [
     ("SLASH", r"/"),
 ]
 
-_MASTER_RE = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_SPEC))
+#: Whitespace and comments are not tokens: the master pattern skips them as a
+#: prefix of the token that follows, so the loop below runs once per token.
+#: The lookahead pins a comment to its whole line; without it a failed match
+#: would backtrack into the comment and find tokens there.
+_SKIP = r"\s*(?:#[^\n]*(?![^\n])\s*)*"
+_SKIP_RE = re.compile(_SKIP)
+_MASTER_RE = re.compile(
+    _SKIP + "(?:" + "|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_SPEC) + ")"
+)
+#: Token kind by group index of the master pattern.
+_KINDS = (None,) + tuple(name for name, _ in _TOKEN_SPEC)
 
 
 def tokenize(text: str) -> List[Token]:
     """Tokenize a SPARQL query string into a list of tokens (EOF excluded)."""
     tokens: List[Token] = []
-    position = 0
-    length = len(text)
-    while position < length:
-        match = _MASTER_RE.match(text, position)
-        if match is None:
+    append = tokens.append
+    new = tuple.__new__  # Token(...) without the generated __new__'s call overhead
+    kinds = _KINDS
+    keywords = _KEYWORDS
+    end = 0
+    # ``scanner.match`` anchors each match where the previous one ended.
+    for match in iter(_MASTER_RE.scanner(text).match, None):
+        index = match.lastindex
+        kind = kinds[index]
+        value = match[index]
+        end = match.end()
+        if kind == "NAME":
+            lowered = value.lower()
+            if lowered in keywords:
+                kind = "KEYWORD"
+                value = lowered
+        append(new(Token, (kind, value, end - len(value))))
+    if end != len(text):
+        position = _SKIP_RE.match(text, end).end()
+        if position != len(text):
             raise TokenizeError(
                 f"unexpected character {text[position]!r} at offset {position}", position
             )
-        kind = match.lastgroup or ""
-        value = match.group()
-        position = match.end()
-        if kind in ("WS", "COMMENT"):
-            continue
-        if kind == "NAME" and value.lower() in _KEYWORDS:
-            kind = "KEYWORD"
-            tokens.append(Token(kind, value.lower(), match.start()))
-            continue
-        tokens.append(Token(kind, value, match.start()))
     return tokens
-
-
-def iter_tokens(text: str) -> Iterator[Token]:
-    """Generator variant of :func:`tokenize`."""
-    yield from tokenize(text)

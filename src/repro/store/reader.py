@@ -206,12 +206,6 @@ class StoredTable(StoredTableProvider):
             self._full_batch = result
         return result
 
-    def drop_caches(self) -> None:
-        """Forget decoded segments and cached scans (benchmark cold-run aid)."""
-        self._arrays.clear()
-        self._full_batch = None
-        self._full = None
-
     def entry_changed(self) -> None:
         """The manifest entry was updated in place by a committed mutation.
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.engine.runtime import strategies
@@ -16,6 +17,7 @@ from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
 from repro.rdf.triple import Triple
 from repro.watdiv.generator import generate_dataset
+from repro.watdiv.template import instantiate_template
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -86,3 +88,43 @@ def small_dataset():
 @pytest.fixture(scope="session")
 def small_graph(small_dataset):
     return small_dataset.graph
+
+
+@pytest.fixture(scope="session")
+def instantiations(small_dataset):
+    """``draw(template, count=3)``: that many instantiations of a WatDiv
+    template over the small dataset — with pairwise different constants when
+    the template has placeholders, the one text repeated when it has none."""
+
+    def draw(template, count=3):
+        texts = []
+        for seed in range(200):
+            text = instantiate_template(template, small_dataset, np.random.default_rng(seed))
+            if text not in texts or not template.is_parameterized():
+                texts.append(text)
+            if len(texts) == count:
+                return texts
+        raise AssertionError(f"{template.name}: fewer than {count} distinct instantiations")
+
+    return draw
+
+
+#: The template cache's registry counters, in the order ``cache_counters`` reports them.
+CACHE_COUNTERS = (
+    "s2rdf_template_cache_hits_total",
+    "s2rdf_template_cache_misses_total",
+    "s2rdf_plan_cache_hits_total",
+    "s2rdf_plan_cache_misses_total",
+)
+
+
+@pytest.fixture(scope="session")
+def cache_counters():
+    """``count(session)``: (parse hits, parse misses, plan hits, plan misses) so
+    far; ``count(session, since)``: how far each moved since an earlier reading."""
+
+    def count(session, since=(0, 0, 0, 0)):
+        snapshot = session.metrics.snapshot()["counters"]
+        return tuple(int(snapshot.get(name, 0)) - was for name, was in zip(CACHE_COUNTERS, since))
+
+    return count

@@ -67,6 +67,27 @@ def test_explain_analyze_with_accurate_statistics(session):
     assert len(explained.result.relation) == len(session.query(QUERY).relation)
 
 
+def test_explain_analyze_says_what_the_template_cache_answered(session):
+    """One line: was the grammar run, was the plan compiled — and the plan tree
+    of a hit is the tree a session that never saw the template prints."""
+    other = QUERY.replace("?x", "?renamed")  # another template, same shape
+
+    def tree(text):
+        # Operator lines without their timings.
+        head = text.split("\n\nEngine:")[0]
+        return re.sub(r"[\d.]+ ms", "_ ms", head)
+
+    first = str(session.explain_analyze(QUERY))
+    assert "Template cache: parse=miss, compile=miss" in first
+    again = str(session.explain_analyze(QUERY))
+    assert "Template cache: parse=hit, compile=hit" in again
+    assert tree(again) == tree(first)
+    assert "Template cache: parse=miss, compile=miss" in str(session.explain_analyze(other))
+    # A store change drops the plan, not the parsed template.
+    session._templates.invalidate_plans()
+    assert "Template cache: parse=hit, compile=miss" in str(session.explain_analyze(QUERY))
+
+
 def test_explain_analyze_prints_an_inlined_join_without_an_exchange(session):
     """On defaults these inputs are under the small-join bound: the join is
     planned and executed as a SerialJoin and nothing is exchanged."""

@@ -17,6 +17,10 @@ whole queries shipped to worker processes by ``serve()`` — and, for every
 plain BGP, an oracle that shares nothing with the engine but the parser:
 index nested loops over the graph
 (:func:`repro.baselines.binding_iteration.index_nested_loop_execute`).
+The ``template-hit`` path answers from the session's template cache: every
+WatDiv template (and every generated query) is run again with other constants
+in its subject/object slots, so the grammar and the compilation are skipped
+and the new constants rebound into the cached tree and plan.
 
 Both halves run on both sides of the runtime's small-join bound
 (``strategies.SMALL_JOIN_ROWS``): at the default, where nearly every join of
@@ -42,6 +46,7 @@ from repro.rdf.graph import Graph
 from repro.sparql import parse_query
 from repro.watdiv.basic_queries import BASIC_TEMPLATES
 from repro.watdiv.incremental_queries import INCREMENTAL_TEMPLATES
+from repro.watdiv.selectivity_queries import SELECTIVITY_TEMPLATES
 from repro.watdiv.template import instantiate_template
 
 ALL_TEMPLATES = {template.name: template for template in BASIC_TEMPLATES + INCREMENTAL_TEMPLATES}
@@ -179,13 +184,20 @@ class RandomQueryGenerator:
     _COMPARATORS = ("=", "!=", "<", "<=", ">", ">=")
     _AGG_FUNCTIONS = ("count", "count", "sum", "avg", "min", "max")
 
-    def __init__(self, graph: Graph, seed: int) -> None:
+    def __init__(self, graph: Graph, seed: int, redraw: int = 0) -> None:
         self.rng = random.Random(seed)
+        #: Two generators with one seed emit the same queries; ``redraw``
+        #: shifts which constant lands in each triple-pattern slot, and
+        #: nothing else (same shapes, predicates, variables and filters).
+        self.redraw = redraw
         self.predicates = [p.n3() for p in graph.predicates()]
         subjects = sorted(graph.subjects(), key=lambda t: t.n3())
         objects = sorted(graph.objects(), key=lambda t: t.n3())
         self.subject_terms = [t.n3() for t in subjects]
         self.object_terms = [t.n3() for t in objects]
+
+    def _slot_constant(self, terms) -> str:
+        return terms[(self.rng.randrange(len(terms)) + self.redraw) % len(terms)]
 
     def _bgp(self, size: int, first_var: int = 0):
         """Return (pattern lines, in-scope variables, next free var index)."""
@@ -207,9 +219,9 @@ class RandomQueryGenerator:
                 subject, object_ = fresh, anchor
                 variables.append(fresh)
             elif roll < 0.9:
-                subject, object_ = anchor, self.rng.choice(self.object_terms)
+                subject, object_ = anchor, self._slot_constant(self.object_terms)
             else:
-                subject, object_ = self.rng.choice(self.subject_terms), anchor
+                subject, object_ = self._slot_constant(self.subject_terms), anchor
             patterns.append(f"{subject} {self.rng.choice(self.predicates)} {object_} .")
         return patterns, variables, next_var
 
@@ -413,3 +425,83 @@ def _graph_view(session: S2RDFSession) -> Graph:
 
     relation = session.layout.catalog.table("triples")
     return Graph(Triple(s, p, o) for s, p, o in relation.rows)
+
+
+# --------------------------------------------------------------------------- #
+# The template-hit path: answers from the session's template cache
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize(
+    "template",
+    BASIC_TEMPLATES + INCREMENTAL_TEMPLATES + SELECTIVITY_TEMPLATES,
+    ids=lambda template: template.name,
+)
+def test_template_hits_match_a_fresh_session_and_the_oracle(
+    differential_setup, instantiations, cache_counters, template
+):
+    """Three instantiations of every Basic, IL and ST template on one stored
+    session: the second and third are answered from the template cache (parse
+    and plan), and each is bag-equal to a session that never saw the template
+    (a miss) and to the graph oracle."""
+    _, graph, stored, *_ = differential_setup
+    texts = instantiations(template)
+    fresh = S2RDFSession.open_dataset(stored.dataset_path, journal_enabled=False)
+    try:
+        for position, text in enumerate(texts):
+            before = cache_counters(stored)
+            result = stored.query(text)
+            moved = cache_counters(stored, before)
+            if position:
+                assert moved == (1, 0, 1, 0), (template.name, position)
+            before = cache_counters(fresh)
+            missed = fresh.query(text)
+            if not position:
+                assert cache_counters(fresh, before) == (0, 1, 0, 1)
+            assert result.relation.columns == missed.relation.columns
+            assert bag(result.relation) == bag(missed.relation), (template.name, position)
+            oracle = oracle_bag(graph, text, result.relation.columns)
+            assert oracle is not None, template.name  # every WatDiv template is a plain BGP
+            assert bag(result.relation) == oracle, ("graph-oracle", template.name, position)
+            # A hit must not leak the first instantiation's plan or SQL.
+            assert result.sql == missed.sql
+            assert result.selected_tables == missed.selected_tables
+    finally:
+        fresh.close()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_generated_queries_with_redrawn_constants_hit_the_template(
+    differential_setup, cache_counters, seed
+):
+    """The generator's queries again, with other constants in their slots:
+    the cached front end must equal the uncached one (``Query``, plan, SQL)
+    and the answers a fresh compile gives, and must have been a hit."""
+    from repro.core.compiler import QueryCompiler
+    from repro.core.table_selection import TableSelector
+
+    warm, *_ = differential_setup
+    view = _graph_view(warm)
+    catalog = warm.layout.catalog
+    compiler = QueryCompiler(TableSelector(warm.layout))
+    drawn = RandomQueryGenerator(view, seed)
+    redrawn = RandomQueryGenerator(view, seed, redraw=1)
+    pairs = [(drawn.query(), redrawn.query()) for _ in range(6)]
+    pairs.append((drawn.bgp_query(), redrawn.bgp_query()))
+    with_slots = 0
+    for first, second in pairs:
+        warm.compile(first)
+        before = cache_counters(warm)
+        parsed = warm.parse(second)
+        compiled = warm.compile(parsed)
+        moved = cache_counters(warm, before)
+        assert moved == (1, 0, 1, 0), (first, second)
+        reference = parse_query(second)
+        assert parsed == reference, second
+        expected = compiler.compile(reference)
+        assert compiled == expected, second
+        assert compiled.sql() == expected.sql()
+        cached_rows = PlanExecutor(catalog).execute(compiled.plan, ExecutionMetrics())
+        fresh_rows = PlanExecutor(catalog).execute(expected.plan, ExecutionMetrics())
+        assert cached_rows.columns == fresh_rows.columns
+        assert bag(cached_rows) == bag(fresh_rows), second
+        with_slots += first != second
+    assert with_slots >= 1  # some pair really differs in its constants

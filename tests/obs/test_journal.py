@@ -203,17 +203,21 @@ def test_in_memory_journal_is_a_bounded_ring():
     assert journal.file_count() == 0
 
 
-def test_journal_renders_template_from_parsed_query():
-    journal = QueryJournal()
-    parsed = parse_query("SELECT ?x WHERE { ?x <follows> ?y }")
-    journal.append(
-        JournalRecord(fingerprint="", template="", epoch=None, rows=1, wall_ms=1.0),
-        query=parsed,
-    )
-    (record,) = journal.records()
-    assert record.template == template_text(parsed)
-    assert record.fingerprint == fingerprint_query(parsed)
-    assert record.ts > 0.0  # stamped on append
+def test_journal_renders_template_from_parsed_query(example_graph):
+    """The session hands the journal a rendered template: the cached one for a
+    text (first and later instances alike), a fresh rendering for a ``Query``."""
+    text = "SELECT ?x WHERE { ?x <follows> <%s> }"
+    parsed = parse_query(text % "B")
+    with S2RDFSession.from_graph(example_graph) as session:
+        session.query(text % "B")
+        session.query(text % "D")
+        session.query(parsed)
+        records = session.journal.records()
+    assert len(records) == 3
+    for record in records:
+        assert record.template == template_text(parsed)
+        assert record.fingerprint == fingerprint_query(parsed)
+        assert record.ts > 0.0  # stamped on append
 
 
 def test_persistent_journal_survives_reopening(tmp_path):
@@ -221,7 +225,7 @@ def test_persistent_journal_survives_reopening(tmp_path):
     journal = QueryJournal(directory=directory)
     parsed = parse_query("SELECT ?x WHERE { ?x <follows> ?y }")
     for i in range(3):
-        journal.append(make_record(i, fingerprint="", template=""), query=parsed)
+        journal.append(make_record(i, fingerprint_query(parsed), template_text(parsed)))
     journal.close()
 
     reopened = QueryJournal(directory=directory)
@@ -230,7 +234,7 @@ def test_persistent_journal_survives_reopening(tmp_path):
     # Templates come back from the sidecar even though record lines omit them.
     assert all(r.template == template_text(parsed) for r in records)
     assert reopened.appended_count == 0  # counts this object's appends only
-    reopened.append(make_record(3, fingerprint="", template=""), query=parsed)
+    reopened.append(make_record(3, fingerprint_query(parsed), template_text(parsed)))
     assert [r.rows for r in reopened.records()] == [0, 1, 2, 3]
     reopened.close()
 
@@ -240,7 +244,7 @@ def test_template_sidecar_stores_each_template_once(tmp_path):
     journal = QueryJournal(directory=directory)
     parsed = parse_query("SELECT ?x WHERE { ?x <follows> ?y }")
     for i in range(10):
-        journal.append(make_record(i, fingerprint="", template=""), query=parsed)
+        journal.append(make_record(i, fingerprint_query(parsed), template_text(parsed)))
     journal.close()
     with open(os.path.join(directory, TEMPLATES_FILE), encoding="utf-8") as handle:
         entries = [json.loads(line) for line in handle if line.strip()]

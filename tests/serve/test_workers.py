@@ -142,21 +142,23 @@ def test_direct_query_on_a_process_session_submits_nothing(
 
 
 def test_query_task_parses_the_text_once(stored, monkeypatch):
-    """The worker entry point, run in this process: one parse feeds both the
-    execution and the template/fingerprint, and its time stays in the result."""
-    import repro.core.session as session_module
+    """The worker entry point, run in this process: one trip through the
+    session's front end feeds both the execution and the template/fingerprint,
+    and its time stays in the result."""
+    import repro.core.template_cache as template_cache
     from repro.obs.journal import fingerprint_text, template_text
+    from repro.sparql import parse_query
 
     path, session = stored
     query = "SELECT * WHERE { ?a <follows> ?b . ?b <likes> ?w }"
     parses = []
-    real_parse = session_module.parse_query
+    real_tokenize = template_cache.tokenize_query
 
-    def counting_parse(text):
+    def counting_tokenize(text):
         parses.append(text)
-        return real_parse(text)
+        return real_tokenize(text)
 
-    monkeypatch.setattr(session_module, "parse_query", counting_parse)
+    monkeypatch.setattr(template_cache, "tokenize_query", counting_tokenize)
     workers._worker_init(path, {})
     try:
         outcome = workers._run_query_task({"query": query, "epoch": session._journal_epoch})
@@ -165,7 +167,7 @@ def test_query_task_parses_the_text_once(stored, monkeypatch):
             workers._WORKER_SESSION.close()
         workers._worker_init(None, {})
     assert parses == [query]
-    assert outcome["template"] == template_text(real_parse(query))
+    assert outcome["template"] == template_text(parse_query(query))
     assert outcome["fingerprint"] == fingerprint_text(outcome["template"])
     result = outcome["result"]
     assert bag(result.relation) == bag(session.query(query).relation)

@@ -1,0 +1,134 @@
+"""Grammar fuzz: whatever the text, the front end answers with a ``Query`` or
+a positioned ``SparqlParseError`` — never with another exception — and the
+cached entry point (``session.parse``) agrees with the uncached one
+(``parse_query``) on which, down to the message.
+
+Texts are corpus queries with tokens deleted, duplicated, swapped, replaced
+by a token from elsewhere, or cut short (by token and by character).  The run
+is derandomized, so a failure in CI reproduces locally as is.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.session import S2RDFSession
+from repro.sparql.parser import SparqlParseError, parse_query
+from repro.sparql.tokenizer import tokenize
+from repro.watdiv.basic_queries import BASIC_TEMPLATES
+from repro.watdiv.incremental_queries import INCREMENTAL_TEMPLATES
+from repro.watdiv.selectivity_queries import SELECTIVITY_TEMPLATES
+from repro.watdiv.template import instantiate_template
+
+HAND_WRITTEN = [
+    "SELECT * WHERE { <A> <follows> ?x . ?x <likes> <I2> }",
+    "SELECT ?x ?w WHERE { ?x <follows> ?y ; <likes> ?w , <I1> . }",
+    "SELECT DISTINCT ?x WHERE { ?x a wsdbm:User . OPTIONAL { ?x wsdbm:likes ?p } }",
+    "SELECT * WHERE { { <A> <follows> ?x } UNION { ?x <likes> <I2> } }",
+    'SELECT * WHERE { ?x <age> ?a . ?x <name> "Al"@en . FILTER(?a >= 18 && !(?a = 65) || bound(?x)) }',
+    'SELECT * WHERE { ?x <p> "5"^^xsd:integer . ?x <q> 4.5 . ?x <r> "t"^^<http://t> }',
+    "SELECT ?x (COUNT(DISTINCT ?y) AS ?n) (MAX(?y) AS ?m) WHERE { ?x <follows> ?y } GROUP BY ?x",
+    "SELECT (COUNT(*) AS ?n) WHERE { ?x <follows> ?y }",
+    "SELECT * WHERE { ?x <follows> ?y } ORDER BY DESC(?x) ?y LIMIT 3 OFFSET 1",
+    "PREFIX ex: <http://example.org/> SELECT * WHERE { ex:a.b ex:p ex:c. }",
+    "SELECT * WHERE { ?x <follows> ?y . FILTER(?x <?y&&?z> ?w) } # trailing comment",
+    "BASE <http://base/> SELECT REDUCED ?s WHERE { ?s ?p ?o . FILTER(regex(str(?o), \"^a\") ) }",
+]
+
+
+def _corpus():
+    from repro.watdiv.generator import generate_dataset
+
+    dataset = generate_dataset(scale_factor=0.2, seed=3)
+    texts = list(HAND_WRITTEN)
+    for template in BASIC_TEMPLATES + SELECTIVITY_TEMPLATES[:4] + INCREMENTAL_TEMPLATES[:4]:
+        texts.append(
+            instantiate_template(
+                template, dataset, np.random.default_rng(1), include_prefixes=False
+            )
+        )
+    return texts
+
+
+CORPUS = _corpus()
+#: Every corpus text as its token spellings; joined by blanks they lex the same.
+CORPUS_TOKENS = [[token.value for token in tokenize(text)] for text in CORPUS]
+SPARE_TOKENS = sorted({value for values in CORPUS_TOKENS for value in values})
+
+
+@pytest.fixture(scope="module")
+def session():
+    from repro.rdf.graph import Graph
+    from repro.rdf.triple import Triple
+
+    with S2RDFSession.from_graph(Graph([Triple.of("A", "follows", "B")])) as session:
+        for text in CORPUS:  # the fuzzed texts meet a populated cache
+            outcome(session.parse, text)
+        yield session
+
+
+def outcome(parse, text):
+    """("query", Query) or ("error", message, line, column, token)."""
+    try:
+        return ("query", parse(text))
+    except SparqlParseError as error:
+        assert error.line is not None and error.column is not None, text
+        assert error.line >= 1 and error.column >= 1, text
+        assert f"(line {error.line}, column {error.column})" in str(error), text
+        return ("error", str(error), error.line, error.column, error.token)
+
+
+def check(session, text):
+    reference = outcome(parse_query, text)
+    for _ in range(2):  # a possible miss, then a possible hit
+        assert outcome(session.parse, text) == reference, text
+
+
+@st.composite
+def mutated_tokens(draw):
+    tokens = list(draw(st.sampled_from(CORPUS_TOKENS)))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if not tokens:
+            break
+        kind = draw(st.sampled_from(["delete", "duplicate", "swap", "replace", "truncate"]))
+        index = draw(st.integers(min_value=0, max_value=len(tokens) - 1))
+        if kind == "delete":
+            del tokens[index]
+        elif kind == "duplicate":
+            tokens.insert(index, tokens[index])
+        elif kind == "swap":
+            other = draw(st.integers(min_value=0, max_value=len(tokens) - 1))
+            tokens[index], tokens[other] = tokens[other], tokens[index]
+        elif kind == "replace":
+            tokens[index] = draw(st.sampled_from(SPARE_TOKENS))
+        else:
+            del tokens[index:]
+    return " ".join(tokens)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=mutated_tokens())
+def test_mutated_token_streams_parse_or_fail_with_a_position(session, text):
+    check(session, text)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_texts_cut_short_parse_or_fail_with_a_position(session, data):
+    text = data.draw(st.sampled_from(CORPUS))
+    cut = data.draw(st.integers(min_value=0, max_value=len(text)))
+    check(session, text[:cut])
+
+
+@pytest.mark.parametrize("text", CORPUS)
+def test_the_corpus_itself_lexes_alike_when_respaced(session, text):
+    """The fuzz's starting point is sound: re-joined tokens are the same query."""
+    respaced = " ".join(token.value for token in tokenize(text))
+    reference = outcome(parse_query, text)
+    assert reference[0] == ("error" if "<?y&&?z>" in text else "query")
+    again = outcome(parse_query, respaced)
+    if reference[0] == "query":
+        assert again[1].pattern == reference[1].pattern
+    check(session, text)
+    check(session, respaced)

@@ -39,6 +39,28 @@ class TestTokenizer:
         with pytest.raises(TokenizeError):
             tokenize("SELECT ?x WHERE § { }")
 
+    def test_a_comment_runs_to_the_end_of_its_line(self):
+        # Nothing inside a comment is a token, even when no token follows it.
+        assert [t.value for t in tokenize("?x # not ?these tokens")] == ["?x"]
+        assert [t.value for t in tokenize("# only\n# comments\n")] == []
+        with pytest.raises(TokenizeError) as excinfo:
+            tokenize("?x # fine\n  § ?y")
+        assert excinfo.value.position == 12
+
+    def test_token_positions_skip_whitespace_and_comments(self):
+        text = "  ?x # c\n\t<p>  ex:a.b ."
+        assert [(t.value, text[t.position :][: len(t.value)]) for t in tokenize(text)] == [
+            (value, value) for value in ("?x", "<p>", "ex:a.b", ".")
+        ]
+
+    def test_the_dot_that_ends_a_triple_is_not_part_of_the_name(self):
+        # PN_LOCAL may contain dots but not end in one; the same goes for the
+        # prefixed datatype of a literal and for a number.
+        assert [t.value for t in tokenize("wsdbm:User1.")] == ["wsdbm:User1", "."]
+        assert [t.value for t in tokenize("ex:a.b ex:a.b.")] == ["ex:a.b", "ex:a.b", "."]
+        assert [t.value for t in tokenize('"5"^^xsd:integer.')] == ['"5"^^xsd:integer', "."]
+        assert [t.value for t in tokenize("5. 5.5. .5 5.e3")] == ["5", ".", "5.5", ".", ".5", "5.e3"]
+
 
 class TestBasicParsing:
     def test_select_star_single_pattern(self):
@@ -214,6 +236,55 @@ class TestSolutionModifiers:
     def test_order_by_desc(self):
         query = parse_query("SELECT ?x WHERE { ?x ?p ?o } ORDER BY DESC(?x)")
         assert not query.order_by[0].ascending
+
+    @pytest.mark.parametrize("clause", ["LIMIT", "OFFSET"])
+    @pytest.mark.parametrize("count", ["1.5", "-1", "+1", "2.e3"])
+    def test_limit_and_offset_take_a_plain_integer(self, clause, count):
+        # Neither a bare ValueError nor Python's slice arithmetic on negatives.
+        with pytest.raises(SparqlParseError) as excinfo:
+            parse_query(f"SELECT ?x WHERE {{ ?x ?p ?o }}\n{clause} {count}")
+        error = excinfo.value
+        assert f"{clause} requires a non-negative integer" in str(error)
+        assert (error.line, error.column, error.token) == (2, len(clause) + 2, count)
+
+    @pytest.mark.parametrize("tail", ["ORDER BY", "ORDER BY LIMIT 3"])
+    def test_order_by_needs_a_condition(self, tail):
+        with pytest.raises(SparqlParseError, match="ORDER BY requires at least one condition"):
+            parse_query("SELECT ?x WHERE { ?x ?p ?o } " + tail)
+
+
+class TestTripleTerminator:
+    def test_a_prefixed_name_does_not_swallow_the_dot(self):
+        spaced = parse_query("SELECT * WHERE { ?x wsdbm:follows wsdbm:User1 . }")
+        tight = parse_query("SELECT * WHERE { ?x wsdbm:follows wsdbm:User1. }")
+        assert tight.pattern == spaced.pattern
+        assert tight.pattern.patterns[0].object == IRI(WATDIV_NAMESPACES["wsdbm"] + "User1")
+
+    def test_a_number_or_typed_literal_does_not_swallow_the_dot(self):
+        for constant in ("5", '"5"^^xsd:integer'):
+            spaced = parse_query(f"SELECT * WHERE {{ ?x <p> {constant} . ?x <q> ?y }}")
+            tight = parse_query(f"SELECT * WHERE {{ ?x <p> {constant}. ?x <q> ?y }}")
+            assert tight.pattern == spaced.pattern
+            assert len(tight.pattern.patterns) == 2
+
+    def test_both_spellings_find_the_row(self, small_dataset):
+        from repro.core.session import S2RDFSession
+
+        triple = next(
+            t for t in small_dataset.graph if t.predicate.value.endswith("wsdbm/follows")
+        )
+        user = "wsdbm:" + triple.object.value.rsplit("/", 1)[1]
+        with S2RDFSession.from_graph(small_dataset.graph) as session:
+            spaced = session.query(f"SELECT * WHERE {{ ?x wsdbm:follows {user} . }}")
+            tight = session.query(f"SELECT * WHERE {{ ?x wsdbm:follows {user}. }}")
+        assert len(spaced) >= 1
+        assert sorted(map(repr, tight.relation.rows)) == sorted(map(repr, spaced.relation.rows))
+
+    def test_malformed_literal_is_a_positioned_parse_error(self):
+        with pytest.raises(SparqlParseError) as excinfo:
+            parse_query('SELECT * WHERE { ?x <p> "5"^^<> }')
+        assert "malformed literal" in str(excinfo.value)
+        assert (excinfo.value.line, excinfo.value.column) == (1, 25)
 
 
 class TestComplexPatterns:
