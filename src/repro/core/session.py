@@ -368,11 +368,12 @@ class S2RDFSession:
     ) -> DatasetWriteReport:
         """Persist the session's layout to a columnar dataset directory.
 
-        Every catalog table is written as hash-bucketed, dictionary + RLE
-        encoded column segments with zone maps; the manifest carries all
-        statistics (including the statistics-only entries for empty ExtVP
-        tables), so :meth:`open_dataset` restores a fully query-ready session
-        without touching the original graph.  ``num_buckets`` defaults to the
+        Every VP table (and the triples table) is written as hash-bucketed,
+        dictionary + RLE encoded column segments with zone maps, every ExtVP
+        table as bitmaps over its VP table's rows; the manifest carries all
+        statistics (the statistics-only entries for empty ExtVP tables are
+        implied by it), so :meth:`open_dataset` restores a fully query-ready
+        session without touching the original graph.  ``num_buckets`` defaults to the
         session's ``num_partitions`` so stored buckets line up with the
         runtime's shuffle partitioning.
         """
@@ -487,12 +488,13 @@ class S2RDFSession:
         The triples are written as *delta segments* — hash-bucketed,
         RLE-encoded column pages with their own zone maps — without rewriting
         any existing segment or renumbering a single dictionary id.  VP
-        tables, the base triples table and every affected ExtVP correlation
-        (statistics *and* materialised rows, maintained incrementally for
-        pairs involving the appended predicates only) are extended, and the
-        touched tables are re-registered in the session's catalog so the very
-        next query sees the merged base + delta data — while every other
-        table keeps its decoded rows.  Triples already present in the dataset
+        tables and the base triples table are extended; every affected ExtVP
+        correlation (maintained incrementally for pairs involving the
+        appended predicates only) gets its statistics updated and, where its
+        rows changed, the bitmaps that select them written anew behind the
+        deltas.  The touched tables are re-registered in the session's
+        catalog so the very next query sees the merged base + delta data —
+        while every other table keeps its decoded rows.  Triples already present in the dataset
         are skipped (the dataset models a triple *set*).
 
         Requires a session that was persisted: either opened with
@@ -527,10 +529,11 @@ class S2RDFSession:
     def compact(self, compaction_threshold: Optional[int] = None) -> CompactionReport:
         """Merge accumulated delta segments back into full base segments.
 
-        Tables with at least ``compaction_threshold`` delta segments
-        (defaulting to the session's ``compaction_threshold`` knob) are
-        rewritten bucket by bucket with tightened zone maps; query results
-        are unchanged, but scans touch fewer segments afterwards.
+        Table files with at least ``compaction_threshold`` delta segments
+        (defaulting to the session's ``compaction_threshold`` knob), or with
+        bitmaps an append superseded, are rewritten bucket by bucket with
+        tightened zone maps; query results are unchanged, but scans touch
+        fewer segments afterwards and no dead byte is left.
         """
         threshold = (
             compaction_threshold
@@ -604,12 +607,17 @@ class S2RDFSession:
         tables: List[str],
         statistics_only: Iterable[ExtVPTableInfo] = (),
     ) -> None:
-        """Re-register only what a committed mutation touched (nothing, for a no-op)."""
-        if not tables:
-            return
-        with self.tracer.span("store.refresh", category="store"):
-            _register_store_changes(self.layout, dataset, tables, statistics_only)
-        self._store_changed(dataset)
+        """Re-register only what a committed mutation touched.
+
+        That may be nothing although something was committed — a compaction
+        that only moved bytes — and is nothing for a no-op, which committed
+        nothing: the manifest's epoch tells the two apart.
+        """
+        if tables:
+            with self.tracer.span("store.refresh", category="store"):
+                _register_store_changes(self.layout, dataset, tables, statistics_only)
+        if dataset.manifest.append_epoch != self._journal_epoch:
+            self._store_changed(dataset)
 
     def _refresh_from_store(self) -> StoredDataset:
         """Re-read the store and re-register every table (the full path)."""

@@ -4,8 +4,9 @@ S2RDF keeps its VP/ExtVP tables as Parquet files on HDFS so that a query
 cluster can come up against an existing dataset without re-ingesting the RDF
 source.  This package is the reproduction's equivalent: a real on-disk format
 (dataset-wide term dictionary, one append-only file of run-length-encoded
-column segments per table, per-segment zone maps, hash-bucketed partitions)
-plus the writer and reader that move an
+column segments per VP table, per-segment zone maps, hash-bucketed
+partitions, and every ExtVP table as bitmaps over its VP table's rows) plus
+the writer and reader that move an
 :class:`~repro.mappings.extvp.ExtVPLayout` to and from disk.
 
 * :mod:`repro.store.format` — directory layout, segment codec, manifest.
@@ -14,7 +15,8 @@ plus the writer and reader that move an
   :class:`DatasetCompactor` (delta merge-back).
 * :mod:`repro.store.reader` — :func:`open_dataset`, lazy stored tables with
   projection/predicate pushdown, base+delta merged scans and
-  partition-aligned scan output; :class:`StoredDataset` is the opened state a
+  partition-aligned scan output, ExtVP tables as views of their VP table
+  (:class:`StoredSelection`); :class:`StoredDataset` is the opened state a
   session keeps resident and its appender/compactor work on in place;
   :func:`register_changes` re-registers what one mutation touched,
   :func:`refresh_dataset` re-reads everything.
@@ -35,6 +37,7 @@ from repro.store.format import (
 from repro.store.reader import (
     DatasetLoadReport,
     StoredDataset,
+    StoredSelection,
     StoredTable,
     open_dataset,
     refresh_dataset,
@@ -61,6 +64,7 @@ __all__ = [
     "FORMAT_VERSION",
     "Manifest",
     "StoredDataset",
+    "StoredSelection",
     "StoredTable",
     "StoredTermDictionary",
     "open_dataset",

@@ -1,4 +1,4 @@
-"""On-disk layout of a persistent S2RDF dataset.
+"""On-disk layout of a persistent S2RDF dataset (format version 4).
 
 A dataset is a directory::
 
@@ -6,37 +6,53 @@ A dataset is a directory::
         MANIFEST.json          -- catalog, statistics, zone maps, config
         dictionary.nt          -- dataset-wide term dictionary, one N3 term
                                   per line; the line number is the term id
-        tables/<name>.seg      -- every segment of one table, back to back
+        tables/<name>.seg      -- one file per *physically stored* table
         tables/<name>.<epoch>.seg   (the same, after a compaction at <epoch>)
 
-Each table has exactly one file.  A *segment* is a byte range of it, addressed
-from the manifest by ``(file, offset, length)``: the *base* segment of hash
-bucket ``i`` holds the rows whose partition-key values hash (via the
-runtime's :func:`~repro.engine.runtime.partitioner.key_partition_index`) to
-``i``; *delta* segments hold rows appended after the dataset was written (one
-append *epoch* per :meth:`~repro.store.writer.DatasetAppender.append` call).
-Deltas are bucketed with the same hash function, so bucket ``i``'s logical
-content is its base segment plus every delta segment tagged with bucket
-``i``.  Inside a segment every column is stored as a dictionary-encoded,
-run-length-encoded page (:func:`repro.engine.storage.encode_id_column`); the
-per-column :class:`~repro.engine.storage.ZoneMap` entries live in the
-manifest so that scans can prune whole segments — base or delta — without
-opening the file.
+Physically stored are the VP tables and the ``triples`` table.  A table's file
+holds two kinds of byte ranges, both addressed from the manifest by
+``(offset, length)``:
+
+* **Segments.**  The *base* segment of hash bucket ``i`` holds the rows whose
+  partition-key values hash (via the runtime's
+  :func:`~repro.engine.runtime.partitioner.key_partition_index`) to ``i``;
+  *delta* segments hold rows appended after the dataset was written (one
+  append *epoch* per :meth:`~repro.store.writer.DatasetAppender.append`
+  call), bucketed with the same hash function.  Bucket ``i``'s *logical row
+  sequence* is its base segment followed by its delta segments in manifest
+  order.  Inside a segment every column is a dictionary-encoded,
+  run-length-encoded page (:func:`repro.engine.storage.encode_id_column`);
+  the per-column :class:`~repro.engine.storage.ZoneMap` entries live in the
+  manifest so that scans can prune whole segments without opening the file.
+* **Selections.**  A materialised ``ExtVP_kind[p1|p2]`` is a semi-join
+  reduction of ``VP_p1`` — a subset of its rows — and is stored as exactly
+  that: per hash bucket one *bitmap* over the logical row sequence of
+  ``VP_p1``'s bucket, a blob in ``VP_p1``'s own file (:func:`encode_bitmap`:
+  bit ``k`` of the blob is row ``k``; a blob shorter than the bucket means
+  trailing zeros, so rows appended behind it need no rewrite).  The manifest
+  keeps each blob's ``(offset, length, rows)`` beside the statistics the
+  compiler needs.  There is no ExtVP table file, no ExtVP zone map (a scan
+  prunes with ``VP_p1``'s zones — a superset test, so still sound) and no
+  second copy of a row.
 
 Table files and the term dictionary are append-only: an append writes at the
 *committed end* of each file it touches (the end of the last byte the
 manifest references) and never renumbers an id or moves a byte, so every
-committed segment stays valid verbatim.  The atomic manifest swap is the only
-commit point; bytes past a file's committed end belong to an operation that
-crashed before its swap — readers never look at them and the next write
-overwrites them.  Compaction (:class:`~repro.store.writer.DatasetCompactor`)
-merges a table's delta segments back into full base bucket segments in a
+committed range stays valid verbatim.  A bitmap that gains bits is written
+anew at the end; the blob it supersedes becomes *dead bytes* until the next
+compaction.  The atomic manifest swap is the only commit point; bytes past a
+file's committed end belong to an operation that crashed before its swap —
+readers never look at them and the next write overwrites them.  Compaction
+(:class:`~repro.store.writer.DatasetCompactor`) merges a table's delta
+segments back into full base bucket segments — mapping every selection over
+a re-sorted bucket through the sort permutation — and drops dead bytes, in a
 *new* file (the epoch in its name), and deletes the old one after the swap.
 
 The manifest also persists everything the query compiler needs to come back
 cold: table statistics, the VP predicate map and the ExtVP correlation
-statistics (from which the paper's statistics-only entries for tables that
-were never materialised are derived) and the layout configuration.
+statistics.  Only correlations with rows are listed; the empty ones (the
+paper's statistics-only entries for tables that do not physically exist) are
+implied by the predicate list and regenerated on read.
 """
 
 from __future__ import annotations
@@ -44,17 +60,22 @@ from __future__ import annotations
 import json
 import os
 import struct
+from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.storage import ZoneMap, decode_id_column, decode_id_column_array
-from repro.mappings.extvp import CorrelationKind, ExtVPStatistics, ExtVPTableInfo
+from repro.mappings.extvp import (
+    CorrelationKind,
+    ExtVPStatistics,
+    ExtVPTableInfo,
+    correlation_kinds,
+)
 from repro.rdf.terms import IRI, Literal, Term, XSD_STRING, term_from_string
 
 #: Bumped whenever the directory layout or segment encoding changes.
-#: Version 3 packs each table into one append-only file (segments addressed
-#: by offset and length) and stores the manifest as positional arrays.
-FORMAT_VERSION = 3
+#: Version 4 stores every ExtVP table as bitmaps over its VP table's rows.
+FORMAT_VERSION = 4
 
 MANIFEST_FILE = "MANIFEST.json"
 DICTIONARY_FILE = "dictionary.nt"
@@ -190,6 +211,49 @@ def read_segment_arrays(
 
 
 # --------------------------------------------------------------------- #
+# Selection bitmaps
+# --------------------------------------------------------------------- #
+#: byte value -> the offsets of its set bits, least significant first.
+_SET_BITS = tuple(tuple(bit for bit in range(8) if value >> bit & 1) for value in range(256))
+
+
+def encode_bitmap(positions: Iterable[int]) -> bytes:
+    """The bitmap with exactly the bits ``positions`` set (bit ``k`` = row ``k``).
+
+    Byte ``k // 8`` holds row ``k`` at bit ``k % 8``; trailing zero bytes are
+    not stored, so the empty selection is the empty blob.
+    """
+    positions = list(positions)
+    data = bytearray(max(positions) // 8 + 1 if positions else 0)
+    for position in positions:
+        data[position >> 3] |= 1 << (position & 7)
+    return bytes(data)
+
+
+def decode_bitmap(data: bytes, rows: int, bucket_rows: int, origin: str) -> array:
+    """The set positions of a bitmap blob, ascending, as ``array('q')``.
+
+    ``rows`` is the popcount the manifest recorded and ``bucket_rows`` the
+    length of the row sequence the bitmap selects from; a blob that disagrees
+    with either was not written for this manifest.
+    """
+    positions = array("q")
+    for index, value in enumerate(data):
+        if value:
+            start = index * 8
+            positions.extend([start + bit for bit in _SET_BITS[value]])
+    if len(positions) != rows:
+        raise DatasetFormatError(
+            f"{origin}: bitmap selects {len(positions)} rows, manifest recorded {rows}"
+        )
+    if positions and positions[-1] >= bucket_rows:
+        raise DatasetFormatError(
+            f"{origin}: bitmap reaches row {positions[-1]} of a bucket of {bucket_rows} rows"
+        )
+    return positions
+
+
+# --------------------------------------------------------------------- #
 # Dictionary file
 # --------------------------------------------------------------------- #
 def encode_term_line(term: Term) -> str:
@@ -297,11 +361,13 @@ class StoredTermDictionary:
         return term
 
     def lookup(self, term: Term) -> Optional[int]:
-        if self._reverse is None:
-            self._reverse = {}
-            for index in range(len(self._lines)):
-                self._reverse[self.decode(index)] = index
-        return self._reverse.get(term)
+        reverse = self._reverse
+        if reverse is None:
+            # Published only once complete: concurrent readers of a cold
+            # session may each build it, none may look into a half-built one.
+            reverse = {self.decode(index): index for index in range(len(self._lines))}
+            self._reverse = reverse
+        return reverse.get(term)
 
 
 # --------------------------------------------------------------------- #
@@ -361,8 +427,39 @@ class DeltaEntry(PartitionEntry):
 
 
 @dataclass
+class BitmapEntry:
+    """Where one bucket's bitmap of a selection lies in the VP table's file."""
+
+    offset: int = 0
+    size_bytes: int = 0
+    #: Set bits; 0 goes with the empty blob (nothing is stored, or read).
+    rows: int = 0
+
+
+@dataclass
+class SelectionEntry:
+    """Manifest record of one materialised ExtVP table.
+
+    It lives in the :class:`TableEntry` of the VP table it selects from
+    (``VP_first`` of the correlation): ``bitmaps[i]`` marks its rows in the
+    logical row sequence of that table's bucket ``i``.  Its selectivity is
+    ``row_count`` over the VP table's and is not stored.
+    """
+
+    name: str
+    row_count: int
+    distinct_subjects: int
+    distinct_objects: int
+    bitmaps: List[BitmapEntry]
+
+    def size_bytes(self) -> int:
+        return sum(bitmap.size_bytes for bitmap in self.bitmaps)
+
+
+@dataclass
 class TableEntry:
-    """Manifest record of one stored table (base segments plus deltas)."""
+    """Manifest record of one physically stored table: its segments (base
+    plus deltas) and the selections over its rows, all in one file."""
 
     name: str
     columns: Tuple[str, ...]
@@ -380,19 +477,40 @@ class TableEntry:
     #: Which file holds the table (see :func:`table_file`): 0 as first
     #: written, the compaction epoch once compacted.
     generation: int = 0
+    #: The materialised ExtVP tables that are subsets of this (VP) table, by
+    #: name.  The manifest lists them with the correlations, not here.
+    selections: Dict[str, SelectionEntry] = field(default_factory=dict)
 
     @property
     def file(self) -> str:
         """The table's one file, relative to the dataset root."""
         return table_file(self.name, self.generation)
 
+    def referenced_ranges(self) -> Iterator[Tuple[int, int]]:
+        """``(offset, length)`` of every non-empty range of :attr:`file` in use."""
+        for segment in self.partitions + self.deltas:
+            yield segment.offset, segment.size_bytes
+        for selection in self.selections.values():
+            for bitmap in selection.bitmaps:
+                if bitmap.size_bytes:
+                    yield bitmap.offset, bitmap.size_bytes
+
     @property
     def committed_bytes(self) -> int:
         """End of the last byte the manifest references in :attr:`file`."""
-        return max(
-            (segment.offset + segment.size_bytes for segment in self.partitions + self.deltas),
-            default=0,
-        )
+        return max((offset + length for offset, length in self.referenced_ranges()), default=0)
+
+    def live_bytes(self) -> int:
+        """Bytes of :attr:`file` the manifest references."""
+        return sum(length for _, length in self.referenced_ranges())
+
+    def dead_bytes(self) -> int:
+        """Committed bytes nothing references any more: superseded bitmaps.
+
+        Writers lay ranges out back to back, so whatever lies before the
+        committed end and is not live was live once.
+        """
+        return self.committed_bytes - self.live_bytes()
 
     @property
     def num_partitions(self) -> int:
@@ -428,6 +546,10 @@ class TableEntry:
 
     def total_bytes(self) -> int:
         return self.base_bytes() + self.delta_bytes()
+
+    def bucket_row_count(self, bucket: int) -> int:
+        """Length of ``bucket``'s logical row sequence."""
+        return sum(segment.row_count for segment in self.segments_for_bucket(bucket))
 
     def _encode(self) -> list:
         columns = self.columns
@@ -474,7 +596,8 @@ class Manifest:
     This is the in-memory form; ``MANIFEST.json`` stores the same content as
     positional arrays (:meth:`to_json`): correlations reference predicates by
     index, and what can be derived — ExtVP table names, segment paths, the
-    statistics-only entries — is not stored.
+    ``|VP_first|`` every selectivity is relative to, the correlations without
+    rows — is not stored.
     """
 
     format_version: int
@@ -508,8 +631,61 @@ class Manifest:
         tables) but whose statistics the compiler still uses."""
         return [info for info in self.extvp.tables.values() if not info.materialized]
 
+    def selection(self, name: str) -> Tuple[TableEntry, SelectionEntry]:
+        """The selection called ``name`` and the entry of the table it selects from."""
+        for entry in self.tables.values():
+            selection = entry.selections.get(name)
+            if selection is not None:
+                return entry, selection
+        raise KeyError(name)
+
     def to_json(self) -> dict:
         predicate_index = {predicate: index for index, predicate in enumerate(self.vp_tables)}
+        kinds = correlation_kinds(self.include_oo)
+        # Only correlations with rows are written; ``from_json`` regenerates
+        # the rest from the predicate list.  That is lossless exactly when the
+        # statistics hold one entry per (kind, first, second) the layout
+        # maintains, each relative to the current size of ``VP_first`` — what
+        # the build and the incremental maintenance both guarantee.
+        implied = len(predicate_index) * (len(predicate_index) * len(kinds) - 1)
+        if len(self.extvp.tables) != implied:
+            raise ValueError(
+                f"{len(self.extvp.tables)} ExtVP statistics for {len(predicate_index)} "
+                f"predicates, the manifest implies {implied}"
+            )
+        correlations = []
+        for info in self.extvp.tables.values():
+            vp_table = self.vp_tables[info.first]
+            if (
+                info.vp_row_count != vp_table["size"]
+                or info.kind not in kinds
+                or (info.kind == CorrelationKind.SS and info.first == info.second)
+                or (info.materialized and info.row_count == 0)
+            ):
+                raise ValueError(f"ExtVP statistics the manifest cannot imply: {info!r}")
+            if info.row_count == 0:
+                continue
+            record = [
+                info.kind,  # a ``str`` subclass: serialises as its value
+                predicate_index[info.first],
+                predicate_index[info.second],
+                info.row_count,
+                int(info.materialized),
+            ]
+            if info.materialized:
+                selection = self.tables[vp_table["table"]].selections[info.name]
+                record += [
+                    selection.distinct_subjects,
+                    selection.distinct_objects,
+                    [
+                        number
+                        for bitmap in selection.bitmaps
+                        for number in (bitmap.offset, bitmap.size_bytes, bitmap.rows)
+                    ],
+                ]
+            correlations.append(record)
+        # Canonical order: what an append added last does not show in the bytes.
+        correlations.sort(key=lambda record: (record[1], record[2], record[0]))
         return {
             "format_version": self.format_version,
             "layout_name": self.layout_name,
@@ -530,18 +706,10 @@ class Manifest:
                 ]
                 for predicate, info in self.vp_tables.items()
             ],
-            # [kind, first predicate, second predicate, rows, vp rows, materialised]
-            "extvp": [
-                [
-                    info.kind,  # a ``str`` subclass: serialises as its value
-                    predicate_index[info.first],
-                    predicate_index[info.second],
-                    info.row_count,
-                    info.vp_row_count,
-                    int(info.materialized),
-                ]
-                for info in self.extvp.tables.values()
-            ],
+            # [kind, first predicate, second predicate, rows, materialised] and,
+            # when materialised, [distinct subjects, distinct objects,
+            # [offset, length, rows of bucket 0's bitmap, ... of bucket 1's, ...]]
+            "extvp": correlations,
             "tables": [self.tables[name]._encode() for name in sorted(self.tables)],
         }
 
@@ -563,24 +731,42 @@ class Manifest:
             predicates.append(predicate)
             vp_tables[predicate] = {"table": table, "size": size}
             vp_value_sets[predicate] = {"s": set(subjects), "o": set(objects)}
-        vp_names = [vp_tables[predicate]["table"] for predicate in predicates]
-        kinds = {kind.value: kind for kind in CorrelationKind}
+        tables = {record[0]: TableEntry._decode(record) for record in data["tables"]}
+
+        listed = {(record[1], record[2], record[0]): record for record in data["extvp"]}
+        kinds = correlation_kinds(data["include_oo"])
         extvp = ExtVPStatistics()
-        for kind, first, second, row_count, vp_row_count, materialized in data["extvp"]:
-            # Positional (name, kind, first, second, rows, vp rows, materialised):
-            # this loop is a quarter of a cold open.
-            extvp.add(
-                ExtVPTableInfo(
-                    correlation_table_name(kind, vp_names[first], vp_names[second]),
-                    kinds[kind],
-                    predicates[first],
-                    predicates[second],
-                    row_count,
-                    vp_row_count,
-                    bool(materialized),
-                )
+        # One entry per correlation the layout maintains, listed or not: this
+        # loop is a quarter of a cold open.
+        for first, first_predicate in enumerate(predicates):
+            first_table = vp_tables[first_predicate]
+            for second, second_predicate in enumerate(predicates):
+                second_name = vp_tables[second_predicate]["table"]
+                for kind in kinds:
+                    if kind == CorrelationKind.SS and first == second:
+                        continue
+                    record = listed.pop((first, second, kind.value), None)
+                    name = correlation_table_name(kind.value, first_table["table"], second_name)
+                    row_count, materialized = (record[3], bool(record[4])) if record else (0, False)
+                    # Positional (name, kind, first, second, rows, vp rows, materialised).
+                    extvp.add(
+                        ExtVPTableInfo(
+                            name,
+                            kind,
+                            first_predicate,
+                            second_predicate,
+                            row_count,
+                            first_table["size"],
+                            materialized,
+                        )
+                    )
+                    if materialized:
+                        entry = tables[first_table["table"]]
+                        entry.selections[name] = _decode_selection(name, record, entry)
+        if listed:
+            raise DatasetFormatError(
+                f"the manifest lists correlations its predicates do not imply: {sorted(listed)[:3]}"
             )
-        tables = [TableEntry._decode(record) for record in data["tables"]]
         return cls(
             format_version=version,
             layout_name=data["layout_name"],
@@ -589,12 +775,25 @@ class Manifest:
             include_oo=data["include_oo"],
             namespaces=data["namespaces"],
             dictionary_size=data["dictionary_size"],
-            tables={entry.name: entry for entry in tables},
+            tables=tables,
             vp_tables=vp_tables,
             extvp=extvp,
             append_epoch=data["append_epoch"],
             vp_value_sets=vp_value_sets,
         )
+
+
+def _decode_selection(name: str, record: list, entry: TableEntry) -> SelectionEntry:
+    if len(record) != 8 or len(record[7]) != 3 * entry.num_partitions:
+        raise DatasetFormatError(f"malformed selection record for {name}: {record!r}")
+    numbers = record[7]
+    return SelectionEntry(
+        name=name,
+        row_count=record[3],
+        distinct_subjects=record[5],
+        distinct_objects=record[6],
+        bitmaps=[BitmapEntry(*numbers[at : at + 3]) for at in range(0, len(numbers), 3)],
+    )
 
 
 def _identity(status: os.stat_result) -> Tuple[int, int, int]:

@@ -6,7 +6,9 @@ parsing N-Triples or recomputing a single semi-join: table statistics come
 from the manifest's zone-map aggregates, the VP/ExtVP correlation statistics
 are restored verbatim (including the paper's statistics-only entries for
 empty tables), and every materialised table is registered as a *stored* table
-that decodes its column segments only when a query actually scans it.
+that decodes its column segments only when a query actually scans it — a VP
+table from its own file (:class:`StoredTable`), an ExtVP table as a view of
+the rows of its VP table that its bitmaps select (:class:`StoredSelection`).
 
 Scans push projection and equality predicates into the store:
 
@@ -38,12 +40,16 @@ from repro.rdf import ntriples as ntriples_io
 from repro.rdf.namespaces import NamespaceManager
 from repro.engine.vectorized import BatchScanResult, ColumnBatch
 from repro.store.format import (
+    BitmapEntry,
     Manifest,
     PartitionEntry,
+    SelectionEntry,
     StoredTermDictionary,
     TableEntry,
+    decode_bitmap,
     file_path,
     manifest_identity,
+    read_file_range,
     read_manifest,
     read_segment_arrays,
 )
@@ -69,28 +75,77 @@ class DatasetLoadReport:
     extvp_rebuilt: bool = False
 
 
-class StoredTable(StoredTableProvider):
-    """One stored table: decodes segments lazily, caches decoded id columns.
+def _emit(
+    out: List[array],
+    ids: Mapping[str, array],
+    output_columns: Sequence[str],
+    condition_ids: Sequence[Tuple[str, int]],
+    keep: Sequence[int],
+) -> int:
+    """Append to ``out`` the rows among ``keep`` (indexes into the ``ids``
+    columns) that meet every equality condition; returns how many there were."""
+    for column, term_id in condition_ids:
+        column_ids = ids[column]
+        keep = [i for i in keep if column_ids[i] == term_id]
+    for position, column in enumerate(output_columns):
+        out[position].extend(map(ids[column].__getitem__, keep))
+    return len(keep)
 
-    A table's bucket ``i`` consists of its base segment (when the table has
-    base partitions) plus every delta segment appended to bucket ``i``; scans
-    merge them transparently, emitting rows grouped by bucket so the result
-    still carries a partition-aligned layout tag.  Pruning (zone maps, bucket
-    arithmetic, unknown terms) applies to base and delta segments alike.
+
+def _zones_exclude(
+    segments: Sequence[PartitionEntry], condition_ids: Sequence[Tuple[str, int]]
+) -> bool:
+    """Whether the zone maps prove that no row of ``segments`` meets every condition."""
+    for column, term_id in condition_ids:
+        for segment in segments:
+            if segment.zones[column].may_contain(term_id):
+                break
+        else:
+            return True
+    return False
+
+
+class _StoredProvider(StoredTableProvider):
+    """The scan of the dataset store, shared by its two kinds of table.
+
+    A physically stored table (:class:`StoredTable`) and a selection over one
+    (:class:`StoredSelection`) differ in where a bucket's rows come from;
+    what a scan request means, what an unconditioned scan caches and how a
+    result is tagged and lowered to rows is the same and is here.
     """
 
-    def __init__(self, root: str, entry: TableEntry, dictionary: StoredTermDictionary) -> None:
-        self.root = root
+    def __init__(self, name: str, entry: TableEntry, dictionary: StoredTermDictionary) -> None:
+        self.name = name
+        #: The physically stored table whose buckets the rows lie in.
         self.entry = entry
         self.dictionary = dictionary
-        #: segment (file, offset) -> {column: array('q')}; grows with scans.
-        #: Committed bytes never change in place, so an entry stays valid for
-        #: as long as the manifest references its segment.
-        self._arrays: Dict[Tuple[str, int], Dict[str, array]] = {}
-        #: cached result of a full, unconditioned scan, as ids and — once a
-        #: row caller asked — lowered to terms.
-        self._full_batch: Optional[BatchScanResult] = None
+        #: column -> its ids over the whole table, buckets end to end: what
+        #: every unconditioned scan hands out, assembled once.
+        self._columns: Dict[str, array] = {}
+        #: requested columns -> their unconditioned scan (shares ``_columns``).
+        self._scans: Dict[Tuple[str, ...], BatchScanResult] = {}
+        #: the full unconditioned scan lowered to terms, once a row caller asked.
         self._full: Optional[ScanResult] = None
+
+    # -- what the two kinds of table implement --------------------------- #
+    def _whole_column(self, column: str) -> array:
+        """``column`` of every row, bucket after bucket."""
+        raise NotImplementedError
+
+    def _whole_shape(self) -> Tuple[List[int], int, int]:
+        """``(rows per bucket, segments read, segments skipped as empty)`` of
+        an unconditioned scan of one column."""
+        raise NotImplementedError
+
+    def _scan_conditioned(
+        self,
+        output_columns: List[str],
+        decode_columns: List[str],
+        condition_ids: List[Tuple[str, int]],
+        unknown_term: bool,
+        target_bucket: Optional[int],
+    ) -> BatchScanResult:
+        raise NotImplementedError
 
     # ------------------------------------------------------------------ #
     def read(self) -> Relation:
@@ -108,7 +163,8 @@ class StoredTable(StoredTableProvider):
         scan tasks that ship rows do.
         """
         scanned = self.scan_batch(columns, conditions)
-        if scanned is self._full_batch and self._full is not None:
+        full_scan = scanned is self._scans.get(self.entry.columns)
+        if full_scan and self._full is not None:
             return self._full
         result = ScanResult(
             relation=scanned.batch.to_relation(),
@@ -116,7 +172,7 @@ class StoredTable(StoredTableProvider):
             segments_scanned=scanned.segments_scanned,
             segments_pruned=scanned.segments_pruned,
         )
-        if scanned is self._full_batch:
+        if full_scan:
             self._full = result
         return result
 
@@ -127,99 +183,76 @@ class StoredTable(StoredTableProvider):
     ) -> BatchScanResult:
         """The store's one scan: projection, pruning and equality filters on ids.
 
-        Segments decode straight into flat ``array('q')`` id columns and the
-        result is a :class:`~repro.engine.vectorized.ColumnBatch` whose terms
-        stay encoded until someone lowers it.  Rows come out grouped by
-        bucket, so the batch carries a partition-aligned layout tag whenever
-        the partition keys are among the output columns.
+        The result is a :class:`~repro.engine.vectorized.ColumnBatch` of flat
+        ``array('q')`` id columns whose terms stay encoded until someone
+        lowers it.  Rows come out grouped by bucket, so the batch carries a
+        partition-aligned layout tag whenever the partition keys are among the
+        output columns.  Without conditions every request for the same columns
+        gets the same cached result, and all of them share the id columns.
         """
-        entry = self.entry
-        output_columns = self._unique(columns) if columns is not None else list(entry.columns)
-        condition_items = list(conditions.items()) if conditions else []
-        full_scan = not condition_items and tuple(output_columns) == entry.columns
-        if full_scan and self._full_batch is not None:
-            return self._full_batch
-        decode_columns = self._unique(output_columns + [c for c, _ in condition_items])
-        for column in decode_columns:
-            if column not in entry.columns:
-                raise KeyError(f"table {entry.name!r} has no column {column!r}")
-
+        requested = self.entry.columns if columns is None else tuple(columns)
+        if not conditions:
+            cached = self._scans.get(requested)
+            if cached is None:
+                cached = self._scans[requested] = self._scan_whole(self._checked(requested))
+            return cached
+        output_columns = self._checked(requested)
+        condition_items = list(conditions.items())
+        decode_columns = self._checked(output_columns + [c for c, _ in condition_items])
         condition_ids, unknown_term = self._encode_conditions(condition_items)
-        target_bucket = self._target_bucket(condition_ids)
+        return self._scan_conditioned(
+            output_columns,
+            decode_columns,
+            condition_ids,
+            unknown_term,
+            self._target_bucket(condition_ids),
+        )
 
-        out = [array("q") for _ in output_columns]
-        counts: List[int] = []
-        rows_scanned = 0
-        segments_scanned = 0
-        segments_pruned = 0
+    def _scan_whole(self, output_columns: List[str]) -> BatchScanResult:
+        for column in output_columns:
+            if column not in self._columns:
+                self._columns[column] = self._whole_column(column)
+        counts, scanned, skipped = self._whole_shape()
+        return self._result(
+            output_columns,
+            tuple(self._columns[column] for column in output_columns),
+            counts,
+            rows_scanned=sum(counts),
+            segments_scanned=scanned * len(output_columns),
+            segments_pruned=skipped * len(output_columns),
+        )
 
-        for bucket in range(entry.num_partitions):
-            produced_in_bucket = 0
-            for segment in entry.segments_for_bucket(bucket):
-                pruned = (
-                    unknown_term
-                    or segment.row_count == 0  # provably empty, never read
-                    or (target_bucket is not None and bucket != target_bucket)
-                    or any(
-                        not segment.zones[column].may_contain(term_id)
-                        for column, term_id in condition_ids
-                    )
-                )
-                if pruned:
-                    segments_pruned += len(decode_columns)
-                    continue
-                segments_scanned += len(decode_columns)
-                rows_scanned += segment.row_count
-                ids = self._segment_arrays(segment, decode_columns)
-                output_ids = [ids[column] for column in output_columns]
-                if not condition_ids:
-                    for position, column in enumerate(output_ids):
-                        out[position].extend(column)
-                    produced_in_bucket += segment.row_count
-                    continue
-                keep: Optional[List[int]] = None
-                for column, term_id in condition_ids:
-                    column_ids = ids[column]
-                    keep = [
-                        i
-                        for i in (keep if keep is not None else range(len(column_ids)))
-                        if column_ids[i] == term_id
-                    ]
-                for position, column in enumerate(output_ids):
-                    out[position].extend(map(column.__getitem__, keep))
-                produced_in_bucket += len(keep)
-            counts.append(produced_in_bucket)
+    def _drop_scans(self) -> None:
+        self._columns = {}
+        self._scans = {}
+        self._full = None
 
+    def _result(
+        self,
+        output_columns: List[str],
+        ids: Tuple[array, ...],
+        counts: Sequence[int],
+        **counters: int,
+    ) -> BatchScanResult:
+        entry = self.entry
         partitioning = None
         if entry.partition_keys and all(k in output_columns for k in entry.partition_keys):
             partitioning = Partitioning(entry.partition_keys, tuple(counts))
         batch = ColumnBatch.adopt(
-            tuple(output_columns), tuple(out), self.dictionary.decode, partitioning=partitioning
+            tuple(output_columns), ids, self.dictionary.decode, partitioning=partitioning
         )
-        result = BatchScanResult(
-            batch=batch,
-            rows_scanned=rows_scanned,
-            segments_scanned=segments_scanned,
-            segments_pruned=segments_pruned,
-        )
-        if full_scan:
-            self._full_batch = result
-        return result
+        return BatchScanResult(batch=batch, **counters)
 
-    def entry_changed(self) -> None:
-        """The manifest entry was updated in place by a committed mutation.
+    def _checked(self, columns: Sequence[str]) -> List[str]:
+        """``columns`` without repeats; every one must be the table's."""
+        unique: List[str] = []
+        for column in columns:
+            if column not in self.entry.columns:
+                raise KeyError(f"table {self.name!r} has no column {column!r}")
+            if column not in unique:
+                unique.append(column)
+        return unique
 
-        Cached full scans are stale either way.  Decoded segments are kept
-        when the entry still references them: an append only adds segments
-        (the base stays decoded), a compaction replaces them all.
-        """
-        self._full_batch = None
-        self._full = None
-        live = {(s.file, s.offset) for s in self.entry.partitions + self.entry.deltas}
-        for key in [key for key in self._arrays if key not in live]:
-            del self._arrays[key]
-
-    # ------------------------------------------------------------------ #
     def _encode_conditions(
         self, condition_items: List[Tuple[str, Any]]
     ) -> Tuple[List[Tuple[str, int]], bool]:
@@ -248,21 +281,286 @@ class StoredTable(StoredTableProvider):
         )
         return key_partition_index(key_terms, self.entry.num_partitions)
 
+
+class StoredTable(_StoredProvider):
+    """One physically stored table: decodes segments lazily, caches decoded id columns.
+
+    A table's bucket ``i`` consists of its base segment (when the table has
+    base partitions) plus every delta segment appended to bucket ``i``; scans
+    merge them transparently, emitting rows grouped by bucket so the result
+    still carries a partition-aligned layout tag.  Pruning (zone maps, bucket
+    arithmetic, unknown terms) applies to base and delta segments alike.
+    """
+
+    def __init__(self, root: str, entry: TableEntry, dictionary: StoredTermDictionary) -> None:
+        super().__init__(entry.name, entry, dictionary)
+        self.root = root
+        #: ``id`` of a segment's manifest record -> (the record, {column:
+        #: array('q')}); grows with scans.  Keyed by the record, not by its
+        #: address: committed rows never change, but a compaction may move a
+        #: segment it does not merge to another file and offset — it keeps
+        #: the record, and what was decoded from it stays good.  (Holding the
+        #: record keeps its ``id`` from being reused.)
+        self._arrays: Dict[int, Tuple[PartitionEntry, Dict[str, array]]] = {}
+        #: Per bucket its segments (base, then deltas), and — once a selection
+        #: over it was scanned — its columns end to end (a bucket without
+        #: deltas shares its one segment's); both as of the current entry.
+        self._buckets: Optional[List[List[PartitionEntry]]] = None
+        self._bucket_arrays: Dict[int, Dict[str, array]] = {}
+        #: Bumped by :meth:`entry_changed`; what a selection derived from this
+        #: table's row order is good for one value of it.
+        self.version = 0
+
+    def statistics(self) -> TableStatistics:
+        entry = self.entry
+        return TableStatistics(
+            name=entry.name,
+            row_count=entry.row_count,
+            selectivity=entry.selectivity,
+            distinct_subjects=entry.distinct_subjects,
+            distinct_objects=entry.distinct_objects,
+        )
+
+    def stored_bytes(self) -> int:
+        return self.entry.total_bytes()
+
+    def bucket_segments(self) -> List[List[PartitionEntry]]:
+        """The segments of every bucket, in the order their rows count in."""
+        buckets = self._buckets
+        if buckets is None:
+            entry = self.entry
+            buckets = self._buckets = [
+                entry.segments_for_bucket(bucket) for bucket in range(entry.num_partitions)
+            ]
+        return buckets
+
+    def bucket_arrays(self, bucket: int, columns: Sequence[str]) -> Mapping[str, array]:
+        """``columns`` of ``bucket``'s logical row sequence (base, then deltas)."""
+        cached = self._bucket_arrays.get(bucket)
+        if cached is not None and all(column in cached for column in columns):
+            return cached
+        segments = [s for s in self.bucket_segments()[bucket] if s.row_count]
+        if len(segments) == 1:
+            # The bucket is that segment: the same dict, filled by either path.
+            cached = self._bucket_arrays[bucket] = self._segment_arrays(segments[0], columns)
+            return cached
+        cached = self._bucket_arrays.setdefault(bucket, {})
+        for column in columns:
+            if column not in cached:
+                merged = array("q")
+                for segment in segments:
+                    merged.extend(self._segment_arrays(segment, (column,))[column])
+                cached[column] = merged
+        return cached
+
+    def _whole_column(self, column: str) -> array:
+        whole = array("q")
+        for segments in self.bucket_segments():
+            for segment in segments:
+                if segment.row_count:
+                    whole.extend(self._segment_arrays(segment, (column,))[column])
+        return whole
+
+    def _whole_shape(self) -> Tuple[List[int], int, int]:
+        buckets = self.bucket_segments()
+        read = sum(1 for segments in buckets for segment in segments if segment.row_count)
+        counts = [sum(segment.row_count for segment in segments) for segments in buckets]
+        return counts, read, sum(map(len, buckets)) - read
+
+    def _scan_conditioned(
+        self,
+        output_columns: List[str],
+        decode_columns: List[str],
+        condition_ids: List[Tuple[str, int]],
+        unknown_term: bool,
+        target_bucket: Optional[int],
+    ) -> BatchScanResult:
+        out = [array("q") for _ in output_columns]
+        counts: List[int] = []
+        rows_scanned = 0
+        segments_scanned = 0
+        segments_pruned = 0
+        for bucket, segments in enumerate(self.bucket_segments()):
+            produced_in_bucket = 0
+            for segment in segments:
+                pruned = (
+                    unknown_term
+                    or segment.row_count == 0  # provably empty, never read
+                    or (target_bucket is not None and bucket != target_bucket)
+                    or _zones_exclude((segment,), condition_ids)
+                )
+                if pruned:
+                    segments_pruned += len(decode_columns)
+                    continue
+                segments_scanned += len(decode_columns)
+                rows_scanned += segment.row_count
+                ids = self._segment_arrays(segment, decode_columns)
+                produced_in_bucket += _emit(
+                    out, ids, output_columns, condition_ids, range(segment.row_count)
+                )
+            counts.append(produced_in_bucket)
+        return self._result(
+            output_columns,
+            tuple(out),
+            counts,
+            rows_scanned=rows_scanned,
+            segments_scanned=segments_scanned,
+            segments_pruned=segments_pruned,
+        )
+
+    def entry_changed(self) -> None:
+        """The manifest entry was updated in place by a committed mutation.
+
+        Cached scans are stale either way.  Decoded segments are kept when
+        the entry still holds their records: an append only adds segments (the
+        base stays decoded), a compaction replaces those of the buckets it
+        merges.
+        """
+        self.version += 1
+        self._drop_scans()
+        self._buckets = None
+        self._bucket_arrays = {}
+        live = {id(segment) for segment in self.entry.partitions + self.entry.deltas}
+        for key in [key for key in self._arrays if key not in live]:
+            del self._arrays[key]
+
     def _segment_arrays(self, segment: PartitionEntry, columns: Sequence[str]) -> Dict[str, array]:
-        cached = self._arrays.setdefault((segment.file, segment.offset), {})
+        held = self._arrays.get(id(segment))
+        if held is None:
+            held = self._arrays[id(segment)] = (segment, {})
+        cached = held[1]
         missing = [column for column in columns if column not in cached]
         if missing:
             path = file_path(self.root, segment.file)
             cached.update(read_segment_arrays(path, missing, segment.offset, segment.size_bytes))
         return cached
 
-    @staticmethod
-    def _unique(columns: Sequence[str]) -> List[str]:
-        unique: List[str] = []
-        for column in columns:
-            if column not in unique:
-                unique.append(column)
-        return unique
+
+class StoredSelection(_StoredProvider):
+    """A materialised ExtVP table: a view of some rows of its VP table.
+
+    Nothing of it is stored but one bitmap per bucket of ``base``
+    (``VP_first``), so a scan borrows that table's decoded id columns — a VP
+    column is read and decoded once for the table and all its reductions —
+    and picks the selected positions: the rows of ``VP_first`` that are in
+    the reduction, in ``VP_first``'s order, grouped by its buckets.  The
+    decoded position vectors are what this object caches.
+    """
+
+    def __init__(self, base: StoredTable, selection: SelectionEntry) -> None:
+        super().__init__(selection.name, base.entry, base.dictionary)
+        self.base = base
+        self.selection = selection
+        #: ``id`` of a bitmap's manifest record -> (the record, its set
+        #: positions).  Like a segment's, a bitmap's record lives exactly as
+        #: long as what it selects stays in place.
+        self._positions: Dict[int, Tuple[BitmapEntry, array]] = {}
+        #: ``base.version`` the cached scans were assembled at: they hold ids
+        #: picked out of ``base``'s buckets as those were then.
+        self._base_version = base.version
+
+    def statistics(self) -> TableStatistics:
+        selection = self.selection
+        vp_rows = self.entry.row_count
+        return TableStatistics(
+            name=selection.name,
+            row_count=selection.row_count,
+            selectivity=selection.row_count / vp_rows if vp_rows else 0.0,
+            distinct_subjects=selection.distinct_subjects,
+            distinct_objects=selection.distinct_objects,
+        )
+
+    def stored_bytes(self) -> int:
+        return self.selection.size_bytes()
+
+    def scan_batch(
+        self,
+        columns: Optional[Sequence[str]] = None,
+        conditions: Optional[Mapping[str, Any]] = None,
+    ) -> BatchScanResult:
+        if self._base_version != self.base.version:
+            self._base_version = self.base.version
+            self._drop_scans()
+        return super().scan_batch(columns, conditions)
+
+    def _whole_column(self, column: str) -> array:
+        whole = array("q")
+        for bucket, bitmap in enumerate(self.selection.bitmaps):
+            if bitmap.rows:
+                ids = self.base.bucket_arrays(bucket, (column,))[column]
+                whole.extend(map(ids.__getitem__, self._bucket_positions(bucket)))
+        return whole
+
+    def _whole_shape(self) -> Tuple[List[int], int, int]:
+        buckets = self.base.bucket_segments()
+        bitmaps = self.selection.bitmaps
+        read = sum(len(segments) for segments, bitmap in zip(buckets, bitmaps) if bitmap.rows)
+        return [bitmap.rows for bitmap in bitmaps], read, sum(map(len, buckets)) - read
+
+    def _scan_conditioned(
+        self,
+        output_columns: List[str],
+        decode_columns: List[str],
+        condition_ids: List[Tuple[str, int]],
+        unknown_term: bool,
+        target_bucket: Optional[int],
+    ) -> BatchScanResult:
+        """Buckets are pruned by the bucket hash and by ``base``'s zone maps —
+        the reduction's values are a subset of the table's, so the test stays
+        sound — and the selected positions of the others are filtered."""
+        out = [array("q") for _ in output_columns]
+        counts: List[int] = []
+        rows_scanned = 0
+        segments_scanned = 0
+        segments_pruned = 0
+        bitmaps = self.selection.bitmaps
+        for bucket, segments in enumerate(self.base.bucket_segments()):
+            rows = bitmaps[bucket].rows
+            pruned = (
+                unknown_term
+                or rows == 0
+                or (target_bucket is not None and bucket != target_bucket)
+                or _zones_exclude(segments, condition_ids)
+            )
+            if pruned:
+                segments_pruned += len(segments) * len(decode_columns)
+                counts.append(0)
+                continue
+            segments_scanned += len(segments) * len(decode_columns)
+            rows_scanned += rows
+            ids = self.base.bucket_arrays(bucket, decode_columns)
+            counts.append(
+                _emit(out, ids, output_columns, condition_ids, self._bucket_positions(bucket))
+            )
+        return self._result(
+            output_columns,
+            tuple(out),
+            counts,
+            rows_scanned=rows_scanned,
+            segments_scanned=segments_scanned,
+            segments_pruned=segments_pruned,
+        )
+
+    def _bucket_positions(self, bucket: int) -> array:
+        bitmap = self.selection.bitmaps[bucket]
+        cached = self._positions.get(id(bitmap))
+        if cached is None:
+            path = file_path(self.base.root, self.entry.file)
+            positions = decode_bitmap(
+                read_file_range(path, bitmap.offset, bitmap.size_bytes),
+                bitmap.rows,
+                sum(segment.row_count for segment in self.base.bucket_segments()[bucket]),
+                f"{self.name} bucket {bucket} in {path}",
+            )
+            cached = self._positions[id(bitmap)] = (bitmap, positions)
+        return cached[1]
+
+    def entry_changed(self) -> None:
+        """A committed mutation touched the selection or the table under it."""
+        self._drop_scans()
+        live = {id(bitmap) for bitmap in self.selection.bitmaps}
+        for key in [key for key in self._positions if key not in live]:
+            del self._positions[key]
 
 
 @dataclass
@@ -278,7 +576,8 @@ class StoredDataset:
     root: str
     manifest: Manifest
     dictionary: StoredTermDictionary
-    tables: Dict[str, StoredTable] = field(default_factory=dict)
+    #: Every stored table by name: the physical ones and the selections.
+    tables: Dict[str, _StoredProvider] = field(default_factory=dict)
 
     @classmethod
     def open(cls, root: str) -> "StoredDataset":
@@ -286,7 +585,9 @@ class StoredDataset:
         dictionary = StoredTermDictionary.open(root, expected_size=manifest.dictionary_size)
         dataset = cls(root=root, manifest=manifest, dictionary=dictionary)
         for name, entry in manifest.tables.items():
-            dataset.tables[name] = StoredTable(root, entry, dictionary)
+            base = dataset.tables[name] = StoredTable(root, entry, dictionary)
+            for selection in entry.selections.values():
+                dataset.tables[selection.name] = StoredSelection(base, selection)
         return dataset
 
     def is_current(self) -> bool:
@@ -298,8 +599,24 @@ class StoredDataset:
         """
         return manifest_identity(self.root) == self.manifest.identity
 
-    def table(self, name: str) -> StoredTable:
+    def table(self, name: str) -> _StoredProvider:
         return self.tables[name]
+
+    def changed_table(self, name: str) -> _StoredProvider:
+        """The handle of a table a committed mutation touched or created."""
+        table = self.tables.get(name)
+        if table is not None:
+            table.entry_changed()
+            return table
+        entry = self.manifest.tables.get(name)
+        if entry is not None:
+            table = StoredTable(self.root, entry, self.dictionary)
+        else:
+            entry, selection = self.manifest.selection(name)
+            base = self.tables.get(entry.name) or self.changed_table(entry.name)
+            table = StoredSelection(base, selection)
+        self.tables[name] = table
+        return table
 
 
 def register_changes(
@@ -325,25 +642,14 @@ def register_changes(
     manifest = dataset.manifest
     catalog = layout.catalog
     for name in tables:
-        entry = manifest.tables[name]
-        table = dataset.tables.get(name)
-        if table is None:
-            table = dataset.tables[name] = StoredTable(dataset.root, entry, dataset.dictionary)
-        else:
-            table.entry_changed()
-        statistics = TableStatistics(
-            name=name,
-            row_count=entry.row_count,
-            selectivity=entry.selectivity,
-            distinct_subjects=entry.distinct_subjects,
-            distinct_objects=entry.distinct_objects,
-        )
+        table = dataset.changed_table(name)
+        statistics = table.statistics()
         catalog.register_stored(name, table, statistics)
         # Mirror the original HDFS bookkeeping with the *actual* on-disk sizes
         # so storage summaries keep working on a cold session.
         prefix = "extvp" if name.startswith("extvp_") else "vp" if name.startswith("vp_") else "store"
         layout.hdfs.record(
-            f"{prefix}/{name}.parquet", entry.row_count, entry.total_bytes(), entry.columns
+            f"{prefix}/{name}.parquet", statistics.row_count, table.stored_bytes(), table.entry.columns
         )
     for info in statistics_only:
         catalog.register_statistics_only(info.name, info.row_count, info.selectivity)
@@ -374,7 +680,7 @@ def open_dataset(
     parses_before = ntriples_io.documents_parsed()
     with tracer.span("store.read-manifest", category="store") as span:
         dataset = StoredDataset.open(path)
-        span.set(tables=len(dataset.manifest.tables))
+        span.set(tables=len(dataset.tables))
     manifest = dataset.manifest
 
     layout = ExtVPLayout(
@@ -385,12 +691,12 @@ def open_dataset(
     )
     with tracer.span("store.restore-layout", category="store"):
         statistics_only = manifest.statistics_only
-        register_changes(layout, dataset, manifest.tables, statistics_only, started_at=start)
+        register_changes(layout, dataset, list(dataset.tables), statistics_only, started_at=start)
 
     report = DatasetLoadReport(
         path=path,
         load_seconds=layout.report.build_seconds if layout.report else 0.0,
-        table_count=len(manifest.tables),
+        table_count=len(dataset.tables),
         statistics_only_count=len(statistics_only),
         dictionary_terms=manifest.dictionary_size,
         num_buckets=manifest.num_buckets,
@@ -414,6 +720,7 @@ def refresh_dataset(layout: ExtVPLayout, path: str) -> StoredDataset:
     """
     start = time.perf_counter()
     dataset = StoredDataset.open(path)
-    manifest = dataset.manifest
-    register_changes(layout, dataset, manifest.tables, manifest.statistics_only, started_at=start)
+    register_changes(
+        layout, dataset, list(dataset.tables), dataset.manifest.statistics_only, started_at=start
+    )
     return dataset

@@ -1,11 +1,13 @@
 """Writing a session's layout to a persistent dataset directory.
 
-The writer walks every materialised catalog table, buckets its rows with the
-same hash function the runtime's :class:`~repro.engine.runtime.partitioner.
-HashPartitioner` uses (so stored buckets are join-compatible with runtime
-partitions), dictionary-encodes all term values against one dataset-wide
-:class:`~repro.rdf.dictionary.TermDictionary` and emits run-length-encoded
-column pages plus per-segment zone maps.
+The writer walks every physically stored catalog table (the VP tables and the
+``triples`` table), buckets its rows with the same hash function the runtime's
+:class:`~repro.engine.runtime.partitioner.HashPartitioner` uses (so stored
+buckets are join-compatible with runtime partitions), dictionary-encodes all
+term values against one dataset-wide :class:`~repro.rdf.dictionary.
+TermDictionary` and emits run-length-encoded column pages plus per-segment
+zone maps.  A materialised ExtVP table is written as what it is — a subset of
+its VP table's rows: one bitmap per bucket, behind that table's segments.
 
 Rows inside a bucket are sorted by their term ids' surface form before
 encoding.  That serves two purposes: equal values become adjacent (long RLE
@@ -20,9 +22,18 @@ import os
 import shutil
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, AbstractSet, Dict, Iterable, List, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.engine.relation import Relation
 from repro.engine.runtime.partitioner import key_partition_index
 from repro.engine.storage import NULL_ID, ZoneMap, encode_id_column
 from repro.mappings.extvp import ExtVPLayout, ExtVPTableInfo, compute_incremental_extvp
@@ -34,14 +45,18 @@ from repro.rdf.triple import Triple
 from repro.store.format import (
     FORMAT_VERSION,
     TABLES_DIR,
+    BitmapEntry,
     DeltaEntry,
     Manifest,
     PartitionEntry,
+    SelectionEntry,
     StoredTermDictionary,
     TableEntry,
     correlation_table_name,
+    decode_bitmap,
     decode_segment,
     dictionary_path,
+    encode_bitmap,
     encode_segment,
     file_path,
     manifest_path,
@@ -86,6 +101,39 @@ def _encode_segment(
     return encode_segment(pages), zones
 
 
+class _FileImage:
+    """What one operation adds to one table file, laid out back to back.
+
+    The full save, an append and a compaction all compose a file's new bytes
+    here — every range learns its offset as it is added — and put them out in
+    one :func:`~repro.store.format.write_at` at ``start``, the file's
+    committed end (0 for a new file).
+    """
+
+    def __init__(self, start: int = 0) -> None:
+        self.start = self.end = start
+        self._ranges: List[bytes] = []
+
+    def add(self, data: bytes) -> int:
+        """Place ``data`` behind what was added so far; returns its offset."""
+        offset = self.end
+        self._ranges.append(data)
+        self.end += len(data)
+        return offset
+
+    def add_bitmap(self, positions: Sequence[int]) -> BitmapEntry:
+        """Place the bitmap that selects ``positions`` (nothing, for none)."""
+        if not positions:
+            return BitmapEntry()
+        blob = encode_bitmap(positions)
+        return BitmapEntry(self.add(blob), len(blob), len(positions))
+
+    def write(self, path: str) -> int:
+        """Write everything added; returns the number of bytes."""
+        write_at(path, self.start, b"".join(self._ranges))
+        return self.end - self.start
+
+
 class DatasetWriter:
     """Serialises an :class:`~repro.mappings.extvp.ExtVPLayout` to disk."""
 
@@ -113,12 +161,20 @@ class DatasetWriter:
 
         dictionary = TermDictionary()
         catalog = layout.catalog
+        # A materialised ExtVP table is no table of its own on disk: it goes
+        # into the file of the VP table it is a subset of.
+        reductions: Dict[str, List[ExtVPTableInfo]] = {}
+        for info in layout.statistics.materialized():
+            reductions.setdefault(layout.vp.vp_tables[info.first], []).append(info)
+        selection_names = {info.name for infos in reductions.values() for info in infos}
         tables: Dict[str, TableEntry] = {}
         total_bytes = 0
         for name in catalog.table_names():
-            entry = self._write_table(path, name, catalog.table(name), catalog, dictionary)
+            if name in selection_names:
+                continue
+            entry = self._write_table(path, name, catalog, dictionary, reductions.get(name, ()))
             tables[name] = entry
-            total_bytes += entry.total_bytes()
+            total_bytes += entry.committed_bytes
 
         total_bytes += write_dictionary(path, list(dictionary.terms()))
 
@@ -169,7 +225,7 @@ class DatasetWriter:
 
         return DatasetWriteReport(
             path=path,
-            table_count=len(tables),
+            table_count=len(tables) + len(selection_names),
             segment_count=sum(entry.segment_count() for entry in tables.values()),
             dictionary_terms=len(dictionary),
             total_bytes=total_bytes,
@@ -196,11 +252,13 @@ class DatasetWriter:
         self,
         root: str,
         name: str,
-        relation: Relation,
         catalog,
         dictionary: TermDictionary,
+        reductions: Sequence[ExtVPTableInfo],
     ) -> TableEntry:
-        """Write one table's file: every bucket's base segment, back to back."""
+        """Write one table's file: every bucket's base segment, back to back,
+        then the bitmaps of each of ``reductions`` (the ExtVP tables over it)."""
+        relation = catalog.table(name)
         columns = relation.columns
         partition_keys = self._partition_keys(columns)
         key_indexes = [relation.column_index(k) for k in partition_keys]
@@ -214,9 +272,8 @@ class DatasetWriter:
                 buckets[key_partition_index(key, self.num_buckets)].append(row)
 
         file = table_file(name)
+        image = _FileImage()
         entries: List[PartitionEntry] = []
-        blobs: List[bytes] = []
-        offset = 0
         all_indexes = list(range(len(columns)))
         for bucket in buckets:
             bucket.sort(key=lambda row: _sort_key(row, all_indexes))
@@ -229,12 +286,36 @@ class DatasetWriter:
             blob, zones = _encode_segment(columns, column_ids)
             entries.append(
                 PartitionEntry(
-                    file=file, row_count=len(bucket), size_bytes=len(blob), zones=zones, offset=offset
+                    file=file,
+                    row_count=len(bucket),
+                    size_bytes=len(blob),
+                    zones=zones,
+                    offset=image.add(blob),
                 )
             )
-            blobs.append(blob)
-            offset += len(blob)
-        write_at(file_path(root, file), 0, b"".join(blobs))
+
+        selections: Dict[str, SelectionEntry] = {}
+        if reductions:
+            # A VP table is a set of rows, so a row names its position.
+            where = {
+                row: (index, position)
+                for index, bucket in enumerate(buckets)
+                for position, row in enumerate(bucket)
+            }
+            for info in sorted(reductions, key=lambda info: info.name):
+                selected: List[List[int]] = [[] for _ in buckets]
+                for row in catalog.table(info.name).rows:
+                    index, position = where[row]
+                    selected[index].append(position)
+                reduced = catalog.statistics(info.name)
+                selections[info.name] = SelectionEntry(
+                    name=info.name,
+                    row_count=info.row_count,
+                    distinct_subjects=reduced.distinct_subjects,
+                    distinct_objects=reduced.distinct_objects,
+                    bitmaps=[image.add_bitmap(positions) for positions in selected],
+                )
+        image.write(file_path(root, file))
 
         statistics = catalog.statistics(name)
         return TableEntry(
@@ -247,6 +328,7 @@ class DatasetWriter:
             partition_keys=partition_keys,
             num_buckets=self.num_buckets,
             partitions=entries,
+            selections=selections,
         )
 
     @staticmethod
@@ -331,7 +413,8 @@ class _StoredVPSource:
     can matter — a maintenance intersection is non-empty, or a batch pair
     survives the subject/object membership prefilter in :meth:`has_row`.
     It answers from the manifest as it is when asked, so the appender asks
-    everything before it starts changing entries and value sets in place.
+    everything before it starts changing entries and value sets in place;
+    what a read found stays as it was found.
     """
 
     def __init__(self, path: str, manifest: Manifest, vp_names: Dict[IRI, str]) -> None:
@@ -340,8 +423,10 @@ class _StoredVPSource:
         #: Grows while the append registers new predicates; those simply have
         #: no rows and no values yet.
         self._vp_names = vp_names
-        self._rows_cache: Dict[IRI, List[Tuple[int, ...]]] = {}
-        self._row_sets: Dict[IRI, Set[Tuple[int, ...]]] = {}
+        #: predicate -> {row: (bucket, position in the bucket's logical row
+        #: sequence)}, in that order — the rows, the dedup set and the address
+        #: a selection's bitmap knows a row by, from one read.
+        self._positions: Dict[IRI, Dict[Tuple[int, ...], Tuple[int, int]]] = {}
 
     # -- the lazy VP-source interface compute_incremental_extvp consumes -- #
     def predicates(self) -> List[IRI]:
@@ -354,19 +439,27 @@ class _StoredVPSource:
         entry = self._entry(predicate)
         return entry.row_count if entry is not None else 0
 
-    def rows(self, predicate: IRI) -> List[Tuple[int, ...]]:
-        """All pre-append rows of ``VP_predicate``, in id space (reads segments)."""
-        cached = self._rows_cache.get(predicate)
+    def positions(self, predicate: IRI) -> Dict[Tuple[int, ...], Tuple[int, int]]:
+        """Where every pre-append row of ``VP_predicate`` lies (reads segments)."""
+        cached = self._positions.get(predicate)
         if cached is None:
-            cached = []
+            cached = {}
             entry = self._entry(predicate)
             if entry is not None:
                 data = read_file_range(file_path(self._path, entry.file), 0, entry.committed_bytes)
-                for segment in entry.partitions + entry.deltas:
-                    decoded = decode_segment(segment.cut(data), entry.columns)
-                    cached.extend(zip(*(decoded[column] for column in entry.columns)))
-            self._rows_cache[predicate] = cached
+                for bucket in range(entry.num_partitions):
+                    position = 0
+                    for segment in entry.segments_for_bucket(bucket):
+                        decoded = decode_segment(segment.cut(data), entry.columns)
+                        for row in zip(*(decoded[column] for column in entry.columns)):
+                            cached[row] = (bucket, position)
+                            position += 1
+            self._positions[predicate] = cached
         return cached
+
+    def rows(self, predicate: IRI) -> Iterable[Tuple[int, ...]]:
+        """All pre-append rows of ``VP_predicate``, in id space (reads segments)."""
+        return self.positions(predicate).keys()
 
     def subjects(self, predicate: IRI) -> AbstractSet[int]:
         stored = self._manifest.vp_value_sets.get(predicate)
@@ -381,15 +474,11 @@ class _StoredVPSource:
 
         The value-set prefilter answers the common case (a genuinely new
         subject or object) without touching storage; only pairs whose both
-        ids already occur in the table's columns force a row-set read.
+        ids already occur in the table's columns force a read of its rows.
         """
         if pair[0] not in self.subjects(predicate) or pair[1] not in self.objects(predicate):
             return False
-        row_set = self._row_sets.get(predicate)
-        if row_set is None:
-            row_set = set(self.rows(predicate))
-            self._row_sets[predicate] = row_set
-        return pair in row_set
+        return pair in self.positions(predicate)
 
 
 class DatasetAppender:
@@ -509,19 +598,27 @@ class DatasetAppender:
         )
 
         # --- from here on the resident state changes in place -------------- #
-        delta_segments = 0
-        bytes_written = 0
         created: Set[str] = set()
+        #: table name -> what this append adds to the table's file.
+        images: Dict[str, _FileImage] = {}
         extended: Set[str] = set()  # tables that received delta segments
-        touched: Set[str] = set()  # ... plus tables whose statistics alone changed
+        #: Selections whose bitmaps or statistics changed — among them every
+        #: selection over an extended table (its selectivity is relative to
+        #: the table's size).
+        reselected: Set[str] = set()
+
+        def image_of(entry: TableEntry) -> _FileImage:
+            image = images.get(entry.name)
+            if image is None:
+                image = images[entry.name] = _FileImage(entry.committed_bytes)
+            return image
 
         # VP tables (and their manifest predicate map).
+        added_at: Dict[IRI, Dict[Tuple[int, ...], Tuple[int, int]]] = {}
         for predicate in sorted(additions, key=lambda p: p.value):
             rows = additions[predicate]
             entry = self._table_entry(manifest, vp_names[predicate], ("s", "o"), created)
-            segments, written = self._write_delta(entry, rows, dictionary, epoch)
-            delta_segments += segments
-            bytes_written += written
+            added_at[predicate] = self._add_delta(entry, rows, dictionary, epoch, image_of(entry))
             extended.add(entry.name)
             entry.row_count += len(rows)
             value_sets = manifest.vp_value_sets.setdefault(predicate, {"s": set(), "o": set()})
@@ -538,41 +635,58 @@ class DatasetAppender:
                 predicate_id = dictionary.encode(predicate)
                 triples_rows.extend((s, predicate_id, o) for s, o in additions[predicate])
             entry = manifest.tables["triples"]
-            segments, written = self._write_delta(entry, triples_rows, dictionary, epoch)
-            delta_segments += segments
-            bytes_written += written
+            self._add_delta(entry, triples_rows, dictionary, epoch, image_of(entry))
             extended.add(entry.name)
             entry.row_count += len(triples_rows)
             entry.distinct_subjects += new_subjects
             # Column 1 of the triples table is the predicate.
             entry.distinct_objects = len(vp_names)
+        delta_segments = sum(
+            1 for name in extended for delta in manifest.tables[name].deltas if delta.epoch == epoch
+        )
 
         # Incremental ExtVP maintenance (affected pairs only).
         touched_statistics: List[ExtVPTableInfo] = []
+        #: table name -> [(selection over it, {bucket: positions it gains})]
+        gains: Dict[str, List[Tuple[SelectionEntry, Dict[int, List[int]]]]] = {}
         for delta in deltas:
             info = delta.info
             manifest.extvp.add(info)
             if not info.materialized:
                 touched_statistics.append(info)
                 continue
-            entry = self._table_entry(manifest, info.name, ("s", "o"), created)
+            entry = manifest.tables[vp_names[info.first]]
+            selection = entry.selections.get(info.name)
+            if selection is None:
+                selection = entry.selections[info.name] = SelectionEntry(
+                    info.name, 0, 0, 0, [BitmapEntry() for _ in range(entry.num_partitions)]
+                )
+            reselected.add(info.name)
+            selection.row_count = info.row_count
             if delta.rows:
-                segments, written = self._write_delta(entry, delta.rows, dictionary, epoch)
-                delta_segments += segments
-                bytes_written += written
-                extended.add(entry.name)
-            touched.add(entry.name)
-            entry.row_count = info.row_count
-            entry.selectivity = info.selectivity
+                # ``delta.rows`` are rows of VP_first: this append's, or older
+                # ones revived by a value new to VP_second's join column.
+                new_rows = added_at.get(info.first, {})
+                buckets: Dict[int, List[int]] = {}
+                for row in delta.rows:
+                    bucket, position = new_rows.get(row) or source.positions(info.first)[row]
+                    buckets.setdefault(bucket, []).append(position)
+                gains.setdefault(entry.name, []).append((selection, buckets))
             # The maintenance pass computes exact post-append distinct
             # counts from the in-memory VP rows (None = unchanged), so
             # the stored statistics stay exact across appends.
             if delta.distinct_subjects is not None:
-                entry.distinct_subjects = delta.distinct_subjects
+                selection.distinct_subjects = delta.distinct_subjects
             if delta.distinct_objects is not None:
-                entry.distinct_objects = delta.distinct_objects
+                selection.distinct_objects = delta.distinct_objects
+        for name in sorted(gains):
+            entry = manifest.tables[name]
+            self._merge_bitmaps(entry, gains[name], image_of(entry))
 
-        # --- commit: dictionary first, manifest last ----------------------- #
+        # --- commit: table files, dictionary, manifest last ---------------- #
+        bytes_written = 0
+        for name in sorted(images):
+            bytes_written += images[name].write(file_path(self.path, manifest.tables[name].file))
         bytes_written += self.dataset.dictionary.append(self.path, dictionary.new_terms)
         manifest.dictionary_size = len(self.dataset.dictionary)
         manifest.append_epoch = epoch
@@ -591,7 +705,7 @@ class DatasetAppender:
             dictionary_terms_added=len(dictionary.new_terms),
             bytes_written=bytes_written,
             append_seconds=time.perf_counter() - start,
-            touched_tables=sorted(touched | extended),
+            touched_tables=sorted(extended | reselected),
             touched_statistics=touched_statistics,
         )
 
@@ -617,20 +731,20 @@ class DatasetAppender:
             created.add(name)
         return entry
 
-    def _write_delta(
-        self,
+    @staticmethod
+    def _add_delta(
         entry: TableEntry,
         rows: Sequence[Tuple[int, ...]],
         dictionary: _DictionaryAppender,
         epoch: int,
-    ) -> Tuple[int, int]:
-        """Append ``rows`` (id tuples) to the table's file, one delta segment per bucket.
+        image: _FileImage,
+    ) -> Dict[Tuple[int, ...], Tuple[int, int]]:
+        """Add ``rows`` (id tuples) to the table as one delta segment per bucket.
 
         Bucketing hashes the *decoded* partition-key terms — the same
         function the base segments and the runtime's ``HashPartitioner``
-        use — so merged scans stay partition-aligned.  All of the table's
-        new segments go out in one write at the file's committed end.
-        Returns ``(segments_written, bytes_written)``.
+        use — so merged scans stay partition-aligned.  Returns where each row
+        went: ``(bucket, position in the bucket's logical row sequence)``.
         """
         columns = entry.columns
         key_indexes = [columns.index(k) for k in entry.partition_keys]
@@ -645,30 +759,57 @@ class DatasetAppender:
                 )
                 buckets[key_partition_index(key, num_buckets)].append(row)
 
-        file = entry.file
-        start = offset = entry.committed_bytes
-        blobs: List[bytes] = []
+        where: Dict[Tuple[int, ...], Tuple[int, int]] = {}
         for bucket_index, bucket in enumerate(buckets):
             if not bucket:
                 continue
             bucket.sort()
+            behind = entry.bucket_row_count(bucket_index)
+            for position, row in enumerate(bucket, start=behind):
+                where[row] = (bucket_index, position)
             column_ids = [[row[i] for row in bucket] for i in range(len(columns))]
             blob, zones = _encode_segment(columns, column_ids)
             entry.deltas.append(
                 DeltaEntry(
-                    file=file,
+                    file=entry.file,
                     row_count=len(bucket),
                     size_bytes=len(blob),
                     zones=zones,
-                    offset=offset,
+                    offset=image.add(blob),
                     bucket=bucket_index,
                     epoch=epoch,
                 )
             )
-            blobs.append(blob)
-            offset += len(blob)
-        write_at(file_path(self.path, file), start, b"".join(blobs))
-        return len(blobs), offset - start
+        return where
+
+    def _merge_bitmaps(
+        self,
+        entry: TableEntry,
+        gains: Sequence[Tuple[SelectionEntry, Dict[int, List[int]]]],
+        image: _FileImage,
+    ) -> None:
+        """Give every selection its gained bits: each bitmap that changes is
+        added to ``image`` whole, and the blob it supersedes becomes dead bytes."""
+        superseded = [
+            selection.bitmaps[bucket]
+            for selection, buckets in gains
+            for bucket in buckets
+            if selection.bitmaps[bucket].rows
+        ]
+        if superseded:
+            # One read of the stretch of the file that holds them all.
+            path = file_path(self.path, entry.file)
+            low = min(bitmap.offset for bitmap in superseded)
+            high = max(bitmap.offset + bitmap.size_bytes for bitmap in superseded)
+            data = read_file_range(path, low, high - low)
+        for selection, buckets in gains:
+            for bucket, positions in sorted(buckets.items()):
+                old = selection.bitmaps[bucket]
+                if old.rows:
+                    # By the maintenance identity no gained bit is set yet.
+                    blob = data[old.offset - low : old.offset - low + old.size_bytes]
+                    positions.extend(decode_bitmap(blob, old.rows, len(blob) * 8, path))
+                selection.bitmaps[bucket] = image.add_bitmap(positions)
 
 
 # --------------------------------------------------------------------- #
@@ -686,23 +827,27 @@ class CompactionReport:
     delta_rows_merged: int
     bytes_written: int
     compact_seconds: float
-    #: The compacted tables — all a live session has to re-register.
+    #: The tables whose deltas were merged and the selections over them — all
+    #: a live session has to re-register.
     touched_tables: List[str] = field(default_factory=list, repr=False)
 
 
 class DatasetCompactor:
     """Merges delta segments back into full base bucket segments.
 
-    Every table whose delta-segment count reaches ``compaction_threshold``
-    is rewritten bucket by bucket: base and delta rows of a bucket are
-    merged, re-sorted and re-encoded into a single base segment with freshly
-    computed (tightened) zone maps.  Tables below the threshold — and tables
-    with no deltas at all — are left untouched, byte for byte, bounding the
-    write amplification an append workload pays.
+    A table's file is rewritten when its delta-segment count reaches
+    ``compaction_threshold`` or when it holds dead bytes (bitmaps an append
+    superseded).  Bucket by bucket: base and delta rows are merged, re-sorted
+    and re-encoded into a single base segment with freshly computed
+    (tightened) zone maps, and every selection over the bucket is mapped
+    through the sort permutation, so it keeps selecting the rows it selected.
+    Buckets without deltas move over byte for byte, segment and bitmaps
+    alike.  Files below the threshold and without dead bytes are left
+    untouched, bounding the write amplification an append workload pays.
 
     Like the appender it works on the caller's resident
     :class:`~repro.store.reader.StoredDataset` and updates its manifest in
-    place.  Crash safety mirrors the appender's: a merged table goes to a
+    place.  Crash safety mirrors the appender's: a rewritten table goes to a
     *new* file stamped with the compaction epoch, so the previous manifest
     stays fully valid until the new one is atomically swapped in; only after
     that commit are the superseded files deleted.  A crash at any point
@@ -721,61 +866,26 @@ class DatasetCompactor:
         path = dataset.root
         manifest = dataset.manifest
         segments_before = sum(entry.segment_count() for entry in manifest.tables.values())
-        targets = [
-            entry
-            for entry in manifest.tables.values()
-            if len(entry.deltas) >= self.compaction_threshold
-        ]
-        skipped = sum(
-            1
-            for entry in manifest.tables.values()
-            if 0 < len(entry.deltas) < self.compaction_threshold
-        )
+        targets: List[TableEntry] = []
+        skipped = 0
+        for entry in manifest.tables.values():
+            if len(entry.deltas) >= self.compaction_threshold or entry.dead_bytes():
+                targets.append(entry)
+            elif entry.deltas:
+                skipped += 1
         epoch = manifest.append_epoch + 1
         bytes_written = 0
         rows_merged = 0
+        touched: List[str] = []
         for entry in targets:
             rows_merged += entry.delta_row_count()
-            # One read of the table's committed bytes serves every segment.
-            data = read_file_range(file_path(path, entry.file), 0, entry.committed_bytes)
-            new_file = table_file(entry.name, epoch)
-            merged: List[PartitionEntry] = []
-            blobs: List[bytes] = []
-            offset = 0
-            for bucket in range(entry.num_partitions):
-                segments = entry.segments_for_bucket(bucket)
-                if bucket < len(entry.partitions) and len(segments) == 1:
-                    # No delta in this bucket: its base segment moves over as is.
-                    base = segments[0]
-                    blob, zones, row_count = base.cut(data), base.zones, base.row_count
-                else:
-                    column_ids: List[List[int]] = [[] for _ in entry.columns]
-                    for segment in segments:
-                        decoded = decode_segment(segment.cut(data), entry.columns)
-                        for position, column in enumerate(entry.columns):
-                            column_ids[position].extend(decoded[column])
-                    rows = sorted(zip(*column_ids))
-                    row_count = len(rows)
-                    column_ids = [
-                        [row[position] for row in rows] for position in range(len(entry.columns))
-                    ]
-                    blob, zones = _encode_segment(entry.columns, column_ids)
-                merged.append(
-                    PartitionEntry(
-                        file=new_file,
-                        row_count=row_count,
-                        size_bytes=len(blob),
-                        zones=zones,
-                        offset=offset,
-                    )
-                )
-                blobs.append(blob)
-                offset += len(blob)
-            write_at(file_path(path, new_file), 0, b"".join(blobs))
-            bytes_written += offset
-            entry.generation = epoch
-            entry.partitions = merged
-            entry.deltas = []
+            # A file rewritten only to drop dead bytes holds the rows it held,
+            # in the order it held them: nothing a session decoded went stale.
+            merged = bool(entry.deltas)
+            bytes_written += self._rewrite(path, entry, epoch)
+            if merged:
+                touched.append(entry.name)
+                touched.extend(entry.selections)
         if targets:
             manifest.append_epoch = epoch
             write_manifest(path, manifest)  # atomic commit point
@@ -797,5 +907,69 @@ class DatasetCompactor:
             delta_rows_merged=rows_merged,
             bytes_written=bytes_written,
             compact_seconds=time.perf_counter() - start,
-            touched_tables=[entry.name for entry in targets],
+            touched_tables=touched,
         )
+
+    @staticmethod
+    def _rewrite(path: str, entry: TableEntry, epoch: int) -> int:
+        """Write ``entry``'s table into its file of generation ``epoch`` — one
+        base segment per bucket, then every selection's bitmaps, no gap — and
+        point the entry at it.  Returns the bytes written."""
+        # One read of the table's committed bytes serves every range.
+        data = read_file_range(file_path(path, entry.file), 0, entry.committed_bytes)
+        new_file = table_file(entry.name, epoch)
+        image = _FileImage()
+        merged: List[PartitionEntry] = []
+        #: Per bucket: old position -> new position, ``None`` where rows stayed put.
+        moved: List[Optional[List[int]]] = []
+        for bucket in range(entry.num_partitions):
+            segments = entry.segments_for_bucket(bucket)
+            if bucket < len(entry.partitions) and len(segments) == 1:
+                # No delta in this bucket: its base segment moves over as is —
+                # the same manifest record at a new address, so whatever a
+                # session decoded from it stays good.
+                base = segments[0]
+                blob = base.cut(data)
+                base.file, base.offset = new_file, image.add(blob)
+                merged.append(base)
+                moved.append(None)
+                continue
+            column_ids: List[List[int]] = [[] for _ in entry.columns]
+            for segment in segments:
+                decoded = decode_segment(segment.cut(data), entry.columns)
+                for position, column in enumerate(entry.columns):
+                    column_ids[position].extend(decoded[column])
+            rows = list(zip(*column_ids))
+            order = sorted(range(len(rows)), key=rows.__getitem__)
+            new_position = [0] * len(rows)
+            for position, old_position in enumerate(order):
+                new_position[old_position] = position
+            moved.append(new_position)
+            column_ids = [[rows[i][c] for i in order] for c in range(len(entry.columns))]
+            blob, zones = _encode_segment(entry.columns, column_ids)
+            merged.append(
+                PartitionEntry(
+                    file=new_file,
+                    row_count=len(rows),
+                    size_bytes=len(blob),
+                    zones=zones,
+                    offset=image.add(blob),
+                )
+            )
+        for name in sorted(entry.selections):
+            bitmaps = entry.selections[name].bitmaps
+            for bucket, bitmap in enumerate(bitmaps):
+                if not bitmap.rows:
+                    continue
+                blob = data[bitmap.offset : bitmap.offset + bitmap.size_bytes]
+                new_position = moved[bucket]
+                if new_position is None:
+                    bitmap.offset = image.add(blob)  # the same record, as above
+                else:
+                    positions = decode_bitmap(blob, bitmap.rows, len(new_position), entry.file)
+                    bitmaps[bucket] = image.add_bitmap([new_position[p] for p in positions])
+        written = image.write(file_path(path, new_file))
+        entry.generation = epoch
+        entry.partitions = merged
+        entry.deltas = []
+        return written

@@ -5,18 +5,21 @@ without loading a single table row, and reports the numbers an operator needs
 to decide whether the store is healthy:
 
 * manifest epoch, bucket count, dictionary size (terms and bytes on disk);
-* per-table base vs. delta segment and byte counts — deltas are the part of
-  the table appends have not yet folded back into tight base segments;
-* per-table file: the one append-only file that holds all of the table's
-  segments, its *committed* length (the end of the last byte the manifest
-  references) against its size on disk — the difference is an uncommitted
-  tail left by an append or compaction that crashed before its manifest
-  swap; readers ignore it and the next write to the table overwrites it;
+* per table file — one append-only file per VP table (and ``triples``):
+  base vs. delta segment and byte counts (deltas are the part of the table
+  appends have not yet folded back into tight base segments), the selections
+  it carries (the ExtVP tables stored as bitmaps over its rows: how many, how
+  many bytes), and its *live* bytes (referenced by the manifest), *dead*
+  bytes (bitmaps an append superseded, reclaimed by the next compaction) and
+  *uncommitted* bytes (behind the committed end: the tail of an append or
+  compaction that crashed before its manifest swap; readers ignore it and
+  the next write to the file overwrites it);
 * write amplification: stored bytes per logical triple;
 * zone-map tightness (static): the mean fraction of the dictionary id space a
   base segment's zone covers — wide zones cannot prune;
 * observed pruning effectiveness, from the dataset's journal when one exists;
-* a compaction recommendation per table that has accumulated enough deltas.
+* a compaction recommendation per file that has accumulated enough deltas or
+  any dead bytes — what ``session.compact()`` would rewrite.
 
 Everything comes from ``MANIFEST.json`` plus ``os.path.getsize``, so the
 inspector is safe to run against a live dataset of any size.
@@ -32,12 +35,13 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.core.config import StoreConfig
 from repro.obs.journal import read_dataset_journal
 from repro.store.format import Manifest, TableEntry, dictionary_path, file_path, read_manifest
 
-#: Recommend compaction once a table holds at least this many delta segments
-#: (matches the session's default ``compaction_threshold``).
-DEFAULT_DELTA_SEGMENT_THRESHOLD = 2
+#: Recommend compaction once a table holds at least this many delta segments:
+#: the session's own default ``compaction_threshold``.
+DEFAULT_DELTA_SEGMENT_THRESHOLD = StoreConfig.compaction_threshold
 
 #: ...or once deltas hold more than this fraction of the table's bytes.
 DELTA_BYTES_FRACTION_THRESHOLD = 0.5
@@ -45,7 +49,8 @@ DELTA_BYTES_FRACTION_THRESHOLD = 0.5
 
 @dataclass
 class TableHealth:
-    """Per-table storage health derived from its manifest entry."""
+    """Storage health of one physically stored table — one file — derived
+    from its manifest entry."""
 
     name: str
     rows: int
@@ -66,10 +71,16 @@ class TableHealth:
     file: str = ""
     committed_bytes: int = 0
     uncommitted_bytes: int = 0
+    #: The ExtVP tables stored as bitmaps over this table's rows.
+    selections: int = 0
+    selection_bytes: int = 0
+    #: Committed bytes nothing references any more (superseded bitmaps).
+    dead_bytes: int = 0
 
     @property
     def total_bytes(self) -> int:
-        return self.base_bytes + self.delta_bytes
+        """The file's live bytes: segments plus bitmaps."""
+        return self.base_bytes + self.delta_bytes + self.selection_bytes
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -91,6 +102,10 @@ class TableHealth:
             "file": self.file,
             "committed_bytes": self.committed_bytes,
             "uncommitted_bytes": self.uncommitted_bytes,
+            "selections": self.selections,
+            "selection_bytes": self.selection_bytes,
+            "live_bytes": self.total_bytes,
+            "dead_bytes": self.dead_bytes,
         }
 
 
@@ -102,17 +117,24 @@ class StoreHealthReport:
     format_version: int
     append_epoch: int
     num_buckets: int
+    #: Physically stored tables (one file each) and the ExtVP tables kept as
+    #: selections over their rows.
     table_count: int
+    selection_count: int
     statistics_only_count: int
     dictionary_terms: int
     dictionary_bytes: int
+    #: Live bytes of all table files: segments (base + delta) plus bitmaps.
     total_bytes: int
     base_bytes: int
     delta_bytes: int
+    selection_bytes: int
     triples: int
     #: Stored bytes per logical triple (all tables, VP/ExtVP redundancy
     #: included) — the store's overall write amplification.
     bytes_per_triple: float
+    #: Committed bytes of table files nothing references (superseded bitmaps).
+    dead_bytes: int = 0
     #: Bytes behind the committed end of table files (crashed writes).
     uncommitted_bytes: int = 0
     tables: List[TableHealth] = field(default_factory=list)
@@ -135,14 +157,17 @@ class StoreHealthReport:
             "append_epoch": self.append_epoch,
             "num_buckets": self.num_buckets,
             "table_count": self.table_count,
+            "selection_count": self.selection_count,
             "statistics_only_count": self.statistics_only_count,
             "dictionary_terms": self.dictionary_terms,
             "dictionary_bytes": self.dictionary_bytes,
             "total_bytes": self.total_bytes,
             "base_bytes": self.base_bytes,
             "delta_bytes": self.delta_bytes,
+            "selection_bytes": self.selection_bytes,
             "triples": self.triples,
             "bytes_per_triple": round(self.bytes_per_triple, 2),
+            "dead_bytes": self.dead_bytes,
             "uncommitted_bytes": self.uncommitted_bytes,
             "tables": [table.as_dict() for table in self.tables],
             "compaction_candidates": list(self.compaction_candidates),
@@ -162,11 +187,12 @@ class StoreHealthReport:
             f"== Store health: {self.path} ==",
             f"format v{self.format_version}; manifest epoch {self.append_epoch}; "
             f"{self.num_buckets} bucket(s)",
-            f"tables: {self.table_count} materialized "
-            f"(+{self.statistics_only_count} statistics-only)",
+            f"tables: {self.table_count} stored, one file each; {self.selection_count} "
+            f"selections over their rows (+{self.statistics_only_count} statistics-only)",
             f"dictionary: {self.dictionary_terms} terms, {self.dictionary_bytes} bytes",
-            f"stored bytes: {self.total_bytes} "
-            f"(base {self.base_bytes}, delta {self.delta_bytes})",
+            f"stored bytes: {self.total_bytes} live (base {self.base_bytes}, "
+            f"delta {self.delta_bytes}, selections {self.selection_bytes}), "
+            f"{self.dead_bytes} dead",
             f"write amplification: {self.bytes_per_triple:.1f} bytes/triple "
             f"over {self.triples} triples",
         ]
@@ -209,16 +235,18 @@ class StoreHealthReport:
             lines.append(
                 f"  {table.name}: {table.rows} rows, "
                 f"{table.base_segments}+{table.delta_segments} segments, "
-                f"{table.committed_bytes} bytes{tail} in {table.file}, {zone}"
+                f"{table.selections} selections ({table.selection_bytes} bytes), "
+                f"{table.total_bytes} live / {table.dead_bytes} dead bytes{tail} "
+                f"in {table.file}, {zone}"
             )
         lines.append("")
         if self.compaction_candidates:
-            lines.append(f"Compaction recommended for {len(self.compaction_candidates)} table(s):")
+            lines.append(f"Compaction recommended for {len(self.compaction_candidates)} file(s):")
             for name in self.compaction_candidates:
                 table = next(t for t in self.tables if t.name == name)
-                lines.append(f"  {name}: {table.compaction_reason}")
+                lines.append(f"  {table.file}: {table.compaction_reason}")
         else:
-            lines.append("Compaction: not needed (no table holds enough deltas)")
+            lines.append("Compaction: not needed (no file holds enough deltas or any dead bytes)")
         return "\n".join(lines)
 
 
@@ -245,19 +273,22 @@ def _table_health(
 ) -> TableHealth:
     base_bytes = entry.base_bytes()
     delta_bytes = entry.delta_bytes()
-    needs = False
-    reason = ""
+    dead_bytes = entry.dead_bytes()
+    # The first two are the compactor's own rule for rewriting the file.
+    needs = True
     if len(entry.deltas) >= delta_segment_threshold:
-        needs = True
         reason = f"{len(entry.deltas)} delta segments (threshold {delta_segment_threshold})"
+    elif dead_bytes:
+        reason = f"{dead_bytes} dead bytes (superseded bitmaps)"
     elif entry.deltas and base_bytes and delta_bytes > DELTA_BYTES_FRACTION_THRESHOLD * (
         base_bytes + delta_bytes
     ):
-        needs = True
         reason = (
             f"deltas hold {delta_bytes / (base_bytes + delta_bytes):.0%} of the "
             "table's bytes"
         )
+    else:
+        needs, reason = False, ""
     return TableHealth(
         name=entry.name,
         rows=entry.row_count,
@@ -273,6 +304,9 @@ def _table_health(
         file=entry.file,
         committed_bytes=entry.committed_bytes,
         uncommitted_bytes=os.path.getsize(file_path(path, entry.file)) - entry.committed_bytes,
+        selections=len(entry.selections),
+        selection_bytes=sum(selection.size_bytes() for selection in entry.selections.values()),
+        dead_bytes=dead_bytes,
     )
 
 
@@ -289,7 +323,8 @@ def inspect_dataset(
     tables.sort(key=lambda t: t.name)
     base_bytes = sum(t.base_bytes for t in tables)
     delta_bytes = sum(t.delta_bytes for t in tables)
-    total_bytes = base_bytes + delta_bytes
+    selection_bytes = sum(t.selection_bytes for t in tables)
+    total_bytes = base_bytes + delta_bytes + selection_bytes
     triples_entry = manifest.tables.get("triples")
     triples = triples_entry.row_count if triples_entry is not None else 0
 
@@ -315,14 +350,17 @@ def inspect_dataset(
         append_epoch=manifest.append_epoch,
         num_buckets=manifest.num_buckets,
         table_count=len(manifest.tables),
+        selection_count=sum(t.selections for t in tables),
         statistics_only_count=len(manifest.statistics_only),
         dictionary_terms=manifest.dictionary_size,
         dictionary_bytes=dictionary_bytes,
         total_bytes=total_bytes,
         base_bytes=base_bytes,
         delta_bytes=delta_bytes,
+        selection_bytes=selection_bytes,
         triples=triples,
         bytes_per_triple=(total_bytes / triples) if triples else 0.0,
+        dead_bytes=sum(t.dead_bytes for t in tables),
         uncommitted_bytes=sum(t.uncommitted_bytes for t in tables),
         tables=tables,
         compaction_candidates=[t.name for t in tables if t.needs_compaction],
@@ -348,7 +386,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--delta-threshold",
         type=int,
         default=DEFAULT_DELTA_SEGMENT_THRESHOLD,
-        help="delta segments per table before compaction is recommended",
+        help="delta segments per table file before compaction is recommended",
     )
     args = parser.parse_args(argv)
     report = inspect_dataset(args.dataset, delta_segment_threshold=args.delta_threshold)

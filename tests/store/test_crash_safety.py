@@ -11,6 +11,10 @@ The sweep needs no knowledge of *what* the store writes: a fault injector
 counts the store's file operations — every ``write``/``truncate`` on a file
 it opened for writing, ``os.replace``, ``os.remove`` — and the test dies at
 the k-th for every k.  A dying ``write`` gets half of its bytes out first.
+Under format v4 an append's write to a table file carries the file's new
+delta segments *and* every bitmap that changed, so the sweep also dies between
+a bitmap write and the manifest swap, and a compaction's between the sweep of
+one superseded file and the next.
 """
 
 import os
@@ -23,7 +27,7 @@ from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
 from repro.rdf.triple import Triple
 from repro.store import format as store_format
-from repro.store.format import read_manifest
+from repro.store.format import DatasetFormatError, manifest_path, read_manifest
 from repro.tools.inspect import inspect_dataset
 
 
@@ -152,7 +156,25 @@ def appended(tmp_path):
     return base, after
 
 
-def crash_sweep(faults, start_from, work, operation):
+def assert_no_byte_unaccounted(path, dead_bytes_allowed):
+    """Every file under ``tables/`` is some table's, as long as the manifest
+    says, and — once compacted — tiled by the ranges the manifest references."""
+    manifest = read_manifest(path)
+    assert {f"tables/{name}" for name in os.listdir(os.path.join(path, "tables"))} == {
+        entry.file for entry in manifest.tables.values()
+    }
+    for entry in manifest.tables.values():
+        assert os.path.getsize(os.path.join(path, entry.file)) == entry.committed_bytes, entry.name
+        if dead_bytes_allowed:
+            continue
+        end = 0
+        for offset, length in sorted(entry.referenced_ranges()):
+            assert offset == end, f"{entry.name}: gap or overlap at {end}..{offset}"
+            end += length
+        assert end == entry.committed_bytes and entry.dead_bytes() == 0
+
+
+def crash_sweep(faults, start_from, work, operation, dead_bytes_allowed):
     """Die at every file operation of ``operation``; returns the states seen."""
 
     def fresh():
@@ -186,10 +208,8 @@ def crash_sweep(faults, start_from, work, operation):
         # Nothing of the dead attempt is left: no bytes behind a committed
         # end, no file the manifest does not reference.
         assert inspect_dataset(work).uncommitted_bytes == 0, k
+        assert_no_byte_unaccounted(work, dead_bytes_allowed)
         manifest = read_manifest(work)
-        referenced = {entry.file for entry in manifest.tables.values()}
-        on_disk = {f"tables/{name}" for name in os.listdir(os.path.join(work, "tables"))}
-        assert on_disk == referenced, k
         with open(os.path.join(work, "dictionary.nt"), "rb") as handle:
             assert handle.read().count(b"\n") == manifest.dictionary_size, k
     return seen
@@ -197,17 +217,23 @@ def crash_sweep(faults, start_from, work, operation):
 
 def test_append_survives_a_crash_at_every_write(faults, appended, tmp_path):
     base, _ = appended
+    work = str(tmp_path / "work")
     seen = crash_sweep(
-        faults, base, str(tmp_path / "work"), lambda s: s.append_triples(update_triples())
+        faults, base, work, lambda s: s.append_triples(update_triples()), dead_bytes_allowed=True
     )
     # The manifest swap is the append's last operation: dying anywhere,
     # the swap included, leaves the pre-append state.
     assert not any(seen)
+    # The sweep did cross bitmap writes: the committed append superseded some.
+    assert inspect_dataset(work).dead_bytes > 0
 
 
 def test_compact_survives_a_crash_at_every_write(faults, appended, tmp_path):
     _, after = appended
-    seen = crash_sweep(faults, after, str(tmp_path / "work"), lambda s: s.compact())
+    assert inspect_dataset(after).dead_bytes > 0
+    seen = crash_sweep(
+        faults, after, str(tmp_path / "work"), lambda s: s.compact(), dead_bytes_allowed=False
+    )
     # Pre-state up to and including the swap, post-state once the dying
     # operation is one of the deletions behind it — never back again.
     assert True in seen and False in seen
@@ -231,3 +257,59 @@ def test_session_that_saw_the_failure_recovers_in_place(faults, appended):
         report = session.append_triples(update_triples())
         assert report.triples_appended == len(update_triples())
     assert state(base) == expected_post
+
+
+# --------------------------------------------------------------------- #
+# Bitmaps that do not belong to the manifest that addresses them
+# --------------------------------------------------------------------- #
+def _first_bitmap(manifest):
+    """``(table entry, selection, bucket)`` of some stored, non-empty bitmap."""
+    for entry in manifest.tables.values():
+        for selection in entry.selections.values():
+            for bucket, bitmap in enumerate(selection.bitmaps):
+                if bitmap.rows:
+                    return entry, selection, bucket
+    raise AssertionError("the dataset has no materialised ExtVP table")
+
+
+def _rewrite_manifest(path, change):
+    import json
+
+    with open(manifest_path(path), encoding="utf-8") as handle:
+        data = json.load(handle)
+    change(data)
+    with open(manifest_path(path), "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+
+
+def test_a_bitmap_that_disagrees_with_its_recorded_rows_is_refused(appended):
+    base, _ = appended
+    entry, selection, bucket = _first_bitmap(read_manifest(base))
+    bitmap = selection.bitmaps[bucket]
+    with open(os.path.join(base, entry.file), "r+b") as handle:
+        handle.seek(bitmap.offset)
+        blob = handle.read(bitmap.size_bytes)
+        handle.seek(bitmap.offset)
+        # The last byte is never zero: clearing its lowest set bit leaves one
+        # selected row fewer than the manifest says.
+        handle.write(blob[:-1] + bytes([blob[-1] & (blob[-1] - 1)]))
+    with repro.connect(base) as session:
+        with pytest.raises(DatasetFormatError, match="manifest recorded"):
+            session.layout.catalog.scan(selection.name)
+
+
+def test_a_bitmap_longer_than_its_bucket_is_refused(appended):
+    base, _ = appended
+    entry, selection, bucket = _first_bitmap(read_manifest(base))
+    bucket_rows = entry.bucket_row_count(bucket)
+
+    def shrink_the_bucket(data):
+        # The bucket now claims fewer rows than the bitmap's highest bit.
+        table = next(record for record in data["tables"] if record[0] == entry.name)
+        table[9][bucket][2] = 0
+        assert bucket_rows > 0
+
+    _rewrite_manifest(base, shrink_the_bucket)
+    with repro.connect(base) as session:
+        with pytest.raises(DatasetFormatError, match="bucket of 0 rows"):
+            session.layout.catalog.scan(selection.name)

@@ -143,24 +143,28 @@ class TestAppend:
 
     def test_extvp_distinct_counts_exact_after_append(self, dataset_path):
         """Appends keep the manifest's ExtVP distinct counts *exact* — equal
-        to a recomputation over the full base+delta table — not merely a
-        bounded estimate (the pre-maintenance behaviour)."""
+        to a recomputation over the table's rows — not merely a bounded
+        estimate (the pre-maintenance behaviour)."""
         session = S2RDFSession.open_dataset(dataset_path)
         try:
+            written = {
+                name: list(selection.bitmaps)
+                for entry in read_manifest(dataset_path).tables.values()
+                for name, selection in entry.selections.items()
+            }
             updates = update_triples()
             session.append_triples(updates[:15])
             session.append_triples(updates[15:])
             manifest = read_manifest(dataset_path)
-            delta_tables_checked = 0
-            for name, entry in manifest.tables.items():
-                if not name.startswith("extvp_"):
-                    continue
-                relation = session.layout.catalog.table(name)
-                assert entry.distinct_subjects == len({row[0] for row in relation.rows}), name
-                assert entry.distinct_objects == len({row[1] for row in relation.rows}), name
-                if entry.has_deltas:
-                    delta_tables_checked += 1
-            assert delta_tables_checked > 0  # the appends really delta'd ExtVP
+            grown = 0
+            for entry in manifest.tables.values():
+                for name, selection in entry.selections.items():
+                    relation = session.layout.catalog.table(name)
+                    assert selection.row_count == len(relation), name
+                    assert selection.distinct_subjects == len({row[0] for row in relation.rows}), name
+                    assert selection.distinct_objects == len({row[1] for row in relation.rows}), name
+                    grown += selection.bitmaps != written.get(name)
+            assert grown > 0  # the appends really added rows to ExtVP tables
         finally:
             session.close()
 
@@ -191,6 +195,25 @@ class TestAppend:
                 assert delta.file == entry.file
             size = os.path.getsize(file_path(dataset_path, entry.file))
             assert size == entry.committed_bytes, entry.name
+        # Likewise the bitmaps: one that gained no bit is where it was; one
+        # that did was written anew behind the old end of the file, and the
+        # blob it supersedes still lies there, referenced by nothing.
+        moved = 0
+        for entry in manifest_before.tables.values():
+            after = manifest.tables[entry.name]
+            for name, selection in entry.selections.items():
+                for old, new in zip(selection.bitmaps, after.selections[name].bitmaps):
+                    if new != old:
+                        assert new.rows > old.rows and new.offset >= entry.committed_bytes, name
+                        moved += old.size_bytes
+            assert after.dead_bytes() == sum(
+                old.size_bytes
+                for name, selection in entry.selections.items()
+                for old, new in zip(selection.bitmaps, after.selections[name].bitmaps)
+                if new != old
+            ), entry.name
+        assert moved > 0
+        assert not any(name.startswith("extvp_") for name in os.listdir(f"{dataset_path}/tables"))
 
     def test_duplicate_triples_are_skipped(self, dataset_path):
         report = append(dataset_path, base_triples())
@@ -451,13 +474,21 @@ class TestCompaction:
             cold.close()
 
     def test_threshold_bounds_compaction(self, dataset_path):
+        """Above every file's delta count the threshold spares the deltas; a
+        file is still rewritten when it carries superseded bitmaps."""
         append(dataset_path, update_triples())
         manifest = read_manifest(dataset_path)
         max_deltas = max(len(entry.deltas) for entry in manifest.tables.values())
+        with_dead_bytes = {e.name for e in manifest.tables.values() if e.dead_bytes()}
+        with_deltas = {e.name for e in manifest.tables.values() if e.deltas}
+        assert with_dead_bytes and with_deltas - with_dead_bytes
         report = DatasetCompactor(compaction_threshold=max_deltas + 1).compact(StoredDataset.open(dataset_path))
-        assert report.tables_compacted == 0
-        assert report.tables_skipped > 0
-        assert report.segments_after == report.segments_before
+        assert report.tables_compacted == len(with_dead_bytes)
+        assert report.tables_skipped == len(with_deltas - with_dead_bytes)
+        after = read_manifest(dataset_path)
+        for name, entry in after.tables.items():
+            assert bool(entry.deltas) == (name in with_deltas - with_dead_bytes), name
+            assert not entry.dead_bytes()
 
     def test_compaction_without_deltas_is_a_noop(self, dataset_path):
         report = DatasetCompactor().compact(StoredDataset.open(dataset_path))
@@ -491,8 +522,8 @@ class TestCompaction:
 
         append(dataset_path, update_triples())
         before = read_manifest(dataset_path)
-        old_files = {entry.file for entry in before.tables.values() if entry.has_deltas}
-        untouched = {entry.file for entry in before.tables.values() if not entry.has_deltas}
+        old_files = {e.file for e in before.tables.values() if e.has_deltas or e.dead_bytes()}
+        untouched = {e.file for e in before.tables.values()} - old_files
         DatasetCompactor().compact(StoredDataset.open(dataset_path))
         after = read_manifest(dataset_path)
         assert after.append_epoch == before.append_epoch + 1
@@ -594,18 +625,19 @@ class TestAppendCost:
 
 class TestFormatVersion:
     def test_older_format_is_refused_with_a_rebuild_hint(self, dataset_path):
-        """There is one format: a version-2 directory (one file per segment,
-        a manifest of per-record dicts) is not read, and the error says what
-        to do about it."""
+        """There is one format: a version-3 directory (every ExtVP table a
+        file of its own rows) or a version-2 one (one file per segment) is not
+        read, and the error says what to do about it."""
         import json
 
-        with open(manifest_path(dataset_path), "w", encoding="utf-8") as handle:
-            json.dump({"format_version": 2, "tables": {}, "extvp": []}, handle)
-        with pytest.raises(DatasetFormatError) as refused:
-            S2RDFSession.open_dataset(dataset_path)
-        message = str(refused.value)
-        assert "version 2" in message and "version 3" in message
-        assert "repro.create" in message
+        for version in (3, 2):
+            with open(manifest_path(dataset_path), "w", encoding="utf-8") as handle:
+                json.dump({"format_version": version, "tables": [], "extvp": []}, handle)
+            with pytest.raises(DatasetFormatError) as refused:
+                S2RDFSession.open_dataset(dataset_path)
+            message = str(refused.value)
+            assert f"version {version}" in message and "version 4" in message
+            assert "repro.create" in message
 
 
 # --------------------------------------------------------------------- #
@@ -786,22 +818,30 @@ class TestResidentState:
             session.append_triples(updates[:15])
             session.append_triples(updates[15:])
             before = read_manifest(dataset_path)
+            rewritten = sorted(
+                entry.name
+                for entry in before.tables.values()
+                if len(entry.deltas) >= 3 or entry.dead_bytes()
+            )
             spared = {
                 entry.file: pathlib.Path(file_path(dataset_path, entry.file)).read_bytes()
                 for entry in before.tables.values()
-                if len(entry.deltas) < 2
+                if entry.name not in rewritten
             }
             assert any(entry.deltas for entry in before.tables.values() if entry.file in spared)
-            report = session.compact(compaction_threshold=2)
-            assert report.tables_compacted > 0 and report.tables_skipped > 0
+            report = session.compact(compaction_threshold=3)
+            assert report.tables_compacted == len(rewritten) > 0 and report.tables_skipped > 0
+            # Touched: the tables whose deltas were merged and every selection
+            # over them — not a file that only shed its dead bytes.
+            merged = [name for name in rewritten if before.tables[name].deltas]
             assert sorted(report.touched_tables) == sorted(
-                entry.name for entry in before.tables.values() if len(entry.deltas) >= 2
+                merged + [n for name in merged for n in before.tables[name].selections]
             )
             after = read_manifest(dataset_path)
             for file, data in spared.items():
                 assert pathlib.Path(file_path(dataset_path, file)).read_bytes() == data, file
-            assert {e.file for e in after.tables.values() if len(e.deltas) < 2} >= set(spared)
+            assert {e.file for e in after.tables.values() if e.name not in rewritten} == set(spared)
             for entry in after.tables.values():
-                assert (entry.generation != 0) == (entry.name in report.touched_tables)
+                assert (entry.generation != 0) == (entry.name in rewritten)
         finally:
             session.close()

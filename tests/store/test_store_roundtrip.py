@@ -118,6 +118,42 @@ class TestColdOpen:
         assert summary["table_counts"]["total"] > 0
 
 
+class TestFootprint:
+    """What ExtVP costs on disk (format v4), so that a regression fails here
+    and not only in the benchmark: no table file, no listed empty correlation,
+    and a bound on bytes per triple."""
+
+    #: 73.2 measured when format v4 landed (the WatDiv test graph on 4 buckets:
+    #: 2 750 triples, 915 ExtVP tables holding 8.8x the VP tuples; format v3
+    #: took 341.0), plus 15 %.
+    BYTES_PER_TRIPLE_BOUND = 84.0
+
+    def test_extvp_is_stored_as_selections_not_as_files(self, dataset_path, warm_session):
+        import json
+
+        from repro.store.format import read_manifest
+
+        root = pathlib.Path(dataset_path)
+        manifest = read_manifest(dataset_path)
+        files = sorted(p.name for p in (root / "tables").iterdir())
+        vp_tables = len(warm_session.layout.vp.vp_tables)
+        assert len(files) == vp_tables + 1 == len(manifest.tables)  # + the ``triples`` table
+        assert not any(name.startswith("extvp_") for name in files)
+        assert files == sorted(entry.file.split("/")[-1] for entry in manifest.tables.values())
+
+        statistics = warm_session.layout.statistics
+        selections = [s for entry in manifest.tables.values() for s in entry.selections]
+        assert sorted(selections) == sorted(info.name for info in statistics.materialized())
+        assert len(selections) > 800
+        listed = json.loads((root / "MANIFEST.json").read_text())["extvp"]
+        non_empty = [info for info in statistics.tables.values() if info.row_count]
+        assert len(listed) == len(non_empty) < len(statistics.tables) / 5
+
+        stored = sum(p.stat().st_size for p in root.rglob("*") if p.is_file() and "journal" not in p.parts)
+        per_triple = stored / manifest.tables["triples"].row_count
+        assert per_triple < self.BYTES_PER_TRIPLE_BOUND, per_triple
+
+
 class TestRoundtripEquivalence:
     @pytest.mark.parametrize("template", BASIC_TEMPLATES, ids=lambda t: t.name)
     def test_basic_queries_identical(self, template, small_dataset, warm_session, cold_session):

@@ -1,11 +1,13 @@
-"""Store health inspector tests: per-table base/delta accounting, write
-amplification, compaction recommendations, journal-derived pruning stats and
-the ``python -m repro.tools.inspect`` CLI."""
+"""Store health inspector tests: per-file base/delta/selection accounting,
+live, dead and uncommitted bytes, write amplification, compaction
+recommendations, journal-derived pruning stats and the
+``python -m repro.tools.inspect`` CLI."""
 
 import json
 
 import pytest
 
+from repro.core.config import StoreConfig
 from repro.core.session import S2RDFSession
 from repro.rdf.graph import Graph
 from repro.rdf.triple import Triple
@@ -31,7 +33,9 @@ def dataset(tmp_path):
     with build_session() as session:
         session.save_dataset(path)
         session.query("SELECT ?f WHERE { <u1> <follows> ?f }")
-        session.append_triples([Triple.of(f"u{30 + i}", "follows", "u1") for i in range(4)])
+        # New followers of u2, who likes things: the new rows also enter
+        # ExtVP_OS[follows|likes], a selection over ``vp_follows``.
+        session.append_triples([Triple.of(f"u{30 + i}", "follows", "u2") for i in range(4)])
         session.query("SELECT ?f WHERE { <u2> <follows> ?f }")
         session.query("SELECT ?x ?p WHERE { ?x <follows> ?y . ?y <likes> ?p }")
     return path
@@ -43,12 +47,14 @@ def test_report_reflects_manifest_and_journal(dataset):
     assert isinstance(report, StoreHealthReport)
     assert report.append_epoch == 1
     assert report.format_version == manifest.format_version
-    assert report.table_count == len(manifest.tables)
+    assert report.table_count == len(manifest.tables)  # the VP tables and ``triples``
+    assert report.selection_count == len(manifest.extvp.materialized()) > 0
     assert report.statistics_only_count == len(manifest.statistics_only)
     assert report.dictionary_terms == manifest.dictionary_size
     assert report.dictionary_bytes > 0
-    assert report.total_bytes == report.base_bytes + report.delta_bytes
+    assert report.total_bytes == report.base_bytes + report.delta_bytes + report.selection_bytes
     assert report.delta_bytes > 0  # the append left unfolded deltas
+    assert report.selection_bytes > 0
     assert report.triples == manifest.tables["triples"].row_count
     assert report.bytes_per_triple == pytest.approx(report.total_bytes / report.triples)
     # Three queries were journaled; they scanned stored segments.
@@ -64,11 +70,40 @@ def test_per_table_health_accounts_base_and_delta(dataset):
     assert follows.delta_segments > 0
     assert follows.delta_rows > 0
     assert follows.rows == follows.base_rows + follows.delta_rows
-    assert follows.total_bytes == follows.base_bytes + follows.delta_bytes
+    assert follows.total_bytes == (
+        follows.base_bytes + follows.delta_bytes + follows.selection_bytes
+    )
     assert follows.zone_width_fraction is None or 0.0 <= follows.zone_width_fraction <= 1.0
-    likes = by_name["vp_likes"]  # untouched by the append
+    likes = by_name["vp_likes"]  # no new row, and no new value for its reductions to match
     assert likes.delta_segments == 0
     assert likes.delta_bytes == 0
+    assert likes.dead_bytes == 0
+    # Only physically stored tables have a file, so only they are listed; the
+    # ExtVP tables show as what their VP table's file carries.
+    assert set(by_name) == {"triples", "vp_follows", "vp_likes"}
+    manifest = read_manifest(dataset)
+    for table in report.tables:
+        entry = manifest.tables[table.name]
+        assert table.selections == len(entry.selections)
+        assert table.selection_bytes == sum(s.size_bytes() for s in entry.selections.values())
+    assert follows.selections > 0 and by_name["triples"].selections == 0
+
+
+def test_superseded_bitmaps_are_dead_bytes_until_compaction(dataset):
+    """The new ``follows`` rows joined ExtVP tables over ``vp_follows``: their
+    bitmaps were written anew behind the deltas and the old blobs still lie
+    in the file, referenced by nothing."""
+    report = inspect_dataset(dataset)
+    follows = next(t for t in report.tables if t.name == "vp_follows")
+    assert follows.dead_bytes > 0
+    assert follows.committed_bytes == follows.total_bytes + follows.dead_bytes
+    assert report.dead_bytes == sum(t.dead_bytes for t in report.tables)
+    assert f"{report.dead_bytes} dead" in report.render_text()
+    with S2RDFSession.open_dataset(dataset) as session:
+        session.compact()
+    after = inspect_dataset(dataset)
+    assert after.dead_bytes == 0
+    assert all(t.committed_bytes == t.total_bytes for t in after.tables)
 
 
 def test_compaction_recommendation_appears_and_clears(dataset):
@@ -105,9 +140,11 @@ def test_as_dict_is_json_serializable(dataset):
     decoded = json.loads(encoded)
     assert decoded["append_epoch"] == 1
     assert decoded["tables"]
-    assert {"name", "rows", "delta_segments", "needs_compaction"} <= set(
-        decoded["tables"][0]
-    )
+    assert {
+        "name", "rows", "delta_segments", "needs_compaction", "file", "selections",
+        "selection_bytes", "live_bytes", "dead_bytes", "uncommitted_bytes",
+    } <= set(decoded["tables"][0])  # fmt: skip
+    assert {"selection_count", "selection_bytes", "dead_bytes"} <= set(decoded)
 
 
 def test_render_text_mentions_the_headline_numbers(dataset):
@@ -128,7 +165,35 @@ def test_cli_text_and_json_modes(dataset, capsys):
 
 
 def test_default_threshold_matches_module_constant():
-    assert DEFAULT_DELTA_SEGMENT_THRESHOLD == 2
+    """The inspector's default is the session's own default, taken from the
+    config and not restated (it used to say 2 where the session says 1)."""
+    assert DEFAULT_DELTA_SEGMENT_THRESHOLD == StoreConfig().compaction_threshold
+
+
+def test_default_advice_is_what_the_session_would_compact(dataset):
+    """The inspector's rule is the compactor's: with defaults on both sides,
+    the files it recommends are the files ``compact()`` rewrites."""
+    recommended = inspect_dataset(dataset).compaction_candidates
+    assert "vp_follows" in recommended
+    with S2RDFSession.open_dataset(dataset) as session:
+        report = session.compact()
+    assert sorted(name for name in report.touched_tables if name in recommended) == recommended
+    assert report.tables_compacted == len(recommended)
+    assert inspect_dataset(dataset).compaction_candidates == []
+
+
+def test_dead_bytes_alone_recommend_compaction(dataset):
+    """Below the delta threshold, a file with superseded bitmaps is still
+    recommended — and still rewritten by a compaction with that threshold."""
+    report = inspect_dataset(dataset, delta_segment_threshold=50)
+    follows = next(t for t in report.tables if t.name == "vp_follows")
+    assert follows.needs_compaction and "dead bytes" in follows.compaction_reason
+    triples = next(t for t in report.tables if t.name == "triples")
+    assert triples.delta_segments and not triples.needs_compaction  # no bitmaps, no dead bytes
+    with S2RDFSession.open_dataset(dataset) as session:
+        compaction = session.compact(compaction_threshold=50)
+    assert "vp_follows" in compaction.touched_tables
+    assert "triples" not in compaction.touched_tables
 
 
 def test_uncommitted_tail_of_a_table_file_is_reported(dataset):
@@ -139,7 +204,7 @@ def test_uncommitted_tail_of_a_table_file_is_reported(dataset):
     assert "uncommitted tails" not in clean.render_text()
     follows = next(t for t in clean.tables if t.name == "vp_follows")
     assert follows.file == "tables/vp_follows.seg"
-    assert follows.committed_bytes == follows.total_bytes
+    assert follows.committed_bytes == follows.total_bytes + follows.dead_bytes
 
     with open(f"{dataset}/{follows.file}", "ab") as handle:
         handle.write(b"x" * 17)
