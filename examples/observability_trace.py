@@ -2,15 +2,14 @@
 
 A session built with ``tracing_enabled=True`` records the whole query
 lifecycle — parse, compile (with table selection), physical planning,
-execution with per-scan/per-join/per-task spans — on a low-overhead tracer.
+execution with per-scan/per-join spans — on a low-overhead tracer.
 This example:
 
 1. runs a two-join query on a traced session and prints the span tree
    summary;
 2. stales the catalog statistics and shows ``explain_analyze``: estimated
-   vs. observed rows per operator, and the join strategy the adaptive
-   runtime actually executed (with the revision reason) when the static
-   plan was wrong;
+   vs. observed rows per operator, and the join strategy Spark would pick
+   from those estimates;
 3. exports the trace as Chrome trace-event JSON — load it in
    https://ui.perfetto.dev or chrome://tracing;
 4. prints the session's metrics registry in Prometheus text format.
@@ -40,10 +39,9 @@ QUERY = "SELECT * WHERE { ?x <follows> ?y . ?y <likes> ?z }"
 def stale_statistics(session: S2RDFSession, factor: int = 1_000_000) -> None:
     """Make every table look ``factor``x bigger than it is.
 
-    This is the failure mode AQE exists for: the static planner shuffles
-    joins whose inputs would comfortably fit a broadcast — or, at this
-    example's size, need no exchange at all: the report shows the planned
-    shuffle executed inline (``SerialJoin``, reason ``small input``).
+    The planner then annotates with a shuffle joins whose inputs would
+    comfortably fit a broadcast, and the report shows how far each operator's
+    estimate is from what it produced.
     """
     catalog = session.layout.catalog
     for name in list(catalog.statistics_names()):
@@ -84,7 +82,7 @@ def main() -> None:
     print("\n=== 4. Metrics registry (Prometheus text format, excerpt) ===")
     exposition = session.metrics.render_prometheus()
     for line in exposition.splitlines():
-        if line.startswith(("s2rdf_queries_total", "s2rdf_aqe_replans_total")) or (
+        if line.startswith(("s2rdf_queries_total", "s2rdf_input_tuples_total")) or (
             line.startswith("s2rdf_query_wall_ms") and "_bucket" not in line
         ):
             print(f"  {line}")

@@ -57,11 +57,10 @@ def main() -> None:
     for table in result.selected_tables:
         print(f"  {table}")
 
-    # The runtime's physical-planning step annotates every join with a
-    # strategy: no exchange at all when both inputs together are small (as
-    # here), else Spark-style — broadcast when one side is small enough,
-    # shuffle otherwise.  Tune with num_partitions / broadcast_threshold.
-    print("\nPhysical join strategies (inline vs. Spark-style broadcast / shuffle):")
+    # Every join runs in process; each is annotated with the join Spark would
+    # pick from the table statistics — broadcast when one side's estimated
+    # size fits Spark's 10 MB threshold, shuffle otherwise.
+    print("\nSpark join strategies (broadcast / shuffle annotation):")
     for strategy in result.join_strategies:
         print(f"  {strategy}")
 
@@ -79,24 +78,6 @@ def main() -> None:
         f"statically empty = {empty.statically_empty}, "
         f"input tuples read = {empty.metrics.input_tuples}"
     )
-
-    # The same query on a partitioned session.  Joins big enough to need an
-    # exchange run per-partition on a worker pool and the metrics report the
-    # observed exchange volume in bytes; G1's seven triples are far below the
-    # runtime's small-join bound, so here every join runs inline on the calling
-    # thread and nothing is exchanged.
-    parallel = S2RDFSession.from_graph(graph, num_partitions=4, broadcast_threshold=0)
-    parallel_result = parallel.query(QUERY_Q1)
-    print(
-        f"\nPartitioned session (4 partitions): {len(parallel_result)} results, "
-        f"{parallel_result.metrics.parallel_tasks} partition tasks, "
-        f"{parallel_result.metrics.shuffled_bytes} shuffled bytes"
-    )
-    # Executed strategies can differ from the plan: adaptive execution (on by
-    # default) replans joins from observed sizes — examples/adaptive_execution.py
-    # does that on a graph large enough to exchange.
-    for strategy in parallel_result.executed_join_strategies:
-        print(f"  {strategy}")
 
 
 if __name__ == "__main__":

@@ -9,8 +9,7 @@ on.  The executor asks the catalog for a batch and gets one whenever the table
 lives in the store; an in-memory session (``from_graph``) has no dictionary
 ids, so the same queries run there on rows of terms.  This example runs both,
 verifies they agree bag for bag, and shows what the batch representation
-looks like from the inside (including the 3x exchange-byte shrink of shipping
-ids).
+looks like from the inside.
 
 Run with:  python examples/vectorized_kernel.py
 """
@@ -61,8 +60,6 @@ def main() -> None:
             f"  filter_equal on one id keeps {len(filtered)} rows by replacing the"
             f" selection vector; the id columns are shared, not copied"
         )
-        print(f"  estimated exchange bytes: {batch.estimated_bytes()} "
-              f"(ids at 8 B/value; term rows would cost 3x)")
         # An in-memory table has no ids to batch: the executor gets None and
         # falls back to the row scan.
         assert in_memory.layout.catalog.scan_batch("vp_likes") is None

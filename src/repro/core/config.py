@@ -5,8 +5,8 @@ with the concurrent serving layer the flat list stopped scaling.  The
 configuration is now four nested dataclasses composed on
 :class:`SessionConfig`:
 
-* :class:`ExecutionConfig` — how a single query executes (engine, partitions,
-  join thresholds, adaptive execution, process workers);
+* :class:`ExecutionConfig` — how a single query executes (engine, join
+  ordering, process workers) and how many hash buckets a written store has;
 * :class:`StoreConfig` — what the data layout materialises and how the
   persistent store compacts;
 * :class:`ObservabilityConfig` — tracing and the workload journal;
@@ -30,12 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Dict, Optional
 
-from repro.engine.runtime import (
-    DEFAULT_BROADCAST_MEMORY_LIMIT,
-    DEFAULT_BROADCAST_THRESHOLD,
-    DEFAULT_SKEW_FACTOR,
-)
-
 #: Engines a session can execute plans on.
 VALID_ENGINES = ("native", "sqlite")
 
@@ -57,24 +51,13 @@ class ExecutionConfig:
     """How one query executes on the relational runtime."""
 
     #: Execution engine: ``"native"`` runs plans on the in-process relational
-    #: operators (with the parallel/adaptive runtime); ``"sqlite"`` lowers
-    #: plans to SQL on an in-memory SQLite database (:mod:`repro.engine.sql`).
+    #: operators; ``"sqlite"`` lowers plans to SQL on an in-memory SQLite
+    #: database (:mod:`repro.engine.sql`).
     engine: str = "native"
-    #: Partitions used by the parallel runtime; 1 keeps joins serial but still
-    #: annotates every join with its physical strategy.
+    #: Hash buckets per table that ``save_dataset`` / ``repro.create`` write
+    #: (the store's unit of bucket pruning and of append).  Every join runs
+    #: in process whatever it is.
     num_partitions: int = 1
-    #: Spark's ``autoBroadcastJoinThreshold``: a join side estimated at or
-    #: below this many bytes is broadcast instead of shuffled.
-    broadcast_threshold: int = DEFAULT_BROADCAST_THRESHOLD
-    #: Hard memory cap on the *observed* materialized build side of a
-    #: broadcast join; exceeding it demotes the join to a shuffle.
-    broadcast_memory_limit: int = DEFAULT_BROADCAST_MEMORY_LIMIT
-    #: Adaptive query execution: re-decide join strategies from observed
-    #: input sizes, split skewed partitions, cache observed cardinalities.
-    adaptive_enabled: bool = True
-    #: A shuffle partition larger than this multiple of the median partition
-    #: is subdivided before its join task runs (adaptive execution only).
-    skew_factor: float = DEFAULT_SKEW_FACTOR
     #: Apply Algorithm 4's join-order optimisation.
     optimize_join_order: bool = True
     #: Multiplier applied to data-proportional execution counters before the
@@ -96,8 +79,6 @@ class ExecutionConfig:
             )
         if self.num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
-        if self.broadcast_memory_limit < 1:
-            raise ValueError("broadcast_memory_limit must be >= 1")
         if self.execution_mode not in VALID_EXECUTION_MODES:
             raise ValueError(
                 f"unknown execution_mode {self.execution_mode!r}; "

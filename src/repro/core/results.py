@@ -34,16 +34,10 @@ class QueryResult:
     #: session times the phases directly; the tracer only adds span detail.
     phase_ms: Dict[str, float] = field(default_factory=dict)
     selected_tables: List[str] = field(default_factory=list)
-    #: Physical join strategies chosen by the runtime's *static* planning
-    #: step, in bottom-up order (e.g. ``"BroadcastHashJoin(build=right, ...)"``).
+    #: The join Spark would run for each join of the plan, in bottom-up order
+    #: (e.g. ``"BroadcastHashJoin(build=right, ...)"``): a costing annotation
+    #: from static statistics; every join ran in process.
     join_strategies: List[str] = field(default_factory=list)
-    #: The strategies the runtime actually executed, same order.  Differs from
-    #: :attr:`join_strategies` when adaptive execution replanned a join from
-    #: observed sizes or the executor fell back to the serial operator.
-    executed_join_strategies: List[str] = field(default_factory=list)
-    #: Human-readable ``"initial -> executed"`` entries for every join whose
-    #: executed strategy differs from the plan.
-    replanned_joins: List[str] = field(default_factory=list)
     #: Which engine executed the plan: ``"native"`` (in-process operators) or
     #: ``"sqlite"`` (the SQL lowering backend).
     engine: str = "native"

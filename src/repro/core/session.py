@@ -22,6 +22,7 @@ accumulated deltas back into full base segments.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from contextlib import contextmanager
@@ -41,8 +42,9 @@ from repro.core.table_selection import TableSelector
 from repro.core.template_cache import TemplateCache
 from repro.engine.cluster import SparkCostModel
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.runtime import UNKNOWN_ROWS, ParallelExecutor, estimate_rows
+from repro.engine.plan import PlanExecutor
 from repro.engine.sql import SqliteExecutor
+from repro.engine.strategies import UNKNOWN_ROWS, estimate_rows
 from repro.mappings.extvp import ExtVPLayout, ExtVPTableInfo
 from repro.obs.explain import (
     ExplainAnalyzeResult,
@@ -210,10 +212,9 @@ class S2RDFSession:
         #: Executors are *per thread* (instance state like the last physical
         #: plan and the sqlite connection are not shareable between concurrent
         #: queries) over the one shared catalog.  The thread-local holds each
-        #: thread's instances; the lists track every instance ever created so
-        #: store mutations can invalidate and :meth:`close` can shut them all.
+        #: thread's instances; the list tracks every sqlite engine ever created
+        #: so store mutations can invalidate and :meth:`close` can shut them all.
         self._thread_runtime = threading.local()
-        self._all_executors: List[ParallelExecutor] = []
         self._all_sql_executors: List[SqliteExecutor] = []
         self._runtime_lock = threading.Lock()
         #: Store mutations (write side) vs queries (read side); see
@@ -250,24 +251,14 @@ class S2RDFSession:
     # Per-thread runtime
     # ------------------------------------------------------------------ #
     @property
-    def executor(self) -> ParallelExecutor:
-        """This thread's parallel runtime (created on first use per thread)."""
+    def executor(self) -> PlanExecutor:
+        """This thread's native executor (created on first use per thread)."""
         runtime = getattr(self._thread_runtime, "executor", None)
         if runtime is None:
-            execution = self.config.execution
-            runtime = ParallelExecutor(
-                self.layout.catalog,
-                num_partitions=execution.num_partitions,
-                broadcast_threshold=execution.broadcast_threshold,
-                adaptive_enabled=execution.adaptive_enabled,
-                skew_factor=execution.skew_factor,
-                tracer=self.tracer,
-                metrics_registry=self.metrics,
-                broadcast_memory_limit=execution.broadcast_memory_limit,
+            runtime = PlanExecutor(
+                self.layout.catalog, tracer=self.tracer, metrics_registry=self.metrics
             )
             self._thread_runtime.executor = runtime
-            with self._runtime_lock:
-                self._all_executors.append(runtime)
         return runtime
 
     @property
@@ -313,10 +304,6 @@ class S2RDFSession:
         execution = self.config.execution
         return {
             "num_partitions": execution.num_partitions,
-            "broadcast_threshold": execution.broadcast_threshold,
-            "broadcast_memory_limit": execution.broadcast_memory_limit,
-            "adaptive_enabled": execution.adaptive_enabled,
-            "skew_factor": execution.skew_factor,
             "optimize_join_order": execution.optimize_join_order,
             "use_extvp": self.config.store.use_extvp,
             "work_scale": execution.work_scale,
@@ -373,9 +360,8 @@ class S2RDFSession:
         table as bitmaps over its VP table's rows; the manifest carries all
         statistics (the statistics-only entries for empty ExtVP tables are
         implied by it), so :meth:`open_dataset` restores a fully query-ready
-        session without touching the original graph.  ``num_buckets`` defaults to the
-        session's ``num_partitions`` so stored buckets line up with the
-        runtime's shuffle partitioning.
+        session without touching the original graph.  ``num_buckets``
+        defaults to the session's ``num_partitions``.
         """
         if num_buckets is not None:
             buckets = num_buckets
@@ -425,9 +411,10 @@ class S2RDFSession:
         from the manifest and table rows stay on disk until a query scans
         them (with projection + equality-predicate pushdown and zone-map
         segment pruning).  ``num_partitions`` defaults to the stored bucket
-        count, which lets shuffle joins consume scans partition-aligned.
-        With ``tracing_enabled`` the cold open itself appears on the trace
-        timeline as a ``store.open`` span.  Like :meth:`from_graph`, accepts
+        count, so a session that writes the dataset anew keeps its bucketing;
+        a passed ``config`` is never written to.  With ``tracing_enabled``
+        the cold open itself appears on the trace timeline as a
+        ``store.open`` span.  Like :meth:`from_graph`, accepts
         either ``config=`` or flat knobs; ``execution_mode="process"`` starts
         the dataset's partition worker pool eagerly, before any query thread
         exists (the fork-safe moment to spawn workers).
@@ -447,9 +434,8 @@ class S2RDFSession:
                 dictionary_terms=load_report.dictionary_terms,
             )
         if config is None:
-            # The stored layout dictates what was materialised; the partition
-            # default follows the stored bucket count so shuffle joins consume
-            # scans partition-aligned.
+            # The stored layout dictates what was materialised; the bucket
+            # count defaults to the stored one.
             knobs["selectivity_threshold"] = layout.selectivity_threshold
             knobs["include_oo"] = layout.include_oo
             knobs["num_partitions"] = (
@@ -457,7 +443,13 @@ class S2RDFSession:
             )
             config = SessionConfig.from_flat(**knobs)
         elif num_partitions is not None:
-            config.execution.num_partitions = num_partitions
+            # The caller may reuse ``config`` for another session: copy, never write.
+            config = SessionConfig(
+                execution=dataclasses.replace(config.execution, num_partitions=num_partitions),
+                store=config.store,
+                observability=config.observability,
+                serving=config.serving,
+            )
         session = cls(layout, config=config, cost_model=cost_model, tracer=tracer)
         session.load_report = load_report
         session.dataset_path = path
@@ -701,11 +693,9 @@ class S2RDFSession:
     def explain_analyze(self, query: Union[str, Query]) -> ExplainAnalyzeResult:
         """Execute ``query`` and render its physical plan with observations.
 
-        Each operator is annotated with estimated vs. observed rows (the
-        estimates are captured *before* execution, so stale statistics show
-        up as mis-estimates), the statically chosen vs. actually executed
-        join strategy (with the AQE revision reason when they differ),
-        elapsed wall-clock time, and exchange volume.  The returned object
+        Each operator is annotated with estimated vs. observed rows (stale
+        statistics show up as mis-estimates), the join strategy Spark would
+        pick, and elapsed wall-clock time.  The returned object
         carries both the rendered report (``str(...)``) and the full
         :class:`~repro.core.results.QueryResult`.
         """
@@ -715,24 +705,11 @@ class S2RDFSession:
             # The SQLite engine runs the plan as one statement: observations
             # exist only at the root, and there is no physical join planning.
             node_stats = self.sql_executor.last_node_stats
-            exchange_stats: Dict[int, object] = {}
             physical = None
-            replan_events = ()
         else:
             node_stats = self.executor.last_node_stats
-            exchange_stats = self.executor.last_exchange_stats
             physical = self.executor.last_physical_plan
-            replan_events = (
-                self.executor.adaptive.replan_events if self.executor.adaptive is not None else ()
-            )
-        tree = render_explain_analyze(
-            run.compiled.plan,
-            run.estimates or {},
-            node_stats,
-            exchange_stats,
-            physical,
-            replan_events,
-        )
+        tree = render_explain_analyze(run.compiled.plan, run.estimates or {}, node_stats, physical)
         phases = ", ".join(f"{name}={ms:.2f} ms" for name, ms in result.phase_ms.items())
         cached = {True: "hit", False: "miss", None: "not cached (Query object given)"}
         lines = [
@@ -745,17 +722,6 @@ class S2RDFSession:
             f"Wall clock: {result.wall_clock_ms:.2f} ms; "
             f"simulated cluster runtime: {result.simulated_runtime_ms:.2f} ms",
         ]
-        # A join that ran inline on small observed inputs was not replanned by
-        # AQE (``metrics.aqe_replans`` does not count it): its own header.
-        changed = physical.replans() if physical is not None else []
-        for header, wanted in (("AQE replans:", False), ("Serial fallbacks:", True)):
-            entries = [pair for pair in changed if (pair[1].name == "SerialJoin") is wanted]
-            if entries:
-                lines.append(header)
-                lines.extend(
-                    f"  - {initial.describe()} -> {executed.describe()}"
-                    for initial, executed in entries
-                )
         return ExplainAnalyzeResult(result=result, text="\n".join(lines))
 
     def _run(self, query: Union[str, Query], capture_estimates: bool = False) -> _QueryRun:
@@ -787,28 +753,14 @@ class S2RDFSession:
                 compiled, compile_hit = self._compile(parsed)
             phase_ms["compile"] = (time.perf_counter() - phase_start) * 1000.0
 
-            # Estimates must be captured before execution: adaptive runs feed
-            # observed cardinalities back into the catalog's statistics cache.
-            estimates = (
-                collect_estimates(
-                    compiled.plan,
-                    self.layout.catalog,
-                    use_observed=self.executor.adaptive_enabled,
-                )
-                if capture_estimates
-                else None
-            )
-            # Journal records carry the root estimate (for the q-error field);
-            # like the full estimate capture, it must precede execution.
+            catalog = self.layout.catalog
+            estimates = collect_estimates(compiled.plan, catalog) if capture_estimates else None
+            # Journal records carry the root estimate (for the q-error field).
             if self.journal is not None:
                 root_estimate = (
                     estimates[id(compiled.plan)]
                     if estimates is not None
-                    else estimate_rows(
-                        compiled.plan,
-                        self.layout.catalog,
-                        use_observed=self.executor.adaptive_enabled,
-                    )
+                    else estimate_rows(compiled.plan, catalog)
                 )
             else:
                 root_estimate = None
@@ -850,17 +802,6 @@ class S2RDFSession:
                     phase_ms=phase_ms,
                     selected_tables=compiled.selected_tables,
                     join_strategies=physical.describe() if physical is not None else [],
-                    executed_join_strategies=(
-                        physical.describe(executed=True) if physical is not None else []
-                    ),
-                    replanned_joins=(
-                        [
-                            f"{initial.describe()} -> {executed.describe()}"
-                            for initial, executed in physical.replans()
-                        ]
-                        if physical is not None
-                        else []
-                    ),
                     engine=execution.engine,
                     epoch=epoch,
                 )
@@ -910,13 +851,8 @@ class S2RDFSession:
                 scanned_tables=dict(metrics.scanned_tables),
                 estimated_rows=estimated,
                 estimate_q_error=q_error(estimated, rows),
-                aqe_replans=metrics.aqe_replans,
-                aqe_skew_splits=metrics.aqe_skew_splits,
-                broadcast_guard_trips=metrics.broadcast_guard_trips,
                 segments_scanned=metrics.store_segments_scanned,
                 segments_pruned=metrics.store_segments_pruned,
-                shuffled_bytes=metrics.shuffled_bytes,
-                broadcast_bytes=metrics.broadcast_bytes,
                 statically_empty=result.statically_empty,
                 engine=result.engine,
             )
@@ -929,15 +865,6 @@ class S2RDFSession:
         registry.inc("s2rdf_queries_total", help="Queries executed by this session")
         registry.inc("s2rdf_input_tuples_total", metrics.input_tuples)
         registry.inc("s2rdf_output_tuples_total", metrics.output_tuples)
-        registry.inc("s2rdf_shuffled_bytes_total", metrics.shuffled_bytes)
-        registry.inc("s2rdf_broadcast_bytes_total", metrics.broadcast_bytes)
-        registry.inc("s2rdf_aqe_replans_total", metrics.aqe_replans)
-        registry.inc("s2rdf_aqe_skew_splits_total", metrics.aqe_skew_splits)
-        registry.inc(
-            "s2rdf_broadcast_guard_trips_total",
-            metrics.broadcast_guard_trips,
-            help="Broadcasts demoted to shuffles by the memory guard",
-        )
         registry.observe("s2rdf_query_wall_ms", result.wall_clock_ms)
         segments = metrics.store_segments_scanned + metrics.store_segments_pruned
         if segments:
@@ -953,17 +880,14 @@ class S2RDFSession:
     def close(self) -> None:
         """Release every runtime resource this session acquired.
 
-        Shuts down each thread's parallel runtime and SQLite engine, the
-        process worker pool (when process mode started one) and the journal's
-        file handle.  Idempotent; the context-manager form calls it on exit.
+        Closes each thread's SQLite engine, the process worker pool (when
+        process mode started one) and the journal's file handle.  Idempotent;
+        the context-manager form calls it on exit.
         """
         with self._runtime_lock:
-            executors = list(self._all_executors)
             sql_executors = list(self._all_sql_executors)
             pool = self._worker_pool
             self._worker_pool = None
-        for executor in executors:
-            executor.close()
         for sql_executor in sql_executors:
             sql_executor.close()
         if pool is not None:

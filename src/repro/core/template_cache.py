@@ -244,6 +244,10 @@ class TemplateCache:
             self._slots.clear()
         self._slots[signature] = slots
         self._templates[_template_key(signature, tokens, slots)] = template
+        if len(self._templates) > MAX_TEMPLATES:
+            # Concurrent misses all passed the check above before inserting.
+            self._templates.clear()
+            self._slots.clear()
         query.template_binding = TemplateBinding(template, constants, query.pattern)
         return query, False
 
@@ -292,6 +296,9 @@ class TemplateCache:
         if len(self._plans) >= MAX_TEMPLATES:
             self._plans.clear()
         self._plans[template] = _PlanEntry(generation, compiled, constants)
+        if len(self._plans) > MAX_TEMPLATES:
+            # Concurrent misses all passed the check above before inserting.
+            self._plans.clear()
         # The caller gets its own CompiledQuery, like on a hit.
         return CompiledQuery(plan=compiled.plan, bgp_results=list(compiled.bgp_results)), False
 

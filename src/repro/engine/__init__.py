@@ -11,18 +11,16 @@ single machine:
   tuples shuffled, join comparisons, stages) collected during execution.
 * :mod:`~repro.engine.ops` — a logical plan layer with a SQL pretty-printer,
   so the S2RDF compiler genuinely produces "SQL" as in the paper;
-  :mod:`~repro.engine.plan` executes it serially.
+  :class:`~repro.engine.plan.PlanExecutor` executes it in process.
 * :class:`~repro.engine.catalog.Catalog` — the table store with statistics.
 * :mod:`~repro.engine.storage` — a simulated HDFS namespace with Parquet-like
   size accounting (dictionary + run-length encoding, snappy-style factor).
 * :mod:`~repro.engine.cluster` — cost models that convert execution metrics
   into simulated runtimes for the different execution architectures
   (in-memory MPP, MapReduce, centralised single node).
-* :mod:`~repro.engine.runtime` — the partitioned parallel execution runtime:
-  hash partitioning, shuffle/broadcast join strategies, adaptive re-planning
-  from observed sizes (:class:`~repro.engine.runtime.AdaptivePlanner`) and
-  the :class:`~repro.engine.runtime.ParallelExecutor` that runs per-partition
-  join tasks on a worker pool.
+* :mod:`~repro.engine.strategies` — Spark's join choice (broadcast vs.
+  shuffle hash join) as a costing pass over the plan: the executor reports
+  the annotation, every join runs in process.
 """
 
 from repro.engine.relation import Relation
@@ -43,14 +41,9 @@ from repro.engine.ops import (
     UnionNode,
 )
 from repro.engine.plan import PlanExecutor
-from repro.engine.runtime import (
-    AdaptivePlanner,
+from repro.engine.strategies import (
     BroadcastHashJoin,
-    HashPartitioner,
-    ParallelExecutor,
-    PartitionedRelation,
     PhysicalPlan,
-    SerialJoin,
     ShuffleHashJoin,
     plan_join_strategies,
 )
@@ -81,13 +74,8 @@ __all__ = [
     "SubqueryNode",
     "TableScanNode",
     "UnionNode",
-    "AdaptivePlanner",
     "BroadcastHashJoin",
-    "HashPartitioner",
-    "ParallelExecutor",
-    "PartitionedRelation",
     "PhysicalPlan",
-    "SerialJoin",
     "ShuffleHashJoin",
     "plan_join_strategies",
     "HdfsSimulator",

@@ -104,9 +104,6 @@ class Catalog:
         self._tables: Dict[str, Relation] = {}
         self._statistics: Dict[str, TableStatistics] = {}
         self._stored: Dict[str, StoredTableProvider] = {}
-        #: Session-level observed cardinalities fed back by adaptive
-        #: execution; they override static statistics during planning.
-        self._observed: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # Registration
@@ -135,18 +132,12 @@ class Catalog:
         if materialize:
             self._tables[name] = relation
         self._statistics[name] = statistics
-        # Fresh statistics are derived from the actual rows: an older
-        # observation must not override them (it may describe previous data).
-        self._observed.pop(name, None)
         return statistics
 
     def register_statistics_only(self, name: str, row_count: int, selectivity: float) -> TableStatistics:
         """Record statistics for a table that is not materialised (e.g. empty ExtVP tables)."""
         statistics = TableStatistics(name=name, row_count=row_count, selectivity=selectivity)
         self._statistics[name] = statistics
-        # Like the other registration paths: newly declared statistics
-        # supersede observations made against the previous incarnation.
-        self._observed.pop(name, None)
         return statistics
 
     def register_stored(
@@ -158,54 +149,28 @@ class Catalog:
         so the compiler can plan without ever decoding the table.
 
         Re-registration (after an incremental append or a compaction) must
-        leave no trace of the previous incarnation: both the decoded-rows
-        cache and the adaptive runtime's observed-cardinality cache are
+        leave no trace of the previous incarnation: the decoded-rows cache is
         dropped here, otherwise ``table()`` would keep serving pre-append
-        rows and AQE would keep planning from pre-append row counts.
+        rows.
         """
         self._stored[name] = provider
         self._statistics[name] = statistics
         self._tables.pop(name, None)
-        self._observed.pop(name, None)
         return statistics
 
     def drop(self, name: str) -> None:
         self._tables.pop(name, None)
         self._statistics.pop(name, None)
         self._stored.pop(name, None)
-        self._observed.pop(name, None)
 
     def remove_statistics(self, name: str) -> None:
         """Forget the statistics for ``name`` (the table itself survives).
 
         After this, planners estimate the table as *unknown* — which forces
-        shuffle joins — rather than as empty.  Used by tests and benchmarks to
-        simulate a catalog whose statistics were never collected; any cached
-        observation is dropped too, otherwise the simulation would silently
-        keep planning from the observed size.
+        shuffle joins — rather than as empty.  Used by tests to simulate a
+        catalog whose statistics were never collected.
         """
         self._statistics.pop(name, None)
-        self._observed.pop(name, None)
-
-    # ------------------------------------------------------------------ #
-    # Observed cardinalities (adaptive execution feedback)
-    # ------------------------------------------------------------------ #
-    def record_observed(self, name: str, row_count: int) -> None:
-        """Cache an observed full-table cardinality for this session.
-
-        Adaptive execution records what scans actually returned; planners
-        prefer these observations over (possibly stale) static statistics,
-        so repeated queries plan from truth without a statistics rebuild.
-        """
-        self._observed[name] = row_count
-
-    def observed_rows(self, name: str) -> Optional[int]:
-        """The observed cardinality of ``name``, if any query scanned it."""
-        return self._observed.get(name)
-
-    def clear_observed(self) -> None:
-        """Drop all observed cardinalities (e.g. after a data refresh)."""
-        self._observed.clear()
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -281,6 +246,15 @@ class Catalog:
 
     def statistics(self, name: str) -> Optional[TableStatistics]:
         return self._statistics.get(name)
+
+    def stored_statistics(self) -> Dict[str, TableStatistics]:
+        """Statistics of every store-backed table by name, as of this call."""
+        return {
+            name: statistics
+            # A snapshot: an append may re-register tables meanwhile.
+            for name, statistics in list(self._statistics.items())
+            if name in self._stored
+        }
 
     def table_names(self) -> List[str]:
         return sorted(set(self._tables) | set(self._stored))

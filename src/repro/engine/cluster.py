@@ -67,18 +67,8 @@ class SparkCostModel(CostModel):
     name: str = "spark"
 
     def shuffle_ns(self, metrics: ExecutionMetrics) -> float:
-        """Network time spent exchanging data for joins.
-
-        When the partitioned runtime ran, it records the *observed* exchange
-        volume in bytes (shuffled plus broadcast); that volume is pushed
-        through the cluster's per-node network links.  Without observed bytes
-        (serial execution) the model falls back to the historical per-tuple
-        shuffle estimate.
-        """
-        observed_bytes = metrics.shuffled_bytes + metrics.broadcast_bytes
-        if observed_bytes:
-            wire_ns_per_byte = 8.0 / max(self.cluster.network_gbit, 1e-6)
-            return observed_bytes * wire_ns_per_byte / max(1, self.cluster.worker_nodes)
+        """Network time spent exchanging join inputs: every tuple a join reads
+        crosses the network once, spread over all cores."""
         return metrics.shuffled_tuples * self.shuffle_ns_per_tuple / max(1, self.cluster.total_cores)
 
     def runtime_ms(self, metrics: ExecutionMetrics) -> float:

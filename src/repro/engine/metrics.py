@@ -41,35 +41,20 @@ class ExecutionMetrics:
     table_scans: int = 0
     #: Number of distributed stages (scans + shuffles), used by cost models.
     stages: int = 0
-    #: Observed bytes re-partitioned across the wire by shuffle joins.
+    #: Bytes moved by a shuffle exchange, bytes shipped by a broadcast
+    #: exchange, joins replanned at run time.  Every join runs in process, so
+    #: these are always 0; they stay only because the benchmark suite's
+    #: per-layer probe reads them, and go once its ``smoke()`` tolerates a
+    #: metric declared unavailable (ROADMAP item 1).
     shuffled_bytes: int = 0
-    #: Observed bytes shipped to every partition by broadcast joins.
     broadcast_bytes: int = 0
-    #: Joins executed with a shuffle (re-partitioning) strategy.
-    shuffle_joins: int = 0
-    #: Joins executed with a broadcast strategy.
-    broadcast_joins: int = 0
-    #: Per-partition tasks run by the parallel runtime.
-    parallel_tasks: int = 0
-    #: Wall-clock lower bound of the join work: the slowest task per join,
-    #: summed over joins.  This is what a perfectly scheduled cluster would
-    #: spend, and what the partition-scaling benchmark reports speedups on.
+    aqe_replans: int = 0
+    #: Wall-clock milliseconds spent in join operators, summed over joins.
     critical_path_ms: float = 0.0
     #: Column segments read from the persistent dataset store.
     store_segments_scanned: int = 0
     #: Column segments skipped by zone-map / bucket pruning (never read).
     store_segments_pruned: int = 0
-    #: Join inputs consumed pre-partitioned from the store, i.e. shuffle
-    #: exchanges avoided because the scan was already bucketed on the keys.
-    partition_aligned_inputs: int = 0
-    #: Joins whose physical strategy was revised at run time from observed
-    #: input sizes (adaptive query execution).
-    aqe_replans: int = 0
-    #: Extra join tasks created by subdividing skewed shuffle partitions.
-    aqe_skew_splits: int = 0
-    #: Broadcasts demoted to shuffles because the *observed* materialized
-    #: build side exceeded the hard ``broadcast_memory_limit`` cap.
-    broadcast_guard_trips: int = 0
     #: Rows that flowed through id-batch operators instead of row ones —
     #: how much of a query ran on dictionary ids (0 for in-memory sessions).
     vectorized_rows: int = 0
@@ -118,18 +103,6 @@ class ExecutionMetrics:
         self.join_comparisons += comparisons
         self.intermediate_tuples += output_rows
 
-    def record_shuffle(self, transferred_bytes: int, tasks: int = 0) -> None:
-        """One shuffle exchange: both join inputs re-partitioned on the keys."""
-        self.shuffle_joins += 1
-        self.shuffled_bytes += transferred_bytes
-        self.parallel_tasks += tasks
-
-    def record_broadcast(self, transferred_bytes: int, tasks: int = 0) -> None:
-        """One broadcast exchange: the build side shipped to every partition."""
-        self.broadcast_joins += 1
-        self.broadcast_bytes += transferred_bytes
-        self.parallel_tasks += tasks
-
     def record_critical_path(self, elapsed_ms: float) -> None:
         self.critical_path_ms += elapsed_ms
 
@@ -137,22 +110,6 @@ class ExecutionMetrics:
         """One store-backed table scan: segments read vs. segments pruned."""
         self.store_segments_scanned += scanned
         self.store_segments_pruned += pruned
-
-    def record_aligned_input(self, count: int = 1) -> None:
-        """A shuffle join consumed ``count`` pre-partitioned inputs as-is."""
-        self.partition_aligned_inputs += count
-
-    def record_replan(self) -> None:
-        """Adaptive execution revised one join's strategy from observed sizes."""
-        self.aqe_replans += 1
-
-    def record_skew_split(self, extra_tasks: int) -> None:
-        """Skew handling subdivided partitions into ``extra_tasks`` more tasks."""
-        self.aqe_skew_splits += extra_tasks
-
-    def record_guard_trip(self) -> None:
-        """The broadcast memory guard demoted one broadcast to a shuffle."""
-        self.broadcast_guard_trips += 1
 
     def record_vectorized(self, rows: int) -> None:
         """One plan operator produced a ``rows``-long id batch (no row dicts)."""
@@ -183,9 +140,8 @@ class ExecutionMetrics:
           a measured time by the data factor would double-count hardware
           speed;
         * every other field is *structural* (``joins``, ``table_scans``,
-          ``stages``, strategy and task counts, ``aqe_replans``,
-          ``aqe_skew_splits``): it does not grow with data size and stays
-          unchanged.
+          ``stages``, ``aqe_replans``): it does not grow with data size and
+          stays unchanged.
         """
         clone = self.copy()
         for name in self.field_names():

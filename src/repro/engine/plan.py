@@ -2,12 +2,13 @@
 
 The plan IR itself lives in :mod:`repro.engine.ops`; this module exports
 :class:`PlanExecutor` and :class:`NodeExecution`.  :class:`PlanExecutor` is
-the serial engine: an :class:`~repro.engine.ops.OperationVisitor` whose
+the native engine: an :class:`~repro.engine.ops.OperationVisitor` whose
 ``visit_*`` hooks evaluate each operator against a
 :class:`~repro.engine.catalog.Catalog`, recording
 :class:`~repro.engine.metrics.ExecutionMetrics` and per-node observations for
-``explain_analyze``.  The partitioned runtime subclasses it and overrides the
-physical join hooks.
+``explain_analyze``.  Before it runs a plan it annotates every join with the
+strategy Spark would pick (:mod:`repro.engine.strategies`); the annotation
+is reported, and every join runs in process either way.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.engine.ops import (
 )
 from repro.engine.relation import Relation
 from repro.engine.storage import NULL_ID
+from repro.engine.strategies import PhysicalPlan, plan_join_strategies
 from repro.engine.vectorized import ColumnBatch
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -75,7 +77,8 @@ class PlanExecutor(OperationVisitor):
     Every operator is wrapped in a tracer span (no-op unless the tracer is
     enabled) and records a :class:`NodeExecution` into ``last_node_stats``,
     which ``explain_analyze`` reads to annotate the plan with observed rows
-    and elapsed time per operator.
+    and elapsed time per operator.  Instance state describes the last plan
+    run, so an executor serves one thread.
     """
 
     def __init__(
@@ -89,9 +92,18 @@ class PlanExecutor(OperationVisitor):
         self.registry = metrics_registry
         #: Per-node observations of the most recently executed plan.
         self.last_node_stats: Dict[int, NodeExecution] = {}
+        #: Spark's join strategies for the most recently executed plan.
+        self.last_physical_plan: Optional[PhysicalPlan] = None
+        #: Milliseconds the last execute() spent choosing them.
+        self.last_plan_ms: float = 0.0
 
     def execute(self, plan: Operation, metrics: Optional[ExecutionMetrics] = None) -> Relation:
         metrics = metrics if metrics is not None else ExecutionMetrics()
+        start = time.perf_counter()
+        with self.tracer.span("physical-plan", category="query") as span:
+            self.last_physical_plan = plan_join_strategies(plan, self.catalog)
+            span.set(joins=len(self.last_physical_plan.strategies()))
+        self.last_plan_ms = (time.perf_counter() - start) * 1000.0
         self.last_node_stats = {}
         # A batch surviving to the root is decoded here — the single
         # deferred-decoding boundary before result rendering.
@@ -111,11 +123,7 @@ class PlanExecutor(OperationVisitor):
             self.registry.observe(name, value)
 
     def _record_scan(self, table_name: str, scan, metrics: ExecutionMetrics) -> None:
-        """Record a scan; store-backed scans also report segment pruning.
-
-        An instance method (not static) so the adaptive runtime can override
-        it to feed observed table cardinalities back into the catalog.
-        """
+        """Record a scan; store-backed scans also report segment pruning."""
         metrics.record_scan(table_name, scan.rows_scanned)
         if scan.segments_scanned or scan.segments_pruned:
             metrics.record_segment_scan(scan.segments_scanned, scan.segments_pruned)
@@ -168,30 +176,27 @@ class PlanExecutor(OperationVisitor):
     def visit_subquery(self, plan: SubqueryNode, metrics: ExecutionMetrics) -> Any:
         columns = [column for column, _ in plan.projections]
         conditions = dict(plan.conditions) if plan.conditions else None
-        aliases = {column: alias for column, alias in plan.projections}
         scan = self.catalog.scan_batch(plan.table_name, columns=columns, conditions=conditions)
         if scan is not None:
             self._record_scan(plan.table_name, scan, metrics)
             # The store scanned exactly ``columns``, in order: the subquery's
             # projection and rename are one relabelling of those id columns.
             batch = scan.batch
-            tag = batch.partitioning
             return ColumnBatch.adopt(
-                plan.output_columns(),
-                batch.ids,
-                batch.decode,
-                selection=batch.selection,
-                partitioning=tag.renamed(aliases) if tag is not None else None,
+                plan.output_columns(), batch.ids, batch.decode, selection=batch.selection
             )
         scan = self.catalog.scan(plan.table_name, columns=columns, conditions=conditions)
         self._record_scan(plan.table_name, scan, metrics)
-        return scan.relation.project(columns).rename(aliases)
+        return scan.relation.project(columns).rename(dict(plan.projections))
 
     def visit_natural_join(self, plan: NaturalJoinNode, metrics: ExecutionMetrics) -> Any:
         left = self._execute(plan.left, metrics)
         right = self._execute(plan.right, metrics)
         left, right = self._align_join_inputs(left, right)
-        return self._natural_join(plan, left, right, metrics)
+        start = time.perf_counter()
+        result = left.natural_join(right, metrics)
+        self._record_join_time(start, metrics)
+        return result
 
     @staticmethod
     def _align_join_inputs(left: Any, right: Any) -> Any:
@@ -216,7 +221,9 @@ class PlanExecutor(OperationVisitor):
     def visit_left_outer_join(self, plan: LeftOuterJoinNode, metrics: ExecutionMetrics) -> Relation:
         left = self._lower(self._execute(plan.left, metrics))
         right = self._lower(self._execute(plan.right, metrics))
-        joined = self._left_outer_join(plan, left, right, metrics)
+        start = time.perf_counter()
+        joined = left.left_outer_join(right, metrics)
+        self._record_join_time(start, metrics)
         if plan.expression is not None:
             right_only = set(plan.right.output_columns()) - set(plan.left.output_columns())
 
@@ -317,27 +324,7 @@ class PlanExecutor(OperationVisitor):
             (row + tuple(None for _ in missing) for row in relation.rows),
         )
 
-    # ------------------------------------------------------------------ #
-    # Physical join hooks.  The serial executor joins in-process; the
-    # partitioned runtime (repro.engine.runtime) overrides these to apply a
-    # shuffle or broadcast strategy across a worker pool.
-    # ------------------------------------------------------------------ #
-    def _natural_join(
-        self, plan: NaturalJoinNode, left: Relation, right: Relation, metrics: ExecutionMetrics
-    ) -> Relation:
-        start = time.perf_counter()
-        result = left.natural_join(right, metrics)
+    def _record_join_time(self, start: float, metrics: ExecutionMetrics) -> None:
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         metrics.record_critical_path(elapsed_ms)
         self._observe("s2rdf_join_critical_path_ms", elapsed_ms)
-        return result
-
-    def _left_outer_join(
-        self, plan: LeftOuterJoinNode, left: Relation, right: Relation, metrics: ExecutionMetrics
-    ) -> Relation:
-        start = time.perf_counter()
-        result = left.left_outer_join(right, metrics)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        metrics.record_critical_path(elapsed_ms)
-        self._observe("s2rdf_join_critical_path_ms", elapsed_ms)
-        return result

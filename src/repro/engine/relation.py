@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -37,29 +36,6 @@ class SchemaError(ValueError):
     """Raised when an operator is applied to incompatible schemas."""
 
 
-@dataclass(frozen=True)
-class Partitioning:
-    """Physical hash-partitioning metadata carried by a relation.
-
-    The persistent dataset store lays table rows out pre-bucketed with the
-    runtime's :func:`~repro.engine.runtime.partitioner.key_partition_index`,
-    so a scanned relation can declare: "my rows are ordered by partition;
-    partition ``i`` holds the next ``counts[i]`` rows, hashed on ``keys``".
-    A shuffle join whose keys and partition count match consumes the buckets
-    directly instead of re-partitioning.
-    """
-
-    keys: Tuple[str, ...]
-    counts: Tuple[int, ...]
-
-    @property
-    def num_partitions(self) -> int:
-        return len(self.counts)
-
-    def renamed(self, mapping: Mapping[str, str]) -> "Partitioning":
-        return Partitioning(tuple(mapping.get(k, k) for k in self.keys), self.counts)
-
-
 class Relation:
     """An immutable bag of tuples with named columns.
 
@@ -67,22 +43,16 @@ class Relation:
     the public one: it accepts any iterable of row sequences, turns each into
     a tuple and checks its width against the schema, so malformed outside
     input raises :class:`SchemaError` here and nowhere later.
-    :meth:`Relation.adopt` is the engine's own: operators, scans and exchanges
-    that build tuples of the right width *by construction* hand their row
+    :meth:`Relation.adopt` is the engine's own: operators and scans that build tuples of the right width *by construction* hand their row
     list over as-is — the schema is still checked, the rows are not copied.
     Neither an operator nor a caller may mutate ``rows`` afterwards: adopted
     lists are shared (a rename shares its input's rows, a cached scan shares
     them with every query that reads it).
     """
 
-    __slots__ = ("columns", "rows", "partitioning")
+    __slots__ = ("columns", "rows")
 
-    def __init__(
-        self,
-        columns: Sequence[str],
-        rows: Iterable[Row] = (),
-        partitioning: Optional[Partitioning] = None,
-    ) -> None:
+    def __init__(self, columns: Sequence[str], rows: Iterable[Row] = ()) -> None:
         self.columns: Tuple[str, ...] = tuple(columns)
         if len(set(self.columns)) != len(self.columns):
             raise SchemaError(f"duplicate column names in {self.columns}")
@@ -96,17 +66,9 @@ class Relation:
                 )
             materialized.append(row_tuple)
         self.rows: List[Row] = materialized
-        #: Optional physical layout tag; operators that preserve row order and
-        #: cardinality propagate it, everything else drops it.
-        self.partitioning: Optional[Partitioning] = partitioning
 
     @classmethod
-    def adopt(
-        cls,
-        columns: Sequence[str],
-        rows: List[Row],
-        partitioning: Optional[Partitioning] = None,
-    ) -> "Relation":
+    def adopt(cls, columns: Sequence[str], rows: List[Row]) -> "Relation":
         """Engine-internal constructor: check the schema, adopt ``rows`` as-is.
 
         ``rows`` must be a list of tuples that each have ``len(columns)``
@@ -119,7 +81,6 @@ class Relation:
         if len(set(relation.columns)) != len(relation.columns):
             raise SchemaError(f"duplicate column names in {relation.columns}")
         relation.rows = rows
-        relation.partitioning = partitioning
         return relation
 
     # ------------------------------------------------------------------ #
@@ -206,22 +167,14 @@ class Relation:
         if tuple(unique) == self.columns:
             return self  # relations are immutable: the identity projection copies nothing
         indexes = [self.column_index(c) for c in unique]
-        partitioning = self.partitioning
-        if partitioning is not None and not all(k in unique for k in partitioning.keys):
-            partitioning = None  # a dropped key column invalidates the layout tag
-        return Relation.adopt(
-            unique,
-            [tuple(row[i] for i in indexes) for row in self.rows],
-            partitioning=partitioning,
-        )
+        return Relation.adopt(unique, [tuple(row[i] for i in indexes) for row in self.rows])
 
     def rename(self, mapping: Mapping[str, str]) -> "Relation":
         """Rename columns according to ``mapping`` (old name -> new name)."""
         for old in mapping:
             self.column_index(old)
         new_columns = [mapping.get(c, c) for c in self.columns]
-        partitioning = self.partitioning.renamed(mapping) if self.partitioning is not None else None
-        return Relation.adopt(new_columns, self.rows, partitioning=partitioning)
+        return Relation.adopt(new_columns, self.rows)
 
     def select(self, predicate: Callable[[Dict[str, Any]], bool]) -> "Relation":
         """Filter rows by a predicate over row dictionaries."""

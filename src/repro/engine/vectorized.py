@@ -30,14 +30,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.relation import Partitioning, Relation, SchemaError
+from repro.engine.relation import Relation, SchemaError
 from repro.engine.storage import NULL_ID
-
-#: In-flight size of one dictionary id when a batch crosses a (simulated)
-#: exchange: a packed 64-bit integer.  Compare ``BYTES_PER_VALUE`` (24) for
-#: row-dict relations — the 3x shrink is the shuffle-volume win of shipping
-#: id batches instead of materialised term rows.
-BYTES_PER_ID = 8
 
 _ITEM = struct.Struct("<q")
 _NULL_BYTES = _ITEM.pack(NULL_ID)
@@ -67,7 +61,7 @@ class ColumnBatch:
     or unioned together must share it.
     """
 
-    __slots__ = ("columns", "ids", "selection", "decode", "partitioning")
+    __slots__ = ("columns", "ids", "selection", "decode")
 
     def __init__(
         self,
@@ -75,7 +69,6 @@ class ColumnBatch:
         ids: Sequence[array],
         decode: Callable[[int], Any],
         selection: Optional[array] = None,
-        partitioning: Optional[Partitioning] = None,
     ) -> None:
         self.columns: Tuple[str, ...] = tuple(columns)
         if len(set(self.columns)) != len(self.columns):
@@ -90,8 +83,6 @@ class ColumnBatch:
         self.ids: Tuple[array, ...] = tuple(ids)
         self.selection = selection
         self.decode = decode
-        #: Optional physical layout tag, mirroring ``Relation.partitioning``.
-        self.partitioning = partitioning
 
     @classmethod
     def adopt(
@@ -100,12 +91,11 @@ class ColumnBatch:
         ids: Tuple[array, ...],
         decode: Callable[[int], Any],
         selection: Optional[array] = None,
-        partitioning: Optional[Partitioning] = None,
     ) -> "ColumnBatch":
         """Engine-internal constructor: check the schema, adopt ``ids`` as-is.
 
-        The counterpart of :meth:`Relation.adopt` for kernels, scans and
-        exchanges: ``columns`` and ``ids`` are already tuples, one equal-length
+        The counterpart of :meth:`Relation.adopt` for kernels and scans:
+        ``columns`` and ``ids`` are already tuples, one equal-length
         ``array('q')`` per name *by construction* (usually they are another
         batch's), so only the names are checked.  Anything assembled from
         outside input goes through ``ColumnBatch(columns, ids, decode)``.
@@ -117,7 +107,6 @@ class ColumnBatch:
         batch.ids = ids
         batch.selection = selection
         batch.decode = decode
-        batch.partitioning = partitioning
         return batch
 
     # ------------------------------------------------------------------ #
@@ -142,10 +131,6 @@ class ColumnBatch:
             return self.columns.index(name)
         except ValueError:
             raise SchemaError(f"unknown column {name!r}; available: {self.columns}") from None
-
-    def estimated_bytes(self) -> int:
-        """Serialized exchange size: one packed id per value."""
-        return len(self) * len(self.columns) * BYTES_PER_ID
 
     @classmethod
     def empty(cls, columns: Sequence[str], decode: Callable[[int], Any]) -> "ColumnBatch":
@@ -201,23 +186,13 @@ class ColumnBatch:
         selection = self.selection
         if not picked and selection is None:
             selection = _count_selection(len(self))
-        partitioning = self.partitioning
-        if partitioning is not None and not all(k in unique for k in partitioning.keys):
-            partitioning = None  # a dropped key column invalidates the layout tag
-        return ColumnBatch.adopt(
-            tuple(unique), picked, self.decode, selection=selection, partitioning=partitioning
-        )
+        return ColumnBatch.adopt(tuple(unique), picked, self.decode, selection=selection)
 
     def rename(self, mapping: Mapping[str, str]) -> "ColumnBatch":
         for old in mapping:
             self.column_index(old)
         new_columns = tuple(mapping.get(c, c) for c in self.columns)
-        partitioning = (
-            self.partitioning.renamed(mapping) if self.partitioning is not None else None
-        )
-        return ColumnBatch.adopt(
-            new_columns, self.ids, self.decode, selection=self.selection, partitioning=partitioning
-        )
+        return ColumnBatch.adopt(new_columns, self.ids, self.decode, selection=self.selection)
 
     def pad_to(self, columns: Sequence[str]) -> "ColumnBatch":
         """Add missing columns as all-NULL id columns (unbound variables)."""
@@ -407,7 +382,7 @@ class ColumnBatch:
             rows: List[Tuple] = list(zip(*[map(lookup, column) for column in columns]))
         else:
             rows = [()] * len(self)
-        return Relation.adopt(self.columns, rows, partitioning=self.partitioning)
+        return Relation.adopt(self.columns, rows)
 
 
 class _DecodeMemo(dict):
@@ -450,105 +425,3 @@ class BatchScanResult:
     rows_scanned: int
     segments_scanned: int = 0
     segments_pruned: int = 0
-
-
-@dataclass(frozen=True)
-class PartitionedBatch:
-    """A :class:`ColumnBatch` split into disjoint partitions (id-space RDD).
-
-    The partitions *share* the parent's flat id columns and differ only in
-    their selection vectors, so "shuffling" a batch moves index arrays, not
-    column data — which is exactly why the accounted exchange bytes shrink.
-    """
-
-    columns: Tuple[str, ...]
-    partitions: Tuple[ColumnBatch, ...]
-    keys: Optional[Tuple[str, ...]] = None
-
-    @classmethod
-    def from_batch(
-        cls,
-        batch: ColumnBatch,
-        num_partitions: int,
-        keys: Optional[Sequence[str]] = None,
-    ) -> "PartitionedBatch":
-        """Partition ``batch``: by key hash when ``keys`` is given, evenly otherwise.
-
-        Hash partitioning must agree with the row path's
-        :func:`~repro.engine.runtime.partitioner.key_partition_index` over
-        *decoded* terms (store buckets and row shuffles both use it), so each
-        distinct key id tuple is decoded once and its bucket memoised.
-        """
-        # Imported here: the runtime package's __init__ imports the executor,
-        # which imports this module — a module-level import would be circular.
-        from repro.engine.runtime.partitioner import key_partition_index
-
-        if num_partitions == 1:
-            return cls(batch.columns, (batch,), tuple(keys) if keys else None)
-        if keys:
-            key_columns = [batch.ids[batch.column_index(k)] for k in keys]
-            decode = batch.decode
-            buckets: Dict[Tuple[int, ...], int] = {}
-            selections = [array("q") for _ in range(num_partitions)]
-            for i in batch.indices():
-                key = tuple(column[i] for column in key_columns)
-                bucket = buckets.get(key)
-                if bucket is None:
-                    terms = tuple(None if v == NULL_ID else decode(v) for v in key)
-                    bucket = key_partition_index(terms, num_partitions)
-                    buckets[key] = bucket
-                selections[bucket].append(i)
-            parts = tuple(
-                ColumnBatch.adopt(batch.columns, batch.ids, decode, selection=selection)
-                for selection in selections
-            )
-            return cls(batch.columns, parts, tuple(keys))
-        indices = batch.indices()
-        total = len(indices)
-        base, remainder = divmod(total, num_partitions)
-        parts_list: List[ColumnBatch] = []
-        start = 0
-        for index in range(num_partitions):
-            size = base + (1 if index < remainder else 0)
-            selection = array("q", indices[start : start + size])
-            parts_list.append(
-                ColumnBatch.adopt(batch.columns, batch.ids, batch.decode, selection=selection)
-            )
-            start += size
-        return cls(batch.columns, tuple(parts_list))
-
-    @classmethod
-    def from_prepartitioned(cls, batch: ColumnBatch) -> "PartitionedBatch":
-        """Adopt the bucket layout a store-backed batch scan already carries."""
-        tag = batch.partitioning
-        if tag is None:
-            raise ValueError("batch carries no partitioning tag")
-        indices = batch.indices()
-        parts: List[ColumnBatch] = []
-        start = 0
-        for count in tag.counts:
-            selection = array("q", indices[start : start + count])
-            parts.append(
-                ColumnBatch.adopt(batch.columns, batch.ids, batch.decode, selection=selection)
-            )
-            start += count
-        if start != len(indices):
-            raise ValueError(
-                f"partitioning tag covers {start} rows but batch has {len(indices)}"
-            )
-        return cls(batch.columns, tuple(parts), tag.keys)
-
-    @property
-    def num_partitions(self) -> int:
-        return len(self.partitions)
-
-    def estimated_bytes(self) -> int:
-        return sum(part.estimated_bytes() for part in self.partitions)
-
-    def is_co_partitioned_with(self, other: "PartitionedBatch") -> bool:
-        """Same contract as ``PartitionedRelation.is_co_partitioned_with``."""
-        return (
-            self.keys is not None
-            and self.keys == other.keys
-            and self.num_partitions == other.num_partitions
-        )

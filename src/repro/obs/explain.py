@@ -1,23 +1,20 @@
 """EXPLAIN ANALYZE rendering: the executed plan, annotated with observations.
 
 ``S2RDFSession.explain_analyze`` executes a query and feeds this module the
-logical plan, the per-node estimates captured *before* execution, the
-per-node/per-exchange observations captured by the runtime, and the physical
-plan's strategy annotations.  The renderer draws the operator tree with, per
-operator:
+logical plan, the per-node estimates, the per-node observations captured by
+the executor, and the physical plan's strategy annotations.  The renderer
+draws the operator tree with, per operator:
 
 * estimated vs. observed rows (``est=?`` when statistics were missing —
   exactly the inputs that make the static planner mis-plan);
-* the join strategy that was chosen statically and, when it differs, the
-  strategy adaptive execution actually ran plus the revision's reason;
-* elapsed wall-clock milliseconds (cumulative over the operator's subtree);
-* bytes moved and task counts for shuffle/broadcast exchanges.
+* the join strategy Spark would pick, from those estimates;
+* elapsed wall-clock milliseconds (cumulative over the operator's subtree).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.engine.catalog import Catalog
 from repro.engine.ops import (
@@ -34,23 +31,12 @@ from repro.engine.ops import (
     UnionNode,
 )
 from repro.engine.plan import NodeExecution
-from repro.engine.runtime.adaptive import ReplanEvent
-from repro.engine.runtime.executor import ExchangeStats
-from repro.engine.runtime.strategies import UNKNOWN_ROWS, PhysicalPlan, estimate_rows
+from repro.engine.strategies import UNKNOWN_ROWS, PhysicalPlan, estimate_rows
 
 
-def collect_estimates(
-    plan: PlanNode, catalog: Catalog, use_observed: bool = True
-) -> Dict[int, int]:
-    """Pre-execution cardinality estimates for every node, keyed by ``id()``.
-
-    Must be called *before* the plan runs: execution feeds observed
-    cardinalities back into the catalog, and estimating afterwards would
-    compare observed rows against themselves.
-    """
-    return {
-        id(node): estimate_rows(node, catalog, use_observed) for node in plan.walk()
-    }
+def collect_estimates(plan: PlanNode, catalog: Catalog) -> Dict[int, int]:
+    """Cardinality estimates for every node, keyed by ``id()``."""
+    return {id(node): estimate_rows(node, catalog) for node in plan.walk()}
 
 
 @dataclass
@@ -68,14 +54,6 @@ def _format_rows(rows: Optional[int]) -> str:
     if rows is None or rows == UNKNOWN_ROWS:
         return "?"
     return str(rows)
-
-
-def format_bytes(count: float) -> str:
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(count) < 1024.0 or unit == "GiB":
-            return f"{count:.1f} {unit}" if unit != "B" else f"{int(count)} {unit}"
-        count /= 1024.0
-    return f"{count:.1f} GiB"
 
 
 class _NodeLabeler(OperationVisitor):
@@ -145,49 +123,11 @@ def _node_label(node: PlanNode) -> str:
     return _LABELER.visit(node)
 
 
-def _strategy_lines(
-    node: PlanNode,
-    physical: Optional[PhysicalPlan],
-    replan_events: Sequence[ReplanEvent],
-) -> List[str]:
-    """Chosen vs. executed strategy, with the AQE reason when they differ."""
-    if physical is None or not node.is_join:
-        return []
-    initial = physical.strategy_for(node)
-    if initial is None:
-        return []
-    executed = physical.executed_strategy_for(node)
-    if executed is None or executed.same_decision(initial):
-        suffix = " (as planned)" if executed is not None else " (not executed)"
-        return [f"strategy: {initial.describe()}{suffix}"]
-    lines = [f"strategy: {initial.name} -> {executed.name}"]
-    lines.append(f"  planned:  {initial.describe()}")
-    lines.append(f"  executed: {executed.describe()}")
-    for event in replan_events:
-        if event.node_id == id(node):
-            lines.append(f"  reason:   {event.reason}")
-            break
-    else:
-        if executed.name == "SerialJoin":
-            reason = getattr(executed, "reason", "")
-            lines.append(f"  reason:   serial fallback ({reason or 'degenerate input'})")
-    return lines
-
-
-def _exchange_line(stats: ExchangeStats) -> str:
-    return (
-        f"exchange: {stats.kind}, {format_bytes(stats.transferred_bytes)} moved, "
-        f"{stats.tasks} task(s), critical path {stats.critical_path_ms:.2f} ms"
-    )
-
-
 def render_explain_analyze(
     plan: PlanNode,
     estimates: Dict[int, int],
     node_stats: Dict[int, NodeExecution],
-    exchange_stats: Dict[int, ExchangeStats],
     physical: Optional[PhysicalPlan] = None,
-    replan_events: Sequence[ReplanEvent] = (),
 ) -> str:
     """Draw the annotated operator tree, root first."""
     lines: List[str] = []
@@ -208,13 +148,10 @@ def render_explain_analyze(
         lines.append(f"{prefix}{connector}{_node_label(node)}  {annotate(node)}")
         detail_prefix = prefix if is_root else prefix + ("   " if is_last else "│  ")
         children = list(node.children())
-        child_bar = "│  " if children else "   "
-        for line in _strategy_lines(node, physical, replan_events):
-            bullet = "  " if line.startswith(" ") else "* "
-            lines.append(f"{detail_prefix}{child_bar}{bullet}{line}")
-        exchange = exchange_stats.get(id(node))
-        if exchange is not None:
-            lines.append(f"{detail_prefix}{child_bar}* {_exchange_line(exchange)}")
+        strategy = physical.strategy_for(node) if physical is not None else None
+        if strategy is not None:
+            child_bar = "│  " if children else "   "
+            lines.append(f"{detail_prefix}{child_bar}* strategy: {strategy.describe()}")
         for index, child in enumerate(children):
             walk(child, detail_prefix, index == len(children) - 1, False)
 

@@ -4,8 +4,7 @@ The per-query :class:`~repro.engine.metrics.ExecutionMetrics` object dies with
 its :class:`~repro.core.results.QueryResult`; the journal is the *workload*
 memory: every query appends one JSON record — a constant-stripped template
 fingerprint, the dataset's manifest epoch, phase timings, row counts, scanned
-tables, estimate-vs-observed cardinality error, AQE activity and store
-pruning counters — to ``journal/`` under the stored dataset (or to a bounded
+tables, estimate-vs-observed cardinality error and store pruning counters — to ``journal/`` under the stored dataset (or to a bounded
 in-memory ring for ephemeral sessions).  The workload analyzer
 (:mod:`repro.obs.workload`) aggregates these records across sessions into hot
 templates, per-table reuse counts and materialization advice — the evidence
@@ -248,16 +247,11 @@ class JournalRecord:
     #: q-error of the estimate: ``max(est/obs, obs/est)`` on ``+1``-smoothed
     #: counts, so exact estimates score 1.0 and zeros stay finite.
     estimate_q_error: Optional[float] = None
-    aqe_replans: int = 0
-    aqe_skew_splits: int = 0
-    broadcast_guard_trips: int = 0
     segments_scanned: int = 0
     segments_pruned: int = 0
-    shuffled_bytes: int = 0
-    broadcast_bytes: int = 0
     statically_empty: bool = False
-    #: Engine that executed the query ("native" serial/parallel in-process
-    #: engine, or "sqlite"); omitted from the JSON when "native".
+    #: Engine that executed the query ("native" in-process engine, or
+    #: "sqlite"); omitted from the JSON when "native".
     engine: str = "native"
     #: Milliseconds the query waited in the serving scheduler's admission
     #: queue before execution started; ``None`` (omitted) for queries that
@@ -295,20 +289,10 @@ class JournalRecord:
             data["estimated_rows"] = self.estimated_rows
         if self.estimate_q_error is not None:
             data["estimate_q_error"] = round(self.estimate_q_error, 4)
-        if self.aqe_replans:
-            data["aqe_replans"] = self.aqe_replans
-        if self.aqe_skew_splits:
-            data["aqe_skew_splits"] = self.aqe_skew_splits
-        if self.broadcast_guard_trips:
-            data["broadcast_guard_trips"] = self.broadcast_guard_trips
         if self.segments_scanned:
             data["segments_scanned"] = self.segments_scanned
         if self.segments_pruned:
             data["segments_pruned"] = self.segments_pruned
-        if self.shuffled_bytes:
-            data["shuffled_bytes"] = self.shuffled_bytes
-        if self.broadcast_bytes:
-            data["broadcast_bytes"] = self.broadcast_bytes
         if self.statically_empty:
             data["statically_empty"] = True
         if self.engine != "native":
@@ -357,20 +341,10 @@ class JournalRecord:
                 line += ',"estimated_rows":%d' % self.estimated_rows
         elif self.estimate_q_error is not None:
             line += ',"estimate_q_error":%.4f' % self.estimate_q_error
-        counters = (
-            self.aqe_replans,
-            self.aqe_skew_splits,
-            self.broadcast_guard_trips,
-            self.segments_scanned,
-            self.segments_pruned,
-            self.shuffled_bytes,
-            self.broadcast_bytes,
-        )
-        if any(counters):
-            line += (
-                ',"aqe_replans":%d,"aqe_skew_splits":%d,"broadcast_guard_trips":%d,'
-                '"segments_scanned":%d,"segments_pruned":%d,"shuffled_bytes":%d,'
-                '"broadcast_bytes":%d' % counters
+        if self.segments_scanned or self.segments_pruned:
+            line += ',"segments_scanned":%d,"segments_pruned":%d' % (
+                self.segments_scanned,
+                self.segments_pruned,
             )
         if self.statically_empty:
             line += ',"statically_empty":true'
@@ -384,6 +358,9 @@ class JournalRecord:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "JournalRecord":
+        """Read one journal line.  Keys this version does not write — older
+        journals carry ``aqe_replans``, ``shuffled_bytes`` and the like — are
+        ignored."""
         return cls(
             fingerprint=data["fingerprint"],
             template=data.get("template", ""),
@@ -395,13 +372,8 @@ class JournalRecord:
             scanned_tables=dict(data.get("scanned_tables", {})),
             estimated_rows=data.get("estimated_rows"),
             estimate_q_error=data.get("estimate_q_error"),
-            aqe_replans=data.get("aqe_replans", 0),
-            aqe_skew_splits=data.get("aqe_skew_splits", 0),
-            broadcast_guard_trips=data.get("broadcast_guard_trips", 0),
             segments_scanned=data.get("segments_scanned", 0),
             segments_pruned=data.get("segments_pruned", 0),
-            shuffled_bytes=data.get("shuffled_bytes", 0),
-            broadcast_bytes=data.get("broadcast_bytes", 0),
             statically_empty=data.get("statically_empty", False),
             engine=data.get("engine", "native"),
             queue_ms=data.get("queue_ms"),

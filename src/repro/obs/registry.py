@@ -110,8 +110,8 @@ class MetricsRegistry:
     """Named counters + histograms with JSON and Prometheus-text export.
 
     ``inc``/``observe`` lazily create their instrument, so call sites stay
-    one-liners; creation and updates are lock-protected because the parallel
-    runtime records task durations from pool threads.
+    one-liners; creation and updates are lock-protected because concurrent
+    queries record from scheduler threads.
     """
 
     def __init__(self) -> None:

@@ -2,8 +2,8 @@
 
 A :class:`Tracer` records a tree of timed :class:`Span`\\ s — parse → compile →
 table-selection → physical-plan → execute → render, with child spans for every
-operator, exchange and per-partition task — plus point-in-time *events* inside
-a span (AQE replans, skew splits, zone-map/bucket pruning decisions).
+operator — plus point-in-time *events* inside a span (zone-map/bucket pruning
+decisions).
 
 The design constraint is the disabled path: a session with
 ``tracing_enabled=False`` must pay essentially nothing.  ``Tracer.span()``
@@ -15,8 +15,8 @@ branching at the call site.
 Finished spans export to the Chrome trace-event JSON format
 (:meth:`Tracer.to_chrome_trace` / :meth:`Tracer.write_chrome_trace`), loadable
 in Perfetto or ``chrome://tracing``: spans become complete (``"ph": "X"``)
-events on their recording thread's timeline, so the thread-pool schedule of a
-parallel join is visually inspectable; span events become instant
+events on their recording thread's timeline, so concurrent queries on
+scheduler threads are visually inspectable; span events become instant
 (``"ph": "i"``) events.
 """
 

@@ -12,8 +12,8 @@ aggregates those decisions need:
   tuples they pulled from it — the per-table demand signal for ExtVP
   materialization and caching;
 * **misestimation distribution**: the q-error histogram of the planner's
-  root-cardinality estimates, separating workloads the static planner handles
-  from those that need adaptive execution;
+  root-cardinality estimates, separating workloads the statistics describe
+  from those they misdescribe;
 * **materialization advice**: concrete cache candidates — templates that
   repeat against one manifest epoch with stable results (plan/result-cache
   candidates keyed on ``(fingerprint, epoch)``) and tables scanned by many
@@ -56,8 +56,6 @@ class TemplateStats:
     #: Distinct result cardinalities seen, per epoch — a template whose rows
     #: vary within one epoch is not a result-cache candidate.
     rows_by_epoch: Dict[Any, List[int]] = field(default_factory=dict)
-    replans: int = 0
-    guard_trips: int = 0
     #: Executions split by backend (``"native"`` / ``"sqlite"``): the same
     #: template fingerprint can run on either engine, and hot-template
     #: rankings must show which backend actually served the repeats.
@@ -76,8 +74,6 @@ class TemplateStats:
             "mean_wall_ms": round(self.mean_wall_ms, 3),
             "total_rows": self.total_rows,
             "epochs": self.epochs,
-            "replans": self.replans,
-            "guard_trips": self.guard_trips,
             "engines": {name: self.engines[name] for name in sorted(self.engines)},
         }
 
@@ -134,8 +130,6 @@ class WorkloadAnalysis:
     estimated_queries: int
     max_q_error: float
     advice: List[CacheCandidate]
-    aqe_replans: int = 0
-    guard_trips: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -147,15 +141,12 @@ class WorkloadAnalysis:
             "estimated_queries": self.estimated_queries,
             "max_q_error": round(self.max_q_error, 4),
             "advice": [c.as_dict() for c in self.advice],
-            "aqe_replans": self.aqe_replans,
-            "guard_trips": self.guard_trips,
         }
 
     def render_text(self) -> str:
         lines = [
             "== Workload report ==",
-            f"queries: {self.total_queries}; total wall clock: {self.total_wall_ms:.1f} ms; "
-            f"AQE replans: {self.aqe_replans}; broadcast guard trips: {self.guard_trips}",
+            f"queries: {self.total_queries}; total wall clock: {self.total_wall_ms:.1f} ms",
             "",
             f"Hot templates (top {len(self.hot_templates)}):",
         ]
@@ -231,13 +222,9 @@ def analyze_journal(
     estimated = 0
     max_q_error = 0.0
     total_wall = 0.0
-    replans = 0
-    guard_trips = 0
 
     for record in records:
         total_wall += record.wall_ms
-        replans += record.aqe_replans
-        guard_trips += record.broadcast_guard_trips
         stats = templates.get(record.fingerprint)
         if stats is None:
             stats = templates[record.fingerprint] = TemplateStats(
@@ -249,8 +236,6 @@ def analyze_journal(
         if record.epoch not in stats.epochs:
             stats.epochs.append(record.epoch)
         stats.rows_by_epoch.setdefault(record.epoch, []).append(record.rows)
-        stats.replans += record.aqe_replans
-        stats.guard_trips += record.broadcast_guard_trips
         stats.engines[record.engine] = stats.engines.get(record.engine, 0) + 1
 
         for table, rows in record.scanned_tables.items():
@@ -321,8 +306,6 @@ def analyze_journal(
         estimated_queries=estimated,
         max_q_error=max_q_error,
         advice=advice,
-        aqe_replans=replans,
-        guard_trips=guard_trips,
     )
 
 

@@ -14,21 +14,18 @@ with submit/await semantics:
   ``.result(timeout)`` / ``.done()`` / ``.exception()``;
 * **cross-query sharing** — identical text submitted while the same text is
   in flight *on the same manifest epoch* attaches to the running execution
-  (``share_results``), and :meth:`prewarm` reads broadcast-sized stored
-  tables' id columns once per epoch so concurrent queries share warm build
-  sides instead of racing to read them.
+  (``share_results``), and :meth:`prewarm` reads the id columns of the
+  stored tables Spark would broadcast once per epoch, so concurrent queries
+  share them warm instead of racing to read them.
 
 Thread mode executes queries on the shared session (its per-thread executors
-make that safe; cardinalities one query observed reach the next through the
-one catalog).  Process mode ships whole queries to the dataset's
+make that safe).  Process mode ships whole queries to the dataset's
 :class:`~repro.serve.workers.PartitionWorkerPool`: the dispatcher thread
 itself blocks on a worker's pipe, and journals the record in the parent so
 the dataset keeps one workload journal.  Only the query text, an epoch and
-the reply cross the process boundary — no cardinalities: a worker's own scans
-observe the manifest's row counts, which every process already reads.  A
-worker that dies fails the one request it held
-(:class:`~repro.serve.workers.WorkerDiedError` through the handle) and is
-respawned; the dispatcher carries on.
+the reply cross the process boundary.  A worker that dies fails the one
+request it held (:class:`~repro.serve.workers.WorkerDiedError` through the
+handle) and is respawned; the dispatcher carries on.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from repro.core.config import ServingConfig
 from repro.core.session import _QUEUE_WAIT_MS, S2RDFSession
 from repro.core.results import QueryResult
-from repro.engine.runtime.partitioned import BYTES_PER_VALUE
+from repro.engine.strategies import estimated_bytes, fits_broadcast
 from repro.obs.journal import JournalRecord
 
 
@@ -273,13 +270,8 @@ class QueryScheduler:
                     wall_ms=result.wall_clock_ms,
                     phase_ms=dict(result.phase_ms),
                     scanned_tables=dict(metrics.scanned_tables),
-                    aqe_replans=metrics.aqe_replans,
-                    aqe_skew_splits=metrics.aqe_skew_splits,
-                    broadcast_guard_trips=metrics.broadcast_guard_trips,
                     segments_scanned=metrics.store_segments_scanned,
                     segments_pruned=metrics.store_segments_pruned,
-                    shuffled_bytes=metrics.shuffled_bytes,
-                    broadcast_bytes=metrics.broadcast_bytes,
                     statically_empty=result.statically_empty,
                     engine=result.engine,
                     queue_ms=handle.queue_ms,
@@ -306,9 +298,10 @@ class QueryScheduler:
     ) -> int:
         """Read broadcast-sized stored tables once, ahead of the queries.
 
-        Without an explicit list, every stored table whose manifest row count
-        estimates below the session's broadcast threshold qualifies — the
-        build sides broadcast joins will ship.  What is warmed is what
+        Without an explicit list, every non-empty stored table that Spark
+        would broadcast (:func:`~repro.engine.strategies.fits_broadcast`, a
+        VP table's two columns at its manifest row count) qualifies — the
+        small sides joins read whole.  What is warmed is what
         queries read: the tables' decoded id columns (no term is decoded).
         Thread mode warms the shared catalog's tables; process mode also has
         every pool worker warm its own.  Best effort: the dispatcher counts a
@@ -316,13 +309,11 @@ class QueryScheduler:
         """
         catalog = self.session.layout.catalog
         if tables is None:
-            threshold = self.session.config.execution.broadcast_threshold
-            threshold_rows = threshold // (2 * BYTES_PER_VALUE)
             tables = [
                 name
-                # A snapshot: an append may re-register tables meanwhile.
-                for name, statistics in list(catalog._statistics.items())
-                if catalog.is_stored(name) and 0 < statistics.row_count <= threshold_rows
+                for name, statistics in catalog.stored_statistics().items()
+                if statistics.row_count > 0
+                and fits_broadcast(estimated_bytes(statistics.row_count, 2))
             ]
         for name in tables:
             catalog.scan_batch(name)  # segments read once; later queries hit the cache

@@ -1,7 +1,7 @@
 """Process-based query workers.
 
-The thread-pool runtime keeps every query under the GIL; this module is the
-process-parallel alternative for serving: a persistent
+Queries served on threads share the GIL; this module is the process-parallel
+alternative for serving: a persistent
 :class:`PartitionWorkerPool` of ``multiprocessing`` children, one duplex pipe
 each.  A caller checks an idle slot out, writes one pickled ``(kind, task)``
 and blocks in ``recv_bytes()`` (GIL released) for the pickled ``(ok, payload)``
@@ -20,10 +20,7 @@ Each worker opens the stored dataset **read-only, once**, and keeps its
 decoded segment caches keyed by the manifest's append epoch: a task carrying
 another epoch makes it re-read the manifest (the store's atomic-rename commit
 makes that safe against a concurrent append in the parent).  Workers never
-write.  Observed cardinalities are not shipped between processes: an unpruned
-scan of a stored table observes exactly the manifest's ``row_count`` at every
-epoch (an invariant ``tests/serve/test_workers.py`` holds), so a transfer
-would carry no information.
+write.
 
 Failures: an exception a task raises is pickled back and re-raised in the
 caller as itself.  A worker that *dies* fails the request it held with

@@ -14,8 +14,8 @@ the writer and reader that move an
   encoding), :class:`DatasetAppender` (incremental delta segments) and
   :class:`DatasetCompactor` (delta merge-back).
 * :mod:`repro.store.reader` — :func:`open_dataset`, lazy stored tables with
-  projection/predicate pushdown, base+delta merged scans and
-  partition-aligned scan output, ExtVP tables as views of their VP table
+  projection/predicate pushdown and bucket pruning, base+delta merged
+  scans, ExtVP tables as views of their VP table
   (:class:`StoredSelection`); :class:`StoredDataset` is the opened state a
   session keeps resident and its appender/compactor work on in place;
   :func:`register_changes` re-registers what one mutation touched,

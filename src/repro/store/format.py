@@ -14,8 +14,7 @@ holds two kinds of byte ranges, both addressed from the manifest by
 ``(offset, length)``:
 
 * **Segments.**  The *base* segment of hash bucket ``i`` holds the rows whose
-  partition-key values hash (via the runtime's
-  :func:`~repro.engine.runtime.partitioner.key_partition_index`) to ``i``;
+  partition-key values hash (:func:`key_partition_index`) to ``i``;
   *delta* segments hold rows appended after the dataset was written (one
   append *epoch* per :meth:`~repro.store.writer.DatasetAppender.append`
   call), bucketed with the same hash function.  Bucket ``i``'s *logical row
@@ -60,6 +59,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import zlib
 from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -84,6 +84,29 @@ TABLES_DIR = "tables"
 _SEGMENT_MAGIC = b"S2CS"
 _SEGMENT_HEADER = struct.Struct("<HH")  # format version, column count
 _COLUMN_HEADER = struct.Struct("<HI")  # name byte length, payload byte length
+
+
+def stable_hash(value: Any) -> int:
+    """Deterministic 32-bit hash of one term value.
+
+    CRC32 over the N3 rendering: stable across processes and runs (unlike
+    ``hash(str)``), so a bucket written by one process is found by another.
+    """
+    if value is None:
+        data = b"\x00"
+    elif hasattr(value, "n3"):
+        data = value.n3().encode("utf-8")
+    else:
+        data = repr(value).encode("utf-8")
+    return zlib.crc32(data)
+
+
+def key_partition_index(key: Tuple[Any, ...], num_partitions: int) -> int:
+    """Hash bucket of one partition-key tuple (CRC32 combined over the components)."""
+    combined = 0
+    for component in key:
+        combined = zlib.crc32(stable_hash(component).to_bytes(4, "big"), combined)
+    return combined % num_partitions
 
 
 class DatasetFormatError(ValueError):

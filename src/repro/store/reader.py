@@ -13,14 +13,10 @@ the rows of its VP table that its bitmaps select (:class:`StoredSelection`).
 Scans push projection and equality predicates into the store:
 
 * **bucket pruning** — a predicate that binds the partition key hashes to
-  exactly one bucket (:func:`~repro.engine.runtime.partitioner.key_partition_index`),
+  exactly one bucket (:func:`~repro.store.format.key_partition_index`),
   so every other segment is skipped;
 * **zone-map pruning** — any equality predicate whose encoded id falls outside
   a segment's ``[min_id, max_id]`` range proves the segment empty unread.
-
-Scanned relations carry a :class:`~repro.engine.relation.Partitioning` tag, so
-the parallel runtime's shuffle joins consume the stored buckets directly when
-the join keys match — no per-join re-partitioning.
 """
 
 from __future__ import annotations
@@ -31,8 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.catalog import Catalog, ScanResult, StoredTableProvider, TableStatistics
-from repro.engine.relation import Partitioning, Relation
-from repro.engine.runtime.partitioner import key_partition_index
+from repro.engine.relation import Relation
 from repro.engine.storage import NULL_ID
 from repro.mappings.extvp import ExtVPLayout, ExtVPTableInfo
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -48,6 +43,7 @@ from repro.store.format import (
     TableEntry,
     decode_bitmap,
     file_path,
+    key_partition_index,
     manifest_identity,
     read_file_range,
     read_manifest,
@@ -81,15 +77,14 @@ def _emit(
     output_columns: Sequence[str],
     condition_ids: Sequence[Tuple[str, int]],
     keep: Sequence[int],
-) -> int:
+) -> None:
     """Append to ``out`` the rows among ``keep`` (indexes into the ``ids``
-    columns) that meet every equality condition; returns how many there were."""
+    columns) that meet every equality condition."""
     for column, term_id in condition_ids:
         column_ids = ids[column]
         keep = [i for i in keep if column_ids[i] == term_id]
     for position, column in enumerate(output_columns):
         out[position].extend(map(ids[column].__getitem__, keep))
-    return len(keep)
 
 
 def _zones_exclude(
@@ -111,7 +106,7 @@ class _StoredProvider(StoredTableProvider):
     A physically stored table (:class:`StoredTable`) and a selection over one
     (:class:`StoredSelection`) differ in where a bucket's rows come from;
     what a scan request means, what an unconditioned scan caches and how a
-    result is tagged and lowered to rows is the same and is here.
+    result is lowered to rows is the same and is here.
     """
 
     def __init__(self, name: str, entry: TableEntry, dictionary: StoredTermDictionary) -> None:
@@ -132,9 +127,9 @@ class _StoredProvider(StoredTableProvider):
         """``column`` of every row, bucket after bucket."""
         raise NotImplementedError
 
-    def _whole_shape(self) -> Tuple[List[int], int, int]:
-        """``(rows per bucket, segments read, segments skipped as empty)`` of
-        an unconditioned scan of one column."""
+    def _whole_shape(self) -> Tuple[int, int, int]:
+        """``(rows, segments read, segments skipped as empty)`` of an
+        unconditioned scan of one column."""
         raise NotImplementedError
 
     def _scan_conditioned(
@@ -185,10 +180,9 @@ class _StoredProvider(StoredTableProvider):
 
         The result is a :class:`~repro.engine.vectorized.ColumnBatch` of flat
         ``array('q')`` id columns whose terms stay encoded until someone
-        lowers it.  Rows come out grouped by bucket, so the batch carries a
-        partition-aligned layout tag whenever the partition keys are among the
-        output columns.  Without conditions every request for the same columns
-        gets the same cached result, and all of them share the id columns.
+        lowers it; rows come out grouped by bucket.  Without conditions every
+        request for the same columns gets the same cached result, and all of
+        them share the id columns.
         """
         requested = self.entry.columns if columns is None else tuple(columns)
         if not conditions:
@@ -212,12 +206,11 @@ class _StoredProvider(StoredTableProvider):
         for column in output_columns:
             if column not in self._columns:
                 self._columns[column] = self._whole_column(column)
-        counts, scanned, skipped = self._whole_shape()
+        rows, scanned, skipped = self._whole_shape()
         return self._result(
             output_columns,
             tuple(self._columns[column] for column in output_columns),
-            counts,
-            rows_scanned=sum(counts),
+            rows_scanned=rows,
             segments_scanned=scanned * len(output_columns),
             segments_pruned=skipped * len(output_columns),
         )
@@ -228,19 +221,9 @@ class _StoredProvider(StoredTableProvider):
         self._full = None
 
     def _result(
-        self,
-        output_columns: List[str],
-        ids: Tuple[array, ...],
-        counts: Sequence[int],
-        **counters: int,
+        self, output_columns: List[str], ids: Tuple[array, ...], **counters: int
     ) -> BatchScanResult:
-        entry = self.entry
-        partitioning = None
-        if entry.partition_keys and all(k in output_columns for k in entry.partition_keys):
-            partitioning = Partitioning(entry.partition_keys, tuple(counts))
-        batch = ColumnBatch.adopt(
-            tuple(output_columns), ids, self.dictionary.decode, partitioning=partitioning
-        )
+        batch = ColumnBatch.adopt(tuple(output_columns), ids, self.dictionary.decode)
         return BatchScanResult(batch=batch, **counters)
 
     def _checked(self, columns: Sequence[str]) -> List[str]:
@@ -287,9 +270,9 @@ class StoredTable(_StoredProvider):
 
     A table's bucket ``i`` consists of its base segment (when the table has
     base partitions) plus every delta segment appended to bucket ``i``; scans
-    merge them transparently, emitting rows grouped by bucket so the result
-    still carries a partition-aligned layout tag.  Pruning (zone maps, bucket
-    arithmetic, unknown terms) applies to base and delta segments alike.
+    merge them transparently, emitting rows grouped by bucket.  Pruning (zone
+    maps, bucket arithmetic, unknown terms) applies to base and delta
+    segments alike.
     """
 
     def __init__(self, root: str, entry: TableEntry, dictionary: StoredTermDictionary) -> None:
@@ -361,11 +344,11 @@ class StoredTable(_StoredProvider):
                     whole.extend(self._segment_arrays(segment, (column,))[column])
         return whole
 
-    def _whole_shape(self) -> Tuple[List[int], int, int]:
+    def _whole_shape(self) -> Tuple[int, int, int]:
         buckets = self.bucket_segments()
         read = sum(1 for segments in buckets for segment in segments if segment.row_count)
-        counts = [sum(segment.row_count for segment in segments) for segments in buckets]
-        return counts, read, sum(map(len, buckets)) - read
+        rows = sum(segment.row_count for segments in buckets for segment in segments)
+        return rows, read, sum(map(len, buckets)) - read
 
     def _scan_conditioned(
         self,
@@ -376,12 +359,10 @@ class StoredTable(_StoredProvider):
         target_bucket: Optional[int],
     ) -> BatchScanResult:
         out = [array("q") for _ in output_columns]
-        counts: List[int] = []
         rows_scanned = 0
         segments_scanned = 0
         segments_pruned = 0
         for bucket, segments in enumerate(self.bucket_segments()):
-            produced_in_bucket = 0
             for segment in segments:
                 pruned = (
                     unknown_term
@@ -395,14 +376,10 @@ class StoredTable(_StoredProvider):
                 segments_scanned += len(decode_columns)
                 rows_scanned += segment.row_count
                 ids = self._segment_arrays(segment, decode_columns)
-                produced_in_bucket += _emit(
-                    out, ids, output_columns, condition_ids, range(segment.row_count)
-                )
-            counts.append(produced_in_bucket)
+                _emit(out, ids, output_columns, condition_ids, range(segment.row_count))
         return self._result(
             output_columns,
             tuple(out),
-            counts,
             rows_scanned=rows_scanned,
             segments_scanned=segments_scanned,
             segments_pruned=segments_pruned,
@@ -491,11 +468,12 @@ class StoredSelection(_StoredProvider):
                 whole.extend(map(ids.__getitem__, self._bucket_positions(bucket)))
         return whole
 
-    def _whole_shape(self) -> Tuple[List[int], int, int]:
+    def _whole_shape(self) -> Tuple[int, int, int]:
         buckets = self.base.bucket_segments()
         bitmaps = self.selection.bitmaps
         read = sum(len(segments) for segments, bitmap in zip(buckets, bitmaps) if bitmap.rows)
-        return [bitmap.rows for bitmap in bitmaps], read, sum(map(len, buckets)) - read
+        rows = sum(bitmap.rows for bitmap in bitmaps)
+        return rows, read, sum(map(len, buckets)) - read
 
     def _scan_conditioned(
         self,
@@ -509,7 +487,6 @@ class StoredSelection(_StoredProvider):
         the reduction's values are a subset of the table's, so the test stays
         sound — and the selected positions of the others are filtered."""
         out = [array("q") for _ in output_columns]
-        counts: List[int] = []
         rows_scanned = 0
         segments_scanned = 0
         segments_pruned = 0
@@ -524,18 +501,14 @@ class StoredSelection(_StoredProvider):
             )
             if pruned:
                 segments_pruned += len(segments) * len(decode_columns)
-                counts.append(0)
                 continue
             segments_scanned += len(segments) * len(decode_columns)
             rows_scanned += rows
             ids = self.base.bucket_arrays(bucket, decode_columns)
-            counts.append(
-                _emit(out, ids, output_columns, condition_ids, self._bucket_positions(bucket))
-            )
+            _emit(out, ids, output_columns, condition_ids, self._bucket_positions(bucket))
         return self._result(
             output_columns,
             tuple(out),
-            counts,
             rows_scanned=rows_scanned,
             segments_scanned=segments_scanned,
             segments_pruned=segments_pruned,
@@ -633,8 +606,8 @@ def register_changes(
     ``touched_tables`` / ``touched_statistics``) it is all a live session has
     to do afterwards, and every other table keeps its decoded rows.  Mutates
     the layout's existing catalog in place — sessions hold references to it —
-    via ``register_stored``, which also drops the decoded-rows and observed-
-    cardinality caches of the table's previous incarnation.  ``started_at``
+    via ``register_stored``, which also drops the decoded-rows cache of the
+    table's previous incarnation.  ``started_at``
     lets the cold open count its file reads into the layout's load time.
     """
     if started_at is None:
@@ -714,8 +687,7 @@ def refresh_dataset(layout: ExtVPLayout, path: str) -> StoredDataset:
     mutation touched: a pool worker that learns of a newer epoch, a session
     whose resident copy went stale or was dropped after a failed mutation,
     the first append after ``save_dataset``.  Everything is re-read and every
-    table re-registered (stale decoded rows and observed cardinalities are
-    dropped); the catalog object itself — which executors hold references
+    table re-registered (stale decoded rows are dropped); the catalog object itself — which executors hold references
     to — stays the same.
     """
     start = time.perf_counter()

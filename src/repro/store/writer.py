@@ -1,9 +1,8 @@
 """Writing a session's layout to a persistent dataset directory.
 
 The writer walks every physically stored catalog table (the VP tables and the
-``triples`` table), buckets its rows with the same hash function the runtime's
-:class:`~repro.engine.runtime.partitioner.HashPartitioner` uses (so stored
-buckets are join-compatible with runtime partitions), dictionary-encodes all
+``triples`` table), buckets its rows on the hash of their partition key
+(:func:`~repro.store.format.key_partition_index`), dictionary-encodes all
 term values against one dataset-wide :class:`~repro.rdf.dictionary.
 TermDictionary` and emits run-length-encoded column pages plus per-segment
 zone maps.  A materialised ExtVP table is written as what it is — a subset of
@@ -34,7 +33,6 @@ from typing import (
     Tuple,
 )
 
-from repro.engine.runtime.partitioner import key_partition_index
 from repro.engine.storage import NULL_ID, ZoneMap, encode_id_column
 from repro.mappings.extvp import ExtVPLayout, ExtVPTableInfo, compute_incremental_extvp
 from repro.mappings.naming import unique_predicate_key
@@ -59,6 +57,7 @@ from repro.store.format import (
     encode_bitmap,
     encode_segment,
     file_path,
+    key_partition_index,
     manifest_path,
     read_file_range,
     table_file,
@@ -742,8 +741,8 @@ class DatasetAppender:
         """Add ``rows`` (id tuples) to the table as one delta segment per bucket.
 
         Bucketing hashes the *decoded* partition-key terms — the same
-        function the base segments and the runtime's ``HashPartitioner``
-        use — so merged scans stay partition-aligned.  Returns where each row
+        function the base segments use — so bucket pruning stays sound for
+        base and delta rows alike.  Returns where each row
         went: ``(bucket, position in the bucket's logical row sequence)``.
         """
         columns = entry.columns

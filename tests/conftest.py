@@ -12,7 +12,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.engine.runtime import strategies
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
 from repro.rdf.triple import Triple
@@ -34,18 +33,6 @@ def pytest_runtest_makereport(item, call):
 
 def iri(name: str) -> IRI:
     return IRI(name)
-
-
-@pytest.fixture
-def force_partitioned_joins(monkeypatch):
-    """Make every join take the exchange path, however small its inputs.
-
-    The runtime runs joins under ``strategies.SMALL_JOIN_ROWS`` input rows on
-    the calling thread; tests asserting shuffle/broadcast/AQE behaviour on
-    hand-sized relations need the partitioned operators anyway.  This is the
-    only way to get them: the bound is a constant, not a session knob.
-    """
-    monkeypatch.setattr(strategies, "SMALL_JOIN_ROWS", 0)
 
 
 @pytest.fixture(scope="session")

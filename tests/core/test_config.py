@@ -89,7 +89,6 @@ def test_equality_and_repr():
     [
         (ExecutionConfig, {"engine": "spark"}, "unknown engine"),
         (ExecutionConfig, {"num_partitions": 0}, "num_partitions"),
-        (ExecutionConfig, {"broadcast_memory_limit": 0}, "broadcast_memory_limit"),
         (ExecutionConfig, {"execution_mode": "gpu"}, "unknown execution_mode"),
         (ExecutionConfig, {"worker_processes": 0}, "worker_processes"),
         (ExecutionConfig, {"work_scale": 0.0}, "work_scale"),
@@ -136,7 +135,6 @@ def test_the_representation_is_not_a_knob_anywhere(example_graph, tmp_path):
     import repro
     from repro.core.session import S2RDFSession
     from repro.engine.plan import PlanExecutor
-    from repro.engine.runtime import ParallelExecutor
 
     path = str(tmp_path / "dataset")
     repro.create(example_graph, path=path).close()
@@ -153,8 +151,97 @@ def test_the_representation_is_not_a_knob_anywhere(example_graph, tmp_path):
     ):
         with pytest.raises(TypeError, match="vectorized_enabled"):
             refuse()
-    for executor in (PlanExecutor, ParallelExecutor):
-        with pytest.raises(TypeError, match="vectorized"):
-            executor(catalog, vectorized=True)
+    with pytest.raises(TypeError, match="vectorized"):
+        PlanExecutor(catalog, vectorized=True)
     assert "vectorized_enabled" not in FLAT_FIELD_HOMES
     assert not hasattr(SessionConfig(), "vectorized_enabled")
+
+
+#: The knobs that steered the partitioned runtime's exchange, each with a
+#: value it used to accept.
+RETIRED_RUNTIME_KNOBS = [
+    ("adaptive_enabled", True),
+    ("skew_factor", 4.0),
+    ("broadcast_memory_limit", 1 << 28),
+    ("broadcast_threshold", 0),
+]
+
+
+def _refusing_surfaces():
+    """Every surface that takes configuration keywords, as ``(name, call)``
+    where ``call(graph, path, **knobs)`` passes the keywords to it."""
+    import repro
+    from repro.core.session import S2RDFSession
+
+    return [
+        ("ExecutionConfig", lambda graph, path, **knobs: ExecutionConfig(**knobs)),
+        ("SessionConfig", lambda graph, path, **knobs: SessionConfig(**knobs)),
+        ("from_flat", lambda graph, path, **knobs: SessionConfig.from_flat(**knobs)),
+        ("from_graph", lambda graph, path, **knobs: S2RDFSession.from_graph(graph, **knobs)),
+        ("open_dataset", lambda graph, path, **knobs: S2RDFSession.open_dataset(path, **knobs)),
+        ("connect", lambda graph, path, **knobs: repro.connect(path, **knobs)),
+        ("create", lambda graph, path, **knobs: repro.create(graph, **knobs)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "surface", [pytest.param(call, id=name) for name, call in _refusing_surfaces()]
+)
+@pytest.mark.parametrize("knob, value", RETIRED_RUNTIME_KNOBS)
+def test_the_partitioned_runtime_knobs_are_refused_everywhere(
+    example_graph, tmp_path, knob, value, surface
+):
+    """Every join runs in process and Spark's threshold is a constant: the
+    knobs that steered the exchange are refused by name, not ignored."""
+    import repro
+
+    path = str(tmp_path / "dataset")
+    repro.create(example_graph, path=path).close()
+    with pytest.raises(TypeError, match=knob):
+        surface(example_graph, path, **{knob: value})
+
+
+def test_the_partitioned_runtime_knobs_have_no_flat_home():
+    for knob, _ in RETIRED_RUNTIME_KNOBS:
+        assert knob not in FLAT_FIELD_HOMES
+        assert not hasattr(ExecutionConfig(), knob)
+
+
+def test_connect_never_writes_to_the_config_it_is_given(example_graph, tmp_path):
+    """``num_partitions=`` next to ``config=`` applies to that session only;
+    the caller's config may be reused for another one."""
+    import repro
+
+    path = str(tmp_path / "dataset")
+    repro.create(example_graph, path=path).close()
+    config = SessionConfig(execution=ExecutionConfig(num_partitions=2))
+    with repro.connect(path, config=config, num_partitions=4) as session:
+        assert session.config.execution.num_partitions == 4
+    assert config.execution.num_partitions == 2
+    assert config == SessionConfig(execution=ExecutionConfig(num_partitions=2))
+    with repro.connect(path, config=config) as session:
+        assert session.config.execution.num_partitions == 2
+
+
+def test_open_dataset_copies_a_config_only_when_it_must(example_graph, tmp_path):
+    """Without ``num_partitions=`` the session runs on the caller's config as
+    given; with it, on a copy that differs in that field alone."""
+    import repro
+    from repro.core.session import S2RDFSession
+
+    path = str(tmp_path / "dataset")
+    repro.create(example_graph, path=path).close()
+    config = SessionConfig(
+        execution=ExecutionConfig(num_partitions=2),
+        store=StoreConfig(use_extvp=False),
+        observability=ObservabilityConfig(journal_enabled=False),
+    )
+    with S2RDFSession.open_dataset(path, config=config) as session:
+        assert session.config is config
+    with S2RDFSession.open_dataset(path, num_partitions=8, config=config) as session:
+        assert session.config is not config
+        assert session.config.execution.num_partitions == 8
+        assert session.config.store == config.store
+        assert session.config.observability == config.observability
+        assert session.config.serving == config.serving
+    assert config.execution.num_partitions == 2

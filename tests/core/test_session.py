@@ -1,6 +1,8 @@
 """Integration tests for the S2RDF session (the paper's running example plus
 SPARQL operator coverage)."""
 
+import threading
+
 import pytest
 
 from repro.core.session import S2RDFSession
@@ -214,40 +216,60 @@ class TestSessionConstruction:
         assert len(session.query(query_q1)) == 1
 
 
-@pytest.mark.usefixtures("force_partitioned_joins")
-class TestPartitionedRuntime:
-    def test_partitioned_session_matches_serial(self, example_graph, query_q1):
-        serial = S2RDFSession.from_graph(example_graph)
-        parallel = S2RDFSession.from_graph(example_graph, num_partitions=4, broadcast_threshold=0)
-        left = serial.query(query_q1)
-        right = parallel.query(query_q1)
-        assert sorted(map(repr, left.relation.rows)) == sorted(map(repr, right.relation.rows))
-        assert right.metrics.shuffle_joins > 0
-        assert right.metrics.shuffled_bytes > 0
-
+class TestJoinStrategyAnnotation:
     def test_join_strategies_reported(self, session, query_q1):
         result = session.query(query_q1)
         assert len(result.join_strategies) == result.metrics.joins
         assert all("HashJoin" in strategy for strategy in result.join_strategies)
 
-    def test_broadcast_threshold_switches_strategy(self, example_graph, query_q1):
-        broadcast = S2RDFSession.from_graph(example_graph, num_partitions=2)
-        shuffle = S2RDFSession.from_graph(example_graph, num_partitions=2, broadcast_threshold=0)
-        assert all("BroadcastHashJoin" in s for s in broadcast.query(query_q1).join_strategies)
-        assert all("ShuffleHashJoin" in s for s in shuffle.query(query_q1).join_strategies)
+    def test_broadcast_threshold_switches_strategy(self, example_graph, query_q1, monkeypatch):
+        from repro.engine import strategies
+
+        with S2RDFSession.from_graph(example_graph) as session:
+            broadcast = session.query(query_q1)
+            monkeypatch.setattr(strategies, "DEFAULT_BROADCAST_THRESHOLD", 0)
+            shuffle = session.query(query_q1)
+        assert broadcast.join_strategies
+        assert all(s.startswith("BroadcastHashJoin") for s in broadcast.join_strategies)
+        assert all(s.startswith("ShuffleHashJoin") for s in shuffle.join_strategies)
+        # The annotation is all the threshold moves.
+        assert shuffle.relation.rows == broadcast.relation.rows
+        assert shuffle.metrics.shuffled_tuples == broadcast.metrics.shuffled_tuples
+
+    def test_partitioned_session_matches_serial(self, example_graph, query_q1, tmp_path):
+        """``num_partitions`` is the bucket count a save writes; a dataset
+        bucketed four ways answers what the in-memory session does."""
+        path = str(tmp_path / "dataset")
+        with S2RDFSession.from_graph(example_graph) as serial:
+            expected = sorted(map(repr, serial.query(query_q1).relation.rows))
+        with S2RDFSession.from_graph(example_graph, num_partitions=4) as saver:
+            saver.save_dataset(path)
+        with S2RDFSession.open_dataset(path) as partitioned:
+            assert partitioned.load_report.num_buckets == 4
+            assert partitioned.config.execution.num_partitions == 4
+            result = partitioned.query(query_q1)
+        assert sorted(map(repr, result.relation.rows)) == expected
 
     def test_session_is_a_context_manager(self, example_graph, query_q1):
-        with S2RDFSession.from_graph(example_graph, num_partitions=4, broadcast_threshold=0) as session:
+        with S2RDFSession.from_graph(example_graph, engine="sqlite") as session:
             assert len(session.query(query_q1)) == 1
-        assert session.executor._pool is None  # worker threads released
+            executors = list(session._all_sql_executors)
+            assert executors and all(e._connection is not None for e in executors)
+        assert all(e._connection is None for e in executors)  # connections released
 
-    def test_observed_shuffle_volume_feeds_cost_model(self, example_graph, query_q1):
-        session = S2RDFSession.from_graph(example_graph, num_partitions=2, broadcast_threshold=0)
-        result = session.query(query_q1)
-        expected = session.cost_model.shuffle_ns(result.metrics)
-        assert result.metrics.shuffled_bytes > 0
-        assert expected == pytest.approx(
-            result.metrics.shuffled_bytes * 8.0 / session.cost_model.cluster.worker_nodes
+    def test_a_query_starts_no_thread(self, example_graph, query_q1):
+        before = threading.active_count()
+        with S2RDFSession.from_graph(example_graph, num_partitions=4) as session:
+            assert len(session.query(query_q1)) == 1
+            assert threading.active_count() == before
+
+    def test_shuffle_cost_is_per_tuple(self, session, query_q1):
+        metrics = session.query(query_q1).metrics
+        model = session.cost_model
+        assert metrics.shuffled_tuples > 0
+        assert metrics.shuffled_bytes == metrics.broadcast_bytes == 0
+        assert model.shuffle_ns(metrics) == pytest.approx(
+            metrics.shuffled_tuples * model.shuffle_ns_per_tuple / model.cluster.total_cores
         )
 
 

@@ -108,26 +108,19 @@ def test_recorders_feed_the_expected_fields():
     metrics = ExecutionMetrics()
     metrics.record_scan("VP_follows", 10)
     metrics.record_join(4, 6, 24, 5)
-    metrics.record_shuffle(1000, tasks=4)
-    metrics.record_broadcast(200, tasks=4)
     metrics.record_critical_path(1.5)
     metrics.record_segment_scan(scanned=3, pruned=5)
-    metrics.record_aligned_input()
-    metrics.record_replan()
-    metrics.record_skew_split(2)
+    metrics.record_vectorized(7)
     assert metrics.input_tuples == 10
     assert metrics.scanned_tables == {"VP_follows": 10}
     assert metrics.shuffled_tuples == 10
     assert metrics.join_comparisons == 24
     assert metrics.intermediate_tuples == 5
-    assert metrics.shuffle_joins == 1 and metrics.shuffled_bytes == 1000
-    assert metrics.broadcast_joins == 1 and metrics.broadcast_bytes == 200
-    assert metrics.parallel_tasks == 8
     assert metrics.critical_path_ms == 1.5
     assert metrics.store_segments_scanned == 3 and metrics.store_segments_pruned == 5
-    assert metrics.partition_aligned_inputs == 1
-    assert metrics.aqe_replans == 1
-    assert metrics.aqe_skew_splits == 2
+    assert metrics.vectorized_batches == 1 and metrics.vectorized_rows == 7
+    # Nothing records exchange volume or replans any more.
+    assert metrics.shuffled_bytes == metrics.broadcast_bytes == metrics.aqe_replans == 0
 
 
 if __name__ == "__main__":

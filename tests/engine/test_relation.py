@@ -40,7 +40,6 @@ class TestBasics:
         relation = Relation.adopt(("a", "b"), rows)
         assert relation.rows is rows
         assert relation.columns == ("a", "b")
-        assert relation.partitioning is None
         assert relation == Relation(("a", "b"), rows)
         with pytest.raises(SchemaError, match="duplicate column"):
             Relation.adopt(("a", "a"), rows)

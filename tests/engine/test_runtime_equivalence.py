@@ -1,31 +1,25 @@
-"""Property-style equivalence: the parallel runtime must return the same bag
-of rows as the serial executor for every WatDiv Basic and Incremental Linear
-query, at every partition count and under both join strategies.
-
-The second half is the *differential correctness harness*: a seeded
-randomized generator of BGP / OPTIONAL / UNION queries — layered with
-FILTER expressions, DISTINCT, ORDER BY + LIMIT and aggregate heads
-(COUNT / SUM / AVG / MIN / MAX, grouped and implicit) — asserting
-bag-equality across the execution paths: the serial row executor over the
-in-memory catalog (the reference), parallel (static plans), parallel
-adaptive, the stored native path — id batches over a persisted dataset
-that carries pending (uncompacted) delta segments from an incremental
-append, traced — directly and through ``serve()``, the sqlite SQL-lowering
-backend (both over the warm catalog and over the delta-carrying stored
-dataset), the stored dataset served with ``execution_mode="process"`` —
-whole queries shipped to worker processes by ``serve()`` — and, for every
-plain BGP, an oracle that shares nothing with the engine but the parser:
-index nested loops over the graph
+"""The *differential correctness harness*: a seeded randomized generator of
+BGP / OPTIONAL / UNION queries — layered with FILTER expressions, DISTINCT,
+ORDER BY + LIMIT and aggregate heads (COUNT / SUM / AVG / MIN / MAX, grouped
+and implicit) — asserting bag-equality across the execution paths: the row
+executor over the in-memory catalog (the reference), the stored native path —
+id batches over a persisted dataset that carries pending (uncompacted) delta
+segments from an incremental append, traced — directly and through
+``serve()``, the sqlite SQL-lowering backend (both over the warm catalog and
+over the delta-carrying stored dataset), the stored dataset served with
+``execution_mode="process"`` — whole queries shipped to worker processes by
+``serve()`` — and, for every plain BGP, an oracle that shares nothing with
+the engine but the parser: index nested loops over the graph
 (:func:`repro.baselines.binding_iteration.index_nested_loop_execute`).
 The ``template-hit`` path answers from the session's template cache: every
 WatDiv template (and every generated query) is run again with other constants
 in its subject/object slots, so the grammar and the compilation are skipped
 and the new constants rebound into the cached tree and plan.
 
-Both halves run on both sides of the runtime's small-join bound
-(``strategies.SMALL_JOIN_ROWS``): at the default, where nearly every join of
-this dataset runs inline; at a bound low enough that inline and exchange
-joins meet inside one plan; and at 0, where every join takes the exchange."""
+Every WatDiv Basic and IL template also runs through the sqlite backend, the
+graph oracle and the stored native path at 1, 2 and 8 hash buckets.  And the
+costing pass is pinned: the one-walk planner annotates every join of the
+WatDiv workload exactly as per-join estimation does."""
 
 import random
 
@@ -34,14 +28,13 @@ import pytest
 from repro.baselines.base import SparqlEngine, UnsupportedQueryError
 from repro.baselines.binding_iteration import index_nested_loop_execute
 from repro.core.session import S2RDFSession, SessionConfig
+from repro.engine import strategies
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.ops import count_joins
 from repro.engine.plan import PlanExecutor
-from repro.engine.runtime import ParallelExecutor, estimate_rows, plan_join_strategies, strategies
-from repro.engine.runtime.partitioned import BYTES_PER_VALUE
 from repro.engine.sql import SqliteExecutor
+from repro.engine.strategies import estimate_rows, plan_join_strategies
 from repro.mappings.extvp import ExtVPLayout
-from repro.obs.trace import Tracer
 from repro.rdf.graph import Graph
 from repro.sparql import parse_query
 from repro.watdiv.basic_queries import BASIC_TEMPLATES
@@ -69,40 +62,7 @@ def bag(relation):
     return sorted(map(repr, relation.rows))
 
 
-#: Small-join bounds the harness runs under: the shipped default, one low
-#: enough to mix inline and exchange joins in one plan at this data scale,
-#: and 0 (every join partitioned — what this harness covered before the
-#: bound existed).
-SMALL_JOIN_BOUNDS = (strategies.SMALL_JOIN_ROWS, 48, 0)
-
-
-@pytest.mark.parametrize("template_name", sorted(ALL_TEMPLATES))
-def test_parallel_matches_serial_on_watdiv(workload, template_name, monkeypatch):
-    layout, compiled = workload
-    plan = compiled[template_name].plan
-    serial = PlanExecutor(layout.catalog).execute(plan, ExecutionMetrics())
-    # broadcast_threshold=0 forces ShuffleHashJoin, a huge threshold forces
-    # BroadcastHashJoin — both physical strategies must agree with the serial
-    # reference at every partition count, on both sides of the small-join bound.
-    for small_join_rows in SMALL_JOIN_BOUNDS:
-        monkeypatch.setattr(strategies, "SMALL_JOIN_ROWS", small_join_rows)
-        for num_partitions in (1, 2, 8):
-            for broadcast_threshold in (0, 10**12):
-                with ParallelExecutor(
-                    layout.catalog,
-                    num_partitions=num_partitions,
-                    broadcast_threshold=broadcast_threshold,
-                ) as executor:
-                    parallel = executor.execute(plan, ExecutionMetrics())
-                context = (
-                    f"partitions={num_partitions}, threshold={broadcast_threshold}, "
-                    f"small_join_rows={small_join_rows}"
-                )
-                assert parallel.columns == serial.columns, context
-                assert bag(parallel) == bag(serial), context
-
-
-def _strategies_by_per_join_estimates(plan, catalog, threshold, use_observed):
+def _strategies_by_per_join_estimates(plan, catalog):
     """What the planner decided before it became one walk: for every join, in
     post-order, estimate both children from scratch and apply the rule."""
     out = []
@@ -113,9 +73,11 @@ def _strategies_by_per_join_estimates(plan, catalog, threshold, use_observed):
         if not node.is_join:
             return
         left_columns, right_columns = node.left.output_columns(), node.right.output_columns()
-        rows = [estimate_rows(side, catalog, use_observed) for side in (node.left, node.right)]
+        rows = [estimate_rows(side, catalog) for side in (node.left, node.right)]
         sizes = [
-            None if count == strategies.UNKNOWN_ROWS else count * max(1, len(columns)) * BYTES_PER_VALUE
+            None
+            if count == strategies.UNKNOWN_ROWS
+            else count * max(1, len(columns)) * strategies.BYTES_PER_VALUE
             for count, columns in zip(rows, (left_columns, right_columns))
         ]
         out.append(
@@ -123,7 +85,6 @@ def _strategies_by_per_join_estimates(plan, catalog, threshold, use_observed):
                 tuple(c for c in left_columns if c in right_columns),
                 *rows,
                 *sizes,
-                threshold,
                 outer=node.is_outer_join,
             )
         )
@@ -132,32 +93,70 @@ def _strategies_by_per_join_estimates(plan, catalog, threshold, use_observed):
     return out
 
 
-@pytest.mark.parametrize("use_observed", [False, True], ids=["static", "adaptive"])
-@pytest.mark.parametrize("small_join_rows", SMALL_JOIN_BOUNDS)
+#: Bucket counts the stored path runs at.  ``num_partitions`` now only sets
+#: how many hash buckets a dataset is written with; no count may change an
+#: answer.
+BUCKET_COUNTS = (1, 2, 8)
+
+
+@pytest.fixture(scope="module")
+def watdiv_paths(workload, small_dataset, tmp_path_factory):
+    """The sqlite backend over the shared layout's catalog, plus the small
+    dataset saved at every bucket count of :data:`BUCKET_COUNTS` and opened
+    cold."""
+    layout, _ = workload
+    sqlite_executor = SqliteExecutor(layout.catalog)
+    saver = S2RDFSession.from_graph(small_dataset.graph, journal_enabled=False)
+    stored = {}
+    for buckets in BUCKET_COUNTS:
+        path = str(tmp_path_factory.mktemp(f"watdiv-{buckets}-buckets") / "dataset")
+        saver.save_dataset(path, num_buckets=buckets)
+        stored[buckets] = S2RDFSession.open_dataset(path, journal_enabled=False)
+    saver.close()
+    yield sqlite_executor, stored
+    sqlite_executor.close()
+    for session in stored.values():
+        session.close()
+
+
+@pytest.mark.parametrize("template_name", sorted(ALL_TEMPLATES))
+def test_every_path_matches_serial_on_watdiv(workload, watdiv_paths, small_dataset, template_name):
+    """Every WatDiv Basic and IL template: the sqlite backend over the same
+    catalog, the graph oracle and the stored native path at every bucket
+    count return the row executor's bag."""
+    layout, compiled = workload
+    sqlite_executor, stored = watdiv_paths
+    plan = compiled[template_name].plan
+    text = instantiate_template(ALL_TEMPLATES[template_name], small_dataset)
+    serial = PlanExecutor(layout.catalog).execute(plan, ExecutionMetrics())
+    sql_result = sqlite_executor.execute(plan, ExecutionMetrics())
+    assert sql_result.columns == serial.columns
+    assert bag(sql_result) == bag(serial), "sqlite"
+    assert oracle_bag(small_dataset.graph, text, serial.columns) == bag(serial), "graph-oracle"
+    for buckets, session in stored.items():
+        result = session.query(text)
+        assert sorted(result.relation.columns) == sorted(serial.columns), buckets
+        projected = result.relation.project(serial.columns)
+        assert bag(projected) == bag(serial), f"stored, {buckets} bucket(s)"
+
+
+@pytest.mark.parametrize("template_name", sorted(ALL_TEMPLATES))
 def test_one_pass_planner_decides_what_per_join_estimation_decided(
-    workload, use_observed, small_join_rows, monkeypatch
+    workload, template_name, monkeypatch
 ):
     """``plan_join_strategies`` estimates each subtree once, on the way up; the
-    initial strategies of the 20 WatDiv Basic templates and the IL chains must
-    be the ones two fresh ``estimate_rows`` calls per join produce."""
-    monkeypatch.setattr(strategies, "SMALL_JOIN_ROWS", small_join_rows)
+    strategies of every WatDiv Basic template and IL chain must be the ones
+    two fresh ``estimate_rows`` calls per join produce.  At this data scale
+    Spark's threshold broadcasts every join, so the constant is also lowered
+    to reach the shuffle side of the rule (0) and to mix both in one plan."""
     layout, compiled = workload
-    catalog = layout.catalog
-    if use_observed:
-        # Observations that disagree with the statistics, so the flag matters.
-        for name in catalog.table_names()[::3]:
-            catalog.record_observed(name, 7 * len(catalog.table(name)) + 1)
-    try:
-        for threshold in (0, 2_000, 10**12):
-            for name, query in compiled.items():
-                physical = plan_join_strategies(query.plan, catalog, threshold, use_observed)
-                expected = _strategies_by_per_join_estimates(
-                    query.plan, catalog, threshold, use_observed
-                )
-                assert physical.strategies() == expected, (name, threshold)
-                assert len(expected) == count_joins(query.plan)
-    finally:
-        catalog.clear_observed()
+    plan = compiled[template_name].plan
+    for threshold in (0, 2_000, strategies.DEFAULT_BROADCAST_THRESHOLD):
+        monkeypatch.setattr(strategies, "DEFAULT_BROADCAST_THRESHOLD", threshold)
+        physical = plan_join_strategies(plan, layout.catalog)
+        expected = _strategies_by_per_join_estimates(plan, layout.catalog)
+        assert physical.strategies() == expected, threshold
+        assert len(expected) == count_joins(plan)
 
 
 # --------------------------------------------------------------------------- #
@@ -365,16 +364,11 @@ def oracle_bag(graph: Graph, query_text: str, columns):
     return sorted(repr(tuple(binding.get(name) for name in columns)) for binding in bindings)
 
 
-@pytest.mark.parametrize("small_join_rows", SMALL_JOIN_BOUNDS)
-@pytest.mark.parametrize("seed", range(8))
-def test_differential_equivalence_across_execution_modes(
-    differential_setup, seed, small_join_rows, monkeypatch
-):
-    """Serial, parallel-static, parallel-adaptive, stored native (direct and
-    served), sqlite and served process-worker execution must agree on the bag
-    of rows for every generated query, on both sides of the small-join bound;
-    plain BGPs must also agree with the graph oracle."""
-    monkeypatch.setattr(strategies, "SMALL_JOIN_ROWS", small_join_rows)
+@pytest.mark.parametrize("seed", range(24))
+def test_differential_equivalence_across_execution_modes(differential_setup, seed):
+    """Row executor, stored native (direct and served), sqlite and served
+    process-worker execution must agree on the bag of rows for every generated
+    query; plain BGPs must also agree with the graph oracle."""
     warm, graph, stored, sqlite_executor, stored_sql, served, served_proc = differential_setup
     generator = RandomQueryGenerator(_graph_view(warm), seed)
     catalog = warm.layout.catalog
@@ -382,24 +376,6 @@ def test_differential_equivalence_across_execution_modes(
     for query_text in [generator.query() for _ in range(6)] + [generator.bgp_query()]:
         compiled = warm.compile(query_text)
         reference = PlanExecutor(catalog).execute(compiled.plan, ExecutionMetrics())
-        for label, executor_kwargs in (
-            ("parallel-static", {"num_partitions": 4, "adaptive_enabled": False}),
-            ("parallel-static-shuffle", {"num_partitions": 4, "adaptive_enabled": False, "broadcast_threshold": 0}),
-            ("parallel-adaptive", {"num_partitions": 4, "adaptive_enabled": True}),
-        ):
-            # Each mode runs with tracing off and on: the span instrumentation
-            # wraps every operator and task, and must never change the bag.
-            for traced in (False, True):
-                kwargs = dict(executor_kwargs)
-                if traced:
-                    kwargs["tracer"] = Tracer(enabled=True)
-                    label_run = f"{label}-traced"
-                else:
-                    label_run = label
-                with ParallelExecutor(catalog, **kwargs) as executor:
-                    result = executor.execute(compiled.plan, ExecutionMetrics())
-                assert result.columns == reference.columns, (label_run, query_text)
-                assert bag(result) == bag(reference), (label_run, query_text)
         sql_result = sqlite_executor.execute(compiled.plan, ExecutionMetrics())
         assert sql_result.columns == reference.columns, ("sqlite", query_text)
         assert bag(sql_result) == bag(reference), ("sqlite", query_text)

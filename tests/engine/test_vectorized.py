@@ -24,13 +24,7 @@ from repro.engine.storage import (
     decode_id_column_array,
     encode_id_column,
 )
-from repro.engine.vectorized import (
-    BYTES_PER_ID,
-    ColumnBatch,
-    PartitionedBatch,
-    concat_batches,
-    null_column,
-)
+from repro.engine.vectorized import ColumnBatch, concat_batches, null_column
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Term
 from repro.rdf.triple import Triple
@@ -63,7 +57,6 @@ class TestBatchBasics:
     def test_empty_batch(self):
         empty = ColumnBatch.empty(("a", "b"), decode)
         assert len(empty) == 0
-        assert empty.estimated_bytes() == 0
         relation = empty.to_relation()
         assert relation.columns == ("a", "b")
         assert relation.rows == []
@@ -97,10 +90,6 @@ class TestBatchBasics:
         # Order follows the selection vector, not physical order.
         assert [row[0] for row in b.to_relation().rows] == [TERMS[3], TERMS[1]]
         assert b.ids is b.filter_equal("a", 3).ids  # shared columns, new selection
-
-    def test_estimated_bytes_counts_ids(self):
-        b = batch(("a", "b"), [(1, 2), (3, 4)])
-        assert b.estimated_bytes() == 2 * 2 * BYTES_PER_ID
 
 
 class TestRLEDecoding:
@@ -248,7 +237,7 @@ class TestDecodeBoundary:
         stored.close()
 
 
-class TestConcatAndPartitioning:
+class TestConcat:
     def test_concat_batches(self):
         left = batch(("a",), [(1,)], selection=[0])
         right = batch(("a",), [(2,), (3,)])
@@ -258,24 +247,6 @@ class TestConcatAndPartitioning:
             concat_batches([])
         with pytest.raises(SchemaError):
             concat_batches([left, batch(("z",), [(1,)])])
-
-    def test_even_partitioning_covers_every_row_once(self):
-        b = batch(("a",), [(i % 7,) for i in range(10)])
-        parts = PartitionedBatch.from_batch(b, 3)
-        assert parts.num_partitions == 3
-        assert sum(len(p) for p in parts.partitions) == 10
-        merged = concat_batches(list(parts.partitions))
-        assert bag(merged.to_relation()) == bag(b.to_relation())
-
-    def test_hash_partitioning_agrees_with_row_partitioner(self):
-        from repro.engine.runtime.partitioner import key_partition_index
-
-        b = batch(("a", "b"), [(i % 5, (i * 3) % 7) for i in range(20)])
-        parts = PartitionedBatch.from_batch(b, 4, keys=["a"])
-        assert parts.keys == ("a",)
-        for index, part in enumerate(parts.partitions):
-            for row in part.to_relation().rows:
-                assert key_partition_index((row[0],), 4) == index
 
 
 # --------------------------------------------------------------------------- #
@@ -423,8 +394,8 @@ class TestStoredScan:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_scan_is_scan_batch_lowered(self, delta_dataset, data):
-        """Same rows in the same order, same counters, same layout tag — with
-        and without projection and equality conditions, over base + deltas —
+        """Same rows in the same order, same counters — with and without
+        projection and equality conditions, over base + deltas —
         and the rows are the in-memory table's, filtered and projected."""
         in_memory, stored = delta_dataset
         catalog = stored.layout.catalog
@@ -443,7 +414,6 @@ class TestStoredScan:
         ids = table.scan_batch(columns, conditions)
         assert rows.relation.columns == ids.batch.columns
         assert rows.relation.rows == ids.batch.to_relation().rows
-        assert rows.relation.partitioning == ids.batch.partitioning
         assert (rows.rows_scanned, rows.segments_scanned, rows.segments_pruned) == (
             ids.rows_scanned,
             ids.segments_scanned,
@@ -451,8 +421,6 @@ class TestStoredScan:
         )
         expected = truth.select_eq(conditions).project(rows.relation.columns)
         assert bag(rows.relation) == bag(expected)
-        if rows.relation.partitioning is not None:
-            assert sum(rows.relation.partitioning.counts) == len(rows.relation)
 
     def test_full_scans_are_cached_as_ids_and_as_rows(self, delta_dataset):
         _, stored = delta_dataset

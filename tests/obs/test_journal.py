@@ -123,13 +123,8 @@ def full_record() -> JournalRecord:
         scanned_tables={"vp_likes": 10, 'odd"name\\tbl': 4},
         estimated_rows=50,
         estimate_q_error=1.1863,
-        aqe_replans=1,
-        aqe_skew_splits=2,
-        broadcast_guard_trips=1,
         segments_scanned=7,
         segments_pruned=5,
-        shuffled_bytes=1024,
-        broadcast_bytes=2048,
         statically_empty=False,
     )
 

@@ -2,10 +2,13 @@
 50-query golden test — a mixed-template workload run through a real session
 whose hot-template and table-reuse report must match ground truth exactly."""
 
+import json
+import os
+
 import pytest
 
 from repro.core.session import S2RDFSession
-from repro.obs.journal import JournalRecord, fingerprint_query
+from repro.obs.journal import JournalRecord, fingerprint_query, journal_directory
 from repro.obs.workload import (
     Q_ERROR_BUCKETS,
     WorkloadAnalysis,
@@ -15,6 +18,7 @@ from repro.obs.workload import (
 from repro.rdf.graph import Graph
 from repro.rdf.triple import Triple
 from repro.sparql.parser import parse_query
+from repro.tools.inspect import main as inspect_main
 
 
 def record(
@@ -117,15 +121,55 @@ def test_hot_table_advice_requires_reuse_across_templates():
     assert hot[0].count == 3
 
 
-def test_replans_and_guard_trips_are_totalled():
-    records = [
-        record("aa", aqe_replans=2, broadcast_guard_trips=1),
-        record("aa", aqe_replans=1),
-    ]
-    analysis = analyze_journal(records)
-    assert (analysis.aqe_replans, analysis.guard_trips) == (3, 1)
-    assert analysis.hot_templates[0].replans == 3
-    assert analysis.hot_templates[0].guard_trips == 1
+#: A journal line with the exchange counters sessions wrote while joins ran
+#: on a partitioned runtime: all of them, once any counter was nonzero.
+EXCHANGE_ERA_LINE = (
+    '{"ts":1.000,"fingerprint":"aa","epoch":0,"rows":3,"wall_ms":2.000,'
+    '"template":"T:aa","scanned_tables":{"vp_likes":4},'
+    '"aqe_replans":1,"aqe_skew_splits":2,"broadcast_guard_trips":1,'
+    '"segments_scanned":6,"segments_pruned":2,"shuffled_bytes":1024,'
+    '"broadcast_bytes":2048}'
+)
+
+
+@pytest.mark.parametrize(
+    "counter",
+    ["aqe_replans", "aqe_skew_splits", "broadcast_guard_trips", "shuffled_bytes", "broadcast_bytes"],
+)
+def test_each_exchange_counter_is_dropped_on_load(counter):
+    """One retired counter on an otherwise current line: it loads, the
+    counter is gone from the record and from what is written back, and the
+    analysis reports nothing of it."""
+    line = {"ts": 1.0, "fingerprint": "aa", "epoch": 0, "rows": 3, "wall_ms": 2.0, "template": "T:aa"}
+    restored = JournalRecord.from_json(dict(line, **{counter: 5}))
+    assert not hasattr(restored, counter)
+    assert json.loads(restored.to_json_line()) == line
+    analysis = analyze_journal([restored, restored])
+    assert analysis.total_queries == 2
+    assert counter not in json.dumps(analysis.as_dict())
+
+
+def test_a_journal_with_exchange_counters_still_loads(tmp_path, capsys):
+    restored = JournalRecord.from_json(json.loads(EXCHANGE_ERA_LINE))
+    assert (restored.segments_scanned, restored.segments_pruned) == (6, 2)
+    assert json.loads(restored.to_json_line()) == {
+        key: value
+        for key, value in json.loads(EXCHANGE_ERA_LINE).items()
+        if key not in ("aqe_replans", "aqe_skew_splits", "broadcast_guard_trips")
+        and not key.endswith("_bytes")
+    }
+
+    path = str(tmp_path / "dataset")
+    with S2RDFSession.from_graph(golden_graph(), journal_enabled=False) as session:
+        session.save_dataset(path)
+    os.makedirs(journal_directory(path))
+    with open(os.path.join(journal_directory(path), "queries-00001.jsonl"), "w") as handle:
+        handle.write((EXCHANGE_ERA_LINE + "\n") * 3)
+    analysis = analyze_dataset(path)
+    assert analysis.total_queries == 3
+    assert analysis.hot_templates[0].template == "T:aa"
+    assert inspect_main([path]) == 0
+    assert "query journal: 3 record(s)" in capsys.readouterr().out
 
 
 def test_as_dict_round_trips_through_render_text():

@@ -12,6 +12,8 @@ import time
 import pytest
 
 from repro.core.session import S2RDFSession
+from repro.engine.ops import TableScanNode
+from repro.engine.strategies import estimate_rows
 from repro.rdf.graph import Graph
 from repro.rdf.triple import Triple
 from repro.serve import workers
@@ -82,13 +84,13 @@ def test_a_served_task_is_the_query_text_plus_an_epoch(stored, monkeypatch):
     assert len(real_dumps(sent[0], -1)) < len(QUERY) + 64
 
 
-def test_unpruned_scans_observe_the_manifest_row_count_at_every_epoch(stored, tmp_path):
-    """What licenses not shipping observed cardinalities between processes:
-    they are the manifest's row counts, which every process already reads."""
+def test_workers_plan_joins_as_the_parent_does_at_every_epoch(stored, tmp_path):
+    """Join planning reads only the manifest's row counts, which every
+    process reads for itself: nothing about cardinalities has to cross the
+    pipe for a worker to annotate a query's joins as the parent does."""
     path, _ = stored
     queries = [
         QUERY,
-        "SELECT * WHERE { ?a <likes> ?w }",
         "SELECT ?a ?c WHERE { ?a <follows> ?b . ?b <follows> ?c }",
         "SELECT ?w WHERE { <u5> <follows> ?b . ?b <likes> ?w }",
     ]
@@ -96,32 +98,32 @@ def test_unpruned_scans_observe_the_manifest_row_count_at_every_epoch(stored, tm
     with S2RDFSession.open_dataset(copy, journal_enabled=False) as session:
         catalog = session.layout.catalog
 
-        def check(stage):
-            scanned = set()
+        def check(stage, pool):
+            manifest_rows = {
+                name: entry.row_count for name, entry in session._dataset.manifest.tables.items()
+            }
+            for name, rows in manifest_rows.items():
+                assert estimate_rows(TableScanNode(name, ("s", "o")), catalog) == rows, (stage, name)
             for text in queries:
-                scanned.update(session.query(text).metrics.scanned_tables)
-            observed = {name for name in scanned if catalog.observed_rows(name) is not None}
-            assert observed, stage  # the check below is not vacuous
-            for name in observed:
-                assert catalog.observed_rows(name) == catalog.statistics(name).row_count, (
-                    stage,
-                    name,
-                )
+                direct = session.query(text)
+                outcome = pool.run_query(text, epoch=session._journal_epoch)
+                assert outcome["result"].join_strategies == direct.join_strategies, (stage, text)
+                assert bag(outcome["result"].relation) == bag(direct.relation), (stage, text)
+            return manifest_rows
 
-        check("as saved")
-        session.append_triples(
-            [Triple.of("u3", "follows", "u99"), Triple.of("u99", "likes", "i1")]
-        )
-        check("after an append")
-        session.compact()
-        check("after compact()")
+        with PartitionWorkerPool(dataset_path=copy, num_workers=1) as pool:
+            saved = check("as saved", pool)
+            session.append_triples(
+                [Triple.of("u3", "follows", "u99"), Triple.of("u99", "likes", "i1")]
+            )
+            appended = check("after an append", pool)
+            assert appended["vp_follows"] == saved["vp_follows"] + 1
+            assert check("after compact()", pool) == appended
 
 
-def test_direct_query_on_a_process_session_submits_nothing(
-    stored, force_partitioned_joins, monkeypatch
-):
+def test_direct_query_on_a_process_session_submits_nothing(stored, monkeypatch):
     """Process mode is where ``serve()`` runs queries: a direct ``query()``
-    runs its partitioned joins on the session's own threads."""
+    runs in the calling thread."""
     path, thread_session = stored
     query = "SELECT * WHERE { ?a <follows> ?b . ?b <likes> ?w }"
     with S2RDFSession.open_dataset(
@@ -137,7 +139,6 @@ def test_direct_query_on_a_process_session_submits_nothing(
         with pytest.raises(AssertionError):  # the patch does sit on the send path
             session._worker_pool.run_query(query)
         result = session.query(query)
-        assert result.metrics.parallel_tasks > 0  # the joins did take the exchange
     assert bag(result.relation) == bag(thread_session.query(query).relation)
 
 

@@ -13,7 +13,6 @@ import pathlib
 import pytest
 
 from repro.core.session import S2RDFSession
-from repro.engine.runtime.partitioner import key_partition_index
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
 from repro.rdf.triple import Triple
@@ -23,6 +22,7 @@ from repro.store.format import (
     dictionary_path,
     encode_term_line,
     file_path,
+    key_partition_index,
     manifest_path,
     read_manifest,
 )
@@ -254,24 +254,23 @@ class TestAppend:
                 ) as two:
                     assert one.read() == two.read(), name
 
-    def test_delta_buckets_align_with_hash_partitioner(self, dataset_path):
+    def test_delta_rows_land_in_the_bucket_their_hash_names(self, dataset_path):
         append(dataset_path, update_triples())
         manifest = read_manifest(dataset_path)
-        dictionary = StoredTermDictionary.open(dataset_path, expected_size=manifest.dictionary_size)
         entry = manifest.tables["vp_p"]
-        assert entry.has_deltas
+        assert entry.has_deltas and entry.partition_keys == ("s",)
         session = S2RDFSession.open_dataset(dataset_path)
         try:
             scan = session.layout.catalog.scan("vp_p")
-            tag = scan.relation.partitioning
-            assert tag is not None and tag.keys == ("s",)
-            assert sum(tag.counts) == len(scan.relation) == entry.row_count
-            # Every row of bucket i must hash to i — base and delta rows alike.
-            start = 0
-            for bucket, count in enumerate(tag.counts):
-                for row in scan.relation.rows[start : start + count]:
-                    assert key_partition_index((row[0],), entry.num_partitions) == bucket
-                start += count
+            assert len(scan.relation) == entry.row_count
+            # Rows come out bucket after bucket, and every row of bucket i
+            # hashes to i — base and delta rows alike.
+            buckets = [
+                key_partition_index((row[0],), entry.num_partitions) for row in scan.relation.rows
+            ]
+            assert buckets == sorted(buckets)
+            for bucket in range(entry.num_partitions):
+                assert buckets.count(bucket) == entry.bucket_row_count(bucket)
         finally:
             session.close()
 

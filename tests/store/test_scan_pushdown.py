@@ -1,16 +1,16 @@
 """Pushdown scans over the dataset store: projection, predicates, pruning,
-and partition-aligned consumption by the parallel runtime."""
+and the bucket hash the writer and the reader share."""
+
+import zlib
 
 import pytest
 
 from repro.core.session import S2RDFSession
-from repro.engine.relation import Relation
-from repro.engine.runtime.partitioner import HashPartitioner, key_partition_index
 from repro.mappings.extvp import ExtVPLayout
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
 from repro.rdf.triple import Triple
-from repro.store.format import read_manifest
+from repro.store.format import key_partition_index, stable_hash
 from repro.store.reader import open_dataset
 from repro.store.writer import DatasetWriter
 
@@ -59,16 +59,20 @@ class TestProjectionAndPredicates:
 
 class TestPruning:
     def test_bucket_pruning_on_partition_key(self, stored):
-        """A bound subject hashes to one bucket; the others are never read."""
+        """A bound subject hashes to one bucket; the others are never read.
+
+        Every subject is found in the bucket its hash names, so the writer
+        bucketed every row with the hash the reader prunes by."""
         _, restored, dataset, _ = stored
-        subject = IRI("s7")
         entry = dataset.manifest.tables["vp_p"]
-        expected_bucket = key_partition_index((subject,), entry.num_partitions)
-        scan = restored.catalog.scan("vp_p", conditions={"s": subject})
-        assert [row[0] for row in scan.relation.rows] == [subject]
-        read_partitions = scan.segments_scanned // len(("s", "o"))
-        assert read_partitions == 1
-        assert scan.rows_scanned == entry.partitions[expected_bucket].row_count
+        for i in range(40):
+            subject = IRI(f"s{i}")
+            expected_bucket = key_partition_index((subject,), entry.num_partitions)
+            scan = restored.catalog.scan("vp_p", conditions={"s": subject})
+            assert [row[0] for row in scan.relation.rows] == [subject]
+            read_partitions = scan.segments_scanned // len(("s", "o"))
+            assert read_partitions == 1
+            assert scan.rows_scanned == entry.partitions[expected_bucket].row_count
 
     def test_zone_map_pruning(self, stored):
         """An id outside a segment's [min, max] skips the segment unread."""
@@ -108,46 +112,40 @@ class TestPruning:
             session.close()
 
 
-@pytest.mark.usefixtures("force_partitioned_joins")
-class TestPartitionAlignment:
-    def test_scan_output_carries_partitioning(self, stored):
+class TestBucketHash:
+    """The store's bucket hash: what the writer buckets by and the reader
+    prunes by, so a bucket written by one process is found by another."""
+
+    def test_stable_hash_is_deterministic(self):
+        assert stable_hash(IRI("abc")) == stable_hash(IRI("abc")) == zlib.crc32(b"<abc>")
+        assert stable_hash("abc") == stable_hash("abc") == zlib.crc32(b"'abc'")
+        assert stable_hash(None) == zlib.crc32(b"\x00")
+        assert stable_hash(IRI("abc")) != stable_hash("abc")
+
+    def test_single_bucket_is_identity(self):
+        assert {key_partition_index((IRI(f"k{i}"),), 1) for i in range(50)} == {0}
+
+    def test_balance_over_many_distinct_keys(self):
+        sizes = [0] * 8
+        for i in range(2000):
+            sizes[key_partition_index((IRI(f"entity{i}"),), 8)] += 1
+        mean = sum(sizes) / len(sizes)
+        # CRC32 spreads distinct keys near-uniformly: within 25% of the mean.
+        assert all(abs(size - mean) / mean < 0.25 for size in sizes)
+
+    def test_every_stored_row_sits_in_the_bucket_its_hash_names(self, stored):
         _, restored, dataset, _ = stored
-        scan = restored.catalog.scan("vp_p")
-        tag = scan.relation.partitioning
-        assert tag is not None
-        assert tag.keys == ("s",)
-        assert tag.num_partitions == dataset.manifest.num_buckets
-        assert sum(tag.counts) == len(scan.relation)
-
-    def test_stored_buckets_match_hash_partitioner(self, stored):
-        """Slicing the tagged scan equals re-partitioning with HashPartitioner."""
-        _, restored, _, _ = stored
-        scan = restored.catalog.scan("vp_p")
-        relation = scan.relation
-        partitioner = HashPartitioner(relation.partitioning.num_partitions)
-        rehashed = partitioner.partition(Relation(relation.columns, relation.rows), ["s"])
-        start = 0
-        for count, expected in zip(relation.partitioning.counts, rehashed):
-            chunk = Relation(relation.columns, relation.rows[start : start + count])
-            assert chunk == expected
-            start += count
-
-    def test_aligned_joins_skip_shuffle_bytes(self, stored):
-        _, _, _, path = stored
-        session = S2RDFSession.open_dataset(path, broadcast_threshold=0)
-        try:
-            result = session.query("SELECT * WHERE { ?x <q> ?y . ?x <p> ?o }")
-            assert len(result) > 0
-            assert result.metrics.partition_aligned_inputs > 0
-        finally:
-            session.close()
-
-    def test_partitioning_survives_project_and_rename(self, stored):
-        _, restored, _, _ = stored
-        relation = restored.catalog.scan("vp_p").relation
-        renamed = relation.rename({"s": "x", "o": "y"})
-        assert renamed.partitioning.keys == ("x",)
-        projected = renamed.project(["x"])
-        assert projected.partitioning is not None
-        dropped = renamed.project(["y"])
-        assert dropped.partitioning is None
+        checked = 0
+        for name, entry in dataset.manifest.tables.items():
+            relation = restored.catalog.scan(name).relation
+            positions = [relation.columns.index(key) for key in entry.partition_keys]
+            buckets = [
+                key_partition_index(tuple(row[p] for p in positions), entry.num_partitions)
+                for row in relation.rows
+            ]
+            # Rows come out bucket after bucket, each bucket its stored length.
+            assert buckets == sorted(buckets), name
+            for bucket in range(entry.num_partitions):
+                assert buckets.count(bucket) == entry.bucket_row_count(bucket), (name, bucket)
+            checked += len(relation)
+        assert checked > 0

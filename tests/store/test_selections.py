@@ -21,7 +21,7 @@ from repro.mappings.extvp import KIND_JOIN_COLUMNS
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
 from repro.rdf.triple import Triple
-from repro.store.format import file_path, read_manifest
+from repro.store.format import file_path, key_partition_index, read_manifest
 
 EX = "http://example.org/"
 
@@ -98,8 +98,11 @@ def check_contract(session, triples):
                 bin(int.from_bytes(data[b.offset : b.offset + b.size_bytes], "little")).count("1")
                 for b in selection.bitmaps
             )
-            assert scan.relation.partitioning.keys == ("s",)
-            assert scan.relation.partitioning.counts == popcounts, name
+            buckets = [
+                key_partition_index((row[0],), len(selection.bitmaps)) for row in scan.relation.rows
+            ]
+            assert buckets == sorted(buckets), name
+            assert tuple(buckets.count(b) for b in range(len(popcounts))) == popcounts, name
             assert popcounts == tuple(b.rows for b in selection.bitmaps), name
             assert scan.rows_scanned == selection.row_count == info.row_count == len(semi_join)
             statistics = catalog.statistics(name)
@@ -290,10 +293,8 @@ def test_conditioned_scans_are_the_unconditioned_scan_filtered(store):
                         if all(row["so".index(c)] == v for c, v in conditions.items())
                     ]
                     assert scan.relation.rows == expected, (name, conditions)
-                    assert sum(scan.relation.partitioning.counts) == len(expected)
                 bound = catalog.scan(name, columns=["o"], conditions={"s": subject})
                 assert bound.relation.columns == ("o",)
-                assert bound.relation.partitioning is None  # the key column is not in it
                 # A bound subject names one bucket: no other bitmap is looked at.
                 assert bound.rows_scanned in [bitmap.rows for bitmap in selection.bitmaps]
                 assert bound.segments_pruned > 0
