@@ -2,7 +2,8 @@
 
 The dataset store keeps every column as RLE-compressed integer ids, and a
 session over a stored dataset executes on exactly that shape: scans emit
-``ColumnBatch``es — flat ``array('q')`` id columns plus a selection vector —
+``ColumnBatch``es — id columns that are lists of interned ids (equal ids are
+one int object across every table of the dataset) plus a selection vector —
 filters, joins, projections, DISTINCT, UNION and LIMIT run on raw ids, and
 terms are decoded once, for the rows a query returns.  Nothing switches this
 on.  The executor asks the catalog for a batch and gets one whenever the table
@@ -22,8 +23,8 @@ from repro import Graph, S2RDFSession, Triple
 
 def build_graph() -> Graph:
     triples = []
-    for i in range(60):
-        triples.append(Triple.of(f"user{i}", "follows", f"user{(i * 7 + 1) % 60}"))
+    for i in range(300):
+        triples.append(Triple.of(f"user{i}", "follows", f"user{(i * 7 + 1) % 300}"))
         triples.append(Triple.of(f"user{i}", "likes", f"item{i % 12}"))
     return Graph(triples, name="social")
 
@@ -54,7 +55,16 @@ def main() -> None:
         scan = stored.layout.catalog.scan_batch("vp_likes")
         batch = scan.batch
         print(f"scan_batch(vp_likes): columns={batch.columns} rows={len(batch)}")
-        print(f"  raw ids of 's' column (first 8): {list(batch.ids[0][:8])}")
+        print(f"  raw ids of 's' column (first 8): {batch.ids[0][:8]}")
+        # Id columns are lists of interned ids: equal ids decoded from any
+        # table are one int object, so copying a column copies pointers.
+        # (Ids up to 256 are shared by CPython anyway; the larger ones prove it.)
+        other = stored.layout.catalog.scan_batch("vp_follows").batch
+        assert all(type(column) is list for column in batch.ids + other.ids)
+        likers = {value: value for value in batch.ids[0] if value > 256}
+        shared = [value for value in other.ids[0] if value in likers]
+        assert shared and all(value is likers[value] for value in shared)
+        print(f"  {len(shared)} 's' cells of vp_follows are the very int objects of vp_likes")
         filtered = batch.filter_equal("o", batch.ids[1][0])
         print(
             f"  filter_equal on one id keeps {len(filtered)} rows by replacing the"

@@ -30,6 +30,9 @@ NULL_ID = -1
 _PAGE_HEADER = struct.Struct("<II")  # run count, row count
 _RUN = struct.Struct("<iI")  # value id (NULL_ID for None), run length
 
+#: The largest id a page can hold: run values are stored as ``<i``.
+MAX_ID = 2**31 - 1
+
 
 def encode_id_column(ids: Sequence[int]) -> bytes:
     """Serialise a column of dictionary ids as a run-length-encoded page.
@@ -49,35 +52,24 @@ def encode_id_column(ids: Sequence[int]) -> bytes:
     return b"".join(parts)
 
 
-def decode_id_column(page: bytes) -> List[int]:
-    """Expand a page produced by :func:`encode_id_column` back into ids."""
-    return list(decode_id_column_array(page))
+def decode_id_column(page: bytes, interned: Optional[Dict[int, int]] = None) -> List[int]:
+    """Expand a page produced by :func:`encode_id_column` into a list of ids.
 
-
-_ARRAY_ITEM = struct.Struct("<q")
-
-
-def decode_id_column_array(page: bytes):
-    """Expand an RLE page into a flat ``array('q')`` id column.
-
-    This is the vectorized scan path: each run expands via one bytes-repeat
-    into the array buffer, so no per-row Python integer objects are created
-    until (and unless) a row is actually decoded to terms.
+    A cell is a pointer to its run's int; through ``interned`` (id -> the one
+    int object standing for it) equal ids of every page decoded with the same
+    table share that int, so a cell costs its 8-byte pointer and nothing more.
     """
-    from array import array
-
     if len(page) < _PAGE_HEADER.size:
         raise ValueError("truncated column page header")
     run_count, row_count = _PAGE_HEADER.unpack_from(page, 0)
     expected = _PAGE_HEADER.size + run_count * _RUN.size
     if len(page) != expected:
         raise ValueError(f"column page has {len(page)} bytes, expected {expected}")
-    ids = array("q")
-    offset = _PAGE_HEADER.size
-    for _ in range(run_count):
-        value, length = _RUN.unpack_from(page, offset)
-        ids.frombytes(_ARRAY_ITEM.pack(value) * length)
-        offset += _RUN.size
+    intern = (interned if interned is not None else {}).setdefault
+    ids: List[int] = []
+    extend = ids.extend
+    for value, length in _RUN.iter_unpack(memoryview(page)[_PAGE_HEADER.size :]):
+        extend([intern(value, value)] * length)
     if len(ids) != row_count:
         raise ValueError(f"column page decoded {len(ids)} rows, header says {row_count}")
     return ids

@@ -2,15 +2,16 @@
 
 The dataset store holds RLE-paged integer id columns, and this module is how
 the native engine executes on that shape instead of per-tuple term objects:
-the batch representation stored scans emit — a :class:`ColumnBatch` of flat
-``array('q')`` id columns plus an optional selection vector, the DuckDB
-vector idiom — and the batch-wise kernels the executor runs on it: equality
-and single-variable filters, hash-join build/probe on raw ids,
-projection/rename, DISTINCT, UNION and LIMIT.  Term decoding is deferred to
-one :meth:`ColumnBatch.to_relation` boundary at the end of the plan (or
-before an operator that has no id kernel), so a query that scans millions of
-ids decodes only the rows it returns.  In-memory tables have no dictionary
-ids; plans over them run on :class:`~repro.engine.relation.Relation` rows.
+the batch representation stored scans emit — a :class:`ColumnBatch` of lists
+of interned ids (a gather copies pointers, it never boxes an int) plus an
+optional selection vector, the DuckDB vector idiom — and the batch-wise
+kernels the executor runs on it: equality and single-variable filters,
+hash-join build/probe on raw ids, projection/rename, DISTINCT, UNION and
+LIMIT.  Term decoding is deferred to one :meth:`ColumnBatch.to_relation`
+boundary at the end of the plan (or before an operator that has no id
+kernel), so a query that scans millions of ids decodes only the rows it
+returns.  In-memory tables have no dictionary ids; plans over them run on
+:class:`~repro.engine.relation.Relation` rows.
 
 Raw ids are only ever compared for *equality* — dictionary ids are assigned
 in write order, not value order, so ``<``/``>`` on ids would be meaningless.
@@ -24,8 +25,6 @@ compare equal in a natural join, exactly like the row path's ``None == None``.
 
 from __future__ import annotations
 
-import struct
-from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -33,26 +32,21 @@ from repro.engine.metrics import ExecutionMetrics
 from repro.engine.relation import Relation, SchemaError
 from repro.engine.storage import NULL_ID
 
-_ITEM = struct.Struct("<q")
-_NULL_BYTES = _ITEM.pack(NULL_ID)
+
+def null_column(length: int) -> List[int]:
+    """An id column of ``length`` NULLs."""
+    return [NULL_ID] * length
 
 
-def null_column(length: int) -> array:
-    """A flat id column of ``length`` NULLs (one bytes-repeat, no Python loop)."""
-    out = array("q")
-    out.frombytes(_NULL_BYTES * length)
-    return out
-
-
-def _count_selection(rows: int) -> array:
+def _count_selection(rows: int) -> List[int]:
     """The selection of a batch without columns: all it holds is a row count."""
-    return array("q", range(rows))
+    return list(range(rows))
 
 
 class ColumnBatch:
     """An immutable batch of dictionary-id columns with a selection vector.
 
-    ``ids`` holds one flat ``array('q')`` per column, all of equal length;
+    ``ids`` holds one list of interned ids per column, all of equal length;
     ``selection`` (when not ``None``) lists the physically valid row indices
     in output order, so filters narrow a batch without copying a single
     column.  A batch without columns has nothing to take a length from: its
@@ -66,9 +60,9 @@ class ColumnBatch:
     def __init__(
         self,
         columns: Sequence[str],
-        ids: Sequence[array],
+        ids: Sequence[List[int]],
         decode: Callable[[int], Any],
-        selection: Optional[array] = None,
+        selection: Optional[List[int]] = None,
     ) -> None:
         self.columns: Tuple[str, ...] = tuple(columns)
         if len(set(self.columns)) != len(self.columns):
@@ -80,7 +74,7 @@ class ColumnBatch:
         lengths = {len(column) for column in ids}
         if len(lengths) > 1:
             raise SchemaError(f"id columns have unequal lengths {sorted(lengths)}")
-        self.ids: Tuple[array, ...] = tuple(ids)
+        self.ids: Tuple[List[int], ...] = tuple(ids)
         self.selection = selection
         self.decode = decode
 
@@ -88,15 +82,15 @@ class ColumnBatch:
     def adopt(
         cls,
         columns: Tuple[str, ...],
-        ids: Tuple[array, ...],
+        ids: Tuple[List[int], ...],
         decode: Callable[[int], Any],
-        selection: Optional[array] = None,
+        selection: Optional[List[int]] = None,
     ) -> "ColumnBatch":
         """Engine-internal constructor: check the schema, adopt ``ids`` as-is.
 
         The counterpart of :meth:`Relation.adopt` for kernels and scans:
-        ``columns`` and ``ids`` are already tuples, one equal-length
-        ``array('q')`` per name *by construction* (usually they are another
+        ``columns`` and ``ids`` are already tuples, one equal-length list of
+        interned ids per name *by construction* (usually they are another
         batch's), so only the names are checked.  Anything assembled from
         outside input goes through ``ColumnBatch(columns, ids, decode)``.
         """
@@ -134,7 +128,7 @@ class ColumnBatch:
 
     @classmethod
     def empty(cls, columns: Sequence[str], decode: Callable[[int], Any]) -> "ColumnBatch":
-        return cls(columns, [array("q") for _ in columns], decode)
+        return cls(columns, [[] for _ in columns], decode)
 
     # ------------------------------------------------------------------ #
     # Unary kernels
@@ -144,16 +138,16 @@ class ColumnBatch:
         if self.selection is None or not self.ids:
             return self
         selection = self.selection
-        compacted = tuple(array("q", map(column.__getitem__, selection)) for column in self.ids)
+        compacted = tuple(list(map(column.__getitem__, selection)) for column in self.ids)
         return ColumnBatch.adopt(self.columns, compacted, self.decode)
 
     def filter_equal(self, column: str, term_id: int) -> "ColumnBatch":
         """Keep rows whose ``column`` id equals ``term_id`` (raw-id equality)."""
         ids = self.ids[self.column_index(column)]
         if self.selection is None:
-            kept = array("q", (i for i, value in enumerate(ids) if value == term_id))
+            kept = [i for i, value in enumerate(ids) if value == term_id]
         else:
-            kept = array("q", (i for i in self.selection if ids[i] == term_id))
+            kept = [i for i in self.selection if ids[i] == term_id]
         return ColumnBatch.adopt(self.columns, self.ids, self.decode, selection=kept)
 
     def select_ids(self, column: str, predicate: Callable[[int], bool]) -> "ColumnBatch":
@@ -165,7 +159,7 @@ class ColumnBatch:
         """
         ids = self.ids[self.column_index(column)]
         verdicts: Dict[int, bool] = {}
-        kept = array("q")
+        kept: List[int] = []
         for i in self.indices():
             value = ids[i]
             verdict = verdicts.get(value)
@@ -212,14 +206,14 @@ class ColumnBatch:
     def distinct(self) -> "ColumnBatch":
         seen = set()
         add = seen.add
-        kept = array("q")
+        kept: List[int] = []
         append = kept.append
         ids = self.ids
         selection = self.selection
         if not ids:
             # Zero-column batch: every row is the empty tuple, keep one.
             first = self.indices()[:1]
-            return ColumnBatch.adopt(self.columns, ids, self.decode, selection=array("q", first))
+            return ColumnBatch.adopt(self.columns, ids, self.decode, selection=list(first))
         if len(ids) == 1:
             # Single column: the raw id is its own key, no tuple per row.
             column = ids[0]
@@ -247,7 +241,7 @@ class ColumnBatch:
     def limit(self, count: Optional[int], offset: int = 0) -> "ColumnBatch":
         end = None if count is None else offset + count
         indices = self.indices()
-        kept = array("q", indices[offset:end])
+        kept = list(indices[offset:end])
         return ColumnBatch.adopt(self.columns, self.ids, self.decode, selection=kept)
 
     # ------------------------------------------------------------------ #
@@ -277,16 +271,12 @@ class ColumnBatch:
         if not shared:
             # Cross product: tile the two index vectors, gather column-wise.
             left_indices = self.indices()
-            right_list = list(other.indices())
-            n_right = len(right_list)
-            left_idx = array("q")
-            right_idx = array("q")
-            for i in left_indices:
-                left_idx.extend([i] * n_right)
-                right_idx.extend(right_list)
+            right_indices = list(other.indices())
+            left_idx = [i for i in left_indices for _ in right_indices]
+            right_idx = right_indices * len(left_indices)
             out = tuple(
-                [array("q", map(column.__getitem__, left_idx)) for column in self.ids]
-                + [array("q", map(column.__getitem__, right_idx)) for column in other.ids]
+                [list(map(column.__getitem__, left_idx)) for column in self.ids]
+                + [list(map(column.__getitem__, right_idx)) for column in other.ids]
             )
             if metrics is not None:
                 metrics.record_join(len(self), len(other), len(left_idx), len(left_idx))
@@ -316,8 +306,8 @@ class ColumnBatch:
 
         # Probe phase only collects matched (build, probe) index pairs; the
         # output columns are gathered afterwards in one C-level map per column.
-        build_idx = array("q")
-        probe_idx = array("q")
+        build_idx: List[int] = []
+        probe_idx: List[int] = []
         build_append = build_idx.append
         probe_append = probe_idx.append
         comparisons = 0
@@ -355,8 +345,8 @@ class ColumnBatch:
         right_sources = [
             right.ids[right.column_index(c)] for c in other.columns if c not in shared
         ]
-        out = [array("q", map(column.__getitem__, left_idx)) for column in left_sources]
-        out += [array("q", map(column.__getitem__, right_idx)) for column in right_sources]
+        out = [list(map(column.__getitem__, left_idx)) for column in left_sources]
+        out += [list(map(column.__getitem__, right_idx)) for column in right_sources]
         if metrics is not None:
             metrics.record_join(len(self), len(other), comparisons, len(build_idx))
         return ColumnBatch.adopt(output_columns, tuple(out), self.decode)
@@ -404,7 +394,7 @@ def concat_batches(batches: Sequence[ColumnBatch]) -> ColumnBatch:
     if not batches:
         raise ValueError("cannot concatenate zero batches")
     first = batches[0]
-    out = [array("q") for _ in first.columns]
+    out: List[List[int]] = [[] for _ in first.columns]
     for batch in batches:
         if batch.columns != first.columns:
             raise SchemaError(

@@ -60,11 +60,10 @@ import json
 import os
 import struct
 import zlib
-from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.engine.storage import ZoneMap, decode_id_column, decode_id_column_array
+from repro.engine.storage import ZoneMap, decode_id_column
 from repro.mappings.extvp import (
     CorrelationKind,
     ExtVPStatistics,
@@ -177,7 +176,19 @@ def encode_segment(pages: Sequence[Tuple[str, bytes]]) -> bytes:
     return b"".join(parts)
 
 
-def _decode_pages(data: bytes, columns: Optional[Sequence[str]], decoder, origin: str) -> Dict[str, Any]:
+def decode_segment(
+    data: bytes,
+    columns: Optional[Sequence[str]] = None,
+    interned: Optional[Dict[int, int]] = None,
+    origin: str = "segment",
+) -> Dict[str, List[int]]:
+    """Decode one segment's bytes into ``{column_name: ids}``.
+
+    ``columns`` restricts decoding to the named columns (projection pushdown):
+    pages of other columns are skipped without RLE expansion.  ``interned``
+    is an id -> int table as :func:`~repro.engine.storage.decode_id_column`
+    takes it; ``origin`` names the bytes in errors.
+    """
     wanted = set(columns) if columns is not None else None
     if data[: len(_SEGMENT_MAGIC)] != _SEGMENT_MAGIC:
         raise DatasetFormatError(f"{origin} is not a dataset segment")
@@ -186,16 +197,17 @@ def _decode_pages(data: bytes, columns: Optional[Sequence[str]], decoder, origin
     if version != FORMAT_VERSION:
         raise DatasetFormatError(f"{origin} has format version {version}, expected {FORMAT_VERSION}")
     position += _SEGMENT_HEADER.size
-    decoded: Dict[str, Any] = {}
+    view = memoryview(data)  # pages are decoded in place, never copied out
+    decoded: Dict[str, List[int]] = {}
     for _ in range(column_count):
         name_length, payload_length = _COLUMN_HEADER.unpack_from(data, position)
         position += _COLUMN_HEADER.size
         name = data[position : position + name_length].decode("utf-8")
         position += name_length
-        payload = data[position : position + payload_length]
+        payload = view[position : position + payload_length]
         position += payload_length
         if wanted is None or name in wanted:
-            decoded[name] = decoder(payload)
+            decoded[name] = decode_id_column(payload, interned)
     if wanted is not None:
         missing = wanted - set(decoded)
         if missing:
@@ -210,27 +222,22 @@ def read_file_range(path: str, offset: int = 0, length: int = -1) -> bytes:
         return handle.read(length)
 
 
-def decode_segment(data: bytes, columns: Optional[Sequence[str]] = None) -> Dict[str, List[int]]:
-    """Decode one segment's bytes into ``{column_name: ids}``.
-
-    ``columns`` restricts decoding to the named columns (projection pushdown):
-    pages of other columns are skipped without RLE expansion.
-    """
-    return _decode_pages(data, columns, decode_id_column, "segment")
-
-
 def read_segment_arrays(
-    path: str, columns: Optional[Sequence[str]] = None, offset: int = 0, length: int = -1
-) -> Dict[str, Any]:
-    """The segment at ``[offset, offset + length)`` of ``path`` as ``array('q')`` id columns.
+    path: str,
+    columns: Optional[Sequence[str]] = None,
+    offset: int = 0,
+    length: int = -1,
+    interned: Optional[Dict[int, int]] = None,
+) -> Dict[str, List[int]]:
+    """The segment at ``[offset, offset + length)`` of ``path`` as lists of interned ids.
 
     The defaults read a file that holds exactly one segment.  ``columns``
-    restricts decoding like :func:`decode_segment`; each page expands via
-    :func:`~repro.engine.storage.decode_id_column_array`, so scans get packed
-    buffers, not lists of Python integers.
+    restricts decoding like :func:`decode_segment`; ``interned`` is the
+    dataset's id -> int table (:func:`~repro.engine.storage.decode_id_column`),
+    so equal ids of every segment read through it are one int object.
     """
     data = read_file_range(path, offset, length)
-    return _decode_pages(data, columns, decode_id_column_array, f"{path} at offset {offset}")
+    return decode_segment(data, columns, interned, f"{path} at offset {offset}")
 
 
 # --------------------------------------------------------------------- #
@@ -253,18 +260,16 @@ def encode_bitmap(positions: Iterable[int]) -> bytes:
     return bytes(data)
 
 
-def decode_bitmap(data: bytes, rows: int, bucket_rows: int, origin: str) -> array:
-    """The set positions of a bitmap blob, ascending, as ``array('q')``.
+def decode_bitmap(data: bytes, rows: int, bucket_rows: int, origin: str) -> List[int]:
+    """The set positions of a bitmap blob, ascending.
 
     ``rows`` is the popcount the manifest recorded and ``bucket_rows`` the
     length of the row sequence the bitmap selects from; a blob that disagrees
     with either was not written for this manifest.
     """
-    positions = array("q")
-    for index, value in enumerate(data):
-        if value:
-            start = index * 8
-            positions.extend([start + bit for bit in _SET_BITS[value]])
+    positions = [
+        index * 8 + bit for index, value in enumerate(data) if value for bit in _SET_BITS[value]
+    ]
     if len(positions) != rows:
         raise DatasetFormatError(
             f"{origin}: bitmap selects {len(positions)} rows, manifest recorded {rows}"
@@ -325,6 +330,8 @@ class StoredTermDictionary:
         self._lines = lines
         self._terms: List[Optional[Term]] = [None] * len(lines)
         self._reverse: Optional[Dict[Term, int]] = None
+        #: int -> its one object, shared by every decoded id column and position vector.
+        self.interned: Dict[int, int] = {}
         #: Byte length of the committed lines in ``dictionary.nt`` (ASCII,
         #: one "\n" each) — the offset the next append writes at.
         self.committed_bytes = sum(map(len, lines)) + len(lines)

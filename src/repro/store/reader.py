@@ -22,7 +22,6 @@ Scans push projection and equality predicates into the store:
 from __future__ import annotations
 
 import time
-from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -72,8 +71,8 @@ class DatasetLoadReport:
 
 
 def _emit(
-    out: List[array],
-    ids: Mapping[str, array],
+    out: List[List[int]],
+    ids: Mapping[str, List[int]],
     output_columns: Sequence[str],
     condition_ids: Sequence[Tuple[str, int]],
     keep: Sequence[int],
@@ -116,14 +115,14 @@ class _StoredProvider(StoredTableProvider):
         self.dictionary = dictionary
         #: column -> its ids over the whole table, buckets end to end: what
         #: every unconditioned scan hands out, assembled once.
-        self._columns: Dict[str, array] = {}
+        self._columns: Dict[str, List[int]] = {}
         #: requested columns -> their unconditioned scan (shares ``_columns``).
         self._scans: Dict[Tuple[str, ...], BatchScanResult] = {}
         #: the full unconditioned scan lowered to terms, once a row caller asked.
         self._full: Optional[ScanResult] = None
 
     # -- what the two kinds of table implement --------------------------- #
-    def _whole_column(self, column: str) -> array:
+    def _whole_column(self, column: str) -> List[int]:
         """``column`` of every row, bucket after bucket."""
         raise NotImplementedError
 
@@ -178,9 +177,9 @@ class _StoredProvider(StoredTableProvider):
     ) -> BatchScanResult:
         """The store's one scan: projection, pruning and equality filters on ids.
 
-        The result is a :class:`~repro.engine.vectorized.ColumnBatch` of flat
-        ``array('q')`` id columns whose terms stay encoded until someone
-        lowers it; rows come out grouped by bucket.  Without conditions every
+        The result is a :class:`~repro.engine.vectorized.ColumnBatch` of lists
+        of interned ids whose terms stay encoded until someone lowers it; rows
+        come out grouped by bucket.  Without conditions every
         request for the same columns gets the same cached result, and all of
         them share the id columns.
         """
@@ -221,7 +220,7 @@ class _StoredProvider(StoredTableProvider):
         self._full = None
 
     def _result(
-        self, output_columns: List[str], ids: Tuple[array, ...], **counters: int
+        self, output_columns: List[str], ids: Tuple[List[int], ...], **counters: int
     ) -> BatchScanResult:
         batch = ColumnBatch.adopt(tuple(output_columns), ids, self.dictionary.decode)
         return BatchScanResult(batch=batch, **counters)
@@ -278,18 +277,18 @@ class StoredTable(_StoredProvider):
     def __init__(self, root: str, entry: TableEntry, dictionary: StoredTermDictionary) -> None:
         super().__init__(entry.name, entry, dictionary)
         self.root = root
-        #: ``id`` of a segment's manifest record -> (the record, {column:
-        #: array('q')}); grows with scans.  Keyed by the record, not by its
+        #: ``id`` of a segment's manifest record -> (the record, {column: list
+        #: of interned ids}); grows with scans.  Keyed by the record, not by its
         #: address: committed rows never change, but a compaction may move a
         #: segment it does not merge to another file and offset — it keeps
         #: the record, and what was decoded from it stays good.  (Holding the
         #: record keeps its ``id`` from being reused.)
-        self._arrays: Dict[int, Tuple[PartitionEntry, Dict[str, array]]] = {}
+        self._arrays: Dict[int, Tuple[PartitionEntry, Dict[str, List[int]]]] = {}
         #: Per bucket its segments (base, then deltas), and — once a selection
         #: over it was scanned — its columns end to end (a bucket without
         #: deltas shares its one segment's); both as of the current entry.
         self._buckets: Optional[List[List[PartitionEntry]]] = None
-        self._bucket_arrays: Dict[int, Dict[str, array]] = {}
+        self._bucket_arrays: Dict[int, Dict[str, List[int]]] = {}
         #: Bumped by :meth:`entry_changed`; what a selection derived from this
         #: table's row order is good for one value of it.
         self.version = 0
@@ -317,7 +316,7 @@ class StoredTable(_StoredProvider):
             ]
         return buckets
 
-    def bucket_arrays(self, bucket: int, columns: Sequence[str]) -> Mapping[str, array]:
+    def bucket_arrays(self, bucket: int, columns: Sequence[str]) -> Mapping[str, List[int]]:
         """``columns`` of ``bucket``'s logical row sequence (base, then deltas)."""
         cached = self._bucket_arrays.get(bucket)
         if cached is not None and all(column in cached for column in columns):
@@ -330,14 +329,14 @@ class StoredTable(_StoredProvider):
         cached = self._bucket_arrays.setdefault(bucket, {})
         for column in columns:
             if column not in cached:
-                merged = array("q")
+                merged: List[int] = []
                 for segment in segments:
                     merged.extend(self._segment_arrays(segment, (column,))[column])
                 cached[column] = merged
         return cached
 
-    def _whole_column(self, column: str) -> array:
-        whole = array("q")
+    def _whole_column(self, column: str) -> List[int]:
+        whole: List[int] = []
         for segments in self.bucket_segments():
             for segment in segments:
                 if segment.row_count:
@@ -358,7 +357,7 @@ class StoredTable(_StoredProvider):
         unknown_term: bool,
         target_bucket: Optional[int],
     ) -> BatchScanResult:
-        out = [array("q") for _ in output_columns]
+        out: List[List[int]] = [[] for _ in output_columns]
         rows_scanned = 0
         segments_scanned = 0
         segments_pruned = 0
@@ -401,7 +400,9 @@ class StoredTable(_StoredProvider):
         for key in [key for key in self._arrays if key not in live]:
             del self._arrays[key]
 
-    def _segment_arrays(self, segment: PartitionEntry, columns: Sequence[str]) -> Dict[str, array]:
+    def _segment_arrays(
+        self, segment: PartitionEntry, columns: Sequence[str]
+    ) -> Dict[str, List[int]]:
         held = self._arrays.get(id(segment))
         if held is None:
             held = self._arrays[id(segment)] = (segment, {})
@@ -409,7 +410,10 @@ class StoredTable(_StoredProvider):
         missing = [column for column in columns if column not in cached]
         if missing:
             path = file_path(self.root, segment.file)
-            cached.update(read_segment_arrays(path, missing, segment.offset, segment.size_bytes))
+            interned = self.dictionary.interned
+            cached.update(
+                read_segment_arrays(path, missing, segment.offset, segment.size_bytes, interned)
+            )
         return cached
 
 
@@ -431,7 +435,7 @@ class StoredSelection(_StoredProvider):
         #: ``id`` of a bitmap's manifest record -> (the record, its set
         #: positions).  Like a segment's, a bitmap's record lives exactly as
         #: long as what it selects stays in place.
-        self._positions: Dict[int, Tuple[BitmapEntry, array]] = {}
+        self._positions: Dict[int, Tuple[BitmapEntry, List[int]]] = {}
         #: ``base.version`` the cached scans were assembled at: they hold ids
         #: picked out of ``base``'s buckets as those were then.
         self._base_version = base.version
@@ -460,8 +464,8 @@ class StoredSelection(_StoredProvider):
             self._drop_scans()
         return super().scan_batch(columns, conditions)
 
-    def _whole_column(self, column: str) -> array:
-        whole = array("q")
+    def _whole_column(self, column: str) -> List[int]:
+        whole: List[int] = []
         for bucket, bitmap in enumerate(self.selection.bitmaps):
             if bitmap.rows:
                 ids = self.base.bucket_arrays(bucket, (column,))[column]
@@ -486,7 +490,7 @@ class StoredSelection(_StoredProvider):
         """Buckets are pruned by the bucket hash and by ``base``'s zone maps —
         the reduction's values are a subset of the table's, so the test stays
         sound — and the selected positions of the others are filtered."""
-        out = [array("q") for _ in output_columns]
+        out: List[List[int]] = [[] for _ in output_columns]
         rows_scanned = 0
         segments_scanned = 0
         segments_pruned = 0
@@ -514,7 +518,7 @@ class StoredSelection(_StoredProvider):
             segments_pruned=segments_pruned,
         )
 
-    def _bucket_positions(self, bucket: int) -> array:
+    def _bucket_positions(self, bucket: int) -> List[int]:
         bitmap = self.selection.bitmaps[bucket]
         cached = self._positions.get(id(bitmap))
         if cached is None:
@@ -525,6 +529,8 @@ class StoredSelection(_StoredProvider):
                 sum(segment.row_count for segment in self.base.bucket_segments()[bucket]),
                 f"{self.name} bucket {bucket} in {path}",
             )
+            # Row numbers share the ids' int objects: a position costs a pointer.
+            positions = list(map(self.dictionary.interned.setdefault, positions, positions))
             cached = self._positions[id(bitmap)] = (bitmap, positions)
         return cached[1]
 

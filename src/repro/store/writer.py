@@ -33,7 +33,7 @@ from typing import (
     Tuple,
 )
 
-from repro.engine.storage import NULL_ID, ZoneMap, encode_id_column
+from repro.engine.storage import MAX_ID, NULL_ID, ZoneMap, encode_id_column
 from repro.mappings.extvp import ExtVPLayout, ExtVPTableInfo, compute_incremental_extvp
 from repro.mappings.naming import unique_predicate_key
 from repro.rdf.dictionary import TermDictionary
@@ -44,6 +44,7 @@ from repro.store.format import (
     FORMAT_VERSION,
     TABLES_DIR,
     BitmapEntry,
+    DatasetFormatError,
     DeltaEntry,
     Manifest,
     PartitionEntry,
@@ -95,8 +96,11 @@ def _encode_segment(
     The single code path shared by base writes, delta appends and compaction,
     so the three never desynchronise on encoding or zone-map construction.
     """
-    pages = [(column, encode_id_column(ids)) for column, ids in zip(columns, column_ids)]
     zones = {column: ZoneMap.from_ids(ids) for column, ids in zip(columns, column_ids)}
+    largest = max((zone.max_id for zone in zones.values()), default=NULL_ID)
+    if largest > MAX_ID:
+        raise DatasetFormatError(f"term id {largest} exceeds the int32 id limit of {MAX_ID}")
+    pages = [(column, encode_id_column(ids)) for column, ids in zip(columns, column_ids)]
     return encode_segment(pages), zones
 
 

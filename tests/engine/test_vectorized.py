@@ -8,8 +8,6 @@ all-selected batches, RLE run boundaries) — and ids outside the dictionary
 must be rejected at the decode boundary, never silently mapped to a term.
 """
 
-from array import array
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +19,6 @@ from repro.engine.relation import Relation, SchemaError
 from repro.engine.storage import (
     NULL_ID,
     decode_id_column,
-    decode_id_column_array,
     encode_id_column,
 )
 from repro.engine.vectorized import ColumnBatch, concat_batches, null_column
@@ -44,8 +41,8 @@ def decode(term_id: int):
 
 
 def batch(columns, rows, selection=None):
-    ids = [array("q", (row[i] for row in rows)) for i in range(len(columns))]
-    sel = None if selection is None else array("q", selection)
+    ids = [[row[i] for row in rows] for i in range(len(columns))]
+    sel = None if selection is None else list(selection)
     return ColumnBatch(columns, ids, decode, selection=sel)
 
 
@@ -68,11 +65,11 @@ class TestBatchBasics:
 
     def test_duplicate_columns_rejected(self):
         with pytest.raises(SchemaError):
-            ColumnBatch(("a", "a"), [array("q"), array("q")], decode)
+            ColumnBatch(("a", "a"), [[], []], decode)
 
     def test_unequal_column_lengths_rejected(self):
         with pytest.raises(SchemaError):
-            ColumnBatch(("a", "b"), [array("q", [1]), array("q")], decode)
+            ColumnBatch(("a", "b"), [[1], []], decode)
 
     def test_all_selected_equals_no_selection(self):
         rows = [(1, 2), (3, 4), (5, 6)]
@@ -97,19 +94,17 @@ class TestRLEDecoding:
         """Runs of length 1 and >1, at the start, middle and end of a page."""
         ids = [5] + [7] * 4 + [NULL_ID] * 2 + [5, 9]
         page = encode_id_column(ids)
-        expanded = decode_id_column_array(page)
-        assert expanded.typecode == "q"
-        assert list(expanded) == ids
-        assert decode_id_column(page) == ids
+        expanded = decode_id_column(page)
+        assert type(expanded) is list and expanded == ids
 
     def test_single_run_and_empty_column(self):
-        assert list(decode_id_column_array(encode_id_column([3] * 100))) == [3] * 100
-        assert list(decode_id_column_array(encode_id_column([]))) == []
+        assert decode_id_column(encode_id_column([3] * 100)) == [3] * 100
+        assert decode_id_column(encode_id_column([])) == []
 
     def test_batch_over_run_boundaries_filters_correctly(self):
         """A filter on a column whose matches straddle run boundaries."""
         ids = [1] * 3 + [2] * 2 + [1] + [3] * 4 + [1]
-        column = decode_id_column_array(encode_id_column(ids))
+        column = decode_id_column(encode_id_column(ids))
         b = ColumnBatch(("a",), [column], decode)
         kept = b.filter_equal("a", 1)
         assert len(kept) == 5
@@ -229,7 +224,7 @@ class TestDecodeBoundary:
         assert rogue.to_relation().columns == ("s", "o")  # in-range ids decode
         forged = ColumnBatch(
             good.columns,
-            [array("q", [10_000]) for _ in good.columns],
+            [[10_000] for _ in good.columns],
             good.decode,
         )
         with pytest.raises(KeyError):
@@ -353,7 +348,7 @@ class TestKernelProperties:
             as_batch(forged).to_relation()
 
     def test_adopt_checks_names_and_nothing_else(self):
-        ids = (array("q", [1, 2]), array("q", [3, 4]))
+        ids = ([1, 2], [3, 4])
         adopted = ColumnBatch.adopt(("a", "b"), ids, decode)
         assert adopted.ids is ids and adopted.selection is None and len(adopted) == 2
         assert bag(adopted.to_relation()) == bag(ColumnBatch(("a", "b"), ids, decode).to_relation())

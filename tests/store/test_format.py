@@ -17,11 +17,6 @@ from repro.store.format import (
 )
 
 
-def read_columns(*args, **kwargs):
-    """The segment's columns as plain lists (the store reads ``array('q')``)."""
-    return {name: list(ids) for name, ids in read_segment_arrays(*args, **kwargs).items()}
-
-
 class TestIdColumnCodec:
     @pytest.mark.parametrize(
         "ids",
@@ -88,9 +83,9 @@ class TestSegmentFile:
         )
         write_at(path, 0, segment)
         assert len(segment) == os.path.getsize(path)
-        assert read_columns(path) == {"s": [1, 1, 2], "o": [3, 4, 5]}
+        assert read_segment_arrays(path) == {"s": [1, 1, 2], "o": [3, 4, 5]}
         # Projection pushdown: only the requested page is decoded.
-        assert read_columns(path, columns=["o"]) == {"o": [3, 4, 5]}
+        assert read_segment_arrays(path, columns=["o"]) == {"o": [3, 4, 5]}
 
     def test_segments_are_addressed_by_offset_and_length(self, tmp_path):
         """A table file holds segments back to back; a write at the committed
@@ -101,21 +96,21 @@ class TestSegmentFile:
         write_at(path, 0, first + b"left by a crashed write, longer than the retry")
         write_at(path, len(first), second)
         assert os.path.getsize(path) == len(first) + len(second)
-        assert read_columns(path, None, 0, len(first)) == {"s": [1, 2]}
-        assert read_columns(path, None, len(first), len(second)) == {"s": [7, 8, 9]}
+        assert read_segment_arrays(path, None, 0, len(first)) == {"s": [1, 2]}
+        assert read_segment_arrays(path, None, len(first), len(second)) == {"s": [7, 8, 9]}
 
     def test_missing_column_rejected(self, tmp_path):
         path = str(tmp_path / "table.seg")
         write_at(path, 0, encode_segment([("s", encode_id_column([1]))]))
         with pytest.raises(DatasetFormatError):
-            read_columns(path, columns=["nope"])
+            read_segment_arrays(path, columns=["nope"])
 
     def test_non_segment_file_rejected(self, tmp_path):
         path = str(tmp_path / "bogus.seg")
         with open(path, "wb") as handle:
             handle.write(b"not a segment")
         with pytest.raises(DatasetFormatError):
-            read_columns(path)
+            read_segment_arrays(path)
 
 
 class TestStoredDictionary:
