@@ -15,7 +15,7 @@ or :class:`~repro.store.writer.DatasetWriter` directly:
         for binding in session.query(text):
             ...
 
-Both factories accept the flat session knobs (``num_partitions``, ``engine``,
+Both factories accept the flat session knobs (``num_partitions``,
 ``execution_mode``, ...) or a prebuilt
 :class:`~repro.core.config.SessionConfig` via ``config=``.  No knob picks the
 data representation: a connected (store-backed) session executes on

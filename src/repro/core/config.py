@@ -5,8 +5,8 @@ with the concurrent serving layer the flat list stopped scaling.  The
 configuration is now four nested dataclasses composed on
 :class:`SessionConfig`:
 
-* :class:`ExecutionConfig` — how a single query executes (engine, join
-  ordering, process workers) and how many hash buckets a written store has;
+* :class:`ExecutionConfig` — how a single query executes (join ordering,
+  process workers) and how many hash buckets a written store has;
 * :class:`StoreConfig` — what the data layout materialises and how the
   persistent store compacts;
 * :class:`ObservabilityConfig` — tracing and the workload journal;
@@ -30,9 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Dict, Optional
 
-#: Engines a session can execute plans on.
-VALID_ENGINES = ("native", "sqlite")
-
 #: Where :meth:`~repro.core.session.S2RDFSession.serve` runs queries:
 #: ``"thread"`` on scheduler threads in this process, ``"process"`` on the
 #: persistent worker pool, one whole query per task (requires a stored
@@ -50,10 +47,6 @@ VALID_ADMISSION_POLICIES = ("queue", "reject")
 class ExecutionConfig:
     """How one query executes on the relational runtime."""
 
-    #: Execution engine: ``"native"`` runs plans on the in-process relational
-    #: operators; ``"sqlite"`` lowers plans to SQL on an in-memory SQLite
-    #: database (:mod:`repro.engine.sql`).
-    engine: str = "native"
     #: Hash buckets per table that ``save_dataset`` / ``repro.create`` write
     #: (the store's unit of bucket pruning and of append).  Every join runs
     #: in process whatever it is.
@@ -73,10 +66,6 @@ class ExecutionConfig:
     worker_processes: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.engine not in VALID_ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; expected one of {VALID_ENGINES}"
-            )
         if self.num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
         if self.execution_mode not in VALID_EXECUTION_MODES:
@@ -179,7 +168,7 @@ class SessionConfig:
     Preferred construction nests the groups::
 
         SessionConfig(
-            execution=ExecutionConfig(num_partitions=8, engine="native"),
+            execution=ExecutionConfig(num_partitions=8, optimize_join_order=False),
             serving=ServingConfig(max_concurrent_queries=16),
         )
 

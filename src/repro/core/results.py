@@ -38,9 +38,6 @@ class QueryResult:
     #: (e.g. ``"BroadcastHashJoin(build=right, ...)"``): a costing annotation
     #: from static statistics; every join ran in process.
     join_strategies: List[str] = field(default_factory=list)
-    #: Which engine executed the plan: ``"native"`` (in-process operators) or
-    #: ``"sqlite"`` (the SQL lowering backend).
-    engine: str = "native"
     #: Manifest append epoch of the dataset snapshot this query read, or
     #: ``None`` for sessions without a persisted dataset.  Under concurrent
     #: appends this identifies exactly which store state produced the rows.

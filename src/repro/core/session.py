@@ -43,7 +43,6 @@ from repro.core.template_cache import TemplateCache
 from repro.engine.cluster import SparkCostModel
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.plan import PlanExecutor
-from repro.engine.sql import SqliteExecutor
 from repro.engine.strategies import UNKNOWN_ROWS, estimate_rows
 from repro.mappings.extvp import ExtVPLayout, ExtVPTableInfo
 from repro.obs.explain import (
@@ -106,7 +105,8 @@ class _ReadWriteLock:
     pipeline, so each one sees exactly one manifest snapshot and its journal
     record's epoch is the epoch it actually read.  ``append_triples``,
     ``compact`` and ``save_dataset`` take the write side, which also makes
-    their catalog/sqlite invalidation safe while queries run on other threads.
+    their catalog and plan-cache invalidation safe while queries run on other
+    threads.
 
     The thread holding the write side may re-enter both sides (a mutation
     that runs a query mid-commit must not deadlock against itself); plain
@@ -184,7 +184,7 @@ class S2RDFSession:
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.layout = layout
-        # Config invariants (engine, num_partitions >= 1, ...) are enforced by
+        # Config invariants (num_partitions >= 1, ...) are enforced by
         # the config dataclasses' own __post_init__ at construction time.
         self.config = config or SessionConfig()
         self.cost_model = cost_model or SparkCostModel()
@@ -210,12 +210,9 @@ class S2RDFSession:
         #: :mod:`repro.core.template_cache`.
         self._templates = TemplateCache()
         #: Executors are *per thread* (instance state like the last physical
-        #: plan and the sqlite connection are not shareable between concurrent
-        #: queries) over the one shared catalog.  The thread-local holds each
-        #: thread's instances; the list tracks every sqlite engine ever created
-        #: so store mutations can invalidate and :meth:`close` can shut them all.
+        #: plan is not shareable between concurrent queries) over the one
+        #: shared catalog.
         self._thread_runtime = threading.local()
-        self._all_sql_executors: List[SqliteExecutor] = []
         self._runtime_lock = threading.Lock()
         #: Store mutations (write side) vs queries (read side); see
         #: :class:`_ReadWriteLock`.
@@ -261,19 +258,6 @@ class S2RDFSession:
             self._thread_runtime.executor = runtime
         return runtime
 
-    @property
-    def sql_executor(self) -> SqliteExecutor:
-        """This thread's SQLite engine (no connection until its first query)."""
-        runtime = getattr(self._thread_runtime, "sql_executor", None)
-        if runtime is None:
-            runtime = SqliteExecutor(
-                self.layout.catalog, tracer=self.tracer, metrics_registry=self.metrics
-            )
-            self._thread_runtime.sql_executor = runtime
-            with self._runtime_lock:
-                self._all_sql_executors.append(runtime)
-        return runtime
-
     def _process_pool(self):
         """The worker pool :meth:`serve` ships queries to, or ``None`` outside process mode.
 
@@ -307,7 +291,6 @@ class S2RDFSession:
             "optimize_join_order": execution.optimize_join_order,
             "use_extvp": self.config.store.use_extvp,
             "work_scale": execution.work_scale,
-            "engine": execution.engine,
         }
 
     # ------------------------------------------------------------------ #
@@ -324,7 +307,7 @@ class S2RDFSession:
         """Build the data layout for ``graph`` and return a ready session.
 
         Accepts either a prebuilt :class:`SessionConfig` or any flat session
-        knobs (``num_partitions=8, engine="sqlite", ...``) — the factory
+        knobs (``num_partitions=8, use_extvp=False, ...``) — the factory
         surface is flat on purpose (:meth:`SessionConfig.from_flat`).
         """
         if config is not None and knobs:
@@ -621,13 +604,6 @@ class S2RDFSession:
 
     def _store_changed(self, dataset: StoredDataset) -> None:
         self._dataset = dataset
-        # The SQLite engine caches loaded tables per connection; a store
-        # mutation invalidates them wholesale — on every thread's instance
-        # (safe: this runs under the write lock, so no query is in flight).
-        with self._runtime_lock:
-            sql_executors = list(self._all_sql_executors)
-        for sql_executor in sql_executors:
-            sql_executor.invalidate()
         # Plans were chosen from the statistics that just moved; the parsed
         # templates they hang off are statistics-free and stay.
         self._templates.invalidate_plans()
@@ -701,22 +677,19 @@ class S2RDFSession:
         """
         run = self._run(query, capture_estimates=True)
         result = run.result
-        if self.config.execution.engine == "sqlite":
-            # The SQLite engine runs the plan as one statement: observations
-            # exist only at the root, and there is no physical join planning.
-            node_stats = self.sql_executor.last_node_stats
-            physical = None
-        else:
-            node_stats = self.executor.last_node_stats
-            physical = self.executor.last_physical_plan
-        tree = render_explain_analyze(run.compiled.plan, run.estimates or {}, node_stats, physical)
+        executor = self.executor
+        tree = render_explain_analyze(
+            run.compiled.plan,
+            run.estimates or {},
+            executor.last_node_stats,
+            executor.last_physical_plan,
+        )
         phases = ", ".join(f"{name}={ms:.2f} ms" for name, ms in result.phase_ms.items())
         cached = {True: "hit", False: "miss", None: "not cached (Query object given)"}
         lines = [
             "== Physical Plan (analyzed) ==",
             tree,
             "",
-            f"Engine: {result.engine}",
             f"Template cache: parse={cached[run.parse_hit]}, compile={cached[run.compile_hit]}",
             f"Phases: {phases}",
             f"Wall clock: {result.wall_clock_ms:.2f} ms; "
@@ -766,19 +739,15 @@ class S2RDFSession:
                 root_estimate = None
 
             execution = self.config.execution
-            use_sqlite = execution.engine == "sqlite"
+            executor = self.executor
             metrics = ExecutionMetrics()
             phase_start = time.perf_counter()
-            with self.tracer.span("execute", category="query", engine=execution.engine):
-                if use_sqlite:
-                    relation = self.sql_executor.execute(compiled.plan, metrics)
-                else:
-                    relation = self.executor.execute(compiled.plan, metrics)
+            with self.tracer.span("execute", category="query"):
+                relation = executor.execute(compiled.plan, metrics)
             execute_ms = (time.perf_counter() - phase_start) * 1000.0
             # The physical-planning step runs inside executor.execute(); split
-            # it out so the phase dict matches the span structure.  The SQLite
-            # engine has no separate physical-planning step.
-            plan_ms = 0.0 if use_sqlite else min(self.executor.last_plan_ms, execute_ms)
+            # it out so the phase dict matches the span structure.
+            plan_ms = min(executor.last_plan_ms, execute_ms)
             phase_ms["plan"] = plan_ms
             phase_ms["execute"] = execute_ms - plan_ms
 
@@ -789,7 +758,7 @@ class S2RDFSession:
                     else metrics
                 )
                 simulated = self.cost_model.runtime_ms(scaled_metrics)
-                physical = None if use_sqlite else self.executor.last_physical_plan
+                physical = executor.last_physical_plan
                 result = QueryResult(
                     relation=relation,
                     # The plan alone renders the text; holding ``compiled.sql``
@@ -802,7 +771,6 @@ class S2RDFSession:
                     phase_ms=phase_ms,
                     selected_tables=compiled.selected_tables,
                     join_strategies=physical.describe() if physical is not None else [],
-                    engine=execution.engine,
                     epoch=epoch,
                 )
             root.set(rows=len(relation))
@@ -854,7 +822,6 @@ class S2RDFSession:
                 segments_scanned=metrics.store_segments_scanned,
                 segments_pruned=metrics.store_segments_pruned,
                 statically_empty=result.statically_empty,
-                engine=result.engine,
             )
         )
 
@@ -880,16 +847,13 @@ class S2RDFSession:
     def close(self) -> None:
         """Release every runtime resource this session acquired.
 
-        Closes each thread's SQLite engine, the process worker pool (when
-        process mode started one) and the journal's file handle.  Idempotent;
-        the context-manager form calls it on exit.
+        Closes the process worker pool (when process mode started one) and
+        the journal's file handle.  Idempotent; the context-manager form calls
+        it on exit.
         """
         with self._runtime_lock:
-            sql_executors = list(self._all_sql_executors)
             pool = self._worker_pool
             self._worker_pool = None
-        for sql_executor in sql_executors:
-            sql_executor.close()
         if pool is not None:
             pool.close()
         if self.journal is not None:

@@ -11,7 +11,8 @@ single machine:
   tuples shuffled, join comparisons, stages) collected during execution.
 * :mod:`~repro.engine.ops` — a logical plan layer with a SQL pretty-printer,
   so the S2RDF compiler genuinely produces "SQL" as in the paper;
-  :class:`~repro.engine.plan.PlanExecutor` executes it in process.
+  :class:`~repro.engine.plan.PlanExecutor`, the one engine, executes it in
+  process.
 * :class:`~repro.engine.catalog.Catalog` — the table store with statistics.
 * :mod:`~repro.engine.storage` — a simulated HDFS namespace with Parquet-like
   size accounting (dictionary + run-length encoding, snappy-style factor).

@@ -4,14 +4,14 @@ Every logical query plan is a tree of :class:`Operation` nodes — leaves scan
 catalog tables, unary nodes transform one input, binary nodes combine two.
 The design follows ``lsst-dm/daf_relation``: nodes are frozen dataclasses,
 traversal is generic (:meth:`Operation.walk`, :meth:`Operation.transform`),
-and *behaviour* lives in :class:`OperationVisitor` subclasses so engines can
-be added without touching the tree.  The serial executor, the partitioned
-runtime, cardinality estimation, ``explain_analyze`` and both SQL dialects
-(the display-only Spark text here, the executable SQLite lowering in
-:mod:`repro.engine.sql`) are all visitors over this one tree.
+and *behaviour* lives in :class:`OperationVisitor` subclasses, never in the
+tree.  The executor (:mod:`repro.engine.plan`), Spark's join-strategy
+annotation (:mod:`repro.engine.strategies`), cardinality estimation,
+``explain_analyze`` and the display SQL text rendered here are all visitors
+over this one tree.
 
 Nodes carry class-level capability flags (``is_join``, ``is_outer_join``,
-``is_scan``) so engines can branch on what a node *is* without resorting to
+``is_scan``) so visitors can branch on what a node *is* without resorting to
 ``isinstance`` ladders outside this module.
 """
 
@@ -411,8 +411,7 @@ class SparkSqlRenderer(OperationVisitor):
     """Renders a plan as indented Spark-style SQL text (display dialect).
 
     This is the human-facing rendering used by ``QueryResult.sql`` and the
-    paper-style figures; the *executable* dialect lives in
-    :class:`repro.engine.sql.SqliteBackend`.
+    paper-style figures; nothing executes it.
     """
 
     def visit_table_scan(self, node: TableScanNode, indent: int = 0) -> str:

@@ -456,8 +456,8 @@ def aggregate_value(function: str, values: Sequence[Any], distinct: bool) -> Any
     """One aggregate over the non-``None`` argument values of a group.
 
     This is the single definition of aggregate semantics, shared by
-    :meth:`Relation.aggregate` and the SQLite backend's registered aggregate
-    functions so both engines agree bit-for-bit:
+    :meth:`Relation.aggregate` and the registered aggregate functions of the
+    SQL oracle under ``tests/``, so both agree bit-for-bit:
 
     * ``count`` counts values (terms deduplicated first under ``DISTINCT``);
     * ``min``/``max`` order values like ORDER BY does (numbers first, then

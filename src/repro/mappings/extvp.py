@@ -103,7 +103,6 @@ KIND_JOIN_COLUMNS: Dict[CorrelationKind, Tuple[str, str]] = {
     CorrelationKind.SO: ("s", "o"),
     CorrelationKind.OO: ("o", "o"),
 }
-_KIND_COLUMNS = KIND_JOIN_COLUMNS  # backwards-compatible private alias
 
 
 def correlation_kinds(include_oo: bool = False) -> List[CorrelationKind]:
@@ -504,14 +503,14 @@ class ExtVPLayout:
         subjects_of: Dict[IRI, Set],
         objects_of: Dict[IRI, Set],
     ) -> Tuple[Set, Set]:
-        first_column, second_column = _KIND_COLUMNS[kind]
+        first_column, second_column = KIND_JOIN_COLUMNS[kind]
         first_values = subjects_of[first] if first_column == "s" else objects_of[first]
         second_values = subjects_of[second] if second_column == "s" else objects_of[second]
         return first_values, second_values
 
     @staticmethod
     def _semi_join(vp_first: Relation, kind: CorrelationKind, second_values: Set) -> Relation:
-        first_column, _ = _KIND_COLUMNS[kind]
+        first_column, _ = KIND_JOIN_COLUMNS[kind]
         index = vp_first.column_index(first_column)
         kept = [row for row in vp_first.rows if row[index] in second_values]
         return Relation(vp_first.columns, kept)

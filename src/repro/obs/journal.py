@@ -250,9 +250,6 @@ class JournalRecord:
     segments_scanned: int = 0
     segments_pruned: int = 0
     statically_empty: bool = False
-    #: Engine that executed the query ("native" in-process engine, or
-    #: "sqlite"); omitted from the JSON when "native".
-    engine: str = "native"
     #: Milliseconds the query waited in the serving scheduler's admission
     #: queue before execution started; ``None`` (omitted) for queries that
     #: never passed through a scheduler.
@@ -295,8 +292,6 @@ class JournalRecord:
             data["segments_pruned"] = self.segments_pruned
         if self.statically_empty:
             data["statically_empty"] = True
-        if self.engine != "native":
-            data["engine"] = self.engine
         if self.queue_ms is not None:
             data["queue_ms"] = round(self.queue_ms, 3)
         if self.dispatch_ms is not None:
@@ -348,8 +343,6 @@ class JournalRecord:
             )
         if self.statically_empty:
             line += ',"statically_empty":true'
-        if self.engine != "native":
-            line += ',"engine":"%s"' % _safe_key(self.engine)
         if self.queue_ms is not None:
             line += ',"queue_ms":%.3f' % self.queue_ms
             if self.dispatch_ms is not None:  # only served queries have a hop
@@ -359,8 +352,8 @@ class JournalRecord:
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "JournalRecord":
         """Read one journal line.  Keys this version does not write — older
-        journals carry ``aqe_replans``, ``shuffled_bytes`` and the like — are
-        ignored."""
+        journals carry ``aqe_replans``, ``shuffled_bytes``, ``engine`` and the
+        like — are ignored."""
         return cls(
             fingerprint=data["fingerprint"],
             template=data.get("template", ""),
@@ -375,7 +368,6 @@ class JournalRecord:
             segments_scanned=data.get("segments_scanned", 0),
             segments_pruned=data.get("segments_pruned", 0),
             statically_empty=data.get("statically_empty", False),
-            engine=data.get("engine", "native"),
             queue_ms=data.get("queue_ms"),
             dispatch_ms=data.get("dispatch_ms"),
         )

@@ -56,10 +56,6 @@ class TemplateStats:
     #: Distinct result cardinalities seen, per epoch — a template whose rows
     #: vary within one epoch is not a result-cache candidate.
     rows_by_epoch: Dict[Any, List[int]] = field(default_factory=dict)
-    #: Executions split by backend (``"native"`` / ``"sqlite"``): the same
-    #: template fingerprint can run on either engine, and hot-template
-    #: rankings must show which backend actually served the repeats.
-    engines: Dict[str, int] = field(default_factory=dict)
 
     @property
     def mean_wall_ms(self) -> float:
@@ -74,7 +70,6 @@ class TemplateStats:
             "mean_wall_ms": round(self.mean_wall_ms, 3),
             "total_rows": self.total_rows,
             "epochs": self.epochs,
-            "engines": {name: self.engines[name] for name in sorted(self.engines)},
         }
 
 
@@ -151,16 +146,10 @@ class WorkloadAnalysis:
             f"Hot templates (top {len(self.hot_templates)}):",
         ]
         for stats in self.hot_templates:
-            line = (
+            lines.append(
                 f"  {stats.fingerprint}  x{stats.count}  total {stats.total_wall_ms:.1f} ms  "
                 f"mean {stats.mean_wall_ms:.2f} ms"
             )
-            if set(stats.engines) - {"native"}:
-                split = ", ".join(
-                    f"{name} x{stats.engines[name]}" for name in sorted(stats.engines)
-                )
-                line += f"  [{split}]"
-            lines.append(line)
             lines.append(f"    {stats.template}")
         lines.append("")
         lines.append("Table reuse:")
@@ -236,7 +225,6 @@ def analyze_journal(
         if record.epoch not in stats.epochs:
             stats.epochs.append(record.epoch)
         stats.rows_by_epoch.setdefault(record.epoch, []).append(record.rows)
-        stats.engines[record.engine] = stats.engines.get(record.engine, 0) + 1
 
         for table, rows in record.scanned_tables.items():
             reuse = tables.get(table)

@@ -273,7 +273,6 @@ class QueryScheduler:
                     segments_scanned=metrics.store_segments_scanned,
                     segments_pruned=metrics.store_segments_pruned,
                     statically_empty=result.statically_empty,
-                    engine=result.engine,
                     queue_ms=handle.queue_ms,
                     dispatch_ms=handle.dispatch_ms,
                 )

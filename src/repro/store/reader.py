@@ -153,8 +153,8 @@ class _StoredProvider(StoredTableProvider):
         """:meth:`scan_batch` lowered to term rows, for callers that need them.
 
         Queries never come here (the executor joins the id batch and decodes
-        only what it returns); ``catalog.table``, the sqlite loader and worker
-        scan tasks that ship rows do.
+        only what it returns); ``catalog.table`` and the writer's rewrites of
+        a stored layout do.
         """
         scanned = self.scan_batch(columns, conditions)
         full_scan = scanned is self._scans.get(self.entry.columns)

@@ -6,7 +6,6 @@ import pytest
 from repro.core.config import (
     FLAT_FIELD_HOMES,
     VALID_ADMISSION_POLICIES,
-    VALID_ENGINES,
     VALID_EXECUTION_MODES,
     ExecutionConfig,
     ObservabilityConfig,
@@ -42,7 +41,7 @@ def test_flat_field_homes_covers_all_group_fields_and_nothing_else():
 # --------------------------------------------------------------------------- #
 def test_grouped_construction_is_silent_and_applies():
     config = SessionConfig(
-        execution=ExecutionConfig(num_partitions=8, engine="sqlite"),
+        execution=ExecutionConfig(num_partitions=8, optimize_join_order=False),
         serving=ServingConfig(max_concurrent_queries=16),
     )
     assert config.execution.num_partitions == 8
@@ -87,7 +86,6 @@ def test_equality_and_repr():
 @pytest.mark.parametrize(
     "group_cls, kwargs, message",
     [
-        (ExecutionConfig, {"engine": "spark"}, "unknown engine"),
         (ExecutionConfig, {"num_partitions": 0}, "num_partitions"),
         (ExecutionConfig, {"execution_mode": "gpu"}, "unknown execution_mode"),
         (ExecutionConfig, {"worker_processes": 0}, "worker_processes"),
@@ -105,8 +103,8 @@ def test_groups_validate_at_construction(group_cls, kwargs, message):
 
 
 def test_flat_spellings_validate_too():
-    with pytest.raises(ValueError, match="unknown engine"):
-        SessionConfig.from_flat(engine="spark")
+    with pytest.raises(ValueError, match="unknown execution_mode"):
+        SessionConfig.from_flat(execution_mode="gpu")
     # Writes to a group re-validate on demand via validate().
     config = SessionConfig()
     config.execution.num_partitions = -1
@@ -115,7 +113,6 @@ def test_flat_spellings_validate_too():
 
 
 def test_valid_value_tuples_are_the_documented_ones():
-    assert VALID_ENGINES == ("native", "sqlite")
     assert VALID_EXECUTION_MODES == ("thread", "process")
     assert VALID_ADMISSION_POLICIES == ("queue", "reject")
 
@@ -123,8 +120,8 @@ def test_valid_value_tuples_are_the_documented_ones():
 def test_session_factories_validate_at_construction(example_graph):
     from repro.core.session import S2RDFSession
 
-    with pytest.raises(ValueError, match="unknown engine"):
-        S2RDFSession.from_graph(example_graph, engine="spark")
+    with pytest.raises(ValueError, match="unknown execution_mode"):
+        S2RDFSession.from_graph(example_graph, execution_mode="gpu")
     with pytest.raises(ValueError, match="num_partitions"):
         S2RDFSession.from_graph(example_graph, num_partitions=0)
 
@@ -205,6 +202,35 @@ def test_the_partitioned_runtime_knobs_have_no_flat_home():
     for knob, _ in RETIRED_RUNTIME_KNOBS:
         assert knob not in FLAT_FIELD_HOMES
         assert not hasattr(ExecutionConfig(), knob)
+
+
+@pytest.mark.parametrize(
+    "surface", [pytest.param(call, id=name) for name, call in _refusing_surfaces()]
+)
+def test_the_engine_is_not_a_knob_anywhere(example_graph, tmp_path, surface):
+    """Plans run on one engine (the SQL lowering is a test oracle under
+    ``tests/engine``): ``engine=`` is refused by name, whatever its value,
+    instead of silently accepting a dead option."""
+    import repro
+
+    path = str(tmp_path / "dataset")
+    repro.create(example_graph, path=path).close()
+    for value in ("native", "sqlite"):
+        with pytest.raises(TypeError, match="engine"):
+            surface(example_graph, path, engine=value)
+
+
+def test_execution_config_has_five_fields():
+    from dataclasses import fields
+
+    assert [field.name for field in fields(ExecutionConfig)] == [
+        "num_partitions",
+        "optimize_join_order",
+        "work_scale",
+        "execution_mode",
+        "worker_processes",
+    ]
+    assert "engine" not in FLAT_FIELD_HOMES
 
 
 def test_connect_never_writes_to_the_config_it_is_given(example_graph, tmp_path):

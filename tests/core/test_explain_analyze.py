@@ -73,7 +73,7 @@ def test_explain_analyze_says_what_the_template_cache_answered(session):
 
     def tree(text):
         # Operator lines without their timings.
-        head = text.split("\n\nEngine:")[0]
+        head = text.split("\n\nTemplate cache:")[0]
         return re.sub(r"[\d.]+ ms", "_ ms", head)
 
     first = str(session.explain_analyze(QUERY))

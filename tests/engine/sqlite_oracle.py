@@ -1,8 +1,8 @@
-"""Executable SQLite backend: lowers plan IR trees to parameterized SQL.
+"""SQLite oracle: lowers plan IR trees to parameterized SQL and runs them.
 
-The native engine (:mod:`repro.engine.plan`) evaluates plans in-process over
-:class:`~repro.engine.relation.Relation` objects.  This module is the second
-engine over the same IR: a :class:`~repro.engine.ops.OperationVisitor` that
+The engine (:mod:`repro.engine.plan`) evaluates plans in-process.  This
+module is an independent evaluator of the same IR for the tests: a
+:class:`~repro.engine.ops.OperationVisitor` that
 lowers each operator to a SQL fragment, plus a :class:`SqliteExecutor` that
 loads the referenced catalog tables into an in-memory ``sqlite3`` database
 and runs the lowered statement.  It exists to *cross-check* the native
@@ -525,7 +525,7 @@ class SqliteExecutor:
     first use (terms encoded as N3 text) and cached for the lifetime of the
     connection; :meth:`invalidate` drops the cache after dataset updates.
     The public surface mirrors :class:`~repro.engine.plan.PlanExecutor`
-    (``execute``/``last_node_stats``) so the session can swap engines.
+    (``execute``/``last_node_stats``), so a test runs one plan on both.
     """
 
     def __init__(

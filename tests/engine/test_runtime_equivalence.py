@@ -5,8 +5,9 @@ and implicit) — asserting bag-equality across the execution paths: the row
 executor over the in-memory catalog (the reference), the stored native path —
 id batches over a persisted dataset that carries pending (uncompacted) delta
 segments from an incremental append, traced — directly and through
-``serve()``, the sqlite SQL-lowering backend (both over the warm catalog and
-over the delta-carrying stored dataset), the stored dataset served with
+``serve()``, the sqlite oracle (``sqlite_oracle.py``, a SQL lowering of the
+plan: over the warm catalog, and over the delta-carrying stored dataset's
+catalog with the stored session's own plan), the stored dataset served with
 ``execution_mode="process"`` — whole queries shipped to worker processes by
 ``serve()`` — and, for every plain BGP, an oracle that shares nothing with
 the engine but the parser: index nested loops over the graph
@@ -16,7 +17,7 @@ WatDiv template (and every generated query) is run again with other constants
 in its subject/object slots, so the grammar and the compilation are skipped
 and the new constants rebound into the cached tree and plan.
 
-Every WatDiv Basic and IL template also runs through the sqlite backend, the
+Every WatDiv Basic and IL template also runs through the sqlite oracle, the
 graph oracle and the stored native path at 1, 2 and 8 hash buckets.  And the
 costing pass is pinned: the one-walk planner annotates every join of the
 WatDiv workload exactly as per-join estimation does."""
@@ -25,6 +26,7 @@ import random
 
 import pytest
 
+from engine.sqlite_oracle import SqliteExecutor
 from repro.baselines.base import SparqlEngine, UnsupportedQueryError
 from repro.baselines.binding_iteration import index_nested_loop_execute
 from repro.core.session import S2RDFSession, SessionConfig
@@ -32,7 +34,6 @@ from repro.engine import strategies
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.ops import count_joins
 from repro.engine.plan import PlanExecutor
-from repro.engine.sql import SqliteExecutor
 from repro.engine.strategies import estimate_rows, plan_join_strategies
 from repro.mappings.extvp import ExtVPLayout
 from repro.rdf.graph import Graph
@@ -101,7 +102,7 @@ BUCKET_COUNTS = (1, 2, 8)
 
 @pytest.fixture(scope="module")
 def watdiv_paths(workload, small_dataset, tmp_path_factory):
-    """The sqlite backend over the shared layout's catalog, plus the small
+    """The sqlite oracle over the shared layout's catalog, plus the small
     dataset saved at every bucket count of :data:`BUCKET_COUNTS` and opened
     cold."""
     layout, _ = workload
@@ -121,7 +122,7 @@ def watdiv_paths(workload, small_dataset, tmp_path_factory):
 
 @pytest.mark.parametrize("template_name", sorted(ALL_TEMPLATES))
 def test_every_path_matches_serial_on_watdiv(workload, watdiv_paths, small_dataset, template_name):
-    """Every WatDiv Basic and IL template: the sqlite backend over the same
+    """Every WatDiv Basic and IL template: the sqlite oracle over the same
     catalog, the graph oracle and the stored native path at every bucket
     count return the row executor's bag."""
     layout, compiled = workload
@@ -329,10 +330,10 @@ def differential_setup(small_dataset, tmp_path_factory):
     assert report.triples_appended == len(pending)
     assert report.delta_segments > 0  # the deltas really are pending
 
-    # The sqlite backend runs twice: straight over the warm catalog, and as a
-    # full session over the delta-carrying stored dataset.
+    # The sqlite oracle runs twice: over the warm catalog, and over the
+    # delta-carrying stored dataset's catalog with the stored session's plans.
     sqlite_executor = SqliteExecutor(warm.layout.catalog)
-    stored_sql = S2RDFSession.open_dataset(path, engine="sqlite")
+    stored_sql = SqliteExecutor(stored.layout.catalog)
     # Process workers over the same delta-carrying dataset: the scheduler
     # ships whole queries to them.
     stored_proc = S2RDFSession.open_dataset(path, execution_mode="process", worker_processes=2)
@@ -343,9 +344,9 @@ def differential_setup(small_dataset, tmp_path_factory):
     served.close()
     served_proc.close()
     sqlite_executor.close()
+    stored_sql.close()
     warm.close()
     stored.close()
-    stored_sql.close()
     stored_proc.close()
 
 
@@ -366,9 +367,10 @@ def oracle_bag(graph: Graph, query_text: str, columns):
 
 @pytest.mark.parametrize("seed", range(24))
 def test_differential_equivalence_across_execution_modes(differential_setup, seed):
-    """Row executor, stored native (direct and served), sqlite and served
-    process-worker execution must agree on the bag of rows for every generated
-    query; plain BGPs must also agree with the graph oracle."""
+    """Row executor, stored native (direct and served), the sqlite oracle
+    (over both catalogs) and served process-worker execution must agree on the
+    bag of rows for every generated query; plain BGPs must also agree with the
+    graph oracle."""
     warm, graph, stored, sqlite_executor, stored_sql, served, served_proc = differential_setup
     generator = RandomQueryGenerator(_graph_view(warm), seed)
     catalog = warm.layout.catalog
@@ -383,15 +385,14 @@ def test_differential_equivalence_across_execution_modes(differential_setup, see
         if oracle is not None:
             assert bag(reference) == oracle, ("graph-oracle", query_text)
         for label, run in (
-            ("stored-native", stored.query),
-            ("stored-sqlite", stored_sql.query),
-            ("served", lambda text: served.submit(text).result(timeout=60)),
-            ("served-process", lambda text: served_proc.submit(text).result(timeout=60)),
+            ("stored-native", lambda text: stored.query(text).relation),
+            ("stored-sqlite", lambda text: stored_sql.execute(stored.compile(text).plan)),
+            ("served", lambda text: served.submit(text).result(timeout=60).relation),
+            ("served-process", lambda text: served_proc.submit(text).result(timeout=60).relation),
         ):
-            result = run(query_text)
-            assert result.engine == ("sqlite" if label == "stored-sqlite" else "native")
-            assert sorted(result.relation.columns) == sorted(reference.columns), (label, query_text)
-            projected = result.relation.project(reference.columns)
+            relation = run(query_text)
+            assert sorted(relation.columns) == sorted(reference.columns), (label, query_text)
+            projected = relation.project(reference.columns)
             assert bag(projected) == bag(reference), (label, query_text)
 
 

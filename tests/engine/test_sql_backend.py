@@ -1,12 +1,12 @@
-"""Unit tests for the sqlite backend (`repro.engine.sql`): statement shapes,
-the rdf_* UDF error semantics, executor caching/invalidation and the session
-engine knob."""
+"""Unit tests for the sqlite oracle (`sqlite_oracle.py` beside this file):
+statement shapes, the rdf_* UDF error semantics and executor
+caching/invalidation."""
 
 import sqlite3
 
 import pytest
 
-from repro.core.session import S2RDFSession
+from engine.sqlite_oracle import SqliteExecutor, register_rdf_functions, to_sqlite_sql
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.ops import (
     AggregateNode,
@@ -17,7 +17,6 @@ from repro.engine.ops import (
     SubqueryNode,
 )
 from repro.engine.plan import PlanExecutor
-from repro.engine.sql import SqliteExecutor, register_rdf_functions, to_sqlite_sql
 from repro.mappings.extvp import ExtVPLayout
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Variable
@@ -165,25 +164,3 @@ class TestExecutor:
             assert "vp_follows" in executor._loaded
         finally:
             executor.close()
-
-
-class TestSessionKnob:
-    def test_engine_validation(self):
-        graph = Graph([Triple.of("a", "p", "b")])
-        with pytest.raises(ValueError, match="engine"):
-            S2RDFSession.from_graph(graph, engine="postgres")
-
-    def test_append_invalidates_sqlite_cache(self, tmp_path):
-        saver = S2RDFSession.from_graph(Graph([Triple.of("a", "p", "b")]))
-        path = str(tmp_path / "dataset")
-        saver.save_dataset(path)
-        saver.close()
-        session = S2RDFSession.open_dataset(path, engine="sqlite")
-        try:
-            assert len(session.query("SELECT * WHERE { ?s <p> ?o }")) == 1
-            session.append_triples([Triple.of("c", "p", "d")])
-            # The appended row must be visible: the sqlite table cache was
-            # invalidated by the store refresh, not served stale.
-            assert len(session.query("SELECT * WHERE { ?s <p> ?o }")) == 2
-        finally:
-            session.close()

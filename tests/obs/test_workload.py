@@ -122,12 +122,13 @@ def test_hot_table_advice_requires_reuse_across_templates():
 
 
 #: A journal line with the exchange counters sessions wrote while joins ran
-#: on a partitioned runtime: all of them, once any counter was nonzero.
+#: on a partitioned runtime: all of them, once any counter was nonzero; and
+#: with the ``engine`` key of a session that ran its plans on sqlite.
 EXCHANGE_ERA_LINE = (
     '{"ts":1.000,"fingerprint":"aa","epoch":0,"rows":3,"wall_ms":2.000,'
     '"template":"T:aa","scanned_tables":{"vp_likes":4},'
     '"aqe_replans":1,"aqe_skew_splits":2,"broadcast_guard_trips":1,'
-    '"segments_scanned":6,"segments_pruned":2,"shuffled_bytes":1024,'
+    '"segments_scanned":6,"segments_pruned":2,"engine":"sqlite","shuffled_bytes":1024,'
     '"broadcast_bytes":2048}'
 )
 
@@ -155,9 +156,11 @@ def test_a_journal_with_exchange_counters_still_loads(tmp_path, capsys):
     assert json.loads(restored.to_json_line()) == {
         key: value
         for key, value in json.loads(EXCHANGE_ERA_LINE).items()
-        if key not in ("aqe_replans", "aqe_skew_splits", "broadcast_guard_trips")
+        if key not in ("aqe_replans", "aqe_skew_splits", "broadcast_guard_trips", "engine")
         and not key.endswith("_bytes")
     }
+    assert not hasattr(restored, "engine")
+    assert "engine" not in json.dumps(analyze_journal([restored]).as_dict())
 
     path = str(tmp_path / "dataset")
     with S2RDFSession.from_graph(golden_graph(), journal_enabled=False) as session:

@@ -183,3 +183,59 @@ def test_threads_racing_cold_caches_answer_like_one_thread(
             if isinstance(table, StoredTable):
                 for _, columns in table._arrays.values():
                     assert all(all_interned(column, interned) for column in columns.values())
+
+
+def test_threads_racing_the_cold_reverse_index_get_the_serial_ids(store, instantiations):
+    """Eight threads on a freshly connected store make their first
+    ``StoredTermDictionary.lookup`` calls at once, under a short switch
+    interval: half of them directly, half through queries whose constants the
+    scans look up.  Every id must be the one a lone reader gets, every answer
+    a lone reader's, and no thread may find a partly built index."""
+    texts = [text for template in BASIC_TEMPLATES for text in instantiations(template, 2)]
+    with repro.connect(store) as reference:
+        dictionary = reference._dataset.dictionary
+        expected = {text: bag(reference.query(text).relation.rows) for text in texts}
+        assert dictionary._reverse is not None  # the queries' constants were looked up
+        terms = [dictionary.decode(term_id) for term_id in range(len(dictionary))]
+        ids = {term: dictionary.lookup(term) for term in terms}
+    assert [ids[term] for term in terms] == list(range(len(terms)))
+    failures = []
+    with repro.connect(store) as session:
+        dictionary = session._dataset.dictionary
+        assert dictionary._reverse is None  # cold
+        start = threading.Barrier(8)
+
+        def look_up(offset: int) -> None:
+            for step in range(len(terms)):
+                term = terms[(offset * 101 + step) % len(terms)]
+                assert dictionary.lookup(term) == ids[term], term
+                assert len(dictionary._reverse) == len(terms)
+
+        def run_queries(offset: int) -> None:
+            for step in range(len(texts)):
+                text = texts[(offset * 7 + step) % len(texts)]
+                assert bag(session.query(text).relation.rows) == expected[text], text
+                reverse = dictionary._reverse  # None until some constant was looked up
+                assert reverse is None or len(reverse) == len(terms)
+
+        def reader(offset: int) -> None:
+            try:
+                start.wait()
+                first, then = (look_up, run_queries) if offset % 2 else (run_queries, look_up)
+                first(offset)
+                then(offset)
+            except BaseException as error:  # reported by the main thread
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[0]
