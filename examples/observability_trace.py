@@ -5,8 +5,10 @@ lifecycle — parse, compile (with table selection), physical planning,
 execution with per-scan/per-join spans — on a low-overhead tracer.
 This example:
 
-1. runs a two-join query on a traced session and prints the span tree
-   summary;
+1. runs a two-join query twice on a traced session and prints the span
+   tree summary: the repeat is a template cache hit, so its
+   ``physical-plan`` span says ``cached=True`` — Spark's join annotation
+   came with the cached plan, nothing was costed again;
 2. stales the catalog statistics and shows ``explain_analyze``: estimated
    vs. observed rows per operator, and the join strategy Spark would pick
    from those estimates;
@@ -55,16 +57,23 @@ def stale_statistics(session: S2RDFSession, factor: int = 1_000_000) -> None:
 def main() -> None:
     session = S2RDFSession.from_graph(build_graph(), num_partitions=4, tracing_enabled=True)
 
-    print("=== 1. Traced query ===")
-    result = session.query(QUERY)
-    print(f"  {len(result)} rows; phases:", {k: round(v, 2) for k, v in result.phase_ms.items()})
+    print("=== 1. Traced query, then the same template again ===")
+    for _ in range(2):
+        result = session.query(QUERY)
+        print(f"  {len(result)} rows; phases:", {k: round(v, 2) for k, v in result.phase_ms.items()})
     summary = session.tracer.summary()
     print(f"  spans recorded: {summary['spans']} ({summary['spans_by_category']})")
+    planned = [span for span in session.tracer.finished_spans() if span.name == "physical-plan"]
+    print("  physical-plan spans:", [span.attrs for span in planned])
+    assert len(planned) == 2 and planned[1].attrs["cached"] is True, planned[1].attrs
 
     print("\n=== 2. EXPLAIN ANALYZE under stale statistics ===")
     stale_statistics(session)
     explained = session.explain_analyze(QUERY)
     print(explained)
+    # explain_analyze annotates the very tree it draws: never the cached annotation.
+    last = [span for span in session.tracer.finished_spans() if span.name == "physical-plan"][-1]
+    assert last.attrs["cached"] is False, last.attrs
 
     print("\n=== 3. Chrome trace export ===")
     with tempfile.NamedTemporaryFile(

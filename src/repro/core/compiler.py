@@ -14,6 +14,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.bgp import BGPCompilationResult, compile_bgp
 from repro.core.table_selection import TableSelector
+from repro.engine.strategies import PhysicalPlan
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.engine.ops import (
     AggregateNode,
@@ -51,6 +52,10 @@ class CompiledQuery:
 
     plan: PlanNode
     bgp_results: List[BGPCompilationResult] = field(default_factory=list)
+    #: Spark's join annotation of the plan, when the template cache keeps one
+    #: for it (see :class:`~repro.engine.strategies.PhysicalPlan`); a derived
+    #: value, so not part of equality.
+    physical: Optional[PhysicalPlan] = field(default=None, compare=False, repr=False)
 
     @property
     def statically_empty(self) -> bool:

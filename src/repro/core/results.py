@@ -32,6 +32,10 @@ class QueryResult:
     #: Wall-clock milliseconds per query phase (``parse``, ``compile``,
     #: ``plan``, ``execute``).  Populated even when tracing is disabled — the
     #: session times the phases directly; the tracer only adds span detail.
+    #: ``plan`` is the time taken to obtain Spark's join annotation: taking
+    #: the one the template cache keeps with the plan (computed by the compile
+    #: that missed, so inside ``compile``), or the costing pass for a plan
+    #: without one (a ``Query`` object, ``explain_analyze``).
     phase_ms: Dict[str, float] = field(default_factory=dict)
     selected_tables: List[str] = field(default_factory=list)
     #: The join Spark would run for each join of the plan, in bottom-up order

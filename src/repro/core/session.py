@@ -43,13 +43,9 @@ from repro.core.template_cache import TemplateCache
 from repro.engine.cluster import SparkCostModel
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.plan import PlanExecutor
-from repro.engine.strategies import UNKNOWN_ROWS, estimate_rows
+from repro.engine.strategies import UNKNOWN_ROWS
 from repro.mappings.extvp import ExtVPLayout, ExtVPTableInfo
-from repro.obs.explain import (
-    ExplainAnalyzeResult,
-    collect_estimates,
-    render_explain_analyze,
-)
+from repro.obs.explain import ExplainAnalyzeResult, render_explain_analyze
 from repro.obs.journal import (
     JournalRecord,
     QueryJournal,
@@ -165,8 +161,6 @@ class _QueryRun(NamedTuple):
     result: QueryResult
     parsed: Query
     compiled: CompiledQuery
-    #: Per-operator row estimates captured before execution (``explain_analyze``).
-    estimates: Optional[Dict[int, int]]
     #: Whether the template cache answered the parse / the compile
     #: (``None``: a ``Query`` object was handed in, nothing to look up).
     parse_hit: Optional[bool]
@@ -640,7 +634,7 @@ class S2RDFSession:
         return parsed, hit
 
     def _compile(self, parsed: Query) -> Tuple[CompiledQuery, Optional[bool]]:
-        compiled, hit = self._templates.compile(parsed, self.compiler)
+        compiled, hit = self._templates.compile(parsed, self.compiler, self.layout.catalog)
         if hit is not None:
             self.metrics.inc(
                 "s2rdf_plan_cache_hits_total" if hit else "s2rdf_plan_cache_misses_total"
@@ -675,14 +669,11 @@ class S2RDFSession:
         carries both the rendered report (``str(...)``) and the full
         :class:`~repro.core.results.QueryResult`.
         """
-        run = self._run(query, capture_estimates=True)
+        run = self._run(query, fresh_physical=True)
         result = run.result
         executor = self.executor
         tree = render_explain_analyze(
-            run.compiled.plan,
-            run.estimates or {},
-            executor.last_node_stats,
-            executor.last_physical_plan,
+            run.compiled.plan, executor.last_node_stats, executor.last_physical_plan
         )
         phases = ", ".join(f"{name}={ms:.2f} ms" for name, ms in result.phase_ms.items())
         cached = {True: "hit", False: "miss", None: "not cached (Query object given)"}
@@ -697,8 +688,13 @@ class S2RDFSession:
         ]
         return ExplainAnalyzeResult(result=result, text="\n".join(lines))
 
-    def _run(self, query: Union[str, Query], capture_estimates: bool = False) -> _QueryRun:
+    def _run(self, query: Union[str, Query], fresh_physical: bool = False) -> _QueryRun:
         """The traced query pipeline: parse → compile → plan → execute → render.
+
+        The executor runs the plan with the join annotation the template cache
+        keeps with it; ``fresh_physical`` has it annotate the very tree it runs
+        instead (``explain_analyze`` draws that tree, and a rebound hit's
+        nodes are not the ones the cached annotation is keyed by).
 
         The whole pipeline holds the store lock's *read* side: concurrent
         queries proceed together, but an ``append_triples``/``compact`` on
@@ -707,11 +703,9 @@ class S2RDFSession:
         epoch.
         """
         with self._store_lock.read_locked():
-            return self._run_locked(query, capture_estimates)
+            return self._run_locked(query, fresh_physical)
 
-    def _run_locked(
-        self, query: Union[str, Query], capture_estimates: bool = False
-    ) -> _QueryRun:
+    def _run_locked(self, query: Union[str, Query], fresh_physical: bool = False) -> _QueryRun:
         total_start = time.perf_counter()
         epoch = self._journal_epoch
         phase_ms: Dict[str, float] = {}
@@ -726,27 +720,18 @@ class S2RDFSession:
                 compiled, compile_hit = self._compile(parsed)
             phase_ms["compile"] = (time.perf_counter() - phase_start) * 1000.0
 
-            catalog = self.layout.catalog
-            estimates = collect_estimates(compiled.plan, catalog) if capture_estimates else None
-            # Journal records carry the root estimate (for the q-error field).
-            if self.journal is not None:
-                root_estimate = (
-                    estimates[id(compiled.plan)]
-                    if estimates is not None
-                    else estimate_rows(compiled.plan, catalog)
-                )
-            else:
-                root_estimate = None
-
             execution = self.config.execution
             executor = self.executor
             metrics = ExecutionMetrics()
             phase_start = time.perf_counter()
             with self.tracer.span("execute", category="query"):
-                relation = executor.execute(compiled.plan, metrics)
+                relation = executor.execute(
+                    compiled.plan, metrics, None if fresh_physical else compiled.physical
+                )
             execute_ms = (time.perf_counter() - phase_start) * 1000.0
-            # The physical-planning step runs inside executor.execute(); split
-            # it out so the phase dict matches the span structure.
+            # Obtaining the join annotation (taking the cached one, or the
+            # costing pass) happens inside executor.execute(); split it out
+            # so the phase dict matches the span structure.
             plan_ms = min(executor.last_plan_ms, execute_ms)
             phase_ms["plan"] = plan_ms
             phase_ms["execute"] = execute_ms - plan_ms
@@ -770,13 +755,14 @@ class S2RDFSession:
                     statically_empty=compiled.statically_empty,
                     phase_ms=phase_ms,
                     selected_tables=compiled.selected_tables,
-                    join_strategies=physical.describe() if physical is not None else [],
+                    join_strategies=physical.describe(),
                     epoch=epoch,
                 )
             root.set(rows=len(relation))
         self._record_query_metrics(result)
-        self._journal_query(parsed, result, root_estimate)
-        return _QueryRun(result, parsed, compiled, estimates, parse_hit, compile_hit)
+        # The journal's q-error compares the root estimate with the rows.
+        self._journal_query(parsed, result, physical.root_rows)
+        return _QueryRun(result, parsed, compiled, parse_hit, compile_hit)
 
     @staticmethod
     def template_of(parsed: Query) -> Tuple[str, str]:
@@ -791,18 +777,14 @@ class S2RDFSession:
         template = template_text(parsed)
         return template, fingerprint_text(template)
 
-    def _journal_query(
-        self, parsed: Query, result: QueryResult, root_estimate: Optional[int]
-    ) -> None:
+    def _journal_query(self, parsed: Query, result: QueryResult, root_estimate: int) -> None:
         """Append one workload-journal record for an executed query."""
         journal = self.journal
         if journal is None:
             return
         template, fingerprint = self.template_of(parsed)
         metrics = result.metrics
-        estimated = (
-            None if root_estimate is None or root_estimate == UNKNOWN_ROWS else root_estimate
-        )
+        estimated = None if root_estimate == UNKNOWN_ROWS else root_estimate
         rows = len(result.relation)
         journal.append(
             JournalRecord(

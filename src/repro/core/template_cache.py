@@ -16,9 +16,14 @@ at which positions are bound.  So both are done once per template:
   algebra tree; anything irregular about them (an undeclared prefix, a
   malformed literal) falls through to the full parser, whose error it is.
 * **Compile.**  The compiled plan is kept per template and a hit rebinds the
-  new constants into its ``SubqueryNode.conditions``.  Plans depend on the
-  store's statistics, so :meth:`TemplateCache.invalidate_plans` drops them
-  whenever the store changes; parsed templates survive.
+  new constants into its ``SubqueryNode.conditions``.  Spark's join
+  annotation (:class:`~repro.engine.strategies.PhysicalPlan`: the strategy
+  strings and the root estimate the journal records) depends on the plan's
+  shape and the statistics, not on a constant, so it is computed with the
+  plan and every hit shares it.  Plans and annotations depend on the
+  statistics, so an entry is served only at the catalog statistics
+  generation it was compiled at, and :meth:`TemplateCache.invalidate_plans`
+  drops them all whenever the store changes; parsed templates survive.
 
 Rebinding is by identity: the terms the parser created for a template's slots
 are the very objects sitting in its triple patterns and, after compilation,
@@ -40,7 +45,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.bgp import BGPCompilationResult
 from repro.core.compiler import CompiledQuery, QueryCompiler
+from repro.engine.catalog import Catalog
 from repro.engine.ops import Operation, SubqueryNode
+from repro.engine.strategies import plan_join_strategies
 from repro.obs.journal import fingerprint_text, template_text
 from repro.rdf.terms import Term
 from repro.sparql.algebra import (
@@ -103,6 +110,9 @@ class TemplateBinding(NamedTuple):
 
 class _PlanEntry(NamedTuple):
     generation: int
+    #: The catalog's statistics generation the plan was chosen at.
+    statistics: int
+    #: The plan and its join annotation.
     compiled: CompiledQuery
     #: The constants of the query ``compiled`` was compiled from.
     constants: Tuple[Term, ...]
@@ -184,7 +194,7 @@ def _rebind_compiled(compiled: CompiledQuery, terms: TermMap) -> CompiledQuery:
     plan = compiled.plan
     if moved:
         plan = plan.transform(lambda node: moved.get(id(node), node))
-    return CompiledQuery(plan=plan, bgp_results=results)
+    return CompiledQuery(plan=plan, bgp_results=results, physical=compiled.physical)
 
 
 TemplateKey = Tuple[Tuple[str, ...], Tuple[Optional[str], ...]]
@@ -210,7 +220,8 @@ class TemplateCache:
         self._templates: Dict[TemplateKey, QueryTemplate] = {}
         self._plans: Dict[QueryTemplate, _PlanEntry] = {}
         #: Advanced by :meth:`invalidate_plans`; a plan compiled while the
-        #: store changed under it carries the old number and is never served.
+        #: store changed under it carries the old number and is never served
+        #: (the catalog's statistics generation guards the same way).
         self._generation = 0
 
     def __len__(self) -> int:
@@ -277,32 +288,40 @@ class TemplateCache:
 
     # ------------------------------------------------------------------ #
     def compile(
-        self, query: Query, compiler: QueryCompiler
+        self, query: Query, compiler: QueryCompiler, catalog: Catalog
     ) -> Tuple[CompiledQuery, Optional[bool]]:
         """``compiler.compile(query)`` and whether a cached plan answered it.
 
-        A query this cache did not parse (or that was edited since) is
-        compiled as it always was; the flag is ``None``.
+        The plan comes with its join annotation over ``catalog`` (the one
+        ``compiler`` selects tables from).  A query this cache did not parse
+        (or that was edited since) is compiled as it always was, without an
+        annotation; the flag is ``None``.
         """
         binding = query.template_binding
         if binding is None or not binding.describes(query):
             return compiler.compile(query), None
         template, constants, _ = binding
+        # Both read before compiling: a plan chosen while either moved carries
+        # the old number and is never served.
         generation = self._generation
+        statistics = catalog.generation
         entry = self._plans.get(template)
-        if entry is not None and entry.generation == generation:
+        if entry is not None and entry.generation == generation and entry.statistics == statistics:
             return _rebind_compiled(entry.compiled, _term_map(entry.constants, constants)), True
         compiled = compiler.compile(query)
-        if len(self._plans) >= MAX_TEMPLATES:
-            self._plans.clear()
-        self._plans[template] = _PlanEntry(generation, compiled, constants)
-        if len(self._plans) > MAX_TEMPLATES:
-            # Concurrent misses all passed the check above before inserting.
-            self._plans.clear()
+        compiled.physical = plan_join_strategies(compiled.plan, catalog)
+        # An odd generation: the statistics were changing under the compile.
+        if not statistics & 1:
+            if len(self._plans) >= MAX_TEMPLATES:
+                self._plans.clear()
+            self._plans[template] = _PlanEntry(generation, statistics, compiled, constants)
+            if len(self._plans) > MAX_TEMPLATES:
+                # Concurrent misses all passed the check above before inserting.
+                self._plans.clear()
         # The caller gets its own CompiledQuery, like on a hit.
-        return CompiledQuery(plan=compiled.plan, bgp_results=list(compiled.bgp_results)), False
+        return replace(compiled, bgp_results=list(compiled.bgp_results)), False
 
     def invalidate_plans(self) -> None:
-        """Drop every compiled plan (the statistics they were chosen from moved)."""
+        """Drop every compiled plan and its annotation (the store changed)."""
         self._generation += 1
         self._plans.clear()

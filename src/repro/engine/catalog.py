@@ -104,6 +104,14 @@ class Catalog:
         self._tables: Dict[str, Relation] = {}
         self._statistics: Dict[str, TableStatistics] = {}
         self._stored: Dict[str, StoredTableProvider] = {}
+        #: The statistics generation, stepped by every ``register*``, ``drop``
+        #: and ``remove_statistics``: odd while the change is in flight, even
+        #: once it is complete.  What was derived from the statistics while
+        #: one even generation held (a cached plan, its join annotation) is
+        #: valid exactly while it is still current.  Like every write here,
+        #: a step assumes one writer at a time (a session's store lock);
+        #: readers may run alongside.
+        self.generation = 0
 
     # ------------------------------------------------------------------ #
     # Registration
@@ -131,13 +139,17 @@ class Catalog:
         )
         if materialize:
             self._tables[name] = relation
+        self.generation += 1
         self._statistics[name] = statistics
+        self.generation += 1
         return statistics
 
     def register_statistics_only(self, name: str, row_count: int, selectivity: float) -> TableStatistics:
         """Record statistics for a table that is not materialised (e.g. empty ExtVP tables)."""
         statistics = TableStatistics(name=name, row_count=row_count, selectivity=selectivity)
+        self.generation += 1
         self._statistics[name] = statistics
+        self.generation += 1
         return statistics
 
     def register_stored(
@@ -154,14 +166,18 @@ class Catalog:
         rows.
         """
         self._stored[name] = provider
-        self._statistics[name] = statistics
         self._tables.pop(name, None)
+        self.generation += 1
+        self._statistics[name] = statistics
+        self.generation += 1
         return statistics
 
     def drop(self, name: str) -> None:
         self._tables.pop(name, None)
-        self._statistics.pop(name, None)
         self._stored.pop(name, None)
+        self.generation += 1
+        self._statistics.pop(name, None)
+        self.generation += 1
 
     def remove_statistics(self, name: str) -> None:
         """Forget the statistics for ``name`` (the table itself survives).
@@ -170,7 +186,9 @@ class Catalog:
         shuffle joins — rather than as empty.  Used by tests to simulate a
         catalog whose statistics were never collected.
         """
+        self.generation += 1
         self._statistics.pop(name, None)
+        self.generation += 1
 
     # ------------------------------------------------------------------ #
     # Lookup

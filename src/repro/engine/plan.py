@@ -6,9 +6,10 @@ the native engine: an :class:`~repro.engine.ops.OperationVisitor` whose
 ``visit_*`` hooks evaluate each operator against a
 :class:`~repro.engine.catalog.Catalog`, recording
 :class:`~repro.engine.metrics.ExecutionMetrics` and per-node observations for
-``explain_analyze``.  Before it runs a plan it annotates every join with the
-strategy Spark would pick (:mod:`repro.engine.strategies`); the annotation
-is reported, and every join runs in process either way.
+``explain_analyze``.  Every plan it runs carries the strategy Spark would
+pick for each join (:mod:`repro.engine.strategies`), handed in by the caller
+or computed before the run; the annotation is reported, and every join runs
+in process either way.
 """
 
 from __future__ import annotations
@@ -97,12 +98,26 @@ class PlanExecutor(OperationVisitor):
         #: Milliseconds the last execute() spent choosing them.
         self.last_plan_ms: float = 0.0
 
-    def execute(self, plan: Operation, metrics: Optional[ExecutionMetrics] = None) -> Relation:
+    def execute(
+        self,
+        plan: Operation,
+        metrics: Optional[ExecutionMetrics] = None,
+        physical: Optional[PhysicalPlan] = None,
+    ) -> Relation:
+        """Run ``plan``; ``physical`` is its join annotation when the caller has one.
+
+        The session hands in the annotation its template cache keeps with the
+        plan; without one (a direct caller, a ``Query`` object,
+        ``explain_analyze``) the costing pass runs here, on ``plan`` itself.
+        """
         metrics = metrics if metrics is not None else ExecutionMetrics()
         start = time.perf_counter()
         with self.tracer.span("physical-plan", category="query") as span:
-            self.last_physical_plan = plan_join_strategies(plan, self.catalog)
-            span.set(joins=len(self.last_physical_plan.strategies()))
+            cached = physical is not None
+            if not cached:
+                physical = plan_join_strategies(plan, self.catalog)
+            self.last_physical_plan = physical
+            span.set(joins=len(physical.strategies()), cached=cached)
         self.last_plan_ms = (time.perf_counter() - start) * 1000.0
         self.last_node_stats = {}
         # A batch surviving to the root is decoded here — the single

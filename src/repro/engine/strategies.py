@@ -98,27 +98,54 @@ class BroadcastHashJoin(JoinStrategy):
 
 
 class PhysicalPlan:
-    """Join-strategy annotations for one logical plan.
+    """Spark's physical view of one logical plan: a row estimate for every
+    operator and a strategy for every join, from one bottom-up walk.
 
-    Nodes are identified by object identity, which is safe because the
-    annotations never outlive the compiled plan they were derived from.
+    Nodes are identified by object identity.  The annotation holds the plan
+    it was computed from, so those identities stay unique while it lives.  It
+    depends on the plan's shape and the catalog's statistics, never on a
+    constant, so the template cache computes it once per plan entry and hands
+    it to every query that entry answers.  Such a query runs a *rebound* copy
+    of the tree, in which the nodes above a constant are new objects:
+    :meth:`strategy_for` and :meth:`rows_for` answer only for the tree the
+    annotation was computed from (``explain_analyze`` computes its own), while
+    :meth:`describe` and :attr:`root_rows` hold for every rebound copy.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, plan: PlanNode) -> None:
+        self.plan = plan
         self._strategies: Dict[int, JoinStrategy] = {}
+        self._rows: Dict[int, int] = {}
+        self._described: Optional[Tuple[str, ...]] = None
 
     def annotate(self, node: PlanNode, strategy: JoinStrategy) -> None:
         self._strategies[id(node)] = strategy
+        self._described = None
 
     def strategy_for(self, node: PlanNode) -> Optional[JoinStrategy]:
         return self._strategies.get(id(node))
+
+    def rows_for(self, node: PlanNode) -> Optional[int]:
+        """The estimated rows of ``node`` (:data:`UNKNOWN_ROWS` without statistics)."""
+        return self._rows.get(id(node))
+
+    @property
+    def root_rows(self) -> int:
+        """The estimated rows of the whole plan, :func:`estimate_rows` of its root."""
+        return self._rows[id(self.plan)]
 
     def strategies(self) -> List[JoinStrategy]:
         """Join strategies in bottom-up planning order."""
         return list(self._strategies.values())
 
     def describe(self) -> List[str]:
-        return [strategy.describe() for strategy in self._strategies.values()]
+        """One line per join, bottom-up; rendered once per annotation."""
+        described = self._described
+        if described is None:
+            described = self._described = tuple(
+                [strategy.describe() for strategy in self._strategies.values()]
+            )
+        return list(described)
 
 
 class _RowEstimator(OperationVisitor):
@@ -127,12 +154,19 @@ class _RowEstimator(OperationVisitor):
     Unary operators default to their child's estimate via
     :meth:`generic_visit`; only the nodes with a sharper rule override it.
     Every node is visited exactly once, children first — so, given a
-    :class:`PhysicalPlan`, the same walk annotates each join from the two
-    estimates it has just computed (:func:`plan_join_strategies`).
+    :class:`PhysicalPlan`, the same walk records every node's estimate and
+    annotates each join from the two estimates it has just computed
+    (:func:`plan_join_strategies`).
     """
 
     def __init__(self, physical: Optional[PhysicalPlan] = None) -> None:
         self.physical = physical
+
+    def visit(self, node: PlanNode, catalog: Catalog) -> int:
+        rows = node.accept(self, catalog)
+        if self.physical is not None:
+            self.physical._rows[id(node)] = rows
+        return rows
 
     def generic_visit(self, node: PlanNode, catalog: Catalog) -> int:
         children = node.children()
@@ -248,9 +282,9 @@ def plan_join_strategies(plan: PlanNode, catalog: Catalog) -> PhysicalPlan:
     would lose unmatched rows); a join without shared keys degenerates to a
     broadcast nested-loop join of the smaller (or only known-size) side, as
     in Spark.  One bottom-up walk: each subtree is estimated once, whatever
-    the plan depth.
+    the plan depth, and the annotation keeps every operator's estimate too.
     """
-    physical = PhysicalPlan()
+    physical = PhysicalPlan(plan)
     _RowEstimator(physical).visit(plan, catalog)
     return physical
 

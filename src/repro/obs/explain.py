@@ -1,9 +1,10 @@
 """EXPLAIN ANALYZE rendering: the executed plan, annotated with observations.
 
 ``S2RDFSession.explain_analyze`` executes a query and feeds this module the
-logical plan, the per-node estimates, the per-node observations captured by
-the executor, and the physical plan's strategy annotations.  The renderer
-draws the operator tree with, per operator:
+logical plan, the per-node observations captured by the executor, and the
+physical plan the executor computed for that very tree before running it
+(one walk: every operator's estimate and every join's strategy).  The
+renderer draws the operator tree with, per operator:
 
 * estimated vs. observed rows (``est=?`` when statistics were missing —
   exactly the inputs that make the static planner mis-plan);
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.engine.catalog import Catalog
 from repro.engine.ops import (
     AggregateNode,
     DistinctNode,
@@ -31,12 +31,7 @@ from repro.engine.ops import (
     UnionNode,
 )
 from repro.engine.plan import NodeExecution
-from repro.engine.strategies import UNKNOWN_ROWS, PhysicalPlan, estimate_rows
-
-
-def collect_estimates(plan: PlanNode, catalog: Catalog) -> Dict[int, int]:
-    """Cardinality estimates for every node, keyed by ``id()``."""
-    return {id(node): estimate_rows(node, catalog) for node in plan.walk()}
+from repro.engine.strategies import UNKNOWN_ROWS, PhysicalPlan
 
 
 @dataclass
@@ -124,16 +119,13 @@ def _node_label(node: PlanNode) -> str:
 
 
 def render_explain_analyze(
-    plan: PlanNode,
-    estimates: Dict[int, int],
-    node_stats: Dict[int, NodeExecution],
-    physical: Optional[PhysicalPlan] = None,
+    plan: PlanNode, node_stats: Dict[int, NodeExecution], physical: PhysicalPlan
 ) -> str:
-    """Draw the annotated operator tree, root first."""
+    """Draw the annotated operator tree, root first; ``physical`` annotates ``plan``."""
     lines: List[str] = []
 
     def annotate(node: PlanNode) -> str:
-        est = _format_rows(estimates.get(id(node)))
+        est = _format_rows(physical.rows_for(node))
         execution = node_stats.get(id(node))
         if execution is None:
             return f"(est={est} rows, not executed)"
@@ -148,7 +140,7 @@ def render_explain_analyze(
         lines.append(f"{prefix}{connector}{_node_label(node)}  {annotate(node)}")
         detail_prefix = prefix if is_root else prefix + ("   " if is_last else "│  ")
         children = list(node.children())
-        strategy = physical.strategy_for(node) if physical is not None else None
+        strategy = physical.strategy_for(node)
         if strategy is not None:
             child_bar = "│  " if children else "   "
             lines.append(f"{detail_prefix}{child_bar}* strategy: {strategy.describe()}")

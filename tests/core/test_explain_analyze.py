@@ -11,6 +11,7 @@ import re
 import pytest
 
 from repro import Graph, S2RDFSession, Triple
+from repro.engine.strategies import estimate_rows, plan_join_strategies
 from repro.obs.explain import ExplainAnalyzeResult
 
 
@@ -103,6 +104,39 @@ def test_explain_analyze_prints_an_inlined_join_without_an_exchange(session):
     for retired in ("exchange:", "->", "AQE replans:", "Serial fallbacks:"):
         assert retired not in text
     assert explained.result.metrics.aqe_replans == 0
+
+
+def test_explain_analyze_estimates_every_operator_in_one_walk(monkeypatch):
+    """The estimates and the strategies come from one bottom-up walk: a
+    10-pattern chain reads each scan's statistics once per visit, where
+    estimating every operator on its own would re-walk ~100 subtrees."""
+    patterns = 10
+    graph = Graph(
+        [Triple.of(f"n{i}", f"p{step}", f"n{i + 1}") for step in range(patterns) for i in range(4)]
+    )
+    text = "SELECT * WHERE { %s }" % " . ".join(
+        f"?v{step} <p{step}> ?v{step + 1}" for step in range(patterns)
+    )
+    with S2RDFSession.from_graph(graph) as session:
+        session.compile(text)  # table selection reads statistics too: not counted
+        catalog = session.layout.catalog
+        reads = []
+        statistics = catalog.statistics
+        monkeypatch.setattr(
+            catalog, "statistics", lambda name: reads.append(name) or statistics(name)
+        )
+        explained = session.explain_analyze(text)
+        monkeypatch.undo()
+        plan = session.compile(text).plan
+        scans = [node for node in plan.walk() if node.is_scan]
+        assert len(scans) == patterns
+        # Two statistics reads per scan (base rows, then distinct counts).
+        assert len(reads) == 2 * patterns, len(reads)
+        printed = re.findall(r"\(est=(\S+) rows", str(explained))
+        assert printed == [str(estimate_rows(node, catalog)) for node in plan.walk()]
+        strategies = plan_join_strategies(plan, catalog).describe()
+        assert len(strategies) == patterns - 1
+        assert explained.result.join_strategies == strategies
 
 
 # --------------------------------------------------------------------------- #

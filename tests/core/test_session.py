@@ -218,7 +218,11 @@ class TestJoinStrategyAnnotation:
 
         with S2RDFSession.from_graph(example_graph) as session:
             broadcast = session.query(query_q1)
-            monkeypatch.setattr(strategies, "DEFAULT_BROADCAST_THRESHOLD", 0)
+        # The threshold is a constant, not a statistic: no statistics
+        # generation sees it move, and a session keeps the annotation it
+        # cached with the plan.  A fresh session plans under the new value.
+        monkeypatch.setattr(strategies, "DEFAULT_BROADCAST_THRESHOLD", 0)
+        with S2RDFSession.from_graph(example_graph) as session:
             shuffle = session.query(query_q1)
         assert broadcast.join_strategies
         assert all(s.startswith("BroadcastHashJoin") for s in broadcast.join_strategies)

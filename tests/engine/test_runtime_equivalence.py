@@ -147,7 +147,8 @@ def test_one_pass_planner_decides_what_per_join_estimation_decided(
 ):
     """``plan_join_strategies`` estimates each subtree once, on the way up; the
     strategies of every WatDiv Basic template and IL chain must be the ones
-    two fresh ``estimate_rows`` calls per join produce.  At this data scale
+    two fresh ``estimate_rows`` calls per join produce, and the estimate it
+    keeps per operator the one ``estimate_rows`` gives that operator.  At this data scale
     Spark's threshold broadcasts every join, so the constant is also lowered
     to reach the shuffle side of the rule (0) and to mix both in one plan."""
     layout, compiled = workload
@@ -158,6 +159,10 @@ def test_one_pass_planner_decides_what_per_join_estimation_decided(
         expected = _strategies_by_per_join_estimates(plan, layout.catalog)
         assert physical.strategies() == expected, threshold
         assert len(expected) == count_joins(plan)
+    # The same walk kept every operator's estimate (what explain_analyze prints).
+    for node in plan.walk():
+        assert physical.rows_for(node) == estimate_rows(node, layout.catalog)
+    assert physical.root_rows == estimate_rows(plan, layout.catalog)
 
 
 # --------------------------------------------------------------------------- #

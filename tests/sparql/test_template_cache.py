@@ -10,6 +10,8 @@ anything else do not.
 
 import sys
 import threading
+import time
+from collections import Counter
 
 import pytest
 
@@ -17,8 +19,10 @@ from repro.core import template_cache
 from repro.core.compiler import QueryCompiler
 from repro.core.session import S2RDFSession
 from repro.core.table_selection import TableSelector
-from repro.obs.journal import fingerprint_text, template_text
+from repro.engine.strategies import UNKNOWN_ROWS, estimate_rows, plan_join_strategies
+from repro.obs.journal import QueryJournal, fingerprint_text, template_text
 from repro.rdf.graph import Graph
+from repro.rdf.terms import IRI
 from repro.rdf.triple import Triple
 from repro.sparql.parser import SparqlParseError, parse_query
 from repro.watdiv.basic_queries import BASIC_TEMPLATES
@@ -30,6 +34,29 @@ ALL_TEMPLATES = BASIC_TEMPLATES + INCREMENTAL_TEMPLATES + SELECTIVITY_TEMPLATES
 
 def bag(result):
     return sorted(map(repr, result.relation.rows))
+
+
+def capture_journal(session):
+    """``local.record``: the journal record the calling thread's last query wrote."""
+    local = threading.local()
+    append = session.journal.append
+
+    def capturing(record):
+        local.record = record
+        append(record)
+
+    session.journal.append = capturing
+    return local
+
+
+def uncached_annotation(session, text):
+    """Uncached plan of ``text`` over the session's statistics as they are now,
+    with the strategy strings and journal estimate computed for it."""
+    compiled = QueryCompiler(TableSelector(session.layout)).compile(parse_query(text))
+    catalog = session.layout.catalog
+    rows = estimate_rows(compiled.plan, catalog)
+    estimated = None if rows == UNKNOWN_ROWS else rows
+    return compiled, plan_join_strategies(compiled.plan, catalog).describe(), estimated
 
 
 def assert_front_end_agrees(session, text):
@@ -352,9 +379,11 @@ def test_both_tables_are_bounded(session, cache_counters, monkeypatch):
 
 
 def test_concurrent_readers_get_the_uncached_answers(example_graph, monkeypatch):
-    """More threads than cores, a short switch interval and a bound small
-    enough that the tables are cleared under the readers' feet: every answer
-    must still be the uncached one."""
+    """More threads than cores, a short switch interval, a bound small enough
+    that the tables are cleared under the readers' feet, and a thread that
+    flips one table's statistics between two states: every plan, join
+    annotation and journal estimate must be the uncached one of the
+    statistics generation the reader ran at."""
     monkeypatch.setattr(template_cache, "MAX_TEMPLATES", 3)
     subjects = ("A", "B", "C")
     shapes = (
@@ -366,24 +395,60 @@ def test_concurrent_readers_get_the_uncached_answers(example_graph, monkeypatch)
     )
     texts = [shape.format(s=subject) for shape in shapes for subject in subjects]
     failures = []
-    with S2RDFSession.from_graph(example_graph, journal_enabled=False) as session:
-        compiler = QueryCompiler(TableSelector(session.layout))
-        expected = {}
+    ran_at = [Counter() for _ in range(8)]  # per reader: no shared counter
+    with S2RDFSession.from_graph(example_graph) as session:
+        session.journal = QueryJournal()
+        journal = capture_journal(session)
+        catalog = session.layout.catalog
+        rows = {}
         for text in texts:
-            reference = parse_query(text)
             with S2RDFSession.from_graph(example_graph, journal_enabled=False) as fresh:
-                expected[text] = (reference, compiler.compile(reference), bag(fresh.query(text)))
+                rows[text] = bag(fresh.query(text))
+        # One register call (one generation step) moves between the two states.
+        table = "vp_follows"
+        honest = catalog.statistics(table)
+        states = ((table, honest.row_count, 1.0), (table, 10_000_000, 1.0))
+        expected = []
+        for state in states:
+            catalog.register_statistics_only(*state)
+            expected.append({text: uncached_annotation(session, text) for text in texts})
+        catalog.register_statistics_only(*states[0])
+        start = catalog.generation
+        assert any(expected[0][text][1:] != expected[1][text][1:] for text in texts)
+        done = threading.Event()
+
+        def state_at(generation: int) -> int:
+            # Only the flipper registers from here on: one step (+2) per flip.
+            return (generation - start) // 2 % 2
+
+        def flipper() -> None:
+            flips = 0
+            while not done.is_set():
+                flips += 1
+                catalog.register_statistics_only(*states[flips % 2])
+                time.sleep(0.003)
 
         def reader(offset: int) -> None:
             try:
                 for step in range(120):
                     text = texts[(offset + step * 7) % len(texts)]
-                    reference, compiled, rows = expected[text]
+                    reference = parse_query(text)
+                    generation = catalog.generation
                     parsed = session.parse(text)
                     assert parsed == reference, text
-                    assert session.compile(parsed) == compiled, text
-                    if step % 10 == 0:
-                        assert bag(session.query(text)) == rows, text
+                    compiled = session.compile(parsed)
+                    result = session.query(text) if step % 3 == 0 else None
+                    assert result is None or bag(result) == rows[text], text
+                    if generation & 1 or catalog.generation != generation:
+                        continue  # ran across a flip: at no one generation
+                    state = state_at(generation)
+                    plan, strategies, estimated = expected[state][text]
+                    assert compiled == plan, (text, state)
+                    assert compiled.physical.describe() == strategies, (text, state)
+                    if result is not None:
+                        assert result.join_strategies == strategies, (text, state)
+                        assert journal.record.estimated_rows == estimated, (text, state)
+                        ran_at[offset][state] += 1
             except BaseException as error:  # reported by the main thread
                 failures.append(error)
 
@@ -391,15 +456,76 @@ def test_concurrent_readers_get_the_uncached_answers(example_graph, monkeypatch)
         sys.setswitchinterval(1e-5)
         try:
             threads = [threading.Thread(target=reader, args=(n,)) for n in range(8)]
+            flipping = threading.Thread(target=flipper)
+            flipping.start()
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=60)
         finally:
+            done.set()
+            flipping.join(timeout=60)
             sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        assert not any(thread.is_alive() for thread in threads + [flipping])
         assert not failures, failures[0]
         assert len(session._templates) <= 3 and session._templates.plan_count() <= 3
+        # Both states were checked on results (fewer on a loaded machine,
+        # where more steps run across a flip).
+        checked = sum(ran_at, Counter())
+        assert min(checked[0], checked[1]) >= 5, checked
+
+
+# --------------------------------------------------------------------------- #
+# The join annotation is kept with the plan: equal to an uncached one
+# --------------------------------------------------------------------------- #
+def test_cached_join_annotations_are_the_uncached_ones(
+    small_dataset, instantiations, cache_counters, tmp_path
+):
+    """At a plan cache hit, every WatDiv Basic and IL template reports the
+    strategies and journals the root estimate that its own uncached plan, and
+    a session that never saw it, give — before and after an append that moves
+    the row counts the annotations are computed from."""
+    path = str(tmp_path / "dataset")
+    with S2RDFSession.from_graph(small_dataset.graph) as builder:
+        builder.save_dataset(path)
+    texts = {
+        template.name: instantiations(template, count=2)
+        for template in BASIC_TEMPLATES + INCREMENTAL_TEMPLATES
+    }
+
+    def annotations(session):
+        journal = capture_journal(session)
+        with S2RDFSession.open_dataset(path, journal_enabled=False) as fresh:
+            fresh.journal = QueryJournal()
+            fresh_journal = capture_journal(fresh)
+            seen = {}
+            for name, (first, second) in texts.items():
+                session.query(first)
+                before = cache_counters(session)
+                result = session.query(second)
+                assert cache_counters(session, before)[2:] == (1, 0), name  # a plan hit
+                _, strategies, estimated = uncached_annotation(session, second)
+                assert result.join_strategies == strategies, name
+                assert journal.record.estimated_rows == estimated, name
+                assert fresh.query(second).join_strategies == strategies, name
+                assert fresh_journal.record.estimated_rows == estimated, name
+                seen[name] = strategies
+        return seen
+
+    with S2RDFSession.open_dataset(path) as session:
+        before = annotations(session)
+        catalog = session.layout.catalog
+        follows = [t for t in small_dataset.graph if str(t.predicate).endswith("/follows")]
+        rows = catalog.statistics("vp_wsdbm_follows").row_count
+        session.append_triples(
+            Triple(IRI(f"http://example.org/new{i}"), t.predicate, t.object)
+            for i, t in enumerate(follows)
+        )
+        assert catalog.statistics("vp_wsdbm_follows").row_count == rows + len(follows)
+        after = annotations(session)
+    # Stale annotations could not have passed: some strategy text moved.
+    assert any(before[name] != after[name] for name in texts)
+    assert any(strategies for strategies in after.values())
 
 
 # --------------------------------------------------------------------------- #
