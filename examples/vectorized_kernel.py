@@ -1,16 +1,16 @@
-"""Id-batch execution: stored datasets run on raw dictionary ids, end to end.
+"""Id-batch execution: every session runs on raw dictionary ids, end to end.
 
 The dataset store keeps every column as RLE-compressed integer ids, and a
-session over a stored dataset executes on exactly that shape: scans emit
-``ColumnBatch``es — id columns that are lists of interned ids (equal ids are
-one int object across every table of the dataset) plus a selection vector —
-filters, joins, projections, DISTINCT, UNION and LIMIT run on raw ids, and
-terms are decoded once, for the rows a query returns.  Nothing switches this
-on.  The executor asks the catalog for a batch and gets one whenever the table
-lives in the store; an in-memory session (``from_graph``) has no dictionary
-ids, so the same queries run there on rows of terms.  This example runs both,
-verifies they agree bag for bag, and shows what the batch representation
-looks like from the inside.
+session executes on exactly that shape: scans emit ``ColumnBatch``es — id
+columns that are lists of interned ids (equal ids are one int object across
+every table of the dataset) plus a selection vector — filters, joins,
+projections, DISTINCT, UNION and LIMIT run on raw ids, and terms are decoded
+once, for the rows a query returns.  Nothing switches this on, and it does
+not matter where the store lives: a session over a dataset directory
+(``repro.connect``) reads it from there, a session built from a graph
+(``from_graph``) holds the same store image in memory.  This example runs
+both, verifies they agree bag for bag, and shows what the batch
+representation looks like from the inside.
 
 Run with:  python examples/vectorized_kernel.py
 """
@@ -48,8 +48,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as root:
         path = f"{root}/dataset"
         in_memory = S2RDFSession.from_graph(build_graph(), num_partitions=4)
-        in_memory.save_dataset(path)
-        stored = repro.connect(path)  # same data, same defaults, now store-backed
+        repro.create(build_graph(), path=path, num_partitions=4).close()
+        stored = repro.connect(path)  # same data, same defaults, from the directory
 
         # --- the batch representation, from the inside ------------------- #
         scan = stored.layout.catalog.scan_batch("vp_likes")
@@ -70,23 +70,25 @@ def main() -> None:
             f"  filter_equal on one id keeps {len(filtered)} rows by replacing the"
             f" selection vector; the id columns are shared, not copied"
         )
-        # An in-memory table has no ids to batch: the executor gets None and
-        # falls back to the row scan.
-        assert in_memory.layout.catalog.scan_batch("vp_likes") is None
+        # The in-memory session has no directory, and the same ids to batch:
+        # its store image lives in RAM.
+        assert in_memory.dataset_path is None
+        held = in_memory.layout.catalog.scan_batch("vp_likes").batch
+        assert held.ids == batch.ids
 
-        # --- identical answers; the data picked the representation ------- #
+        # --- identical answers, both on ids ------------------------------ #
         for name, query in QUERIES.items():
-            row_result = in_memory.query(query)
-            batch_result = stored.query(query)
-            assert bag(row_result.relation) == bag(batch_result.relation), name
-            assert row_result.metrics.vectorized_batches == 0
-            assert batch_result.metrics.vectorized_batches > 0
-            metrics = batch_result.metrics
+            held_result = in_memory.query(query)
+            stored_result = stored.query(query)
+            assert bag(held_result.relation) == bag(stored_result.relation), name
+            assert held_result.metrics.vectorized_batches > 0
+            assert stored_result.metrics.vectorized_batches > 0
+            metrics = stored_result.metrics
             print(
-                f"{name:<10} rows={len(batch_result.relation):<4} "
+                f"{name:<10} rows={len(stored_result.relation):<4} "
                 f"stored: vectorized_batches={metrics.vectorized_batches} "
                 f"vectorized_rows={metrics.vectorized_rows}   "
-                f"in-memory: vectorized_batches={row_result.metrics.vectorized_batches}"
+                f"in-memory: vectorized_batches={held_result.metrics.vectorized_batches}"
             )
 
         # --- explain_analyze marks batch-executed operators -------------- #

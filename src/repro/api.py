@@ -17,10 +17,10 @@ or :class:`~repro.store.writer.DatasetWriter` directly:
 
 Both factories accept the flat session knobs (``num_partitions``,
 ``execution_mode``, ...) or a prebuilt
-:class:`~repro.core.config.SessionConfig` via ``config=``.  No knob picks the
-data representation: a connected (store-backed) session executes on
-dictionary-id batches and decodes terms once per result, a session that was
-just created serves its tables from memory as rows of terms.
+:class:`~repro.core.config.SessionConfig` via ``config=``.  Every session
+executes on dictionary-id batches and decodes terms once per result: a
+connected one reads the store from its directory, a created one serves the
+same store image from memory (and writes exactly that image to ``path``).
 """
 
 from __future__ import annotations

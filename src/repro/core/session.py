@@ -11,13 +11,15 @@ simulated Spark-cluster runtime derived from the execution metrics.
     print(result.sql)
     print(result.simulated_runtime_ms)
 
-A built session can be persisted with :meth:`S2RDFSession.save_dataset` and
-reopened cold with :meth:`S2RDFSession.open_dataset`, which restores the whole
-layout from the columnar dataset store without re-parsing the RDF source or
-recomputing a single ExtVP semi-join.  A persisted dataset grows in place:
-:meth:`S2RDFSession.append_triples` writes new triples as delta segments
-(no existing segment is rewritten) and :meth:`S2RDFSession.compact` folds
-accumulated deltas back into full base segments.
+A built session lays its layout out once as the columnar store's image and
+serves that from memory; :meth:`S2RDFSession.save_dataset` writes the image
+to a directory, and :meth:`S2RDFSession.open_dataset` reopens it cold,
+restoring the whole layout from the columnar dataset store without
+re-parsing the RDF source or recomputing a single ExtVP semi-join.  A
+persisted dataset grows in place: :meth:`S2RDFSession.append_triples` writes
+new triples as delta segments (no existing segment is rewritten) and
+:meth:`S2RDFSession.compact` folds accumulated deltas back into full base
+segments.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from repro.rdf.graph import Graph
 from repro.rdf.ntriples import parse_ntriples
 from repro.rdf.triple import Triple
 from repro.sparql.algebra import Query
+from repro.store.format import DatasetImage
 from repro.store.reader import (
     DatasetLoadReport,
     StoredDataset,
@@ -231,12 +234,16 @@ class S2RDFSession:
         #: and :meth:`open_dataset`, required by :meth:`append_triples` and
         #: :meth:`compact`.
         self.dataset_path: Optional[str] = None
-        #: The opened store state (manifest, term dictionary with its reverse
-        #: index, value sets, table handles) that appends and compactions
-        #: work on in place.  ``None`` until a cold open or the first
-        #: mutation after ``save_dataset``; see :meth:`_resident_dataset` for
+        #: The store state the catalog serves (manifest, term dictionary with
+        #: its reverse index, value sets, table handles), which appends and
+        #: compactions work on in place: a directory's, or — for a layout
+        #: that was just built — its image held in memory until
+        #: ``save_dataset`` commits it.  See :meth:`_resident_dataset` for
         #: when it is trusted.
         self._dataset: Optional[StoredDataset] = None
+        catalog = layout.catalog
+        if any(map(catalog.is_loaded, catalog.table_names())):
+            self._serve(StoredDataset.hold(self._lay_out()))
 
     # ------------------------------------------------------------------ #
     # Per-thread runtime
@@ -287,6 +294,23 @@ class S2RDFSession:
             "work_scale": execution.work_scale,
         }
 
+    def _lay_out(self) -> DatasetImage:
+        """The store image of the layout's tables, at ``num_partitions`` buckets."""
+        buckets = max(self.config.execution.num_partitions, 1)
+        return DatasetWriter(num_buckets=buckets).lay_out(self.layout)
+
+    def _serve(self, dataset: StoredDataset) -> None:
+        """Serve every table of ``dataset`` from the catalog.
+
+        Each is registered with the statistics its manifest entry carries —
+        the ones the layout's build or the store gave it, so plans do not
+        change — and a relation the build registered under its name is
+        dropped.
+        """
+        for name, table in dataset.tables.items():
+            self.layout.catalog.register_stored(name, table, table.statistics())
+        self._dataset = dataset
+
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
@@ -300,9 +324,12 @@ class S2RDFSession:
     ) -> "S2RDFSession":
         """Build the data layout for ``graph`` and return a ready session.
 
-        Accepts either a prebuilt :class:`SessionConfig` or any flat session
-        knobs (``num_partitions=8, use_extvp=False, ...``) — the factory
-        surface is flat on purpose (:meth:`SessionConfig.from_flat`).
+        The session serves the layout from its store image in memory, laid
+        out once: queries run on dictionary ids as on a stored dataset, and
+        :meth:`save_dataset` writes that image.  Accepts either a prebuilt
+        :class:`SessionConfig` or any flat session knobs
+        (``num_partitions=8, use_extvp=False, ...``) — the factory surface is
+        flat on purpose (:meth:`SessionConfig.from_flat`).
         """
         if config is not None and knobs:
             raise TypeError("pass either config= or flat knobs, not both")
@@ -324,12 +351,7 @@ class S2RDFSession:
     # ------------------------------------------------------------------ #
     # Persistence
     # ------------------------------------------------------------------ #
-    def save_dataset(
-        self,
-        path: str,
-        num_buckets: Optional[int] = None,
-        overwrite: bool = False,
-    ) -> DatasetWriteReport:
+    def save_dataset(self, path: str, overwrite: bool = False) -> DatasetWriteReport:
         """Persist the session's layout to a columnar dataset directory.
 
         Every VP table (and the triples table) is written as hash-bucketed,
@@ -337,23 +359,29 @@ class S2RDFSession:
         table as bitmaps over its VP table's rows; the manifest carries all
         statistics (the statistics-only entries for empty ExtVP tables are
         implied by it), so :meth:`open_dataset` restores a fully query-ready
-        session without touching the original graph.  ``num_buckets``
-        defaults to the session's ``num_partitions``.
+        session without touching the original graph.  The bucket count is
+        the session's ``num_partitions``.
+
+        A session built from a graph writes the image it serves; any other
+        (a connected one, or one saved before) lays its tables out anew
+        first, so ``path`` may be the very directory it was opened from.
+        Either way the session then serves the dataset at ``path``.
         """
-        if num_buckets is not None:
-            buckets = num_buckets
-        else:
-            buckets = max(self.config.execution.num_partitions, 1)
         with self._store_lock.write_locked():
             with self.tracer.span("store.save", category="store", path=path) as span:
-                report = DatasetWriter(num_buckets=buckets).write(
-                    path, self.layout, overwrite=overwrite
-                )
+                held = self._dataset
+                image = held.image if held is not None else None
+                if image is None:
+                    # Nothing held in memory: lay the tables out afresh,
+                    # completely, before the commit clears anything.
+                    held, image = None, self._lay_out()
+                report = DatasetWriter.commit(image, path, overwrite=overwrite)
+                if held is None:
+                    held = StoredDataset.hold(image)
+                    self._serve(held)
+                held.committed(path)
                 span.set(tables=report.table_count, bytes=report.total_bytes)
             self.dataset_path = path
-            # The catalog still serves the in-memory tables; the first
-            # mutation opens the written store and switches over to it.
-            self._dataset = None
             self._journal_epoch = 0  # A fresh manifest starts at epoch 0.
             if self.journal is not None:
                 # Migrate to the dataset's persistent journal, carrying over
@@ -545,8 +573,8 @@ class S2RDFSession:
 
         The resident copy is trusted only while ``MANIFEST.json`` is still
         the very file (inode, size, mtime) this session last read or wrote;
-        after anyone else's commit — or before the first mutation following
-        ``save_dataset`` — the store is re-read and everything re-registered.
+        after anyone else's commit the store is re-read and everything
+        re-registered.
         """
         dataset = self._dataset
         if dataset is None or not dataset.is_current():

@@ -101,9 +101,8 @@ class TableSelector:
         # Line 1: unbound predicate -> base triples table.
         if isinstance(pattern.predicate, Variable):
             triples_name = triples_table_name()
-            row_count = 0
-            if triples_name in self.layout.catalog:
-                row_count = len(self.layout.catalog.table(triples_name))
+            statistics = self.layout.catalog.statistics(triples_name)
+            row_count = statistics.row_count if statistics is not None else 0
             return TableChoice(triples_name, row_count, 1.0, source="triples")
 
         predicate = pattern.predicate

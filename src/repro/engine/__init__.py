@@ -4,16 +4,21 @@ The paper executes SPARQL queries by compiling them to Spark SQL over tables
 stored in HDFS/Parquet.  This package provides the equivalent substrate for a
 single machine:
 
-* :class:`~repro.engine.relation.Relation` — a column-named bag of tuples with
-  the relational operators the compiler needs (project/rename, selection,
-  natural join, left outer join, semi join, union, distinct, order by, limit).
+* :class:`~repro.engine.relation.Relation` — a column-named bag of tuples of
+  terms: a decoded result, and the row operators (project/rename, selection,
+  natural join, left outer join, union, distinct, order by, limit,
+  aggregation) that run above an operator without an id kernel.
+* :class:`~repro.engine.vectorized.ColumnBatch` — dictionary-id columns with
+  a selection vector: what every scan yields and what the kernels run on.
 * :class:`~repro.engine.metrics.ExecutionMetrics` — counters (tuples scanned,
   tuples shuffled, join comparisons, stages) collected during execution.
 * :mod:`~repro.engine.ops` — a logical plan layer with a SQL pretty-printer,
   so the S2RDF compiler genuinely produces "SQL" as in the paper;
   :class:`~repro.engine.plan.PlanExecutor`, the one engine, executes it in
-  process.
-* :class:`~repro.engine.catalog.Catalog` — the table store with statistics.
+  process, scanning stored tables only.
+* :class:`~repro.engine.catalog.Catalog` — the table store with statistics:
+  a layout's build registers relations of terms, and a session serves every
+  table from the columnar store (:mod:`repro.store`) instead.
 * :mod:`~repro.engine.storage` — a simulated HDFS namespace with Parquet-like
   size accounting (dictionary + run-length encoding, snappy-style factor).
 * :mod:`~repro.engine.cluster` — cost models that convert execution metrics

@@ -6,19 +6,20 @@ creation process, most notably the selectivities (SF values) and actual sizes"
 register tables here, the compiler consults the statistics, and the plan
 executor reads the relations.
 
-Tables come in two physical flavours: *materialised* relations held in
-memory, and *stored* tables backed by the persistent columnar dataset store
-(:mod:`repro.store`).  Stored tables are registered with a handle and decoded
-lazily; the plan executor scans through :meth:`Catalog.scan_batch` (stored
-tables, as dictionary-id batches) and :meth:`Catalog.scan` (in-memory tables,
-as rows), so projection and equality predicates push down into the store
-(zone-map and hash-bucket segment pruning) while in-memory tables keep the
-exact semantics they always had.
+A layout's build registers its tables as relations of terms
+(:meth:`Catalog.register`); what queries run on are *stored* tables, backed by
+the columnar dataset store (:mod:`repro.store`) — a dataset directory, or the
+same image held in memory for a session that was just built.  Stored tables
+are registered with a handle (:meth:`Catalog.register_stored`, which drops the
+relation of the same name) and decoded lazily; the plan executor scans them
+through :meth:`Catalog.scan_batch` as dictionary-id batches, so projection and
+equality predicates push down into the store (zone-map and hash-bucket
+segment pruning).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.relation import Relation
@@ -28,15 +29,13 @@ from repro.engine.relation import Relation
 class ScanResult:
     """Outcome of one :meth:`Catalog.scan` call."""
 
-    #: The scanned rows, restricted to the requested columns for store-backed
-    #: tables (in-memory tables return their full schema; the executor
-    #: projects, exactly as before the store existed).
+    #: The scanned rows, restricted to the requested columns.
     relation: Relation
     #: Rows actually read from the physical table before filtering — for a
     #: pruned store scan this is the post-pruning row count, which is the
     #: whole point of zone maps.
     rows_scanned: int
-    #: Column segments decoded (store-backed scans only).
+    #: Column segments decoded.
     segments_scanned: int = 0
     #: Column segments skipped via zone maps / bucket pruning.
     segments_pruned: int = 0
@@ -61,13 +60,9 @@ class StoredTableProvider:
         self,
         columns: Optional[Sequence[str]] = None,
         conditions: Optional[Mapping[str, Any]] = None,
-    ) -> Optional[Any]:
-        """Id-batch scan returning a ``BatchScanResult``, or ``None``.
-
-        Providers without dictionary ids inherit this default; the executor
-        falls back to the row :meth:`scan` when it gets ``None``.
-        """
-        return None
+    ) -> Any:  # pragma: no cover - interface
+        """Id-batch scan returning a ``BatchScanResult``."""
+        raise NotImplementedError
 
 
 @dataclass
@@ -160,10 +155,8 @@ class Catalog:
         The statistics come from the store's manifest (zone-map aggregates),
         so the compiler can plan without ever decoding the table.
 
-        Re-registration (after an incremental append or a compaction) must
-        leave no trace of the previous incarnation: the decoded-rows cache is
-        dropped here, otherwise ``table()`` would keep serving pre-append
-        rows.
+        A relation registered under ``name`` (the build's) is dropped: from
+        here on the store serves the table.
         """
         self._stored[name] = provider
         self._tables.pop(name, None)
@@ -200,7 +193,7 @@ class Catalog:
         return name in self._statistics
 
     def is_loaded(self, name: str) -> bool:
-        """True when the table's rows are materialised in memory."""
+        """True when the table is a relation registered by a build (not stored)."""
         return name in self._tables
 
     def is_stored(self, name: str) -> bool:
@@ -208,15 +201,17 @@ class Catalog:
         return name in self._stored
 
     def table(self, name: str) -> Relation:
+        """All rows of ``name`` as terms (a stored table decodes them, once)."""
         relation = self._tables.get(name)
         if relation is not None:
             return relation
+        return self._provider(name).read()
+
+    def _provider(self, name: str) -> StoredTableProvider:
         provider = self._stored.get(name)
-        if provider is not None:
-            relation = provider.read()
-            self._tables[name] = relation
-            return relation
-        raise TableNotFoundError(name)
+        if provider is None:
+            raise TableNotFoundError(name)
+        return provider
 
     def scan(
         self,
@@ -224,43 +219,24 @@ class Catalog:
         columns: Optional[Sequence[str]] = None,
         conditions: Optional[Mapping[str, Any]] = None,
     ) -> ScanResult:
-        """Scan ``name`` with optional projection and equality predicates.
-
-        Store-backed tables always answer from their column segments (the
-        provider caches decoded pages), pruning whole segments via zone maps
-        and — when a predicate binds the partition key — hash-bucket
-        arithmetic; the reported scan counters are *logical*, so repeated
-        queries see stable metrics regardless of caching.  In-memory tables
-        are filtered exactly as the executor always did.
-        """
-        provider = self._stored.get(name)
-        if provider is not None:
-            return provider.scan(columns=columns, conditions=conditions)
-        relation = self.table(name)
-        rows_scanned = len(relation)
-        if conditions:
-            relation = relation.select_eq(conditions)
-        return ScanResult(relation=relation, rows_scanned=rows_scanned)
+        """:meth:`scan_batch` lowered to rows of terms."""
+        return self._provider(name).scan(columns=columns, conditions=conditions)
 
     def scan_batch(
         self,
         name: str,
         columns: Optional[Sequence[str]] = None,
         conditions: Optional[Mapping[str, Any]] = None,
-    ) -> Optional[Any]:
-        """Id-batch scan of ``name``; ``None`` when the table has no ids.
+    ) -> Any:
+        """Scan stored table ``name`` with optional projection and equality predicates.
 
-        This is where the executor learns which representation a plan runs
-        on: store-backed tables emit id batches (the ids come from the
-        dataset dictionary), in-memory tables return ``None`` and the
-        executor scans their rows with :meth:`scan` instead.
+        The result is a ``BatchScanResult``: dictionary-id columns that the
+        provider caches decoded, after whole segments were pruned via zone
+        maps and — when a predicate binds the partition key — hash-bucket
+        arithmetic.  The reported scan counters are *logical*, so repeated
+        queries see stable metrics regardless of caching.
         """
-        provider = self._stored.get(name)
-        if provider is None:
-            if name not in self._tables:
-                raise TableNotFoundError(name)
-            return None
-        return provider.scan_batch(columns=columns, conditions=conditions)
+        return self._provider(name).scan_batch(columns=columns, conditions=conditions)
 
     def statistics(self, name: str) -> Optional[TableStatistics]:
         return self._statistics.get(name)

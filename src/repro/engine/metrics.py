@@ -56,7 +56,8 @@ class ExecutionMetrics:
     #: Column segments skipped by zone-map / bucket pruning (never read).
     store_segments_pruned: int = 0
     #: Rows that flowed through id-batch operators instead of row ones —
-    #: how much of a query ran on dictionary ids (0 for in-memory sessions).
+    #: how much of a query ran on dictionary ids (0 only when nothing was
+    #: scanned: every scan yields a batch).
     vectorized_rows: int = 0
     #: Plan operators that executed on :class:`~repro.engine.vectorized.ColumnBatch`
     #: inputs (structural: depends on the plan shape, not the data size).

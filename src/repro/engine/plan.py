@@ -3,10 +3,11 @@
 The plan IR itself lives in :mod:`repro.engine.ops`; this module exports
 :class:`PlanExecutor` and :class:`NodeExecution`.  :class:`PlanExecutor` is
 the native engine: an :class:`~repro.engine.ops.OperationVisitor` whose
-``visit_*`` hooks evaluate each operator against a
-:class:`~repro.engine.catalog.Catalog`, recording
-:class:`~repro.engine.metrics.ExecutionMetrics` and per-node observations for
-``explain_analyze``.  Every plan it runs carries the strategy Spark would
+``visit_*`` hooks evaluate each operator against the stored tables of a
+:class:`~repro.engine.catalog.Catalog` — scans yield dictionary-id batches,
+decoded to terms once, at the root or at the first operator without a batch
+kernel — recording :class:`~repro.engine.metrics.ExecutionMetrics` and
+per-node observations for ``explain_analyze``.  Every plan it runs carries the strategy Spark would
 pick for each join (:mod:`repro.engine.strategies`), handed in by the caller
 or computed before the run; the annotation is reported, and every join runs
 in process either way.
@@ -68,12 +69,11 @@ def _node_span_name(plan: Operation) -> str:
 class PlanExecutor(OperationVisitor):
     """Executes logical plans against a catalog.
 
-    The data decides the representation: a scan of a store-backed table
-    yields an id :class:`ColumnBatch` and every batch-capable operator above
-    it stays on ids, decoded once at the root; operators without a kernel
-    (OPTIONAL, aggregates, ORDER BY) lower batch -> rows at their boundary.
-    In-memory tables have no ids, so their scans — and everything above
-    them — are row :class:`Relation`s.
+    Every table is a stored one, so every scan yields an id
+    :class:`ColumnBatch` and every batch-capable operator above it stays on
+    ids, decoded once at the root; operators without a kernel (OPTIONAL,
+    aggregates, ORDER BY, multi-variable filters) lower batch -> rows at
+    their boundary, and what sits above them runs on rows.
 
     Every operator is wrapped in a tracer span (no-op unless the tracer is
     enabled) and records a :class:`NodeExecution` into ``last_node_stats``,
@@ -177,32 +177,23 @@ class PlanExecutor(OperationVisitor):
     def visit_empty(self, plan: EmptyNode, metrics: ExecutionMetrics) -> Relation:
         return Relation.empty(plan.columns)
 
-    def visit_table_scan(self, plan: TableScanNode, metrics: ExecutionMetrics) -> Any:
+    def visit_table_scan(self, plan: TableScanNode, metrics: ExecutionMetrics) -> ColumnBatch:
         scan = self.catalog.scan_batch(plan.table_name, columns=plan.columns)
-        if scan is not None:
-            self._record_scan(plan.table_name, scan, metrics)
-            batch = scan.batch
-            return batch.project(plan.columns) if plan.columns != batch.columns else batch
-        scan = self.catalog.scan(plan.table_name, columns=plan.columns)
         self._record_scan(plan.table_name, scan, metrics)
-        relation = scan.relation
-        return relation.project(plan.columns) if plan.columns != relation.columns else relation
+        batch = scan.batch
+        return batch.project(plan.columns) if plan.columns != batch.columns else batch
 
-    def visit_subquery(self, plan: SubqueryNode, metrics: ExecutionMetrics) -> Any:
+    def visit_subquery(self, plan: SubqueryNode, metrics: ExecutionMetrics) -> ColumnBatch:
         columns = [column for column, _ in plan.projections]
         conditions = dict(plan.conditions) if plan.conditions else None
         scan = self.catalog.scan_batch(plan.table_name, columns=columns, conditions=conditions)
-        if scan is not None:
-            self._record_scan(plan.table_name, scan, metrics)
-            # The store scanned exactly ``columns``, in order: the subquery's
-            # projection and rename are one relabelling of those id columns.
-            batch = scan.batch
-            return ColumnBatch.adopt(
-                plan.output_columns(), batch.ids, batch.decode, selection=batch.selection
-            )
-        scan = self.catalog.scan(plan.table_name, columns=columns, conditions=conditions)
         self._record_scan(plan.table_name, scan, metrics)
-        return scan.relation.project(columns).rename(dict(plan.projections))
+        # The store scanned exactly ``columns``, in order: the subquery's
+        # projection and rename are one relabelling of those id columns.
+        batch = scan.batch
+        return ColumnBatch.adopt(
+            plan.output_columns(), batch.ids, batch.decode, selection=batch.selection
+        )
 
     def visit_natural_join(self, plan: NaturalJoinNode, metrics: ExecutionMetrics) -> Any:
         left = self._execute(plan.left, metrics)
@@ -213,25 +204,14 @@ class PlanExecutor(OperationVisitor):
         self._record_join_time(start, metrics)
         return result
 
-    @staticmethod
-    def _align_join_inputs(left: Any, right: Any) -> Any:
-        """Keep both join inputs batches only when they can join on raw ids.
-
-        A batch can only id-join another batch from the *same* dictionary;
-        any mixed or cross-dictionary pair lowers to row relations so the
-        join compares decoded terms.
-        """
-        left_batch = isinstance(left, ColumnBatch)
-        right_batch = isinstance(right, ColumnBatch)
-        # ``==`` not ``is``: decoders are bound methods, recreated per scan
-        # but equal whenever they wrap the same dictionary instance.
-        if left_batch and right_batch and left.decode == right.decode:
+    @classmethod
+    def _align_join_inputs(cls, left: Any, right: Any) -> Any:
+        """Two batches join on raw ids (a catalog's stored tables share one
+        dictionary); a batch meeting rows — the output of an operator without
+        a batch kernel, or an empty node — lowers to rows too."""
+        if isinstance(left, ColumnBatch) and isinstance(right, ColumnBatch):
             return left, right
-        if left_batch:
-            left = left.to_relation()
-        if right_batch:
-            right = right.to_relation()
-        return left, right
+        return cls._lower(left), cls._lower(right)
 
     def visit_left_outer_join(self, plan: LeftOuterJoinNode, metrics: ExecutionMetrics) -> Relation:
         left = self._lower(self._execute(plan.left, metrics))

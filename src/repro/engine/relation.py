@@ -150,11 +150,6 @@ class Relation:
     def empty(cls, columns: Sequence[str]) -> "Relation":
         return cls(columns, [])
 
-    @classmethod
-    def from_dicts(cls, columns: Sequence[str], dicts: Iterable[Mapping[str, Any]]) -> "Relation":
-        columns = tuple(columns)
-        return cls(columns, (tuple(d.get(c) for c in columns) for d in dicts))
-
     # ------------------------------------------------------------------ #
     # Unary operators
     # ------------------------------------------------------------------ #
@@ -381,45 +376,6 @@ class Relation:
         if metrics is not None:
             metrics.record_join(len(self.rows), len(other.rows), comparisons, len(output_rows))
         return Relation.adopt(output_columns, output_rows)
-
-    def semi_join(
-        self,
-        other: "Relation",
-        on: Sequence[Tuple[str, str]],
-        metrics: Optional[ExecutionMetrics] = None,
-    ) -> "Relation":
-        """Left semi join: keep rows of ``self`` with a match in ``other``.
-
-        ``on`` is a sequence of ``(left_column, right_column)`` pairs.  This is
-        the operator ExtVP is built from (Sec. 5.2).
-        """
-        left_indexes = [self.column_index(lc) for lc, _ in on]
-        right_indexes = [other.column_index(rc) for _, rc in on]
-        keys = {tuple(row[i] for i in right_indexes) for row in other.rows}
-        comparisons = 0
-        kept: List[Row] = []
-        for row in self.rows:
-            comparisons += 1
-            if tuple(row[i] for i in left_indexes) in keys:
-                kept.append(row)
-        if metrics is not None:
-            metrics.record_join(len(self.rows), len(other.rows), comparisons, len(kept))
-        return Relation.adopt(self.columns, kept)
-
-    def anti_join(
-        self,
-        other: "Relation",
-        on: Sequence[Tuple[str, str]],
-        metrics: Optional[ExecutionMetrics] = None,
-    ) -> "Relation":
-        """Left anti join: keep rows of ``self`` with no match in ``other``."""
-        left_indexes = [self.column_index(lc) for lc, _ in on]
-        right_indexes = [other.column_index(rc) for _, rc in on]
-        keys = {tuple(row[i] for i in right_indexes) for row in other.rows}
-        kept = [row for row in self.rows if tuple(row[i] for i in left_indexes) not in keys]
-        if metrics is not None:
-            metrics.record_join(len(self.rows), len(other.rows), len(self.rows), len(kept))
-        return Relation.adopt(self.columns, kept)
 
 
 class _ReversedKey:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.engine.catalog import Catalog
 from repro.engine.relation import Relation
@@ -132,48 +132,6 @@ def materialization_rule(
     return selectivity, materialize
 
 
-class MappingVPSource:
-    """Adapter giving in-memory VP rows the lazy VP-source interface.
-
-    :func:`compute_incremental_extvp` reads its pre-append VP state through a
-    *source* object so callers can defer materialising full rows: value sets
-    (``subjects``/``objects``) answer the cheap membership questions, while
-    :meth:`rows` is only invoked once an intersection proves old rows can
-    actually qualify.  This adapter wraps a plain ``{predicate: rows}``
-    mapping for callers (and tests) that already hold everything in memory;
-    the dataset store supplies its own source that serves value sets from the
-    manifest and reads segments lazily.
-    """
-
-    def __init__(self, rows_by_predicate: Mapping[IRI, Sequence[Tuple]]) -> None:
-        self._rows = rows_by_predicate
-        self._subjects: Dict[IRI, Set] = {}
-        self._objects: Dict[IRI, Set] = {}
-
-    def predicates(self) -> Iterable[IRI]:
-        return self._rows.keys()
-
-    def row_count(self, predicate: IRI) -> int:
-        return len(self._rows.get(predicate, ()))
-
-    def rows(self, predicate: IRI) -> Sequence[Tuple]:
-        return self._rows.get(predicate, ())
-
-    def subjects(self, predicate: IRI) -> Set:
-        cached = self._subjects.get(predicate)
-        if cached is None:
-            cached = {row[0] for row in self.rows(predicate)}
-            self._subjects[predicate] = cached
-        return cached
-
-    def objects(self, predicate: IRI) -> Set:
-        cached = self._objects.get(predicate)
-        if cached is None:
-            cached = {row[1] for row in self.rows(predicate)}
-            self._objects[predicate] = cached
-        return cached
-
-
 @dataclass
 class ExtVPDelta:
     """Incremental-maintenance outcome for one affected ExtVP table.
@@ -200,7 +158,7 @@ class ExtVPDelta:
 
 def compute_incremental_extvp(
     statistics: ExtVPStatistics,
-    old_vp_rows,
+    source,
     additions: Mapping[IRI, Sequence[Tuple]],
     name_for: Callable[[CorrelationKind, IRI, IRI], str],
     selectivity_threshold: float,
@@ -208,13 +166,14 @@ def compute_incremental_extvp(
 ) -> List[ExtVPDelta]:
     """Incrementally maintain ExtVP for an append, touching affected pairs only.
 
-    ``old_vp_rows`` is either a plain ``{predicate: (s, o) rows}`` mapping
-    (wrapped in :class:`MappingVPSource`) or a lazy VP source exposing
+    ``source`` is the pre-append VP state, lazily: it exposes
     ``predicates()``, ``row_count()``, ``subjects()``, ``objects()`` and
-    ``rows()``.  Pair evaluation runs on the value sets alone; ``rows()`` is
-    called only when a non-empty intersection proves old ``VP_first`` rows
-    can actually appear in a delta — so a source backed by persisted value
-    sets never touches stored segments for an append of fresh terms.
+    ``rows()`` (the dataset store's appender serves it from the manifest's
+    value sets and the table files).  Pair evaluation runs on
+    the value sets alone; ``rows()`` is called only when a non-empty
+    intersection proves old ``VP_first`` rows can actually appear in a delta
+    — so a source backed by persisted value sets never touches stored
+    segments for an append of fresh terms.
     ``additions`` maps predicates to the *new* rows of this append.  The
     caller must pre-deduplicate: ``additions[p]`` contains no row already in
     the old ``VP_p`` and no within-batch duplicates (VP tables are derived
@@ -240,7 +199,6 @@ def compute_incremental_extvp(
     a non-materialised non-empty table is simply skipped by table selection
     in favour of the VP table.
     """
-    source = old_vp_rows if hasattr(old_vp_rows, "subjects") else MappingVPSource(old_vp_rows)
     changed = {p for p, rows in additions.items() if rows}
     if not changed:
         return []

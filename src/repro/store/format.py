@@ -47,6 +47,10 @@ segments back into full base bucket segments — mapping every selection over
 a re-sorted bucket through the sort permutation — and drops dead bytes, in a
 *new* file (the epoch in its name), and deletes the old one after the swap.
 
+A :class:`DatasetImage` is the same dataset held in memory — the table files'
+bytes, the dictionary lines and the manifest object — before (or instead of)
+being written to a directory.
+
 The manifest also persists everything the query compiler needs to come back
 cold: table statistics, the VP predicate map and the ExtVP correlation
 statistics.  Only correlations with rows are listed; the empty ones (the
@@ -222,24 +226,6 @@ def read_file_range(path: str, offset: int = 0, length: int = -1) -> bytes:
         return handle.read(length)
 
 
-def read_segment_arrays(
-    path: str,
-    columns: Optional[Sequence[str]] = None,
-    offset: int = 0,
-    length: int = -1,
-    interned: Optional[Dict[int, int]] = None,
-) -> Dict[str, List[int]]:
-    """The segment at ``[offset, offset + length)`` of ``path`` as lists of interned ids.
-
-    The defaults read a file that holds exactly one segment.  ``columns``
-    restricts decoding like :func:`decode_segment`; ``interned`` is the
-    dataset's id -> int table (:func:`~repro.engine.storage.decode_id_column`),
-    so equal ids of every segment read through it are one int object.
-    """
-    data = read_file_range(path, offset, length)
-    return decode_segment(data, columns, interned, f"{path} at offset {offset}")
-
-
 # --------------------------------------------------------------------- #
 # Selection bitmaps
 # --------------------------------------------------------------------- #
@@ -309,13 +295,6 @@ def decode_term_line(line: str) -> Term:
     return term_from_string(line.encode("ascii").decode("unicode_escape"))
 
 
-def write_dictionary(root: str, terms: Sequence[Term]) -> int:
-    """Write the dataset dictionary: line ``i`` encodes term ``i``."""
-    data = "".join(encode_term_line(term) + "\n" for term in terms).encode("ascii")
-    write_at(dictionary_path(root), 0, data)
-    return len(data)
-
-
 class StoredTermDictionary:
     """Lazy view of a persisted term dictionary.
 
@@ -337,6 +316,13 @@ class StoredTermDictionary:
         self.committed_bytes = sum(map(len, lines)) + len(lines)
 
     @classmethod
+    def of_terms(cls, terms: Sequence[Term]) -> "StoredTermDictionary":
+        """The dictionary whose line ``i`` encodes ``terms[i]``, not written anywhere yet."""
+        dictionary = cls([encode_term_line(term) for term in terms])
+        dictionary._terms = list(terms)
+        return dictionary
+
+    @classmethod
     def open(cls, root: str, expected_size: Optional[int] = None) -> "StoredTermDictionary":
         with open(dictionary_path(root), "r", encoding="ascii", newline="\n") as handle:
             content = handle.read()
@@ -355,6 +341,12 @@ class StoredTermDictionary:
             # dropped — decode of an id beyond the committed range must fail.
             del lines[expected_size:]
         return cls(lines)
+
+    def write(self, root: str) -> int:
+        """Write every line as the whole of ``root``'s dictionary file; returns the bytes."""
+        data = "".join(line + "\n" for line in self._lines).encode("ascii")
+        write_at(dictionary_path(root), 0, data)
+        return len(data)
 
     def append(self, root: str, terms: Sequence[Term]) -> int:
         """Write ``terms`` at the committed end of the file and adopt them.
@@ -872,3 +864,19 @@ def read_manifest(root: str) -> Manifest:
         manifest = Manifest.from_json(json.load(handle))
     manifest.identity = identity
     return manifest
+
+
+@dataclass
+class DatasetImage:
+    """A whole dataset laid out in memory: every byte a directory would hold.
+
+    :meth:`~repro.store.writer.DatasetWriter.lay_out` builds it and
+    :meth:`~repro.store.writer.DatasetWriter.commit` writes it to a directory;
+    until then a :class:`~repro.store.reader.StoredDataset` can serve it as it
+    serves a directory, reading the same byte ranges out of ``files``.
+    """
+
+    manifest: Manifest
+    dictionary: StoredTermDictionary
+    #: Manifest-relative table file name -> its bytes.
+    files: Dict[str, bytes]

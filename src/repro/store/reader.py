@@ -9,6 +9,9 @@ empty tables), and every materialised table is registered as a *stored* table
 that decodes its column segments only when a query actually scans it — a VP
 table from its own file (:class:`StoredTable`), an ExtVP table as a view of
 the rows of its VP table that its bitmaps select (:class:`StoredSelection`).
+The same handles serve a :class:`~repro.store.format.DatasetImage` held in
+memory (:meth:`StoredDataset.hold`): they read their byte ranges through the
+dataset's :class:`DatasetFiles`, which are the directory or the image.
 
 Scans push projection and equality predicates into the store:
 
@@ -35,18 +38,19 @@ from repro.rdf.namespaces import NamespaceManager
 from repro.engine.vectorized import BatchScanResult, ColumnBatch
 from repro.store.format import (
     BitmapEntry,
+    DatasetImage,
     Manifest,
     PartitionEntry,
     SelectionEntry,
     StoredTermDictionary,
     TableEntry,
     decode_bitmap,
+    decode_segment,
     file_path,
     key_partition_index,
     manifest_identity,
     read_file_range,
     read_manifest,
-    read_segment_arrays,
 )
 
 
@@ -274,9 +278,12 @@ class StoredTable(_StoredProvider):
     segments alike.
     """
 
-    def __init__(self, root: str, entry: TableEntry, dictionary: StoredTermDictionary) -> None:
+    def __init__(
+        self, files: "DatasetFiles", entry: TableEntry, dictionary: StoredTermDictionary
+    ) -> None:
         super().__init__(entry.name, entry, dictionary)
-        self.root = root
+        #: Where the table's bytes are read from.
+        self.files = files
         #: ``id`` of a segment's manifest record -> (the record, {column: list
         #: of interned ids}); grows with scans.  Keyed by the record, not by its
         #: address: committed rows never change, but a compaction may move a
@@ -409,11 +416,9 @@ class StoredTable(_StoredProvider):
         cached = held[1]
         missing = [column for column in columns if column not in cached]
         if missing:
-            path = file_path(self.root, segment.file)
-            interned = self.dictionary.interned
-            cached.update(
-                read_segment_arrays(path, missing, segment.offset, segment.size_bytes, interned)
-            )
+            data = self.files.read(segment.file, segment.offset, segment.size_bytes)
+            origin = f"{self.files.where(segment.file)} at offset {segment.offset}"
+            cached.update(decode_segment(data, missing, self.dictionary.interned, origin))
         return cached
 
 
@@ -522,12 +527,12 @@ class StoredSelection(_StoredProvider):
         bitmap = self.selection.bitmaps[bucket]
         cached = self._positions.get(id(bitmap))
         if cached is None:
-            path = file_path(self.base.root, self.entry.file)
+            files = self.base.files
             positions = decode_bitmap(
-                read_file_range(path, bitmap.offset, bitmap.size_bytes),
+                files.read(self.entry.file, bitmap.offset, bitmap.size_bytes),
                 bitmap.rows,
                 sum(segment.row_count for segment in self.base.bucket_segments()[bucket]),
-                f"{self.name} bucket {bucket} in {path}",
+                f"{self.name} bucket {bucket} in {files.where(self.entry.file)}",
             )
             # Row numbers share the ids' int objects: a position costs a pointer.
             positions = list(map(self.dictionary.interned.setdefault, positions, positions))
@@ -542,17 +547,46 @@ class StoredSelection(_StoredProvider):
             del self._positions[key]
 
 
-@dataclass
-class StoredDataset:
-    """An opened dataset directory: manifest, dictionary and table handles.
+class DatasetFiles:
+    """Where a dataset's table files are: a directory, or a held image's bytes.
 
-    A session keeps this object for as long as it is *current*, and its
-    appends and compactions work on it in place — the manifest entries the
-    table handles point at, the dictionary they share, the value sets — so a
-    write costs what its batch costs instead of a re-read of everything.
+    The dataset and every table handle share this one object — a handle
+    reads through it and holds nothing else of the dataset — so committing
+    the image to a directory moves all of them there at once.
     """
 
-    root: str
+    def __init__(self, root: Optional[str] = None, image: Optional[DatasetImage] = None) -> None:
+        #: The directory; ``None`` while the files are ``image``'s.
+        self.root = root
+        self.image = image
+
+    def read(self, file: str, offset: int, length: int) -> bytes:
+        """The bytes ``[offset, offset + length)`` of the manifest-relative ``file``."""
+        image = self.image
+        if image is not None:
+            return image.files[file][offset : offset + length]
+        return read_file_range(file_path(self.root, file), offset, length)
+
+    def where(self, file: str) -> str:
+        """``file`` named for an error message."""
+        return file if self.root is None else file_path(self.root, file)
+
+
+@dataclass
+class StoredDataset:
+    """An opened dataset: manifest, dictionary and table handles.
+
+    It lives in a directory (:meth:`open`) or, until it is committed to one,
+    in memory as a :class:`~repro.store.format.DatasetImage` (:meth:`hold`);
+    the table handles read their byte ranges through its
+    :class:`DatasetFiles` and do not know which.  A session keeps this object
+    for as long as it is *current*, and its appends and compactions work on
+    it in place — the manifest entries the table handles point at, the
+    dictionary they share, the value sets — so a write costs what its batch
+    costs instead of a re-read of everything.
+    """
+
+    files: DatasetFiles
     manifest: Manifest
     dictionary: StoredTermDictionary
     #: Every stored table by name: the physical ones and the selections.
@@ -562,21 +596,48 @@ class StoredDataset:
     def open(cls, root: str) -> "StoredDataset":
         manifest = read_manifest(root)
         dictionary = StoredTermDictionary.open(root, expected_size=manifest.dictionary_size)
-        dataset = cls(root=root, manifest=manifest, dictionary=dictionary)
-        for name, entry in manifest.tables.items():
-            base = dataset.tables[name] = StoredTable(root, entry, dictionary)
+        return cls(DatasetFiles(root), manifest, dictionary)._with_tables()
+
+    @classmethod
+    def hold(cls, image: DatasetImage) -> "StoredDataset":
+        """Serve ``image`` from memory, exactly as if it had been committed and opened."""
+        return cls(DatasetFiles(image=image), image.manifest, image.dictionary)._with_tables()
+
+    def _with_tables(self) -> "StoredDataset":
+        for name, entry in self.manifest.tables.items():
+            base = self.tables[name] = StoredTable(self.files, entry, self.dictionary)
             for selection in entry.selections.values():
-                dataset.tables[selection.name] = StoredSelection(base, selection)
-        return dataset
+                self.tables[selection.name] = StoredSelection(base, selection)
+        return self
+
+    @property
+    def root(self) -> Optional[str]:
+        """The directory the dataset lives in; ``None`` while it is held in memory."""
+        return self.files.root
+
+    @property
+    def image(self) -> Optional[DatasetImage]:
+        """The held image, while the dataset lives in memory only."""
+        return self.files.image
+
+    def committed(self, root: str) -> None:
+        """The held image was committed to ``root``: read from there from now on.
+
+        The bytes are the same, so every decoded column and position vector
+        stays good.
+        """
+        self.files.root = root  # before the image goes: a read sees one or the other
+        self.files.image = None
 
     def is_current(self) -> bool:
         """Whether ``MANIFEST.json`` is still the file this object last read or wrote.
 
         False once anyone else committed to the directory (another session,
-        another process, a full re-save): the resident state then describes a
-        superseded manifest and must be re-read before the next write.
+        another process, a full re-save) — and for an image held in memory,
+        which no directory holds: the resident state then describes no
+        committed manifest and must be re-read before the next write.
         """
-        return manifest_identity(self.root) == self.manifest.identity
+        return self.root is not None and manifest_identity(self.root) == self.manifest.identity
 
     def table(self, name: str) -> _StoredProvider:
         return self.tables[name]
@@ -589,7 +650,7 @@ class StoredDataset:
             return table
         entry = self.manifest.tables.get(name)
         if entry is not None:
-            table = StoredTable(self.root, entry, self.dictionary)
+            table = StoredTable(self.files, entry, self.dictionary)
         else:
             entry, selection = self.manifest.selection(name)
             base = self.tables.get(entry.name) or self.changed_table(entry.name)
@@ -691,10 +752,10 @@ def refresh_dataset(layout: ExtVPLayout, path: str) -> StoredDataset:
 
     The full path, for when a session cannot just re-register what its own
     mutation touched: a pool worker that learns of a newer epoch, a session
-    whose resident copy went stale or was dropped after a failed mutation,
-    the first append after ``save_dataset``.  Everything is re-read and every
-    table re-registered (stale decoded rows are dropped); the catalog object itself — which executors hold references
-    to — stays the same.
+    whose resident copy went stale or was dropped after a failed mutation.
+    Everything is re-read and every table re-registered (stale decoded rows
+    are dropped); the catalog object itself — which executors hold
+    references to — stays the same.
     """
     start = time.perf_counter()
     dataset = StoredDataset.open(path)

@@ -1,6 +1,13 @@
-"""Writing a session's layout to a persistent dataset directory.
+"""Writing a session's layout as a dataset: laid out in memory, then committed.
 
-The writer walks every physically stored catalog table (the VP tables and the
+:meth:`DatasetWriter.lay_out` builds the whole dataset in memory — a
+:class:`~repro.store.format.DatasetImage` of table-file bytes, dictionary
+lines and manifest — and :meth:`DatasetWriter.commit` writes such an image
+to a directory; a session built from a graph serves the image in between.
+Appends (:class:`DatasetAppender`) and compactions (:class:`DatasetCompactor`)
+work on a dataset already in a directory.
+
+The lay-out walks every physically stored catalog table (the VP tables and the
 ``triples`` table), buckets its rows on the hash of their partition key
 (:func:`~repro.store.format.key_partition_index`), dictionary-encodes all
 term values against one dataset-wide :class:`~repro.rdf.dictionary.
@@ -45,6 +52,7 @@ from repro.store.format import (
     TABLES_DIR,
     BitmapEntry,
     DatasetFormatError,
+    DatasetImage,
     DeltaEntry,
     Manifest,
     PartitionEntry,
@@ -63,7 +71,6 @@ from repro.store.format import (
     read_file_range,
     table_file,
     write_at,
-    write_dictionary,
     write_manifest,
 )
 
@@ -131,14 +138,20 @@ class _FileImage:
         blob = encode_bitmap(positions)
         return BitmapEntry(self.add(blob), len(blob), len(positions))
 
+    def bytes(self) -> bytes:
+        """Everything added, back to back."""
+        return b"".join(self._ranges)
+
     def write(self, path: str) -> int:
         """Write everything added; returns the number of bytes."""
-        write_at(path, self.start, b"".join(self._ranges))
+        write_at(path, self.start, self.bytes())
         return self.end - self.start
 
 
 class DatasetWriter:
-    """Serialises an :class:`~repro.mappings.extvp.ExtVPLayout` to disk."""
+    """Serialises an :class:`~repro.mappings.extvp.ExtVPLayout`: lays it out
+    as a :class:`~repro.store.format.DatasetImage` in memory, then commits
+    that image to a directory."""
 
     def __init__(self, num_buckets: int = 4) -> None:
         if num_buckets < 1:
@@ -147,21 +160,11 @@ class DatasetWriter:
 
     # ------------------------------------------------------------------ #
     def write(self, path: str, layout: ExtVPLayout, overwrite: bool = False) -> DatasetWriteReport:
-        """Write ``layout`` (catalog tables, statistics, config) under ``path``.
+        """Write ``layout`` (catalog tables, statistics, config) under ``path``."""
+        return self.commit(self.lay_out(layout), path, overwrite=overwrite)
 
-        The manifest is removed *first* and re-written *last*, so a crash
-        mid-write leaves a directory that :func:`repro.store.reader.open_dataset`
-        rejects outright instead of a stale manifest silently paired with new
-        segments.  All previous dataset artifacts (dictionary, table files)
-        are cleared, so shrinking re-saves leave no orphans.
-        """
-        start = time.perf_counter()
-        if os.path.isfile(manifest_path(path)) and not overwrite:
-            raise FileExistsError(f"{path!r} already contains a dataset; pass overwrite=True")
-        os.makedirs(path, exist_ok=True)
-        self._clear_artifacts(path)
-        os.makedirs(os.path.join(path, TABLES_DIR))
-
+    def lay_out(self, layout: ExtVPLayout) -> DatasetImage:
+        """The v4 image of ``layout``: table files, dictionary and manifest, in memory."""
         dictionary = TermDictionary()
         catalog = layout.catalog
         # A materialised ExtVP table is no table of its own on disk: it goes
@@ -171,15 +174,13 @@ class DatasetWriter:
             reductions.setdefault(layout.vp.vp_tables[info.first], []).append(info)
         selection_names = {info.name for infos in reductions.values() for info in infos}
         tables: Dict[str, TableEntry] = {}
-        total_bytes = 0
+        files: Dict[str, bytes] = {}
         for name in catalog.table_names():
             if name in selection_names:
                 continue
-            entry = self._write_table(path, name, catalog, dictionary, reductions.get(name, ()))
+            entry, data = self._lay_out_table(name, catalog, dictionary, reductions.get(name, ()))
             tables[name] = entry
-            total_bytes += entry.committed_bytes
-
-        total_bytes += write_dictionary(path, list(dictionary.terms()))
+            files[entry.file] = data
 
         # Persist per-predicate join-value sets (in id space) so appends can
         # deduplicate and maintain ExtVP statistics without re-reading any VP
@@ -223,16 +224,43 @@ class DatasetWriter:
             vp_value_sets=vp_value_sets,
             extvp=layout.statistics,
         )
+        return DatasetImage(manifest, StoredTermDictionary.of_terms(list(dictionary.terms())), files)
+
+    @staticmethod
+    def commit(image: DatasetImage, path: str, overwrite: bool = False) -> DatasetWriteReport:
+        """Write ``image`` as the dataset under ``path``.
+
+        The image is complete before anything on disk is touched, so ``path``
+        may be the directory the image was read from.  The manifest is
+        removed *first* and re-written *last*, so a crash mid-write leaves a
+        directory that :func:`repro.store.reader.open_dataset` rejects
+        outright instead of a stale manifest silently paired with new
+        segments.  All previous dataset artifacts (dictionary, table files)
+        are cleared, so shrinking re-saves leave no orphans.
+        """
+        start = time.perf_counter()
+        if os.path.isfile(manifest_path(path)) and not overwrite:
+            raise FileExistsError(f"{path!r} already contains a dataset; pass overwrite=True")
+        os.makedirs(path, exist_ok=True)
+        DatasetWriter._clear_artifacts(path)
+        os.makedirs(os.path.join(path, TABLES_DIR))
+        total_bytes = 0
+        for file, data in image.files.items():
+            write_at(file_path(path, file), 0, data)
+            total_bytes += len(data)
+        total_bytes += image.dictionary.write(path)
+        manifest = image.manifest
         write_manifest(path, manifest)
         total_bytes += os.path.getsize(manifest_path(path))
 
+        tables = manifest.tables.values()
         return DatasetWriteReport(
             path=path,
-            table_count=len(tables) + len(selection_names),
-            segment_count=sum(entry.segment_count() for entry in tables.values()),
-            dictionary_terms=len(dictionary),
+            table_count=len(tables) + sum(len(entry.selections) for entry in tables),
+            segment_count=sum(entry.segment_count() for entry in tables),
+            dictionary_terms=len(image.dictionary),
             total_bytes=total_bytes,
-            num_buckets=self.num_buckets,
+            num_buckets=manifest.num_buckets,
             write_seconds=time.perf_counter() - start,
         )
 
@@ -251,16 +279,15 @@ class DatasetWriter:
             shutil.rmtree(tables_root)
 
     # ------------------------------------------------------------------ #
-    def _write_table(
+    def _lay_out_table(
         self,
-        root: str,
         name: str,
         catalog,
         dictionary: TermDictionary,
         reductions: Sequence[ExtVPTableInfo],
-    ) -> TableEntry:
-        """Write one table's file: every bucket's base segment, back to back,
-        then the bitmaps of each of ``reductions`` (the ExtVP tables over it)."""
+    ) -> Tuple[TableEntry, bytes]:
+        """One table's entry and file: every bucket's base segment, back to
+        back, then the bitmaps of each of ``reductions`` (the ExtVP tables over it)."""
         relation = catalog.table(name)
         columns = relation.columns
         partition_keys = self._partition_keys(columns)
@@ -318,10 +345,9 @@ class DatasetWriter:
                     distinct_objects=reduced.distinct_objects,
                     bitmaps=[image.add_bitmap(positions) for positions in selected],
                 )
-        image.write(file_path(root, file))
 
         statistics = catalog.statistics(name)
-        return TableEntry(
+        entry = TableEntry(
             name=name,
             columns=columns,
             row_count=len(relation),
@@ -333,6 +359,7 @@ class DatasetWriter:
             partitions=entries,
             selections=selections,
         )
+        return entry, image.bytes()
 
     @staticmethod
     def _partition_keys(columns: Tuple[str, ...]) -> Tuple[str, ...]:

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core.bgp import compile_bgp
+from repro.core.session import S2RDFSession
 from repro.core.table_selection import TableSelector
 from repro.core.translation import triple_pattern_to_subquery
 from repro.engine.ops import EmptyNode, NaturalJoinNode, SubqueryNode, count_joins
-from repro.engine.plan import PlanExecutor
 from repro.mappings.extvp import ExtVPLayout
 from repro.rdf.terms import IRI, Variable
 from repro.sparql.algebra import BGP, TriplePattern
@@ -29,6 +29,12 @@ def layout(example_graph):
 @pytest.fixture(scope="module")
 def selector(layout):
     return TableSelector(layout)
+
+
+@pytest.fixture(scope="module")
+def executor(layout):
+    """The engine over ``layout``, which a session serves from its store image."""
+    return S2RDFSession(layout).executor
 
 
 class TestTableSelection:
@@ -118,11 +124,11 @@ class TestTP2SQL:
 
 
 class TestBGP2SQL:
-    def test_q1_produces_three_joins(self, selector, layout):
+    def test_q1_produces_three_joins(self, selector, executor):
         result = compile_bgp(BGP(TestTableSelection.Q1), selector)
         assert count_joins(result.plan) == 3
         assert not result.statically_empty
-        executed = PlanExecutor(layout.catalog).execute(result.plan)
+        executed = executor.execute(result.plan)
         assert len(executed) == 1  # the single solution of the running example
 
     def test_empty_bgp(self, selector):
@@ -152,8 +158,7 @@ class TestBGP2SQL:
         result = compile_bgp(BGP(TestTableSelection.Q1), selector, optimize_join_order=False)
         assert result.join_order == list(TestTableSelection.Q1)
 
-    def test_optimization_does_not_change_results(self, selector, layout):
-        executor = PlanExecutor(layout.catalog)
+    def test_optimization_does_not_change_results(self, selector, executor):
         optimized = compile_bgp(BGP(TestTableSelection.Q1), selector, optimize_join_order=True)
         unoptimized = compile_bgp(BGP(TestTableSelection.Q1), selector, optimize_join_order=False)
         left = executor.execute(optimized.plan)

@@ -59,7 +59,9 @@ def test_explain_analyze_with_accurate_statistics(session):
     assert "strategy: BroadcastHashJoin(" in text
     assert "->" not in text
     # Every executed operator reports estimated and observed rows + elapsed.
-    annotations = re.findall(r"\(est=(\S+) rows, actual=(\d+) rows, [\d.]+ ms\)", text)
+    annotations = re.findall(
+        r"\(est=(\S+) rows, actual=(\d+) rows, [\d.]+ ms(?:, vectorized)?\)", text
+    )
     assert annotations, text
     assert "Phases:" in text
     assert "Wall clock:" in text

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.session import S2RDFSession
 from repro.engine.catalog import Catalog, TableNotFoundError
 from repro.engine.cluster import (
     CentralizedCostModel,
@@ -28,6 +29,7 @@ from repro.engine.ops import (
 )
 from repro.engine.plan import PlanExecutor
 from repro.engine.relation import Relation
+from repro.mappings.extvp import ExtVPLayout
 from repro.rdf.terms import IRI, Literal, Variable
 from repro.sparql.expressions import Comparison, TermExpression, VariableExpression
 
@@ -45,6 +47,9 @@ def catalog():
 
 @pytest.fixture
 def executor(catalog):
+    """The engine over ``catalog``'s tables, served from their store image as
+    a session serves a built layout's."""
+    S2RDFSession(ExtVPLayout(catalog=catalog))
     return PlanExecutor(catalog)
 
 

@@ -2,12 +2,14 @@
 BGP / OPTIONAL / UNION queries — layered with FILTER expressions, DISTINCT,
 ORDER BY + LIMIT and aggregate heads (COUNT / SUM / AVG / MIN / MAX, grouped
 and implicit) — asserting bag-equality across the execution paths: the row
-executor over the in-memory catalog (the reference), the stored native path —
-id batches over a persisted dataset that carries pending (uncompacted) delta
-segments from an incremental append, traced — directly and through
-``serve()``, the sqlite oracle (``sqlite_oracle.py``, a SQL lowering of the
-plan: over the warm catalog, and over the delta-carrying stored dataset's
-catalog with the stored session's own plan), the stored dataset served with
+oracle (``row_oracle.py``, the plan executor on rows of terms over a build
+catalog's relations: the reference), the in-memory session (id batches over
+the store image it holds), the stored native path — id batches over a
+persisted dataset that carries pending (uncompacted) delta segments from an
+incremental append, traced — directly and through ``serve()``, the sqlite
+oracle (``sqlite_oracle.py``, a SQL lowering of the plan: over the build
+catalog, and over the delta-carrying stored dataset's catalog with the
+stored session's own plan), the stored dataset served with
 ``execution_mode="process"`` — whole queries shipped to worker processes by
 ``serve()`` — and, for every plain BGP, an oracle that shares nothing with
 the engine but the parser: index nested loops over the graph
@@ -18,7 +20,8 @@ in its subject/object slots, so the grammar and the compilation are skipped
 and the new constants rebound into the cached tree and plan.
 
 Every WatDiv Basic and IL template also runs through the sqlite oracle, the
-graph oracle and the stored native path at 1, 2 and 8 hash buckets.  And the
+graph oracle, the in-memory session and the stored native path at 1, 2 and 8
+hash buckets.  And the
 costing pass is pinned: the one-walk planner annotates every join of the
 WatDiv workload exactly as per-join estimation does."""
 
@@ -26,10 +29,13 @@ import random
 
 import pytest
 
+from engine.row_oracle import RowOracle
 from engine.sqlite_oracle import SqliteExecutor
 from repro.baselines.base import SparqlEngine, UnsupportedQueryError
 from repro.baselines.binding_iteration import index_nested_loop_execute
-from repro.core.session import S2RDFSession, SessionConfig
+from repro.core.compiler import QueryCompiler
+from repro.core.session import S2RDFSession
+from repro.core.table_selection import TableSelector
 from repro.engine import strategies
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.ops import count_joins
@@ -48,12 +54,13 @@ ALL_TEMPLATES = {template.name: template for template in BASIC_TEMPLATES + INCRE
 
 @pytest.fixture(scope="module")
 def workload(small_dataset):
-    """One shared layout plus every workload query compiled once."""
+    """One build layout (the row oracle's catalog) plus every workload query
+    compiled once over its statistics."""
     layout = ExtVPLayout(selectivity_threshold=1.0)
     layout.build(small_dataset.graph)
-    session = S2RDFSession(layout, config=SessionConfig())
+    compiler = QueryCompiler(TableSelector(layout))
     compiled = {
-        name: session.compile(instantiate_template(template, small_dataset))
+        name: compiler.compile(parse_query(instantiate_template(template, small_dataset)))
         for name, template in ALL_TEMPLATES.items()
     }
     return layout, compiled
@@ -102,43 +109,69 @@ BUCKET_COUNTS = (1, 2, 8)
 
 @pytest.fixture(scope="module")
 def watdiv_paths(workload, small_dataset, tmp_path_factory):
-    """The sqlite oracle over the shared layout's catalog, plus the small
-    dataset saved at every bucket count of :data:`BUCKET_COUNTS` and opened
-    cold."""
+    """The sqlite oracle over the build catalog, plus, at every bucket count
+    of :data:`BUCKET_COUNTS`, an in-memory session and the small dataset it
+    saves, opened cold."""
     layout, _ = workload
     sqlite_executor = SqliteExecutor(layout.catalog)
-    saver = S2RDFSession.from_graph(small_dataset.graph, journal_enabled=False)
-    stored = {}
+    sessions = {}
     for buckets in BUCKET_COUNTS:
+        in_memory = S2RDFSession.from_graph(
+            small_dataset.graph, num_partitions=buckets, journal_enabled=False
+        )
         path = str(tmp_path_factory.mktemp(f"watdiv-{buckets}-buckets") / "dataset")
-        saver.save_dataset(path, num_buckets=buckets)
-        stored[buckets] = S2RDFSession.open_dataset(path, journal_enabled=False)
-    saver.close()
-    yield sqlite_executor, stored
+        with S2RDFSession.from_graph(
+            small_dataset.graph, num_partitions=buckets, journal_enabled=False
+        ) as saver:
+            saver.save_dataset(path)
+        sessions[f"in-memory, {buckets} bucket(s)"] = in_memory
+        sessions[f"stored, {buckets} bucket(s)"] = S2RDFSession.open_dataset(
+            path, journal_enabled=False
+        )
+    yield sqlite_executor, sessions
     sqlite_executor.close()
-    for session in stored.values():
+    for session in sessions.values():
         session.close()
 
 
 @pytest.mark.parametrize("template_name", sorted(ALL_TEMPLATES))
 def test_every_path_matches_serial_on_watdiv(workload, watdiv_paths, small_dataset, template_name):
     """Every WatDiv Basic and IL template: the sqlite oracle over the same
-    catalog, the graph oracle and the stored native path at every bucket
-    count return the row executor's bag."""
+    catalog, the graph oracle, and the in-memory and stored native paths at
+    every bucket count return the row oracle's bag."""
     layout, compiled = workload
-    sqlite_executor, stored = watdiv_paths
+    sqlite_executor, sessions = watdiv_paths
     plan = compiled[template_name].plan
     text = instantiate_template(ALL_TEMPLATES[template_name], small_dataset)
-    serial = PlanExecutor(layout.catalog).execute(plan, ExecutionMetrics())
+    serial = RowOracle(layout.catalog).execute(plan, ExecutionMetrics())
     sql_result = sqlite_executor.execute(plan, ExecutionMetrics())
     assert sql_result.columns == serial.columns
     assert bag(sql_result) == bag(serial), "sqlite"
     assert oracle_bag(small_dataset.graph, text, serial.columns) == bag(serial), "graph-oracle"
-    for buckets, session in stored.items():
+    for label, session in sessions.items():
         result = session.query(text)
-        assert sorted(result.relation.columns) == sorted(serial.columns), buckets
+        assert sorted(result.relation.columns) == sorted(serial.columns), label
         projected = result.relation.project(serial.columns)
-        assert bag(projected) == bag(serial), f"stored, {buckets} bucket(s)"
+        assert bag(projected) == bag(serial), label
+
+
+@pytest.mark.parametrize("template_name", sorted(ALL_TEMPLATES))
+def test_in_memory_session_executes_on_ids(workload, watdiv_paths, small_dataset, template_name):
+    """A session built from a graph serves its store image: every WatDiv Basic
+    and IL template runs on id batches there, at every bucket count, and
+    returns the row oracle's bag."""
+    layout, compiled = workload
+    _, sessions = watdiv_paths
+    text = instantiate_template(ALL_TEMPLATES[template_name], small_dataset)
+    serial = RowOracle(layout.catalog).execute(compiled[template_name].plan)
+    for label, session in sessions.items():
+        if not label.startswith("in-memory"):
+            continue
+        assert session.dataset_path is None, label
+        result = session.query(text)
+        # A query the statistics prove empty scans nothing at all.
+        assert result.statically_empty or result.metrics.vectorized_batches > 0, label
+        assert bag(result.relation.project(serial.columns)) == bag(serial), label
 
 
 @pytest.mark.parametrize("template_name", sorted(ALL_TEMPLATES))
@@ -313,16 +346,19 @@ class RandomQueryGenerator:
 
 @pytest.fixture(scope="module")
 def differential_setup(small_dataset, tmp_path_factory):
-    """One warm layout on the full graph plus a stored session whose dataset
-    was saved from a *subset* and grown to the full graph via append_triples —
-    so its tables carry pending, uncompacted delta segments."""
+    """The row oracle over a build of the full graph, a warm in-memory
+    session on it, plus a stored session whose dataset was saved from a
+    *subset* and grown to the full graph via append_triples — so its tables
+    carry pending, uncompacted delta segments."""
     graph = small_dataset.graph
     triples = sorted(graph, key=lambda t: (t.subject.n3(), t.predicate.n3(), t.object.n3()))
     base = [t for i, t in enumerate(triples) if i % 7 != 0]
     pending = [t for i, t in enumerate(triples) if i % 7 == 0]
 
-    warm = S2RDFSession(ExtVPLayout(selectivity_threshold=1.0), config=SessionConfig())
-    warm.layout.build(graph)
+    build = ExtVPLayout(selectivity_threshold=1.0)
+    build.build(graph)
+    row_oracle = RowOracle(build.catalog)
+    warm = S2RDFSession.from_graph(graph, selectivity_threshold=1.0)
 
     saver = S2RDFSession.from_graph(Graph(base), num_partitions=4)
     path = str(tmp_path_factory.mktemp("differential") / "dataset")
@@ -335,9 +371,9 @@ def differential_setup(small_dataset, tmp_path_factory):
     assert report.triples_appended == len(pending)
     assert report.delta_segments > 0  # the deltas really are pending
 
-    # The sqlite oracle runs twice: over the warm catalog, and over the
+    # The sqlite oracle runs twice: over the build catalog, and over the
     # delta-carrying stored dataset's catalog with the stored session's plans.
-    sqlite_executor = SqliteExecutor(warm.layout.catalog)
+    sqlite_executor = SqliteExecutor(build.catalog)
     stored_sql = SqliteExecutor(stored.layout.catalog)
     # Process workers over the same delta-carrying dataset: the scheduler
     # ships whole queries to them.
@@ -345,7 +381,7 @@ def differential_setup(small_dataset, tmp_path_factory):
     served = stored.serve()
     served_proc = stored_proc.serve()
 
-    yield warm, graph, stored, sqlite_executor, stored_sql, served, served_proc
+    yield row_oracle, warm, graph, stored, sqlite_executor, stored_sql, served, served_proc
     served.close()
     served_proc.close()
     sqlite_executor.close()
@@ -372,17 +408,18 @@ def oracle_bag(graph: Graph, query_text: str, columns):
 
 @pytest.mark.parametrize("seed", range(24))
 def test_differential_equivalence_across_execution_modes(differential_setup, seed):
-    """Row executor, stored native (direct and served), the sqlite oracle
-    (over both catalogs) and served process-worker execution must agree on the
-    bag of rows for every generated query; plain BGPs must also agree with the
-    graph oracle."""
-    warm, graph, stored, sqlite_executor, stored_sql, served, served_proc = differential_setup
-    generator = RandomQueryGenerator(_graph_view(warm), seed)
-    catalog = warm.layout.catalog
+    """Row oracle, in-memory and stored native (direct and served), the
+    sqlite oracle (over both catalogs) and served process-worker execution
+    must agree on the bag of rows for every generated query; plain BGPs must
+    also agree with the graph oracle."""
+    row_oracle, warm, graph, stored, sqlite_executor, stored_sql, served, served_proc = (
+        differential_setup
+    )
+    generator = RandomQueryGenerator(_graph_view(row_oracle), seed)
     # Six random shapes, then one plain BGP so the oracle never sits a seed out.
     for query_text in [generator.query() for _ in range(6)] + [generator.bgp_query()]:
         compiled = warm.compile(query_text)
-        reference = PlanExecutor(catalog).execute(compiled.plan, ExecutionMetrics())
+        reference = row_oracle.execute(compiled.plan, ExecutionMetrics())
         sql_result = sqlite_executor.execute(compiled.plan, ExecutionMetrics())
         assert sql_result.columns == reference.columns, ("sqlite", query_text)
         assert bag(sql_result) == bag(reference), ("sqlite", query_text)
@@ -390,6 +427,7 @@ def test_differential_equivalence_across_execution_modes(differential_setup, see
         if oracle is not None:
             assert bag(reference) == oracle, ("graph-oracle", query_text)
         for label, run in (
+            ("in-memory", lambda text: warm.query(text).relation),
             ("stored-native", lambda text: stored.query(text).relation),
             ("stored-sqlite", lambda text: stored_sql.execute(stored.compile(text).plan)),
             ("served", lambda text: served.submit(text).result(timeout=60).relation),
@@ -401,11 +439,11 @@ def test_differential_equivalence_across_execution_modes(differential_setup, see
             assert bag(projected) == bag(reference), (label, query_text)
 
 
-def _graph_view(session: S2RDFSession) -> Graph:
-    """Reconstruct a Graph from the session's triples table (generator input)."""
+def _graph_view(row_oracle: RowOracle) -> Graph:
+    """Reconstruct a Graph from the build's triples table (generator input)."""
     from repro.rdf.triple import Triple
 
-    relation = session.layout.catalog.table("triples")
+    relation = row_oracle.catalog.table("triples")
     return Graph(Triple(s, p, o) for s, p, o in relation.rows)
 
 
@@ -424,7 +462,7 @@ def test_template_hits_match_a_fresh_session_and_the_oracle(
     session: the second and third are answered from the template cache (parse
     and plan), and each is bag-equal to a session that never saw the template
     (a miss) and to the graph oracle."""
-    _, graph, stored, *_ = differential_setup
+    _, _, graph, stored, *_ = differential_setup
     texts = instantiations(template)
     fresh = S2RDFSession.open_dataset(stored.dataset_path, journal_enabled=False)
     try:
@@ -460,8 +498,8 @@ def test_generated_queries_with_redrawn_constants_hit_the_template(
     from repro.core.compiler import QueryCompiler
     from repro.core.table_selection import TableSelector
 
-    warm, *_ = differential_setup
-    view = _graph_view(warm)
+    row_oracle, warm, *_ = differential_setup
+    view = _graph_view(row_oracle)
     catalog = warm.layout.catalog
     compiler = QueryCompiler(TableSelector(warm.layout))
     drawn = RandomQueryGenerator(view, seed)

@@ -16,7 +16,7 @@ from repro.engine.ops import (
     OrderByNode,
     SubqueryNode,
 )
-from repro.engine.plan import PlanExecutor
+from repro.core.session import S2RDFSession
 from repro.mappings.extvp import ExtVPLayout
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Variable
@@ -28,9 +28,8 @@ def bag(relation):
     return sorted(map(repr, relation.rows))
 
 
-@pytest.fixture(scope="module")
-def layout():
-    graph = Graph(
+def small_graph() -> Graph:
+    return Graph(
         [
             Triple.of("A", "follows", "B"),
             Triple.of("B", "follows", "C"),
@@ -41,8 +40,12 @@ def layout():
             Triple.of("C", "likes", "I2"),
         ]
     )
+
+
+@pytest.fixture(scope="module")
+def layout():
     built = ExtVPLayout(selectivity_threshold=1.0)
-    built.build(graph)
+    built.build(small_graph())
     return built
 
 
@@ -128,7 +131,8 @@ class TestUdfSemantics:
 class TestExecutor:
     def test_matches_native_executor(self, layout):
         plan = scan()
-        native = PlanExecutor(layout.catalog).execute(plan, ExecutionMetrics())
+        with S2RDFSession.from_graph(small_graph(), selectivity_threshold=1.0) as session:
+            native = session.executor.execute(plan, ExecutionMetrics())
         executor = SqliteExecutor(layout.catalog)
         try:
             result = executor.execute(plan, ExecutionMetrics())

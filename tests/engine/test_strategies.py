@@ -22,6 +22,7 @@ from repro.engine.strategies import (
     fits_broadcast,
     plan_join_strategies,
 )
+from repro.mappings.extvp import ExtVPLayout
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
 from repro.rdf.triple import Triple
@@ -39,6 +40,8 @@ def catalog():
     cat = Catalog()
     cat.register("follows", Relation(("s", "o"), [(IRI(f"u{i}"), IRI(f"u{(i * 7) % 40}")) for i in range(160)]))
     cat.register("likes", Relation(("s", "o"), [(IRI(f"u{i}"), IRI(f"p{i % 5}")) for i in range(0, 160, 3)]))
+    # Served from its store image, as a session serves a built layout.
+    S2RDFSession(ExtVPLayout(catalog=cat))
     return cat
 
 
@@ -236,9 +239,9 @@ class TestStoredReregistration:
     def test_append_plans_from_post_append_statistics(self, tmp_path):
         triples = [Triple(IRI(f"u{i}"), IRI("follows"), IRI(f"u{(i * 3) % 20}")) for i in range(40)]
         triples += [Triple(IRI(f"u{i}"), IRI("likes"), IRI(f"p{i % 4}")) for i in range(0, 40, 2)]
-        warm = S2RDFSession.from_graph(Graph(triples))
+        warm = S2RDFSession.from_graph(Graph(triples), num_partitions=4)
         path = str(tmp_path / "dataset")
-        warm.save_dataset(path, num_buckets=4)
+        warm.save_dataset(path)
         warm.close()
 
         # use_extvp=False pins table selection to the VP tables.

@@ -231,13 +231,13 @@ def test_prewarm_reads_id_columns_and_decodes_no_term(stored, monkeypatch):
         assert not any(catalog.is_loaded(name) for name in catalog.table_names())
 
         reads = []
-        real_read = reader_module.read_segment_arrays
+        real_read = reader_module.DatasetFiles.read
 
         def counting_read(*args, **kwargs):
             reads.append(args)
             return real_read(*args, **kwargs)
 
-        monkeypatch.setattr(reader_module, "read_segment_arrays", counting_read)
+        monkeypatch.setattr(reader_module.DatasetFiles, "read", counting_read)
         result = session.query("SELECT * WHERE { ?a <follows> ?b . ?b <likes> ?w }")
         assert len(result.relation) == 20 and reads == []
     finally:

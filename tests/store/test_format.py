@@ -9,11 +9,11 @@ from repro.rdf.terms import IRI, Literal
 from repro.store.format import (
     DatasetFormatError,
     StoredTermDictionary,
+    decode_segment,
     encode_segment,
+    read_file_range,
     read_manifest,
-    read_segment_arrays,
     write_at,
-    write_dictionary,
 )
 
 
@@ -83,9 +83,9 @@ class TestSegmentFile:
         )
         write_at(path, 0, segment)
         assert len(segment) == os.path.getsize(path)
-        assert read_segment_arrays(path) == {"s": [1, 1, 2], "o": [3, 4, 5]}
+        assert decode_segment(read_file_range(path)) == {"s": [1, 1, 2], "o": [3, 4, 5]}
         # Projection pushdown: only the requested page is decoded.
-        assert read_segment_arrays(path, columns=["o"]) == {"o": [3, 4, 5]}
+        assert decode_segment(read_file_range(path), columns=["o"]) == {"o": [3, 4, 5]}
 
     def test_segments_are_addressed_by_offset_and_length(self, tmp_path):
         """A table file holds segments back to back; a write at the committed
@@ -96,21 +96,21 @@ class TestSegmentFile:
         write_at(path, 0, first + b"left by a crashed write, longer than the retry")
         write_at(path, len(first), second)
         assert os.path.getsize(path) == len(first) + len(second)
-        assert read_segment_arrays(path, None, 0, len(first)) == {"s": [1, 2]}
-        assert read_segment_arrays(path, None, len(first), len(second)) == {"s": [7, 8, 9]}
+        assert decode_segment(read_file_range(path, 0, len(first))) == {"s": [1, 2]}
+        assert decode_segment(read_file_range(path, len(first), len(second))) == {"s": [7, 8, 9]}
 
     def test_missing_column_rejected(self, tmp_path):
         path = str(tmp_path / "table.seg")
         write_at(path, 0, encode_segment([("s", encode_id_column([1]))]))
         with pytest.raises(DatasetFormatError):
-            read_segment_arrays(path, columns=["nope"])
+            decode_segment(read_file_range(path), columns=["nope"])
 
     def test_non_segment_file_rejected(self, tmp_path):
         path = str(tmp_path / "bogus.seg")
         with open(path, "wb") as handle:
             handle.write(b"not a segment")
         with pytest.raises(DatasetFormatError):
-            read_segment_arrays(path)
+            decode_segment(read_file_range(path))
 
 
 class TestStoredDictionary:
@@ -122,7 +122,7 @@ class TestStoredDictionary:
             Literal("hi", language="en"),
             Literal('quoted "text"\nwith newline'),
         ]
-        write_dictionary(str(tmp_path), terms)
+        StoredTermDictionary.of_terms(terms).write(str(tmp_path))
         stored = StoredTermDictionary.open(str(tmp_path))
         assert len(stored) == len(terms)
         for index, term in enumerate(terms):
@@ -137,7 +137,7 @@ class TestStoredDictionary:
             Literal("nel\x85char"),
             IRI("after"),
         ]
-        write_dictionary(str(tmp_path), terms)
+        StoredTermDictionary.of_terms(terms).write(str(tmp_path))
         stored = StoredTermDictionary.open(str(tmp_path), expected_size=len(terms))
         for index, term in enumerate(terms):
             assert stored.decode(index) == term
@@ -146,7 +146,7 @@ class TestStoredDictionary:
         """Regression: n3() suppresses ^^xsd:string; the store must not."""
         typed = Literal("5", datatype="http://www.w3.org/2001/XMLSchema#string")
         plain = Literal("5")
-        write_dictionary(str(tmp_path), [typed, plain])
+        StoredTermDictionary.of_terms([typed, plain]).write(str(tmp_path))
         stored = StoredTermDictionary.open(str(tmp_path))
         assert stored.decode(0) == typed
         assert stored.decode(1) == plain
@@ -154,12 +154,12 @@ class TestStoredDictionary:
         assert stored.lookup(plain) == 1
 
     def test_size_mismatch_detected(self, tmp_path):
-        write_dictionary(str(tmp_path), [IRI("a"), IRI("b")])
+        StoredTermDictionary.of_terms([IRI("a"), IRI("b")]).write(str(tmp_path))
         with pytest.raises(DatasetFormatError):
             StoredTermDictionary.open(str(tmp_path), expected_size=3)
 
     def test_unknown_lookups(self, tmp_path):
-        write_dictionary(str(tmp_path), [IRI("a")])
+        StoredTermDictionary.of_terms([IRI("a")]).write(str(tmp_path))
         stored = StoredTermDictionary.open(str(tmp_path))
         assert stored.lookup(IRI("missing")) is None
         with pytest.raises(KeyError):

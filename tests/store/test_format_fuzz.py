@@ -40,7 +40,7 @@ from repro.store.format import (
     decode_segment,
     encode_bitmap,
     encode_segment,
-    read_segment_arrays,
+    read_file_range,
     table_file,
     write_at,
 )
@@ -89,7 +89,7 @@ def test_segment_round_trips_with_projection(tmp_path_factory, columns, data):
     prefix = data.draw(st.binary(max_size=20))
     path = str(tmp_path_factory.mktemp("segment") / "table.seg")
     write_at(path, 0, prefix + segment + b"trailing")
-    read = read_segment_arrays(path, wanted, len(prefix), len(segment))
+    read = decode_segment(read_file_range(path, len(prefix), len(segment)), wanted)
     assert read == {name: columns[names.index(name)] for name in wanted}
     with pytest.raises(DatasetFormatError):
         decode_segment(segment, ["not-a-column"])

@@ -796,15 +796,18 @@ class TestResidentState:
             first.close()
             second.close()
 
-    def test_first_append_after_save_switches_to_the_store(self, tmp_path, rebuilt):
-        """A session that built its layout in memory and saved it has no
-        resident store state yet: the first append opens what it wrote."""
+    def test_first_append_after_save_works_on_the_committed_image(self, tmp_path, rebuilt):
+        """A session that built its layout in memory serves its store image;
+        saving commits that image, and the first append works on it in place
+        — nothing is re-read or re-registered beyond what the append touched."""
         session = S2RDFSession.from_graph(Graph(base_triples()), num_partitions=4)
         try:
+            held = session._dataset
+            assert session.layout.catalog.is_stored("vp_p") and not held.is_current()
             session.save_dataset(str(tmp_path / "dataset"))
-            assert not session.layout.catalog.is_stored("vp_p")
+            assert session._dataset is held and held.is_current()
             session.append_triples(update_triples())
-            assert session.layout.catalog.is_stored("vp_p")
+            assert session._dataset is held
             for query in QUERIES:
                 assert bag(session.query(query).relation) == bag(rebuilt.query(query).relation)
         finally:

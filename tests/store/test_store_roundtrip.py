@@ -204,13 +204,14 @@ class TestOverwrite:
         no unreferenced table file, no stale bytes behind a table's segments."""
         from repro.store.format import read_manifest
 
-        session = S2RDFSession.from_graph(small_dataset.graph)
         path = str(tmp_path / "dataset")
-        session.save_dataset(path, num_buckets=4)
+        with S2RDFSession.from_graph(small_dataset.graph, num_partitions=4) as first_session:
+            first_session.save_dataset(path)
         tables = pathlib.Path(path) / "tables"
         first = {p.name: p.stat().st_size for p in tables.iterdir()}
         (tables / "vp_gone.00007.seg").write_bytes(b"left by an earlier generation")
-        session.save_dataset(path, num_buckets=2, overwrite=True)
+        session = S2RDFSession.from_graph(small_dataset.graph, num_partitions=2)
+        session.save_dataset(path, overwrite=True)
         manifest = read_manifest(path)
         second = {p.name: p.stat().st_size for p in tables.iterdir()}
         assert set(second) == {entry.file.split("/")[-1] for entry in manifest.tables.values()}
@@ -245,6 +246,52 @@ class TestOverwrite:
             )
         assert stores[0]["MANIFEST.json"] == stores[1]["MANIFEST.json"]
         assert stores[0] == stores[1]
+
+    def test_in_place_resave_keeps_the_dataset(self, small_dataset, tmp_path):
+        """A connected session re-saves over the directory it reads from: the
+        image is laid out whole before anything there is removed, and the
+        dataset reopens with the same answers."""
+        import repro
+
+        path = str(tmp_path / "dataset")
+        repro.create(small_dataset.graph, path=path, num_partitions=2).close()
+        queries = [
+            text
+            for template in BASIC_TEMPLATES
+            for text in instantiate_many(template, small_dataset, 1, seed=7)
+        ]
+        with repro.connect(path) as before:
+            expected = [bag(before.query(text).relation) for text in queries]
+        with repro.connect(path) as session:
+            session.save_dataset(path, overwrite=True)
+            assert [bag(session.query(text).relation) for text in queries] == expected
+        with repro.connect(path) as reopened:
+            assert [bag(reopened.query(text).relation) for text in queries] == expected
+
+    def test_committed_image_is_a_fresh_lay_out_byte_for_byte(self, small_dataset, tmp_path):
+        """``save_dataset`` writes the image the session was serving; a
+        writer laying the same build out afresh writes the same directory,
+        file for file, manifest included."""
+        from repro.store.writer import DatasetWriter
+
+        def files(root):
+            return {
+                str(file.relative_to(root)): file.read_bytes()
+                for file in root.rglob("*")
+                if file.is_file() and "journal" not in file.parts
+            }
+
+        held = tmp_path / "held"
+        with S2RDFSession.from_graph(small_dataset.graph, num_partitions=2) as session:
+            session.query("SELECT * WHERE { ?s <http://db.uwaterloo.ca/~galuc/wsdbm/likes> ?o }")
+            session.save_dataset(str(held))
+        layout = ExtVPLayout(selectivity_threshold=1.0)
+        layout.build(small_dataset.graph)
+        fresh = tmp_path / "fresh"
+        DatasetWriter(num_buckets=2).write(str(fresh), layout)
+        held_files = files(held)
+        assert "MANIFEST.json" in held_files and len(held_files) > 3
+        assert held_files == files(fresh)
 
     def test_interrupted_write_is_detected(self, small_dataset, tmp_path):
         """A dataset without a manifest (crash mid-write) is rejected cleanly."""
