@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench import run_table6_threshold
-from repro.mappings.extvp import ExtVPLayout
+from repro.core.session import S2RDFSession
 
 
 @pytest.mark.benchmark(group="table6-threshold")
@@ -29,11 +29,10 @@ def test_table6_report(benchmark, bench_dataset, report_sink):
 @pytest.mark.benchmark(group="table6-threshold")
 @pytest.mark.parametrize("threshold", [0.1, 0.25, 1.0])
 def test_threshold_build_wallclock(benchmark, bench_dataset, threshold):
-    """Build cost of the ExtVP layout at different thresholds."""
+    """Build cost of the ExtVP layout at different thresholds (built and laid out)."""
     def build():
-        layout = ExtVPLayout(selectivity_threshold=threshold)
-        layout.build(bench_dataset.graph)
-        return layout
+        with S2RDFSession.from_graph(bench_dataset.graph, selectivity_threshold=threshold) as session:
+            return session.layout
 
     layout = benchmark.pedantic(build, rounds=1, iterations=1)
     assert all(info.selectivity < threshold or not info.materialized for info in layout.statistics.tables.values())

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from repro.bench.reporting import ExperimentReport
 from repro.core.session import S2RDFSession
-from repro.mappings.extvp import CorrelationKind, ExtVPLayout
+from repro.mappings.extvp import CorrelationKind
 from repro.watdiv.basic_queries import BASIC_TEMPLATES
 from repro.watdiv.generator import WatDivDataset, generate_dataset
 from repro.watdiv.incremental_queries import INCREMENTAL_TEMPLATES
@@ -79,8 +79,8 @@ def run_oo_correlation_ablation(
 ) -> ExperimentReport:
     """Quantify what materialising OO correlation tables would buy (Sec. 5.2)."""
     dataset = dataset if dataset is not None else generate_dataset(scale_factor=scale_factor, seed=seed)
-    layout = ExtVPLayout(include_oo=True)
-    layout.build(dataset.graph)
+    with S2RDFSession.from_graph(dataset.graph, include_oo=True) as session:
+        statistics = session.layout.statistics
 
     report = ExperimentReport(
         name="Ablation — OO correlation tables",
@@ -90,7 +90,7 @@ def run_oo_correlation_ablation(
         columns=["kind", "tables_total", "tables_materialized", "tables_empty", "tuples", "mean_selectivity"],
     )
     for kind in (CorrelationKind.SS, CorrelationKind.OS, CorrelationKind.SO, CorrelationKind.OO):
-        infos = [info for info in layout.statistics.tables.values() if info.kind == kind]
+        infos = [info for info in statistics.tables.values() if info.kind == kind]
         materialized = [info for info in infos if info.materialized]
         non_empty = [info for info in infos if not info.is_empty]
         mean_selectivity = (

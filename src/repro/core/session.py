@@ -45,6 +45,7 @@ from repro.core.template_cache import TemplateCache
 from repro.engine.cluster import SparkCostModel
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.plan import PlanExecutor
+from repro.engine.storage import ParquetSizeModel
 from repro.engine.strategies import UNKNOWN_ROWS
 from repro.mappings.extvp import ExtVPLayout, ExtVPTableInfo
 from repro.obs.explain import ExplainAnalyzeResult, render_explain_analyze
@@ -243,7 +244,11 @@ class S2RDFSession:
         self._dataset: Optional[StoredDataset] = None
         catalog = layout.catalog
         if any(map(catalog.is_loaded, catalog.table_names())):
-            self._serve(StoredDataset.hold(self._lay_out()))
+            # The layout is ready once its image is: its load time counts the
+            # build, the lay-out and the registration.
+            built = layout.report.build_seconds if layout.report else 0.0
+            started_at = time.perf_counter() - built
+            self._adopt(StoredDataset.hold(self._lay_out()), started_at)
 
     # ------------------------------------------------------------------ #
     # Per-thread runtime
@@ -299,16 +304,26 @@ class S2RDFSession:
         buckets = max(self.config.execution.num_partitions, 1)
         return DatasetWriter(num_buckets=buckets).lay_out(self.layout)
 
-    def _serve(self, dataset: StoredDataset) -> None:
-        """Serve every table of ``dataset`` from the catalog.
+    def _adopt(self, dataset: StoredDataset, started_at: Optional[float] = None) -> None:
+        """Serve ``dataset``, registered as a cold open registers a directory.
 
-        Each is registered with the statistics its manifest entry carries —
-        the ones the layout's build or the store gave it, so plans do not
-        change — and a relation the build registered under its name is
-        dropped.
+        Every table is registered with the statistics its manifest entry
+        carries, every correlation without a table as statistics only, and
+        the layout takes the manifest's ExtVP statistics; a relation the build
+        registered under a table's name is dropped, and so is a table the
+        dataset no longer holds.
         """
-        for name, table in dataset.tables.items():
-            self.layout.catalog.register_stored(name, table, table.statistics())
+        catalog = self.layout.catalog
+        for name in catalog.table_names():
+            if name not in dataset.tables:
+                catalog.drop(name)
+        _register_store_changes(
+            self.layout,
+            dataset,
+            list(dataset.tables),
+            dataset.manifest.statistics_only,
+            started_at=started_at,
+        )
         self._dataset = dataset
 
     # ------------------------------------------------------------------ #
@@ -365,7 +380,9 @@ class S2RDFSession:
         A session built from a graph writes the image it serves; any other
         (a connected one, or one saved before) lays its tables out anew
         first, so ``path`` may be the very directory it was opened from.
-        Either way the session then serves the dataset at ``path``.
+        The lay-out computes ExtVP as a build does, so a correlation an
+        append left materialised against the rule is decided anew.  Either
+        way the session then serves the dataset at ``path``.
         """
         with self._store_lock.write_locked():
             with self.tracer.span("store.save", category="store", path=path) as span:
@@ -378,7 +395,7 @@ class S2RDFSession:
                 report = DatasetWriter.commit(image, path, overwrite=overwrite)
                 if held is None:
                     held = StoredDataset.hold(image)
-                    self._serve(held)
+                    self._adopt(held)
                 held.committed(path)
                 span.set(tables=report.table_count, bytes=report.total_bytes)
             self.dataset_path = path
@@ -879,12 +896,29 @@ class S2RDFSession:
     # Introspection
     # ------------------------------------------------------------------ #
     def storage_summary(self) -> dict:
-        """Tuple counts and simulated HDFS size of the layout (Table 2 data)."""
+        """Tuple counts and simulated HDFS size of the layout (Table 2 data).
+
+        ``hdfs_bytes`` is what the paper's Parquet files would take
+        (:class:`~repro.engine.storage.ParquetSizeModel`): one file per VP
+        table and per materialised ExtVP table, each holding its rows in the
+        order the store holds them.  It is computed on request, from the
+        store, so an in-memory session and a connected one report the same
+        number for the same dataset.
+        """
         if self.layout.report is None:
             raise RuntimeError(
                 "layout has no build report; call ExtVPLayout.build() before storage_summary()"
             )
-        summary = self.layout.size_summary()
-        summary["table_counts"] = self.layout.table_counts()
+        layout = self.layout
+        summary = layout.size_summary()
+        stored = list(layout.vp.vp_tables.values())
+        stored += [info.name for info in layout.statistics.materialized()]
+        size_model = ParquetSizeModel()
+        with self._store_lock.read_locked():
+            summary["hdfs_bytes"] = sum(
+                size_model.estimate_bytes(layout.catalog.scan_batch(name).batch.to_relation())
+                for name in stored
+            )
+        summary["table_counts"] = layout.table_counts()
         summary["load_seconds"] = self.layout.report.build_seconds
         return summary

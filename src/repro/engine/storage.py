@@ -253,17 +253,6 @@ class HdfsSimulator:
         self._files[path] = stored
         return stored
 
-    def record(self, path: str, row_count: int, size_bytes: int, columns: Tuple[str, ...]) -> StoredFile:
-        """Register a file whose size was measured externally.
-
-        The dataset store uses this when a session is opened from disk: the
-        segment files already exist, so their *actual* byte sizes enter the
-        namespace instead of a model estimate.
-        """
-        stored = StoredFile(path=path, row_count=row_count, size_bytes=size_bytes, columns=columns)
-        self._files[path] = stored
-        return stored
-
     def delete(self, path: str) -> None:
         self._files.pop(path, None)
 

@@ -2,8 +2,8 @@
 
 For every ordered pair of predicates ``(p1, p2)`` and every correlation kind
 the query compiler can encounter (SS, OS, SO — OO is skipped by design,
-Sec. 5.2), ExtVP materialises the semi-join reduction of the VP table of
-``p1`` against the VP table of ``p2``::
+Sec. 5.2), ExtVP keeps the semi-join reduction of the VP table of ``p1``
+against the VP table of ``p2``::
 
     ExtVP_SS[p1|p2] = VP_p1 ⋉(s=s) VP_p2
     ExtVP_OS[p1|p2] = VP_p1 ⋉(o=s) VP_p2
@@ -15,6 +15,15 @@ reduction is too small to pay for their storage (Sec. 5.3).  Statistics about
 *all* tables — including the ones that were not materialised — are kept so the
 compiler can pick the most selective candidate and short-circuit queries whose
 correlations do not exist in the data (Sec. 6.1).
+
+The paper runs each reduction as a Spark ``LEFT SEMI JOIN`` because each is
+its own Parquet table.  Here a reduction is stored as a bitmap over its VP
+table's rows, so it is computed where it is stored, in dictionary-id space:
+:func:`compute_incremental_extvp` tests each row's join id against the other
+table's id value set.  An append runs it over the batch against the stored
+state; a build (:meth:`repro.store.writer.DatasetWriter.lay_out`) runs it over
+every VP row against an empty state.  :class:`ExtVPLayout` builds the VP tables
+and holds the statistics the store hands back.
 """
 
 from __future__ import annotations
@@ -25,9 +34,6 @@ from enum import Enum
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.engine.catalog import Catalog
-from repro.engine.relation import Relation
-from repro.engine.storage import HdfsSimulator
-from repro.mappings.naming import build_unique_keys
 from repro.mappings.triples_table import LayoutBuildReport
 from repro.mappings.vertical import VerticalPartitioningLayout
 from repro.rdf.graph import Graph
@@ -86,12 +92,6 @@ class ExtVPStatistics:
     def materialized(self) -> List[ExtVPTableInfo]:
         return [info for info in self.tables.values() if info.materialized]
 
-    def empty_tables(self) -> List[ExtVPTableInfo]:
-        return [info for info in self.tables.values() if info.is_empty]
-
-    def equal_to_vp(self) -> List[ExtVPTableInfo]:
-        return [info for info in self.tables.values() if not info.is_empty and info.selectivity >= 1.0]
-
     def total_materialized_tuples(self) -> int:
         return sum(info.row_count for info in self.tables.values() if info.materialized)
 
@@ -138,9 +138,9 @@ class ExtVPDelta:
 
     ``rows`` are the *newly qualifying* semi-join rows — rows of ``VP_first``
     (old or appended) that now satisfy the correlation but did not before the
-    append.  ``info`` carries the post-append statistics.  For tables that are
-    not materialised, ``rows`` still drives the statistics update but nothing
-    is written.
+    append.  ``info`` carries the post-append statistics.  A table that is not
+    materialised only counts its rows into them: nothing is written, and its
+    ``rows`` is empty.
 
     ``distinct_subjects`` / ``distinct_objects`` are the *exact* post-append
     distinct counts of the full table (old qualifying rows plus the delta),
@@ -166,6 +166,10 @@ def compute_incremental_extvp(
 ) -> List[ExtVPDelta]:
     """Incrementally maintain ExtVP for an append, touching affected pairs only.
 
+    A build is the append of every VP row to an empty ``source``: it yields
+    every (kind, first, second) entry, materialised or not, each with the rows
+    that qualify and exact distinct counts.
+
     ``source`` is the pre-append VP state, lazily: it exposes
     ``predicates()``, ``row_count()``, ``subjects()``, ``objects()`` and
     ``rows()`` (the dataset store's appender serves it from the manifest's
@@ -190,8 +194,10 @@ def compute_incremental_extvp(
 
     Only ordered pairs where at least one side received new triples are
     visited, so the cost is O(|changed| * |predicates|) pairs instead of the
-    full O(|predicates|^2) rebuild.  Statistics entries for previously
-    unseen pairs (new predicates) are created with the build-time
+    full O(|predicates|^2) rebuild, and a pair whose new join values are
+    disjoint from ``VP_p2``'s is provably without new rows: its pass over the
+    rows is skipped (most pairs of a build are empty).  Statistics entries
+    for previously unseen pairs (new predicates) are created with the
     materialisation rule; existing entries keep their materialisation flag —
     re-deciding it would require rewriting history (a previously dropped
     table has no stored rows to extend), which is compaction/rebuild
@@ -206,14 +212,22 @@ def compute_incremental_extvp(
 
     subjects_old: Dict[IRI, Set] = {}
     objects_old: Dict[IRI, Set] = {}
+    #: The values of the new rows, and those of them new to the column.
+    subjects_new: Dict[IRI, Set] = {}
+    objects_new: Dict[IRI, Set] = {}
     subjects_added: Dict[IRI, Set] = {}
     objects_added: Dict[IRI, Set] = {}
     for predicate in predicates:
         subjects_old[predicate] = source.subjects(predicate)
         objects_old[predicate] = source.objects(predicate)
         new_rows = additions.get(predicate, ())
-        subjects_added[predicate] = {row[0] for row in new_rows} - subjects_old[predicate]
-        objects_added[predicate] = {row[1] for row in new_rows} - objects_old[predicate]
+        new_subjects = subjects_new[predicate] = {row[0] for row in new_rows}
+        new_objects = objects_new[predicate] = {row[1] for row in new_rows}
+        # Before a build nothing is old: every new value is added (no copy).
+        old = subjects_old[predicate]
+        subjects_added[predicate] = new_subjects - old if old else new_subjects
+        old = objects_old[predicate]
+        objects_added[predicate] = new_objects - old if old else new_objects
 
     # Inverted index: (first, column) -> {join value: rows}.  Finding the old
     # rows that newly qualify then costs O(|values new to p2's column|)
@@ -248,18 +262,26 @@ def compute_incremental_extvp(
                 first_values_old = (
                     subjects_old[first] if first_column == "s" else objects_old[first]
                 )
+                first_values_new = (
+                    subjects_new[first] if first_column == "s" else objects_new[first]
+                )
                 second_values_old = (
                     subjects_old[second] if second_column == "s" else objects_old[second]
                 )
                 second_values_added = (
                     subjects_added[second] if second_column == "s" else objects_added[second]
                 )
-                rows = [
-                    row
-                    for row in new_first_rows
-                    if row[value_index] in second_values_old
-                    or row[value_index] in second_values_added
-                ]
+                if first_values_new.isdisjoint(second_values_old) and first_values_new.isdisjoint(
+                    second_values_added
+                ):
+                    rows = []  # no new VP_first row can match: skip the pass
+                else:
+                    rows = [
+                        row
+                        for row in new_first_rows
+                        if row[value_index] in second_values_old
+                        or row[value_index] in second_values_added
+                    ]
                 if second_values_added & first_values_old:
                     # Old VP_first rows revived by values new to VP_second's
                     # join column.  The guard is what keeps a fresh-term
@@ -314,7 +336,7 @@ def compute_incremental_extvp(
                             vp_row_count=vp_after,
                             materialized=materialized,
                         ),
-                        rows=rows,
+                        rows=rows if materialized else [],
                         distinct_subjects=distinct_subjects,
                         distinct_objects=distinct_objects,
                     )
@@ -323,7 +345,13 @@ def compute_incremental_extvp(
 
 
 class ExtVPLayout:
-    """Builds VP plus the ExtVP semi-join reduction tables.
+    """VP tables plus the statistics of the ExtVP semi-join reductions.
+
+    :meth:`build` builds the VP tables.  The ExtVP tables are computed when
+    the layout is laid out in the dataset store, next to the bitmaps that
+    hold them (:meth:`repro.store.writer.DatasetWriter.lay_out`); a session
+    then hands the store's statistics back through :meth:`restore`, exactly
+    as when it opens a dataset directory.
 
     Parameters
     ----------
@@ -341,7 +369,6 @@ class ExtVPLayout:
     def __init__(
         self,
         catalog: Optional[Catalog] = None,
-        hdfs: Optional[HdfsSimulator] = None,
         namespaces: Optional[NamespaceManager] = None,
         selectivity_threshold: float = 1.0,
         include_oo: bool = False,
@@ -349,14 +376,12 @@ class ExtVPLayout:
         if not 0.0 <= selectivity_threshold <= 1.0:
             raise ValueError("selectivity_threshold must be between 0 and 1")
         self.catalog = catalog if catalog is not None else Catalog()
-        self.hdfs = hdfs if hdfs is not None else HdfsSimulator()
         self.namespaces = namespaces or NamespaceManager()
         self.selectivity_threshold = selectivity_threshold
         self.include_oo = include_oo
-        self.vp = VerticalPartitioningLayout(self.catalog, self.hdfs, self.namespaces)
+        self.vp = VerticalPartitioningLayout(self.catalog, namespaces=self.namespaces)
         self.statistics = ExtVPStatistics()
         self.report: Optional[LayoutBuildReport] = None
-        self._predicate_keys: Dict[IRI, str] = {}
         #: Times :meth:`build` ran on this layout — stays 0 for layouts
         #: restored from the dataset store (observed by its load report).
         self.build_count = 0
@@ -365,7 +390,7 @@ class ExtVPLayout:
     # Build
     # ------------------------------------------------------------------ #
     def build(self, graph: Graph) -> LayoutBuildReport:
-        """Build VP plus all qualifying ExtVP tables.
+        """Build the VP tables (and the triples table) of ``graph``.
 
         ``self.report`` is populated unconditionally — even when the build
         fails partway — so consumers like the Table 2 benchmark and
@@ -375,56 +400,10 @@ class ExtVPLayout:
         start = time.perf_counter()
         self.build_count += 1
         try:
-            self._build_tables(graph)
+            self.vp.build(graph)
         finally:
-            elapsed = time.perf_counter() - start
-            vp_report = self.vp.report
-            self.report = LayoutBuildReport(
-                layout=self.name,
-                table_count=len(self.statistics.materialized())
-                + (vp_report.table_count if vp_report else 0),
-                tuple_count=self.statistics.total_materialized_tuples()
-                + (vp_report.tuple_count if vp_report else 0),
-                hdfs_bytes=self.hdfs.total_bytes(),
-                build_seconds=elapsed,
-            )
+            self.report = self._report(time.perf_counter() - start)
         return self.report
-
-    def _build_tables(self, graph: Graph) -> None:
-        self.vp.build(graph)
-        predicates = self.vp.predicates()
-        self._predicate_keys = build_unique_keys(predicates, self.namespaces)
-
-        # Correlation discovery: which predicate pairs can join at all?  This
-        # avoids computing semi-joins that are guaranteed to be empty
-        # (Sec. 5.2 uses a LEFT SEMI JOIN against the triples table for this).
-        subjects_of: Dict[IRI, Set] = {}
-        objects_of: Dict[IRI, Set] = {}
-        for predicate in predicates:
-            vp_relation = self.vp.table(predicate)
-            subjects_of[predicate] = set(vp_relation.column_values("s"))
-            objects_of[predicate] = set(vp_relation.column_values("o"))
-
-        kinds = correlation_kinds(self.include_oo)
-
-        for first in predicates:
-            vp_first = self.vp.table(first)
-            vp_size = len(vp_first)
-            for second in predicates:
-                for kind in kinds:
-                    if kind == CorrelationKind.SS and first == second:
-                        # A table semi-joined with itself on s=s is the table
-                        # itself; the paper only builds SS for p1 != p2.
-                        continue
-                    first_values, second_values = self._correlation_value_sets(
-                        kind, first, second, subjects_of, objects_of
-                    )
-                    if not (first_values & second_values):
-                        # Provably empty: record statistics only.
-                        self._record(kind, first, second, row_count=0, vp_size=vp_size, relation=None)
-                        continue
-                    reduced = self._semi_join(vp_first, kind, second_values)
-                    self._record(kind, first, second, len(reduced), vp_size, reduced)
 
     def restore(
         self,
@@ -433,82 +412,29 @@ class ExtVPLayout:
         statistics: ExtVPStatistics,
         load_seconds: float = 0.0,
     ) -> LayoutBuildReport:
-        """Repopulate the layout from persisted metadata (no semi-joins).
+        """Repopulate the layout from the dataset store's metadata.
 
-        The dataset store calls this after registering every stored table in
-        the catalog: VP predicate maps, ExtVP correlation statistics and the
-        build report are reconstructed from the manifest, so the layout
-        answers the compiler exactly as a freshly built one would — without
-        the build ever running.
+        The store calls this after registering every stored table in the
+        catalog: VP predicate maps, ExtVP correlation statistics and the
+        build report come from the manifest, so the layout answers the
+        compiler exactly as the store holds it.
         """
         self.statistics = statistics
-        vp_report = self.vp.restore(vp_tables, vp_sizes, build_seconds=load_seconds)
-        self._predicate_keys = build_unique_keys(self.vp.predicates(), self.namespaces)
-        self.report = LayoutBuildReport(
-            layout=self.name,
-            table_count=len(self.statistics.materialized()) + vp_report.table_count,
-            tuple_count=self.statistics.total_materialized_tuples() + vp_report.tuple_count,
-            hdfs_bytes=self.hdfs.total_bytes(),
-            build_seconds=load_seconds,
-        )
+        self.vp.restore(vp_tables, vp_sizes, build_seconds=load_seconds)
+        self.report = self._report(load_seconds)
         return self.report
 
-    def _correlation_value_sets(
-        self,
-        kind: CorrelationKind,
-        first: IRI,
-        second: IRI,
-        subjects_of: Dict[IRI, Set],
-        objects_of: Dict[IRI, Set],
-    ) -> Tuple[Set, Set]:
-        first_column, second_column = KIND_JOIN_COLUMNS[kind]
-        first_values = subjects_of[first] if first_column == "s" else objects_of[first]
-        second_values = subjects_of[second] if second_column == "s" else objects_of[second]
-        return first_values, second_values
-
-    @staticmethod
-    def _semi_join(vp_first: Relation, kind: CorrelationKind, second_values: Set) -> Relation:
-        first_column, _ = KIND_JOIN_COLUMNS[kind]
-        index = vp_first.column_index(first_column)
-        kept = [row for row in vp_first.rows if row[index] in second_values]
-        return Relation(vp_first.columns, kept)
-
-    def _record(
-        self,
-        kind: CorrelationKind,
-        first: IRI,
-        second: IRI,
-        row_count: int,
-        vp_size: int,
-        relation: Optional[Relation],
-    ) -> None:
-        """Register statistics and materialise the table when it qualifies."""
-        name = self._table_name(kind, first, second)
-        selectivity, materialize = materialization_rule(row_count, vp_size, self.selectivity_threshold)
-        materialize = materialize and relation is not None
-        info = ExtVPTableInfo(
-            name=name,
-            kind=kind,
-            first=first,
-            second=second,
-            row_count=row_count,
-            vp_row_count=vp_size,
-            materialized=materialize,
+    def _report(self, seconds: float) -> LayoutBuildReport:
+        vp_report = self.vp.report
+        return LayoutBuildReport(
+            layout=self.name,
+            table_count=len(self.statistics.materialized())
+            + (vp_report.table_count if vp_report else 0),
+            tuple_count=self.statistics.total_materialized_tuples()
+            + (vp_report.tuple_count if vp_report else 0),
+            hdfs_bytes=vp_report.hdfs_bytes if vp_report else 0,
+            build_seconds=seconds,
         )
-        self.statistics.add(info)
-        if materialize:
-            assert relation is not None
-            self.catalog.register(name, relation, selectivity=selectivity)
-            self.hdfs.write(f"{self.name}/{name}.parquet", relation)
-        else:
-            # Keep statistics for non-materialised tables so the compiler can
-            # detect empty correlations without touching data.
-            self.catalog.register_statistics_only(name, row_count, selectivity)
-
-    def _table_name(self, kind: CorrelationKind, first: IRI, second: IRI) -> str:
-        first_key = self._predicate_keys.get(first) or first.local_name()
-        second_key = self._predicate_keys.get(second) or second.local_name()
-        return f"extvp_{kind.value}_{first_key}__{second_key}"
 
     # ------------------------------------------------------------------ #
     # Lookup helpers used by the compiler
@@ -534,5 +460,4 @@ class ExtVPLayout:
             "vp_tuples": self.vp.total_tuples(),
             "extvp_tuples": self.statistics.total_materialized_tuples(),
             "total_tuples": self.vp.total_tuples() + self.statistics.total_materialized_tuples(),
-            "hdfs_bytes": self.hdfs.total_bytes(),
         }

@@ -566,9 +566,6 @@ class TableEntry:
     def delta_bytes(self) -> int:
         return sum(delta.size_bytes for delta in self.deltas)
 
-    def total_bytes(self) -> int:
-        return self.base_bytes() + self.delta_bytes()
-
     def bucket_row_count(self, bucket: int) -> int:
         """Length of ``bucket``'s logical row sequence."""
         return sum(segment.row_count for segment in self.segments_for_bucket(bucket))

@@ -310,9 +310,6 @@ class StoredTable(_StoredProvider):
             distinct_objects=entry.distinct_objects,
         )
 
-    def stored_bytes(self) -> int:
-        return self.entry.total_bytes()
-
     def bucket_segments(self) -> List[List[PartitionEntry]]:
         """The segments of every bucket, in the order their rows count in."""
         buckets = self._buckets
@@ -455,9 +452,6 @@ class StoredSelection(_StoredProvider):
             distinct_subjects=selection.distinct_subjects,
             distinct_objects=selection.distinct_objects,
         )
-
-    def stored_bytes(self) -> int:
-        return self.selection.size_bytes()
 
     def scan_batch(
         self,
@@ -669,7 +663,8 @@ def register_changes(
     """(Re)register ``tables`` and ``statistics_only`` of ``dataset`` into ``layout``.
 
     With every table and every non-materialised correlation this is the cold
-    open; with what one committed append or compaction touched (its report's
+    open — of a directory, or of the image a session just laid its build out
+    as; with what one committed append or compaction touched (its report's
     ``touched_tables`` / ``touched_statistics``) it is all a live session has
     to do afterwards, and every other table keeps its decoded rows.  Mutates
     the layout's existing catalog in place — sessions hold references to it —
@@ -683,14 +678,7 @@ def register_changes(
     catalog = layout.catalog
     for name in tables:
         table = dataset.changed_table(name)
-        statistics = table.statistics()
-        catalog.register_stored(name, table, statistics)
-        # Mirror the original HDFS bookkeeping with the *actual* on-disk sizes
-        # so storage summaries keep working on a cold session.
-        prefix = "extvp" if name.startswith("extvp_") else "vp" if name.startswith("vp_") else "store"
-        layout.hdfs.record(
-            f"{prefix}/{name}.parquet", statistics.row_count, table.stored_bytes(), table.entry.columns
-        )
+        catalog.register_stored(name, table, table.statistics())
     for info in statistics_only:
         catalog.register_statistics_only(info.name, info.row_count, info.selectivity)
 

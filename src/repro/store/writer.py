@@ -12,8 +12,10 @@ The lay-out walks every physically stored catalog table (the VP tables and the
 (:func:`~repro.store.format.key_partition_index`), dictionary-encodes all
 term values against one dataset-wide :class:`~repro.rdf.dictionary.
 TermDictionary` and emits run-length-encoded column pages plus per-segment
-zone maps.  A materialised ExtVP table is written as what it is — a subset of
-its VP table's rows: one bitmap per bucket, behind that table's segments.
+zone maps.  ExtVP is computed here, in id space, over the VP rows just
+encoded, by the routine appends maintain it with; a materialised ExtVP table
+is written as what it is — a subset of its VP table's rows: one bitmap per
+bucket, behind that table's segments.
 
 Rows inside a bucket are sorted by their term ids' surface form before
 encoding.  That serves two purposes: equal values become adjacent (long RLE
@@ -41,7 +43,13 @@ from typing import (
 )
 
 from repro.engine.storage import MAX_ID, NULL_ID, ZoneMap, encode_id_column
-from repro.mappings.extvp import ExtVPLayout, ExtVPTableInfo, compute_incremental_extvp
+from repro.mappings.extvp import (
+    ExtVPDelta,
+    ExtVPLayout,
+    ExtVPStatistics,
+    ExtVPTableInfo,
+    compute_incremental_extvp,
+)
 from repro.mappings.naming import unique_predicate_key
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.namespaces import NamespaceManager
@@ -164,52 +172,58 @@ class DatasetWriter:
         return self.commit(self.lay_out(layout), path, overwrite=overwrite)
 
     def lay_out(self, layout: ExtVPLayout) -> DatasetImage:
-        """The v4 image of ``layout``: table files, dictionary and manifest, in memory."""
+        """The v4 image of ``layout``: table files, dictionary and manifest, in memory.
+
+        Every physically stored table is encoded first.  Then ExtVP is
+        computed over the VP tables' id rows by the routine appends maintain
+        it with — :func:`~repro.mappings.extvp.compute_incremental_extvp`,
+        every row an addition to an empty store — and each materialised
+        table's bitmaps go behind the segments of the VP table it selects
+        from.  The statistics in the manifest are that routine's, whatever
+        ``layout.statistics`` held.
+        """
         dictionary = TermDictionary()
         catalog = layout.catalog
-        # A materialised ExtVP table is no table of its own on disk: it goes
-        # into the file of the VP table it is a subset of.
-        reductions: Dict[str, List[ExtVPTableInfo]] = {}
-        for info in layout.statistics.materialized():
-            reductions.setdefault(layout.vp.vp_tables[info.first], []).append(info)
-        selection_names = {info.name for infos in reductions.values() for info in infos}
+        # A layout served from the store lists its ExtVP tables in the catalog
+        # too — as views over VP rows, which are not laid out on their own.
+        views = {info.name for info in layout.statistics.tables.values()}
+        vp_names = layout.vp.vp_tables
+        vp_tables = set(vp_names.values())
         tables: Dict[str, TableEntry] = {}
-        files: Dict[str, bytes] = {}
+        images: Dict[str, _FileImage] = {}
+        #: VP table -> its id rows, bucket by bucket in stored order.
+        id_rows: Dict[str, List[List[Tuple[int, ...]]]] = {}
         for name in catalog.table_names():
-            if name in selection_names:
+            if name in views:
                 continue
-            entry, data = self._lay_out_table(name, catalog, dictionary, reductions.get(name, ()))
-            tables[name] = entry
-            files[entry.file] = data
+            tables[name], images[name], buckets = self._lay_out_table(name, catalog, dictionary)
+            if name in vp_tables:
+                id_rows[name] = [list(zip(*column_ids)) for column_ids in buckets]
 
-        # Persist per-predicate join-value sets (in id space) so appends can
-        # deduplicate and maintain ExtVP statistics without re-reading any VP
-        # table (O(batch), not O(dataset)).
-        vp_tables: Dict[IRI, dict] = {}
-        vp_value_sets: Dict[IRI, dict] = {}
-        for predicate, table_name in layout.vp.vp_tables.items():
-            relation = catalog.table(table_name)
-            vp_tables[predicate] = {
-                "table": table_name,
-                "size": layout.vp.vp_sizes.get(predicate, 0),
-            }
-            vp_value_sets[predicate] = {
-                column: {
-                    dictionary.encode(value)
-                    for value in relation.column_values(column)
-                    if value is not None
-                }
-                for column in ("s", "o")
-            }
-        for info in layout.statistics.tables.values():
-            # The manifest stores a correlation as a pair of predicates and
-            # re-derives its table name; a name that does not derive would
-            # come back pointing at the wrong (or no) table.
-            derived = correlation_table_name(
-                info.kind.value, vp_tables[info.first]["table"], vp_tables[info.second]["table"]
+        additions = {
+            predicate: [row for bucket in id_rows[name] for row in bucket]
+            for predicate, name in vp_names.items()
+        }
+        deltas = compute_incremental_extvp(
+            ExtVPStatistics(),
+            _EMPTY_VP_STATE,
+            additions,
+            lambda kind, first, second: correlation_table_name(
+                kind.value, vp_names[first], vp_names[second]
+            ),
+            layout.selectivity_threshold,
+            layout.include_oo,
+        )
+        statistics = ExtVPStatistics()
+        reductions: Dict[str, List[ExtVPDelta]] = {}
+        for delta in deltas:
+            statistics.add(delta.info)
+            if delta.info.materialized:
+                reductions.setdefault(vp_names[delta.info.first], []).append(delta)
+        for name, selected in reductions.items():
+            tables[name].selections = self._lay_out_selections(
+                id_rows[name], selected, images[name]
             )
-            if derived != info.name:
-                raise ValueError(f"ExtVP table {info.name!r} does not follow the naming rule")
 
         manifest = Manifest(
             format_version=FORMAT_VERSION,
@@ -220,10 +234,20 @@ class DatasetWriter:
             namespaces=layout.namespaces.namespaces(),
             dictionary_size=len(dictionary),
             tables=tables,
-            vp_tables=vp_tables,
-            vp_value_sets=vp_value_sets,
-            extvp=layout.statistics,
+            vp_tables={
+                predicate: {"table": name, "size": len(additions[predicate])}
+                for predicate, name in vp_names.items()
+            },
+            # Per-predicate join-value sets (in id space), so appends can
+            # deduplicate and maintain ExtVP statistics without re-reading
+            # any VP table (O(batch), not O(dataset)).
+            vp_value_sets={
+                predicate: {"s": {row[0] for row in rows}, "o": {row[1] for row in rows}}
+                for predicate, rows in additions.items()
+            },
+            extvp=statistics,
         )
+        files = {entry.file: images[name].bytes() for name, entry in tables.items()}
         return DatasetImage(manifest, StoredTermDictionary.of_terms(list(dictionary.terms())), files)
 
     @staticmethod
@@ -280,14 +304,10 @@ class DatasetWriter:
 
     # ------------------------------------------------------------------ #
     def _lay_out_table(
-        self,
-        name: str,
-        catalog,
-        dictionary: TermDictionary,
-        reductions: Sequence[ExtVPTableInfo],
-    ) -> Tuple[TableEntry, bytes]:
-        """One table's entry and file: every bucket's base segment, back to
-        back, then the bitmaps of each of ``reductions`` (the ExtVP tables over it)."""
+        self, name: str, catalog, dictionary: TermDictionary
+    ) -> Tuple[TableEntry, _FileImage, List[List[List[int]]]]:
+        """One table's entry and file image — every bucket's base segment,
+        back to back — and each bucket's id columns."""
         relation = catalog.table(name)
         columns = relation.columns
         partition_keys = self._partition_keys(columns)
@@ -304,6 +324,7 @@ class DatasetWriter:
         file = table_file(name)
         image = _FileImage()
         entries: List[PartitionEntry] = []
+        bucket_columns: List[List[List[int]]] = []
         all_indexes = list(range(len(columns)))
         for bucket in buckets:
             bucket.sort(key=lambda row: _sort_key(row, all_indexes))
@@ -313,6 +334,7 @@ class DatasetWriter:
                     column_ids[position].append(
                         NULL_ID if value is None else dictionary.encode(value)
                     )
+            bucket_columns.append(column_ids)
             blob, zones = _encode_segment(columns, column_ids)
             entries.append(
                 PartitionEntry(
@@ -323,28 +345,6 @@ class DatasetWriter:
                     offset=image.add(blob),
                 )
             )
-
-        selections: Dict[str, SelectionEntry] = {}
-        if reductions:
-            # A VP table is a set of rows, so a row names its position.
-            where = {
-                row: (index, position)
-                for index, bucket in enumerate(buckets)
-                for position, row in enumerate(bucket)
-            }
-            for info in sorted(reductions, key=lambda info: info.name):
-                selected: List[List[int]] = [[] for _ in buckets]
-                for row in catalog.table(info.name).rows:
-                    index, position = where[row]
-                    selected[index].append(position)
-                reduced = catalog.statistics(info.name)
-                selections[info.name] = SelectionEntry(
-                    name=info.name,
-                    row_count=info.row_count,
-                    distinct_subjects=reduced.distinct_subjects,
-                    distinct_objects=reduced.distinct_objects,
-                    bitmaps=[image.add_bitmap(positions) for positions in selected],
-                )
 
         statistics = catalog.statistics(name)
         entry = TableEntry(
@@ -357,9 +357,35 @@ class DatasetWriter:
             partition_keys=partition_keys,
             num_buckets=self.num_buckets,
             partitions=entries,
-            selections=selections,
         )
-        return entry, image.bytes()
+        return entry, image, bucket_columns
+
+    @staticmethod
+    def _lay_out_selections(
+        id_rows: List[List[Tuple[int, ...]]], reductions: Sequence[ExtVPDelta], image: _FileImage
+    ) -> Dict[str, SelectionEntry]:
+        """The ExtVP tables over one VP table: each one's bitmaps, placed in
+        ``image`` behind the table's segments, in name order."""
+        # A VP table is a set of rows, so a row names its position.
+        where = {
+            row: (bucket, position)
+            for bucket, rows in enumerate(id_rows)
+            for position, row in enumerate(rows)
+        }
+        selections: Dict[str, SelectionEntry] = {}
+        for delta in sorted(reductions, key=lambda delta: delta.info.name):
+            selected: List[List[int]] = [[] for _ in id_rows]
+            for row in delta.rows:
+                bucket, position = where[row]
+                selected[bucket].append(position)
+            selections[delta.info.name] = SelectionEntry(
+                name=delta.info.name,
+                row_count=delta.info.row_count,
+                distinct_subjects=delta.distinct_subjects,
+                distinct_objects=delta.distinct_objects,
+                bitmaps=[image.add_bitmap(positions) for positions in selected],
+            )
+        return selections
 
     @staticmethod
     def _partition_keys(columns: Tuple[str, ...]) -> Tuple[str, ...]:
@@ -433,6 +459,28 @@ class _DictionaryAppender:
 
 
 _NO_VALUES: AbstractSet[int] = frozenset()
+
+
+class _EmptyVPState:
+    """The VP state before a build: no predicates, rows or values."""
+
+    def predicates(self) -> List[IRI]:
+        return []
+
+    def row_count(self, predicate: IRI) -> int:
+        return 0
+
+    def subjects(self, predicate: IRI) -> AbstractSet[int]:
+        return _NO_VALUES
+
+    def objects(self, predicate: IRI) -> AbstractSet[int]:
+        return _NO_VALUES
+
+    def rows(self, predicate: IRI) -> Iterable[Tuple[int, ...]]:
+        return ()
+
+
+_EMPTY_VP_STATE = _EmptyVPState()
 
 
 class _StoredVPSource:

@@ -20,10 +20,17 @@ def tp(s, p, o):
 
 
 @pytest.fixture(scope="module")
-def layout(example_graph):
+def session(example_graph):
+    """A session over the running example: it serves the built layout from
+    its store image, whose lay-out computed the ExtVP statistics."""
     layout = ExtVPLayout()
     layout.build(example_graph)
-    return layout
+    return S2RDFSession(layout)
+
+
+@pytest.fixture(scope="module")
+def layout(session):
+    return session.layout
 
 
 @pytest.fixture(scope="module")
@@ -32,9 +39,8 @@ def selector(layout):
 
 
 @pytest.fixture(scope="module")
-def executor(layout):
-    """The engine over ``layout``, which a session serves from its store image."""
-    return S2RDFSession(layout).executor
+def executor(session):
+    return session.executor
 
 
 class TestTableSelection:

@@ -4,17 +4,16 @@ The engine (:mod:`repro.engine.plan`) scans stored tables only — a dataset
 directory, or the image an in-memory session holds — as dictionary-id
 batches.  This module keeps the other representation for the tests:
 :class:`RowOracle` is a :class:`~repro.engine.plan.PlanExecutor` whose scans
-read the :class:`~repro.engine.relation.Relation`\\ s an
-:class:`~repro.mappings.extvp.ExtVPLayout` build registered (VP tables of
-terms, ExtVP tables as materialised semi-join copies), so every operator
-above them runs on rows and nothing touches the store, its dictionary or its
-bitmaps.  The differential harness keeps it as its reference.
+read the :class:`~repro.engine.relation.Relation`\\ s of a build catalog
+(VP tables of terms, and ExtVP tables computed by their definition in
+``extvp_reference.py``), so every operator above them runs on rows and
+nothing touches the store, its dictionary or its bitmaps.  The differential
+harness keeps it as its reference.
 
 Build its catalog without a session (a session lays a built layout out as
 its store image and drops the relations)::
 
-    layout = ExtVPLayout(selectivity_threshold=1.0)
-    layout.build(graph)
+    layout = reference_layout(graph)
     RowOracle(layout.catalog).execute(plan)
 """
 

@@ -1,0 +1,83 @@
+"""The store's ExtVP against the paper's definition.
+
+A session lays its build out as a store image and computes ExtVP there, in
+id space, as bitmaps over the VP tables' stored rows.  Every correlation it
+keeps must be the one ``VP_p1 ⋉ VP_p2`` over terms gives
+(``extvp_reference.py``): the same entries, row counts, ``|VP_p1|``,
+materialisation decisions and distinct counts, and for every materialised
+table the rows its bitmaps select are that semi-join's rows — on the paper's
+running example (Fig. 10) and on the WatDiv-like dataset, at every threshold
+regime, with and without OO, at 1, 2 and 8 buckets.
+"""
+
+import pytest
+
+from engine.extvp_reference import reference_layout
+from repro.core.config import SessionConfig
+from repro.core.session import S2RDFSession
+from repro.mappings.extvp import ExtVPLayout
+
+THRESHOLDS = (0.0, 0.25, 1.0)
+BUCKET_COUNTS = (1, 2, 8)
+
+
+@pytest.fixture(scope="module")
+def references():
+    """``reference_layout`` per (graph, threshold, include_oo), built once."""
+    built = {}
+
+    def reference(graph, threshold, include_oo):
+        key = (id(graph), threshold, include_oo)
+        if key not in built:
+            built[key] = reference_layout(graph, threshold, include_oo)
+        return built[key]
+
+    return reference
+
+
+def bag(rows):
+    return sorted(map(repr, rows))
+
+
+@pytest.mark.parametrize("buckets", BUCKET_COUNTS)
+@pytest.mark.parametrize("include_oo", (False, True))
+@pytest.mark.parametrize("threshold", THRESHOLDS)
+@pytest.mark.parametrize("graph_name", ("example_graph", "small_graph"))
+def test_store_extvp_is_the_semi_join_definition(
+    request, references, graph_name, threshold, include_oo, buckets
+):
+    graph = request.getfixturevalue(graph_name)
+    expected = references(graph, threshold, include_oo)
+    layout = ExtVPLayout(selectivity_threshold=threshold, include_oo=include_oo)
+    layout.build(graph)
+    with S2RDFSession(layout, config=SessionConfig.from_flat(num_partitions=buckets)) as session:
+        assert session._dataset.manifest.num_buckets == buckets
+        actual = session.layout.statistics.tables
+        assert actual.keys() == expected.statistics.tables.keys()
+        materialized = 0
+        for key, reference in expected.statistics.tables.items():
+            info = actual[key]
+            assert (info.name, info.row_count, info.vp_row_count, info.materialized) == (
+                reference.name,
+                reference.row_count,
+                reference.vp_row_count,
+                reference.materialized,
+            ), key
+            if not reference.materialized:
+                assert not session.layout.catalog.is_stored(info.name), key
+                continue
+            materialized += 1
+            stored = session.layout.catalog.statistics(info.name)
+            defined = expected.catalog.statistics(info.name)
+            assert (stored.distinct_subjects, stored.distinct_objects) == (
+                defined.distinct_subjects,
+                defined.distinct_objects,
+            ), key
+            assert session.layout.catalog.is_stored(info.name), key
+            selected = session.layout.catalog.scan(info.name).relation
+            assert bag(selected.rows) == bag(expected.catalog.table(info.name).rows), key
+        # Threshold 0 stores nothing; 1.0 stores every non-trivial table.
+        if threshold == 0.0:
+            assert materialized == 0
+        elif threshold == 1.0:
+            assert materialized > 0

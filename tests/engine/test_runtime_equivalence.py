@@ -3,7 +3,8 @@ BGP / OPTIONAL / UNION queries — layered with FILTER expressions, DISTINCT,
 ORDER BY + LIMIT and aggregate heads (COUNT / SUM / AVG / MIN / MAX, grouped
 and implicit) — asserting bag-equality across the execution paths: the row
 oracle (``row_oracle.py``, the plan executor on rows of terms over a build
-catalog's relations: the reference), the in-memory session (id batches over
+catalog's relations, its ExtVP tables computed by their definition in
+``extvp_reference.py``: the reference), the in-memory session (id batches over
 the store image it holds), the stored native path — id batches over a
 persisted dataset that carries pending (uncompacted) delta segments from an
 incremental append, traced — directly and through ``serve()``, the sqlite
@@ -29,6 +30,7 @@ import random
 
 import pytest
 
+from engine.extvp_reference import reference_layout
 from engine.row_oracle import RowOracle
 from engine.sqlite_oracle import SqliteExecutor
 from repro.baselines.base import SparqlEngine, UnsupportedQueryError
@@ -41,7 +43,6 @@ from repro.engine.metrics import ExecutionMetrics
 from repro.engine.ops import count_joins
 from repro.engine.plan import PlanExecutor
 from repro.engine.strategies import estimate_rows, plan_join_strategies
-from repro.mappings.extvp import ExtVPLayout
 from repro.rdf.graph import Graph
 from repro.sparql import parse_query
 from repro.watdiv.basic_queries import BASIC_TEMPLATES
@@ -56,8 +57,7 @@ ALL_TEMPLATES = {template.name: template for template in BASIC_TEMPLATES + INCRE
 def workload(small_dataset):
     """One build layout (the row oracle's catalog) plus every workload query
     compiled once over its statistics."""
-    layout = ExtVPLayout(selectivity_threshold=1.0)
-    layout.build(small_dataset.graph)
+    layout = reference_layout(small_dataset.graph)
     compiler = QueryCompiler(TableSelector(layout))
     compiled = {
         name: compiler.compile(parse_query(instantiate_template(template, small_dataset)))
@@ -355,8 +355,7 @@ def differential_setup(small_dataset, tmp_path_factory):
     base = [t for i, t in enumerate(triples) if i % 7 != 0]
     pending = [t for i, t in enumerate(triples) if i % 7 == 0]
 
-    build = ExtVPLayout(selectivity_threshold=1.0)
-    build.build(graph)
+    build = reference_layout(graph)
     row_oracle = RowOracle(build.catalog)
     warm = S2RDFSession.from_graph(graph, selectivity_threshold=1.0)
 

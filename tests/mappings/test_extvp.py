@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.relation import Relation
+from repro.core.session import S2RDFSession
 from repro.mappings.extvp import CorrelationKind, ExtVPLayout
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
@@ -12,8 +12,11 @@ from repro.rdf.triple import Triple
 
 
 def build_layout(graph, **kwargs):
+    """A built layout as a session serves it: the session's lay-out into its
+    store image computes the ExtVP tables and hands their statistics back."""
     layout = ExtVPLayout(**kwargs)
     layout.build(graph)
+    S2RDFSession(layout)
     return layout
 
 
@@ -73,8 +76,9 @@ class TestExtVPOnRunningExample:
 
     def test_materialized_table_contents(self, layout):
         name = layout.extvp_info(CorrelationKind.OS, IRI("follows"), IRI("likes")).name
-        table = layout.catalog.table(name)
-        assert set(map(tuple, table.rows)) == {(IRI("B"), IRI("C"))}
+        # The table is a selection over VP_follows' stored rows, decoded.
+        assert layout.catalog.is_stored(name)
+        assert set(layout.catalog.scan(name).relation.rows) == {(IRI("B"), IRI("C"))}
 
     def test_vp_tables_still_available(self, layout):
         assert layout.vp_size(IRI("follows")) == 4
@@ -123,8 +127,7 @@ class TestOOAblation:
 
 class TestTable2Accounting:
     def test_size_summary(self, example_graph):
-        layout = build_layout(example_graph)
-        summary = layout.size_summary()
+        summary = S2RDFSession.from_graph(example_graph).storage_summary()
         assert summary["vp_tuples"] == 7
         assert summary["total_tuples"] == summary["vp_tuples"] + summary["extvp_tuples"]
         assert summary["hdfs_bytes"] > 0
@@ -206,13 +209,13 @@ class TestBuildReportAlwaysPopulated:
         layout = ExtVPLayout()
 
         def boom(*args, **kwargs):
-            raise RuntimeError("simulated semi-join failure")
+            raise RuntimeError("simulated table registration failure")
 
-        monkeypatch.setattr(ExtVPLayout, "_semi_join", staticmethod(boom))
+        monkeypatch.setattr(layout.catalog, "register", boom)
         with pytest.raises(RuntimeError, match="simulated"):
             layout.build(example_graph)
         # The Table 2 benchmark must never silently read zeros: the report is
         # populated from whatever state the build reached.
         assert layout.report is not None
         assert layout.report.build_seconds > 0.0
-        assert layout.report.table_count == layout.vp.report.table_count
+        assert layout.report.table_count == 0

@@ -71,6 +71,9 @@ def test_concurrent_queries_see_consistent_epochs(tmp_path, execution_mode):
     session = repro.connect(path2, execution_mode=execution_mode)
     failures = []
     stop = threading.Event()
+    # Every client has an answer before the first append: the journal below
+    # is never empty, however the threads are scheduled.
+    answered = threading.Barrier(CLIENTS + 1, timeout=120)
 
     def client(index: int) -> None:
         names = sorted(QUERIES)
@@ -85,6 +88,8 @@ def test_concurrent_queries_see_consistent_epochs(tmp_path, execution_mode):
                 failures.append((name, result.epoch, "unknown epoch"))
             elif bag(result.relation) != expected:
                 failures.append((name, result.epoch, "bag mismatch"))
+            if step == 1:
+                answered.wait()
 
     with session:
         with session.serve() as scheduler:
@@ -94,6 +99,7 @@ def test_concurrent_queries_see_consistent_epochs(tmp_path, execution_mode):
             ]
             for thread in threads:
                 thread.start()
+            answered.wait()
             # Interleave the appends with the query storm: each commit
             # atomically advances the manifest epoch.
             for round_index in range(ROUNDS):

@@ -10,7 +10,6 @@ anything else do not.
 
 import sys
 import threading
-import time
 from collections import Counter
 
 import pytest
@@ -383,7 +382,16 @@ def test_concurrent_readers_get_the_uncached_answers(example_graph, monkeypatch)
     that the tables are cleared under the readers' feet, and a thread that
     flips one table's statistics between two states: every plan, join
     annotation and journal estimate must be the uncached one of the
-    statistics generation the reader ran at."""
+    statistics generation the reader ran at.
+
+    The flipper is driven by the readers' progress, not by the clock.  Quiet
+    phases, in which every reader runs a fixed number of steps at one
+    generation (each state in turn), alternate with storm phases, in which
+    the statistics flip each time the readers have completed as many steps
+    as there are readers — so each state is checked on a fixed number of
+    results however slow the machine, and the storms still move the
+    statistics under compiles in flight.  Readers walk the texts side by
+    side, so a phase starts on the templates the previous one cached."""
     monkeypatch.setattr(template_cache, "MAX_TEMPLATES", 3)
     subjects = ("A", "B", "C")
     shapes = (
@@ -394,8 +402,12 @@ def test_concurrent_readers_get_the_uncached_answers(example_graph, monkeypatch)
         "SELECT DISTINCT ?x WHERE {{ <{s}> <follows> ?x ; <likes> ?w }}",
     )
     texts = [shape.format(s=subject) for shape in shapes for subject in subjects]
+    readers = 8
+    #: Steps per reader in a quiet phase and in a storm phase; the phases
+    #: alternate, quiet first, and the quiet ones take the states in turn.
+    quiet_steps, storm_steps, phases = 15, 15, 8
     failures = []
-    ran_at = [Counter() for _ in range(8)]  # per reader: no shared counter
+    ran_at = [Counter() for _ in range(readers)]  # per reader: no shared counter
     with S2RDFSession.from_graph(example_graph) as session:
         session.journal = QueryJournal()
         journal = capture_journal(session)
@@ -404,7 +416,7 @@ def test_concurrent_readers_get_the_uncached_answers(example_graph, monkeypatch)
         for text in texts:
             with S2RDFSession.from_graph(example_graph, journal_enabled=False) as fresh:
                 rows[text] = bag(fresh.query(text))
-        # One register call (one generation step) moves between the two states.
+        # One register call moves between the two states.
         table = "vp_follows"
         honest = catalog.statistics(table)
         states = ((table, honest.row_count, 1.0), (table, 10_000_000, 1.0))
@@ -413,64 +425,97 @@ def test_concurrent_readers_get_the_uncached_answers(example_graph, monkeypatch)
             catalog.register_statistics_only(*state)
             expected.append({text: uncached_annotation(session, text) for text in texts})
         catalog.register_statistics_only(*states[0])
-        start = catalog.generation
         assert any(expected[0][text][1:] != expected[1][text][1:] for text in texts)
-        done = threading.Event()
-
-        def state_at(generation: int) -> int:
-            # Only the flipper registers from here on: one step (+2) per flip.
-            return (generation - start) // 2 % 2
+        barrier = threading.Barrier(readers + 1, timeout=60)
+        progress = threading.Condition()
+        steps_done = [0]
 
         def flipper() -> None:
             flips = 0
-            while not done.is_set():
-                flips += 1
-                catalog.register_statistics_only(*states[flips % 2])
-                time.sleep(0.003)
+            phase_end = 0  # steps all readers have completed by the phase's end
+            try:
+                for phase in range(phases):
+                    if phase % 2 == 0:
+                        phase_end += readers * quiet_steps
+                        if flips % 2 != phase // 2 % 2:
+                            flips += 1
+                            catalog.register_statistics_only(*states[flips % 2])
+                        barrier.wait()
+                    else:
+                        phase_end += readers * storm_steps
+                        barrier.wait()
+                        seen = steps_done[0]
+                        while seen < phase_end:
+                            flip_at = min(seen + readers, phase_end)
+                            with progress:
+                                progress.wait_for(
+                                    lambda: steps_done[0] >= flip_at or barrier.broken, timeout=1
+                                )
+                                seen = steps_done[0]
+                            if barrier.broken:
+                                return
+                            flips += 1
+                            catalog.register_statistics_only(*states[flips % 2])
+                    barrier.wait()
+            except threading.BrokenBarrierError:
+                pass  # a reader failed; it reports why
+
+        def step(offset: int, number: int) -> None:
+            text = texts[(offset + number) % len(texts)]
+            reference = parse_query(text)
+            generation = catalog.generation
+            # Read at one even generation, this is the state the whole step saw.
+            state = 0 if catalog.statistics(table).row_count == honest.row_count else 1
+            parsed = session.parse(text)
+            assert parsed == reference, text
+            compiled = session.compile(parsed)
+            result = session.query(text) if number % 3 == 0 else None
+            assert result is None or bag(result) == rows[text], text
+            if generation & 1 or catalog.generation != generation:
+                return  # ran across a flip: at no one generation
+            plan, strategies, estimated = expected[state][text]
+            assert compiled == plan, (text, state)
+            assert compiled.physical.describe() == strategies, (text, state)
+            if result is not None:
+                assert result.join_strategies == strategies, (text, state)
+                assert journal.record.estimated_rows == estimated, (text, state)
+                ran_at[offset][state] += 1
 
         def reader(offset: int) -> None:
+            number = 0
             try:
-                for step in range(120):
-                    text = texts[(offset + step * 7) % len(texts)]
-                    reference = parse_query(text)
-                    generation = catalog.generation
-                    parsed = session.parse(text)
-                    assert parsed == reference, text
-                    compiled = session.compile(parsed)
-                    result = session.query(text) if step % 3 == 0 else None
-                    assert result is None or bag(result) == rows[text], text
-                    if generation & 1 or catalog.generation != generation:
-                        continue  # ran across a flip: at no one generation
-                    state = state_at(generation)
-                    plan, strategies, estimated = expected[state][text]
-                    assert compiled == plan, (text, state)
-                    assert compiled.physical.describe() == strategies, (text, state)
-                    if result is not None:
-                        assert result.join_strategies == strategies, (text, state)
-                        assert journal.record.estimated_rows == estimated, (text, state)
-                        ran_at[offset][state] += 1
+                for phase in range(phases):
+                    barrier.wait()
+                    for _ in range(storm_steps if phase % 2 else quiet_steps):
+                        step(offset, number)
+                        number += 1
+                        with progress:
+                            steps_done[0] += 1
+                            progress.notify_all()
+                    barrier.wait()
+            except threading.BrokenBarrierError:
+                pass  # another thread failed and reports why
             except BaseException as error:  # reported by the main thread
                 failures.append(error)
+                barrier.abort()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            threads = [threading.Thread(target=reader, args=(n,)) for n in range(8)]
-            flipping = threading.Thread(target=flipper)
-            flipping.start()
+            threads = [threading.Thread(target=reader, args=(n,)) for n in range(readers)]
+            threads.append(threading.Thread(target=flipper))
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join(timeout=60)
+                thread.join(timeout=120)
         finally:
-            done.set()
-            flipping.join(timeout=60)
             sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads + [flipping])
+        assert not any(thread.is_alive() for thread in threads)
         assert not failures, failures[0]
+        assert not barrier.broken
         assert len(session._templates) <= 3 and session._templates.plan_count() <= 3
-        # Both states were checked on results (fewer on a loaded machine,
-        # where more steps run across a flip).
+        # Both states were checked on results: in the quiet phases alone,
+        # every reader ran 5 queries per phase, two phases per state.
         checked = sum(ran_at, Counter())
         assert min(checked[0], checked[1]) >= 5, checked
 

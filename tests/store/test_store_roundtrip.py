@@ -6,10 +6,14 @@ saved from — without parsing N-Triples or rebuilding ExtVP (asserted via
 instrumentation), and with all statistics restored from the manifest.
 """
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 import repro.rdf.ntriples as ntriples_module
 from repro.core.session import S2RDFSession
 from repro.mappings.extvp import ExtVPLayout
@@ -116,6 +120,37 @@ class TestColdOpen:
         assert summary["total_tuples"] > 0
         assert summary["hdfs_bytes"] > 0
         assert summary["table_counts"]["total"] > 0
+
+    def test_hdfs_bytes_are_the_stores_not_the_hash_seeds(self, tmp_path):
+        """``hdfs_bytes`` models the stored tables in the store's row order:
+        processes under two hash seeds, and an in-memory session and a
+        connection to the dataset it saved, all report one number."""
+        script = (
+            "import sys\n"
+            "import repro\n"
+            "from repro.watdiv.generator import generate_dataset\n"
+            "graph = generate_dataset(scale_factor=1.0, seed=7).graph\n"
+            "with repro.S2RDFSession.from_graph(graph) as session:\n"
+            "    held = session.storage_summary()['hdfs_bytes']\n"
+            "    session.save_dataset(sys.argv[1])\n"
+            "with repro.connect(sys.argv[1]) as connected:\n"
+            "    print(held, connected.storage_summary()['hdfs_bytes'])\n"
+        )
+        source = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        readings = []
+        for seed in ("0", "1"):
+            environment = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=source)
+            run = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / f"seed-{seed}")],
+                env=environment,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            readings.append(tuple(int(number) for number in run.stdout.split()))
+        (held, connected), other_seed = readings
+        assert held == connected, readings
+        assert other_seed == (held, connected), readings
 
 
 class TestFootprint:
@@ -267,6 +302,39 @@ class TestOverwrite:
             assert [bag(session.query(text).relation) for text in queries] == expected
         with repro.connect(path) as reopened:
             assert [bag(reopened.query(text).relation) for text in queries] == expected
+
+    def test_resave_decides_extvp_anew(self, tmp_path):
+        """An append keeps a correlation's materialisation flag; a re-save lays
+        the data out as a build does, so a reduction whose SF reached 1 stops
+        being stored, and the session's catalog stops serving it."""
+        import repro
+        from repro.mappings.extvp import CorrelationKind
+        from repro.rdf.graph import Graph
+        from repro.rdf.terms import IRI
+        from repro.rdf.triple import Triple
+
+        def ss_p_q(session):
+            return session.layout.extvp_info(CorrelationKind.SS, IRI("p"), IRI("q"))
+
+        path = str(tmp_path / "dataset")
+        graph = Graph([Triple.of("a", "p", "x"), Triple.of("b", "p", "y"), Triple.of("a", "q", "z")])
+        repro.create(graph, path=path).close()
+        query = "SELECT * WHERE { ?s <p> ?o . ?s <q> ?z }"
+        with repro.connect(path) as session:
+            assert ss_p_q(session).materialized and ss_p_q(session).selectivity == 0.5
+            session.append_triples([Triple.of("b", "q", "w")])
+            assert ss_p_q(session).materialized and ss_p_q(session).selectivity == 1.0
+            expected = bag(session.query(query).relation)
+            session.save_dataset(path, overwrite=True)
+            info = ss_p_q(session)
+            assert not info.materialized and info.row_count == 2
+            assert info.name not in session.layout.catalog
+            assert session.layout.catalog.statistics(info.name).row_count == 2
+            assert bag(session.query(query).relation) == expected
+        with repro.connect(path) as reopened:
+            assert not ss_p_q(reopened).materialized
+            assert bag(reopened.query(query).relation) == expected
+        assert len(expected) == 2
 
     def test_committed_image_is_a_fresh_lay_out_byte_for_byte(self, small_dataset, tmp_path):
         """``save_dataset`` writes the image the session was serving; a
