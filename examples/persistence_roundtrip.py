@@ -52,8 +52,11 @@ def main() -> None:
     cold = S2RDFSession.open_dataset(path)
     open_seconds = time.perf_counter() - start
     report = cold.load_report
+    statistics = cold.layout.statistics
     print(f"Cold open in {open_seconds:.3f}s — {report.table_count} stored tables, "
-          f"{report.statistics_only_count} statistics-only entries, "
+          f"{len(statistics)} ExtVP correlations with rows "
+          f"({len(statistics.materialized())} stored as selections; every other one is "
+          f"empty and has no entry), "
           f"ntriples_parsed={report.ntriples_parsed}, extvp_rebuilt={report.extvp_rebuilt}")
     if open_seconds > 0:
         print(f"Cold open vs. rebuild speedup: {build_seconds / open_seconds:.1f}x")

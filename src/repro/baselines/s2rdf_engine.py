@@ -8,6 +8,7 @@ from typing import Optional, Union
 from repro.baselines.base import EngineResult, LoadReport, SparqlEngine
 from repro.core.session import S2RDFSession
 from repro.engine.cluster import SparkCostModel
+from repro.mappings.extvp import correlation_keys
 from repro.rdf.graph import Graph
 from repro.sparql.algebra import Query
 
@@ -47,10 +48,11 @@ class S2RDFExtVPEngine(SparqlEngine):
         summary = self.session.storage_summary()
         # The semi-join work is proportional to the VP tuples scanned per
         # correlated predicate pair; approximate it by the number of ExtVP
-        # statistics entries times the average VP table size.
+        # correlations (one semi-join each) times the average VP table size.
         layout = self.session.layout
-        statistics_entries = len(layout.statistics)
-        predicate_count = max(1, len(layout.vp.predicates()))
+        predicates = layout.vp.predicates()
+        statistics_entries = len(correlation_keys(predicates, layout.include_oo))
+        predicate_count = max(1, len(predicates))
         average_vp = layout.vp.total_tuples() / predicate_count
         simulated_load = (
             summary["vp_tuples"] * self._load_seconds_per_vp_tuple

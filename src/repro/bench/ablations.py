@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from repro.bench.reporting import ExperimentReport
 from repro.core.session import S2RDFSession
-from repro.mappings.extvp import CorrelationKind
+from repro.mappings.extvp import CorrelationKind, correlation_keys
 from repro.watdiv.basic_queries import BASIC_TEMPLATES
 from repro.watdiv.generator import WatDivDataset, generate_dataset
 from repro.watdiv.incremental_queries import INCREMENTAL_TEMPLATES
@@ -81,6 +81,7 @@ def run_oo_correlation_ablation(
     dataset = dataset if dataset is not None else generate_dataset(scale_factor=scale_factor, seed=seed)
     with S2RDFSession.from_graph(dataset.graph, include_oo=True) as session:
         statistics = session.layout.statistics
+        keys = correlation_keys(session.layout.vp.predicates(), include_oo=True)
 
     report = ExperimentReport(
         name="Ablation — OO correlation tables",
@@ -90,17 +91,18 @@ def run_oo_correlation_ablation(
         columns=["kind", "tables_total", "tables_materialized", "tables_empty", "tuples", "mean_selectivity"],
     )
     for kind in (CorrelationKind.SS, CorrelationKind.OS, CorrelationKind.SO, CorrelationKind.OO):
-        infos = [info for info in statistics.tables.values() if info.kind == kind]
-        materialized = [info for info in infos if info.materialized]
-        non_empty = [info for info in infos if not info.is_empty]
+        # The statistics hold the correlations with rows; the others are empty.
+        non_empty = [info for info in statistics.tables.values() if info.kind == kind]
+        materialized = [info for info in non_empty if info.materialized]
+        total = sum(1 for key in keys if key[0] == kind)
         mean_selectivity = (
             sum(info.selectivity for info in non_empty) / len(non_empty) if non_empty else 0.0
         )
         report.add_row(
             kind=kind.value.upper(),
-            tables_total=len(infos),
+            tables_total=total,
             tables_materialized=len(materialized),
-            tables_empty=len([info for info in infos if info.is_empty]),
+            tables_empty=total - len(non_empty),
             tuples=sum(info.row_count for info in materialized),
             mean_selectivity=round(mean_selectivity, 3),
         )

@@ -47,7 +47,7 @@ from repro.engine.metrics import ExecutionMetrics
 from repro.engine.plan import PlanExecutor
 from repro.engine.storage import ParquetSizeModel
 from repro.engine.strategies import UNKNOWN_ROWS
-from repro.mappings.extvp import ExtVPLayout, ExtVPTableInfo
+from repro.mappings.extvp import ExtVPLayout
 from repro.obs.explain import ExplainAnalyzeResult, render_explain_analyze
 from repro.obs.journal import (
     JournalRecord,
@@ -308,22 +308,15 @@ class S2RDFSession:
         """Serve ``dataset``, registered as a cold open registers a directory.
 
         Every table is registered with the statistics its manifest entry
-        carries, every correlation without a table as statistics only, and
-        the layout takes the manifest's ExtVP statistics; a relation the build
-        registered under a table's name is dropped, and so is a table the
-        dataset no longer holds.
+        carries and the layout takes the manifest's ExtVP statistics; a
+        relation the build registered under a table's name is dropped, and so
+        is a table the dataset no longer holds.
         """
         catalog = self.layout.catalog
         for name in catalog.table_names():
             if name not in dataset.tables:
                 catalog.drop(name)
-        _register_store_changes(
-            self.layout,
-            dataset,
-            list(dataset.tables),
-            dataset.manifest.statistics_only,
-            started_at=started_at,
-        )
+        _register_store_changes(self.layout, dataset, list(dataset.tables), started_at=started_at)
         self._dataset = dataset
 
     # ------------------------------------------------------------------ #
@@ -372,10 +365,10 @@ class S2RDFSession:
         Every VP table (and the triples table) is written as hash-bucketed,
         dictionary + RLE encoded column segments with zone maps, every ExtVP
         table as bitmaps over its VP table's rows; the manifest carries all
-        statistics (the statistics-only entries for empty ExtVP tables are
-        implied by it), so :meth:`open_dataset` restores a fully query-ready
-        session without touching the original graph.  The bucket count is
-        the session's ``num_partitions``.
+        statistics (an ExtVP correlation it does not list is empty), so
+        :meth:`open_dataset` restores a fully query-ready session without
+        touching the original graph.  The bucket count is the session's
+        ``num_partitions``.
 
         A session built from a graph writes the image it serves; any other
         (a connected one, or one saved before) lays its tables out anew
@@ -524,9 +517,7 @@ class S2RDFSession:
                     delta_segments=report.delta_segments,
                     bytes=report.bytes_written,
                 )
-                self._register_touched(
-                    dataset, report.touched_tables, report.touched_statistics
-                )
+                self._register_touched(dataset, report.touched_tables)
         self.metrics.inc("s2rdf_store_appends_total", help="Delta appends performed")
         self.metrics.inc("s2rdf_store_bytes_written_total", report.bytes_written)
         self.metrics.observe("s2rdf_store_append_ms", report.append_seconds * 1000.0)
@@ -615,12 +606,7 @@ class S2RDFSession:
             self._refresh_from_store()
             raise
 
-    def _register_touched(
-        self,
-        dataset: StoredDataset,
-        tables: List[str],
-        statistics_only: Iterable[ExtVPTableInfo] = (),
-    ) -> None:
+    def _register_touched(self, dataset: StoredDataset, tables: List[str]) -> None:
         """Re-register only what a committed mutation touched.
 
         That may be nothing although something was committed — a compaction
@@ -629,7 +615,7 @@ class S2RDFSession:
         """
         if tables:
             with self.tracer.span("store.refresh", category="store"):
-                _register_store_changes(self.layout, dataset, tables, statistics_only)
+                _register_store_changes(self.layout, dataset, tables)
         if dataset.manifest.append_epoch != self._journal_epoch:
             self._store_changed(dataset)
 

@@ -90,9 +90,9 @@ class TableNotFoundError(KeyError):
 class Catalog:
     """Named relations plus their statistics.
 
-    Statistics can exist without a materialised relation: the paper notes that
     S2RDF "also stores statistics about empty tables (which do not physically
-    exist)" so the compiler can answer queries without running them.
+    exist)" (Sec. 6.1); here that is the layout's knowledge
+    (:meth:`~repro.mappings.extvp.ExtVPLayout.extvp_info`), not the catalog's.
     """
 
     def __init__(self) -> None:
@@ -140,7 +140,11 @@ class Catalog:
         return statistics
 
     def register_statistics_only(self, name: str, row_count: int, selectivity: float) -> TableStatistics:
-        """Record statistics for a table that is not materialised (e.g. empty ExtVP tables)."""
+        """Record (or overwrite) the statistics of ``name`` without a table behind them.
+
+        The seam for changing what the planner believes about a table, e.g.
+        inflating it to see a shuffle join; the product does not call it.
+        """
         statistics = TableStatistics(name=name, row_count=row_count, selectivity=selectivity)
         self.generation += 1
         self._statistics[name] = statistics
@@ -255,10 +259,6 @@ class Catalog:
 
     def statistics_names(self) -> List[str]:
         return sorted(self._statistics)
-
-    def statistics_only_names(self) -> List[str]:
-        """Tables known only through statistics (the paper's empty tables)."""
-        return sorted(name for name in self._statistics if name not in self)
 
     def items(self) -> Iterator[Tuple[str, Relation]]:
         """Iterate ``(name, relation)`` pairs, decoding stored tables on demand."""

@@ -15,7 +15,6 @@ Four layouts are implemented:
 """
 
 from repro.mappings.naming import (
-    extvp_table_name,
     predicate_key,
     triples_table_name,
     vp_table_name,
@@ -26,7 +25,6 @@ from repro.mappings.property_table import PropertyTableLayout
 from repro.mappings.extvp import CorrelationKind, ExtVPLayout, ExtVPStatistics, ExtVPTableInfo
 
 __all__ = [
-    "extvp_table_name",
     "predicate_key",
     "triples_table_name",
     "vp_table_name",

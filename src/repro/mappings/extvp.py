@@ -11,10 +11,11 @@ against the VP table of ``p2``::
 
 Tables that are empty or equal to the VP table (selectivity factor SF = 0 or
 SF = 1) are not stored, and an optional SF threshold drops tables whose
-reduction is too small to pay for their storage (Sec. 5.3).  Statistics about
-*all* tables — including the ones that were not materialised — are kept so the
-compiler can pick the most selective candidate and short-circuit queries whose
-correlations do not exist in the data (Sec. 6.1).
+reduction is too small to pay for their storage (Sec. 5.3).  Statistics are
+kept for every correlation with rows, materialised or not, so the compiler can
+pick the most selective candidate; a correlation without an entry is empty,
+which lets it short-circuit queries whose correlations do not exist in the
+data (Sec. 6.1) without an entry per empty table.
 
 The paper runs each reduction as a Spark ``LEFT SEMI JOIN`` because each is
 its own Parquet table.  Here a reduction is stored as a bitmap over its VP
@@ -34,6 +35,7 @@ from enum import Enum
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.engine.catalog import Catalog
+from repro.mappings.naming import correlation_table_name
 from repro.mappings.triples_table import LayoutBuildReport
 from repro.mappings.vertical import VerticalPartitioningLayout
 from repro.rdf.graph import Graph
@@ -76,7 +78,11 @@ class ExtVPTableInfo:
 
 @dataclass
 class ExtVPStatistics:
-    """All ExtVP table statistics, indexed by (kind, p1, p2)."""
+    """The statistics of the correlations with rows, indexed by (kind, p1, p2).
+
+    A maintained correlation (:func:`correlation_keys`) without an entry is
+    empty: no entry is ever held for an empty one.
+    """
 
     tables: Dict[Tuple[CorrelationKind, IRI, IRI], ExtVPTableInfo] = field(default_factory=dict)
 
@@ -111,6 +117,32 @@ def correlation_kinds(include_oo: bool = False) -> List[CorrelationKind]:
     if include_oo:
         kinds.append(CorrelationKind.OO)
     return kinds
+
+
+def correlation_keys(predicates: Sequence, include_oo: bool = False) -> List[Tuple]:
+    """Every ``(kind, first, second)`` a layout over ``predicates`` maintains.
+
+    The kinds of :func:`correlation_kinds` for every ordered pair, except SS
+    of a predicate with itself (that table is its VP table); listed by first
+    predicate, then second, then kind.  ``predicates`` must be distinct; they
+    may stand in for the predicates, as their manifest indexes do.
+    :func:`is_correlation_key` tests one key against the same rule.
+    """
+    kinds = correlation_kinds(include_oo)
+    return [
+        (kind, first, second)
+        for first in predicates
+        for second in predicates
+        for kind in kinds
+        if kind is not CorrelationKind.SS or first != second
+    ]
+
+
+def is_correlation_key(kind: CorrelationKind, first, second, include_oo: bool = False) -> bool:
+    """Whether :func:`correlation_keys` lists ``(kind, first, second)``, without listing them."""
+    return kind in correlation_kinds(include_oo) and (
+        kind is not CorrelationKind.SS or first != second
+    )
 
 
 def materialization_rule(
@@ -167,8 +199,10 @@ def compute_incremental_extvp(
     """Incrementally maintain ExtVP for an append, touching affected pairs only.
 
     A build is the append of every VP row to an empty ``source``: it yields
-    every (kind, first, second) entry, materialised or not, each with the rows
-    that qualify and exact distinct counts.
+    every (kind, first, second) entry with rows, materialised or not, each
+    with the rows that qualify and exact distinct counts.  A correlation
+    without rows yields nothing, at a build and at an append alike: it stays
+    without an entry, which is what says it is empty.
 
     ``source`` is the pre-append VP state, lazily: it exposes
     ``predicates()``, ``row_count()``, ``subjects()``, ``objects()`` and
@@ -193,17 +227,18 @@ def compute_incremental_extvp(
       rows are provably not in the old ExtVP table — no dedup needed).
 
     Only ordered pairs where at least one side received new triples are
-    visited, so the cost is O(|changed| * |predicates|) pairs instead of the
+    evaluated, so the work is O(|changed| * |predicates|) pairs instead of the
     full O(|predicates|^2) rebuild, and a pair whose new join values are
     disjoint from ``VP_p2``'s is provably without new rows: its pass over the
-    rows is skipped (most pairs of a build are empty).  Statistics entries
-    for previously unseen pairs (new predicates) are created with the
-    materialisation rule; existing entries keep their materialisation flag —
-    re-deciding it would require rewriting history (a previously dropped
-    table has no stored rows to extend), which is compaction/rebuild
-    territory, not append territory.  Correctness never depends on the flag:
-    a non-materialised non-empty table is simply skipped by table selection
-    in favour of the VP table.
+    rows is skipped (most pairs of a build are empty).  A pair without an
+    entry — a new predicate's, or one empty until this append — that gains
+    rows is decided by the materialisation rule, as a build decides it: its
+    delta rows are then the whole table.  Entries that already have rows keep
+    their materialisation flag — re-deciding it would require rewriting
+    history (a previously dropped table has no stored rows to extend), which
+    is compaction/rebuild territory, not append territory.  Correctness never
+    depends on the flag: a non-materialised non-empty table is simply skipped
+    by table selection in favour of the VP table.
     """
     changed = {p for p, rows in additions.items() if rows}
     if not changed:
@@ -245,102 +280,92 @@ def compute_incremental_extvp(
             indexes[(first, value_index)] = index
         return index
 
-    kinds = correlation_kinds(include_oo)
+    vp_after = {p: source.row_count(p) + len(additions.get(p, ())) for p in predicates}
     deltas: List[ExtVPDelta] = []
-    for first in predicates:
-        first_changed = first in changed
+    for kind, first, second in correlation_keys(predicates, include_oo):
+        if first not in changed and second not in changed:
+            continue
         new_first_rows = additions.get(first, ())
-        vp_after = source.row_count(first) + len(new_first_rows)
-        for second in predicates:
-            if not first_changed and second not in changed:
-                continue
-            for kind in kinds:
-                if kind == CorrelationKind.SS and first == second:
-                    continue
-                first_column, second_column = KIND_JOIN_COLUMNS[kind]
-                value_index = 0 if first_column == "s" else 1
-                first_values_old = (
-                    subjects_old[first] if first_column == "s" else objects_old[first]
-                )
-                first_values_new = (
-                    subjects_new[first] if first_column == "s" else objects_new[first]
-                )
-                second_values_old = (
-                    subjects_old[second] if second_column == "s" else objects_old[second]
-                )
-                second_values_added = (
-                    subjects_added[second] if second_column == "s" else objects_added[second]
-                )
-                if first_values_new.isdisjoint(second_values_old) and first_values_new.isdisjoint(
-                    second_values_added
-                ):
-                    rows = []  # no new VP_first row can match: skip the pass
-                else:
-                    rows = [
-                        row
-                        for row in new_first_rows
-                        if row[value_index] in second_values_old
-                        or row[value_index] in second_values_added
-                    ]
-                if second_values_added & first_values_old:
-                    # Old VP_first rows revived by values new to VP_second's
-                    # join column.  The guard is what keeps a fresh-term
-                    # append O(batch): no overlap, no segment read.
-                    index = old_rows_by_value(first, value_index)
-                    for value in second_values_added:
-                        rows.extend(index.get(value, ()))
-                info = statistics.lookup(kind, first, second)
-                if info is None:
-                    row_count = len(rows)
-                    _, materialized = materialization_rule(
-                        row_count, vp_after, selectivity_threshold
-                    )
-                    name = name_for(kind, first, second)
-                elif rows or vp_after != info.vp_row_count:
-                    row_count = info.row_count + len(rows)
-                    materialized = info.materialized
-                    name = info.name
-                else:
-                    continue  # provably untouched: no new rows, same denominator
-                distinct_subjects: Optional[int] = None
-                distinct_objects: Optional[int] = None
-                if rows or info is None:
-                    # The post-append table is fully determined by the VP
-                    # rows: old VP_first rows whose join value matched before
-                    # the append, plus the delta rows (which already cover
-                    # both newly-added VP_first rows and old rows revived by
-                    # values new to VP_second).  Folding the old qualifying
-                    # rows in here keeps the stored distinct counts exact
-                    # without re-reading the stored ExtVP table — and the
-                    # intersection guard skips the VP_first read entirely
-                    # when the value sets prove no old row ever matched.
-                    subjects = {row[0] for row in rows}
-                    objects = {row[1] for row in rows}
-                    matched_old = second_values_old & first_values_old
-                    if matched_old:
-                        index = old_rows_by_value(first, value_index)
-                        for value in matched_old:
-                            for row in index.get(value, ()):
-                                subjects.add(row[0])
-                                objects.add(row[1])
-                    distinct_subjects = len(subjects)
-                    distinct_objects = len(objects)
-                deltas.append(
-                    ExtVPDelta(
-                        info=ExtVPTableInfo(
-                            name=name,
-                            kind=kind,
-                            first=first,
-                            second=second,
-                            row_count=row_count,
-                            vp_row_count=vp_after,
-                            materialized=materialized,
-                        ),
-                        rows=rows if materialized else [],
-                        distinct_subjects=distinct_subjects,
-                        distinct_objects=distinct_objects,
-                    )
-                )
+        first_column, second_column = KIND_JOIN_COLUMNS[kind]
+        value_index = 0 if first_column == "s" else 1
+        first_values_old = subjects_old[first] if first_column == "s" else objects_old[first]
+        first_values_new = subjects_new[first] if first_column == "s" else objects_new[first]
+        second_values_old = subjects_old[second] if second_column == "s" else objects_old[second]
+        second_values_added = (
+            subjects_added[second] if second_column == "s" else objects_added[second]
+        )
+        if first_values_new.isdisjoint(second_values_old) and first_values_new.isdisjoint(
+            second_values_added
+        ):
+            rows = []  # no new VP_first row can match: skip the pass
+        else:
+            rows = [
+                row
+                for row in new_first_rows
+                if row[value_index] in second_values_old
+                or row[value_index] in second_values_added
+            ]
+        if second_values_added & first_values_old:
+            # Old VP_first rows revived by values new to VP_second's join
+            # column.  The guard is what keeps a fresh-term append O(batch):
+            # no overlap, no segment read.
+            index = old_rows_by_value(first, value_index)
+            for value in second_values_added:
+                rows.extend(index.get(value, ()))
+        info = statistics.lookup(kind, first, second)
+        if info is not None:
+            if not rows and vp_after[first] == info.vp_row_count:
+                continue  # provably untouched: no new rows, same denominator
+            row_count = info.row_count + len(rows)
+            materialized = info.materialized
+            name = info.name
+        elif rows:
+            # New, or empty until now: ``rows`` is the whole table.
+            row_count = len(rows)
+            _, materialized = materialization_rule(
+                row_count, vp_after[first], selectivity_threshold
+            )
+            name = name_for(kind, first, second)
+        else:
+            continue  # still empty, so still without an entry
+        distinct_subjects: Optional[int] = None
+        distinct_objects: Optional[int] = None
+        if rows:
+            # The post-append table is fully determined by the VP rows: old
+            # VP_first rows whose join value matched before the append, plus
+            # the delta rows (which already cover both newly-added VP_first
+            # rows and old rows revived by values new to VP_second).  Folding
+            # the old qualifying rows in here keeps the stored distinct counts
+            # exact without re-reading the stored ExtVP table — and the
+            # intersection guard skips the VP_first read entirely when the
+            # value sets prove no old row ever matched.
+            subjects = {row[0] for row in rows}
+            objects = {row[1] for row in rows}
+            matched_old = second_values_old & first_values_old
+            if matched_old:
+                index = old_rows_by_value(first, value_index)
+                for value in matched_old:
+                    for row in index.get(value, ()):
+                        subjects.add(row[0])
+                        objects.add(row[1])
+            distinct_subjects = len(subjects)
+            distinct_objects = len(objects)
+        deltas.append(
+            ExtVPDelta(
+                info=ExtVPTableInfo(
+                    name=name,
+                    kind=kind,
+                    first=first,
+                    second=second,
+                    row_count=row_count,
+                    vp_row_count=vp_after[first],
+                    materialized=materialized,
+                ),
+                rows=rows if materialized else [],
+                distinct_subjects=distinct_subjects,
+                distinct_objects=distinct_objects,
+            )
+        )
     return deltas
 
 
@@ -446,7 +471,23 @@ class ExtVPLayout:
         return self.vp.size(predicate)
 
     def extvp_info(self, kind: CorrelationKind, first: IRI, second: IRI) -> Optional[ExtVPTableInfo]:
-        return self.statistics.lookup(kind, first, second)
+        """The statistics of ``ExtVP_kind[first|second]``; ``None`` if not maintained.
+
+        A maintained correlation of two predicates with VP tables that has no
+        entry is empty: it is answered with zero rows, not materialised.
+        """
+        info = self.statistics.lookup(kind, first, second)
+        if info is not None:
+            return info
+        first_table, second_table = self.vp.table_name(first), self.vp.table_name(second)
+        if (
+            first_table is None
+            or second_table is None
+            or not is_correlation_key(kind, first, second, self.include_oo)
+        ):
+            return None
+        name = correlation_table_name(kind.value, first_table, second_table)
+        return ExtVPTableInfo(name, kind, first, second, 0, self.vp.size(first), False)
 
     def table_counts(self) -> Dict[str, int]:
         """Counts used by Table 2: VP tables, materialised ExtVP tables, total."""

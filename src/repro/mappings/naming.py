@@ -39,22 +39,15 @@ def vp_table_name(predicate: IRI, namespaces: NamespaceManager = _DEFAULT_MANAGE
     return f"vp_{predicate_key(predicate, namespaces)}"
 
 
-def extvp_table_name(
-    kind: str,
-    first: IRI,
-    second: IRI,
-    namespaces: NamespaceManager = _DEFAULT_MANAGER,
-) -> str:
-    """Name of an ExtVP table (``extvp_os_wsdbm_follows__wsdbm_likes``).
+def correlation_table_name(kind: str, first_vp_table: str, second_vp_table: str) -> str:
+    """Name of ``ExtVP_kind[first|second]``, from the two VP table names.
 
-    ``kind`` is one of ``ss``, ``os``, ``so`` (``oo`` exists only for the
-    ablation study).  The first predicate is the one whose VP table is being
-    reduced; the second is the correlated predicate.
+    ``kind`` is the :class:`~repro.mappings.extvp.CorrelationKind` value.  VP
+    table names carry the predicates' collision-free keys, frozen when the
+    predicate first reached the dataset; the manifest stores correlations by
+    predicate index and re-derives their names with this function.
     """
-    kind = kind.lower()
-    if kind not in ("ss", "os", "so", "oo"):
-        raise ValueError(f"unknown correlation kind {kind!r}")
-    return f"extvp_{kind}_{predicate_key(first, namespaces)}__{predicate_key(second, namespaces)}"
+    return f"extvp_{kind}_{first_vp_table[3:]}__{second_vp_table[3:]}"
 
 
 def property_table_column(predicate: IRI, namespaces: NamespaceManager = _DEFAULT_MANAGER) -> str:

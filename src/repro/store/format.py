@@ -53,9 +53,10 @@ being written to a directory.
 
 The manifest also persists everything the query compiler needs to come back
 cold: table statistics, the VP predicate map and the ExtVP correlation
-statistics.  Only correlations with rows are listed; the empty ones (the
-paper's statistics-only entries for tables that do not physically exist) are
-implied by the predicate list and regenerated on read.
+statistics.  Only correlations with rows are listed, as they are held in
+memory: a correlation the predicate list implies but the manifest does not
+list is empty (the paper's statistics about tables that do not physically
+exist, Sec. 6.1, without an entry each).
 """
 
 from __future__ import annotations
@@ -72,8 +73,10 @@ from repro.mappings.extvp import (
     CorrelationKind,
     ExtVPStatistics,
     ExtVPTableInfo,
-    correlation_kinds,
+    correlation_keys,
+    is_correlation_key,
 )
+from repro.mappings.naming import correlation_table_name
 from repro.rdf.terms import IRI, Literal, Term, XSD_STRING, term_from_string
 
 #: Bumped whenever the directory layout or segment encoding changes.
@@ -140,17 +143,6 @@ def table_file(table_name: str, generation: int = 0) -> str:
 def file_path(root: str, file: str) -> str:
     """Filesystem path of a manifest-relative ``file``."""
     return os.path.join(root, *file.split("/"))
-
-
-def correlation_table_name(kind: str, first_vp_table: str, second_vp_table: str) -> str:
-    """Name of ``ExtVP_kind[first|second]``, from the two VP table names.
-
-    ``kind`` is the :class:`~repro.mappings.extvp.CorrelationKind` value.  VP
-    table names carry the predicates' collision-free keys, frozen when the
-    predicate first reached the dataset; the manifest stores correlations by
-    predicate index and re-derives their names with this function.
-    """
-    return f"extvp_{kind}_{first_vp_table[3:]}__{second_vp_table[3:]}"
 
 
 def write_at(path: str, offset: int, data: bytes) -> None:
@@ -615,8 +607,7 @@ class Manifest:
     This is the in-memory form; ``MANIFEST.json`` stores the same content as
     positional arrays (:meth:`to_json`): correlations reference predicates by
     index, and what can be derived — ExtVP table names, segment paths, the
-    ``|VP_first|`` every selectivity is relative to, the correlations without
-    rows — is not stored.
+    ``|VP_first|`` every selectivity is relative to — is not stored.
     """
 
     format_version: int
@@ -629,9 +620,10 @@ class Manifest:
     tables: Dict[str, TableEntry]
     #: predicate -> {"table": vp table name, "size": row count}
     vp_tables: Dict[IRI, dict]
-    #: ExtVP correlation statistics (materialised or not).  A session's
-    #: layout uses this very object, so an append's incremental maintenance
-    #: updates both at once.
+    #: The statistics of the ExtVP correlations with rows (materialised or
+    #: not); a correlation without an entry is empty.  A session's layout
+    #: uses this very object, so an append's incremental maintenance updates
+    #: both at once.
     extvp: ExtVPStatistics
     #: Append generation counter: 0 for a freshly written dataset, incremented
     #: by every committed append and compaction.
@@ -644,11 +636,10 @@ class Manifest:
     #: last read from or written to it — see :func:`manifest_identity`.
     identity: Optional[Tuple[int, int, int]] = field(default=None, compare=False)
 
-    @property
-    def statistics_only(self) -> List[ExtVPTableInfo]:
-        """Correlations that were never materialised (empty or filtered ExtVP
-        tables) but whose statistics the compiler still uses."""
-        return [info for info in self.extvp.tables.values() if not info.materialized]
+    def statistics_only_count(self) -> int:
+        """Correlations without a table: empty, equal to ``VP_first`` or above the threshold."""
+        maintained = len(correlation_keys(range(len(self.vp_tables)), self.include_oo))
+        return maintained - len(self.extvp.materialized())
 
     def selection(self, name: str) -> Tuple[TableEntry, SelectionEntry]:
         """The selection called ``name`` and the entry of the table it selects from."""
@@ -660,30 +651,18 @@ class Manifest:
 
     def to_json(self) -> dict:
         predicate_index = {predicate: index for index, predicate in enumerate(self.vp_tables)}
-        kinds = correlation_kinds(self.include_oo)
-        # Only correlations with rows are written; ``from_json`` regenerates
-        # the rest from the predicate list.  That is lossless exactly when the
-        # statistics hold one entry per (kind, first, second) the layout
-        # maintains, each relative to the current size of ``VP_first`` — what
-        # the build and the incremental maintenance both guarantee.
-        implied = len(predicate_index) * (len(predicate_index) * len(kinds) - 1)
-        if len(self.extvp.tables) != implied:
-            raise ValueError(
-                f"{len(self.extvp.tables)} ExtVP statistics for {len(predicate_index)} "
-                f"predicates, the manifest implies {implied}"
-            )
         correlations = []
-        for info in self.extvp.tables.values():
+        for key, info in self.extvp.tables.items():
+            # Every held entry is written, so each must be a correlation with
+            # rows the layout maintains, relative to the current ``|VP_first|``
+            # — what the build and the incremental maintenance guarantee.
             vp_table = self.vp_tables[info.first]
             if (
-                info.vp_row_count != vp_table["size"]
-                or info.kind not in kinds
-                or (info.kind == CorrelationKind.SS and info.first == info.second)
-                or (info.materialized and info.row_count == 0)
+                info.row_count <= 0
+                or info.vp_row_count != vp_table["size"]
+                or not is_correlation_key(*key, self.include_oo)
             ):
-                raise ValueError(f"ExtVP statistics the manifest cannot imply: {info!r}")
-            if info.row_count == 0:
-                continue
+                raise ValueError(f"ExtVP statistics the manifest cannot hold: {info!r}")
             record = [
                 info.kind,  # a ``str`` subclass: serialises as its value
                 predicate_index[info.first],
@@ -752,46 +731,50 @@ class Manifest:
             vp_value_sets[predicate] = {"s": set(subjects), "o": set(objects)}
         tables = {record[0]: TableEntry._decode(record) for record in data["tables"]}
 
-        listed = {(record[1], record[2], record[0]): record for record in data["extvp"]}
-        kinds = correlation_kinds(data["include_oo"])
+        include_oo = data["include_oo"]
         extvp = ExtVPStatistics()
-        # One entry per correlation the layout maintains, listed or not: this
-        # loop is a quarter of a cold open.
-        for first, first_predicate in enumerate(predicates):
+        for record in data["extvp"]:
+            kind_value, first, second, row_count, materialized = record[:5]
+            if not (0 <= first < len(predicates) and 0 <= second < len(predicates)):
+                raise DatasetFormatError(f"correlation {record[:3]!r} names no listed predicate")
+            try:
+                kind = CorrelationKind(kind_value)
+            except ValueError:
+                raise DatasetFormatError(f"unknown correlation kind in {record[:3]!r}") from None
+            if not is_correlation_key(kind, first, second, include_oo):
+                raise DatasetFormatError(
+                    f"the manifest lists a correlation its layout does not keep: {record[:3]!r}"
+                )
+            if row_count <= 0:
+                raise DatasetFormatError(f"correlation {record[:3]!r} is listed without rows")
+            first_predicate, second_predicate = predicates[first], predicates[second]
+            if extvp.lookup(kind, first_predicate, second_predicate) is not None:
+                raise DatasetFormatError(f"correlation {record[:3]!r} is listed twice")
             first_table = vp_tables[first_predicate]
-            for second, second_predicate in enumerate(predicates):
-                second_name = vp_tables[second_predicate]["table"]
-                for kind in kinds:
-                    if kind == CorrelationKind.SS and first == second:
-                        continue
-                    record = listed.pop((first, second, kind.value), None)
-                    name = correlation_table_name(kind.value, first_table["table"], second_name)
-                    row_count, materialized = (record[3], bool(record[4])) if record else (0, False)
-                    # Positional (name, kind, first, second, rows, vp rows, materialised).
-                    extvp.add(
-                        ExtVPTableInfo(
-                            name,
-                            kind,
-                            first_predicate,
-                            second_predicate,
-                            row_count,
-                            first_table["size"],
-                            materialized,
-                        )
-                    )
-                    if materialized:
-                        entry = tables[first_table["table"]]
-                        entry.selections[name] = _decode_selection(name, record, entry)
-        if listed:
-            raise DatasetFormatError(
-                f"the manifest lists correlations its predicates do not imply: {sorted(listed)[:3]}"
+            name = correlation_table_name(
+                kind.value, first_table["table"], vp_tables[second_predicate]["table"]
             )
+            # Positional (name, kind, first, second, rows, vp rows, materialised).
+            extvp.add(
+                ExtVPTableInfo(
+                    name,
+                    kind,
+                    first_predicate,
+                    second_predicate,
+                    row_count,
+                    first_table["size"],
+                    bool(materialized),
+                )
+            )
+            if materialized:
+                entry = tables[first_table["table"]]
+                entry.selections[name] = _decode_selection(name, record, entry)
         return cls(
             format_version=version,
             layout_name=data["layout_name"],
             num_buckets=data["num_buckets"],
             selectivity_threshold=data["selectivity_threshold"],
-            include_oo=data["include_oo"],
+            include_oo=include_oo,
             namespaces=data["namespaces"],
             dictionary_size=data["dictionary_size"],
             tables=tables,

@@ -3,9 +3,9 @@
 ``open_dataset`` rebuilds a fully functional
 :class:`~repro.mappings.extvp.ExtVPLayout` from a dataset directory without
 parsing N-Triples or recomputing a single semi-join: table statistics come
-from the manifest's zone-map aggregates, the VP/ExtVP correlation statistics
-are restored verbatim (including the paper's statistics-only entries for
-empty tables), and every materialised table is registered as a *stored* table
+from the manifest's zone-map aggregates, the statistics of the ExtVP
+correlations with rows are restored verbatim (an unlisted correlation is
+empty), and every materialised table is registered as a *stored* table
 that decodes its column segments only when a query actually scans it — a VP
 table from its own file (:class:`StoredTable`), an ExtVP table as a view of
 the rows of its VP table that its bitmaps select (:class:`StoredSelection`).
@@ -31,7 +31,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.engine.catalog import Catalog, ScanResult, StoredTableProvider, TableStatistics
 from repro.engine.relation import Relation
 from repro.engine.storage import NULL_ID
-from repro.mappings.extvp import ExtVPLayout, ExtVPTableInfo
+from repro.mappings.extvp import ExtVPLayout
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.rdf import ntriples as ntriples_io
 from repro.rdf.namespaces import NamespaceManager
@@ -657,19 +657,17 @@ def register_changes(
     layout: ExtVPLayout,
     dataset: StoredDataset,
     tables: Iterable[str],
-    statistics_only: Iterable[ExtVPTableInfo],
     started_at: Optional[float] = None,
 ) -> None:
-    """(Re)register ``tables`` and ``statistics_only`` of ``dataset`` into ``layout``.
+    """(Re)register ``tables`` of ``dataset`` into ``layout``.
 
-    With every table and every non-materialised correlation this is the cold
-    open — of a directory, or of the image a session just laid its build out
-    as; with what one committed append or compaction touched (its report's
-    ``touched_tables`` / ``touched_statistics``) it is all a live session has
-    to do afterwards, and every other table keeps its decoded rows.  Mutates
-    the layout's existing catalog in place — sessions hold references to it —
-    via ``register_stored``, which also drops the decoded-rows cache of the
-    table's previous incarnation.  ``started_at``
+    With every table this is the cold open — of a directory, or of the image
+    a session just laid its build out as; with what one committed append or
+    compaction touched (its report's ``touched_tables``) it is all a live
+    session has to do afterwards, and every other table keeps its decoded
+    rows.  Mutates the layout's existing catalog in place — sessions hold
+    references to it — via ``register_stored``, which also drops the
+    decoded-rows cache of the table's previous incarnation.  ``started_at``
     lets the cold open count its file reads into the layout's load time.
     """
     if started_at is None:
@@ -679,8 +677,6 @@ def register_changes(
     for name in tables:
         table = dataset.changed_table(name)
         catalog.register_stored(name, table, table.statistics())
-    for info in statistics_only:
-        catalog.register_statistics_only(info.name, info.row_count, info.selectivity)
 
     # The layout takes the manifest's statistics object itself: the appender
     # maintains it in place, so there is one copy and nothing to rebuild.
@@ -718,14 +714,13 @@ def open_dataset(
         include_oo=manifest.include_oo,
     )
     with tracer.span("store.restore-layout", category="store"):
-        statistics_only = manifest.statistics_only
-        register_changes(layout, dataset, list(dataset.tables), statistics_only, started_at=start)
+        register_changes(layout, dataset, list(dataset.tables), started_at=start)
 
     report = DatasetLoadReport(
         path=path,
         load_seconds=layout.report.build_seconds if layout.report else 0.0,
         table_count=len(dataset.tables),
-        statistics_only_count=len(statistics_only),
+        statistics_only_count=manifest.statistics_only_count(),
         dictionary_terms=manifest.dictionary_size,
         num_buckets=manifest.num_buckets,
         append_epoch=manifest.append_epoch,
@@ -747,7 +742,5 @@ def refresh_dataset(layout: ExtVPLayout, path: str) -> StoredDataset:
     """
     start = time.perf_counter()
     dataset = StoredDataset.open(path)
-    register_changes(
-        layout, dataset, list(dataset.tables), dataset.manifest.statistics_only, started_at=start
-    )
+    register_changes(layout, dataset, list(dataset.tables), started_at=start)
     return dataset

@@ -47,10 +47,9 @@ from repro.mappings.extvp import (
     ExtVPDelta,
     ExtVPLayout,
     ExtVPStatistics,
-    ExtVPTableInfo,
     compute_incremental_extvp,
 )
-from repro.mappings.naming import unique_predicate_key
+from repro.mappings.naming import correlation_table_name, unique_predicate_key
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.namespaces import NamespaceManager
 from repro.rdf.terms import IRI, Term
@@ -67,7 +66,6 @@ from repro.store.format import (
     SelectionEntry,
     StoredTermDictionary,
     TableEntry,
-    correlation_table_name,
     decode_bitmap,
     decode_segment,
     dictionary_path,
@@ -417,8 +415,6 @@ class DatasetAppendReport:
     #: Tables whose manifest entry changed (new rows, or new statistics) —
     #: all a live session has to re-register.
     touched_tables: List[str] = field(default_factory=list, repr=False)
-    #: Statistics-only correlations whose numbers changed.
-    touched_statistics: List[ExtVPTableInfo] = field(default_factory=list, repr=False)
 
     @property
     def write_amplification(self) -> float:
@@ -724,14 +720,12 @@ class DatasetAppender:
         )
 
         # Incremental ExtVP maintenance (affected pairs only).
-        touched_statistics: List[ExtVPTableInfo] = []
         #: table name -> [(selection over it, {bucket: positions it gains})]
         gains: Dict[str, List[Tuple[SelectionEntry, Dict[int, List[int]]]]] = {}
         for delta in deltas:
             info = delta.info
             manifest.extvp.add(info)
             if not info.materialized:
-                touched_statistics.append(info)
                 continue
             entry = manifest.tables[vp_names[info.first]]
             selection = entry.selections.get(info.name)
@@ -784,7 +778,6 @@ class DatasetAppender:
             bytes_written=bytes_written,
             append_seconds=time.perf_counter() - start,
             touched_tables=sorted(extended | reselected),
-            touched_statistics=touched_statistics,
         )
 
     # ------------------------------------------------------------------ #

@@ -351,7 +351,7 @@ def inspect_dataset(
         num_buckets=manifest.num_buckets,
         table_count=len(manifest.tables),
         selection_count=sum(t.selections for t in tables),
-        statistics_only_count=len(manifest.statistics_only),
+        statistics_only_count=manifest.statistics_only_count(),
         dictionary_terms=manifest.dictionary_size,
         dictionary_bytes=dictionary_bytes,
         total_bytes=total_bytes,

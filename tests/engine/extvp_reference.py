@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.engine.relation import Relation
 from repro.mappings.extvp import CorrelationKind, ExtVPLayout, ExtVPTableInfo
 from repro.rdf.graph import Graph
-from repro.store.format import correlation_table_name
+from repro.mappings.naming import correlation_table_name
 
 #: The join column of ``VP_p1`` and of ``VP_p2`` per correlation (Fig. 9).
 JOIN_COLUMNS = {

@@ -1,11 +1,12 @@
 """The store's ExtVP against the paper's definition.
 
 A session lays its build out as a store image and computes ExtVP there, in
-id space, as bitmaps over the VP tables' stored rows.  Every correlation it
-keeps must be the one ``VP_p1 ⋉ VP_p2`` over terms gives
-(``extvp_reference.py``): the same entries, row counts, ``|VP_p1|``,
-materialisation decisions and distinct counts, and for every materialised
-table the rows its bitmaps select are that semi-join's rows — on the paper's
+id space, as bitmaps over the VP tables' stored rows.  Every correlation —
+held with its rows, or answered as empty because it has no entry — must be
+the one ``VP_p1 ⋉ VP_p2`` over terms gives (``extvp_reference.py``): the same
+names, row counts, ``|VP_p1|``, materialisation decisions and distinct
+counts, and for every materialised table the rows its bitmaps select are
+that semi-join's rows — on the paper's
 running example (Fig. 10) and on the WatDiv-like dataset, at every threshold
 regime, with and without OO, at 1, 2 and 8 buckets.
 """
@@ -15,7 +16,13 @@ import pytest
 from engine.extvp_reference import reference_layout
 from repro.core.config import SessionConfig
 from repro.core.session import S2RDFSession
-from repro.mappings.extvp import ExtVPLayout
+from repro.core.table_selection import TableSelector
+from repro.mappings.extvp import ExtVPLayout, correlation_keys
+from repro.sparql import parse_query
+from repro.sparql.algebra import BGP
+from repro.watdiv.basic_queries import BASIC_TEMPLATES
+from repro.watdiv.incremental_queries import INCREMENTAL_TEMPLATES
+from repro.watdiv.template import instantiate_many
 
 THRESHOLDS = (0.0, 0.25, 1.0)
 BUCKET_COUNTS = (1, 2, 8)
@@ -52,11 +59,17 @@ def test_store_extvp_is_the_semi_join_definition(
     layout.build(graph)
     with S2RDFSession(layout, config=SessionConfig.from_flat(num_partitions=buckets)) as session:
         assert session._dataset.manifest.num_buckets == buckets
-        actual = session.layout.statistics.tables
-        assert actual.keys() == expected.statistics.tables.keys()
+        # The reference holds every correlation, the empty ones included; the
+        # store holds those with rows and answers the others as empty.
+        keys = correlation_keys(expected.vp.predicates(), include_oo)
+        assert expected.statistics.tables.keys() == set(keys)
+        assert session.layout.statistics.tables.keys() == {
+            key for key in keys if expected.statistics.tables[key].row_count
+        }
         materialized = 0
-        for key, reference in expected.statistics.tables.items():
-            info = actual[key]
+        for key in keys:
+            reference = expected.statistics.tables[key]
+            info = session.layout.extvp_info(*key)
             assert (info.name, info.row_count, info.vp_row_count, info.materialized) == (
                 reference.name,
                 reference.row_count,
@@ -81,3 +94,40 @@ def test_store_extvp_is_the_semi_join_definition(
             assert materialized == 0
         elif threshold == 1.0:
             assert materialized > 0
+
+
+def _bgps(node):
+    """The triple patterns of every BGP under ``node``."""
+    if isinstance(node, BGP):
+        yield node.patterns
+    for child in ("pattern", "left", "right"):
+        if getattr(node, child, None) is not None:
+            yield from _bgps(getattr(node, child))
+
+
+@pytest.mark.parametrize("include_oo", (False, True))
+@pytest.mark.parametrize("threshold", (1.0, 0.25, 0.0))
+def test_table_selection_is_the_definitions(
+    references, small_dataset, threshold, include_oo
+):
+    """Algorithm 1 over the store's statistics — which hold no entry for an
+    empty correlation — picks, and lists as candidates, exactly what it does
+    over the definition's, which hold every correlation: for every Basic and
+    IL template, two instances each."""
+    expected = TableSelector(references(small_dataset.graph, threshold, include_oo))
+    layout = ExtVPLayout(selectivity_threshold=threshold, include_oo=include_oo)
+    layout.build(small_dataset.graph)
+    with S2RDFSession(layout) as session:
+        patterns = 0
+        for template in BASIC_TEMPLATES + INCREMENTAL_TEMPLATES:
+            for text in instantiate_many(template, small_dataset, 2, seed=7):
+                for bgp in _bgps(parse_query(text).pattern):
+                    for pattern in bgp:
+                        assert session.selector.select(pattern, bgp) == expected.select(
+                            pattern, bgp
+                        ), (template.name, pattern)
+                        assert session.selector.candidates(pattern, bgp) == expected.candidates(
+                            pattern, bgp
+                        ), (template.name, pattern)
+                        patterns += 1
+        assert patterns > 200

@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.session import S2RDFSession
-from repro.mappings.extvp import CorrelationKind, ExtVPLayout
+from repro.mappings.extvp import (
+    CorrelationKind,
+    ExtVPLayout,
+    correlation_keys,
+    is_correlation_key,
+)
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
 from repro.rdf.triple import Triple
@@ -219,3 +224,16 @@ class TestBuildReportAlwaysPopulated:
         assert layout.report is not None
         assert layout.report.build_seconds > 0.0
         assert layout.report.table_count == 0
+
+
+@pytest.mark.parametrize("include_oo", (False, True))
+def test_one_key_space_rule(include_oo):
+    """``is_correlation_key`` accepts exactly the keys ``correlation_keys``
+    lists — over predicates and over their indexes alike — and the key space
+    has every ordered pair per kind except SS of a predicate with itself."""
+    predicates = [IRI("p"), IRI("q"), IRI("r")]
+    for stand_ins in (predicates, range(len(predicates))):
+        keys = correlation_keys(stand_ins, include_oo)
+        assert len(keys) == len(set(keys)) == 9 * (4 if include_oo else 3) - 3
+        every = [(kind, a, b) for kind in CorrelationKind for a in stand_ins for b in stand_ins]
+        assert {key for key in every if is_correlation_key(*key, include_oo)} == set(keys)

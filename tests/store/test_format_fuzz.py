@@ -3,8 +3,9 @@ reproduces locally as is).
 
 Four codecs stand between a layout and its bytes: the RLE column page, the
 segment that packs pages, the selection bitmap, and the manifest's positional
-JSON — which since format v4 *implies* the correlations without rows instead
-of listing them.  Each must give back exactly what went in.
+JSON — which lists the correlations with rows, as the statistics hold them: a
+correlation without an entry is empty.  Each must give back exactly what
+went in.
 """
 
 import json
@@ -23,8 +24,9 @@ from repro.mappings.extvp import (
     CorrelationKind,
     ExtVPStatistics,
     ExtVPTableInfo,
-    correlation_kinds,
+    correlation_keys,
 )
+from repro.mappings.naming import correlation_table_name
 from repro.rdf.terms import IRI
 from repro.store.format import (
     FORMAT_VERSION,
@@ -35,7 +37,6 @@ from repro.store.format import (
     PartitionEntry,
     SelectionEntry,
     TableEntry,
-    correlation_table_name,
     decode_bitmap,
     decode_segment,
     encode_bitmap,
@@ -208,46 +209,38 @@ def manifests(draw):
             column: draw(st.sets(st.integers(0, 99), max_size=6)) for column in ("s", "o")
         }
     extvp = ExtVPStatistics()
-    for first in predicates:
+    for kind, first, second in correlation_keys(predicates, include_oo):
         entry = tables[vp_tables[first]["table"]]
-        for second in predicates:
-            for kind in correlation_kinds(include_oo):
-                if kind == CorrelationKind.SS and first == second:
-                    continue
-                name = correlation_table_name(
-                    kind.value, entry.name, vp_tables[second]["table"]
-                )
-                # Most correlations are empty (implied); some have rows and no
-                # table (SF = 1, or above the threshold); some are selections.
-                shape = draw(st.sampled_from(["empty", "empty", "statistics", "selection"]))
-                rows = 0 if shape == "empty" or not entry.row_count else draw(
-                    st.integers(1, entry.row_count)
-                )
-                materialized = shape == "selection" and rows > 0
-                extvp.add(
-                    ExtVPTableInfo(name, kind, first, second, rows, entry.row_count, materialized)
-                )
-                if materialized:
-                    entry.selections[name] = SelectionEntry(
-                        name=name,
-                        row_count=rows,
-                        distinct_subjects=draw(st.integers(1, rows)),
-                        distinct_objects=draw(st.integers(1, rows)),
-                        bitmaps=[
-                            draw(
-                                st.one_of(
-                                    st.just(BitmapEntry()),
-                                    st.builds(
-                                        BitmapEntry,
-                                        st.integers(0, 9000),
-                                        st.integers(1, 40),
-                                        st.integers(1, 300),
-                                    ),
-                                )
-                            )
-                            for _ in range(num_buckets)
-                        ],
+        # Most correlations are empty (no entry); some have rows and no table
+        # (SF = 1, or above the threshold); some are selections.
+        shape = draw(st.sampled_from(["empty", "empty", "statistics", "selection"]))
+        if shape == "empty" or not entry.row_count:
+            continue
+        name = correlation_table_name(kind.value, entry.name, vp_tables[second]["table"])
+        rows = draw(st.integers(1, entry.row_count))
+        materialized = shape == "selection"
+        extvp.add(ExtVPTableInfo(name, kind, first, second, rows, entry.row_count, materialized))
+        if materialized:
+            entry.selections[name] = SelectionEntry(
+                name=name,
+                row_count=rows,
+                distinct_subjects=draw(st.integers(1, rows)),
+                distinct_objects=draw(st.integers(1, rows)),
+                bitmaps=[
+                    draw(
+                        st.one_of(
+                            st.just(BitmapEntry()),
+                            st.builds(
+                                BitmapEntry,
+                                st.integers(0, 9000),
+                                st.integers(1, 40),
+                                st.integers(1, 300),
+                            ),
+                        )
                     )
+                    for _ in range(num_buckets)
+                ],
+            )
     return Manifest(
         format_version=FORMAT_VERSION,
         layout_name="extvp",
@@ -277,44 +270,60 @@ def test_manifest_round_trips_through_json(manifest):
         shuffled.add(info)
     manifest.extvp = shuffled
     assert json.dumps(manifest.to_json(), separators=(",", ":")) == encoded
-    # Listed are the correlations with rows, and only they.
-    listed = json.loads(encoded)["extvp"]
-    assert len(listed) == sum(1 for info in manifest.extvp.tables.values() if info.row_count)
-    assert len(decoded.statistics_only) == sum(
-        1 for info in manifest.extvp.tables.values() if not info.materialized
-    )
+    # Listed are the held correlations, which are those with rows.
+    assert len(json.loads(encoded)["extvp"]) == len(manifest.extvp)
+    assert all(info.row_count for info in decoded.extvp.tables.values())
 
 
 @FUZZ
 @given(manifests(), st.data())
 def test_statistics_the_manifest_cannot_imply_are_not_written(manifest, data):
-    """``to_json`` drops what ``from_json`` regenerates; anything else it must
-    refuse to drop silently."""
-    victim = data.draw(st.sampled_from(sorted(manifest.extvp.tables, key=str)))
-    info = manifest.extvp.tables[victim]
-    damage = data.draw(st.sampled_from(["missing", "stale size"]))
-    if damage == "missing":
-        del manifest.extvp.tables[victim]
+    """``to_json`` writes every held entry, so it must refuse one the
+    manifest cannot hold rather than write it: a zero-row entry (absence is
+    the encoding of an empty correlation) or one relative to a stale
+    ``|VP_first|``."""
+    damages = ["zero rows", "stale size"] if manifest.extvp.tables else ["zero rows"]
+    if data.draw(st.sampled_from(damages)) == "zero rows":
+        keys = correlation_keys(list(manifest.vp_tables), manifest.include_oo)
+        kind, first, second = data.draw(st.sampled_from(keys))
+        tables = manifest.vp_tables
+        name = correlation_table_name(kind.value, tables[first]["table"], tables[second]["table"])
+        manifest.extvp.add(
+            ExtVPTableInfo(name, kind, first, second, 0, tables[first]["size"], False)
+        )
     else:
-        info.vp_row_count += 1
+        victim = data.draw(st.sampled_from(sorted(manifest.extvp.tables, key=str)))
+        manifest.extvp.tables[victim].vp_row_count += 1
     with pytest.raises(ValueError):
         manifest.to_json()
 
 
-def test_a_listed_correlation_the_predicates_do_not_imply_is_refused():
+@pytest.mark.parametrize(
+    "records, match",
+    [
+        ([["os", 0, 1, 2, 0]], "names no listed predicate"),
+        ([["os", -1, 0, 2, 0]], "names no listed predicate"),
+        ([["xx", 0, 0, 2, 0]], "unknown correlation kind"),
+        ([["oo", 0, 0, 2, 0]], "does not keep"),  # OO only with include_oo
+        ([["ss", 0, 0, 2, 0]], "does not keep"),  # SS of a predicate with itself
+        ([["os", 0, 0, 0, 0]], "without rows"),  # absence is the encoding of empty
+        ([["os", 0, 0, 2, 0], ["os", 0, 0, 2, 0]], "listed twice"),
+    ],
+    ids=["index", "negative-index", "unknown-kind", "oo", "ss-self", "zero-rows", "duplicate"],
+)
+def test_a_listed_correlation_the_predicates_do_not_imply_is_refused(records, match):
     predicate = IRI("http://example.org/p")
     entry = TableEntry("vp_p", ("s", "o"), 3, 1.0, 3, 3, ("s",), num_buckets=1)
-    extvp = ExtVPStatistics()
-    for kind in (CorrelationKind.OS, CorrelationKind.SO):
-        name = correlation_table_name(kind.value, "vp_p", "vp_p")
-        extvp.add(ExtVPTableInfo(name, kind, predicate, predicate, 0, 3, False))
     manifest = Manifest(
         FORMAT_VERSION, "extvp", 1, 1.0, False, {}, 0, {"vp_p": entry},
-        {predicate: {"table": "vp_p", "size": 3}}, extvp,
+        {predicate: {"table": "vp_p", "size": 3}}, ExtVPStatistics(),
         vp_value_sets={predicate: {"s": set(), "o": set()}},
     )  # fmt: skip
     data = manifest.to_json()
     assert data["extvp"] == []
-    data["extvp"].append(["ss", 0, 0, 2, 0])  # SS of a predicate with itself is never kept
-    with pytest.raises(DatasetFormatError, match="do not imply"):
+    data["extvp"].append(["so", 0, 0, 1, 0])  # a valid record decodes
+    decoded = Manifest.from_json(data).extvp
+    assert decoded.lookup(CorrelationKind.SO, predicate, predicate).row_count == 1
+    data["extvp"].extend(records)
+    with pytest.raises(DatasetFormatError, match=match):
         Manifest.from_json(data)

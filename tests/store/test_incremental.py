@@ -12,7 +12,9 @@ import pathlib
 
 import pytest
 
+from engine.extvp_reference import reference_layout
 from repro.core.session import S2RDFSession
+from repro.mappings.extvp import CorrelationKind, correlation_keys
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
 from repro.rdf.triple import Triple
@@ -125,21 +127,82 @@ class TestAppend:
             session.close()
 
     def test_extvp_statistics_match_rebuild(self, dataset_path, rebuilt):
-        """Row counts of every correlation pair are maintained exactly.
+        """Row counts of every correlation pair are maintained exactly — the
+        empty ones included, which both sides hold no entry for.
 
         (Materialisation flags may legitimately differ: appends never
-        re-decide them, a rebuild does.)
+        re-decide them for a correlation that had rows, a rebuild does.)
         """
         session = S2RDFSession.open_dataset(dataset_path)
         try:
             session.append_triples(update_triples())
-            for key, info in rebuilt.layout.statistics.tables.items():
-                incremental = session.layout.statistics.tables.get(key)
-                assert incremental is not None, key
+            predicates = rebuilt.layout.vp.predicates()
+            assert session.layout.vp.predicates() == predicates
+            for key in correlation_keys(predicates):
+                info = rebuilt.layout.extvp_info(*key)
+                incremental = session.layout.extvp_info(*key)
+                assert incremental.name == info.name, key
                 assert incremental.row_count == info.row_count, key
                 assert incremental.vp_row_count == info.vp_row_count, key
+            assert (
+                session.layout.statistics.tables.keys() == rebuilt.layout.statistics.tables.keys()
+            )
         finally:
             session.close()
+
+    def test_a_revived_correlation_is_decided_as_a_rebuild_decides_it(self, tmp_path):
+        """A correlation empty at build time that gains rows in an append is
+        decided by the materialisation rule, as a new predicate's pairs are:
+        its delta rows are then the whole table.  Flag, row count, distinct
+        counts and the rows its bitmaps select equal a rebuild's and the
+        definition's — for a row revived in ``VP_first`` by a value new to
+        ``VP_second`` (OS and SO of p|q) and for a new row (OS and SO of q|p)."""
+        path = str(tmp_path / "dataset")
+        base = [Triple.of("a", "p", "x"), Triple.of("c", "p", "w"), Triple.of("b", "q", "y")]
+        added = [Triple.of("x", "q", "a")]
+        p, q = IRI("p"), IRI("q")
+        revived = [
+            (CorrelationKind.OS, p, q),
+            (CorrelationKind.SO, p, q),
+            (CorrelationKind.OS, q, p),
+            (CorrelationKind.SO, q, p),
+        ]
+        with S2RDFSession.from_graph(Graph(base)) as session:
+            session.save_dataset(path)
+            assert all(session.layout.extvp_info(*key).is_empty for key in revived)
+            assert not session.layout.statistics.tables.keys() & set(revived)
+        graph = Graph(base + added)
+        reference = reference_layout(graph)
+        with S2RDFSession.open_dataset(path) as appended, S2RDFSession.from_graph(
+            graph
+        ) as rebuilt:
+            appended.append_triples(added)
+            with S2RDFSession.open_dataset(path) as reopened:
+                for session in (appended, reopened, rebuilt):
+                    layout, catalog = session.layout, session.layout.catalog
+                    for key in correlation_keys([p, q]):
+                        expected = reference.statistics.tables[key]
+                        info = layout.extvp_info(*key)
+                        assert (info.name, info.row_count, info.materialized) == (
+                            expected.name,
+                            expected.row_count,
+                            expected.materialized,
+                        ), key
+                        if not info.materialized:
+                            assert info.name not in catalog, key
+                            continue
+                        defined = reference.catalog.statistics(info.name)
+                        stored = catalog.statistics(info.name)
+                        assert (stored.distinct_subjects, stored.distinct_objects) == (
+                            defined.distinct_subjects,
+                            defined.distinct_objects,
+                        ), key
+                        assert bag(catalog.scan(info.name).relation) == bag(
+                            reference.catalog.table(info.name)
+                        ), key
+                    for key in revived:
+                        assert layout.extvp_info(*key).materialized, key
+                        assert layout.extvp_info(*key).selectivity == 0.5, key
 
     def test_extvp_distinct_counts_exact_after_append(self, dataset_path):
         """Appends keep the manifest's ExtVP distinct counts *exact* — equal

@@ -166,6 +166,7 @@ class TestFootprint:
     def test_extvp_is_stored_as_selections_not_as_files(self, dataset_path, warm_session):
         import json
 
+        from repro.mappings.extvp import correlation_keys
         from repro.store.format import read_manifest
 
         root = pathlib.Path(dataset_path)
@@ -180,9 +181,14 @@ class TestFootprint:
         selections = [s for entry in manifest.tables.values() for s in entry.selections]
         assert sorted(selections) == sorted(info.name for info in statistics.materialized())
         assert len(selections) > 800
+        # Listed and held are the correlations with rows, and only they: every
+        # other correlation of the key space is answered as empty.
         listed = json.loads((root / "MANIFEST.json").read_text())["extvp"]
-        non_empty = [info for info in statistics.tables.values() if info.row_count]
-        assert len(listed) == len(non_empty) < len(statistics.tables) / 5
+        layout = warm_session.layout
+        keys = correlation_keys(layout.vp.predicates())
+        non_empty = [key for key in keys if layout.extvp_info(*key).row_count]
+        assert len(listed) == len(non_empty) == len(statistics) < len(keys) / 5
+        assert set(non_empty) == statistics.tables.keys()
 
         stored = sum(p.stat().st_size for p in root.rglob("*") if p.is_file() and "journal" not in p.parts)
         per_triple = stored / manifest.tables["triples"].row_count
@@ -306,7 +312,8 @@ class TestOverwrite:
     def test_resave_decides_extvp_anew(self, tmp_path):
         """An append keeps a correlation's materialisation flag; a re-save lays
         the data out as a build does, so a reduction whose SF reached 1 stops
-        being stored, and the session's catalog stops serving it."""
+        being stored, and the session's catalog stops serving it and holds
+        no statistics for it: its statistics are the layout's."""
         import repro
         from repro.mappings.extvp import CorrelationKind
         from repro.rdf.graph import Graph
@@ -327,9 +334,9 @@ class TestOverwrite:
             expected = bag(session.query(query).relation)
             session.save_dataset(path, overwrite=True)
             info = ss_p_q(session)
-            assert not info.materialized and info.row_count == 2
+            assert not info.materialized and info.row_count == 2 and info.selectivity == 1.0
             assert info.name not in session.layout.catalog
-            assert session.layout.catalog.statistics(info.name).row_count == 2
+            assert session.layout.catalog.statistics(info.name) is None
             assert bag(session.query(query).relation) == expected
         with repro.connect(path) as reopened:
             assert not ss_p_q(reopened).materialized

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.config import StoreConfig
 from repro.core.session import S2RDFSession
+from repro.mappings.extvp import correlation_keys
 from repro.rdf.graph import Graph
 from repro.rdf.triple import Triple
 from repro.store.format import read_manifest
@@ -49,7 +50,9 @@ def test_report_reflects_manifest_and_journal(dataset):
     assert report.format_version == manifest.format_version
     assert report.table_count == len(manifest.tables)  # the VP tables and ``triples``
     assert report.selection_count == len(manifest.extvp.materialized()) > 0
-    assert report.statistics_only_count == len(manifest.statistics_only)
+    # Every maintained correlation without a table, the empty ones included.
+    maintained = len(correlation_keys(list(manifest.vp_tables)))
+    assert report.statistics_only_count == maintained - report.selection_count > 0
     assert report.dictionary_terms == manifest.dictionary_size
     assert report.dictionary_bytes > 0
     assert report.total_bytes == report.base_bytes + report.delta_bytes + report.selection_bytes
