@@ -10,6 +10,7 @@ but scalable).  The reproduction keeps both modes and the cost-based switch.
 from __future__ import annotations
 
 import time
+from operator import itemgetter
 from typing import List, Optional, Union
 
 from repro.baselines.base import EngineResult, LoadReport, SparqlEngine
@@ -58,11 +59,20 @@ class H2RDFPlusEngine(SparqlEngine):
     def load(self, graph: Graph) -> LoadReport:
         start = time.perf_counter()
         self.graph = graph
-        triples_relation = Relation(("s", "p", "o"), ((t.subject, t.predicate, t.object) for t in graph))
         # Six permutation indexes; HBase stores the whole triple in the row
         # key, so each index is roughly the size of the dataset (compressed).
+        # An HBase table is sorted by its row key: each index is written in
+        # its permutation's order of the terms' N3 — not in the graph's set
+        # order, which differs between processes and with it the run lengths.
+        triples = [
+            ((t.subject, t.predicate, t.object), (t.subject.n3(), t.predicate.n3(), t.object.n3()))
+            for t in graph
+        ]
         for permutation in ("spo", "sop", "pso", "pos", "osp", "ops"):
-            self.hdfs.write(f"h2rdf/{permutation}.hfile", triples_relation)
+            pick = itemgetter(*("spo".index(column) for column in permutation))
+            ordered = sorted(triples, key=lambda triple: pick(triple[1]))
+            rows = [pick(terms) for terms, _ in ordered]
+            self.hdfs.write(f"h2rdf/{permutation}.hfile", Relation(tuple(permutation), rows))
         wallclock = time.perf_counter() - start
         return LoadReport(
             engine=self.name,

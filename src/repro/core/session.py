@@ -70,6 +70,7 @@ from repro.store.reader import (
     open_dataset as _open_stored_dataset,
     refresh_dataset as _refresh_stored_dataset,
     register_changes as _register_store_changes,
+    register_dataset as _register_stored_dataset,
 )
 from repro.store.writer import (
     CompactionReport,
@@ -316,7 +317,7 @@ class S2RDFSession:
         for name in catalog.table_names():
             if name not in dataset.tables:
                 catalog.drop(name)
-        _register_store_changes(self.layout, dataset, list(dataset.tables), started_at=started_at)
+        _register_stored_dataset(self.layout, dataset, started_at=started_at)
         self._dataset = dataset
 
     # ------------------------------------------------------------------ #

@@ -41,6 +41,8 @@ _UNESCAPE_MAP = {
 
 
 def _unescape(text: str) -> str:
+    if "\\" not in text:
+        return text
     result = []
     index = 0
     while index < len(text):

@@ -18,6 +18,7 @@ the writer and reader that move an
   scans, ExtVP tables as views of their VP table
   (:class:`StoredSelection`); :class:`StoredDataset` is the opened state a
   session keeps resident and its appender/compactor work on in place;
+  :func:`register_dataset` registers a freshly opened one,
   :func:`register_changes` re-registers what one mutation touched,
   :func:`refresh_dataset` re-reads everything.
 
@@ -42,6 +43,7 @@ from repro.store.reader import (
     open_dataset,
     refresh_dataset,
     register_changes,
+    register_dataset,
 )
 from repro.store.writer import (
     CompactionReport,
@@ -71,4 +73,5 @@ __all__ = [
     "read_manifest",
     "refresh_dataset",
     "register_changes",
+    "register_dataset",
 ]

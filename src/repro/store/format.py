@@ -66,14 +66,14 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.storage import ZoneMap, decode_id_column
 from repro.mappings.extvp import (
     CorrelationKind,
     ExtVPStatistics,
     ExtVPTableInfo,
-    correlation_keys,
+    correlation_kinds,
     is_correlation_key,
 )
 from repro.mappings.naming import correlation_table_name
@@ -90,6 +90,9 @@ TABLES_DIR = "tables"
 _SEGMENT_MAGIC = b"S2CS"
 _SEGMENT_HEADER = struct.Struct("<HH")  # format version, column count
 _COLUMN_HEADER = struct.Struct("<HI")  # name byte length, payload byte length
+
+#: A manifest's correlation kind value -> the kind.
+_KINDS = {kind.value: kind for kind in CorrelationKind}
 
 
 def stable_hash(value: Any) -> int:
@@ -284,23 +287,29 @@ def encode_term_line(term: Term) -> str:
 
 def decode_term_line(line: str) -> Term:
     """Inverse of :func:`encode_term_line`."""
-    return term_from_string(line.encode("ascii").decode("unicode_escape"))
+    if "\\" in line:  # without one, the armour changed nothing
+        line = line.encode("ascii").decode("unicode_escape")
+    return term_from_string(line)
 
 
 class StoredTermDictionary:
-    """Lazy view of a persisted term dictionary.
+    """Lazy view of a persisted term dictionary, with one index per direction.
 
-    Opening a dataset only reads the raw lines; terms are parsed on first
-    :meth:`decode` and the reverse (term -> id) index is built on first
-    :meth:`lookup`, keeping the cold-open path proportional to file I/O, not
-    term parsing.  A session keeps one instance for its lifetime: appends
-    extend it (and the reverse index, once built) in place.
+    Opening a dataset only reads the raw lines.  id -> term parses one line
+    on its first :meth:`decode`; term -> id (:meth:`lookup`) encodes the term
+    into its canonical line (:func:`encode_term_line`) and finds that line in
+    an index of the raw lines, built on the first lookup without parsing any
+    of them.  So a cold query parses only its constants' ids and the ids it
+    returns, and the open stays proportional to file I/O.  A session keeps
+    one instance for its lifetime: appends extend it (and the line index,
+    once built) in place.
     """
 
     def __init__(self, lines: List[str]) -> None:
         self._lines = lines
         self._terms: List[Optional[Term]] = [None] * len(lines)
-        self._reverse: Optional[Dict[Term, int]] = None
+        #: Line -> its id (the last one, for a line two distinct terms share).
+        self._reverse: Optional[Dict[str, int]] = None
         #: int -> its one object, shared by every decoded id column and position vector.
         self.interned: Dict[int, int] = {}
         #: Byte length of the committed lines in ``dictionary.nt`` (ASCII,
@@ -355,11 +364,12 @@ class StoredTermDictionary:
         data = "".join(line + "\n" for line in lines).encode("ascii")
         write_at(dictionary_path(root), self.committed_bytes, data)
         self.committed_bytes += len(data)
-        if self._reverse is not None:
-            for term_id, term in enumerate(terms, start=len(self._lines)):
-                self._reverse[term] = term_id
+        first = len(self._lines)
         self._lines.extend(lines)
         self._terms.extend(terms)
+        # Indexed once decodable: a lookup that finds a new line decodes its id.
+        if self._reverse is not None:
+            self._reverse.update(zip(lines, range(first, len(self._lines))))
         return len(data)
 
     def __len__(self) -> int:
@@ -375,13 +385,25 @@ class StoredTermDictionary:
         return term
 
     def lookup(self, term: Term) -> Optional[int]:
+        """The id of ``term``, or ``None`` if the dictionary does not hold it."""
         reverse = self._reverse
         if reverse is None:
             # Published only once complete: concurrent readers of a cold
             # session may each build it, none may look into a half-built one.
-            reverse = {self.decode(index): index for index in range(len(self._lines))}
+            reverse = dict(zip(self._lines, range(len(self._lines))))
             self._reverse = reverse
-        return reverse.get(term)
+        line = encode_term_line(term)
+        term_id = reverse.get(line)
+        if term_id is None:
+            return None
+        if self.decode(term_id) == term:
+            return term_id
+        # Distinct terms with one line (``Literal("x", language="")`` and
+        # ``Literal("x")`` share their N3): the line's other ids, if any.
+        for term_id, other in enumerate(self._lines):
+            if other == line and self.decode(term_id) == term:
+                return term_id
+        return None
 
 
 # --------------------------------------------------------------------- #
@@ -638,7 +660,10 @@ class Manifest:
 
     def statistics_only_count(self) -> int:
         """Correlations without a table: empty, equal to ``VP_first`` or above the threshold."""
-        maintained = len(correlation_keys(range(len(self.vp_tables)), self.include_oo))
+        # ``len(correlation_keys(...))`` without listing them: every kind for
+        # every ordered pair but SS of a predicate with itself.
+        predicates = len(self.vp_tables)
+        maintained = len(correlation_kinds(self.include_oo)) * predicates * predicates - predicates
         return maintained - len(self.extvp.materialized())
 
     def selection(self, name: str) -> Tuple[TableEntry, SelectionEntry]:
@@ -732,24 +757,27 @@ class Manifest:
         tables = {record[0]: TableEntry._decode(record) for record in data["tables"]}
 
         include_oo = data["include_oo"]
+        kept = correlation_kinds(include_oo)
+        seen: Set[Tuple[str, int, int]] = set()
         extvp = ExtVPStatistics()
         for record in data["extvp"]:
             kind_value, first, second, row_count, materialized = record[:5]
             if not (0 <= first < len(predicates) and 0 <= second < len(predicates)):
                 raise DatasetFormatError(f"correlation {record[:3]!r} names no listed predicate")
-            try:
-                kind = CorrelationKind(kind_value)
-            except ValueError:
-                raise DatasetFormatError(f"unknown correlation kind in {record[:3]!r}") from None
-            if not is_correlation_key(kind, first, second, include_oo):
+            kind = _KINDS.get(kind_value) if isinstance(kind_value, str) else None
+            if kind is None:
+                raise DatasetFormatError(f"unknown correlation kind in {record[:3]!r}")
+            if kind not in kept or (kind is CorrelationKind.SS and first == second):
                 raise DatasetFormatError(
                     f"the manifest lists a correlation its layout does not keep: {record[:3]!r}"
                 )
             if row_count <= 0:
                 raise DatasetFormatError(f"correlation {record[:3]!r} is listed without rows")
-            first_predicate, second_predicate = predicates[first], predicates[second]
-            if extvp.lookup(kind, first_predicate, second_predicate) is not None:
+            key = (kind_value, first, second)
+            if key in seen:
                 raise DatasetFormatError(f"correlation {record[:3]!r} is listed twice")
+            seen.add(key)
+            first_predicate, second_predicate = predicates[first], predicates[second]
             first_table = vp_tables[first_predicate]
             name = correlation_table_name(
                 kind.value, first_table["table"], vp_tables[second_predicate]["table"]
@@ -794,7 +822,7 @@ def _decode_selection(name: str, record: list, entry: TableEntry) -> SelectionEn
         row_count=record[3],
         distinct_subjects=record[5],
         distinct_objects=record[6],
-        bitmaps=[BitmapEntry(*numbers[at : at + 3]) for at in range(0, len(numbers), 3)],
+        bitmaps=list(map(BitmapEntry, numbers[0::3], numbers[1::3], numbers[2::3])),
     )
 
 

@@ -653,29 +653,45 @@ class StoredDataset:
         return table
 
 
-def register_changes(
+def register_dataset(
+    layout: ExtVPLayout, dataset: StoredDataset, started_at: Optional[float] = None
+) -> None:
+    """Register every table of a freshly opened ``dataset`` into ``layout``.
+
+    The cold open — of a directory, or of the image a session just laid its
+    build out as: the table handles :meth:`StoredDataset.open` /
+    :meth:`~StoredDataset.hold` built are registered as they are.  Mutates
+    the layout's existing catalog in place — sessions hold references to it
+    — via ``register_stored``, which also drops the decoded-rows cache of the
+    table's previous incarnation.  ``started_at`` lets the cold open count
+    its file reads into the layout's load time.
+    """
+    _register(layout, dataset, dataset.tables.items(), started_at)
+
+
+def register_changes(layout: ExtVPLayout, dataset: StoredDataset, tables: Iterable[str]) -> None:
+    """Re-register ``tables`` of ``dataset`` — what one committed mutation touched.
+
+    With a committed append's or compaction's ``touched_tables`` this is all
+    a live session has to do afterwards: the touched handles drop their
+    stale scans (:meth:`StoredDataset.changed_table`), and every other table
+    keeps its decoded rows.
+    """
+    changed = [(name, dataset.changed_table(name)) for name in tables]
+    _register(layout, dataset, changed, None)
+
+
+def _register(
     layout: ExtVPLayout,
     dataset: StoredDataset,
-    tables: Iterable[str],
-    started_at: Optional[float] = None,
+    tables: Iterable[Tuple[str, _StoredProvider]],
+    started_at: Optional[float],
 ) -> None:
-    """(Re)register ``tables`` of ``dataset`` into ``layout``.
-
-    With every table this is the cold open — of a directory, or of the image
-    a session just laid its build out as; with what one committed append or
-    compaction touched (its report's ``touched_tables``) it is all a live
-    session has to do afterwards, and every other table keeps its decoded
-    rows.  Mutates the layout's existing catalog in place — sessions hold
-    references to it — via ``register_stored``, which also drops the
-    decoded-rows cache of the table's previous incarnation.  ``started_at``
-    lets the cold open count its file reads into the layout's load time.
-    """
     if started_at is None:
         started_at = time.perf_counter()
     manifest = dataset.manifest
     catalog = layout.catalog
-    for name in tables:
-        table = dataset.changed_table(name)
+    for name, table in tables:
         catalog.register_stored(name, table, table.statistics())
 
     # The layout takes the manifest's statistics object itself: the appender
@@ -714,7 +730,7 @@ def open_dataset(
         include_oo=manifest.include_oo,
     )
     with tracer.span("store.restore-layout", category="store"):
-        register_changes(layout, dataset, list(dataset.tables), started_at=start)
+        register_dataset(layout, dataset, started_at=start)
 
     report = DatasetLoadReport(
         path=path,
@@ -742,5 +758,5 @@ def refresh_dataset(layout: ExtVPLayout, path: str) -> StoredDataset:
     """
     start = time.perf_counter()
     dataset = StoredDataset.open(path)
-    register_changes(layout, dataset, list(dataset.tables), started_at=start)
+    register_dataset(layout, dataset, started_at=start)
     return dataset

@@ -4,11 +4,17 @@ The key invariant is cross-engine agreement: every engine must return the same
 solution bag for the same BGP query (only the simulated runtimes differ).
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.baselines import (
     ALL_ENGINE_CLASSES,
     H2RDFPlusEngine,
@@ -118,6 +124,38 @@ class TestEngineBehaviours:
         engine = next(e for e in loaded_engines if e.name == "H2RDF+")
         result = engine.query(query)
         assert result.execution_mode.startswith("hbase/")
+
+    def test_h2rdf_hdfs_bytes_do_not_depend_on_the_graphs_set_order(self, small_graph):
+        """Each permutation index is written sorted, as an HBase table is: the
+        same triples inserted in two orders, and loaded in two processes
+        (where a ``Literal``'s hash, and with it the graph's set order, moves
+        even under one ``PYTHONHASHSEED``), give one ``hdfs_bytes``."""
+        triples = sorted(small_graph, key=lambda t: (t.subject.n3(), t.predicate.n3(), t.object.n3()))
+        forward = H2RDFPlusEngine().load(Graph(triples)).hdfs_bytes
+        backward = H2RDFPlusEngine().load(Graph(reversed(triples))).hdfs_bytes
+        assert forward == backward
+
+        script = (
+            "from repro.baselines import H2RDFPlusEngine\n"
+            "from repro.watdiv.generator import generate_dataset\n"
+            "graph = generate_dataset(scale_factor=1.0, seed=7).graph\n"
+            "print(H2RDFPlusEngine().load(graph).hdfs_bytes)\n"
+        )
+        source = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        environment = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=source)
+        readings = [
+            int(
+                subprocess.run(
+                    [sys.executable, "-c", script],
+                    env=environment,
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                ).stdout
+            )
+            for _ in range(2)
+        ]
+        assert readings == [forward, forward]
 
     def test_virtuoso_warm_cache_faster(self, small_graph, small_dataset):
         query = instantiate_template(basic_template("C3"), small_dataset)
