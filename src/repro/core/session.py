@@ -496,9 +496,9 @@ class S2RDFSession:
         The triples are written as *delta segments* — hash-bucketed,
         RLE-encoded column pages with their own zone maps — without rewriting
         any existing segment or renumbering a single dictionary id.  VP
-        tables and the base triples table are extended; every affected ExtVP
-        correlation (maintained incrementally for pairs involving the
-        appended predicates only) gets its statistics updated and, where its
+        tables and the base triples table are extended; every ExtVP
+        correlation the batch reaches (only those are evaluated) gets its
+        statistics updated and, where its
         rows changed, the bitmaps that select them written anew behind the
         deltas.  The touched tables are re-registered in the session's
         catalog so the very next query sees the merged base + delta data —

@@ -32,7 +32,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.engine.catalog import Catalog
 from repro.mappings.naming import correlation_table_name
@@ -188,6 +188,78 @@ class ExtVPDelta:
     distinct_objects: Optional[int] = None
 
 
+#: The columns of a VP table, as :data:`KIND_JOIN_COLUMNS` names them.
+_COLUMNS = ("s", "o")
+
+#: column -> predicate -> a set of its values.
+_ColumnValues = Dict[str, Dict[IRI, AbstractSet[int]]]
+
+
+def _reached_keys(
+    statistics: ExtVPStatistics,
+    predicates: Sequence[IRI],
+    changed: AbstractSet[IRI],
+    include_oo: bool,
+    old: _ColumnValues,
+    new: _ColumnValues,
+    added: _ColumnValues,
+) -> List[Tuple[CorrelationKind, IRI, IRI]]:
+    """The correlations an append can change, in :func:`correlation_keys` order.
+
+    ``old``, ``new`` and ``added`` are the values of each column before the
+    append, of the batch's rows, and of those new to the column.
+    ``ExtVP_kind[first|second]`` changes only if
+
+    * a new ``VP_first`` row's join value is in ``VP_second``'s post-append
+      join column,
+    * a value new to ``VP_second``'s join column is in ``VP_first``'s old
+      join column (old ``VP_first`` rows are revived), or
+    * it has an entry and ``first`` got rows (its ``|VP_first|`` moved).
+
+    The first two are found from the batch's values: which predicates'
+    columns hold them costs one intersection with the batch per predicate and
+    column, so the work follows the batch, not the |predicates|² key space.
+    """
+    batch_values = set().union(*new["s"].values(), *new["o"].values())
+    added_values = set().union(*added["s"].values(), *added["o"].values())
+    #: column -> batch value -> the predicates whose post-append column holds it.
+    holders_after: Dict[str, Dict[int, List[IRI]]] = {"s": {}, "o": {}}
+    #: column -> value new to a column -> the predicates whose old column holds it.
+    holders_before: Dict[str, Dict[int, List[IRI]]] = {"s": {}, "o": {}}
+    for predicate in predicates:
+        for column in _COLUMNS:
+            old_values = old[column][predicate]
+            after = holders_after[column]
+            for value in (old_values & batch_values) | new[column][predicate]:
+                after.setdefault(value, []).append(predicate)
+            before = holders_before[column]
+            for value in old_values & added_values:
+                before.setdefault(value, []).append(predicate)
+
+    reached: Set[Tuple[CorrelationKind, IRI, IRI]] = {
+        key for key, info in statistics.tables.items() if info.first in changed
+    }
+    kinds = correlation_kinds(include_oo)
+    for kind in kinds:
+        first_column, second_column = KIND_JOIN_COLUMNS[kind]
+        after = holders_after[second_column]
+        before = holders_before[first_column]
+        for predicate in changed:
+            seconds: Set[IRI] = set()
+            for value in new[first_column][predicate]:
+                seconds.update(after.get(value, ()))
+            firsts: Set[IRI] = set()
+            for value in added[second_column][predicate]:
+                firsts.update(before.get(value, ()))
+            reached.update((kind, predicate, second) for second in seconds)
+            reached.update((kind, first, predicate) for first in firsts)
+    if CorrelationKind.SS in kinds:
+        reached.difference_update((CorrelationKind.SS, p, p) for p in changed)
+    order = {predicate: index for index, predicate in enumerate(predicates)}
+    kind_order = {kind: index for index, kind in enumerate(kinds)}
+    return sorted(reached, key=lambda key: (order[key[1]], order[key[2]], kind_order[key[0]]))
+
+
 def compute_incremental_extvp(
     statistics: ExtVPStatistics,
     source,
@@ -196,7 +268,7 @@ def compute_incremental_extvp(
     selectivity_threshold: float,
     include_oo: bool = False,
 ) -> List[ExtVPDelta]:
-    """Incrementally maintain ExtVP for an append, touching affected pairs only.
+    """Incrementally maintain ExtVP for an append, touching the reached correlations only.
 
     A build is the append of every VP row to an empty ``source``: it yields
     every (kind, first, second) entry with rows, materialised or not, each
@@ -207,15 +279,16 @@ def compute_incremental_extvp(
     ``source`` is the pre-append VP state, lazily: it exposes
     ``predicates()``, ``row_count()``, ``subjects()``, ``objects()`` and
     ``rows()`` (the dataset store's appender serves it from the manifest's
-    value sets and the table files).  Pair evaluation runs on
-    the value sets alone; ``rows()`` is called only when a non-empty
+    value sets and the session's decoded table columns).  Pair evaluation
+    runs on the value sets alone; ``rows()`` is called only when a non-empty
     intersection proves old ``VP_first`` rows can actually appear in a delta
     — so a source backed by persisted value sets never touches stored
     segments for an append of fresh terms.
     ``additions`` maps predicates to the *new* rows of this append.  The
     caller must pre-deduplicate: ``additions[p]`` contains no row already in
     the old ``VP_p`` and no within-batch duplicates (VP tables are derived
-    from a triple *set*).
+    from a triple *set*).  ``statistics`` must describe ``source``: an
+    entry's ``vp_row_count`` is the row count of its ``first``.
 
     The maintenance identity: after appending, the delta of
     ``ExtVP_kind[p1|p2]`` is exactly
@@ -226,43 +299,44 @@ def compute_incremental_extvp(
       (a value absent before the append cannot have matched before, so these
       rows are provably not in the old ExtVP table — no dedup needed).
 
-    Only ordered pairs where at least one side received new triples are
-    evaluated, so the work is O(|changed| * |predicates|) pairs instead of the
-    full O(|predicates|^2) rebuild, and a pair whose new join values are
-    disjoint from ``VP_p2``'s is provably without new rows: its pass over the
-    rows is skipped (most pairs of a build are empty).  A pair without an
-    entry — a new predicate's, or one empty until this append — that gains
-    rows is decided by the materialisation rule, as a build decides it: its
-    delta rows are then the whole table.  Entries that already have rows keep
-    their materialisation flag — re-deciding it would require rewriting
-    history (a previously dropped table has no stored rows to extend), which
-    is compaction/rebuild territory, not append territory.  Correctness never
-    depends on the flag: a non-materialised non-empty table is simply skipped
-    by table selection in favour of the VP table.
+    So only three sets of correlations can change (:func:`_reached_keys`):
+    those whose first side's new join values meet the second side's
+    post-append column, those whose second side's new values meet the first
+    side's old column, and the entries whose ``|VP_p1|`` denominator moved.
+    They are found from the batch's values and evaluated in
+    :func:`correlation_keys` order; every other correlation is provably
+    unchanged and is not visited.  The work is O(|batch values| *
+    |predicates|) set lookups plus the reached pairs — on the benchmark store
+    about as many as the deltas emitted — instead of every key with a changed
+    side.  A pair without an entry — a new predicate's, or one empty until
+    this append — that gains rows is decided by the materialisation rule, as
+    a build decides it: its delta rows are then the whole table.  Entries
+    that already have rows keep their materialisation flag — re-deciding it
+    would require rewriting history (a previously dropped table has no
+    stored rows to extend), which is compaction/rebuild territory, not append
+    territory.  Correctness never depends on the flag: a non-materialised
+    non-empty table is simply skipped by table selection in favour of the VP
+    table.
     """
     changed = {p for p, rows in additions.items() if rows}
     if not changed:
         return []
     predicates = sorted(set(source.predicates()) | changed, key=lambda p: p.value)
 
-    subjects_old: Dict[IRI, Set] = {}
-    objects_old: Dict[IRI, Set] = {}
-    #: The values of the new rows, and those of them new to the column.
-    subjects_new: Dict[IRI, Set] = {}
-    objects_new: Dict[IRI, Set] = {}
-    subjects_added: Dict[IRI, Set] = {}
-    objects_added: Dict[IRI, Set] = {}
+    #: Per column: the values before the append, those of the new rows, and
+    #: those of them new to the column.
+    old: _ColumnValues = {"s": {}, "o": {}}
+    new: _ColumnValues = {"s": {}, "o": {}}
+    added: _ColumnValues = {"s": {}, "o": {}}
     for predicate in predicates:
-        subjects_old[predicate] = source.subjects(predicate)
-        objects_old[predicate] = source.objects(predicate)
         new_rows = additions.get(predicate, ())
-        new_subjects = subjects_new[predicate] = {row[0] for row in new_rows}
-        new_objects = objects_new[predicate] = {row[1] for row in new_rows}
-        # Before a build nothing is old: every new value is added (no copy).
-        old = subjects_old[predicate]
-        subjects_added[predicate] = new_subjects - old if old else new_subjects
-        old = objects_old[predicate]
-        objects_added[predicate] = new_objects - old if old else new_objects
+        for index, column in enumerate(_COLUMNS):
+            old_values = old[column][predicate] = (
+                source.subjects(predicate) if column == "s" else source.objects(predicate)
+            )
+            new_values = new[column][predicate] = {row[index] for row in new_rows}
+            # Before a build nothing is old: every new value is added (no copy).
+            added[column][predicate] = new_values - old_values if old_values else new_values
 
     # Inverted index: (first, column) -> {join value: rows}.  Finding the old
     # rows that newly qualify then costs O(|values new to p2's column|)
@@ -282,18 +356,16 @@ def compute_incremental_extvp(
 
     vp_after = {p: source.row_count(p) + len(additions.get(p, ())) for p in predicates}
     deltas: List[ExtVPDelta] = []
-    for kind, first, second in correlation_keys(predicates, include_oo):
-        if first not in changed and second not in changed:
-            continue
+    for kind, first, second in _reached_keys(
+        statistics, predicates, changed, include_oo, old, new, added
+    ):
         new_first_rows = additions.get(first, ())
         first_column, second_column = KIND_JOIN_COLUMNS[kind]
-        value_index = 0 if first_column == "s" else 1
-        first_values_old = subjects_old[first] if first_column == "s" else objects_old[first]
-        first_values_new = subjects_new[first] if first_column == "s" else objects_new[first]
-        second_values_old = subjects_old[second] if second_column == "s" else objects_old[second]
-        second_values_added = (
-            subjects_added[second] if second_column == "s" else objects_added[second]
-        )
+        value_index = _COLUMNS.index(first_column)
+        first_values_old = old[first_column][first]
+        first_values_new = new[first_column][first]
+        second_values_old = old[second_column][second]
+        second_values_added = added[second_column][second]
         if first_values_new.isdisjoint(second_values_old) and first_values_new.isdisjoint(
             second_values_added
         ):

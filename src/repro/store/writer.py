@@ -482,18 +482,26 @@ _EMPTY_VP_STATE = _EmptyVPState()
 class _StoredVPSource:
     """Pre-append VP state for dedup and incremental maintenance.
 
-    Value sets are the manifest's resident ``vp_value_sets``; full rows are
-    read from the table's segments only when the value sets prove the read
-    can matter — a maintenance intersection is non-empty, or a batch pair
-    survives the subject/object membership prefilter in :meth:`has_row`.
-    It answers from the manifest as it is when asked, so the appender asks
-    everything before it starts changing entries and value sets in place;
-    what a read found stays as it was found.
+    Value sets are the manifest's resident ``vp_value_sets``.  Full rows are
+    needed only when the value sets prove they can matter — a maintenance
+    intersection is non-empty, or a batch pair survives the subject/object
+    membership prefilter in :meth:`has_row` — and then come from the
+    dataset's resident table handle
+    (:meth:`~repro.store.reader.StoredTable.bucket_arrays`): the decoded,
+    interned id columns the session's scans share, so a table a query already
+    scanned costs no read, and a base segment decoded for one append stays
+    decoded for the next one and for the queries after it.
+
+    A handle's segment lists are those of its committed entry.  So every row
+    read must happen before the appender changes any entry in place: it
+    calls :meth:`seal` then, and a read of a table first asked for after that
+    raises instead of reading segments that are not written yet.  What a read
+    found stays as it was found.
     """
 
-    def __init__(self, path: str, manifest: Manifest, vp_names: Dict[IRI, str]) -> None:
-        self._path = path
-        self._manifest = manifest
+    def __init__(self, dataset: "StoredDataset", vp_names: Dict[IRI, str]) -> None:
+        self._dataset = dataset
+        self._manifest = dataset.manifest
         #: Grows while the append registers new predicates; those simply have
         #: no rows and no values yet.
         self._vp_names = vp_names
@@ -501,6 +509,11 @@ class _StoredVPSource:
         #: sequence)}, in that order — the rows, the dedup set and the address
         #: a selection's bitmap knows a row by, from one read.
         self._positions: Dict[IRI, Dict[Tuple[int, ...], Tuple[int, int]]] = {}
+        self._sealed = False
+
+    def seal(self) -> None:
+        """The appender starts changing entries in place: no more row reads."""
+        self._sealed = True
 
     # -- the lazy VP-source interface compute_incremental_extvp consumes -- #
     def predicates(self) -> List[IRI]:
@@ -514,25 +527,34 @@ class _StoredVPSource:
         return entry.row_count if entry is not None else 0
 
     def positions(self, predicate: IRI) -> Dict[Tuple[int, ...], Tuple[int, int]]:
-        """Where every pre-append row of ``VP_predicate`` lies (reads segments)."""
+        """Where every pre-append row of ``VP_predicate`` lies (from its handle)."""
         cached = self._positions.get(predicate)
         if cached is None:
-            cached = {}
             entry = self._entry(predicate)
+            if self._sealed:
+                raise RuntimeError(
+                    f"rows of {entry.name if entry else predicate!r} read after the "
+                    "append began changing entries in place"
+                )
+            cached = {}
             if entry is not None:
-                data = read_file_range(file_path(self._path, entry.file), 0, entry.committed_bytes)
-                for bucket in range(entry.num_partitions):
-                    position = 0
-                    for segment in entry.segments_for_bucket(bucket):
-                        decoded = decode_segment(segment.cut(data), entry.columns)
-                        for row in zip(*(decoded[column] for column in entry.columns)):
+                table = self._dataset.tables.get(entry.name)
+                if table is not None and table.entry is entry:
+                    for bucket in range(entry.num_partitions):
+                        arrays = table.bucket_arrays(bucket, entry.columns)
+                        rows = zip(*(arrays[column] for column in entry.columns))
+                        for position, row in enumerate(rows):
                             cached[row] = (bucket, position)
-                            position += 1
+                if len(cached) != entry.row_count:
+                    raise RuntimeError(
+                        f"the handle of {entry.name!r} does not hold its committed rows: "
+                        "re-register what the last mutation touched before the next one"
+                    )
             self._positions[predicate] = cached
         return cached
 
     def rows(self, predicate: IRI) -> Iterable[Tuple[int, ...]]:
-        """All pre-append rows of ``VP_predicate``, in id space (reads segments)."""
+        """All pre-append rows of ``VP_predicate``, in id space (from its handle)."""
         return self.positions(predicate).keys()
 
     def subjects(self, predicate: IRI) -> AbstractSet[int]:
@@ -582,10 +604,17 @@ class DatasetAppender:
 
     Cost model: deduplication, VP statistics and ExtVP pair evaluation all
     run against the resident value sets without reading a single stored
-    segment.  Stored rows are read only when a value-set intersection proves
-    an old row can actually qualify (or a batch pair survives the dedup
-    prefilter) — so an append of fresh terms costs what the batch costs, plus
-    one serialisation of the manifest.
+    segment, and only the correlations the batch's values reach are
+    evaluated (:func:`~repro.mappings.extvp.compute_incremental_extvp`) —
+    about as many as get deltas, not the |predicates|² key space.  Old rows
+    are needed only when a value-set intersection proves one can actually
+    qualify (or a batch pair survives the dedup prefilter), and then come
+    from the dataset's table handles: columns a query or an earlier append
+    already decoded are not read again, and what this append decodes stays
+    decoded for the queries after it.  An append of fresh terms costs what
+    the batch costs, plus one serialisation of the manifest.  The handles must
+    be current: the caller re-registers what each committed mutation touched
+    (:func:`~repro.store.reader.register_changes`) before the next one.
     """
 
     def __init__(self, dataset: "StoredDataset") -> None:
@@ -605,7 +634,7 @@ class DatasetAppender:
         }
         # Pre-append VP state, in id space (ids are dataset-global, so value
         # comparisons across tables work without decoding a single term).
-        source = _StoredVPSource(self.path, manifest, vp_names)
+        source = _StoredVPSource(self.dataset, vp_names)
 
         # Encode, deduplicate and group the batch by predicate — in sorted
         # order, so the ids new terms get (and with them every byte this
@@ -672,6 +701,11 @@ class DatasetAppender:
         )
 
         # --- from here on the resident state changes in place -------------- #
+        # The table handles' segment lists are the committed entries': every
+        # row this append needs was read above (a delta's old rows are in the
+        # rows its maintenance read), and a read from here would see segments
+        # not written yet.
+        source.seal()
         created: Set[str] = set()
         #: table name -> what this append adds to the table's file.
         images: Dict[str, _FileImage] = {}

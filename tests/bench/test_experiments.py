@@ -1,6 +1,8 @@
 """Integration tests for the experiment harness: every paper table/figure can
 be regenerated at a tiny scale and shows the expected qualitative shape."""
 
+import pathlib
+
 import pytest
 
 from repro.bench import (
@@ -15,6 +17,22 @@ from repro.bench import (
 from repro.bench.reporting import ExperimentReport, arithmetic_mean, format_runtime, geometric_mean
 from repro.bench.scaling import paper_work_scale
 from repro.watdiv.generator import generate_dataset
+
+#: Where the benchmark wrappers write the reports they regenerate.
+OUTPUT_DIR = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "output"
+
+
+def table_cells(text):
+    """The rows of a report rendered by ``ExperimentReport.to_text``, as
+    ``{column: cell}`` dicts of the cells' text."""
+    lines = text.splitlines()
+    header = next(index for index, line in enumerate(lines) if " | " in line)
+    columns = [cell.strip() for cell in lines[header].split(" | ")]
+    return [
+        dict(zip(columns, (cell.strip() for cell in line.split(" | "))))
+        for line in lines[header + 2 :]
+        if " | " in line
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +77,20 @@ class TestTable2:
         assert extvp["tuples"] > vp["tuples"]
         assert extvp["simulated_load_s"] > vp["simulated_load_s"]
         assert extvp["tables"] > vp["tables"]
+
+    def test_committed_table_regenerates(self):
+        """``benchmarks/output/table2_load.txt`` is what ``run_table2_load``
+        gives at its scale factor (2) and seed (42): every cell but the wall
+        clock, the ExtVP row's tuples and tables included."""
+        committed = (OUTPUT_DIR / "table2_load.txt").read_text(encoding="utf-8")
+        report = run_table2_load(scale_factors=(2.0,), seed=42)
+        expected, regenerated = table_cells(committed), table_cells(report.to_text())
+        assert [row["system"] for row in regenerated] == [row["system"] for row in expected]
+        for row in expected + regenerated:
+            del row["wallclock_s"]
+        assert regenerated == expected
+        extvp = next(row for row in regenerated if row["system"] == "S2RDF ExtVP")
+        assert (extvp["tuples"], extvp["tables"]) == ("58651", "1015")
 
 
 class TestTable3:

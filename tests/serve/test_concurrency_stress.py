@@ -37,11 +37,18 @@ def base_graph() -> Graph:
 
 
 def batch(round_index: int):
-    """The triples append round ``round_index`` commits (deterministic)."""
+    """The triples append round ``round_index`` commits (deterministic).
+
+    ``item<round>`` becomes a subject of <follows>: the six old <likes> rows
+    with that object are revived into ExtVP_OS[likes|follows], so the
+    appender reads <likes> through the table handle the readers scan.
+    """
     base = 100 + round_index * 10
-    return [
-        Triple.of(f"user{base + j}", "follows", f"user{j}") for j in range(3)
-    ] + [Triple.of(f"user{base + j}", "likes", f"item{j}") for j in range(3)]
+    return (
+        [Triple.of(f"user{base + j}", "follows", f"user{j}") for j in range(3)]
+        + [Triple.of(f"user{base + j}", "likes", f"item{j}") for j in range(3)]
+        + [Triple.of(f"item{round_index}", "follows", f"user{base}")]
+    )
 
 
 def bag(relation):
@@ -65,6 +72,7 @@ def test_concurrent_queries_see_consistent_epochs(tmp_path, execution_mode):
                 serial.append_triples(batch(epoch))
     # The appends really changed the answers (the test would be vacuous).
     assert reference[("scan", 0)] != reference[("scan", ROUNDS)]
+    assert reference[("join", 0)] != reference[("join", 1)]
 
     path2 = str(tmp_path / "dataset2")
     repro.create(base_graph(), path=path2, num_partitions=2).close()

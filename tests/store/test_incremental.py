@@ -611,25 +611,42 @@ class TestCompaction:
                         assert zone.min_id <= zone.max_id < manifest.dictionary_size
 
 
+#: A batch that revives old ``p`` rows and no others: ``o2`` is an object of
+#: 8 ``p`` rows and nowhere else, and becomes a subject of the new ``r``.
+REVIVE_P = [Triple(IRI("o2"), IRI("r"), IRI("x1"))]
+SCAN_P = "SELECT * WHERE { ?s <p> ?o }"
+REVIVED_P = "SELECT ?s WHERE { ?s <p> ?o . ?o <r> ?x }"
+
+
 class TestAppendCost:
     """The manifest's persisted per-predicate value sets make appends
     O(batch): dedup, VP statistics and ExtVP pair evaluation run against the
-    sets, and base/delta segments are read only when a value-set
-    intersection proves an old row can actually qualify."""
+    sets, and segments are decoded only when a value-set intersection proves
+    an old row can actually qualify — through the dataset's table handles,
+    so a segment decoded once stays decoded."""
 
     @staticmethod
-    def _count_segment_reads(monkeypatch):
-        """Names of the tables whose file the appender reads from now on."""
+    def _count_segment_reads(monkeypatch, origins=None):
+        """Names of the tables whose segments are decoded from now on (and,
+        into ``origins``, each decoded segment's "<file> at offset <n>").
+
+        Table handles decode in the reader; a decode anywhere else in the
+        store counts too, as "segment" when it does not say where from."""
+        import repro.store.reader as reader_mod
         import repro.store.writer as writer_mod
 
         calls = []
-        real = writer_mod.read_file_range
+        real = reader_mod.decode_segment
 
-        def counting(path, *args):
-            calls.append(os.path.basename(path).split(".")[0])  # tables/<name>[.<epoch>].seg
-            return real(path, *args)
+        def counting(data, columns=None, interned=None, origin="segment"):
+            where = origin.split(" at offset ")[0]
+            calls.append(os.path.basename(where).split(".")[0])  # tables/<name>[.<epoch>].seg
+            if origins is not None:
+                origins.append(origin)
+            return real(data, columns, interned, origin)
 
-        monkeypatch.setattr(writer_mod, "read_file_range", counting)
+        monkeypatch.setattr(reader_mod, "decode_segment", counting)
+        monkeypatch.setattr(writer_mod, "decode_segment", counting)
         return calls
 
     def test_fresh_term_append_reads_no_base_segments(self, dataset_path, monkeypatch):
@@ -674,6 +691,95 @@ class TestAppendCost:
         assert report.triples_appended == 0
         assert report.duplicate_triples == 1
         assert set(calls) == {"vp_p"}, calls
+
+    def test_append_reviving_rows_of_a_scanned_table_decodes_nothing(
+        self, dataset_path, monkeypatch
+    ):
+        """The old rows an append needs are the session's decoded columns:
+        after a query scanned ``VP_p``, reviving ``p`` rows decodes no segment."""
+        session = S2RDFSession.open_dataset(dataset_path)
+        try:
+            assert len(session.query(SCAN_P).relation) == 40
+            calls = self._count_segment_reads(monkeypatch)
+            report = session.append_triples(REVIVE_P)
+            assert report.triples_appended == 1
+            assert calls == [], calls
+            assert len(session.query(REVIVED_P).relation) == 8
+        finally:
+            session.close()
+
+    def test_each_needed_base_segment_is_decoded_once(self, dataset_path, monkeypatch):
+        """On a fresh connect the append decodes each base segment of ``VP_p``
+        once, and the queries after it find them still decoded."""
+        import repro
+
+        origins = []
+        calls = self._count_segment_reads(monkeypatch, origins)
+        with repro.connect(dataset_path) as session:
+            session.append_triples(REVIVE_P)
+            assert set(calls) == {"vp_p"}, calls
+            base = read_manifest(dataset_path).tables["vp_p"].partitions
+            assert sorted(origins) == sorted(
+                f"{file_path(dataset_path, segment.file)} at offset {segment.offset}"
+                for segment in base
+                if segment.row_count
+            )
+            del calls[:]
+            assert len(session.query(SCAN_P).relation) == 40
+            assert len(session.query(REVIVED_P).relation) == 8
+            assert set(calls) == {"vp_r"}, calls  # only the new table's delta segment
+
+    def test_rows_are_read_before_entries_change(self, dataset_path):
+        """A handle lists the segments of its committed entry, so the appender
+        reads every row before it changes an entry in place and seals its
+        source then: a table first asked for after that is refused."""
+        from repro.store.writer import _StoredVPSource
+
+        dataset = StoredDataset.open(dataset_path)
+        vp_names = {p: info["table"] for p, info in dataset.manifest.vp_tables.items()}
+        source = _StoredVPSource(dataset, vp_names)
+        assert len(source.positions(IRI("p"))) == 40
+        source.seal()
+        assert len(list(source.rows(IRI("p")))) == 40  # read before: still answered
+        with pytest.raises(RuntimeError, match="vp_q"):
+            source.positions(IRI("q"))
+
+    def test_stale_handle_is_refused(self, dataset_path):
+        """An appender reads through the dataset's handles, so a caller that
+        appends twice re-registers what the first append touched in between."""
+        dataset = StoredDataset.open(dataset_path)
+        dataset.table("vp_p").bucket_segments()  # the handle holds the committed lists
+        first = DatasetAppender(dataset).append([Triple(IRI("s1"), IRI("p"), IRI("oNEW"))])
+        with pytest.raises(RuntimeError, match="re-register"):
+            DatasetAppender(dataset).append(REVIVE_P)
+        for name in first.touched_tables:
+            dataset.changed_table(name)
+        assert DatasetAppender(dataset).append(REVIVE_P).triples_appended == 1
+
+    def test_appends_around_a_compaction_read_the_handles_it_left(self, dataset_path):
+        """A compaction rewrites entries in place and re-registers what it
+        merged; the next append reads those handles' rows (``<q>``'s, revived
+        by ``r``'s new objects) and the result is the rebuild's."""
+        updates = update_triples()
+        session = S2RDFSession.open_dataset(dataset_path)
+        try:
+            session.query(SCAN_P)
+            session.append_triples(updates[:15])
+            assert session.compact().tables_compacted
+            session.append_triples(updates[15:] + REVIVE_P)
+            truth = S2RDFSession.from_graph(
+                Graph(base_triples() + updates + REVIVE_P), num_partitions=4
+            )
+            try:
+                for query in QUERIES + [REVIVED_P]:
+                    assert bag(session.query(query).relation) == bag(
+                        truth.query(query).relation
+                    ), query
+                assert session.layout.statistics.tables == truth.layout.statistics.tables
+            finally:
+                truth.close()
+        finally:
+            session.close()
 
     def test_value_sets_persisted_and_updated(self, dataset_path):
         manifest = read_manifest(dataset_path)
