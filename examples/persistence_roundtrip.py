@@ -57,7 +57,7 @@ def main() -> None:
           f"{len(statistics)} ExtVP correlations with rows "
           f"({len(statistics.materialized())} stored as selections; every other one is "
           f"empty and has no entry), "
-          f"ntriples_parsed={report.ntriples_parsed}, extvp_rebuilt={report.extvp_rebuilt}")
+          f"ntriples_parsed={report.ntriples_parsed}")
     if open_seconds > 0:
         print(f"Cold open vs. rebuild speedup: {build_seconds / open_seconds:.1f}x")
 

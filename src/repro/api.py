@@ -21,6 +21,9 @@ Both factories accept the flat session knobs (``num_partitions``,
 executes on dictionary-id batches and decodes terms once per result: a
 connected one reads the store from its directory, a created one serves the
 same store image from memory (and writes exactly that image to ``path``).
+Creating is appending to an empty store: ``repro.create(triples, path=p)``
+writes what ``repro.create("", path=p)``, ``append_triples(triples)`` and
+``compact()`` write.
 """
 
 from __future__ import annotations
@@ -55,9 +58,11 @@ def create(
 
     ``triples`` may be a :class:`~repro.rdf.graph.Graph`, an iterable of
     :class:`~repro.rdf.triple.Triple`, or an N-Triples document string.
-    With ``path`` the freshly built layout is saved as a columnar dataset
-    (enabling appends, compaction, the workload journal on disk and process
-    workers); without it the session stays in memory.
+    The triples are written once, by the batch step and the bucket writer
+    an append uses, as the store image the session serves.  With ``path``
+    that image is saved as a columnar dataset (enabling appends, compaction,
+    the workload journal on disk and process workers); without it the
+    session stays in memory.
     """
     if isinstance(triples, Graph):
         graph = triples

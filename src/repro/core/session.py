@@ -11,11 +11,12 @@ simulated Spark-cluster runtime derived from the execution metrics.
     print(result.sql)
     print(result.simulated_runtime_ms)
 
-A built session lays its layout out once as the columnar store's image and
-serves that from memory; :meth:`S2RDFSession.save_dataset` writes the image
-to a directory, and :meth:`S2RDFSession.open_dataset` reopens it cold,
-restoring the whole layout from the columnar dataset store without
-re-parsing the RDF source or recomputing a single ExtVP semi-join.  A
+A session built from a graph lays it out once as the columnar store's image
+— the append of its triples to an empty store — and serves that from
+memory; :meth:`S2RDFSession.save_dataset` writes the image to a directory,
+and :meth:`S2RDFSession.open_dataset` reopens it cold, restoring the whole
+layout from the columnar dataset store without re-parsing the RDF source or
+recomputing a single ExtVP semi-join.  A
 persisted dataset grows in place: :meth:`S2RDFSession.append_triples` writes
 new triples as delta segments (no existing segment is rewritten) and
 :meth:`S2RDFSession.compact` folds accumulated deltas back into full base
@@ -48,6 +49,7 @@ from repro.engine.plan import PlanExecutor
 from repro.engine.storage import ParquetSizeModel
 from repro.engine.strategies import UNKNOWN_ROWS
 from repro.mappings.extvp import ExtVPLayout
+from repro.mappings.naming import TRIPLES_TABLE
 from repro.obs.explain import ExplainAnalyzeResult, render_explain_analyze
 from repro.obs.journal import (
     JournalRecord,
@@ -243,13 +245,6 @@ class S2RDFSession:
         #: ``save_dataset`` commits it.  See :meth:`_resident_dataset` for
         #: when it is trusted.
         self._dataset: Optional[StoredDataset] = None
-        catalog = layout.catalog
-        if any(map(catalog.is_loaded, catalog.table_names())):
-            # The layout is ready once its image is: its load time counts the
-            # build, the lay-out and the registration.
-            built = layout.report.build_seconds if layout.report else 0.0
-            started_at = time.perf_counter() - built
-            self._adopt(StoredDataset.hold(self._lay_out()), started_at)
 
     # ------------------------------------------------------------------ #
     # Per-thread runtime
@@ -300,23 +295,19 @@ class S2RDFSession:
             "work_scale": execution.work_scale,
         }
 
-    def _lay_out(self) -> DatasetImage:
-        """The store image of the layout's tables, at ``num_partitions`` buckets."""
-        buckets = max(self.config.execution.num_partitions, 1)
-        return DatasetWriter(num_buckets=buckets).lay_out(self.layout)
+    def _lay_out(self, triples: Iterable[Triple]) -> DatasetImage:
+        """The store image of ``triples`` under the layout's settings, at
+        ``num_partitions`` buckets."""
+        layout = self.layout
+        return DatasetWriter(
+            num_buckets=max(self.config.execution.num_partitions, 1),
+            selectivity_threshold=layout.selectivity_threshold,
+            include_oo=layout.include_oo,
+            namespaces=layout.namespaces,
+        ).lay_out(triples)
 
     def _adopt(self, dataset: StoredDataset, started_at: Optional[float] = None) -> None:
-        """Serve ``dataset``, registered as a cold open registers a directory.
-
-        Every table is registered with the statistics its manifest entry
-        carries and the layout takes the manifest's ExtVP statistics; a
-        relation the build registered under a table's name is dropped, and so
-        is a table the dataset no longer holds.
-        """
-        catalog = self.layout.catalog
-        for name in catalog.table_names():
-            if name not in dataset.tables:
-                catalog.drop(name)
+        """Serve ``dataset``, registered as a cold open registers a directory."""
         _register_stored_dataset(self.layout, dataset, started_at=started_at)
         self._dataset = dataset
 
@@ -333,9 +324,11 @@ class S2RDFSession:
     ) -> "S2RDFSession":
         """Build the data layout for ``graph`` and return a ready session.
 
-        The session serves the layout from its store image in memory, laid
-        out once: queries run on dictionary ids as on a stored dataset, and
-        :meth:`save_dataset` writes that image.  Accepts either a prebuilt
+        The graph is laid out once as a store image in memory — the append
+        of its triples to an empty store (:meth:`DatasetWriter.lay_out`) —
+        and the session serves that image as :meth:`open_dataset` serves a
+        directory: queries run on dictionary ids, and :meth:`save_dataset`
+        writes the image.  Accepts either a prebuilt
         :class:`SessionConfig` or any flat session knobs
         (``num_partitions=8, use_extvp=False, ...``) — the factory surface is
         flat on purpose (:meth:`SessionConfig.from_flat`).
@@ -344,13 +337,17 @@ class S2RDFSession:
             raise TypeError("pass either config= or flat knobs, not both")
         if config is None:
             config = SessionConfig.from_flat(**knobs)
+        # The session is ready once its image is: its load time counts the
+        # lay-out and the registration.
+        started_at = time.perf_counter()
         store = config.store
         layout = ExtVPLayout(
             selectivity_threshold=store.selectivity_threshold if store.use_extvp else 0.0,
             include_oo=store.include_oo,
         )
-        layout.build(graph)
-        return cls(layout, config=config, cost_model=cost_model)
+        session = cls(layout, config=config, cost_model=cost_model)
+        session._adopt(StoredDataset.hold(session._lay_out(graph)), started_at)
+        return session
 
     @classmethod
     def from_ntriples(cls, document: Union[str, Iterable[str]], **kwargs) -> "S2RDFSession":
@@ -372,20 +369,20 @@ class S2RDFSession:
         ``num_partitions``.
 
         A session built from a graph writes the image it serves; any other
-        (a connected one, or one saved before) lays its tables out anew
-        first, so ``path`` may be the very directory it was opened from.
-        The lay-out computes ExtVP as a build does, so a correlation an
-        append left materialised against the rule is decided anew.  Either
-        way the session then serves the dataset at ``path``.
+        (a connected one, or one saved before) first lays out anew, as a
+        build, the triples its stored ``triples`` table holds — completely,
+        before anything is cleared, so ``path`` may be the very directory it
+        was opened from.  A build decides ExtVP materialisation, so a
+        correlation an append left materialised against the rule is decided
+        anew.  Either way the session then serves the dataset at ``path``.
         """
         with self._store_lock.write_locked():
             with self.tracer.span("store.save", category="store", path=path) as span:
                 held = self._dataset
                 image = held.image if held is not None else None
                 if image is None:
-                    # Nothing held in memory: lay the tables out afresh,
-                    # completely, before the commit clears anything.
-                    held, image = None, self._lay_out()
+                    stored = self.layout.catalog.scan(TRIPLES_TABLE).relation.rows
+                    held, image = None, self._lay_out(Triple(*row) for row in stored)
                 report = DatasetWriter.commit(image, path, overwrite=overwrite)
                 if held is None:
                     held = StoredDataset.hold(image)
@@ -894,7 +891,8 @@ class S2RDFSession:
         """
         if self.layout.report is None:
             raise RuntimeError(
-                "layout has no build report; call ExtVPLayout.build() before storage_summary()"
+                "layout has no build report: build the session with from_graph() "
+                "or open a dataset before storage_summary()"
             )
         layout = self.layout
         summary = layout.size_summary()

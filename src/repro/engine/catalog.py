@@ -6,9 +6,9 @@ creation process, most notably the selectivities (SF values) and actual sizes"
 register tables here, the compiler consults the statistics, and the plan
 executor reads the relations.
 
-A layout's build registers its tables as relations of terms
-(:meth:`Catalog.register`); what queries run on are *stored* tables, backed by
-the columnar dataset store (:mod:`repro.store`) — a dataset directory, or the
+The baselines' layouts register their tables as relations of terms
+(:meth:`Catalog.register`); what a session's queries run on are *stored*
+tables, backed by the columnar dataset store (:mod:`repro.store`) — a dataset directory, or the
 same image held in memory for a session that was just built.  Stored tables
 are registered with a handle (:meth:`Catalog.register_stored`, which drops the
 relation of the same name) and decoded lazily; the plan executor scans them
@@ -159,8 +159,8 @@ class Catalog:
         The statistics come from the store's manifest (zone-map aggregates),
         so the compiler can plan without ever decoding the table.
 
-        A relation registered under ``name`` (the build's) is dropped: from
-        here on the store serves the table.
+        A relation registered under ``name`` is dropped: from here on the
+        store serves the table.
         """
         self._stored[name] = provider
         self._tables.pop(name, None)
@@ -197,7 +197,7 @@ class Catalog:
         return name in self._statistics
 
     def is_loaded(self, name: str) -> bool:
-        """True when the table is a relation registered by a build (not stored)."""
+        """True when the table is a relation of terms (not stored)."""
         return name in self._tables
 
     def is_stored(self, name: str) -> bool:

@@ -22,14 +22,13 @@ its own Parquet table.  Here a reduction is stored as a bitmap over its VP
 table's rows, so it is computed where it is stored, in dictionary-id space:
 :func:`compute_incremental_extvp` tests each row's join id against the other
 table's id value set.  An append runs it over the batch against the stored
-state; a build (:meth:`repro.store.writer.DatasetWriter.lay_out`) runs it over
-every VP row against an empty state.  :class:`ExtVPLayout` builds the VP tables
-and holds the statistics the store hands back.
+state; a build (:meth:`repro.store.writer.DatasetWriter.lay_out`) is the
+append of every triple to an empty store.  :class:`ExtVPLayout` holds what
+the store hands back: the VP tables' names and sizes and the statistics.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import AbstractSet, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -38,7 +37,6 @@ from repro.engine.catalog import Catalog
 from repro.mappings.naming import correlation_table_name
 from repro.mappings.triples_table import LayoutBuildReport
 from repro.mappings.vertical import VerticalPartitioningLayout
-from repro.rdf.graph import Graph
 from repro.rdf.namespaces import NamespaceManager
 from repro.rdf.terms import IRI
 
@@ -444,11 +442,11 @@ def compute_incremental_extvp(
 class ExtVPLayout:
     """VP tables plus the statistics of the ExtVP semi-join reductions.
 
-    :meth:`build` builds the VP tables.  The ExtVP tables are computed when
-    the layout is laid out in the dataset store, next to the bitmaps that
-    hold them (:meth:`repro.store.writer.DatasetWriter.lay_out`); a session
-    then hands the store's statistics back through :meth:`restore`, exactly
-    as when it opens a dataset directory.
+    The tables are built in the dataset store, the ExtVP tables next to the
+    bitmaps that hold them (:meth:`repro.store.writer.DatasetWriter.lay_out`);
+    a session hands the store's tables and statistics to the layout through
+    :meth:`restore`, whether it built the store from a graph or opened a
+    dataset directory.
 
     Parameters
     ----------
@@ -479,28 +477,6 @@ class ExtVPLayout:
         self.vp = VerticalPartitioningLayout(self.catalog, namespaces=self.namespaces)
         self.statistics = ExtVPStatistics()
         self.report: Optional[LayoutBuildReport] = None
-        #: Times :meth:`build` ran on this layout — stays 0 for layouts
-        #: restored from the dataset store (observed by its load report).
-        self.build_count = 0
-
-    # ------------------------------------------------------------------ #
-    # Build
-    # ------------------------------------------------------------------ #
-    def build(self, graph: Graph) -> LayoutBuildReport:
-        """Build the VP tables (and the triples table) of ``graph``.
-
-        ``self.report`` is populated unconditionally — even when the build
-        fails partway — so consumers like the Table 2 benchmark and
-        :meth:`S2RDFSession.storage_summary` never silently read zeros from a
-        missing report.
-        """
-        start = time.perf_counter()
-        self.build_count += 1
-        try:
-            self.vp.build(graph)
-        finally:
-            self.report = self._report(time.perf_counter() - start)
-        return self.report
 
     def restore(
         self,

@@ -6,13 +6,14 @@ source.  This package is the reproduction's equivalent: a real on-disk format
 (dataset-wide term dictionary, one append-only file of run-length-encoded
 column segments per VP table, per-segment zone maps, hash-bucketed
 partitions, and every ExtVP table as bitmaps over its VP table's rows) plus
-the writer and reader that move an
-:class:`~repro.mappings.extvp.ExtVPLayout` to and from disk.
+the writer that builds and grows a dataset from triples and the reader that
+restores an :class:`~repro.mappings.extvp.ExtVPLayout` from it.
 
 * :mod:`repro.store.format` — directory layout, segment codec, manifest.
-* :mod:`repro.store.writer` — :class:`DatasetWriter` (bulk bucketing +
-  encoding), :class:`DatasetAppender` (incremental delta segments) and
-  :class:`DatasetCompactor` (delta merge-back).
+* :mod:`repro.store.writer` — one write path: :class:`DatasetWriter` (a
+  build, which is an append to an empty store), :class:`DatasetAppender`
+  (incremental delta segments) and :class:`DatasetCompactor` (delta
+  merge-back).
 * :mod:`repro.store.reader` — :func:`open_dataset`, lazy stored tables with
   projection/predicate pushdown and bucket pruning, base+delta merged
   scans, ExtVP tables as views of their VP table

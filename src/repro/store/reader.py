@@ -68,10 +68,8 @@ class DatasetLoadReport:
     #: the session stamps this into journal records until the next mutation.
     append_epoch: int = 0
     #: Observed instrumentation: whether the open invoked the N-Triples
-    #: parser (process-wide parse counter) or the ExtVP builder (the restored
-    #: layout's build counter).  Both must be False for a true cold start.
+    #: parser (process-wide parse counter).  False for a true cold start.
     ntriples_parsed: bool = False
-    extvp_rebuilt: bool = False
 
 
 def _emit(
@@ -658,14 +656,20 @@ def register_dataset(
 ) -> None:
     """Register every table of a freshly opened ``dataset`` into ``layout``.
 
-    The cold open — of a directory, or of the image a session just laid its
-    build out as: the table handles :meth:`StoredDataset.open` /
-    :meth:`~StoredDataset.hold` built are registered as they are.  Mutates
-    the layout's existing catalog in place — sessions hold references to it
-    — via ``register_stored``, which also drops the decoded-rows cache of the
-    table's previous incarnation.  ``started_at`` lets the cold open count
-    its file reads into the layout's load time.
+    The cold open — of a directory, or of the image a session just built:
+    the table handles :meth:`StoredDataset.open` / :meth:`~StoredDataset.hold`
+    built are registered as they are.  Mutates the layout's existing catalog
+    in place — sessions hold references to it — via ``register_stored``,
+    which also drops the decoded-rows cache of the table's previous
+    incarnation; a table of an earlier dataset that ``dataset`` does not
+    hold (after a re-save, or someone else's commit) is dropped.
+    ``started_at`` lets the cold open count its file reads into the layout's
+    load time.
     """
+    catalog = layout.catalog
+    for name in catalog.table_names():
+        if name not in dataset.tables:
+            catalog.drop(name)
     _register(layout, dataset, dataset.tables.items(), started_at)
 
 
@@ -741,7 +745,6 @@ def open_dataset(
         num_buckets=manifest.num_buckets,
         append_epoch=manifest.append_epoch,
         ntriples_parsed=ntriples_io.documents_parsed() > parses_before,
-        extvp_rebuilt=layout.build_count > 0,
     )
     return layout, report, dataset
 

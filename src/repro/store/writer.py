@@ -1,27 +1,25 @@
-"""Writing a session's layout as a dataset: laid out in memory, then committed.
+"""Writing the dataset store: one write path for builds, appends and compactions.
 
-:meth:`DatasetWriter.lay_out` builds the whole dataset in memory — a
-:class:`~repro.store.format.DatasetImage` of table-file bytes, dictionary
-lines and manifest — and :meth:`DatasetWriter.commit` writes such an image
-to a directory; a session built from a graph serves the image in between.
-Appends (:class:`DatasetAppender`) and compactions (:class:`DatasetCompactor`)
-work on a dataset already in a directory.
+A build is an append to an empty store.  :meth:`DatasetWriter.lay_out` runs
+a batch of triples through the append's batch step (:func:`_encode_batch`:
+sorted, dictionary-encoded, deduplicated, grouped by predicate, new
+predicates named, ExtVP maintained by
+:func:`~repro.mappings.extvp.compute_incremental_extvp`) against an empty
+manifest and writes every table once, as a
+:class:`~repro.store.format.DatasetImage` in memory;
+:meth:`DatasetWriter.commit` writes such an image to a directory, and a
+session built from a graph serves the image in between.  Appends
+(:class:`DatasetAppender`) and compactions (:class:`DatasetCompactor`) work
+on a dataset already in a directory.
 
-The lay-out walks every physically stored catalog table (the VP tables and the
-``triples`` table), buckets its rows on the hash of their partition key
-(:func:`~repro.store.format.key_partition_index`), dictionary-encodes all
-term values against one dataset-wide :class:`~repro.rdf.dictionary.
-TermDictionary` and emits run-length-encoded column pages plus per-segment
-zone maps.  ExtVP is computed here, in id space, over the VP rows just
-encoded, by the routine appends maintain it with; a materialised ExtVP table
-is written as what it is — a subset of its VP table's rows: one bitmap per
-bucket, behind that table's segments.
-
-Rows inside a bucket are sorted by their term ids' surface form before
-encoding.  That serves two purposes: equal values become adjacent (long RLE
-runs, smaller segments) and dictionary ids are assigned in write order, so a
-term first seen in a late partition gets an id larger than every id in
-earlier partitions — which is exactly what makes zone-map pruning bite.
+Every segment — a build's, an append's delta, a compaction's merge — is
+written by :func:`_write_buckets`: a table's rows are hash-bucketed on their
+partition key (:func:`_hash_buckets`, over the decoded terms), and each
+bucket's rows are sorted by their id tuple and encoded as run-length-encoded
+column pages with per-segment zone maps.  So a build writes each bucket in
+the order a compaction writes it.  A materialised ExtVP table is written as
+what it is — a subset of its VP table's rows: one bitmap per bucket, behind
+that table's segments.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -49,8 +48,7 @@ from repro.mappings.extvp import (
     ExtVPStatistics,
     compute_incremental_extvp,
 )
-from repro.mappings.naming import correlation_table_name, unique_predicate_key
-from repro.rdf.dictionary import TermDictionary
+from repro.mappings.naming import TRIPLES_TABLE, correlation_table_name, unique_predicate_key
 from repro.rdf.namespaces import NamespaceManager
 from repro.rdf.terms import IRI, Term
 from repro.rdf.triple import Triple
@@ -97,30 +95,72 @@ class DatasetWriteReport:
     write_seconds: float
 
 
-def _sort_key(row: Tuple, indexes: Sequence[int]) -> Tuple[str, ...]:
-    return tuple("" if row[i] is None else row[i].n3() for i in indexes)
+#: Where a row lies: ``(bucket, position in the bucket's logical row sequence)``.
+_Positions = Dict[Tuple[int, ...], Tuple[int, int]]
 
 
-def _encode_segment(
-    columns: Sequence[str], column_ids: Sequence[List[int]]
-) -> Tuple[bytes, Dict[str, ZoneMap]]:
-    """Encode id columns as one segment of RLE pages and build its zone maps.
+def _hash_buckets(
+    entry: "TableEntry", rows: Iterable[Tuple[int, ...]], decode: Callable[[int], Term]
+) -> List[List[Tuple[int, ...]]]:
+    """``rows`` (id tuples) of ``entry``'s table, bucket by bucket.
 
-    The single code path shared by base writes, delta appends and compaction,
-    so the three never desynchronise on encoding or zone-map construction.
+    Bucketing hashes the *decoded* partition-key terms, so bucket pruning,
+    which hashes a query's constants, stays sound for every segment.
     """
-    zones = {column: ZoneMap.from_ids(ids) for column, ids in zip(columns, column_ids)}
-    largest = max((zone.max_id for zone in zones.values()), default=NULL_ID)
-    if largest > MAX_ID:
-        raise DatasetFormatError(f"term id {largest} exceeds the int32 id limit of {MAX_ID}")
-    pages = [(column, encode_id_column(ids)) for column, ids in zip(columns, column_ids)]
-    return encode_segment(pages), zones
+    num_buckets = entry.num_partitions
+    key_indexes = [entry.columns.index(key) for key in entry.partition_keys]
+    buckets: List[List[Tuple[int, ...]]] = [[] for _ in range(num_buckets)]
+    if num_buckets == 1 or not key_indexes:
+        buckets[0] = list(rows)
+        return buckets
+    for row in rows:
+        key = tuple(None if row[i] == NULL_ID else decode(row[i]) for i in key_indexes)
+        buckets[key_partition_index(key, num_buckets)].append(row)
+    return buckets
+
+
+def _write_buckets(
+    file: str,
+    columns: Sequence[str],
+    buckets: Iterable[Tuple[int, List[Tuple[int, ...]]]],
+    image: "_FileImage",
+    where: Optional[_Positions] = None,
+    behind: Callable[[int], int] = lambda bucket: 0,
+) -> List[PartitionEntry]:
+    """Write each ``(bucket, rows)`` as one segment of ``file``, in the one row order.
+
+    The single code path of base writes, delta appends and compaction: each
+    bucket's rows are sorted by their id tuple, in place — equal values
+    become adjacent (long RLE runs) — and encoded with their zone maps, so
+    the three never desynchronise on row order, encoding or zone-map
+    construction.  Returns the segment records, in ``buckets`` order.  With
+    ``where``, records in it where each row went — its bucket and its
+    position in the bucket's logical row sequence, in which the segment
+    starts ``behind(bucket)`` rows in — the address a selection's bitmap
+    knows a row by.
+    """
+    segments: List[PartitionEntry] = []
+    for bucket, rows in buckets:
+        rows.sort()
+        if where is not None:
+            for position, row in enumerate(rows, behind(bucket)):
+                where[row] = (bucket, position)
+        column_ids = [[row[i] for row in rows] for i in range(len(columns))]
+        zones = {column: ZoneMap.from_ids(ids) for column, ids in zip(columns, column_ids)}
+        largest = max((zone.max_id for zone in zones.values()), default=NULL_ID)
+        if largest > MAX_ID:
+            raise DatasetFormatError(f"term id {largest} exceeds the int32 id limit of {MAX_ID}")
+        blob = encode_segment(
+            [(column, encode_id_column(ids)) for column, ids in zip(columns, column_ids)]
+        )
+        segments.append(PartitionEntry(file, len(rows), len(blob), zones, image.add(blob)))
+    return segments
 
 
 class _FileImage:
     """What one operation adds to one table file, laid out back to back.
 
-    The full save, an append and a compaction all compose a file's new bytes
+    The build, an append and a compaction all compose a file's new bytes
     here — every range learns its offset as it is added — and put them out in
     one :func:`~repro.store.format.write_at` at ``start``, the file's
     committed end (0 for a new file).
@@ -155,98 +195,124 @@ class _FileImage:
 
 
 class DatasetWriter:
-    """Serialises an :class:`~repro.mappings.extvp.ExtVPLayout`: lays it out
-    as a :class:`~repro.store.format.DatasetImage` in memory, then commits
-    that image to a directory."""
+    """Builds a dataset from triples: lays it out as a
+    :class:`~repro.store.format.DatasetImage` in memory, then commits that
+    image to a directory.
 
-    def __init__(self, num_buckets: int = 4) -> None:
+    The settings are those the manifest records: the bucket count, the
+    ExtVP selectivity threshold and OO flag, and the namespaces new
+    predicates' table names are compacted with.
+    """
+
+    def __init__(
+        self,
+        num_buckets: int = 4,
+        selectivity_threshold: float = 1.0,
+        include_oo: bool = False,
+        namespaces: Optional[NamespaceManager] = None,
+    ) -> None:
         if num_buckets < 1:
             raise ValueError("num_buckets must be >= 1")
         self.num_buckets = num_buckets
+        self.selectivity_threshold = selectivity_threshold
+        self.include_oo = include_oo
+        self.namespaces = namespaces or NamespaceManager()
 
     # ------------------------------------------------------------------ #
-    def write(self, path: str, layout: ExtVPLayout, overwrite: bool = False) -> DatasetWriteReport:
-        """Write ``layout`` (catalog tables, statistics, config) under ``path``."""
-        return self.commit(self.lay_out(layout), path, overwrite=overwrite)
+    def write(
+        self, path: str, triples: Iterable[Triple], overwrite: bool = False
+    ) -> DatasetWriteReport:
+        """Write the dataset of ``triples`` under ``path``."""
+        return self.commit(self.lay_out(triples), path, overwrite=overwrite)
 
-    def lay_out(self, layout: ExtVPLayout) -> DatasetImage:
-        """The v4 image of ``layout``: table files, dictionary and manifest, in memory.
+    def lay_out(self, triples: Iterable[Triple]) -> DatasetImage:
+        """The v4 image of ``triples``: table files, dictionary and manifest, in memory.
 
-        Every physically stored table is encoded first.  Then ExtVP is
-        computed over the VP tables' id rows by the routine appends maintain
-        it with — :func:`~repro.mappings.extvp.compute_incremental_extvp`,
-        every row an addition to an empty store — and each materialised
-        table's bitmaps go behind the segments of the VP table it selects
-        from.  The statistics in the manifest are that routine's, whatever
-        ``layout.statistics`` held.
+        The append of ``triples`` to an empty store, with every table written
+        once, compacted: the batch step an append runs (:func:`_encode_batch`)
+        encodes the triples and computes ExtVP over their id rows, and each
+        table's buckets are written as a compaction writes them — so the
+        image equals, file for file, an empty dataset with ``triples``
+        appended and then compacted.  Each VP table's file holds its
+        segments, then the bitmaps of the materialised ExtVP tables over it,
+        in name order.
         """
-        dictionary = TermDictionary()
-        catalog = layout.catalog
-        # A layout served from the store lists its ExtVP tables in the catalog
-        # too — as views over VP rows, which are not laid out on their own.
-        views = {info.name for info in layout.statistics.tables.values()}
-        vp_names = layout.vp.vp_tables
-        vp_tables = set(vp_names.values())
-        tables: Dict[str, TableEntry] = {}
-        images: Dict[str, _FileImage] = {}
-        #: VP table -> its id rows, bucket by bucket in stored order.
-        id_rows: Dict[str, List[List[Tuple[int, ...]]]] = {}
-        for name in catalog.table_names():
-            if name in views:
-                continue
-            tables[name], images[name], buckets = self._lay_out_table(name, catalog, dictionary)
-            if name in vp_tables:
-                id_rows[name] = [list(zip(*column_ids)) for column_ids in buckets]
-
-        additions = {
-            predicate: [row for bucket in id_rows[name] for row in bucket]
-            for predicate, name in vp_names.items()
-        }
-        deltas = compute_incremental_extvp(
-            ExtVPStatistics(),
-            _EMPTY_VP_STATE,
-            additions,
-            lambda kind, first, second: correlation_table_name(
-                kind.value, vp_names[first], vp_names[second]
-            ),
-            layout.selectivity_threshold,
-            layout.include_oo,
-        )
-        statistics = ExtVPStatistics()
-        reductions: Dict[str, List[ExtVPDelta]] = {}
-        for delta in deltas:
-            statistics.add(delta.info)
-            if delta.info.materialized:
-                reductions.setdefault(vp_names[delta.info.first], []).append(delta)
-        for name, selected in reductions.items():
-            tables[name].selections = self._lay_out_selections(
-                id_rows[name], selected, images[name]
-            )
-
         manifest = Manifest(
             format_version=FORMAT_VERSION,
-            layout_name=layout.name,
+            layout_name=ExtVPLayout.name,
             num_buckets=self.num_buckets,
-            selectivity_threshold=layout.selectivity_threshold,
-            include_oo=layout.include_oo,
-            namespaces=layout.namespaces.namespaces(),
-            dictionary_size=len(dictionary),
-            tables=tables,
-            vp_tables={
-                predicate: {"table": name, "size": len(additions[predicate])}
-                for predicate, name in vp_names.items()
-            },
-            # Per-predicate join-value sets (in id space), so appends can
-            # deduplicate and maintain ExtVP statistics without re-reading
-            # any VP table (O(batch), not O(dataset)).
-            vp_value_sets={
-                predicate: {"s": {row[0] for row in rows}, "o": {row[1] for row in rows}}
-                for predicate, rows in additions.items()
-            },
-            extvp=statistics,
+            selectivity_threshold=self.selectivity_threshold,
+            include_oo=self.include_oo,
+            namespaces=self.namespaces.namespaces(),
+            dictionary_size=0,
+            tables={},
+            vp_tables={},
+            extvp=ExtVPStatistics(),
         )
-        files = {entry.file: images[name].bytes() for name, entry in tables.items()}
-        return DatasetImage(manifest, StoredTermDictionary.of_terms(list(dictionary.terms())), files)
+        dictionary = _DictionaryAppender(StoredTermDictionary([]))
+        batch = _encode_batch(triples, manifest, _EMPTY_VP_STATE, dictionary)
+        reductions: Dict[IRI, List[ExtVPDelta]] = {}
+        for delta in batch.deltas:
+            manifest.extvp.add(delta.info)
+            if delta.info.materialized:
+                reductions.setdefault(delta.info.first, []).append(delta)
+
+        files: Dict[str, bytes] = {}
+
+        def write_table(
+            name: str,
+            columns: Tuple[str, ...],
+            rows: Sequence[Tuple[int, ...]],
+            image: _FileImage,
+            where: Optional[_Positions] = None,
+        ) -> TableEntry:
+            entry = manifest.tables[name] = _new_table_entry(name, columns, self.num_buckets)
+            buckets = _hash_buckets(entry, rows, dictionary.decode)
+            entry.partitions = _write_buckets(entry.file, columns, enumerate(buckets), image, where)
+            entry.row_count = len(rows)
+            return entry
+
+        # One VP table at a time: only its rows' positions and bytes are held.
+        for predicate in batch.new_predicates:
+            rows = batch.additions[predicate]
+            image = _FileImage()
+            where: _Positions = {}
+            entry = write_table(batch.vp_names[predicate], ("s", "o"), rows, image, where)
+            subjects = {row[0] for row in rows}
+            objects = {row[1] for row in rows}
+            entry.distinct_subjects, entry.distinct_objects = len(subjects), len(objects)
+            manifest.vp_tables[predicate] = {"table": entry.name, "size": entry.row_count}
+            manifest.vp_value_sets[predicate] = {"s": subjects, "o": objects}
+            for delta in sorted(reductions.get(predicate, ()), key=lambda delta: delta.info.name):
+                selected: List[List[int]] = [[] for _ in range(self.num_buckets)]
+                for row in delta.rows:
+                    bucket, position = where[row]
+                    selected[bucket].append(position)
+                entry.selections[delta.info.name] = SelectionEntry(
+                    name=delta.info.name,
+                    row_count=delta.info.row_count,
+                    distinct_subjects=delta.distinct_subjects,
+                    distinct_objects=delta.distinct_objects,
+                    bitmaps=[image.add_bitmap(positions) for positions in selected],
+                )
+            files[entry.file] = image.bytes()
+
+        # The base triples table (unbound-predicate patterns): column 1 is
+        # the predicate.
+        image = _FileImage()
+        entry = write_table(TRIPLES_TABLE, ("s", "p", "o"), _triples_rows(batch, dictionary), image)
+        files[entry.file] = image.bytes()
+        entry.distinct_subjects = len(
+            set().union(*(value_sets["s"] for value_sets in manifest.vp_value_sets.values()))
+        )
+        entry.distinct_objects = len(batch.vp_names)
+
+        manifest.dictionary_size = len(dictionary.new_terms)
+        return DatasetImage(
+            manifest,
+            StoredTermDictionary.of_terms(dictionary.new_terms),
+            files,
+        )
 
     @staticmethod
     def commit(image: DatasetImage, path: str, overwrite: bool = False) -> DatasetWriteReport:
@@ -300,97 +366,102 @@ class DatasetWriter:
         if os.path.isdir(tables_root):
             shutil.rmtree(tables_root)
 
-    # ------------------------------------------------------------------ #
-    def _lay_out_table(
-        self, name: str, catalog, dictionary: TermDictionary
-    ) -> Tuple[TableEntry, _FileImage, List[List[List[int]]]]:
-        """One table's entry and file image — every bucket's base segment,
-        back to back — and each bucket's id columns."""
-        relation = catalog.table(name)
-        columns = relation.columns
-        partition_keys = self._partition_keys(columns)
-        key_indexes = [relation.column_index(k) for k in partition_keys]
 
-        buckets: List[List[Tuple]] = [[] for _ in range(self.num_buckets)]
-        if self.num_buckets == 1:
-            buckets[0] = list(relation.rows)
-        else:
-            for row in relation.rows:
-                key = tuple(row[i] for i in key_indexes)
-                buckets[key_partition_index(key, self.num_buckets)].append(row)
+def _new_table_entry(name: str, columns: Tuple[str, ...], num_buckets: int) -> TableEntry:
+    """The entry of a table without rows, bucketed on the subject column —
+    the dominant RDF join key."""
+    return TableEntry(
+        name=name,
+        columns=columns,
+        row_count=0,
+        selectivity=1.0,
+        distinct_subjects=0,
+        distinct_objects=0,
+        partition_keys=("s",),
+        num_buckets=num_buckets,
+    )
 
-        file = table_file(name)
-        image = _FileImage()
-        entries: List[PartitionEntry] = []
-        bucket_columns: List[List[List[int]]] = []
-        all_indexes = list(range(len(columns)))
-        for bucket in buckets:
-            bucket.sort(key=lambda row: _sort_key(row, all_indexes))
-            column_ids: List[List[int]] = [[] for _ in columns]
-            for row in bucket:
-                for position, value in enumerate(row):
-                    column_ids[position].append(
-                        NULL_ID if value is None else dictionary.encode(value)
-                    )
-            bucket_columns.append(column_ids)
-            blob, zones = _encode_segment(columns, column_ids)
-            entries.append(
-                PartitionEntry(
-                    file=file,
-                    row_count=len(bucket),
-                    size_bytes=len(blob),
-                    zones=zones,
-                    offset=image.add(blob),
-                )
-            )
 
-        statistics = catalog.statistics(name)
-        entry = TableEntry(
-            name=name,
-            columns=columns,
-            row_count=len(relation),
-            selectivity=statistics.selectivity if statistics else 1.0,
-            distinct_subjects=statistics.distinct_subjects if statistics else 0,
-            distinct_objects=statistics.distinct_objects if statistics else 0,
-            partition_keys=partition_keys,
-            num_buckets=self.num_buckets,
-            partitions=entries,
-        )
-        return entry, image, bucket_columns
+@dataclass
+class _Batch:
+    """What :func:`_encode_batch` makes of a batch of triples."""
 
-    @staticmethod
-    def _lay_out_selections(
-        id_rows: List[List[Tuple[int, ...]]], reductions: Sequence[ExtVPDelta], image: _FileImage
-    ) -> Dict[str, SelectionEntry]:
-        """The ExtVP tables over one VP table: each one's bitmaps, placed in
-        ``image`` behind the table's segments, in name order."""
-        # A VP table is a set of rows, so a row names its position.
-        where = {
-            row: (bucket, position)
-            for bucket, rows in enumerate(id_rows)
-            for position, row in enumerate(rows)
-        }
-        selections: Dict[str, SelectionEntry] = {}
-        for delta in sorted(reductions, key=lambda delta: delta.info.name):
-            selected: List[List[int]] = [[] for _ in id_rows]
-            for row in delta.rows:
-                bucket, position = where[row]
-                selected[bucket].append(position)
-            selections[delta.info.name] = SelectionEntry(
-                name=delta.info.name,
-                row_count=delta.info.row_count,
-                distinct_subjects=delta.distinct_subjects,
-                distinct_objects=delta.distinct_objects,
-                bitmaps=[image.add_bitmap(positions) for positions in selected],
-            )
-        return selections
+    #: Predicate -> its rows new to the store, ``(subject id, object id)``.
+    additions: Dict[IRI, List[Tuple[int, int]]]
+    #: Triples already in the store or earlier in the batch.
+    duplicates: int
+    #: Predicate -> VP table name, for the stored predicates and the new ones.
+    vp_names: Dict[IRI, str]
+    #: The predicates new to the store, in IRI order.
+    new_predicates: List[IRI]
+    #: The ExtVP correlations the batch changes.
+    deltas: List[ExtVPDelta]
 
-    @staticmethod
-    def _partition_keys(columns: Tuple[str, ...]) -> Tuple[str, ...]:
-        """Bucket on the subject column — the dominant RDF join key."""
-        if "s" in columns:
-            return ("s",)
-        return (columns[0],) if columns else ()
+
+def _encode_batch(
+    triples: Iterable[Triple],
+    manifest: Manifest,
+    source,
+    dictionary: "_DictionaryAppender",
+) -> _Batch:
+    """The batch step of every write: an append's, and a build's, which is
+    an append to an empty store.
+
+    The triples are sorted by their (s, p, o) N3 text, so the ids new terms
+    get — and with them every byte the write puts out — do not depend on
+    how the caller's collection iterates (a ``Graph`` is a hash set).  For
+    each one the subject and object are encoded, the pair is deduplicated
+    against the batch and against ``source`` (the stored VP state), and the
+    predicate is encoded; rows are grouped by predicate.  New predicates are
+    named in IRI order with keys that collide with none already stored (those
+    are frozen in table names).  Then ExtVP is maintained for the batch
+    (:func:`~repro.mappings.extvp.compute_incremental_extvp`).
+    """
+    additions: Dict[IRI, List[Tuple[int, int]]] = {}
+    seen: Dict[IRI, Set[Tuple[int, int]]] = {}
+    duplicates = 0
+    for triple in sorted(triples, key=lambda t: (t.subject.n3(), t.predicate.n3(), t.object.n3())):
+        predicate = triple.predicate
+        if not isinstance(predicate, IRI):
+            raise TypeError(f"predicate must be an IRI, got {predicate!r}")
+        pair = (dictionary.encode(triple.subject), dictionary.encode(triple.object))
+        existing = seen.setdefault(predicate, set())
+        if pair in existing or source.has_row(predicate, pair):
+            duplicates += 1
+            continue
+        existing.add(pair)
+        dictionary.encode(predicate)
+        additions.setdefault(predicate, []).append(pair)
+
+    vp_names = {predicate: info["table"] for predicate, info in manifest.vp_tables.items()}
+    new_predicates = sorted((p for p in additions if p not in vp_names), key=lambda p: p.value)
+    namespaces = NamespaceManager(manifest.namespaces)
+    taken_keys: Set[str] = {name[len("vp_") :] for name in vp_names.values()}
+    for predicate in new_predicates:
+        key = unique_predicate_key(predicate, taken_keys, namespaces)
+        taken_keys.add(key)
+        vp_names[predicate] = f"vp_{key}"
+
+    deltas = compute_incremental_extvp(
+        manifest.extvp,
+        source,
+        additions,
+        lambda kind, first, second: correlation_table_name(
+            kind.value, vp_names[first], vp_names[second]
+        ),
+        manifest.selectivity_threshold,
+        manifest.include_oo,
+    )
+    return _Batch(additions, duplicates, vp_names, new_predicates, deltas)
+
+
+def _triples_rows(batch: _Batch, dictionary: "_DictionaryAppender") -> List[Tuple[int, int, int]]:
+    """The batch's rows of the triples table, ``(subject, predicate, object)`` ids."""
+    rows: List[Tuple[int, int, int]] = []
+    for predicate, pairs in batch.additions.items():
+        predicate_id = dictionary.encode(predicate)
+        rows.extend((s, predicate_id, o) for s, o in pairs)
+    return rows
 
 
 # --------------------------------------------------------------------- #
@@ -429,24 +500,25 @@ class _DictionaryAppender:
 
     Existing terms keep their ids (line numbers); unseen terms are assigned
     the next free ids in encounter order and collected for one trailing
-    :meth:`~repro.store.format.StoredTermDictionary.append`.
+    :meth:`~repro.store.format.StoredTermDictionary.append` — or, for a
+    build, which extends an empty dictionary, for the image's dictionary.
     """
 
     def __init__(self, stored: StoredTermDictionary) -> None:
         self._stored = stored
-        self._new_ids: Dict[Term, int] = {}
+        #: Every term encoded so far -> its id: the stored one is looked up once.
+        self._ids: Dict[Term, int] = {}
         self.new_terms: List[Term] = []
 
     def encode(self, term: Term) -> int:
-        existing = self._stored.lookup(term)
-        if existing is not None:
-            return existing
-        assigned = self._new_ids.get(term)
-        if assigned is None:
-            assigned = len(self._stored) + len(self.new_terms)
-            self._new_ids[term] = assigned
-            self.new_terms.append(term)
-        return assigned
+        term_id = self._ids.get(term)
+        if term_id is None:
+            term_id = self._stored.lookup(term) if len(self._stored) else None
+            if term_id is None:
+                term_id = len(self._stored) + len(self.new_terms)
+                self.new_terms.append(term)
+            self._ids[term] = term_id
+        return term_id
 
     def decode(self, term_id: int) -> Term:
         if term_id < len(self._stored):
@@ -475,6 +547,9 @@ class _EmptyVPState:
     def rows(self, predicate: IRI) -> Iterable[Tuple[int, ...]]:
         return ()
 
+    def has_row(self, predicate: IRI, pair: Tuple[int, int]) -> bool:
+        return False
+
 
 _EMPTY_VP_STATE = _EmptyVPState()
 
@@ -499,12 +574,13 @@ class _StoredVPSource:
     found stays as it was found.
     """
 
-    def __init__(self, dataset: "StoredDataset", vp_names: Dict[IRI, str]) -> None:
+    def __init__(self, dataset: "StoredDataset") -> None:
         self._dataset = dataset
         self._manifest = dataset.manifest
-        #: Grows while the append registers new predicates; those simply have
-        #: no rows and no values yet.
-        self._vp_names = vp_names
+        #: The stored predicates' tables, as they were before the append.
+        self._vp_names = {
+            predicate: info["table"] for predicate, info in dataset.manifest.vp_tables.items()
+        }
         #: predicate -> {row: (bucket, position in the bucket's logical row
         #: sequence)}, in that order — the rows, the dedup set and the address
         #: a selection's bitmap knows a row by, from one read.
@@ -580,12 +656,12 @@ class _StoredVPSource:
 class DatasetAppender:
     """Appends triples to an opened dataset as delta segments.
 
-    Unlike :class:`DatasetWriter`, nothing existing is rewritten: new rows
-    land as per-bucket delta segments at the committed end of each touched
-    table's file (hash-bucketed with the same function as the base segments,
-    so scans and aligned joins keep working), the term dictionary is extended
-    append-only, and the VP/ExtVP statistics are maintained incrementally for
-    the affected predicate pairs only
+    The batch goes through the step a build runs (:func:`_encode_batch`),
+    but nothing existing is rewritten: new rows land as per-bucket delta
+    segments at the committed end of each touched table's file
+    (hash-bucketed and ordered as every segment is, :func:`_write_buckets`),
+    the term dictionary is extended append-only, and the VP/ExtVP statistics
+    are maintained incrementally for the affected predicate pairs only
     (:func:`~repro.mappings.extvp.compute_incremental_extvp`).
 
     The appender works on the caller's resident
@@ -626,42 +702,21 @@ class DatasetAppender:
         start = time.perf_counter()
         manifest = self.dataset.manifest
         dictionary = _DictionaryAppender(self.dataset.dictionary)
-        namespaces = NamespaceManager(manifest.namespaces) if manifest.namespaces else NamespaceManager()
         epoch = manifest.append_epoch + 1
-
-        vp_names: Dict[IRI, str] = {
-            predicate: info["table"] for predicate, info in manifest.vp_tables.items()
-        }
+        old_predicates = list(manifest.vp_tables)
         # Pre-append VP state, in id space (ids are dataset-global, so value
         # comparisons across tables work without decoding a single term).
-        source = _StoredVPSource(self.dataset, vp_names)
+        source = _StoredVPSource(self.dataset)
 
-        # Encode, deduplicate and group the batch by predicate — in sorted
-        # order, so the ids new terms get (and with them every byte this
-        # append writes) do not depend on how the caller's collection
-        # happens to iterate (a ``Graph`` is a hash set of triples).
-        additions: Dict[IRI, List[Tuple[int, int]]] = {}
-        seen: Dict[IRI, Set[Tuple[int, int]]] = {}
-        duplicates = 0
-        for triple in sorted(triples, key=lambda t: (t.subject.n3(), t.predicate.n3(), t.object.n3())):
-            predicate = triple.predicate
-            if not isinstance(predicate, IRI):
-                raise TypeError(f"predicate must be an IRI, got {predicate!r}")
-            pair = (dictionary.encode(triple.subject), dictionary.encode(triple.object))
-            existing = seen.setdefault(predicate, set())
-            if pair in existing or source.has_row(predicate, pair):
-                duplicates += 1
-                continue
-            existing.add(pair)
-            dictionary.encode(predicate)
-            additions.setdefault(predicate, []).append(pair)
-
+        # --- everything that reads the pre-append state ------------------- #
+        batch = _encode_batch(triples, manifest, source, dictionary)
+        additions, vp_names, deltas = batch.additions, batch.vp_names, batch.deltas
         if not additions:
             return DatasetAppendReport(
                 path=self.path,
                 epoch=manifest.append_epoch,
                 triples_appended=0,
-                duplicate_triples=duplicates,
+                duplicate_triples=batch.duplicates,
                 new_predicates=0,
                 tables_updated=0,
                 tables_created=0,
@@ -671,28 +726,6 @@ class DatasetAppender:
                 bytes_written=0,
                 append_seconds=time.perf_counter() - start,
             )
-
-        # --- everything that reads the pre-append state ------------------- #
-        old_predicates = list(vp_names)
-        new_predicates = sorted(
-            (p for p in additions if p not in vp_names), key=lambda p: p.value
-        )
-        taken_keys: Set[str] = {name[len("vp_") :] for name in vp_names.values()}
-        for predicate in new_predicates:
-            key = unique_predicate_key(predicate, taken_keys, namespaces)
-            taken_keys.add(key)
-            vp_names[predicate] = f"vp_{key}"
-
-        deltas = compute_incremental_extvp(
-            manifest.extvp,
-            source,
-            additions,
-            lambda kind, first, second: correlation_table_name(
-                kind.value, vp_names[first], vp_names[second]
-            ),
-            manifest.selectivity_threshold,
-            manifest.include_oo,
-        )
         batch_subjects = {row[0] for rows in additions.values() for row in rows}
         new_subjects = sum(
             1
@@ -722,11 +755,17 @@ class DatasetAppender:
             return image
 
         # VP tables (and their manifest predicate map).
-        added_at: Dict[IRI, Dict[Tuple[int, ...], Tuple[int, int]]] = {}
+        added_at: Dict[IRI, _Positions] = {}
         for predicate in sorted(additions, key=lambda p: p.value):
             rows = additions[predicate]
-            entry = self._table_entry(manifest, vp_names[predicate], ("s", "o"), created)
-            added_at[predicate] = self._add_delta(entry, rows, dictionary, epoch, image_of(entry))
+            entry = manifest.tables.get(vp_names[predicate])
+            if entry is None:
+                entry = manifest.tables[vp_names[predicate]] = _new_table_entry(
+                    vp_names[predicate], ("s", "o"), manifest.num_buckets
+                )
+                created.add(entry.name)
+            added_at[predicate] = {}
+            self._add_delta(entry, rows, dictionary, epoch, image_of(entry), added_at[predicate])
             extended.add(entry.name)
             entry.row_count += len(rows)
             value_sets = manifest.vp_value_sets.setdefault(predicate, {"s": set(), "o": set()})
@@ -737,12 +776,9 @@ class DatasetAppender:
             manifest.vp_tables[predicate] = {"table": entry.name, "size": entry.row_count}
 
         # The base triples table (unbound-predicate patterns).
-        if "triples" in manifest.tables:
-            triples_rows: List[Tuple[int, int, int]] = []
-            for predicate in sorted(additions, key=lambda p: p.value):
-                predicate_id = dictionary.encode(predicate)
-                triples_rows.extend((s, predicate_id, o) for s, o in additions[predicate])
-            entry = manifest.tables["triples"]
+        if TRIPLES_TABLE in manifest.tables:
+            triples_rows = _triples_rows(batch, dictionary)
+            entry = manifest.tables[TRIPLES_TABLE]
             self._add_delta(entry, triples_rows, dictionary, epoch, image_of(entry))
             extended.add(entry.name)
             entry.row_count += len(triples_rows)
@@ -802,8 +838,8 @@ class DatasetAppender:
             path=self.path,
             epoch=epoch,
             triples_appended=sum(len(rows) for rows in additions.values()),
-            duplicate_triples=duplicates,
-            new_predicates=len(new_predicates),
+            duplicate_triples=batch.duplicates,
+            new_predicates=len(batch.new_predicates),
             tables_updated=len(extended - created),
             tables_created=len(created),
             delta_segments=delta_segments,
@@ -816,76 +852,36 @@ class DatasetAppender:
 
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _table_entry(
-        manifest: Manifest, name: str, columns: Tuple[str, ...], created: Set[str]
-    ) -> TableEntry:
-        """The existing manifest entry, or a fresh delta-only one."""
-        entry = manifest.tables.get(name)
-        if entry is None:
-            entry = TableEntry(
-                name=name,
-                columns=columns,
-                row_count=0,
-                selectivity=1.0,
-                distinct_subjects=0,
-                distinct_objects=0,
-                partition_keys=DatasetWriter._partition_keys(columns),
-                num_buckets=manifest.num_buckets,
-            )
-            manifest.tables[name] = entry
-            created.add(name)
-        return entry
-
-    @staticmethod
     def _add_delta(
         entry: TableEntry,
         rows: Sequence[Tuple[int, ...]],
         dictionary: _DictionaryAppender,
         epoch: int,
         image: _FileImage,
-    ) -> Dict[Tuple[int, ...], Tuple[int, int]]:
-        """Add ``rows`` (id tuples) to the table as one delta segment per bucket.
-
-        Bucketing hashes the *decoded* partition-key terms — the same
-        function the base segments use — so bucket pruning stays sound for
-        base and delta rows alike.  Returns where each row
-        went: ``(bucket, position in the bucket's logical row sequence)``.
-        """
-        columns = entry.columns
-        key_indexes = [columns.index(k) for k in entry.partition_keys]
-        num_buckets = entry.num_partitions
-        buckets: List[List[Tuple[int, ...]]] = [[] for _ in range(num_buckets)]
-        if num_buckets == 1 or not key_indexes:
-            buckets[0] = list(rows)
-        else:
-            for row in rows:
-                key = tuple(
-                    None if row[i] == NULL_ID else dictionary.decode(row[i]) for i in key_indexes
-                )
-                buckets[key_partition_index(key, num_buckets)].append(row)
-
-        where: Dict[Tuple[int, ...], Tuple[int, int]] = {}
-        for bucket_index, bucket in enumerate(buckets):
-            if not bucket:
-                continue
-            bucket.sort()
-            behind = entry.bucket_row_count(bucket_index)
-            for position, row in enumerate(bucket, start=behind):
-                where[row] = (bucket_index, position)
-            column_ids = [[row[i] for row in bucket] for i in range(len(columns))]
-            blob, zones = _encode_segment(columns, column_ids)
-            entry.deltas.append(
-                DeltaEntry(
-                    file=entry.file,
-                    row_count=len(bucket),
-                    size_bytes=len(blob),
-                    zones=zones,
-                    offset=image.add(blob),
-                    bucket=bucket_index,
-                    epoch=epoch,
-                )
+        where: Optional[_Positions] = None,
+    ) -> None:
+        """Add ``rows`` (id tuples) to the table as one delta segment per
+        bucket that gets rows; with ``where``, records where each row went."""
+        filled = [
+            (bucket, rows)
+            for bucket, rows in enumerate(_hash_buckets(entry, rows, dictionary.decode))
+            if rows
+        ]
+        segments = _write_buckets(
+            entry.file, entry.columns, filled, image, where, entry.bucket_row_count
+        )
+        entry.deltas.extend(
+            DeltaEntry(
+                segment.file,
+                segment.row_count,
+                segment.size_bytes,
+                segment.zones,
+                segment.offset,
+                bucket=bucket,
+                epoch=epoch,
             )
-        return where
+            for segment, (bucket, _) in zip(segments, filled)
+        )
 
     def _merge_bitmaps(
         self,
@@ -1039,28 +1035,17 @@ class DatasetCompactor:
                 merged.append(base)
                 moved.append(None)
                 continue
-            column_ids: List[List[int]] = [[] for _ in entry.columns]
+            rows: List[Tuple[int, ...]] = []
             for segment in segments:
                 decoded = decode_segment(segment.cut(data), entry.columns)
-                for position, column in enumerate(entry.columns):
-                    column_ids[position].extend(decoded[column])
-            rows = list(zip(*column_ids))
-            order = sorted(range(len(rows)), key=rows.__getitem__)
-            new_position = [0] * len(rows)
-            for position, old_position in enumerate(order):
-                new_position[old_position] = position
-            moved.append(new_position)
-            column_ids = [[rows[i][c] for i in order] for c in range(len(entry.columns))]
-            blob, zones = _encode_segment(entry.columns, column_ids)
-            merged.append(
-                PartitionEntry(
-                    file=new_file,
-                    row_count=len(rows),
-                    size_bytes=len(blob),
-                    zones=zones,
-                    offset=image.add(blob),
-                )
+                rows.extend(zip(*(decoded[column] for column in entry.columns)))
+            # Where the rows go is needed only to map the selections' bitmaps.
+            old_order = list(rows) if entry.selections else []
+            where: _Positions = {}
+            merged += _write_buckets(
+                new_file, entry.columns, [(bucket, rows)], image, where if old_order else None
             )
+            moved.append([where[row][1] for row in old_order])
         for name in sorted(entry.selections):
             bitmaps = entry.selections[name].bitmaps
             for bucket, bitmap in enumerate(bitmaps):

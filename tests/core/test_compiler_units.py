@@ -7,7 +7,6 @@ from repro.core.session import S2RDFSession
 from repro.core.table_selection import TableSelector
 from repro.core.translation import triple_pattern_to_subquery
 from repro.engine.ops import EmptyNode, NaturalJoinNode, SubqueryNode, count_joins
-from repro.mappings.extvp import ExtVPLayout
 from repro.rdf.terms import IRI, Variable
 from repro.sparql.algebra import BGP, TriplePattern
 
@@ -22,10 +21,8 @@ def tp(s, p, o):
 @pytest.fixture(scope="module")
 def session(example_graph):
     """A session over the running example: it serves the built layout from
-    its store image, whose lay-out computed the ExtVP statistics."""
-    layout = ExtVPLayout()
-    layout.build(example_graph)
-    return S2RDFSession(layout)
+    its store image, whose build computed the ExtVP statistics."""
+    return S2RDFSession.from_graph(example_graph)
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,6 @@
 """The store's ExtVP against the paper's definition.
 
-A session lays its build out as a store image and computes ExtVP there, in
+A session builds its store image from a graph and computes ExtVP there, in
 id space, as bitmaps over the VP tables' stored rows.  Every correlation —
 held with its rows, or answered as empty because it has no entry — must be
 the one ``VP_p1 ⋉ VP_p2`` over terms gives (``extvp_reference.py``): the same
@@ -14,10 +14,9 @@ regime, with and without OO, at 1, 2 and 8 buckets.
 import pytest
 
 from engine.extvp_reference import reference_layout
-from repro.core.config import SessionConfig
 from repro.core.session import S2RDFSession
 from repro.core.table_selection import TableSelector
-from repro.mappings.extvp import ExtVPLayout, correlation_keys
+from repro.mappings.extvp import correlation_keys
 from repro.sparql import parse_query
 from repro.sparql.algebra import BGP
 from repro.watdiv.basic_queries import BASIC_TEMPLATES
@@ -55,9 +54,9 @@ def test_store_extvp_is_the_semi_join_definition(
 ):
     graph = request.getfixturevalue(graph_name)
     expected = references(graph, threshold, include_oo)
-    layout = ExtVPLayout(selectivity_threshold=threshold, include_oo=include_oo)
-    layout.build(graph)
-    with S2RDFSession(layout, config=SessionConfig.from_flat(num_partitions=buckets)) as session:
+    with S2RDFSession.from_graph(
+        graph, num_partitions=buckets, selectivity_threshold=threshold, include_oo=include_oo
+    ) as session:
         assert session._dataset.manifest.num_buckets == buckets
         # The reference holds every correlation, the empty ones included; the
         # store holds those with rows and answers the others as empty.
@@ -115,9 +114,9 @@ def test_table_selection_is_the_definitions(
     over the definition's, which hold every correlation: for every Basic and
     IL template, two instances each."""
     expected = TableSelector(references(small_dataset.graph, threshold, include_oo))
-    layout = ExtVPLayout(selectivity_threshold=threshold, include_oo=include_oo)
-    layout.build(small_dataset.graph)
-    with S2RDFSession(layout) as session:
+    with S2RDFSession.from_graph(
+        small_dataset.graph, selectivity_threshold=threshold, include_oo=include_oo
+    ) as session:
         patterns = 0
         for template in BASIC_TEMPLATES + INCREMENTAL_TEMPLATES:
             for text in instantiate_many(template, small_dataset, 2, seed=7):

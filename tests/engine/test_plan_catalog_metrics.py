@@ -29,8 +29,9 @@ from repro.engine.ops import (
 )
 from repro.engine.plan import PlanExecutor
 from repro.engine.relation import Relation
-from repro.mappings.extvp import ExtVPLayout
+from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal, Variable
+from repro.rdf.triple import Triple
 from repro.sparql.expressions import Comparison, TermExpression, VariableExpression
 
 
@@ -46,11 +47,18 @@ def catalog():
 
 
 @pytest.fixture
-def executor(catalog):
-    """The engine over ``catalog``'s tables, served from their store image as
-    a session serves a built layout's."""
-    S2RDFSession(ExtVPLayout(catalog=catalog))
-    return PlanExecutor(catalog)
+def executor():
+    """The engine over the ``catalog`` fixture's rows, stated as triples and
+    served from the store image of a session built from them."""
+    triples = [
+        Triple.of("A", "follows", "B"),
+        Triple.of("B", "follows", "C"),
+        Triple.of("A", "likes", "I1"),
+        Triple.of("C", "likes", "I2"),
+        Triple(IRI("A"), IRI("ages"), Literal("30")),
+        Triple(IRI("B"), IRI("ages"), Literal("10")),
+    ]
+    return PlanExecutor(S2RDFSession.from_graph(Graph(triples)).layout.catalog)
 
 
 class TestCatalog:
@@ -83,36 +91,36 @@ class TestCatalog:
 
 class TestPlanExecution:
     def test_table_scan(self, executor):
-        result = executor.execute(TableScanNode("follows", ("s", "o")))
+        result = executor.execute(TableScanNode("vp_follows", ("s", "o")))
         assert len(result) == 2
 
     def test_subquery_projection_and_rename(self, executor):
-        node = SubqueryNode("follows", projections=(("s", "x"), ("o", "y")))
+        node = SubqueryNode("vp_follows", projections=(("s", "x"), ("o", "y")))
         result = executor.execute(node)
         assert result.columns == ("x", "y")
 
     def test_subquery_condition(self, executor):
-        node = SubqueryNode("follows", projections=(("o", "y"),), conditions=(("s", IRI("A")),))
+        node = SubqueryNode("vp_follows", projections=(("o", "y"),), conditions=(("s", IRI("A")),))
         result = executor.execute(node)
         assert result.rows == [(IRI("B"),)]
 
     def test_natural_join_node(self, executor):
-        left = SubqueryNode("follows", projections=(("s", "x"), ("o", "y")))
-        right = SubqueryNode("likes", projections=(("s", "y"), ("o", "w")))
+        left = SubqueryNode("vp_follows", projections=(("s", "x"), ("o", "y")))
+        right = SubqueryNode("vp_likes", projections=(("s", "y"), ("o", "w")))
         result = executor.execute(NaturalJoinNode(left, right))
         assert set(result.columns) == {"x", "y", "w"}
 
     def test_left_outer_join_node(self, executor):
-        left = SubqueryNode("follows", projections=(("s", "x"), ("o", "y")))
-        right = SubqueryNode("ages", projections=(("s", "y"), ("o", "age")))
+        left = SubqueryNode("vp_follows", projections=(("s", "x"), ("o", "y")))
+        right = SubqueryNode("vp_ages", projections=(("s", "y"), ("o", "age")))
         result = executor.execute(LeftOuterJoinNode(left, right))
         assert len(result) == 2
         ages = dict(zip(result.column_values("y"), result.column_values("age")))
         assert ages[IRI("C")] is None
 
     def test_left_outer_join_with_filter_expression(self, executor):
-        left = SubqueryNode("follows", projections=(("s", "x"), ("o", "y")))
-        right = SubqueryNode("ages", projections=(("s", "y"), ("o", "age")))
+        left = SubqueryNode("vp_follows", projections=(("s", "x"), ("o", "y")))
+        right = SubqueryNode("vp_ages", projections=(("s", "y"), ("o", "age")))
         expression = Comparison(">", VariableExpression(Variable("age")), TermExpression(Literal("20")))
         result = executor.execute(LeftOuterJoinNode(left, right, expression))
         ages = dict(zip(result.column_values("y"), result.column_values("age")))
@@ -122,13 +130,13 @@ class TestPlanExecution:
         assert all(a is None or a == Literal("30") for a in ages.values())
 
     def test_filter_node(self, executor):
-        scan = SubqueryNode("ages", projections=(("s", "x"), ("o", "age")))
+        scan = SubqueryNode("vp_ages", projections=(("s", "x"), ("o", "age")))
         expression = Comparison(">", VariableExpression(Variable("age")), TermExpression(Literal("20")))
         result = executor.execute(FilterNode(scan, expression))
         assert len(result) == 1
 
     def test_union_distinct_order_limit(self, executor):
-        scan = SubqueryNode("follows", projections=(("s", "x"),))
+        scan = SubqueryNode("vp_follows", projections=(("s", "x"),))
         union = UnionNode(scan, scan)
         distinct = DistinctNode(union)
         ordered = OrderByNode(distinct, (("x", True),))
@@ -138,7 +146,7 @@ class TestPlanExecution:
         assert executor.execute(limited).rows == [(IRI("A"),)]
 
     def test_project_node_pads_missing_columns(self, executor):
-        scan = SubqueryNode("follows", projections=(("s", "x"),))
+        scan = SubqueryNode("vp_follows", projections=(("s", "x"),))
         result = executor.execute(ProjectNode(scan, ("x", "missing")))
         assert result.columns == ("x", "missing")
         assert all(row[1] is None for row in result.rows)
@@ -150,8 +158,8 @@ class TestPlanExecution:
 
     def test_metrics_recorded(self, executor):
         metrics = ExecutionMetrics()
-        left = SubqueryNode("follows", projections=(("s", "x"), ("o", "y")))
-        right = SubqueryNode("likes", projections=(("s", "y"), ("o", "w")))
+        left = SubqueryNode("vp_follows", projections=(("s", "x"), ("o", "y")))
+        right = SubqueryNode("vp_likes", projections=(("s", "y"), ("o", "w")))
         executor.execute(NaturalJoinNode(left, right), metrics)
         assert metrics.table_scans == 2
         assert metrics.joins == 1

@@ -6,6 +6,7 @@ import sqlite3
 
 import pytest
 
+from engine.extvp_reference import reference_layout
 from engine.sqlite_oracle import SqliteExecutor, register_rdf_functions, to_sqlite_sql
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.ops import (
@@ -17,7 +18,6 @@ from repro.engine.ops import (
     SubqueryNode,
 )
 from repro.core.session import S2RDFSession
-from repro.mappings.extvp import ExtVPLayout
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Variable
 from repro.rdf.triple import Triple
@@ -44,9 +44,8 @@ def small_graph() -> Graph:
 
 @pytest.fixture(scope="module")
 def layout():
-    built = ExtVPLayout(selectivity_threshold=1.0)
-    built.build(small_graph())
-    return built
+    """The graph's tables as relations of terms, what the oracle reads."""
+    return reference_layout(small_graph())
 
 
 def scan(table: str = "vp_follows") -> SubqueryNode:

@@ -22,7 +22,6 @@ from repro.engine.strategies import (
     fits_broadcast,
     plan_join_strategies,
 )
-from repro.mappings.extvp import ExtVPLayout
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
 from repro.rdf.triple import Triple
@@ -37,19 +36,17 @@ def bag(relation: Relation):
 
 @pytest.fixture()
 def catalog():
-    cat = Catalog()
-    cat.register("follows", Relation(("s", "o"), [(IRI(f"u{i}"), IRI(f"u{(i * 7) % 40}")) for i in range(160)]))
-    cat.register("likes", Relation(("s", "o"), [(IRI(f"u{i}"), IRI(f"p{i % 5}")) for i in range(0, 160, 3)]))
-    # Served from its store image, as a session serves a built layout.
-    S2RDFSession(ExtVPLayout(catalog=cat))
-    return cat
+    triples = [Triple(IRI(f"u{i}"), IRI("follows"), IRI(f"u{(i * 7) % 40}")) for i in range(160)]
+    triples += [Triple(IRI(f"u{i}"), IRI("likes"), IRI(f"p{i % 5}")) for i in range(0, 160, 3)]
+    # The tables a session built from the triples serves from its store image.
+    return S2RDFSession.from_graph(Graph(triples)).layout.catalog
 
 
 @pytest.fixture()
 def join_plan():
     return NaturalJoinNode(
-        SubqueryNode("follows", (("s", "x"), ("o", "y"))),
-        SubqueryNode("likes", (("s", "y"), ("o", "z"))),
+        SubqueryNode("vp_follows", (("s", "x"), ("o", "y"))),
+        SubqueryNode("vp_likes", (("s", "y"), ("o", "z"))),
     )
 
 
@@ -62,33 +59,33 @@ class TestUnknownCardinality:
     """Missing statistics must be conservative, never a 0-row broadcast."""
 
     def test_missing_statistics_estimate_is_unknown(self, catalog):
-        catalog.remove_statistics("follows")
-        assert estimate_rows(TableScanNode("follows", ("s", "o")), catalog) == UNKNOWN_ROWS
+        catalog.remove_statistics("vp_follows")
+        assert estimate_rows(TableScanNode("vp_follows", ("s", "o")), catalog) == UNKNOWN_ROWS
 
     def test_unknown_propagates_through_joins(self, catalog, join_plan):
-        catalog.remove_statistics("follows")
+        catalog.remove_statistics("vp_follows")
         assert estimate_rows(join_plan, catalog) == UNKNOWN_ROWS
 
     def test_limit_bounds_unknown(self, catalog, join_plan):
-        catalog.remove_statistics("follows")
+        catalog.remove_statistics("vp_follows")
         assert estimate_rows(LimitNode(join_plan, 7), catalog) == 7
 
     def test_subquery_conditions_cannot_refine_unknown(self, catalog):
-        catalog.remove_statistics("likes")
-        node = SubqueryNode("likes", (("o", "z"),), conditions=(("s", IRI("u3")),))
+        catalog.remove_statistics("vp_likes")
+        node = SubqueryNode("vp_likes", (("o", "z"),), conditions=(("s", IRI("u3")),))
         assert estimate_rows(node, catalog) == UNKNOWN_ROWS
 
     def test_unknown_side_is_never_broadcast(self, catalog, join_plan):
         # Estimated at 0 rows, a stats-less table would be broadcast
         # unconditionally; it must shuffle instead.
-        catalog.remove_statistics("follows")
-        catalog.remove_statistics("likes")
+        catalog.remove_statistics("vp_follows")
+        catalog.remove_statistics("vp_likes")
         (strategy,) = plan_join_strategies(join_plan, catalog).strategies()
         assert isinstance(strategy, ShuffleHashJoin)
 
     def test_known_small_side_still_broadcasts(self, catalog, join_plan):
         # Unknown left, tiny known right: the known side is a safe build side.
-        catalog.remove_statistics("follows")
+        catalog.remove_statistics("vp_follows")
         (strategy,) = plan_join_strategies(join_plan, catalog).strategies()
         assert isinstance(strategy, BroadcastHashJoin)
         assert strategy.build_side == "right"
@@ -97,11 +94,11 @@ class TestUnknownCardinality:
 
     def test_keyless_join_prefers_known_build_side(self, catalog):
         plan = NaturalJoinNode(
-            SubqueryNode("follows", (("s", "a"), ("o", "b"))),
-            SubqueryNode("likes", (("s", "c"), ("o", "d"))),
+            SubqueryNode("vp_follows", (("s", "a"), ("o", "b"))),
+            SubqueryNode("vp_likes", (("s", "c"), ("o", "d"))),
         )
-        claim_rows(catalog, "follows", HUGE)
-        catalog.remove_statistics("likes")
+        claim_rows(catalog, "vp_follows", HUGE)
+        catalog.remove_statistics("vp_likes")
         (strategy,) = plan_join_strategies(plan, catalog).strategies()
         # A cross join must broadcast something; the known side is the only
         # defensible candidate, however large.
@@ -111,7 +108,7 @@ class TestUnknownCardinality:
 
 class TestSparkRule:
     def test_estimate_rows_from_statistics(self, catalog, join_plan):
-        assert estimate_rows(TableScanNode("follows", ("s", "o")), catalog) == 160
+        assert estimate_rows(TableScanNode("vp_follows", ("s", "o")), catalog) == 160
         # The join estimate is the larger input (conservative FK heuristic).
         assert estimate_rows(join_plan, catalog) == 160
 
@@ -122,8 +119,8 @@ class TestSparkRule:
         assert strategy.keys == ("y",)
 
     def test_shuffle_above_threshold(self, catalog, join_plan):
-        claim_rows(catalog, "follows", HUGE)
-        claim_rows(catalog, "likes", HUGE)
+        claim_rows(catalog, "vp_follows", HUGE)
+        claim_rows(catalog, "vp_likes", HUGE)
         (strategy,) = plan_join_strategies(join_plan, catalog).strategies()
         assert isinstance(strategy, ShuffleHashJoin)
         assert strategy.keys == ("y",)
@@ -140,22 +137,22 @@ class TestSparkRule:
         # The preserved (left) side must not be broadcast, however small: with
         # a huge right side the join shuffles.
         plan = LeftOuterJoinNode(
-            SubqueryNode("likes", (("s", "x"), ("o", "y"))),
-            SubqueryNode("follows", (("s", "x"), ("o", "z"))),
+            SubqueryNode("vp_likes", (("s", "x"), ("o", "y"))),
+            SubqueryNode("vp_follows", (("s", "x"), ("o", "z"))),
         )
         broadcast = plan_join_strategies(plan, catalog).strategies()[0]
         assert isinstance(broadcast, BroadcastHashJoin) and broadcast.build_side == "right"
-        claim_rows(catalog, "follows", HUGE)
+        claim_rows(catalog, "vp_follows", HUGE)
         shuffle = plan_join_strategies(plan, catalog).strategies()[0]
         assert isinstance(shuffle, ShuffleHashJoin)
 
     def test_cross_join_degenerates_to_broadcast(self, catalog):
         plan = NaturalJoinNode(
-            SubqueryNode("follows", (("s", "a"), ("o", "b"))),
-            SubqueryNode("likes", (("s", "c"), ("o", "d"))),
+            SubqueryNode("vp_follows", (("s", "a"), ("o", "b"))),
+            SubqueryNode("vp_likes", (("s", "c"), ("o", "d"))),
         )
-        claim_rows(catalog, "follows", HUGE)
-        claim_rows(catalog, "likes", HUGE)
+        claim_rows(catalog, "vp_follows", HUGE)
+        claim_rows(catalog, "vp_likes", HUGE)
         (strategy,) = plan_join_strategies(plan, catalog).strategies()
         assert isinstance(strategy, BroadcastHashJoin)
         assert strategy.keys == ()
@@ -168,8 +165,8 @@ class TestSparkRule:
         assert fits_broadcast(0)
 
     def test_describe(self, catalog, join_plan):
-        claim_rows(catalog, "follows", HUGE)
-        claim_rows(catalog, "likes", HUGE)
+        claim_rows(catalog, "vp_follows", HUGE)
+        claim_rows(catalog, "vp_likes", HUGE)
         physical = plan_join_strategies(join_plan, catalog)
         assert physical.describe() == [
             f"ShuffleHashJoin(keys=[y], left~{HUGE} rows, right~{HUGE} rows)"
@@ -187,8 +184,8 @@ class TestExecutorAnnotation:
 
     def test_the_annotation_never_changes_the_rows(self, catalog, join_plan):
         honest = PlanExecutor(catalog).execute(join_plan, ExecutionMetrics())
-        claim_rows(catalog, "follows", HUGE)
-        claim_rows(catalog, "likes", HUGE)
+        claim_rows(catalog, "vp_follows", HUGE)
+        claim_rows(catalog, "vp_likes", HUGE)
         executor = PlanExecutor(catalog)
         annotated = executor.execute(join_plan, ExecutionMetrics())
         assert isinstance(executor.last_physical_plan.strategies()[0], ShuffleHashJoin)

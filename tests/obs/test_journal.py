@@ -8,7 +8,6 @@ import os
 import pytest
 
 from repro.core.session import S2RDFSession, SessionConfig
-from repro.mappings.extvp import ExtVPLayout
 from repro.obs.journal import (
     FLUSH_INTERVAL,
     TEMPLATES_FILE,
@@ -389,8 +388,7 @@ def test_statically_empty_queries_are_journaled():
 
 
 def test_session_config_direct_construction_defaults_journal_on():
-    layout = ExtVPLayout(selectivity_threshold=1.0)
-    layout.build(Graph([Triple.of("a", "p", "b")], name="t"))
-    with S2RDFSession(layout, config=SessionConfig()) as session:
+    graph = Graph([Triple.of("a", "p", "b")], name="t")
+    with S2RDFSession.from_graph(graph, config=SessionConfig()) as session:
         session.query("SELECT ?x WHERE { ?x <p> ?y }")
         assert session.journal.record_count() == 1

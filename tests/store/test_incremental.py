@@ -736,8 +736,7 @@ class TestAppendCost:
         from repro.store.writer import _StoredVPSource
 
         dataset = StoredDataset.open(dataset_path)
-        vp_names = {p: info["table"] for p, info in dataset.manifest.vp_tables.items()}
-        source = _StoredVPSource(dataset, vp_names)
+        source = _StoredVPSource(dataset)
         assert len(source.positions(IRI("p"))) == 40
         source.seal()
         assert len(list(source.rows(IRI("p")))) == 40  # read before: still answered

@@ -20,12 +20,12 @@ import pytest
 
 import repro
 from repro.engine.storage import MAX_ID, NULL_ID, encode_id_column
-from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
 from repro.rdf.triple import Triple
 from repro.store.format import DatasetFormatError, decode_segment, encode_segment
 from repro.store.reader import StoredSelection, StoredTable
+from repro.store.writer import _DictionaryAppender
 from repro.watdiv.basic_queries import BASIC_TEMPLATES
 
 
@@ -106,8 +106,10 @@ def test_equal_ids_of_every_table_and_bucket_are_one_object(store):
 
 def test_ids_beyond_int32_are_refused_with_the_limit(tmp_path, monkeypatch):
     graph = Graph([Triple(IRI("a"), IRI("p"), IRI("b"))])
-    encode = TermDictionary.encode
-    monkeypatch.setattr(TermDictionary, "encode", lambda self, term: encode(self, term) + MAX_ID)
+    encode = _DictionaryAppender.encode
+    monkeypatch.setattr(
+        _DictionaryAppender, "encode", lambda self, term: encode(self, term) + MAX_ID
+    )
     with pytest.raises(DatasetFormatError, match="exceeds the int32 id limit of 2147483647"):
         repro.create(graph, path=str(tmp_path / "store")).close()
 

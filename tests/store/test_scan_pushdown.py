@@ -5,8 +5,8 @@ import zlib
 
 import pytest
 
+from engine.extvp_reference import reference_layout
 from repro.core.session import S2RDFSession
-from repro.mappings.extvp import ExtVPLayout
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
 from repro.rdf.triple import Triple
@@ -21,12 +21,12 @@ def stored(tmp_path_factory):
     triples = [
         Triple(IRI(f"s{i}"), IRI("p"), IRI(f"o{i % 5}")) for i in range(40)
     ] + [Triple(IRI(f"s{i}"), IRI("q"), IRI(f"s{i + 1}")) for i in range(20)]
-    layout = ExtVPLayout(selectivity_threshold=1.0)
-    layout.build(Graph(triples, name="pushdown"))
+    graph = Graph(triples, name="pushdown")
     path = str(tmp_path_factory.mktemp("store") / "dataset")
-    DatasetWriter(num_buckets=4).write(path, layout)
+    DatasetWriter(num_buckets=4).write(path, graph)
     restored, load_report, dataset = open_dataset(path)
-    return layout, restored, dataset, path
+    # The same tables as relations of terms, taken from the graph.
+    return reference_layout(graph), restored, dataset, path
 
 
 class TestProjectionAndPredicates:

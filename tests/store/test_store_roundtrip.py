@@ -16,7 +16,6 @@ import pytest
 import repro
 import repro.rdf.ntriples as ntriples_module
 from repro.core.session import S2RDFSession
-from repro.mappings.extvp import ExtVPLayout
 from repro.watdiv.basic_queries import BASIC_TEMPLATES
 from repro.watdiv.template import instantiate_many
 
@@ -47,36 +46,50 @@ def cold_session(dataset_path):
     session.close()
 
 
+def count_extvp_computations(monkeypatch):
+    """The calls of the store's ExtVP routine from here on, one entry each."""
+    import repro.store.writer as writer
+
+    calls = []
+    compute = writer.compute_incremental_extvp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(writer, "compute_incremental_extvp", counted)
+    return calls
+
+
 class TestColdOpen:
     def test_no_parse_and_no_rebuild(self, dataset_path, monkeypatch):
-        """Cold opens never touch the N-Triples parser or the ExtVP builder."""
+        """Cold opens never touch the N-Triples parser or compute ExtVP."""
 
         def forbidden(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError("cold open must not parse or rebuild")
+            raise AssertionError("cold open must not parse")
 
         monkeypatch.setattr(ntriples_module, "parse_ntriples", forbidden)
-        monkeypatch.setattr(ExtVPLayout, "build", forbidden)
-        session = S2RDFSession.open_dataset(dataset_path)
+        computations = count_extvp_computations(monkeypatch)
+        session = repro.connect(dataset_path)
         try:
             assert session.load_report is not None
             assert not session.load_report.ntriples_parsed
-            assert not session.load_report.extvp_rebuilt
             assert session.load_report.table_count > 0
-            # The flags are observed, not asserted constants: the restored
-            # layout's build counter really is zero.
-            assert session.layout.build_count == 0
+            # Observed, not asserted: the ExtVP routine really never ran.
+            assert computations == []
         finally:
             session.close()
 
-    def test_instrumentation_observes_real_builds(self, small_dataset):
-        """The counters the load report reads do move on the warm path."""
+    def test_instrumentation_observes_real_builds(self, small_dataset, monkeypatch):
+        """The counters the cold open is checked with do move on the warm path."""
         from repro.rdf.ntriples import documents_parsed
 
         before = documents_parsed()
+        computations = count_extvp_computations(monkeypatch)
         session = S2RDFSession.from_ntriples("<a> <p> <b> .")
         try:
             assert documents_parsed() == before + 1
-            assert session.layout.build_count == 1
+            assert len(computations) == 1
         finally:
             session.close()
 
@@ -89,6 +102,17 @@ class TestColdOpen:
             assert all(catalog.is_stored(name) for name in names)
         finally:
             session.close()
+
+    def test_layout_report_counts_roundtrip(self, warm_session, cold_session):
+        """A built session and a connection to the dataset it saved report
+        one layout: the same table and tuple counts and simulated bytes."""
+        warm, cold = warm_session.layout.report, cold_session.layout.report
+        assert warm.table_count > 0 and warm.tuple_count > 0
+        assert (warm.table_count, warm.tuple_count, warm.hdfs_bytes) == (
+            cold.table_count,
+            cold.tuple_count,
+            cold.hdfs_bytes,
+        )
 
     def test_statistics_roundtrip(self, warm_session, cold_session):
         """Zone-map aggregates restore TableStatistics exactly."""
@@ -345,7 +369,7 @@ class TestOverwrite:
 
     def test_committed_image_is_a_fresh_lay_out_byte_for_byte(self, small_dataset, tmp_path):
         """``save_dataset`` writes the image the session was serving; a
-        writer laying the same build out afresh writes the same directory,
+        writer laying the same graph out afresh writes the same directory,
         file for file, manifest included."""
         from repro.store.writer import DatasetWriter
 
@@ -360,13 +384,53 @@ class TestOverwrite:
         with S2RDFSession.from_graph(small_dataset.graph, num_partitions=2) as session:
             session.query("SELECT * WHERE { ?s <http://db.uwaterloo.ca/~galuc/wsdbm/likes> ?o }")
             session.save_dataset(str(held))
-        layout = ExtVPLayout(selectivity_threshold=1.0)
-        layout.build(small_dataset.graph)
         fresh = tmp_path / "fresh"
-        DatasetWriter(num_buckets=2).write(str(fresh), layout)
+        DatasetWriter(num_buckets=2).write(str(fresh), small_dataset.graph)
         held_files = files(held)
         assert "MANIFEST.json" in held_files and len(held_files) > 3
         assert held_files == files(fresh)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"selectivity_threshold": 1.0}, {"selectivity_threshold": 0.25}, {"include_oo": True}],
+        ids=["threshold-1", "threshold-0.25", "oo"],
+    )
+    @pytest.mark.parametrize("buckets", [1, 2, 8])
+    def test_a_build_is_an_append_to_an_empty_store_then_compacted(
+        self, small_dataset, tmp_path, buckets, knobs
+    ):
+        """``repro.create`` writes what creating an empty dataset, appending
+        the graph and compacting writes: every table file and the dictionary
+        byte for byte, and the manifest but for the epoch and the file
+        generations the append and the compaction advanced."""
+        import json
+
+        def contents(root):
+            # A compacted table file carries its generation in its name.
+            files = {}
+            for file in root.rglob("*"):
+                if file.is_file() and "journal" not in file.parts and file.name != "MANIFEST.json":
+                    name = file.name.split(".")[0] if file.parent.name == "tables" else file.name
+                    files[name] = file.read_bytes()
+            return files
+
+        def manifest(root):
+            data = json.loads((root / "MANIFEST.json").read_text())
+            data["append_epoch"] = 0
+            for record in data["tables"]:
+                record[8] = 0  # the table file's generation
+            return data
+
+        built, appended = tmp_path / "built", tmp_path / "appended"
+        repro.create(small_dataset.graph, path=str(built), num_partitions=buckets, **knobs).close()
+        with repro.create("", path=str(appended), num_partitions=buckets, **knobs) as session:
+            session.append_triples(small_dataset.graph)
+            session.compact()
+        built_files = contents(built)
+        assert "dictionary.nt" in built_files and len(built_files) > 3
+        assert built_files == contents(appended)
+        assert manifest(built) == manifest(appended)
+        assert json.loads((appended / "MANIFEST.json").read_text())["append_epoch"] == 2
 
     def test_interrupted_write_is_detected(self, small_dataset, tmp_path):
         """A dataset without a manifest (crash mid-write) is rejected cleanly."""
