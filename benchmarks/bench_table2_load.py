@@ -4,7 +4,6 @@ import pytest
 
 from repro.bench import run_table2_load
 from repro.core.session import S2RDFSession
-from repro.mappings.vertical import VerticalPartitioningLayout
 
 
 @pytest.mark.benchmark(group="table2-load")
@@ -25,14 +24,12 @@ def test_table2_report(benchmark, bench_scale, bench_seed, report_sink):
 
 @pytest.mark.benchmark(group="table2-load")
 def test_vp_build_wallclock(benchmark, bench_dataset):
-    """Wall-clock cost of building the plain VP layout."""
+    """Wall-clock cost of building the plain VP store (no ExtVP table materialised)."""
     def build():
-        layout = VerticalPartitioningLayout()
-        layout.build(bench_dataset.graph)
-        return layout
+        return S2RDFSession.from_graph(bench_dataset.graph, use_extvp=False)
 
-    layout = benchmark(build)
-    assert layout.total_tuples() == len(bench_dataset.graph)
+    with benchmark.pedantic(build, rounds=1, iterations=1) as session:
+        assert session.storage_summary()["vp_tuples"] == len(bench_dataset.graph)
 
 
 @pytest.mark.benchmark(group="table2-load")

@@ -39,7 +39,7 @@ def main() -> None:
     session = S2RDFSession.from_graph(dataset.graph, num_partitions=4)
     build_seconds = time.perf_counter() - start
     print(f"Built in-memory layout in {build_seconds:.3f}s "
-          f"({session.layout.report.table_count} tables)")
+          f"({session.layout.table_counts()['total']} tables)")
 
     # 2. Persist once.
     path = os.path.join(tempfile.mkdtemp(prefix="s2rdf-"), "dataset")

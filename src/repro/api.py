@@ -1,7 +1,7 @@
 """Top-level entry points: ``repro.connect`` and ``repro.create``.
 
-Callers should never need to touch :class:`~repro.mappings.extvp.ExtVPLayout`
-or :class:`~repro.store.writer.DatasetWriter` directly:
+Callers should never need to touch :class:`~repro.store.view.StoreView` or
+:class:`~repro.store.writer.DatasetWriter` directly:
 
 .. code-block:: python
 

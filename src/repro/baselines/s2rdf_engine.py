@@ -50,10 +50,10 @@ class S2RDFExtVPEngine(SparqlEngine):
         # correlated predicate pair; approximate it by the number of ExtVP
         # correlations (one semi-join each) times the average VP table size.
         layout = self.session.layout
-        predicates = layout.vp.predicates()
+        predicates = layout.predicates()
         statistics_entries = len(correlation_keys(predicates, layout.include_oo))
         predicate_count = max(1, len(predicates))
-        average_vp = layout.vp.total_tuples() / predicate_count
+        average_vp = summary["vp_tuples"] / predicate_count
         simulated_load = (
             summary["vp_tuples"] * self._load_seconds_per_vp_tuple
             + statistics_entries * average_vp * self._load_seconds_per_semijoin_tuple

@@ -12,17 +12,76 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.baselines.base import EngineResult, LoadReport, SparqlEngine, UnsupportedQueryError
 from repro.engine.cluster import SparkCostModel
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.relation import Relation
-from repro.mappings.naming import PROPERTY_TABLE
-from repro.mappings.property_table import PropertyTableLayout
+from repro.engine.storage import ParquetSizeModel
+from repro.mappings.naming import PROPERTY_TABLE, build_unique_keys
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Term, Variable
 from repro.sparql.algebra import Query, TriplePattern
+
+
+class _PropertyTable:
+    """The unified property table of a graph (Sec. 4.3, the Sempala layout).
+
+    All predicates become columns of a single wide table keyed by subject.
+    Multi-valued predicates are handled by row duplication as in Table 1 of
+    the paper: every extra value of a predicate adds one more row for the
+    subject.  This keeps the table size in the order of the number of
+    subjects (times the maximum multiplicity), but a single row cannot
+    enumerate all *combinations* of two multi-valued predicates — so Sempala
+    evaluates at most one multi-valued predicate per table scan and joins
+    additional ones back in (the paper's Fig. 7 uses the same pattern: one
+    ``SELECT DISTINCT`` block per triple group).
+    """
+
+    def __init__(self, graph: Graph) -> None:
+        predicates = graph.predicates()
+        #: predicate -> column name
+        self.predicate_columns: Dict[IRI, str] = build_unique_keys(predicates)
+        columns = ("s",) + tuple(self.predicate_columns[p] for p in predicates)
+
+        # Group values per subject and predicate.
+        per_subject: Dict[Term, Dict[IRI, List[Term]]] = {}
+        for triple in graph:
+            per_subject.setdefault(triple.subject, {}).setdefault(triple.predicate, []).append(triple.object)
+
+        #: predicates with more than one value for at least one subject
+        self.multi_valued_predicates: Set[IRI] = set()
+        rows: List[Tuple[Term, ...]] = []
+        for subject in sorted(per_subject, key=lambda s: s.n3()):
+            values = per_subject[subject]
+            value_lists = [sorted(values.get(p, [None]), key=_value_sort_key) for p in predicates]
+            row_count = max(len(value_list) for value_list in value_lists)
+            for predicate, value_list in zip(predicates, value_lists):
+                if len(value_list) > 1:
+                    self.multi_valued_predicates.add(predicate)
+            for row_index in range(row_count):
+                # Shorter value lists wrap around (Table 1 repeats the single
+                # follows value next to each likes value), so every value of
+                # every predicate co-occurs with the subject's single-valued
+                # attributes in at least one row.
+                row = tuple(value_list[row_index % len(value_list)] for value_list in value_lists)
+                rows.append((subject,) + row)
+        self.relation = Relation(columns, rows)
+
+    def column_for(self, predicate: IRI) -> Optional[str]:
+        return self.predicate_columns.get(predicate)
+
+    def is_multi_valued(self, predicate: IRI) -> bool:
+        """Whether any subject has more than one value for ``predicate``."""
+        return predicate in self.multi_valued_predicates
+
+
+def _value_sort_key(value: Optional[Term]) -> str:
+    """Deterministic ordering of the values packed into one subject's rows."""
+    if value is None:
+        return ""
+    return value.n3()
 
 
 class SempalaEngine(SparqlEngine):
@@ -37,22 +96,22 @@ class SempalaEngine(SparqlEngine):
         # Impala behaves like an in-memory MPP engine; reuse the Spark cost
         # model with a slightly higher scan cost (property table rows are wide).
         self.cost_model = cost_model or SparkCostModel(scan_ns_per_tuple=700.0, query_overhead_ms=120.0)
-        self.layout: Optional[PropertyTableLayout] = None
+        self.layout: Optional[_PropertyTable] = None
         self.graph: Optional[Graph] = None
 
     # ------------------------------------------------------------------ #
     def load(self, graph: Graph) -> LoadReport:
         start = time.perf_counter()
         self.graph = graph
-        self.layout = PropertyTableLayout()
-        report = self.layout.build(graph)
+        self.layout = _PropertyTable(graph)
+        hdfs_bytes = ParquetSizeModel().estimate_bytes(self.layout.relation)
         wallclock = time.perf_counter() - start
         return LoadReport(
             engine=self.name,
             triples=len(graph),
-            tuples_stored=report.tuple_count,
-            table_count=report.table_count,
-            hdfs_bytes=report.hdfs_bytes,
+            tuples_stored=len(self.layout.relation),
+            table_count=1,
+            hdfs_bytes=hdfs_bytes,
             simulated_load_seconds=len(graph) * self._load_seconds_per_triple,
             wallclock_seconds=wallclock,
         )
@@ -67,7 +126,7 @@ class SempalaEngine(SparqlEngine):
         metrics = ExecutionMetrics()
 
         groups = self._star_groups(patterns, self.layout)
-        property_table = self.layout.table()
+        property_table = self.layout.relation
         result: Optional[Relation] = None
         for subject_term, group_patterns in groups:
             group_relation = self._evaluate_group(subject_term, group_patterns, property_table, metrics)
@@ -92,7 +151,7 @@ class SempalaEngine(SparqlEngine):
     @staticmethod
     def _star_groups(
         patterns: List[TriplePattern],
-        layout: PropertyTableLayout,
+        layout: _PropertyTable,
     ) -> List[Tuple[Term, List[TriplePattern]]]:
         """Group triple patterns by subject term (star-shaped triple groups).
 

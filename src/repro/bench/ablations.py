@@ -81,7 +81,7 @@ def run_oo_correlation_ablation(
     dataset = dataset if dataset is not None else generate_dataset(scale_factor=scale_factor, seed=seed)
     with S2RDFSession.from_graph(dataset.graph, include_oo=True) as session:
         statistics = session.layout.statistics
-        keys = correlation_keys(session.layout.vp.predicates(), include_oo=True)
+        keys = correlation_keys(session.layout.predicates(), include_oo=True)
 
     report = ExperimentReport(
         name="Ablation — OO correlation tables",

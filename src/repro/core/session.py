@@ -43,12 +43,12 @@ from repro.core.config import (
 from repro.core.results import QueryResult
 from repro.core.table_selection import TableSelector
 from repro.core.template_cache import TemplateCache
+from repro.engine.catalog import Catalog
 from repro.engine.cluster import SparkCostModel
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.plan import PlanExecutor
 from repro.engine.storage import ParquetSizeModel
 from repro.engine.strategies import UNKNOWN_ROWS
-from repro.mappings.extvp import ExtVPLayout
 from repro.mappings.naming import TRIPLES_TABLE
 from repro.obs.explain import ExplainAnalyzeResult, render_explain_analyze
 from repro.obs.journal import (
@@ -74,6 +74,7 @@ from repro.store.reader import (
     register_changes as _register_store_changes,
     register_dataset as _register_stored_dataset,
 )
+from repro.store.view import StoreView
 from repro.store.writer import (
     CompactionReport,
     DatasetAppender,
@@ -179,7 +180,7 @@ class S2RDFSession:
 
     def __init__(
         self,
-        layout: ExtVPLayout,
+        layout: StoreView,
         config: Optional[SessionConfig] = None,
         cost_model: Optional[SparkCostModel] = None,
         tracer: Optional[Tracer] = None,
@@ -234,13 +235,16 @@ class S2RDFSession:
         self._journal_epoch: Optional[int] = None
         #: Set by :meth:`open_dataset`: instrumentation of the cold open.
         self.load_report: Optional[DatasetLoadReport] = None
+        #: Seconds the build (:meth:`from_graph`) or the cold open
+        #: (:meth:`open_dataset`) took; appends and compactions leave it.
+        self.load_seconds = 0.0
         #: Directory this session is persisted to; set by :meth:`save_dataset`
         #: and :meth:`open_dataset`, required by :meth:`append_triples` and
         #: :meth:`compact`.
         self.dataset_path: Optional[str] = None
         #: The store state the catalog serves (manifest, term dictionary with
         #: its reverse index, value sets, table handles), which appends and
-        #: compactions work on in place: a directory's, or — for a layout
+        #: compactions work on in place: a directory's, or — for a store
         #: that was just built — its image held in memory until
         #: ``save_dataset`` commits it.  See :meth:`_resident_dataset` for
         #: when it is trusted.
@@ -296,7 +300,7 @@ class S2RDFSession:
         }
 
     def _lay_out(self, triples: Iterable[Triple]) -> DatasetImage:
-        """The store image of ``triples`` under the layout's settings, at
+        """The store image of ``triples`` under the served store's settings, at
         ``num_partitions`` buckets."""
         layout = self.layout
         return DatasetWriter(
@@ -306,9 +310,9 @@ class S2RDFSession:
             namespaces=layout.namespaces,
         ).lay_out(triples)
 
-    def _adopt(self, dataset: StoredDataset, started_at: Optional[float] = None) -> None:
+    def _adopt(self, dataset: StoredDataset) -> None:
         """Serve ``dataset``, registered as a cold open registers a directory."""
-        _register_stored_dataset(self.layout, dataset, started_at=started_at)
+        _register_stored_dataset(self.layout, dataset)
         self._dataset = dataset
 
     # ------------------------------------------------------------------ #
@@ -341,12 +345,16 @@ class S2RDFSession:
         # lay-out and the registration.
         started_at = time.perf_counter()
         store = config.store
-        layout = ExtVPLayout(
-            selectivity_threshold=store.selectivity_threshold if store.use_extvp else 0.0,
-            include_oo=store.include_oo,
+        dataset = StoredDataset.hold(
+            DatasetWriter(
+                num_buckets=max(config.execution.num_partitions, 1),
+                selectivity_threshold=store.selectivity_threshold if store.use_extvp else 0.0,
+                include_oo=store.include_oo,
+            ).lay_out(graph)
         )
-        session = cls(layout, config=config, cost_model=cost_model)
-        session._adopt(StoredDataset.hold(session._lay_out(graph)), started_at)
+        session = cls(StoreView(Catalog(), dataset.manifest), config=config, cost_model=cost_model)
+        session._adopt(dataset)
+        session.load_seconds = time.perf_counter() - started_at
         return session
 
     @classmethod
@@ -465,6 +473,7 @@ class S2RDFSession:
             )
         session = cls(layout, config=config, cost_model=cost_model, tracer=tracer)
         session.load_report = load_report
+        session.load_seconds = load_report.load_seconds
         session.dataset_path = path
         session._dataset = dataset
         session._journal_epoch = load_report.append_epoch
@@ -598,7 +607,7 @@ class S2RDFSession:
         try:
             return dataset, operation(dataset)
         except BaseException:
-            # The resident state (and the layout statistics it shares) may be
+            # The resident state (and the manifest the view reads) may be
             # half-updated while the disk holds a committed state: re-read it.
             self._dataset = None
             self._refresh_from_store()
@@ -889,21 +898,16 @@ class S2RDFSession:
         store, so an in-memory session and a connected one report the same
         number for the same dataset.
         """
-        if self.layout.report is None:
-            raise RuntimeError(
-                "layout has no build report: build the session with from_graph() "
-                "or open a dataset before storage_summary()"
-            )
         layout = self.layout
-        summary = layout.size_summary()
-        stored = list(layout.vp.vp_tables.values())
-        stored += [info.name for info in layout.statistics.materialized()]
         size_model = ParquetSizeModel()
         with self._store_lock.read_locked():
+            summary = layout.size_summary()
+            stored = [layout.vp_table_name(predicate) for predicate in layout.predicates()]
+            stored += [info.name for info in layout.statistics.materialized()]
             summary["hdfs_bytes"] = sum(
                 size_model.estimate_bytes(layout.catalog.scan_batch(name).batch.to_relation())
                 for name in stored
             )
-        summary["table_counts"] = layout.table_counts()
-        summary["load_seconds"] = self.layout.report.build_seconds
+            summary["table_counts"] = layout.table_counts()
+        summary["load_seconds"] = self.load_seconds
         return summary

@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.mappings.extvp import CorrelationKind, ExtVPLayout
+from repro.mappings.extvp import CorrelationKind
 from repro.mappings.naming import triples_table_name
 from repro.rdf.terms import IRI, Variable
 from repro.sparql.algebra import TriplePattern
+from repro.store.view import StoreView
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,9 @@ class CandidateTable:
 
 
 class TableSelector:
-    """Implements Algorithm 1 over an :class:`~repro.mappings.extvp.ExtVPLayout`."""
+    """Implements Algorithm 1 over a :class:`~repro.store.view.StoreView`."""
 
-    def __init__(self, layout: ExtVPLayout, use_extvp: bool = True) -> None:
+    def __init__(self, layout: StoreView, use_extvp: bool = True) -> None:
         self.layout = layout
         self.use_extvp = use_extvp
 

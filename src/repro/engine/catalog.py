@@ -2,14 +2,14 @@
 
 S2RDF "collects statistics about all tables in ExtVP during the initial
 creation process, most notably the selectivities (SF values) and actual sizes"
-(Sec. 6.1).  The :class:`Catalog` is the shared table store: mapping builders
-register tables here, the compiler consults the statistics, and the plan
-executor reads the relations.
+(Sec. 6.1).  The :class:`Catalog` is the shared table store: the dataset
+store registers its tables here, the compiler consults the statistics, and
+the plan executor reads the relations.
 
-The baselines' layouts register their tables as relations of terms
-(:meth:`Catalog.register`); what a session's queries run on are *stored*
-tables, backed by the columnar dataset store (:mod:`repro.store`) — a dataset directory, or the
-same image held in memory for a session that was just built.  Stored tables
+A relation of terms can be registered as it is (:meth:`Catalog.register`);
+what a session's queries run on are *stored* tables, backed by the columnar
+dataset store (:mod:`repro.store`) — a dataset directory, or the same image
+held in memory for a session that was just built.  Stored tables
 are registered with a handle (:meth:`Catalog.register_stored`, which drops the
 relation of the same name) and decoded lazily; the plan executor scans them
 through :meth:`Catalog.scan_batch` as dictionary-id batches, so projection and
@@ -91,8 +91,8 @@ class Catalog:
     """Named relations plus their statistics.
 
     S2RDF "also stores statistics about empty tables (which do not physically
-    exist)" (Sec. 6.1); here that is the layout's knowledge
-    (:meth:`~repro.mappings.extvp.ExtVPLayout.extvp_info`), not the catalog's.
+    exist)" (Sec. 6.1); here that is the store manifest's knowledge
+    (:meth:`~repro.store.view.StoreView.extvp_info`), not the catalog's.
     """
 
     def __init__(self) -> None:
@@ -116,7 +116,6 @@ class Catalog:
         name: str,
         relation: Relation,
         selectivity: float = 1.0,
-        materialize: bool = True,
     ) -> TableStatistics:
         """Register a relation (and derive its statistics)."""
         subjects = relation.distinct_count(relation.columns[0]) if relation.columns and relation.rows else 0
@@ -132,8 +131,7 @@ class Catalog:
             distinct_subjects=subjects,
             distinct_objects=objects,
         )
-        if materialize:
-            self._tables[name] = relation
+        self._tables[name] = relation
         self.generation += 1
         self._statistics[name] = statistics
         self.generation += 1

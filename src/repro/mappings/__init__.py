@@ -1,17 +1,17 @@
 """Relational mappings for RDF (Sec. 4 and Sec. 5 of the paper).
 
-Four layouts are implemented:
+* :mod:`repro.mappings.naming` — the names of the triples table, the VP
+  tables (one two-column table per predicate, Sec. 4.2) and the ExtVP
+  tables.
+* :mod:`repro.mappings.extvp` — the paper's contribution: the semi-join
+  reductions of the VP tables for SS/OS/SO correlations with an optional
+  selectivity-factor threshold (Sec. 5), maintained in dictionary-id space
+  by :func:`~repro.mappings.extvp.compute_incremental_extvp`.
 
-* :class:`~repro.mappings.triples_table.TriplesTableLayout` — one giant
-  three-column table (Sec. 4.1).
-* :class:`~repro.mappings.vertical.VerticalPartitioningLayout` — one
-  two-column table per predicate (Sec. 4.2, Abadi et al.).
-* :class:`~repro.mappings.property_table.PropertyTableLayout` — a unified
-  property table with row duplication for multi-valued predicates
-  (Sec. 4.3, the Sempala layout).
-* :class:`~repro.mappings.extvp.ExtVPLayout` — the paper's contribution:
-  semi-join reductions of the VP tables for SS/OS/SO correlations with an
-  optional selectivity-factor threshold (Sec. 5).
+The dataset store (:mod:`repro.store`) builds every table; the compiler
+reads them through :class:`repro.store.view.StoreView`.  The unified
+property table (Sec. 4.3) is the Sempala baseline's own
+(:mod:`repro.baselines.sempala`).
 """
 
 from repro.mappings.naming import (
@@ -19,20 +19,13 @@ from repro.mappings.naming import (
     triples_table_name,
     vp_table_name,
 )
-from repro.mappings.triples_table import TriplesTableLayout
-from repro.mappings.vertical import VerticalPartitioningLayout
-from repro.mappings.property_table import PropertyTableLayout
-from repro.mappings.extvp import CorrelationKind, ExtVPLayout, ExtVPStatistics, ExtVPTableInfo
+from repro.mappings.extvp import CorrelationKind, ExtVPStatistics, ExtVPTableInfo
 
 __all__ = [
     "predicate_key",
     "triples_table_name",
     "vp_table_name",
-    "TriplesTableLayout",
-    "VerticalPartitioningLayout",
-    "PropertyTableLayout",
     "CorrelationKind",
-    "ExtVPLayout",
     "ExtVPStatistics",
     "ExtVPTableInfo",
 ]

@@ -23,8 +23,8 @@ table's rows, so it is computed where it is stored, in dictionary-id space:
 :func:`compute_incremental_extvp` tests each row's join id against the other
 table's id value set.  An append runs it over the batch against the stored
 state; a build (:meth:`repro.store.writer.DatasetWriter.lay_out`) is the
-append of every triple to an empty store.  :class:`ExtVPLayout` holds what
-the store hands back: the VP tables' names and sizes and the statistics.
+append of every triple to an empty store.  The compiler reads the outcome
+from the store's manifest (:class:`repro.store.view.StoreView`).
 """
 
 from __future__ import annotations
@@ -33,11 +33,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import AbstractSet, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.engine.catalog import Catalog
-from repro.mappings.naming import correlation_table_name
-from repro.mappings.triples_table import LayoutBuildReport
-from repro.mappings.vertical import VerticalPartitioningLayout
-from repro.rdf.namespaces import NamespaceManager
 from repro.rdf.terms import IRI
 
 
@@ -437,116 +432,3 @@ def compute_incremental_extvp(
             )
         )
     return deltas
-
-
-class ExtVPLayout:
-    """VP tables plus the statistics of the ExtVP semi-join reductions.
-
-    The tables are built in the dataset store, the ExtVP tables next to the
-    bitmaps that hold them (:meth:`repro.store.writer.DatasetWriter.lay_out`);
-    a session hands the store's tables and statistics to the layout through
-    :meth:`restore`, whether it built the store from a graph or opened a
-    dataset directory.
-
-    Parameters
-    ----------
-    selectivity_threshold:
-        Only ExtVP tables with ``SF < selectivity_threshold`` are materialised
-        (1.0 keeps every non-trivial table, 0.0 disables ExtVP entirely and
-        leaves a plain VP layout, 0.25 is the paper's sweet spot).
-    include_oo:
-        Materialise OO correlation tables as well.  The paper skips them; the
-        flag exists for the ablation study.
-    """
-
-    name = "extvp"
-
-    def __init__(
-        self,
-        catalog: Optional[Catalog] = None,
-        namespaces: Optional[NamespaceManager] = None,
-        selectivity_threshold: float = 1.0,
-        include_oo: bool = False,
-    ) -> None:
-        if not 0.0 <= selectivity_threshold <= 1.0:
-            raise ValueError("selectivity_threshold must be between 0 and 1")
-        self.catalog = catalog if catalog is not None else Catalog()
-        self.namespaces = namespaces or NamespaceManager()
-        self.selectivity_threshold = selectivity_threshold
-        self.include_oo = include_oo
-        self.vp = VerticalPartitioningLayout(self.catalog, namespaces=self.namespaces)
-        self.statistics = ExtVPStatistics()
-        self.report: Optional[LayoutBuildReport] = None
-
-    def restore(
-        self,
-        vp_tables: Dict[IRI, str],
-        vp_sizes: Dict[IRI, int],
-        statistics: ExtVPStatistics,
-        load_seconds: float = 0.0,
-    ) -> LayoutBuildReport:
-        """Repopulate the layout from the dataset store's metadata.
-
-        The store calls this after registering every stored table in the
-        catalog: VP predicate maps, ExtVP correlation statistics and the
-        build report come from the manifest, so the layout answers the
-        compiler exactly as the store holds it.
-        """
-        self.statistics = statistics
-        self.vp.restore(vp_tables, vp_sizes, build_seconds=load_seconds)
-        self.report = self._report(load_seconds)
-        return self.report
-
-    def _report(self, seconds: float) -> LayoutBuildReport:
-        vp_report = self.vp.report
-        return LayoutBuildReport(
-            layout=self.name,
-            table_count=len(self.statistics.materialized())
-            + (vp_report.table_count if vp_report else 0),
-            tuple_count=self.statistics.total_materialized_tuples()
-            + (vp_report.tuple_count if vp_report else 0),
-            hdfs_bytes=vp_report.hdfs_bytes if vp_report else 0,
-            build_seconds=seconds,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Lookup helpers used by the compiler
-    # ------------------------------------------------------------------ #
-    def vp_table_name(self, predicate: IRI) -> Optional[str]:
-        return self.vp.table_name(predicate)
-
-    def vp_size(self, predicate: IRI) -> int:
-        return self.vp.size(predicate)
-
-    def extvp_info(self, kind: CorrelationKind, first: IRI, second: IRI) -> Optional[ExtVPTableInfo]:
-        """The statistics of ``ExtVP_kind[first|second]``; ``None`` if not maintained.
-
-        A maintained correlation of two predicates with VP tables that has no
-        entry is empty: it is answered with zero rows, not materialised.
-        """
-        info = self.statistics.lookup(kind, first, second)
-        if info is not None:
-            return info
-        first_table, second_table = self.vp.table_name(first), self.vp.table_name(second)
-        if (
-            first_table is None
-            or second_table is None
-            or not is_correlation_key(kind, first, second, self.include_oo)
-        ):
-            return None
-        name = correlation_table_name(kind.value, first_table, second_table)
-        return ExtVPTableInfo(name, kind, first, second, 0, self.vp.size(first), False)
-
-    def table_counts(self) -> Dict[str, int]:
-        """Counts used by Table 2: VP tables, materialised ExtVP tables, total."""
-        vp_count = self.vp.report.table_count if self.vp.report else 0
-        extvp_count = len(self.statistics.materialized())
-        return {"vp": vp_count, "extvp": extvp_count, "total": vp_count + extvp_count}
-
-    def size_summary(self) -> Dict[str, int]:
-        """Tuple counts used by Table 2 / Table 6."""
-        return {
-            "vp_tuples": self.vp.total_tuples(),
-            "extvp_tuples": self.statistics.total_materialized_tuples(),
-            "total_tuples": self.vp.total_tuples() + self.statistics.total_materialized_tuples(),
-        }

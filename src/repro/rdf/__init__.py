@@ -3,9 +3,10 @@
 This package provides the minimal but complete RDF machinery that the rest of
 the reproduction builds on: term types (:class:`IRI`, :class:`Literal`,
 :class:`BlankNode`, :class:`Variable`), triples, an in-memory :class:`Graph`
-with predicate/subject/object indexes, N-Triples parsing and serialisation,
-namespace handling for the WatDiv vocabulary and a dictionary encoder that
-maps terms to dense integer identifiers.
+with predicate/subject/object indexes, N-Triples parsing and serialisation
+and namespace handling for the WatDiv vocabulary.  The term dictionary that
+maps terms to dense integer ids is the store's
+(:class:`repro.store.format.StoredTermDictionary`).
 """
 
 from repro.rdf.terms import IRI, BlankNode, Literal, Term, Variable, term_from_string
@@ -19,7 +20,6 @@ from repro.rdf.ntriples import (
     serialize_ntriples,
     serialize_term,
 )
-from repro.rdf.dictionary import TermDictionary
 
 __all__ = [
     "IRI",
@@ -38,5 +38,4 @@ __all__ = [
     "parse_ntriples_line",
     "serialize_ntriples",
     "serialize_term",
-    "TermDictionary",
 ]

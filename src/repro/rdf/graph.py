@@ -2,7 +2,7 @@
 
 The :class:`Graph` is the substrate every relational mapping is derived from.
 It keeps three hash indexes (by subject, by predicate, by object) so that the
-mapping builders and the centralised baseline engines can enumerate triples
+baseline engines can enumerate triples
 by any bound component without scanning the whole graph.
 """
 

@@ -6,8 +6,8 @@ source.  This package is the reproduction's equivalent: a real on-disk format
 (dataset-wide term dictionary, one append-only file of run-length-encoded
 column segments per VP table, per-segment zone maps, hash-bucketed
 partitions, and every ExtVP table as bitmaps over its VP table's rows) plus
-the writer that builds and grows a dataset from triples and the reader that
-restores an :class:`~repro.mappings.extvp.ExtVPLayout` from it.
+the writer that builds and grows a dataset from triples, the reader that
+opens it, and the read-only view the query compiler reads it through.
 
 * :mod:`repro.store.format` — directory layout, segment codec, manifest.
 * :mod:`repro.store.writer` — one write path: :class:`DatasetWriter` (a
@@ -22,6 +22,9 @@ restores an :class:`~repro.mappings.extvp.ExtVPLayout` from it.
   :func:`register_dataset` registers a freshly opened one,
   :func:`register_changes` re-registers what one mutation touched,
   :func:`refresh_dataset` re-reads everything.
+* :mod:`repro.store.view` — :class:`StoreView`, the catalog plus the live
+  manifest: VP table names and sizes and the ExtVP statistics, as the
+  compiler asks for them.
 
 Sessions use it through :meth:`repro.core.session.S2RDFSession.save_dataset`,
 :meth:`~repro.core.session.S2RDFSession.open_dataset`,
@@ -46,6 +49,7 @@ from repro.store.reader import (
     register_changes,
     register_dataset,
 )
+from repro.store.view import StoreView
 from repro.store.writer import (
     CompactionReport,
     DatasetAppender,
@@ -70,6 +74,7 @@ __all__ = [
     "StoredSelection",
     "StoredTable",
     "StoredTermDictionary",
+    "StoreView",
     "open_dataset",
     "read_manifest",
     "refresh_dataset",

@@ -643,9 +643,9 @@ class Manifest:
     #: predicate -> {"table": vp table name, "size": row count}
     vp_tables: Dict[IRI, dict]
     #: The statistics of the ExtVP correlations with rows (materialised or
-    #: not); a correlation without an entry is empty.  A session's layout
-    #: uses this very object, so an append's incremental maintenance updates
-    #: both at once.
+    #: not); a correlation without an entry is empty.  The compiler reads
+    #: this very object (:class:`~repro.store.view.StoreView`), so an
+    #: append's incremental maintenance is all it takes to update both.
     extvp: ExtVPStatistics
     #: Append generation counter: 0 for a freshly written dataset, incremented
     #: by every committed append and compaction.
@@ -756,6 +756,11 @@ class Manifest:
             vp_value_sets[predicate] = {"s": set(subjects), "o": set(objects)}
         tables = {record[0]: TableEntry._decode(record) for record in data["tables"]}
 
+        selectivity_threshold = data["selectivity_threshold"]
+        if not 0.0 <= selectivity_threshold <= 1.0:
+            raise DatasetFormatError(
+                f"selectivity_threshold {selectivity_threshold!r} is not within [0, 1]"
+            )
         include_oo = data["include_oo"]
         kept = correlation_kinds(include_oo)
         seen: Set[Tuple[str, int, int]] = set()
@@ -801,7 +806,7 @@ class Manifest:
             format_version=version,
             layout_name=data["layout_name"],
             num_buckets=data["num_buckets"],
-            selectivity_threshold=data["selectivity_threshold"],
+            selectivity_threshold=selectivity_threshold,
             include_oo=include_oo,
             namespaces=data["namespaces"],
             dictionary_size=data["dictionary_size"],

@@ -1,11 +1,11 @@
-"""Opening a persisted dataset: lazy tables, pushdown scans, layout restore.
+"""Opening a persisted dataset: lazy tables, pushdown scans, table registration.
 
-``open_dataset`` rebuilds a fully functional
-:class:`~repro.mappings.extvp.ExtVPLayout` from a dataset directory without
+``open_dataset`` serves a dataset directory to the query compiler without
 parsing N-Triples or recomputing a single semi-join: table statistics come
-from the manifest's zone-map aggregates, the statistics of the ExtVP
-correlations with rows are restored verbatim (an unlisted correlation is
-empty), and every materialised table is registered as a *stored* table
+from the manifest's zone-map aggregates, the compiler reads the statistics
+of the ExtVP correlations with rows from the manifest itself
+(:class:`~repro.store.view.StoreView`; an unlisted correlation is empty),
+and every materialised table is registered as a *stored* table
 that decodes its column segments only when a query actually scans it — a VP
 table from its own file (:class:`StoredTable`), an ExtVP table as a view of
 the rows of its VP table that its bitmaps select (:class:`StoredSelection`).
@@ -31,10 +31,8 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.engine.catalog import Catalog, ScanResult, StoredTableProvider, TableStatistics
 from repro.engine.relation import Relation
 from repro.engine.storage import NULL_ID
-from repro.mappings.extvp import ExtVPLayout
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.rdf import ntriples as ntriples_io
-from repro.rdf.namespaces import NamespaceManager
 from repro.engine.vectorized import BatchScanResult, ColumnBatch
 from repro.store.format import (
     BitmapEntry,
@@ -52,6 +50,7 @@ from repro.store.format import (
     read_file_range,
     read_manifest,
 )
+from repro.store.view import StoreView
 
 
 @dataclass
@@ -651,29 +650,25 @@ class StoredDataset:
         return table
 
 
-def register_dataset(
-    layout: ExtVPLayout, dataset: StoredDataset, started_at: Optional[float] = None
-) -> None:
-    """Register every table of a freshly opened ``dataset`` into ``layout``.
+def register_dataset(view: StoreView, dataset: StoredDataset) -> None:
+    """Register every table of a freshly opened ``dataset`` and point ``view`` at it.
 
     The cold open — of a directory, or of the image a session just built:
     the table handles :meth:`StoredDataset.open` / :meth:`~StoredDataset.hold`
-    built are registered as they are.  Mutates the layout's existing catalog
+    built are registered as they are.  Mutates the view's existing catalog
     in place — sessions hold references to it — via ``register_stored``,
     which also drops the decoded-rows cache of the table's previous
     incarnation; a table of an earlier dataset that ``dataset`` does not
     hold (after a re-save, or someone else's commit) is dropped.
-    ``started_at`` lets the cold open count its file reads into the layout's
-    load time.
     """
-    catalog = layout.catalog
+    catalog = view.catalog
     for name in catalog.table_names():
         if name not in dataset.tables:
             catalog.drop(name)
-    _register(layout, dataset, dataset.tables.items(), started_at)
+    _register(view, dataset, dataset.tables.items())
 
 
-def register_changes(layout: ExtVPLayout, dataset: StoredDataset, tables: Iterable[str]) -> None:
+def register_changes(view: StoreView, dataset: StoredDataset, tables: Iterable[str]) -> None:
     """Re-register ``tables`` of ``dataset`` — what one committed mutation touched.
 
     With a committed append's or compaction's ``touched_tables`` this is all
@@ -681,43 +676,29 @@ def register_changes(layout: ExtVPLayout, dataset: StoredDataset, tables: Iterab
     stale scans (:meth:`StoredDataset.changed_table`), and every other table
     keeps its decoded rows.
     """
-    changed = [(name, dataset.changed_table(name)) for name in tables]
-    _register(layout, dataset, changed, None)
+    _register(view, dataset, [(name, dataset.changed_table(name)) for name in tables])
 
 
 def _register(
-    layout: ExtVPLayout,
-    dataset: StoredDataset,
-    tables: Iterable[Tuple[str, _StoredProvider]],
-    started_at: Optional[float],
+    view: StoreView, dataset: StoredDataset, tables: Iterable[Tuple[str, _StoredProvider]]
 ) -> None:
-    if started_at is None:
-        started_at = time.perf_counter()
-    manifest = dataset.manifest
-    catalog = layout.catalog
     for name, table in tables:
-        catalog.register_stored(name, table, table.statistics())
-
-    # The layout takes the manifest's statistics object itself: the appender
-    # maintains it in place, so there is one copy and nothing to rebuild.
-    layout.restore(
-        {predicate: info["table"] for predicate, info in manifest.vp_tables.items()},
-        {predicate: info["size"] for predicate, info in manifest.vp_tables.items()},
-        manifest.extvp,
-        load_seconds=time.perf_counter() - started_at,
-    )
+        view.catalog.register_stored(name, table, table.statistics())
+    # The view reads the manifest itself: the appender maintains it in
+    # place, so there is one copy and nothing to rebuild.
+    view.manifest = dataset.manifest
 
 
 def open_dataset(
     path: str, tracer: Optional[Tracer] = None
-) -> Tuple[ExtVPLayout, DatasetLoadReport, StoredDataset]:
-    """Open ``path`` and restore a query-ready ExtVP layout from it.
+) -> Tuple[StoreView, DatasetLoadReport, StoredDataset]:
+    """Open ``path`` and return a query-ready view of it.
 
     No N-Triples parsing and no ExtVP semi-join computation happens here —
-    only manifest/dictionary I/O plus statistics reconstruction.  Table rows
-    stay on disk until a query scans them.  With an enabled ``tracer``, the
-    two cold-open stages (manifest + dictionary I/O vs. statistics
-    reconstruction) appear as child spans.
+    only manifest/dictionary I/O plus table registration.  Table rows stay
+    on disk until a query scans them.  With an enabled ``tracer``, the two
+    cold-open stages (manifest + dictionary I/O vs. table registration)
+    appear as child spans.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     start = time.perf_counter()
@@ -726,19 +707,13 @@ def open_dataset(
         dataset = StoredDataset.open(path)
         span.set(tables=len(dataset.tables))
     manifest = dataset.manifest
-
-    layout = ExtVPLayout(
-        catalog=Catalog(),
-        namespaces=NamespaceManager(manifest.namespaces) if manifest.namespaces else None,
-        selectivity_threshold=manifest.selectivity_threshold,
-        include_oo=manifest.include_oo,
-    )
+    view = StoreView(Catalog(), manifest)
     with tracer.span("store.restore-layout", category="store"):
-        register_dataset(layout, dataset, started_at=start)
+        register_dataset(view, dataset)
 
     report = DatasetLoadReport(
         path=path,
-        load_seconds=layout.report.build_seconds if layout.report else 0.0,
+        load_seconds=time.perf_counter() - start,
         table_count=len(dataset.tables),
         statistics_only_count=manifest.statistics_only_count(),
         dictionary_terms=manifest.dictionary_size,
@@ -746,11 +721,11 @@ def open_dataset(
         append_epoch=manifest.append_epoch,
         ntriples_parsed=ntriples_io.documents_parsed() > parses_before,
     )
-    return layout, report, dataset
+    return view, report, dataset
 
 
-def refresh_dataset(layout: ExtVPLayout, path: str) -> StoredDataset:
-    """Re-sync an opened layout with whatever its dataset directory now holds.
+def refresh_dataset(view: StoreView, path: str) -> StoredDataset:
+    """Re-sync an opened view with whatever its dataset directory now holds.
 
     The full path, for when a session cannot just re-register what its own
     mutation touched: a pool worker that learns of a newer epoch, a session
@@ -759,7 +734,6 @@ def refresh_dataset(layout: ExtVPLayout, path: str) -> StoredDataset:
     are dropped); the catalog object itself — which executors hold
     references to — stays the same.
     """
-    start = time.perf_counter()
     dataset = StoredDataset.open(path)
-    register_dataset(layout, dataset, started_at=start)
+    register_dataset(view, dataset)
     return dataset

@@ -44,7 +44,6 @@ from typing import (
 from repro.engine.storage import MAX_ID, NULL_ID, ZoneMap, encode_id_column
 from repro.mappings.extvp import (
     ExtVPDelta,
-    ExtVPLayout,
     ExtVPStatistics,
     compute_incremental_extvp,
 )
@@ -239,7 +238,7 @@ class DatasetWriter:
         """
         manifest = Manifest(
             format_version=FORMAT_VERSION,
-            layout_name=ExtVPLayout.name,
+            layout_name="extvp",
             num_buckets=self.num_buckets,
             selectivity_threshold=self.selectivity_threshold,
             include_oo=self.include_oo,

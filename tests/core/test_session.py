@@ -276,9 +276,19 @@ class TestStorageSummaryReport:
         summary = session.storage_summary()
         assert summary["load_seconds"] > 0.0
 
-    def test_unbuilt_layout_raises_instead_of_zeros(self):
-        from repro.mappings.extvp import ExtVPLayout
-
-        unbuilt = S2RDFSession(ExtVPLayout())
-        with pytest.raises(RuntimeError, match="build report"):
-            unbuilt.storage_summary()
+    def test_load_seconds_survive_appends_and_compactions(self, example_graph, tmp_path):
+        """The load time is the build's or the cold open's, not the last
+        re-registration's."""
+        path = str(tmp_path / "dataset")
+        with S2RDFSession.from_graph(example_graph) as built:
+            load_seconds = built.storage_summary()["load_seconds"]
+            built.save_dataset(path)
+            built.append_triples([Triple(IRI("Z"), IRI("likes"), IRI("I9"))])
+            built.compact(compaction_threshold=1)
+            assert built.storage_summary()["load_seconds"] == load_seconds
+        with S2RDFSession.open_dataset(path) as connected:
+            load_seconds = connected.storage_summary()["load_seconds"]
+            assert load_seconds == connected.load_report.load_seconds > 0.0
+            connected.append_triples([Triple(IRI("Z"), IRI("follows"), IRI("A"))])
+            connected.compact(compaction_threshold=1)
+            assert connected.storage_summary()["load_seconds"] == load_seconds

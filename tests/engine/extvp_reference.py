@@ -9,7 +9,8 @@ columns its correlation kind names, all are relations of terms registered
 in a catalog, and the materialisation rule of Sec. 5.3 decides which are
 stored.  The row oracle and the sqlite oracle read it;
 :func:`reference_layout` also gives the compiler the statistics it plans
-with::
+with, through a :class:`~repro.store.view.StoreView` of a manifest that
+holds nothing but them::
 
     layout = reference_layout(graph)
     RowOracle(layout.catalog).execute(QueryCompiler(TableSelector(layout)).compile(query).plan)
@@ -17,10 +18,13 @@ with::
 
 from __future__ import annotations
 
+from repro.engine.catalog import Catalog
 from repro.engine.relation import Relation
-from repro.mappings.extvp import CorrelationKind, ExtVPLayout, ExtVPStatistics, ExtVPTableInfo
+from repro.mappings.extvp import CorrelationKind, ExtVPStatistics, ExtVPTableInfo
 from repro.mappings.naming import TRIPLES_TABLE, build_unique_keys, correlation_table_name
 from repro.rdf.graph import Graph
+from repro.store.format import FORMAT_VERSION, Manifest
+from repro.store.view import StoreView
 
 #: The join column of ``VP_p1`` and of ``VP_p2`` per correlation (Fig. 9).
 JOIN_COLUMNS = {
@@ -41,7 +45,7 @@ def semi_join(vp_first: Relation, kind: CorrelationKind, vp_second: Relation) ->
 
 def reference_layout(
     graph: Graph, selectivity_threshold: float = 1.0, include_oo: bool = False
-) -> ExtVPLayout:
+) -> StoreView:
     """A layout whose catalog holds the triples table, every VP table and
     every stored ExtVP table as a relation, and whose statistics cover every
     correlation.
@@ -51,8 +55,7 @@ def reference_layout(
     statistics only.  SS is not built for a predicate with itself, OO only
     with ``include_oo``.
     """
-    layout = ExtVPLayout(selectivity_threshold=selectivity_threshold, include_oo=include_oo)
-    catalog = layout.catalog
+    catalog = Catalog()
     predicates = graph.predicates()
     keys = build_unique_keys(predicates)
     vp_tables = {predicate: f"vp_{keys[predicate]}" for predicate in predicates}
@@ -86,7 +89,19 @@ def reference_layout(
                     catalog.register(name, reduced, selectivity=selectivity)
                 else:
                     catalog.register_statistics_only(name, len(reduced), selectivity)
-    layout.restore(
-        vp_tables, {predicate: len(relation) for predicate, relation in vp.items()}, statistics
+    manifest = Manifest(
+        format_version=FORMAT_VERSION,
+        layout_name="extvp",
+        num_buckets=1,
+        selectivity_threshold=selectivity_threshold,
+        include_oo=include_oo,
+        namespaces={},
+        dictionary_size=0,
+        tables={},
+        vp_tables={
+            predicate: {"table": vp_tables[predicate], "size": len(relation)}
+            for predicate, relation in vp.items()
+        },
+        extvp=statistics,
     )
-    return layout
+    return StoreView(catalog, manifest)

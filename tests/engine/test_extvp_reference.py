@@ -60,7 +60,7 @@ def test_store_extvp_is_the_semi_join_definition(
         assert session._dataset.manifest.num_buckets == buckets
         # The reference holds every correlation, the empty ones included; the
         # store holds those with rows and answers the others as empty.
-        keys = correlation_keys(expected.vp.predicates(), include_oo)
+        keys = correlation_keys(expected.predicates(), include_oo)
         assert expected.statistics.tables.keys() == set(keys)
         assert session.layout.statistics.tables.keys() == {
             key for key in keys if expected.statistics.tables[key].row_count

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core.session import S2RDFSession
 from repro.mappings.extvp import (
     CorrelationKind,
-    ExtVPLayout,
     correlation_keys,
     is_correlation_key,
 )
@@ -101,9 +100,9 @@ class TestSelectivityThreshold:
         # Statistics are still collected for the compiler.
         assert len(layout.statistics) > 0
 
-    def test_invalid_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            ExtVPLayout(selectivity_threshold=1.5)
+    def test_invalid_threshold_rejected(self, example_graph):
+        with pytest.raises(ValueError, match="selectivity_threshold"):
+            S2RDFSession.from_graph(example_graph, selectivity_threshold=1.5)
 
     def test_statistics_survive_for_unmaterialized_tables(self, example_graph):
         layout = build_layout(example_graph, selectivity_threshold=0.3)
@@ -164,8 +163,8 @@ class TestExtVPProperties:
         """Every materialised ExtVP table equals VP_p1 ⋉ VP_p2 on the right columns."""
         layout = build_layout(graph)
         for info in layout.statistics.materialized():
-            vp_first = layout.vp.table(info.first)
-            vp_second = layout.vp.table(info.second)
+            vp_first = layout.catalog.table(layout.vp_table_name(info.first))
+            vp_second = layout.catalog.table(layout.vp_table_name(info.second))
             left_column, right_column = _KIND_COLUMNS[info.kind]
             values = set(vp_second.column_values(right_column))
             index = vp_first.column_index(left_column)
@@ -182,7 +181,7 @@ class TestExtVPProperties:
             assert info.row_count <= info.vp_row_count
             if info.materialized:
                 table = layout.catalog.table(info.name)
-                vp_rows = set(layout.vp.table(info.first).rows)
+                vp_rows = set(layout.catalog.table(layout.vp_table_name(info.first)).rows)
                 assert set(table.rows) <= vp_rows
 
     @given(graph=_graphs, threshold=st.sampled_from([0.25, 0.5, 0.75]))
@@ -194,18 +193,16 @@ class TestExtVPProperties:
         assert limited.statistics.total_materialized_tuples() <= full.statistics.total_materialized_tuples()
 
 
-class TestBuildReportAlwaysPopulated:
-    def test_report_set_on_success(self, example_graph):
-        layout = build_layout(example_graph)
-        assert layout.report is not None
-        assert layout.report.build_seconds > 0.0
-        assert layout.report.table_count > 0
+class TestStorageSummaryAlwaysPopulated:
+    def test_summary_on_success(self, example_graph):
+        summary = S2RDFSession.from_graph(example_graph).storage_summary()
+        assert summary["load_seconds"] > 0.0
+        assert summary["table_counts"]["total"] > 0
 
-    def test_report_set_on_empty_graph(self):
-        layout = build_layout(Graph([]))
-        assert layout.report is not None
-        assert layout.report.table_count == 0
-        assert layout.report.build_seconds > 0.0
+    def test_summary_on_empty_graph(self):
+        summary = S2RDFSession.from_graph(Graph([])).storage_summary()
+        assert summary["table_counts"]["total"] == 0
+        assert summary["load_seconds"] > 0.0
 
 
 @pytest.mark.parametrize("include_oo", (False, True))

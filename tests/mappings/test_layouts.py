@@ -1,12 +1,10 @@
-"""Unit tests for the triples table, VP and property table layouts."""
+"""Unit tests for table naming and the VP tables a built session serves."""
 
 import pytest
 
-from repro.mappings.naming import PROPERTY_TABLE, predicate_key, triples_table_name, vp_table_name
-from repro.mappings.property_table import PropertyTableLayout
-from repro.mappings.triples_table import TriplesTableLayout
-from repro.mappings.vertical import VerticalPartitioningLayout
-from repro.rdf.namespaces import NamespaceManager, WATDIV_NAMESPACES
+from repro.core.session import S2RDFSession
+from repro.mappings.naming import predicate_key, triples_table_name, vp_table_name
+from repro.rdf.namespaces import WATDIV_NAMESPACES
 from repro.rdf.terms import IRI
 
 
@@ -26,95 +24,33 @@ class TestNaming:
         assert triples_table_name() == "triples"
 
 
-class TestTriplesTableLayout:
-    def test_build(self, example_graph):
-        layout = TriplesTableLayout()
-        report = layout.build(example_graph)
-        assert report.tuple_count == len(example_graph)
-        assert report.table_count == 1
-        assert len(layout.table()) == 7
-        assert report.hdfs_bytes > 0
+class TestVerticalPartitioning:
+    """One two-column table per predicate (Sec. 4.2), as the store view serves it."""
 
+    @pytest.fixture(scope="class")
+    def view(self, example_graph):
+        return S2RDFSession.from_graph(example_graph).layout
 
-class TestVerticalPartitioningLayout:
-    def test_one_table_per_predicate(self, example_graph):
-        layout = VerticalPartitioningLayout()
-        report = layout.build(example_graph)
-        assert report.table_count == 2
-        assert layout.size(IRI("follows")) == 4
-        assert layout.size(IRI("likes")) == 3
-        assert report.tuple_count == 7
+    def test_one_table_per_predicate(self, view):
+        assert view.table_counts()["vp"] == 2
+        assert view.vp_size(IRI("follows")) == 4
+        assert view.vp_size(IRI("likes")) == 3
+        assert view.size_summary()["vp_tuples"] == 7
 
-    def test_vp_tables_have_subject_object_schema(self, example_graph):
-        layout = VerticalPartitioningLayout()
-        layout.build(example_graph)
-        assert layout.table(IRI("follows")).columns == ("s", "o")
+    def test_vp_tables_have_subject_object_schema(self, view):
+        assert view.catalog.table(view.vp_table_name(IRI("follows"))).columns == ("s", "o")
 
-    def test_missing_predicate_gives_empty_relation(self, example_graph):
-        layout = VerticalPartitioningLayout()
-        layout.build(example_graph)
-        assert len(layout.table(IRI("missing"))) == 0
-        assert layout.table_name(IRI("missing")) is None
+    def test_missing_predicate_has_no_table(self, view):
+        assert view.vp_table_name(IRI("missing")) is None
+        assert view.vp_size(IRI("missing")) == 0
 
-    def test_triples_table_kept_for_unbound_predicates(self, example_graph):
-        layout = VerticalPartitioningLayout()
-        layout.build(example_graph)
-        assert triples_table_name() in layout.catalog
+    def test_triples_table_kept_for_unbound_predicates(self, view):
+        assert triples_table_name() in view.catalog
 
     def test_total_tuples_matches_graph(self, small_graph):
-        layout = VerticalPartitioningLayout()
-        layout.build(small_graph)
-        assert layout.total_tuples() == len(small_graph)
+        view = S2RDFSession.from_graph(small_graph).layout
+        assert view.size_summary()["vp_tuples"] == len(small_graph)
 
-    def test_vp_content_matches_graph(self, example_graph):
-        layout = VerticalPartitioningLayout()
-        layout.build(example_graph)
-        pairs = set(map(tuple, layout.table(IRI("likes")).rows))
+    def test_vp_content_matches_graph(self, example_graph, view):
+        pairs = set(map(tuple, view.catalog.table(view.vp_table_name(IRI("likes"))).rows))
         assert pairs == set(example_graph.subject_object_pairs(IRI("likes")))
-
-
-class TestPropertyTableLayout:
-    def test_columns_cover_all_predicates(self, example_graph):
-        layout = PropertyTableLayout()
-        layout.build(example_graph)
-        assert set(layout.columns) == {"s", "follows", "likes"}
-
-    def test_row_duplication_for_multi_valued(self, example_graph):
-        layout = PropertyTableLayout()
-        layout.build(example_graph)
-        table = layout.table()
-        a_rows = [row for row in table.to_dicts() if row["s"] == IRI("A")]
-        # A has 1 follows value and 2 likes values -> 2 rows (Table 1 of the paper).
-        assert len(a_rows) == 2
-        assert {row["likes"] for row in a_rows} == {IRI("I1"), IRI("I2")}
-        assert all(row["follows"] == IRI("B") for row in a_rows)
-
-    def test_multi_valued_detection(self, example_graph):
-        layout = PropertyTableLayout()
-        layout.build(example_graph)
-        assert layout.is_multi_valued(IRI("follows"))  # B follows C and D
-        assert layout.is_multi_valued(IRI("likes"))  # A likes I1 and I2
-
-    def test_every_triple_represented(self, example_graph):
-        layout = PropertyTableLayout()
-        layout.build(example_graph)
-        table = layout.table()
-        for triple in example_graph:
-            column = layout.column_for(triple.predicate)
-            values = {
-                row[column]
-                for row in table.to_dicts()
-                if row["s"] == triple.subject and row[column] is not None
-            }
-            assert triple.object in values
-
-    def test_column_for_unknown_predicate(self, example_graph):
-        layout = PropertyTableLayout()
-        layout.build(example_graph)
-        assert layout.column_for(IRI("nope")) is None
-
-    def test_registered_in_catalog_and_hdfs(self, example_graph):
-        layout = PropertyTableLayout()
-        report = layout.build(example_graph)
-        assert PROPERTY_TABLE in layout.catalog
-        assert report.hdfs_bytes > 0

@@ -1,74 +1,13 @@
-"""Unit tests for dictionary encoding and namespace handling."""
+"""Unit tests for namespace handling.
+
+The term dictionary is the store's (``StoredTermDictionary``), tested in
+``tests/store/test_format.py`` and ``tests/store/test_term_lookup.py``.
+"""
 
 import pytest
 
-from repro.rdf.dictionary import TermDictionary
 from repro.rdf.namespaces import Namespace, NamespaceManager, WATDIV_NAMESPACES
-from repro.rdf.terms import IRI, Literal
-
-
-class TestTermDictionary:
-    def test_encode_assigns_dense_ids(self):
-        dictionary = TermDictionary()
-        assert dictionary.encode(IRI("a")) == 0
-        assert dictionary.encode(IRI("b")) == 1
-        assert dictionary.encode(IRI("a")) == 0
-        assert len(dictionary) == 2
-
-    def test_decode_round_trip(self):
-        dictionary = TermDictionary()
-        term = Literal("hello")
-        term_id = dictionary.encode(term)
-        assert dictionary.decode(term_id) == term
-
-    def test_decode_unknown_id(self):
-        with pytest.raises(KeyError):
-            TermDictionary().decode(3)
-
-    def test_decode_negative_id_rejected(self):
-        """Regression: -1 must not alias the last term via list indexing."""
-        dictionary = TermDictionary()
-        dictionary.encode(IRI("a"))
-        dictionary.encode(IRI("b"))
-        with pytest.raises(KeyError):
-            dictionary.decode(-1)
-        with pytest.raises(KeyError):
-            dictionary.decode(-2)
-        with pytest.raises(KeyError):
-            dictionary.decode(len(dictionary))
-
-    def test_lookup_without_insert(self):
-        dictionary = TermDictionary()
-        assert dictionary.lookup(IRI("a")) is None
-        dictionary.encode(IRI("a"))
-        assert dictionary.lookup(IRI("a")) == 0
-
-    def test_contains(self):
-        dictionary = TermDictionary()
-        dictionary.encode(IRI("a"))
-        assert IRI("a") in dictionary
-        assert IRI("b") not in dictionary
-
-    def test_encode_triple_round_trip(self, example_graph):
-        dictionary = TermDictionary()
-        triple = next(iter(example_graph))
-        encoded = dictionary.encode_triple(triple)
-        assert dictionary.decode_triple(encoded) == triple
-
-    def test_from_graph_covers_all_terms(self, example_graph):
-        dictionary = TermDictionary.from_graph(example_graph)
-        for triple in example_graph:
-            assert triple.subject in dictionary
-            assert triple.predicate in dictionary
-            assert triple.object in dictionary
-
-    def test_average_term_length(self):
-        dictionary = TermDictionary.from_terms([IRI("ab"), IRI("abcd")])
-        # n3 adds the angle brackets: <ab> is 4 chars, <abcd> is 6.
-        assert dictionary.average_term_length() == pytest.approx(5.0)
-
-    def test_empty_dictionary_average(self):
-        assert TermDictionary().average_term_length() == 0.0
+from repro.rdf.terms import IRI
 
 
 class TestNamespace:

@@ -136,8 +136,8 @@ class TestAppend:
         session = S2RDFSession.open_dataset(dataset_path)
         try:
             session.append_triples(update_triples())
-            predicates = rebuilt.layout.vp.predicates()
-            assert session.layout.vp.predicates() == predicates
+            predicates = rebuilt.layout.predicates()
+            assert session.layout.predicates() == predicates
             for key in correlation_keys(predicates):
                 info = rebuilt.layout.extvp_info(*key)
                 incremental = session.layout.extvp_info(*key)
@@ -806,6 +806,21 @@ class TestFormatVersion:
             assert f"version {version}" in message and "version 4" in message
             assert "repro.create" in message
 
+    @pytest.mark.parametrize("threshold", (1.5, -0.1))
+    def test_a_threshold_out_of_range_is_refused(self, dataset_path, threshold):
+        """The manifest is outside input: its selectivity threshold is range
+        checked where it is read, as a format error."""
+        import json
+
+        path = manifest_path(dataset_path)
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+        data["selectivity_threshold"] = threshold
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(data, handle)
+        with pytest.raises(DatasetFormatError, match="selectivity_threshold"):
+            S2RDFSession.open_dataset(dataset_path)
+
 
 # --------------------------------------------------------------------- #
 # Session-resident store state: a write costs what its batch costs
@@ -879,7 +894,7 @@ class TestResidentState:
             registered = count_calls(monkeypatch, catalog, "register_stored")
 
             # 1. Fresh terms only: nothing stored can match, nothing is read.
-            predicates = sorted(session.layout.vp.vp_tables, key=lambda p: p.value)[:3]
+            predicates = session.layout.predicates()[:3]
             fresh = session.append_triples(
                 [
                     Triple(IRI(f"fresh-s{i}"), predicate, IRI(f"fresh-o{i}"))

@@ -134,7 +134,7 @@ def test_contract_holds_through_appends_and_compactions(store, small_dataset):
     triples = list(small_dataset.graph)
     with repro.connect(store) as session:
         check_contract(session, triples)
-        predicates = sorted(session.layout.vp.vp_tables, key=lambda p: p.value)
+        predicates = session.layout.predicates()
 
         # 1. Fresh entities: new subjects and objects under old predicates.
         #    Each entity carries several predicates, so SS reductions gain rows.
@@ -236,7 +236,7 @@ def test_a_file_rewritten_only_to_drop_dead_bytes_keeps_what_was_decoded(store):
     with repro.connect(store) as session:
         info, value_id = find_revival(read_manifest(store))
         value = session._dataset.dictionary.decode(value_id)
-        vp_first = session.layout.vp.vp_tables[info.first]
+        vp_first = session.layout.vp_table_name(info.first)
         session.append_triples([Triple(value, info.second, IRI(f"{EX}reviver"))])
         catalog = session.layout.catalog
         scans = {name: catalog.scan_batch(name) for name in (vp_first, info.name)}
@@ -249,7 +249,7 @@ def test_a_file_rewritten_only_to_drop_dead_bytes_keeps_what_was_decoded(store):
         assert after.tables[vp_first].generation == after.append_epoch  # rewritten ...
         assert not after.tables[vp_first].dead_bytes()  # ... for this
         assert not {vp_first, info.name} & set(report.touched_tables)
-        assert session.layout.vp.vp_tables[info.second] in report.touched_tables  # merged
+        assert session.layout.vp_table_name(info.second) in report.touched_tables  # merged
         for name, scan in scans.items():
             assert catalog.scan_batch(name) is scan, name  # nothing was dropped
         assert catalog.scan(info.name, conditions={"o": value}).relation.rows == bound
@@ -263,7 +263,7 @@ def test_a_file_rewritten_only_to_drop_dead_bytes_keeps_what_was_decoded(store):
 def test_conditioned_scans_are_the_unconditioned_scan_filtered(store):
     with repro.connect(store) as session:
         # Deltas in some buckets, so positions run across segments.
-        predicates = sorted(session.layout.vp.vp_tables, key=lambda p: p.value)
+        predicates = session.layout.predicates()
         session.append_triples(
             [
                 Triple(IRI(f"{EX}fresh{entity}"), predicate, IRI(f"{EX}fresh{entity + 1}"))

@@ -103,16 +103,14 @@ class TestColdOpen:
         finally:
             session.close()
 
-    def test_layout_report_counts_roundtrip(self, warm_session, cold_session):
+    def test_storage_summary_roundtrip(self, warm_session, cold_session):
         """A built session and a connection to the dataset it saved report
         one layout: the same table and tuple counts and simulated bytes."""
-        warm, cold = warm_session.layout.report, cold_session.layout.report
-        assert warm.table_count > 0 and warm.tuple_count > 0
-        assert (warm.table_count, warm.tuple_count, warm.hdfs_bytes) == (
-            cold.table_count,
-            cold.tuple_count,
-            cold.hdfs_bytes,
-        )
+        warm, cold = warm_session.storage_summary(), cold_session.storage_summary()
+        assert warm["table_counts"]["total"] > 0 and warm["total_tuples"] > 0
+        assert warm["hdfs_bytes"] > 0
+        del warm["load_seconds"], cold["load_seconds"]
+        assert warm == cold
 
     def test_statistics_roundtrip(self, warm_session, cold_session):
         """Zone-map aggregates restore TableStatistics exactly."""
@@ -196,7 +194,7 @@ class TestFootprint:
         root = pathlib.Path(dataset_path)
         manifest = read_manifest(dataset_path)
         files = sorted(p.name for p in (root / "tables").iterdir())
-        vp_tables = len(warm_session.layout.vp.vp_tables)
+        vp_tables = len(warm_session.layout.predicates())
         assert len(files) == vp_tables + 1 == len(manifest.tables)  # + the ``triples`` table
         assert not any(name.startswith("extvp_") for name in files)
         assert files == sorted(entry.file.split("/")[-1] for entry in manifest.tables.values())
@@ -209,7 +207,7 @@ class TestFootprint:
         # other correlation of the key space is answered as empty.
         listed = json.loads((root / "MANIFEST.json").read_text())["extvp"]
         layout = warm_session.layout
-        keys = correlation_keys(layout.vp.predicates())
+        keys = correlation_keys(layout.predicates())
         non_empty = [key for key in keys if layout.extvp_info(*key).row_count]
         assert len(listed) == len(non_empty) == len(statistics) < len(keys) / 5
         assert set(non_empty) == statistics.tables.keys()
