@@ -24,6 +24,16 @@ class TestNaming:
         assert triples_table_name() == "triples"
 
 
+class TestTriplesTableLayout:
+    def test_build(self, example_graph):
+        session = S2RDFSession.from_graph(example_graph)
+        table = session.layout.catalog.table(triples_table_name())
+        assert table.columns == ("s", "p", "o")
+        assert len(table) == len(example_graph) == 7
+        assert set(map(tuple, table.rows)) == {tuple(triple) for triple in example_graph}
+        assert session.storage_summary()["hdfs_bytes"] > 0
+
+
 class TestVerticalPartitioning:
     """One two-column table per predicate (Sec. 4.2), as the store view serves it."""
 
