@@ -5,16 +5,24 @@ neither the grammar nor the SPARQL-to-SQL compilation (table selection, join
 ordering, TP2SQL) ever looks at the value of a subject/object constant — only
 at which positions are bound.  So both are done once per template:
 
-* **Parse.**  The text is tokenised and looked up by its token stream with
-  the constants in triple-pattern subject/object position — the *slots* —
-  blanked out.  Everything else stays in the key: prologue, predicates,
-  variable names, FILTER / LIMIT constants, the kind of each slot's token.
-  Which tokens are slots is the parser's own report
-  (:attr:`~repro.sparql.parser._Parser.constants`) from the one time the
-  grammar ran over that token shape.  A hit turns the slot tokens into terms
-  with the parser's token-to-term rule and rebinds them into the once-parsed
-  algebra tree; anything irregular about them (an undeclared prefix, a
-  malformed literal) falls through to the full parser, whose error it is.
+* **Parse.**  The text is read as its token spellings, from one C-level
+  scan (:func:`~repro.sparql.tokenizer.spellings`).  The spellings with the
+  constants in triple-pattern subject/object position — the *slots* —
+  blanked, and each slot's token kind, name the template.  Everything but
+  the slots stays in the key: prologue, predicates, variable names, keyword
+  case, FILTER / LIMIT constants; whitespace and comments do not.  Which
+  spellings are slots is the parser's own report
+  (:attr:`~repro.sparql.parser._Parser.constants`), looked up by the text's
+  *shape* (the first character of every spelling, digits as ``0``) from the
+  last text of that shape the tokenizer and grammar ran on.  The shape only
+  proposes: equal spellings are equal token streams (the scan is the
+  tokenizer's), so a template found under the proposed key, with every slot
+  spelling lexing as its kind, is what the full parser would make of the
+  text with other constants.  A hit therefore runs neither: it turns the slot spellings into
+  terms with the parser's token-to-term rule and rebinds them into the
+  once-parsed algebra tree.  Anything irregular (no template, another kind,
+  an undeclared prefix, a malformed literal) falls through to the full
+  parser, whose error it is.
 * **Compile.**  The compiled plan is kept per template and a hit rebinds the
   new constants into its ``SubqueryNode.conditions``.  Spark's join
   annotation (:class:`~repro.engine.strategies.PhysicalPlan`: the strategy
@@ -34,13 +42,15 @@ happen to hold equal constants.
 :func:`repro.sparql.parse_query` stays the uncached reference: the results
 here are equal to what it and a fresh :class:`~repro.core.compiler.QueryCompiler`
 produce.  Both tables are bounded by :data:`MAX_TEMPLATES` (cleared on
-overflow) and safe under concurrent readers: entries are immutable once
-published and every table operation is a single dict access.
+overflow; dropping the templates drops their plans) and safe under concurrent
+readers: entries are immutable once published and every table operation is a
+single dict access.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.bgp import BGPCompilationResult
@@ -62,7 +72,7 @@ from repro.sparql.algebra import (
     Union,
 )
 from repro.sparql.parser import MalformedTermError, _Parser, term_of_token, tokenize_query
-from repro.sparql.tokenizer import Token
+from repro.sparql.tokenizer import Token, kind_of, spellings
 
 #: Templates kept per table; a table that reaches it is cleared.
 MAX_TEMPLATES = 1024
@@ -197,26 +207,31 @@ def _rebind_compiled(compiled: CompiledQuery, terms: TermMap) -> CompiledQuery:
     return CompiledQuery(plan=plan, bgp_results=results, physical=compiled.physical)
 
 
+#: A text's *shape* is the first character of every spelling, any digit as
+#: ``0`` (a number in a slot may start with any).
+_FIRST = itemgetter(0)
+_DIGITS = str.maketrans("123456789", "000000000")
+
+#: (slot kinds, spellings with the slots blanked): what names a template.
 TemplateKey = Tuple[Tuple[str, ...], Tuple[Optional[str], ...]]
 
 
 def _template_key(
-    signature: Tuple[str, ...], tokens: Sequence[Token], slots: Sequence[int]
+    found: Sequence[str], slots: Sequence[int], kinds: Tuple[str, ...]
 ) -> TemplateKey:
-    """The token signature plus every token's spelling, the slots' blanked."""
-    values: List[Optional[str]] = [token[1] for token in tokens]
+    blanked: List[Optional[str]] = list(found)
     for index in slots:
-        values[index] = None
-    return signature, tuple(values)
+        blanked[index] = None
+    return kinds, tuple(blanked)
 
 
 class TemplateCache:
     """Parsed templates and their compiled plans, for one session."""
 
     def __init__(self) -> None:
-        #: Token signature (kinds, keywords spelled out) -> token indexes of the slots.
-        self._slots: Dict[Tuple[str, ...], Tuple[int, ...]] = {}
-        #: (signature, token values with the slots blanked) -> template.
+        #: Shape -> the spelling indexes of the slots and each slot's token
+        #: kind, for the last text of that shape the parser ran on.
+        self._slots: Dict[str, Tuple[Tuple[int, ...], Tuple[str, ...]]] = {}
         self._templates: Dict[TemplateKey, QueryTemplate] = {}
         self._plans: Dict[QueryTemplate, _PlanEntry] = {}
         #: Advanced by :meth:`invalidate_plans`; a plan compiled while the
@@ -233,34 +248,52 @@ class TemplateCache:
     # ------------------------------------------------------------------ #
     def parse(self, text: str) -> Tuple[Query, bool]:
         """``parse_query(text)`` and whether a cached template answered it."""
-        tokens = tokenize_query(text)
-        # The grammar branches on token kinds and on which keyword a keyword
-        # is, never on another token's value: one signature, one set of slots.
-        signature = tuple([value if kind == "KEYWORD" else kind for kind, value, _ in tokens])
-        slots = self._slots.get(signature)
-        if slots is not None:
-            template = self._templates.get(_template_key(signature, tokens, slots))
+        found = spellings(text)
+        shape = "".join(map(_FIRST, found)).translate(_DIGITS)
+        entry = self._slots.get(shape)
+        if entry is not None:
+            slots, kinds = entry
+            template = self._templates.get(_template_key(found, slots, kinds))
             if template is not None:
-                query = self._instantiate(template, text, [tokens[index] for index in slots])
+                # No position: a slot a hit cannot take goes to the parser.
+                slot_tokens = [Token(kind, found[index], 0) for index, kind in zip(slots, kinds)]
+                query = self._instantiate(template, text, slot_tokens)
                 if query is not None:
                     return query, True
+        tokens = tokenize_query(text)
         parser = _Parser(text, tokens)
         query = parser.parse()
+        # Every token is one spelling, in order: token indexes index ``found``.
         slots = tuple([index for index, _ in parser.constants])
-        constants = tuple([term for _, term in parser.constants])
-        # The template keeps its own Query (and prefix dict): the caller's is mutable.
-        template = QueryTemplate(replace(query, prefixes=dict(query.prefixes)), constants)
-        if len(self._templates) >= MAX_TEMPLATES:
-            self._templates.clear()
-            self._slots.clear()
-        self._slots[signature] = slots
-        self._templates[_template_key(signature, tokens, slots)] = template
-        if len(self._templates) > MAX_TEMPLATES:
+        kinds = tuple([tokens[index].kind for index in slots])
+        key = _template_key(found, slots, kinds)
+        template = self._templates.get(key)
+        shared = None
+        if template is not None:
+            # A cached template met in another shape (a slot's constant starts
+            # with another character): the query shares it, and its plan.
+            shared = self._instantiate(template, text, [tokens[index] for index in slots])
+        if shared is None:
+            constants = tuple([term for _, term in parser.constants])
+            # The template keeps its own Query (and prefix dict): the caller's is mutable.
+            template = QueryTemplate(replace(query, prefixes=dict(query.prefixes)), constants)
+            query.template_binding = TemplateBinding(template, constants, query.pattern)
+        else:
+            query = shared
+        if max(len(self._templates), len(self._slots)) >= MAX_TEMPLATES:
+            self._clear()
+        self._slots[shape] = (slots, kinds)
+        self._templates[key] = template
+        if max(len(self._templates), len(self._slots)) > MAX_TEMPLATES:
             # Concurrent misses all passed the check above before inserting.
-            self._templates.clear()
-            self._slots.clear()
-        query.template_binding = TemplateBinding(template, constants, query.pattern)
+            self._clear()
         return query, False
+
+    def _clear(self) -> None:
+        """Drop every template, and the plans no lookup can reach without them."""
+        self._templates.clear()
+        self._slots.clear()
+        self._plans.clear()
 
     @staticmethod
     def _instantiate(
@@ -268,8 +301,11 @@ class TemplateCache:
     ) -> Optional[Query]:
         """The template's query with ``slot_tokens`` as its constants.
 
-        ``None`` when a token names no term: the full parser reports that.
+        ``None`` when a spelling is no token of its slot's kind or names no
+        term: the full parser reports that.
         """
+        if not all([kind_of(token.value) == token.kind for token in slot_tokens]):
+            return None
         base = template.query
         try:
             constants = tuple([term_of_token(token, base.prefixes) for token in slot_tokens])

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.rdf.namespaces import WATDIV_NAMESPACES
 from repro.rdf.ntriples import NTriplesParseError, parse_literal
-from repro.rdf.terms import IRI, Literal, Term, Variable, XSD_DECIMAL, XSD_INTEGER
+from repro.rdf.terms import IRI, Literal, Term, Variable, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
 from repro.sparql.algebra import (
     BGP,
     AggregateBinding,
@@ -121,8 +121,10 @@ def term_of_token(token: Token, prefixes: Dict[str, str]) -> Optional[Term]:
         except NTriplesParseError as exc:
             raise MalformedTermError(str(exc)) from exc
     if kind == "NUMBER":
-        integer = "." not in value and "e" not in value.lower()
-        return Literal(value, datatype=XSD_INTEGER if integer else XSD_DECIMAL)
+        # SPARQL's INTEGER, DECIMAL and DOUBLE numerals.
+        if "e" in value or "E" in value:
+            return Literal(value, datatype=XSD_DOUBLE)
+        return Literal(value, datatype=XSD_DECIMAL if "." in value else XSD_INTEGER)
     if kind == "NAME":
         # Simplified notation (paper running example): bare name as IRI.
         return IRI(value)

@@ -4,8 +4,13 @@ cached entry point (``session.parse``) agrees with the uncached one
 (``parse_query``) on which, down to the message.
 
 Texts are corpus queries with tokens deleted, duplicated, swapped, replaced
-by a token from elsewhere, or cut short (by token and by character).  The run
-is derandomized, so a failure in CI reproduces locally as is.
+by a token from elsewhere, or cut short (by token and by character), and
+corpus queries re-joined by other separators (none at all included, so
+abutting tokens re-lex) with constants of every kind, valid or broken, in
+their slots — which a cached template answers without the tokenizer.  Every
+text also checks that :func:`~repro.sparql.tokenizer.spellings` (the cache's
+key) is :func:`~repro.sparql.tokenizer.tokenize`'s scan.  The run is
+derandomized, so a failure in CI reproduces locally as is.
 """
 
 import numpy as np
@@ -13,9 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import template_cache
 from repro.core.session import S2RDFSession
-from repro.sparql.parser import SparqlParseError, parse_query
-from repro.sparql.tokenizer import tokenize
+from repro.rdf.graph import Graph
+from repro.rdf.triple import Triple
+from repro.sparql.parser import SparqlParseError, _Parser, parse_query
+from repro.sparql.tokenizer import TokenizeError, spellings, tokenize
 from repro.watdiv.basic_queries import BASIC_TEMPLATES
 from repro.watdiv.incremental_queries import INCREMENTAL_TEMPLATES
 from repro.watdiv.selectivity_queries import SELECTIVITY_TEMPLATES
@@ -53,15 +61,56 @@ def _corpus():
 
 CORPUS = _corpus()
 #: Every corpus text as its token spellings; joined by blanks they lex the same.
-CORPUS_TOKENS = [[token.value for token in tokenize(text)] for text in CORPUS]
+CORPUS_TOKENS = [spellings(text) for text in CORPUS]
 SPARE_TOKENS = sorted({value for values in CORPUS_TOKENS for value in values})
+
+
+def _slots(text):
+    """Spelling indexes of the triple-pattern constants the parser takes from ``text``."""
+    parser = _Parser(text)
+    try:
+        parser.parse()
+    except SparqlParseError:
+        return ()
+    return tuple(index for index, _ in parser.constants)
+
+
+#: (spellings, slot indexes) of every corpus text with a slot.
+SLOTTED = [
+    (found, slots) for found, slots in zip(CORPUS_TOKENS, map(_slots, CORPUS)) if slots
+]
+SEPARATORS = ["", " ", "\n", "\t", " # c\n"]
+#: Slot constants of every kind, the broken ones included.
+CONSTANTS = [
+    "<http://example.org/x>",
+    "<>",
+    '"abc"',
+    '"a"@en',
+    '"5"^^xsd:integer',
+    '"t"^^<http://t>',
+    "wsdbm:User0",
+    "wsdbm:a.b",
+    "42",
+    "-7",
+    "4.5",
+    "1e3",
+    "1.e5",
+    "B",
+    '"abc',
+    "<a b>",
+    "nope:x",
+    "?v",
+    "_:b",
+    '"x"^^<>',
+    '"x"^^nope:t',
+    ":",
+    "<",
+    "<=",
+]
 
 
 @pytest.fixture(scope="module")
 def session():
-    from repro.rdf.graph import Graph
-    from repro.rdf.triple import Triple
-
     with S2RDFSession.from_graph(Graph([Triple.of("A", "follows", "B")])) as session:
         for text in CORPUS:  # the fuzzed texts meet a populated cache
             outcome(session.parse, text)
@@ -79,7 +128,25 @@ def outcome(parse, text):
         return ("error", str(error), error.line, error.column, error.token)
 
 
+def check_spellings(text):
+    """``spellings`` is ``tokenize``'s scan: the raw text of every token, and
+    the offending character where ``tokenize`` raises."""
+
+    def raw(tokens):
+        return [text[token.position : token.position + len(token.value)] for token in tokens]
+
+    found = spellings(text)
+    try:
+        tokens = tokenize(text)
+    except TokenizeError as error:
+        head = raw(tokenize(text[: error.position]))
+        assert found[: len(head) + 1] == head + [text[error.position]], text
+    else:
+        assert found == raw(tokens), text
+
+
 def check(session, text):
+    check_spellings(text)
     reference = outcome(parse_query, text)
     for _ in range(2):  # a possible miss, then a possible hit
         assert outcome(session.parse, text) == reference, text
@@ -132,3 +199,64 @@ def test_the_corpus_itself_lexes_alike_when_respaced(session, text):
         assert again[1].pattern == reference[1].pattern
     check(session, text)
     check(session, respaced)
+
+
+@st.composite
+def respaced_with_new_constants(draw):
+    found, slots = draw(st.sampled_from(SLOTTED))
+    found = list(found)
+    for index in slots:
+        if draw(st.booleans()):
+            found[index] = draw(st.sampled_from(CONSTANTS))
+    # Half the texts keep every token apart, so that most of them are queries.
+    separators = SEPARATORS if draw(st.booleans()) else SEPARATORS[1:]
+    joints = draw(st.lists(st.sampled_from(separators), min_size=len(found), max_size=len(found)))
+    return "".join(spelling + joint for spelling, joint in zip(found, joints))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(text=respaced_with_new_constants())
+def test_respaced_texts_with_other_constants_parse_alike(session, text):
+    check(session, text)
+
+
+#: Another constant of each slot kind but NAME (whose spelling is in the key)
+#: with the first character of the one it replaces, so the text keeps its shape.
+OTHER_CONSTANT = {
+    "IRI": lambda spelling: "<http://example.org/other>",
+    "PNAME": lambda spelling: spelling.partition(":")[0] + ":Other",
+    "STRING": lambda spelling: '"other"',
+    "NUMBER": lambda spelling: spelling[0] + "7",
+}
+
+
+def test_respaced_texts_with_other_constants_hit(session, cache_counters):
+    """Each primed template answers its text re-spaced, and with another
+    constant of the same kind in each slot, from the cache."""
+    texts = []
+    for found, slots in SLOTTED:
+        session.parse(" ".join(found))  # primed here, whatever ran before
+        found = list(found)
+        kinds = [token.kind for token in tokenize(" ".join(found))]
+        for index in slots:
+            other = OTHER_CONSTANT.get(kinds[index])
+            if other is not None:
+                found[index] = other(found[index])
+        texts.append("\n# c\n".join(found) + "\t")
+    before = cache_counters(session)
+    for text in texts:
+        assert session.parse(text) == parse_query(text), text
+    assert cache_counters(session, before)[:2] == (len(texts), 0)
+
+
+def test_a_hit_makes_no_tokenize_call(monkeypatch):
+    text = "SELECT * WHERE {{ ?x wsdbm:follows {} . ?x <likes> {} }}"
+    with S2RDFSession.from_graph(Graph([Triple.of("A", "follows", "B")])) as session:
+        session.parse(text.format("wsdbm:User0", '"a"'))
+
+        def refuse(text):
+            raise AssertionError("tokenized on a hit")
+
+        monkeypatch.setattr(template_cache, "tokenize_query", refuse)
+        other = text.format("wsdbm:User1", '"b"@en').replace(" ", "\n")
+        assert session.parse(other) == parse_query(other)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.rdf.namespaces import WATDIV_NAMESPACES
-from repro.rdf.terms import IRI, Literal, Variable
+from repro.rdf.terms import IRI, Literal, Variable, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
 from repro.sparql.algebra import BGP, Filter, LeftJoin, Union
 from repro.sparql.parser import SparqlParseError, parse_query
 from repro.sparql.tokenizer import TokenizeError, tokenize
@@ -285,6 +285,57 @@ class TestTripleTerminator:
             parse_query('SELECT * WHERE { ?x <p> "5"^^<> }')
         assert "malformed literal" in str(excinfo.value)
         assert (excinfo.value.line, excinfo.value.column) == (1, 25)
+
+
+class TestNumerals:
+    """SPARQL's INTEGER, DECIMAL and DOUBLE: an exponent makes a double."""
+
+    @pytest.mark.parametrize("numeral", ["1e3", "1E-3", "+1.5e3", "-.5e2", "1.e5", "1.5e+3"])
+    def test_an_exponent_is_part_of_the_number(self, numeral):
+        assert [(t.kind, t.value) for t in tokenize(numeral)] == [("NUMBER", numeral)]
+
+    def test_what_is_not_an_exponent_stays_outside(self):
+        assert [(t.kind, t.value) for t in tokenize("1e3. 1e .5e")] == [
+            ("NUMBER", "1e3"),
+            ("DOT", "."),
+            ("NUMBER", "1"),
+            ("NAME", "e"),
+            ("NUMBER", ".5"),
+            ("NAME", "e"),
+        ]
+
+    @pytest.mark.parametrize(
+        "numeral, datatype",
+        [
+            ("42", XSD_INTEGER),
+            ("-7", XSD_INTEGER),
+            ("4.5", XSD_DECIMAL),
+            (".5", XSD_DECIMAL),
+            ("1e3", XSD_DOUBLE),
+            ("1.5e3", XSD_DOUBLE),
+            ("1.e5", XSD_DOUBLE),
+            (".5E-2", XSD_DOUBLE),
+        ],
+    )
+    def test_parse_query_types_the_numeral(self, numeral, datatype):
+        query = parse_query(f"SELECT * WHERE {{ ?x <p> {numeral} }}")
+        assert query.pattern.patterns[0].object == Literal(numeral, datatype=datatype)
+
+    def test_a_session_matches_a_stored_double(self):
+        from repro.core.session import S2RDFSession
+        from repro.rdf.graph import Graph
+        from repro.rdf.triple import Triple
+
+        graph = Graph(
+            [
+                Triple(IRI("x"), IRI("p"), Literal("1.5e3", datatype=XSD_DOUBLE)),
+                # What a numeral with an exponent used to be typed as.
+                Triple(IRI("y"), IRI("p"), Literal("1.5e3", datatype=XSD_DECIMAL)),
+            ]
+        )
+        with S2RDFSession.from_graph(graph) as session:
+            result = session.query("SELECT ?s WHERE { ?s <p> 1.5e3 }")
+        assert sorted(map(repr, result.relation.rows)) == ["(IRI(value='x'),)"]
 
 
 class TestComplexPatterns:

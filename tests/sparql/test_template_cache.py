@@ -237,6 +237,11 @@ PAIRS = {
         "SELECT *\n# the same template\nWHERE {\n  <B>   <follows> ?x .\n}",
         NOT_SHARED,  # the trailing dot is a token
     ),
+    "keyword case is in the key": (
+        "SELECT * WHERE { <A> <follows> ?x }",
+        "select * where { <B> <follows> ?x }",
+        NOT_SHARED,
+    ),
     "only whitespace and comments differ": (
         "SELECT * WHERE { <A> <follows> ?x . }",
         "SELECT *\n# the same template\nWHERE {\n  <B>   <follows> ?x .\n}",
@@ -249,6 +254,52 @@ PAIRS = {
 def test_adversarial_pair(session, example_graph, cache_counters, name):
     first, second, expected = PAIRS[name]
     assert run_pair(session, example_graph, cache_counters, first, second) == expected
+
+
+def test_slots_of_other_kinds_keep_their_own_templates(session, cache_counters):
+    texts = {
+        "IRI": "SELECT * WHERE {{ ?x <likes> <{}> }}",
+        "PNAME": "SELECT * WHERE {{ ?x <likes> wsdbm:{} }}",
+        "STRING": 'SELECT * WHERE {{ ?x <likes> "{}" }}',
+        "NUMBER": "SELECT * WHERE {{ ?x <likes> 1{} }}",
+    }
+    for text in texts.values():
+        session.parse(text.format(0))
+    assert len(session._templates) == len(texts)
+    before = cache_counters(session)
+    for constant in (1, 2):
+        for text in texts.values():  # interleaved: no kind evicts another
+            assert_front_end_agrees(session, text.format(constant))
+    assert cache_counters(session, before)[:2] == (8, 0)
+
+
+def test_a_template_met_in_another_shape_keeps_its_plan(session, cache_counters):
+    # The shape is the spellings' first characters: another prefix is another
+    # shape, parsed once more but answered by the cached template and plan.
+    first = "SELECT * WHERE { ?x <follows> wsdbm:B }"
+    assert_front_end_agrees(session, first)
+    before = cache_counters(session)
+    assert_front_end_agrees(session, "PREFIX ex: <> SELECT * WHERE { ?x <follows> ex:B }")
+    assert cache_counters(session, before) == NOT_SHARED  # another prologue
+    before = cache_counters(session)
+    assert_front_end_agrees(session, "SELECT * WHERE { ?x <follows> sorg:D }")
+    assert_front_end_agrees(session, "SELECT * WHERE { ?x <follows> sorg:C }")
+    assert_front_end_agrees(session, "SELECT * WHERE { ?x <follows> wsdbm:C }")
+    assert cache_counters(session, before) == (2, 1, 3, 0)
+    assert len(session._templates) == 2 and session._templates.plan_count() == 2
+
+
+def test_a_number_slot_takes_each_numeral_type(session, cache_counters):
+    from repro.rdf.terms import XSD_DECIMAL, XSD_DOUBLE, Literal
+
+    template = "SELECT * WHERE {{ ?x <age> {} }}"
+    session.parse(template.format("42"))
+    before = cache_counters(session)
+    decimal = assert_front_end_agrees(session, template.format("1.5"))[0]
+    double = assert_front_end_agrees(session, template.format("1e3"))[0]
+    assert cache_counters(session, before)[0] == 2
+    assert decimal.pattern.patterns[0].object == Literal("1.5", datatype=XSD_DECIMAL)
+    assert double.pattern.patterns[0].object == Literal("1e3", datatype=XSD_DOUBLE)
 
 
 def test_renamed_variables_still_fingerprint_alike(session):
@@ -375,6 +426,10 @@ def test_both_tables_are_bounded(session, cache_counters, monkeypatch):
     before = cache_counters(session)
     assert_front_end_agrees(session, "SELECT * WHERE { <B> <follows> ?v0 }")
     assert cache_counters(session, before) == NOT_SHARED
+    # Parsing alone overflows the templates: the plans of the dropped ones go too.
+    assert len(cache) == 4 and cache.plan_count() == 4
+    session.parse("SELECT * WHERE { <A> <likes> ?w }")
+    assert len(cache) == 1 and cache.plan_count() == 0
 
 
 def test_concurrent_readers_get_the_uncached_answers(example_graph, monkeypatch):
