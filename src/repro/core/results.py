@@ -46,9 +46,10 @@ class QueryResult:
     #: ``None`` for sessions without a persisted dataset.  Under concurrent
     #: appends this identifies exactly which store state produced the rows.
     epoch: Optional[int] = None
-    #: Renders :attr:`sql` (the compiled plan's ``to_sql`` method).  Rendering is
-    #: ~5 % of a small query and the text is almost never read, so it happens
-    #: on first access, not per query.
+    #: Renders :attr:`sql`: the text of the plan that ran, with this query's
+    #: constants bound into it.  Rebinding and rendering cost more than a
+    #: small query's execution and the text is almost never read, so both
+    #: happen on first access, not per query.
     sql_renderer: Optional[Callable[[], str]] = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -58,7 +59,7 @@ class QueryResult:
 
     def __getstate__(self) -> Dict[str, Any]:
         # Process workers return whole results: ship the text, not the
-        # renderer (a bound method of the plan tree).
+        # renderer (it holds the plan tree).
         state = dict(self.__dict__)
         state["sql"] = self.sql
         state["sql_renderer"] = None

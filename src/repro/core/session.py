@@ -30,6 +30,7 @@ import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import partial
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.compiler import CompiledQuery, QueryCompiler
@@ -42,7 +43,7 @@ from repro.core.config import (
 )
 from repro.core.results import QueryResult
 from repro.core.table_selection import TableSelector
-from repro.core.template_cache import TemplateCache
+from repro.core.template_cache import QueryTemplate, TemplateCache, bind_terms, render_sql
 from repro.engine.catalog import Catalog
 from repro.engine.cluster import SparkCostModel
 from repro.engine.metrics import ExecutionMetrics
@@ -167,12 +168,22 @@ class _QueryRun(NamedTuple):
     """What one trip through the query pipeline produced."""
 
     result: QueryResult
-    parsed: Query
+    #: The plan that ran: a text's is its template's cached one, run with the
+    #: text's constants as a binding.
     compiled: CompiledQuery
     #: Whether the template cache answered the parse / the compile
     #: (``None``: a ``Query`` object was handed in, nothing to look up).
     parse_hit: Optional[bool]
     compile_hit: Optional[bool]
+    #: What ran: the template of a text, or the ``Query`` object handed in.
+    source: Union[QueryTemplate, Query]
+
+    def template(self) -> Tuple[str, str]:
+        """The journal's ``(template, fingerprint)`` of the query."""
+        source = self.source
+        if isinstance(source, QueryTemplate):
+            return source.template, source.fingerprint
+        return S2RDFSession.template_of(source)
 
 
 class S2RDFSession:
@@ -666,18 +677,22 @@ class S2RDFSession:
 
     def _parse(self, query_text: str) -> Tuple[Query, bool]:
         parsed, hit = self._templates.parse(query_text)
-        self.metrics.inc(
-            "s2rdf_template_cache_hits_total" if hit else "s2rdf_template_cache_misses_total"
-        )
+        self._count_parse(hit)
         return parsed, hit
 
     def _compile(self, parsed: Query) -> Tuple[CompiledQuery, Optional[bool]]:
         compiled, hit = self._templates.compile(parsed, self.compiler, self.layout.catalog)
         if hit is not None:
-            self.metrics.inc(
-                "s2rdf_plan_cache_hits_total" if hit else "s2rdf_plan_cache_misses_total"
-            )
+            self._count_compile(hit)
         return compiled, hit
+
+    def _count_parse(self, hit: bool) -> None:
+        self.metrics.inc(
+            "s2rdf_template_cache_hits_total" if hit else "s2rdf_template_cache_misses_total"
+        )
+
+    def _count_compile(self, hit: bool) -> None:
+        self.metrics.inc("s2rdf_plan_cache_hits_total" if hit else "s2rdf_plan_cache_misses_total")
 
     def explain(self, query: Union[str, Query]) -> str:
         """Return the generated SQL for a query without executing it."""
@@ -707,7 +722,7 @@ class S2RDFSession:
         carries both the rendered report (``str(...)``) and the full
         :class:`~repro.core.results.QueryResult`.
         """
-        run = self._run(query, fresh_physical=True)
+        run = self._run(query, analyze=True)
         result = run.result
         executor = self.executor
         tree = render_explain_analyze(
@@ -726,13 +741,16 @@ class S2RDFSession:
         ]
         return ExplainAnalyzeResult(result=result, text="\n".join(lines))
 
-    def _run(self, query: Union[str, Query], fresh_physical: bool = False) -> _QueryRun:
-        """The traced query pipeline: parse → compile → plan → execute → render.
+    def _run(self, query: Union[str, Query], analyze: bool = False) -> _QueryRun:
+        """The traced query pipeline: bind → plan → execute → render.
 
-        The executor runs the plan with the join annotation the template cache
-        keeps with it; ``fresh_physical`` has it annotate the very tree it runs
-        instead (``explain_analyze`` draws that tree, and a rebound hit's
-        nodes are not the ones the cached annotation is keyed by).
+        A text is bound to its template and constants, its template's cached
+        plan is taken, and the executor runs that plan as it is, with the
+        constants as a binding and with the join annotation the template cache
+        keeps with it.  A ``Query`` object is compiled through
+        :meth:`compile` and runs without a binding.  ``analyze`` has the
+        executor annotate the very tree it runs instead and record per-node
+        observations (``explain_analyze`` draws both).
 
         The whole pipeline holds the store lock's *read* side: concurrent
         queries proceed together, but an ``append_triples``/``compact`` on
@@ -741,21 +759,33 @@ class S2RDFSession:
         epoch.
         """
         with self._store_lock.read_locked():
-            return self._run_locked(query, fresh_physical)
+            return self._run_locked(query, analyze)
 
-    def _run_locked(self, query: Union[str, Query], fresh_physical: bool = False) -> _QueryRun:
+    def _run_locked(self, query: Union[str, Query], analyze: bool = False) -> _QueryRun:
         total_start = time.perf_counter()
         epoch = self._journal_epoch
         phase_ms: Dict[str, float] = {}
         with self.tracer.span("query", category="query") as root:
             phase_start = time.perf_counter()
             with self.tracer.span("parse", category="query"):
-                parsed, parse_hit = self._parse(query) if isinstance(query, str) else (query, None)
+                if isinstance(query, str):
+                    source, constants, parse_hit = self._templates.lookup(query)
+                    self._count_parse(parse_hit)
+                else:
+                    source, parse_hit = query, None
             phase_ms["parse"] = (time.perf_counter() - phase_start) * 1000.0
 
             phase_start = time.perf_counter()
             with self.tracer.span("compile", category="query"):
-                compiled, compile_hit = self._compile(parsed)
+                if parse_hit is None:
+                    compiled, compile_hit = self._compile(query)
+                    binding = None
+                else:
+                    compiled, compile_hit = self._templates.plan(
+                        source, self.compiler, self.layout.catalog
+                    )
+                    self._count_compile(compile_hit)
+                    binding = bind_terms(source, constants)
             phase_ms["compile"] = (time.perf_counter() - phase_start) * 1000.0
 
             execution = self.config.execution
@@ -764,7 +794,11 @@ class S2RDFSession:
             phase_start = time.perf_counter()
             with self.tracer.span("execute", category="query"):
                 relation = executor.execute(
-                    compiled.plan, metrics, None if fresh_physical else compiled.physical
+                    compiled.plan,
+                    metrics,
+                    None if analyze else compiled.physical,
+                    binding,
+                    analyze,
                 )
             execute_ms = (time.perf_counter() - phase_start) * 1000.0
             # Obtaining the join annotation (taking the cached one, or the
@@ -784,9 +818,10 @@ class S2RDFSession:
                 physical = executor.last_physical_plan
                 result = QueryResult(
                     relation=relation,
-                    # The plan alone renders the text; holding ``compiled.sql``
-                    # would keep the per-BGP compilation details alive too.
-                    sql_renderer=compiled.plan.to_sql,
+                    # The plan and the binding alone render the text, on
+                    # first read; holding ``compiled`` would keep the per-BGP
+                    # compilation details alive too.
+                    sql_renderer=partial(render_sql, compiled.plan, binding),
                     metrics=metrics,
                     simulated_runtime_ms=simulated,
                     wall_clock_ms=(time.perf_counter() - total_start) * 1000.0,
@@ -797,10 +832,11 @@ class S2RDFSession:
                     epoch=epoch,
                 )
             root.set(rows=len(relation))
+        run = _QueryRun(result, compiled, parse_hit, compile_hit, source)
         self._record_query_metrics(result)
         # The journal's q-error compares the root estimate with the rows.
-        self._journal_query(parsed, result, physical.root_rows)
-        return _QueryRun(result, parsed, compiled, parse_hit, compile_hit)
+        self._journal_query(run, physical.root_rows)
+        return run
 
     @staticmethod
     def template_of(parsed: Query) -> Tuple[str, str]:
@@ -815,12 +851,13 @@ class S2RDFSession:
         template = template_text(parsed)
         return template, fingerprint_text(template)
 
-    def _journal_query(self, parsed: Query, result: QueryResult, root_estimate: int) -> None:
+    def _journal_query(self, run: _QueryRun, root_estimate: int) -> None:
         """Append one workload-journal record for an executed query."""
         journal = self.journal
         if journal is None:
             return
-        template, fingerprint = self.template_of(parsed)
+        template, fingerprint = run.template()
+        result = run.result
         metrics = result.metrics
         estimated = None if root_estimate == UNKNOWN_ROWS else root_estimate
         rows = len(result.relation)

@@ -18,13 +18,14 @@ at which positions are bound.  So both are done once per template:
   proposes: equal spellings are equal token streams (the scan is the
   tokenizer's), so a template found under the proposed key, with every slot
   spelling lexing as its kind, is what the full parser would make of the
-  text with other constants.  A hit therefore runs neither: it turns the slot spellings into
-  terms with the parser's token-to-term rule and rebinds them into the
-  once-parsed algebra tree.  Anything irregular (no template, another kind,
-  an undeclared prefix, a malformed literal) falls through to the full
-  parser, whose error it is.
-* **Compile.**  The compiled plan is kept per template and a hit rebinds the
-  new constants into its ``SubqueryNode.conditions``.  Spark's join
+  text with other constants.  A hit therefore runs neither: it turns the
+  slot spellings into terms with the parser's token-to-term rule, and
+  :meth:`TemplateCache.lookup` returns the template with those terms — no
+  ``Query`` is built.  Anything irregular (no template, another kind, an
+  undeclared prefix, a malformed literal) falls through to the full parser,
+  whose error it is.
+* **Compile.**  The plan is compiled once per template, from the template's
+  own query, and kept with it (:meth:`TemplateCache.plan`).  Spark's join
   annotation (:class:`~repro.engine.strategies.PhysicalPlan`: the strategy
   strings and the root estimate the journal records) depends on the plan's
   shape and the statistics, not on a constant, so it is computed with the
@@ -33,7 +34,16 @@ at which positions are bound.  So both are done once per template:
   generation it was compiled at, and :meth:`TemplateCache.invalidate_plans`
   drops them all whenever the store changes; parsed templates survive.
 
-Rebinding is by identity: the terms the parser created for a template's slots
+A query runs the cached plan as it is: its constants travel as a *binding*
+(:func:`bind_terms`, ``id(template's term) -> this query's term``) that the
+executor resolves the scans' equality conditions through, so nothing is
+rebuilt per query.  Only what is handed out rebinds: :meth:`TemplateCache.parse`
+and :meth:`TemplateCache.compile` (``session.parse`` / ``session.compile`` /
+``explain``) return a copy of the algebra tree and of the plan with the
+query's constants in them, and a result's SQL text is rendered from a
+rebound plan when it is first read (:func:`render_sql`).
+
+Binding is by identity: the terms the parser created for a template's slots
 are the very objects sitting in its triple patterns and, after compilation,
 in the plan's conditions, so ``id(term)`` names a slot wherever it ended up —
 including one constant shared by a ``;`` / ``,`` list, and two slots that
@@ -57,6 +67,7 @@ from repro.core.bgp import BGPCompilationResult
 from repro.core.compiler import CompiledQuery, QueryCompiler
 from repro.engine.catalog import Catalog
 from repro.engine.ops import Operation, SubqueryNode
+from repro.engine.plan import Binding
 from repro.engine.strategies import plan_join_strategies
 from repro.obs.journal import fingerprint_text, template_text
 from repro.rdf.terms import Term
@@ -76,10 +87,6 @@ from repro.sparql.tokenizer import Token, kind_of, spellings
 
 #: Templates kept per table; a table that reaches it is cleared.
 MAX_TEMPLATES = 1024
-
-#: ``id(template's term) -> this query's term``.
-TermMap = Dict[int, Term]
-
 
 class QueryTemplate:
     """One query shape: what the full parser made of the first text that had it."""
@@ -122,17 +129,22 @@ class _PlanEntry(NamedTuple):
     generation: int
     #: The catalog's statistics generation the plan was chosen at.
     statistics: int
-    #: The plan and its join annotation.
+    #: The plan of the template's own query, and its join annotation.
     compiled: CompiledQuery
-    #: The constants of the query ``compiled`` was compiled from.
-    constants: Tuple[Term, ...]
 
 
-def _term_map(old: Tuple[Term, ...], new: Tuple[Term, ...]) -> TermMap:
-    return {id(was): now for was, now in zip(old, new)}
+def bind_terms(template: QueryTemplate, constants: Tuple[Term, ...]) -> Optional[Binding]:
+    """The binding that puts ``constants`` into ``template``'s slots.
+
+    ``None`` when there is nothing to replace: the constants are the
+    template's own (the text the template was parsed from) or there are none.
+    """
+    if constants is template.constants or not constants:
+        return None
+    return {id(was): now for was, now in zip(template.constants, constants)}
 
 
-def _rebind_triple(pattern: TriplePattern, terms: TermMap) -> TriplePattern:
+def _rebind_triple(pattern: TriplePattern, terms: Binding) -> TriplePattern:
     subject = terms.get(id(pattern.subject))
     object_ = terms.get(id(pattern.object))
     if subject is None and object_ is None:
@@ -147,48 +159,63 @@ def _rebind_triple(pattern: TriplePattern, terms: TermMap) -> TriplePattern:
 class _PatternRebinder(PatternVisitor):
     """Rebuilds a parsed group graph pattern with other constants in its slots."""
 
-    def visit_bgp(self, node: BGP, terms: TermMap) -> PatternNode:
+    def visit_bgp(self, node: BGP, terms: Binding) -> PatternNode:
         return BGP([_rebind_triple(pattern, terms) for pattern in node.patterns])
 
-    def visit_join(self, node: Join, terms: TermMap) -> PatternNode:
+    def visit_join(self, node: Join, terms: Binding) -> PatternNode:
         return Join(self.visit(node.left, terms), self.visit(node.right, terms))
 
-    def visit_left_join(self, node: LeftJoin, terms: TermMap) -> PatternNode:
+    def visit_left_join(self, node: LeftJoin, terms: Binding) -> PatternNode:
         return LeftJoin(
             self.visit(node.left, terms), self.visit(node.right, terms), node.expression
         )
 
-    def visit_union(self, node: Union, terms: TermMap) -> PatternNode:
+    def visit_union(self, node: Union, terms: Binding) -> PatternNode:
         return Union(self.visit(node.left, terms), self.visit(node.right, terms))
 
-    def visit_filter(self, node: Filter, terms: TermMap) -> PatternNode:
+    def visit_filter(self, node: Filter, terms: Binding) -> PatternNode:
         return Filter(node.expression, self.visit(node.pattern, terms))
 
 
 _REBIND_PATTERN = _PatternRebinder()
 
 
-def _rebind_compiled(compiled: CompiledQuery, terms: TermMap) -> CompiledQuery:
-    """``compiled`` with other constants in its scans' equality conditions.
+def _rebind_plan(plan: Operation, terms: Binding) -> Operation:
+    """``plan`` with other constants in its scans' equality conditions.
 
-    Each BGP's subplan is rebound on its own (its
-    :class:`~repro.core.bgp.BGPCompilationResult` holds it, next to the triple
-    patterns it answers) and the operators above are rebuilt around the moved
-    subplans; whatever holds no constant keeps its identity.
+    Whatever holds no constant keeps its identity.
     """
 
     def rebind_scan(node: Operation) -> Operation:
         if type(node) is not SubqueryNode or not node.conditions:
             return node
-        conditions = tuple([(column, terms.get(id(term), term)) for column, term in node.conditions])
+        conditions = tuple(
+            [(column, terms.get(id(term), term)) for column, term in node.conditions]
+        )
         if all(new[1] is old[1] for new, old in zip(conditions, node.conditions)):
             return node
         return SubqueryNode(node.table_name, node.projections, conditions)
 
+    return plan.transform(rebind_scan)
+
+
+def render_sql(plan: Operation, terms: Optional[Binding]) -> str:
+    """The SQL text of ``plan`` run with the binding ``terms``."""
+    return (plan if terms is None else _rebind_plan(plan, terms)).to_sql()
+
+
+def _rebind_compiled(compiled: CompiledQuery, terms: Binding) -> CompiledQuery:
+    """``compiled`` with other constants in its scans' equality conditions.
+
+    Each BGP's subplan is rebound on its own (its
+    :class:`~repro.core.bgp.BGPCompilationResult` holds it, next to the triple
+    patterns it answers) and the operators above are rebuilt around the moved
+    subplans.
+    """
     moved: Dict[int, Operation] = {}
     results: List[BGPCompilationResult] = []
     for result in compiled.bgp_results:
-        plan = result.plan.transform(rebind_scan)
+        plan = _rebind_plan(result.plan, terms)
         if plan is not result.plan:
             moved[id(result.plan)] = plan
         choices = [(_rebind_triple(pattern, terms), choice) for pattern, choice in result.choices]
@@ -225,6 +252,23 @@ def _template_key(
     return kinds, tuple(blanked)
 
 
+def _slot_terms(
+    template: QueryTemplate, slot_tokens: Sequence[Token]
+) -> Optional[Tuple[Term, ...]]:
+    """The terms ``slot_tokens`` denote in ``template``'s prologue.
+
+    ``None`` when a spelling is no token of its slot's kind or names no
+    term: the full parser reports that.
+    """
+    if not all([kind_of(token.value) == token.kind for token in slot_tokens]):
+        return None
+    prefixes = template.query.prefixes
+    try:
+        return tuple([term_of_token(token, prefixes) for token in slot_tokens])
+    except MalformedTermError:
+        return None
+
+
 class TemplateCache:
     """Parsed templates and their compiled plans, for one session."""
 
@@ -246,8 +290,9 @@ class TemplateCache:
         return len(self._plans)
 
     # ------------------------------------------------------------------ #
-    def parse(self, text: str) -> Tuple[Query, bool]:
-        """``parse_query(text)`` and whether a cached template answered it."""
+    def lookup(self, text: str) -> Tuple[QueryTemplate, Tuple[Term, ...], bool]:
+        """The template ``text`` instantiates, the terms in its slots, and
+        whether a cached template answered (a miss parses and registers)."""
         found = spellings(text)
         shape = "".join(map(_FIRST, found)).translate(_DIGITS)
         entry = self._slots.get(shape)
@@ -256,30 +301,24 @@ class TemplateCache:
             template = self._templates.get(_template_key(found, slots, kinds))
             if template is not None:
                 # No position: a slot a hit cannot take goes to the parser.
-                slot_tokens = [Token(kind, found[index], 0) for index, kind in zip(slots, kinds)]
-                query = self._instantiate(template, text, slot_tokens)
-                if query is not None:
-                    return query, True
+                constants = _slot_terms(
+                    template, [Token(kind, found[index], 0) for index, kind in zip(slots, kinds)]
+                )
+                if constants is not None:
+                    return template, constants, True
         tokens = tokenize_query(text)
         parser = _Parser(text, tokens)
         query = parser.parse()
         # Every token is one spelling, in order: token indexes index ``found``.
         slots = tuple([index for index, _ in parser.constants])
         kinds = tuple([tokens[index].kind for index in slots])
+        constants = tuple([term for _, term in parser.constants])
         key = _template_key(found, slots, kinds)
         template = self._templates.get(key)
-        shared = None
-        if template is not None:
-            # A cached template met in another shape (a slot's constant starts
-            # with another character): the query shares it, and its plan.
-            shared = self._instantiate(template, text, [tokens[index] for index in slots])
-        if shared is None:
-            constants = tuple([term for _, term in parser.constants])
-            # The template keeps its own Query (and prefix dict): the caller's is mutable.
-            template = QueryTemplate(replace(query, prefixes=dict(query.prefixes)), constants)
-            query.template_binding = TemplateBinding(template, constants, query.pattern)
-        else:
-            query = shared
+        # A cached template met in another shape (a slot's constant starts
+        # with another character) is kept: the query shares it, and its plan.
+        if template is None:
+            template = QueryTemplate(query, constants)
         if max(len(self._templates), len(self._slots)) >= MAX_TEMPLATES:
             self._clear()
         self._slots[shape] = (slots, kinds)
@@ -287,7 +326,12 @@ class TemplateCache:
         if max(len(self._templates), len(self._slots)) > MAX_TEMPLATES:
             # Concurrent misses all passed the check above before inserting.
             self._clear()
-        return query, False
+        return template, constants, False
+
+    def parse(self, text: str) -> Tuple[Query, bool]:
+        """``parse_query(text)`` and whether a cached template answered it."""
+        template, constants, hit = self.lookup(text)
+        return self._instantiate(template, constants, text), hit
 
     def _clear(self) -> None:
         """Drop every template, and the plans no lookup can reach without them."""
@@ -296,24 +340,13 @@ class TemplateCache:
         self._plans.clear()
 
     @staticmethod
-    def _instantiate(
-        template: QueryTemplate, text: str, slot_tokens: Sequence[Token]
-    ) -> Optional[Query]:
-        """The template's query with ``slot_tokens`` as its constants.
-
-        ``None`` when a spelling is no token of its slot's kind or names no
-        term: the full parser reports that.
-        """
-        if not all([kind_of(token.value) == token.kind for token in slot_tokens]):
-            return None
+    def _instantiate(template: QueryTemplate, constants: Tuple[Term, ...], text: str) -> Query:
+        """A ``Query`` of its own: the template's with ``constants`` in its slots."""
         base = template.query
-        try:
-            constants = tuple([term_of_token(token, base.prefixes) for token in slot_tokens])
-        except MalformedTermError:
-            return None
         pattern = base.pattern
-        if constants:
-            pattern = _REBIND_PATTERN.visit(pattern, _term_map(template.constants, constants))
+        terms = bind_terms(template, constants)
+        if terms is not None:
+            pattern = _REBIND_PATTERN.visit(pattern, terms)
         return replace(
             base,
             pattern=pattern,
@@ -323,39 +356,55 @@ class TemplateCache:
         )
 
     # ------------------------------------------------------------------ #
-    def compile(
-        self, query: Query, compiler: QueryCompiler, catalog: Catalog
-    ) -> Tuple[CompiledQuery, Optional[bool]]:
-        """``compiler.compile(query)`` and whether a cached plan answered it.
+    def plan(
+        self, template: QueryTemplate, compiler: QueryCompiler, catalog: Catalog
+    ) -> Tuple[CompiledQuery, bool]:
+        """The plan of ``template``'s own query with its join annotation over
+        ``catalog`` (the one ``compiler`` selects tables from), and whether a
+        cached plan answered.
 
-        The plan comes with its join annotation over ``catalog`` (the one
-        ``compiler`` selects tables from).  A query this cache did not parse
-        (or that was edited since) is compiled as it always was, without an
-        annotation; the flag is ``None``.
+        The result is shared by every query of the template: read it, run it
+        with :func:`bind_terms`, never change it.
         """
-        binding = query.template_binding
-        if binding is None or not binding.describes(query):
-            return compiler.compile(query), None
-        template, constants, _ = binding
         # Both read before compiling: a plan chosen while either moved carries
         # the old number and is never served.
         generation = self._generation
         statistics = catalog.generation
         entry = self._plans.get(template)
         if entry is not None and entry.generation == generation and entry.statistics == statistics:
-            return _rebind_compiled(entry.compiled, _term_map(entry.constants, constants)), True
-        compiled = compiler.compile(query)
+            return entry.compiled, True
+        compiled = compiler.compile(template.query)
         compiled.physical = plan_join_strategies(compiled.plan, catalog)
         # An odd generation: the statistics were changing under the compile.
         if not statistics & 1:
             if len(self._plans) >= MAX_TEMPLATES:
                 self._plans.clear()
-            self._plans[template] = _PlanEntry(generation, statistics, compiled, constants)
+            self._plans[template] = _PlanEntry(generation, statistics, compiled)
             if len(self._plans) > MAX_TEMPLATES:
                 # Concurrent misses all passed the check above before inserting.
                 self._plans.clear()
-        # The caller gets its own CompiledQuery, like on a hit.
-        return replace(compiled, bgp_results=list(compiled.bgp_results)), False
+        return compiled, False
+
+    def compile(
+        self, query: Query, compiler: QueryCompiler, catalog: Catalog
+    ) -> Tuple[CompiledQuery, Optional[bool]]:
+        """``compiler.compile(query)`` and whether a cached plan answered it.
+
+        The plan comes with its join annotation over ``catalog`` and with
+        ``query``'s constants in its conditions.  A query this cache did not
+        parse (or that was edited since) is compiled as it always was,
+        without an annotation; the flag is ``None``.
+        """
+        binding = query.template_binding
+        if binding is None or not binding.describes(query):
+            return compiler.compile(query), None
+        template, constants, _ = binding
+        compiled, hit = self.plan(template, compiler, catalog)
+        terms = bind_terms(template, constants)
+        if terms is not None:
+            return _rebind_compiled(compiled, terms), hit
+        # The caller gets its own CompiledQuery, like a rebound one.
+        return replace(compiled, bgp_results=list(compiled.bgp_results)), hit
 
     def invalidate_plans(self) -> None:
         """Drop every compiled plan and its annotation (the store changed)."""

@@ -6,18 +6,21 @@ the native engine: an :class:`~repro.engine.ops.OperationVisitor` whose
 ``visit_*`` hooks evaluate each operator against the stored tables of a
 :class:`~repro.engine.catalog.Catalog` — scans yield dictionary-id batches,
 decoded to terms once, at the root or at the first operator without a batch
-kernel — recording :class:`~repro.engine.metrics.ExecutionMetrics` and
-per-node observations for ``explain_analyze``.  Every plan it runs carries the strategy Spark would
-pick for each join (:mod:`repro.engine.strategies`), handed in by the caller
-or computed before the run; the annotation is reported, and every join runs
-in process either way.
+kernel — recording :class:`~repro.engine.metrics.ExecutionMetrics` and, when
+someone is looking, per-node observations for ``explain_analyze`` and the
+tracer.  A plan runs as it is: a query that shares a cached plan with others
+hands in its constants as a binding, which the scans resolve their equality
+conditions through.  Every plan it runs carries the strategy Spark would pick
+for each join (:mod:`repro.engine.strategies`), handed in by the caller or
+computed before the run; the annotation is reported, and every join runs in
+process either way.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.engine.catalog import Catalog
 from repro.engine.metrics import ExecutionMetrics
@@ -43,6 +46,10 @@ from repro.engine.strategies import PhysicalPlan, plan_join_strategies
 from repro.engine.vectorized import ColumnBatch
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.rdf.terms import Term
+
+#: ``id(term in the plan's conditions) -> the term to scan for instead``.
+Binding = Dict[int, Term]
 
 
 @dataclass
@@ -75,11 +82,14 @@ class PlanExecutor(OperationVisitor):
     aggregates, ORDER BY, multi-variable filters) lower batch -> rows at
     their boundary, and what sits above them runs on rows.
 
-    Every operator is wrapped in a tracer span (no-op unless the tracer is
-    enabled) and records a :class:`NodeExecution` into ``last_node_stats``,
-    which ``explain_analyze`` reads to annotate the plan with observed rows
-    and elapsed time per operator.  Instance state describes the last plan
-    run, so an executor serves one thread.
+    Per-operator observation costs a span, a timing and a record per node,
+    so it runs only when someone is looking: with the tracer enabled, or
+    when ``execute(..., analyze=True)`` asks (``explain_analyze``), every
+    operator runs in a tracer span and records a :class:`NodeExecution` into
+    ``last_node_stats``, keyed by ``id(node)``.  Otherwise ``last_node_stats``
+    stays empty; the :class:`~repro.engine.metrics.ExecutionMetrics` counters
+    are recorded either way.  Instance state describes the last plan run, so
+    an executor serves one thread.
     """
 
     def __init__(
@@ -97,18 +107,27 @@ class PlanExecutor(OperationVisitor):
         self.last_physical_plan: Optional[PhysicalPlan] = None
         #: Milliseconds the last execute() spent choosing them.
         self.last_plan_ms: float = 0.0
+        #: Whether the running plan records per-node observations.
+        self._observing = False
+        #: The running plan's join times, handed to the registry at its end.
+        self._join_ms: List[float] = []
 
     def execute(
         self,
         plan: Operation,
         metrics: Optional[ExecutionMetrics] = None,
         physical: Optional[PhysicalPlan] = None,
+        binding: Optional[Binding] = None,
+        analyze: bool = False,
     ) -> Relation:
         """Run ``plan``; ``physical`` is its join annotation when the caller has one.
 
         The session hands in the annotation its template cache keeps with the
         plan; without one (a direct caller, a ``Query`` object,
         ``explain_analyze``) the costing pass runs here, on ``plan`` itself.
+        ``binding`` maps a condition term's ``id`` to the term the scans look
+        for instead (a cached plan run with another query's constants).
+        ``analyze`` records per-node observations without a tracer.
         """
         metrics = metrics if metrics is not None else ExecutionMetrics()
         start = time.perf_counter()
@@ -120,9 +139,15 @@ class PlanExecutor(OperationVisitor):
             span.set(joins=len(physical.strategies()), cached=cached)
         self.last_plan_ms = (time.perf_counter() - start) * 1000.0
         self.last_node_stats = {}
-        # A batch surviving to the root is decoded here — the single
-        # deferred-decoding boundary before result rendering.
-        result = self._lower(self._execute(plan, metrics))
+        self._observing = analyze or self.tracer.enabled
+        join_ms = self._join_ms = []
+        try:
+            # A batch surviving to the root is decoded here — the single
+            # deferred-decoding boundary before result rendering.
+            result = self._lower(self._execute(plan, metrics, binding))
+        finally:
+            if join_ms and self.registry is not None:
+                self.registry.observe_all("s2rdf_join_critical_path_ms", join_ms)
         metrics.output_tuples = len(result)
         return result
 
@@ -132,10 +157,6 @@ class PlanExecutor(OperationVisitor):
         if isinstance(result, ColumnBatch):
             return result.to_relation()
         return result
-
-    def _observe(self, name: str, value: float) -> None:
-        if self.registry is not None:
-            self.registry.observe(name, value)
 
     def _record_scan(self, table_name: str, scan, metrics: ExecutionMetrics) -> None:
         """Record a scan; store-backed scans also report segment pruning."""
@@ -152,18 +173,30 @@ class PlanExecutor(OperationVisitor):
                 )
 
     # ------------------------------------------------------------------ #
-    def _execute(self, plan: Operation, metrics: ExecutionMetrics) -> Any:
-        """Execute ``plan`` inside a span, recording per-node observations.
+    def _execute(
+        self, plan: Operation, metrics: ExecutionMetrics, binding: Optional[Binding]
+    ) -> Any:
+        """Execute ``plan``; observed, inside a span, when someone is looking.
 
         Returns a :class:`Relation` or — above stored tables — a
         :class:`ColumnBatch`; both answer ``len``.
         """
+        if self._observing:
+            return self._execute_observed(plan, metrics, binding)
+        result = plan.accept(self, metrics, binding)
+        if type(result) is ColumnBatch:
+            metrics.record_vectorized(len(result))
+        return result
+
+    def _execute_observed(
+        self, plan: Operation, metrics: ExecutionMetrics, binding: Optional[Binding]
+    ) -> Any:
         with self.tracer.span(_node_span_name(plan), category="operator") as span:
             start = time.perf_counter()
-            result = self.visit(plan, metrics)
+            result = plan.accept(self, metrics, binding)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             span.set(rows=len(result))
-        is_batch = isinstance(result, ColumnBatch)
+        is_batch = type(result) is ColumnBatch
         if is_batch:
             metrics.record_vectorized(len(result))
         self.last_node_stats[id(plan)] = NodeExecution(
@@ -174,18 +207,24 @@ class PlanExecutor(OperationVisitor):
     # ------------------------------------------------------------------ #
     # Operator evaluation: one visitor hook per IR node.
     # ------------------------------------------------------------------ #
-    def visit_empty(self, plan: EmptyNode, metrics: ExecutionMetrics) -> Relation:
+    def visit_empty(
+        self, plan: EmptyNode, metrics: ExecutionMetrics, binding: Optional[Binding]
+    ) -> Relation:
         return Relation.empty(plan.columns)
 
-    def visit_table_scan(self, plan: TableScanNode, metrics: ExecutionMetrics) -> ColumnBatch:
+    def visit_table_scan(
+        self, plan: TableScanNode, metrics: ExecutionMetrics, binding: Optional[Binding]
+    ) -> ColumnBatch:
         scan = self.catalog.scan_batch(plan.table_name, columns=plan.columns)
         self._record_scan(plan.table_name, scan, metrics)
         batch = scan.batch
         return batch.project(plan.columns) if plan.columns != batch.columns else batch
 
-    def visit_subquery(self, plan: SubqueryNode, metrics: ExecutionMetrics) -> ColumnBatch:
+    def visit_subquery(
+        self, plan: SubqueryNode, metrics: ExecutionMetrics, binding: Optional[Binding]
+    ) -> ColumnBatch:
         columns = [column for column, _ in plan.projections]
-        conditions = dict(plan.conditions) if plan.conditions else None
+        conditions = self._conditions(plan, binding)
         scan = self.catalog.scan_batch(plan.table_name, columns=columns, conditions=conditions)
         self._record_scan(plan.table_name, scan, metrics)
         # The store scanned exactly ``columns``, in order: the subquery's
@@ -195,9 +234,20 @@ class PlanExecutor(OperationVisitor):
             plan.output_columns(), batch.ids, batch.decode, selection=batch.selection
         )
 
-    def visit_natural_join(self, plan: NaturalJoinNode, metrics: ExecutionMetrics) -> Any:
-        left = self._execute(plan.left, metrics)
-        right = self._execute(plan.right, metrics)
+    @staticmethod
+    def _conditions(plan: SubqueryNode, binding: Optional[Binding]) -> Optional[Dict[str, Any]]:
+        """The scan's equality conditions, resolved through ``binding``."""
+        if not plan.conditions:
+            return None
+        if binding is None:
+            return dict(plan.conditions)
+        return {column: binding.get(id(term), term) for column, term in plan.conditions}
+
+    def visit_natural_join(
+        self, plan: NaturalJoinNode, metrics: ExecutionMetrics, binding: Optional[Binding]
+    ) -> Any:
+        left = self._execute(plan.left, metrics, binding)
+        right = self._execute(plan.right, metrics, binding)
         left, right = self._align_join_inputs(left, right)
         start = time.perf_counter()
         result = left.natural_join(right, metrics)
@@ -213,9 +263,11 @@ class PlanExecutor(OperationVisitor):
             return left, right
         return cls._lower(left), cls._lower(right)
 
-    def visit_left_outer_join(self, plan: LeftOuterJoinNode, metrics: ExecutionMetrics) -> Relation:
-        left = self._lower(self._execute(plan.left, metrics))
-        right = self._lower(self._execute(plan.right, metrics))
+    def visit_left_outer_join(
+        self, plan: LeftOuterJoinNode, metrics: ExecutionMetrics, binding: Optional[Binding]
+    ) -> Relation:
+        left = self._lower(self._execute(plan.left, metrics, binding))
+        right = self._lower(self._execute(plan.right, metrics, binding))
         start = time.perf_counter()
         joined = left.left_outer_join(right, metrics)
         self._record_join_time(start, metrics)
@@ -232,14 +284,18 @@ class PlanExecutor(OperationVisitor):
             joined = joined.select(keep)
         return joined
 
-    def visit_union(self, plan: UnionNode, metrics: ExecutionMetrics) -> Any:
-        left = self._execute(plan.left, metrics)
-        right = self._execute(plan.right, metrics)
+    def visit_union(
+        self, plan: UnionNode, metrics: ExecutionMetrics, binding: Optional[Binding]
+    ) -> Any:
+        left = self._execute(plan.left, metrics, binding)
+        right = self._execute(plan.right, metrics, binding)
         left, right = self._align_join_inputs(left, right)
         return left.union(right)
 
-    def visit_filter(self, plan: FilterNode, metrics: ExecutionMetrics) -> Any:
-        child = self._execute(plan.child, metrics)
+    def visit_filter(
+        self, plan: FilterNode, metrics: ExecutionMetrics, binding: Optional[Binding]
+    ) -> Any:
+        child = self._execute(plan.child, metrics, binding)
         if isinstance(child, ColumnBatch):
             batch = self._filter_batch(plan, child)
             if batch is not None:
@@ -273,35 +329,46 @@ class PlanExecutor(OperationVisitor):
 
         return child.select_ids(name, verdict)
 
-    def visit_project(self, plan: ProjectNode, metrics: ExecutionMetrics) -> Any:
-        child = self._execute(plan.child, metrics)
+    def visit_project(
+        self, plan: ProjectNode, metrics: ExecutionMetrics, binding: Optional[Binding]
+    ) -> Any:
+        child = self._execute(plan.child, metrics, binding)
         if isinstance(child, ColumnBatch):
             return child.pad_to(plan.columns).project(plan.columns)
         return self._pad_columns(child, plan.columns).project(plan.columns)
 
-    def visit_distinct(self, plan: DistinctNode, metrics: ExecutionMetrics) -> Any:
-        return self._execute(plan.child, metrics).distinct()
+    def visit_distinct(
+        self, plan: DistinctNode, metrics: ExecutionMetrics, binding: Optional[Binding]
+    ) -> Any:
+        return self._execute(plan.child, metrics, binding).distinct()
 
-    def visit_order_by(self, plan: OrderByNode, metrics: ExecutionMetrics) -> Relation:
-        return self._lower(self._execute(plan.child, metrics)).order_by(plan.keys)
+    def visit_order_by(
+        self, plan: OrderByNode, metrics: ExecutionMetrics, binding: Optional[Binding]
+    ) -> Relation:
+        return self._lower(self._execute(plan.child, metrics, binding)).order_by(plan.keys)
 
-    def visit_limit(self, plan: LimitNode, metrics: ExecutionMetrics) -> Any:
+    def visit_limit(
+        self, plan: LimitNode, metrics: ExecutionMetrics, binding: Optional[Binding]
+    ) -> Any:
         child = plan.child
         if child.is_sort and plan.limit is not None:
             # ORDER BY + LIMIT fuse into a heap-based top-k: the sort node is
             # skipped entirely and only ``limit + offset`` rows are kept.
             start = time.perf_counter()
-            rows = self._lower(self._execute(child.child, metrics))
+            rows = self._lower(self._execute(child.child, metrics, binding))
             result = rows.top_k(child.keys, plan.limit, plan.offset)
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
-            self.last_node_stats[id(child)] = NodeExecution(
-                rows=len(result), elapsed_ms=elapsed_ms
-            )
+            if self._observing:
+                elapsed_ms = (time.perf_counter() - start) * 1000.0
+                self.last_node_stats[id(child)] = NodeExecution(
+                    rows=len(result), elapsed_ms=elapsed_ms
+                )
             return result
-        return self._execute(child, metrics).limit(plan.limit, plan.offset)
+        return self._execute(child, metrics, binding).limit(plan.limit, plan.offset)
 
-    def visit_aggregate(self, plan: AggregateNode, metrics: ExecutionMetrics) -> Relation:
-        child = self._lower(self._execute(plan.child, metrics))
+    def visit_aggregate(
+        self, plan: AggregateNode, metrics: ExecutionMetrics, binding: Optional[Binding]
+    ) -> Relation:
+        child = self._lower(self._execute(plan.child, metrics, binding))
         needed = list(plan.group_keys) + [
             spec.column for spec in plan.aggregates if spec.column is not None
         ]
@@ -322,4 +389,4 @@ class PlanExecutor(OperationVisitor):
     def _record_join_time(self, start: float, metrics: ExecutionMetrics) -> None:
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         metrics.record_critical_path(elapsed_ms)
-        self._observe("s2rdf_join_critical_path_ms", elapsed_ms)
+        self._join_ms.append(elapsed_ms)

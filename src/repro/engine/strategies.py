@@ -105,11 +105,12 @@ class PhysicalPlan:
     it was computed from, so those identities stay unique while it lives.  It
     depends on the plan's shape and the catalog's statistics, never on a
     constant, so the template cache computes it once per plan entry and hands
-    it to every query that entry answers.  Such a query runs a *rebound* copy
-    of the tree, in which the nodes above a constant are new objects:
-    :meth:`strategy_for` and :meth:`rows_for` answer only for the tree the
-    annotation was computed from (``explain_analyze`` computes its own), while
-    :meth:`describe` and :attr:`root_rows` hold for every rebound copy.
+    it to every query that entry answers; such a query runs that very tree,
+    its constants bound at run time.  A copy ``session.compile`` hands out
+    has the constants rebound into it, and the nodes above a constant are new
+    objects: :meth:`strategy_for` and :meth:`rows_for` answer only for the
+    tree the annotation was computed from, while :meth:`describe` and
+    :attr:`root_rows` hold for every rebound copy.
     """
 
     def __init__(self, plan: PlanNode) -> None:

@@ -337,16 +337,16 @@ class ColumnBatch:
                 build_idx.extend(bucket)
                 probe_idx.extend([j] * matched)
 
-        left, right = (build, probe) if build_is_left else (probe, build)
+        # The output is ``self``'s columns, then ``other``'s unshared ones.
         left_idx, right_idx = (
             (build_idx, probe_idx) if build_is_left else (probe_idx, build_idx)
         )
-        left_sources = [left.ids[left.column_index(c)] for c in self.columns]
-        right_sources = [
-            right.ids[right.column_index(c)] for c in other.columns if c not in shared
+        out = [list(map(column.__getitem__, left_idx)) for column in self.ids]
+        out += [
+            list(map(column.__getitem__, right_idx))
+            for name, column in zip(other.columns, other.ids)
+            if name not in shared
         ]
-        out = [list(map(column.__getitem__, left_idx)) for column in left_sources]
-        out += [list(map(column.__getitem__, right_idx)) for column in right_sources]
         if metrics is not None:
             metrics.record_join(len(self), len(other), comparisons, len(build_idx))
         return ColumnBatch.adopt(output_columns, tuple(out), self.decode)

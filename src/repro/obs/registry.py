@@ -110,8 +110,8 @@ class MetricsRegistry:
     """Named counters + histograms with JSON and Prometheus-text export.
 
     ``inc``/``observe`` lazily create their instrument, so call sites stay
-    one-liners; creation and updates are lock-protected because concurrent
-    queries record from scheduler threads.
+    one-liners; creation and update are one critical section under the lock,
+    because concurrent queries record from scheduler threads.
     """
 
     def __init__(self) -> None:
@@ -122,35 +122,61 @@ class MetricsRegistry:
     # ------------------------------------------------------------------ #
     def counter(self, name: str, help: str = "") -> Counter:
         with self._lock:
-            instrument = self._counters.get(name)
-            if instrument is None:
-                if name in self._histograms:
-                    raise ValueError(f"{name!r} is already registered as a histogram")
-                instrument = self._counters[name] = Counter(name, help)
-            return instrument
+            return self._counter(name, help)
 
     def histogram(
         self, name: str, bounds: Sequence[float] = DEFAULT_BUCKET_BOUNDS, help: str = ""
     ) -> Histogram:
         with self._lock:
-            instrument = self._histograms.get(name)
-            if instrument is None:
-                if name in self._counters:
-                    raise ValueError(f"{name!r} is already registered as a counter")
-                instrument = self._histograms[name] = Histogram(name, bounds, help)
-            return instrument
+            return self._histogram(name, bounds, help)
 
     def inc(self, name: str, amount: float = 1, help: str = "") -> None:
-        counter = self.counter(name, help)
         with self._lock:
+            counter = self._counters.get(name)
+            if counter is None:
+                counter = self._counter(name, help)
             counter.inc(amount)
 
     def observe(
         self, name: str, value: float, bounds: Sequence[float] = DEFAULT_BUCKET_BOUNDS, help: str = ""
     ) -> None:
-        histogram = self.histogram(name, bounds, help)
         with self._lock:
+            histogram = self._histograms.get(name)
+            if histogram is None:
+                histogram = self._histogram(name, bounds, help)
             histogram.observe(value)
+
+    def observe_all(
+        self,
+        name: str,
+        values: Sequence[float],
+        bounds: Sequence[float] = DEFAULT_BUCKET_BOUNDS,
+        help: str = "",
+    ) -> None:
+        """One observation per value, under one acquisition of the lock."""
+        with self._lock:
+            histogram = self._histograms.get(name)
+            if histogram is None:
+                histogram = self._histogram(name, bounds, help)
+            for value in values:
+                histogram.observe(value)
+
+    # Creation; the caller holds the lock.
+    def _counter(self, name: str, help: str) -> Counter:
+        instrument = self._counters.get(name)
+        if instrument is None:
+            if name in self._histograms:
+                raise ValueError(f"{name!r} is already registered as a histogram")
+            instrument = self._counters[name] = Counter(name, help)
+        return instrument
+
+    def _histogram(self, name: str, bounds: Sequence[float], help: str) -> Histogram:
+        instrument = self._histograms.get(name)
+        if instrument is None:
+            if name in self._counters:
+                raise ValueError(f"{name!r} is already registered as a counter")
+            instrument = self._histograms[name] = Histogram(name, bounds, help)
+        return instrument
 
     def counter_value(self, name: str) -> float:
         with self._lock:

@@ -135,9 +135,9 @@ def _run_query_task(task: Dict[str, Any]) -> Dict[str, Any]:
     begin = time.perf_counter()
     session = _worker_session(task.get("epoch"))
     run = session._run(task["query"])
-    # The parent journals the query: its template and fingerprint come from
-    # the worker session's template cache, rendered once per template.
-    template, fingerprint = session.template_of(run.parsed)
+    # The parent journals the query: its template and fingerprint are the
+    # worker session's cached template's, rendered once per template.
+    template, fingerprint = run.template()
     return {
         "result": run.result,
         "template": template,

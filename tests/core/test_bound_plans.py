@@ -1,0 +1,279 @@
+"""A template-cache hit runs the cached plan as it is, with a binding.
+
+A text that hits the template cache is bound to its template and constants
+(``TemplateCache.lookup``), takes the template's cached plan
+(``TemplateCache.plan``) and runs it with ``id(template term) -> its own
+term`` as the executor's binding: no algebra tree and no plan is rebuilt.
+These tests pin that path, check it against the uncached reference on every
+suite template, run it from many threads with distinct constants, and check
+that per-operator observation still records every node whenever someone is
+looking (a tracer or ``explain_analyze``) — and only then.
+"""
+
+import dataclasses
+import sys
+import threading
+
+import pytest
+
+from repro.core import template_cache
+from repro.core.compiler import QueryCompiler
+from repro.core.session import S2RDFSession
+from repro.core.table_selection import TableSelector
+from repro.engine.metrics import ExecutionMetrics
+from repro.rdf.graph import Graph
+from repro.rdf.triple import Triple
+from repro.serve.workers import PartitionWorkerPool
+from repro.sparql.parser import parse_query
+from repro.watdiv.basic_queries import BASIC_TEMPLATES
+from repro.watdiv.incremental_queries import INCREMENTAL_TEMPLATES
+from repro.watdiv.selectivity_queries import SELECTIVITY_TEMPLATES
+
+ALL_TEMPLATES = BASIC_TEMPLATES + INCREMENTAL_TEMPLATES + SELECTIVITY_TEMPLATES
+
+#: One template, one subject slot: every user's answer is its own.
+TWO_HOPS = "SELECT ?w WHERE {{ <u{}> <follows> ?b . ?b <likes> ?w }}"
+USERS = 20
+
+
+def bag(result):
+    return sorted(map(repr, result.relation.rows))
+
+
+def users_graph() -> Graph:
+    return Graph(
+        [Triple.of(f"u{i}", "follows", f"u{(i * 3 + 1) % USERS}") for i in range(USERS)]
+        + [Triple.of(f"u{i}", "likes", f"i{i % 7}") for i in range(USERS)]
+    )
+
+
+def uncached_sql(session, text):
+    return QueryCompiler(TableSelector(session.layout)).compile(parse_query(text)).sql()
+
+
+def counters(metrics: ExecutionMetrics):
+    """Every ``ExecutionMetrics`` field but the observed join time."""
+    values = metrics.as_dict()
+    del values["critical_path_ms"]
+    return values
+
+
+def journaled(session, monkeypatch):
+    """``records``: every journal record the session writes from now on."""
+    records = []
+    append = session.journal.append
+
+    def capturing(record):
+        records.append(record)
+        append(record)
+
+    monkeypatch.setattr(session.journal, "append", capturing)
+    return records
+
+
+def untimed(record):
+    """A journal record without what a clock decides."""
+    fields = dataclasses.asdict(record)
+    for name in ("wall_ms", "ts", "phase_ms"):
+        del fields[name]
+    return fields
+
+
+def refuse_rebinding(monkeypatch):
+    """Make every rebuild of an algebra tree or a plan raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a hit rebuilt a tree")
+
+    monkeypatch.setattr(template_cache.TemplateCache, "_instantiate", staticmethod(refuse))
+    monkeypatch.setattr(template_cache, "_rebind_compiled", refuse)
+    monkeypatch.setattr(template_cache._PatternRebinder, "visit", refuse)
+
+
+# --------------------------------------------------------------------------- #
+# The hit path rebuilds nothing, and what it hands out has its own constants
+# --------------------------------------------------------------------------- #
+def test_a_hit_rebuilds_neither_the_query_nor_the_plan(cache_counters, monkeypatch):
+    first, second = TWO_HOPS.format(5), TWO_HOPS.format(7)
+    with S2RDFSession.from_graph(users_graph()) as session:
+        session.query(first)
+        expected = bag(session.query(parse_query(second)))
+        refuse_rebinding(monkeypatch)
+        before = cache_counters(session)
+        result = session.query(second)
+        assert cache_counters(session, before) == (1, 0, 1, 0)
+        assert bag(result) == expected
+        # The SQL text is rendered on first read, with the query's constants.
+        assert result.sql == uncached_sql(session, second)
+        assert "'<u7>'" in result.sql and "'<u5>'" not in result.sql
+        monkeypatch.undo()
+        # The public front end hands out the rebound plan.
+        assert session.explain(second) == uncached_sql(session, second)
+        assert session.explain(first) == uncached_sql(session, first)
+
+
+def test_a_result_served_by_a_process_worker_shows_its_own_constants(tmp_path):
+    path = str(tmp_path / "dataset")
+    with S2RDFSession.from_graph(users_graph(), num_partitions=2) as saver:
+        saver.save_dataset(path)
+    first, second = TWO_HOPS.format(5), TWO_HOPS.format(7)
+    with S2RDFSession.open_dataset(path, journal_enabled=False) as session:
+        with PartitionWorkerPool(dataset_path=path, num_workers=1) as pool:
+            # One worker: the second text is a hit on the template the first cached.
+            pool.run_query(first, epoch=session._journal_epoch)
+            outcome = pool.run_query(second, epoch=session._journal_epoch)
+        result = outcome["result"]  # pickled by the worker, SQL rendered there
+        assert result.sql == uncached_sql(session, second)
+        assert "'<u7>'" in result.sql and "'<u5>'" not in result.sql
+        assert bag(result) == bag(session.query(parse_query(second)))
+        assert (outcome["template"], outcome["fingerprint"]) == session.template_of(
+            parse_query(second)
+        )
+
+
+# --------------------------------------------------------------------------- #
+# Every suite template: a hit answers, counts and journals as the uncached path
+# --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def corpus_session(small_dataset):
+    with S2RDFSession.from_graph(small_dataset.graph) as session:
+        yield session
+
+
+@pytest.mark.parametrize("template", ALL_TEMPLATES, ids=lambda template: template.name)
+def test_a_hit_equals_the_uncached_reference(
+    corpus_session, instantiations, cache_counters, monkeypatch, template
+):
+    session = corpus_session
+    records = journaled(session, monkeypatch)
+    for number, text in enumerate(instantiations(template)):
+        before = cache_counters(session)
+        hit = session.query(text)
+        expected_hits = (0, 1, 0, 1) if number == 0 else (1, 0, 1, 0)
+        assert cache_counters(session, before) == expected_hits, (template.name, number)
+        # A Query object is compiled uncached, with a fresh join annotation,
+        # and runs without a binding.
+        reference = session.query(parse_query(text))
+        assert cache_counters(session, before) == expected_hits
+        assert bag(hit) == bag(reference), text
+        assert counters(hit.metrics) == counters(reference.metrics), text
+        assert hit.selected_tables == reference.selected_tables
+        assert hit.join_strategies == reference.join_strategies
+        assert hit.statically_empty == reference.statically_empty
+        assert hit.sql == reference.sql
+        assert untimed(records[-2]) == untimed(records[-1]), text
+
+
+# --------------------------------------------------------------------------- #
+# Many threads, one template, distinct constants: each gets its own answers
+# --------------------------------------------------------------------------- #
+THREADS = 8
+STEPS = 40
+
+
+def _own_answers_under_threads(run_one):
+    """``run_one(text) -> QueryResult`` from ``THREADS`` threads, each walking
+    the users from its own offset, under a short switch interval."""
+    with S2RDFSession.from_graph(users_graph(), journal_enabled=False) as reference:
+        expected = {
+            user: bag(reference.query(parse_query(TWO_HOPS.format(user))))
+            for user in range(USERS)
+        }
+    assert len(set(map(tuple, expected.values()))) > 1  # the answers differ
+    failures = []
+    barrier = threading.Barrier(THREADS, timeout=60)
+
+    def client(offset: int) -> None:
+        try:
+            barrier.wait()
+            for step in range(STEPS):
+                user = (offset + step) % USERS
+                result = run_one(TWO_HOPS.format(user))
+                assert bag(result) == expected[user], user
+                assert f"'<u{user}>'" in result.sql, user
+        except BaseException as error:  # reported by the main thread
+            failures.append(error)
+            barrier.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client, args=(n,)) for n in range(THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures[0]
+
+
+def test_threads_binding_one_template_get_their_own_answers(cache_counters):
+    with S2RDFSession.from_graph(users_graph()) as session:
+        _own_answers_under_threads(session.query)
+        hits, misses, plan_hits, plan_misses = cache_counters(session)
+        assert hits + misses == plan_hits + plan_misses == THREADS * STEPS
+        assert hits > misses
+
+
+def test_threads_serving_one_template_get_their_own_answers(cache_counters):
+    with S2RDFSession.from_graph(users_graph()) as session:
+        with session.serve() as scheduler:
+            _own_answers_under_threads(lambda text: scheduler.submit(text).result(timeout=60))
+        hits, misses = cache_counters(session)[:2]
+        assert hits > misses
+
+
+# --------------------------------------------------------------------------- #
+# Per-operator observation: every node when someone looks, none otherwise
+# --------------------------------------------------------------------------- #
+JOIN_QUERY = "SELECT * WHERE {{ <u{}> <follows> ?b . ?b <follows> ?c . ?c <likes> ?w }}"
+#: ORDER BY + LIMIT run as one top-k, which records the sort node itself.
+TOP_K_QUERY = "SELECT ?c WHERE {{ <u{}> <follows> ?b . ?b <follows> ?c }} ORDER BY ?c LIMIT 1"
+
+
+def test_an_untraced_query_records_no_node_executions():
+    with S2RDFSession.from_graph(users_graph()) as session:
+        for text in (JOIN_QUERY, TOP_K_QUERY):
+            for user in (1, 2):
+                session.query(text.format(user))
+                assert session.executor.last_node_stats == {}
+                assert session.tracer.finished_spans() == []
+        # explain_analyze still records the top-k's sort node.
+        text = str(session.explain_analyze(TOP_K_QUERY.format(3)))
+        assert "OrderBy" in text and "not executed" not in text
+
+
+def test_explain_analyze_of_a_hit_observes_every_node():
+    with S2RDFSession.from_graph(users_graph()) as session:
+        session.query(JOIN_QUERY.format(1))
+        run = session._run(JOIN_QUERY.format(2), analyze=True)
+        nodes = list(run.compiled.plan.walk())
+        assert run.parse_hit and run.compile_hit
+        stats = session.executor.last_node_stats
+        assert set(stats) == {id(node) for node in nodes}
+        text = str(session.explain_analyze(JOIN_QUERY.format(3)))
+        assert "parse=hit, compile=hit" in text
+        assert "not executed" not in text
+        assert text.count("actual=") == len(nodes)
+
+
+def test_a_traced_hit_has_one_operator_span_and_one_node_execution_per_node():
+    with S2RDFSession.from_graph(users_graph(), tracing_enabled=True) as session:
+        session.query(JOIN_QUERY.format(1))
+        first_spans = len(session.tracer.finished_spans())
+        run = session._run(JOIN_QUERY.format(2))
+        assert run.parse_hit and run.compile_hit
+        nodes = list(run.compiled.plan.walk())
+        spans = session.tracer.finished_spans()[first_spans:]
+        operators = [span for span in spans if span.category == "operator"]
+        assert len(operators) == len(nodes)
+        assert set(session.executor.last_node_stats) == {id(node) for node in nodes}
+
+
+def test_each_join_is_one_critical_path_observation():
+    with S2RDFSession.from_graph(users_graph()) as session:
+        joins = sum(session.query(JOIN_QUERY.format(user)).metrics.joins for user in range(4))
+        histogram = session.metrics.snapshot()["histograms"]["s2rdf_join_critical_path_ms"]
+        assert joins == 8 and histogram["count"] == joins

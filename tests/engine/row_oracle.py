@@ -24,7 +24,7 @@ from typing import Any, Mapping, Optional, Sequence
 from repro.engine.catalog import ScanResult
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.ops import SubqueryNode, TableScanNode
-from repro.engine.plan import PlanExecutor
+from repro.engine.plan import Binding, PlanExecutor
 from repro.engine.relation import Relation
 
 
@@ -46,15 +46,19 @@ class RowOracle(PlanExecutor):
             relation = relation.select_eq(conditions)
         return ScanResult(relation=relation, rows_scanned=rows_scanned)
 
-    def visit_table_scan(self, plan: TableScanNode, metrics: ExecutionMetrics) -> Relation:
+    def visit_table_scan(
+        self, plan: TableScanNode, metrics: ExecutionMetrics, binding: Optional[Binding]
+    ) -> Relation:
         scan = self._scan(plan.table_name, columns=plan.columns)
         self._record_scan(plan.table_name, scan, metrics)
         relation = scan.relation
         return relation.project(plan.columns) if plan.columns != relation.columns else relation
 
-    def visit_subquery(self, plan: SubqueryNode, metrics: ExecutionMetrics) -> Relation:
+    def visit_subquery(
+        self, plan: SubqueryNode, metrics: ExecutionMetrics, binding: Optional[Binding]
+    ) -> Relation:
         columns = [column for column, _ in plan.projections]
-        conditions = dict(plan.conditions) if plan.conditions else None
+        conditions = self._conditions(plan, binding)
         scan = self._scan(plan.table_name, columns=columns, conditions=conditions)
         self._record_scan(plan.table_name, scan, metrics)
         return scan.relation.project(columns).rename(dict(plan.projections))

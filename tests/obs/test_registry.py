@@ -94,6 +94,29 @@ def test_registry_rejects_cross_type_name_collisions():
         registry.counter("metric_b")
 
 
+def test_updates_through_the_registry_keep_the_name_checks():
+    registry = MetricsRegistry()
+    registry.inc("metric_a")
+    registry.observe("metric_b", 1.0)
+    with pytest.raises(ValueError, match="already registered as a counter"):
+        registry.observe("metric_a", 1.0)
+    with pytest.raises(ValueError, match="already registered as a counter"):
+        registry.observe_all("metric_a", [1.0])
+    with pytest.raises(ValueError, match="already registered as a histogram"):
+        registry.inc("metric_b")
+
+
+def test_observe_all_is_one_observation_per_value():
+    one_by_one, together = MetricsRegistry(), MetricsRegistry()
+    values = [0.3, 4.0, 4.0, 70.0]
+    for value in values:
+        one_by_one.observe("join_ms", value, bounds=(1.0, 10.0), help="joins")
+    together.observe_all("join_ms", values, bounds=(1.0, 10.0), help="joins")
+    together.observe_all("join_ms", [])
+    assert together.snapshot() == one_by_one.snapshot()
+    assert together.render_prometheus() == one_by_one.render_prometheus()
+
+
 def test_snapshot_and_to_json():
     registry = MetricsRegistry()
     registry.inc("b_counter", 7)
@@ -136,6 +159,7 @@ def test_registry_is_thread_safe():
         for _ in range(500):
             registry.inc("hits")
             registry.observe("values", 1.0, bounds=(10.0,))
+            registry.observe_all("batches", [1.0, 2.0], bounds=(10.0,))
 
     threads = [threading.Thread(target=worker) for _ in range(4)]
     for thread in threads:
@@ -144,6 +168,7 @@ def test_registry_is_thread_safe():
         thread.join()
     assert registry.counter_value("hits") == 2000
     assert registry.histogram("values").count == 2000
+    assert registry.histogram("batches").count == 4000
 
 
 if __name__ == "__main__":
