@@ -3,7 +3,9 @@
 A :class:`QueryResult` bundles the solution bindings with everything the
 benchmark harness needs: the generated SQL text (rendered on first read), the
 execution metrics, the simulated cluster runtime and the wall-clock time spent
-in the local engine.
+in the local engine.  A result is always built in the process that asked for
+it: a query served by a process worker comes back as ids and counters
+(:class:`~repro.serve.workers.QueryReply`), and the parent builds its result.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ class QueryResult:
     #: appends this identifies exactly which store state produced the rows.
     epoch: Optional[int] = None
     #: Renders :attr:`sql`: the text of the plan that ran, with this query's
-    #: constants bound into it.  Rebinding and rendering cost more than a
-    #: small query's execution and the text is almost never read, so both
-    #: happen on first access, not per query.
+    #: constants in it (for a text, its template plan's SQL skeleton filled
+    #: with them).  The text is almost never read, so it is rendered on first
+    #: access, not per query; a served result arrives with its text set.
     sql_renderer: Optional[Callable[[], str]] = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -58,8 +60,8 @@ class QueryResult:
         return self.sql_renderer() if self.sql_renderer is not None else ""
 
     def __getstate__(self) -> Dict[str, Any]:
-        # Process workers return whole results: ship the text, not the
-        # renderer (it holds the plan tree).
+        # A pickled result carries the text, not the renderer (it holds the
+        # plan tree).
         state = dict(self.__dict__)
         state["sql"] = self.sql
         state["sql_renderer"] = None

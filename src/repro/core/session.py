@@ -31,7 +31,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import partial
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.compiler import CompiledQuery, QueryCompiler
 from repro.core.config import (
@@ -43,13 +43,15 @@ from repro.core.config import (
 )
 from repro.core.results import QueryResult
 from repro.core.table_selection import TableSelector
-from repro.core.template_cache import QueryTemplate, TemplateCache, bind_terms, render_sql
+from repro.core.template_cache import QueryTemplate, TemplateCache, bind_terms
 from repro.engine.catalog import Catalog
 from repro.engine.cluster import SparkCostModel
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.plan import PlanExecutor
+from repro.engine.relation import Relation
 from repro.engine.storage import ParquetSizeModel
-from repro.engine.strategies import UNKNOWN_ROWS
+from repro.engine.strategies import UNKNOWN_ROWS, PhysicalPlan
+from repro.engine.vectorized import ColumnBatch
 from repro.mappings.naming import TRIPLES_TABLE
 from repro.obs.explain import ExplainAnalyzeResult, render_explain_analyze
 from repro.obs.journal import (
@@ -97,8 +99,8 @@ __all__ = [
 
 #: Milliseconds a query waited in the scheduler's admission queue before this
 #: thread started executing it.  The scheduler sets this around its call into
-#: :meth:`S2RDFSession.query`; :meth:`S2RDFSession._journal_query` reads it so
-#: the journal separates queue wait from execution without the session ever
+#: :meth:`S2RDFSession.query`; the session journals it with the query, so the
+#: journal separates queue wait from execution without the session ever
 #: knowing about the scheduler.
 _QUEUE_WAIT_MS: ContextVar[Optional[float]] = ContextVar("s2rdf_queue_wait_ms", default=None)
 
@@ -164,6 +166,38 @@ class _ReadWriteLock:
                 self._cond.notify_all()
 
 
+class _Evaluation(NamedTuple):
+    """One query run up to its root: what its result and record are made of."""
+
+    #: The root's rows; an id :class:`ColumnBatch` instead when the caller
+    #: lowers it itself (a process worker, whose parent does).
+    root: Union[Relation, ColumnBatch]
+    #: The plan that ran: a text's is its template's cached one, run with the
+    #: text's constants as a binding.
+    compiled: CompiledQuery
+    #: Renders the plan's SQL text with the query's constants in it.
+    sql: Callable[[], str]
+    metrics: ExecutionMetrics
+    phase_ms: Dict[str, float]
+    #: The join annotation the plan ran with (its root estimate included).
+    physical: PhysicalPlan
+    #: Whether the template cache answered the parse / the compile
+    #: (``None``: a ``Query`` object was handed in, nothing to look up).
+    parse_hit: Optional[bool]
+    compile_hit: Optional[bool]
+    #: What ran: the template of a text, or the ``Query`` object handed in.
+    source: Union[QueryTemplate, Query]
+    #: The manifest epoch the query read.
+    epoch: Optional[int]
+
+    def template(self) -> Tuple[str, str]:
+        """The journal's ``(template, fingerprint)`` of the query."""
+        source = self.source
+        if isinstance(source, QueryTemplate):
+            return source.template, source.fingerprint
+        return S2RDFSession.template_of(source)
+
+
 class _QueryRun(NamedTuple):
     """What one trip through the query pipeline produced."""
 
@@ -175,15 +209,6 @@ class _QueryRun(NamedTuple):
     #: (``None``: a ``Query`` object was handed in, nothing to look up).
     parse_hit: Optional[bool]
     compile_hit: Optional[bool]
-    #: What ran: the template of a text, or the ``Query`` object handed in.
-    source: Union[QueryTemplate, Query]
-
-    def template(self) -> Tuple[str, str]:
-        """The journal's ``(template, fingerprint)`` of the query."""
-        source = self.source
-        if isinstance(source, QueryTemplate):
-            return source.template, source.fingerprint
-        return S2RDFSession.template_of(source)
 
 
 class S2RDFSession:
@@ -393,7 +418,9 @@ class S2RDFSession:
         before anything is cleared, so ``path`` may be the very directory it
         was opened from.  A build decides ExtVP materialisation, so a
         correlation an append left materialised against the rule is decided
-        anew.  Either way the session then serves the dataset at ``path``.
+        anew.  Either way the session then serves the dataset at ``path``:
+        process workers serving the store before (its term ids and cached
+        segments) are stopped, and the next served query starts new ones.
         """
         with self._store_lock.write_locked():
             with self.tracer.span("store.save", category="store", path=path) as span:
@@ -410,6 +437,10 @@ class S2RDFSession:
                 span.set(tables=report.table_count, bytes=report.total_bytes)
             self.dataset_path = path
             self._journal_epoch = 0  # A fresh manifest starts at epoch 0.
+            with self._runtime_lock:
+                pool, self._worker_pool = self._worker_pool, None
+            if pool is not None:
+                pool.close()
             if self.journal is not None:
                 # Migrate to the dataset's persistent journal, carrying over
                 # any records this session already collected in memory (their
@@ -763,80 +794,103 @@ class S2RDFSession:
 
     def _run_locked(self, query: Union[str, Query], analyze: bool = False) -> _QueryRun:
         total_start = time.perf_counter()
-        epoch = self._journal_epoch
-        phase_ms: Dict[str, float] = {}
         with self.tracer.span("query", category="query") as root:
-            phase_start = time.perf_counter()
-            with self.tracer.span("parse", category="query"):
-                if isinstance(query, str):
-                    source, constants, parse_hit = self._templates.lookup(query)
-                    self._count_parse(parse_hit)
-                else:
-                    source, parse_hit = query, None
-            phase_ms["parse"] = (time.perf_counter() - phase_start) * 1000.0
-
-            phase_start = time.perf_counter()
-            with self.tracer.span("compile", category="query"):
-                if parse_hit is None:
-                    compiled, compile_hit = self._compile(query)
-                    binding = None
-                else:
-                    compiled, compile_hit = self._templates.plan(
-                        source, self.compiler, self.layout.catalog
-                    )
-                    self._count_compile(compile_hit)
-                    binding = bind_terms(source, constants)
-            phase_ms["compile"] = (time.perf_counter() - phase_start) * 1000.0
-
-            execution = self.config.execution
-            executor = self.executor
-            metrics = ExecutionMetrics()
-            phase_start = time.perf_counter()
-            with self.tracer.span("execute", category="query"):
-                relation = executor.execute(
-                    compiled.plan,
-                    metrics,
-                    None if analyze else compiled.physical,
-                    binding,
-                    analyze,
-                )
-            execute_ms = (time.perf_counter() - phase_start) * 1000.0
-            # Obtaining the join annotation (taking the cached one, or the
-            # costing pass) happens inside executor.execute(); split it out
-            # so the phase dict matches the span structure.
-            plan_ms = min(executor.last_plan_ms, execute_ms)
-            phase_ms["plan"] = plan_ms
-            phase_ms["execute"] = execute_ms - plan_ms
-
+            evaluation = self._evaluate(query, analyze)
+            relation = evaluation.root
             with self.tracer.span("render", category="query"):
-                scaled_metrics = (
-                    metrics.scaled(execution.work_scale)
-                    if execution.work_scale != 1.0
-                    else metrics
-                )
-                simulated = self.cost_model.runtime_ms(scaled_metrics)
-                physical = executor.last_physical_plan
+                compiled = evaluation.compiled
                 result = QueryResult(
                     relation=relation,
-                    # The plan and the binding alone render the text, on
-                    # first read; holding ``compiled`` would keep the per-BGP
-                    # compilation details alive too.
-                    sql_renderer=partial(render_sql, compiled.plan, binding),
-                    metrics=metrics,
-                    simulated_runtime_ms=simulated,
+                    # Rendered on first read: from the plan's SQL skeleton
+                    # for a text, holding neither the plan's per-BGP
+                    # compilation details nor a rebuilt plan.
+                    sql_renderer=evaluation.sql,
+                    metrics=evaluation.metrics,
+                    simulated_runtime_ms=self._simulated_ms(evaluation.metrics),
                     wall_clock_ms=(time.perf_counter() - total_start) * 1000.0,
                     statically_empty=compiled.statically_empty,
-                    phase_ms=phase_ms,
+                    phase_ms=evaluation.phase_ms,
                     selected_tables=compiled.selected_tables,
-                    join_strategies=physical.describe(),
-                    epoch=epoch,
+                    join_strategies=evaluation.physical.describe(),
+                    epoch=evaluation.epoch,
                 )
             root.set(rows=len(relation))
-        run = _QueryRun(result, compiled, parse_hit, compile_hit, source)
         self._record_query_metrics(result)
-        # The journal's q-error compares the root estimate with the rows.
-        self._journal_query(run, physical.root_rows)
-        return run
+        self._journal_query(
+            *evaluation.template(), result, evaluation.physical.root_rows, _QUEUE_WAIT_MS.get()
+        )
+        return _QueryRun(result, compiled, evaluation.parse_hit, evaluation.compile_hit)
+
+    def _evaluate(
+        self, query: Union[str, Query], analyze: bool = False, lower: bool = True
+    ) -> _Evaluation:
+        """Parse, compile and execute: the pipeline up to the root's rows.
+
+        ``lower=False`` leaves a root id batch undecoded (a process worker
+        replies with ids).  The caller holds the store lock's read side, or
+        is a worker, which nothing mutates under.
+        """
+        epoch = self._journal_epoch
+        phase_ms: Dict[str, float] = {}
+        phase_start = time.perf_counter()
+        with self.tracer.span("parse", category="query"):
+            if isinstance(query, str):
+                source, constants, parse_hit = self._templates.lookup(query)
+                self._count_parse(parse_hit)
+            else:
+                source, parse_hit = query, None
+        phase_ms["parse"] = (time.perf_counter() - phase_start) * 1000.0
+
+        phase_start = time.perf_counter()
+        with self.tracer.span("compile", category="query"):
+            if parse_hit is None:
+                compiled, compile_hit = self._compile(query)
+                binding = None
+                sql = compiled.plan.to_sql
+            else:
+                compiled, skeleton, compile_hit = self._templates.plan(
+                    source, self.compiler, self.layout.catalog
+                )
+                self._count_compile(compile_hit)
+                binding = bind_terms(source, constants)
+                sql = partial(skeleton.render, binding)
+        phase_ms["compile"] = (time.perf_counter() - phase_start) * 1000.0
+
+        executor = self.executor
+        metrics = ExecutionMetrics()
+        phase_start = time.perf_counter()
+        with self.tracer.span("execute", category="query"):
+            root = (executor.execute if lower else executor.run)(
+                compiled.plan,
+                metrics,
+                None if analyze else compiled.physical,
+                binding,
+                analyze,
+            )
+        execute_ms = (time.perf_counter() - phase_start) * 1000.0
+        # Obtaining the join annotation (taking the cached one, or the
+        # costing pass) happens inside the executor's run; split it out so
+        # the phase dict matches the span structure.
+        plan_ms = min(executor.last_plan_ms, execute_ms)
+        phase_ms["plan"] = plan_ms
+        phase_ms["execute"] = execute_ms - plan_ms
+        return _Evaluation(
+            root,
+            compiled,
+            sql,
+            metrics,
+            phase_ms,
+            executor.last_physical_plan,
+            parse_hit,
+            compile_hit,
+            source,
+            epoch,
+        )
+
+    def _simulated_ms(self, metrics: ExecutionMetrics) -> float:
+        """The simulated cluster runtime of a query that counted ``metrics``."""
+        scale = self.config.execution.work_scale
+        return self.cost_model.runtime_ms(metrics.scaled(scale) if scale != 1.0 else metrics)
 
     @staticmethod
     def template_of(parsed: Query) -> Tuple[str, str]:
@@ -851,13 +905,23 @@ class S2RDFSession:
         template = template_text(parsed)
         return template, fingerprint_text(template)
 
-    def _journal_query(self, run: _QueryRun, root_estimate: int) -> None:
-        """Append one workload-journal record for an executed query."""
+    def _journal_query(
+        self,
+        template: str,
+        fingerprint: str,
+        result: QueryResult,
+        root_estimate: int,
+        queue_ms: Optional[float],
+        dispatch_ms: Optional[float] = None,
+    ) -> None:
+        """Append one workload-journal record for an executed query.
+
+        The q-error compares ``root_estimate`` (the join annotation's) with
+        the rows.  ``dispatch_ms`` is the hop of a process-served query.
+        """
         journal = self.journal
         if journal is None:
             return
-        template, fingerprint = run.template()
-        result = run.result
         metrics = result.metrics
         estimated = None if root_estimate == UNKNOWN_ROWS else root_estimate
         rows = len(result.relation)
@@ -869,7 +933,8 @@ class S2RDFSession:
                 # start under the read lock), not whatever the store advanced
                 # to by the time this record is written.
                 epoch=result.epoch,
-                queue_ms=_QUEUE_WAIT_MS.get(),
+                queue_ms=queue_ms,
+                dispatch_ms=dispatch_ms,
                 rows=rows,
                 wall_ms=result.wall_clock_ms,
                 phase_ms=dict(result.phase_ms),

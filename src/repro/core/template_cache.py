@@ -40,8 +40,10 @@ executor resolves the scans' equality conditions through, so nothing is
 rebuilt per query.  Only what is handed out rebinds: :meth:`TemplateCache.parse`
 and :meth:`TemplateCache.compile` (``session.parse`` / ``session.compile`` /
 ``explain``) return a copy of the algebra tree and of the plan with the
-query's constants in them, and a result's SQL text is rendered from a
-rebound plan when it is first read (:func:`render_sql`).
+query's constants in them.  A result's SQL text needs no rebuilt plan either:
+each cached plan comes with its :class:`~repro.engine.ops.SqlSkeleton`, the
+plan's text rendered once and cut at its scan constants, which a binding
+fills in — the same text the rebound plan renders.
 
 Binding is by identity: the terms the parser created for a template's slots
 are the very objects sitting in its triple patterns and, after compilation,
@@ -52,7 +54,8 @@ happen to hold equal constants.
 :func:`repro.sparql.parse_query` stays the uncached reference: the results
 here are equal to what it and a fresh :class:`~repro.core.compiler.QueryCompiler`
 produce.  Both tables are bounded by :data:`MAX_TEMPLATES` (cleared on
-overflow; dropping the templates drops their plans) and safe under concurrent
+overflow; dropping the templates drops their plans, a plan's skeleton goes
+with it) and safe under concurrent
 readers: entries are immutable once published and every table operation is a
 single dict access.
 """
@@ -66,7 +69,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.core.bgp import BGPCompilationResult
 from repro.core.compiler import CompiledQuery, QueryCompiler
 from repro.engine.catalog import Catalog
-from repro.engine.ops import Operation, SubqueryNode
+from repro.engine.ops import Operation, SqlSkeleton, SubqueryNode
 from repro.engine.plan import Binding
 from repro.engine.strategies import plan_join_strategies
 from repro.obs.journal import fingerprint_text, template_text
@@ -131,6 +134,8 @@ class _PlanEntry(NamedTuple):
     statistics: int
     #: The plan of the template's own query, and its join annotation.
     compiled: CompiledQuery
+    #: The plan's SQL text, cut at its scan constants.
+    sql: SqlSkeleton
 
 
 def bind_terms(template: QueryTemplate, constants: Tuple[Term, ...]) -> Optional[Binding]:
@@ -197,11 +202,6 @@ def _rebind_plan(plan: Operation, terms: Binding) -> Operation:
         return SubqueryNode(node.table_name, node.projections, conditions)
 
     return plan.transform(rebind_scan)
-
-
-def render_sql(plan: Operation, terms: Optional[Binding]) -> str:
-    """The SQL text of ``plan`` run with the binding ``terms``."""
-    return (plan if terms is None else _rebind_plan(plan, terms)).to_sql()
 
 
 def _rebind_compiled(compiled: CompiledQuery, terms: Binding) -> CompiledQuery:
@@ -358,13 +358,13 @@ class TemplateCache:
     # ------------------------------------------------------------------ #
     def plan(
         self, template: QueryTemplate, compiler: QueryCompiler, catalog: Catalog
-    ) -> Tuple[CompiledQuery, bool]:
+    ) -> Tuple[CompiledQuery, SqlSkeleton, bool]:
         """The plan of ``template``'s own query with its join annotation over
-        ``catalog`` (the one ``compiler`` selects tables from), and whether a
-        cached plan answered.
+        ``catalog`` (the one ``compiler`` selects tables from), its SQL
+        skeleton, and whether a cached plan answered.
 
-        The result is shared by every query of the template: read it, run it
-        with :func:`bind_terms`, never change it.
+        Both are shared by every query of the template: read them, run and
+        render them with :func:`bind_terms`, never change them.
         """
         # Both read before compiling: a plan chosen while either moved carries
         # the old number and is never served.
@@ -372,18 +372,19 @@ class TemplateCache:
         statistics = catalog.generation
         entry = self._plans.get(template)
         if entry is not None and entry.generation == generation and entry.statistics == statistics:
-            return entry.compiled, True
+            return entry.compiled, entry.sql, True
         compiled = compiler.compile(template.query)
         compiled.physical = plan_join_strategies(compiled.plan, catalog)
+        entry = _PlanEntry(generation, statistics, compiled, SqlSkeleton(compiled.plan))
         # An odd generation: the statistics were changing under the compile.
         if not statistics & 1:
             if len(self._plans) >= MAX_TEMPLATES:
                 self._plans.clear()
-            self._plans[template] = _PlanEntry(generation, statistics, compiled)
+            self._plans[template] = entry
             if len(self._plans) > MAX_TEMPLATES:
                 # Concurrent misses all passed the check above before inserting.
                 self._plans.clear()
-        return compiled, False
+        return compiled, entry.sql, False
 
     def compile(
         self, query: Query, compiler: QueryCompiler, catalog: Catalog
@@ -399,7 +400,7 @@ class TemplateCache:
         if binding is None or not binding.describes(query):
             return compiler.compile(query), None
         template, constants, _ = binding
-        compiled, hit = self.plan(template, compiler, catalog)
+        compiled, _, hit = self.plan(template, compiler, catalog)
         terms = bind_terms(template, constants)
         if terms is not None:
             return _rebind_compiled(compiled, terms), hit

@@ -9,6 +9,7 @@ can report exactly these quantities and feed them to the cost models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import ClassVar, Dict, FrozenSet, Tuple
 
 
@@ -155,6 +156,11 @@ class ExecutionMetrics:
                 setattr(clone, name, int(value * factor))
         return clone
 
+    def __reduce__(self):
+        # By value, in declaration order: a served query's counters cross the
+        # worker pipe with every reply, and the field names need not.
+        return ExecutionMetrics, _FIELD_VALUES(self)
+
     def copy(self) -> "ExecutionMetrics":
         clone = ExecutionMetrics()
         for name in self.field_names():
@@ -173,3 +179,6 @@ class ExecutionMetrics:
             else:
                 out[name] = value
         return out
+
+
+_FIELD_VALUES = attrgetter(*ExecutionMetrics.field_names())

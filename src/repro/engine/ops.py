@@ -18,7 +18,7 @@ Nodes carry class-level capability flags (``is_join``, ``is_outer_join``,
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Iterator, List, Mapping, Optional, Tuple
 
 from repro.sparql.expressions import Expression
 
@@ -39,6 +39,7 @@ __all__ = [
     "PlanNode",
     "ProjectNode",
     "SparkSqlRenderer",
+    "SqlSkeleton",
     "SubqueryNode",
     "TableScanNode",
     "UnaryOperation",
@@ -403,8 +404,10 @@ def _sql_value(value: Any) -> str:
 
 
 def _indent(text: str, indent: int) -> str:
+    # "\n" only: str.splitlines() also breaks at "\r", "\x0b", "\u2028" ...,
+    # which a constant's N3 keeps as they are, inside its quotes.
     prefix = "  " * indent
-    return "\n".join(prefix + line for line in text.splitlines())
+    return "\n".join(prefix + line for line in text.split("\n"))
 
 
 class SparkSqlRenderer(OperationVisitor):
@@ -422,10 +425,14 @@ class SparkSqlRenderer(OperationVisitor):
         sql = f"SELECT {select_list} FROM {node.table_name}"
         if node.conditions:
             rendered = " AND ".join(
-                f"{column} = {_sql_value(value)}" for column, value in node.conditions
+                f"{column} = {self.constant(value, indent)}" for column, value in node.conditions
             )
             sql += f" WHERE {rendered}"
         return _indent(sql, indent)
+
+    def constant(self, value: Any, indent: int) -> str:
+        """A scan's equality constant, written at nesting depth ``indent``."""
+        return _sql_value(value)
 
     def visit_empty(self, node: EmptyNode, indent: int = 0) -> str:
         return _indent("SELECT * FROM (VALUES ) AS empty -- statically empty", indent)
@@ -543,3 +550,77 @@ class SparkSqlRenderer(OperationVisitor):
 
 #: Shared stateless renderer instance behind ``Operation.to_sql``.
 SPARK_SQL = SparkSqlRenderer()
+
+
+# ---------------------------------------------------------------------- #
+# SQL skeletons: one rendering per cached plan, filled per query.
+# ---------------------------------------------------------------------- #
+#: Written where a scan constant goes while a skeleton is rendered.
+_SLOT = "\x00"
+
+
+class _SlotRenderer(SparkSqlRenderer):
+    """Writes :data:`_SLOT` for every scan constant, noting each constant and
+    its depth in text order."""
+
+    def __init__(self) -> None:
+        self.slots: List[Tuple[Any, int]] = []
+
+    def constant(self, value: Any, indent: int) -> str:
+        self.slots.append((value, indent))
+        return _SLOT
+
+
+class _BoundRenderer(SparkSqlRenderer):
+    """Writes each scan constant as ``binding`` resolves it."""
+
+    def __init__(self, binding: Optional[Mapping[int, Any]]) -> None:
+        self.binding = binding or {}
+
+    def constant(self, value: Any, indent: int) -> str:
+        return _sql_value(self.binding.get(id(value), value))
+
+
+class SqlSkeleton:
+    """A plan's SQL text, cut at its scans' constants.
+
+    A cached plan runs with other constants as a *binding* (``id(constant in
+    the plan) -> the value to use instead``), and its text differs from the
+    plan's own only where those constants are written.  So the plan is
+    rendered once, on the first :meth:`render`, with a marker in each
+    constant's place, and split there; every later call joins the fragments
+    with the constants of its binding — the very text of the plan rebuilt
+    with them.  A plan whose text holds the marker elsewhere (a NUL in a
+    FILTER literal) is rendered whole, through the binding, every time.
+    """
+
+    __slots__ = ("plan", "_cut")
+
+    def __init__(self, plan: Operation) -> None:
+        self.plan = plan
+        #: (fragments, (constant, indent) per slot), or ``None`` before the
+        #: first render; fragments are ``None`` when the cut failed.
+        self._cut: Optional[Tuple[Optional[List[str]], List[Tuple[Any, int]]]] = None
+
+    def render(self, binding: Optional[Mapping[int, Any]] = None) -> str:
+        """The text of the plan with ``binding``'s constants in it."""
+        cut = self._cut
+        if cut is None:
+            renderer = _SlotRenderer()
+            fragments: Optional[List[str]] = renderer.visit(self.plan, 0).split(_SLOT)
+            if len(fragments) != len(renderer.slots) + 1:
+                fragments = None
+            cut = self._cut = (fragments, renderer.slots)
+        fragments, slots = cut
+        if fragments is None:
+            return _BoundRenderer(binding).visit(self.plan, 0)
+        parts = [fragments[0]]
+        for (constant, indent), fragment in zip(slots, fragments[1:]):
+            if binding is not None:
+                constant = binding.get(id(constant), constant)
+            value = _sql_value(constant)
+            if "\n" in value:  # _indent puts the depth after every line break
+                value = value.replace("\n", "\n" + "  " * indent)
+            parts.append(value)
+            parts.append(fragment)
+        return "".join(parts)

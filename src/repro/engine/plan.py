@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Union
 
 from repro.engine.catalog import Catalog
 from repro.engine.metrics import ExecutionMetrics
@@ -129,6 +129,22 @@ class PlanExecutor(OperationVisitor):
         for instead (a cached plan run with another query's constants).
         ``analyze`` records per-node observations without a tracer.
         """
+        return self._lower(self.run(plan, metrics, physical, binding, analyze))
+
+    def run(
+        self,
+        plan: Operation,
+        metrics: Optional[ExecutionMetrics] = None,
+        physical: Optional[PhysicalPlan] = None,
+        binding: Optional[Binding] = None,
+        analyze: bool = False,
+    ) -> Union[ColumnBatch, Relation]:
+        """:meth:`execute` without its last step: the root as it came out —
+        an id :class:`ColumnBatch` above stored tables, or rows.
+
+        A process worker replies with the ids; its caller lowers them through
+        its own dictionary (``ColumnBatch.to_relation``, as here).
+        """
         metrics = metrics if metrics is not None else ExecutionMetrics()
         start = time.perf_counter()
         with self.tracer.span("physical-plan", category="query") as span:
@@ -142,9 +158,7 @@ class PlanExecutor(OperationVisitor):
         self._observing = analyze or self.tracer.enabled
         join_ms = self._join_ms = []
         try:
-            # A batch surviving to the root is decoded here — the single
-            # deferred-decoding boundary before result rendering.
-            result = self._lower(self._execute(plan, metrics, binding))
+            result = self._execute(plan, metrics, binding)
         finally:
             if join_ms and self.registry is not None:
                 self.registry.observe_all("s2rdf_join_critical_path_ms", join_ms)
@@ -153,7 +167,10 @@ class PlanExecutor(OperationVisitor):
 
     @staticmethod
     def _lower(result: Any) -> Relation:
-        """Decode an id batch to rows; row relations pass through untouched."""
+        """Decode an id batch to rows; row relations pass through untouched.
+
+        At the root this is the single deferred-decoding boundary before
+        result rendering."""
         if isinstance(result, ColumnBatch):
             return result.to_relation()
         return result

@@ -21,9 +21,13 @@ with submit/await semantics:
 Thread mode executes queries on the shared session (its per-thread executors
 make that safe).  Process mode ships whole queries to the dataset's
 :class:`~repro.serve.workers.PartitionWorkerPool`: the dispatcher thread
-itself blocks on a worker's pipe, and journals the record in the parent so
-the dataset keeps one workload journal.  Only the query text, an epoch and
-the reply cross the process boundary.  A worker that dies fails the one
+itself blocks on a worker's pipe.  Only the query text, an epoch and the
+length of the session's term dictionary go out; the worker replies in ids
+(:class:`~repro.serve.workers.QueryReply`), and the dispatcher builds the
+:class:`~repro.core.results.QueryResult` in the parent — lowering the ids
+through the session's own dictionary — then counts it in the session's
+metrics registry and journals it, so the dataset keeps one workload journal
+and one registry whichever mode served.  A worker that dies fails the one
 request it held (:class:`~repro.serve.workers.WorkerDiedError` through the
 handle) and is respawned; the dispatcher carries on.
 """
@@ -40,7 +44,6 @@ from repro.core.config import ServingConfig
 from repro.core.session import _QUEUE_WAIT_MS, S2RDFSession
 from repro.core.results import QueryResult
 from repro.engine.strategies import estimated_bytes, fits_broadcast
-from repro.obs.journal import JournalRecord
 
 
 #: Completed dispatches :meth:`QueryScheduler.stats` keeps for its percentiles.
@@ -254,29 +257,23 @@ class QueryScheduler:
         return self._execute_remote(pool, handle)
 
     def _execute_remote(self, pool, handle: QueryHandle) -> QueryResult:
-        """Process mode: ship the whole query to a worker, journal it here."""
+        """Process mode: ship the whole query to a worker, build its result here."""
         session = self.session
-        outcome = pool.run_query(handle.query_text, epoch=session._journal_epoch)
-        handle.dispatch_ms = outcome["dispatch_ms"]
-        result: QueryResult = outcome["result"]
-        if session.journal is not None:
-            metrics = result.metrics
-            session.journal.append(
-                JournalRecord(
-                    fingerprint=outcome["fingerprint"],
-                    template=outcome["template"],
-                    epoch=result.epoch,
-                    rows=len(result.relation),
-                    wall_ms=result.wall_clock_ms,
-                    phase_ms=dict(result.phase_ms),
-                    scanned_tables=dict(metrics.scanned_tables),
-                    segments_scanned=metrics.store_segments_scanned,
-                    segments_pruned=metrics.store_segments_pruned,
-                    statically_empty=result.statically_empty,
-                    queue_ms=handle.queue_ms,
-                    dispatch_ms=handle.dispatch_ms,
-                )
-            )
+        # One snapshot: the dictionary holds every id of the epoch (it only
+        # grows), and ids of a newer one come with their lines.
+        with session._store_lock.read_locked():
+            epoch, dictionary = session._journal_epoch, session._dataset.dictionary
+        reply, handle.dispatch_ms = pool.query_reply(handle.query_text, epoch, len(dictionary))
+        result = reply.result(dictionary, session._simulated_ms)
+        session._record_query_metrics(result)
+        session._journal_query(
+            reply.template,
+            reply.fingerprint,
+            result,
+            reply.estimated_rows,
+            handle.queue_ms,
+            handle.dispatch_ms,
+        )
         return result
 
     def _prewarm_if_stale(self) -> None:

@@ -375,6 +375,12 @@ class StoredTermDictionary:
     def __len__(self) -> int:
         return len(self._lines)
 
+    def line(self, term_id: int) -> str:
+        """The stored line of ``term_id``: :func:`decode_term_line` reads it."""
+        if not 0 <= term_id < len(self._lines):
+            raise KeyError(f"unknown term id {term_id}")
+        return self._lines[term_id]
+
     def decode(self, term_id: int) -> Term:
         if not 0 <= term_id < len(self._lines):
             raise KeyError(f"unknown term id {term_id}")

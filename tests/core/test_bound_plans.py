@@ -15,6 +15,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import template_cache
 from repro.core.compiler import QueryCompiler
@@ -162,6 +164,82 @@ def test_a_hit_equals_the_uncached_reference(
         assert hit.statically_empty == reference.statically_empty
         assert hit.sql == reference.sql
         assert untimed(records[-2]) == untimed(records[-1]), text
+
+
+# --------------------------------------------------------------------------- #
+# The SQL text: filled into the plan's skeleton, served or direct
+# --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def served_corpus(small_dataset, tmp_path_factory):
+    """The corpus saved, a session on it and its schedulers on threads and on
+    a process worker."""
+    path = str(tmp_path_factory.mktemp("served-corpus") / "dataset")
+    with S2RDFSession.from_graph(small_dataset.graph, journal_enabled=False) as saver:
+        saver.save_dataset(path)
+    with S2RDFSession.open_dataset(path, journal_enabled=False) as threads:
+        with S2RDFSession.open_dataset(
+            path, execution_mode="process", worker_processes=1, journal_enabled=False
+        ) as processes:
+            with threads.serve() as on_threads, processes.serve() as on_processes:
+                yield threads, on_threads, on_processes
+
+
+@pytest.mark.parametrize("template", ALL_TEMPLATES, ids=lambda template: template.name)
+def test_every_result_carries_the_uncached_sql(served_corpus, instantiations, template):
+    session, *schedulers = served_corpus
+    for text in instantiations(template):
+        expected = uncached_sql(session, text)
+        assert session.query(text).sql == expected, text
+        # A Query object runs its own plan, rendered whole as it always was.
+        assert session.query(parse_query(text)).sql == expected, text
+        for scheduler in schedulers:
+            assert scheduler.submit(text).result(timeout=60).sql == expected, text
+
+
+XSD = "http://www.w3.org/2001/XMLSchema#"
+
+
+@st.composite
+def object_constants(draw):
+    """A SPARQL spelling of an object constant whose N3 and SQL quoting bite:
+    quotes, backslashes, line separators N3 keeps, numerals, language tags."""
+    kind = draw(st.sampled_from(["literal", "numeral", "iri"]))
+    if kind == "numeral":
+        return draw(st.sampled_from(["42", "-3.5", "+7", "1e3", "0.5", "007"]))
+    if kind == "iri":
+        return "<" + draw(st.text(alphabet="u1'#%-", min_size=1, max_size=5)) + ">"
+    alphabet = ["a", "'", '"', "\\", "\r", "\u2028", "\x85", "7", " "]
+    lexical = draw(st.text(alphabet=alphabet, max_size=6))
+    escaped = lexical.replace("\\", "\\\\").replace('"', '\\"')
+    if draw(st.booleans()):
+        escaped = escaped.replace("\r", "\\r")
+    suffix = draw(st.sampled_from(["", "@en", "@en-US", f"^^<{XSD}string>"]))
+    return f'"{escaped}"{suffix}'
+
+
+ODD_TEMPLATE = "SELECT ?a WHERE {{ ?a <likes> {} . ?a <follows> ?b . ?b <likes> {} }}"
+
+
+@pytest.fixture(scope="module")
+def served_users(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("served-users") / "dataset")
+    with S2RDFSession.from_graph(users_graph(), journal_enabled=False) as saver:
+        saver.save_dataset(path)
+    with S2RDFSession.open_dataset(
+        path, execution_mode="process", worker_processes=1, journal_enabled=False
+    ) as session:
+        with session.serve() as scheduler:
+            yield session, scheduler
+
+
+@settings(max_examples=60, deadline=None)
+@given(first=object_constants(), second=object_constants())
+def test_odd_constants_render_as_the_rebound_plan(served_users, first, second):
+    session, scheduler = served_users
+    text = ODD_TEMPLATE.format(first, second)
+    expected = uncached_sql(session, text)
+    assert session.query(text).sql == expected
+    assert scheduler.submit(text).result(timeout=60).sql == expected
 
 
 # --------------------------------------------------------------------------- #

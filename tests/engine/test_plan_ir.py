@@ -20,6 +20,7 @@ from repro.engine.ops import (
     OperationVisitor,
     OrderByNode,
     ProjectNode,
+    SqlSkeleton,
     SubqueryNode,
     TableScanNode,
     UnionNode,
@@ -27,7 +28,7 @@ from repro.engine.ops import (
     plan_depth,
 )
 from repro.sparql.expressions import Comparison, TermExpression, VariableExpression
-from repro.rdf.terms import IRI, Variable
+from repro.rdf.terms import IRI, Literal, Variable
 
 
 def scan(table: str, *aliases: str) -> SubqueryNode:
@@ -160,6 +161,81 @@ class TestVisitorProtocol:
         root, *_ = tree
         text = root.to_sql()
         assert "JOIN" in text and "vp_p" in text and "vp_q" in text
+
+
+def rebound(plan: Operation, binding) -> Operation:
+    """``plan`` rebuilt with ``binding``'s constants in its scans' conditions."""
+
+    def rebind(node):
+        if type(node) is not SubqueryNode:
+            return node
+        conditions = tuple(
+            (column, binding.get(id(value), value)) for column, value in node.conditions
+        )
+        return SubqueryNode(node.table_name, node.projections, conditions)
+
+    return plan.transform(rebind)
+
+
+#: Every character ``str.splitlines`` breaks at besides "\n"; N3 keeps them as they are.
+LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestSqlRendering:
+    @pytest.mark.parametrize("separator", LINE_BREAKS, ids=repr)
+    def test_a_constant_keeps_its_line_separators_at_any_depth(self, separator):
+        constant = Literal(f"a{separator}b")
+        leaf = SubqueryNode("t", (("s", "x"),), (("o", constant),))
+        assert leaf.to_sql() == f"SELECT s AS x FROM t WHERE o = '\"a{separator}b\"'"
+        nested = NaturalJoinNode(leaf, scan("u", "x"))
+        assert f"  SELECT s AS x FROM t WHERE o = '\"a{separator}b\"'\n" in nested.to_sql()
+
+    def test_the_skeleton_of_a_plan_is_its_text(self, tree):
+        root, *_ = tree
+        plan = NaturalJoinNode(
+            SubqueryNode("vp_p", (("s", "x"),), (("o", IRI("a")),)),
+            UnionNode(
+                root, SubqueryNode("vp_q", (("o", "x"),), (("s", IRI("b")), ("o", IRI("a"))))
+            ),
+        )
+        skeleton = SqlSkeleton(plan)
+        assert skeleton.render() == skeleton.render(None) == plan.to_sql()
+
+    @pytest.mark.parametrize(
+        "value",
+        [Literal("it's"), Literal('say "x"\\'), Literal("a\rb", language="en"), Literal("5"),
+         IRI("c"), "line\nbreak", 42],
+        ids=repr,
+    )
+    def test_a_filled_skeleton_is_the_text_of_the_rebound_plan(self, value):
+        first, second = IRI("a"), IRI("b")
+        plan = LimitNode(
+            child=NaturalJoinNode(
+                SubqueryNode("vp_p", (("s", "x"),), (("o", first),)),
+                FilterNode(
+                    child=SubqueryNode("vp_q", (("s", "x"), ("o", "y")), (("o", second),)),
+                    expression=Comparison(
+                        "=", VariableExpression(Variable("y")), TermExpression(IRI("c"))
+                    ),
+                ),
+            ),
+            limit=3,
+        )
+        skeleton = SqlSkeleton(plan)
+        for binding in ({id(second): value}, {id(first): value, id(second): Literal("z")}, {}):
+            assert skeleton.render(binding) == rebound(plan, binding).to_sql()
+
+    def test_a_plan_whose_text_holds_the_marker_renders_whole(self):
+        constant = IRI("a")
+        plan = FilterNode(
+            child=SubqueryNode("vp_p", (("s", "x"),), (("o", constant),)),
+            expression=Comparison(
+                "=", VariableExpression(Variable("x")), TermExpression(Literal("nul\x00here"))
+            ),
+        )
+        binding = {id(constant): IRI("b")}
+        assert SqlSkeleton(plan).render(binding) == rebound(plan, binding).to_sql()
+        assert "'<b>'" in SqlSkeleton(plan).render(binding)
 
 
 class TestAggregateSpec:

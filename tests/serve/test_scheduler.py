@@ -249,3 +249,72 @@ def test_dispatch_ms_is_journaled_for_process_workers_only(session, tmp_path):
     assert local.dispatch_ms is None
     assert session.journal.records()[-1].dispatch_ms is None
     assert "dispatch_ms" not in session.journal.records()[-1].to_json_line()
+
+
+#: Joins, a constant, an aggregate (rows at the root, not ids), ORDER BY, no
+#: variables at all, and a predicate the store does not hold.
+PARITY_QUERIES = [
+    Q_BLOCK,
+    Q_LOW,
+    Q_HIGH,
+    "SELECT * WHERE { ?x <follows> ?y . ?y <likes> ?w }",
+    "SELECT (COUNT(*) AS ?n) WHERE { ?x <follows> ?y }",
+    "SELECT ?x WHERE { ?x <likes> <I2> } ORDER BY DESC(?x)",
+    "SELECT * WHERE { <A> <follows> <B> }",
+    "SELECT * WHERE { <A> <unknown> ?y }",
+]
+
+
+def served_in(path, mode):
+    """Serve every parity query once in ``mode``: results, registry, journal records."""
+    with repro.connect(path, execution_mode=mode, worker_processes=1) as served:
+        with served.serve(ServingConfig(share_results=False)) as scheduler:
+            results = [scheduler.submit(text).result(timeout=30) for text in PARITY_QUERIES]
+            scheduler.drain(timeout=30)
+        snapshot = served.metrics.snapshot()
+        records = served.journal.records()[-len(PARITY_QUERIES):]
+    return results, snapshot, records
+
+
+def test_process_serving_counts_and_journals_as_thread_serving(session, tmp_path):
+    """The worker's counters reach the parent's registry and journal: both
+    modes count the same queries and tuples, and write the same records but
+    for what a clock decides (``estimated_rows`` and its q-error included)."""
+    import dataclasses
+
+    path = str(tmp_path / "dataset")
+    session.save_dataset(path)
+    threaded, thread_snapshot, thread_records = served_in(path, "thread")
+    processed, process_snapshot, process_records = served_in(path, "process")
+
+    for thread_result, process_result in zip(threaded, processed):
+        assert sorted(map(repr, process_result.relation.rows)) == sorted(
+            map(repr, thread_result.relation.rows)
+        )
+        assert process_result.sql == thread_result.sql
+        assert process_result.join_strategies == thread_result.join_strategies
+        assert process_result.metrics.input_tuples == thread_result.metrics.input_tuples
+
+    def counted(snapshot):
+        counters, histograms = snapshot["counters"], snapshot["histograms"]
+        return (
+            counters["s2rdf_queries_total"],
+            counters["s2rdf_input_tuples_total"],
+            counters["s2rdf_output_tuples_total"],
+            histograms["s2rdf_query_wall_ms"]["count"],
+        )
+
+    assert counted(process_snapshot) == counted(thread_snapshot)
+    assert counted(thread_snapshot)[0] == len(PARITY_QUERIES)
+
+    def untimed(record):
+        fields = dataclasses.asdict(record)
+        for name in ("ts", "wall_ms", "phase_ms", "queue_ms", "dispatch_ms"):
+            del fields[name]
+        return fields
+
+    assert [untimed(record) for record in process_records] == [
+        untimed(record) for record in thread_records
+    ]
+    assert any(record.estimated_rows is not None for record in process_records)
+    assert all(record.dispatch_ms is not None for record in process_records)

@@ -66,7 +66,10 @@ def test_query_task_matches_parent_session(stored):
         assert outcome["task_ms"] > 0.0 and outcome["dispatch_ms"] > 0.0
 
 
-def test_a_served_task_is_the_query_text_plus_an_epoch(stored, monkeypatch):
+def test_a_served_task_is_the_query_text_an_epoch_and_a_dictionary_length(stored, monkeypatch):
+    """What goes out is what the worker cannot know: the text, the epoch to
+    run at, and how many terms the caller's dictionary holds (a pool without
+    a dictionary names 0, and gets every result id's line back)."""
     path, session = stored
     sent = []
     real_dumps = pickle.dumps
@@ -80,7 +83,7 @@ def test_a_served_task_is_the_query_text_plus_an_epoch(stored, monkeypatch):
         monkeypatch.setattr(workers.pickle, "dumps", recording_dumps)
         pool.run_query(QUERY, epoch=session._journal_epoch)
         monkeypatch.undo()
-    assert sent == [("query", {"query": QUERY, "epoch": session._journal_epoch})]
+    assert sent == [("query", {"query": QUERY, "epoch": session._journal_epoch, "terms": 0})]
     assert len(real_dumps(sent[0], -1)) < len(QUERY) + 64
 
 
@@ -145,7 +148,7 @@ def test_direct_query_on_a_process_session_submits_nothing(stored, monkeypatch):
 def test_query_task_parses_the_text_once(stored, monkeypatch):
     """The worker entry point, run in this process: one trip through the
     session's front end feeds both the execution and the template/fingerprint,
-    and its time stays in the result."""
+    and its time stays in the result the reply lowers to."""
     import repro.core.template_cache as template_cache
     from repro.obs.journal import fingerprint_text, template_text
     from repro.sparql import parse_query
@@ -162,15 +165,19 @@ def test_query_task_parses_the_text_once(stored, monkeypatch):
     monkeypatch.setattr(template_cache, "tokenize_query", counting_tokenize)
     workers._worker_init(path, {})
     try:
-        outcome = workers._run_query_task({"query": query, "epoch": session._journal_epoch})
+        dictionary = session._dataset.dictionary
+        reply = workers._run_query_task(
+            {"query": query, "epoch": session._journal_epoch, "terms": len(dictionary)}
+        )
     finally:
         if workers._WORKER_SESSION is not None:
             workers._WORKER_SESSION.close()
         workers._worker_init(None, {})
     assert parses == [query]
-    assert outcome["template"] == template_text(parse_query(query))
-    assert outcome["fingerprint"] == fingerprint_text(outcome["template"])
-    result = outcome["result"]
+    assert reply.template == template_text(parse_query(query))
+    assert reply.fingerprint == fingerprint_text(reply.template)
+    assert reply.rows is None and reply.lines == {}  # ids only: the parent holds every term
+    result = reply.result(dictionary, session._simulated_ms)
     assert bag(result.relation) == bag(session.query(query).relation)
     assert result.phase_ms["parse"] > 0.0
     assert result.wall_clock_ms >= sum(result.phase_ms.values())
@@ -391,3 +398,74 @@ def test_an_exchange_left_half_way_never_hands_a_stale_reply_to_the_next_task(
         for _ in range(4):  # whichever slot comes up: a query gets a query's reply
             outcome = pool.run_query(QUERY, epoch=session._journal_epoch)
             assert len(outcome["result"].relation) == 20
+
+
+def test_terms_another_session_appends_reach_a_served_answer(tmp_path):
+    """A second session appends after the serving one opened.  A freshly
+    spawned worker opens the store at the newer epoch (and one that meets an
+    epoch it did not run at refreshes to the newest): the ids of terms the
+    serving session's dictionary does not hold come with their lines, so the
+    answer shows the new term — never a ``KeyError`` or another term."""
+    path = str(tmp_path / "dataset")
+    graph = Graph([Triple.of(f"u{i}", "likes", f"i{i}") for i in range(5)])
+    with S2RDFSession.from_graph(graph, num_partitions=2, journal_enabled=False) as saver:
+        saver.save_dataset(path)
+    query = "SELECT ?w WHERE {{ <{}> <likes> ?w }}"
+
+    def append(*triples):
+        with S2RDFSession.open_dataset(path, journal_enabled=False) as writer:
+            writer.append_triples(list(triples))
+
+    def answer(scheduler, user):
+        result = scheduler.submit(query.format(user)).result(timeout=30)
+        return result.epoch, sorted(term.value for term in result.values("w"))
+
+    session = S2RDFSession.open_dataset(
+        path, execution_mode="process", worker_processes=1, journal_enabled=False
+    )
+    pool = session._worker_pool
+    scheduler = session.serve()
+    try:
+        known = len(session._dataset.dictionary)
+        assert answer(scheduler, "u1") == (0, ["i1"])
+        append(Triple.of("u1", "likes", "brand-new"))
+        # The worker ran at epoch 0, the task still names it: the same snapshot.
+        assert answer(scheduler, "u1") == (0, ["i1"])
+        victim = pool._workers[0].process
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=30)
+        with pytest.raises(WorkerDiedError):
+            scheduler.submit(query.format("u1")).result(timeout=30)
+        assert answer(scheduler, "u1") == (1, ["brand-new", "i1"])
+        append(Triple.of("u2", "likes", "newer"), Triple.of("u2", "likes", "i0"))
+        # Another process appended again; the task names epoch 0, the worker
+        # ran at 1: it re-reads the store, at 2.
+        assert answer(scheduler, "u2") == (2, ["i0", "i2", "newer"])
+        assert answer(scheduler, "u1") == (2, ["brand-new", "i1"])
+        assert session._journal_epoch == 0 and len(session._dataset.dictionary) == known
+    finally:
+        scheduler.close()
+        session.close()
+
+
+def test_a_session_saved_anew_serves_the_store_it_wrote(tmp_path):
+    """``save_dataset`` lays a connected session's store out anew, and term
+    ids follow the sorted triples: the workers of the store served before
+    are stopped, and the next served query runs on the store just written —
+    not on the old one, whose ids would lower to other terms."""
+    old, new = str(tmp_path / "old"), str(tmp_path / "new")
+    graph = Graph([Triple.of(f"u{i}", "likes", f"i{i}") for i in range(6)])
+    with S2RDFSession.from_graph(graph, num_partitions=2, journal_enabled=False) as saver:
+        saver.save_dataset(old)
+    query = "SELECT * WHERE { ?u <likes> ?w }"
+    with S2RDFSession.open_dataset(
+        old, execution_mode="process", worker_processes=1, journal_enabled=False
+    ) as session:
+        with session.serve() as scheduler:
+            assert len(scheduler.submit(query).result(timeout=30)) == 6
+        session.append_triples([Triple.of("aaa", "likes", "zzz"), Triple.of("u3", "likes", "b")])
+        session.save_dataset(new)
+        with session.serve() as scheduler:
+            served = scheduler.submit(query).result(timeout=30)
+        assert bag(served.relation) == bag(session.query(query).relation)
+        assert len(served) == 8 and session._worker_pool.dataset_path == new

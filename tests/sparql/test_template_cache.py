@@ -412,24 +412,40 @@ def test_parse_query_is_uncached(monkeypatch):
 # --------------------------------------------------------------------------- #
 # Bounds and concurrent readers
 # --------------------------------------------------------------------------- #
+def skeletons(cache):
+    """The SQL skeletons the cache holds: one with each plan entry, over its plan."""
+    entries = list(cache._plans.values())
+    assert all(entry.sql.plan is entry.compiled.plan for entry in entries)
+    return [entry.sql for entry in entries]
+
+
 def test_both_tables_are_bounded(session, cache_counters, monkeypatch):
     monkeypatch.setattr(template_cache, "MAX_TEMPLATES", 4)
     cache = session._templates
     for index in range(11):
         text = f"SELECT * WHERE {{ <A> <follows> ?v{index} }}"
-        assert_front_end_agrees(session, text)
+        _, compiled = assert_front_end_agrees(session, text)
+        assert session.query(text.replace("<A>", "<B>")).sql == compiled.sql().replace("<A>", "<B>")
         assert len(cache) <= 4 and cache.plan_count() <= 4
-        assert len(cache._slots) <= 4
+        assert len(cache._slots) <= 4 and len(skeletons(cache)) == cache.plan_count()
     # Overflow cleared the tables (11 templates through a bound of 4) ...
     assert len(cache) == 3 and cache.plan_count() == 3
     # ... and a template met again is simply parsed and compiled again.
     before = cache_counters(session)
     assert_front_end_agrees(session, "SELECT * WHERE { <B> <follows> ?v0 }")
     assert cache_counters(session, before) == NOT_SHARED
-    # Parsing alone overflows the templates: the plans of the dropped ones go too.
+    # A store change drops every skeleton with its plan; the next query
+    # renders from a skeleton of the plan compiled anew.
+    held = skeletons(cache)
+    cache.invalidate_plans()
+    assert skeletons(cache) == []
+    for index in (0, 8, 9, 10):
+        text = f"SELECT * WHERE {{ <C> <follows> ?v{index} }}"
+        assert session.query(text).sql == uncached_annotation(session, text)[0].sql()
     assert len(cache) == 4 and cache.plan_count() == 4
+    assert not any(new is old for new in skeletons(cache) for old in held)
     session.parse("SELECT * WHERE { <A> <likes> ?w }")
-    assert len(cache) == 1 and cache.plan_count() == 0
+    assert len(cache) == 1 and cache.plan_count() == 0 and skeletons(cache) == []
 
 
 def test_concurrent_readers_get_the_uncached_answers(example_graph, monkeypatch):
