@@ -4,8 +4,10 @@ A :class:`QueryResult` bundles the solution bindings with everything the
 benchmark harness needs: the generated SQL text (rendered on first read), the
 execution metrics, the simulated cluster runtime and the wall-clock time spent
 in the local engine.  A result is always built in the process that asked for
-it: a query served by a process worker comes back as ids and counters
-(:class:`~repro.serve.workers.QueryReply`), and the parent builds its result.
+it, by :meth:`~repro.core.session.S2RDFSession._finish` from the query's
+:class:`~repro.core.session.QueryRecord`: a query served by a process worker
+comes back as that record, its root in ids, and the parent builds its result
+as it builds a direct query's.
 """
 
 from __future__ import annotations

@@ -29,9 +29,8 @@ import dataclasses
 import threading
 import time
 from contextlib import contextmanager
-from contextvars import ContextVar
 from functools import partial
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.compiler import CompiledQuery, QueryCompiler
 from repro.core.config import (
@@ -43,14 +42,14 @@ from repro.core.config import (
 )
 from repro.core.results import QueryResult
 from repro.core.table_selection import TableSelector
-from repro.core.template_cache import QueryTemplate, TemplateCache, bind_terms
+from repro.core.template_cache import TemplateCache, bind_terms
 from repro.engine.catalog import Catalog
 from repro.engine.cluster import SparkCostModel
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.plan import PlanExecutor
 from repro.engine.relation import Relation
 from repro.engine.storage import ParquetSizeModel
-from repro.engine.strategies import UNKNOWN_ROWS, PhysicalPlan
+from repro.engine.strategies import UNKNOWN_ROWS
 from repro.engine.vectorized import ColumnBatch
 from repro.mappings.naming import TRIPLES_TABLE
 from repro.obs.explain import ExplainAnalyzeResult, render_explain_analyze
@@ -68,7 +67,7 @@ from repro.rdf.graph import Graph
 from repro.rdf.ntriples import parse_ntriples
 from repro.rdf.triple import Triple
 from repro.sparql.algebra import Query
-from repro.store.format import DatasetImage
+from repro.store.format import DatasetImage, StoredTermDictionary, decode_term_line
 from repro.store.reader import (
     DatasetLoadReport,
     StoredDataset,
@@ -96,14 +95,6 @@ __all__ = [
     "ObservabilityConfig",
     "ServingConfig",
 ]
-
-#: Milliseconds a query waited in the scheduler's admission queue before this
-#: thread started executing it.  The scheduler sets this around its call into
-#: :meth:`S2RDFSession.query`; the session journals it with the query, so the
-#: journal separates queue wait from execution without the session ever
-#: knowing about the scheduler.
-_QUEUE_WAIT_MS: ContextVar[Optional[float]] = ContextVar("s2rdf_queue_wait_ms", default=None)
-
 
 class _ReadWriteLock:
     """Many concurrent readers (queries) xor one writer (store mutation).
@@ -166,49 +157,69 @@ class _ReadWriteLock:
                 self._cond.notify_all()
 
 
-class _Evaluation(NamedTuple):
-    """One query run up to its root: what its result and record are made of."""
+class QueryRecord(NamedTuple):
+    """One query, evaluated up to its root: everything its result, the
+    registry's counts and its journal line are made of.
 
-    #: The root's rows; an id :class:`ColumnBatch` instead when the caller
-    #: lowers it itself (a process worker, whose parent does).
-    root: Union[Relation, ColumnBatch]
-    #: The plan that ran: a text's is its template's cached one, run with the
-    #: text's constants as a binding.
-    compiled: CompiledQuery
-    #: Renders the plan's SQL text with the query's constants in it.
-    sql: Callable[[], str]
+    :meth:`S2RDFSession._evaluate` makes it and :meth:`S2RDFSession._finish`
+    turns it into all three, whichever process evaluated it: a process
+    worker sends it through its pipe in wire form (:meth:`to_wire`).
+    """
+
+    #: The root: an id :class:`ColumnBatch` or rows.  A worker sends an id
+    #: batch as ``(columns, id columns, {id: dictionary line})``, the lines
+    #: being those of the ids its caller's dictionary may not hold yet.
+    root: Union[ColumnBatch, Relation, Tuple]
     metrics: ExecutionMetrics
     phase_ms: Dict[str, float]
-    #: The join annotation the plan ran with (its root estimate included).
-    physical: PhysicalPlan
-    #: Whether the template cache answered the parse / the compile
-    #: (``None``: a ``Query`` object was handed in, nothing to look up).
-    parse_hit: Optional[bool]
-    compile_hit: Optional[bool]
-    #: What ran: the template of a text, or the ``Query`` object handed in.
-    source: Union[QueryTemplate, Query]
+    #: Milliseconds from the start of the parse to the root.
+    wall_ms: float
+    statically_empty: bool
+    selected_tables: List[str]
+    #: The join Spark would run for each join of the plan, bottom-up.
+    join_strategies: List[str]
+    #: The join annotation's estimate of the root's rows (for the q-error).
+    estimated_rows: int
+    #: Renders the plan's SQL text with the query's constants in it (for a
+    #: text, its template plan's skeleton filled with them); the text itself
+    #: once it crossed a pipe.
+    sql: Union[Callable[[], str], str]
     #: The manifest epoch the query read.
     epoch: Optional[int]
-
-    def template(self) -> Tuple[str, str]:
-        """The journal's ``(template, fingerprint)`` of the query."""
-        source = self.source
-        if isinstance(source, QueryTemplate):
-            return source.template, source.fingerprint
-        return S2RDFSession.template_of(source)
-
-
-class _QueryRun(NamedTuple):
-    """What one trip through the query pipeline produced."""
-
-    result: QueryResult
-    #: The plan that ran: a text's is its template's cached one, run with the
-    #: text's constants as a binding.
-    compiled: CompiledQuery
+    template: str
+    fingerprint: str
     #: Whether the template cache answered the parse / the compile
     #: (``None``: a ``Query`` object was handed in, nothing to look up).
     parse_hit: Optional[bool]
     compile_hit: Optional[bool]
+    #: Milliseconds each join of the plan took, in the order they ran.
+    join_ms: List[float]
+
+    def to_wire(self, dictionary: StoredTermDictionary, known_terms: int) -> "QueryRecord":
+        """This record as a process worker sends it: the root's id columns
+        with the dictionary lines of those ids at or beyond ``known_terms``
+        (the caller's dictionary length), or rows; the SQL rendered."""
+        root = self.root
+        if isinstance(root, ColumnBatch) and root.columns:
+            ids = root.gather().ids
+            root = (root.columns, ids, _unknown_lines(dictionary, ids, known_terms))
+        elif isinstance(root, ColumnBatch):  # a batch without columns: a row count
+            root = root.to_relation()
+        return self._replace(root=root, sql=self.sql())
+
+
+def _unknown_lines(
+    dictionary: StoredTermDictionary, ids: Tuple[List[int], ...], known: int
+) -> Dict[int, str]:
+    """The dictionary lines of the ids in ``ids`` at or beyond ``known``."""
+    if not any(column and max(column) >= known for column in ids):
+        return {}
+    return {
+        term_id: dictionary.line(term_id)
+        for column in ids
+        for term_id in column
+        if term_id >= known
+    }
 
 
 class S2RDFSession:
@@ -294,9 +305,7 @@ class S2RDFSession:
         """This thread's native executor (created on first use per thread)."""
         runtime = getattr(self._thread_runtime, "executor", None)
         if runtime is None:
-            runtime = PlanExecutor(
-                self.layout.catalog, tracer=self.tracer, metrics_registry=self.metrics
-            )
+            runtime = PlanExecutor(self.layout.catalog, tracer=self.tracer)
             self._thread_runtime.executor = runtime
         return runtime
 
@@ -332,7 +341,6 @@ class S2RDFSession:
             "num_partitions": execution.num_partitions,
             "optimize_join_order": execution.optimize_join_order,
             "use_extvp": self.config.store.use_extvp,
-            "work_scale": execution.work_scale,
         }
 
     def _lay_out(self, triples: Iterable[Triple]) -> DatasetImage:
@@ -695,7 +703,9 @@ class S2RDFSession:
     # ------------------------------------------------------------------ #
     def parse(self, query_text: str) -> Query:
         """``parse_query(query_text)``, the grammar run once per query template."""
-        return self._parse(query_text)[0]
+        parsed, hit = self._templates.parse(query_text)
+        self._count_parse(hit)
+        return parsed
 
     def compile(self, query: Union[str, Query]) -> CompiledQuery:
         """The plan for ``query``, chosen once per query template and store state.
@@ -704,18 +714,10 @@ class S2RDFSession:
         cache; any other ``Query`` object is compiled from scratch.
         """
         parsed = self.parse(query) if isinstance(query, str) else query
-        return self._compile(parsed)[0]
-
-    def _parse(self, query_text: str) -> Tuple[Query, bool]:
-        parsed, hit = self._templates.parse(query_text)
-        self._count_parse(hit)
-        return parsed, hit
-
-    def _compile(self, parsed: Query) -> Tuple[CompiledQuery, Optional[bool]]:
         compiled, hit = self._templates.compile(parsed, self.compiler, self.layout.catalog)
         if hit is not None:
             self._count_compile(hit)
-        return compiled, hit
+        return compiled
 
     def _count_parse(self, hit: bool) -> None:
         self.metrics.inc(
@@ -731,7 +733,7 @@ class S2RDFSession:
 
     def query(self, query: Union[str, Query]) -> QueryResult:
         """Parse, compile and execute a SPARQL query."""
-        return self._run(query).result
+        return self._run(query)[1]
 
     def serve(self, serving: Optional["ServingConfig"] = None) -> "QueryScheduler":
         """A :class:`~repro.serve.scheduler.QueryScheduler` over this session.
@@ -753,26 +755,28 @@ class S2RDFSession:
         carries both the rendered report (``str(...)``) and the full
         :class:`~repro.core.results.QueryResult`.
         """
-        run = self._run(query, analyze=True)
-        result = run.result
+        record, result = self._run(query, analyze=True)
         executor = self.executor
-        tree = render_explain_analyze(
-            run.compiled.plan, executor.last_node_stats, executor.last_physical_plan
-        )
+        physical = executor.last_physical_plan
+        # Analyzed, the plan is annotated as it runs: the annotation holds it.
+        tree = render_explain_analyze(physical.plan, executor.last_node_stats, physical)
         phases = ", ".join(f"{name}={ms:.2f} ms" for name, ms in result.phase_ms.items())
         cached = {True: "hit", False: "miss", None: "not cached (Query object given)"}
         lines = [
             "== Physical Plan (analyzed) ==",
             tree,
             "",
-            f"Template cache: parse={cached[run.parse_hit]}, compile={cached[run.compile_hit]}",
+            f"Template cache: parse={cached[record.parse_hit]}, "
+            f"compile={cached[record.compile_hit]}",
             f"Phases: {phases}",
             f"Wall clock: {result.wall_clock_ms:.2f} ms; "
             f"simulated cluster runtime: {result.simulated_runtime_ms:.2f} ms",
         ]
         return ExplainAnalyzeResult(result=result, text="\n".join(lines))
 
-    def _run(self, query: Union[str, Query], analyze: bool = False) -> _QueryRun:
+    def _run(
+        self, query: Union[str, Query], analyze: bool = False, queue_ms: Optional[float] = None
+    ) -> Tuple[QueryRecord, QueryResult]:
         """The traced query pipeline: bind → plan → execute → render.
 
         A text is bound to its template and constants, its template's cached
@@ -781,7 +785,8 @@ class S2RDFSession:
         keeps with it.  A ``Query`` object is compiled through
         :meth:`compile` and runs without a binding.  ``analyze`` has the
         executor annotate the very tree it runs instead and record per-node
-        observations (``explain_analyze`` draws both).
+        observations (``explain_analyze`` draws both).  ``queue_ms`` is what
+        the query waited in a scheduler's admission queue.
 
         The whole pipeline holds the store lock's *read* side: concurrent
         queries proceed together, but an ``append_triples``/``compact`` on
@@ -790,53 +795,26 @@ class S2RDFSession:
         epoch.
         """
         with self._store_lock.read_locked():
-            return self._run_locked(query, analyze)
+            with self.tracer.span("query", category="query") as root:
+                record = self._evaluate(query, analyze)
+                with self.tracer.span("render", category="query"):
+                    result = self._finish(record, queue_ms)
+                root.set(rows=len(result))
+        return record, result
 
-    def _run_locked(self, query: Union[str, Query], analyze: bool = False) -> _QueryRun:
-        total_start = time.perf_counter()
-        with self.tracer.span("query", category="query") as root:
-            evaluation = self._evaluate(query, analyze)
-            relation = evaluation.root
-            with self.tracer.span("render", category="query"):
-                compiled = evaluation.compiled
-                result = QueryResult(
-                    relation=relation,
-                    # Rendered on first read: from the plan's SQL skeleton
-                    # for a text, holding neither the plan's per-BGP
-                    # compilation details nor a rebuilt plan.
-                    sql_renderer=evaluation.sql,
-                    metrics=evaluation.metrics,
-                    simulated_runtime_ms=self._simulated_ms(evaluation.metrics),
-                    wall_clock_ms=(time.perf_counter() - total_start) * 1000.0,
-                    statically_empty=compiled.statically_empty,
-                    phase_ms=evaluation.phase_ms,
-                    selected_tables=compiled.selected_tables,
-                    join_strategies=evaluation.physical.describe(),
-                    epoch=evaluation.epoch,
-                )
-            root.set(rows=len(relation))
-        self._record_query_metrics(result)
-        self._journal_query(
-            *evaluation.template(), result, evaluation.physical.root_rows, _QUEUE_WAIT_MS.get()
-        )
-        return _QueryRun(result, compiled, evaluation.parse_hit, evaluation.compile_hit)
+    def _evaluate(self, query: Union[str, Query], analyze: bool = False) -> QueryRecord:
+        """Parse, compile and execute: the pipeline up to the root, as the
+        record :meth:`_finish` makes the rest of.
 
-    def _evaluate(
-        self, query: Union[str, Query], analyze: bool = False, lower: bool = True
-    ) -> _Evaluation:
-        """Parse, compile and execute: the pipeline up to the root's rows.
-
-        ``lower=False`` leaves a root id batch undecoded (a process worker
-        replies with ids).  The caller holds the store lock's read side, or
-        is a worker, which nothing mutates under.
+        The caller holds the store lock's read side, or is a worker, which
+        nothing mutates under.
         """
         epoch = self._journal_epoch
         phase_ms: Dict[str, float] = {}
-        phase_start = time.perf_counter()
+        start = phase_start = time.perf_counter()
         with self.tracer.span("parse", category="query"):
             if isinstance(query, str):
                 source, constants, parse_hit = self._templates.lookup(query)
-                self._count_parse(parse_hit)
             else:
                 source, parse_hit = query, None
         phase_ms["parse"] = (time.perf_counter() - phase_start) * 1000.0
@@ -844,14 +822,15 @@ class S2RDFSession:
         phase_start = time.perf_counter()
         with self.tracer.span("compile", category="query"):
             if parse_hit is None:
-                compiled, compile_hit = self._compile(query)
+                compiled, compile_hit = self._templates.compile(
+                    query, self.compiler, self.layout.catalog
+                )
                 binding = None
                 sql = compiled.plan.to_sql
             else:
                 compiled, skeleton, compile_hit = self._templates.plan(
                     source, self.compiler, self.layout.catalog
                 )
-                self._count_compile(compile_hit)
                 binding = bind_terms(source, constants)
                 sql = partial(skeleton.render, binding)
         phase_ms["compile"] = (time.perf_counter() - phase_start) * 1000.0
@@ -860,32 +839,144 @@ class S2RDFSession:
         metrics = ExecutionMetrics()
         phase_start = time.perf_counter()
         with self.tracer.span("execute", category="query"):
-            root = (executor.execute if lower else executor.run)(
-                compiled.plan,
-                metrics,
-                None if analyze else compiled.physical,
-                binding,
-                analyze,
+            root = executor.run(
+                compiled.plan, metrics, None if analyze else compiled.physical, binding, analyze
             )
-        execute_ms = (time.perf_counter() - phase_start) * 1000.0
+        end = time.perf_counter()
+        execute_ms = (end - phase_start) * 1000.0
         # Obtaining the join annotation (taking the cached one, or the
         # costing pass) happens inside the executor's run; split it out so
         # the phase dict matches the span structure.
         plan_ms = min(executor.last_plan_ms, execute_ms)
         phase_ms["plan"] = plan_ms
         phase_ms["execute"] = execute_ms - plan_ms
-        return _Evaluation(
-            root,
-            compiled,
-            sql,
-            metrics,
-            phase_ms,
-            executor.last_physical_plan,
-            parse_hit,
-            compile_hit,
-            source,
-            epoch,
+        physical = executor.last_physical_plan
+        if parse_hit is None:
+            template, fingerprint = self.template_of(query)
+        else:
+            template, fingerprint = source.template, source.fingerprint
+        return QueryRecord(
+            root=root,
+            metrics=metrics,
+            phase_ms=phase_ms,
+            wall_ms=(end - start) * 1000.0,
+            statically_empty=compiled.statically_empty,
+            selected_tables=compiled.selected_tables,
+            join_strategies=physical.describe(),
+            estimated_rows=physical.root_rows,
+            sql=sql,
+            epoch=epoch,
+            template=template,
+            fingerprint=fingerprint,
+            parse_hit=parse_hit,
+            compile_hit=compile_hit,
+            join_ms=executor.last_join_ms,
         )
+
+    def _finish(
+        self,
+        record: QueryRecord,
+        queue_ms: Optional[float] = None,
+        dispatch_ms: Optional[float] = None,
+    ) -> QueryResult:
+        """The :class:`QueryResult` of an evaluated query, counted in the
+        registry and journaled.
+
+        Every query ends here: a direct one with the record its own
+        :meth:`_evaluate` made, a served one with the record a process
+        worker sent.  Lowering the root is the executor's last step, so it
+        counts into the ``execute`` phase and the wall clock.  ``queue_ms``
+        and ``dispatch_ms`` are what serving added: the wait in the admission
+        queue and the hop to a worker.
+        """
+        start = time.perf_counter()
+        relation = self._lower(record.root)
+        lower_ms = (time.perf_counter() - start) * 1000.0
+        phase_ms = dict(record.phase_ms)
+        phase_ms["execute"] += lower_ms
+        metrics = record.metrics
+        sql = record.sql
+        result = QueryResult(
+            relation=relation,
+            metrics=metrics,
+            simulated_runtime_ms=self._simulated_ms(metrics),
+            wall_clock_ms=record.wall_ms + lower_ms,
+            statically_empty=record.statically_empty,
+            phase_ms=phase_ms,
+            selected_tables=record.selected_tables,
+            join_strategies=record.join_strategies,
+            epoch=record.epoch,
+            # Rendered on first read, holding neither the plan's per-BGP
+            # compilation details nor a rebuilt plan; a worker sends the text.
+            sql_renderer=None if isinstance(sql, str) else sql,
+        )
+        if isinstance(sql, str):
+            result.sql = sql
+
+        registry = self.metrics
+        registry.inc("s2rdf_queries_total", help="Queries executed by this session")
+        registry.inc("s2rdf_input_tuples_total", metrics.input_tuples)
+        registry.inc("s2rdf_output_tuples_total", metrics.output_tuples)
+        registry.observe("s2rdf_query_wall_ms", result.wall_clock_ms)
+        segments = metrics.store_segments_scanned + metrics.store_segments_pruned
+        if segments:
+            registry.observe(
+                "s2rdf_segment_prune_ratio",
+                metrics.store_segments_pruned / segments,
+                help="Fraction of store segments skipped by pruning, per query",
+            )
+        if record.parse_hit is not None:
+            self._count_parse(record.parse_hit)
+        if record.compile_hit is not None:
+            self._count_compile(record.compile_hit)
+        if record.join_ms:
+            registry.observe_all("s2rdf_join_critical_path_ms", record.join_ms)
+
+        journal = self.journal
+        if journal is not None:
+            estimated = None if record.estimated_rows == UNKNOWN_ROWS else record.estimated_rows
+            rows = len(relation)
+            journal.append(
+                JournalRecord(
+                    fingerprint=record.fingerprint,
+                    template=record.template,
+                    # The epoch the query actually read (captured at pipeline
+                    # start under the read lock), not whatever the store
+                    # advanced to by the time this record is written.
+                    epoch=record.epoch,
+                    queue_ms=queue_ms,
+                    dispatch_ms=dispatch_ms,
+                    rows=rows,
+                    wall_ms=result.wall_clock_ms,
+                    phase_ms=dict(phase_ms),
+                    scanned_tables=dict(metrics.scanned_tables),
+                    estimated_rows=estimated,
+                    estimate_q_error=q_error(estimated, rows),
+                    segments_scanned=metrics.store_segments_scanned,
+                    segments_pruned=metrics.store_segments_pruned,
+                    statically_empty=record.statically_empty,
+                )
+            )
+        return result
+
+    def _lower(self, root: Union[ColumnBatch, Relation, Tuple]) -> Relation:
+        """The root's rows: an id batch decoded through its own dictionary, or
+        one a worker sent through this session's and the lines sent with it."""
+        if isinstance(root, Relation):
+            return root
+        if isinstance(root, ColumnBatch):
+            return root.to_relation()
+        columns, ids, lines = root
+        dictionary = self._dataset.dictionary
+        decode = dictionary.decode
+        if lines:
+            shipped = {term_id: decode_term_line(line) for term_id, line in lines.items()}
+
+            def decode(term_id: int) -> Any:
+                term = shipped.get(term_id)
+                return dictionary.decode(term_id) if term is None else term
+
+        return ColumnBatch.adopt(columns, ids, decode).to_relation()
 
     def _simulated_ms(self, metrics: ExecutionMetrics) -> float:
         """The simulated cluster runtime of a query that counted ``metrics``."""
@@ -904,64 +995,6 @@ class S2RDFSession:
             return binding.template.template, binding.template.fingerprint
         template = template_text(parsed)
         return template, fingerprint_text(template)
-
-    def _journal_query(
-        self,
-        template: str,
-        fingerprint: str,
-        result: QueryResult,
-        root_estimate: int,
-        queue_ms: Optional[float],
-        dispatch_ms: Optional[float] = None,
-    ) -> None:
-        """Append one workload-journal record for an executed query.
-
-        The q-error compares ``root_estimate`` (the join annotation's) with
-        the rows.  ``dispatch_ms`` is the hop of a process-served query.
-        """
-        journal = self.journal
-        if journal is None:
-            return
-        metrics = result.metrics
-        estimated = None if root_estimate == UNKNOWN_ROWS else root_estimate
-        rows = len(result.relation)
-        journal.append(
-            JournalRecord(
-                fingerprint=fingerprint,
-                template=template,
-                # The epoch the query actually read (captured at pipeline
-                # start under the read lock), not whatever the store advanced
-                # to by the time this record is written.
-                epoch=result.epoch,
-                queue_ms=queue_ms,
-                dispatch_ms=dispatch_ms,
-                rows=rows,
-                wall_ms=result.wall_clock_ms,
-                phase_ms=dict(result.phase_ms),
-                scanned_tables=dict(metrics.scanned_tables),
-                estimated_rows=estimated,
-                estimate_q_error=q_error(estimated, rows),
-                segments_scanned=metrics.store_segments_scanned,
-                segments_pruned=metrics.store_segments_pruned,
-                statically_empty=result.statically_empty,
-            )
-        )
-
-    def _record_query_metrics(self, result: QueryResult) -> None:
-        """Fold one query's execution metrics into the session registry."""
-        metrics = result.metrics
-        registry = self.metrics
-        registry.inc("s2rdf_queries_total", help="Queries executed by this session")
-        registry.inc("s2rdf_input_tuples_total", metrics.input_tuples)
-        registry.inc("s2rdf_output_tuples_total", metrics.output_tuples)
-        registry.observe("s2rdf_query_wall_ms", result.wall_clock_ms)
-        segments = metrics.store_segments_scanned + metrics.store_segments_pruned
-        if segments:
-            registry.observe(
-                "s2rdf_segment_prune_ratio",
-                metrics.store_segments_pruned / segments,
-                help="Fraction of store segments skipped by pruning, per query",
-            )
 
     # ------------------------------------------------------------------ #
     # Lifecycle

@@ -5,7 +5,9 @@ subquery: variables rename the physical columns to variable names (so the
 surrounding joins are natural joins on variable names) and bound subject /
 object values become equality conditions.  A bound predicate is already
 implied by the chosen VP/ExtVP table; for the triples table it becomes an
-additional condition on the ``p`` column.
+additional condition on the ``p`` column.  A pattern without a variable
+projects no column: it holds (one empty solution) or not (none), and joins
+as a cross product.
 """
 
 from __future__ import annotations
@@ -34,12 +36,6 @@ def triple_pattern_to_subquery(pattern: TriplePattern, choice: TableChoice) -> S
         handle("p", pattern.predicate)
     # For VP/ExtVP tables a bound predicate is implied by the table itself.
     handle("o", pattern.object)
-
-    if not projections:
-        # All positions bound: project a constant-free existence check on the
-        # subject column so the node still has a schema.
-        projections.append(("s", "__exists"))
-
     return SubqueryNode(
         table_name=choice.table_name,
         projections=tuple(projections),

@@ -422,7 +422,7 @@ class SparkSqlRenderer(OperationVisitor):
 
     def visit_subquery(self, node: SubqueryNode, indent: int = 0) -> str:
         select_list = ", ".join(f"{column} AS {alias}" for column, alias in node.projections)
-        sql = f"SELECT {select_list} FROM {node.table_name}"
+        sql = f"SELECT {select_list or 1} FROM {node.table_name}"
         if node.conditions:
             rendered = " AND ".join(
                 f"{column} = {self.constant(value, indent)}" for column, value in node.conditions

@@ -44,7 +44,6 @@ from repro.engine.relation import Relation
 from repro.engine.storage import NULL_ID
 from repro.engine.strategies import PhysicalPlan, plan_join_strategies
 from repro.engine.vectorized import ColumnBatch
-from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.rdf.terms import Term
 
@@ -92,25 +91,19 @@ class PlanExecutor(OperationVisitor):
     an executor serves one thread.
     """
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        tracer: Optional[Tracer] = None,
-        metrics_registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, catalog: Catalog, tracer: Optional[Tracer] = None) -> None:
         self.catalog = catalog
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.registry = metrics_registry
         #: Per-node observations of the most recently executed plan.
         self.last_node_stats: Dict[int, NodeExecution] = {}
         #: Spark's join strategies for the most recently executed plan.
         self.last_physical_plan: Optional[PhysicalPlan] = None
         #: Milliseconds the last execute() spent choosing them.
         self.last_plan_ms: float = 0.0
+        #: Milliseconds each join of the most recently executed plan took.
+        self.last_join_ms: List[float] = []
         #: Whether the running plan records per-node observations.
         self._observing = False
-        #: The running plan's join times, handed to the registry at its end.
-        self._join_ms: List[float] = []
 
     def execute(
         self,
@@ -142,8 +135,10 @@ class PlanExecutor(OperationVisitor):
         """:meth:`execute` without its last step: the root as it came out —
         an id :class:`ColumnBatch` above stored tables, or rows.
 
-        A process worker replies with the ids; its caller lowers them through
-        its own dictionary (``ColumnBatch.to_relation``, as here).
+        The session runs queries this way and lowers the root when it
+        finishes one; a process worker's ids are lowered by the process that
+        asked, through its own dictionary (``ColumnBatch.to_relation``, as
+        here).
         """
         metrics = metrics if metrics is not None else ExecutionMetrics()
         start = time.perf_counter()
@@ -156,12 +151,8 @@ class PlanExecutor(OperationVisitor):
         self.last_plan_ms = (time.perf_counter() - start) * 1000.0
         self.last_node_stats = {}
         self._observing = analyze or self.tracer.enabled
-        join_ms = self._join_ms = []
-        try:
-            result = self._execute(plan, metrics, binding)
-        finally:
-            if join_ms and self.registry is not None:
-                self.registry.observe_all("s2rdf_join_critical_path_ms", join_ms)
+        self.last_join_ms = []
+        result = self._execute(plan, metrics, binding)
         metrics.output_tuples = len(result)
         return result
 
@@ -242,11 +233,16 @@ class PlanExecutor(OperationVisitor):
     ) -> ColumnBatch:
         columns = [column for column, _ in plan.projections]
         conditions = self._conditions(plan, binding)
-        scan = self.catalog.scan_batch(plan.table_name, columns=columns, conditions=conditions)
+        # A pattern without a variable keeps only its row count: scan one column.
+        scan = self.catalog.scan_batch(
+            plan.table_name, columns=columns or ["s"], conditions=conditions
+        )
         self._record_scan(plan.table_name, scan, metrics)
+        batch = scan.batch
+        if not columns:
+            return batch.project(())
         # The store scanned exactly ``columns``, in order: the subquery's
         # projection and rename are one relabelling of those id columns.
-        batch = scan.batch
         return ColumnBatch.adopt(
             plan.output_columns(), batch.ids, batch.decode, selection=batch.selection
         )
@@ -406,4 +402,4 @@ class PlanExecutor(OperationVisitor):
     def _record_join_time(self, start: float, metrics: ExecutionMetrics) -> None:
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         metrics.record_critical_path(elapsed_ms)
-        self._join_ms.append(elapsed_ms)
+        self.last_join_ms.append(elapsed_ms)

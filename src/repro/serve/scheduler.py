@@ -22,14 +22,17 @@ Thread mode executes queries on the shared session (its per-thread executors
 make that safe).  Process mode ships whole queries to the dataset's
 :class:`~repro.serve.workers.PartitionWorkerPool`: the dispatcher thread
 itself blocks on a worker's pipe.  Only the query text, an epoch and the
-length of the session's term dictionary go out; the worker replies in ids
-(:class:`~repro.serve.workers.QueryReply`), and the dispatcher builds the
-:class:`~repro.core.results.QueryResult` in the parent — lowering the ids
-through the session's own dictionary — then counts it in the session's
-metrics registry and journals it, so the dataset keeps one workload journal
-and one registry whichever mode served.  A worker that dies fails the one
-request it held (:class:`~repro.serve.workers.WorkerDiedError` through the
-handle) and is respawned; the dispatcher carries on.
+length of the session's term dictionary go out; the worker sends back the
+query's :class:`~repro.core.session.QueryRecord` with its root in ids.
+Either way the session finishes the query in one place
+(:meth:`~repro.core.session.S2RDFSession._finish`): it lowers the root
+through its own dictionary, builds the
+:class:`~repro.core.results.QueryResult`, counts it in the session's
+registry and journals it with the queue wait (and the hop) the dispatcher
+hands in — one workload journal and one registry, the same counts whichever
+mode served.  A worker that dies fails the one request it held
+(:class:`~repro.serve.workers.WorkerDiedError` through the handle) and is
+respawned; the dispatcher carries on.
 """
 
 from __future__ import annotations
@@ -41,9 +44,10 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import ServingConfig
-from repro.core.session import _QUEUE_WAIT_MS, S2RDFSession
+from repro.core.session import S2RDFSession
 from repro.core.results import QueryResult
 from repro.engine.strategies import estimated_bytes, fits_broadcast
+from repro.serve.workers import WorkerDiedError
 
 
 #: Completed dispatches :meth:`QueryScheduler.stats` keeps for its percentiles.
@@ -245,36 +249,21 @@ class QueryScheduler:
             handle._complete(result, error)
 
     def _execute(self, handle: QueryHandle) -> QueryResult:
-        pool = self.session._process_pool()
-        if pool is None:
-            # Thread mode: run on the shared session; the contextvar carries
-            # the queue wait into the session's journal record.
-            token = _QUEUE_WAIT_MS.set(handle.queue_ms)
-            try:
-                return self.session.query(handle.query_text)
-            finally:
-                _QUEUE_WAIT_MS.reset(token)
-        return self._execute_remote(pool, handle)
-
-    def _execute_remote(self, pool, handle: QueryHandle) -> QueryResult:
-        """Process mode: ship the whole query to a worker, build its result here."""
         session = self.session
-        # One snapshot: the dictionary holds every id of the epoch (it only
-        # grows), and ids of a newer one come with their lines.
+        pool = session._process_pool()
+        if pool is None:
+            return session._run(handle.query_text, queue_ms=handle.queue_ms)[1]
+        # Process mode.  One snapshot: the dictionary holds every id of the
+        # epoch (it only grows), and ids of a newer one come with their lines.
         with session._store_lock.read_locked():
-            epoch, dictionary = session._journal_epoch, session._dataset.dictionary
-        reply, handle.dispatch_ms = pool.query_reply(handle.query_text, epoch, len(dictionary))
-        result = reply.result(dictionary, session._simulated_ms)
-        session._record_query_metrics(result)
-        session._journal_query(
-            reply.template,
-            reply.fingerprint,
-            result,
-            reply.estimated_rows,
-            handle.queue_ms,
-            handle.dispatch_ms,
-        )
-        return result
+            epoch, known = session._journal_epoch, len(session._dataset.dictionary)
+        record, _, _, handle.dispatch_ms = pool.query_reply(handle.query_text, epoch, known)
+        with session._store_lock.read_locked():
+            if session._worker_pool is not pool:
+                # Closed since: by a save, which lays the store out anew
+                # under other ids, or by close().
+                raise WorkerDiedError("the worker pool that answered was closed")
+            return session._finish(record, handle.queue_ms, handle.dispatch_ms)
 
     def _prewarm_if_stale(self) -> None:
         epoch = self.session._journal_epoch

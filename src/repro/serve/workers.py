@@ -11,15 +11,17 @@ between.  Two task kinds:
 * **query** — parse/compile/execute one whole SPARQL query on the worker's own
   read-only session (inter-query parallelism: what scales QPS with clients).
   The text, an epoch and the length of the caller's term dictionary go one
-  way; a :class:`QueryReply` comes back with only what the caller cannot
-  derive itself: the root's *id* columns (plus the dictionary line of any id
-  at or beyond that length — normally none), the counters, phase times, root
-  estimate, selected tables, join strategies and SQL text (filled into the
-  plan's cached skeleton), the template and fingerprint, the executed epoch,
-  the worker's pid and its task time.  The caller builds the
-  :class:`~repro.core.results.QueryResult`, lowering the ids through its own
-  dictionary (:meth:`QueryReply.result`): no term is pickled either way, and
-  no plan is rebuilt to render its SQL.
+  way; the query's :class:`~repro.core.session.QueryRecord` comes back, the
+  one a direct query makes, with its root in wire form — the *id* columns
+  plus the dictionary line of any id at or beyond that length (normally
+  none), or rows — and its SQL text filled into the plan's cached skeleton.
+  The worker's pid and its task time travel beside it.  The caller finishes
+  the query as it finishes a direct one
+  (:meth:`~repro.core.session.S2RDFSession._finish`): it lowers the ids
+  through its own dictionary, builds the
+  :class:`~repro.core.results.QueryResult`, counts it and journals it.  No
+  term is pickled either way, no plan is rebuilt to render its SQL, and the
+  worker's own registry counts nothing.
 * **scan** — read tables' id columns inside the worker, warming its segment
   caches (the scheduler pre-warms broadcast-sized tables with these).
 
@@ -44,14 +46,12 @@ import pickle
 import queue
 import threading
 import time
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.results import QueryResult
-from repro.engine.cluster import SparkCostModel
-from repro.engine.metrics import ExecutionMetrics
 from repro.engine.relation import Relation
-from repro.engine.vectorized import ColumnBatch
-from repro.store.format import StoredTermDictionary, decode_term_line
+
+if TYPE_CHECKING:
+    from repro.core.session import QueryRecord
 
 #: Default worker count: enough to matter, small enough for CI machines.
 DEFAULT_WORKER_PROCESSES = max(1, min(8, (os.cpu_count() or 2)))
@@ -78,86 +78,11 @@ class WorkerDiedError(RuntimeError):
 def pack_input(relation: Relation) -> Tuple[str, Any]:
     """The plain picklable form of a relation.
 
-    No task ships one (workers reply in ids, see :class:`QueryReply`); the
-    repo benchmark's ``serve.result_pickle_bytes_per_query`` probe
+    No task ships one (workers reply in ids); the repo benchmark's
+    ``serve.result_pickle_bytes_per_query`` probe
     (``benchmarks/suite/layers.py``) sizes query results with it.
     """
     return ("relation", (relation.columns, relation.rows))
-
-
-class QueryReply(NamedTuple):
-    """A worker's answer to one query: what its caller cannot derive itself."""
-
-    columns: Tuple[str, ...]
-    #: The root's id columns (its selection applied), or ``None`` when an
-    #: operator without an id kernel ended the plan and ``rows`` holds terms.
-    ids: Optional[Tuple[List[int], ...]]
-    rows: Optional[List[Tuple[Any, ...]]]
-    #: id -> dictionary line of every result id at or beyond the dictionary
-    #: length the task named: the terms the caller does not hold yet (the
-    #: worker ran at a newer epoch).  Normally empty.
-    lines: Dict[int, str]
-    metrics: ExecutionMetrics
-    phase_ms: Dict[str, float]
-    #: Worker milliseconds from parse to this reply.
-    wall_ms: float
-    statically_empty: bool
-    selected_tables: List[str]
-    join_strategies: List[str]
-    #: The join annotation's estimate of the root's rows (for the q-error).
-    estimated_rows: int
-    sql: str
-    epoch: Optional[int]
-    template: str
-    fingerprint: str
-    pid: int
-    #: Worker milliseconds from the task's arrival to this reply.
-    task_ms: float
-
-    def relation(self, dictionary: StoredTermDictionary) -> Relation:
-        """The root's rows, its ids lowered through ``dictionary`` (and the
-        shipped lines) by the memo the direct path lowers with."""
-        if self.ids is None:
-            return Relation.adopt(self.columns, self.rows)
-        decode = dictionary.decode
-        if self.lines:
-            shipped = {term_id: decode_term_line(line) for term_id, line in self.lines.items()}
-
-            def decode(term_id: int) -> Any:
-                term = shipped.get(term_id)
-                return dictionary.decode(term_id) if term is None else term
-
-        return ColumnBatch.adopt(self.columns, self.ids, decode).to_relation()
-
-    def result(
-        self,
-        dictionary: StoredTermDictionary,
-        simulate: Callable[[ExecutionMetrics], float],
-    ) -> QueryResult:
-        """The :class:`QueryResult` this reply stands for.
-
-        Lowering the ids here is the executor's last step, so it counts into
-        the ``execute`` phase and the wall clock.  ``simulate`` gives the
-        simulated cluster runtime of the counters.
-        """
-        start = time.perf_counter()
-        relation = self.relation(dictionary)
-        lower_ms = (time.perf_counter() - start) * 1000.0
-        phase_ms = dict(self.phase_ms)
-        phase_ms["execute"] += lower_ms
-        result = QueryResult(
-            relation=relation,
-            metrics=self.metrics,
-            simulated_runtime_ms=simulate(self.metrics),
-            wall_clock_ms=self.wall_ms + lower_ms,
-            statically_empty=self.statically_empty,
-            phase_ms=phase_ms,
-            selected_tables=self.selected_tables,
-            join_strategies=self.join_strategies,
-            epoch=self.epoch,
-        )
-        result.sql = self.sql  # rendered by the worker
-        return result
 
 
 # Worker side: session state, the two tasks and the message loop.
@@ -217,60 +142,16 @@ def _run_scan_task(task: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def _run_query_task(task: Dict[str, Any]) -> QueryReply:
-    """Execute one whole SPARQL query on the worker's read-only session."""
+def _run_query_task(task: Dict[str, Any]) -> Tuple["QueryRecord", int, float]:
+    """Execute one whole SPARQL query on the worker's read-only session.
+
+    Returns the query's record in wire form, this worker's pid and its task
+    time (the round trip the caller saw minus this is what the hop cost).
+    """
     begin = time.perf_counter()
     session = _worker_session(task.get("epoch"))
-    start = time.perf_counter()
-    evaluation = session._evaluate(task["query"], lower=False)
-    root = evaluation.root
-    ids = rows = None
-    lines: Dict[int, str] = {}
-    if isinstance(root, ColumnBatch) and root.columns:
-        ids = root.gather().ids
-        lines = _unknown_lines(session._dataset.dictionary, ids, task["terms"])
-    else:  # rows, or a batch without columns: a row count
-        rows = (root.to_relation() if isinstance(root, ColumnBatch) else root).rows
-    compiled, physical = evaluation.compiled, evaluation.physical
-    # The parent journals the query: its template and fingerprint are the
-    # worker session's cached template's, rendered once per template.
-    template, fingerprint = evaluation.template()
-    sql = evaluation.sql()
-    end = time.perf_counter()
-    return QueryReply(
-        columns=root.columns,
-        ids=ids,
-        rows=rows,
-        lines=lines,
-        metrics=evaluation.metrics,
-        phase_ms=evaluation.phase_ms,
-        wall_ms=(end - start) * 1000.0,
-        statically_empty=compiled.statically_empty,
-        selected_tables=compiled.selected_tables,
-        join_strategies=physical.describe(),
-        estimated_rows=physical.root_rows,
-        sql=sql,
-        epoch=evaluation.epoch,
-        template=template,
-        fingerprint=fingerprint,
-        pid=os.getpid(),
-        # The round trip the caller saw minus this is what the hop cost.
-        task_ms=(end - begin) * 1000.0,
-    )
-
-
-def _unknown_lines(
-    dictionary: StoredTermDictionary, ids: Sequence[List[int]], known: int
-) -> Dict[int, str]:
-    """The dictionary lines of the ids in ``ids`` at or beyond ``known``."""
-    if not any(column and max(column) >= known for column in ids):
-        return {}
-    return {
-        term_id: dictionary.line(term_id)
-        for column in ids
-        for term_id in column
-        if term_id >= known
-    }
+    record = session._evaluate(task["query"]).to_wire(session._dataset.dictionary, task["terms"])
+    return record, os.getpid(), (time.perf_counter() - begin) * 1000.0
 
 
 _TASKS = {"query": _run_query_task, "scan": _run_scan_task}
@@ -477,41 +358,17 @@ class PartitionWorkerPool:
 
     def query_reply(
         self, query_text: str, epoch: Optional[int], known_terms: int
-    ) -> Tuple[QueryReply, float]:
-        """Execute one whole query on a worker; the reply and the hop's cost.
+    ) -> Tuple["QueryRecord", int, float, float]:
+        """Execute one whole query on a worker.
 
-        ``known_terms`` is the length of the caller's term dictionary: the
-        reply carries the line of every result id at or beyond it.  The hop
-        (``dispatch_ms``) is the round trip seen here minus the worker's task
-        time — send, wake-up, pickling both ways, receive.  The wait for an
-        idle worker is in neither.
+        Returns the query's record (see :func:`_run_query_task`), the
+        worker's pid, its task time and what the hop cost.  ``known_terms``
+        is the length of the caller's term dictionary: the record carries the
+        line of every result id at or beyond it.  The hop (``dispatch_ms``)
+        is the round trip seen here minus the worker's task time — send,
+        wake-up, pickling both ways, receive.  The wait for an idle worker is
+        in neither.
         """
         task = {"query": query_text, "epoch": epoch, "terms": known_terms}
-        (reply,), elapsed_ms = self._run(1, "query", task)
-        return reply, elapsed_ms - reply.task_ms
-
-    def run_query(self, query_text: str, epoch: Optional[int] = None) -> Dict[str, Any]:
-        """Execute one whole query on a worker, for a caller without a dictionary.
-
-        Returns ``result`` (the :class:`~repro.core.results.QueryResult`,
-        lowered from the lines of all its ids), ``template``,
-        ``fingerprint``, ``epoch``, ``pid``, ``task_ms`` and ``dispatch_ms``
-        (see :meth:`query_reply`).  The simulated runtime is the default
-        cost model's, as a worker session's.
-        """
-        reply, dispatch_ms = self.query_reply(query_text, epoch, 0)
-        scale = self.session_knobs.get("work_scale", 1.0)
-        cost_model = SparkCostModel()
-
-        def simulate(metrics: ExecutionMetrics) -> float:
-            return cost_model.runtime_ms(metrics.scaled(scale))
-
-        return {
-            "result": reply.result(StoredTermDictionary([]), simulate),
-            "template": reply.template,
-            "fingerprint": reply.fingerprint,
-            "epoch": reply.epoch,
-            "pid": reply.pid,
-            "task_ms": reply.task_ms,
-            "dispatch_ms": dispatch_ms,
-        }
+        ((record, pid, task_ms),), elapsed_ms = self._run(1, "query", task)
+        return record, pid, task_ms, elapsed_ms - task_ms

@@ -120,15 +120,16 @@ def test_a_result_served_by_a_process_worker_shows_its_own_constants(tmp_path):
         saver.save_dataset(path)
     first, second = TWO_HOPS.format(5), TWO_HOPS.format(7)
     with S2RDFSession.open_dataset(path, journal_enabled=False) as session:
+        epoch, known = session._journal_epoch, len(session._dataset.dictionary)
         with PartitionWorkerPool(dataset_path=path, num_workers=1) as pool:
             # One worker: the second text is a hit on the template the first cached.
-            pool.run_query(first, epoch=session._journal_epoch)
-            outcome = pool.run_query(second, epoch=session._journal_epoch)
-        result = outcome["result"]  # pickled by the worker, SQL rendered there
+            pool.query_reply(first, epoch, known)
+            record, *_ = pool.query_reply(second, epoch, known)
+        result = session._finish(record)  # pickled by the worker, SQL rendered there
         assert result.sql == uncached_sql(session, second)
         assert "'<u7>'" in result.sql and "'<u5>'" not in result.sql
         assert bag(result) == bag(session.query(parse_query(second)))
-        assert (outcome["template"], outcome["fingerprint"]) == session.template_of(
+        assert (record.template, record.fingerprint) == session.template_of(
             parse_query(second)
         )
 
@@ -326,8 +327,8 @@ def test_an_untraced_query_records_no_node_executions():
 def test_explain_analyze_of_a_hit_observes_every_node():
     with S2RDFSession.from_graph(users_graph()) as session:
         session.query(JOIN_QUERY.format(1))
-        run = session._run(JOIN_QUERY.format(2), analyze=True)
-        nodes = list(run.compiled.plan.walk())
+        run, _ = session._run(JOIN_QUERY.format(2), analyze=True)
+        nodes = list(session.executor.last_physical_plan.plan.walk())
         assert run.parse_hit and run.compile_hit
         stats = session.executor.last_node_stats
         assert set(stats) == {id(node) for node in nodes}
@@ -341,9 +342,9 @@ def test_a_traced_hit_has_one_operator_span_and_one_node_execution_per_node():
     with S2RDFSession.from_graph(users_graph(), tracing_enabled=True) as session:
         session.query(JOIN_QUERY.format(1))
         first_spans = len(session.tracer.finished_spans())
-        run = session._run(JOIN_QUERY.format(2))
+        run, _ = session._run(JOIN_QUERY.format(2))
         assert run.parse_hit and run.compile_hit
-        nodes = list(run.compiled.plan.walk())
+        nodes = list(session.executor.last_physical_plan.plan.walk())
         spans = session.tracer.finished_spans()[first_spans:]
         operators = [span for span in spans if span.category == "operator"]
         assert len(operators) == len(nodes)

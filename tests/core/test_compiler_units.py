@@ -123,7 +123,8 @@ class TestTP2SQL:
         choice = selector.select(pattern, [pattern])
         node = triple_pattern_to_subquery(pattern, choice)
         assert node.conditions == (("s", IRI("A")), ("o", IRI("I1")))
-        assert node.projections  # keeps a schema
+        # No column: nothing to join on, nothing to show, only a row count.
+        assert node.projections == () and node.output_columns() == ()
 
 
 class TestBGP2SQL:

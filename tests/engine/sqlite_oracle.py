@@ -344,7 +344,7 @@ class _SqliteLowering(OperationVisitor):
         select = ", ".join(
             f"{_quote(column)} AS {_quote(alias)}" for column, alias in node.projections
         )
-        sql = f"SELECT {select} FROM {_quote(node.table_name)}"
+        sql = f"SELECT {select or 'NULL'} FROM {_quote(node.table_name)}"
         params: List[Any] = []
         if node.conditions:
             predicates = []
@@ -372,7 +372,7 @@ class _SqliteLowering(OperationVisitor):
         on = " AND ".join(f"l.{_quote(c)} IS r.{_quote(c)}" for c in shared) or "1"
         columns = left.columns + tuple(c for c in right.columns if c not in shared)
         sql = (
-            f"SELECT {', '.join(select)} FROM ({left.sql}) AS l "
+            f"SELECT {', '.join(select) or 'NULL'} FROM ({left.sql}) AS l "
             f"{keyword} ({right.sql}) AS r ON {on}"
         )
         fragment = _Fragment(sql, left.params + right.params, columns)

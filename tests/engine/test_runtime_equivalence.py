@@ -233,6 +233,7 @@ class RandomQueryGenerator:
         objects = sorted(graph.objects(), key=lambda t: t.n3())
         self.subject_terms = [t.n3() for t in subjects]
         self.object_terms = [t.n3() for t in objects]
+        self.triples = sorted((t.subject.n3(), t.predicate.n3(), t.object.n3()) for t in graph)
 
     def _slot_constant(self, terms) -> str:
         return terms[(self.rng.randrange(len(terms)) + self.redraw) % len(terms)]
@@ -320,6 +321,22 @@ class RandomQueryGenerator:
     def bgp_query(self) -> str:
         """A plain ``SELECT *`` BGP: the shape the independent oracle answers."""
         patterns, _, _ = self._bgp(self.rng.randint(2, 4))
+        return "SELECT * WHERE {\n  " + "\n  ".join(patterns) + "\n}"
+
+    def ground_query(self, rng: random.Random) -> str:
+        """A plain BGP holding a pattern without a variable — half the time
+        a triple of the graph, otherwise one it lacks — alone or beside a
+        pattern with variables.  Drawn from ``rng``, not from the
+        generator's own stream, which the other queries keep to themselves."""
+        subject, predicate, object_ = rng.choice(self.triples)
+        if rng.random() < 0.5:
+            held = set(self.triples)
+            object_ = rng.choice(
+                [term for term in self.object_terms if (subject, predicate, term) not in held]
+            )
+        patterns = [f"{subject} {predicate} {object_} ."]
+        if rng.random() < 0.5:
+            patterns.insert(rng.randrange(2), f"?v0 {rng.choice(self.predicates)} ?v1 .")
         return "SELECT * WHERE {\n  " + "\n  ".join(patterns) + "\n}"
 
     def query(self) -> str:
@@ -410,13 +427,17 @@ def test_differential_equivalence_across_execution_modes(differential_setup, see
     """Row oracle, in-memory and stored native (direct and served), the
     sqlite oracle (over both catalogs) and served process-worker execution
     must agree on the bag of rows for every generated query; plain BGPs must
-    also agree with the graph oracle."""
+    also agree with the graph oracle.  One query per seed holds a pattern
+    without a variable, which must neither join nor show as a column."""
     row_oracle, warm, graph, stored, sqlite_executor, stored_sql, served, served_proc = (
         differential_setup
     )
     generator = RandomQueryGenerator(_graph_view(row_oracle), seed)
-    # Six random shapes, then one plain BGP so the oracle never sits a seed out.
-    for query_text in [generator.query() for _ in range(6)] + [generator.bgp_query()]:
+    # Six random shapes, then one plain BGP so the oracle never sits a seed
+    # out, then one holding a pattern without a variable.
+    texts = [generator.query() for _ in range(6)] + [generator.bgp_query()]
+    texts.append(generator.ground_query(random.Random(f"ground {seed}")))
+    for query_text in texts:
         compiled = warm.compile(query_text)
         reference = row_oracle.execute(compiled.plan, ExecutionMetrics())
         sql_result = sqlite_executor.execute(compiled.plan, ExecutionMetrics())

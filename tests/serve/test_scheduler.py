@@ -8,9 +8,12 @@ import time
 import pytest
 
 import repro
+from repro.baselines.base import SparqlEngine
+from repro.baselines.binding_iteration import index_nested_loop_execute
 from repro.core.config import ServingConfig
 from repro.serve import scheduler as scheduler_module
 from repro.serve.scheduler import AdmissionError, QueryScheduler
+from repro.sparql import parse_query
 
 
 Q_BLOCK = "SELECT * WHERE { ?x <follows> ?y }"
@@ -26,19 +29,20 @@ def session(example_graph):
 
 
 class GatedQuery:
-    """Wrap session.query: record execution order, block on Q_BLOCK."""
+    """Wrap session._run (where the scheduler's thread mode runs a query):
+    record execution order, block on Q_BLOCK."""
 
     def __init__(self, session):
         self.gate = threading.Event()
         self.order = []
-        self._original = session.query
-        session.query = self  # instance attribute shadows the bound method
+        self._original = session._run
+        session._run = self  # instance attribute shadows the bound method
 
-    def __call__(self, query_text):
+    def __call__(self, query_text, *args, **kwargs):
         self.order.append(query_text)
         if query_text == Q_BLOCK:
             assert self.gate.wait(timeout=30)
-        return self._original(query_text)
+        return self._original(query_text, *args, **kwargs)
 
     def wait_for_block(self):
         deadline = time.monotonic() + 30
@@ -251,16 +255,20 @@ def test_dispatch_ms_is_journaled_for_process_workers_only(session, tmp_path):
     assert "dispatch_ms" not in session.journal.records()[-1].to_json_line()
 
 
-#: Joins, a constant, an aggregate (rows at the root, not ids), ORDER BY, no
-#: variables at all, and a predicate the store does not hold.
+#: Joins, a constant (and Q_HIGH's template again, with another: a template
+#: cache hit), an aggregate (rows at the root, not ids), ORDER BY, no
+#: variables at all (one pattern, and two that must not join on anything),
+#: and a predicate the store does not hold.
 PARITY_QUERIES = [
     Q_BLOCK,
     Q_LOW,
     Q_HIGH,
+    "SELECT ?y WHERE { <B> <follows> ?y }",
     "SELECT * WHERE { ?x <follows> ?y . ?y <likes> ?w }",
     "SELECT (COUNT(*) AS ?n) WHERE { ?x <follows> ?y }",
     "SELECT ?x WHERE { ?x <likes> <I2> } ORDER BY DESC(?x)",
     "SELECT * WHERE { <A> <follows> <B> }",
+    "SELECT * WHERE { <A> <follows> <B> . <B> <follows> <C> }",
     "SELECT * WHERE { <A> <unknown> ?y }",
 ]
 
@@ -277,9 +285,11 @@ def served_in(path, mode):
 
 
 def test_process_serving_counts_and_journals_as_thread_serving(session, tmp_path):
-    """The worker's counters reach the parent's registry and journal: both
-    modes count the same queries and tuples, and write the same records but
-    for what a clock decides (``estimated_rows`` and its q-error included)."""
+    """The worker's record reaches the parent's registry and journal: both
+    modes make the same registry updates (every counter's value, every
+    histogram's count, the template and plan caches' and the join times'
+    included), and write the same records but for what a clock decides
+    (``estimated_rows`` and its q-error included)."""
     import dataclasses
 
     path = str(tmp_path / "dataset")
@@ -296,16 +306,18 @@ def test_process_serving_counts_and_journals_as_thread_serving(session, tmp_path
         assert process_result.metrics.input_tuples == thread_result.metrics.input_tuples
 
     def counted(snapshot):
-        counters, histograms = snapshot["counters"], snapshot["histograms"]
-        return (
-            counters["s2rdf_queries_total"],
-            counters["s2rdf_input_tuples_total"],
-            counters["s2rdf_output_tuples_total"],
-            histograms["s2rdf_query_wall_ms"]["count"],
-        )
+        """Every counter's value and every histogram's count: no name is exempt."""
+        histograms = snapshot["histograms"]
+        return snapshot["counters"], {name: histograms[name]["count"] for name in histograms}
 
     assert counted(process_snapshot) == counted(thread_snapshot)
-    assert counted(thread_snapshot)[0] == len(PARITY_QUERIES)
+    counters, histograms = counted(thread_snapshot)
+    assert counters["s2rdf_queries_total"] == len(PARITY_QUERIES)
+    for name in ("s2rdf_template_cache_hits_total", "s2rdf_plan_cache_hits_total"):
+        assert counters[name] == 1, name
+    for name in ("s2rdf_template_cache_misses_total", "s2rdf_plan_cache_misses_total"):
+        assert counters[name] == len(PARITY_QUERIES) - 1, name
+    assert histograms["s2rdf_join_critical_path_ms"] > 0
 
     def untimed(record):
         fields = dataclasses.asdict(record)
@@ -318,3 +330,38 @@ def test_process_serving_counts_and_journals_as_thread_serving(session, tmp_path
     ]
     assert any(record.estimated_rows is not None for record in process_records)
     assert all(record.dispatch_ms is not None for record in process_records)
+
+
+#: Patterns without a variable: one that holds, two that hold (they join on
+#: nothing), one beside a pattern with variables, and one that does not hold.
+GROUND_QUERIES = [
+    "SELECT * WHERE { <A> <follows> <B> }",
+    "SELECT * WHERE { <A> <follows> <B> . <B> <follows> <C> }",
+    "SELECT * WHERE { ?x <likes> ?w . <A> <follows> <B> }",
+    "SELECT * WHERE { <A> <follows> <C> }",
+]
+
+
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_patterns_without_a_variable_answer_as_the_graph_oracle(
+    session, example_graph, tmp_path, mode
+):
+    """A pattern without a variable adds no column: alone it gives one empty
+    solution or none, and beside others it neither joins nor shows up."""
+    path = str(tmp_path / "dataset")
+    session.save_dataset(path)
+    with repro.connect(path, execution_mode=mode, worker_processes=1) as served:
+        with served.serve() as scheduler:
+            results = [scheduler.submit(text).result(timeout=30) for text in GROUND_QUERIES]
+        results += [served.query(text) for text in GROUND_QUERIES]
+
+    def solutions(bindings):
+        return sorted(repr(sorted(binding.items())) for binding in bindings)
+
+    for text, result in zip(GROUND_QUERIES * 2, results):
+        patterns = SparqlEngine.extract_single_bgp(parse_query(text)).patterns
+        expected = index_nested_loop_execute(example_graph, patterns)
+        variables = {variable.name for pattern in patterns for variable in pattern.variables()}
+        assert set(result.variables) == variables, text
+        assert solutions(result.bindings) == solutions(expected), text
+    assert [len(result) for result in results[: len(GROUND_QUERIES)]] == [1, 1, 3, 0]

@@ -27,6 +27,24 @@ def bag(relation):
     return sorted(map(repr, relation.rows))
 
 
+def run_query(pool, session, text, epoch=None):
+    """``text`` served on ``pool`` and finished by ``session``, as the
+    scheduler's process path does: the result with the routing metadata, the
+    worker's task time and what the hop cost."""
+    record, pid, task_ms, dispatch_ms = pool.query_reply(
+        text, epoch, len(session._dataset.dictionary)
+    )
+    return {
+        "result": session._finish(record, None, dispatch_ms),
+        "template": record.template,
+        "fingerprint": record.fingerprint,
+        "epoch": record.epoch,
+        "pid": pid,
+        "task_ms": task_ms,
+        "dispatch_ms": dispatch_ms,
+    }
+
+
 @pytest.fixture(scope="module")
 def stored(tmp_path_factory):
     graph = Graph(
@@ -53,7 +71,7 @@ def test_query_task_matches_parent_session(stored):
     query = "SELECT * WHERE { ?a <follows> ?b . ?b <likes> ?w }"
     expected = session.query(query)
     with PartitionWorkerPool(dataset_path=path, num_workers=1) as pool:
-        outcome = pool.run_query(query, epoch=session._journal_epoch)
+        outcome = run_query(pool, session, query, epoch=session._journal_epoch)
         assert bag(outcome["result"].relation) == bag(expected.relation)
         assert outcome["epoch"] == session._journal_epoch
         assert outcome["fingerprint"]
@@ -81,7 +99,7 @@ def test_a_served_task_is_the_query_text_an_epoch_and_a_dictionary_length(stored
     with PartitionWorkerPool(dataset_path=path, num_workers=1) as pool:
         pool.start()
         monkeypatch.setattr(workers.pickle, "dumps", recording_dumps)
-        pool.run_query(QUERY, epoch=session._journal_epoch)
+        pool.query_reply(QUERY, session._journal_epoch, 0)
         monkeypatch.undo()
     assert sent == [("query", {"query": QUERY, "epoch": session._journal_epoch, "terms": 0})]
     assert len(real_dumps(sent[0], -1)) < len(QUERY) + 64
@@ -109,7 +127,7 @@ def test_workers_plan_joins_as_the_parent_does_at_every_epoch(stored, tmp_path):
                 assert estimate_rows(TableScanNode(name, ("s", "o")), catalog) == rows, (stage, name)
             for text in queries:
                 direct = session.query(text)
-                outcome = pool.run_query(text, epoch=session._journal_epoch)
+                outcome = run_query(pool, session, text, epoch=session._journal_epoch)
                 assert outcome["result"].join_strategies == direct.join_strategies, (stage, text)
                 assert bag(outcome["result"].relation) == bag(direct.relation), (stage, text)
             return manifest_rows
@@ -140,7 +158,7 @@ def test_direct_query_on_a_process_session_submits_nothing(stored, monkeypatch):
         # Every task (query or scan) leaves the parent through _run.
         monkeypatch.setattr(PartitionWorkerPool, "_run", must_not_send)
         with pytest.raises(AssertionError):  # the patch does sit on the send path
-            session._worker_pool.run_query(query)
+            session._worker_pool.query_reply(query, None, 0)
         result = session.query(query)
     assert bag(result.relation) == bag(thread_session.query(query).relation)
 
@@ -148,7 +166,7 @@ def test_direct_query_on_a_process_session_submits_nothing(stored, monkeypatch):
 def test_query_task_parses_the_text_once(stored, monkeypatch):
     """The worker entry point, run in this process: one trip through the
     session's front end feeds both the execution and the template/fingerprint,
-    and its time stays in the result the reply lowers to."""
+    and its time stays in the result the parent finishes its record to."""
     import repro.core.template_cache as template_cache
     from repro.obs.journal import fingerprint_text, template_text
     from repro.sparql import parse_query
@@ -166,7 +184,7 @@ def test_query_task_parses_the_text_once(stored, monkeypatch):
     workers._worker_init(path, {})
     try:
         dictionary = session._dataset.dictionary
-        reply = workers._run_query_task(
+        record, _, _ = workers._run_query_task(
             {"query": query, "epoch": session._journal_epoch, "terms": len(dictionary)}
         )
     finally:
@@ -174,10 +192,11 @@ def test_query_task_parses_the_text_once(stored, monkeypatch):
             workers._WORKER_SESSION.close()
         workers._worker_init(None, {})
     assert parses == [query]
-    assert reply.template == template_text(parse_query(query))
-    assert reply.fingerprint == fingerprint_text(reply.template)
-    assert reply.rows is None and reply.lines == {}  # ids only: the parent holds every term
-    result = reply.result(dictionary, session._simulated_ms)
+    assert record.template == template_text(parse_query(query))
+    assert record.fingerprint == fingerprint_text(record.template)
+    _, _, lines = record.root
+    assert lines == {}  # ids only: the parent holds every term
+    result = session._finish(record)
     assert bag(result.relation) == bag(session.query(query).relation)
     assert result.phase_ms["parse"] > 0.0
     assert result.wall_clock_ms >= sum(result.phase_ms.values())
@@ -192,12 +211,12 @@ def test_worker_refreshes_on_epoch_advance(tmp_path):
     session = S2RDFSession.open_dataset(path, journal_enabled=False)
     query = "SELECT * WHERE { ?x <p> ?y }"
     with PartitionWorkerPool(dataset_path=path, num_workers=1) as pool:
-        before = pool.run_query(query, epoch=session._journal_epoch)
+        before = run_query(pool, session, query, epoch=session._journal_epoch)
         assert len(before["result"].relation.rows) == 10
         # Append in the parent: the manifest epoch advances on disk; a task
         # carrying the new epoch makes the worker re-read the manifest.
         session.append_triples([Triple.of("extra", "p", "row")])
-        after = pool.run_query(query, epoch=session._journal_epoch)
+        after = run_query(pool, session, query, epoch=session._journal_epoch)
         assert len(after["result"].relation.rows) == 11
         assert after["epoch"] == session._journal_epoch
     session.close()
@@ -344,7 +363,7 @@ def test_queries_and_warmups_from_many_threads_share_the_slots(stored):
     def querier(offset):
         for step in range(40):
             text = list(texts)[(offset + step) % len(texts)]
-            rows = len(pool.run_query(text, epoch=epoch)["result"].relation)
+            rows = len(run_query(pool, session, text, epoch=epoch)["result"].relation)
             if rows != texts[text]:
                 wrong.append((text, rows))
 
@@ -396,7 +415,7 @@ def test_an_exchange_left_half_way_never_hands_a_stale_reply_to_the_next_task(
             pool.warm_tables(["triples"], epoch=session._journal_epoch)
         assert before.isdisjoint(worker.process.pid for worker in pool._workers)
         for _ in range(4):  # whichever slot comes up: a query gets a query's reply
-            outcome = pool.run_query(QUERY, epoch=session._journal_epoch)
+            outcome = run_query(pool, session, QUERY, epoch=session._journal_epoch)
             assert len(outcome["result"].relation) == 20
 
 
@@ -469,3 +488,30 @@ def test_a_session_saved_anew_serves_the_store_it_wrote(tmp_path):
             served = scheduler.submit(query).result(timeout=30)
         assert bag(served.relation) == bag(session.query(query).relation)
         assert len(served) == 8 and session._worker_pool.dataset_path == new
+
+
+def test_a_reply_from_a_pool_a_save_closed_is_not_lowered_through_the_new_store(
+    tmp_path, monkeypatch
+):
+    """A save lays the store out anew, under other ids, and closes the pool
+    serving the store before.  A reply that pool sent just before the save
+    fails its request: its ids are not lowered through the new dictionary."""
+    old, new = str(tmp_path / "old"), str(tmp_path / "new")
+    graph = Graph([Triple.of(f"u{i}", "likes", f"i{i}") for i in range(6)])
+    with S2RDFSession.from_graph(graph, num_partitions=2, journal_enabled=False) as saver:
+        saver.save_dataset(old)
+    real_query_reply = PartitionWorkerPool.query_reply
+    with S2RDFSession.open_dataset(
+        old, execution_mode="process", worker_processes=1, journal_enabled=False
+    ) as session:
+        session.append_triples([Triple.of("aaa", "likes", "zzz")])  # the new layout moves ids
+
+        def reply_then_save(pool, *args):
+            answer = real_query_reply(pool, *args)
+            session.save_dataset(new)
+            return answer
+
+        monkeypatch.setattr(PartitionWorkerPool, "query_reply", reply_then_save)
+        with session.serve() as scheduler:
+            with pytest.raises(WorkerDiedError, match="closed"):
+                scheduler.submit("SELECT * WHERE { ?u <likes> ?w }").result(timeout=30)
