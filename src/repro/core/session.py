@@ -42,7 +42,7 @@ from repro.core.config import (
 )
 from repro.core.results import QueryResult
 from repro.core.table_selection import TableSelector
-from repro.core.template_cache import TemplateCache, bind_terms
+from repro.core.template_cache import TemplateCache
 from repro.engine.catalog import Catalog
 from repro.engine.cluster import SparkCostModel
 from repro.engine.metrics import ExecutionMetrics
@@ -155,6 +155,19 @@ class _ReadWriteLock:
             with self._cond:
                 self._writer = None
                 self._cond.notify_all()
+
+
+#: The registry counter a template-cache / plan-cache hit (``True``) or miss counts in.
+_TEMPLATE_CACHE_COUNTERS = {
+    True: "s2rdf_template_cache_hits_total",
+    False: "s2rdf_template_cache_misses_total",
+}
+_PLAN_CACHE_COUNTERS = {True: "s2rdf_plan_cache_hits_total", False: "s2rdf_plan_cache_misses_total"}
+#: Help texts of the instruments a finished query may create.
+_QUERY_METRICS_HELP = {
+    "s2rdf_queries_total": "Queries executed by this session",
+    "s2rdf_segment_prune_ratio": "Fraction of store segments skipped by pruning, per query",
+}
 
 
 class QueryRecord(NamedTuple):
@@ -720,12 +733,10 @@ class S2RDFSession:
         return compiled
 
     def _count_parse(self, hit: bool) -> None:
-        self.metrics.inc(
-            "s2rdf_template_cache_hits_total" if hit else "s2rdf_template_cache_misses_total"
-        )
+        self.metrics.inc(_TEMPLATE_CACHE_COUNTERS[hit])
 
     def _count_compile(self, hit: bool) -> None:
-        self.metrics.inc("s2rdf_plan_cache_hits_total" if hit else "s2rdf_plan_cache_misses_total")
+        self.metrics.inc(_PLAN_CACHE_COUNTERS[hit])
 
     def explain(self, query: Union[str, Query]) -> str:
         """Return the generated SQL for a query without executing it."""
@@ -814,9 +825,10 @@ class S2RDFSession:
         start = phase_start = time.perf_counter()
         with self.tracer.span("parse", category="query"):
             if isinstance(query, str):
-                source, constants, parse_hit = self._templates.lookup(query)
+                match = self._templates.lookup(query)
+                parse_hit = match.hit
             else:
-                source, parse_hit = query, None
+                parse_hit = None
         phase_ms["parse"] = (time.perf_counter() - phase_start) * 1000.0
 
         phase_start = time.perf_counter()
@@ -828,11 +840,13 @@ class S2RDFSession:
                 binding = None
                 sql = compiled.plan.to_sql
             else:
-                compiled, skeleton, compile_hit = self._templates.plan(
-                    source, self.compiler, self.layout.catalog
+                # The slots' spellings go to ids here, through the plan
+                # entry's memo; a slot a hit cannot take is parsed in full.
+                match, compiled, skeleton, binding, compile_hit = self._templates.bind(
+                    query, match, self.compiler, self.layout.catalog, self._dataset.dictionary
                 )
-                binding = bind_terms(source, constants)
-                sql = partial(skeleton.render, binding)
+                parse_hit = match.hit
+                sql = partial(skeleton.render, binding.terms)
         phase_ms["compile"] = (time.perf_counter() - phase_start) * 1000.0
 
         executor = self.executor
@@ -854,7 +868,7 @@ class S2RDFSession:
         if parse_hit is None:
             template, fingerprint = self.template_of(query)
         else:
-            template, fingerprint = source.template, source.fingerprint
+            template, fingerprint = match.template.template, match.template.fingerprint
         return QueryRecord(
             root=root,
             metrics=metrics,
@@ -913,24 +927,23 @@ class S2RDFSession:
         if isinstance(sql, str):
             result.sql = sql
 
-        registry = self.metrics
-        registry.inc("s2rdf_queries_total", help="Queries executed by this session")
-        registry.inc("s2rdf_input_tuples_total", metrics.input_tuples)
-        registry.inc("s2rdf_output_tuples_total", metrics.output_tuples)
-        registry.observe("s2rdf_query_wall_ms", result.wall_clock_ms)
+        counts = [
+            ("s2rdf_queries_total", 1),
+            ("s2rdf_input_tuples_total", metrics.input_tuples),
+            ("s2rdf_output_tuples_total", metrics.output_tuples),
+        ]
+        if record.parse_hit is not None:
+            counts.append((_TEMPLATE_CACHE_COUNTERS[record.parse_hit], 1))
+        if record.compile_hit is not None:
+            counts.append((_PLAN_CACHE_COUNTERS[record.compile_hit], 1))
+        observations = [("s2rdf_query_wall_ms", result.wall_clock_ms)]
         segments = metrics.store_segments_scanned + metrics.store_segments_pruned
         if segments:
-            registry.observe(
-                "s2rdf_segment_prune_ratio",
-                metrics.store_segments_pruned / segments,
-                help="Fraction of store segments skipped by pruning, per query",
+            observations.append(
+                ("s2rdf_segment_prune_ratio", metrics.store_segments_pruned / segments)
             )
-        if record.parse_hit is not None:
-            self._count_parse(record.parse_hit)
-        if record.compile_hit is not None:
-            self._count_compile(record.compile_hit)
-        if record.join_ms:
-            registry.observe_all("s2rdf_join_critical_path_ms", record.join_ms)
+        observations += [("s2rdf_join_critical_path_ms", ms) for ms in record.join_ms]
+        self.metrics.update(counts, observations, _QUERY_METRICS_HELP)
 
         journal = self.journal
         if journal is not None:

@@ -18,59 +18,71 @@ at which positions are bound.  So both are done once per template:
   proposes: equal spellings are equal token streams (the scan is the
   tokenizer's), so a template found under the proposed key, with every slot
   spelling lexing as its kind, is what the full parser would make of the
-  text with other constants.  A hit therefore runs neither: it turns the
-  slot spellings into terms with the parser's token-to-term rule, and
-  :meth:`TemplateCache.lookup` returns the template with those terms — no
-  ``Query`` is built.  Anything irregular (no template, another kind, an
-  undeclared prefix, a malformed literal) falls through to the full parser,
-  whose error it is.
+  text with other constants.  A hit therefore runs neither:
+  :meth:`TemplateCache.lookup` returns the template and the slots'
+  spellings — no term is made and no ``Query`` is built.  Anything
+  irregular (no template, another kind, an undeclared prefix, a malformed
+  literal) falls through to the full parser, whose error it is.
 * **Compile.**  The plan is compiled once per template, from the template's
-  own query, and kept with it (:meth:`TemplateCache.plan`).  Spark's join
+  own query, and kept with it in a plan entry.  Spark's join
   annotation (:class:`~repro.engine.strategies.PhysicalPlan`: the strategy
   strings and the root estimate the journal records) depends on the plan's
   shape and the statistics, not on a constant, so it is computed with the
-  plan and every hit shares it.  Plans and annotations depend on the
-  statistics, so an entry is served only at the catalog statistics
-  generation it was compiled at, and :meth:`TemplateCache.invalidate_plans`
-  drops them all whenever the store changes; parsed templates survive.
+  plan and every hit shares it.  So are the plan's scans, prepared
+  (:class:`~repro.engine.plan.PreparedScan`: table handle, checked column
+  lists, output columns, and the relabelled batch of a scan without
+  conditions).  Plans depend on the statistics, so an entry is served only
+  at the catalog statistics generation it was compiled at, and
+  :meth:`TemplateCache.invalidate_plans` drops them all whenever the store
+  changes; parsed templates survive.
 
-A query runs the cached plan as it is: its constants travel as a *binding*
-(:func:`bind_terms`, ``id(template's term) -> this query's term``) that the
-executor resolves the scans' equality conditions through, so nothing is
-rebuilt per query.  Only what is handed out rebinds: :meth:`TemplateCache.parse`
-and :meth:`TemplateCache.compile` (``session.parse`` / ``session.compile`` /
-``explain``) return a copy of the algebra tree and of the plan with the
-query's constants in them.  A result's SQL text needs no rebuilt plan either:
-each cached plan comes with its :class:`~repro.engine.ops.SqlSkeleton`, the
-plan's text rendered once and cut at its scan constants, which a binding
-fills in — the same text the rebound plan renders.
+A query runs the cached plan as it is: its constants travel as a
+:class:`~repro.engine.plan.Binding` (:meth:`TemplateCache.bind`), so nothing
+is rebuilt per query.  Only what is handed out rebinds:
+:meth:`TemplateCache.parse` and :meth:`TemplateCache.compile`
+(``session.parse`` / ``session.compile`` / ``explain``) return a copy of the
+algebra tree and of the plan with the query's constants in them.  A result's
+SQL text needs no rebuilt plan either: each cached plan comes with its
+:class:`~repro.engine.ops.SqlSkeleton`, the plan's text rendered once and cut
+at its scan constants, which the binding's terms fill in — the same text the
+rebound plan renders.
 
-Binding is by identity: the terms the parser created for a template's slots
-are the very objects sitting in its triple patterns and, after compilation,
-in the plan's conditions, so ``id(term)`` names a slot wherever it ended up —
-including one constant shared by a ``;`` / ``,`` list, and two slots that
-happen to hold equal constants.
+Binding goes from spellings to ids once.  The plan entry remembers, per slot
+spelling, its kind, the term it denotes in the template's prologue and that
+term's dictionary id and stable hash (``None`` when the store does not hold
+it: the scans are empty); a spelling met again costs one dict access — no
+lexing, no term, no dictionary lookup, no hash.  The memo is the entry's, so
+it is scoped to the template (the same spelling is another IRI under another
+``PREFIX``) and dies with the store generation its ids belong to; it is
+bounded by :data:`MAX_SLOT_SPELLINGS`.  Slots are named by identity: the
+terms the parser created for a template's slots are the very objects sitting
+in its triple patterns and, after compilation, in the plan's conditions, so
+``id(term)`` names a slot wherever it ended up — including one constant
+shared by a ``;`` / ``,`` list, and two slots that happen to hold equal
+constants.  The binding maps it to the query's term (the SQL skeleton and
+the row oracle read that) and to its encoded value (the prepared scans read
+that); FILTER constants are no slots and keep their terms.
 
 :func:`repro.sparql.parse_query` stays the uncached reference: the results
 here are equal to what it and a fresh :class:`~repro.core.compiler.QueryCompiler`
 produce.  Both tables are bounded by :data:`MAX_TEMPLATES` (cleared on
-overflow; dropping the templates drops their plans, a plan's skeleton goes
-with it) and safe under concurrent
-readers: entries are immutable once published and every table operation is a
-single dict access.
+overflow; dropping the templates drops their plans, a plan's skeleton,
+prepared scans and memo go with it) and safe under concurrent readers:
+entries are published whole, every table operation is a single dict access,
+and what a memo holds for a spelling never changes while the entry lives.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.bgp import BGPCompilationResult
 from repro.core.compiler import CompiledQuery, QueryCompiler
 from repro.engine.catalog import Catalog
 from repro.engine.ops import Operation, SqlSkeleton, SubqueryNode
-from repro.engine.plan import Binding
+from repro.engine.plan import Binding, EncodedTerm, PreparedScan, prepare_scans
 from repro.engine.strategies import plan_join_strategies
 from repro.obs.journal import fingerprint_text, template_text
 from repro.rdf.terms import Term
@@ -90,16 +102,20 @@ from repro.sparql.tokenizer import Token, kind_of, spellings
 
 #: Templates kept per table; a table that reaches it is cleared.
 MAX_TEMPLATES = 1024
+#: Slot spellings a plan entry remembers; a memo that reaches it is cleared.
+MAX_SLOT_SPELLINGS = 256
 
 class QueryTemplate:
     """One query shape: what the full parser made of the first text that had it."""
 
-    __slots__ = ("query", "constants", "template", "fingerprint")
+    __slots__ = ("query", "constants", "kinds", "template", "fingerprint")
 
-    def __init__(self, query: Query, constants: Tuple[Term, ...]) -> None:
-        #: The parsed first instance; ``constants`` are the terms in its slots.
+    def __init__(self, query: Query, constants: Tuple[Term, ...], kinds: Tuple[str, ...]) -> None:
+        #: The parsed first instance; ``constants`` are the terms in its slots,
+        #: ``kinds`` their token kinds (in the key: every instance has them).
         self.query = query
         self.constants = constants
+        self.kinds = kinds
         #: The journal's constant-stripped rendering, the same for every instance.
         self.template = template_text(query)
         self.fingerprint = fingerprint_text(self.template)
@@ -128,6 +144,27 @@ class TemplateBinding(NamedTuple):
         )
 
 
+class TemplateMatch(NamedTuple):
+    """What :meth:`TemplateCache.lookup` found for a text."""
+
+    template: QueryTemplate
+    #: The text's spellings in the template's slots.
+    spellings: Tuple[str, ...]
+    #: The terms they denote, when the parser ran; ``None`` on a hit, which
+    #: leaves the spellings to the plan entry's memo (or to :meth:`TemplateCache.parse`).
+    constants: Optional[Tuple[Term, ...]]
+    #: Whether a cached template answered.
+    hit: bool
+
+
+class _Slot(NamedTuple):
+    """What a slot spelling means in one template at one store generation."""
+
+    kind: str
+    term: Term
+    encoded: EncodedTerm
+
+
 class _PlanEntry(NamedTuple):
     generation: int
     #: The catalog's statistics generation the plan was chosen at.
@@ -136,10 +173,55 @@ class _PlanEntry(NamedTuple):
     compiled: CompiledQuery
     #: The plan's SQL text, cut at its scan constants.
     sql: SqlSkeleton
+    #: The plan's scans of stored tables, prepared, by ``id(node)``.
+    scans: Dict[int, PreparedScan]
+    #: Slot spelling -> its kind, term and encoded value; bounded by
+    #: :data:`MAX_SLOT_SPELLINGS`.  Dies with the entry, so with the store
+    #: generation its ids belong to.
+    slots: Dict[str, _Slot]
+
+    def bind(self, match: TemplateMatch, dictionary: Any) -> Optional[Binding]:
+        """The binding of ``match``'s slot spellings to this plan's constants.
+
+        A spelling met before in this template costs one dict access; a new
+        one is lexed, made a term in the template's prologue and encoded
+        through ``dictionary`` (the store's
+        :class:`~repro.store.format.StoredTermDictionary`) once.  ``None``
+        when a spelling of a hit is no token of its slot's kind or names no
+        term: the full parser reports that.
+        """
+        template = match.template
+        constants = match.constants
+        memo = self.slots
+        terms: Dict[int, Term] = {}
+        ids: Dict[int, EncodedTerm] = {}
+        for index, (was, spelling, kind) in enumerate(
+            zip(template.constants, match.spellings, template.kinds)
+        ):
+            slot = memo.get(spelling)
+            if slot is None:
+                if constants is None:
+                    term = _slot_term(template, spelling, kind)
+                else:
+                    term = constants[index]
+                if term is None:
+                    return None
+                slot = _Slot(kind, term, dictionary.encode(term))
+                if len(memo) >= MAX_SLOT_SPELLINGS:
+                    memo.clear()
+                memo[spelling] = slot
+                if len(memo) > MAX_SLOT_SPELLINGS:
+                    # Concurrent binders all passed the check above before inserting.
+                    memo.clear()
+            elif slot.kind != kind:
+                return None
+            terms[id(was)] = slot.term
+            ids[id(was)] = slot.encoded
+        return Binding(terms, ids, self.scans)
 
 
-def bind_terms(template: QueryTemplate, constants: Tuple[Term, ...]) -> Optional[Binding]:
-    """The binding that puts ``constants`` into ``template``'s slots.
+def bind_terms(template: QueryTemplate, constants: Tuple[Term, ...]) -> Optional[Dict[int, Term]]:
+    """``id(template's term) -> term`` that puts ``constants`` into ``template``'s slots.
 
     ``None`` when there is nothing to replace: the constants are the
     template's own (the text the template was parsed from) or there are none.
@@ -149,7 +231,11 @@ def bind_terms(template: QueryTemplate, constants: Tuple[Term, ...]) -> Optional
     return {id(was): now for was, now in zip(template.constants, constants)}
 
 
-def _rebind_triple(pattern: TriplePattern, terms: Binding) -> TriplePattern:
+#: ``id(template's term) -> the term in its place``.
+Terms = Mapping[int, Term]
+
+
+def _rebind_triple(pattern: TriplePattern, terms: Terms) -> TriplePattern:
     subject = terms.get(id(pattern.subject))
     object_ = terms.get(id(pattern.object))
     if subject is None and object_ is None:
@@ -164,28 +250,28 @@ def _rebind_triple(pattern: TriplePattern, terms: Binding) -> TriplePattern:
 class _PatternRebinder(PatternVisitor):
     """Rebuilds a parsed group graph pattern with other constants in its slots."""
 
-    def visit_bgp(self, node: BGP, terms: Binding) -> PatternNode:
+    def visit_bgp(self, node: BGP, terms: Terms) -> PatternNode:
         return BGP([_rebind_triple(pattern, terms) for pattern in node.patterns])
 
-    def visit_join(self, node: Join, terms: Binding) -> PatternNode:
+    def visit_join(self, node: Join, terms: Terms) -> PatternNode:
         return Join(self.visit(node.left, terms), self.visit(node.right, terms))
 
-    def visit_left_join(self, node: LeftJoin, terms: Binding) -> PatternNode:
+    def visit_left_join(self, node: LeftJoin, terms: Terms) -> PatternNode:
         return LeftJoin(
             self.visit(node.left, terms), self.visit(node.right, terms), node.expression
         )
 
-    def visit_union(self, node: Union, terms: Binding) -> PatternNode:
+    def visit_union(self, node: Union, terms: Terms) -> PatternNode:
         return Union(self.visit(node.left, terms), self.visit(node.right, terms))
 
-    def visit_filter(self, node: Filter, terms: Binding) -> PatternNode:
+    def visit_filter(self, node: Filter, terms: Terms) -> PatternNode:
         return Filter(node.expression, self.visit(node.pattern, terms))
 
 
 _REBIND_PATTERN = _PatternRebinder()
 
 
-def _rebind_plan(plan: Operation, terms: Binding) -> Operation:
+def _rebind_plan(plan: Operation, terms: Terms) -> Operation:
     """``plan`` with other constants in its scans' equality conditions.
 
     Whatever holds no constant keeps its identity.
@@ -204,7 +290,7 @@ def _rebind_plan(plan: Operation, terms: Binding) -> Operation:
     return plan.transform(rebind_scan)
 
 
-def _rebind_compiled(compiled: CompiledQuery, terms: Binding) -> CompiledQuery:
+def _rebind_compiled(compiled: CompiledQuery, terms: Terms) -> CompiledQuery:
     """``compiled`` with other constants in its scans' equality conditions.
 
     Each BGP's subplan is rebound on its own (its
@@ -252,19 +338,17 @@ def _template_key(
     return kinds, tuple(blanked)
 
 
-def _slot_terms(
-    template: QueryTemplate, slot_tokens: Sequence[Token]
-) -> Optional[Tuple[Term, ...]]:
-    """The terms ``slot_tokens`` denote in ``template``'s prologue.
+def _slot_term(template: QueryTemplate, spelling: str, kind: str) -> Optional[Term]:
+    """The term ``spelling`` denotes in a slot of ``kind`` in ``template``'s prologue.
 
-    ``None`` when a spelling is no token of its slot's kind or names no
-    term: the full parser reports that.
+    ``None`` when the spelling is no token of that kind or names no term:
+    the full parser reports that.
     """
-    if not all([kind_of(token.value) == token.kind for token in slot_tokens]):
+    if kind_of(spelling) != kind:
         return None
-    prefixes = template.query.prefixes
     try:
-        return tuple([term_of_token(token, prefixes) for token in slot_tokens])
+        # No position: a slot a hit cannot take goes to the parser.
+        return term_of_token(Token(kind, spelling, 0), template.query.prefixes)
     except MalformedTermError:
         return None
 
@@ -290,22 +374,21 @@ class TemplateCache:
         return len(self._plans)
 
     # ------------------------------------------------------------------ #
-    def lookup(self, text: str) -> Tuple[QueryTemplate, Tuple[Term, ...], bool]:
-        """The template ``text`` instantiates, the terms in its slots, and
-        whether a cached template answered (a miss parses and registers)."""
+    def lookup(self, text: str, parse: bool = False) -> TemplateMatch:
+        """The template ``text`` instantiates and the spellings in its slots.
+
+        On a hit that is all: neither the tokenizer nor the grammar runs, and
+        no slot is lexed yet.  A miss (or ``parse``) runs the full parser,
+        registers the template and hands back the terms it made.
+        """
         found = spellings(text)
         shape = "".join(map(_FIRST, found)).translate(_DIGITS)
-        entry = self._slots.get(shape)
+        entry = None if parse else self._slots.get(shape)
         if entry is not None:
             slots, kinds = entry
             template = self._templates.get(_template_key(found, slots, kinds))
             if template is not None:
-                # No position: a slot a hit cannot take goes to the parser.
-                constants = _slot_terms(
-                    template, [Token(kind, found[index], 0) for index, kind in zip(slots, kinds)]
-                )
-                if constants is not None:
-                    return template, constants, True
+                return TemplateMatch(template, tuple([found[index] for index in slots]), None, True)
         tokens = tokenize_query(text)
         parser = _Parser(text, tokens)
         query = parser.parse()
@@ -318,7 +401,7 @@ class TemplateCache:
         # A cached template met in another shape (a slot's constant starts
         # with another character) is kept: the query shares it, and its plan.
         if template is None:
-            template = QueryTemplate(query, constants)
+            template = QueryTemplate(query, constants, kinds)
         if max(len(self._templates), len(self._slots)) >= MAX_TEMPLATES:
             self._clear()
         self._slots[shape] = (slots, kinds)
@@ -326,12 +409,24 @@ class TemplateCache:
         if max(len(self._templates), len(self._slots)) > MAX_TEMPLATES:
             # Concurrent misses all passed the check above before inserting.
             self._clear()
-        return template, constants, False
+        return TemplateMatch(template, tuple([found[index] for index in slots]), constants, False)
 
     def parse(self, text: str) -> Tuple[Query, bool]:
         """``parse_query(text)`` and whether a cached template answered it."""
-        template, constants, hit = self.lookup(text)
-        return self._instantiate(template, constants, text), hit
+        match = self.lookup(text)
+        constants = match.constants
+        if constants is None:
+            template = match.template
+            terms = [
+                _slot_term(template, spelling, kind)
+                for spelling, kind in zip(match.spellings, template.kinds)
+            ]
+            if any(term is None for term in terms):
+                match = self.lookup(text, parse=True)
+                constants = match.constants
+            else:
+                constants = tuple(terms)
+        return self._instantiate(match.template, constants, text), match.hit
 
     def _clear(self) -> None:
         """Drop every template, and the plans no lookup can reach without them."""
@@ -356,15 +451,16 @@ class TemplateCache:
         )
 
     # ------------------------------------------------------------------ #
-    def plan(
+    def _entry(
         self, template: QueryTemplate, compiler: QueryCompiler, catalog: Catalog
-    ) -> Tuple[CompiledQuery, SqlSkeleton, bool]:
-        """The plan of ``template``'s own query with its join annotation over
-        ``catalog`` (the one ``compiler`` selects tables from), its SQL
-        skeleton, and whether a cached plan answered.
+    ) -> Tuple[_PlanEntry, bool]:
+        """The plan entry of ``template``'s own query over ``catalog`` (the one
+        ``compiler`` selects tables from), and whether a cached plan answered.
 
-        Both are shared by every query of the template: read them, run and
-        render them with :func:`bind_terms`, never change them.
+        The plan, its join annotation, its SQL skeleton and its prepared
+        scans are shared by every query of the template: read them, run and
+        render them with a binding, never change them; only the slot memo
+        grows (:meth:`_PlanEntry.bind`).
         """
         # Both read before compiling: a plan chosen while either moved carries
         # the old number and is never served.
@@ -372,10 +468,17 @@ class TemplateCache:
         statistics = catalog.generation
         entry = self._plans.get(template)
         if entry is not None and entry.generation == generation and entry.statistics == statistics:
-            return entry.compiled, entry.sql, True
+            return entry, True
         compiled = compiler.compile(template.query)
         compiled.physical = plan_join_strategies(compiled.plan, catalog)
-        entry = _PlanEntry(generation, statistics, compiled, SqlSkeleton(compiled.plan))
+        entry = _PlanEntry(
+            generation,
+            statistics,
+            compiled,
+            SqlSkeleton(compiled.plan),
+            prepare_scans(compiled.plan, catalog, template.constants),
+            {},
+        )
         # An odd generation: the statistics were changing under the compile.
         if not statistics & 1:
             if len(self._plans) >= MAX_TEMPLATES:
@@ -384,7 +487,30 @@ class TemplateCache:
             if len(self._plans) > MAX_TEMPLATES:
                 # Concurrent misses all passed the check above before inserting.
                 self._plans.clear()
-        return compiled, entry.sql, False
+        return entry, False
+
+    def bind(
+        self,
+        text: str,
+        match: TemplateMatch,
+        compiler: QueryCompiler,
+        catalog: Catalog,
+        dictionary: Any,
+    ) -> Tuple[TemplateMatch, CompiledQuery, SqlSkeleton, Binding, bool]:
+        """What runs ``text``, which :meth:`lookup` matched: the match, the
+        template's plan (with its join annotation) and SQL skeleton, the
+        binding of the text's constants, and whether a cached plan answered.
+
+        The match is the full parser's when a slot of a hit turned out
+        irregular (its error, if it has one, is raised here).
+        """
+        entry, hit = self._entry(match.template, compiler, catalog)
+        binding = entry.bind(match, dictionary)
+        if binding is None:
+            match = self.lookup(text, parse=True)
+            entry, hit = self._entry(match.template, compiler, catalog)
+            binding = entry.bind(match, dictionary)
+        return match, entry.compiled, entry.sql, binding, hit
 
     def compile(
         self, query: Query, compiler: QueryCompiler, catalog: Catalog
@@ -400,7 +526,8 @@ class TemplateCache:
         if binding is None or not binding.describes(query):
             return compiler.compile(query), None
         template, constants, _ = binding
-        compiled, _, hit = self.plan(template, compiler, catalog)
+        entry, hit = self._entry(template, compiler, catalog)
+        compiled = entry.compiled
         terms = bind_terms(template, constants)
         if terms is not None:
             return _rebind_compiled(compiled, terms), hit
@@ -408,6 +535,6 @@ class TemplateCache:
         return replace(compiled, bgp_results=list(compiled.bgp_results)), hit
 
     def invalidate_plans(self) -> None:
-        """Drop every compiled plan and its annotation (the store changed)."""
+        """Drop every plan entry, its ids with it (the store changed)."""
         self._generation += 1
         self._plans.clear()

@@ -64,6 +64,27 @@ class StoredTableProvider:
         """Id-batch scan returning a ``BatchScanResult``."""
         raise NotImplementedError
 
+    # The id scan in the parts a cached plan prepares once
+    # (:class:`~repro.engine.plan.PreparedScan`).
+    def scan_columns(
+        self, columns: Sequence[str], condition_columns: Sequence[str]
+    ) -> Tuple[List[str], List[str]]:  # pragma: no cover - interface
+        """The checked output columns and the columns a conditioned scan decodes."""
+        raise NotImplementedError
+
+    def scan_whole(self, columns: Tuple[str, ...]) -> Any:  # pragma: no cover - interface
+        """The cached unconditioned ``BatchScanResult`` of ``columns``."""
+        raise NotImplementedError
+
+    def scan_bound(
+        self,
+        output_columns: List[str],
+        decode_columns: List[str],
+        bound: Sequence[Tuple[str, Optional[Tuple[int, Optional[int]]]]],
+    ) -> Any:  # pragma: no cover - interface
+        """The ``BatchScanResult`` under conditions whose constants are encoded."""
+        raise NotImplementedError
+
 
 @dataclass
 class TableStatistics:
@@ -208,6 +229,10 @@ class Catalog:
         if relation is not None:
             return relation
         return self._provider(name).read()
+
+    def stored(self, name: str) -> Optional[StoredTableProvider]:
+        """The handle of stored table ``name``; ``None`` when no stored table has that name."""
+        return self._stored.get(name)
 
     def _provider(self, name: str) -> StoredTableProvider:
         provider = self._stored.get(name)

@@ -9,20 +9,21 @@ decoded to terms once, at the root or at the first operator without a batch
 kernel — recording :class:`~repro.engine.metrics.ExecutionMetrics` and, when
 someone is looking, per-node observations for ``explain_analyze`` and the
 tracer.  A plan runs as it is: a query that shares a cached plan with others
-hands in its constants as a binding, which the scans resolve their equality
-conditions through.  Every plan it runs carries the strategy Spark would pick
-for each join (:mod:`repro.engine.strategies`), handed in by the caller or
-computed before the run; the annotation is reported, and every join runs in
-process either way.
+hands in its constants as a :class:`Binding` — each constant's term and its
+encoded dictionary id — with the plan's prepared scans (:class:`PreparedScan`),
+which scan the store for those ids.  Every plan it runs carries the strategy Spark would
+pick for each join (:mod:`repro.engine.strategies`), handed in by the caller
+or computed before the run; the annotation is reported, and every join runs
+in process either way.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.engine.catalog import Catalog
+from repro.engine.catalog import Catalog, StoredTableProvider
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.ops import (
     AggregateNode,
@@ -47,8 +48,108 @@ from repro.engine.vectorized import ColumnBatch
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.rdf.terms import Term
 
-#: ``id(term in the plan's conditions) -> the term to scan for instead``.
-Binding = Dict[int, Term]
+#: What a scan bound to a constant needs: its dictionary id and its stable
+#: hash (:meth:`~repro.store.format.StoredTermDictionary.encode`); ``None``
+#: for a constant the store does not hold, which proves the scan empty.
+EncodedTerm = Optional[Tuple[int, int]]
+
+
+class PreparedScan:
+    """One scan of a cached plan, with what depends only on the plan and the
+    store generation worked out once.
+
+    It holds the node's table handle, its checked column lists and output
+    columns and, for a scan without conditions, the relabelled batch of the
+    provider's cached scan — good for as long as the provider still hands
+    out that scan.  A scan with conditions names each constant by the
+    ``id`` of the term in the node's conditions; the query's
+    :class:`Binding` supplies its encoded value.  It is data the plan's cache
+    entry keeps, not an executor: :meth:`PlanExecutor.visit_subquery` runs it.
+    """
+
+    __slots__ = ("table", "columns", "output_columns", "decode_columns", "conditions", "_whole")
+
+    def __init__(self, node: SubqueryNode, table: StoredTableProvider) -> None:
+        self.table = table
+        #: The columns to scan — a pattern without a variable keeps only its
+        #: row count: one column — checked, with the ones the conditions
+        #: decode, when there are conditions.
+        self.columns: Sequence[str] = tuple([column for column, _ in node.projections]) or ("s",)
+        self.decode_columns: List[str] = []
+        if node.conditions:
+            self.columns, self.decode_columns = table.scan_columns(
+                self.columns, [column for column, _ in node.conditions]
+            )
+        self.output_columns = node.output_columns()
+        #: ``(column, id(term))`` per equality condition.
+        self.conditions = tuple([(column, id(term)) for column, term in node.conditions])
+        #: ``(the provider's cached scan, its relabelled batch)``.
+        self._whole: Optional[Tuple[Any, ColumnBatch]] = None
+
+    def run(self, ids: Mapping[int, EncodedTerm]) -> Tuple[Any, ColumnBatch]:
+        """The scan result and the node's batch, with the constants ``ids`` gives."""
+        if not self.conditions:
+            scan = self.table.scan_whole(self.columns)
+            whole = self._whole
+            if whole is None or whole[0] is not scan:
+                whole = self._whole = (scan, _relabel(self.output_columns, scan.batch))
+            return whole
+        scan = self.table.scan_bound(
+            self.columns,
+            self.decode_columns,
+            [(column, ids[key]) for column, key in self.conditions],
+        )
+        return scan, _relabel(self.output_columns, scan.batch)
+
+
+def prepare_scans(
+    plan: Operation, catalog: Catalog, constants: Iterable[Term]
+) -> Dict[int, PreparedScan]:
+    """The prepared form of ``plan``'s scans of stored tables, by ``id(node)``.
+
+    A scan is prepared when every constant in its conditions is one of
+    ``constants`` (the ones a :class:`Binding` carries); any other runs
+    through the catalog.
+    """
+    slots = {id(term) for term in constants}
+    prepared: Dict[int, PreparedScan] = {}
+    for node in plan.walk():
+        if type(node) is SubqueryNode and all(id(term) in slots for _, term in node.conditions):
+            table = catalog.stored(node.table_name)
+            if table is not None:
+                prepared[id(node)] = PreparedScan(node, table)
+    return prepared
+
+
+class Binding:
+    """One query's constants for a cached plan that its template's queries share.
+
+    The plan's conditions hold the template's own terms; each is named by its
+    ``id``.  ``terms`` maps it to this query's term: the SQL skeleton renders
+    that, and an executor that scans terms (the row oracle) looks for it.
+    ``ids`` maps it to the term's encoded value, which the prepared scans
+    (``scans``, the plan entry's, by ``id(node)``) look for in the store.
+    """
+
+    __slots__ = ("terms", "ids", "scans")
+
+    def __init__(
+        self,
+        terms: Mapping[int, Term],
+        ids: Mapping[int, EncodedTerm],
+        scans: Mapping[int, PreparedScan],
+    ) -> None:
+        self.terms = terms
+        self.ids = ids
+        self.scans = scans
+
+
+def _relabel(output_columns: Tuple[str, ...], batch: ColumnBatch) -> ColumnBatch:
+    """A subquery's batch from its scan's: the store scanned exactly its
+    columns, in order, so the projection and rename are one relabelling."""
+    if not output_columns:
+        return batch.project(())
+    return ColumnBatch.adopt(output_columns, batch.ids, batch.decode, selection=batch.selection)
 
 
 @dataclass
@@ -118,8 +219,8 @@ class PlanExecutor(OperationVisitor):
         The session hands in the annotation its template cache keeps with the
         plan; without one (a direct caller, a ``Query`` object,
         ``explain_analyze``) the costing pass runs here, on ``plan`` itself.
-        ``binding`` maps a condition term's ``id`` to the term the scans look
-        for instead (a cached plan run with another query's constants).
+        ``binding`` carries another query's constants for a cached plan,
+        and its prepared scans.
         ``analyze`` records per-node observations without a tracer.
         """
         return self._lower(self.run(plan, metrics, physical, binding, analyze))
@@ -231,30 +332,29 @@ class PlanExecutor(OperationVisitor):
     def visit_subquery(
         self, plan: SubqueryNode, metrics: ExecutionMetrics, binding: Optional[Binding]
     ) -> ColumnBatch:
-        columns = [column for column, _ in plan.projections]
-        conditions = self._conditions(plan, binding)
-        # A pattern without a variable keeps only its row count: scan one column.
-        scan = self.catalog.scan_batch(
-            plan.table_name, columns=columns or ["s"], conditions=conditions
-        )
+        prepared = binding.scans.get(id(plan)) if binding is not None else None
+        if prepared is not None:
+            scan, batch = prepared.run(binding.ids)
+        else:
+            # A pattern without a variable keeps only its row count: scan one column.
+            scan = self.catalog.scan_batch(
+                plan.table_name,
+                columns=[column for column, _ in plan.projections] or ["s"],
+                conditions=self._conditions(plan, binding),
+            )
+            batch = _relabel(plan.output_columns(), scan.batch)
         self._record_scan(plan.table_name, scan, metrics)
-        batch = scan.batch
-        if not columns:
-            return batch.project(())
-        # The store scanned exactly ``columns``, in order: the subquery's
-        # projection and rename are one relabelling of those id columns.
-        return ColumnBatch.adopt(
-            plan.output_columns(), batch.ids, batch.decode, selection=batch.selection
-        )
+        return batch
 
     @staticmethod
     def _conditions(plan: SubqueryNode, binding: Optional[Binding]) -> Optional[Dict[str, Any]]:
-        """The scan's equality conditions, resolved through ``binding``."""
+        """The scan's equality conditions, their terms resolved through ``binding``."""
         if not plan.conditions:
             return None
         if binding is None:
             return dict(plan.conditions)
-        return {column: binding.get(id(term), term) for column, term in plan.conditions}
+        terms = binding.terms
+        return {column: terms.get(id(term), term) for column, term in plan.conditions}
 
     def visit_natural_join(
         self, plan: NaturalJoinNode, metrics: ExecutionMetrics, binding: Optional[Binding]

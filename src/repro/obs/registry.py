@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import threading
 from bisect import bisect_left
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 #: Default bucket upper bounds, tuned for millisecond-scale latencies but
 #: serviceable for ratios (the sub-1 buckets) and byte counts (the tail).
@@ -146,19 +146,28 @@ class MetricsRegistry:
                 histogram = self._histogram(name, bounds, help)
             histogram.observe(value)
 
-    def observe_all(
+    def update(
         self,
-        name: str,
-        values: Sequence[float],
-        bounds: Sequence[float] = DEFAULT_BUCKET_BOUNDS,
-        help: str = "",
+        counts: Sequence[Tuple[str, float]] = (),
+        observations: Sequence[Tuple[str, float]] = (),
+        help: Mapping[str, str] = {},
     ) -> None:
-        """One observation per value, under one acquisition of the lock."""
+        """``inc(name, amount)`` for every pair of ``counts`` and
+        ``observe(name, value)`` for every pair of ``observations``, under one
+        acquisition of the lock (default buckets).  ``help`` holds the help
+        text of the instruments this may create."""
         with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histogram(name, bounds, help)
-            for value in values:
+            counters = self._counters
+            for name, amount in counts:
+                counter = counters.get(name)
+                if counter is None:
+                    counter = self._counter(name, help.get(name, ""))
+                counter.inc(amount)
+            histograms = self._histograms
+            for name, value in observations:
+                histogram = histograms.get(name)
+                if histogram is None:
+                    histogram = self._histogram(name, DEFAULT_BUCKET_BOUNDS, help.get(name, ""))
                 histogram.observe(value)
 
     # Creation; the caller holds the lock.

@@ -52,6 +52,14 @@ from repro.serve.workers import WorkerDiedError
 
 #: Completed dispatches :meth:`QueryScheduler.stats` keeps for its percentiles.
 LATENCY_WINDOW = 4096
+#: Help texts of the instruments a scheduled query may create.
+_SCHEDULER_METRICS_HELP = {
+    "s2rdf_scheduler_admitted_total": "Queries admitted to the queue",
+    "s2rdf_scheduler_queue_depth": "Admission queue depth at each admission",
+    "s2rdf_scheduler_queue_ms": "Milliseconds queries waited in the admission queue",
+    "s2rdf_scheduler_completed_total": "Queries completed by the scheduler",
+    "s2rdf_scheduler_failed_total": "Scheduled queries that raised",
+}
 
 
 class AdmissionError(RuntimeError):
@@ -185,11 +193,10 @@ class QueryScheduler:
             self._sequence += 1
             heapq.heappush(self._heap, (-priority, self._sequence, handle))
             self._inflight[key] = handle
-            metrics.inc("s2rdf_scheduler_admitted_total", help="Queries admitted to the queue")
-            metrics.observe(
-                "s2rdf_scheduler_queue_depth",
-                float(len(self._heap)),
-                help="Admission queue depth at each admission",
+            metrics.update(
+                [("s2rdf_scheduler_admitted_total", 1)],
+                [("s2rdf_scheduler_queue_depth", float(len(self._heap)))],
+                _SCHEDULER_METRICS_HELP,
             )
             self._ensure_dispatchers()
             self._queue_changed.notify_all()
@@ -221,30 +228,24 @@ class QueryScheduler:
                 _, _, handle = heapq.heappop(self._heap)
                 self._queue_changed.notify_all()  # a queue slot freed
             handle.queue_ms = (time.perf_counter() - handle._admitted_at) * 1000.0
-            self.session.metrics.observe(
-                "s2rdf_scheduler_queue_ms",
-                handle.queue_ms,
-                help="Milliseconds queries waited in the admission queue",
-            )
             self._prewarm_if_stale()  # guarded inside: never raises
             start = time.perf_counter()
             result: Optional[QueryResult] = None
             error: Optional[BaseException] = None
+            counts = [("s2rdf_scheduler_completed_total", 1)]
             try:
                 result = self._execute(handle)
             except BaseException as exc:  # noqa: BLE001 - delivered via handle
                 error = exc
-                self.session.metrics.inc(
-                    "s2rdf_scheduler_failed_total", help="Scheduled queries that raised"
-                )
+                counts.append(("s2rdf_scheduler_failed_total", 1))
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             with self._lock:
                 self._inflight.pop((handle.query_text, handle.submitted_epoch), None)
                 self._completed += 1
                 self._latencies_ms.append(elapsed_ms)
                 self._completion.notify_all()
-            self.session.metrics.inc(
-                "s2rdf_scheduler_completed_total", help="Queries completed by the scheduler"
+            self.session.metrics.update(
+                counts, [("s2rdf_scheduler_queue_ms", handle.queue_ms)], _SCHEDULER_METRICS_HELP
             )
             handle._complete(result, error)
 

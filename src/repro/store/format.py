@@ -112,9 +112,15 @@ def stable_hash(value: Any) -> int:
 
 def key_partition_index(key: Tuple[Any, ...], num_partitions: int) -> int:
     """Hash bucket of one partition-key tuple (CRC32 combined over the components)."""
+    return hashed_partition_index(map(stable_hash, key), num_partitions)
+
+
+def hashed_partition_index(hashes: Iterable[int], num_partitions: int) -> int:
+    """:func:`key_partition_index` of a key whose components' :func:`stable_hash`
+    values are ``hashes``."""
     combined = 0
-    for component in key:
-        combined = zlib.crc32(stable_hash(component).to_bytes(4, "big"), combined)
+    for value in hashes:
+        combined = zlib.crc32(value.to_bytes(4, "big"), combined)
     return combined % num_partitions
 
 
@@ -389,6 +395,13 @@ class StoredTermDictionary:
             term = decode_term_line(self._lines[term_id])
             self._terms[term_id] = term
         return term
+
+    def encode(self, term: Term) -> Optional[Tuple[int, int]]:
+        """What a scan bound to ``term`` needs: its id and its
+        :func:`stable_hash` (the bucket of any table follows from it), or
+        ``None`` if the dictionary does not hold it."""
+        term_id = self.lookup(term)
+        return None if term_id is None else (term_id, stable_hash(term))
 
     def lookup(self, term: Term) -> Optional[int]:
         """The id of ``term``, or ``None`` if the dictionary does not hold it."""

@@ -45,10 +45,11 @@ from repro.store.format import (
     decode_bitmap,
     decode_segment,
     file_path,
-    key_partition_index,
+    hashed_partition_index,
     manifest_identity,
     read_file_range,
     read_manifest,
+    stable_hash,
 )
 from repro.store.view import StoreView
 
@@ -182,24 +183,61 @@ class _StoredProvider(StoredTableProvider):
         of interned ids whose terms stay encoded until someone lowers it; rows
         come out grouped by bucket.  Without conditions every
         request for the same columns gets the same cached result, and all of
-        them share the id columns.
+        them share the id columns.  The constants are encoded here; a cached
+        plan encodes its own once and goes to :meth:`scan_bound` directly.
         """
         requested = self.entry.columns if columns is None else tuple(columns)
         if not conditions:
-            cached = self._scans.get(requested)
-            if cached is None:
-                cached = self._scans[requested] = self._scan_whole(self._checked(requested))
-            return cached
-        output_columns = self._checked(requested)
-        condition_items = list(conditions.items())
-        decode_columns = self._checked(output_columns + [c for c, _ in condition_items])
-        condition_ids, unknown_term = self._encode_conditions(condition_items)
+            return self.scan_whole(requested)
+        output_columns, decode_columns = self.scan_columns(requested, list(conditions))
+        keys = self.entry.partition_keys
+        bound: List[Tuple[str, Optional[Tuple[int, Optional[int]]]]] = []
+        for column, value in conditions.items():
+            encoded = self._encode(value, column in keys)
+            bound.append((column, encoded))
+            if encoded is None:  # the scan is empty: look up no further constant
+                break
+        return self.scan_bound(output_columns, decode_columns, bound)
+
+    def scan_columns(
+        self, columns: Sequence[str], condition_columns: Sequence[str]
+    ) -> Tuple[List[str], List[str]]:
+        """The checked output columns of a scan of ``columns`` and the
+        columns it decodes to test conditions on ``condition_columns``."""
+        output_columns = self._checked(columns)
+        return output_columns, self._checked(output_columns + list(condition_columns))
+
+    def scan_whole(self, columns: Tuple[str, ...]) -> BatchScanResult:
+        """The scan of ``columns`` without conditions: assembled once, the
+        same result for every request after."""
+        cached = self._scans.get(columns)
+        if cached is None:
+            cached = self._scans[columns] = self._scan_whole(self._checked(columns))
+        return cached
+
+    def scan_bound(
+        self,
+        output_columns: List[str],
+        decode_columns: List[str],
+        bound: Sequence[Tuple[str, Optional[Tuple[int, Optional[int]]]]],
+    ) -> BatchScanResult:
+        """The scan under equality conditions whose constants are encoded.
+
+        ``output_columns`` and ``decode_columns`` are :meth:`scan_columns`'
+        answer; ``bound`` holds per condition its column and the constant's
+        ``(id, stable hash)`` (:meth:`StoredTermDictionary.encode`; the hash
+        is read for partition keys only), ``None`` for a constant the store
+        does not hold, which proves the scan empty.
+        """
+        condition_ids: List[Tuple[str, int]] = []
+        hashes: Dict[str, Optional[int]] = {}
+        for column, encoded in bound:
+            if encoded is None:
+                return self._scan_conditioned(output_columns, decode_columns, [], True, None)
+            condition_ids.append((column, encoded[0]))
+            hashes[column] = encoded[1]
         return self._scan_conditioned(
-            output_columns,
-            decode_columns,
-            condition_ids,
-            unknown_term,
-            self._target_bucket(condition_ids),
+            output_columns, decode_columns, condition_ids, False, self._target_bucket(hashes)
         )
 
     def _scan_whole(self, output_columns: List[str]) -> BatchScanResult:
@@ -236,33 +274,25 @@ class _StoredProvider(StoredTableProvider):
                 unique.append(column)
         return unique
 
-    def _encode_conditions(
-        self, condition_items: List[Tuple[str, Any]]
-    ) -> Tuple[List[Tuple[str, int]], bool]:
-        """Encode predicate values to ids; unknown terms prove the scan empty."""
-        encoded: List[Tuple[str, int]] = []
-        for column, value in condition_items:
-            if value is None:
-                encoded.append((column, NULL_ID))
-                continue
-            term_id = self.dictionary.lookup(value)
-            if term_id is None:
-                return [], True
-            encoded.append((column, term_id))
-        return encoded, False
+    def _encode(self, value: Any, hashed: bool) -> Optional[Tuple[int, Optional[int]]]:
+        """A condition value as :meth:`scan_bound` takes it (``None`` is NULL),
+        hashed only when its column is a partition key."""
+        if value is None:
+            return NULL_ID, stable_hash(None)
+        term_id = self.dictionary.lookup(value)
+        if term_id is None:
+            return None
+        return term_id, stable_hash(value) if hashed else None
 
-    def _target_bucket(self, condition_ids: List[Tuple[str, int]]) -> Optional[int]:
-        """Bucket index when the predicates bind every partition key."""
+    def _target_bucket(self, hashes: Mapping[str, Optional[int]]) -> Optional[int]:
+        """Bucket index when the conditions (column -> constant's stable hash)
+        bind every partition key."""
         keys = self.entry.partition_keys
         if not keys or self.entry.num_partitions <= 1:
             return None
-        bound = dict(condition_ids)
-        if not all(key in bound for key in keys):
+        if not all(key in hashes for key in keys):
             return None
-        key_terms = tuple(
-            None if bound[key] == NULL_ID else self.dictionary.decode(bound[key]) for key in keys
-        )
-        return key_partition_index(key_terms, self.entry.num_partitions)
+        return hashed_partition_index([hashes[key] for key in keys], self.entry.num_partitions)
 
 
 class StoredTable(_StoredProvider):
@@ -450,15 +480,11 @@ class StoredSelection(_StoredProvider):
             distinct_objects=selection.distinct_objects,
         )
 
-    def scan_batch(
-        self,
-        columns: Optional[Sequence[str]] = None,
-        conditions: Optional[Mapping[str, Any]] = None,
-    ) -> BatchScanResult:
+    def scan_whole(self, columns: Tuple[str, ...]) -> BatchScanResult:
         if self._base_version != self.base.version:
             self._base_version = self.base.version
             self._drop_scans()
-        return super().scan_batch(columns, conditions)
+        return super().scan_whole(columns)
 
     def _whole_column(self, column: str) -> List[int]:
         whole: List[int] = []

@@ -1,13 +1,16 @@
 """A template-cache hit runs the cached plan as it is, with a binding.
 
-A text that hits the template cache is bound to its template and constants
-(``TemplateCache.lookup``), takes the template's cached plan
-(``TemplateCache.plan``) and runs it with ``id(template term) -> its own
-term`` as the executor's binding: no algebra tree and no plan is rebuilt.
-These tests pin that path, check it against the uncached reference on every
-suite template, run it from many threads with distinct constants, and check
-that per-operator observation still records every node whenever someone is
-looking (a tracer or ``explain_analyze``) — and only then.
+A text that hits the template cache is matched to its template and the
+spellings in its slots (``TemplateCache.lookup``), takes the template's
+cached plan entry and binds the spellings through the entry's memo to
+``id(template term) -> (its own term, its id and hash)`` (``TemplateCache.bind``);
+the executor runs the plan with that binding and the entry's prepared scans:
+no algebra tree and no plan is rebuilt, and a spelling met before is neither
+lexed nor looked up again.  These tests pin that path, check it against the
+uncached reference on every suite template and through store changes, run
+it from many threads with distinct constants, and check that per-operator
+observation still records every node whenever someone is looking (a tracer
+or ``explain_analyze``) — and only then.
 """
 
 import dataclasses
@@ -18,15 +21,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.binding_iteration import index_nested_loop_execute
 from repro.core import template_cache
 from repro.core.compiler import QueryCompiler
 from repro.core.session import S2RDFSession
 from repro.core.table_selection import TableSelector
 from repro.engine.metrics import ExecutionMetrics
+from repro.engine.vectorized import ColumnBatch
 from repro.rdf.graph import Graph
+from repro.rdf.terms import IRI, Literal
 from repro.rdf.triple import Triple
 from repro.serve.workers import PartitionWorkerPool
 from repro.sparql.parser import parse_query
+from repro.store import format as store_format
+from repro.store import reader as store_reader
 from repro.watdiv.basic_queries import BASIC_TEMPLATES
 from repro.watdiv.incremental_queries import INCREMENTAL_TEMPLATES
 from repro.watdiv.selectivity_queries import SELECTIVITY_TEMPLATES
@@ -92,12 +100,58 @@ def refuse_rebinding(monkeypatch):
     monkeypatch.setattr(template_cache._PatternRebinder, "visit", refuse)
 
 
+def counted(monkeypatch, owner, name, calls, label=None):
+    """Count each call of ``owner.name`` into ``calls[label or name]``."""
+    real = getattr(owner, name)
+    label = label or name
+    calls.setdefault(label, 0)
+
+    def counting(*args, **kwargs):
+        calls[label] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def count_constant_work(monkeypatch):
+    """``calls``: per kind of work that turns a slot spelling into what a scan
+    looks for, how often it ran from now on.  ``decode`` counts the dictionary
+    decodes made anywhere but in lowering a result to rows."""
+    calls = {}
+    counted(monkeypatch, template_cache, "kind_of", calls)
+    counted(monkeypatch, template_cache, "term_of_token", calls)
+    counted(monkeypatch, store_format.StoredTermDictionary, "lookup", calls)
+    counted(monkeypatch, store_format, "stable_hash", calls)
+    counted(monkeypatch, store_reader._StoredProvider, "_checked", calls)
+    lowering = []
+    to_relation = ColumnBatch.to_relation
+
+    def lowered(batch):
+        lowering.append(True)
+        try:
+            return to_relation(batch)
+        finally:
+            lowering.pop()
+
+    decode = store_format.StoredTermDictionary.decode
+    calls["decode"] = 0
+
+    def decoding(dictionary, term_id):
+        if not lowering:
+            calls["decode"] += 1
+        return decode(dictionary, term_id)
+
+    monkeypatch.setattr(ColumnBatch, "to_relation", lowered)
+    monkeypatch.setattr(store_format.StoredTermDictionary, "decode", decoding)
+    return calls
+
+
 # --------------------------------------------------------------------------- #
 # The hit path rebuilds nothing, and what it hands out has its own constants
 # --------------------------------------------------------------------------- #
 def test_a_hit_rebuilds_neither_the_query_nor_the_plan(cache_counters, monkeypatch):
     first, second = TWO_HOPS.format(5), TWO_HOPS.format(7)
-    with S2RDFSession.from_graph(users_graph()) as session:
+    with S2RDFSession.from_graph(users_graph(), num_partitions=2) as session:
         session.query(first)
         expected = bag(session.query(parse_query(second)))
         refuse_rebinding(monkeypatch)
@@ -108,6 +162,27 @@ def test_a_hit_rebuilds_neither_the_query_nor_the_plan(cache_counters, monkeypat
         # The SQL text is rendered on first read, with the query's constants.
         assert result.sql == uncached_sql(session, second)
         assert "'<u7>'" in result.sql and "'<u5>'" not in result.sql
+        # A repeated hit finds the spelling's term, id and hash in the plan
+        # entry's memo and runs prepared scans: no slot is lexed or made a
+        # term, no constant looked up, decoded or hashed for its bucket, no
+        # column list checked.
+        assert result.metrics.store_segments_pruned > 0  # two buckets: one is pruned
+        calls = count_constant_work(monkeypatch)
+        again = session.query(second)
+        assert bag(again) == expected
+        assert counters(again.metrics) == counters(result.metrics)
+        assert calls == {
+            "kind_of": 0,
+            "term_of_token": 0,
+            "lookup": 0,
+            "stable_hash": 0,
+            "_checked": 0,
+            "decode": 0,
+        }
+        # The first hit of another spelling lexes, makes and looks it up once.
+        third = session.query(TWO_HOPS.format(9))
+        assert calls["kind_of"] == calls["term_of_token"] == calls["lookup"] == 1
+        assert bag(third) == bag(session.query(parse_query(TWO_HOPS.format(9))))
         monkeypatch.undo()
         # The public front end hands out the rebound plan.
         assert session.explain(second) == uncached_sql(session, second)
@@ -165,6 +240,94 @@ def test_a_hit_equals_the_uncached_reference(
         assert hit.statically_empty == reference.statically_empty
         assert hit.sql == reference.sql
         assert untimed(records[-2]) == untimed(records[-1]), text
+
+
+# --------------------------------------------------------------------------- #
+# The slot memo: scoped to its template, dropped with the store generation
+# --------------------------------------------------------------------------- #
+def reference(session, text):
+    """The answer of ``text`` parsed and compiled uncached, run without a binding."""
+    return bag(session.query(parse_query(text)))
+
+
+def graph_answer(graph, text):
+    """The answer of a one-BGP ``text`` by index nested loops over ``graph``
+    (no store, no dictionary), in ``bag``'s form."""
+    query = parse_query(text)
+    names = [variable.name for variable in query.select_variables]
+    solutions = index_nested_loop_execute(graph, list(query.pattern.patterns))
+    return sorted(repr(tuple(solution[name] for name in names)) for solution in solutions)
+
+
+def test_one_spelling_under_two_prefixes_answers_each_its_own(cache_counters):
+    graph = Graph(
+        [Triple.of("http://a/x", "p", "A1"), Triple.of("http://a/x", "p", "A2")]
+        + [Triple.of("http://b/x", "p", "B1"), Triple.of("http://b/y", "p", "B2")]
+    )
+    texts = [
+        f"PREFIX ex: <http://{space}/> SELECT ?o WHERE {{ ex:{local} <p> ?o }}"
+        for local in ("x", "y", "x", "y")
+        for space in ("a", "b")
+    ]
+    with S2RDFSession.from_graph(graph) as session:
+        for number, text in enumerate(texts):
+            before = cache_counters(session)
+            answer = bag(session.query(text))
+            # Two templates (the prologue is in the key), each a hit after its first text.
+            assert cache_counters(session, before)[:2] == ((1, 0) if number > 1 else (0, 1))
+            assert answer == reference(session, text) == graph_answer(graph, text), text
+        assert bag(session.query(texts[0])) == ["(IRI(value='A1'),)", "(IRI(value='A2'),)"]
+        assert bag(session.query(texts[1])) == ["(IRI(value='B1'),)"]
+
+
+def test_an_absent_constant_answers_once_the_store_holds_it(tmp_path):
+    def answers(session, users, holds):
+        for user in users:
+            text = TWO_HOPS.format(user)
+            for _ in range(2):  # the second one finds the spelling in the memo
+                answer = bag(session.query(text))
+                assert answer == reference(session, text), (user, holds)
+                assert bool(answer) == holds, (user, holds)
+
+    with S2RDFSession.from_graph(users_graph(), journal_enabled=False) as session:
+        answers(session, [5], True)
+        answers(session, [90, 91], False)
+        # A session built in memory keeps its ids when it saves them.
+        session.save_dataset(str(tmp_path / "saved"))
+        answers(session, [90, 91], False)
+        session.append_triples([Triple.of("u90", "follows", "u1")])
+        answers(session, [90, 5], True)
+        answers(session, [91], False)
+        session.append_triples([Triple.of("u91", "follows", "u2")])
+        session.compact(compaction_threshold=1)
+        answers(session, [91, 90, 5], True)
+        answers(session, [92], False)
+        # Saved again, a connected session lays its triples out under other ids.
+        session.save_dataset(str(tmp_path / "resaved"))
+        answers(session, [91, 90, 5], True)
+        answers(session, [92], False)
+
+
+def test_terms_sharing_a_dictionary_line_bind_as_the_uncached_reference():
+    """``Literal("x", language="")`` and ``Literal("x")`` are two terms with one
+    dictionary line: a slot spelled ``"x"`` names the second one only."""
+    empty_tag, plain = Literal("x", language=""), Literal("x")
+    text = "SELECT ?s WHERE {{ ?s <p> {} }}"
+    graphs = {
+        "both": [(IRI("a"), empty_tag), (IRI("b"), plain), (IRI("c"), Literal("y"))],
+        "only the tagged one": [(IRI("a"), empty_tag), (IRI("c"), Literal("y"))],
+    }
+    for name, pairs in graphs.items():
+        graph = Graph([Triple(subject, IRI("p"), object_) for subject, object_ in pairs])
+        with S2RDFSession.from_graph(graph) as session:
+            dictionary = session._dataset.dictionary
+            assert dictionary.lookup(empty_tag) is not None
+            for constant in ('"y"', '"x"', '"y"', '"x"'):
+                query = text.format(constant)
+                answer = bag(session.query(query))
+                assert answer == reference(session, query) == graph_answer(graph, query), name
+            expected = ["(IRI(value='b'),)"] if plain in dict(pairs).values() else []
+            assert bag(session.query(text.format('"x"'))) == expected, name
 
 
 # --------------------------------------------------------------------------- #
@@ -250,13 +413,13 @@ THREADS = 8
 STEPS = 40
 
 
-def _own_answers_under_threads(run_one):
+def _own_answers_under_threads(run_one, users=tuple(range(USERS)), steps=STEPS):
     """``run_one(text) -> QueryResult`` from ``THREADS`` threads, each walking
-    the users from its own offset, under a short switch interval."""
+    ``users`` for ``steps`` steps from its own offset, under a short switch
+    interval."""
     with S2RDFSession.from_graph(users_graph(), journal_enabled=False) as reference:
         expected = {
-            user: bag(reference.query(parse_query(TWO_HOPS.format(user))))
-            for user in range(USERS)
+            user: bag(reference.query(parse_query(TWO_HOPS.format(user)))) for user in users
         }
     assert len(set(map(tuple, expected.values()))) > 1  # the answers differ
     failures = []
@@ -265,8 +428,8 @@ def _own_answers_under_threads(run_one):
     def client(offset: int) -> None:
         try:
             barrier.wait()
-            for step in range(STEPS):
-                user = (offset + step) % USERS
+            for step in range(steps):
+                user = users[(offset + step) % len(users)]
                 result = run_one(TWO_HOPS.format(user))
                 assert bag(result) == expected[user], user
                 assert f"'<u{user}>'" in result.sql, user
@@ -294,6 +457,33 @@ def test_threads_binding_one_template_get_their_own_answers(cache_counters):
         hits, misses, plan_hits, plan_misses = cache_counters(session)
         assert hits + misses == plan_hits + plan_misses == THREADS * STEPS
         assert hits > misses
+
+
+def test_threads_binding_more_spellings_than_the_memo_holds():
+    """Known users, users the store does not hold, and more spellings in all
+    than a plan entry remembers: the memo is cleared under the threads' feet,
+    and every answer is still the query's own."""
+    bound = template_cache.MAX_SLOT_SPELLINGS
+    users = tuple(range(USERS)) + tuple(range(100, 100 + bound))
+    sizes = []
+    with S2RDFSession.from_graph(users_graph(), journal_enabled=False) as session:
+        # One template and one plan entry before the threads start (racing
+        # first misses would each register a template of their own).
+        session.query(TWO_HOPS.format(0))
+        plans = session._templates._plans
+
+        def run_one(text):
+            result = session.query(text)
+            sizes.append(max(len(entry.slots) for entry in list(plans.values())))
+            return result
+
+        _own_answers_under_threads(run_one, users, steps=len(users))
+        (entry,) = plans.values()
+    # Each spelling was bound, more than the bound holds: the memo was cleared.
+    assert len(sizes) == THREADS * len(users) and len(users) > bound
+    assert len(entry.slots) <= bound
+    # Binders racing past the check overshoot by at most one spelling each.
+    assert max(sizes) <= bound + THREADS
 
 
 def test_threads_serving_one_template_get_their_own_answers(cache_counters):

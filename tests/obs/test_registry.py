@@ -1,7 +1,8 @@
 """MetricsRegistry unit tests: counters, bounded histograms, JSON snapshots
-and Prometheus text exposition."""
+and Prometheus text exposition, and the one update a query makes."""
 
 import json
+import threading
 
 import pytest
 
@@ -101,18 +102,26 @@ def test_updates_through_the_registry_keep_the_name_checks():
     with pytest.raises(ValueError, match="already registered as a counter"):
         registry.observe("metric_a", 1.0)
     with pytest.raises(ValueError, match="already registered as a counter"):
-        registry.observe_all("metric_a", [1.0])
+        registry.update(observations=[("metric_a", 1.0)])
     with pytest.raises(ValueError, match="already registered as a histogram"):
         registry.inc("metric_b")
+    with pytest.raises(ValueError, match="already registered as a histogram"):
+        registry.update(counts=[("metric_b", 1)])
 
 
-def test_observe_all_is_one_observation_per_value():
+def test_one_update_is_its_incs_and_observations():
     one_by_one, together = MetricsRegistry(), MetricsRegistry()
     values = [0.3, 4.0, 4.0, 70.0]
+    one_by_one.inc("queries", help="queries run")
+    one_by_one.inc("rows", 0)
     for value in values:
-        one_by_one.observe("join_ms", value, bounds=(1.0, 10.0), help="joins")
-    together.observe_all("join_ms", values, bounds=(1.0, 10.0), help="joins")
-    together.observe_all("join_ms", [])
+        one_by_one.observe("join_ms", value, help="joins")
+    together.update(
+        counts=[("queries", 1), ("rows", 0)],
+        observations=[("join_ms", value) for value in values],
+        help={"queries": "queries run", "join_ms": "joins"},
+    )
+    together.update()
     assert together.snapshot() == one_by_one.snapshot()
     assert together.render_prometheus() == one_by_one.render_prometheus()
 
@@ -151,24 +160,78 @@ def test_render_prometheus_format():
 
 
 def test_registry_is_thread_safe():
-    import threading
-
     registry = MetricsRegistry()
 
     def worker():
         for _ in range(500):
             registry.inc("hits")
             registry.observe("values", 1.0, bounds=(10.0,))
-            registry.observe_all("batches", [1.0, 2.0], bounds=(10.0,))
+            registry.update(counts=[("hits", 1)], observations=[("batches", 1.0), ("batches", 2.0)])
 
     threads = [threading.Thread(target=worker) for _ in range(4)]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    assert registry.counter_value("hits") == 2000
+    assert registry.counter_value("hits") == 4000
     assert registry.histogram("values").count == 2000
     assert registry.histogram("batches").count == 4000
+
+
+class CountingLock:
+    """A lock that counts how often it was taken."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.acquisitions = 0
+
+    def __enter__(self) -> "CountingLock":
+        self._lock.acquire()
+        self.acquisitions += 1
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._lock.release()
+
+
+def test_a_query_takes_the_registry_lock_once(example_graph, query_q1):
+    from repro.core.session import S2RDFSession
+    from repro.sparql import parse_query
+
+    follows = "SELECT ?y WHERE {{ <{}> <follows> ?y }}"
+    # Misses and hits, with joins and without, and a Query object.
+    queries = [query_q1, query_q1, follows.format("A"), follows.format("B"), parse_query(query_q1)]
+    with S2RDFSession.from_graph(example_graph, num_partitions=2) as session:
+        lock = session.metrics._lock = CountingLock()
+        joins = 0
+        for number, query in enumerate(queries, 1):
+            joins += session.query(query).metrics.joins
+            assert lock.acquisitions == number
+        with session.serve() as scheduler:
+            scheduler.submit(follows.format("C")).result(timeout=60)  # prewarms once
+            taken = lock.acquisitions
+            scheduler.submit(follows.format("D")).result(timeout=60)
+            # Admission, the query's books, the dispatch's books.
+            assert lock.acquisitions - taken == 3
+        snapshot = session.metrics.snapshot()
+        text = session.metrics.render_prometheus()
+    counters, histograms = snapshot["counters"], snapshot["histograms"]
+    assert counters["s2rdf_queries_total"] == len(queries) + 2
+    assert counters["s2rdf_template_cache_hits_total"] == 4
+    assert counters["s2rdf_template_cache_misses_total"] == 2
+    assert histograms["s2rdf_query_wall_ms"]["count"] == len(queries) + 2
+    assert histograms["s2rdf_join_critical_path_ms"]["count"] == joins > 0
+    assert histograms["s2rdf_scheduler_queue_ms"]["count"] == 2
+    assert counters["s2rdf_scheduler_completed_total"] == 2
+    assert "# HELP s2rdf_queries_total Queries executed by this session" in text
+    assert (
+        "# HELP s2rdf_segment_prune_ratio Fraction of store segments skipped by pruning, per query"
+        in text
+    )
+    assert (
+        "# HELP s2rdf_scheduler_queue_ms Milliseconds queries waited in the admission queue"
+        in text
+    )
 
 
 if __name__ == "__main__":
