@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bench import run_table3_selectivity
-from repro.bench.scaling import paper_work_scale
 from repro.core.session import S2RDFSession
 from repro.watdiv.selectivity_queries import selectivity_template
 from repro.watdiv.template import instantiate_template
@@ -20,9 +19,8 @@ def test_table3_report(benchmark, bench_dataset, report_sink):
 
 @pytest.fixture(scope="module")
 def sessions(bench_dataset):
-    scale = paper_work_scale(bench_dataset.graph)
-    extvp = S2RDFSession.from_graph(bench_dataset.graph, use_extvp=True, work_scale=scale)
-    vp = S2RDFSession.from_graph(bench_dataset.graph, use_extvp=False, work_scale=scale)
+    extvp = S2RDFSession.from_graph(bench_dataset.graph, use_extvp=True)
+    vp = S2RDFSession.from_graph(bench_dataset.graph, use_extvp=False)
     return extvp, vp
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bench import run_table5_incremental
-from repro.bench.scaling import paper_work_scale
 from repro.core.session import S2RDFSession
 from repro.watdiv.incremental_queries import incremental_template
 from repro.watdiv.template import instantiate_template
@@ -27,9 +26,7 @@ def test_table5_report(benchmark, bench_dataset, report_sink):
 
 @pytest.fixture(scope="module")
 def extvp_session(bench_dataset):
-    return S2RDFSession.from_graph(
-        bench_dataset.graph, work_scale=paper_work_scale(bench_dataset.graph)
-    )
+    return S2RDFSession.from_graph(bench_dataset.graph)
 
 
 @pytest.mark.benchmark(group="table5-incremental")

@@ -68,7 +68,7 @@ def main() -> None:
     print(result.as_table())
 
     print("\nExecution metrics:", result.metrics.as_dict())
-    print(f"Simulated cluster runtime: {result.simulated_runtime_ms:.1f} ms")
+    print(f"Wall clock: {result.wall_clock_ms:.1f} ms")
 
     # A query whose predicate correlation does not exist in the data is
     # answered from statistics alone, without touching any table.

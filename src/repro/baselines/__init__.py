@@ -18,6 +18,14 @@ to do under its own architecture's cost model:
   with adaptive centralized / MapReduce execution.
 * :class:`~repro.baselines.virtuoso.VirtuosoEngine` — a centralized six-index
   store (Virtuoso-like), with cold and warm cache variants.
+
+The simulated cluster they run on lives here too: the cost models
+(:mod:`~repro.baselines.cluster`) and the Parquet size model with its HDFS
+namespace (:mod:`~repro.baselines.hdfs`).  S2RDF is priced the same way: the
+session only counts a query's work, and
+:func:`~repro.baselines.s2rdf_engine.simulated_runtime_ms` /
+:func:`~repro.baselines.s2rdf_engine.hdfs_bytes` price it for the paper's
+tables.
 """
 
 from repro.baselines.base import EngineResult, LoadReport, SparqlEngine, UnsupportedQueryError

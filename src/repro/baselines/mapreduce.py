@@ -24,10 +24,10 @@ from repro.baselines.binding_iteration import (
     clause_iteration_execute,
     index_nested_loop_execute,
 )
-from repro.engine.cluster import MapReduceCostModel
+from repro.baselines.cluster import MapReduceCostModel
+from repro.baselines.hdfs import HdfsSimulator
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.relation import Relation
-from repro.engine.storage import HdfsSimulator
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Variable
 from repro.sparql.algebra import Query, TriplePattern

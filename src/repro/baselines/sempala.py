@@ -15,10 +15,10 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.baselines.base import EngineResult, LoadReport, SparqlEngine, UnsupportedQueryError
-from repro.engine.cluster import SparkCostModel
+from repro.baselines.cluster import SparkCostModel
+from repro.baselines.hdfs import ParquetSizeModel
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.relation import Relation
-from repro.engine.storage import ParquetSizeModel
 from repro.mappings.naming import PROPERTY_TABLE, build_unique_keys
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Term, Variable

@@ -19,10 +19,10 @@ from repro.baselines.binding_iteration import (
     bindings_to_relation,
     index_nested_loop_execute,
 )
-from repro.engine.cluster import CentralizedCostModel
+from repro.baselines.cluster import CentralizedCostModel
+from repro.baselines.hdfs import HdfsSimulator
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.relation import Relation
-from repro.engine.storage import HdfsSimulator
 from repro.rdf.graph import Graph
 from repro.sparql.algebra import Query
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.baselines.s2rdf_engine import simulated_runtime_ms
 from repro.bench.reporting import ExperimentReport
 from repro.core.session import S2RDFSession
 from repro.mappings.extvp import CorrelationKind, correlation_keys
@@ -61,8 +62,8 @@ def run_join_order_ablation(
         )
         report.add_row(
             query=template.name,
-            optimized_ms=round(optimized_result.simulated_runtime_ms, 2),
-            unoptimized_ms=round(unoptimized_result.simulated_runtime_ms, 2),
+            optimized_ms=round(simulated_runtime_ms(optimized_result.metrics), 2),
+            unoptimized_ms=round(simulated_runtime_ms(unoptimized_result.metrics), 2),
             optimized_intermediate=optimized_result.metrics.intermediate_tuples,
             unoptimized_intermediate=unoptimized_result.metrics.intermediate_tuples,
             intermediate_ratio=round(ratio, 3),

@@ -17,9 +17,9 @@ from repro.baselines import (
     SempalaEngine,
     ShardEngine,
 )
+from repro.baselines.hdfs import HdfsSimulator
 from repro.bench.reporting import ExperimentReport
 from repro.engine.relation import Relation
-from repro.engine.storage import HdfsSimulator
 from repro.watdiv.generator import generate_dataset
 
 

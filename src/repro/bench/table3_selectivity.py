@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.baselines.s2rdf_engine import simulated_runtime_ms
 from repro.bench.reporting import ExperimentReport
 from repro.bench.scaling import PAPER_SF10000_TRIPLES, paper_work_scale
 from repro.core.session import S2RDFSession
@@ -28,10 +29,8 @@ def run_table3_selectivity(
     """Regenerate Table 3 / Fig. 13 (ExtVP vs VP on the ST workload)."""
     dataset = dataset if dataset is not None else generate_dataset(scale_factor=scale_factor, seed=seed)
     work_scale = paper_work_scale(dataset.graph, paper_triples)
-    extvp_session = S2RDFSession.from_graph(
-        dataset.graph, selectivity_threshold=1.0, use_extvp=True, work_scale=work_scale
-    )
-    vp_session = S2RDFSession.from_graph(dataset.graph, use_extvp=False, work_scale=work_scale)
+    extvp_session = S2RDFSession.from_graph(dataset.graph, selectivity_threshold=1.0, use_extvp=True)
+    vp_session = S2RDFSession.from_graph(dataset.graph, use_extvp=False)
 
     report = ExperimentReport(
         name="Table 3 / Fig. 13 — WatDiv Selectivity Testing (ExtVP vs VP)",
@@ -59,11 +58,9 @@ def run_table3_selectivity(
             raise AssertionError(
                 f"{template.name}: ExtVP and VP disagree ({len(extvp_result)} vs {len(vp_result)} rows)"
             )
-        speedup = (
-            vp_result.simulated_runtime_ms / extvp_result.simulated_runtime_ms
-            if extvp_result.simulated_runtime_ms > 0
-            else float("inf")
-        )
+        extvp_ms = simulated_runtime_ms(extvp_result.metrics, work_scale)
+        vp_ms = simulated_runtime_ms(vp_result.metrics, work_scale)
+        speedup = vp_ms / extvp_ms if extvp_ms > 0 else float("inf")
         reduction = (
             extvp_result.metrics.input_tuples / vp_result.metrics.input_tuples
             if vp_result.metrics.input_tuples
@@ -72,8 +69,8 @@ def run_table3_selectivity(
         report.add_row(
             query=template.name,
             category=template.category,
-            extvp_ms=round(extvp_result.simulated_runtime_ms, 2),
-            vp_ms=round(vp_result.simulated_runtime_ms, 2),
+            extvp_ms=round(extvp_ms, 2),
+            vp_ms=round(vp_ms, 2),
             speedup=round(speedup, 2),
             extvp_input_tuples=extvp_result.metrics.input_tuples,
             vp_input_tuples=vp_result.metrics.input_tuples,

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence
 
+from repro.baselines.s2rdf_engine import hdfs_bytes, simulated_runtime_ms
 from repro.bench.reporting import ExperimentReport, arithmetic_mean
 from repro.bench.scaling import PAPER_SF10000_TRIPLES, paper_work_scale
 from repro.core.session import S2RDFSession
@@ -67,14 +68,15 @@ def run_table6_threshold(
             dataset.graph,
             selectivity_threshold=threshold if use_extvp else 1.0,
             use_extvp=use_extvp,
-            work_scale=work_scale,
         )
         summary = session.storage_summary()
         runtimes: List[float] = []
         per_category: Dict[str, List[float]] = defaultdict(list)
         for template in templates:
             queries = instantiate_many(template, dataset, instantiations, seed=seed)
-            template_runtimes = [session.query(q).simulated_runtime_ms for q in queries]
+            template_runtimes = [
+                simulated_runtime_ms(session.query(q).metrics, work_scale) for q in queries
+            ]
             mean_runtime = arithmetic_mean(template_runtimes)
             runtimes.append(mean_runtime)
             per_category[template.category].append(mean_runtime)
@@ -83,7 +85,7 @@ def run_table6_threshold(
                 "threshold": threshold,
                 "tables": summary["table_counts"]["total"],
                 "tuples": summary["total_tuples"],
-                "hdfs_bytes": summary["hdfs_bytes"],
+                "hdfs_bytes": hdfs_bytes(session),
                 "runtime_ms": arithmetic_mean(runtimes),
                 "runtime_L": arithmetic_mean(per_category.get("L", [0.0])),
                 "runtime_S": arithmetic_mean(per_category.get("S", [0.0])),

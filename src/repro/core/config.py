@@ -53,9 +53,6 @@ class ExecutionConfig:
     num_partitions: int = 1
     #: Apply Algorithm 4's join-order optimisation.
     optimize_join_order: bool = True
-    #: Multiplier applied to data-proportional execution counters before the
-    #: cost model converts them to a simulated runtime.
-    work_scale: float = 1.0
     #: ``"thread"`` (default) or ``"process"``: where ``serve()`` runs
     #: queries.  Process mode sidesteps the GIL by shipping whole queries to
     #: the persistent worker pool of the session's stored dataset; sessions
@@ -75,8 +72,6 @@ class ExecutionConfig:
             )
         if self.worker_processes is not None and self.worker_processes < 1:
             raise ValueError("worker_processes must be >= 1 (or None for the default)")
-        if self.work_scale <= 0:
-            raise ValueError("work_scale must be > 0")
 
 
 @dataclass

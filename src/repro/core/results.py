@@ -1,13 +1,13 @@
 """Query results.
 
-A :class:`QueryResult` bundles the solution bindings with everything the
-benchmark harness needs: the generated SQL text (rendered on first read), the
-execution metrics, the simulated cluster runtime and the wall-clock time spent
-in the local engine.  A result is always built in the process that asked for
-it, by :meth:`~repro.core.session.S2RDFSession._finish` from the query's
-:class:`~repro.core.session.QueryRecord`: a query served by a process worker
-comes back as that record, its root in ids, and the parent builds its result
-as it builds a direct query's.
+A :class:`QueryResult` bundles the solution bindings with the generated SQL
+text (rendered on first read), the execution metrics and the wall-clock time
+spent in the engine; the paper's simulated cluster prices those metrics in
+:mod:`repro.baselines`, not here.  A result is always built in the process
+that asked for it, by :meth:`~repro.core.session.S2RDFSession._finish` from
+the query's :class:`~repro.core.session.QueryRecord`: a query served by a
+process worker comes back as that record, its root in ids, and the parent
+builds its result as it builds a direct query's.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class QueryResult:
 
     relation: Relation
     metrics: ExecutionMetrics
-    simulated_runtime_ms: float
     #: Total wall-clock time of the query() call, in milliseconds.
     wall_clock_ms: float
     statically_empty: bool = False

@@ -1,15 +1,15 @@
 """The S2RDF session — the library's main public API.
 
 A session owns the data layout (VP + ExtVP over a graph), compiles SPARQL
-queries to SQL plans, executes them on the relational engine and attaches a
-simulated Spark-cluster runtime derived from the execution metrics.
+queries to SQL plans and executes them on the relational engine; a result
+carries the query's execution metrics and its wall-clock time.
 
 .. code-block:: python
 
     session = S2RDFSession.from_graph(graph, selectivity_threshold=0.25)
     result = session.query("SELECT * WHERE { ?x wsdbm:follows ?y . ?y wsdbm:likes ?z }")
     print(result.sql)
-    print(result.simulated_runtime_ms)
+    print(result.metrics.input_tuples, result.wall_clock_ms)
 
 A session built from a graph lays it out once as the columnar store's image
 — the append of its triples to an empty store — and serves that from
@@ -44,11 +44,9 @@ from repro.core.results import QueryResult
 from repro.core.table_selection import TableSelector
 from repro.core.template_cache import TemplateCache
 from repro.engine.catalog import Catalog
-from repro.engine.cluster import SparkCostModel
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.plan import PlanExecutor
 from repro.engine.relation import Relation
-from repro.engine.storage import ParquetSizeModel
 from repro.engine.strategies import UNKNOWN_ROWS
 from repro.engine.vectorized import ColumnBatch
 from repro.mappings.naming import TRIPLES_TABLE
@@ -242,14 +240,12 @@ class S2RDFSession:
         self,
         layout: StoreView,
         config: Optional[SessionConfig] = None,
-        cost_model: Optional[SparkCostModel] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.layout = layout
         # Config invariants (num_partitions >= 1, ...) are enforced by
         # the config dataclasses' own __post_init__ at construction time.
         self.config = config or SessionConfig()
-        self.cost_model = cost_model or SparkCostModel()
         #: Query-lifecycle tracer; the shared no-op tracer unless tracing is
         #: enabled (or a caller injects one, e.g. ``open_dataset`` so the cold
         #: open itself is on the timeline).
@@ -379,7 +375,6 @@ class S2RDFSession:
     def from_graph(
         cls,
         graph: Graph,
-        cost_model: Optional[SparkCostModel] = None,
         config: Optional[SessionConfig] = None,
         **knobs: object,
     ) -> "S2RDFSession":
@@ -409,7 +404,7 @@ class S2RDFSession:
                 include_oo=store.include_oo,
             ).lay_out(graph)
         )
-        session = cls(StoreView(Catalog(), dataset.manifest), config=config, cost_model=cost_model)
+        session = cls(StoreView(Catalog(), dataset.manifest), config=config)
         session._adopt(dataset)
         session.load_seconds = time.perf_counter() - started_at
         return session
@@ -485,7 +480,6 @@ class S2RDFSession:
         cls,
         path: str,
         num_partitions: Optional[int] = None,
-        cost_model: Optional[SparkCostModel] = None,
         config: Optional[SessionConfig] = None,
         **knobs: object,
     ) -> "S2RDFSession":
@@ -534,7 +528,7 @@ class S2RDFSession:
                 observability=config.observability,
                 serving=config.serving,
             )
-        session = cls(layout, config=config, cost_model=cost_model, tracer=tracer)
+        session = cls(layout, config=config, tracer=tracer)
         session.load_report = load_report
         session.load_seconds = load_report.load_seconds
         session.dataset_path = path
@@ -780,8 +774,7 @@ class S2RDFSession:
             f"Template cache: parse={cached[record.parse_hit]}, "
             f"compile={cached[record.compile_hit]}",
             f"Phases: {phases}",
-            f"Wall clock: {result.wall_clock_ms:.2f} ms; "
-            f"simulated cluster runtime: {result.simulated_runtime_ms:.2f} ms",
+            f"Wall clock: {result.wall_clock_ms:.2f} ms",
         ]
         return ExplainAnalyzeResult(result=result, text="\n".join(lines))
 
@@ -913,7 +906,6 @@ class S2RDFSession:
         result = QueryResult(
             relation=relation,
             metrics=metrics,
-            simulated_runtime_ms=self._simulated_ms(metrics),
             wall_clock_ms=record.wall_ms + lower_ms,
             statically_empty=record.statically_empty,
             phase_ms=phase_ms,
@@ -991,11 +983,6 @@ class S2RDFSession:
 
         return ColumnBatch.adopt(columns, ids, decode).to_relation()
 
-    def _simulated_ms(self, metrics: ExecutionMetrics) -> float:
-        """The simulated cluster runtime of a query that counted ``metrics``."""
-        scale = self.config.execution.work_scale
-        return self.cost_model.runtime_ms(metrics.scaled(scale) if scale != 1.0 else metrics)
-
     @staticmethod
     def template_of(parsed: Query) -> Tuple[str, str]:
         """The journal's ``(template, fingerprint)`` of a parsed query.
@@ -1037,25 +1024,11 @@ class S2RDFSession:
     # Introspection
     # ------------------------------------------------------------------ #
     def storage_summary(self) -> dict:
-        """Tuple counts and simulated HDFS size of the layout (Table 2 data).
-
-        ``hdfs_bytes`` is what the paper's Parquet files would take
-        (:class:`~repro.engine.storage.ParquetSizeModel`): one file per VP
-        table and per materialised ExtVP table, each holding its rows in the
-        order the store holds them.  It is computed on request, from the
-        store, so an in-memory session and a connected one report the same
-        number for the same dataset.
-        """
+        """Tuple and table counts of the layout (Table 2 data), from the
+        manifest: no table is read."""
         layout = self.layout
-        size_model = ParquetSizeModel()
         with self._store_lock.read_locked():
             summary = layout.size_summary()
-            stored = [layout.vp_table_name(predicate) for predicate in layout.predicates()]
-            stored += [info.name for info in layout.statistics.materialized()]
-            summary["hdfs_bytes"] = sum(
-                size_model.estimate_bytes(layout.catalog.scan_batch(name).batch.to_relation())
-                for name in stored
-            )
             summary["table_counts"] = layout.table_counts()
         summary["load_seconds"] = self.load_seconds
         return summary

@@ -405,7 +405,9 @@ class TemplateCache:
         if max(len(self._templates), len(self._slots)) >= MAX_TEMPLATES:
             self._clear()
         self._slots[shape] = (slots, kinds)
-        self._templates[key] = template
+        # Misses on one template at once share the first template inserted,
+        # and with it one plan entry.
+        template = self._templates.setdefault(key, template)
         if max(len(self._templates), len(self._slots)) > MAX_TEMPLATES:
             # Concurrent misses all passed the check above before inserting.
             self._clear()

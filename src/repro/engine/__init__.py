@@ -19,11 +19,8 @@ single machine:
 * :class:`~repro.engine.catalog.Catalog` — the table store with statistics:
   a layout's build registers relations of terms, and a session serves every
   table from the columnar store (:mod:`repro.store`) instead.
-* :mod:`~repro.engine.storage` — a simulated HDFS namespace with Parquet-like
-  size accounting (dictionary + run-length encoding, snappy-style factor).
-* :mod:`~repro.engine.cluster` — cost models that convert execution metrics
-  into simulated runtimes for the different execution architectures
-  (in-memory MPP, MapReduce, centralised single node).
+* :mod:`~repro.engine.storage` — the store's column page codec: run-length
+  encoded id pages and their zone maps.
 * :mod:`~repro.engine.strategies` — Spark's join choice (broadcast vs.
   shuffle hash join) as a costing pass over the plan: the executor reports
   the annotation, every join runs in process.
@@ -53,14 +50,6 @@ from repro.engine.strategies import (
     ShuffleHashJoin,
     plan_join_strategies,
 )
-from repro.engine.storage import HdfsSimulator, ParquetSizeModel, StoredFile
-from repro.engine.cluster import (
-    CentralizedCostModel,
-    ClusterConfig,
-    CostModel,
-    MapReduceCostModel,
-    SparkCostModel,
-)
 
 __all__ = [
     "Relation",
@@ -84,12 +73,4 @@ __all__ = [
     "PhysicalPlan",
     "ShuffleHashJoin",
     "plan_join_strategies",
-    "HdfsSimulator",
-    "ParquetSizeModel",
-    "StoredFile",
-    "CentralizedCostModel",
-    "ClusterConfig",
-    "CostModel",
-    "MapReduceCostModel",
-    "SparkCostModel",
 ]

@@ -3,7 +3,8 @@
 The paper's argument for ExtVP is quantitative: fewer input tuples, fewer
 shuffled tuples and fewer join comparisons.  Every relational operator in the
 engine updates an :class:`ExecutionMetrics` instance so the benchmark harness
-can report exactly these quantities and feed them to the cost models.
+can report exactly these quantities and feed them to the simulated systems'
+cost models (:mod:`repro.baselines.cluster`).
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.baselines.hdfs import HdfsSimulator, ParquetSizeModel, format_bytes
 from repro.engine.relation import Relation
-from repro.engine.storage import HdfsSimulator, ParquetSizeModel, format_bytes
 from repro.rdf.terms import IRI
 
 

@@ -467,8 +467,7 @@ def test_threads_binding_more_spellings_than_the_memo_holds():
     users = tuple(range(USERS)) + tuple(range(100, 100 + bound))
     sizes = []
     with S2RDFSession.from_graph(users_graph(), journal_enabled=False) as session:
-        # One template and one plan entry before the threads start (racing
-        # first misses would each register a template of their own).
+        # One template and one plan entry before the threads start.
         session.query(TWO_HOPS.format(0))
         plans = session._templates._plans
 
@@ -484,6 +483,47 @@ def test_threads_binding_more_spellings_than_the_memo_holds():
     assert len(entry.slots) <= bound
     # Binders racing past the check overshoot by at most one spelling each.
     assert max(sizes) <= bound + THREADS
+
+
+def test_threads_missing_one_template_at_once_share_it(monkeypatch):
+    """Every thread misses the unprimed template, and all of them are held
+    after the parse, before any registers a template: they still register
+    one template and compile one plan entry."""
+    users = tuple(range(THREADS))
+    with S2RDFSession.from_graph(users_graph(), journal_enabled=False) as reference:
+        expected = {
+            user: bag(reference.query(parse_query(TWO_HOPS.format(user)))) for user in users
+        }
+    barrier = threading.Barrier(THREADS, timeout=60)
+    make_template = template_cache.QueryTemplate
+
+    def overlapping(*args):
+        barrier.wait()
+        return make_template(*args)
+
+    monkeypatch.setattr(template_cache, "QueryTemplate", overlapping)
+    answers = {}
+    failures = []
+
+    def client(user: int) -> None:
+        try:
+            answers[user] = bag(session.query(TWO_HOPS.format(user)))
+        except BaseException as error:  # reported by the main thread
+            failures.append(error)
+            barrier.abort()
+
+    with S2RDFSession.from_graph(users_graph(), journal_enabled=False) as session:
+        threads = [threading.Thread(target=client, args=(user,)) for user in users]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[0]
+        cache = session._templates
+        assert len(cache) == 1
+        assert cache.plan_count() == 1
+    assert answers == expected
 
 
 def test_threads_serving_one_template_get_their_own_answers(cache_counters):

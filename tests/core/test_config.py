@@ -89,7 +89,6 @@ def test_equality_and_repr():
         (ExecutionConfig, {"num_partitions": 0}, "num_partitions"),
         (ExecutionConfig, {"execution_mode": "gpu"}, "unknown execution_mode"),
         (ExecutionConfig, {"worker_processes": 0}, "worker_processes"),
-        (ExecutionConfig, {"work_scale": 0.0}, "work_scale"),
         (StoreConfig, {"selectivity_threshold": 1.5}, "selectivity_threshold"),
         (StoreConfig, {"compaction_threshold": 0}, "compaction_threshold"),
         (ServingConfig, {"max_concurrent_queries": 0}, "max_concurrent_queries"),
@@ -198,6 +197,25 @@ def test_the_partitioned_runtime_knobs_are_refused_everywhere(
         surface(example_graph, path, **{knob: value})
 
 
+@pytest.mark.parametrize(
+    "surface", [pytest.param(call, id=name) for name, call in _refusing_surfaces()]
+)
+@pytest.mark.parametrize("knob, value", [("work_scale", 2.0), ("cost_model", None)])
+def test_the_simulated_cluster_is_not_a_knob_anywhere(
+    example_graph, tmp_path, knob, value, surface
+):
+    """A session does not price its queries (the paper tables do, in
+    ``repro.baselines``): its scale and cost model are refused by name, as
+    any unknown knob is."""
+    import repro
+
+    path = str(tmp_path / "dataset")
+    repro.create(example_graph, path=path).close()
+    with pytest.raises(TypeError, match=knob):
+        surface(example_graph, path, **{knob: value})
+    assert knob not in FLAT_FIELD_HOMES
+
+
 def test_the_partitioned_runtime_knobs_have_no_flat_home():
     for knob, _ in RETIRED_RUNTIME_KNOBS:
         assert knob not in FLAT_FIELD_HOMES
@@ -220,13 +238,12 @@ def test_the_engine_is_not_a_knob_anywhere(example_graph, tmp_path, surface):
             surface(example_graph, path, engine=value)
 
 
-def test_execution_config_has_five_fields():
+def test_execution_config_has_four_fields():
     from dataclasses import fields
 
     assert [field.name for field in fields(ExecutionConfig)] == [
         "num_partitions",
         "optimize_join_order",
-        "work_scale",
         "execution_mode",
         "worker_processes",
     ]

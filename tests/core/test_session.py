@@ -51,7 +51,6 @@ class TestRunningExample:
         result = session.query(query_q1)
         assert result.metrics.joins == 3
         assert result.metrics.input_tuples > 0
-        assert result.simulated_runtime_ms > 0
         assert result.wall_clock_ms >= 0
 
     def test_statistics_short_circuit(self, session):
@@ -195,12 +194,13 @@ class TestSessionConstruction:
 
     def test_storage_summary_keys(self, session):
         summary = session.storage_summary()
-        assert {"vp_tuples", "extvp_tuples", "total_tuples", "hdfs_bytes", "table_counts"} <= set(summary)
-
-    def test_work_scale_scales_runtime(self, example_graph, query_q1):
-        base = S2RDFSession.from_graph(example_graph, work_scale=1.0)
-        scaled = S2RDFSession.from_graph(example_graph, work_scale=1e6)
-        assert scaled.query(query_q1).simulated_runtime_ms > base.query(query_q1).simulated_runtime_ms
+        assert set(summary) == {
+            "vp_tuples",
+            "extvp_tuples",
+            "total_tuples",
+            "table_counts",
+            "load_seconds",
+        }
 
     def test_threshold_session_still_correct(self, example_graph, query_q1):
         session = S2RDFSession.from_graph(example_graph, selectivity_threshold=0.25)
@@ -260,15 +260,6 @@ class TestJoinStrategyAnnotation:
         with S2RDFSession.from_graph(example_graph, num_partitions=4) as session:
             assert len(session.query(query_q1)) == 1
             assert threading.active_count() == before
-
-    def test_shuffle_cost_is_per_tuple(self, session, query_q1):
-        metrics = session.query(query_q1).metrics
-        model = session.cost_model
-        assert metrics.shuffled_tuples > 0
-        assert metrics.shuffled_bytes == metrics.broadcast_bytes == 0
-        assert model.shuffle_ns(metrics) == pytest.approx(
-            metrics.shuffled_tuples * model.shuffle_ns_per_tuple / model.cluster.total_cores
-        )
 
 
 class TestStorageSummaryReport:

@@ -1,16 +1,9 @@
-"""Unit tests for logical plans, the catalog, metrics and cost models."""
+"""Unit tests for logical plans, the catalog and metrics."""
 
 import pytest
 
 from repro.core.session import S2RDFSession
 from repro.engine.catalog import Catalog, TableNotFoundError
-from repro.engine.cluster import (
-    CentralizedCostModel,
-    ClusterConfig,
-    HBaseCostModel,
-    MapReduceCostModel,
-    SparkCostModel,
-)
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.ops import (
     DistinctNode,
@@ -241,41 +234,3 @@ class TestMetrics:
         # Bytes scale with the data; a replan count is structural.
         scaled = first.scaled(2.0)
         assert (scaled.aqe_replans, scaled.shuffled_bytes, scaled.broadcast_bytes) == (3, 60, 600)
-
-
-class TestCostModels:
-    def test_spark_cost_monotone_in_input(self):
-        model = SparkCostModel()
-        small = ExecutionMetrics(input_tuples=1000, stages=2)
-        large = ExecutionMetrics(input_tuples=100_000_000, stages=2)
-        assert model.runtime_ms(large) > model.runtime_ms(small)
-
-    def test_spark_latency_floor(self):
-        model = SparkCostModel()
-        assert model.runtime_ms(ExecutionMetrics()) >= model.query_overhead_ms
-
-    def test_mapreduce_job_overhead_dominates(self):
-        model = MapReduceCostModel()
-        metrics = ExecutionMetrics(input_tuples=10)
-        assert model.runtime_ms(metrics, jobs=3) >= 3 * model.job_overhead_ms
-
-    def test_centralized_timeout(self):
-        model = CentralizedCostModel(timeout_ms=1000.0)
-        metrics = ExecutionMetrics(output_tuples=10_000_000_000)
-        assert model.runtime_ms(metrics) == float("inf")
-
-    def test_centralized_warm_cache_faster(self):
-        model = CentralizedCostModel()
-        metrics = ExecutionMetrics(input_tuples=1_000_000)
-        assert model.runtime_ms(metrics, warm=True) < model.runtime_ms(metrics)
-
-    def test_hbase_adaptive_switch(self):
-        model = HBaseCostModel(centralized_threshold_tuples=100)
-        selective = ExecutionMetrics(input_tuples=50)
-        unselective = ExecutionMetrics(input_tuples=10_000)
-        assert model.is_centralized(selective)
-        assert not model.is_centralized(unselective)
-        assert model.runtime_ms(unselective) > model.runtime_ms(selective)
-
-    def test_cluster_config_cores(self):
-        assert ClusterConfig(worker_nodes=9, cores_per_node=6).total_cores == 54

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.s2rdf_engine import hdfs_bytes
 from repro.core.session import S2RDFSession
 from repro.mappings.extvp import (
     CorrelationKind,
@@ -128,10 +129,11 @@ class TestOOAblation:
 
 class TestTable2Accounting:
     def test_size_summary(self, example_graph):
-        summary = S2RDFSession.from_graph(example_graph).storage_summary()
+        session = S2RDFSession.from_graph(example_graph)
+        summary = session.storage_summary()
         assert summary["vp_tuples"] == 7
         assert summary["total_tuples"] == summary["vp_tuples"] + summary["extvp_tuples"]
-        assert summary["hdfs_bytes"] > 0
+        assert hdfs_bytes(session) > 0
 
     def test_table_counts(self, example_graph):
         layout = build_layout(example_graph)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.s2rdf_engine import hdfs_bytes
 from repro.core.session import S2RDFSession
 from repro.mappings.naming import predicate_key, triples_table_name, vp_table_name
 from repro.rdf.namespaces import WATDIV_NAMESPACES
@@ -31,7 +32,7 @@ class TestTriplesTableLayout:
         assert table.columns == ("s", "p", "o")
         assert len(table) == len(example_graph) == 7
         assert set(map(tuple, table.rows)) == {tuple(triple) for triple in example_graph}
-        assert session.storage_summary()["hdfs_bytes"] > 0
+        assert hdfs_bytes(session) > 0
 
 
 class TestVerticalPartitioning:

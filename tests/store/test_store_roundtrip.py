@@ -15,7 +15,9 @@ import pytest
 
 import repro
 import repro.rdf.ntriples as ntriples_module
+from repro.baselines.s2rdf_engine import hdfs_bytes
 from repro.core.session import S2RDFSession
+from repro.store import reader as store_reader
 from repro.watdiv.basic_queries import BASIC_TEMPLATES
 from repro.watdiv.template import instantiate_many
 
@@ -103,14 +105,32 @@ class TestColdOpen:
         finally:
             session.close()
 
+    def test_storage_summary_reads_no_table(self, dataset_path, monkeypatch):
+        """The summary is the manifest's: no table is loaded, no segment decoded."""
+        decoded = []
+        decode = store_reader.decode_segment
+
+        def counting(*args):
+            decoded.append(args)
+            return decode(*args)
+
+        monkeypatch.setattr(store_reader, "decode_segment", counting)
+        with repro.connect(dataset_path) as session:
+            summary = session.storage_summary()
+            catalog = session.layout.catalog
+            names = catalog.table_names()
+            assert names and not any(catalog.is_loaded(name) for name in names)
+        assert summary["total_tuples"] > 0 and summary["table_counts"]["total"] > 0
+        assert decoded == []
+
     def test_storage_summary_roundtrip(self, warm_session, cold_session):
         """A built session and a connection to the dataset it saved report
         one layout: the same table and tuple counts and simulated bytes."""
         warm, cold = warm_session.storage_summary(), cold_session.storage_summary()
         assert warm["table_counts"]["total"] > 0 and warm["total_tuples"] > 0
-        assert warm["hdfs_bytes"] > 0
         del warm["load_seconds"], cold["load_seconds"]
         assert warm == cold
+        assert hdfs_bytes(warm_session) == hdfs_bytes(cold_session) > 0
 
     def test_statistics_roundtrip(self, warm_session, cold_session):
         """Zone-map aggregates restore TableStatistics exactly."""
@@ -140,7 +160,7 @@ class TestColdOpen:
     def test_storage_summary_available_cold(self, cold_session):
         summary = cold_session.storage_summary()
         assert summary["total_tuples"] > 0
-        assert summary["hdfs_bytes"] > 0
+        assert hdfs_bytes(cold_session) > 0
         assert summary["table_counts"]["total"] > 0
 
     def test_hdfs_bytes_are_the_stores_not_the_hash_seeds(self, tmp_path):
@@ -150,13 +170,14 @@ class TestColdOpen:
         script = (
             "import sys\n"
             "import repro\n"
+            "from repro.baselines.s2rdf_engine import hdfs_bytes\n"
             "from repro.watdiv.generator import generate_dataset\n"
             "graph = generate_dataset(scale_factor=1.0, seed=7).graph\n"
             "with repro.S2RDFSession.from_graph(graph) as session:\n"
-            "    held = session.storage_summary()['hdfs_bytes']\n"
+            "    held = hdfs_bytes(session)\n"
             "    session.save_dataset(sys.argv[1])\n"
             "with repro.connect(sys.argv[1]) as connected:\n"
-            "    print(held, connected.storage_summary()['hdfs_bytes'])\n"
+            "    print(held, hdfs_bytes(connected))\n"
         )
         source = str(pathlib.Path(repro.__file__).resolve().parents[1])
         readings = []
