@@ -7,11 +7,10 @@ This example:
 
 1. runs a two-join query twice on a traced session and prints the span
    tree summary: the repeat is a template cache hit, so its
-   ``physical-plan`` span says ``cached=True`` — Spark's join annotation
-   came with the cached plan, nothing was costed again;
+   ``physical-plan`` span says ``cached=True`` — the plan's row estimates
+   came with the cached plan, nothing was estimated again;
 2. stales the catalog statistics and shows ``explain_analyze``: estimated
-   vs. observed rows per operator, and the join strategy Spark would pick
-   from those estimates;
+   vs. observed rows per operator, and how far apart they are;
 3. exports the trace as Chrome trace-event JSON — load it in
    https://ui.perfetto.dev or chrome://tracing;
 4. prints the session's metrics registry in Prometheus text format.
@@ -41,9 +40,8 @@ QUERY = "SELECT * WHERE { ?x <follows> ?y . ?y <likes> ?z }"
 def stale_statistics(session: S2RDFSession, factor: int = 1_000_000) -> None:
     """Make every table look ``factor``x bigger than it is.
 
-    The planner then annotates with a shuffle joins whose inputs would
-    comfortably fit a broadcast, and the report shows how far each operator's
-    estimate is from what it produced.
+    The report then shows how far each operator's estimate is from what it
+    produced.
     """
     catalog = session.layout.catalog
     for name in list(catalog.statistics_names()):
@@ -71,7 +69,7 @@ def main() -> None:
     stale_statistics(session)
     explained = session.explain_analyze(QUERY)
     print(explained)
-    # explain_analyze annotates the very tree it draws: never the cached annotation.
+    # explain_analyze estimates the very tree it draws: never the cached estimates.
     last = [span for span in session.tracer.finished_spans() if span.name == "physical-plan"][-1]
     assert last.attrs["cached"] is False, last.attrs
 

@@ -57,13 +57,6 @@ def main() -> None:
     for table in result.selected_tables:
         print(f"  {table}")
 
-    # Every join runs in process; each is annotated with the join Spark would
-    # pick from the table statistics — broadcast when one side's estimated
-    # size fits Spark's 10 MB threshold, shuffle otherwise.
-    print("\nSpark join strategies (broadcast / shuffle annotation):")
-    for strategy in result.join_strategies:
-        print(f"  {strategy}")
-
     print("\nSolutions:")
     print(result.as_table())
 

@@ -35,16 +35,12 @@ class QueryResult:
     #: Wall-clock milliseconds per query phase (``parse``, ``compile``,
     #: ``plan``, ``execute``).  Populated even when tracing is disabled — the
     #: session times the phases directly; the tracer only adds span detail.
-    #: ``plan`` is the time taken to obtain Spark's join annotation: taking
-    #: the one the template cache keeps with the plan (computed by the compile
-    #: that missed, so inside ``compile``), or the costing pass for a plan
-    #: without one (a ``Query`` object, ``explain_analyze``).
+    #: ``plan`` is the time taken to obtain the plan's row estimates: taking
+    #: the ones the template cache keeps with the plan (computed by the
+    #: compile that missed, so inside ``compile``), or the estimator's walk
+    #: for a plan without them (a ``Query`` object, ``explain_analyze``).
     phase_ms: Dict[str, float] = field(default_factory=dict)
     selected_tables: List[str] = field(default_factory=list)
-    #: The join Spark would run for each join of the plan, in bottom-up order
-    #: (e.g. ``"BroadcastHashJoin(build=right, ...)"``): a costing annotation
-    #: from static statistics; every join ran in process.
-    join_strategies: List[str] = field(default_factory=list)
     #: Manifest append epoch of the dataset snapshot this query read, or
     #: ``None`` for sessions without a persisted dataset.  Under concurrent
     #: appends this identifies exactly which store state produced the rows.

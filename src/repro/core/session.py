@@ -47,7 +47,7 @@ from repro.engine.catalog import Catalog
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.plan import PlanExecutor
 from repro.engine.relation import Relation
-from repro.engine.strategies import UNKNOWN_ROWS
+from repro.engine.estimates import UNKNOWN_ROWS
 from repro.engine.vectorized import ColumnBatch
 from repro.mappings.naming import TRIPLES_TABLE
 from repro.obs.explain import ExplainAnalyzeResult, render_explain_analyze
@@ -187,9 +187,7 @@ class QueryRecord(NamedTuple):
     wall_ms: float
     statically_empty: bool
     selected_tables: List[str]
-    #: The join Spark would run for each join of the plan, bottom-up.
-    join_strategies: List[str]
-    #: The join annotation's estimate of the root's rows (for the q-error).
+    #: The estimate of the root's rows (for the q-error).
     estimated_rows: int
     #: Renders the plan's SQL text with the query's constants in it (for a
     #: text, its template plan's skeleton filled with them); the text itself
@@ -267,8 +265,8 @@ class S2RDFSession:
         #: Parse and compile once per query template; see
         #: :mod:`repro.core.template_cache`.
         self._templates = TemplateCache()
-        #: Executors are *per thread* (instance state like the last physical
-        #: plan is not shareable between concurrent queries) over the one
+        #: Executors are *per thread* (instance state like the last plan's
+        #: estimates is not shareable between concurrent queries) over the one
         #: shared catalog.
         self._thread_runtime = threading.local()
         self._runtime_lock = threading.Lock()
@@ -755,16 +753,15 @@ class S2RDFSession:
         """Execute ``query`` and render its physical plan with observations.
 
         Each operator is annotated with estimated vs. observed rows (stale
-        statistics show up as mis-estimates), the join strategy Spark would
-        pick, and elapsed wall-clock time.  The returned object
-        carries both the rendered report (``str(...)``) and the full
-        :class:`~repro.core.results.QueryResult`.
+        statistics show up as mis-estimates) and elapsed wall-clock time.
+        The returned object carries both the rendered report (``str(...)``)
+        and the full :class:`~repro.core.results.QueryResult`.
         """
         record, result = self._run(query, analyze=True)
         executor = self.executor
-        physical = executor.last_physical_plan
-        # Analyzed, the plan is annotated as it runs: the annotation holds it.
-        tree = render_explain_analyze(physical.plan, executor.last_node_stats, physical)
+        estimates = executor.last_estimates
+        # Analyzed, the plan is estimated as it runs: the estimates hold it.
+        tree = render_explain_analyze(estimates.plan, executor.last_node_stats, estimates)
         phases = ", ".join(f"{name}={ms:.2f} ms" for name, ms in result.phase_ms.items())
         cached = {True: "hit", False: "miss", None: "not cached (Query object given)"}
         lines = [
@@ -785,10 +782,10 @@ class S2RDFSession:
 
         A text is bound to its template and constants, its template's cached
         plan is taken, and the executor runs that plan as it is, with the
-        constants as a binding and with the join annotation the template cache
+        constants as a binding and with the row estimates the template cache
         keeps with it.  A ``Query`` object is compiled through
         :meth:`compile` and runs without a binding.  ``analyze`` has the
-        executor annotate the very tree it runs instead and record per-node
+        executor estimate the very tree it runs instead and record per-node
         observations (``explain_analyze`` draws both).  ``queue_ms`` is what
         the query waited in a scheduler's admission queue.
 
@@ -847,17 +844,16 @@ class S2RDFSession:
         phase_start = time.perf_counter()
         with self.tracer.span("execute", category="query"):
             root = executor.run(
-                compiled.plan, metrics, None if analyze else compiled.physical, binding, analyze
+                compiled.plan, metrics, None if analyze else compiled.estimates, binding, analyze
             )
         end = time.perf_counter()
         execute_ms = (end - phase_start) * 1000.0
-        # Obtaining the join annotation (taking the cached one, or the
-        # costing pass) happens inside the executor's run; split it out so
-        # the phase dict matches the span structure.
+        # Obtaining the row estimates (taking the cached ones, or the
+        # estimator's walk) happens inside the executor's run; split it out
+        # so the phase dict matches the span structure.
         plan_ms = min(executor.last_plan_ms, execute_ms)
         phase_ms["plan"] = plan_ms
         phase_ms["execute"] = execute_ms - plan_ms
-        physical = executor.last_physical_plan
         if parse_hit is None:
             template, fingerprint = self.template_of(query)
         else:
@@ -869,8 +865,7 @@ class S2RDFSession:
             wall_ms=(end - start) * 1000.0,
             statically_empty=compiled.statically_empty,
             selected_tables=compiled.selected_tables,
-            join_strategies=physical.describe(),
-            estimated_rows=physical.root_rows,
+            estimated_rows=executor.last_estimates.root_rows,
             sql=sql,
             epoch=epoch,
             template=template,
@@ -910,7 +905,6 @@ class S2RDFSession:
             statically_empty=record.statically_empty,
             phase_ms=phase_ms,
             selected_tables=record.selected_tables,
-            join_strategies=record.join_strategies,
             epoch=record.epoch,
             # Rendered on first read, holding neither the plan's per-BGP
             # compilation details nor a rebuilt plan; a worker sends the text.

@@ -24,11 +24,11 @@ at which positions are bound.  So both are done once per template:
   irregular (no template, another kind, an undeclared prefix, a malformed
   literal) falls through to the full parser, whose error it is.
 * **Compile.**  The plan is compiled once per template, from the template's
-  own query, and kept with it in a plan entry.  Spark's join
-  annotation (:class:`~repro.engine.strategies.PhysicalPlan`: the strategy
-  strings and the root estimate the journal records) depends on the plan's
-  shape and the statistics, not on a constant, so it is computed with the
-  plan and every hit shares it.  So are the plan's scans, prepared
+  own query, and kept with it in a plan entry.  The plan's row estimates
+  (:class:`~repro.engine.estimates.RowEstimates`: the root estimate the
+  journal records) depend on the plan's shape and the statistics, not on a
+  constant, so they are computed with the plan and every hit shares them.
+  So are the plan's scans, prepared
   (:class:`~repro.engine.plan.PreparedScan`: table handle, checked column
   lists, output columns, and the relabelled batch of a scan without
   conditions).  Plans depend on the statistics, so an entry is served only
@@ -81,9 +81,9 @@ from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tup
 from repro.core.bgp import BGPCompilationResult
 from repro.core.compiler import CompiledQuery, QueryCompiler
 from repro.engine.catalog import Catalog
+from repro.engine.estimates import RowEstimates
 from repro.engine.ops import Operation, SqlSkeleton, SubqueryNode
 from repro.engine.plan import Binding, EncodedTerm, PreparedScan, prepare_scans
-from repro.engine.strategies import plan_join_strategies
 from repro.obs.journal import fingerprint_text, template_text
 from repro.rdf.terms import Term
 from repro.sparql.algebra import (
@@ -169,7 +169,7 @@ class _PlanEntry(NamedTuple):
     generation: int
     #: The catalog's statistics generation the plan was chosen at.
     statistics: int
-    #: The plan of the template's own query, and its join annotation.
+    #: The plan of the template's own query, and its row estimates.
     compiled: CompiledQuery
     #: The plan's SQL text, cut at its scan constants.
     sql: SqlSkeleton
@@ -317,7 +317,7 @@ def _rebind_compiled(compiled: CompiledQuery, terms: Terms) -> CompiledQuery:
     plan = compiled.plan
     if moved:
         plan = plan.transform(lambda node: moved.get(id(node), node))
-    return CompiledQuery(plan=plan, bgp_results=results, physical=compiled.physical)
+    return CompiledQuery(plan=plan, bgp_results=results, estimates=compiled.estimates)
 
 
 #: A text's *shape* is the first character of every spelling, any digit as
@@ -459,7 +459,7 @@ class TemplateCache:
         """The plan entry of ``template``'s own query over ``catalog`` (the one
         ``compiler`` selects tables from), and whether a cached plan answered.
 
-        The plan, its join annotation, its SQL skeleton and its prepared
+        The plan, its row estimates, its SQL skeleton and its prepared
         scans are shared by every query of the template: read them, run and
         render them with a binding, never change them; only the slot memo
         grows (:meth:`_PlanEntry.bind`).
@@ -472,7 +472,7 @@ class TemplateCache:
         if entry is not None and entry.generation == generation and entry.statistics == statistics:
             return entry, True
         compiled = compiler.compile(template.query)
-        compiled.physical = plan_join_strategies(compiled.plan, catalog)
+        compiled.estimates = RowEstimates(compiled.plan, catalog)
         entry = _PlanEntry(
             generation,
             statistics,
@@ -500,7 +500,7 @@ class TemplateCache:
         dictionary: Any,
     ) -> Tuple[TemplateMatch, CompiledQuery, SqlSkeleton, Binding, bool]:
         """What runs ``text``, which :meth:`lookup` matched: the match, the
-        template's plan (with its join annotation) and SQL skeleton, the
+        template's plan (with its row estimates) and SQL skeleton, the
         binding of the text's constants, and whether a cached plan answered.
 
         The match is the full parser's when a slot of a hit turned out
@@ -519,10 +519,10 @@ class TemplateCache:
     ) -> Tuple[CompiledQuery, Optional[bool]]:
         """``compiler.compile(query)`` and whether a cached plan answered it.
 
-        The plan comes with its join annotation over ``catalog`` and with
+        The plan comes with its row estimates over ``catalog`` and with
         ``query``'s constants in its conditions.  A query this cache did not
         parse (or that was edited since) is compiled as it always was,
-        without an annotation; the flag is ``None``.
+        without estimates; the flag is ``None``.
         """
         binding = query.template_binding
         if binding is None or not binding.describes(query):

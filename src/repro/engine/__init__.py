@@ -21,9 +21,9 @@ single machine:
   table from the columnar store (:mod:`repro.store`) instead.
 * :mod:`~repro.engine.storage` — the store's column page codec: run-length
   encoded id pages and their zone maps.
-* :mod:`~repro.engine.strategies` — Spark's join choice (broadcast vs.
-  shuffle hash join) as a costing pass over the plan: the executor reports
-  the annotation, every join runs in process.
+* :mod:`~repro.engine.estimates` — per-operator row estimates from the
+  catalog's statistics, which the journal's q-error and ``explain_analyze``
+  read; every join runs in process as one hash join.
 """
 
 from repro.engine.relation import Relation
@@ -44,12 +44,7 @@ from repro.engine.ops import (
     UnionNode,
 )
 from repro.engine.plan import PlanExecutor
-from repro.engine.strategies import (
-    BroadcastHashJoin,
-    PhysicalPlan,
-    ShuffleHashJoin,
-    plan_join_strategies,
-)
+from repro.engine.estimates import RowEstimates
 
 __all__ = [
     "Relation",
@@ -69,8 +64,5 @@ __all__ = [
     "SubqueryNode",
     "TableScanNode",
     "UnionNode",
-    "BroadcastHashJoin",
-    "PhysicalPlan",
-    "ShuffleHashJoin",
-    "plan_join_strategies",
+    "RowEstimates",
 ]

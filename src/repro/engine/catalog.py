@@ -162,7 +162,7 @@ class Catalog:
         """Record (or overwrite) the statistics of ``name`` without a table behind them.
 
         The seam for changing what the planner believes about a table, e.g.
-        inflating it to see a shuffle join; the product does not call it.
+        inflating it to see the row estimates miss; the product does not call it.
         """
         statistics = TableStatistics(name=name, row_count=row_count, selectivity=selectivity)
         self.generation += 1
@@ -198,9 +198,10 @@ class Catalog:
     def remove_statistics(self, name: str) -> None:
         """Forget the statistics for ``name`` (the table itself survives).
 
-        After this, planners estimate the table as *unknown* — which forces
-        shuffle joins — rather than as empty.  Used by tests to simulate a
-        catalog whose statistics were never collected.
+        After this, the estimator reports the table as *unknown*
+        (:data:`~repro.engine.estimates.UNKNOWN_ROWS`, ``est=?``) rather than
+        as empty.  Used by tests to simulate a catalog whose statistics were
+        never collected.
         """
         self.generation += 1
         self._statistics.pop(name, None)
@@ -216,7 +217,12 @@ class Catalog:
         return name in self._statistics
 
     def is_loaded(self, name: str) -> bool:
-        """True when the table is a relation of terms (not stored)."""
+        """True when the table is a relation of terms (not stored).
+
+        Only a catalog :meth:`register` filled has such tables — a layout
+        build's, which the test suite's row oracle reads this of; every table
+        of a session is stored, so there it is always false.
+        """
         return name in self._tables
 
     def is_stored(self, name: str) -> bool:

@@ -5,10 +5,9 @@ catalog tables, unary nodes transform one input, binary nodes combine two.
 The design follows ``lsst-dm/daf_relation``: nodes are frozen dataclasses,
 traversal is generic (:meth:`Operation.walk`, :meth:`Operation.transform`),
 and *behaviour* lives in :class:`OperationVisitor` subclasses, never in the
-tree.  The executor (:mod:`repro.engine.plan`), Spark's join-strategy
-annotation (:mod:`repro.engine.strategies`), cardinality estimation,
-``explain_analyze`` and the display SQL text rendered here are all visitors
-over this one tree.
+tree.  The executor (:mod:`repro.engine.plan`), cardinality estimation
+(:mod:`repro.engine.estimates`), ``explain_analyze`` and the display SQL
+text rendered here are all visitors over this one tree.
 
 Nodes carry class-level capability flags (``is_join``, ``is_outer_join``,
 ``is_scan``) so visitors can branch on what a node *is* without resorting to

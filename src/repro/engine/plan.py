@@ -11,10 +11,9 @@ someone is looking, per-node observations for ``explain_analyze`` and the
 tracer.  A plan runs as it is: a query that shares a cached plan with others
 hands in its constants as a :class:`Binding` — each constant's term and its
 encoded dictionary id — with the plan's prepared scans (:class:`PreparedScan`),
-which scan the store for those ids.  Every plan it runs carries the strategy Spark would
-pick for each join (:mod:`repro.engine.strategies`), handed in by the caller
-or computed before the run; the annotation is reported, and every join runs
-in process either way.
+which scan the store for those ids.  Every plan it runs carries its operators'
+row estimates (:class:`~repro.engine.estimates.RowEstimates`), handed in by
+the caller or computed before the run; they are reported, never acted on.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.engine.catalog import Catalog, StoredTableProvider
+from repro.engine.estimates import RowEstimates
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.ops import (
     AggregateNode,
@@ -43,7 +43,6 @@ from repro.engine.ops import (
 )
 from repro.engine.relation import Relation
 from repro.engine.storage import NULL_ID
-from repro.engine.strategies import PhysicalPlan, plan_join_strategies
 from repro.engine.vectorized import ColumnBatch
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.rdf.terms import Term
@@ -197,9 +196,9 @@ class PlanExecutor(OperationVisitor):
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Per-node observations of the most recently executed plan.
         self.last_node_stats: Dict[int, NodeExecution] = {}
-        #: Spark's join strategies for the most recently executed plan.
-        self.last_physical_plan: Optional[PhysicalPlan] = None
-        #: Milliseconds the last execute() spent choosing them.
+        #: The row estimates of the most recently executed plan.
+        self.last_estimates: Optional[RowEstimates] = None
+        #: Milliseconds the last execute() spent obtaining them.
         self.last_plan_ms: float = 0.0
         #: Milliseconds each join of the most recently executed plan took.
         self.last_join_ms: List[float] = []
@@ -210,26 +209,26 @@ class PlanExecutor(OperationVisitor):
         self,
         plan: Operation,
         metrics: Optional[ExecutionMetrics] = None,
-        physical: Optional[PhysicalPlan] = None,
+        estimates: Optional[RowEstimates] = None,
         binding: Optional[Binding] = None,
         analyze: bool = False,
     ) -> Relation:
-        """Run ``plan``; ``physical`` is its join annotation when the caller has one.
+        """Run ``plan``; ``estimates`` are its row estimates when the caller has them.
 
-        The session hands in the annotation its template cache keeps with the
-        plan; without one (a direct caller, a ``Query`` object,
-        ``explain_analyze``) the costing pass runs here, on ``plan`` itself.
+        The session hands in the estimates its template cache keeps with the
+        plan; without them (a direct caller, a ``Query`` object,
+        ``explain_analyze``) the estimator walks ``plan`` itself here.
         ``binding`` carries another query's constants for a cached plan,
         and its prepared scans.
         ``analyze`` records per-node observations without a tracer.
         """
-        return self._lower(self.run(plan, metrics, physical, binding, analyze))
+        return self._lower(self.run(plan, metrics, estimates, binding, analyze))
 
     def run(
         self,
         plan: Operation,
         metrics: Optional[ExecutionMetrics] = None,
-        physical: Optional[PhysicalPlan] = None,
+        estimates: Optional[RowEstimates] = None,
         binding: Optional[Binding] = None,
         analyze: bool = False,
     ) -> Union[ColumnBatch, Relation]:
@@ -244,11 +243,11 @@ class PlanExecutor(OperationVisitor):
         metrics = metrics if metrics is not None else ExecutionMetrics()
         start = time.perf_counter()
         with self.tracer.span("physical-plan", category="query") as span:
-            cached = physical is not None
+            cached = estimates is not None
             if not cached:
-                physical = plan_join_strategies(plan, self.catalog)
-            self.last_physical_plan = physical
-            span.set(joins=len(physical.strategies()), cached=cached)
+                estimates = RowEstimates(plan, self.catalog)
+            self.last_estimates = estimates
+            span.set(cached=cached)
         self.last_plan_ms = (time.perf_counter() - start) * 1000.0
         self.last_node_stats = {}
         self._observing = analyze or self.tracer.enabled

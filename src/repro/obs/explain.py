@@ -2,13 +2,12 @@
 
 ``S2RDFSession.explain_analyze`` executes a query and feeds this module the
 logical plan, the per-node observations captured by the executor, and the
-physical plan the executor computed for that very tree before running it
-(one walk: every operator's estimate and every join's strategy).  The
-renderer draws the operator tree with, per operator:
+row estimates the executor computed for that very tree before running it
+(one walk, every operator's estimate).  The renderer draws the operator tree
+with, per operator:
 
 * estimated vs. observed rows (``est=?`` when statistics were missing —
-  exactly the inputs that make the static planner mis-plan);
-* the join strategy Spark would pick, from those estimates;
+  exactly the inputs that make a static estimate miss);
 * elapsed wall-clock milliseconds (cumulative over the operator's subtree).
 """
 
@@ -31,7 +30,7 @@ from repro.engine.ops import (
     UnionNode,
 )
 from repro.engine.plan import NodeExecution
-from repro.engine.strategies import UNKNOWN_ROWS, PhysicalPlan
+from repro.engine.estimates import UNKNOWN_ROWS, RowEstimates
 
 
 @dataclass
@@ -119,13 +118,13 @@ def _node_label(node: PlanNode) -> str:
 
 
 def render_explain_analyze(
-    plan: PlanNode, node_stats: Dict[int, NodeExecution], physical: PhysicalPlan
+    plan: PlanNode, node_stats: Dict[int, NodeExecution], estimates: RowEstimates
 ) -> str:
-    """Draw the annotated operator tree, root first; ``physical`` annotates ``plan``."""
+    """Draw the annotated operator tree, root first; ``estimates`` are ``plan``'s."""
     lines: List[str] = []
 
     def annotate(node: PlanNode) -> str:
-        est = _format_rows(physical.rows_for(node))
+        est = _format_rows(estimates.rows_for(node))
         execution = node_stats.get(id(node))
         if execution is None:
             return f"(est={est} rows, not executed)"
@@ -140,10 +139,6 @@ def render_explain_analyze(
         lines.append(f"{prefix}{connector}{_node_label(node)}  {annotate(node)}")
         detail_prefix = prefix if is_root else prefix + ("   " if is_last else "│  ")
         children = list(node.children())
-        strategy = physical.strategy_for(node)
-        if strategy is not None:
-            child_bar = "│  " if children else "   "
-            lines.append(f"{detail_prefix}{child_bar}* strategy: {strategy.describe()}")
         for index, child in enumerate(children):
             walk(child, detail_prefix, index == len(children) - 1, False)
 

@@ -1,8 +1,8 @@
 """Low-overhead span tracing for the query lifecycle.
 
 A :class:`Tracer` records a tree of timed :class:`Span`\\ s — parse → compile →
-table-selection → physical-plan → execute → render, with child spans for every
-operator — plus point-in-time *events* inside a span (zone-map/bucket pruning
+table-selection → physical-plan (the plan's row estimates) → execute → render,
+with child spans for every operator — plus point-in-time *events* inside a span (zone-map/bucket pruning
 decisions).
 
 The design constraint is the disabled path: a session with

@@ -15,8 +15,8 @@ with submit/await semantics:
 * **cross-query sharing** — identical text submitted while the same text is
   in flight *on the same manifest epoch* attaches to the running execution
   (``share_results``), and :meth:`prewarm` reads the id columns of the
-  stored tables Spark would broadcast once per epoch, so concurrent queries
-  share them warm instead of racing to read them.
+  small stored tables once per epoch, so concurrent queries share them warm
+  instead of racing to read them.
 
 Thread mode executes queries on the shared session (its per-thread executors
 make that safe).  Process mode ships whole queries to the dataset's
@@ -46,12 +46,14 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from repro.core.config import ServingConfig
 from repro.core.session import S2RDFSession
 from repro.core.results import QueryResult
-from repro.engine.strategies import estimated_bytes, fits_broadcast
 from repro.serve.workers import WorkerDiedError
 
 
 #: Completed dispatches :meth:`QueryScheduler.stats` keeps for its percentiles.
 LATENCY_WINDOW = 4096
+#: The most rows of a table :meth:`QueryScheduler.prewarm` reads unasked:
+#: two 24-byte values a row within Spark's 10 MiB broadcast threshold.
+PREWARM_MAX_ROWS = 10 * 1024 * 1024 // (2 * 24)
 #: Help texts of the instruments a scheduled query may create.
 _SCHEDULER_METRICS_HELP = {
     "s2rdf_scheduler_admitted_total": "Queries admitted to the queue",
@@ -282,12 +284,11 @@ class QueryScheduler:
     def prewarm(
         self, tables: Optional[Sequence[str]] = None, epoch: Optional[int] = None
     ) -> int:
-        """Read broadcast-sized stored tables once, ahead of the queries.
+        """Read small stored tables once, ahead of the queries.
 
-        Without an explicit list, every non-empty stored table that Spark
-        would broadcast (:func:`~repro.engine.strategies.fits_broadcast`, a
-        VP table's two columns at its manifest row count) qualifies — the
-        small sides joins read whole.  What is warmed is what
+        Without an explicit list, every non-empty stored table of at most
+        :data:`PREWARM_MAX_ROWS` rows (its manifest row count) qualifies —
+        the small sides joins read whole.  What is warmed is what
         queries read: the tables' decoded id columns (no term is decoded).
         Thread mode warms the shared catalog's tables; process mode also has
         every pool worker warm its own.  Best effort: the dispatcher counts a
@@ -298,8 +299,7 @@ class QueryScheduler:
             tables = [
                 name
                 for name, statistics in catalog.stored_statistics().items()
-                if statistics.row_count > 0
-                and fits_broadcast(estimated_bytes(statistics.row_count, 2))
+                if 0 < statistics.row_count <= PREWARM_MAX_ROWS
             ]
         for name in tables:
             catalog.scan_batch(name)  # segments read once; later queries hit the cache
@@ -310,7 +310,7 @@ class QueryScheduler:
             self.session.metrics.inc(
                 "s2rdf_scheduler_prewarmed_tables_total",
                 len(tables),
-                help="Broadcast-sized tables read ahead of scheduled queries",
+                help="Small tables read ahead of scheduled queries",
             )
         return len(tables)
 

@@ -23,7 +23,7 @@ between.  Two task kinds:
   term is pickled either way, no plan is rebuilt to render its SQL, and the
   worker's own registry counts nothing.
 * **scan** — read tables' id columns inside the worker, warming its segment
-  caches (the scheduler pre-warms broadcast-sized tables with these).
+  caches (the scheduler pre-warms small tables with these).
 
 Each worker opens the stored dataset **read-only, once**, and keeps its
 decoded segment caches keyed by the manifest's append epoch: a task carrying

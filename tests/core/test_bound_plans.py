@@ -229,14 +229,14 @@ def test_a_hit_equals_the_uncached_reference(
         hit = session.query(text)
         expected_hits = (0, 1, 0, 1) if number == 0 else (1, 0, 1, 0)
         assert cache_counters(session, before) == expected_hits, (template.name, number)
-        # A Query object is compiled uncached, with a fresh join annotation,
-        # and runs without a binding.
+        # A Query object is compiled uncached, with fresh row estimates, and
+        # runs without a binding.
         reference = session.query(parse_query(text))
         assert cache_counters(session, before) == expected_hits
         assert bag(hit) == bag(reference), text
         assert counters(hit.metrics) == counters(reference.metrics), text
         assert hit.selected_tables == reference.selected_tables
-        assert hit.join_strategies == reference.join_strategies
+        assert records[-2].estimated_rows == records[-1].estimated_rows
         assert hit.statically_empty == reference.statically_empty
         assert hit.sql == reference.sql
         assert untimed(records[-2]) == untimed(records[-1]), text
@@ -558,7 +558,7 @@ def test_explain_analyze_of_a_hit_observes_every_node():
     with S2RDFSession.from_graph(users_graph()) as session:
         session.query(JOIN_QUERY.format(1))
         run, _ = session._run(JOIN_QUERY.format(2), analyze=True)
-        nodes = list(session.executor.last_physical_plan.plan.walk())
+        nodes = list(session.executor.last_estimates.plan.walk())
         assert run.parse_hit and run.compile_hit
         stats = session.executor.last_node_stats
         assert set(stats) == {id(node) for node in nodes}
@@ -574,7 +574,7 @@ def test_a_traced_hit_has_one_operator_span_and_one_node_execution_per_node():
         first_spans = len(session.tracer.finished_spans())
         run, _ = session._run(JOIN_QUERY.format(2))
         assert run.parse_hit and run.compile_hit
-        nodes = list(session.executor.last_physical_plan.plan.walk())
+        nodes = list(session.executor.last_estimates.plan.walk())
         spans = session.tracer.finished_spans()[first_spans:]
         operators = [span for span in spans if span.category == "operator"]
         assert len(operators) == len(nodes)

@@ -1,17 +1,15 @@
 """Golden tests for EXPLAIN ANALYZE, per-phase query timings, and the span
 tree recorded for a traced query.
 
-In the stale-statistics scenario the planner, fed inflated row counts, would
-have Spark shuffle a join whose inputs comfortably fit a broadcast;
-``explain_analyze`` must show the estimated-vs-observed gap per operator and
-the strategy those estimates pick."""
+In the stale-statistics scenario the estimator is fed inflated row counts;
+``explain_analyze`` must show the estimated-vs-observed gap per operator."""
 
 import re
 
 import pytest
 
 from repro import Graph, S2RDFSession, Triple
-from repro.engine.strategies import estimate_rows, plan_join_strategies
+from repro.engine.estimates import RowEstimates, estimate_rows
 from repro.obs.explain import ExplainAnalyzeResult
 
 
@@ -55,8 +53,8 @@ def test_explain_analyze_with_accurate_statistics(session):
     assert "== Physical Plan (analyzed) ==" in text
     assert "Join" in text
     assert "Scan" in text
-    # Small inputs with fresh statistics: Spark would broadcast.
-    assert "strategy: BroadcastHashJoin(" in text
+    # Every join runs in process as one hash join: there is no choice to print.
+    assert "strategy:" not in text
     assert "->" not in text
     # Every executed operator reports estimated and observed rows + elapsed.
     annotations = re.findall(
@@ -91,26 +89,20 @@ def test_explain_analyze_says_what_the_template_cache_answered(session):
 
 
 def test_explain_analyze_prints_an_inlined_join_without_an_exchange(session):
-    """Every join runs in process: the report names the strategy Spark would
-    pick from the estimates, and there is no exchange, replan or fallback to
-    report, whatever the statistics say."""
-    text = str(session.explain_analyze(QUERY))
-    assert re.search(r"strategy: BroadcastHashJoin\(build=\w+, keys=\[y\], .*\)$", text, re.M)
+    """Every join runs in process: there is no strategy, exchange, replan or
+    fallback to report, whatever the statistics say."""
     stale_statistics(session)
     explained = session.explain_analyze(QUERY)
     text = str(explained)
-    assert re.search(r"strategy: ShuffleHashJoin\(keys=\[y\], .*\)$", text, re.M)
-    assert explained.result.join_strategies == [
-        line.split("strategy: ", 1)[1] for line in text.splitlines() if "strategy: " in line
-    ]
-    for retired in ("exchange:", "->", "AQE replans:", "Serial fallbacks:"):
+    assert re.search(r"^Join \[y\]  \(est=\d+ rows, actual=\d+ rows, ", text, re.M)
+    for retired in ("strategy:", "exchange:", "->", "AQE replans:", "Serial fallbacks:"):
         assert retired not in text
     assert explained.result.metrics.aqe_replans == 0
 
 
 def test_explain_analyze_estimates_every_operator_in_one_walk(monkeypatch):
-    """The estimates and the strategies come from one bottom-up walk: a
-    10-pattern chain reads each scan's statistics once per visit, where
+    """Every operator's estimate comes from one bottom-up walk: a 10-pattern
+    chain reads each scan's statistics once per visit, where
     estimating every operator on its own would re-walk ~100 subtrees."""
     patterns = 10
     graph = Graph(
@@ -136,9 +128,10 @@ def test_explain_analyze_estimates_every_operator_in_one_walk(monkeypatch):
         assert len(reads) == 2 * patterns, len(reads)
         printed = re.findall(r"\(est=(\S+) rows", str(explained))
         assert printed == [str(estimate_rows(node, catalog)) for node in plan.walk()]
-        strategies = plan_join_strategies(plan, catalog).describe()
-        assert len(strategies) == patterns - 1
-        assert explained.result.join_strategies == strategies
+        # The journal records the root's estimate.
+        root = estimate_rows(plan, catalog)
+        assert RowEstimates(plan, catalog).root_rows == root
+        assert session.journal.records()[-1].estimated_rows == root
 
 
 # --------------------------------------------------------------------------- #
@@ -163,8 +156,8 @@ def test_explain_analyze_works_with_tracing_enabled():
     ) as session:
         stale_statistics(session)
         text = str(session.explain_analyze(QUERY))
-        assert "strategy: ShuffleHashJoin(" in text
-        # The traced run recorded the costing pass as its own span.
+        assert re.search(r"\(est=\d{7,} rows, actual=\d+ rows", text)
+        # The traced run recorded the estimator's walk as its own span.
         spans = [span.name for span in session.tracer.finished_spans()]
         assert "physical-plan" in spans
 

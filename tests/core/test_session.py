@@ -207,30 +207,7 @@ class TestSessionConstruction:
         assert len(session.query(query_q1)) == 1
 
 
-class TestJoinStrategyAnnotation:
-    def test_join_strategies_reported(self, session, query_q1):
-        result = session.query(query_q1)
-        assert len(result.join_strategies) == result.metrics.joins
-        assert all("HashJoin" in strategy for strategy in result.join_strategies)
-
-    def test_broadcast_threshold_switches_strategy(self, example_graph, query_q1, monkeypatch):
-        from repro.engine import strategies
-
-        with S2RDFSession.from_graph(example_graph) as session:
-            broadcast = session.query(query_q1)
-        # The threshold is a constant, not a statistic: no statistics
-        # generation sees it move, and a session keeps the annotation it
-        # cached with the plan.  A fresh session plans under the new value.
-        monkeypatch.setattr(strategies, "DEFAULT_BROADCAST_THRESHOLD", 0)
-        with S2RDFSession.from_graph(example_graph) as session:
-            shuffle = session.query(query_q1)
-        assert broadcast.join_strategies
-        assert all(s.startswith("BroadcastHashJoin") for s in broadcast.join_strategies)
-        assert all(s.startswith("ShuffleHashJoin") for s in shuffle.join_strategies)
-        # The annotation is all the threshold moves.
-        assert shuffle.relation.rows == broadcast.relation.rows
-        assert shuffle.metrics.shuffled_tuples == broadcast.metrics.shuffled_tuples
-
+class TestInProcessExecution:
     def test_partitioned_session_matches_serial(self, example_graph, query_q1, tmp_path):
         """``num_partitions`` is the bucket count a save writes; a dataset
         bucketed four ways answers what the in-memory session does."""

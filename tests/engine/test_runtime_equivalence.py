@@ -38,11 +38,9 @@ from repro.baselines.binding_iteration import index_nested_loop_execute
 from repro.core.compiler import QueryCompiler
 from repro.core.session import S2RDFSession
 from repro.core.table_selection import TableSelector
-from repro.engine import strategies
+from repro.engine.estimates import RowEstimates, estimate_rows
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.ops import count_joins
 from repro.engine.plan import PlanExecutor
-from repro.engine.strategies import estimate_rows, plan_join_strategies
 from repro.rdf.graph import Graph
 from repro.sparql import parse_query
 from repro.watdiv.basic_queries import BASIC_TEMPLATES
@@ -68,37 +66,6 @@ def workload(small_dataset):
 
 def bag(relation):
     return sorted(map(repr, relation.rows))
-
-
-def _strategies_by_per_join_estimates(plan, catalog):
-    """What the planner decided before it became one walk: for every join, in
-    post-order, estimate both children from scratch and apply the rule."""
-    out = []
-
-    def annotate(node):
-        for child in node.children():
-            annotate(child)
-        if not node.is_join:
-            return
-        left_columns, right_columns = node.left.output_columns(), node.right.output_columns()
-        rows = [estimate_rows(side, catalog) for side in (node.left, node.right)]
-        sizes = [
-            None
-            if count == strategies.UNKNOWN_ROWS
-            else count * max(1, len(columns)) * strategies.BYTES_PER_VALUE
-            for count, columns in zip(rows, (left_columns, right_columns))
-        ]
-        out.append(
-            strategies.choose_join_strategy(
-                tuple(c for c in left_columns if c in right_columns),
-                *rows,
-                *sizes,
-                outer=node.is_outer_join,
-            )
-        )
-
-    annotate(plan)
-    return out
 
 
 #: Bucket counts the stored path runs at.  ``num_partitions`` now only sets
@@ -175,27 +142,18 @@ def test_in_memory_session_executes_on_ids(workload, watdiv_paths, small_dataset
 
 
 @pytest.mark.parametrize("template_name", sorted(ALL_TEMPLATES))
-def test_one_pass_planner_decides_what_per_join_estimation_decided(
-    workload, template_name, monkeypatch
-):
-    """``plan_join_strategies`` estimates each subtree once, on the way up; the
-    strategies of every WatDiv Basic template and IL chain must be the ones
-    two fresh ``estimate_rows`` calls per join produce, and the estimate it
-    keeps per operator the one ``estimate_rows`` gives that operator.  At this data scale
-    Spark's threshold broadcasts every join, so the constant is also lowered
-    to reach the shuffle side of the rule (0) and to mix both in one plan."""
+def test_one_walk_estimates_every_operator_as_estimate_rows_does(workload, template_name):
+    """``RowEstimates`` estimates each subtree once, on the way up; the
+    estimate it keeps for every operator of every WatDiv Basic template and
+    IL chain (what ``explain_analyze`` prints) must be the one a fresh
+    ``estimate_rows`` call gives that operator, and its root estimate (what
+    the journal records) the plan's."""
     layout, compiled = workload
     plan = compiled[template_name].plan
-    for threshold in (0, 2_000, strategies.DEFAULT_BROADCAST_THRESHOLD):
-        monkeypatch.setattr(strategies, "DEFAULT_BROADCAST_THRESHOLD", threshold)
-        physical = plan_join_strategies(plan, layout.catalog)
-        expected = _strategies_by_per_join_estimates(plan, layout.catalog)
-        assert physical.strategies() == expected, threshold
-        assert len(expected) == count_joins(plan)
-    # The same walk kept every operator's estimate (what explain_analyze prints).
+    estimates = RowEstimates(plan, layout.catalog)
     for node in plan.walk():
-        assert physical.rows_for(node) == estimate_rows(node, layout.catalog)
-    assert physical.root_rows == estimate_rows(plan, layout.catalog)
+        assert estimates.rows_for(node) == estimate_rows(node, layout.catalog)
+    assert estimates.root_rows == estimate_rows(plan, layout.catalog)
 
 
 # --------------------------------------------------------------------------- #

@@ -213,6 +213,31 @@ def test_a_raising_prewarm_fails_neither_the_query_nor_the_dispatcher(
         assert session.metrics.counter_value("s2rdf_scheduler_prewarm_failed_total") == 1
 
 
+def test_prewarm_reads_the_tables_up_to_the_cut_off(session, monkeypatch):
+    """Unasked, prewarm reads every non-empty stored table of at most
+    ``PREWARM_MAX_ROWS`` rows: one at the cut-off is warmed, one above it is not."""
+    catalog = session.layout.catalog
+    rows = {name: statistics.row_count for name, statistics in catalog.stored_statistics().items()}
+    sizes = sorted({count for count in rows.values() if count > 0})
+    cut = sizes[len(sizes) // 2]
+    monkeypatch.setattr(scheduler_module, "PREWARM_MAX_ROWS", cut)
+    scanned = []
+    scan_batch = catalog.scan_batch
+
+    def recording_scan_batch(name, *args, **kwargs):
+        scanned.append(name)
+        return scan_batch(name, *args, **kwargs)
+
+    monkeypatch.setattr(catalog, "scan_batch", recording_scan_batch)
+    with session.serve() as scheduler:
+        assert scheduler.prewarm() == len(scanned)
+    at = {name for name, count in rows.items() if count == cut}
+    above = {name for name, count in rows.items() if count > cut}
+    assert at and above
+    assert set(scanned) == {name for name, count in rows.items() if 0 < count <= cut}
+    assert at <= set(scanned) and not above & set(scanned)
+
+
 def test_completed_keeps_counting_past_the_latency_window(session, monkeypatch):
     monkeypatch.setattr(scheduler_module, "LATENCY_WINDOW", 4)
     with session.serve(serving=ServingConfig(share_results=False)) as scheduler:
@@ -297,12 +322,14 @@ def test_process_serving_counts_and_journals_as_thread_serving(session, tmp_path
     threaded, thread_snapshot, thread_records = served_in(path, "thread")
     processed, process_snapshot, process_records = served_in(path, "process")
 
-    for thread_result, process_result in zip(threaded, processed):
+    for thread_result, process_result, thread_record, process_record in zip(
+        threaded, processed, thread_records, process_records
+    ):
         assert sorted(map(repr, process_result.relation.rows)) == sorted(
             map(repr, thread_result.relation.rows)
         )
         assert process_result.sql == thread_result.sql
-        assert process_result.join_strategies == thread_result.join_strategies
+        assert process_record.estimated_rows == thread_record.estimated_rows
         assert process_result.metrics.input_tuples == thread_result.metrics.input_tuples
 
     def counted(snapshot):

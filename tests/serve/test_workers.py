@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.session import S2RDFSession
 from repro.engine.ops import TableScanNode
-from repro.engine.strategies import estimate_rows
+from repro.engine.estimates import estimate_rows
 from repro.rdf.graph import Graph
 from repro.rdf.triple import Triple
 from repro.serve import workers
@@ -106,9 +106,9 @@ def test_a_served_task_is_the_query_text_an_epoch_and_a_dictionary_length(stored
 
 
 def test_workers_plan_joins_as_the_parent_does_at_every_epoch(stored, tmp_path):
-    """Join planning reads only the manifest's row counts, which every
+    """Row estimates read only the manifest's row counts, which every
     process reads for itself: nothing about cardinalities has to cross the
-    pipe for a worker to annotate a query's joins as the parent does."""
+    pipe for a worker to estimate a query's plan as the parent does."""
     path, _ = stored
     queries = [
         QUERY,
@@ -127,9 +127,12 @@ def test_workers_plan_joins_as_the_parent_does_at_every_epoch(stored, tmp_path):
                 assert estimate_rows(TableScanNode(name, ("s", "o")), catalog) == rows, (stage, name)
             for text in queries:
                 direct = session.query(text)
-                outcome = run_query(pool, session, text, epoch=session._journal_epoch)
-                assert outcome["result"].join_strategies == direct.join_strategies, (stage, text)
-                assert bag(outcome["result"].relation) == bag(direct.relation), (stage, text)
+                estimated = session.executor.last_estimates.root_rows
+                record, *_ = pool.query_reply(
+                    text, session._journal_epoch, len(session._dataset.dictionary)
+                )
+                assert record.estimated_rows == estimated, (stage, text)
+                assert bag(session._finish(record).relation) == bag(direct.relation), (stage, text)
             return manifest_rows
 
         with PartitionWorkerPool(dataset_path=copy, num_workers=1) as pool:
@@ -234,8 +237,8 @@ def test_start_brings_up_all_workers(stored):
 
 def test_prewarm_reads_id_columns_and_decodes_no_term(stored, monkeypatch):
     """What the scheduler and the workers' scan tasks warm is what queries
-    read: decoded id columns.  No term is decoded, no row relation is built,
-    and a query after the warm-up reads no segment."""
+    read: decoded id columns.  No term is decoded, each segment is decoded
+    once, and a query after the warm-up reads and decodes no segment."""
     import repro.store.reader as reader_module
     from repro.store.format import StoredTermDictionary
 
@@ -248,13 +251,25 @@ def test_prewarm_reads_id_columns_and_decodes_no_term(stored, monkeypatch):
         return real_decode(self, term_id)
 
     monkeypatch.setattr(StoredTermDictionary, "decode", counting_decode)
+    segments = []
+    real_decode_segment = reader_module.decode_segment
+
+    def counting_decode_segment(*args):
+        segments.append(args)
+        return real_decode_segment(*args)
+
+    monkeypatch.setattr(reader_module, "decode_segment", counting_decode_segment)
     session = S2RDFSession.open_dataset(path, journal_enabled=False)
     try:
         catalog = session.layout.catalog
+        assert segments == []
         with session.serve() as scheduler:
             assert scheduler.prewarm() == len(catalog.table_names())
+            warmed = len(segments)
+            assert warmed > 0
+            scheduler.prewarm()
+            assert len(segments) == warmed
         assert decoded == []
-        assert not any(catalog.is_loaded(name) for name in catalog.table_names())
 
         reads = []
         real_read = reader_module.DatasetFiles.read
@@ -265,7 +280,7 @@ def test_prewarm_reads_id_columns_and_decodes_no_term(stored, monkeypatch):
 
         monkeypatch.setattr(reader_module.DatasetFiles, "read", counting_read)
         result = session.query("SELECT * WHERE { ?a <follows> ?b . ?b <likes> ?w }")
-        assert len(result.relation) == 20 and reads == []
+        assert len(result.relation) == 20 and reads == [] and len(segments) == warmed
     finally:
         session.close()
 

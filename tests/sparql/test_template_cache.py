@@ -18,7 +18,7 @@ from repro.core import template_cache
 from repro.core.compiler import QueryCompiler
 from repro.core.session import S2RDFSession
 from repro.core.table_selection import TableSelector
-from repro.engine.strategies import UNKNOWN_ROWS, estimate_rows, plan_join_strategies
+from repro.engine.estimates import UNKNOWN_ROWS, estimate_rows
 from repro.obs.journal import QueryJournal, fingerprint_text, template_text
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
@@ -48,14 +48,12 @@ def capture_journal(session):
     return local
 
 
-def uncached_annotation(session, text):
+def uncached_estimate(session, text):
     """Uncached plan of ``text`` over the session's statistics as they are now,
-    with the strategy strings and journal estimate computed for it."""
+    with its root estimate and the journal's form of it."""
     compiled = QueryCompiler(TableSelector(session.layout)).compile(parse_query(text))
-    catalog = session.layout.catalog
-    rows = estimate_rows(compiled.plan, catalog)
-    estimated = None if rows == UNKNOWN_ROWS else rows
-    return compiled, plan_join_strategies(compiled.plan, catalog).describe(), estimated
+    rows = estimate_rows(compiled.plan, session.layout.catalog)
+    return compiled, rows, None if rows == UNKNOWN_ROWS else rows
 
 
 def assert_front_end_agrees(session, text):
@@ -441,7 +439,7 @@ def test_both_tables_are_bounded(session, cache_counters, monkeypatch):
     assert skeletons(cache) == []
     for index in (0, 8, 9, 10):
         text = f"SELECT * WHERE {{ <C> <follows> ?v{index} }}"
-        assert session.query(text).sql == uncached_annotation(session, text)[0].sql()
+        assert session.query(text).sql == uncached_estimate(session, text)[0].sql()
     assert len(cache) == 4 and cache.plan_count() == 4
     assert not any(new is old for new in skeletons(cache) for old in held)
     session.parse("SELECT * WHERE { <A> <likes> ?w }")
@@ -451,8 +449,8 @@ def test_both_tables_are_bounded(session, cache_counters, monkeypatch):
 def test_concurrent_readers_get_the_uncached_answers(example_graph, monkeypatch):
     """More threads than cores, a short switch interval, a bound small enough
     that the tables are cleared under the readers' feet, and a thread that
-    flips one table's statistics between two states: every plan, join
-    annotation and journal estimate must be the uncached one of the
+    flips one table's statistics between two states: every plan, root
+    estimate and journal estimate must be the uncached one of the
     statistics generation the reader ran at.
 
     The flipper is driven by the readers' progress, not by the clock.  Quiet
@@ -494,7 +492,7 @@ def test_concurrent_readers_get_the_uncached_answers(example_graph, monkeypatch)
         expected = []
         for state in states:
             catalog.register_statistics_only(*state)
-            expected.append({text: uncached_annotation(session, text) for text in texts})
+            expected.append({text: uncached_estimate(session, text) for text in texts})
         catalog.register_statistics_only(*states[0])
         assert any(expected[0][text][1:] != expected[1][text][1:] for text in texts)
         barrier = threading.Barrier(readers + 1, timeout=60)
@@ -544,11 +542,10 @@ def test_concurrent_readers_get_the_uncached_answers(example_graph, monkeypatch)
             assert result is None or bag(result) == rows[text], text
             if generation & 1 or catalog.generation != generation:
                 return  # ran across a flip: at no one generation
-            plan, strategies, estimated = expected[state][text]
+            plan, root_rows, estimated = expected[state][text]
             assert compiled == plan, (text, state)
-            assert compiled.physical.describe() == strategies, (text, state)
+            assert compiled.estimates.root_rows == root_rows, (text, state)
             if result is not None:
-                assert result.join_strategies == strategies, (text, state)
                 assert journal.record.estimated_rows == estimated, (text, state)
                 ran_at[offset][state] += 1
 
@@ -592,15 +589,15 @@ def test_concurrent_readers_get_the_uncached_answers(example_graph, monkeypatch)
 
 
 # --------------------------------------------------------------------------- #
-# The join annotation is kept with the plan: equal to an uncached one
+# The row estimates are kept with the plan: equal to uncached ones
 # --------------------------------------------------------------------------- #
-def test_cached_join_annotations_are_the_uncached_ones(
+def test_cached_row_estimates_are_the_uncached_ones(
     small_dataset, instantiations, cache_counters, tmp_path
 ):
-    """At a plan cache hit, every WatDiv Basic and IL template reports the
-    strategies and journals the root estimate that its own uncached plan, and
-    a session that never saw it, give — before and after an append that moves
-    the row counts the annotations are computed from."""
+    """At a plan cache hit, every WatDiv Basic and IL template runs with the
+    operator estimates and journals the root estimate that its own uncached
+    plan, and a session that never saw it, give — before and after an append
+    that moves the row counts the estimates are computed from."""
     path = str(tmp_path / "dataset")
     with S2RDFSession.from_graph(small_dataset.graph) as builder:
         builder.save_dataset(path)
@@ -609,7 +606,10 @@ def test_cached_join_annotations_are_the_uncached_ones(
         for template in BASIC_TEMPLATES + INCREMENTAL_TEMPLATES
     }
 
-    def annotations(session):
+    def per_operator(estimates):
+        return [estimates.rows_for(node) for node in estimates.plan.walk()]
+
+    def estimates(session):
         journal = capture_journal(session)
         with S2RDFSession.open_dataset(path, journal_enabled=False) as fresh:
             fresh.journal = QueryJournal()
@@ -618,18 +618,21 @@ def test_cached_join_annotations_are_the_uncached_ones(
             for name, (first, second) in texts.items():
                 session.query(first)
                 before = cache_counters(session)
-                result = session.query(second)
+                session.query(second)
                 assert cache_counters(session, before)[2:] == (1, 0), name  # a plan hit
-                _, strategies, estimated = uncached_annotation(session, second)
-                assert result.join_strategies == strategies, name
+                compiled, _, estimated = uncached_estimate(session, second)
+                catalog = session.layout.catalog
+                operators = [estimate_rows(node, catalog) for node in compiled.plan.walk()]
+                assert per_operator(session.executor.last_estimates) == operators, name
                 assert journal.record.estimated_rows == estimated, name
-                assert fresh.query(second).join_strategies == strategies, name
+                fresh.query(second)
+                assert per_operator(fresh.executor.last_estimates) == operators, name
                 assert fresh_journal.record.estimated_rows == estimated, name
-                seen[name] = strategies
+                seen[name] = operators
         return seen
 
     with S2RDFSession.open_dataset(path) as session:
-        before = annotations(session)
+        before = estimates(session)
         catalog = session.layout.catalog
         follows = [t for t in small_dataset.graph if str(t.predicate).endswith("/follows")]
         rows = catalog.statistics("vp_wsdbm_follows").row_count
@@ -638,10 +641,9 @@ def test_cached_join_annotations_are_the_uncached_ones(
             for i, t in enumerate(follows)
         )
         assert catalog.statistics("vp_wsdbm_follows").row_count == rows + len(follows)
-        after = annotations(session)
-    # Stale annotations could not have passed: some strategy text moved.
+        after = estimates(session)
+    # Stale estimates could not have passed: some operator's estimate moved.
     assert any(before[name] != after[name] for name in texts)
-    assert any(strategies for strategies in after.values())
 
 
 # --------------------------------------------------------------------------- #

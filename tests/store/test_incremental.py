@@ -923,7 +923,7 @@ class TestResidentState:
             assert touched & set(decoded) and set(decoded) - touched
             for name, relation in decoded.items():
                 if name in touched:
-                    assert not catalog.is_loaded(name), name
+                    assert catalog.table(name) is not relation, name
                 else:
                     assert catalog.table(name) is relation, name
 

@@ -22,6 +22,19 @@ from repro.watdiv.basic_queries import BASIC_TEMPLATES
 from repro.watdiv.template import instantiate_many
 
 
+def count_segment_decodes(monkeypatch):
+    """Every segment the store's reader decodes from now on, one entry each."""
+    decoded = []
+    decode = store_reader.decode_segment
+
+    def counting(*args):
+        decoded.append(args)
+        return decode(*args)
+
+    monkeypatch.setattr(store_reader, "decode_segment", counting)
+    return decoded
+
+
 def bag(relation):
     return sorted(map(repr, relation.rows))
 
@@ -95,31 +108,28 @@ class TestColdOpen:
         finally:
             session.close()
 
-    def test_tables_stay_on_disk_until_scanned(self, dataset_path):
+    def test_tables_stay_on_disk_until_scanned(self, dataset_path, monkeypatch):
+        decoded = count_segment_decodes(monkeypatch)
         session = S2RDFSession.open_dataset(dataset_path)
         try:
             catalog = session.layout.catalog
             names = catalog.table_names()
-            assert names and all(not catalog.is_loaded(name) for name in names)
-            assert all(catalog.is_stored(name) for name in names)
+            assert names and all(catalog.is_stored(name) for name in names)
+            assert decoded == []
+            # The first scan of a table is what decodes its segments.
+            assert catalog.scan_batch("triples").rows_scanned > 0
+            assert decoded
         finally:
             session.close()
 
     def test_storage_summary_reads_no_table(self, dataset_path, monkeypatch):
-        """The summary is the manifest's: no table is loaded, no segment decoded."""
-        decoded = []
-        decode = store_reader.decode_segment
-
-        def counting(*args):
-            decoded.append(args)
-            return decode(*args)
-
-        monkeypatch.setattr(store_reader, "decode_segment", counting)
+        """The summary is the manifest's: no segment is decoded, on the open or
+        for the summary."""
+        decoded = count_segment_decodes(monkeypatch)
         with repro.connect(dataset_path) as session:
+            assert decoded == []
             summary = session.storage_summary()
-            catalog = session.layout.catalog
-            names = catalog.table_names()
-            assert names and not any(catalog.is_loaded(name) for name in names)
+            assert session.layout.catalog.table_names()
         assert summary["total_tuples"] > 0 and summary["table_counts"]["total"] > 0
         assert decoded == []
 
