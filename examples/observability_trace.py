@@ -19,6 +19,7 @@ Run with:  python examples/observability_trace.py
 """
 
 import json
+import os
 import tempfile
 
 from repro import Graph, S2RDFSession, Triple
@@ -74,17 +75,15 @@ def main() -> None:
     assert last.attrs["cached"] is False, last.attrs
 
     print("\n=== 3. Chrome trace export ===")
-    with tempfile.NamedTemporaryFile(
-        mode="w", suffix=".json", prefix="s2rdf-trace-", delete=False
-    ) as handle:
-        path = handle.name
-    session.tracer.write_chrome_trace(path)
-    with open(path, encoding="utf-8") as handle:
-        trace = json.load(handle)
+    with tempfile.TemporaryDirectory(prefix="s2rdf-trace-") as root:
+        path = os.path.join(root, "trace.json")
+        session.tracer.write_chrome_trace(path)
+        with open(path, encoding="utf-8") as handle:
+            trace = json.load(handle)
     assert "traceEvents" in trace and trace["traceEvents"], "trace must hold events"
     assert all("ph" in event and "ts" in event for event in trace["traceEvents"])
-    print(f"  wrote {len(trace['traceEvents'])} trace events to {path}")
-    print("  load it in https://ui.perfetto.dev or chrome://tracing")
+    print(f"  wrote {len(trace['traceEvents'])} trace events to {path} (removed on exit)")
+    print("  load such a file in https://ui.perfetto.dev or chrome://tracing")
 
     print("\n=== 4. Metrics registry (Prometheus text format, excerpt) ===")
     exposition = session.metrics.render_prometheus()

@@ -23,7 +23,8 @@ single machine:
   encoded id pages and their zone maps.
 * :mod:`~repro.engine.estimates` — per-operator row estimates from the
   catalog's statistics, which the journal's q-error and ``explain_analyze``
-  read; every join runs in process as one hash join.
+  read; every join runs in process as one probe loop
+  (:meth:`~repro.engine.vectorized.ColumnBatch.natural_join`).
 """
 
 from repro.engine.relation import Relation

@@ -145,10 +145,13 @@ class Binding:
 
 def _relabel(output_columns: Tuple[str, ...], batch: ColumnBatch) -> ColumnBatch:
     """A subquery's batch from its scan's: the store scanned exactly its
-    columns, in order, so the projection and rename are one relabelling."""
+    columns, in order, so the projection and rename are one relabelling
+    (the same lists, so their indexes go along)."""
     if not output_columns:
         return batch.project(())
-    return ColumnBatch.adopt(output_columns, batch.ids, batch.decode, selection=batch.selection)
+    return ColumnBatch.adopt(
+        output_columns, batch.ids, batch.decode, selection=batch.selection, indexes=batch.indexes
+    )
 
 
 @dataclass

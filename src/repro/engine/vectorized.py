@@ -6,12 +6,22 @@ the batch representation stored scans emit — a :class:`ColumnBatch` of lists
 of interned ids (a gather copies pointers, it never boxes an int) plus an
 optional selection vector, the DuckDB vector idiom — and the batch-wise
 kernels the executor runs on it: equality and single-variable filters,
-hash-join build/probe on raw ids, projection/rename, DISTINCT, UNION and
-LIMIT.  Term decoding is deferred to one :meth:`ColumnBatch.to_relation`
-boundary at the end of the plan (or before an operator that has no id
-kernel), so a query that scans millions of ids decodes only the rows it
-returns.  In-memory tables have no dictionary ids; plans over them run on
+joins on raw ids, projection/rename, DISTINCT, UNION and LIMIT.  Term
+decoding is deferred to one :meth:`ColumnBatch.to_relation` boundary at the
+end of the plan (or before an operator that has no id kernel), so a query
+that scans millions of ids decodes only the rows it returns.  In-memory
+tables have no dictionary ids; plans over them run on
 :class:`~repro.engine.relation.Relation` rows.
+
+A join is one probe loop: one side's rows are looked up in an id -> positions
+index of the other side.  A stored table keeps its whole-table id columns in
+memory between queries, and each carries a :class:`PositionIndex`, built the
+first time a join asks for it and dropped with the table's cached scans; the
+batch of such a scan carries those indexes (``ColumnBatch.indexes``), so a
+join on one column probes the stored side's index instead of hashing the
+stored side again — the join index of RDF-3X's index nested-loop joins.  A
+join with no resident index on its column indexes its smaller side for that
+join only: the classic hash join.
 
 Raw ids are only ever compared for *equality* — dictionary ids are assigned
 in write order, not value order, so ``<``/``>`` on ids would be meaningless.
@@ -43,6 +53,49 @@ def _count_selection(rows: int) -> List[int]:
     return list(range(rows))
 
 
+def index_positions(rows: Iterable[Tuple[int, Any]]) -> Dict[Any, List[int]]:
+    """key -> the positions it is met at, from ``(position, key)`` pairs."""
+    index: Dict[Any, List[int]] = {}
+    setdefault = index.setdefault
+    for position, key in rows:
+        setdefault(key, []).append(position)
+    return index
+
+
+class PositionIndex:
+    """One resident id column and its id -> positions index, built on first use.
+
+    A stored table keeps one per whole-table column it holds between queries
+    and drops it with its cached scans, so the index lives exactly as long
+    as the column it indexes.  The index is published by one assignment once
+    complete: threads racing the first build may each build one, and none
+    looks into a half-built one.
+    """
+
+    __slots__ = ("column", "_positions")
+
+    def __init__(self, column: List[int]) -> None:
+        self.column = column
+        self._positions: Optional[Dict[Any, List[int]]] = None
+
+    def positions(self) -> Dict[Any, List[int]]:
+        positions = self._positions
+        if positions is None:
+            positions = self._positions = index_positions(enumerate(self.column))
+        return positions
+
+
+def _keyed_rows(batch: "ColumnBatch", key_columns: Sequence[str]) -> Iterable[Tuple[int, Any]]:
+    """``(position, join key)`` of every valid row of ``batch``; one key
+    column's raw id is its own key, more columns make a tuple."""
+    keys = [batch.ids[batch.column_index(c)] for c in key_columns]
+    selection = batch.selection
+    if len(keys) == 1:
+        column = keys[0]
+        return enumerate(column) if selection is None else ((i, column[i]) for i in selection)
+    return ((i, tuple(key[i] for key in keys)) for i in batch.indices())
+
+
 class ColumnBatch:
     """An immutable batch of dictionary-id columns with a selection vector.
 
@@ -52,10 +105,14 @@ class ColumnBatch:
     column.  A batch without columns has nothing to take a length from: its
     selection is its rows (only the count means anything).  ``decode`` maps
     an id back to its term (the stored dataset's dictionary); batches joined
-    or unioned together must share it.
+    or unioned together must share it.  ``indexes`` (when not ``None``) holds
+    per column its :class:`PositionIndex` or ``None``: a stored table's
+    whole scan carries the ones of its resident columns, kernels that reuse
+    the same lists in the same order pass them on, and every other kernel
+    drops them.
     """
 
-    __slots__ = ("columns", "ids", "selection", "decode")
+    __slots__ = ("columns", "ids", "selection", "decode", "indexes")
 
     def __init__(
         self,
@@ -77,6 +134,7 @@ class ColumnBatch:
         self.ids: Tuple[List[int], ...] = tuple(ids)
         self.selection = selection
         self.decode = decode
+        self.indexes: Optional[Tuple[Optional[PositionIndex], ...]] = None
 
     @classmethod
     def adopt(
@@ -85,14 +143,16 @@ class ColumnBatch:
         ids: Tuple[List[int], ...],
         decode: Callable[[int], Any],
         selection: Optional[List[int]] = None,
+        indexes: Optional[Tuple[Optional[PositionIndex], ...]] = None,
     ) -> "ColumnBatch":
         """Engine-internal constructor: check the schema, adopt ``ids`` as-is.
 
         The counterpart of :meth:`Relation.adopt` for kernels and scans:
         ``columns`` and ``ids`` are already tuples, one equal-length list of
         interned ids per name *by construction* (usually they are another
-        batch's), so only the names are checked.  Anything assembled from
-        outside input goes through ``ColumnBatch(columns, ids, decode)``.
+        batch's), so only the names are checked, and ``indexes`` index
+        exactly those lists.  Anything assembled from outside input goes
+        through ``ColumnBatch(columns, ids, decode)``.
         """
         if len(set(columns)) != len(columns):
             raise SchemaError(f"duplicate column names in {columns}")
@@ -101,6 +161,7 @@ class ColumnBatch:
         batch.ids = ids
         batch.selection = selection
         batch.decode = decode
+        batch.indexes = indexes
         return batch
 
     # ------------------------------------------------------------------ #
@@ -176,17 +237,25 @@ class ColumnBatch:
         for column in columns:
             if column not in unique:
                 unique.append(column)
-        picked = tuple(self.ids[self.column_index(c)] for c in unique)
+        positions = [self.column_index(c) for c in unique]
+        picked = tuple(self.ids[p] for p in positions)
         selection = self.selection
         if not picked and selection is None:
             selection = _count_selection(len(self))
-        return ColumnBatch.adopt(tuple(unique), picked, self.decode, selection=selection)
+        indexes = self.indexes
+        if indexes is not None:
+            indexes = tuple(indexes[p] for p in positions) if picked else None
+        return ColumnBatch.adopt(
+            tuple(unique), picked, self.decode, selection=selection, indexes=indexes
+        )
 
     def rename(self, mapping: Mapping[str, str]) -> "ColumnBatch":
         for old in mapping:
             self.column_index(old)
         new_columns = tuple(mapping.get(c, c) for c in self.columns)
-        return ColumnBatch.adopt(new_columns, self.ids, self.decode, selection=self.selection)
+        return ColumnBatch.adopt(
+            new_columns, self.ids, self.decode, selection=self.selection, indexes=self.indexes
+        )
 
     def pad_to(self, columns: Sequence[str]) -> "ColumnBatch":
         """Add missing columns as all-NULL id columns (unbound variables)."""
@@ -258,12 +327,17 @@ class ColumnBatch:
     def natural_join(
         self, other: "ColumnBatch", metrics: Optional[ExecutionMetrics] = None
     ) -> "ColumnBatch":
-        """Hash join on all shared column names, build/probe on raw id tuples.
+        """Join on all shared column names: one side's rows probe the other's index.
 
-        Id equality is term equality (the dictionary is injective) and
-        ``NULL_ID`` matches ``NULL_ID`` exactly as the row path's
-        ``None == None`` does, so the output bag matches
-        :meth:`Relation.natural_join` row for row.
+        On one shared column, a side that is its stored table's whole column
+        (it carries the column's :class:`PositionIndex` and no selection) is
+        probed where it lies: the other side's rows are looked up in its
+        index, and when both sides are such columns the smaller side's rows
+        are.  Otherwise the smaller side is indexed for this join only, on
+        its raw id or, for more shared columns, its id tuple.  Id equality is
+        term equality (the dictionary is injective) and ``NULL_ID`` matches
+        ``NULL_ID`` exactly as the row path's ``None == None`` does, so the
+        output bag matches :meth:`Relation.natural_join` row for row.
         """
         shared = [c for c in self.columns if c in other.columns]
         output_columns = self.columns + tuple(c for c in other.columns if c not in shared)
@@ -287,59 +361,41 @@ class ColumnBatch:
                 selection=None if out else _count_selection(len(left_idx)),
             )
 
-        build, probe, build_is_left = (
-            (self, other, True) if len(self) <= len(other) else (other, self, False)
-        )
-        build_key = [build.ids[build.column_index(c)] for c in shared]
-        probe_key = [probe.ids[probe.column_index(c)] for c in shared]
-        hash_table: Dict[Any, List[int]] = {}
-        setdefault = hash_table.setdefault
-        if len(build_key) == 1:
-            # Single shared column (the common S2RDF shape): the raw id is
-            # its own hash key, no tuple allocation per build row.
-            column = build_key[0]
-            for i in build.indices():
-                setdefault(column[i], []).append(i)
+        smaller_is_left = len(self) <= len(other)
+        left_index = self._resident_index(shared)
+        right_index = other._resident_index(shared)
+        if left_index is not None and (right_index is None or not smaller_is_left):
+            index, indexed_is_left = left_index.positions(), True
+        elif right_index is not None:
+            index, indexed_is_left = right_index.positions(), False
         else:
-            for i in build.indices():
-                setdefault(tuple(key[i] for key in build_key), []).append(i)
+            indexed_is_left = smaller_is_left
+            index = index_positions(_keyed_rows(self if smaller_is_left else other, shared))
 
-        # Probe phase only collects matched (build, probe) index pairs; the
+        # The probe only collects matched (indexed, probe) position pairs; the
         # output columns are gathered afterwards in one C-level map per column.
-        build_idx: List[int] = []
+        indexed_idx: List[int] = []
         probe_idx: List[int] = []
-        build_append = build_idx.append
+        indexed_append = indexed_idx.append
         probe_append = probe_idx.append
         comparisons = 0
-        get = hash_table.get
-        probe_selection = probe.selection
-        if len(probe_key) == 1:
-            column = probe_key[0]
-            probe_rows: Iterable[Tuple[int, Any]] = (
-                enumerate(column)
-                if probe_selection is None
-                else ((j, column[j]) for j in probe_selection)
-            )
-        else:
-            probe_rows = (
-                (j, tuple(key[j] for key in probe_key)) for j in probe.indices()
-            )
-        for j, key in probe_rows:
+        get = index.get
+        for j, key in _keyed_rows(other if indexed_is_left else self, shared):
             bucket = get(key)
             if bucket is None:
                 continue
             matched = len(bucket)
             comparisons += matched
             if matched == 1:
-                build_append(bucket[0])
+                indexed_append(bucket[0])
                 probe_append(j)
             else:
-                build_idx.extend(bucket)
+                indexed_idx.extend(bucket)
                 probe_idx.extend([j] * matched)
 
         # The output is ``self``'s columns, then ``other``'s unshared ones.
         left_idx, right_idx = (
-            (build_idx, probe_idx) if build_is_left else (probe_idx, build_idx)
+            (indexed_idx, probe_idx) if indexed_is_left else (probe_idx, indexed_idx)
         )
         out = [list(map(column.__getitem__, left_idx)) for column in self.ids]
         out += [
@@ -348,8 +404,16 @@ class ColumnBatch:
             if name not in shared
         ]
         if metrics is not None:
-            metrics.record_join(len(self), len(other), comparisons, len(build_idx))
+            metrics.record_join(len(self), len(other), comparisons, len(indexed_idx))
         return ColumnBatch.adopt(output_columns, tuple(out), self.decode)
+
+    def _resident_index(self, shared: Sequence[str]) -> Optional[PositionIndex]:
+        """The index of the one join column, when this batch is that whole
+        resident column: it carries the column's index and no selection."""
+        indexes = self.indexes
+        if indexes is None or self.selection is not None or len(shared) != 1:
+            return None
+        return indexes[self.column_index(shared[0])]
 
     # ------------------------------------------------------------------ #
     # Lowering

@@ -33,7 +33,7 @@ from repro.engine.relation import Relation
 from repro.engine.storage import NULL_ID
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.rdf import ntriples as ntriples_io
-from repro.engine.vectorized import BatchScanResult, ColumnBatch
+from repro.engine.vectorized import BatchScanResult, ColumnBatch, PositionIndex
 from repro.store.format import (
     BitmapEntry,
     DatasetImage,
@@ -115,9 +115,10 @@ class _StoredProvider(StoredTableProvider):
         #: The physically stored table whose buckets the rows lie in.
         self.entry = entry
         self.dictionary = dictionary
-        #: column -> its ids over the whole table, buckets end to end: what
-        #: every unconditioned scan hands out, assembled once.
-        self._columns: Dict[str, List[int]] = {}
+        #: column -> its ids over the whole table, buckets end to end, with
+        #: their position index (built when a join first asks): what every
+        #: unconditioned scan hands out, assembled once.
+        self._columns: Dict[str, PositionIndex] = {}
         #: requested columns -> their unconditioned scan (shares ``_columns``).
         self._scans: Dict[Tuple[str, ...], BatchScanResult] = {}
         #: the full unconditioned scan lowered to terms, once a row caller asked.
@@ -243,25 +244,34 @@ class _StoredProvider(StoredTableProvider):
     def _scan_whole(self, output_columns: List[str]) -> BatchScanResult:
         for column in output_columns:
             if column not in self._columns:
-                self._columns[column] = self._whole_column(column)
+                self._columns[column] = PositionIndex(self._whole_column(column))
+        resident = tuple(self._columns[column] for column in output_columns)
         rows, scanned, skipped = self._whole_shape()
         return self._result(
             output_columns,
-            tuple(self._columns[column] for column in output_columns),
+            tuple(index.column for index in resident),
+            indexes=resident,
             rows_scanned=rows,
             segments_scanned=scanned * len(output_columns),
             segments_pruned=skipped * len(output_columns),
         )
 
     def _drop_scans(self) -> None:
+        """Forget the cached scans, the resident columns and their indexes."""
         self._columns = {}
         self._scans = {}
         self._full = None
 
     def _result(
-        self, output_columns: List[str], ids: Tuple[List[int], ...], **counters: int
+        self,
+        output_columns: List[str],
+        ids: Tuple[List[int], ...],
+        indexes: Optional[Tuple[PositionIndex, ...]] = None,
+        **counters: int,
     ) -> BatchScanResult:
-        batch = ColumnBatch.adopt(tuple(output_columns), ids, self.dictionary.decode)
+        batch = ColumnBatch.adopt(
+            tuple(output_columns), ids, self.dictionary.decode, indexes=indexes
+        )
         return BatchScanResult(batch=batch, **counters)
 
     def _checked(self, columns: Sequence[str]) -> List[str]:

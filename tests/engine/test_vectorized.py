@@ -6,7 +6,13 @@ batch is lowered through ``to_relation`` — including the edge shapes the
 selection-vector representation makes easy to get wrong (empty batches,
 all-selected batches, RLE run boundaries) — and ids outside the dictionary
 must be rejected at the decode boundary, never silently mapped to a term.
+A join probing a stored column's resident index must answer what the
+throwaway-index join and the row join answer, build that index once per
+stored generation, and never probe one that a store change made stale.
 """
+
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +27,8 @@ from repro.engine.storage import (
     decode_id_column,
     encode_id_column,
 )
-from repro.engine.vectorized import ColumnBatch, concat_batches, null_column
+from repro.engine import vectorized
+from repro.engine.vectorized import ColumnBatch, PositionIndex, concat_batches, null_column
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Term
 from repro.rdf.triple import Triple
@@ -362,6 +369,133 @@ class TestKernelProperties:
 
 
 # --------------------------------------------------------------------------- #
+# Joins probing a resident index
+# --------------------------------------------------------------------------- #
+def resident(columns, rows, selection=None):
+    """A batch of whole resident columns: each carries its position index."""
+    plain = batch(columns, rows, selection)
+    indexes = tuple(PositionIndex(column) for column in plain.ids)
+    return ColumnBatch.adopt(plain.columns, plain.ids, decode, plain.selection, indexes)
+
+
+def built(side):
+    """Whether any index ``side`` carries has been built."""
+    return any(index._positions is not None for index in side.indexes)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts every index build, resident or throwaway, from now on."""
+    calls = []
+    build = vectorized.index_positions
+
+    def counting(rows):
+        calls.append(1)
+        return build(rows)
+
+    monkeypatch.setattr(vectorized, "index_positions", counting)
+    return calls
+
+
+def joins_agree(left, right, left_resident, right_resident):
+    """Join ``(columns, rows, selection)`` tables through resident indexes on
+    the sides asked for, through a throwaway index and as rows: the three
+    bags, columns and comparison counts must agree.  Returns the resident
+    sides as joined."""
+    plain_left, plain_right = as_batch(left), as_batch(right)
+    left_side = resident(*left) if left_resident else plain_left
+    right_side = resident(*right) if right_resident else plain_right
+    index_metrics, throwaway_metrics, row_metrics = (
+        ExecutionMetrics(), ExecutionMetrics(), ExecutionMetrics()
+    )
+    probed = left_side.natural_join(right_side, index_metrics)
+    hashed = plain_left.natural_join(plain_right, throwaway_metrics)
+    expected = as_relation(left).natural_join(as_relation(right), row_metrics)
+    assert probed.columns == hashed.columns == expected.columns
+    assert bag(probed.to_relation()) == bag(hashed.to_relation()) == bag(expected)
+    assert (
+        index_metrics.as_dict()
+        == throwaway_metrics.as_dict()
+        == row_metrics.as_dict()
+    )
+    return left_side, right_side
+
+
+LEFT = (("a", "b"), [(1, 2), (3, 2), (5, 4), (6, NULL_ID), (7, 0)], None)
+RIGHT = (("b", "c"), [(2, 7), (2, 8), (4, 9), (NULL_ID, 9), (NULL_ID, 1), (3, 3)], None)
+
+
+class TestResidentIndexJoin:
+    @pytest.mark.parametrize("sides", [(True, False), (False, True)])
+    def test_duplicate_and_null_keys_on_both_sides(self, sides, builds):
+        left, right = joins_agree(LEFT, RIGHT, *sides)
+        # The resident side was probed where it lies: its index is the only
+        # index built, and the throwaway join beside it built one more.
+        assert built(left if sides[0] else right)
+        assert len(builds) == 2
+
+    def test_null_matches_null(self):
+        left = (("a", "b"), [(1, NULL_ID), (2, NULL_ID)], None)
+        right = (("b", "c"), [(NULL_ID, 3), (4, 3)], None)
+        for sides in [(True, False), (False, True), (True, True)]:
+            joins_agree(left, right, *sides)
+
+    @pytest.mark.parametrize("sides", [(True, False), (False, True), (True, True)])
+    def test_an_empty_side(self, sides):
+        empty_left = (LEFT[0], [], None)
+        empty_right = (RIGHT[0], [], None)
+        joins_agree(empty_left, RIGHT, *sides)
+        joins_agree(LEFT, empty_right, *sides)
+
+    def test_indexes_on_both_sides_probe_the_larger_one(self, builds):
+        small = (("b", "c"), RIGHT[1][:2], None)
+        left, right = joins_agree(LEFT, small, True, True)
+        assert built(left) and not built(right)
+        left, right = joins_agree(small, LEFT, True, True)
+        assert built(right) and not built(left)
+        # Two resident builds, two throwaway ones beside them.
+        assert len(builds) == 4
+
+    def test_a_selection_on_the_resident_side_is_not_probed(self, builds):
+        """A selection narrows the rows but not the index: the batch is
+        indexed for the join like any other, and its own index stays unbuilt."""
+        narrowed = (LEFT[0], LEFT[1], [4, 1, 1, 0])
+        left, right = joins_agree(narrowed, RIGHT, True, False)
+        assert not built(left)
+        # One throwaway index per join: the resident one was never asked for.
+        assert len(builds) == 2
+
+    def test_a_second_join_probes_the_built_index(self, builds):
+        left = resident(*LEFT)
+        for right in (RIGHT, (("b", "c"), [(4, 1)], None)):
+            joined = left.natural_join(as_batch(right))
+            expected = as_relation(LEFT).natural_join(as_relation(right))
+            assert bag(joined.to_relation()) == bag(expected)
+        assert len(builds) == 1
+
+    def test_kernels_keeping_the_lists_keep_the_indexes(self):
+        table = resident(*LEFT)
+        assert table.rename({"a": "x"}).indexes == table.indexes
+        assert table.project(["b"]).indexes == table.indexes[1:]
+        assert table.project(["b", "a"]).indexes == table.indexes[::-1]
+        assert table.project([]).indexes is None
+        narrowing = [
+            table.filter_equal("b", 2),
+            table.select_ids("b", lambda term_id: True),
+            table.distinct(),
+            table.limit(2),
+            table.pad_to(["a", "b", "z"]),
+            table.union(table),
+            table.natural_join(table),
+        ]
+        assert all(result.indexes is None for result in narrowing)
+
+    @given(id_tables(), id_tables(), st.booleans(), st.booleans())
+    def test_natural_join_with_resident_indexes(self, left, right, left_resident, right_resident):
+        joins_agree(left, right, left_resident, right_resident)
+
+
+# --------------------------------------------------------------------------- #
 # The stored scan: one loop, lowered for callers that want rows
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
@@ -460,3 +594,121 @@ class TestNativePathNeedsNoConfiguration:
         assert all(isinstance(value, Term) for row in after.relation.rows for value in row)
         assert bag(after.relation) == bag(before.relation)
         assert len(list(after)) == len(after.relation)
+
+
+# --------------------------------------------------------------------------- #
+# The resident index of a stored column: built once, raced safely, never stale
+# --------------------------------------------------------------------------- #
+USERS = 20
+#: Every user's likes: a join of a bound ``follows`` scan with the whole
+#: ``vp_likes`` table, which is probed on its resident ``s`` index.
+TWO_HOPS = "SELECT ?w WHERE {{ <u{}> <follows> ?b . ?b <likes> ?w }}"
+#: Who follows a liker of one item: the whole ExtVP selection of ``follows``
+#: reduced by ``likes`` is probed on its resident ``o`` index.
+FOLLOWERS_OF_LIKERS = "SELECT ?a WHERE {{ ?a <follows> ?b . ?b <likes> <i{}> }}"
+
+
+def users_triples():
+    return [Triple.of(f"u{i}", "follows", f"u{(i * 3 + 1) % USERS}") for i in range(USERS)] + [
+        Triple.of(f"u{i}", "likes", f"i{i % 7}") for i in range(USERS) if i % 3
+    ]
+
+
+def two_hops(triples, user):
+    """TWO_HOPS's answer, worked out from the triples themselves."""
+    edges = [(t.subject, t.predicate, t.object) for t in triples]
+    followed = [o for s, p, o in edges if s == IRI(f"u{user}") and p == IRI("follows")]
+    return sorted(repr((o,)) for b in followed for s, p, o in edges if s == b and p == IRI("likes"))
+
+
+def answers(session, triples):
+    """Every TWO_HOPS and FOLLOWERS_OF_LIKERS answer of ``session``, checked
+    against a session built from ``triples`` in memory; returns the tables
+    the joins scanned."""
+    scanned = set()
+    with S2RDFSession.from_graph(Graph(triples), journal_enabled=False) as truth:
+        for text in [TWO_HOPS.format(u) for u in range(USERS + 2)] + [
+            FOLLOWERS_OF_LIKERS.format(i) for i in range(8)
+        ]:
+            result = session.query(text)
+            assert bag(result.relation) == bag(truth.query(text).relation), text
+            scanned.update(result.metrics.scanned_tables)
+    return scanned
+
+
+def test_two_queries_build_a_resident_index_once(builds):
+    """The zero-work pin: a second query joining the same resident scan
+    probes the index the first one built."""
+    triples = users_triples()
+    with S2RDFSession.from_graph(Graph(triples), journal_enabled=False) as session:
+        for user in (1, 2, 1):
+            assert bag(session.query(TWO_HOPS.format(user)).relation) == two_hops(triples, user)
+    assert len(builds) == 1
+
+
+def test_threads_racing_the_first_index_build_get_the_uncached_answers(monkeypatch):
+    """Every thread joins the same unbuilt resident index, and all of them
+    are held inside the build before any publishes it: each builds its own,
+    and each gets its own answer."""
+    threads_count = 8
+    triples = users_triples()
+    users = tuple(range(1, threads_count + 1))
+    barrier = threading.Barrier(threads_count, timeout=60)
+    build = vectorized.index_positions
+
+    def overlapping(rows):
+        barrier.wait()
+        return build(rows)
+
+    monkeypatch.setattr(vectorized, "index_positions", overlapping)
+    got, failures = {}, []
+
+    def client(user: int) -> None:
+        try:
+            got[user] = bag(session.query(TWO_HOPS.format(user)).relation)
+        except BaseException as error:  # reported by the main thread
+            failures.append(error)
+            barrier.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with S2RDFSession.from_graph(Graph(triples), journal_enabled=False) as session:
+            threads = [threading.Thread(target=client, args=(user,)) for user in users]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures[0]
+    assert got == {user: two_hops(triples, user) for user in users}
+    assert len(set(map(tuple, got.values()))) > 1  # the answers differ
+
+
+@pytest.mark.parametrize("mutation", ["append", "compact"])
+def test_a_store_change_drops_the_resident_indexes(tmp_path, mutation):
+    """Queries build the indexes of a VP table and of an ExtVP selection;
+    an append touches both, and so does the compaction after it: every
+    join after each change answers from the changed store."""
+    triples = users_triples()
+    path = str(tmp_path / "dataset")
+    with S2RDFSession.from_graph(Graph(triples), num_partitions=4) as saver:
+        saver.save_dataset(path)
+    # Old subjects gain likes and follows (their rows move inside their
+    # buckets) and two new users join.
+    added = [Triple.of(f"u{i}", "likes", "i7") for i in range(0, USERS, 4)]
+    added += [Triple.of("u1", "follows", f"u{USERS}"), Triple.of(f"u{USERS}", "likes", "i3")]
+    added += [Triple.of(f"u{USERS + 1}", "follows", "u0"), Triple.of("u5", "likes", "i0")]
+    with repro.connect(path, journal_enabled=False) as session:
+        scanned = answers(session, triples)
+        assert {"vp_likes", "extvp_os_follows__likes"} <= scanned
+        report = session.append_triples(added)
+        assert {"vp_likes", "extvp_os_follows__likes"} <= set(report.touched_tables)
+        if mutation == "compact":
+            answers(session, triples + added)
+            compacted = session.compact(compaction_threshold=1)
+            assert compacted.delta_rows_merged
+            assert {"vp_likes", "extvp_os_follows__likes"} <= set(compacted.touched_tables)
+        assert {"vp_likes", "extvp_os_follows__likes"} <= answers(session, triples + added)
