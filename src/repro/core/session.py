@@ -30,7 +30,7 @@ import threading
 import time
 from contextlib import contextmanager
 from functools import partial
-from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.compiler import CompiledQuery, QueryCompiler
 from repro.core.config import (
@@ -63,9 +63,10 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.rdf.graph import Graph
 from repro.rdf.ntriples import parse_ntriples
+from repro.rdf.terms import Term
 from repro.rdf.triple import Triple
 from repro.sparql.algebra import Query
-from repro.store.format import DatasetImage, StoredTermDictionary, decode_term_line
+from repro.store.format import DatasetImage, StoredTermDictionary, TermMemo, decode_term_line
 from repro.store.reader import (
     DatasetLoadReport,
     StoredDataset,
@@ -959,23 +960,30 @@ class S2RDFSession:
         return result
 
     def _lower(self, root: Union[ColumnBatch, Relation, Tuple]) -> Relation:
-        """The root's rows: an id batch decoded through its own dictionary, or
-        one a worker sent through this session's and the lines sent with it."""
+        """The root's rows: an id batch decoded through its own dictionary's
+        memo, or one a worker sent through this session's memo and the lines
+        sent with it.
+
+        Shipped lines are of ids this session's dictionary does not hold yet:
+        they decode into a memo of the reply's own, never into the session's,
+        which keeps raising ``KeyError`` for them until its own commit
+        covers them.
+        """
         if isinstance(root, Relation):
             return root
         if isinstance(root, ColumnBatch):
             return root.to_relation()
         columns, ids, lines = root
-        dictionary = self._dataset.dictionary
-        decode = dictionary.decode
+        known = self._dataset.dictionary.terms
+        terms = known
         if lines:
-            shipped = {term_id: decode_term_line(line) for term_id, line in lines.items()}
 
-            def decode(term_id: int) -> Any:
-                term = shipped.get(term_id)
-                return dictionary.decode(term_id) if term is None else term
+            def source(term_id: int) -> Term:
+                line = lines.get(term_id)
+                return known[term_id] if line is None else decode_term_line(line)
 
-        return ColumnBatch.adopt(columns, ids, decode).to_relation()
+            terms = TermMemo(source)
+        return ColumnBatch.adopt(columns, ids, terms.__getitem__).to_relation()
 
     @staticmethod
     def template_of(parsed: Query) -> Tuple[str, str]:

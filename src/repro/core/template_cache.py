@@ -6,8 +6,15 @@ ordering, TP2SQL) ever looks at the value of a subject/object constant — only
 at which positions are bound.  So both are done once per template:
 
 * **Parse.**  The text is read as its token spellings, from one C-level
-  scan (:func:`~repro.sparql.tokenizer.spellings`).  The spellings with the
-  constants in triple-pattern subject/object position — the *slots* —
+  scan (:func:`~repro.sparql.tokenizer.spellings`) of its *body*: a text's
+  *head*, everything before its first ``{`` (the prologue and the SELECT
+  clause, the same in every query of a template), is scanned once per
+  session, and its spellings and shape are kept by the exact head string.
+  No IRI, name or number holds a ``{``, so the cut is a token boundary
+  unless a comment or a string literal runs across it; a head with an open
+  comment at its end, or with a ``"`` (a string's end may lie in the body),
+  is marked unsplittable and its texts are scanned whole.  The spellings
+  with the constants in triple-pattern subject/object position — the *slots* —
   blanked, and each slot's token kind, name the template.  Everything but
   the slots stays in the key: prologue, predicates, variable names, keyword
   case, FILTER / LIMIT constants; whitespace and comments do not.  Which
@@ -325,6 +332,37 @@ def _rebind_compiled(compiled: CompiledQuery, terms: Terms) -> CompiledQuery:
 _FIRST = itemgetter(0)
 _DIGITS = str.maketrans("123456789", "000000000")
 
+
+def _shape(found: Sequence[str]) -> str:
+    return "".join(map(_FIRST, found)).translate(_DIGITS)
+
+
+class _Head(NamedTuple):
+    """What a text's head (everything before its first ``{``) scans to."""
+
+    #: Its spellings, ``None`` when the head is unsplittable: a token of the
+    #: text may run across the cut, so such texts are scanned whole.
+    spellings: Optional[Tuple[str, ...]]
+    shape: str
+
+
+def _scan_head(head: str) -> _Head:
+    """The spellings and shape of ``head``, if they are the first of every
+    text that continues it with a ``{``.
+
+    Only a comment or a string literal can run across the cut (no other
+    token holds a ``{``).  A comment open at the head's end swallows the
+    ``{``, which the scan of the head followed by ``{`` shows; a ``"`` may
+    open a string whose end lies in the body, so a head holding one is not
+    split at all.  Both depend on the head alone.
+    """
+    if '"' not in head:
+        found = tuple(spellings(head))
+        if spellings(head + "{") == [*found, "{"]:
+            return _Head(found, _shape(found))
+    return _Head(None, "")
+
+
 #: (slot kinds, spellings with the slots blanked): what names a template.
 TemplateKey = Tuple[Tuple[str, ...], Tuple[Optional[str], ...]]
 
@@ -360,6 +398,8 @@ class TemplateCache:
         #: Shape -> the spelling indexes of the slots and each slot's token
         #: kind, for the last text of that shape the parser ran on.
         self._slots: Dict[str, Tuple[Tuple[int, ...], Tuple[str, ...]]] = {}
+        #: Head -> its spellings and shape (:func:`_scan_head`).
+        self._heads: Dict[str, _Head] = {}
         self._templates: Dict[TemplateKey, QueryTemplate] = {}
         self._plans: Dict[QueryTemplate, _PlanEntry] = {}
         #: Advanced by :meth:`invalidate_plans`; a plan compiled while the
@@ -381,8 +421,7 @@ class TemplateCache:
         no slot is lexed yet.  A miss (or ``parse``) runs the full parser,
         registers the template and hands back the terms it made.
         """
-        found = spellings(text)
-        shape = "".join(map(_FIRST, found)).translate(_DIGITS)
+        found, shape = self._scan(text)
         entry = None if parse else self._slots.get(shape)
         if entry is not None:
             slots, kinds = entry
@@ -413,6 +452,26 @@ class TemplateCache:
             self._clear()
         return TemplateMatch(template, tuple([found[index] for index in slots]), constants, False)
 
+    def _scan(self, text: str) -> Tuple[Sequence[str], str]:
+        """``spellings(text)`` and the text's shape, its head's from the memo."""
+        cut = text.find("{")
+        if cut > 0:
+            head = text[:cut]
+            known = self._heads.get(head)
+            if known is None:
+                known = _scan_head(head)
+                if len(self._heads) >= MAX_TEMPLATES:
+                    self._clear()
+                self._heads[head] = known
+                if len(self._heads) > MAX_TEMPLATES:
+                    # Concurrent first lookups all passed the check above before inserting.
+                    self._clear()
+            if known.spellings is not None:
+                body = spellings(text[cut:])
+                return known.spellings + tuple(body), known.shape + _shape(body)
+        found = spellings(text)
+        return found, _shape(found)
+
     def parse(self, text: str) -> Tuple[Query, bool]:
         """``parse_query(text)`` and whether a cached template answered it."""
         match = self.lookup(text)
@@ -434,6 +493,7 @@ class TemplateCache:
         """Drop every template, and the plans no lookup can reach without them."""
         self._templates.clear()
         self._slots.clear()
+        self._heads.clear()
         self._plans.clear()
 
     @staticmethod

@@ -9,7 +9,9 @@ kernels the executor runs on it: equality and single-variable filters,
 joins on raw ids, projection/rename, DISTINCT, UNION and LIMIT.  Term
 decoding is deferred to one :meth:`ColumnBatch.to_relation` boundary at the
 end of the plan (or before an operator that has no id kernel), so a query
-that scans millions of ids decodes only the rows it returns.  In-memory
+that scans millions of ids decodes only the rows it returns — through the
+dictionary's session-long memo, so each id is decoded once per session, not
+once per query that returns it.  In-memory
 tables have no dictionary ids; plans over them run on
 :class:`~repro.engine.relation.Relation` rows.
 
@@ -104,8 +106,10 @@ class ColumnBatch:
     in output order, so filters narrow a batch without copying a single
     column.  A batch without columns has nothing to take a length from: its
     selection is its rows (only the count means anything).  ``decode`` maps
-    an id back to its term (the stored dataset's dictionary); batches joined
-    or unioned together must share it.  ``indexes`` (when not ``None``) holds
+    an id back to its term: it is the ``__getitem__`` of a
+    :class:`~repro.store.format.TermMemo` (the stored dataset's dictionary
+    memo), so it maps ``NULL_ID`` to ``None``; batches joined or unioned
+    together must share it.  ``indexes`` (when not ``None``) holds
     per column its :class:`PositionIndex` or ``None``: a stored table's
     whole scan carries the ones of its resident columns, kernels that reuse
     the same lists in the same order pass them on, and every other kernel
@@ -422,35 +426,24 @@ class ColumnBatch:
         """Decode to a row :class:`Relation` — the single batch→rows boundary.
 
         Eager: every row is a tuple of decoded terms when this returns.  Whole
-        columns go through one memo by ``map`` and into rows by ``zip``; the
-        memo asks the dictionary once per distinct id, and an id outside the
-        dictionary's committed range raises ``KeyError`` here, never a wrong
-        term.
+        columns go through ``decode`` by ``map`` and into rows by ``zip``.
+        ``decode`` is the ``__getitem__`` of a
+        :class:`~repro.store.format.TermMemo` — the session's dictionary
+        memo, or a served reply's — so ``NULL_ID`` lowers to ``None``, an id
+        decoded by any earlier query of the session is a dict hit, and an id
+        outside the dictionary's committed range raises ``KeyError`` here,
+        never a wrong term.
         """
-        lookup = _DecodeMemo(self.decode).__getitem__
+        decode = self.decode
         selection = self.selection
         columns: Sequence[Iterable[int]] = self.ids
         if selection is not None:
             columns = [map(column.__getitem__, selection) for column in columns]
         if columns:
-            rows: List[Tuple] = list(zip(*[map(lookup, column) for column in columns]))
+            rows: List[Tuple] = list(zip(*[map(decode, column) for column in columns]))
         else:
             rows = [()] * len(self)
         return Relation.adopt(self.columns, rows)
-
-
-class _DecodeMemo(dict):
-    """id -> term for one lowering; a first-seen id is decoded on the miss."""
-
-    __slots__ = ("decode",)
-
-    def __init__(self, decode: Callable[[int], Any]) -> None:
-        self.decode = decode
-        self[NULL_ID] = None
-
-    def __missing__(self, term_id: int) -> Any:
-        term = self[term_id] = self.decode(term_id)
-        return term
 
 
 def concat_batches(batches: Sequence[ColumnBatch]) -> ColumnBatch:

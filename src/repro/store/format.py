@@ -66,9 +66,9 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.engine.storage import ZoneMap, decode_id_column
+from repro.engine.storage import NULL_ID, ZoneMap, decode_id_column
 from repro.mappings.extvp import (
     CorrelationKind,
     ExtVPStatistics,
@@ -298,22 +298,67 @@ def decode_term_line(line: str) -> Term:
     return term_from_string(line)
 
 
+class TermMemo(dict):
+    """id -> term, each id decoded by ``source`` on its first read; ``NULL_ID`` -> ``None``.
+
+    Its ``__getitem__`` is the ``decode`` every
+    :class:`~repro.engine.vectorized.ColumnBatch` carries, so lowering a
+    column is one C-level ``map`` over the memo: an id met before costs a
+    dict hit, a first-seen one a single ``__missing__`` call.  ``source``
+    raises ``KeyError`` for an id it does not hold, and nothing is memoised
+    then.  Concurrent first reads of one id may each decode it; they store
+    equal terms.
+    """
+
+    __slots__ = ("_source",)
+
+    def __init__(self, source: Callable[[int], Term]) -> None:
+        super().__init__()
+        self._source = source
+        self[NULL_ID] = None
+
+    def __missing__(self, term_id: int) -> Term:
+        term = self[term_id] = self._source(term_id)
+        return term
+
+
+def _line_decoder(lines: List[str]) -> Callable[[int], Term]:
+    """Decodes the line of an id in ``lines``' range; ``KeyError`` outside it.
+
+    A closure over the list, not a method: the memo holding it would
+    otherwise keep its dictionary in a reference cycle.
+    """
+
+    def decode_line(term_id: int) -> Term:
+        if not 0 <= term_id < len(lines):
+            raise KeyError(f"unknown term id {term_id}")
+        return decode_term_line(lines[term_id])
+
+    return decode_line
+
+
 class StoredTermDictionary:
     """Lazy view of a persisted term dictionary, with one index per direction.
 
     Opening a dataset only reads the raw lines.  id -> term parses one line
-    on its first :meth:`decode`; term -> id (:meth:`lookup`) encodes the term
-    into its canonical line (:func:`encode_term_line`) and finds that line in
-    an index of the raw lines, built on the first lookup without parsing any
-    of them.  So a cold query parses only its constants' ids and the ids it
-    returns, and the open stays proportional to file I/O.  A session keeps
-    one instance for its lifetime: appends extend it (and the line index,
-    once built) in place.
+    on its first read and keeps the term in :attr:`terms`, a :class:`TermMemo`
+    that lives as long as the dictionary — one per session — so an id is
+    decoded once per session however many queries return it; term -> id
+    (:meth:`lookup`) encodes the term into its canonical line
+    (:func:`encode_term_line`) and finds that line in an index of the raw
+    lines, built on the first lookup without parsing any of them.  So a cold
+    query parses only its constants' ids and the ids it returns, and the open
+    stays proportional to file I/O.  A session keeps one instance for its
+    lifetime: appends extend it (the memo and the line index, once built) in
+    place.
     """
 
     def __init__(self, lines: List[str]) -> None:
         self._lines = lines
-        self._terms: List[Optional[Term]] = [None] * len(lines)
+        #: id -> term for the ids read so far; its ``__getitem__`` is the
+        #: ``decode`` of the batches stored scans emit.  An id outside the
+        #: committed lines raises ``KeyError`` (``NULL_ID`` is ``None``).
+        self.terms = TermMemo(_line_decoder(lines))
         #: Line -> its id (the last one, for a line two distinct terms share).
         self._reverse: Optional[Dict[str, int]] = None
         #: int -> its one object, shared by every decoded id column and position vector.
@@ -326,7 +371,7 @@ class StoredTermDictionary:
     def of_terms(cls, terms: Sequence[Term]) -> "StoredTermDictionary":
         """The dictionary whose line ``i`` encodes ``terms[i]``, not written anywhere yet."""
         dictionary = cls([encode_term_line(term) for term in terms])
-        dictionary._terms = list(terms)
+        dictionary.terms.update(enumerate(terms))
         return dictionary
 
     @classmethod
@@ -372,7 +417,7 @@ class StoredTermDictionary:
         self.committed_bytes += len(data)
         first = len(self._lines)
         self._lines.extend(lines)
-        self._terms.extend(terms)
+        self.terms.update(zip(range(first, len(self._lines)), terms))
         # Indexed once decodable: a lookup that finds a new line decodes its id.
         if self._reverse is not None:
             self._reverse.update(zip(lines, range(first, len(self._lines))))
@@ -388,13 +433,10 @@ class StoredTermDictionary:
         return self._lines[term_id]
 
     def decode(self, term_id: int) -> Term:
-        if not 0 <= term_id < len(self._lines):
+        """The term of ``term_id``; ``KeyError`` for ``NULL_ID`` too, which is no term."""
+        if term_id < 0:
             raise KeyError(f"unknown term id {term_id}")
-        term = self._terms[term_id]
-        if term is None:
-            term = decode_term_line(self._lines[term_id])
-            self._terms[term_id] = term
-        return term
+        return self.terms[term_id]
 
     def encode(self, term: Term) -> Optional[Tuple[int, int]]:
         """What a scan bound to ``term`` needs: its id and its

@@ -270,7 +270,7 @@ class _StoredProvider(StoredTableProvider):
         **counters: int,
     ) -> BatchScanResult:
         batch = ColumnBatch.adopt(
-            tuple(output_columns), ids, self.dictionary.decode, indexes=indexes
+            tuple(output_columns), ids, self.dictionary.terms.__getitem__, indexes=indexes
         )
         return BatchScanResult(batch=batch, **counters)
 

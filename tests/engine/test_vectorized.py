@@ -13,6 +13,7 @@ stored generation, and never probe one that a store change made stale.
 
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -30,21 +31,27 @@ from repro.engine.storage import (
 from repro.engine import vectorized
 from repro.engine.vectorized import ColumnBatch, PositionIndex, concat_batches, null_column
 from repro.rdf.graph import Graph
-from repro.rdf.terms import IRI, Term
+from repro.rdf.terms import IRI, Literal, Term
 from repro.rdf.triple import Triple
+from repro.store import format as store_format
+from repro.store.format import StoredTermDictionary, TermMemo, decode_term_line
 from repro.watdiv.basic_queries import BASIC_TEMPLATES
 from repro.watdiv.template import instantiate_template
 
 #: A tiny injective dictionary: id -> term, plus a decode that rejects
-#: anything outside it — the same contract the stored dictionary enforces.
+#: anything outside it — the same contract the stored dictionary enforces —
+#: read through a memo, as every batch's ``decode`` is (``NULL_ID`` is ``None``).
 TERMS = {i: IRI(f"t{i}") for i in range(10)}
 
 
-def decode(term_id: int):
+def term_of(term_id: int):
     try:
         return TERMS[term_id]
     except KeyError:
         raise KeyError(f"unknown term id {term_id}") from None
+
+
+decode = TermMemo(term_of).__getitem__
 
 
 def batch(columns, rows, selection=None):
@@ -712,3 +719,115 @@ def test_a_store_change_drops_the_resident_indexes(tmp_path, mutation):
             assert compacted.delta_rows_merged
             assert {"vp_likes", "extvp_os_follows__likes"} <= set(compacted.touched_tables)
         assert {"vp_likes", "extvp_os_follows__likes"} <= answers(session, triples + added)
+
+
+# --------------------------------------------------------------------------- #
+# The dictionary's decode memo: an id is decoded once per session
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def saved_users(tmp_path):
+    path = str(tmp_path / "dataset")
+    graph = Graph(users_triples())
+    with S2RDFSession.from_graph(graph, num_partitions=2, journal_enabled=False) as saver:
+        saver.save_dataset(path)
+    return path
+
+
+def count_decodes(monkeypatch):
+    """Counts every step of a decode: lines parsed, memo misses, dictionary calls."""
+    calls = Counter()
+    line, missing, decode = (
+        store_format.decode_term_line,
+        TermMemo.__missing__,
+        StoredTermDictionary.decode,
+    )
+    monkeypatch.setattr(
+        store_format, "decode_term_line", lambda text: calls.update(["line"]) or line(text)
+    )
+    monkeypatch.setattr(
+        TermMemo, "__missing__", lambda memo, term_id: calls.update(["miss"]) or missing(memo, term_id)
+    )
+    monkeypatch.setattr(
+        StoredTermDictionary,
+        "decode",
+        lambda dictionary, term_id: calls.update(["decode"]) or decode(dictionary, term_id),
+    )
+    return calls
+
+
+def test_lowering_ids_a_session_lowered_before_decodes_nothing(saved_users, monkeypatch):
+    """The zero-work pin: a query returning ids an earlier query of the
+    session returned parses no line, misses no memo and calls no dictionary
+    method — a memo per lowering would decode them again."""
+    triples = users_triples()
+    calls = count_decodes(monkeypatch)
+    with repro.connect(saved_users, journal_enabled=False) as session:
+        assert bag(session.query(TWO_HOPS.format(1)).relation) == two_hops(triples, 1)
+        assert calls["line"] > 0 and calls["miss"] == calls["line"]
+        calls.clear()
+        # The constant is in the plan entry's slot memo, every answer id in the session's.
+        for _ in range(2):
+            assert bag(session.query(TWO_HOPS.format(1)).relation) == two_hops(triples, 1)
+        assert calls == Counter()
+
+
+def test_appended_terms_reach_a_query_through_the_memo_built_before(saved_users):
+    triples = users_triples()
+    added = [Triple.of("u1", "follows", f"u{USERS}"), Triple.of(f"u{USERS}", "likes", "brand-new")]
+    with repro.connect(saved_users, journal_enabled=False) as session:
+        dictionary = session._dataset.dictionary
+        memo, known = dictionary.terms, len(dictionary)
+        assert bag(session.query(TWO_HOPS.format(1)).relation) == two_hops(triples, 1)
+        session.append_triples(added)
+        assert session._dataset.dictionary is dictionary and dictionary.terms is memo
+        result = session.query(TWO_HOPS.format(1))
+        assert bag(result.relation) == two_hops(triples + added, 1)
+        assert IRI("brand-new") in result.values("w")
+        new = dictionary.lookup(IRI("brand-new"))
+        assert new >= known and memo[new] == IRI("brand-new")
+
+
+def test_threads_racing_the_first_decodes_get_the_uncached_terms(tmp_path):
+    """Rounds of 8 threads released at once on a dictionary no id was read
+    from, each lowering every id (and NULL) in its own order through the one
+    memo, under a short switch interval: every row is the uncached term."""
+    threads_count, rounds = 8, 4
+    terms = [IRI(f"http://example.org/t{i}") for i in range(300)]
+    terms += [Literal(f"v{i}", language="en") for i in range(150)]
+    terms += [Literal(str(i), datatype="http://www.w3.org/2001/XMLSchema#integer") for i in range(150)]
+    root = str(tmp_path)
+    StoredTermDictionary.of_terms(terms).write(root)
+    ids = list(range(len(terms))) + [NULL_ID]
+    failures = []
+
+    def lower(dictionary, offset, barrier):
+        try:
+            column = ids[offset * 71 :] + ids[: offset * 71]
+            barrier.wait()
+            rows = ColumnBatch(("t",), [column], dictionary.terms.__getitem__).to_relation().rows
+            expected = [(None if i == NULL_ID else decode_term_line(dictionary.line(i)),) for i in column]
+            assert rows == expected
+        except BaseException as error:  # reported by the main thread
+            failures.append(error)
+            barrier.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(rounds):
+            dictionary = StoredTermDictionary.open(root, expected_size=len(terms))
+            assert len(dictionary.terms) == 1  # NULL_ID only
+            barrier = threading.Barrier(threads_count, timeout=60)
+            threads = [
+                threading.Thread(target=lower, args=(dictionary, n, barrier))
+                for n in range(threads_count)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not failures, failures[0]
+            assert len(dictionary.terms) == len(ids)
+    finally:
+        sys.setswitchinterval(interval)

@@ -15,6 +15,7 @@ from repro.core.session import S2RDFSession
 from repro.engine.ops import TableScanNode
 from repro.engine.estimates import estimate_rows
 from repro.rdf.graph import Graph
+from repro.rdf.terms import IRI
 from repro.rdf.triple import Triple
 from repro.serve import workers
 from repro.serve.workers import PartitionWorkerPool, WorkerDiedError
@@ -432,6 +433,49 @@ def test_an_exchange_left_half_way_never_hands_a_stale_reply_to_the_next_task(
         for _ in range(4):  # whichever slot comes up: a query gets a query's reply
             outcome = run_query(pool, session, QUERY, epoch=session._journal_epoch)
             assert len(outcome["result"].relation) == 20
+
+
+def test_shipped_lines_decode_into_the_reply_not_the_session(tmp_path):
+    """A worker's reply ships the lines of ids the serving session's
+    dictionary does not hold.  They decode through a memo of the reply's own:
+    the session's memo keeps raising ``KeyError`` for those ids until its own
+    commit covers them, so no later lowering of the session can read a term
+    its store does not hold yet."""
+    path = str(tmp_path / "dataset")
+    graph = Graph([Triple.of(f"u{i}", "likes", f"i{i}") for i in range(5)])
+    with S2RDFSession.from_graph(graph, num_partitions=2, journal_enabled=False) as saver:
+        saver.save_dataset(path)
+    query = "SELECT ?w WHERE { <u1> <likes> ?w }"
+    with S2RDFSession.open_dataset(path, journal_enabled=False) as session:
+        dictionary = session._dataset.dictionary
+        known = len(dictionary)
+        assert session.query(query).values("w") == [IRI("i1")]
+        with S2RDFSession.open_dataset(path, journal_enabled=False) as writer:
+            writer.append_triples([Triple.of("u1", "likes", "brand-new")])
+        # The worker entry point, run in this process, opens the newer store.
+        workers._worker_init(path, {})
+        try:
+            record, _, _ = workers._run_query_task({"query": query, "epoch": None, "terms": known})
+        finally:
+            if workers._WORKER_SESSION is not None:
+                workers._WORKER_SESSION.close()
+            workers._worker_init(None, {})
+        shipped = record.root[2]
+        assert shipped and min(shipped) >= known
+        assert sorted(term.value for term in session._finish(record).values("w")) == [
+            "brand-new",
+            "i1",
+        ]
+        for term_id in shipped:
+            assert term_id not in dictionary.terms
+            with pytest.raises(KeyError):
+                dictionary.decode(term_id)
+        assert session.query(query).values("w") == [IRI("i1")]  # its epoch's answer
+        # The session's own commit re-reads the newer store first: it covers them.
+        session.append_triples([Triple.of("u2", "likes", "i1")])
+        assert sorted(term.value for term in session.query(query).values("w")) == ["brand-new", "i1"]
+        covering = session._dataset.dictionary
+        assert all(covering.decode(term_id) == IRI("brand-new") for term_id in shipped)
 
 
 def test_terms_another_session_appends_reach_a_served_answer(tmp_path):

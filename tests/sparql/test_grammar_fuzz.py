@@ -150,6 +150,8 @@ def check(session, text):
     reference = outcome(parse_query, text)
     for _ in range(2):  # a possible miss, then a possible hit
         assert outcome(session.parse, text) == reference, text
+        # The cache scans the body after its memo of the text's head.
+        assert list(session._templates._scan(text)[0]) == spellings(text), text
 
 
 @st.composite

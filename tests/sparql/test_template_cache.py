@@ -24,9 +24,11 @@ from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
 from repro.rdf.triple import Triple
 from repro.sparql.parser import SparqlParseError, parse_query
+from repro.sparql.tokenizer import spellings
 from repro.watdiv.basic_queries import BASIC_TEMPLATES
 from repro.watdiv.incremental_queries import INCREMENTAL_TEMPLATES
 from repro.watdiv.selectivity_queries import SELECTIVITY_TEMPLATES
+from repro.watdiv.template import PREFIX_HEADER
 
 ALL_TEMPLATES = BASIC_TEMPLATES + INCREMENTAL_TEMPLATES + SELECTIVITY_TEMPLATES
 
@@ -408,6 +410,134 @@ def test_parse_query_is_uncached(monkeypatch):
 
 
 # --------------------------------------------------------------------------- #
+# The head memo: a warm lookup scans the text's body only
+# --------------------------------------------------------------------------- #
+class OneScanCache(template_cache.TemplateCache):
+    """The reference: every text scanned whole, no head memo."""
+
+    def _scan(self, text):
+        found = spellings(text)
+        return found, template_cache._shape(found)
+
+
+def lookups(cache, texts):
+    """Per text what ``cache.lookup`` returned — the template (as the index
+    of its first appearance, so equal indexes are one object), its rendering,
+    the slot spellings and the hit flag — or the error it raised."""
+    seen = []
+    out = []
+    for text in texts:
+        try:
+            match = cache.lookup(text)
+        except SparqlParseError as error:
+            out.append(("error", str(error)))
+            continue
+        index = next((i for i, t in enumerate(seen) if t is match.template), None)
+        if index is None:
+            index = len(seen)
+            seen.append(match.template)
+        out.append((index, match.template.template, match.template.kinds, match.spellings, match.hit))
+    return out
+
+
+def assert_head_memo_agrees(texts):
+    """Every text scans to its one-scan spellings and shape, and a cache with
+    the head memo answers a run of lookups (each text twice, then in reverse)
+    as the one-scan reference does."""
+    run = list(texts) + list(texts) + list(reversed(texts))
+    cache = template_cache.TemplateCache()
+    reference = OneScanCache()
+    assert lookups(cache, run) == lookups(reference, run)
+    for text in texts:
+        found, shape = cache._scan(text)
+        assert (list(found), shape) == (spellings(text), template_cache._shape(spellings(text))), text
+
+
+def test_the_head_memo_agrees_on_every_suite_template(instantiations):
+    texts = [text for template in ALL_TEMPLATES for text in instantiations(template)]
+    assert all(text.startswith(PREFIX_HEADER) for text in texts)
+    assert_head_memo_agrees(texts)
+
+
+ADVERSARIAL_HEADS = {
+    # The gn: IRI ends in "#": no comment, the head splits.
+    "# in prologue IRIs": PREFIX_HEADER + "\nSELECT ?x WHERE { ?x gn:parentCountry <{s}> }",
+    "# comment holding { before WHERE": "SELECT ?x # the first {\nWHERE { <{s}> <follows> ?x }",
+    "# comment holding { and a pattern": "SELECT ?x # { <{s}> <likes> ?x }\nWHERE { <{s}> <follows> ?x }",
+    "comment between WHERE and {": "SELECT ?x WHERE # the pattern\n{ <{s}> <follows> ?x }",
+    "comment at the head's end without a newline": "SELECT ?x WHERE #{ <{s}> <follows> ?x }",
+    "string holding { in the head": 'SELECT ?x "a {" WHERE { <{s}> <follows> ?x }',
+    "string running from the head into the body": (
+        'SELECT ?x "a { <{s}> <follows> ?x }" WHERE { <{s}> <follows> ?x }'
+    ),
+    "unterminated string in the head": 'SELECT ?x "a { <{s}> <follows> ?x }',
+    "lower-case prefix and select": "prefix ex: <http://e/#>\nselect ?x where { ex:{s} <follows> ?x }",
+    "no prologue": "SELECT ?x WHERE { <{s}> <follows> ?x }",
+    "no {": "SELECT ?x WHERE <{s}>",
+    "{ first": "{ <{s}> <follows> ?x }",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL_HEADS))
+def test_the_head_memo_agrees_on_adversarial_heads(name):
+    shape = ADVERSARIAL_HEADS[name]
+    texts = [shape.replace("{s}", subject) for subject in ("A", "B", "C")]
+    assert_head_memo_agrees(texts)
+
+
+def test_all_adversarial_heads_share_one_cache():
+    texts = [
+        shape.replace("{s}", subject)
+        for shape in ADVERSARIAL_HEADS.values()
+        for subject in ("A", "B")
+    ]
+    assert_head_memo_agrees(texts)
+
+
+@pytest.mark.parametrize(
+    "name, split",
+    [
+        ("# in prologue IRIs", True),
+        ("comment between WHERE and {", True),
+        ("lower-case prefix and select", True),
+        ("no prologue", True),
+        ("# comment holding { before WHERE", False),
+        ("comment at the head's end without a newline", False),
+        ("string holding { in the head", False),
+        ("no {", False),
+        ("{ first", False),
+    ],
+)
+def test_a_warm_lookup_scans_once_and_a_split_one_only_the_body(name, split, monkeypatch):
+    """The head is scanned once per session.  A warm lookup of a splittable
+    head scans the body; one of an unsplittable head scans the whole text —
+    once, not once for the verdict and twice for the parts."""
+    shape = ADVERSARIAL_HEADS[name]
+    first, second = (shape.replace("{s}", subject) for subject in ("A", "B"))
+    try:
+        parse_query(second)
+        valid = True
+    except SparqlParseError:
+        valid = False
+    cache = template_cache.TemplateCache()
+    try:
+        cache.lookup(first)
+    except SparqlParseError:
+        pass
+    scanned = []
+    real = template_cache.spellings
+    monkeypatch.setattr(template_cache, "spellings", lambda text: scanned.append(text) or real(text))
+    for _ in range(2):
+        del scanned[:]
+        try:
+            match = cache.lookup(second)
+        except SparqlParseError:
+            match = None
+        assert scanned == [second[second.index("{") :] if split else second]
+        assert (match is not None and match.hit) == valid
+
+
+# --------------------------------------------------------------------------- #
 # Bounds and concurrent readers
 # --------------------------------------------------------------------------- #
 def skeletons(cache):
@@ -586,6 +716,65 @@ def test_concurrent_readers_get_the_uncached_answers(example_graph, monkeypatch)
         # every reader ran 5 queries per phase, two phases per state.
         checked = sum(ran_at, Counter())
         assert min(checked[0], checked[1]) >= 5, checked
+
+
+def test_threads_racing_the_first_insert_of_one_head_get_the_uncached_answers(monkeypatch):
+    """Rounds of 8 threads released at once on a head none has seen (a new
+    prologue each round), under a short switch interval, with a bound so
+    small that the tables overflow and are cleared while a round races: every
+    lookup and parse must be the uncached one."""
+    monkeypatch.setattr(template_cache, "MAX_TEMPLATES", 4)
+    threads_count, rounds = 8, 12
+    subjects = "ABCDEFGH"
+    shapes = (
+        "PREFIX r{r}: <http://r/{r}#>\nSELECT ?x WHERE {{ <{s}> <follows> ?x }}",
+        "PREFIX r{r}: <http://r/{r}#>\nSELECT ?x WHERE {{ r{r}:{s} <likes> ?x . ?x <follows> ?y }}",
+    )
+    texts = [
+        [shapes[r % 2].format(r=r, s=subjects[(n + r) % len(subjects)]) for n in range(threads_count)]
+        for r in range(rounds)
+    ]
+    expected = {}
+    for row in texts:
+        reference = OneScanCache()
+        for text in row:
+            match = reference.lookup(text)
+            expected[text] = (parse_query(text), match.template.template, match.spellings)
+    cache = template_cache.TemplateCache()
+    barrier = threading.Barrier(threads_count, timeout=60)
+    failures = []
+
+    def reader(offset: int) -> None:
+        try:
+            for row in texts:
+                barrier.wait()
+                text = row[offset]
+                query, rendering, slots = expected[text]
+                for _ in range(3):
+                    match = cache.lookup(text)
+                    assert (match.template.template, match.spellings) == (rendering, slots), text
+                    assert cache.parse(text)[0] == query, text
+        except threading.BrokenBarrierError:
+            pass  # another thread failed and reports why
+        except BaseException as error:  # reported by the main thread
+            failures.append(error)
+            barrier.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader, args=(n,)) for n in range(threads_count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures[0]
+    assert not barrier.broken
+    # Twelve heads through a bound of four: the tables were cleared.
+    assert len(cache._heads) <= 4 and len(cache) <= 4
 
 
 # --------------------------------------------------------------------------- #

@@ -5,12 +5,15 @@ import os
 import pytest
 
 from repro.engine.storage import NULL_ID, ZoneMap, decode_id_column, encode_id_column
+from repro.engine.vectorized import ColumnBatch
 from repro.rdf.terms import IRI, Literal
+from repro.store import format as format_module
 from repro.store.format import (
     DatasetFormatError,
     StoredTermDictionary,
     decode_segment,
     encode_segment,
+    encode_term_line,
     read_file_range,
     read_manifest,
     write_at,
@@ -166,6 +169,50 @@ class TestStoredDictionary:
             stored.decode(1)
         with pytest.raises(KeyError):
             stored.decode(-1)
+
+
+class TestDecodeMemo:
+    """The dictionary's :class:`TermMemo`: the ``decode`` of every stored batch."""
+
+    def test_trailing_uncommitted_lines_raise_when_lowered(self, tmp_path):
+        root = str(tmp_path)
+        StoredTermDictionary.of_terms([IRI("a"), IRI("b"), IRI("uncommitted")]).write(root)
+        stored = StoredTermDictionary.open(root, expected_size=2)
+        decode = stored.terms.__getitem__
+        assert ColumnBatch(("t",), [[1, 0]], decode).to_relation().rows == [(IRI("b"),), (IRI("a"),)]
+        rogue = ColumnBatch(("t",), [[0, 2]], decode)
+        for _ in range(2):  # nothing memoised for it
+            with pytest.raises(KeyError, match="unknown term id 2"):
+                rogue.to_relation()
+        assert 2 not in stored.terms
+
+    def test_null_lowers_to_none(self, tmp_path):
+        StoredTermDictionary.of_terms([IRI("a")]).write(str(tmp_path))
+        stored = StoredTermDictionary.open(str(tmp_path))
+        batch = ColumnBatch(("s", "o"), [[0, NULL_ID], [NULL_ID, NULL_ID]], stored.terms.__getitem__)
+        assert batch.to_relation().rows == [(IRI("a"), None), (None, None)]
+        with pytest.raises(KeyError):
+            stored.decode(NULL_ID)  # no term
+
+    def test_built_and_appended_terms_are_memoised_as_given(self, tmp_path, monkeypatch):
+        """``of_terms`` and ``append`` put the terms they were handed in the
+        memo: a line two terms share decodes to each one's own term."""
+        root = str(tmp_path)
+        empty_language = Literal("x", language="")
+        built = StoredTermDictionary.of_terms([IRI("a"), empty_language])
+        built.write(root)
+        stored = StoredTermDictionary.open(root)
+        parsed = []
+        real = format_module.decode_term_line
+        monkeypatch.setattr(
+            format_module, "decode_term_line", lambda line: parsed.append(line) or real(line)
+        )
+        assert built.terms[1] is empty_language and built.decode(0) == IRI("a")
+        plain = Literal("x")
+        stored.append(root, [IRI("c"), plain])
+        assert stored.terms[2] == IRI("c") and stored.terms[3] is plain
+        assert parsed == []
+        assert stored.decode(0) == IRI("a") and parsed == [encode_term_line(IRI("a"))]
 
 
 class TestManifest:
