@@ -31,13 +31,13 @@ class ScanResult:
 
     #: The scanned rows, restricted to the requested columns.
     relation: Relation
-    #: Rows actually read from the physical table before filtering — for a
-    #: pruned store scan this is the post-pruning row count, which is the
-    #: whole point of zone maps.
+    #: Rows a columnar scan reads before filtering: for a store scan, those
+    #: of the segments zone maps and bucket pruning leave, from the manifest
+    #: (the paper tables price them as ``input_tuples``).
     rows_scanned: int
-    #: Column segments decoded.
+    #: Column segments such a scan reads.
     segments_scanned: int = 0
-    #: Column segments skipped via zone maps / bucket pruning.
+    #: Column segments it skips via zone maps / bucket pruning.
     segments_pruned: int = 0
 
 
@@ -68,8 +68,8 @@ class StoredTableProvider:
     # (:class:`~repro.engine.plan.PreparedScan`).
     def scan_columns(
         self, columns: Sequence[str], condition_columns: Sequence[str]
-    ) -> Tuple[List[str], List[str]]:  # pragma: no cover - interface
-        """The checked output columns and the columns a conditioned scan decodes."""
+    ) -> List[str]:  # pragma: no cover - interface
+        """The checked output columns of a scan under conditions on ``condition_columns``."""
         raise NotImplementedError
 
     def scan_whole(self, columns: Tuple[str, ...]) -> Any:  # pragma: no cover - interface
@@ -79,7 +79,6 @@ class StoredTableProvider:
     def scan_bound(
         self,
         output_columns: List[str],
-        decode_columns: List[str],
         bound: Sequence[Tuple[str, Optional[Tuple[int, Optional[int]]]]],
     ) -> Any:  # pragma: no cover - interface
         """The ``BatchScanResult`` under conditions whose constants are encoded."""
@@ -263,11 +262,11 @@ class Catalog:
     ) -> Any:
         """Scan stored table ``name`` with optional projection and equality predicates.
 
-        The result is a ``BatchScanResult``: dictionary-id columns that the
-        provider caches decoded, after whole segments were pruned via zone
-        maps and — when a predicate binds the partition key — hash-bucket
-        arithmetic.  The reported scan counters are *logical*, so repeated
-        queries see stable metrics regardless of caching.
+        The result is a ``BatchScanResult``: id columns gathered from the
+        provider's resident columns at the positions its index lists for
+        each constant.  The scan counters are *logical* (what a columnar scan
+        pruned by zone maps and bucket hashing would read), stable regardless
+        of caching.
         """
         return self._provider(name).scan_batch(columns=columns, conditions=conditions)
 

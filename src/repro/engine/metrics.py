@@ -53,9 +53,9 @@ class ExecutionMetrics:
     aqe_replans: int = 0
     #: Wall-clock milliseconds spent in join operators, summed over joins.
     critical_path_ms: float = 0.0
-    #: Column segments read from the persistent dataset store.
+    #: Column segments a pruned columnar scan of the dataset store reads.
     store_segments_scanned: int = 0
-    #: Column segments skipped by zone-map / bucket pruning (never read).
+    #: Column segments it skips by zone-map / bucket pruning.
     store_segments_pruned: int = 0
     #: Rows that flowed through id-batch operators instead of row ones —
     #: how much of a query ran on dictionary ids (0 only when nothing was

@@ -66,17 +66,15 @@ class PreparedScan:
     entry keeps, not an executor: :meth:`PlanExecutor.visit_subquery` runs it.
     """
 
-    __slots__ = ("table", "columns", "output_columns", "decode_columns", "conditions", "_whole")
+    __slots__ = ("table", "columns", "output_columns", "conditions", "_whole")
 
     def __init__(self, node: SubqueryNode, table: StoredTableProvider) -> None:
         self.table = table
         #: The columns to scan — a pattern without a variable keeps only its
-        #: row count: one column — checked, with the ones the conditions
-        #: decode, when there are conditions.
+        #: row count: one column — checked when there are conditions.
         self.columns: Sequence[str] = tuple([column for column, _ in node.projections]) or ("s",)
-        self.decode_columns: List[str] = []
         if node.conditions:
-            self.columns, self.decode_columns = table.scan_columns(
+            self.columns = table.scan_columns(
                 self.columns, [column for column, _ in node.conditions]
             )
         self.output_columns = node.output_columns()
@@ -94,9 +92,7 @@ class PreparedScan:
                 whole = self._whole = (scan, _relabel(self.output_columns, scan.batch))
             return whole
         scan = self.table.scan_bound(
-            self.columns,
-            self.decode_columns,
-            [(column, ids[key]) for column, key in self.conditions],
+            self.columns, [(column, ids[key]) for column, key in self.conditions]
         )
         return scan, _relabel(self.output_columns, scan.batch)
 

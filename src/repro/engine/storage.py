@@ -3,8 +3,9 @@
 The persistent dataset store (:mod:`repro.store`) serialises columns of
 dictionary-encoded term ids as run-length-encoded binary pages
 (:func:`encode_id_column` / :func:`decode_id_column`), and every page carries
-a :class:`ZoneMap` (min/max id, row count, distinct count) that scans use to
-prune segments without reading them.
+a :class:`ZoneMap` (min/max id, row count, distinct count).  Scans find rows
+through the resident columns' position indexes; the zone maps feed only
+their counters, which report the segments a pruned columnar scan would skip.
 """
 
 from __future__ import annotations

@@ -13,11 +13,23 @@ The same handles serve a :class:`~repro.store.format.DatasetImage` held in
 memory (:meth:`StoredDataset.hold`): they read their byte ranges through the
 dataset's :class:`DatasetFiles`, which are the directory or the image.
 
-Scans push projection and equality predicates into the store:
+A table keeps the columns its scans touched *resident*: each whole-table id
+column, buckets end to end, with its id -> positions index
+(:class:`~repro.engine.vectorized.PositionIndex`), assembled on first use
+and kept until a committed mutation touches the table.  An unconditioned
+scan hands the resident columns out as they are, and joins probe their
+indexes; a scan with equality constants looks each constant up in its
+column's index, intersects the position lists of two constants and gathers
+the output columns at the positions left.  A scan reads no row but those
+its rarest constant's index lists.
+
+The scan counters (``rows_scanned``, ``segments_scanned``,
+``segments_pruned``) report what a pruned columnar scan would read, the cost
+the paper's model prices, and are worked out from the manifest alone:
 
 * **bucket pruning** — a predicate that binds the partition key hashes to
   exactly one bucket (:func:`~repro.store.format.key_partition_index`),
-  so every other segment is skipped;
+  so every other segment counts as skipped;
 * **zone-map pruning** — any equality predicate whose encoded id falls outside
   a segment's ``[min_id, max_id]`` range proves the segment empty unread.
 """
@@ -72,22 +84,6 @@ class DatasetLoadReport:
     ntriples_parsed: bool = False
 
 
-def _emit(
-    out: List[List[int]],
-    ids: Mapping[str, List[int]],
-    output_columns: Sequence[str],
-    condition_ids: Sequence[Tuple[str, int]],
-    keep: Sequence[int],
-) -> None:
-    """Append to ``out`` the rows among ``keep`` (indexes into the ``ids``
-    columns) that meet every equality condition."""
-    for column, term_id in condition_ids:
-        column_ids = ids[column]
-        keep = [i for i in keep if column_ids[i] == term_id]
-    for position, column in enumerate(output_columns):
-        out[position].extend(map(ids[column].__getitem__, keep))
-
-
 def _zones_exclude(
     segments: Sequence[PartitionEntry], condition_ids: Sequence[Tuple[str, int]]
 ) -> bool:
@@ -129,22 +125,20 @@ class _StoredProvider(StoredTableProvider):
         """``column`` of every row, bucket after bucket."""
         raise NotImplementedError
 
-    def _whole_shape(self) -> Tuple[int, int, int]:
-        """``(rows, segments read, segments skipped as empty)`` of an
-        unconditioned scan of one column."""
-        raise NotImplementedError
-
-    def _scan_conditioned(
+    def _shape(
         self,
-        output_columns: List[str],
-        decode_columns: List[str],
-        condition_ids: List[Tuple[str, int]],
-        unknown_term: bool,
+        condition_ids: Sequence[Tuple[str, int]],
+        unknown: bool,
         target_bucket: Optional[int],
-    ) -> BatchScanResult:
+    ) -> Tuple[int, int, int]:
+        """``(rows, segments, segments pruned)`` per column that a pruned
+        columnar scan under ``condition_ids`` would read, from the manifest."""
         raise NotImplementedError
 
-    # ------------------------------------------------------------------ #
+    def _resident(self) -> Dict[str, PositionIndex]:
+        """The resident columns: where both scans take them."""
+        return self._columns
+
     def read(self) -> Relation:
         return self.scan().relation
 
@@ -178,7 +172,7 @@ class _StoredProvider(StoredTableProvider):
         columns: Optional[Sequence[str]] = None,
         conditions: Optional[Mapping[str, Any]] = None,
     ) -> BatchScanResult:
-        """The store's one scan: projection, pruning and equality filters on ids.
+        """The store's one scan: projection and equality filters on ids.
 
         The result is a :class:`~repro.engine.vectorized.ColumnBatch` of lists
         of interned ids whose terms stay encoded until someone lowers it; rows
@@ -190,71 +184,84 @@ class _StoredProvider(StoredTableProvider):
         requested = self.entry.columns if columns is None else tuple(columns)
         if not conditions:
             return self.scan_whole(requested)
-        output_columns, decode_columns = self.scan_columns(requested, list(conditions))
         keys = self.entry.partition_keys
         bound: List[Tuple[str, Optional[Tuple[int, Optional[int]]]]] = []
+        empty = False
         for column, value in conditions.items():
-            encoded = self._encode(value, column in keys)
+            # Once the scan is proved empty no further constant is looked up.
+            encoded = None if empty else self._encode(value, column in keys)
+            empty = encoded is None
             bound.append((column, encoded))
-            if encoded is None:  # the scan is empty: look up no further constant
-                break
-        return self.scan_bound(output_columns, decode_columns, bound)
+        return self.scan_bound(self.scan_columns(requested, list(conditions)), bound)
 
     def scan_columns(
         self, columns: Sequence[str], condition_columns: Sequence[str]
-    ) -> Tuple[List[str], List[str]]:
-        """The checked output columns of a scan of ``columns`` and the
-        columns it decodes to test conditions on ``condition_columns``."""
-        output_columns = self._checked(columns)
-        return output_columns, self._checked(output_columns + list(condition_columns))
+    ) -> List[str]:
+        """The checked output columns of a scan of ``columns`` under
+        conditions on ``condition_columns``, which are checked too."""
+        self._checked(condition_columns)
+        return self._checked(columns)
 
     def scan_whole(self, columns: Tuple[str, ...]) -> BatchScanResult:
         """The scan of ``columns`` without conditions: assembled once, the
         same result for every request after."""
+        resident = self._resident()
         cached = self._scans.get(columns)
         if cached is None:
-            cached = self._scans[columns] = self._scan_whole(self._checked(columns))
+            output_columns = self._checked(columns)
+            indexes = tuple(self._index(resident, column) for column in output_columns)
+            cached = self._scans[columns] = self._result(
+                output_columns,
+                tuple(index.column for index in indexes),
+                self._shape((), False, None),
+                len(output_columns),
+                indexes=indexes,
+            )
         return cached
 
     def scan_bound(
         self,
         output_columns: List[str],
-        decode_columns: List[str],
         bound: Sequence[Tuple[str, Optional[Tuple[int, Optional[int]]]]],
     ) -> BatchScanResult:
         """The scan under equality conditions whose constants are encoded.
 
-        ``output_columns`` and ``decode_columns`` are :meth:`scan_columns`'
-        answer; ``bound`` holds per condition its column and the constant's
-        ``(id, stable hash)`` (:meth:`StoredTermDictionary.encode`; the hash
-        is read for partition keys only), ``None`` for a constant the store
-        does not hold, which proves the scan empty.
+        ``output_columns`` is :meth:`scan_columns`' answer; ``bound`` holds per
+        condition its column and the constant's ``(id, stable hash)``
+        (:meth:`StoredTermDictionary.encode`), ``None`` for a constant the
+        store does not hold.  The position lists of the constants are
+        intersected and the output columns gathered there, in ascending order.
         """
+        width = len(set(output_columns).union([column for column, _ in bound]))
         condition_ids: List[Tuple[str, int]] = []
         hashes: Dict[str, Optional[int]] = {}
         for column, encoded in bound:
             if encoded is None:
-                return self._scan_conditioned(output_columns, decode_columns, [], True, None)
+                empty = tuple([] for _ in output_columns)
+                return self._result(output_columns, empty, self._shape((), True, None), width)
             condition_ids.append((column, encoded[0]))
             hashes[column] = encoded[1]
-        return self._scan_conditioned(
-            output_columns, decode_columns, condition_ids, False, self._target_bucket(hashes)
+        shape = self._shape(condition_ids, False, self._target_bucket(hashes))
+        resident = self._resident()
+        indexes = [(self._index(resident, column), term_id) for column, term_id in condition_ids]
+        found = [index.positions().get(term_id, ()) for index, term_id in indexes]
+        matches = min(found, key=len)
+        for (index, term_id), positions in zip(indexes, found):
+            if positions is not matches:  # keep the rows this constant holds too
+                column = index.column
+                matches = [i for i in matches if column[i] == term_id]
+        ids = tuple(
+            list(map(self._index(resident, column).column.__getitem__, matches))
+            for column in output_columns
         )
+        return self._result(output_columns, ids, shape, width)
 
-    def _scan_whole(self, output_columns: List[str]) -> BatchScanResult:
-        for column in output_columns:
-            if column not in self._columns:
-                self._columns[column] = PositionIndex(self._whole_column(column))
-        resident = tuple(self._columns[column] for column in output_columns)
-        rows, scanned, skipped = self._whole_shape()
-        return self._result(
-            output_columns,
-            tuple(index.column for index in resident),
-            indexes=resident,
-            rows_scanned=rows,
-            segments_scanned=scanned * len(output_columns),
-            segments_pruned=skipped * len(output_columns),
-        )
+    def _index(self, resident: Dict[str, PositionIndex], column: str) -> PositionIndex:
+        """``column``'s resident index, its column assembled on first use."""
+        index = resident.get(column)
+        if index is None:
+            index = resident[column] = PositionIndex(self._whole_column(column))
+        return index
 
     def _drop_scans(self) -> None:
         """Forget the cached scans, the resident columns and their indexes."""
@@ -266,13 +273,21 @@ class _StoredProvider(StoredTableProvider):
         self,
         output_columns: List[str],
         ids: Tuple[List[int], ...],
+        shape: Tuple[int, int, int],
+        width: int,
         indexes: Optional[Tuple[PositionIndex, ...]] = None,
-        **counters: int,
     ) -> BatchScanResult:
+        """The batch of ``ids``, with ``shape``'s counters for ``width`` columns."""
         batch = ColumnBatch.adopt(
             tuple(output_columns), ids, self.dictionary.terms.__getitem__, indexes=indexes
         )
-        return BatchScanResult(batch=batch, **counters)
+        rows, scanned, pruned = shape
+        return BatchScanResult(
+            batch=batch,
+            rows_scanned=rows,
+            segments_scanned=scanned * width,
+            segments_pruned=pruned * width,
+        )
 
     def _checked(self, columns: Sequence[str]) -> List[str]:
         """``columns`` without repeats; every one must be the table's."""
@@ -309,10 +324,10 @@ class StoredTable(_StoredProvider):
     """One physically stored table: decodes segments lazily, caches decoded id columns.
 
     A table's bucket ``i`` consists of its base segment (when the table has
-    base partitions) plus every delta segment appended to bucket ``i``; scans
-    merge them transparently, emitting rows grouped by bucket.  Pruning (zone
-    maps, bucket arithmetic, unknown terms) applies to base and delta
-    segments alike.
+    base partitions) plus every delta segment appended to bucket ``i``; its
+    whole columns merge them transparently, rows grouped by bucket.  The
+    counters' pruning (zone maps, bucket arithmetic, unknown terms) counts
+    base and delta segments alike.
     """
 
     def __init__(
@@ -384,46 +399,26 @@ class StoredTable(_StoredProvider):
                     whole.extend(self._segment_arrays(segment, (column,))[column])
         return whole
 
-    def _whole_shape(self) -> Tuple[int, int, int]:
-        buckets = self.bucket_segments()
-        read = sum(1 for segments in buckets for segment in segments if segment.row_count)
-        rows = sum(segment.row_count for segments in buckets for segment in segments)
-        return rows, read, sum(map(len, buckets)) - read
-
-    def _scan_conditioned(
+    def _shape(
         self,
-        output_columns: List[str],
-        decode_columns: List[str],
-        condition_ids: List[Tuple[str, int]],
-        unknown_term: bool,
+        condition_ids: Sequence[Tuple[str, int]],
+        unknown: bool,
         target_bucket: Optional[int],
-    ) -> BatchScanResult:
-        out: List[List[int]] = [[] for _ in output_columns]
-        rows_scanned = 0
-        segments_scanned = 0
-        segments_pruned = 0
+    ) -> Tuple[int, int, int]:
+        rows = scanned = pruned = 0
         for bucket, segments in enumerate(self.bucket_segments()):
             for segment in segments:
-                pruned = (
-                    unknown_term
+                if (
+                    unknown
                     or segment.row_count == 0  # provably empty, never read
                     or (target_bucket is not None and bucket != target_bucket)
                     or _zones_exclude((segment,), condition_ids)
-                )
-                if pruned:
-                    segments_pruned += len(decode_columns)
-                    continue
-                segments_scanned += len(decode_columns)
-                rows_scanned += segment.row_count
-                ids = self._segment_arrays(segment, decode_columns)
-                _emit(out, ids, output_columns, condition_ids, range(segment.row_count))
-        return self._result(
-            output_columns,
-            tuple(out),
-            rows_scanned=rows_scanned,
-            segments_scanned=segments_scanned,
-            segments_pruned=segments_pruned,
-        )
+                ):
+                    pruned += 1
+                else:
+                    scanned += 1
+                    rows += segment.row_count
+        return rows, scanned, pruned
 
     def entry_changed(self) -> None:
         """The manifest entry was updated in place by a committed mutation.
@@ -460,11 +455,12 @@ class StoredSelection(_StoredProvider):
     """A materialised ExtVP table: a view of some rows of its VP table.
 
     Nothing of it is stored but one bitmap per bucket of ``base``
-    (``VP_first``), so a scan borrows that table's decoded id columns — a VP
-    column is read and decoded once for the table and all its reductions —
-    and picks the selected positions: the rows of ``VP_first`` that are in
-    the reduction, in ``VP_first``'s order, grouped by its buckets.  The
-    decoded position vectors are what this object caches.
+    (``VP_first``), so its whole columns borrow that table's decoded id
+    columns — a VP column is read and decoded once for the table and all its
+    reductions — and pick the selected positions: the rows of ``VP_first``
+    that are in the reduction, in ``VP_first``'s order, grouped by its
+    buckets.  The decoded position vectors are cached next to the resident
+    columns.
     """
 
     def __init__(self, base: StoredTable, selection: SelectionEntry) -> None:
@@ -490,11 +486,11 @@ class StoredSelection(_StoredProvider):
             distinct_objects=selection.distinct_objects,
         )
 
-    def scan_whole(self, columns: Tuple[str, ...]) -> BatchScanResult:
+    def _resident(self) -> Dict[str, PositionIndex]:
         if self._base_version != self.base.version:
             self._base_version = self.base.version
             self._drop_scans()
-        return super().scan_whole(columns)
+        return self._columns
 
     def _whole_column(self, column: str) -> List[int]:
         whole: List[int] = []
@@ -504,51 +500,28 @@ class StoredSelection(_StoredProvider):
                 whole.extend(map(ids.__getitem__, self._bucket_positions(bucket)))
         return whole
 
-    def _whole_shape(self) -> Tuple[int, int, int]:
-        buckets = self.base.bucket_segments()
-        bitmaps = self.selection.bitmaps
-        read = sum(len(segments) for segments, bitmap in zip(buckets, bitmaps) if bitmap.rows)
-        rows = sum(bitmap.rows for bitmap in bitmaps)
-        return rows, read, sum(map(len, buckets)) - read
-
-    def _scan_conditioned(
+    def _shape(
         self,
-        output_columns: List[str],
-        decode_columns: List[str],
-        condition_ids: List[Tuple[str, int]],
-        unknown_term: bool,
+        condition_ids: Sequence[Tuple[str, int]],
+        unknown: bool,
         target_bucket: Optional[int],
-    ) -> BatchScanResult:
-        """Buckets are pruned by the bucket hash and by ``base``'s zone maps —
-        the reduction's values are a subset of the table's, so the test stays
-        sound — and the selected positions of the others are filtered."""
-        out: List[List[int]] = [[] for _ in output_columns]
-        rows_scanned = 0
-        segments_scanned = 0
-        segments_pruned = 0
-        bitmaps = self.selection.bitmaps
-        for bucket, segments in enumerate(self.base.bucket_segments()):
-            rows = bitmaps[bucket].rows
-            pruned = (
-                unknown_term
-                or rows == 0
+    ) -> Tuple[int, int, int]:
+        # A bucket is pruned whole, also by ``base``'s zone maps (the
+        # reduction's values are a subset of the table's).
+        rows = scanned = pruned = 0
+        buckets = self.base.bucket_segments()
+        for bucket, (segments, bitmap) in enumerate(zip(buckets, self.selection.bitmaps)):
+            if (
+                unknown
+                or bitmap.rows == 0
                 or (target_bucket is not None and bucket != target_bucket)
                 or _zones_exclude(segments, condition_ids)
-            )
-            if pruned:
-                segments_pruned += len(segments) * len(decode_columns)
-                continue
-            segments_scanned += len(segments) * len(decode_columns)
-            rows_scanned += rows
-            ids = self.base.bucket_arrays(bucket, decode_columns)
-            _emit(out, ids, output_columns, condition_ids, self._bucket_positions(bucket))
-        return self._result(
-            output_columns,
-            tuple(out),
-            rows_scanned=rows_scanned,
-            segments_scanned=segments_scanned,
-            segments_pruned=segments_pruned,
-        )
+            ):
+                pruned += len(segments)
+            else:
+                scanned += len(segments)
+                rows += bitmap.rows
+        return rows, scanned, pruned
 
     def _bucket_positions(self, bucket: int) -> List[int]:
         bitmap = self.selection.bitmaps[bucket]

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.baselines.binding_iteration import index_nested_loop_execute
 from repro.core.session import S2RDFSession
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.relation import Relation, SchemaError
@@ -31,10 +32,12 @@ from repro.engine.storage import (
 from repro.engine import vectorized
 from repro.engine.vectorized import ColumnBatch, PositionIndex, concat_batches, null_column
 from repro.rdf.graph import Graph
-from repro.rdf.terms import IRI, Literal, Term
+from repro.rdf.terms import IRI, Literal, Term, Variable
 from repro.rdf.triple import Triple
+from repro.sparql.algebra import TriplePattern
 from repro.store import format as store_format
 from repro.store.format import StoredTermDictionary, TermMemo, decode_term_line
+from repro.store.reader import StoredTable
 from repro.watdiv.basic_queries import BASIC_TEMPLATES
 from repro.watdiv.template import instantiate_template
 
@@ -644,22 +647,43 @@ def answers(session, triples):
 
 
 def test_two_queries_build_a_resident_index_once(builds):
-    """The zero-work pin: a second query joining the same resident scan
-    probes the index the first one built."""
+    """The zero-work pin: the first query builds one index per resident
+    column it touches — the bound scan's ``s`` and the joined table's ``s``
+    — and later queries, with the same constant or another, look up and
+    probe those two."""
     triples = users_triples()
     with S2RDFSession.from_graph(Graph(triples), journal_enabled=False) as session:
+        built = []
         for user in (1, 2, 1):
             assert bag(session.query(TWO_HOPS.format(user)).relation) == two_hops(triples, user)
-    assert len(builds) == 1
+            built.append(len(builds))
+    assert built == [2, 2, 2]
 
 
-def test_threads_racing_the_first_index_build_get_the_uncached_answers(monkeypatch):
-    """Every thread joins the same unbuilt resident index, and all of them
-    are held inside the build before any publishes it: each builds its own,
-    and each gets its own answer."""
+def followers_of_likers(triples, item):
+    """FOLLOWERS_OF_LIKERS's answer, worked out from the triples themselves."""
+    edges = [(t.subject, t.predicate, t.object) for t in triples]
+    likers = {s for s, p, o in edges if p == IRI("likes") and o == IRI(f"i{item}")}
+    return sorted(repr((s,)) for s, p, o in edges if p == IRI("follows") and o in likers)
+
+
+@pytest.mark.parametrize(
+    "query, expected",
+    [(TWO_HOPS, two_hops), (FOLLOWERS_OF_LIKERS, followers_of_likers)],
+    ids=["constant-on-s", "constant-on-o"],
+)
+def test_threads_racing_the_first_index_build_get_the_uncached_answers(
+    monkeypatch, query, expected
+):
+    """Every thread's first index build is its bound scan's — ``s`` of the
+    ``follows`` selection for a user, ``o`` of ``vp_likes`` for an item — and
+    its second the joined table's; all of them are held inside each build
+    before any publishes it: each builds its own, and each gets its own
+    answer.  Every constant is in the store, so every thread builds both."""
     threads_count = 8
     triples = users_triples()
-    users = tuple(range(1, threads_count + 1))
+    # Users 1-8 all follow someone; items 0-6 are all liked.
+    constants = [n % 7 if query is FOLLOWERS_OF_LIKERS else n for n in range(1, threads_count + 1)]
     barrier = threading.Barrier(threads_count, timeout=60)
     build = vectorized.index_positions
 
@@ -670,9 +694,9 @@ def test_threads_racing_the_first_index_build_get_the_uncached_answers(monkeypat
     monkeypatch.setattr(vectorized, "index_positions", overlapping)
     got, failures = {}, []
 
-    def client(user: int) -> None:
+    def client(n: int, constant: int) -> None:
         try:
-            got[user] = bag(session.query(TWO_HOPS.format(user)).relation)
+            got[n] = bag(session.query(query.format(constant)).relation)
         except BaseException as error:  # reported by the main thread
             failures.append(error)
             barrier.abort()
@@ -681,7 +705,7 @@ def test_threads_racing_the_first_index_build_get_the_uncached_answers(monkeypat
     sys.setswitchinterval(1e-5)
     try:
         with S2RDFSession.from_graph(Graph(triples), journal_enabled=False) as session:
-            threads = [threading.Thread(target=client, args=(user,)) for user in users]
+            threads = [threading.Thread(target=client, args=pair) for pair in enumerate(constants)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -690,7 +714,7 @@ def test_threads_racing_the_first_index_build_get_the_uncached_answers(monkeypat
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not failures, failures[0]
-    assert got == {user: two_hops(triples, user) for user in users}
+    assert got == {n: expected(triples, constant) for n, constant in enumerate(constants)}
     assert len(set(map(tuple, got.values()))) > 1  # the answers differ
 
 
@@ -719,6 +743,107 @@ def test_a_store_change_drops_the_resident_indexes(tmp_path, mutation):
             assert compacted.delta_rows_merged
             assert {"vp_likes", "extvp_os_follows__likes"} <= set(compacted.touched_tables)
         assert {"vp_likes", "extvp_os_follows__likes"} <= answers(session, triples + added)
+
+
+class ReadsRecorded(list):
+    """A resident column that records every position read from it."""
+
+    def __init__(self, column, reads):
+        super().__init__(column)
+        self.reads = reads
+
+    def __getitem__(self, position):
+        self.reads.append(position)
+        return list.__getitem__(self, position)
+
+
+#: Per table: the constants of a warm-up scan, then scans with new ones —
+#: on ``s`` and ``o`` at once (a base row, an appended row, no common row),
+#: a constant the dictionary holds but the table lacks, one the store never held.
+BOUND_SCANS = {
+    "vp_likes": (
+        {"s": "u1", "o": "i1"},
+        [
+            {"s": "u2", "o": "i2"},
+            {"s": "u8", "o": "i7"},
+            {"s": "u4", "o": "i2"},
+            {"o": "u3"},
+            {"o": "http://nowhere/x"},
+        ],
+    ),
+    # The follows rows whose object likes something.
+    "extvp_os_follows__likes": (
+        {"s": "u1", "o": "u4"},
+        [
+            {"s": "u2", "o": "u7"},
+            {"s": "u1", "o": f"u{USERS}"},
+            {"s": "u2", "o": "u4"},
+            {"o": "i2"},
+            {"s": "http://nowhere/x"},
+        ],
+    ),
+}
+
+
+def bound_scan_oracle(graph, table, conditions):
+    """The ``(s, o)`` rows of ``table`` under ``conditions``, from the graph."""
+    subject = conditions.get("s", Variable("s"))
+    object_ = conditions.get("o", Variable("o"))
+    patterns = [TriplePattern(subject, IRI("likes" if table == "vp_likes" else "follows"), object_)]
+    if table != "vp_likes":
+        patterns.append(TriplePattern(object_, IRI("likes"), Variable("x")))
+    rows = {
+        (solution.get("s", subject), solution.get("o", object_))
+        for solution in index_nested_loop_execute(graph, patterns)
+    }
+    return sorted(map(repr, rows))
+
+
+@pytest.mark.parametrize("num_partitions", [1, 4])
+@pytest.mark.parametrize("name", sorted(BOUND_SCANS))
+def test_a_warm_bound_scan_reads_only_its_constants_rows(tmp_path, monkeypatch, num_partitions, name):
+    """The zero-work pin: once a bound scan made a table's columns resident,
+    a scan with new constants decodes no segment and reads no row of the
+    resident columns but the ones its rarest constant's position list
+    holds; every answer is the graph's, on stores with an appended delta."""
+    triples = users_triples()
+    added = [Triple.of(f"u{i}", "likes", "i7") for i in range(0, USERS, 4)]
+    added += [Triple.of("u1", "follows", f"u{USERS}"), Triple.of(f"u{USERS}", "likes", "i3")]
+    graph = Graph(triples + added)
+    path = str(tmp_path / "dataset")
+    with S2RDFSession.from_graph(Graph(triples), num_partitions=num_partitions) as saver:
+        saver.save_dataset(path)
+    warm_up, cases = BOUND_SCANS[name]
+    with repro.connect(path, journal_enabled=False) as session:
+        session.append_triples(added)
+        table = session._dataset.tables[name]
+        assert table.entry.deltas
+        dictionary = session._dataset.dictionary
+        table.scan(["s", "o"], {column: IRI(value) for column, value in warm_up.items()})
+
+        def unread(*args):
+            raise AssertionError("a warm bound scan read the store")
+
+        monkeypatch.setattr(StoredTable, "_segment_arrays", unread)
+        monkeypatch.setattr(StoredTable, "bucket_arrays", unread)
+        reads = []
+        for index in table._columns.values():
+            index.column = ReadsRecorded(index.column, reads)
+        for case in cases:
+            conditions = {column: IRI(value) for column, value in case.items()}
+            reads.clear()
+            scan = table.scan(["s", "o"], conditions)
+            expected = bound_scan_oracle(graph, name, conditions)
+            assert sorted(map(repr, scan.relation.rows)) == expected, case
+            assert reads or not expected
+            rarest = min(
+                (
+                    table._columns[column].positions().get(dictionary.lookup(term), [])
+                    for column, term in conditions.items()
+                ),
+                key=len,
+            )
+            assert set(reads) <= set(rarest), case
 
 
 # --------------------------------------------------------------------------- #
