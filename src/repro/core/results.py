@@ -33,7 +33,7 @@ class QueryResult:
     wall_clock_ms: float
     statically_empty: bool = False
     #: Wall-clock milliseconds per query phase (``parse``, ``compile``,
-    #: ``plan``, ``execute``).  Populated even when tracing is disabled — the
+    #: ``plan``, ``execute``, ``lower``: the root decoded to term rows).  Populated even when tracing is disabled — the
     #: session times the phases directly; the tracer only adds span detail.
     #: ``plan`` is the time taken to obtain the plan's row estimates: taking
     #: the ones the template cache keeps with the plan (computed by the

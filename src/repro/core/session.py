@@ -286,7 +286,7 @@ class S2RDFSession:
         )
         #: Manifest append epoch stamped into journal records: ``None`` until
         #: the session touches a stored dataset, then updated only *after*
-        #: each mutation's manifest swap (see :meth:`_refresh_from_store`).
+        #: each mutation's manifest commit (see :meth:`_refresh_from_store`).
         self._journal_epoch: Optional[int] = None
         #: Set by :meth:`open_dataset`: instrumentation of the cold open.
         self.load_report: Optional[DatasetLoadReport] = None
@@ -642,8 +642,9 @@ class S2RDFSession:
     def _resident_dataset(self) -> StoredDataset:
         """The opened store state a mutation may work on in place.
 
-        The resident copy is trusted only while ``MANIFEST.json`` is still
-        the very file (inode, size, mtime) this session last read or wrote;
+        The resident copy is trusted only while ``MANIFEST.json`` and
+        ``MANIFEST.log`` are still the very files (inode, size, mtime) this
+        session last read or wrote;
         after anyone else's commit the store is re-read and everything
         re-registered.
         """
@@ -699,9 +700,9 @@ class S2RDFSession:
             "s2rdf_plan_cache_invalidations_total",
             help="Store changes that dropped the compiled-plan cache",
         )
-        # The journal epoch advances only here — after the mutation's atomic
-        # manifest swap — so a record written mid-append (before the swap)
-        # still carries the pre-append epoch it actually executed against.
+        # The journal epoch advances only here — after the mutation's manifest
+        # commit — so a record written mid-append (before the commit) still
+        # carries the pre-append epoch it actually executed against.
         self._journal_epoch = dataset.manifest.append_epoch
 
     # ------------------------------------------------------------------ #
@@ -887,8 +888,8 @@ class S2RDFSession:
 
         Every query ends here: a direct one with the record its own
         :meth:`_evaluate` made, a served one with the record a process
-        worker sent.  Lowering the root is the executor's last step, so it
-        counts into the ``execute`` phase and the wall clock.  ``queue_ms``
+        worker sent.  Lowering the root to term rows is timed as its own
+        ``lower`` phase and counts into the wall clock.  ``queue_ms``
         and ``dispatch_ms`` are what serving added: the wait in the admission
         queue and the hop to a worker.
         """
@@ -896,7 +897,7 @@ class S2RDFSession:
         relation = self._lower(record.root)
         lower_ms = (time.perf_counter() - start) * 1000.0
         phase_ms = dict(record.phase_ms)
-        phase_ms["execute"] += lower_ms
+        phase_ms["lower"] = lower_ms
         metrics = record.metrics
         sql = record.sql
         result = QueryResult(

@@ -1,9 +1,11 @@
-"""On-disk layout of a persistent S2RDF dataset (format version 4).
+"""On-disk layout of a persistent S2RDF dataset (format version 5).
 
 A dataset is a directory::
 
     <dataset>/
         MANIFEST.json          -- catalog, statistics, zone maps, config
+        MANIFEST.log           -- what the appends since MANIFEST.json was
+                                  written changed, one JSON line each
         dictionary.nt          -- dataset-wide term dictionary, one N3 term
                                   per line; the line number is the term id
         tables/<name>.seg      -- one file per *physically stored* table
@@ -39,9 +41,17 @@ Table files and the term dictionary are append-only: an append writes at the
 manifest references) and never renumbers an id or moves a byte, so every
 committed range stays valid verbatim.  A bitmap that gains bits is written
 anew at the end; the blob it supersedes becomes *dead bytes* until the next
-compaction.  The atomic manifest swap is the only commit point; bytes past a
-file's committed end belong to an operation that crashed before its swap —
-readers never look at them and the next write overwrites them.  Compaction
+compaction.  A write commits in one operation, its last: an append by one
+complete line behind the committed end of ``MANIFEST.log`` (the records it
+changed, :meth:`Manifest.changes`), a compaction or a full save by swapping a
+whole new ``MANIFEST.json`` in with ``os.replace`` and then deleting the log,
+which is folded into it.  An append folds the log too, once the log would
+outgrow ``MANIFEST.json``.  :func:`read_manifest` reads ``MANIFEST.json`` and
+merges every complete line of the log into it (skipping those the base
+already holds, by their epoch), so a reader parses at most about two
+manifests' bytes.  Bytes past a file's committed end — and a torn last line
+of the log — belong to an operation that crashed before its commit: readers
+never look at them and the next write overwrites them.  Compaction
 (:class:`~repro.store.writer.DatasetCompactor`) merges a table's delta
 segments back into full base bucket segments — mapping every selection over
 a re-sorted bucket through the sort permutation — and drops dead bytes, in a
@@ -80,10 +90,13 @@ from repro.mappings.naming import correlation_table_name
 from repro.rdf.terms import IRI, Literal, Term, XSD_STRING, term_from_string
 
 #: Bumped whenever the directory layout or segment encoding changes.
-#: Version 4 stores every ExtVP table as bitmaps over its VP table's rows.
-FORMAT_VERSION = 4
+#: Version 4 stores every ExtVP table as bitmaps over its VP table's rows;
+#: version 5 commits an append as a line of ``MANIFEST.log``, which a
+#: version-4 reader would not read.
+FORMAT_VERSION = 5
 
 MANIFEST_FILE = "MANIFEST.json"
+MANIFEST_LOG_FILE = "MANIFEST.log"
 DICTIONARY_FILE = "dictionary.nt"
 TABLES_DIR = "tables"
 
@@ -128,8 +141,16 @@ class DatasetFormatError(ValueError):
     """Raised when a dataset directory cannot be read back."""
 
 
+#: ``(inode, size, mtime_ns)`` of one file.
+_FileIdentity = Tuple[int, int, int]
+
+
 def manifest_path(root: str) -> str:
     return os.path.join(root, MANIFEST_FILE)
+
+
+def manifest_log_path(root: str) -> str:
+    return os.path.join(root, MANIFEST_LOG_FILE)
 
 
 def dictionary_path(root: str) -> str:
@@ -715,9 +736,15 @@ class Manifest:
     #: "o": object ids}`` (as sets).  These let an append dedup its batch and
     #: maintain ExtVP statistics without re-reading any stored segment.
     vp_value_sets: Dict[IRI, dict] = field(default_factory=dict)
-    #: ``(inode, size, mtime_ns)`` of ``MANIFEST.json`` as this object was
-    #: last read from or written to it — see :func:`manifest_identity`.
-    identity: Optional[Tuple[int, int, int]] = field(default=None, compare=False)
+    #: ``(inode, size, mtime_ns)`` of ``MANIFEST.json`` and of
+    #: ``MANIFEST.log`` (``None`` while there is none) as this object was last
+    #: read from or written to them — see :func:`manifest_identity`.
+    identity: Optional[Tuple[_FileIdentity, Optional[_FileIdentity]]] = field(
+        default=None, compare=False
+    )
+    #: End of the last complete line of ``MANIFEST.log``: where the next
+    #: append's line goes (0 while there is no log).
+    log_bytes: int = field(default=0, compare=False)
 
     def statistics_only_count(self) -> int:
         """Correlations without a table: empty, equal to ``VP_first`` or above the threshold."""
@@ -735,39 +762,94 @@ class Manifest:
                 return entry, selection
         raise KeyError(name)
 
+    def _predicate_record(self, predicate: IRI) -> list:
+        """``predicate``'s entry of :meth:`to_json`'s ``"predicates"``."""
+        info = self.vp_tables[predicate]
+        value_sets = self.vp_value_sets[predicate]
+        return [
+            predicate.n3(),
+            info["table"],
+            info["size"],
+            sorted(value_sets["s"]),
+            sorted(value_sets["o"]),
+        ]
+
+    def _correlation_record(self, info: ExtVPTableInfo, predicate_index: Dict[IRI, int]) -> list:
+        """``info``'s entry of :meth:`to_json`'s ``"extvp"``; ``ValueError``
+        for statistics the manifest cannot hold."""
+        # Every held entry is written, so each must be a correlation with
+        # rows the layout maintains, relative to the current ``|VP_first|``
+        # — what the build and the incremental maintenance guarantee.
+        vp_table = self.vp_tables[info.first]
+        if (
+            info.row_count <= 0
+            or info.vp_row_count != vp_table["size"]
+            or not is_correlation_key(info.kind, info.first, info.second, self.include_oo)
+        ):
+            raise ValueError(f"ExtVP statistics the manifest cannot hold: {info!r}")
+        record = [
+            info.kind,  # a ``str`` subclass: serialises as its value
+            predicate_index[info.first],
+            predicate_index[info.second],
+            info.row_count,
+            int(info.materialized),
+        ]
+        if info.materialized:
+            selection = self.tables[vp_table["table"]].selections[info.name]
+            record += [
+                selection.distinct_subjects,
+                selection.distinct_objects,
+                [
+                    number
+                    for bitmap in selection.bitmaps
+                    for number in (bitmap.offset, bitmap.size_bytes, bitmap.rows)
+                ],
+            ]
+        return record
+
+    def changes(
+        self,
+        predicates: Iterable[IRI],
+        correlations: Iterable[ExtVPTableInfo],
+        tables: Iterable[str],
+    ) -> dict:
+        """The ``MANIFEST.log`` record of an append: what it changed, as
+        :meth:`to_json` encodes it.
+
+        ``predicates`` are those the append gave rows (a new one is listed
+        after the stored ones, as it was added to :attr:`vp_tables`, and takes
+        the next index), ``correlations`` the statistics its ExtVP maintenance
+        changed and ``tables`` the tables it extended or created.  Beside
+        those, the record holds every correlation whose ``|VP_first|`` moved —
+        the entries an append can make inconsistent — so each of them passes
+        :meth:`to_json`'s checks, and the epoch and dictionary size.
+        :func:`read_manifest` merges the record into the manifest record by
+        record (:func:`_replay`).
+        """
+        predicates = list(predicates)
+        moved = set(predicates)
+        keys = [(info.kind, info.first, info.second) for info in correlations]
+        keys += [key for key, info in self.extvp.tables.items() if info.first in moved]
+        predicate_index = {predicate: index for index, predicate in enumerate(self.vp_tables)}
+        return {
+            "append_epoch": self.append_epoch,
+            "dictionary_size": self.dictionary_size,
+            "predicates": [
+                self._predicate_record(predicate)
+                for predicate in sorted(predicates, key=predicate_index.__getitem__)
+            ],
+            "extvp": [
+                self._correlation_record(self.extvp.tables[key], predicate_index)
+                for key in dict.fromkeys(keys)
+            ],
+            "tables": [self.tables[name]._encode() for name in sorted(tables)],
+        }
+
     def to_json(self) -> dict:
         predicate_index = {predicate: index for index, predicate in enumerate(self.vp_tables)}
-        correlations = []
-        for key, info in self.extvp.tables.items():
-            # Every held entry is written, so each must be a correlation with
-            # rows the layout maintains, relative to the current ``|VP_first|``
-            # — what the build and the incremental maintenance guarantee.
-            vp_table = self.vp_tables[info.first]
-            if (
-                info.row_count <= 0
-                or info.vp_row_count != vp_table["size"]
-                or not is_correlation_key(*key, self.include_oo)
-            ):
-                raise ValueError(f"ExtVP statistics the manifest cannot hold: {info!r}")
-            record = [
-                info.kind,  # a ``str`` subclass: serialises as its value
-                predicate_index[info.first],
-                predicate_index[info.second],
-                info.row_count,
-                int(info.materialized),
-            ]
-            if info.materialized:
-                selection = self.tables[vp_table["table"]].selections[info.name]
-                record += [
-                    selection.distinct_subjects,
-                    selection.distinct_objects,
-                    [
-                        number
-                        for bitmap in selection.bitmaps
-                        for number in (bitmap.offset, bitmap.size_bytes, bitmap.rows)
-                    ],
-                ]
-            correlations.append(record)
+        correlations = [
+            self._correlation_record(info, predicate_index) for info in self.extvp.tables.values()
+        ]
         # Canonical order: what an append added last does not show in the bytes.
         correlations.sort(key=lambda record: (record[1], record[2], record[0]))
         return {
@@ -780,16 +862,7 @@ class Manifest:
             "dictionary_size": self.dictionary_size,
             "append_epoch": self.append_epoch,
             # [n3, vp table, rows, subject ids, object ids]
-            "predicates": [
-                [
-                    predicate.n3(),
-                    info["table"],
-                    info["size"],
-                    sorted(self.vp_value_sets[predicate]["s"]),
-                    sorted(self.vp_value_sets[predicate]["o"]),
-                ]
-                for predicate, info in self.vp_tables.items()
-            ],
+            "predicates": [self._predicate_record(predicate) for predicate in self.vp_tables],
             # [kind, first predicate, second predicate, rows, materialised] and,
             # when materialised, [distinct subjects, distinct objects,
             # [offset, length, rows of bucket 0's bitmap, ... of bucket 1's, ...]]
@@ -892,31 +965,54 @@ def _decode_selection(name: str, record: list, entry: TableEntry) -> SelectionEn
     )
 
 
-def _identity(status: os.stat_result) -> Tuple[int, int, int]:
+def _identity(status: os.stat_result) -> _FileIdentity:
     return (status.st_ino, status.st_size, status.st_mtime_ns)
 
 
-def manifest_identity(root: str) -> Optional[Tuple[int, int, int]]:
-    """``(inode, size, mtime_ns)`` of the committed manifest, ``None`` if absent.
-
-    Every commit swaps in a freshly written file, so this changes whenever
-    *anyone* commits; a session trusts its resident copy of the store's state
-    only while it equals :attr:`Manifest.identity`.
-    """
+def _file_identity(path: str) -> Optional[_FileIdentity]:
     try:
-        return _identity(os.stat(manifest_path(root)))
+        return _identity(os.stat(path))
     except FileNotFoundError:
         return None
 
 
-def write_manifest(root: str, manifest: Manifest) -> None:
-    # Compact separators and one-shot ``dumps`` (the C encoder; streaming
-    # ``json.dump`` falls back to the pure-Python one): the manifest is
-    # machine-read, has O(tables x buckets) zone-map records, and its
-    # serialisation sits on the commit path of every save, append and
-    # compaction.  The write goes to a temp file first and is swapped in
-    # with ``os.replace`` so the commit point is atomic: a crash mid-write
-    # never leaves a truncated manifest over a previously valid one.
+def manifest_identity(root: str) -> Optional[Tuple[_FileIdentity, Optional[_FileIdentity]]]:
+    """``(inode, size, mtime_ns)`` of ``MANIFEST.json`` and of ``MANIFEST.log``
+    (``None`` without a log); ``None`` without a committed manifest.
+
+    A full commit swaps in a freshly written ``MANIFEST.json`` and deletes the
+    log, an append's commit grows the log, so this changes whenever *anyone*
+    commits; a session trusts its resident copy of the store's state only
+    while it equals :attr:`Manifest.identity`.
+    """
+    base = _file_identity(manifest_path(root))
+    return None if base is None else (base, _file_identity(manifest_log_path(root)))
+
+
+def write_manifest(root: str, manifest: Manifest, changes: Optional[dict] = None) -> None:
+    """Commit ``manifest`` to ``root``: the one commit point of every write.
+
+    With ``changes`` — an append's record, :meth:`Manifest.changes` — the
+    commit is that record as one line behind the committed end of
+    ``MANIFEST.log``, unless the log would then hold more bytes than
+    ``MANIFEST.json``: then the log is folded, as a compaction and a full
+    save always fold it.  Folding writes the whole manifest to a temp file,
+    swaps it in with ``os.replace`` — atomic, so a crash mid-write never
+    leaves a truncated manifest over a valid one — and then deletes the log.
+    A crash before the deletion leaves lines the new ``MANIFEST.json``
+    already holds, which :func:`read_manifest` skips by their epoch.  The fold
+    rule bounds what an open parses at about two manifests.
+    """
+    if changes is not None:
+        # Compact separators and one-shot ``dumps`` (the C encoder), here and
+        # below: both are machine-read and sit on the commit path.
+        line = (json.dumps(changes, separators=(",", ":")) + "\n").encode("ascii")
+        base, _ = manifest.identity
+        if manifest.log_bytes + len(line) <= base[1]:
+            log = _append_log_line(manifest_log_path(root), manifest.log_bytes, line)
+            manifest.identity = (base, log)
+            manifest.log_bytes += len(line)
+            return
     path = manifest_path(root)
     temporary = path + ".tmp"
     with open(temporary, "w", encoding="utf-8") as handle:
@@ -926,17 +1022,143 @@ def write_manifest(root: str, manifest: Manifest) -> None:
         # exactly the file this call commits — not of a later writer's.
         status = os.fstat(handle.fileno())
     os.replace(temporary, path)
-    manifest.identity = _identity(status)
+    log_path = manifest_log_path(root)
+    if os.path.exists(log_path):
+        os.remove(log_path)
+    manifest.identity = (_identity(status), None)
+    manifest.log_bytes = 0
+
+
+def _append_log_line(path: str, offset: int, line: bytes) -> _FileIdentity:
+    """Make ``MANIFEST.log`` hold its first ``offset`` bytes, then ``line``;
+    returns the log's identity.
+
+    The torn line a crashed append may have left behind ``offset`` is cut
+    off *before* the write, so the write — the commit — is the last
+    operation: an append that dies in it or before it is not committed.
+    """
+    with open(path, "r+b" if offset else "wb") as handle:
+        handle.truncate(offset)
+        handle.seek(offset)
+        handle.write(line)
+        handle.flush()
+        return _identity(os.fstat(handle.fileno()))
+
+
+@dataclass
+class ManifestLog:
+    """What ``MANIFEST.log`` holds (:func:`read_manifest_log`)."""
+
+    #: The complete lines, decoded, in the order they were written.
+    records: List[dict]
+    #: End of the last complete line: where the next append writes.
+    committed_bytes: int = 0
+    #: Bytes behind that: a torn line of an append that crashed mid-write.
+    torn_bytes: int = 0
+    #: The log's ``(inode, size, mtime_ns)``; ``None`` without a log.
+    identity: Optional[_FileIdentity] = None
+
+
+def read_manifest_log(root: str) -> ManifestLog:
+    """The records of ``root``'s ``MANIFEST.log`` (none without one).
+
+    A line is complete when it ends in a newline and parses.  The last line
+    may be torn — written in part by an append that died, which therefore did
+    not commit — and is then ignored; an earlier line that does not parse is
+    a :class:`DatasetFormatError`.
+    """
+    path = manifest_log_path(root)
+    try:
+        with open(path, "rb") as handle:
+            identity = _identity(os.fstat(handle.fileno()))
+            data = handle.read()
+    except FileNotFoundError:
+        return ManifestLog([])
+    *lines, tail = data.split(b"\n")
+    records: List[dict] = []
+    end = 0
+    for number, line in enumerate(lines, 1):
+        try:
+            record = json.loads(line)
+        except ValueError:
+            if number == len(lines) and not tail:
+                break  # the last line, torn
+            raise DatasetFormatError(f"{path}: line {number} is not JSON") from None
+        if not isinstance(record, dict):
+            raise DatasetFormatError(f"{path}: line {number} is not a record")
+        records.append(record)
+        end += len(line) + 1
+    return ManifestLog(records, end, len(data) - end, identity)
+
+
+#: A replayed record's key, per list of the manifest's JSON (:meth:`Manifest.to_json`).
+_RECORD_KEYS: Dict[str, Callable[[list], Any]] = {
+    "predicates": lambda record: record[0],  # the predicate's N3
+    "extvp": lambda record: (record[0], record[1], record[2]),  # kind, predicate indexes
+    "tables": lambda record: record[0],  # the table's name
+}
+
+
+def _replay(data: dict, records: Sequence[dict], origin: str) -> None:
+    """Merge the log's ``records`` into ``data``, ``MANIFEST.json``'s content.
+
+    A record whose epoch the base already holds is skipped (a fold that died
+    before deleting the log left it); every other one must carry the next
+    epoch.  Within a record, each entry of a list replaces the entry with its
+    key, or is appended when none has it (a new predicate takes the next
+    index); any other field replaces the base's.  :meth:`Manifest.from_json`
+    then checks the merged manifest as it checks any.
+    """
+    epoch = base_epoch = data["append_epoch"]
+    try:
+        positions = {
+            name: {key(entry): at for at, entry in enumerate(data[name])}
+            for name, key in _RECORD_KEYS.items()
+        }
+        for record in records:
+            line_epoch = record.get("append_epoch")
+            if not isinstance(line_epoch, int):
+                raise DatasetFormatError(f"{origin}: a record without an epoch")
+            if line_epoch <= base_epoch:
+                continue
+            if line_epoch != epoch + 1:
+                raise DatasetFormatError(
+                    f"{origin}: the record of epoch {line_epoch} follows epoch {epoch}: "
+                    "the log has a gap"
+                )
+            for name, value in record.items():
+                key = _RECORD_KEYS.get(name)
+                if key is None:
+                    data[name] = value
+                    continue
+                entries, where = data[name], positions[name]
+                for entry in value:
+                    at = where.setdefault(key(entry), len(entries))
+                    if at == len(entries):
+                        entries.append(entry)
+                    else:
+                        entries[at] = entry
+            epoch = line_epoch
+    except (TypeError, KeyError, IndexError) as error:
+        raise DatasetFormatError(f"{origin}: a malformed record: {error!r}") from None
 
 
 def read_manifest(root: str) -> Manifest:
+    """The committed manifest of ``root``: ``MANIFEST.json`` with the
+    records of ``MANIFEST.log`` merged in, decoded once."""
     path = manifest_path(root)
     if not os.path.isfile(path):
         raise DatasetFormatError(f"{root!r} is not a dataset directory (missing {MANIFEST_FILE})")
     with open(path, "r", encoding="utf-8") as handle:
         identity = _identity(os.fstat(handle.fileno()))
-        manifest = Manifest.from_json(json.load(handle))
-    manifest.identity = identity
+        data = json.load(handle)
+    # A manifest of another version is refused by the decode below, its log unread.
+    log = read_manifest_log(root) if data.get("format_version") == FORMAT_VERSION else ManifestLog([])
+    if log.records:
+        _replay(data, log.records, manifest_log_path(root))
+    manifest = Manifest.from_json(data)
+    manifest.identity = (identity, log.identity)
+    manifest.log_bytes = log.committed_bytes
     return manifest
 
 

@@ -630,12 +630,14 @@ class StoredDataset:
         self.files.image = None
 
     def is_current(self) -> bool:
-        """Whether ``MANIFEST.json`` is still the file this object last read or wrote.
+        """Whether ``MANIFEST.json`` and ``MANIFEST.log`` are still the files
+        this object last read or wrote.
 
-        False once anyone else committed to the directory (another session,
-        another process, a full re-save) — and for an image held in memory,
-        which no directory holds: the resident state then describes no
-        committed manifest and must be re-read before the next write.
+        False once anyone else committed to the directory (another session's
+        or process's append, compaction or full re-save) — and for an image
+        held in memory, which no directory holds: the resident state then
+        describes no committed manifest and must be re-read before the next
+        write.
         """
         return self.root is not None and manifest_identity(self.root) == self.manifest.identity
 

@@ -70,6 +70,7 @@ from repro.store.format import (
     encode_segment,
     file_path,
     key_partition_index,
+    manifest_log_path,
     manifest_path,
     read_file_range,
     table_file,
@@ -225,7 +226,7 @@ class DatasetWriter:
         return self.commit(self.lay_out(triples), path, overwrite=overwrite)
 
     def lay_out(self, triples: Iterable[Triple]) -> DatasetImage:
-        """The v4 image of ``triples``: table files, dictionary and manifest, in memory.
+        """The image of ``triples``: table files, dictionary and manifest, in memory.
 
         The append of ``triples`` to an empty store, with every table written
         once, compacted: the batch step an append runs (:func:`_encode_batch`)
@@ -354,13 +355,14 @@ class DatasetWriter:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _clear_artifacts(path: str) -> None:
-        """Remove every previous dataset artifact (manifest invalidated first)."""
-        manifest = manifest_path(path)
-        if os.path.isfile(manifest):
-            os.remove(manifest)
-        dictionary = dictionary_path(path)
-        if os.path.isfile(dictionary):
-            os.remove(dictionary)
+        """Remove every previous dataset artifact (manifest invalidated first).
+
+        The manifest log goes too: its lines would otherwise be replayed over
+        the new manifest, whose epoch starts again at 0.
+        """
+        for artifact in (manifest_path(path), manifest_log_path(path), dictionary_path(path)):
+            if os.path.isfile(artifact):
+                os.remove(artifact)
         tables_root = os.path.join(path, TABLES_DIR)
         if os.path.isdir(tables_root):
             shutil.rmtree(tables_root)
@@ -671,11 +673,14 @@ class DatasetAppender:
     (:meth:`~repro.store.reader.StoredDataset.is_current`), and after an
     exception it is half-updated and must be thrown away.
 
-    The (atomic) manifest swap is the commit point: a crash mid-append leaves
-    the previous manifest in place, so the dataset reopens in its exact
-    pre-append state.  What the crashed attempt wrote lies past the committed
-    end of the table files and the dictionary, where no reader looks and the
-    retry writes.
+    The commit point is one line of ``MANIFEST.log``
+    (:func:`~repro.store.format.write_manifest` with the append's
+    :meth:`~repro.store.format.Manifest.changes`), written last: a crash
+    mid-append, in that write included, leaves no complete line, so the
+    dataset reopens in its exact pre-append state.  What the crashed attempt
+    wrote lies past the committed end of the table files, the dictionary and
+    the log, where no reader looks and the retry writes.  When the log would
+    outgrow ``MANIFEST.json``, the append folds it into a new one instead.
 
     Cost model: deduplication, VP statistics and ExtVP pair evaluation all
     run against the resident value sets without reading a single stored
@@ -687,9 +692,11 @@ class DatasetAppender:
     from the dataset's table handles: columns a query or an earlier append
     already decoded are not read again, and what this append decodes stays
     decoded for the queries after it.  An append of fresh terms costs what
-    the batch costs, plus one serialisation of the manifest.  The handles must
-    be current: the caller re-registers what each committed mutation touched
-    (:func:`~repro.store.reader.register_changes`) before the next one.
+    the batch costs: its log line holds the records it changed, and the
+    whole manifest is serialised only by a fold of the log or a compaction.
+    The handles must be current: the caller re-registers what each committed
+    mutation touched (:func:`~repro.store.reader.register_changes`) before
+    the next one.
     """
 
     def __init__(self, dataset: "StoredDataset") -> None:
@@ -824,14 +831,15 @@ class DatasetAppender:
             entry = manifest.tables[name]
             self._merge_bitmaps(entry, gains[name], image_of(entry))
 
-        # --- commit: table files, dictionary, manifest last ---------------- #
+        # --- commit: table files, dictionary, manifest log line last ------- #
         bytes_written = 0
         for name in sorted(images):
             bytes_written += images[name].write(file_path(self.path, manifest.tables[name].file))
         bytes_written += self.dataset.dictionary.append(self.path, dictionary.new_terms)
         manifest.dictionary_size = len(self.dataset.dictionary)
         manifest.append_epoch = epoch
-        write_manifest(self.path, manifest)
+        changes = manifest.changes(additions, [delta.info for delta in deltas], extended)
+        write_manifest(self.path, manifest, changes)
 
         return DatasetAppendReport(
             path=self.path,
@@ -950,7 +958,9 @@ class DatasetCompactor:
     place.  Crash safety mirrors the appender's: a rewritten table goes to a
     *new* file stamped with the compaction epoch, so the previous manifest
     stays fully valid until the new one is atomically swapped in; only after
-    that commit are the superseded files deleted.  A crash at any point
+    that commit are the manifest log (folded into the new manifest) and the
+    superseded files deleted.  A compaction with nothing to rewrite still
+    folds a log there is.  A crash at any point
     leaves the dataset openable in either its pre- or post-compaction state
     (never in between), with at worst some unreferenced files that the next
     ``compact`` call (even one with nothing to merge) or full save clears.
@@ -988,7 +998,8 @@ class DatasetCompactor:
                 touched.extend(entry.selections)
         if targets:
             manifest.append_epoch = epoch
-            write_manifest(path, manifest)  # atomic commit point
+        if targets or os.path.exists(manifest_log_path(path)):
+            write_manifest(path, manifest)  # atomic commit point; folds the log
         # Cleanup, after the commit: delete every table file the manifest does
         # not reference — the superseded ones, plus whatever crashed appends
         # and compactions left behind (so a retry after a crash in this very

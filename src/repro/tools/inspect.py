@@ -5,6 +5,10 @@ without loading a single table row, and reports the numbers an operator needs
 to decide whether the store is healthy:
 
 * manifest epoch, bucket count, dictionary size (terms and bytes on disk);
+* the manifest log: the lines appends committed since ``MANIFEST.json`` was
+  last written whole, their bytes and epochs, and the torn last line of an
+  append that crashed mid-write (readers ignore it, the next append cuts it
+  off);
 * per table file — one append-only file per VP table (and ``triples``):
   base vs. delta segment and byte counts (deltas are the part of the table
   appends have not yet folded back into tight base segments), the selections
@@ -12,7 +16,7 @@ to decide whether the store is healthy:
   many bytes), and its *live* bytes (referenced by the manifest), *dead*
   bytes (bitmaps an append superseded, reclaimed by the next compaction) and
   *uncommitted* bytes (behind the committed end: the tail of an append or
-  compaction that crashed before its manifest swap; readers ignore it and
+  compaction that crashed before its manifest commit; readers ignore it and
   the next write to the file overwrites it);
 * write amplification: stored bytes per logical triple;
 * zone-map tightness (static): the mean fraction of the dictionary id space a
@@ -21,8 +25,9 @@ to decide whether the store is healthy:
 * a compaction recommendation per file that has accumulated enough deltas or
   any dead bytes — what ``session.compact()`` would rewrite.
 
-Everything comes from ``MANIFEST.json`` plus ``os.path.getsize``, so the
-inspector is safe to run against a live dataset of any size.
+Everything comes from ``MANIFEST.json`` and ``MANIFEST.log`` plus
+``os.path.getsize``, so the inspector is safe to run against a live dataset of
+any size.
 """
 
 from __future__ import annotations
@@ -33,11 +38,18 @@ import os
 import statistics
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import StoreConfig
 from repro.obs.journal import read_dataset_journal
-from repro.store.format import Manifest, TableEntry, dictionary_path, file_path, read_manifest
+from repro.store.format import (
+    Manifest,
+    TableEntry,
+    dictionary_path,
+    file_path,
+    read_manifest,
+    read_manifest_log,
+)
 
 #: Recommend compaction once a table holds at least this many delta segments:
 #: the session's own default ``compaction_threshold``.
@@ -137,6 +149,13 @@ class StoreHealthReport:
     dead_bytes: int = 0
     #: Bytes behind the committed end of table files (crashed writes).
     uncommitted_bytes: int = 0
+    #: ``MANIFEST.log``: its complete lines, their bytes, the first and last
+    #: epoch they carry (``None`` without a line), and the bytes of a torn
+    #: last line behind them.
+    log_lines: int = 0
+    log_bytes: int = 0
+    log_epochs: Optional[Tuple[int, int]] = None
+    log_torn_bytes: int = 0
     tables: List[TableHealth] = field(default_factory=list)
     compaction_candidates: List[str] = field(default_factory=list)
     journal_records: int = 0
@@ -169,6 +188,13 @@ class StoreHealthReport:
             "bytes_per_triple": round(self.bytes_per_triple, 2),
             "dead_bytes": self.dead_bytes,
             "uncommitted_bytes": self.uncommitted_bytes,
+            "manifest_log": {
+                "lines": self.log_lines,
+                "bytes": self.log_bytes,
+                "first_epoch": self.log_epochs[0] if self.log_epochs else None,
+                "last_epoch": self.log_epochs[1] if self.log_epochs else None,
+                "torn_bytes": self.log_torn_bytes,
+            },
             "tables": [table.as_dict() for table in self.tables],
             "compaction_candidates": list(self.compaction_candidates),
             "journal_records": self.journal_records,
@@ -196,6 +222,20 @@ class StoreHealthReport:
             f"write amplification: {self.bytes_per_triple:.1f} bytes/triple "
             f"over {self.triples} triples",
         ]
+        if self.log_epochs is not None:
+            first, last = self.log_epochs
+            log = (
+                f"manifest log: {self.log_lines} line(s), {self.log_bytes} bytes, "
+                f"epochs {first}-{last}"
+            )
+        else:
+            log = "manifest log: no line (every commit is in MANIFEST.json)"
+        if self.log_torn_bytes:
+            log += (
+                f"; torn last line: {self.log_torn_bytes} bytes (a crashed append; ignored by "
+                "readers, cut off by the next append)"
+            )
+        lines.append(log)
         tails = [table for table in self.tables if table.uncommitted_bytes]
         if tails:
             lines.append(
@@ -316,6 +356,8 @@ def inspect_dataset(
 ) -> StoreHealthReport:
     """Build a :class:`StoreHealthReport` from a dataset directory."""
     manifest: Manifest = read_manifest(path)
+    log = read_manifest_log(path)
+    epochs = [record["append_epoch"] for record in log.records]
     tables = [
         _table_health(path, entry, manifest.dictionary_size, delta_segment_threshold)
         for entry in manifest.tables.values()
@@ -362,6 +404,10 @@ def inspect_dataset(
         bytes_per_triple=(total_bytes / triples) if triples else 0.0,
         dead_bytes=sum(t.dead_bytes for t in tables),
         uncommitted_bytes=sum(t.uncommitted_bytes for t in tables),
+        log_lines=len(epochs),
+        log_bytes=log.committed_bytes,
+        log_epochs=(epochs[0], epochs[-1]) if epochs else None,
+        log_torn_bytes=log.torn_bytes,
         tables=tables,
         compaction_candidates=[t.name for t in tables if t.needs_compaction],
         journal_records=len(records),

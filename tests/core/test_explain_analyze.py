@@ -167,7 +167,7 @@ def test_explain_analyze_works_with_tracing_enabled():
 # --------------------------------------------------------------------------- #
 def test_query_result_phase_timings_without_tracing(session):
     result = session.query(QUERY)
-    assert set(result.phase_ms) == {"parse", "compile", "plan", "execute"}
+    assert set(result.phase_ms) == {"parse", "compile", "plan", "execute", "lower"}
     assert all(value >= 0.0 for value in result.phase_ms.values())
     assert result.wall_clock_ms > 0.0
     # Phases partition the measured wall clock (render overhead excluded).

@@ -313,7 +313,7 @@ def test_ephemeral_session_journals_in_memory():
         assert record.epoch is None  # never touched a stored dataset
         assert record.wall_ms > 0.0
         assert record.scanned_tables
-        assert set(record.phase_ms) == {"parse", "compile", "plan", "execute"}
+        assert set(record.phase_ms) == {"parse", "compile", "plan", "execute", "lower"}
         assert record.estimate_q_error is None or record.estimate_q_error >= 1.0
 
 

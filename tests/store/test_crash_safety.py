@@ -1,20 +1,27 @@
 """A crash at every write of ``append_triples`` and of ``compact``.
 
-The store's claim: the atomic manifest swap is the only commit point, so
-whatever file operation a process dies in, a fresh ``repro.connect`` finds
-exactly the pre- or exactly the post-state, and running the operation again
-lands in the post-state — what the dead attempt left behind (bytes past the
-committed end of table files and of the dictionary, a manifest temp file,
-unreferenced table files) is never read and gets overwritten or swept.
+The store's claim: every write commits in one operation — an append by one
+complete line of ``MANIFEST.log``, a fold of that log, a compaction or a full
+save by the atomic swap of ``MANIFEST.json`` — so whatever file operation a
+process dies in, a fresh ``repro.connect`` finds exactly the pre- or exactly
+the post-state, and running the operation again lands in the post-state —
+what the dead attempt left behind (bytes past the committed end of table
+files, of the dictionary and of the log, a manifest temp file, unreferenced
+table files, log lines a fold already holds) is never read and gets
+overwritten or swept.
 
 The sweep needs no knowledge of *what* the store writes: a fault injector
 counts the store's file operations — every ``write``/``truncate`` on a file
 it opened for writing, ``os.replace``, ``os.remove`` — and the test dies at
 the k-th for every k.  A dying ``write`` gets half of its bytes out first.
-Under format v4 an append's write to a table file carries the file's new
-delta segments *and* every bitmap that changed, so the sweep also dies between
-a bitmap write and the manifest swap, and a compaction's between the sweep of
-one superseded file and the next.
+An append's write to a table file carries the file's new delta segments
+*and* every bitmap that changed, so the sweep also dies between a bitmap
+write and the commit, and a compaction's between the sweep of one superseded
+file and the next.  The log line goes through the same ``open``, so an
+append also dies mid-record.  On the small store of :func:`base_triples` an
+append of :func:`update_triples` changes about everything, its record would
+outgrow ``MANIFEST.json`` and it folds the log; on :func:`logged` the same
+append commits by a log line.
 """
 
 import os
@@ -27,7 +34,13 @@ from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
 from repro.rdf.triple import Triple
 from repro.store import format as store_format
-from repro.store.format import DatasetFormatError, manifest_path, read_manifest
+from repro.store.format import (
+    DatasetFormatError,
+    manifest_log_path,
+    manifest_path,
+    read_manifest,
+    read_manifest_log,
+)
 from repro.tools.inspect import inspect_dataset
 
 
@@ -313,3 +326,188 @@ def test_a_bitmap_longer_than_its_bucket_is_refused(appended):
     with repro.connect(base) as session:
         with pytest.raises(DatasetFormatError, match="bucket of 0 rows"):
             session.layout.catalog.scan(selection.name)
+
+
+# --------------------------------------------------------------------- #
+# The manifest log: an append's commit is one line of it
+# --------------------------------------------------------------------- #
+def bulk_triples():
+    """Triples the appends do not reach: they make ``MANIFEST.json`` large
+    enough that an append of :func:`update_triples` commits by a log line."""
+    return [
+        Triple(IRI(f"b{i}"), IRI(f"bulk{i % 6}"), IRI(f"c{i % 17}")) for i in range(300)
+    ]
+
+
+def log_lines(path):
+    return [record["append_epoch"] for record in read_manifest_log(path).records]
+
+
+@pytest.fixture()
+def logged(tmp_path):
+    """A dataset at epoch 0 and a copy of it one append later, which that
+    append committed by a log line."""
+    base = str(tmp_path / "logged-base")
+    repro.create(Graph(base_triples() + bulk_triples()), path=base, num_partitions=4).close()
+    after = str(tmp_path / "logged")
+    shutil.copytree(base, after)
+    with open(manifest_path(after), "rb") as handle:
+        manifest_before = handle.read()
+    with repro.connect(after) as session:
+        session.append_triples(update_triples())
+    with open(manifest_path(after), "rb") as handle:
+        assert handle.read() == manifest_before  # committed without a rewrite
+    assert log_lines(after) == [1]
+    return base, after
+
+
+def test_a_logged_append_survives_a_crash_at_every_write(faults, logged, tmp_path):
+    base, _ = logged
+    work = str(tmp_path / "work")
+    seen = crash_sweep(
+        faults, base, work, lambda s: s.append_triples(update_triples()), dead_bytes_allowed=True
+    )
+    # The log line is the append's last operation: dying anywhere, in it
+    # included, leaves the pre-append state.
+    assert not any(seen)
+    assert log_lines(work) == [1] and read_manifest_log(work).torn_bytes == 0
+
+
+def test_a_torn_record_is_not_committed_and_the_retry_cuts_it_off(faults, logged, tmp_path):
+    base, after = logged
+    pre, post = state(base), state(after)
+    work = str(tmp_path / "work")
+    shutil.copytree(base, work)
+    with repro.connect(work) as session:
+        faults.arm()
+        session.append_triples(update_triples())
+        total = faults.operations
+    # Again from epoch 0, dying in the last operation: the log line's write.
+    shutil.rmtree(work)
+    shutil.copytree(base, work)
+    session = repro.connect(work)
+    faults.arm(crash_at=total)
+    with pytest.raises(InjectedCrash, match="write"):
+        session.append_triples(update_triples())
+    faults.arm()
+    session.close()
+    log = read_manifest_log(work)
+    assert log.records == [] and log.committed_bytes == 0 and log.torn_bytes > 0
+    assert state(work) == pre
+
+    # The retry writes its line where the torn one began; a second append
+    # lands behind it, and a reopen reads what the writing session holds.
+    with repro.connect(work) as session:
+        session.append_triples(update_triples())
+        assert state(work) == post
+        session.append_triples([Triple(IRI("x3"), IRI("r"), IRI("s7"))])
+        resident = session.layout.manifest.to_json()
+    log = read_manifest_log(work)
+    assert log_lines(work) == [1, 2] and log.torn_bytes == 0
+    assert os.path.getsize(manifest_log_path(work)) == log.committed_bytes
+    assert read_manifest(work).to_json() == resident
+
+
+def test_a_compaction_that_dies_before_deleting_the_log_reopens_compacted(
+    logged, tmp_path, monkeypatch
+):
+    """The new ``MANIFEST.json`` holds what the log holds: a compaction that
+    dies between its swap and the deletion of the log leaves lines of epochs
+    the base already has, and a reopen skips them."""
+    _, after = logged
+    compacted = str(tmp_path / "compacted")
+    shutil.copytree(after, compacted)
+    with repro.connect(compacted) as session:
+        session.compact()
+    assert not os.path.exists(manifest_log_path(compacted))
+
+    real_remove = os.remove
+
+    def remove(path, *args, **kwargs):
+        if str(path).endswith("MANIFEST.log"):
+            raise InjectedCrash("os.remove")
+        return real_remove(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "remove", remove)
+    with repro.connect(after) as session:
+        with pytest.raises(InjectedCrash):
+            session.compact()
+    monkeypatch.undo()
+    assert log_lines(after) == [1] and read_manifest(after).append_epoch == 2
+    assert state(after) == state(compacted)
+    assert read_manifest(after) == read_manifest(compacted)
+
+    # The next append lands behind the stale line and is read back.
+    with repro.connect(after) as session:
+        session.append_triples([Triple(IRI("x3"), IRI("r"), IRI("s7"))])
+        resident = session.layout.manifest.to_json()
+    assert log_lines(after) == [1, 3]
+    assert read_manifest(after).to_json() == resident
+
+
+def test_a_full_save_over_a_logged_directory_replays_no_stale_line(faults, logged, tmp_path):
+    """A full save starts the epochs again at 0, so a line the old log kept
+    would replay as the new store's epoch 1: the save deletes the log with
+    the old manifest, before it writes anything, and a crash at any of its
+    operations leaves the old store, a directory that is refused, or the
+    new store."""
+    from repro.core.session import S2RDFSession
+
+    _, after = logged
+    graph = Graph(base_triples()[:30])
+    expected_path = str(tmp_path / "expected")
+    S2RDFSession.from_graph(graph, num_partitions=4).save_dataset(expected_path)
+    expected = state(expected_path)
+
+    def save(target):
+        with S2RDFSession.from_graph(graph, num_partitions=4) as session:
+            session.save_dataset(target, overwrite=True)
+
+    pre = state(after)
+    work = str(tmp_path / "work")
+    shutil.copytree(after, work)
+    faults.arm()
+    save(work)
+    total = faults.operations
+    assert not os.path.exists(manifest_log_path(work))
+    assert state(work) == expected
+    for k in range(1, total + 1):
+        shutil.rmtree(work)
+        shutil.copytree(after, work)
+        faults.arm(crash_at=k)
+        with pytest.raises(InjectedCrash):
+            save(work)
+        faults.arm()
+        if not os.path.exists(manifest_path(work)):
+            with pytest.raises(DatasetFormatError):
+                state(work)  # refused outright
+            continue
+        found = state(work)
+        assert found in (pre, expected), k
+        if found == expected:
+            assert not os.path.exists(manifest_log_path(work)), k
+
+
+def test_a_folding_append_survives_a_crash_at_every_write(faults, tmp_path):
+    """On the small store an append of :func:`update_triples` folds the log
+    a first append started: the whole manifest is swapped in, then the log
+    deleted.  Dying after the swap is the post-state already."""
+    base = str(tmp_path / "base")
+    repro.create(Graph(base_triples()), path=base, num_partitions=4).close()
+    with repro.connect(base) as session:
+        session.append_triples([Triple(IRI("x9"), IRI("fresh"), IRI("y9"))])
+    assert log_lines(base) == [1]
+    seen = crash_sweep(
+        faults,
+        base,
+        str(tmp_path / "work"),
+        lambda s: s.append_triples(update_triples()),
+        dead_bytes_allowed=True,
+    )
+    # Pre-state up to and including the swap, post-state once the dying
+    # operation is the deletion of the log behind it.
+    assert seen == sorted(seen) and seen[-1] and not seen[-2]
+    # The last sweep died there, and its retry had nothing left to append:
+    # the folded line stays behind, skipped by its epoch.
+    work = str(tmp_path / "work")
+    assert log_lines(work) == [1] and read_manifest(work).append_epoch == 2

@@ -25,6 +25,7 @@ from repro.store.format import (
     encode_term_line,
     file_path,
     key_partition_index,
+    manifest_log_path,
     manifest_path,
     read_manifest,
 )
@@ -792,18 +793,19 @@ class TestAppendCost:
 
 class TestFormatVersion:
     def test_older_format_is_refused_with_a_rebuild_hint(self, dataset_path):
-        """There is one format: a version-3 directory (every ExtVP table a
+        """There is one format: a version-4 directory (every append a rewrite
+        of the whole manifest, no log), a version-3 one (every ExtVP table a
         file of its own rows) or a version-2 one (one file per segment) is not
         read, and the error says what to do about it."""
         import json
 
-        for version in (3, 2):
+        for version in (4, 3, 2):
             with open(manifest_path(dataset_path), "w", encoding="utf-8") as handle:
                 json.dump({"format_version": version, "tables": [], "extvp": []}, handle)
             with pytest.raises(DatasetFormatError) as refused:
                 S2RDFSession.open_dataset(dataset_path)
             message = str(refused.value)
-            assert f"version {version}" in message and "version 4" in message
+            assert f"version {version}" in message and "version 5" in message
             assert "repro.create" in message
 
     @pytest.mark.parametrize("threshold", (1.5, -0.1))
@@ -917,7 +919,8 @@ class TestResidentState:
             assert sorted(call[0] for call in registered) == report.touched_tables
             assert 0 < len(registered) < 200 < table_count
             assert report.tables_created == 0
-            assert store_files(path) == files  # appended in place, no new file
+            # Appended in place: the only new file is the log the appends committed to.
+            assert store_files(path) == sorted(files + [manifest_log_path(path)])
 
             touched = set(fresh.touched_tables) | set(report.touched_tables)
             assert touched & set(decoded) and set(decoded) - touched

@@ -235,3 +235,46 @@ def test_served_queries_show_their_queue_wait_and_worker_hop(dataset):
     assert report.served_dispatch_ms_p50 == pytest.approx(handle.dispatch_ms, abs=1e-3)
     assert "worker hop p50" in report.render_text()
     assert json.loads(json.dumps(report.as_dict()))["served_dispatch_ms_p50"] > 0.0
+
+
+def test_the_manifest_log_and_a_torn_last_line_are_reported(tmp_path, capsys):
+    """An append that commits by a log line shows as that line; a torn line
+    behind it (an append that died mid-write) as its bytes; a compaction
+    folds the log away."""
+    import os
+
+    from repro.store.format import manifest_log_path
+
+    path = str(tmp_path / "logged")
+    graph = Graph(
+        [Triple.of(f"u{i}", "follows", f"u{(i * 3) % 8}") for i in range(24)]
+        + [Triple.of(f"b{i}", f"bulk{i % 5}", f"c{i % 13}") for i in range(200)]
+    )
+    with S2RDFSession.from_graph(graph, num_partitions=2) as session:
+        session.save_dataset(path)
+        assert inspect_dataset(path).log_epochs is None
+        assert "manifest log: no line" in inspect_dataset(path).render_text()
+        session.append_triples([Triple.of("u40", "follows", "u2")])
+        session.append_triples([Triple.of("u41", "follows", "u3")])
+    report = inspect_dataset(path)
+    log_bytes = os.path.getsize(manifest_log_path(path))
+    assert (report.log_lines, report.log_bytes, report.log_epochs) == (2, log_bytes, (1, 2))
+    assert report.log_torn_bytes == 0
+    assert f"manifest log: 2 line(s), {log_bytes} bytes, epochs 1-2" in report.render_text()
+    assert "torn" not in report.render_text()
+
+    with open(manifest_log_path(path), "ab") as handle:
+        handle.write(b'{"append_epoch":3,"dictio')
+    torn = inspect_dataset(path)
+    assert (torn.log_lines, torn.log_bytes, torn.log_torn_bytes) == (2, log_bytes, 25)
+    assert "torn last line: 25 bytes" in torn.render_text()
+    assert main([path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["manifest_log"] == {
+        "lines": 2, "bytes": log_bytes, "first_epoch": 1, "last_epoch": 2, "torn_bytes": 25,
+    }  # fmt: skip
+
+    with S2RDFSession.open_dataset(path) as session:
+        session.compact()
+    folded = inspect_dataset(path)
+    assert (folded.log_lines, folded.log_bytes, folded.log_torn_bytes) == (0, 0, 0)
+    assert not os.path.exists(manifest_log_path(path))
